@@ -7,6 +7,13 @@
 //! performs exactly the operation sequence of the original hand-written
 //! `f64` kernels (same 4-way unrolled accumulation in [`dot`], same
 //! scaled-ssq recurrence in [`nrm2`]), so results are bit-identical.
+//!
+//! The level-2/3 routines no longer call [`dot`] and [`axpy`] once per
+//! entry — they run the register-tiled kernels of [`tile`](crate::tile) —
+//! but these two remain the *definition* of what every entry must equal:
+//! [`dot`]'s four lanes, tail and fold, and [`axpy`]'s multiply-then-add,
+//! are the summation-order contract the golden digests pin (DESIGN.md,
+//! "Host kernels and the summation-order contract").
 
 use ca_scalar::Scalar;
 

@@ -4,6 +4,7 @@
 //! orthogonalization (`xGEMV` in Fig. 10); `gemv_n` applies the projection
 //! update `v -= V r`.
 
+use crate::mat::Cols;
 use crate::Mat;
 use ca_scalar::Scalar;
 
@@ -32,14 +33,14 @@ pub fn gemv_n<T: Scalar>(alpha: T, a: &Mat<T>, x: &[T], beta: T, y: &mut [T]) {
 /// `y := alpha * A^T x + beta * y`. `A` is `m x n`, `x` has length `m`,
 /// `y` has length `n`. Each output entry is a dot product with a column —
 /// this is exactly the "one thread block per column" decomposition the paper
-/// uses for its optimized tall-skinny MAGMA DGEMV (§V-F).
+/// uses for its optimized tall-skinny MAGMA DGEMV (§V-F); four columns
+/// share each load of `x` ([`tile::dots_tn`](crate::tile::dots_tn)).
 pub fn gemv_t<T: Scalar>(alpha: T, a: &Mat<T>, x: &[T], beta: T, y: &mut [T]) {
     assert_eq!(a.nrows(), x.len());
     assert_eq!(a.ncols(), y.len());
-    for j in 0..a.ncols() {
-        let d = crate::blas1::dot(a.col(j), x);
+    crate::tile::dots_tn(a.cols(0, a.ncols()), Cols::single(x), false, |j, _, d| {
         y[j] = alpha * d + if beta == T::ZERO { T::ZERO } else { beta * y[j] };
-    }
+    });
 }
 
 /// Rank-1 update `A += alpha * x y^T`.

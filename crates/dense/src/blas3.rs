@@ -1,17 +1,37 @@
 //! BLAS level-3: matrix-matrix operations.
 //!
-//! `syrk`/`gemm_tn` on tall-skinny operands form the Gram matrix in
+//! `syrk_tn`/`gemm_tn` on tall-skinny operands form the Gram matrix in
 //! CholQR/SVQR (`xGEMM` in Fig. 10); `trsm_right_upper` applies `R^{-1}`
-//! to the basis block. A blocked `gemm_tn_batched` mirrors the paper's
-//! batched-DGEMM optimization: the tall matrix is cut into `h`-row panels,
-//! each panel's small product is computed independently, and the partial
-//! results are reduced — the exact structure of the CUBLAS-batched trick
-//! in §V-F (there it aligns GPU memory transactions; here it exposes
-//! cache-blocked panel products and is the hook the GPU simulator uses to
-//! model that kernel's higher throughput).
+//! to the basis block; `update_cols` is BOrth's block update. The
+//! panelled products ([`gemm_tn_panels`], [`syrk_tn_batched`]) mirror the
+//! paper's batched-DGEMM optimization (§V-F): the tall matrix is cut into
+//! `h`-row panels, each panel's small product is formed on its own, and
+//! the partial results are summed in panel order — numerically distinct
+//! from the flat product, as on the GPU, and the structure the GPU
+//! simulator's cost model prices.
+//!
+//! Every routine here is a thin driver over the two micro-kernels of
+//! [`tile`](crate::tile) and keeps, per output scalar, the operation
+//! sequence of the `blas1::dot` / `blas1::axpy` loops it replaced (see
+//! DESIGN.md, "Host kernels and the summation-order contract"). The
+//! `*_cols` routines work in place on column ranges of one matrix and are
+//! what the simulated device's kernels delegate to.
 
+use crate::mat::Cols;
+use crate::tile::{dots_tn, fused_axpy, UPDATE_ROWS};
 use crate::Mat;
 use ca_scalar::Scalar;
+
+/// `alpha * d + beta * c`, never reading `c` when `beta` is zero.
+#[inline]
+fn axpby<T: Scalar>(alpha: T, d: T, beta: T, c: T) -> T {
+    alpha * d + if beta == T::ZERO { T::ZERO } else { beta * c }
+}
+
+/// Row chunks `(r0, r1)` of [`UPDATE_ROWS`] covering `0..rows`.
+fn row_chunks(rows: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..rows).step_by(UPDATE_ROWS).map(move |r0| (r0, (r0 + UPDATE_ROWS).min(rows)))
+}
 
 /// `C := alpha * A^T B + beta * C`, with `A` `m x k`, `B` `m x n`,
 /// `C` `k x n`. This is the tall-skinny Gram-forming product.
@@ -19,12 +39,43 @@ pub fn gemm_tn<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat
     assert_eq!(a.nrows(), b.nrows());
     assert_eq!(c.nrows(), a.ncols());
     assert_eq!(c.ncols(), b.ncols());
-    for j in 0..b.ncols() {
-        let bj = b.col(j);
-        for i in 0..a.ncols() {
-            let d = crate::blas1::dot(a.col(i), bj);
-            let cij = &mut c[(i, j)];
-            *cij = alpha * d + if beta == T::ZERO { T::ZERO } else { beta * *cij };
+    dots_tn(a.cols(0, a.ncols()), b.cols(0, b.ncols()), false, |i, j, d| {
+        c[(i, j)] = axpby(alpha, d, beta, c[(i, j)]);
+    });
+}
+
+/// `C := A^T B` on column views, flat (`panel_rows == None`: every entry
+/// one full-length dot) or panelled (`Some(h)`: per entry, the dots of
+/// the `h`-row panels added up in panel order, starting from zero). The
+/// panel loop is outermost, so each panel is streamed from memory once.
+/// With `upper` (`a` and `b` the same columns) only `i <= j` is computed
+/// and the lower triangle is mirrored.
+pub fn gemm_tn_panels<T: Scalar>(
+    a: Cols<'_, T>,
+    b: Cols<'_, T>,
+    panel_rows: Option<usize>,
+    upper: bool,
+    c: &mut Mat<T>,
+) {
+    assert_eq!(c.nrows(), a.ncols());
+    assert_eq!(c.ncols(), b.ncols());
+    match panel_rows {
+        None => dots_tn(a, b, upper, |i, j, d| c[(i, j)] = d),
+        Some(h) => {
+            assert!(h > 0);
+            c.fill(T::ZERO);
+            let rows = a.nrows();
+            for r0 in (0..rows).step_by(h) {
+                let r1 = (r0 + h).min(rows);
+                dots_tn(a.rows(r0, r1), b.rows(r0, r1), upper, |i, j, d| c[(i, j)] += d);
+            }
+        }
+    }
+    if upper {
+        for j in 0..c.ncols() {
+            for i in 0..j {
+                c[(j, i)] = c[(i, j)];
+            }
         }
     }
 }
@@ -34,23 +85,16 @@ pub fn gemm_nn<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat
     assert_eq!(a.ncols(), b.nrows());
     assert_eq!(c.nrows(), a.nrows());
     assert_eq!(c.ncols(), b.ncols());
-    for j in 0..b.ncols() {
-        // c[:, j] = alpha * A * b[:, j] + beta * c[:, j]
-        let bj = b.col(j).to_vec();
-        let cj = c.col_mut(j);
-        if beta == T::ZERO {
-            cj.iter_mut().for_each(|v| *v = T::ZERO);
-        } else if beta != T::ONE {
-            cj.iter_mut().for_each(|v| *v *= beta);
-        }
-        for (l, &blj) in bj.iter().enumerate() {
-            let f = alpha * blj;
-            if f != T::ZERO {
-                let al = a.col(l);
-                for (ci, &ail) in cj.iter_mut().zip(al) {
-                    *ci += f * ail;
-                }
+    for (r0, r1) in row_chunks(a.nrows()) {
+        for j in 0..b.ncols() {
+            // c[r0..r1, j] = alpha * A[r0..r1, :] * b[:, j] + beta * c[r0..r1, j]
+            let cj = &mut c.col_mut(j)[r0..r1];
+            if beta == T::ZERO {
+                cj.iter_mut().for_each(|v| *v = T::ZERO);
+            } else if beta != T::ONE {
+                cj.iter_mut().for_each(|v| *v *= beta);
             }
+            fused_axpy(cj, (0..a.ncols()).map(|l| (alpha * b[(l, j)], &a.col(l)[r0..r1])));
         }
     }
 }
@@ -62,14 +106,11 @@ pub fn syrk_tn<T: Scalar>(alpha: T, a: &Mat<T>, beta: T, c: &mut Mat<T>) {
     let k = a.ncols();
     assert_eq!(c.nrows(), k);
     assert_eq!(c.ncols(), k);
-    for j in 0..k {
-        for i in 0..=j {
-            let d = crate::blas1::dot(a.col(i), a.col(j));
-            let v = alpha * d + if beta == T::ZERO { T::ZERO } else { beta * c[(i, j)] };
-            c[(i, j)] = v;
-            c[(j, i)] = v;
-        }
-    }
+    dots_tn(a.cols(0, k), a.cols(0, k), true, |i, j, d| {
+        let v = axpby(alpha, d, beta, c[(i, j)]);
+        c[(i, j)] = v;
+        c[(j, i)] = v;
+    });
 }
 
 /// Batched/panelled variant of the Gram product `C := A^T A`:
@@ -79,57 +120,78 @@ pub fn syrk_tn<T: Scalar>(alpha: T, a: &Mat<T>, beta: T, c: &mut Mat<T>) {
 /// consumes. Results are bitwise-deterministic for a fixed `h`.
 pub fn syrk_tn_batched<T: Scalar>(a: &Mat<T>, h: usize, c: &mut Mat<T>) -> usize {
     let k = a.ncols();
-    assert_eq!(c.nrows(), k);
-    assert_eq!(c.ncols(), k);
-    assert!(h > 0);
-    let m = a.nrows();
-    let nbatch = m.div_ceil(h);
-    c.fill(T::ZERO);
-    let mut panel = Mat::zeros(k, k);
-    for b in 0..nbatch {
-        let r0 = b * h;
-        let r1 = (r0 + h).min(m);
-        for j in 0..k {
-            let cj = &a.col(j)[r0..r1];
-            for i in 0..=j {
-                let ci = &a.col(i)[r0..r1];
-                panel[(i, j)] = crate::blas1::dot(ci, cj);
-            }
+    gemm_tn_panels(a.cols(0, k), a.cols(0, k), Some(h), true, c);
+    a.nrows().div_ceil(h)
+}
+
+/// In place in one matrix: `V[:, d] += sum_l factor(l - s0, d - d0) * V[:, l]`
+/// for every destination `d` in `d0..d1` over the sources `l` in `s0..s1`
+/// — the tall update `V_b -= V_a C` of BOrth and Gram-Schmidt with
+/// `factor = -C`. Per destination the sources are applied in increasing
+/// `l`, a zero factor skips its source, and a column is never its own
+/// source (that term is skipped). Rows are processed in L1-sized chunks;
+/// every operation is row-local, so this equals one `blas1::axpy` per
+/// (destination, source) pair, destinations in increasing order.
+pub fn update_cols<T: Scalar>(
+    v: &mut Mat<T>,
+    (s0, s1): (usize, usize),
+    (d0, d1): (usize, usize),
+    factor: impl Fn(usize, usize) -> T,
+) {
+    assert!(s0 <= s1 && s1 <= v.ncols());
+    assert!(d0 <= d1 && d1 <= v.ncols());
+    for (r0, r1) in row_chunks(v.nrows()) {
+        for d in d0..d1 {
+            let (left, dst, right) = v.split_col_mut(d);
+            let (left, right) = (left.rows(r0, r1), right.rows(r0, r1));
+            let terms = (s0..s1).filter(|&l| l != d).map(|l| {
+                let src = if l < d { left.col(l) } else { right.col(l - d - 1) };
+                (factor(l - s0, d - d0), src)
+            });
+            fused_axpy(&mut dst[r0..r1], terms);
         }
-        for j in 0..k {
-            for i in 0..=j {
-                let v = c[(i, j)] + panel[(i, j)];
-                c[(i, j)] = v;
-                c[(j, i)] = v;
+    }
+}
+
+/// Right triangular solve `V[:, j0..j0+k] := V[:, j0..j0+k] R^{-1}` in
+/// place on a column range, `R` upper triangular (`k x k`). Column-oriented
+/// forward sweep, row-chunked. On a zero pivot at column `j` the columns
+/// before `j` are solved, column `j` has its updates but not its scaling,
+/// the rest are untouched, and the error names `j`.
+pub fn trsm_right_upper_cols<T: Scalar>(
+    v: &mut Mat<T>,
+    j0: usize,
+    r: &Mat<T>,
+) -> crate::Result<()> {
+    let k = r.ncols();
+    assert_eq!(r.nrows(), k);
+    assert!(j0 + k <= v.ncols());
+    let singular = (0..k).find(|&j| r[(j, j)] == T::ZERO);
+    let swept = singular.map_or(k, |j| j + 1);
+    for (r0, r1) in row_chunks(v.nrows()) {
+        for j in 0..swept {
+            // v[:, j] = (v[:, j] - sum_{l<j} v[:, l] * r[l, j]) / r[j, j]
+            let (left, dst, _) = v.split_col_mut(j0 + j);
+            let left = left.rows(r0, r1);
+            let dst = &mut dst[r0..r1];
+            fused_axpy(dst, (0..j).map(|l| (-r[(l, j)], left.col(j0 + l))));
+            if singular != Some(j) {
+                crate::blas1::scal(T::ONE / r[(j, j)], dst);
             }
         }
     }
-    nbatch
+    match singular {
+        Some(index) => Err(crate::DenseError::SingularTriangular { index }),
+        None => Ok(()),
+    }
 }
 
 /// Right triangular solve `B := B R^{-1}` with `R` upper triangular
-/// (`k x k`), `B` tall (`m x k`). Column-oriented forward sweep — this is
-/// the DTRSM that CholQR/SVQR apply to orthonormalize the basis block.
+/// (`k x k`), `B` tall (`m x k`) — the DTRSM that CholQR/SVQR apply to
+/// orthonormalize the basis block.
 pub fn trsm_right_upper<T: Scalar>(b: &mut Mat<T>, r: &Mat<T>) -> crate::Result<()> {
-    let k = r.ncols();
-    assert_eq!(r.nrows(), k);
-    assert_eq!(b.ncols(), k);
-    for j in 0..k {
-        // b[:, j] = (b[:, j] - sum_{l<j} b[:, l] * r[l, j]) / r[j, j]
-        for l in 0..j {
-            let rlj = r[(l, j)];
-            if rlj != T::ZERO {
-                let (bl, bj) = b.two_cols_mut(l, j);
-                crate::blas1::axpy(-rlj, bl, bj);
-            }
-        }
-        let d = r[(j, j)];
-        if d == T::ZERO {
-            return Err(crate::DenseError::SingularTriangular { index: j });
-        }
-        crate::blas1::scal(T::ONE / d, b.col_mut(j));
-    }
-    Ok(())
+    assert_eq!(b.ncols(), r.ncols());
+    trsm_right_upper_cols(b, 0, r)
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! and everything the simulated GPU kernels compute with:
 //!
 //! * a column-major matrix type ([`Mat`]) matching LAPACK storage conventions,
-//! * BLAS level 1/2/3 routines ([`blas1`], [`blas2`], [`blas3`]),
+//! * BLAS level 1/2/3 routines ([`blas1`], [`blas2`], [`blas3`]), the
+//!   tall-skinny ones built on two register-tiled micro-kernels ([`tile`])
+//!   that keep the level-1 summation order bit for bit,
 //! * Cholesky factorization with definiteness-failure reporting ([`chol`]) —
 //!   CholQR relies on observing exactly where the factorization breaks down,
 //! * Householder QR ([`qr`]) used by CAQR's local factorizations,
@@ -48,8 +50,11 @@ pub mod leja;
 pub mod mat;
 pub mod norms;
 pub mod qr;
+#[cfg(test)]
+mod reference;
+pub mod tile;
 
-pub use mat::Mat;
+pub use mat::{Cols, Mat};
 
 /// Errors reported by dense factorizations.
 #[derive(Debug, Clone, PartialEq)]

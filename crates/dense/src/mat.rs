@@ -126,6 +126,32 @@ impl<T: Scalar> Mat<T> {
         (&mut lo[a * self.ld..a * self.ld + self.nrows], &mut hi[..self.nrows])
     }
 
+    /// Column `d` mutably, with read-only views of the columns left
+    /// (`0..d`) and right (`d+1..ncols`) of it — what an in-place
+    /// `V[:, d] += V[:, others] * c` update needs.
+    pub fn split_col_mut(&mut self, d: usize) -> (Cols<'_, T>, &mut [T], Cols<'_, T>) {
+        assert!(d < self.ncols);
+        let (ld, nrows) = (self.ld, self.nrows);
+        let (lo, rest) = self.data.split_at_mut(d * ld);
+        let (col, hi) = rest.split_at_mut(ld);
+        (
+            Cols { data: lo, ld, nrows, ncols: d },
+            &mut col[..nrows],
+            Cols { data: hi, ld, nrows, ncols: self.ncols - d - 1 },
+        )
+    }
+
+    /// Read-only view of the contiguous columns `j0..j1`.
+    pub fn cols(&self, j0: usize, j1: usize) -> Cols<'_, T> {
+        assert!(j0 <= j1 && j1 <= self.ncols);
+        Cols {
+            data: &self.data[j0 * self.ld..j1 * self.ld],
+            ld: self.ld,
+            nrows: self.nrows,
+            ncols: j1 - j0,
+        }
+    }
+
     /// Copy of column `j` as a `Vec`.
     pub fn col_to_vec(&self, j: usize) -> Vec<T> {
         self.col(j).to_vec()
@@ -219,6 +245,52 @@ impl<T: Scalar> Mat<T> {
     /// semantics: round to nearest even on narrowing, exact on widening).
     pub fn cast<U: Scalar>(&self) -> Mat<U> {
         Mat::from_fn(self.nrows, self.ncols, |i, j| U::from_f64(self[(i, j)].to_f64()))
+    }
+}
+
+/// Borrowed view of a contiguous range of columns of a column-major
+/// matrix, optionally narrowed to a row panel. The tall-skinny kernels
+/// take their operands as views so that two column blocks of one matrix
+/// (the device basis `V`) and two separate matrices look alike.
+#[derive(Debug, Clone, Copy)]
+pub struct Cols<'a, T: Scalar = f64> {
+    data: &'a [T],
+    ld: usize,
+    nrows: usize,
+    ncols: usize,
+}
+
+impl<'a, T: Scalar> Cols<'a, T> {
+    /// A one-column view of a plain slice.
+    pub fn single(x: &'a [T]) -> Self {
+        Self { data: x, ld: x.len().max(1), nrows: x.len(), ncols: 1 }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// Column `j` of the view.
+    #[inline]
+    pub fn col(&self, j: usize) -> &'a [T] {
+        debug_assert!(j < self.ncols);
+        &self.data[j * self.ld..j * self.ld + self.nrows]
+    }
+
+    /// The same columns narrowed to rows `r0..r1`.
+    pub fn rows(&self, r0: usize, r1: usize) -> Cols<'a, T> {
+        assert!(r0 <= r1 && r1 <= self.nrows);
+        // a view of no columns has no data to offset into
+        let data = if self.ncols == 0 { self.data } else { &self.data[r0..] };
+        Cols { data, ld: self.ld, nrows: r1 - r0, ncols: self.ncols }
     }
 }
 

@@ -1,0 +1,433 @@
+//! Test oracles: the per-entry level-1 loops the tiled kernels replaced,
+//! kept verbatim, and the seeded bit-equality suite that pins every
+//! rewritten routine to them (`to_bits()` equality, `f64` and `f32`).
+//!
+//! The properties are plain seeded `#[test]`s: the offline `proptest`
+//! stand-in compiles properties to nothing, and these must always run.
+
+use crate::blas1::{axpy, dot, scal};
+use crate::mat::Cols;
+use crate::{blas2, blas3, tile, DenseError, Mat};
+use ca_scalar::Scalar;
+
+// ---------- the retained reference loops ----------
+
+fn gemm_tn<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
+    for j in 0..b.ncols() {
+        let bj = b.col(j);
+        for i in 0..a.ncols() {
+            let d = dot(a.col(i), bj);
+            let cij = &mut c[(i, j)];
+            *cij = alpha * d + if beta == T::ZERO { T::ZERO } else { beta * *cij };
+        }
+    }
+}
+
+fn gemm_nn<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
+    for j in 0..b.ncols() {
+        let bj = b.col(j).to_vec();
+        let cj = c.col_mut(j);
+        if beta == T::ZERO {
+            cj.iter_mut().for_each(|v| *v = T::ZERO);
+        } else if beta != T::ONE {
+            cj.iter_mut().for_each(|v| *v *= beta);
+        }
+        for (l, &blj) in bj.iter().enumerate() {
+            let f = alpha * blj;
+            if f != T::ZERO {
+                let al = a.col(l);
+                for (ci, &ail) in cj.iter_mut().zip(al) {
+                    *ci += f * ail;
+                }
+            }
+        }
+    }
+}
+
+fn syrk_tn<T: Scalar>(alpha: T, a: &Mat<T>, beta: T, c: &mut Mat<T>) {
+    let k = a.ncols();
+    for j in 0..k {
+        for i in 0..=j {
+            let d = dot(a.col(i), a.col(j));
+            let v = alpha * d + if beta == T::ZERO { T::ZERO } else { beta * c[(i, j)] };
+            c[(i, j)] = v;
+            c[(j, i)] = v;
+        }
+    }
+}
+
+fn syrk_tn_batched<T: Scalar>(a: &Mat<T>, h: usize, c: &mut Mat<T>) -> usize {
+    let k = a.ncols();
+    let m = a.nrows();
+    let nbatch = m.div_ceil(h);
+    c.fill(T::ZERO);
+    let mut panel = Mat::zeros(k, k);
+    for b in 0..nbatch {
+        let r0 = b * h;
+        let r1 = (r0 + h).min(m);
+        for j in 0..k {
+            let cj = &a.col(j)[r0..r1];
+            for i in 0..=j {
+                let ci = &a.col(i)[r0..r1];
+                panel[(i, j)] = dot(ci, cj);
+            }
+        }
+        for j in 0..k {
+            for i in 0..=j {
+                let v = c[(i, j)] + panel[(i, j)];
+                c[(i, j)] = v;
+                c[(j, i)] = v;
+            }
+        }
+    }
+    nbatch
+}
+
+fn trsm_right_upper<T: Scalar>(b: &mut Mat<T>, r: &Mat<T>) -> crate::Result<()> {
+    let k = r.ncols();
+    for j in 0..k {
+        for l in 0..j {
+            let rlj = r[(l, j)];
+            if rlj != T::ZERO {
+                let (bl, bj) = b.two_cols_mut(l, j);
+                axpy(-rlj, bl, bj);
+            }
+        }
+        let d = r[(j, j)];
+        if d == T::ZERO {
+            return Err(DenseError::SingularTriangular { index: j });
+        }
+        scal(T::ONE / d, b.col_mut(j));
+    }
+    Ok(())
+}
+
+fn gemv_t<T: Scalar>(alpha: T, a: &Mat<T>, x: &[T], beta: T, y: &mut [T]) {
+    for j in 0..a.ncols() {
+        let d = dot(a.col(j), x);
+        y[j] = alpha * d + if beta == T::ZERO { T::ZERO } else { beta * y[j] };
+    }
+}
+
+/// The device's old Gram loop: per output column, flat dots or panel dots
+/// added up from zero in panel order.
+fn gemm_tn_panels<T: Scalar>(
+    v: &Mat<T>,
+    (a0, a1): (usize, usize),
+    (b0, b1): (usize, usize),
+    panel_rows: Option<usize>,
+) -> Mat<T> {
+    let rows = v.nrows();
+    let mut c = Mat::zeros(a1 - a0, b1 - b0);
+    for jb in 0..b1 - b0 {
+        let cb_full = v.col(b0 + jb);
+        for ja in 0..a1 - a0 {
+            match panel_rows {
+                None => c[(ja, jb)] = dot(v.col(a0 + ja), cb_full),
+                Some(h) => {
+                    let nb = rows.div_ceil(h).max(1);
+                    for p in 0..nb {
+                        let r0 = p * h;
+                        let r1 = (r0 + h).min(rows);
+                        c[(ja, jb)] += dot(&v.col(a0 + ja)[r0..r1], &cb_full[r0..r1]);
+                    }
+                }
+            }
+        }
+    }
+    c
+}
+
+/// The device's old update loop: one `axpy` per (destination, source).
+fn update_cols<T: Scalar>(
+    v: &mut Mat<T>,
+    (s0, s1): (usize, usize),
+    (d0, d1): (usize, usize),
+    factor: impl Fn(usize, usize) -> T,
+) {
+    for d in d0..d1 {
+        for l in s0..s1 {
+            let f = factor(l - s0, d - d0);
+            if f != T::ZERO && l != d {
+                let (src, dst) = if l < d {
+                    v.two_cols_mut(l, d)
+                } else {
+                    let (x, y) = v.two_cols_mut(d, l);
+                    (y, x)
+                };
+                axpy(f, src, dst);
+            }
+        }
+    }
+}
+
+// ---------- seeded inputs ----------
+
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[-1, 1)`, with a wide dynamic range every eighth draw
+    /// so that rounding differs between summation orders.
+    fn value<T: Scalar>(&mut self) -> T {
+        let u = (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+        let scale = if self.next() & 7 == 0 { 1e6 } else { 1.0 };
+        T::from_f64(u * scale)
+    }
+
+    fn mat<T: Scalar>(&mut self, rows: usize, cols: usize) -> Mat<T> {
+        Mat::from_fn(rows, cols, |_, _| self.value())
+    }
+
+    /// A coefficient matrix sprinkled with zeros and non-finite values.
+    fn coeffs<T: Scalar>(&mut self, rows: usize, cols: usize) -> Mat<T> {
+        Mat::from_fn(rows, cols, |_, _| match self.next() % 12 {
+            0 | 1 => T::ZERO,
+            2 => T::from_f64(-0.0),
+            3 => T::from_f64(f64::NAN),
+            4 => T::from_f64(f64::INFINITY),
+            5 => T::from_f64(f64::NEG_INFINITY),
+            _ => self.value(),
+        })
+    }
+}
+
+const ROWS: [usize; 9] = [0, 1, 3, 4, 5, 383, 384, 385, 1000];
+/// (columns of `a`, columns of `b`): no multiples of the 4 x 2 block only.
+const WIDTHS: [(usize, usize); 7] = [(1, 1), (2, 3), (5, 2), (7, 1), (9, 5), (11, 11), (13, 6)];
+const PANELS: [Option<usize>; 4] = [None, Some(32), Some(100), Some(384)];
+
+/// Bit equality, except that any NaN equals any NaN: which operand's
+/// payload survives `NaN + NaN` is the instruction selector's choice, not
+/// part of the operation sequence the kernels promise.
+fn same_bits<T: Scalar>(x: T, y: T) -> bool {
+    x.to_bits_u64() == y.to_bits_u64() || (x.to_f64().is_nan() && y.to_f64().is_nan())
+}
+
+fn assert_bits<T: Scalar>(got: &Mat<T>, want: &Mat<T>, what: &str) {
+    assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()), "{what}: shape");
+    for j in 0..want.ncols() {
+        for i in 0..want.nrows() {
+            let (g, w) = (got[(i, j)], want[(i, j)]);
+            assert!(same_bits(g, w), "{what}: entry ({i},{j}) {g} vs {w}");
+        }
+    }
+}
+
+// ---------- the suite ----------
+
+fn products_match<T: Scalar>() -> usize {
+    let mut rng = Rng(0x13);
+    let mut shapes = 0;
+    for rows in ROWS {
+        for (ka, kb) in WIDTHS {
+            let a: Mat<T> = rng.mat(rows, ka);
+            let b: Mat<T> = rng.mat(rows, kb);
+            let what = format!("rows {rows}, {ka} x {kb}");
+            let (alpha, beta) = (T::from_f64(-1.5), T::from_f64(0.25));
+            for beta in [T::ZERO, beta] {
+                let seed_c: Mat<T> = rng.mat(ka, kb);
+                let (mut got, mut want) = (seed_c.clone(), seed_c);
+                blas3::gemm_tn(alpha, &a, &b, beta, &mut got);
+                gemm_tn(alpha, &a, &b, beta, &mut want);
+                assert_bits(&got, &want, &format!("gemm_tn {what}"));
+
+                let seed_g: Mat<T> = rng.mat(ka, ka);
+                // syrk reads the upper triangle only: start symmetric
+                let seed_g = Mat::from_fn(ka, ka, |i, j| seed_g[(i.min(j), i.max(j))]);
+                let (mut got, mut want) = (seed_g.clone(), seed_g);
+                blas3::syrk_tn(alpha, &a, beta, &mut got);
+                syrk_tn(alpha, &a, beta, &mut want);
+                assert_bits(&got, &want, &format!("syrk_tn {what}"));
+
+                let x = b.col(0);
+                let seed_y: Vec<T> = (0..ka).map(|_| rng.value()).collect();
+                let (mut got, mut want) = (seed_y.clone(), seed_y);
+                blas2::gemv_t(alpha, &a, x, beta, &mut got);
+                gemv_t(alpha, &a, x, beta, &mut want);
+                assert!(got.iter().zip(&want).all(|(&g, &w)| same_bits(g, w)), "gemv_t {what}");
+            }
+            for h in [7, 32, 100, 384, 5000] {
+                let (mut got, mut want) = (rng.mat::<T>(ka, ka), Mat::zeros(ka, ka));
+                let nb = blas3::syrk_tn_batched(&a, h, &mut got);
+                assert_eq!(nb, syrk_tn_batched(&a, h, &mut want));
+                assert_bits(&got, &want, &format!("syrk_tn_batched h={h} {what}"));
+            }
+            shapes += 1;
+        }
+    }
+    shapes
+}
+
+fn panelled_products_match<T: Scalar>() -> usize {
+    let mut rng = Rng(0x2014);
+    let mut shapes = 0;
+    for rows in ROWS {
+        for (ka, kb) in WIDTHS {
+            // one basis-like matrix; the a-block left and right of the b-block
+            let v: Mat<T> = rng.mat(rows, ka + kb + 1);
+            for (a, b) in [((0, ka), (ka + 1, ka + 1 + kb)), ((kb + 1, kb + 1 + ka), (0, kb))] {
+                for h in PANELS {
+                    let what = format!("rows {rows}, a {a:?}, b {b:?}, h {h:?}");
+                    let mut got = rng.mat::<T>(ka, kb);
+                    blas3::gemm_tn_panels(v.cols(a.0, a.1), v.cols(b.0, b.1), h, false, &mut got);
+                    assert_bits(
+                        &got,
+                        &gemm_tn_panels(&v, a, b, h),
+                        &format!("gemm_tn_panels {what}"),
+                    );
+
+                    let mut got = rng.mat::<T>(ka, ka);
+                    let block = v.cols(a.0, a.1);
+                    blas3::gemm_tn_panels(block, block, h, true, &mut got);
+                    assert_bits(&got, &gemm_tn_panels(&v, a, a, h), &format!("gram {what}"));
+                    shapes += 1;
+                }
+            }
+        }
+    }
+    shapes
+}
+
+fn updates_match<T: Scalar>() -> usize {
+    let mut rng = Rng(0x108);
+    let mut shapes = 0;
+    for rows in ROWS {
+        for (ka, kb) in WIDTHS {
+            let mut v: Mat<T> = rng.mat(rows, ka + kb + 1);
+            if rows > 0 {
+                // a poisoned source that only a zero coefficient may hide
+                v[(rows / 2, 0)] = T::from_f64(f64::NAN);
+            }
+            let c: Mat<T> = rng.coeffs(ka, kb);
+            for (a, b) in [((0, ka), (ka + 1, ka + 1 + kb)), ((kb + 1, kb + 1 + ka), (0, kb))] {
+                let (mut got, mut want) = (v.clone(), v.clone());
+                blas3::update_cols(&mut got, a, b, |i, j| -c[(i, j)]);
+                update_cols(&mut want, a, b, |i, j| -c[(i, j)]);
+                assert_bits(&got, &want, &format!("update_cols rows {rows}, a {a:?}, b {b:?}"));
+                shapes += 1;
+            }
+            // one source inside the destination range (rank-1 update)
+            let (mut got, mut want) = (v.clone(), v.clone());
+            let src = ka / 2;
+            blas3::update_cols(&mut got, (src, src + 1), (0, ka), |_, j| -c[(j, 0)]);
+            update_cols(&mut want, (src, src + 1), (0, ka), |_, j| -c[(j, 0)]);
+            assert_bits(&got, &want, &format!("rank-1 rows {rows}, {ka} columns"));
+
+            let mut a: Mat<T> = rng.mat(rows, ka);
+            if rows > 0 {
+                a[(rows / 2, 0)] = T::from_f64(f64::INFINITY);
+            }
+            for beta in [T::ZERO, T::ONE, T::from_f64(0.5)] {
+                let seed_c: Mat<T> = rng.mat(rows, kb);
+                let (mut got, mut want) = (seed_c.clone(), seed_c);
+                blas3::gemm_nn(T::from_f64(2.0), &a, &c, beta, &mut got);
+                gemm_nn(T::from_f64(2.0), &a, &c, beta, &mut want);
+                assert_bits(&got, &want, &format!("gemm_nn rows {rows}, {ka} x {kb}, beta {beta}"));
+            }
+        }
+    }
+    shapes
+}
+
+fn triangular_solves_match<T: Scalar>() -> usize {
+    let mut rng = Rng(0x7);
+    let mut shapes = 0;
+    for rows in ROWS {
+        for k in [1, 2, 5, 11] {
+            let b: Mat<T> = rng.mat(rows, k);
+            let mut r: Mat<T> = rng.coeffs(k, k);
+            for j in 0..k {
+                r[(j, j)] = T::from_f64(1.0 + j as f64);
+            }
+            // the last round has a zero pivot: same error, same partial state
+            for singular in [None, Some(k / 2)] {
+                if let Some(j) = singular {
+                    r[(j, j)] = T::ZERO;
+                }
+                let (mut got, mut want) = (b.clone(), b.clone());
+                let res = blas3::trsm_right_upper(&mut got, &r);
+                assert_eq!(res, trsm_right_upper(&mut want, &r));
+                assert_eq!(res.is_err(), singular.is_some());
+                assert_bits(
+                    &got,
+                    &want,
+                    &format!("trsm rows {rows}, k {k}, singular {singular:?}"),
+                );
+
+                // in place on a column range of a wider matrix
+                let mut wide: Mat<T> = rng.mat(rows, k + 3);
+                for j in 0..k {
+                    wide.set_col(2 + j, b.col(j));
+                }
+                let untouched = wide.clone();
+                assert_eq!(blas3::trsm_right_upper_cols(&mut wide, 2, &r), res);
+                assert_bits(&wide.cols_copy(2, 2 + k), &want, "trsm_right_upper_cols");
+                for j in [0, 1, k + 2] {
+                    assert_eq!(wide.col(j), untouched.col(j), "columns outside the range");
+                }
+                shapes += 1;
+            }
+        }
+    }
+    shapes
+}
+
+#[test]
+fn tiled_kernels_match_the_per_entry_loops_bit_for_bit() {
+    let shapes = products_match::<f64>()
+        + panelled_products_match::<f64>()
+        + updates_match::<f64>()
+        + triangular_solves_match::<f64>();
+    assert!(shapes >= 200, "only {shapes} shapes");
+    products_match::<f32>();
+    panelled_products_match::<f32>();
+    updates_match::<f32>();
+    triangular_solves_match::<f32>();
+}
+
+#[test]
+fn zero_factor_hides_a_non_finite_source() {
+    let poisoned = [f64::NAN, f64::INFINITY, 1.0];
+    let clean = [1.0, 2.0, 3.0];
+    let mut dst = [10.0, 20.0, 30.0];
+    let terms = [(0.0, &poisoned[..]), (2.0, &clean[..]), (-0.0, &poisoned[..])];
+    tile::fused_axpy(&mut dst, terms.into_iter());
+    assert_eq!(dst, [12.0, 24.0, 36.0]);
+}
+
+#[test]
+fn dots_tn_visits_each_wanted_entry_once() {
+    let mut rng = Rng(3);
+    for (ka, kb) in [(1, 1), (8, 1), (9, 1), (4, 2), (5, 3), (17, 17)] {
+        let a: Mat = rng.mat(10, ka);
+        let b: Mat = rng.mat(10, kb);
+        for upper in [false, ka == kb] {
+            let mut seen = Mat::<f64>::zeros(ka, kb);
+            tile::dots_tn(a.cols(0, ka), b.cols(0, kb), upper, |i, j, d| {
+                seen[(i, j)] += 1.0;
+                assert_eq!(d.to_bits(), dot(a.col(i), b.col(j)).to_bits());
+            });
+            for j in 0..kb {
+                for i in 0..ka {
+                    let wanted = !upper || i <= j;
+                    assert_eq!(
+                        seen[(i, j)],
+                        if wanted { 1.0 } else { 0.0 },
+                        "({i},{j}) upper={upper}"
+                    );
+                }
+            }
+        }
+    }
+    // a one-column view of a plain slice is a column like any other
+    let x = [1.0, 2.0, 3.0, 4.0, 5.0];
+    tile::dots_tn(Cols::single(&x), Cols::single(&x), false, |_, _, d| assert_eq!(d, 55.0));
+}

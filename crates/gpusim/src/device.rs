@@ -15,10 +15,9 @@
 use crate::faults::{FaultPlan, GpuSimError, Result, SdcKind};
 use crate::model::{GemmVariant, GemvVariant, PerfModel};
 use crate::stream::{Cmd, Event, StreamTrace};
-use ca_dense::{blas1, blas3, qr, Mat};
+use ca_dense::{blas1, blas3, qr, tile, Mat};
 use ca_scalar::Precision;
 use ca_sparse::{Csr, Ell, Hyb};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Handle to a device vector.
@@ -610,9 +609,15 @@ impl Device {
         if self.lost {
             return;
         }
-        let data = self.mats[v.0].col_to_vec(src);
-        self.mats[v.0].set_col(dst, &data);
-        let rows = self.mats[v.0].nrows();
+        let m = &mut self.mats[v.0];
+        let rows = m.nrows();
+        if src < dst {
+            let (s, d) = m.two_cols_mut(src, dst);
+            d.copy_from_slice(s);
+        } else if dst < src {
+            let (d, s) = m.two_cols_mut(dst, src);
+            d.copy_from_slice(s);
+        }
         self.advance("copy_col", self.model.blas1_time(2 * rows));
     }
 
@@ -669,19 +674,29 @@ impl Device {
         }
         let m = &self.mats[v.0];
         let rows = m.nrows();
+        // Row sums of both blocks a chunk of rows at a time: each column is
+        // streamed once, every row sum adds its columns in `j` order and the
+        // rows fold in `i` order, as a row-by-row walk would.
+        const CHUNK: usize = 512;
+        let row_sums = |(j0, j1): (usize, usize), r0: usize, out: &mut [f64]| {
+            out.fill(0.0);
+            for j in j0..j1 {
+                for (o, &x) in out.iter_mut().zip(&m.col(j)[r0..]) {
+                    *o += x;
+                }
+            }
+        };
+        let (mut pa, mut pb) = ([0.0; CHUNK], [0.0; CHUNK]);
         let mut dot = 0.0;
         let mut abs = 0.0;
-        for i in 0..rows {
-            let mut pa = 0.0;
-            for j in a.0..a.1 {
-                pa += m.col(j)[i];
+        for r0 in (0..rows).step_by(CHUNK) {
+            let len = CHUNK.min(rows - r0);
+            row_sums(a, r0, &mut pa[..len]);
+            row_sums(b, r0, &mut pb[..len]);
+            for (x, y) in pa[..len].iter().zip(&pb[..len]) {
+                dot += x * y;
+                abs += (x * y).abs();
             }
-            let mut pb = 0.0;
-            for j in b.0..b.1 {
-                pb += m.col(j)[i];
-            }
-            dot += pa * pb;
-            abs += (pa * pb).abs();
         }
         self.advance("abft_block_dot", self.model.blas1_time(rows * ((a.1 - a.0) + (b.1 - b.0))));
         [dot, abs]
@@ -702,11 +717,8 @@ impl Device {
             return vec![0.0; j1 - j0];
         }
         let m = &self.mats[v.0];
-        let xcol = m.col(x);
         let mut r = vec![0.0; j1 - j0];
-        for (k, j) in (j0..j1).enumerate() {
-            r[k] = blas1::dot(m.col(j), xcol);
-        }
+        tile::dots_tn(m.cols(j0, j1), m.cols(x, x + 1), false, |k, _, d| r[k] = d);
         self.advance("gemv_t", self.model.gemv_t_time(variant, m.nrows(), j1 - j0));
         r
     }
@@ -719,18 +731,7 @@ impl Device {
         assert_eq!(coeffs.len(), j1 - j0);
         let m = &mut self.mats[v.0];
         let rows = m.nrows();
-        for (k, j) in (j0..j1).enumerate() {
-            let c = coeffs[k];
-            if c != 0.0 {
-                let (s, d) = if j < dst {
-                    m.two_cols_mut(j, dst)
-                } else {
-                    let (a, b) = m.two_cols_mut(dst, j);
-                    (b, a)
-                };
-                blas1::axpy(-c, s, d);
-            }
-        }
+        blas3::update_cols(m, (j0, j1), (dst, dst + 1), |k, _| -coeffs[k]);
         // modeled as one fused GEMV-like streaming pass
         self.advance("gemv_n", self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, rows, j1 - j0));
     }
@@ -745,18 +746,7 @@ impl Device {
         assert_eq!(coeffs.len(), c1 - c0);
         let m = &mut self.mats[v.0];
         let rows = m.nrows();
-        for (k, j) in (c0..c1).enumerate() {
-            let c = coeffs[k];
-            if c != 0.0 && j != src {
-                let (s, d) = if src < j {
-                    m.two_cols_mut(src, j)
-                } else {
-                    let (a, b) = m.two_cols_mut(j, src);
-                    (b, a)
-                };
-                blas1::axpy(-c, s, d);
-            }
-        }
+        blas3::update_cols(m, (src, src + 1), (c0, c1), |_, k| -coeffs[k]);
         self.advance(
             "rank1_update",
             self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, rows, c1 - c0),
@@ -776,40 +766,8 @@ impl Device {
         let m = &self.mats[v.0];
         let rows = m.nrows();
         let mut b = Mat::zeros(k, k);
-        // parallel over output columns (disjoint writes, deterministic
-        // inner panel order => bitwise-stable results)
-        let cols: Vec<Vec<f64>> = (0..k)
-            .into_par_iter()
-            .map(|jj| {
-                let cj_full = m.col(j0 + jj);
-                let mut out = vec![0.0f64; jj + 1];
-                match variant.panel_rows() {
-                    None => {
-                        for (ii, o) in out.iter_mut().enumerate() {
-                            *o = blas1::dot(m.col(j0 + ii), cj_full);
-                        }
-                    }
-                    Some(h) => {
-                        let nb = rows.div_ceil(h).max(1);
-                        for p in 0..nb {
-                            let r0 = p * h;
-                            let r1 = (r0 + h).min(rows);
-                            let cj = &cj_full[r0..r1];
-                            for (ii, o) in out.iter_mut().enumerate() {
-                                *o += blas1::dot(&m.col(j0 + ii)[r0..r1], cj);
-                            }
-                        }
-                    }
-                }
-                out
-            })
-            .collect();
-        for (jj, col) in cols.iter().enumerate() {
-            for (ii, &v) in col.iter().enumerate() {
-                b[(ii, jj)] = v;
-                b[(jj, ii)] = v;
-            }
-        }
+        let block = m.cols(j0, j1);
+        blas3::gemm_tn_panels(block, block, variant.panel_rows(), true, &mut b);
         self.maybe_corrupt_mat(SdcKind::Gemm, &mut b);
         self.advance("syrk", self.model.gemm_tn_time(variant, rows, k, k));
         b
@@ -870,37 +828,7 @@ impl Device {
         let m = &self.mats[v.0];
         let rows = m.nrows();
         let mut c = Mat::zeros(ka, kb);
-        let cols: Vec<Vec<f64>> = (0..kb)
-            .into_par_iter()
-            .map(|jb| {
-                let cb_full = m.col(b0 + jb);
-                let mut out = vec![0.0f64; ka];
-                match variant.panel_rows() {
-                    None => {
-                        for (ja, o) in out.iter_mut().enumerate() {
-                            *o = blas1::dot(m.col(a0 + ja), cb_full);
-                        }
-                    }
-                    Some(h) => {
-                        let nb = rows.div_ceil(h).max(1);
-                        for p in 0..nb {
-                            let r0 = p * h;
-                            let r1 = (r0 + h).min(rows);
-                            let cb = &cb_full[r0..r1];
-                            for (ja, o) in out.iter_mut().enumerate() {
-                                *o += blas1::dot(&m.col(a0 + ja)[r0..r1], cb);
-                            }
-                        }
-                    }
-                }
-                out
-            })
-            .collect();
-        for (jb, col) in cols.iter().enumerate() {
-            for (ja, &v) in col.iter().enumerate() {
-                c[(ja, jb)] = v;
-            }
-        }
+        blas3::gemm_tn_panels(m.cols(a0, a1), m.cols(b0, b1), variant.panel_rows(), false, &mut c);
         self.maybe_corrupt_mat(SdcKind::Gemm, &mut c);
         self.advance("gemm_tn", self.model.gemm_tn_time(variant, rows, ka, kb));
         c
@@ -922,20 +850,7 @@ impl Device {
         assert_eq!(c.ncols(), b1 - b0);
         let m = &mut self.mats[v.0];
         let rows = m.nrows();
-        for jb in 0..(b1 - b0) {
-            for ja in 0..(a1 - a0) {
-                let coef = c[(ja, jb)];
-                if coef != 0.0 {
-                    let (src, dst) = if a0 + ja < b0 + jb {
-                        m.two_cols_mut(a0 + ja, b0 + jb)
-                    } else {
-                        let (x, y) = m.two_cols_mut(b0 + jb, a0 + ja);
-                        (y, x)
-                    };
-                    blas1::axpy(-coef, src, dst);
-                }
-            }
-        }
+        blas3::update_cols(m, (a0, a1), (b0, b1), |ja, jb| -c[(ja, jb)]);
         self.advance("gemm_nn", self.model.gemm_nn_time(variant, rows, a1 - a0, b1 - b0));
     }
 
@@ -948,21 +863,7 @@ impl Device {
         assert_eq!(r.ncols(), k);
         let m = &mut self.mats[v.0];
         let rows = m.nrows();
-        // column-oriented forward sweep, same as blas3::trsm_right_upper
-        for j in 0..k {
-            for l in 0..j {
-                let rlj = r[(l, j)];
-                if rlj != 0.0 {
-                    let (src, dst) = m.two_cols_mut(j0 + l, j0 + j);
-                    blas1::axpy(-rlj, src, dst);
-                }
-            }
-            let d = r[(j, j)];
-            if d == 0.0 {
-                return Err(ca_dense::DenseError::SingularTriangular { index: j });
-            }
-            blas1::scal(1.0 / d, m.col_mut(j0 + j));
-        }
+        blas3::trsm_right_upper_cols(m, j0, r)?;
         self.advance("trsm", self.model.trsm_time(rows, k));
         Ok(())
     }

@@ -70,6 +70,8 @@
 
 pub mod device;
 pub mod faults;
+#[cfg(test)]
+mod kernel_bits;
 pub mod model;
 pub mod multi;
 pub mod retry;
