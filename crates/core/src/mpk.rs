@@ -172,17 +172,18 @@ pub enum SpmvFormat {
 }
 
 impl SpmvFormat {
-    fn build(&self, csr: &Csr, prec: Precision) -> SpStorage {
+    /// The slice `A(rows, :)` in this format at `prec`, built straight from
+    /// the rows of `a`.
+    fn build(&self, a: &Csr, rows: &[u32], prec: Precision) -> SpStorage {
+        let rows = rows.iter().map(|&r| r as usize);
         match (*self, prec) {
-            (SpmvFormat::Ell, Precision::F64) => SpStorage::Ell(Ell::from_csr(csr)),
+            (SpmvFormat::Ell, Precision::F64) => SpStorage::Ell(Ell::from_csr_rows(a, rows)),
             (SpmvFormat::Hyb { quantile }, Precision::F64) => {
-                SpStorage::Hyb(Hyb::from_csr(csr, quantile))
+                SpStorage::Hyb(Hyb::from_csr_rows(a, rows, quantile))
             }
-            (SpmvFormat::Ell, Precision::F32) => {
-                SpStorage::EllF32(Ell::from_csr(&csr.cast::<f32>()))
-            }
+            (SpmvFormat::Ell, Precision::F32) => SpStorage::EllF32(Ell::from_csr_rows(a, rows)),
             (SpmvFormat::Hyb { quantile }, Precision::F32) => {
-                SpStorage::HybF32(Hyb::from_csr(&csr.cast::<f32>(), quantile))
+                SpStorage::HybF32(Hyb::from_csr_rows(a, rows, quantile))
             }
         }
     }
@@ -198,7 +199,10 @@ pub struct MpkState {
     local_slice: Vec<SpId>,
     level_slices: Vec<Vec<SpId>>,
     z: Vec<(VecId, VecId)>,
-    local_rows: Vec<Vec<u32>>,
+    /// Where each halo value comes from: for device `d`, entry `i` says
+    /// which device owns row `plan.devs[d].need[i]` and where that row sits
+    /// in the owner's `send` list (= in its uplinked payload).
+    halo_src: Vec<Vec<(u32, u32)>>,
 }
 
 impl MpkState {
@@ -249,29 +253,19 @@ impl MpkState {
         let mut local_slice = Vec::with_capacity(plan.devs.len());
         let mut level_slices = Vec::with_capacity(plan.devs.len());
         let mut z = Vec::with_capacity(plan.devs.len());
-        let mut local_rows = Vec::with_capacity(plan.devs.len());
         for (d, dp) in plan.devs.iter().enumerate() {
             let dev = mg.device_mut(d);
-            let rows: Vec<usize> = dp.local.clone().collect();
-            let rows_u32: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
-            let sl = dev
-                .load_slice_storage(format.build(&a.select_rows(&rows), prec), rows_u32.clone())?;
-            local_slice.push(sl);
+            let rows: Vec<u32> = dp.local.clone().map(|r| r as u32).collect();
+            local_slice.push(dev.load_slice_storage(format.build(a, &rows, prec), rows)?);
             let mut lv_slices = Vec::new();
-            for t in 1..s {
-                let lv = &dp.levels[t - 1];
-                let rows_usize: Vec<usize> = lv.iter().map(|&r| r as usize).collect();
-                let sp = dev.load_slice_storage(
-                    format.build(&a.select_rows(&rows_usize), prec),
-                    lv.clone(),
-                )?;
-                lv_slices.push(sp);
+            for lv in &dp.levels[..s - 1] {
+                lv_slices.push(dev.load_slice_storage(format.build(a, lv, prec), lv.clone())?);
             }
             level_slices.push(lv_slices);
             z.push((dev.alloc_vec(n)?, dev.alloc_vec(n)?));
-            local_rows.push(rows_u32);
         }
-        Ok(Self { plan, prec, local_slice, level_slices, z, local_rows })
+        let halo_src = halo_sources(&plan);
+        Ok(Self { plan, prec, local_slice, level_slices, z, halo_src })
     }
 
     /// Free every device allocation this state owns (slices and the
@@ -312,9 +306,10 @@ impl MpkState {
         }
     }
 
-    /// Issue half of the exchange: compress, uplink, host-side expand into
-    /// `w`, and start the per-link downloads. Returns the in-flight halos
-    /// (`None` on a single device, where there is nothing to exchange).
+    /// Issue half of the exchange: compress, uplink, host-side routing of
+    /// the payloads, and start the per-link downloads. Returns the
+    /// in-flight halos (`None` on a single device, where there is nothing
+    /// to exchange).
     /// The caller may enqueue arbitrary device work before consuming —
     /// that work is what the transfers hide under.
     fn exchange_issue(&self, mg: &mut MultiGpu, cur: usize) -> Result<Option<InflightHalo>> {
@@ -322,7 +317,6 @@ impl MpkState {
         if ndev == 1 {
             return Ok(None);
         }
-        let n = self.plan.devs.iter().map(|d| d.local.end).max().unwrap_or(0);
         // compress + async send to host (Fig. 4 setup, first two loops)
         let payloads = mg.run_map(|d, dev| {
             let z = [self.z[d].0, self.z[d].1][cur];
@@ -331,24 +325,15 @@ impl MpkState {
         let bytes_up: Vec<usize> =
             self.plan.devs.iter().map(|d| d.send.len() * self.prec.bytes()).collect();
         let up = mg.to_host_async_prec(&bytes_up, self.prec)?;
-        mg.host_wait_all(&up); // the host needs every payload to build w
-                               // host: expand into a full vector w (Fig. 4, third loop)
-        let mut w = vec![0.0f64; n];
-        let mut moved = 0usize;
-        for (dp, pl) in self.plan.devs.iter().zip(&payloads) {
-            for (&r, &v) in dp.send.iter().zip(pl) {
-                w[r as usize] = v;
-            }
-            moved += pl.len();
-        }
+        // the host needs every payload before it can route one
+        mg.host_wait_all(&up);
+        // host: expand into a full vector w (Fig. 4, third loop) — charged as
+        // that, executed by reading each halo value from its place in the
+        // owner's payload
+        let moved: usize = payloads.iter().map(Vec::len).sum();
         mg.host_compute(0.0, 2.0 * self.prec.bytes() as f64 * moved as f64);
         // compress per-destination + send down (Fig. 4, fourth loop)
-        let vals: Vec<Vec<f64>> = self
-            .plan
-            .devs
-            .iter()
-            .map(|dp| dp.need.iter().map(|&r| w[r as usize]).collect())
-            .collect();
+        let vals = route_halos(&self.halo_src, &payloads);
         let bytes_down: Vec<usize> =
             self.plan.devs.iter().map(|d| d.need.len() * self.prec.bytes()).collect();
         let down = mg.to_devices_async_prec(&bytes_down, self.prec)?;
@@ -376,6 +361,25 @@ impl MpkState {
         });
         Ok(())
     }
+}
+
+/// For each device, the (owner device, index in the owner's `send`) of every
+/// row in its `need` list.
+fn halo_sources(plan: &MpkPlan) -> Vec<Vec<(u32, u32)>> {
+    let locate = |r: u32| {
+        let o = plan.devs.partition_point(|dp| dp.local.end <= r as usize);
+        let i = plan.devs[o].send.binary_search(&r).expect("send sets cover every need");
+        (o as u32, i as u32)
+    };
+    plan.devs.iter().map(|dp| dp.need.iter().map(|&r| locate(r)).collect()).collect()
+}
+
+/// Each device's halo values, in `need` order, read from the uplinked
+/// payloads. A lost owner uplinked nothing: its rows read `0.0`, as the
+/// entries of `w` nobody wrote did.
+fn route_halos(halo_src: &[Vec<(u32, u32)>], payloads: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let value = |&(o, i): &(u32, u32)| payloads[o as usize].get(i as usize).copied().unwrap_or(0.0);
+    halo_src.iter().map(|src| src.iter().map(value).collect()).collect()
 }
 
 /// Downloads in flight from an issued-but-not-consumed halo exchange.
@@ -416,7 +420,13 @@ pub fn mpk_prefetch(
     start_col: usize,
 ) -> Result<PrefetchedHalo> {
     mg.run(|d, dev| {
-        dev.scatter_col_to_vec_p(v[d], start_col, st.z[d].0, &st.local_rows[d], st.prec);
+        dev.scatter_col_to_vec_p(
+            v[d],
+            start_col,
+            st.z[d].0,
+            st.plan.devs[d].local.clone(),
+            st.prec,
+        );
     });
     let inflight = st.exchange_issue(mg, 0)?;
     if obs::enabled() {
@@ -501,7 +511,13 @@ pub fn mpk_with_prefetch(
         None => {
             // Load the start column into z0's local rows and exchange halos.
             mg.run(|d, dev| {
-                dev.scatter_col_to_vec_p(v[d], start_col, st.z[d].0, &st.local_rows[d], st.prec);
+                dev.scatter_col_to_vec_p(
+                    v[d],
+                    start_col,
+                    st.z[d].0,
+                    st.plan.devs[d].local.clone(),
+                    st.prec,
+                );
             });
             st.exchange(mg, 0)?;
         }
@@ -535,7 +551,7 @@ pub fn mpk_with_prefetch(
                 );
             }
             // copy the local part into the basis (Fig. 4, last line)
-            dev.gather_vec_to_col(zn, &st.local_rows[d], v[d], start_col + k);
+            dev.gather_vec_to_col(zn, st.plan.devs[d].local.clone(), v[d], start_col + k);
         });
     }
     mg.sync();
@@ -566,7 +582,7 @@ pub fn dist_spmv(
     assert_eq!(st.plan.s, 1, "dist_spmv wants an s = 1 plan");
     let sp = obs::span_begin("dist_spmv", HOST, mg.time());
     mg.run(|d, dev| {
-        dev.scatter_col_to_vec_p(v[d], src, st.z[d].0, &st.local_rows[d], st.prec);
+        dev.scatter_col_to_vec_p(v[d], src, st.z[d].0, st.plan.devs[d].local.clone(), st.prec);
     });
     st.exchange(mg, 0)?;
     mg.run(|d, dev| {
@@ -951,5 +967,113 @@ mod tests {
         }
         let spmv_msgs = mg2.counters().total_msgs();
         assert_eq!(spmv_msgs, s as u64 * mpk_msgs, "latency reduced by factor s");
+    }
+
+    /// The exchange's old host side: expand every payload into a zeroed
+    /// full-length `w`, then gather each device's `need` rows from it.
+    fn ref_route(plan: &MpkPlan, n: usize, payloads: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let mut w = vec![0.0f64; n];
+        for (dp, pl) in plan.devs.iter().zip(payloads) {
+            for (&r, &v) in dp.send.iter().zip(pl) {
+                w[r as usize] = v;
+            }
+        }
+        plan.devs.iter().map(|dp| dp.need.iter().map(|&r| w[r as usize]).collect()).collect()
+    }
+
+    #[test]
+    fn payload_indexed_halos_equal_the_expanded_w() {
+        let mats = [laplace2d(13, 11), ca_sparse::gen::circuit(600, 20140527)];
+        let mut plans = 0;
+        for a in &mats {
+            let n = a.nrows();
+            // -0.0, NaN and values f32 cannot hold among the halo rows
+            let x: Vec<f64> = (0..n)
+                .map(|i| match i % 11 {
+                    0 => -0.0,
+                    1 => f64::NAN,
+                    2 => 1e-300,
+                    _ => (i as f64 * 0.618).sin() * 1e3,
+                })
+                .collect();
+            for ndev in 2..=4 {
+                for s in 1..=4 {
+                    for prec in [Precision::F64, Precision::F32] {
+                        for lost in (0..ndev).map(Some).chain([None]) {
+                            let plan = MpkPlan::new(a, &Layout::even(n, ndev), s);
+                            let mut mg = MultiGpu::with_defaults(ndev);
+                            let st = MpkState::load_with_format_prec(
+                                &mut mg,
+                                a,
+                                plan,
+                                SpmvFormat::Ell,
+                                prec,
+                            )
+                            .unwrap();
+                            for d in 0..ndev {
+                                mg.device_mut(d).vec_mut(st.z[d].0).copy_from_slice(&x);
+                            }
+                            if let Some(d) = lost {
+                                let plan = ca_gpusim::FaultPlan::new(0).with_device_loss(d, 0);
+                                mg.device_mut(d).set_faults(Some(std::sync::Arc::new(plan)));
+                                mg.device_mut(d).compress(st.z[d].0, &[0]); // its last op
+                                assert!(mg.device(d).is_lost());
+                            }
+                            let payloads = mg.run_map(|d, dev| {
+                                dev.compress_p(st.z[d].0, &st.plan.devs[d].send, prec)
+                            });
+                            let got = route_halos(&st.halo_src, &payloads);
+                            let want = ref_route(&st.plan, n, &payloads);
+                            let what =
+                                format!("n {n}, {ndev} devices, s {s}, {prec:?}, lost {lost:?}");
+                            for d in 0..ndev {
+                                assert_eq!(got[d].len(), st.plan.devs[d].need.len(), "{what}");
+                                for (i, (g, w)) in got[d].iter().zip(&want[d]).enumerate() {
+                                    assert!(
+                                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                                        "{what}: device {d}, halo {i}: {g} vs {w}"
+                                    );
+                                }
+                                // a lost owner's rows read +0.0
+                                for (&(o, _), g) in st.halo_src[d].iter().zip(&got[d]) {
+                                    if Some(o as usize) == lost {
+                                        assert_eq!(g.to_bits(), 0, "{what}: device {d}");
+                                    }
+                                }
+                            }
+                            plans += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(plans, 2 * 4 * 2 * (3 + 4 + 5));
+    }
+
+    #[test]
+    fn exchange_delivers_the_owners_values() {
+        // end to end through issue + consume: every device's z holds the
+        // owner's value at each of its halo rows, rounded once in f32
+        let a = ca_sparse::gen::circuit(900, 7);
+        let n = a.nrows();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos() * 1e2).collect();
+        for prec in [Precision::F64, Precision::F32] {
+            let layout = Layout::even(n, 3);
+            let plan = MpkPlan::new(&a, &layout, 2);
+            let mut mg = MultiGpu::with_defaults(3);
+            let st =
+                MpkState::load_with_format_prec(&mut mg, &a, plan, SpmvFormat::Ell, prec).unwrap();
+            for d in 0..3 {
+                let local = layout.range(d);
+                mg.device_mut(d).vec_mut(st.z[d].0)[local.clone()].copy_from_slice(&x[local]);
+            }
+            st.exchange(&mut mg, 0).unwrap();
+            for d in 0..3 {
+                let z = mg.device(d).vec(st.z[d].0);
+                for &r in &st.plan.devs[d].need {
+                    assert_eq!(z[r as usize].to_bits(), prec.quantize(x[r as usize]).to_bits());
+                }
+            }
+        }
     }
 }

@@ -12,12 +12,13 @@
 //! plumbing (reading results, uploads) is free here; PCIe costs are
 //! charged by [`MultiGpu`](crate::multi::MultiGpu)'s transfer methods.
 
-use crate::faults::{FaultPlan, GpuSimError, Result, SdcKind};
+use crate::faults::{FaultPlan, GpuSimError, Result, SdcEvent, SdcKind};
 use crate::model::{GemmVariant, GemvVariant, PerfModel};
 use crate::stream::{Cmd, Event, StreamTrace};
 use ca_dense::{blas1, blas3, qr, tile, Mat};
 use ca_scalar::Precision;
 use ca_sparse::{Csr, Ell, Hyb};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Handle to a device vector.
@@ -91,26 +92,16 @@ impl SpStorage {
     }
 
     /// `y := A x`. For f32 storage the product is computed entirely in
-    /// f32 (input rounded, f32 accumulation) and widened on output.
+    /// f32: each gathered element of `x` is rounded to f32 (the explicit
+    /// rounding point of the mixed-precision path), the row accumulates in
+    /// f32 and the finished sum is widened on the store.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         match self {
             SpStorage::Ell(e) => e.spmv(x, y),
             SpStorage::Hyb(h) => h.spmv(x, y),
-            SpStorage::EllF32(e) => spmv_f32(|xt, yt| e.spmv(xt, yt), x, y),
-            SpStorage::HybF32(h) => spmv_f32(|xt, yt| h.spmv(xt, yt), x, y),
+            SpStorage::EllF32(e) => e.spmv_widened(x, y),
+            SpStorage::HybF32(h) => h.spmv_widened(x, y),
         }
-    }
-}
-
-/// Run a single-precision SpMV kernel against `f64` endpoints: demote the
-/// input once, multiply in f32, widen the result. The demotion is the
-/// explicit rounding point of the mixed-precision path.
-fn spmv_f32(kernel: impl Fn(&[f32], &mut [f32]), x: &[f64], y: &mut [f64]) {
-    let xt: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-    let mut yt = vec![0.0f32; y.len()];
-    kernel(&xt, &mut yt);
-    for (yo, &yi) in y.iter_mut().zip(&yt) {
-        *yo = yi as f64;
     }
 }
 
@@ -156,6 +147,10 @@ pub struct Device {
     /// Worst single-command overshoot (observed − modeled seconds) — the
     /// hang detector's evidence.
     max_overshoot_s: f64,
+    /// Where the scatter kernels' SpMV lands before its rows are placed:
+    /// host scratch kept between commands, not device memory (never
+    /// charged).
+    spmv_out: Vec<f64>,
 }
 
 /// EWMA smoothing for the per-command latency ratio: small enough to ride
@@ -182,6 +177,7 @@ impl Device {
             modeled_busy_s: 0.0,
             ewma_slowdown: 1.0,
             max_overshoot_s: 0.0,
+            spmv_out: Vec::new(),
         }
     }
 
@@ -331,14 +327,21 @@ impl Device {
         self.sdc_injected
     }
 
+    /// The corruption the plan holds for the current op, if it is hit:
+    /// a function of `self.ops` (the *current* op's index, advance() bumps
+    /// after) alone, so a kernel can draw it before it computes and apply
+    /// it to its output in place.
+    fn sdc_draw(&mut self, kind: SdcKind) -> Option<SdcEvent> {
+        let e = self.faults.as_ref()?.sdc_event(self.id, self.ops, kind)?;
+        self.sdc_injected += 1;
+        Some(e)
+    }
+
     /// Corrupt one element of a kernel output if the plan says this op is
-    /// hit. `self.ops` is the *current* op's index (advance() bumps after).
+    /// hit.
     fn maybe_corrupt(&mut self, kind: SdcKind, data: &mut [f64]) {
-        if let Some(p) = &self.faults {
-            if let Some(e) = p.sdc_event(self.id, self.ops, kind) {
-                e.apply(data);
-                self.sdc_injected += 1;
-            }
+        if let Some(e) = self.sdc_draw(kind) {
+            e.apply(data);
         }
     }
 
@@ -1019,6 +1022,9 @@ impl Device {
     }
 
     // ---------- sparse kernels ----------
+    //
+    // None of these allocates: the SpMV lands in the basis column or in
+    // `spmv_out`, and the slice's row ids are read where they are.
 
     /// `V[:, col] := A_slice * x` where the slice's rows coincide 1:1 with
     /// the matrix rows (the local diagonal block of SpMV/MPK).
@@ -1026,16 +1032,32 @@ impl Device {
         if self.lost {
             return;
         }
-        let mut y = {
-            let sl = &self.slices[s.0];
-            let mut y = vec![0.0; sl.storage.nrows()];
-            sl.storage.spmv(&self.vecs[x.0], &mut y);
-            y
-        };
-        self.maybe_corrupt(SdcKind::Spmv, &mut y);
-        assert_eq!(y.len(), self.mats[v.0].nrows());
-        self.mats[v.0].set_col(col, &y);
+        let flip = self.sdc_draw(SdcKind::Spmv);
+        let out = self.mats[v.0].col_mut(col);
+        self.slices[s.0].storage.spmv(&self.vecs[x.0], out);
+        if let Some(e) = flip {
+            e.apply(out);
+        }
         self.advance("spmv", self.spmv_cost(s));
+    }
+
+    /// `spmv_out := A_slice * x`, SDC hit included.
+    fn spmv_to_scratch(&mut self, s: SpId, x: VecId) {
+        let flip = self.sdc_draw(SdcKind::Spmv);
+        let storage = &self.slices[s.0].storage;
+        self.spmv_out.resize(storage.nrows(), 0.0);
+        storage.spmv(&self.vecs[x.0], &mut self.spmv_out);
+        if let Some(e) = flip {
+            e.apply(&mut self.spmv_out);
+        }
+    }
+
+    /// What a scatter kernel on slice `s` is charged: the SpMV with the
+    /// expand (or shift + expand) fused into the same launch.
+    fn spmv_scatter_cost(&self, s: SpId) -> f64 {
+        let sl = &self.slices[s.0];
+        self.spmv_cost(s) + self.blas1_cost_at(sl.storage.prec(), 2 * sl.rows.len())
+            - self.model.launch_s
     }
 
     /// `z[rows[i]] := (A_slice * x)_i` — MPK's compute-then-expand step for
@@ -1044,21 +1066,12 @@ impl Device {
         if self.lost {
             return;
         }
-        let (mut y, rows_v, prec): (Vec<f64>, Vec<u32>, Precision) = {
-            let sl = &self.slices[s.0];
-            let mut y = vec![0.0; sl.storage.nrows()];
-            sl.storage.spmv(&self.vecs[x.0], &mut y);
-            (y, sl.rows.clone(), sl.storage.prec())
-        };
-        self.maybe_corrupt(SdcKind::Spmv, &mut y);
+        self.spmv_to_scratch(s, x);
         let zv = &mut self.vecs[z.0];
-        for (i, &r) in rows_v.iter().enumerate() {
-            zv[r as usize] = y[i];
+        for (&r, &yi) in self.slices[s.0].rows.iter().zip(&self.spmv_out) {
+            zv[r as usize] = yi;
         }
-        self.advance(
-            "spmv",
-            self.spmv_cost(s) + self.blas1_cost_at(prec, 2 * rows_v.len()) - self.model.launch_s, // fused expand
-        );
+        self.advance("spmv", self.spmv_scatter_cost(s));
     }
 
     /// Fused basis-recurrence MPK step for one slice:
@@ -1084,87 +1097,60 @@ impl Device {
             return;
         }
         assert_ne!(z_cur.0, z_next.0, "MPK needs distinct double buffers");
-        let (mut y, rows_v, prec): (Vec<f64>, Vec<u32>, Precision) = {
-            let sl = &self.slices[s.0];
-            let mut y = vec![0.0; sl.storage.nrows()];
-            sl.storage.spmv(&self.vecs[z_cur.0], &mut y);
-            (y, sl.rows.clone(), sl.storage.prec())
+        self.spmv_to_scratch(s, z_cur);
+        let sl = &self.slices[s.0];
+        let (zc, zn): (&[f64], &mut [f64]) = if z_cur.0 < z_next.0 {
+            let (lo, hi) = self.vecs.split_at_mut(z_next.0);
+            (&lo[z_cur.0], &mut hi[0])
+        } else {
+            let (lo, hi) = self.vecs.split_at_mut(z_cur.0);
+            (&hi[0], &mut lo[z_next.0])
         };
-        self.maybe_corrupt(SdcKind::Spmv, &mut y);
-        // borrow discipline: read z_cur values before mutating z_next.
+        let shift = re != 0.0 || scale != 1.0;
+        let mix = im2 != 0.0;
         // On an f32 slice the fused shift/recurrence arithmetic also runs
         // in f32 — the recurrence is part of the same kernel as the SpMV.
-        let shifted: Vec<f64> = if re != 0.0 || scale != 1.0 {
-            let zc = &self.vecs[z_cur.0];
-            match prec {
-                Precision::F64 => rows_v
-                    .iter()
-                    .zip(&y)
-                    .map(|(&r, &yi)| scale * (yi - re * zc[r as usize]))
-                    .collect(),
-                Precision::F32 => rows_v
-                    .iter()
-                    .zip(&y)
-                    .map(|(&r, &yi)| {
-                        (scale as f32 * (yi as f32 - re as f32 * zc[r as usize] as f32)) as f64
-                    })
-                    .collect(),
-            }
-        } else {
-            y
-        };
-        let zn = &mut self.vecs[z_next.0];
-        if im2 != 0.0 {
-            match prec {
-                Precision::F64 => {
-                    for (&r, &v) in rows_v.iter().zip(&shifted) {
-                        let old = zn[r as usize];
-                        zn[r as usize] = v + im2 * old;
-                    }
-                }
-                Precision::F32 => {
-                    for (&r, &v) in rows_v.iter().zip(&shifted) {
-                        let old = zn[r as usize];
-                        zn[r as usize] = (v as f32 + im2 as f32 * old as f32) as f64;
-                    }
+        match sl.storage.prec() {
+            Precision::F64 => {
+                for (&r, &yi) in sl.rows.iter().zip(&self.spmv_out) {
+                    let r = r as usize;
+                    let v = if shift { scale * (yi - re * zc[r]) } else { yi };
+                    zn[r] = if mix { v + im2 * zn[r] } else { v };
                 }
             }
-        } else {
-            for (&r, &v) in rows_v.iter().zip(&shifted) {
-                zn[r as usize] = v;
+            Precision::F32 => {
+                let (re, im2, scale) = (re as f32, im2 as f32, scale as f32);
+                for (&r, &yi) in sl.rows.iter().zip(&self.spmv_out) {
+                    let r = r as usize;
+                    let v =
+                        if shift { (scale * (yi as f32 - re * zc[r] as f32)) as f64 } else { yi };
+                    zn[r] = if mix { (v as f32 + im2 * zn[r] as f32) as f64 } else { v };
+                }
             }
         }
-        self.advance(
-            "mpk_step",
-            self.spmv_cost(s) + self.blas1_cost_at(prec, 2 * rows_v.len()) - self.model.launch_s, // fused shift+expand
-        );
+        self.advance("mpk_step", self.spmv_scatter_cost(s));
     }
 
-    /// Copy `z[rows[i]]` into `V[i, col]` — MPK's "copy the local part of y
-    /// into v" step.
-    pub fn gather_vec_to_col(&mut self, z: VecId, rows: &[u32], v: MatId, col: usize) {
+    /// Copy `z[rows]` into `V[:, col]` — MPK's "copy the local part of y
+    /// into v" step (a device's own rows are one contiguous range).
+    pub fn gather_vec_to_col(&mut self, z: VecId, rows: Range<usize>, v: MatId, col: usize) {
         if self.lost {
             return;
         }
-        let vals: Vec<f64> = rows.iter().map(|&r| self.vecs[z.0][r as usize]).collect();
-        assert_eq!(vals.len(), self.mats[v.0].nrows());
-        self.mats[v.0].set_col(col, &vals);
-        self.advance("gather_col", self.model.blas1_time(2 * rows.len()));
+        let words = 2 * rows.len();
+        self.mats[v.0].col_mut(col).copy_from_slice(&self.vecs[z.0][rows]);
+        self.advance("gather_col", self.model.blas1_time(words));
     }
 
-    /// Scatter `V[i, col]` into `z[rows[i]]` — load a basis column into a
+    /// Copy `V[:, col]` into `z[rows]` — load a basis column into a
     /// full-length work vector before SpMV/MPK.
-    pub fn scatter_col_to_vec(&mut self, v: MatId, col: usize, z: VecId, rows: &[u32]) {
+    pub fn scatter_col_to_vec(&mut self, v: MatId, col: usize, z: VecId, rows: Range<usize>) {
         if self.lost {
             return;
         }
-        let colv = self.mats[v.0].col_to_vec(col);
-        assert_eq!(colv.len(), rows.len());
-        let zv = &mut self.vecs[z.0];
-        for (i, &r) in rows.iter().enumerate() {
-            zv[r as usize] = colv[i];
-        }
-        self.advance("scatter_col", self.model.blas1_time(2 * rows.len()));
+        let words = 2 * rows.len();
+        self.vecs[z.0][rows].copy_from_slice(self.mats[v.0].col(col));
+        self.advance("scatter_col", self.model.blas1_time(words));
     }
 
     /// Compress selected entries of a device vector into a contiguous host
@@ -1249,7 +1235,7 @@ impl Device {
         v: MatId,
         col: usize,
         z: VecId,
-        rows: &[u32],
+        rows: Range<usize>,
         prec: Precision,
     ) {
         match prec {
@@ -1258,13 +1244,13 @@ impl Device {
                 if self.lost {
                     return;
                 }
-                let colv = self.mats[v.0].col_to_vec(col);
-                assert_eq!(colv.len(), rows.len());
-                let zv = &mut self.vecs[z.0];
-                for (i, &r) in rows.iter().enumerate() {
-                    zv[r as usize] = prec.quantize(colv[i]);
+                let words = 2 * rows.len();
+                let (src, dst) = (self.mats[v.0].col(col), &mut self.vecs[z.0][rows]);
+                assert_eq!(src.len(), dst.len());
+                for (zi, &ci) in dst.iter_mut().zip(src) {
+                    *zi = prec.quantize(ci);
                 }
-                self.advance("scatter_col", self.model.blas1_time_f32(2 * rows.len()));
+                self.advance("scatter_col", self.model.blas1_time_f32(words));
             }
         }
     }
@@ -1718,11 +1704,11 @@ mod tests {
         let v = d.alloc_mat(4, 1).unwrap();
         d.mat_mut(v).set_col(0, &vals[..4]);
         let z = d.alloc_vec(8).unwrap();
-        let rows: Vec<u32> = vec![1, 3, 5, 7];
-        d.scatter_col_to_vec_p(v, 0, z, &rows, Precision::F32);
-        for (i, &r) in rows.iter().enumerate() {
-            assert_eq!(d.vec(z)[r as usize].to_bits(), (vals[i] as f32 as f64).to_bits());
+        d.scatter_col_to_vec_p(v, 0, z, 3..7, Precision::F32);
+        for (i, r) in (3..7).enumerate() {
+            assert_eq!(d.vec(z)[r].to_bits(), (vals[i] as f32 as f64).to_bits());
         }
+        assert_eq!((d.vec(z)[2], d.vec(z)[7]), (0.0, 0.0), "rows outside the range untouched");
     }
 
     #[test]

@@ -98,10 +98,10 @@ fn ref_block_sum_dot(m: &Mat, a: (usize, usize), b: (usize, usize)) -> [f64; 2] 
 
 // ---------- seeded inputs ----------
 
-struct Rng(u64);
+pub(super) struct Rng(pub(super) u64);
 
 impl Rng {
-    fn next(&mut self) -> u64 {
+    pub(super) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -109,7 +109,7 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    fn value(&mut self) -> f64 {
+    pub(super) fn value(&mut self) -> f64 {
         let u = (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
         u * if self.next() & 7 == 0 { 1e6 } else { 1.0 }
     }
@@ -138,7 +138,7 @@ const WIDTHS: [(usize, usize); 5] = [(1, 1), (5, 2), (7, 3), (11, 11), (13, 6)];
 const VARIANTS: [GemmVariant; 3] =
     [GemmVariant::Cublas, GemmVariant::Batched { h: 100 }, GemmVariant::Batched { h: 384 }];
 
-fn same(x: f64, y: f64) -> bool {
+pub(super) fn same(x: f64, y: f64) -> bool {
     x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
 }
 
@@ -161,7 +161,7 @@ fn device_with(m: &Mat) -> (Device, MatId) {
 }
 
 /// Name and modeled seconds of the kernel the device launched last.
-fn last_kernel(d: &Device) -> (&'static str, f64) {
+pub(super) fn last_kernel(d: &Device) -> (&'static str, f64) {
     match d.trace().last() {
         Some(&Cmd::Kernel { name, modeled, .. }) => (name, modeled),
         other => panic!("no kernel was launched: {other:?}"),

@@ -75,6 +75,8 @@ mod kernel_bits;
 pub mod model;
 pub mod multi;
 pub mod retry;
+#[cfg(test)]
+mod sparse_bits;
 pub mod stream;
 pub mod trace;
 

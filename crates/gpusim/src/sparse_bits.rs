@@ -1,0 +1,456 @@
+//! Seeded bit-equality suite for the device's sparse kernels.
+//!
+//! The kernels used to compute into fresh vectors — a zeroed SpMV output, a
+//! clone of the slice's row ids, a collected `shifted`, a collected column —
+//! and now write in place. The oracles below are those bodies, kept verbatim
+//! over plain slices, on top of a row-by-row statement of what the ELLPACK
+//! and hybrid SpMV promise (slot order from `+0.0`, padding slots multiplied,
+//! then the COO tail). Every kernel must reproduce them to the bit (any NaN
+//! equals any NaN), charge the same modeled time, count one op, take its SDC
+//! hit on the same element and bit of the SpMV output, and stay inert on a
+//! lost device.
+
+use crate::device::{Device, SpStorage};
+use crate::faults::{FaultPlan, SdcKind, SdcTargets};
+use crate::kernel_bits::{last_kernel, same, Rng};
+use crate::model::PerfModel;
+use ca_scalar::Precision;
+use ca_sparse::{Coo, Csr, Ell, Hyb};
+use std::ops::Range;
+use std::sync::Arc;
+
+// ---------- the retained reference loops ----------
+
+/// `A(rows, :) * x` as the slot-major ELLPACK of width `width` followed by
+/// the COO tail computed it, per row; f32 slices round `x` and the values
+/// first, accumulate in f32 and widen the finished sum.
+fn ref_spmv(a: &Csr, rows: &[u32], width: usize, prec: Precision, x: &[f64]) -> Vec<f64> {
+    let row = |i: usize, r: u32| {
+        let (cols, vals) = a.row(r as usize);
+        let pad = i % a.ncols().max(1);
+        match prec {
+            Precision::F64 => {
+                let mut acc = 0.0f64;
+                for k in 0..width {
+                    acc +=
+                        if k < cols.len() { vals[k] * x[cols[k] as usize] } else { 0.0 * x[pad] };
+                }
+                for k in width..cols.len() {
+                    acc += vals[k] * x[cols[k] as usize];
+                }
+                acc
+            }
+            Precision::F32 => {
+                let mut acc = 0.0f32;
+                for k in 0..width {
+                    acc += if k < cols.len() {
+                        vals[k] as f32 * x[cols[k] as usize] as f32
+                    } else {
+                        0.0 * x[pad] as f32
+                    };
+                }
+                for k in width..cols.len() {
+                    acc += vals[k] as f32 * x[cols[k] as usize] as f32;
+                }
+                acc as f64
+            }
+        }
+    };
+    rows.iter().enumerate().map(|(i, &r)| row(i, r)).collect()
+}
+
+/// The old `spmv_shift_scatter` after its SpMV.
+#[allow(clippy::too_many_arguments)]
+fn ref_shift_scatter(
+    y: Vec<f64>,
+    rows_v: &[u32],
+    prec: Precision,
+    zc: &[f64],
+    zn: &mut [f64],
+    re: f64,
+    im2: f64,
+    scale: f64,
+) {
+    let shifted: Vec<f64> = if re != 0.0 || scale != 1.0 {
+        match prec {
+            Precision::F64 => {
+                rows_v.iter().zip(&y).map(|(&r, &yi)| scale * (yi - re * zc[r as usize])).collect()
+            }
+            Precision::F32 => rows_v
+                .iter()
+                .zip(&y)
+                .map(|(&r, &yi)| {
+                    (scale as f32 * (yi as f32 - re as f32 * zc[r as usize] as f32)) as f64
+                })
+                .collect(),
+        }
+    } else {
+        y
+    };
+    if im2 != 0.0 {
+        match prec {
+            Precision::F64 => {
+                for (&r, &v) in rows_v.iter().zip(&shifted) {
+                    let old = zn[r as usize];
+                    zn[r as usize] = v + im2 * old;
+                }
+            }
+            Precision::F32 => {
+                for (&r, &v) in rows_v.iter().zip(&shifted) {
+                    let old = zn[r as usize];
+                    zn[r as usize] = (v as f32 + im2 as f32 * old as f32) as f64;
+                }
+            }
+        }
+    } else {
+        for (&r, &v) in rows_v.iter().zip(&shifted) {
+            zn[r as usize] = v;
+        }
+    }
+}
+
+// ---------- seeded inputs ----------
+
+const N: usize = 203;
+
+/// Rows of 0 to 9 entries and one hub row that gives the hybrid format a tail.
+fn irregular(rng: &mut Rng) -> Csr {
+    let mut c = Coo::new(N, N);
+    for i in 0..N {
+        let len = if i == 77 { 40 } else { (rng.next() % 10) as usize };
+        let first = (rng.next() % N as u64) as usize;
+        for k in 0..len {
+            c.add(i, (first + 5 * k) % N, rng.value());
+        }
+    }
+    c.to_csr()
+}
+
+fn finite(rng: &mut Rng) -> Vec<f64> {
+    (0..N).map(|_| rng.value()).collect()
+}
+
+fn poisoned(rng: &mut Rng) -> Vec<f64> {
+    (0..N)
+        .map(|_| match rng.next() % 24 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            _ => rng.value(),
+        })
+        .collect()
+}
+
+/// The contiguous local block, scattered level rows, a lone row, no rows.
+fn row_sets(rng: &mut Rng) -> Vec<Vec<u32>> {
+    let scattered = (0..N as u32).filter(|_| rng.next().is_multiple_of(3)).collect();
+    vec![(40..121).collect(), scattered, vec![77], Vec::new()]
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Format {
+    Ell,
+    Hyb,
+}
+
+const FORMATS: [(Format, Precision); 4] = [
+    (Format::Ell, Precision::F64),
+    (Format::Ell, Precision::F32),
+    (Format::Hyb, Precision::F64),
+    (Format::Hyb, Precision::F32),
+];
+
+/// The slice in the given format, its ELL width, and what one SpMV on it is
+/// charged.
+fn storage(a: &Csr, rows: &[u32], (format, prec): (Format, Precision)) -> (SpStorage, usize, f64) {
+    let rows_usize: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+    let sel = a.select_rows(&rows_usize);
+    let (model, n) = (PerfModel::default(), rows.len());
+    match (format, prec) {
+        (Format::Ell, Precision::F64) => {
+            let e = Ell::from_csr(&sel);
+            let (w, dt) = (e.width(), model.spmv_time(e.padded_nnz(), n));
+            (SpStorage::Ell(e), w, dt)
+        }
+        (Format::Ell, Precision::F32) => {
+            let e = Ell::from_csr(&sel.cast::<f32>());
+            let (w, dt) = (e.width(), model.spmv_time_f32(e.padded_nnz(), n));
+            (SpStorage::EllF32(e), w, dt)
+        }
+        (Format::Hyb, Precision::F64) => {
+            let h = Hyb::from_csr(&sel, 0.5);
+            let (w, dt) = (h.width(), model.spmv_hyb_time(h.width() * n, h.spilled(), n));
+            (SpStorage::Hyb(h), w, dt)
+        }
+        (Format::Hyb, Precision::F32) => {
+            let h = Hyb::from_csr(&sel.cast::<f32>(), 0.5);
+            let (w, dt) = (h.width(), model.spmv_hyb_time_f32(h.width() * n, h.spilled(), n));
+            (SpStorage::HybF32(h), w, dt)
+        }
+    }
+}
+
+fn blas1_at(prec: Precision, words: usize) -> f64 {
+    match prec {
+        Precision::F64 => PerfModel::default().blas1_time(words),
+        Precision::F32 => PerfModel::default().blas1_time_f32(words),
+    }
+}
+
+fn device(faults: &Option<Arc<FaultPlan>>) -> Device {
+    let mut d = Device::new(0, Arc::new(PerfModel::default()));
+    d.enable_trace();
+    d.set_faults(faults.clone());
+    d
+}
+
+/// The SpMV output after the plan's hit on op `op`, if it has one.
+fn with_sdc(mut y: Vec<f64>, faults: &Option<Arc<FaultPlan>>, op: u64) -> Vec<f64> {
+    if let Some(e) = faults.as_ref().and_then(|p| p.sdc_event(0, op, SdcKind::Spmv)) {
+        e.apply(&mut y);
+    }
+    y
+}
+
+fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+        assert!(same(g, w), "{what}: element {i}: {g} vs {w}");
+    }
+}
+
+fn fault_arms() -> [Option<Arc<FaultPlan>>; 2] {
+    [None, Some(Arc::new(FaultPlan::new(9).with_sdc(1.0, SdcTargets::spmv_only())))]
+}
+
+/// The SpMV input of one arm: NaN and infinities without a fault plan,
+/// finite under SDC — a flipped exponent bit turns a NaN into a number whose
+/// sign and mantissa are the NaN's payload, which no kernel promises.
+fn input(rng: &mut Rng, faults: &Option<Arc<FaultPlan>>) -> Vec<f64> {
+    if faults.is_some() {
+        finite(rng)
+    } else {
+        poisoned(rng)
+    }
+}
+
+/// `(re, im2, scale)`: monomial, real shift, scaled, shifted and scaled,
+/// second step of a conjugate pair without and with a real part, Chebyshev.
+const STEPS: [(f64, f64, f64); 7] = [
+    (0.0, 0.0, 1.0),
+    (1.5, 0.0, 1.0),
+    (0.0, 0.0, 0.5),
+    (0.7, 0.0, 2.0),
+    (0.0, 9.0, 1.0),
+    (2.0, 9.0, 1.0),
+    (4.0, -1.0, 0.57),
+];
+
+#[test]
+fn scatter_kernels_match_the_collecting_bodies() {
+    let mut rng = Rng(0x2014_0527);
+    let a = irregular(&mut rng);
+    let mut cases = 0;
+    for rows in row_sets(&mut rng) {
+        for fp in FORMATS {
+            for faults in fault_arms() {
+                let (st, width, spmv_dt) = storage(&a, &rows, fp);
+                let prec = fp.1;
+                let fused =
+                    spmv_dt + blas1_at(prec, 2 * rows.len()) - PerfModel::default().launch_s;
+                let mut d = device(&faults);
+                let s = d.load_slice_storage(st, rows.clone()).expect("fits");
+                let (zc, zn) = (d.alloc_vec(N).expect("fits"), d.alloc_vec(N).expect("fits"));
+                let what = format!("{} rows, {fp:?}, sdc {}", rows.len(), faults.is_some());
+
+                for (re, im2, scale) in STEPS {
+                    let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng));
+                    d.vec_mut(zc).copy_from_slice(&x);
+                    d.vec_mut(zn).copy_from_slice(&old);
+                    let op = d.ops();
+                    d.spmv_shift_scatter(s, zc, zn, re, im2, scale);
+
+                    let y = with_sdc(ref_spmv(&a, &rows, width, prec, &x), &faults, op);
+                    let mut want = old;
+                    ref_shift_scatter(y, &rows, prec, &x, &mut want, re, im2, scale);
+                    let what = format!("spmv_shift_scatter({re}, {im2}, {scale}) {what}");
+                    assert_bits(d.vec(zn), &want, &what);
+                    assert_bits(d.vec(zc), &x, &format!("{what}: z_cur"));
+                    assert_eq!(last_kernel(&d), ("mpk_step", fused), "{what}");
+                    assert_eq!(d.ops(), op + 1, "{what}");
+                    cases += 1;
+                }
+
+                // the double buffer the other way round
+                let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng));
+                d.vec_mut(zn).copy_from_slice(&x);
+                d.vec_mut(zc).copy_from_slice(&old);
+                let op = d.ops();
+                d.spmv_shift_scatter(s, zn, zc, 0.3, 2.0, 1.25);
+                let y = with_sdc(ref_spmv(&a, &rows, width, prec, &x), &faults, op);
+                let mut want = old;
+                ref_shift_scatter(y, &rows, prec, &x, &mut want, 0.3, 2.0, 1.25);
+                assert_bits(d.vec(zc), &want, &format!("swapped buffers {what}"));
+
+                // spmv_scatter: z[rows[i]] := y[i], other rows untouched
+                let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng));
+                d.vec_mut(zc).copy_from_slice(&x);
+                d.vec_mut(zn).copy_from_slice(&old);
+                let op = d.ops();
+                d.spmv_scatter(s, zc, zn);
+                let y = with_sdc(ref_spmv(&a, &rows, width, prec, &x), &faults, op);
+                let mut want = old;
+                for (i, &r) in rows.iter().enumerate() {
+                    want[r as usize] = y[i];
+                }
+                assert_bits(d.vec(zn), &want, &format!("spmv_scatter {what}"));
+                assert_eq!(last_kernel(&d), ("spmv", fused), "spmv_scatter {what}");
+                assert_eq!(d.ops(), op + 1);
+
+                let hits = if faults.is_some() { STEPS.len() as u64 + 2 } else { 0 };
+                assert_eq!(d.sdc_injected(), hits, "{what}");
+            }
+        }
+    }
+    assert!(cases >= 200, "only {cases} cases");
+}
+
+#[test]
+fn spmv_to_mat_col_matches_the_copying_body() {
+    let mut rng = Rng(108);
+    let a = irregular(&mut rng);
+    for rows in row_sets(&mut rng) {
+        for fp in FORMATS {
+            for faults in fault_arms() {
+                let (st, width, spmv_dt) = storage(&a, &rows, fp);
+                let mut d = device(&faults);
+                let s = d.load_slice_storage(st, rows.clone()).expect("fits");
+                let x = d.alloc_vec(N).expect("fits");
+                let v = d.alloc_mat(rows.len(), 3).expect("fits");
+                let xs = input(&mut rng, &faults);
+                d.vec_mut(x).copy_from_slice(&xs);
+                let side: Vec<f64> = (0..rows.len()).map(|_| rng.value()).collect();
+                d.mat_mut(v).set_col(0, &side);
+                d.mat_mut(v).set_col(2, &side);
+                let op = d.ops();
+                d.spmv_to_mat_col(s, x, v, 1);
+                let want = with_sdc(ref_spmv(&a, &rows, width, fp.1, &xs), &faults, op);
+                let what = format!(
+                    "spmv_to_mat_col {} rows, {fp:?}, sdc {}",
+                    rows.len(),
+                    faults.is_some()
+                );
+                assert_bits(d.mat(v).col(1), &want, &what);
+                assert_bits(d.mat(v).col(0), &side, &format!("{what}: left neighbour"));
+                assert_bits(d.mat(v).col(2), &side, &format!("{what}: right neighbour"));
+                assert_eq!(last_kernel(&d), ("spmv", spmv_dt), "{what}");
+                assert_eq!(d.ops(), op + 1);
+                assert_eq!(d.sdc_injected(), faults.is_some() as u64);
+            }
+        }
+    }
+}
+
+#[test]
+fn sdc_flips_one_bit_of_the_spmv_output() {
+    // the hit is on y before the recurrence touches it: undoing the flip on
+    // the oracle's y is the only difference between the two arms
+    let mut rng = Rng(5);
+    let a = irregular(&mut rng);
+    let rows: Vec<u32> = (40..121).collect();
+    let plan = FaultPlan::new(9).with_sdc(1.0, SdcTargets::spmv_only());
+    let e = plan.sdc_event(0, 0, SdcKind::Spmv).expect("rate 1 hits every op");
+    let (st, width, _) = storage(&a, &rows, (Format::Ell, Precision::F64));
+    let mut d = device(&Some(Arc::new(plan)));
+    let s = d.load_slice_storage(st, rows.clone()).expect("fits");
+    let (zc, zn) = (d.alloc_vec(N).expect("fits"), d.alloc_vec(N).expect("fits"));
+    let x = finite(&mut rng);
+    d.vec_mut(zc).copy_from_slice(&x);
+    d.spmv_shift_scatter(s, zc, zn, 0.0, 0.0, 1.0);
+    let clean = ref_spmv(&a, &rows, width, Precision::F64, &x);
+    let hit = (e.lane % rows.len() as u64) as usize;
+    for (i, &r) in rows.iter().enumerate() {
+        let got = d.vec(zn)[r as usize].to_bits();
+        let flip = if i == hit { 1u64 << e.bit } else { 0 };
+        assert_eq!(got, clean[i].to_bits() ^ flip, "slice row {i}");
+    }
+}
+
+#[test]
+fn local_block_copies_match_the_indexed_loops() {
+    let mut rng = Rng(7);
+    let model = PerfModel::default();
+    for range in [40..121, 0..N, 9..10, 5..5] {
+        let rows: Vec<u32> = range.clone().map(|r| r as u32).collect();
+        let mut d = device(&None);
+        let z = d.alloc_vec(N).expect("fits");
+        let v = d.alloc_mat(rows.len(), 2).expect("fits");
+        let zs = poisoned(&mut rng);
+        let what = format!("rows {range:?}");
+
+        // gather_vec_to_col: V[i, col] := z[rows[i]]
+        d.vec_mut(z).copy_from_slice(&zs);
+        let op = d.ops();
+        d.gather_vec_to_col(z, range.clone(), v, 1);
+        let want: Vec<f64> = rows.iter().map(|&r| zs[r as usize]).collect();
+        assert_bits(d.mat(v).col(1), &want, &format!("gather_vec_to_col {what}"));
+        assert_bits(d.mat(v).col(0), &vec![0.0; rows.len()], "gather_vec_to_col: neighbour");
+        assert_eq!(last_kernel(&d), ("gather_col", model.blas1_time(2 * rows.len())));
+        assert_eq!(d.ops(), op + 1);
+
+        // scatter_col_to_vec(_p): z[rows[i]] := quantize(V[i, col])
+        for prec in [Precision::F64, Precision::F32] {
+            let col: Vec<f64> = poisoned(&mut rng)[..rows.len()].to_vec();
+            d.mat_mut(v).set_col(0, &col);
+            d.vec_mut(z).copy_from_slice(&zs);
+            let op = d.ops();
+            d.scatter_col_to_vec_p(v, 0, z, range.clone(), prec);
+            let mut want = zs.clone();
+            for (i, &r) in rows.iter().enumerate() {
+                want[r as usize] = prec.quantize(col[i]);
+            }
+            assert_bits(d.vec(z), &want, &format!("scatter_col_to_vec_p {prec:?} {what}"));
+            assert_eq!(last_kernel(&d), ("scatter_col", blas1_at(prec, 2 * rows.len())));
+            assert_eq!(d.ops(), op + 1);
+        }
+        d.vec_mut(z).copy_from_slice(&zs);
+        d.scatter_col_to_vec(v, 0, z, range.clone());
+        assert_bits(&d.vec(z)[range.clone()], d.mat(v).col(0), "scatter_col_to_vec");
+        assert_eq!(last_kernel(&d), ("scatter_col", model.blas1_time(2 * rows.len())));
+    }
+}
+
+#[test]
+fn lost_device_runs_no_sparse_kernel() {
+    let mut rng = Rng(1);
+    let a = irregular(&mut rng);
+    let local: Range<usize> = 40..121;
+    let rows: Vec<u32> = local.clone().map(|r| r as u32).collect();
+    for fp in FORMATS {
+        let (st, ..) = storage(&a, &rows, fp);
+        let mut d = device(&Some(Arc::new(FaultPlan::new(0).with_device_loss(0, 0))));
+        let s = d.load_slice_storage(st, rows.clone()).expect("fits");
+        let (zc, zn) = (d.alloc_vec(N).expect("fits"), d.alloc_vec(N).expect("fits"));
+        let v = d.alloc_mat(rows.len(), 2).expect("fits");
+        let (x, old) = (poisoned(&mut rng), poisoned(&mut rng));
+        d.vec_mut(zc).copy_from_slice(&x);
+        d.vec_mut(zn).copy_from_slice(&old);
+        d.mat_mut(v).set_col(1, &x[..rows.len()]);
+        d.scal_col(v, 0, 1.0); // the first op kills the device
+        assert!(d.is_lost());
+        let (ops, clock, cmds) = (d.ops(), d.clock(), d.trace().len());
+
+        d.spmv_shift_scatter(s, zc, zn, 1.5, 9.0, 0.5);
+        d.spmv_scatter(s, zc, zn);
+        d.spmv_to_mat_col(s, zc, v, 1);
+        d.gather_vec_to_col(zc, local.clone(), v, 1);
+        d.scatter_col_to_vec(v, 1, zn, local.clone());
+        d.scatter_col_to_vec_p(v, 1, zn, local.clone(), Precision::F32);
+
+        assert_bits(d.vec(zc), &x, "z_cur");
+        assert_bits(d.vec(zn), &old, "z_next");
+        assert_bits(d.mat(v).col(1), &x[..rows.len()], "basis column");
+        assert_eq!((d.ops(), d.clock(), d.trace().len()), (ops, clock, cmds));
+        assert_eq!(d.sdc_injected(), 0);
+    }
+}

@@ -6,6 +6,7 @@
 //! (coalesced on a GPU) and spills the remainder to a COO tail; `width`
 //! is chosen so that at most a small fraction of entries spill.
 
+use crate::ell::cvt;
 use crate::{Csr, Ell};
 use ca_scalar::Scalar;
 
@@ -20,42 +21,46 @@ pub struct Hyb<T: Scalar = f64> {
 }
 
 impl<T: Scalar> Hyb<T> {
-    /// Convert from CSR with an explicit ELL width.
+    /// Convert from CSR with an explicit ELL width (never wider than the
+    /// longest row).
     pub fn from_csr_with_width(a: &Csr<T>, width: usize) -> Self {
-        let nrows = a.nrows();
-        // Build the truncated-CSR for the ELL part.
-        let mut row_ptr = vec![0usize; nrows + 1];
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        let mut coo = Vec::new();
-        for i in 0..nrows {
-            let (cols, vals) = a.row(i);
-            let keep = cols.len().min(width);
-            col_idx.extend_from_slice(&cols[..keep]);
-            values.extend_from_slice(&vals[..keep]);
-            row_ptr[i + 1] = col_idx.len();
-            for k in keep..cols.len() {
-                coo.push((i as u32, cols[k], vals[k]));
-            }
-        }
-        let ell_csr = Csr::from_raw(nrows, a.ncols(), row_ptr, col_idx, values);
-        Self { ell: Ell::from_csr(&ell_csr), coo }
+        Self::build(a, 0..a.nrows(), width.min(a.max_row_nnz()))
     }
 
     /// Convert from CSR, choosing the width at the given row-length
     /// quantile (e.g. `0.95` keeps 95% of rows fully in the ELL part —
     /// a standard HYB heuristic).
     pub fn from_csr(a: &Csr<T>, quantile: f64) -> Self {
+        Self::from_csr_rows(a, 0..a.nrows(), quantile)
+    }
+
+    /// [`Hyb::from_csr`] of the slice `A(rows, :)` with its values cast to
+    /// `T` — what `from_csr` of `a.select_rows(rows).cast::<T>()` holds,
+    /// without building either.
+    pub fn from_csr_rows<S, I>(a: &Csr<S>, rows: I, quantile: f64) -> Self
+    where
+        S: Scalar,
+        I: ExactSizeIterator<Item = usize> + Clone,
+    {
         assert!((0.0..=1.0).contains(&quantile));
-        let mut lens: Vec<usize> = (0..a.nrows()).map(|i| a.row_nnz(i)).collect();
+        let mut lens: Vec<usize> = rows.clone().map(|r| a.row_nnz(r)).collect();
         lens.sort_unstable();
-        let width = if lens.is_empty() {
-            0
-        } else {
+        // one slot at least, but no wider than the longest row
+        let width = lens.last().map_or(0, |&longest| {
             let idx = ((lens.len() - 1) as f64 * quantile).round() as usize;
-            lens[idx].max(1)
-        };
-        Self::from_csr_with_width(a, width)
+            lens[idx].max(1).min(longest)
+        });
+        Self::build(a, rows, width)
+    }
+
+    fn build<S, I>(a: &Csr<S>, rows: I, width: usize) -> Self
+    where
+        S: Scalar,
+        I: ExactSizeIterator<Item = usize>,
+    {
+        let mut coo = Vec::new();
+        let ell = Ell::from_csr_rows_capped(a, rows, width, |r, c, v| coo.push((r, c, v)));
+        Self { ell, coo }
     }
 
     /// Number of rows.
@@ -89,11 +94,23 @@ impl<T: Scalar> Hyb<T> {
         self.ell.bytes() + self.coo.len() * (8 + T::BYTES)
     }
 
-    /// `y := A x`.
+    /// `y := A x`: the ELL part, then the COO tail added entry by entry.
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
-        self.ell.spmv(x, y);
+        self.spmv_as(x, y);
+    }
+
+    /// `y := A x` against `f64` endpoints, every operation in `T` (see
+    /// [`Ell::spmv_widened`]): a tail entry narrows the widened row sum back
+    /// to `T` (exact), adds its product in `T` and widens again.
+    pub fn spmv_widened(&self, x: &[f64], y: &mut [f64]) {
+        self.spmv_as(x, y);
+    }
+
+    fn spmv_as<V: Scalar>(&self, x: &[V], y: &mut [V]) {
+        self.ell.spmv_as(x, y);
         for &(r, c, v) in &self.coo {
-            y[r as usize] += v * x[c as usize];
+            let yr = &mut y[r as usize];
+            *yr = cvt(cvt::<V, T>(*yr) + v * cvt::<V, T>(x[c as usize]));
         }
     }
 }
@@ -184,5 +201,27 @@ mod tests {
         for i in 0..50 {
             assert!((y1[i] - y2[i]).abs() < 1e-13);
         }
+    }
+
+    #[test]
+    fn selected_rows_equal_the_selected_cast_csr() {
+        let a = hubbed();
+        let rows = [7usize, 3, 49, 0, 7, 20];
+        let direct: Hyb<f32> = Hyb::from_csr_rows(&a, rows.iter().copied(), 0.5);
+        let staged = Hyb::from_csr(&a.select_rows(&rows).cast::<f32>(), 0.5);
+        assert!(direct.spilled() > 0);
+        assert_eq!(
+            (direct.width(), direct.spilled(), direct.nnz(), direct.bytes()),
+            (staged.width(), staged.spilled(), staged.nnz(), staged.bytes())
+        );
+        let x: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
+        let (mut y1, mut y2) = (vec![0.0; 6], vec![0.0; 6]);
+        direct.spmv_widened(&x, &mut y1);
+        staged.spmv_widened(&x, &mut y2);
+        assert_eq!(y1, y2);
+        // the quantile rule asks for one slot at least; rows that are all
+        // empty have no ELL part to put it in, and are charged for none
+        let empty: Hyb = Hyb::from_csr(&Coo::new(4, 4).to_csr(), 0.95);
+        assert_eq!((empty.width(), empty.bytes()), (0, 0));
     }
 }
