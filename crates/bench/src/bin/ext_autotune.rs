@@ -98,7 +98,7 @@ fn study(
     let plan = planner.plan(&space);
     assert!(!plan.ranked.is_empty(), "{}: empty plan", t.name);
     if smoke {
-        let mut h = 0xcbf29ce484222325u64;
+        let mut h = fnv1a64(b"");
         for r in &plan.ranked {
             h = fnv1a64(
                 format!("{h:016x} {} {:016x}", r.cand.label(), r.predicted_cycle_s.to_bits())

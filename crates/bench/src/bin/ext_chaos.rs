@@ -129,10 +129,7 @@ fn first_latency(out: &FtOutcome) -> f64 {
 }
 
 fn digest(label: &str, out: &FtOutcome) {
-    let xhash = out
-        .x
-        .iter()
-        .fold(0xcbf29ce484222325u64, |h, v| (h ^ v.to_bits()).wrapping_mul(0x100000001b3));
+    let xhash = ca_obs::fnv1a_words(out.x.iter().map(|v| v.to_bits()));
     println!(
         "DIGEST {label} iters={} restarts={} polls={} esc={} resumes={} midreb={} xhash={xhash:016x} t_bits={:016x}",
         out.stats.total_iters,

@@ -111,10 +111,6 @@ fn cfg(m: usize, prec: Precision, rtol: f64, max_restarts: usize) -> CaGmresConf
     CaGmresConfig { s: S, m, rtol, max_restarts, mpk_prec: prec, ..Default::default() }
 }
 
-fn xhash(x: &[f64]) -> u64 {
-    x.iter().fold(0xcbf29ce484222325u64, |h, v| (h ^ v.to_bits()).wrapping_mul(0x100000001b3))
-}
-
 #[allow(clippy::too_many_lines)]
 fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
     let (a, b) = balanced_problem(&t.a);
@@ -204,7 +200,7 @@ fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
                 out.stats.restarts,
                 out.stats.total_iters,
                 out.escalated,
-                xhash(&out.x),
+                ca_obs::fnv1a_words(out.x.iter().map(|v| v.to_bits())),
                 out.stats.t_total.to_bits()
             );
         }

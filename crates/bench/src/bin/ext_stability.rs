@@ -141,10 +141,6 @@ fn run_arm(name: &str, a: &Csr, b: &[f64], arm: &str, s: usize) -> Row {
     }
 }
 
-fn xhash(x: &[f64]) -> u64 {
-    x.iter().fold(0xcbf29ce484222325u64, |h, v| (h ^ v.to_bits()).wrapping_mul(0x100000001b3))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -172,7 +168,7 @@ fn main() {
                         out.stats.converged,
                         out.stats.restarts,
                         out.report.escalations.len(),
-                        xhash(&out.x),
+                        ca_obs::fnv1a_words(out.x.iter().map(|v| v.to_bits())),
                         out.stats.t_total.to_bits()
                     );
                 }

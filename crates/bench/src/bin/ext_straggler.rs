@@ -114,8 +114,7 @@ fn solve(a: &ca_sparse::Csr, b: &[f64], m: usize, plan: Option<FaultPlan>, rebal
 }
 
 fn digest(label: &str, o: &Out) {
-    let xhash =
-        o.x_bits.iter().fold(0xcbf29ce484222325u64, |h, &b| (h ^ b).wrapping_mul(0x100000001b3));
+    let xhash = ca_obs::fnv1a_words(o.x_bits.iter().copied());
     println!(
         "DIGEST {label} iters={} msgs={} bytes={} rebalances={} xhash={xhash:016x} t_bits={:016x}",
         o.iters,

@@ -3,7 +3,10 @@
 //! digest drift, or a >10% time regression.
 //!
 //! Usage:
-//!   trend_gate <figure> [--baseline <dir>] [--fresh <dir>] [--tol <frac>]
+//!
+//! ```text
+//! trend_gate <figure> [--baseline <dir>] [--fresh <dir>] [--tol <frac>]
+//! ```
 //!
 //! `<figure>` names the artifact stem (e.g. `ext_profile_smoke`); the
 //! gate reads `<baseline>/<figure>.json` (default `bench_results/`,

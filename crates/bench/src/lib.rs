@@ -20,11 +20,10 @@ pub mod trend;
 
 pub use ca_obs::Jv;
 
-/// Conversion into the shared [`Jv`] JSON value type — the hand-rolled
-/// replacement for `serde::Serialize` in result emission (the offline
-/// `serde_json` is a stub that writes `{"stub":true}`; nothing in the
-/// artifact path may touch it). Implement via [`jv_struct!`] for payload
-/// row structs.
+/// Conversion into the shared [`Jv`] JSON value type — how results are
+/// emitted (the workspace has no serde: every artifact is rendered and
+/// parsed by `ca_obs::Jv`). Implement via [`jv_struct!`] for payload row
+/// structs.
 pub trait ToJv {
     /// The JSON value for `self`.
     fn to_jv(&self) -> Jv;
@@ -389,8 +388,7 @@ pub fn result_envelope<T: ToJv>(figure: &str, value: &T) -> Jv {
 /// same envelope: schema version, figure name, seed, thread count,
 /// `git describe`, and — for tuned runs — the machine-profile hash.
 /// The whole document is rendered through the hand-rolled [`Jv`]
-/// writer, so payloads stay faithful offline where `serde_json` is a
-/// `{"stub":true}` dev stub.
+/// writer.
 pub fn write_json<T: ToJv>(figure: &str, value: &T) {
     let dir = bench_dir();
     if std::fs::create_dir_all(&dir).is_err() {

@@ -1,10 +1,9 @@
 //! Run a whole campaign of chaos schedules and aggregate the verdict.
 //!
-//! A campaign is `schedules` independent runs of
-//! [`run_schedule`](crate::runner::run_schedule), indices `0..n` of one
-//! `campaign_seed`. Runs execute in parallel (each solve owns its
-//! thread-local probe/obs state) and results are collected in index
-//! order, so the campaign digest — an FNV fold of every run fingerprint
+//! A campaign is `schedules` independent runs of [`run_schedule`],
+//! indices `0..n` of one `campaign_seed`. Runs execute in parallel (each
+//! solve owns its probe and monitor state; the obs recorder is
+//! thread-local) and results are collected in index order, so the campaign digest — an FNV fold of every run fingerprint
 //! — is independent of worker count. A small sequential prefix
 //! additionally runs under an `ca-obs` recording and checks that the
 //! span forest is well-nested per track even while faults interrupt
@@ -12,7 +11,6 @@
 
 use ca_obs as obs;
 use rayon::prelude::*;
-use serde::Serialize;
 
 use crate::runner::{run_schedule, RunOutcome};
 use crate::schedule::ChaosSchedule;
@@ -49,7 +47,7 @@ impl Default for CampaignConfig {
 }
 
 /// One recorded invariant violation, with its reproducer.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Violation {
     /// Schedule index within the campaign.
     pub index: u64,
@@ -63,7 +61,7 @@ pub struct Violation {
 }
 
 /// Aggregated campaign verdict.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignReport {
     pub seed: u64,
     pub schedules: u64,

@@ -14,7 +14,6 @@ use ca_gmres::prelude::{
 use ca_gpusim::MultiGpu;
 use ca_sparse::gen::{convection_diffusion, laplace2d};
 use ca_sparse::Csr;
-use serde::Serialize;
 
 use crate::schedule::{ChaosSchedule, MatrixFamily};
 
@@ -32,7 +31,7 @@ pub const RTOL: f64 = 1e-6;
 pub const RELRES_SLACK: f64 = 10.0;
 
 /// Result of driving one schedule through the FT driver.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The schedule that was run.
     pub schedule: ChaosSchedule,
@@ -133,22 +132,15 @@ pub fn ft_config(sch: &ChaosSchedule) -> FtConfig {
     cfg
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 fn fingerprint(out: &FtOutcome) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut h = ca_obs::Fnv1a::default();
     for v in &out.x {
-        fnv1a(&mut h, &v.to_bits().to_le_bytes());
+        h.word(v.to_bits());
     }
-    fnv1a(&mut h, &out.stats.t_total.to_bits().to_le_bytes());
-    fnv1a(&mut h, &(out.stats.total_iters as u64).to_le_bytes());
-    fnv1a(&mut h, &(out.stats.restarts as u64).to_le_bytes());
-    h
+    h.word(out.stats.t_total.to_bits());
+    h.word(out.stats.total_iters as u64);
+    h.word(out.stats.restarts as u64);
+    h.finish()
 }
 
 fn host_relres(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
@@ -168,22 +160,15 @@ fn solve(sch: &ChaosSchedule, a: &Csr, b: &[f64], with_plan: bool) -> Result<FtO
     if with_plan {
         mg.set_fault_plan(sch.plan());
     }
-    let res = catch_unwind(AssertUnwindSafe(|| ca_gmres_ft(mg, a, b, &cfg)));
-    match res {
-        Ok(out) => Ok(out),
-        Err(payload) => {
-            // a panic can strand the thread-local probe or basis monitor
-            // armed; reset so the next schedule on this worker starts clean
-            HealthProbe::reset_thread();
-            BasisMonitor::reset_thread();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(msg)
-        }
-    }
+    // probe and monitor state live in the solve itself, so a panic takes
+    // them down with it: the next schedule on this worker starts clean
+    catch_unwind(AssertUnwindSafe(|| ca_gmres_ft(mg, a, b, &cfg))).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
 }
 
 /// Drive one schedule through the FT driver and check every invariant.

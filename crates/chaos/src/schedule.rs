@@ -8,7 +8,6 @@
 //! schedule replays from two integers.
 
 use ca_gpusim::{FaultPlan, Schedule, SdcTargets};
-use serde::Serialize;
 
 /// SplitMix64 — the same generator family the fault plan uses for its
 /// per-op decisions; here it drives schedule *synthesis*.
@@ -46,7 +45,7 @@ impl SplitMix64 {
 
 /// Matrix families the campaign draws from — all closed-form generators
 /// (no RNG), so a schedule means the same problem on every toolchain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatrixFamily {
     /// 5-point Laplacian on an `nx x ny` grid.
     Laplace2d,
@@ -55,7 +54,7 @@ pub enum MatrixFamily {
 }
 
 /// One fully materialized chaos test case.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosSchedule {
     /// Campaign seed this schedule was drawn from.
     pub campaign_seed: u64,

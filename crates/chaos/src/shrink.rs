@@ -136,7 +136,7 @@ fn rate_halvings(sch: &ChaosSchedule) -> Vec<ChaosSchedule> {
 /// Shrink `sch` (whose run must currently violate an invariant) to a
 /// simpler schedule that still violates one. Runs component drops to a
 /// fixpoint, then rate halvings to a fixpoint, bounded by
-/// [`MAX_SHRINK_RUNS`] solves. Returns the smallest failing schedule
+/// `MAX_SHRINK_RUNS` solves. Returns the smallest failing schedule
 /// found (possibly `sch` itself if nothing simpler still fails).
 #[must_use]
 pub fn shrink(sch: &ChaosSchedule) -> ChaosSchedule {

@@ -1,0 +1,948 @@
+//! The restart-cycle engine — the paper's Fig. 2 loop, written once.
+//!
+//! One CA restart cycle builds the Krylov space in blocks: shape the block
+//! (`s` steps, or what is left of `m`), generate it with MPK or shifted
+//! SpMVs, orthogonalize it (BOrth + TSQR), extend the Hessenberg matrix,
+//! push the new columns through the Givens least-squares recurrence, and —
+//! once the target is met or `m` columns exist — solve for the update and
+//! apply it to `x`. [`run_cycle`] is that loop for every driver; what
+//! differs between drivers is plugged in as a [`CycleGuard`]:
+//!
+//! * the plain [`crate::cagmres::ca_gmres`] driver passes [`NoGuard`],
+//!   whose hooks are all no-ops;
+//! * the fault-tolerant driver passes its `FtGuard` (ABFT verification,
+//!   retry budget, health probe, basis monitor, escalation ladder, block
+//!   checkpoints).
+//!
+//! The hook points are part of the contract — a guard sees the cycle at
+//! exactly these places, in this order, per block attempt:
+//!
+//! 1. [`CycleGuard::poll`] after the block's last generation kernel
+//!    (`MpkBlock`/`SpmvBlock`), then [`CycleGuard::after_generate`] (ABFT
+//!    `verify_block` runs here, so the poll precedes it);
+//! 2. inside [`orth_block`], [`CycleGuard::poll`]`(Orth)` between BOrth's
+//!    update and its ABFT checksum compare, and [`CycleGuard::r_diag`] on
+//!    TSQR's `R` before the Gram checksum compare (the estimate is taken
+//!    on the unverified factor);
+//! 3. [`CycleGuard::on_block_error`] when anything in the attempt failed;
+//! 4. [`CycleGuard::block_done`] after the block's Hessenberg columns are
+//!    pushed.
+//!
+//! The standard first cycle ([`crate::gmres::gmres_cycle`]) polls once per
+//! SpMV step through the same trait.
+//!
+//! Exactly one thing depends on *which* driver is calling, and it is a
+//! literal, not a knob: [`CycleGuard::FLATTEN`]. The plain driver flattens
+//! every clock (`MultiGpu::sync`) at phase boundaries so its per-phase
+//! times attribute cleanly; the fault-tolerant driver never did, and both
+//! clock sequences are pinned by golden digests. Phase attribution itself
+//! (`SolveStats::{t_spmv, t_small}`, the host phase spans) is the same for
+//! both — a boundary is a clock *read* either way.
+
+use crate::cagmres::TsqrErrorSample;
+use crate::ft::PollPoint;
+use crate::hess::BlockArnoldi;
+use crate::mpk::{dist_spmv, mpk_prefetch, mpk_with_prefetch, PrefetchedHalo};
+use crate::newton::BasisSpec;
+use crate::orth::{self, tsqr_with_hook, BorthKind, OrthConfig, OrthError, PrefetchHook};
+use crate::stats::{PhaseTimer, SolveStats};
+use crate::system::System;
+use ca_dense::hessenberg::GivensLsq;
+use ca_dense::{blas3, Mat};
+use ca_gpusim::faults::Result as GpuResult;
+use ca_gpusim::{MultiGpu, Schedule};
+use ca_obs as obs;
+use obs::Track::Host as HOST;
+
+/// The explicit solve context threaded down the call chain: the executor,
+/// the distributed system, and what the solve accumulates.
+pub(crate) struct SolveCtx<'a> {
+    pub mg: &'a mut MultiGpu,
+    pub sys: &'a System,
+    pub stats: &'a mut SolveStats,
+    /// Fig. 13 TSQR error capture, when requested.
+    pub tsqr_errors: Option<&'a mut Vec<TsqrErrorSample>>,
+}
+
+/// What is fixed for the duration of one restart cycle.
+pub(crate) struct CycleParams<'a> {
+    /// Restart length.
+    pub m: usize,
+    /// Block size the cycle starts with (a guard may throttle it).
+    pub s: usize,
+    /// Shift schedule for a full `s`-step block.
+    pub spec: &'a BasisSpec,
+    pub orth: &'a OrthConfig,
+    /// Generate with the matrix powers kernel (else `s` shifted SpMVs).
+    pub use_mpk: bool,
+    /// Issue the next block's halo exchange from inside TSQR (Fig. 14).
+    pub prefetch: bool,
+    /// Stop once the implicit residual reaches this.
+    pub target: f64,
+}
+
+/// One block attempt, as the guard sees it.
+pub(crate) struct Block<'a> {
+    /// Source column: the block generates `start + 1 ..= start + s`.
+    pub start: usize,
+    /// First column the orthogonalization touches (0 in the first block).
+    pub c0: usize,
+    /// Steps in this block.
+    pub s: usize,
+    /// Block size the cycle is currently running at.
+    pub s_cycle: usize,
+    pub spec: &'a BasisSpec,
+    /// First block of the cycle (column 0 is the seeded residual).
+    pub first: bool,
+    /// Regenerations of this block so far.
+    pub attempt: usize,
+    /// Residual norm that seeded the cycle.
+    pub beta: f64,
+}
+
+/// What a guard wants done with a generated block.
+pub(crate) enum Verdict<H> {
+    /// Orthogonalize it (with a second CGS2-style pass when `reorth`).
+    Accept {
+        reorth: bool,
+    },
+    Redo(Redo<H>),
+}
+
+/// Ways a guard can send a block attempt back.
+pub(crate) enum Redo<H> {
+    /// Generate the block again from its source column (re-seeded first
+    /// when the source is column 0).
+    Regenerate,
+    /// Drop the panel and finish the cycle in blocks of this many steps;
+    /// verified columns stay.
+    Throttle(usize),
+    /// Leave the cycle mid-flight; the driver acts and may resume.
+    HandBack(H),
+    /// Stop building and close the cycle with the columns verified so far.
+    Break,
+}
+
+/// Per-driver hooks into [`run_cycle`]. Every default is a no-op, so the
+/// empty guard reproduces the unguarded loop.
+pub(crate) trait CycleGuard {
+    /// Mid-cycle hand-back payload.
+    type HandBack;
+    /// Flatten clocks at phase boundaries (see the module docs).
+    const FLATTEN: bool;
+
+    /// In-cycle health observation.
+    fn poll(&mut self, _mg: &mut MultiGpu, _at: PollPoint) -> GpuResult<()> {
+        Ok(())
+    }
+
+    /// The block's columns exist and are not yet orthogonalized.
+    fn after_generate(
+        &mut self,
+        _cx: &mut SolveCtx<'_>,
+        _blk: &Block<'_>,
+    ) -> GpuResult<Verdict<Self::HandBack>> {
+        Ok(Verdict::Accept { reorth: false })
+    }
+
+    /// TSQR's `R`, before any checksum has vouched for it.
+    fn r_diag(&mut self, _r: &Mat) {}
+
+    /// A block attempt failed — a GPU fault anywhere in it, or an
+    /// orthogonalization failure. `None` declines: GPU faults propagate,
+    /// anything else ends the cycle as [`CycleEnd::OrthFailed`].
+    fn on_block_error(
+        &mut self,
+        _cx: &mut SolveCtx<'_>,
+        _blk: &Block<'_>,
+        _err: &OrthError,
+    ) -> Option<Redo<Self::HandBack>> {
+        None
+    }
+
+    /// A block is verified and its Hessenberg columns are pushed. `more`
+    /// says further blocks follow in this cycle.
+    fn block_done(
+        &mut self,
+        _cx: &mut SolveCtx<'_>,
+        _state: &CycleState,
+        _more: bool,
+    ) -> Option<Self::HandBack> {
+        None
+    }
+}
+
+/// The empty guard of the plain driver.
+pub(crate) struct NoGuard;
+
+impl CycleGuard for NoGuard {
+    type HandBack = std::convert::Infallible;
+    const FLATTEN: bool = true;
+}
+
+/// One attributed phase: a host span plus the simulated seconds between
+/// its two boundaries. A boundary is a clock read, preceded — when
+/// `flatten` — by a barrier that aligns every clock; `G::FLATTEN` is the one
+/// place the calling driver shows. Each phase times itself, so a clock
+/// rewound between phases (watchdog reclaim, executor rebuild) never
+/// reaches a timer.
+pub(crate) struct Phase {
+    span: obs::SpanId,
+    timer: PhaseTimer,
+    flatten: bool,
+}
+
+impl Phase {
+    fn boundary(mg: &mut MultiGpu, flatten: bool) -> f64 {
+        if flatten {
+            mg.sync();
+        }
+        mg.time()
+    }
+
+    pub(crate) fn begin(mg: &mut MultiGpu, name: &str, flatten: bool) -> Self {
+        let now = Self::boundary(mg, flatten);
+        Self { span: obs::span_begin(name, HOST, now), timer: PhaseTimer::start(now), flatten }
+    }
+
+    /// Close the phase and return its seconds.
+    pub(crate) fn end(mut self, mg: &mut MultiGpu) -> f64 {
+        let now = Self::boundary(mg, self.flatten);
+        obs::span_end(self.span, now);
+        self.timer.mark(now)
+    }
+}
+
+/// Explicit residual norm `||b - A x||`, attributed to the SpMV phase.
+pub(crate) fn residual(cx: &mut SolveCtx<'_>, flatten: bool) -> GpuResult<f64> {
+    let ph = Phase::begin(cx.mg, "spmv", flatten);
+    let beta = cx.sys.residual_norm(cx.mg)?;
+    cx.stats.t_spmv += ph.end(cx.mg);
+    Ok(beta)
+}
+
+/// Krylov state of the cycle in flight.
+pub(crate) struct CycleState {
+    lsq: GivensLsq,
+    /// Block-Arnoldi recurrence (the Hessenberg columns so far).
+    pub arn: BlockArnoldi,
+    /// Orthonormal basis columns built so far.
+    pub ncols: usize,
+    /// Hessenberg columns pushed through the least-squares recurrence.
+    pub k_used: usize,
+    /// Residual norm that seeded the cycle.
+    pub beta: f64,
+}
+
+impl CycleState {
+    /// Re-enter an interrupted cycle at its last verified block. The
+    /// least-squares recurrence is rebuilt from the preserved Hessenberg
+    /// columns — host work paid again, though the columns were already
+    /// counted as iterations.
+    pub(crate) fn resume(mg: &mut MultiGpu, ck: &CycleCkpt) -> Self {
+        let mut lsq = GivensLsq::new(ck.beta);
+        for col in ck.arn.columns().iter().take(ck.k_used) {
+            lsq.push_column(col);
+        }
+        mg.host_compute((3 * (ck.k_used + 1) * (ck.k_used + 1)) as f64, (16 * ck.k_used) as f64);
+        Self { lsq, arn: ck.arn.clone(), ncols: ck.ncols, k_used: ck.k_used, beta: ck.beta }
+    }
+}
+
+/// Partial-cycle checkpoint: everything needed to resume an interrupted
+/// cycle from its last *verified* block boundary instead of redoing it.
+/// The basis columns are held layout-agnostic (full-length host vectors),
+/// so the same checkpoint restores onto a repartitioned or degraded
+/// executor.
+pub(crate) struct CycleCkpt {
+    /// Verified, orthonormalized basis columns `V[:, 0..ncols]`.
+    vhost: Vec<Vec<f64>>,
+    arn: BlockArnoldi,
+    /// Basis columns built so far.
+    pub ncols: usize,
+    k_used: usize,
+    beta: f64,
+    /// Machine time of the capture — the left edge of the work-lost
+    /// bracket for anything that fails after it.
+    pub t_ckpt: f64,
+}
+
+impl CycleCkpt {
+    /// Extend (or create) the checkpoint with the newly verified columns.
+    /// Earlier columns are never mutated by later blocks (BOrth projects
+    /// the *new* panel against them; TSQR factors only the new panel), so
+    /// the capture is incremental.
+    ///
+    /// The host read is deliberately **uncharged**: checkpoint drains are
+    /// modeled as overlapped with the next block's compute on the per-link
+    /// copy engines, and — decisively — only an armed guard captures, so
+    /// charging it would break the armed-on-healthy bit-invisibility
+    /// contract. The restore path, which only runs after a real fault, is
+    /// charged in full.
+    pub(crate) fn update(slot: &mut Option<Self>, mg: &MultiGpu, sys: &System, st: &CycleState) {
+        let mut vhost = slot.take().map_or_else(Vec::new, |ck| ck.vhost);
+        for c in vhost.len()..st.ncols {
+            let mut col = vec![0.0f64; sys.n];
+            for d in 0..sys.layout.ndev() {
+                let r = sys.layout.range(d);
+                col[r].copy_from_slice(mg.device(d).mat(sys.v[d]).col(c));
+            }
+            vhost.push(col);
+        }
+        let (arn, t_ckpt) = (st.arn.clone(), mg.time());
+        *slot =
+            Some(Self { vhost, arn, ncols: st.ncols, k_used: st.k_used, beta: st.beta, t_ckpt });
+    }
+
+    /// Scatter the checkpointed columns back onto the (possibly rebuilt,
+    /// possibly repartitioned) executor, charged like any other
+    /// host→device staging.
+    pub(crate) fn restore(&self, mg: &mut MultiGpu, sys: &System) -> GpuResult<()> {
+        let ndev = sys.layout.ndev();
+        let mut bytes = vec![0usize; ndev];
+        for d in 0..ndev {
+            let r = sys.layout.range(d);
+            for (c, col) in self.vhost.iter().enumerate() {
+                mg.device_mut(d).mat_mut(sys.v[d]).set_col(c, &col[r.clone()]);
+            }
+            bytes[d] = 8 * r.len() * self.vhost.len();
+        }
+        mg.to_devices(&bytes)
+    }
+}
+
+/// How a cycle ended.
+pub(crate) enum CycleEnd<H> {
+    /// Ran to the restart boundary: `x` is updated and the restart
+    /// counted. The `cycle` host span is still open: the caller's explicit
+    /// residual ([`residual`]) belongs inside it, then the span is ended.
+    Done {
+        /// Implicit (least-squares) residual norm.
+        implied: f64,
+        /// Krylov dimensions the update used (0: no progress possible).
+        k_used: usize,
+        span: obs::SpanId,
+    },
+    /// Orthogonalization failed at `column` and the guard declined:
+    /// nothing was applied to `x`.
+    OrthFailed {
+        column: usize,
+        err: OrthError,
+    },
+    HandBack(H),
+}
+
+/// Generate a basis block via `s` shifted SpMVs (the non-MPK path).
+pub(crate) fn generate_block_spmv(
+    mg: &mut MultiGpu,
+    sys: &System,
+    start: usize,
+    spec: &BasisSpec,
+) -> GpuResult<()> {
+    for (k, step) in spec.steps.iter().enumerate() {
+        let src = start + k;
+        let dst = start + k + 1;
+        dist_spmv(mg, &sys.spmv, &sys.v, src, dst)?;
+        if step.re != 0.0 || step.im2 != 0.0 || step.scale != 1.0 {
+            let (re, im2, scale) = (step.re, step.im2, step.scale);
+            mg.run(|d, dev| {
+                if re != 0.0 {
+                    dev.axpy_cols(sys.v[d], -re, src, dst);
+                }
+                if scale != 1.0 {
+                    dev.scal_col(sys.v[d], dst, scale);
+                }
+                if im2 != 0.0 {
+                    dev.axpy_cols(sys.v[d], im2, src - 1, dst);
+                }
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Run one CA restart cycle from the residual of norm `beta` (or from
+/// `resume`, whose basis columns must already be on the devices).
+pub(crate) fn run_cycle<G: CycleGuard>(
+    cx: &mut SolveCtx<'_>,
+    p: &CycleParams<'_>,
+    beta: f64,
+    resume: Option<CycleState>,
+    guard: &mut G,
+) -> GpuResult<CycleEnd<G::HandBack>> {
+    let mut span = obs::span_begin("cycle", HOST, cx.mg.time());
+    let mut st = match resume {
+        Some(st) => st,
+        None => {
+            cx.sys.seed_basis(cx.mg, beta)?;
+            let (lsq, arn) = (GivensLsq::new(beta), BlockArnoldi::new());
+            CycleState { lsq, arn, ncols: 1, k_used: 0, beta }
+        }
+    };
+    let mut s_cycle = p.s;
+    let mut hit_target = false;
+    // halo exchange issued ahead of the next MPK block (Fig. 14 overlap);
+    // armed from inside the previous block's TSQR
+    let mut pending: Option<PrefetchedHalo> = None;
+
+    'blocks: while st.ncols - 1 < p.m && !hit_target {
+        let first = st.ncols == 1;
+        let s_blk = s_cycle.min(p.m + 1 - st.ncols);
+        let spec_blk = p.spec.truncate(s_blk);
+        let start = st.ncols - 1;
+        let c0 = if first { 0 } else { st.ncols };
+        let mut blk = Block {
+            start,
+            c0,
+            s: s_blk,
+            s_cycle,
+            spec: &spec_blk,
+            first,
+            attempt: 0,
+            beta: st.beta,
+        };
+
+        let (c_eff, r_eff) = loop {
+            // `panel_dirty`: the attempt died inside the orthogonalization,
+            // which may have scaled columns in place
+            let (redo, panel_dirty) = match attempt_block(cx, p, &blk, &mut pending, guard) {
+                Ok(Attempt::Orthogonalized(c, r)) => break (c, r),
+                Ok(Attempt::Redo(redo)) => (redo, false),
+                Err(err) => {
+                    // the attempt returned through `?`, leaving its phase
+                    // spans open: seal them — and with them the cycle's —
+                    // so whatever follows lands on a clean track
+                    obs::close_open(cx.mg.time());
+                    span = obs::SpanId::NONE;
+                    match guard.on_block_error(cx, &blk, &err) {
+                        Some(redo) => (redo, true),
+                        None => {
+                            return match err {
+                                OrthError::Gpu(e) => Err(e),
+                                err => Ok(CycleEnd::OrthFailed { column: c0, err }),
+                            }
+                        }
+                    }
+                }
+            };
+            match redo {
+                Redo::Regenerate => blk.attempt += 1,
+                Redo::Throttle(s) => {
+                    s_cycle = s;
+                    if panel_dirty && first {
+                        // the failed factorization may have scaled
+                        // column 0 in place: restore it
+                        cx.sys.seed_basis(cx.mg, st.beta)?;
+                    }
+                    continue 'blocks;
+                }
+                Redo::HandBack(h) => {
+                    obs::span_end(span, cx.mg.time());
+                    return Ok(CycleEnd::HandBack(h));
+                }
+                Redo::Break => break 'blocks,
+            }
+        };
+        if pending.is_some() {
+            cx.stats.prefetches += 1;
+        }
+
+        // Hessenberg reconstruction + least squares (host)
+        let ph = Phase::begin(cx.mg, "small", G::FLATTEN);
+        let c_for_hess = if first { Mat::zeros(0, 0) } else { c_eff };
+        let new_cols = st.arn.extend_block(&c_for_hess, &r_eff, &spec_blk.change_matrix());
+        cx.mg.host_compute(
+            2.0 * ((st.ncols + s_blk) * s_blk * s_blk) as f64 + (3 * p.m * s_blk) as f64,
+            (16 * (st.ncols + s_blk) * s_blk) as f64,
+        );
+        for col in &new_cols {
+            st.lsq.push_column(col);
+            st.k_used += 1;
+            cx.stats.total_iters += 1;
+            if st.lsq.residual_norm() <= p.target {
+                hit_target = true;
+                break;
+            }
+        }
+        cx.stats.t_small += ph.end(cx.mg);
+
+        st.ncols += s_blk;
+        let more = !hit_target && st.ncols - 1 < p.m;
+        if let Some(h) = guard.block_done(cx, &st, more) {
+            obs::span_end(span, cx.mg.time());
+            return Ok(CycleEnd::HandBack(h));
+        }
+    }
+
+    // update: re-solve with only the columns actually pushed
+    let implied = if st.k_used > 0 {
+        let mut l = GivensLsq::new(st.beta);
+        for col in st.arn.columns().iter().take(st.k_used) {
+            l.push_column(col);
+        }
+        let (y, implied) = (l.solve(), l.residual_norm());
+        let ph = Phase::begin(cx.mg, "small", G::FLATTEN);
+        cx.mg.host_compute((3 * (st.k_used + 1) * (st.k_used + 1)) as f64, (16 * st.k_used) as f64);
+        cx.stats.t_small += ph.end(cx.mg);
+        cx.sys.update_x(cx.mg, &y)?;
+        implied
+    } else {
+        st.beta
+    };
+    cx.stats.restarts += 1;
+    Ok(CycleEnd::Done { implied, k_used: st.k_used, span })
+}
+
+/// Outcome of one block attempt that did not fail outright.
+enum Attempt<H> {
+    /// Generated and orthogonalized: `(C_eff, R_eff)` for the Hessenberg
+    /// extension.
+    Orthogonalized(Mat, Mat),
+    Redo(Redo<H>),
+}
+
+/// Generate the block (consuming a prefetched halo when one is pending),
+/// let the guard judge it, orthogonalize it.
+fn attempt_block<G: CycleGuard>(
+    cx: &mut SolveCtx<'_>,
+    p: &CycleParams<'_>,
+    blk: &Block<'_>,
+    pending: &mut Option<PrefetchedHalo>,
+    guard: &mut G,
+) -> Result<Attempt<G::HandBack>, OrthError> {
+    let sys = cx.sys;
+    if blk.attempt > 0 && blk.first {
+        // the source column of a later block is never mutated by its
+        // orthogonalization; column 0 is, so restore it from the residual
+        sys.seed_basis(cx.mg, blk.beta)?;
+    }
+    let ph = Phase::begin(cx.mg, "spmv", G::FLATTEN);
+    if p.use_mpk {
+        let st = sys.mpk.as_ref().expect("MPK requested but no MPK plan loaded");
+        mpk_with_prefetch(cx.mg, st, &sys.v, blk.start, blk.spec, pending.take())?;
+        guard.poll(cx.mg, PollPoint::MpkBlock)?;
+    } else {
+        generate_block_spmv(cx.mg, sys, blk.start, blk.spec)?;
+        guard.poll(cx.mg, PollPoint::SpmvBlock)?;
+    }
+    let verdict = guard.after_generate(cx, blk)?;
+    cx.stats.t_spmv += ph.end(cx.mg);
+    let reorth = match verdict {
+        Verdict::Accept { reorth } => reorth,
+        Verdict::Redo(redo) => return Ok(Attempt::Redo(redo)),
+    };
+
+    // orthogonalize: BOrth against previous, TSQR within block. When
+    // another MPK block follows in this cycle, arm the prefetch hook: the
+    // instant TSQR finalizes this block's last column (= the next block's
+    // start vector), the next halo exchange is issued and hides under the
+    // remaining updates.
+    let next_start = blk.start + blk.s;
+    let arm =
+        p.prefetch && p.use_mpk && cx.mg.schedule() == Schedule::EventDriven && next_start < p.m;
+    let mut issue = |mg: &mut MultiGpu| -> GpuResult<()> {
+        let st = sys.mpk.as_ref().expect("armed only with an MPK plan");
+        *pending = Some(mpk_prefetch(mg, st, &sys.v, next_start)?);
+        Ok(())
+    };
+    let ocfg = OrthConfig { reorth: p.orth.reorth || reorth, ..*p.orth };
+    let hook: Option<PrefetchHook<'_>> = if arm { Some(&mut issue) } else { None };
+    let (c, r) = orth_block(cx, blk.c0, next_start + 1, &ocfg, hook, guard)?;
+    Ok(Attempt::Orthogonalized(c, r))
+}
+
+/// Gather the distributed block `V[:, c0..c1]` to the host (free
+/// instrumentation read — no transfer charge).
+pub(crate) fn gather_block(mg: &MultiGpu, sys: &System, c0: usize, c1: usize) -> Mat {
+    let mut out = Mat::zeros(sys.n, c1 - c0);
+    for d in 0..sys.layout.ndev() {
+        let lo = sys.layout.range(d).start;
+        let m = mg.device(d).mat(sys.v[d]);
+        for (jj, j) in (c0..c1).enumerate() {
+            out.col_mut(jj)[lo..lo + m.nrows()].copy_from_slice(m.col(j));
+        }
+    }
+    out
+}
+
+/// BOrth + TSQR (+ optional "2x" reorthogonalization) for one block, with
+/// per-phase timing and optional Fig. 13 error capture. Clocks are
+/// flattened around both stages for every caller — that sequence predates
+/// the guard and both drivers' digests pin it.
+pub(crate) fn orth_block<G: CycleGuard>(
+    cx: &mut SolveCtx<'_>,
+    c0: usize,
+    c1: usize,
+    cfg: &OrthConfig,
+    mut prefetch: Option<PrefetchHook<'_>>,
+    guard: &mut G,
+) -> Result<(Mat, Mat), OrthError> {
+    let (mg, sys, v) = (&mut *cx.mg, cx.sys, &cx.sys.v[..]);
+    let passes = if cfg.reorth { 2 } else { 1 };
+    let mut c_eff = Mat::zeros(0, 0);
+    let mut r_eff = Mat::identity(c1 - c0);
+    for pass in 1..=passes {
+        let ph = Phase::begin(mg, "borth", true);
+        // the checksum of V_prev^T W must be read BEFORE the update
+        // subtracts the projection from W in place (CGS only — MGS's
+        // per-vector reductions are covered by the residual guard)
+        let borth_sum = if cfg.abft && c0 > 0 && cfg.borth == BorthKind::Cgs {
+            Some(orth::block_checksum(mg, v, (0, c0), (c0, c1))?)
+        } else {
+            None
+        };
+        let c = orth::borth(mg, v, c0, c1, cfg.borth)?;
+        if c0 > 0 {
+            guard.poll(mg, PollPoint::Orth)?;
+        }
+        if let Some(sum) = borth_sum {
+            orth::check_borth(mg, &c, sum)?;
+        }
+        cx.stats.t_orth += ph.end(mg);
+
+        let ph = Phase::begin(mg, "tsqr", true);
+        let snapshot = cx.tsqr_errors.as_ref().map(|_| gather_block(mg, sys, c0, c1));
+        let gram_sum =
+            if cfg.abft { Some(orth::block_checksum(mg, v, (c0, c1), (c0, c1))?) } else { None };
+        // the prefetch window opens on the *final* pass only — earlier
+        // passes leave the last column non-final — and never under ABFT
+        let hook = if !cfg.abft && pass == passes { prefetch.take() } else { None };
+        let r = tsqr_with_hook(mg, v, c0, c1, cfg.tsqr, cfg.svqr_scaled, hook)?;
+        guard.r_diag(&r);
+        if let Some(sum) = gram_sum {
+            orth::check_gram(mg, &r, cfg.tsqr, sum)?;
+        }
+        let dt = ph.end(mg);
+        cx.stats.t_orth += dt;
+        cx.stats.t_tsqr += dt;
+
+        if let Some(errs) = cx.tsqr_errors.as_deref_mut() {
+            let vin = snapshot.expect("captured with the same switch");
+            let q = gather_block(mg, sys, c0, c1);
+            let orth_err = ca_dense::norms::orthogonality_error(&q);
+            obs::observe(obs::names::ORTH_ERROR, orth_err);
+            errs.push(TsqrErrorSample {
+                orth_err,
+                fact_err: ca_dense::norms::factorization_error(&vin, &q, &r),
+                elem_err: ca_dense::norms::elementwise_error(&vin, &q, &r),
+                pass,
+                block_cols: c1 - c0,
+            });
+        }
+
+        if pass == 1 {
+            c_eff = c;
+            r_eff = r;
+        } else {
+            // W = Qp (C1 + C2 R1) + Qn (R2 R1)
+            if c_eff.nrows() > 0 {
+                blas3::gemm_nn(1.0, &c, &r_eff, 1.0, &mut c_eff);
+            }
+            let mut r2r1 = Mat::zeros(r.nrows(), r_eff.ncols());
+            blas3::gemm_nn(1.0, &r, &r_eff, 0.0, &mut r2r1);
+            r_eff = r2r1;
+            let k = c1 - c0;
+            let ph = Phase::begin(mg, "small", true);
+            mg.host_compute(2.0 * ((c0 + k) * k * k) as f64, (24 * k * k) as f64);
+            cx.stats.t_small += ph.end(mg);
+        }
+    }
+    Ok((c_eff, r_eff))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gmres::gmres_cycle;
+    use crate::layout::Layout;
+    use crate::orth::TsqrKind;
+    use ca_gpusim::{FaultPlan, SdcTargets};
+    use ca_sparse::gen::laplace2d;
+    use std::collections::VecDeque;
+
+    const M: usize = 20;
+    const S: usize = 5;
+
+    /// A scripted guard: answers the i-th `after_generate` from `script`
+    /// (`None` or exhausted: accept), scaling basis column `mangle` by 3
+    /// before its first redo; logs every hook; checkpoints every block and
+    /// can hand the checkpoint back after a number of them.
+    #[derive(Default)]
+    struct Fake {
+        script: VecDeque<Option<Redo<CycleCkpt>>>,
+        mangle: Option<usize>,
+        log: Vec<String>,
+        /// `(start, s, attempt)` of every generated block.
+        blocks: Vec<(usize, usize, usize)>,
+        /// `ncols` after every finished block.
+        ncols: Vec<usize>,
+        ckpt: Option<CycleCkpt>,
+        hand_back_after: Option<usize>,
+    }
+
+    impl Fake {
+        fn scripted(script: impl IntoIterator<Item = Option<Redo<CycleCkpt>>>) -> Self {
+            Self { script: script.into_iter().collect(), ..Self::default() }
+        }
+    }
+
+    impl CycleGuard for Fake {
+        type HandBack = CycleCkpt;
+        const FLATTEN: bool = true;
+
+        fn poll(&mut self, _mg: &mut MultiGpu, at: PollPoint) -> GpuResult<()> {
+            self.log.push(format!("poll:{at:?}"));
+            Ok(())
+        }
+
+        fn after_generate(
+            &mut self,
+            cx: &mut SolveCtx<'_>,
+            blk: &Block<'_>,
+        ) -> GpuResult<Verdict<CycleCkpt>> {
+            self.log.push("after_generate".into());
+            self.blocks.push((blk.start, blk.s, blk.attempt));
+            let Some(Some(redo)) = self.script.pop_front() else {
+                return Ok(Verdict::Accept { reorth: false });
+            };
+            if let Some(col) = self.mangle.take() {
+                for d in 0..cx.sys.layout.ndev() {
+                    let mat = cx.mg.device_mut(d).mat_mut(cx.sys.v[d]);
+                    mat.col_mut(col).iter_mut().for_each(|v| *v *= 3.0);
+                }
+            }
+            Ok(Verdict::Redo(redo))
+        }
+
+        fn r_diag(&mut self, _r: &Mat) {
+            self.log.push("r_diag".into());
+        }
+
+        fn on_block_error(
+            &mut self,
+            _cx: &mut SolveCtx<'_>,
+            _blk: &Block<'_>,
+            err: &OrthError,
+        ) -> Option<Redo<CycleCkpt>> {
+            let OrthError::ChecksumMismatch { what, .. } = err else { return None };
+            self.log.push(format!("mismatch:{what}"));
+            Some(Redo::Regenerate)
+        }
+
+        fn block_done(
+            &mut self,
+            cx: &mut SolveCtx<'_>,
+            state: &CycleState,
+            _more: bool,
+        ) -> Option<CycleCkpt> {
+            self.log.push("block_done".into());
+            self.ncols.push(state.ncols);
+            CycleCkpt::update(&mut self.ckpt, cx.mg, cx.sys, state);
+            if self.hand_back_after == Some(self.ncols.len()) {
+                return self.ckpt.take();
+            }
+            None
+        }
+    }
+
+    /// laplace2d 12x12 on two devices with the right-hand side loaded;
+    /// returns the initial residual norm alongside.
+    fn machine(schedule: Schedule, plan: Option<FaultPlan>) -> (MultiGpu, System, f64) {
+        let a = laplace2d(12, 12);
+        let n = a.nrows();
+        let mut mg = MultiGpu::with_defaults(2);
+        mg.set_schedule(schedule);
+        if let Some(p) = plan {
+            mg.set_fault_plan(p);
+        }
+        let sys = System::new(&mut mg, &a, Layout::even(n, 2), M, Some(S)).unwrap();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 3) % 11) as f64 * 0.2).collect();
+        sys.load_rhs(&mut mg, &b).unwrap();
+        let beta = sys.residual_norm(&mut mg).unwrap();
+        (mg, sys, beta)
+    }
+
+    struct Ran<H> {
+        end: CycleEnd<H>,
+        /// Bits of the iterate afterwards.
+        x: Vec<u64>,
+        /// Messages the cycle cost.
+        msgs: u64,
+        stats: SolveStats,
+    }
+
+    /// One MPK cycle of the full length (`target = 0`) under `guard`.
+    fn cycle<G: CycleGuard>(
+        mg: &mut MultiGpu,
+        sys: &System,
+        (orth, prefetch): (&OrthConfig, bool),
+        (beta, resume): (f64, Option<CycleState>),
+        guard: &mut G,
+    ) -> Ran<G::HandBack> {
+        let spec = BasisSpec::monomial(S);
+        let p = CycleParams { m: M, s: S, spec: &spec, orth, use_mpk: true, prefetch, target: 0.0 };
+        let mut stats = SolveStats::default();
+        let before = mg.counters().total_msgs();
+        let mut cx = SolveCtx { mg: &mut *mg, sys, stats: &mut stats, tsqr_errors: None };
+        let end = run_cycle(&mut cx, &p, beta, resume, guard).unwrap();
+        let x = sys.download_x(mg).unwrap().iter().map(|v| v.to_bits()).collect();
+        let msgs = mg.counters().total_msgs() - before - 2; // less the download
+        Ran { end, x, msgs, stats }
+    }
+
+    fn full_cycle<G: CycleGuard>(
+        schedule: Schedule,
+        how: (&OrthConfig, bool),
+        guard: &mut G,
+    ) -> Ran<G::HandBack> {
+        let (mut mg, sys, beta) = machine(schedule, None);
+        let ran = cycle(&mut mg, &sys, how, (beta, None), guard);
+        assert!(matches!(ran.end, CycleEnd::Done { k_used: M, .. }));
+        ran
+    }
+
+    #[test]
+    fn regenerate_reseeds_column_zero_in_the_first_block_only() {
+        let how = (&OrthConfig::default(), false);
+        let clean = full_cycle(Schedule::Barrier, how, &mut NoGuard);
+        // first block: the guard scales the seeded column 0 and asks again;
+        // only a re-seed can put the residual back
+        let mut fake = Fake::scripted([Some(Redo::Regenerate)]);
+        fake.mangle = Some(0);
+        let first = full_cycle(Schedule::Barrier, how, &mut fake);
+        assert_eq!(&fake.blocks[..3], [(0, S, 0), (0, S, 1), (S, S, 0)]);
+        assert_eq!(first.x, clean.x, "column 0 was not restored before regenerating");
+        // later block: the guard scales a *generated* column; the source
+        // column is verified and stays as it is, so regenerating from it
+        // reproduces the clean cycle
+        let mut fake = Fake::scripted([None, Some(Redo::Regenerate)]);
+        fake.mangle = Some(S + 2);
+        let later = full_cycle(Schedule::Barrier, how, &mut fake);
+        assert_eq!(&fake.blocks[..4], [(0, S, 0), (S, S, 0), (S, S, 1), (2 * S, S, 0)]);
+        assert_eq!(later.x, clean.x, "the source column of a later block must be left alone");
+        // both pay one more halo exchange; only the first also re-seeds
+        // (one broadcast message per device)
+        assert_eq!(later.msgs, clean.msgs + 4);
+        assert_eq!(first.msgs, later.msgs + 2);
+    }
+
+    #[test]
+    fn throttle_keeps_verified_columns_and_finishes_in_shorter_blocks() {
+        let how = (&OrthConfig::default(), false);
+        let mut fake = Fake::scripted([None, Some(Redo::Throttle(2))]);
+        let ran = full_cycle(Schedule::Barrier, how, &mut fake);
+        // block 2 is generated at s = 5, dropped, and regenerated at s = 2
+        // from the same source column; attempts restart with the new shape
+        let shapes: Vec<(usize, usize)> = fake.blocks.iter().map(|&(st, s, _)| (st, s)).collect();
+        assert_eq!(
+            shapes,
+            [(0, 5), (5, 5), (5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (15, 2), (17, 2), (19, 1)]
+        );
+        assert!(fake.blocks.iter().all(|&(_, _, attempt)| attempt == 0));
+        assert_eq!(fake.ncols, [6, 8, 10, 12, 14, 16, 18, 20, 21], "verified columns stay");
+        assert_eq!(ran.stats.total_iters, M);
+        assert_eq!(ran.stats.restarts, 1);
+    }
+
+    #[test]
+    fn hand_back_then_resume_on_a_rebuilt_executor_matches_the_uninterrupted_cycle() {
+        let how = (&OrthConfig::default(), false);
+        let clean = full_cycle(Schedule::Barrier, how, &mut NoGuard);
+
+        let (mut mg, sys, beta) = machine(Schedule::Barrier, None);
+        let mut fake = Fake { hand_back_after: Some(2), ..Fake::default() };
+        let ran = cycle(&mut mg, &sys, how, (beta, None), &mut fake);
+        let CycleEnd::HandBack(ck) = ran.end else { panic!("expected a hand-back") };
+        assert_eq!((ck.ncols, ran.stats.restarts), (2 * S + 1, 0));
+
+        // a fresh executor: nothing of the interrupted cycle survives on
+        // the devices, only the checkpoint on the host
+        drop((mg, sys));
+        let (mut mg, sys, _) = machine(Schedule::Barrier, None);
+        ck.restore(&mut mg, &sys).unwrap();
+        let state = CycleState::resume(&mut mg, &ck);
+        let mut fake = Fake::default();
+        let ran = cycle(&mut mg, &sys, how, (beta, Some(state)), &mut fake);
+        assert!(matches!(ran.end, CycleEnd::Done { k_used: M, .. }));
+        assert_eq!(fake.blocks, [(2 * S, S, 0), (3 * S, S, 0)], "resumed at the third block");
+        assert_eq!(ran.x, clean.x, "resumed iterate differs from the uninterrupted one");
+        assert_eq!(ran.stats.total_iters, M - 2 * S, "verified columns are not recounted");
+    }
+
+    #[test]
+    fn regenerate_consumes_a_prefetched_halo_once_and_exchanges_normally_after() {
+        // CAQR under the event-driven schedule opens the prefetch window
+        let orth = OrthConfig { tsqr: TsqrKind::Caqr, ..OrthConfig::default() };
+        let plain = full_cycle(Schedule::EventDriven, (&orth, false), &mut NoGuard);
+        let clean = full_cycle(Schedule::EventDriven, (&orth, true), &mut NoGuard);
+        assert_eq!(clean.stats.prefetches, 3, "every block but the last issues the next halo");
+        assert_eq!(clean.msgs, plain.msgs, "a consumed prefetch is the same exchange, earlier");
+        assert_eq!(clean.x, plain.x);
+        // the second block starts from the halo prefetched during the
+        // first; asked to regenerate, it finds the token gone and runs the
+        // whole exchange again
+        let mut fake = Fake::scripted([None, Some(Redo::Regenerate)]);
+        let ran = full_cycle(Schedule::EventDriven, (&orth, true), &mut fake);
+        assert_eq!(&fake.blocks[1..3], [(S, S, 0), (S, S, 1)]);
+        assert_eq!(ran.x, clean.x);
+        assert_eq!(ran.stats.prefetches, clean.stats.prefetches);
+        assert_eq!(ran.msgs, clean.msgs + 4, "exactly one more exchange: 2 up, 2 down");
+    }
+
+    #[test]
+    fn hooks_fire_in_the_contracted_order() {
+        let orth = OrthConfig { abft: true, ..OrthConfig::default() };
+        let mut fake = Fake::default();
+        full_cycle(Schedule::Barrier, (&orth, false), &mut fake);
+        let per_block = ["poll:MpkBlock", "after_generate", "poll:Orth", "r_diag", "block_done"];
+        // the first block has nothing to project against: BOrth is skipped
+        // and so is its poll
+        let first: Vec<&str> = per_block.iter().copied().filter(|&e| e != "poll:Orth").collect();
+        let log: Vec<&str> = fake.log.iter().map(String::as_str).collect();
+        assert_eq!(log[..4], first[..]);
+        for block in log[4..].chunks(5) {
+            assert_eq!(block, per_block);
+        }
+    }
+
+    #[test]
+    fn probe_and_monitor_see_the_block_before_its_checksums_do() {
+        // silent corruption in the GEMM/SYRK kernels makes the ABFT
+        // compares fail; whenever one does, the hook that precedes it in
+        // the contract must already have fired in that attempt:
+        // poll(Orth) before BOrth's compare, r_diag before the Gram compare
+        let orth = OrthConfig { abft: true, ..OrthConfig::default() };
+        let (mut borth_seen, mut gram_seen) = (0, 0);
+        for seed in 0..40 {
+            let plan = FaultPlan::new(seed).with_sdc(0.03, SdcTargets::gemm_only());
+            let (mut mg, sys, beta) = machine(Schedule::Barrier, Some(plan));
+            let mut fake = Fake::default();
+            cycle(&mut mg, &sys, (&orth, false), (beta, None), &mut fake);
+            for (i, event) in fake.log.iter().enumerate() {
+                match event.as_str() {
+                    "mismatch:borth" => {
+                        assert_eq!(fake.log[i - 1], "poll:Orth", "seed {seed}: {:?}", fake.log);
+                        borth_seen += 1;
+                    }
+                    "mismatch:gram" => {
+                        assert_eq!(fake.log[i - 1], "r_diag", "seed {seed}: {:?}", fake.log);
+                        gram_seen += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(borth_seen > 0 && gram_seen > 0, "borth {borth_seen}, gram {gram_seen}");
+    }
+
+    #[test]
+    fn standard_cycle_polls_once_per_spmv_step() {
+        let (mut mg, sys, beta) = machine(Schedule::Barrier, None);
+        let mut stats = SolveStats::default();
+        let mut cx = SolveCtx { mg: &mut mg, sys: &sys, stats: &mut stats, tsqr_errors: None };
+        let mut fake = Fake::default();
+        let out = gmres_cycle(&mut cx, M, BorthKind::Cgs, beta, 0.0, &mut fake).unwrap();
+        assert_eq!(out.k_used, M);
+        assert_eq!(fake.log, vec!["poll:SpmvBlock"; M]);
+    }
+}

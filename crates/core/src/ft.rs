@@ -6,10 +6,10 @@
 //! 1. **ABFT detection** — every MPK/SpMV block is verified against the
 //!    checksum identity `1ᵀv_{k+1} = scale·(cᵀv_k − re·1ᵀv_k) +
 //!    im2·1ᵀv_{k-1}` with `c = Aᵀ1` precomputed on the host, and the
-//!    orthogonalization runs with the Gram/projection checksums of
-//!    [`crate::orth::borth_checked`]/[`crate::orth::tsqr_checked`]. The
-//!    detector kernels are real (they advance device clocks), so the
-//!    overhead of resilience is visible in the simulated times.
+//!    orthogonalization runs with its Gram/projection checksums armed
+//!    ([`crate::orth::OrthConfig::abft`]). The detector kernels are real
+//!    (they advance device clocks), so the overhead of resilience is
+//!    visible in the simulated times.
 //! 2. **Recompute on detection** — a block that fails a checksum is
 //!    regenerated from its (intact) source column. The regenerated
 //!    kernels draw fresh per-op fault decisions, so a *transient* SDC
@@ -33,13 +33,15 @@
 //!    row migration over the (possibly degraded) links.
 //! 5. **In-cycle detection and block-granular recovery** — arming
 //!    [`FtConfig::probe`] moves health polling *inside* the cycle: the
-//!    MPK/SpMV block generators and the BOrth pass call
-//!    [`HealthProbe::poll`] at every block boundary (gated on a
-//!    thread-local like the obs layer — zero cost when disarmed,
-//!    bit-invisible on a healthy machine), so a hung device or fail-slow
-//!    straggler is caught within one block instead of one restart cycle.
-//!    After every verified block the driver snapshots the orthonormal
-//!    basis prefix and the Gram/Hessenberg state ([`CycleCkpt`] — the
+//!    cycle engine calls the driver's guard after every MPK/SpMV block,
+//!    between BOrth and TSQR, and after every SpMV step of the standard
+//!    first cycle (the engine's hook points — the kernels themselves know
+//!    nothing of it, and an unarmed guard holds no probe at all), so a
+//!    hung device or fail-slow straggler is caught within one block
+//!    instead of one restart cycle. A poll reads telemetry and advances no
+//!    clock: armed on a healthy machine it is bit-invisible.
+//!    After every verified block the guard snapshots the orthonormal
+//!    basis prefix and the Gram/Hessenberg state (a block checkpoint — the
 //!    host-side read overlaps device compute on the copy engines and is
 //!    not charged; the *restore* re-upload after a failure is charged in
 //!    full), so recovery rolls the cycle back to the failed block, not
@@ -51,27 +53,30 @@
 //!
 //! Unsupported solver options (documented simplifications): the FT driver
 //! always resolves [`KernelMode::Auto`] to MPK-if-available, and ignores
-//! `adaptive_s` and `capture_tsqr_errors` — a *numerical* breakdown (as
+//! `adaptive_s`, `prefetch` and `capture_tsqr_errors` — a *numerical* breakdown (as
 //! opposed to an injected fault) aborts with `stats.breakdown` set, like
 //! non-adaptive CA-GMRES.
 
-use crate::cagmres::{generate_block_spmv, orth_block, BasisChoice, CaGmresConfig, KernelMode};
-use crate::health::{BasisMonitor, EscalationEvent, EscalationRung, Ladder};
-use crate::hess::BlockArnoldi;
+use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode};
+use crate::cycle::{
+    residual, run_cycle, Block, CycleCkpt, CycleEnd, CycleGuard, CycleParams, CycleState, Phase,
+    Redo, SolveCtx, Verdict,
+};
+use crate::gmres::gmres_cycle;
+use crate::health::{EscalationEvent, EscalationRung, Ladder, MonitorState};
 use crate::layout::Layout;
-use crate::mpk::mpk;
 use crate::newton::{newton_shifts_from_hessenberg, BasisSpec};
-use crate::orth::{checksums_agree, OrthError};
+use crate::orth::{checksums_agree, OrthConfig, OrthError};
 use crate::stats::{BreakdownKind, SolveStats};
 use crate::system::System;
-use ca_dense::hessenberg::GivensLsq;
+use ca_dense::Mat;
 use ca_gpusim::faults::Result as GpuResult;
 use ca_gpusim::{GpuSimError, MultiGpu, RetryPolicy, VecId};
 use ca_obs as obs;
+use ca_obs::PhaseRatios;
+use ca_scalar::Precision;
 use ca_sparse::Csr;
 use obs::Track::Host as HOST;
-use serde::Serialize;
-use std::cell::RefCell;
 
 /// Fault-tolerance configuration on top of a [`CaGmresConfig`].
 #[derive(Debug, Clone)]
@@ -118,7 +123,8 @@ pub struct FtConfig {
     /// failed block instead of redoing the cycle. `None` (the default)
     /// reproduces the restart-boundary-only driver bit for bit.
     pub probe: Option<HealthProbe>,
-    /// Numerical-health escalation ladder: when set, a [`BasisMonitor`]
+    /// Numerical-health escalation ladder: when set, a
+    /// [`crate::health::BasisMonitor`]
     /// watches the basis condition (R-diagonal ratio of every TSQR,
     /// monomial growth of every generated block) and a trigger walks the
     /// configured escalation rungs — reorthogonalize, throttle `s`
@@ -149,7 +155,7 @@ impl Default for FtConfig {
 }
 
 /// What the fault-tolerance machinery observed and did during one solve.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FtReport {
     /// Checksum mismatches detected (SpMV identity or orth Gram checks).
     pub sdc_detected: usize,
@@ -205,7 +211,8 @@ pub struct FtReport {
     /// Escalation-ladder actions taken by the numerical-health subsystem,
     /// in order (rung, restart cycle, trigger condition estimate).
     pub escalations: Vec<EscalationEvent>,
-    /// Condition estimates the [`BasisMonitor`] found worth recording
+    /// Condition estimates the [`crate::health::BasisMonitor`] found worth
+    /// recording
     /// (everything at or above its warn threshold), in observation order —
     /// the trajectory a [`RestartTuner`] uses to tighten its caps.
     pub cond_trajectory: Vec<f64>,
@@ -233,66 +240,6 @@ pub struct RetuneDecision {
     pub s: usize,
     /// New row partition.
     pub layout: Layout,
-}
-
-/// Measured phase-time deltas since the previous restart boundary, fed
-/// to [`RestartTuner::observe_phases`] right before each `replan` call.
-///
-/// The numbers come from the driver's always-on `PhaseTimer`
-/// accumulators in [`SolveStats`] — *not* from `ca-obs` spans — so an
-/// instrumented and an uninstrumented autotune run feed the tuner
-/// bit-identical observations (the PR 5 invariant). `borth_s` is the
-/// projection-only part (`t_orth - t_tsqr`), matching the granularity of
-/// both the recorded host spans and the planner's
-/// [`ca-tune` `PhasePrediction`](https://docs.rs) phase split, so the
-/// tuner can compare observed against predicted shares directly.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseObservation {
-    /// Restart cycles covered by this delta (normally 1; more when
-    /// fault-recovery paths skipped intermediate boundaries).
-    pub cycles: usize,
-    /// Wall (simulated) seconds since the last observation, including
-    /// unattributed seed/bookkeeping time — the same denominator the
-    /// span-derived phase ratios use.
-    pub cycle_s: f64,
-    /// SpMV/MPK phase seconds.
-    pub spmv_s: f64,
-    /// BOrth projection seconds (orthogonalization minus TSQR).
-    pub borth_s: f64,
-    /// TSQR seconds.
-    pub tsqr_s: f64,
-    /// Host dense-math seconds.
-    pub small_s: f64,
-}
-
-impl PhaseObservation {
-    fn share(&self, part: f64) -> f64 {
-        if self.cycle_s > 0.0 {
-            part / self.cycle_s
-        } else {
-            0.0
-        }
-    }
-
-    /// SpMV/MPK fraction of the observed window.
-    pub fn spmv_share(&self) -> f64 {
-        self.share(self.spmv_s)
-    }
-
-    /// BOrth fraction of the observed window.
-    pub fn borth_share(&self) -> f64 {
-        self.share(self.borth_s)
-    }
-
-    /// TSQR fraction of the observed window.
-    pub fn tsqr_share(&self) -> f64 {
-        self.share(self.tsqr_s)
-    }
-
-    /// Host dense-math fraction of the observed window.
-    pub fn small_share(&self) -> f64 {
-        self.share(self.small_s)
-    }
 }
 
 /// Restart-boundary re-planning hook (tentpole layer 3 of the `ca-tune`
@@ -359,7 +306,17 @@ pub trait RestartTuner {
     /// PCIe link, which inflates the communication-heavy phases while
     /// every kernel's busy-time EWMA stays clean. The default ignores
     /// the observation.
-    fn observe_phases(&mut self, _obs: &PhaseObservation) {}
+    ///
+    /// The numbers come from the driver's always-on phase accumulators in
+    /// [`SolveStats`] — *not* from `ca-obs` spans — so an instrumented and
+    /// an uninstrumented autotune run feed the tuner bit-identical
+    /// observations. `cycles` is the number of restart cycles the window
+    /// covers (normally 1; more when fault-recovery paths skipped
+    /// intermediate boundaries), `cycle_s` the simulated seconds since the
+    /// last observation including unattributed seed/bookkeeping time, and
+    /// `borth_s` the projection-only part (`t_orth - t_tsqr`), matching
+    /// both the recorded host spans and the planner's predicted split.
+    fn observe_phases(&mut self, _obs: &PhaseRatios) {}
 }
 
 /// Outcome of a fault-tolerant solve.
@@ -399,13 +356,13 @@ impl PollPoint {
 
 /// In-cycle health-probe configuration ([`FtConfig::probe`]).
 ///
-/// The probe piggybacks on the kernel call sites: [`crate::mpk::mpk`],
-/// the shifted-SpMV block generator, and the BOrth pass each call
-/// [`HealthProbe::poll`] when they finish. The poll is gated on a
-/// thread-local armed only for the duration of a fault-tolerant solve —
-/// the same zero-cost-when-disabled discipline as `ca_obs` — and reads
-/// health telemetry without advancing any simulated clock, so an armed
-/// probe on a healthy machine replays the unprobed solve bit for bit.
+/// The probe rides the cycle engine's hook points: after every MPK or
+/// shifted-SpMV block, after BOrth's update, and after every SpMV step of
+/// the standard first cycle, the engine calls the fault-tolerant driver's
+/// guard, which polls the probe state it owns. A poll reads health
+/// telemetry without advancing any simulated clock, so an armed probe on a
+/// healthy machine replays the unprobed solve bit for bit; an unarmed
+/// solve holds no probe state at all.
 #[derive(Debug, Clone)]
 pub struct HealthProbe {
     /// Escalate a device whose worst single-command overshoot exceeds
@@ -424,12 +381,11 @@ impl Default for HealthProbe {
     }
 }
 
-/// Live state of an armed probe (thread-local: the solve drives every
-/// poll point from the host thread, exactly like the obs recorder).
+/// Live state of an armed probe: a field of the cycle guard, polled from
+/// the engine's hook points on the host thread that drives the solve.
 #[derive(Debug, Default)]
 struct ProbeState {
-    watchdog_timeout_s: Option<f64>,
-    straggler_threshold: Option<f64>,
+    cfg: HealthProbe,
     polls: u64,
     /// Machine time at the previous poll — the left edge of the latency
     /// bracket for anything detected at the next poll.
@@ -443,87 +399,32 @@ struct ProbeState {
     straggler_latched: bool,
 }
 
-/// What an armed probe observed over one solve (folded into [`FtReport`]).
-struct ProbeSummary {
-    polls: u64,
-    escalations: usize,
-    latencies: Vec<f64>,
-}
-
-thread_local! {
-    static PROBE: RefCell<Option<ProbeState>> = const { RefCell::new(None) };
-}
-
-impl HealthProbe {
-    /// Install (or clear, with `cfg == None`) the thread-local probe for
-    /// one solve. Always called by the driver — also with `None` — so a
-    /// probe left armed by a panicked solve can never leak into the next.
-    fn arm(cfg: Option<&HealthProbe>, t0: f64) {
-        PROBE.with(|p| {
-            *p.borrow_mut() = cfg.map(|c| ProbeState {
-                watchdog_timeout_s: c.watchdog_timeout_s,
-                straggler_threshold: c.straggler_threshold,
-                last_poll_t: t0,
-                ..ProbeState::default()
-            });
-        });
+impl ProbeState {
+    fn new(cfg: &HealthProbe, t0: f64) -> Self {
+        Self { cfg: cfg.clone(), last_poll_t: t0, ..Self::default() }
     }
 
-    /// Tear down the probe and return what it saw.
-    fn disarm() -> Option<ProbeSummary> {
-        PROBE.with(|p| p.borrow_mut().take()).map(|s| ProbeSummary {
-            polls: s.polls,
-            escalations: s.escalations,
-            latencies: s.latencies,
-        })
-    }
-
-    /// Force-clear any armed probe on this thread. Harness code (e.g. the
-    /// chaos runner) calls this after catching a panic out of a solve, so
-    /// a poisoned probe cannot outlive the solve that armed it.
-    pub fn reset_thread() {
-        PROBE.with(|p| *p.borrow_mut() = None);
-    }
-
-    /// One health observation, called by the kernel layers at block/stage
-    /// boundaries. Disarmed (the default, and every non-FT solver): a
-    /// single thread-local read, nothing else. Armed: runs the watchdog
-    /// sweep and, when configured, the straggler imbalance check — pure
-    /// reads of device telemetry that advance no clock, so a healthy
-    /// machine stays bit-identical. A hung device is marked lost on the
-    /// spot (honest clock: rest-of-machine progress plus the timeout) and
-    /// surfaces as [`GpuSimError::DeviceLost`] into the caller's existing
-    /// error path; a straggler only sets a pending flag the driver
-    /// consumes at the next block boundary.
-    ///
-    /// # Errors
-    /// [`GpuSimError::DeviceLost`] when the in-cycle watchdog escalates a
-    /// hung device.
-    pub(crate) fn poll(mg: &mut MultiGpu, point: PollPoint) -> GpuResult<()> {
-        let Some((timeout, straggler, latched)) = PROBE.with(|p| {
-            p.borrow()
-                .as_ref()
-                .map(|s| (s.watchdog_timeout_s, s.straggler_threshold, s.straggler_latched))
-        }) else {
-            return Ok(());
-        };
-        if let Some(t) = timeout {
+    /// One health observation: the watchdog sweep and, when configured,
+    /// the straggler imbalance check — pure reads of device telemetry that
+    /// advance no clock, so a healthy machine stays bit-identical. A hung
+    /// device is marked lost on the spot (honest clock: rest-of-machine
+    /// progress plus the timeout) and surfaces as
+    /// [`GpuSimError::DeviceLost`] into the cycle's error path; a straggler
+    /// only sets a pending flag the guard consumes at the next block
+    /// boundary.
+    fn poll(&mut self, mg: &mut MultiGpu, point: PollPoint) -> GpuResult<()> {
+        if let Some(t) = self.cfg.watchdog_timeout_s {
             let hung = mg.watchdog(t);
             if !hung.is_empty() {
                 let t_det = mg.time(); // rest-of-machine progress + timeout
-                let (latency, n) = PROBE.with(|p| {
-                    let mut b = p.borrow_mut();
-                    let s = b.as_mut().expect("probe vanished mid-poll");
-                    let latency = (t_det - s.last_poll_t).max(0.0);
-                    s.polls += 1;
-                    s.last_poll_t = t_det;
-                    for &d in &hung {
-                        s.escalations += 1;
-                        s.escalated.push(d);
-                        s.latencies.push(latency);
-                    }
-                    (latency, hung.len())
-                });
+                let latency = (t_det - self.last_poll_t).max(0.0);
+                self.polls += 1;
+                self.last_poll_t = t_det;
+                for &d in &hung {
+                    self.escalations += 1;
+                    self.escalated.push(d);
+                    self.latencies.push(latency);
+                }
                 if obs::enabled() {
                     for &d in &hung {
                         obs::instant_cause(
@@ -538,82 +439,55 @@ impl HealthProbe {
                         );
                         obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
                     }
-                    obs::counter_add(obs::names::FT_IN_CYCLE_ESCALATIONS, n as u64);
+                    obs::counter_add(obs::names::FT_IN_CYCLE_ESCALATIONS, hung.len() as u64);
                 }
                 return Err(GpuSimError::DeviceLost { device: hung[0] });
             }
         }
         let now = mg.time();
-        if let Some(threshold) = straggler {
-            if !latched {
-                let health = mg.health_report();
-                let imbalance = health.imbalance();
-                if imbalance > threshold {
-                    // slowest alive device by latency EWMA
-                    let worst = health
-                        .devices
-                        .iter()
-                        .filter(|d| d.alive)
-                        .max_by(|a, b| a.ewma_slowdown.total_cmp(&b.ewma_slowdown))
-                        .map(|d| d.device);
-                    if let Some(device) = worst {
-                        let latency = PROBE.with(|p| {
-                            let mut b = p.borrow_mut();
-                            let s = b.as_mut().expect("probe vanished mid-poll");
-                            let latency = (now - s.last_poll_t).max(0.0);
-                            s.straggler_pending = Some((device, imbalance));
-                            s.straggler_latched = true;
-                            s.latencies.push(latency);
-                            latency
-                        });
-                        if obs::enabled() {
-                            obs::instant_cause(
-                                "ft.detect",
-                                HOST,
-                                now,
-                                &format!(
-                                    "in-cycle probe at {} flagged straggler device {device} \
-                                     (imbalance {imbalance:.3} > {threshold:.3}); \
-                                     detection latency {latency:.6}s",
-                                    point.label()
-                                ),
-                            );
-                            obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
-                        }
+        if let (Some(threshold), false) = (self.cfg.straggler_threshold, self.straggler_latched) {
+            let health = mg.health_report();
+            let imbalance = health.imbalance();
+            if imbalance > threshold {
+                // slowest alive device by latency EWMA
+                let worst = health
+                    .devices
+                    .iter()
+                    .filter(|d| d.alive)
+                    .max_by(|a, b| a.ewma_slowdown.total_cmp(&b.ewma_slowdown))
+                    .map(|d| d.device);
+                if let Some(device) = worst {
+                    let latency = (now - self.last_poll_t).max(0.0);
+                    self.straggler_pending = Some((device, imbalance));
+                    self.straggler_latched = true;
+                    self.latencies.push(latency);
+                    if obs::enabled() {
+                        obs::instant_cause(
+                            "ft.detect",
+                            HOST,
+                            now,
+                            &format!(
+                                "in-cycle probe at {} flagged straggler device {device} \
+                                 (imbalance {imbalance:.3} > {threshold:.3}); \
+                                 detection latency {latency:.6}s",
+                                point.label()
+                            ),
+                        );
+                        obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
                     }
                 }
             }
         }
-        PROBE.with(|p| {
-            let mut b = p.borrow_mut();
-            if let Some(s) = b.as_mut() {
-                s.polls += 1;
-                s.last_poll_t = now;
-            }
-        });
+        self.polls += 1;
+        self.last_poll_t = now;
         Ok(())
     }
 
-    /// Consume a pending straggler signal (driver, at a block boundary).
-    fn take_straggler() -> Option<(usize, f64)> {
-        PROBE.with(|p| p.borrow_mut().as_mut().and_then(|s| s.straggler_pending.take()))
-    }
-
-    /// Re-enable straggler signalling (driver, after a rebuild reset the
-    /// health EWMAs or at a fresh cycle).
-    fn unlatch_straggler() {
-        PROBE.with(|p| {
-            if let Some(s) = p.borrow_mut().as_mut() {
-                s.straggler_latched = false;
-                s.straggler_pending = None;
-            }
-        });
-    }
-
-    /// Whether the probe (not the fault plan) escalated `device` to loss
-    /// during this solve — distinguishes a hang from a hard loss.
-    fn was_escalated(device: usize) -> bool {
-        PROBE.with(|p| p.borrow().as_ref().is_some_and(|s| s.escalated.contains(&device)))
+    /// Re-enable straggler signalling (after a rebuild reset the health
+    /// EWMAs, or at a fresh cycle).
+    fn unlatch(&mut self) {
+        self.straggler_latched = false;
+        self.straggler_pending = None;
     }
 }
 
@@ -700,26 +574,6 @@ impl AbftState {
     }
 }
 
-/// Derive the basis spec for `s` steps from harvested shifts, mirroring
-/// the choice logic in [`crate::cagmres::ca_gmres`].
-fn spec_from_shifts(
-    shifts: &Option<Vec<ca_dense::hessenberg::Complex>>,
-    basis: BasisChoice,
-    s: usize,
-) -> BasisSpec {
-    match (shifts, basis) {
-        (Some(sh), BasisChoice::Newton) => BasisSpec::newton(sh, s),
-        (Some(sh), BasisChoice::Chebyshev) if !sh.is_empty() => {
-            let lo = sh.iter().map(|&(re, _)| re).fold(f64::INFINITY, f64::min);
-            let hi = sh.iter().map(|&(re, _)| re).fold(f64::NEG_INFINITY, f64::max);
-            let center = 0.5 * (lo + hi);
-            let delta = (0.5 * (hi - lo)).max(1e-8 * center.abs()).max(1e-300);
-            BasisSpec::chebyshev(center, delta, s)
-        }
-        _ => BasisSpec::monomial(s),
-    }
-}
-
 /// Solve `A x = b` with fault-tolerant CA-GMRES, consuming the supplied
 /// multi-GPU context (device loss may force the driver to rebuild it on
 /// the survivors). `a` is distributed by [`Layout::even`] over however
@@ -795,15 +649,20 @@ impl ResidentSystem {
     }
 }
 
-/// Effective MPK step option for a solve of `cfg` on `mg`, mirroring the
-/// driver's own derivation (including a fault-plan forced `s`).
-fn effective_s_opt(mg: &MultiGpu, cfg: &FtConfig) -> Option<usize> {
-    let scfg = &cfg.solver;
-    let mut s_cur = scfg.s;
-    if let Some(fs) = mg.fault_plan().and_then(|p| p.forced_s()) {
-        s_cur = fs.clamp(1, scfg.m);
+/// MPK step option for step size `s` under `cfg` (`None`: plain SpMV
+/// blocks, no MPK plan).
+fn mpk_steps(cfg: &FtConfig, s: usize) -> Option<usize> {
+    (s > 1 && !matches!(cfg.solver.kernel, KernelMode::Spmv)).then_some(s)
+}
+
+/// Step size a solve of `cfg` on `mg` starts with: the configured one, or
+/// the (possibly cap-violating) one a fault plan forces onto the solve —
+/// the numerical-health ladder is what is supposed to rescue that.
+fn effective_s(mg: &MultiGpu, cfg: &FtConfig) -> usize {
+    match mg.fault_plan().and_then(|p| p.forced_s()) {
+        Some(fs) => fs.clamp(1, cfg.solver.m),
+        None => cfg.solver.s,
     }
-    (s_cur > 1 && !matches!(scfg.kernel, KernelMode::Spmv)).then_some(s_cur)
 }
 
 /// Re-entrant fault-tolerant solve: [`ca_gmres_ft_with_tuner`] against a
@@ -837,7 +696,7 @@ pub fn ca_gmres_ft_session(
     rhs_precharged: bool,
 ) -> (FtOutcome, Option<ResidentSystem>) {
     assert_eq!(a.nrows(), b.len());
-    let s_opt = effective_s_opt(mg, cfg);
+    let s_opt = mpk_steps(cfg, effective_s(mg, cfg));
     let init = match resident {
         Some(r) if r.compatible(a.nrows(), cfg, s_opt, mg.n_gpus()) => Some((r.sys, r.abft)),
         Some(r) => {
@@ -846,53 +705,43 @@ pub fn ca_gmres_ft_session(
         }
         None => None,
     };
-    let mut stats = SolveStats::default();
-    let mut report =
-        FtReport { ndev_final: mg.n_gpus(), s_final: cfg.solver.s, ..Default::default() };
-    // last accepted iterate; also the rollback target for every recovery
-    let mut x_ckpt = vec![0.0f64; a.nrows()];
     mg.sync();
     let t_begin = mg.time();
-    // install (or clear) the in-cycle health probe for this solve; always
-    // called so a probe leaked by an aborted solve cannot carry over
-    HealthProbe::arm(cfg.probe.as_ref(), t_begin);
-    BasisMonitor::arm(cfg.ladder.as_ref().map(|l| &l.monitor));
-    let mut final_sys: Option<(System, Option<AbftState>)> = None;
-    let fatal = ca_gmres_ft_impl(
-        mg,
-        a,
-        b,
-        cfg,
-        tuner,
-        init,
-        rhs_precharged,
-        &mut stats,
-        &mut report,
-        &mut x_ckpt,
-        &mut final_sys,
-    )
-    .err();
-    if let Some(ps) = HealthProbe::disarm() {
+    let mut solve = FtSolve::new(mg, a, b, cfg, t_begin);
+    let ran = solve.run(mg, tuner, init, rhs_precharged);
+    let FtSolve { mut stats, x_ckpt, guard, .. } = solve;
+    let FtGuard { mut report, probe, monitor, abft, .. } = guard;
+    if let Some(ps) = probe {
         report.in_cycle_polls = ps.polls;
         report.in_cycle_escalations = ps.escalations;
         report.detection_latency_s.extend(ps.latencies);
     }
-    if let Some(ms) = BasisMonitor::disarm() {
+    if let Some(ms) = monitor {
         report.cond_trajectory = ms.trajectory;
         report.cond_checks = ms.records;
     }
-    if let Some(e) = fatal {
-        stats.breakdown = Some(BreakdownKind::from(e));
-        stats.converged = false;
-    }
-    mg.sync();
-    stats.t_total = mg.time() - t_begin;
+    // package the final device state for the caller's residency manager;
+    // the shape keys reflect what the solve *ended* with (a mid-solve
+    // retune/promotion/degradation rebuilt the system with new parameters)
+    let resident_out = match ran {
+        Ok(sys) => Some(ResidentSystem {
+            n: sys.n,
+            m: sys.m,
+            s_opt: sys.mpk.as_ref().map(|st| st.plan.s),
+            prec: sys.mpk.as_ref().map_or(cfg.solver.mpk_prec, |st| st.prec),
+            ndev: sys.layout.ndev(),
+            sys,
+            abft,
+        }),
+        Err(e) => {
+            stats.breakdown = Some(BreakdownKind::from(e));
+            stats.converged = false;
+            None
+        }
+    };
+    stats.close(mg, t_begin);
     stats.t_reclaimed = mg.time_reclaimed();
-    let c = mg.counters();
-    stats.comm_msgs = c.total_msgs();
-    stats.comm_bytes = c.total_bytes();
-    stats.record_device_times((0..mg.n_gpus()).map(|d| mg.device(d).busy_time()).collect());
-    report.transfer_retries = c.transfer_retries;
+    report.transfer_retries = mg.counters().transfer_retries;
     report.ndev_final = mg.n_gpus();
     stats.debug_check_phases();
     if obs::enabled() {
@@ -902,487 +751,597 @@ pub fn ca_gmres_ft_session(
         obs::gauge_set(obs::names::FT_S_FINAL, report.s_final as f64);
         obs::gauge_set(obs::names::FT_NDEV_FINAL, report.ndev_final as f64);
     }
-    // package the final device state for the caller's residency manager;
-    // the shape keys reflect what the solve *ended* with (a mid-solve
-    // retune/promotion/degradation rebuilt the system with new parameters)
-    let resident_out = final_sys.map(|(sys, abft)| ResidentSystem {
-        n: sys.n,
-        m: sys.m,
-        s_opt: sys.mpk.as_ref().map(|st| st.plan.s),
-        prec: sys.mpk.as_ref().map_or(cfg.solver.mpk_prec, |st| st.prec),
-        ndev: sys.layout.ndev(),
-        sys,
-        abft,
-    });
     (FtOutcome { stats, report, x: x_ckpt }, resident_out)
 }
 
-/// Fallible body: only *unrecoverable* faults escape (device loss with no
-/// survivor, loss during recovery itself, exhausted transfer retries,
-/// allocation failure). Everything else is absorbed and counted.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn ca_gmres_ft_impl(
-    mg: &mut MultiGpu,
-    a: &Csr,
-    b: &[f64],
-    cfg: &FtConfig,
-    mut tuner: Option<&mut dyn RestartTuner>,
-    init: Option<(System, Option<AbftState>)>,
-    rhs_precharged: bool,
-    stats: &mut SolveStats,
-    report: &mut FtReport,
-    x_ckpt: &mut Vec<f64>,
-    final_sys: &mut Option<(System, Option<AbftState>)>,
-) -> GpuResult<()> {
-    let n = a.nrows();
-    let scfg = &cfg.solver;
-    assert!(scfg.s >= 1 && scfg.m >= scfg.s);
-    // step size currently in effect; a retune may change it mid-solve
-    let mut s_cur = scfg.s;
-    let mut s_opt = (s_cur > 1 && !matches!(scfg.kernel, KernelMode::Spmv)).then_some(s_cur);
-    let mut orth = scfg.orth;
-    orth.abft = cfg.abft_orth;
-    // injected mis-tune: a fault plan may force a (possibly cap-violating)
-    // step size onto the solve — the numerical-health ladder is what is
-    // supposed to rescue it
-    if let Some(fs) = mg.fault_plan().and_then(|p| p.forced_s()) {
-        s_cur = fs.clamp(1, scfg.m);
-        s_opt = (s_cur > 1 && !matches!(scfg.kernel, KernelMode::Spmv)).then_some(s_cur);
-        report.s_final = s_cur;
-    }
-    // basis precision currently in effect; the Promote rung raises it
-    let mut prec_cur = scfg.mpk_prec;
-    // basis family currently in effect; the BasisSwitch rung moves a
-    // monomial solve onto the harvested Newton shifts (and later re-plans
-    // re-derive the spec from this, not the original config)
-    let mut basis_cur = scfg.basis;
-
-    let (mut sys, mut abft) = match init {
-        Some((sys, abft)) => {
-            // warm operator handed in by the caller (already verified
-            // compatible): skip allocation and staging, just install the
-            // new right-hand side
-            debug_assert_eq!(sys.n, n);
-            debug_assert_eq!(sys.m, scfg.m);
-            if rhs_precharged {
-                sys.set_rhs_uncharged(mg, b);
-            } else {
-                sys.load_rhs(mg, b)?;
+/// Migration payload of moving from layout `old` to `new`: matrix entries
+/// (8 B value + 4 B column index) plus 16 B/row of vector state (x, b) for
+/// every row arriving at a new owner. Returns the per-device bytes and the
+/// number of rows that move.
+fn migration_payload(a: &Csr, old: &Layout, new: &Layout) -> (Vec<usize>, usize) {
+    let mut bytes = vec![0usize; new.ndev()];
+    let mut rows_moved = 0usize;
+    for d in 0..new.ndev() {
+        let old = old.range(d);
+        let (mut nnz, mut arriving) = (0usize, 0usize);
+        for i in new.range(d) {
+            if !old.contains(&i) {
+                nnz += a.row(i).0.len();
+                arriving += 1;
             }
-            (sys, abft)
         }
-        None => {
-            let sys = System::new_with_format_prec(
-                mg,
-                a,
-                Layout::even(n, mg.n_gpus()),
-                scfg.m,
-                s_opt,
-                crate::mpk::SpmvFormat::Ell,
-                prec_cur,
-            )?;
-            sys.load_rhs(mg, b)?;
-            let abft =
-                if cfg.abft_spmv { Some(AbftState::build(mg, a, &sys.layout)?) } else { None };
-            (sys, abft)
-        }
-    };
+        bytes[d] = 12 * nnz + 16 * arriving;
+        rows_moved += arriving;
+    }
+    (bytes, rows_moved)
+}
 
-    let mut beta0 = sys.residual_norm(mg)?;
-    let target = scfg.rtol * beta0;
-    let mut beta = beta0;
-    let mut shifts: Option<Vec<ca_dense::hessenberg::Complex>> = None;
-    let mut spec_full = BasisSpec::monomial(s_cur);
-    let mut harvested = false;
-    let mut redo_budget = cfg.recompute.retries();
-    // escalation-ladder state: a shared action budget (so a pathological
-    // matrix cannot ping-pong forever) and a high-water mark for feeding
-    // new events to the tuner exactly once
-    let mut ladder_budget = cfg.ladder.as_ref().map_or(0, |l| l.max_escalations);
-    let mut blocks_generated: u64 = 0;
-    let mut escalations_seen = 0usize;
-    // hand-back state for re-entering an interrupted cycle at its last
-    // verified block (None: start the next cycle fresh)
-    let mut resume: Option<ResumeState> = None;
-    // phase-accumulator marks for RestartTuner::observe_phases deltas
-    let (mut ph_t, mut ph_restarts) = (mg.time(), stats.restarts);
-    let (mut ph_spmv, mut ph_orth, mut ph_tsqr, mut ph_small) =
-        (stats.t_spmv, stats.t_orth, stats.t_tsqr, stats.t_small);
+/// Why a guarded cycle handed control back mid-flight.
+enum FtHandBack {
+    /// A device was lost (or probe-escalated from hung to lost) after at
+    /// least one verified block; resume from the checkpoint on survivors.
+    DeviceDown { device: usize, ck: CycleCkpt },
+    /// The probe flagged a fail-slow straggler with more blocks to go;
+    /// repartition the remaining work and resume from the checkpoint.
+    Rebalance { device: usize, imbalance: f64, ck: CycleCkpt },
+    /// The numerical-health ladder needs a structural action only the
+    /// driver can take (basis switch or precision promotion). The
+    /// triggering [`EscalationEvent`] is already recorded; `ck` (when a
+    /// checkpoint exists) lets the driver resume the cycle at its last
+    /// verified block after applying the action.
+    Escalate { rung: EscalationRung, ck: Option<CycleCkpt> },
+}
 
-    while beta > target && stats.restarts < scfg.max_restarts {
-        let t_cycle_entry = mg.time();
-        if resume.is_none() {
-            // fresh cycle: let the probe raise a new straggler signal
-            HealthProbe::unlatch_straggler();
-        }
-        let can_switch_basis =
-            harvested && shifts.is_some() && matches!(basis_cur, BasisChoice::Monomial);
-        let can_promote = prec_cur == ca_scalar::Precision::F32;
-        let cycle = run_protected_cycle(
-            mg,
-            &sys,
+/// Hand-back state for resuming an interrupted cycle. `reupload` is false
+/// when the executor survived untouched (e.g. a hysteresis-rejected
+/// rebalance): device-resident basis columns are still valid, so the
+/// resume is free.
+struct Resume {
+    ck: CycleCkpt,
+    reupload: bool,
+}
+
+/// Explicit state of one fault-tolerant solve: what is in effect right now
+/// (step size, precision, basis family, shift schedule), the budgets, the
+/// last accepted iterate, and everything the solve reports. The
+/// distributed [`System`] itself is threaded through by the driver loop —
+/// it only exists once the first build succeeded.
+struct FtSolve<'a> {
+    a: &'a Csr,
+    b: &'a [f64],
+    cfg: &'a FtConfig,
+    /// Step size currently in effect; a retune may change it mid-solve.
+    s_cur: usize,
+    /// Basis precision currently in effect; the Promote rung raises it.
+    prec_cur: Precision,
+    /// Basis family currently in effect; the BasisSwitch rung moves a
+    /// monomial solve onto the harvested Newton shifts (and later re-plans
+    /// re-derive the spec from this, not the original config).
+    basis_cur: BasisChoice,
+    orth: OrthConfig,
+    shifts: Option<Vec<ca_dense::hessenberg::Complex>>,
+    spec_full: BasisSpec,
+    harvested: bool,
+    /// Cycle redos left to the residual backstop.
+    redo_budget: usize,
+    /// Last accepted iterate; also the rollback target of every recovery.
+    x_ckpt: Vec<f64>,
+    stats: SolveStats,
+    guard: FtGuard<'a>,
+}
+
+impl<'a> FtSolve<'a> {
+    fn new(mg: &MultiGpu, a: &'a Csr, b: &'a [f64], cfg: &'a FtConfig, t_begin: f64) -> Self {
+        let scfg = &cfg.solver;
+        assert!(scfg.s >= 1 && scfg.m >= scfg.s);
+        let s_cur = effective_s(mg, cfg);
+        Self {
+            a,
+            b,
             cfg,
             s_cur,
-            &orth,
-            abft.as_ref(),
-            &spec_full,
-            beta,
-            target,
-            harvested,
-            resume.take(),
-            can_switch_basis,
-            can_promote,
-            &mut ladder_budget,
-            &mut blocks_generated,
-            stats,
-            report,
-        );
-        match cycle {
-            Ok(CycleOutcome::Done(CycleResult { implied, hessenberg, made_progress })) => {
-                if !harvested {
-                    // harvest shifts from the standard first cycle
-                    if let Some(h) = &hessenberg {
-                        if let Ok(sh) = newton_shifts_from_hessenberg(h, scfg.m.min(h.ncols())) {
-                            shifts = Some(sh);
-                        }
-                        mg.host_compute(30.0 * (scfg.m * scfg.m * scfg.m) as f64, 0.0);
-                    }
-                    spec_full = spec_from_shifts(&shifts, basis_cur, s_cur);
-                    harvested = true;
+            prec_cur: scfg.mpk_prec,
+            basis_cur: scfg.basis,
+            orth: OrthConfig { abft: cfg.abft_orth, ..scfg.orth },
+            shifts: None,
+            spec_full: BasisSpec::monomial(s_cur),
+            harvested: false,
+            redo_budget: cfg.recompute.retries(),
+            x_ckpt: vec![0.0f64; a.nrows()],
+            stats: SolveStats::default(),
+            guard: FtGuard {
+                cfg,
+                abft: None,
+                probe: cfg.probe.as_ref().map(|p| ProbeState::new(p, t_begin)),
+                monitor: cfg.ladder.as_ref().map(|l| MonitorState::new(&l.monitor)),
+                ladder_budget: cfg.ladder.as_ref().map_or(0, |l| l.max_escalations),
+                blocks_generated: 0,
+                ckpt: None,
+                reorth_used: false,
+                can_switch_basis: false,
+                can_promote: false,
+                report: FtReport { ndev_final: mg.n_gpus(), s_final: s_cur, ..Default::default() },
+            },
+        }
+    }
+
+    /// Build the distributed system — or adopt the warm operator handed in
+    /// by the caller (already verified compatible): skip allocation and
+    /// staging, just install the new right-hand side.
+    fn initial_system(
+        &mut self,
+        mg: &mut MultiGpu,
+        init: Option<(System, Option<AbftState>)>,
+        rhs_precharged: bool,
+    ) -> GpuResult<System> {
+        let (n, m) = (self.a.nrows(), self.cfg.solver.m);
+        let Some((sys, abft)) = init else {
+            return self.build(mg, Layout::even(n, mg.n_gpus()));
+        };
+        debug_assert_eq!((sys.n, sys.m), (n, m));
+        if rhs_precharged {
+            sys.set_rhs_uncharged(mg, self.b);
+        } else {
+            sys.load_rhs(mg, self.b)?;
+        }
+        self.guard.abft = abft;
+        Ok(sys)
+    }
+
+    /// Stage the system on `layout` at the step size and precision in
+    /// effect, with the right-hand side and the ABFT checksum vectors.
+    fn build(&mut self, mg: &mut MultiGpu, layout: Layout) -> GpuResult<System> {
+        let sys = System::new_with_format_prec(
+            mg,
+            self.a,
+            layout,
+            self.cfg.solver.m,
+            mpk_steps(self.cfg, self.s_cur),
+            crate::mpk::SpmvFormat::Ell,
+            self.prec_cur,
+        )?;
+        sys.load_rhs(mg, self.b)?;
+        self.guard.abft = if self.cfg.abft_spmv {
+            Some(AbftState::build(mg, self.a, &sys.layout)?)
+        } else {
+            None
+        };
+        Ok(sys)
+    }
+
+    /// Rebuild the executor and the distributed system on `layout`,
+    /// preserving simulated time, schedule policy, and accumulated traffic
+    /// counters. `lost` names dead devices, whose pending loss and perf
+    /// faults are stripped from the reinstalled plan (empty: the plan is
+    /// reinstalled verbatim). A fresh executor also resets the op counters
+    /// and health EWMAs, so post-rebuild health reflects the new partition
+    /// rather than stale history — and the probe may signal a straggler
+    /// again.
+    fn rebuild(
+        &mut self,
+        mg: &mut MultiGpu,
+        sys: &mut System,
+        layout: Layout,
+        lost: &[usize],
+    ) -> GpuResult<()> {
+        self.guard.report.executor_rebuilds += 1;
+        let t_now = mg.time();
+        let plan = mg.fault_plan().cloned();
+        let schedule = mg.schedule();
+        let prior = mg.counters();
+        let prior_reclaimed = mg.time_reclaimed();
+        *mg = MultiGpu::new(layout.ndev(), mg.model().clone(), mg.config);
+        mg.set_schedule(schedule); // rebuilt executor keeps the policy
+        mg.fast_forward(t_now);
+        mg.absorb_counters(prior);
+        mg.absorb_time_reclaimed(prior_reclaimed);
+        if let Some(p) = plan {
+            // a loss already happened; survivors keep the rest of the plan
+            // (SDC, transfer faults) active
+            let p = if lost.is_empty() { p } else { p.without_device_loss() };
+            mg.set_fault_plan(lost.iter().fold(p, |p, &d| p.without_perf_faults_on(d)));
+        }
+        *sys = self.build(mg, layout)?;
+        if let Some(p) = &mut self.guard.probe {
+            p.unlatch();
+        }
+        Ok(())
+    }
+
+    /// Book a lost device: which one, whether the probe (not the fault
+    /// plan) escalated it from a hang, and the verified work since `since`
+    /// that the rollback discards.
+    fn note_loss(&mut self, mg: &MultiGpu, device: usize, since: f64) {
+        let report = &mut self.guard.report;
+        report.device_lost = Some(device);
+        if self.guard.probe.as_ref().is_some_and(|p| p.escalated.contains(&device)) {
+            report.hung_device = Some(device);
+        }
+        report.work_lost_s += (mg.time() - since).max(0.0);
+    }
+
+    /// Graceful degradation: rebuild on the survivors of `lost` and restore
+    /// the checkpointed iterate.
+    ///
+    /// # Errors
+    /// [`GpuSimError::DeviceLost`] when nothing survives.
+    fn degrade(
+        &mut self,
+        mg: &mut MultiGpu,
+        sys: &mut System,
+        lost: &[usize],
+        why: &str,
+    ) -> GpuResult<()> {
+        let alive = mg.n_gpus() - lost.len();
+        if alive == 0 {
+            return Err(GpuSimError::DeviceLost { device: lost[0] });
+        }
+        self.guard.report.degraded = true;
+        if obs::enabled() {
+            obs::close_open(mg.time()); // seal spans the abort left open
+            obs::instant_cause("ft.degrade", HOST, mg.time(), why);
+            obs::counter_add(obs::names::FT_DEVICE_LOSSES, lost.len() as u64);
+        }
+        self.rebuild(mg, sys, Layout::even(self.a.nrows(), alive), lost)?;
+        sys.upload_x(mg, &self.x_ckpt)
+    }
+
+    /// Move onto `layout` (same devices): rebuild there, charge the row
+    /// migration `bytes` over the (possibly degraded) links when any row
+    /// changed owner, restore the checkpointed iterate.
+    fn migrate(
+        &mut self,
+        mg: &mut MultiGpu,
+        sys: &mut System,
+        layout: Layout,
+        bytes: &[usize],
+    ) -> GpuResult<()> {
+        self.rebuild(mg, sys, layout, &[])?;
+        if bytes.iter().any(|&b| b > 0) {
+            mg.to_devices(bytes)?;
+        }
+        sys.upload_x(mg, &self.x_ckpt)
+    }
+
+    /// Book a throughput repartition that moves `rows_moved` rows.
+    fn note_rebalance(&mut self, mg: &MultiGpu, rows_moved: usize, why: &str) {
+        self.guard.report.rebalances += 1;
+        if obs::enabled() {
+            obs::instant_cause("ft.rebalance", HOST, mg.time(), why);
+            obs::counter_add(obs::names::FT_REBALANCES, 1);
+            obs::counter_add(obs::names::FT_REBALANCE_ROWS_MOVED, rows_moved as u64);
+        }
+    }
+
+    /// One restart cycle under the guard. The first cycle (before shifts
+    /// are harvested) runs standard GMRES, protected only by the caller's
+    /// residual check, and harvests the Ritz values; every later one is a
+    /// CA cycle, entered fresh from `beta` or at `resume`'s checkpoint.
+    fn cycle(
+        &mut self,
+        mg: &mut MultiGpu,
+        sys: &System,
+        beta: f64,
+        target: f64,
+        resume: Option<Resume>,
+    ) -> GpuResult<CycleEnd<FtHandBack>> {
+        let scfg = &self.cfg.solver;
+        let mut cx = SolveCtx { mg, sys, stats: &mut self.stats, tsqr_errors: None };
+        if !self.harvested {
+            debug_assert!(resume.is_none(), "block checkpoints exist only in CA cycles");
+            let cycle =
+                gmres_cycle(&mut cx, scfg.m, self.orth.borth, beta, target, &mut self.guard)?;
+            let ph = Phase::begin(cx.mg, "small", FtGuard::FLATTEN);
+            let h = &cycle.hessenberg;
+            if let Ok(sh) = newton_shifts_from_hessenberg(h, scfg.m.min(h.ncols())) {
+                self.shifts = Some(sh);
+            }
+            cx.mg.host_compute(30.0 * (scfg.m * scfg.m * scfg.m) as f64, 0.0);
+            cx.stats.t_small += ph.end(cx.mg);
+            self.spec_full =
+                BasisSpec::from_shifts(self.shifts.as_deref(), self.basis_cur, self.s_cur);
+            self.harvested = true;
+            let span = obs::SpanId::NONE; // the standard cycle closed its own
+            return Ok(CycleEnd::Done { implied: cycle.implied, k_used: cycle.k_used, span });
+        }
+
+        let guard = &mut self.guard;
+        guard.reorth_used = false;
+        guard.can_switch_basis =
+            self.shifts.is_some() && matches!(self.basis_cur, BasisChoice::Monomial);
+        guard.can_promote = self.prec_cur == Precision::F32;
+        let state = match resume {
+            Some(Resume { ck, reupload }) => {
+                if reupload {
+                    ck.restore(cx.mg, sys)?;
                 }
-                let beta_explicit = sys.residual_norm(mg)?;
-                let noise = 1e-12 * beta0;
-                if cfg.residual_check
-                    && beta_explicit > cfg.residual_slack * implied + noise
-                    && redo_budget > 0
-                {
-                    // undetected corruption reached x: roll back and redo
-                    let retry = (cfg.recompute.retries() - redo_budget) as u32 + 1;
-                    report.cycles_redone += 1;
-                    redo_budget -= 1;
-                    let wait = cfg.recompute.backoff_s(retry);
-                    if wait > 0.0 {
-                        mg.fast_forward(mg.time() + wait); // space the redo out
+                let state = CycleState::resume(cx.mg, &ck);
+                guard.report.block_resumes += 1;
+                obs::counter_add(obs::names::FT_BLOCK_RESUMES, 1);
+                guard.ckpt = Some(ck);
+                Some(state)
+            }
+            None => {
+                // fresh cycle: let the probe raise a new straggler signal
+                if let Some(p) = &mut guard.probe {
+                    p.unlatch();
+                }
+                guard.ckpt = None;
+                None
+            }
+        };
+        let p = CycleParams {
+            m: scfg.m,
+            s: self.s_cur,
+            spec: &self.spec_full,
+            orth: &self.orth,
+            use_mpk: sys.mpk.is_some() && self.s_cur > 1,
+            prefetch: false,
+            target,
+        };
+        run_cycle(&mut cx, &p, beta, state, guard)
+    }
+
+    /// The restart loop. Only *unrecoverable* faults escape (device loss
+    /// with no survivor, loss during recovery itself, exhausted transfer
+    /// retries, allocation failure); everything else is absorbed and
+    /// counted. Returns the system the solve ended on.
+    fn run(
+        &mut self,
+        mg: &mut MultiGpu,
+        mut tuner: Option<&mut dyn RestartTuner>,
+        init: Option<(System, Option<AbftState>)>,
+        rhs_precharged: bool,
+    ) -> GpuResult<System> {
+        let (a, cfg) = (self.a, self.cfg);
+        let scfg = &cfg.solver;
+        let n = a.nrows();
+        let mut sys = self.initial_system(mg, init, rhs_precharged)?;
+        let mut beta0 = sys.residual_norm(mg)?;
+        let target = scfg.rtol * beta0;
+        let mut beta = beta0;
+        // high-water mark for feeding new escalations to the tuner once
+        let mut escalations_seen = 0usize;
+        // hand-back state for re-entering an interrupted cycle at its last
+        // verified block (None: start the next cycle fresh)
+        let mut resume: Option<Resume> = None;
+        // phase accumulators at the last RestartTuner::observe_phases call
+        let (mut t_seen, mut seen) = (mg.time(), self.stats.clone());
+
+        while beta > target && self.stats.restarts < scfg.max_restarts {
+            let t_cycle_entry = mg.time();
+            match self.cycle(mg, &sys, beta, target, resume.take()) {
+                Ok(CycleEnd::Done { implied, k_used, span }) => {
+                    let mut cx = SolveCtx {
+                        mg: &mut *mg,
+                        sys: &sys,
+                        stats: &mut self.stats,
+                        tsqr_errors: None,
+                    };
+                    let beta_explicit = residual(&mut cx, FtGuard::FLATTEN)?;
+                    obs::span_end(span, mg.time());
+                    let noise = 1e-12 * beta0;
+                    if cfg.residual_check
+                        && beta_explicit > cfg.residual_slack * implied + noise
+                        && self.redo_budget > 0
+                    {
+                        // undetected corruption reached x: roll back and redo
+                        let retry = (cfg.recompute.retries() - self.redo_budget) as u32 + 1;
+                        self.guard.report.cycles_redone += 1;
+                        self.redo_budget -= 1;
+                        let wait = cfg.recompute.backoff_s(retry);
+                        if wait > 0.0 {
+                            mg.fast_forward(mg.time() + wait); // space the redo out
+                        }
+                        if obs::enabled() {
+                            obs::instant_cause(
+                                "ft.rollback",
+                                HOST,
+                                mg.time(),
+                                &format!(
+                                    "explicit residual {beta_explicit:.3e} > {} x implied \
+                                     {implied:.3e}; iterate rolled back to checkpoint",
+                                    cfg.residual_slack
+                                ),
+                            );
+                            obs::counter_add(obs::names::FT_CYCLES_REDONE, 1);
+                        }
+                        sys.upload_x(mg, &self.x_ckpt)?;
+                        beta = sys.residual_norm(mg)?;
+                        continue;
                     }
-                    if obs::enabled() {
-                        obs::instant_cause(
-                            "ft.rollback",
-                            HOST,
-                            mg.time(),
-                            &format!(
-                                "explicit residual {beta_explicit:.3e} > {} x implied \
-                                 {implied:.3e}; iterate rolled back to checkpoint",
-                                cfg.residual_slack
-                            ),
-                        );
-                        obs::counter_add(obs::names::FT_CYCLES_REDONE, 1);
+                    self.redo_budget = cfg.recompute.retries();
+                    beta = beta_explicit;
+                    self.x_ckpt = sys.download_x(mg)?; // checkpoint the accepted iterate
+                    if self.stats.breakdown.is_some() || k_used == 0 {
+                        break; // numerical breakdown or stagnation: stop honestly
                     }
-                    sys.upload_x(mg, x_ckpt)?;
-                    beta = sys.residual_norm(mg)?;
+                }
+                Ok(CycleEnd::HandBack(FtHandBack::DeviceDown { device, ck })) => {
+                    // --- block-granular degradation: the probe (or a plan
+                    // fault) killed a device mid-cycle, but every block up to
+                    // the checkpoint is verified — rebuild on the survivors
+                    // and resume the cycle there instead of redoing it ---
+                    self.note_loss(mg, device, ck.t_ckpt);
+                    let why = format!(
+                        "device {device} lost mid-cycle; resuming from block checkpoint \
+                         ({} verified columns) on {} survivors",
+                        ck.ncols,
+                        mg.n_gpus() - 1
+                    );
+                    self.degrade(mg, &mut sys, &[device], &why)?;
+                    resume = Some(Resume { ck, reupload: true });
                     continue;
                 }
-                redo_budget = cfg.recompute.retries();
-                beta = beta_explicit;
-                *x_ckpt = sys.download_x(mg)?; // checkpoint the accepted iterate
-                if stats.breakdown.is_some() || !made_progress {
-                    break; // numerical breakdown or stagnation: stop honestly
-                }
-            }
-            Ok(CycleOutcome::Interrupted { action: MidCycleAction::DeviceDown(device), ck }) => {
-                // --- block-granular degradation: the probe (or a plan
-                // fault) killed a device mid-cycle, but every block up to
-                // the checkpoint is verified — rebuild on the survivors
-                // and resume the cycle there instead of redoing it ---
-                report.device_lost = Some(device);
-                if HealthProbe::was_escalated(device) {
-                    report.hung_device = Some(device); // hang, not hard loss
-                }
-                report.work_lost_s += (mg.time() - ck.t_ckpt).max(0.0);
-                let nsurv = mg.n_gpus() - 1;
-                if nsurv == 0 {
-                    return Err(GpuSimError::DeviceLost { device });
-                }
-                report.degraded = true;
-                if obs::enabled() {
-                    obs::close_open(mg.time()); // seal spans the abort left open
-                    obs::instant_cause(
-                        "ft.degrade",
-                        HOST,
-                        mg.time(),
-                        &format!(
-                            "device {device} lost mid-cycle; resuming from block \
-                             checkpoint ({} verified columns) on {nsurv} survivors",
-                            ck.ncols
-                        ),
+                Ok(CycleEnd::HandBack(FtHandBack::Rebalance { device, imbalance, ck })) => {
+                    // --- mid-flight rebalance: split the *remaining* rows of
+                    // this cycle across the devices by measured throughput ---
+                    let health = mg.health_report();
+                    let planned = if scfg.autotune {
+                        tuner.as_deref_mut().and_then(|t| t.replan_midcycle(&health, &sys.layout))
+                    } else {
+                        None
+                    };
+                    let new_layout = planned.unwrap_or_else(|| {
+                        Layout::proportional_nnz(a, &health.throughput_weights())
+                    });
+                    assert_eq!(
+                        new_layout.ndev(),
+                        sys.layout.ndev(),
+                        "mid-cycle rebalance must keep the device count"
                     );
-                    obs::counter_add(obs::names::FT_DEVICE_LOSSES, 1);
-                }
-                (sys, abft) = rebuild_system(
-                    mg,
-                    a,
-                    b,
-                    Layout::even(n, nsurv),
-                    cfg,
-                    s_opt,
-                    &[device],
-                    prec_cur,
-                    report,
-                )?;
-                sys.upload_x(mg, x_ckpt)?;
-                HealthProbe::unlatch_straggler(); // rebuild reset the EWMAs
-                resume = Some(ResumeState { ck, reupload: true });
-                continue;
-            }
-            Ok(CycleOutcome::Interrupted {
-                action: MidCycleAction::Rebalance { device, imbalance },
-                ck,
-            }) => {
-                // --- mid-flight rebalance: split the *remaining* rows of
-                // this cycle across the devices by measured throughput ---
-                let health = mg.health_report();
-                let planned = if scfg.autotune {
-                    tuner.as_deref_mut().and_then(|t| t.replan_midcycle(&health, &sys.layout))
-                } else {
-                    None
-                };
-                let new_layout = planned
-                    .unwrap_or_else(|| Layout::proportional_nnz(a, &health.throughput_weights()));
-                assert_eq!(
-                    new_layout.ndev(),
-                    sys.layout.ndev(),
-                    "mid-cycle rebalance must keep the device count"
-                );
-                // migration payload: same accounting as the restart-
-                // boundary rebalance below
-                let mut bytes = vec![0usize; new_layout.ndev()];
-                let mut rows_moved = 0usize;
-                for d in 0..new_layout.ndev() {
-                    let old = sys.layout.range(d);
-                    let (mut nnz, mut arriving) = (0usize, 0usize);
-                    for i in new_layout.range(d) {
-                        if !old.contains(&i) {
-                            nnz += a.row(i).0.len();
-                            arriving += 1;
-                        }
-                    }
-                    bytes[d] = 12 * nnz + 16 * arriving;
-                    rows_moved += arriving;
-                }
-                if rows_moved * 50 > n {
-                    report.mid_cycle_rebalances += 1;
-                    report.rebalances += 1;
-                    if obs::enabled() {
-                        obs::instant_cause(
-                            "ft.rebalance",
-                            HOST,
-                            mg.time(),
-                            &format!(
-                                "mid-cycle: straggler device {device} (imbalance \
-                                 {imbalance:.3}); {rows_moved} rows migrating before \
-                                 resuming at the block checkpoint"
-                            ),
+                    let (bytes, rows_moved) = migration_payload(a, &sys.layout, &new_layout);
+                    // hysteresis as at the restart boundary: when ownership
+                    // barely shifts the migration is not worth it — resume in
+                    // place; the latch keeps the probe from re-signalling the
+                    // same imbalance this cycle
+                    let reupload = rows_moved * 50 > n;
+                    if reupload {
+                        self.guard.report.mid_cycle_rebalances += 1;
+                        let why = format!(
+                            "mid-cycle: straggler device {device} (imbalance {imbalance:.3}); \
+                             {rows_moved} rows migrating before resuming at the block checkpoint"
                         );
-                        obs::counter_add(obs::names::FT_REBALANCES, 1);
-                        obs::counter_add(obs::names::FT_REBALANCE_ROWS_MOVED, rows_moved as u64);
+                        self.note_rebalance(mg, rows_moved, &why);
+                        self.migrate(mg, &mut sys, new_layout, &bytes)?;
                     }
-                    (sys, abft) =
-                        rebuild_system(mg, a, b, new_layout, cfg, s_opt, &[], prec_cur, report)?;
-                    mg.to_devices(&bytes)?; // charge the row migration
-                    sys.upload_x(mg, x_ckpt)?;
-                    HealthProbe::unlatch_straggler(); // rebuild reset the EWMAs
-                    resume = Some(ResumeState { ck, reupload: true });
-                } else {
-                    // ownership barely shifts: not worth the migration.
-                    // Resume in place; the latch keeps the probe from
-                    // re-signalling the same imbalance this cycle.
-                    resume = Some(ResumeState { ck, reupload: false });
+                    resume = Some(Resume { ck, reupload });
+                    continue;
                 }
-                continue;
-            }
-            Ok(CycleOutcome::Escalate { rung, ck }) => {
-                // --- numerical-health escalation: the cycle handed back
-                // because the cheap in-cycle rungs (reorth, throttle) are
-                // exhausted or unavailable and a structural change is
-                // needed. The triggering event is already in
-                // `report.escalations`; here we apply the action and
-                // charge it honestly ---
-                match rung {
-                    EscalationRung::BasisSwitch => {
-                        // monomial -> Newton on the harvested Ritz
-                        // shifts; verified basis columns stay valid, so a
-                        // checkpointed cycle resumes in place
-                        basis_cur = BasisChoice::Newton;
-                        spec_full = spec_from_shifts(&shifts, basis_cur, s_cur);
-                        if obs::enabled() {
-                            obs::close_open(mg.time());
+                Ok(CycleEnd::HandBack(FtHandBack::Escalate { rung, ck })) => {
+                    // --- numerical-health escalation: the cycle handed back
+                    // because the cheap in-cycle rungs (reorth, throttle) are
+                    // exhausted or unavailable and a structural change is
+                    // needed. The triggering event is already in
+                    // `report.escalations`; here we apply the action and
+                    // charge it honestly. Verified basis columns stay valid
+                    // (the checkpoint holds them as f64 on the host), so a
+                    // checkpointed cycle resumes where it was ---
+                    obs::close_open(mg.time());
+                    let reupload = match rung {
+                        EscalationRung::BasisSwitch => {
                             obs::instant_cause(
                                 "ft.escalate",
                                 HOST,
                                 mg.time(),
-                                "monomial basis switched to Newton (harvested Ritz \
-                                 shifts) after condition trigger",
+                                "monomial basis switched to Newton (harvested Ritz shifts) \
+                                 after condition trigger",
                             );
+                            self.basis_cur = BasisChoice::Newton;
+                            self.spec_full = BasisSpec::from_shifts(
+                                self.shifts.as_deref(),
+                                self.basis_cur,
+                                self.s_cur,
+                            );
+                            false
                         }
-                        resume = ck.map(|ck| ResumeState { ck, reupload: false });
-                    }
-                    EscalationRung::Promote => {
-                        // f32 -> f64 basis rebuild; the checkpointed
-                        // columns are f64 on the host, so the resumed
-                        // cycle keeps its verified blocks
-                        prec_cur = ca_scalar::Precision::F64;
-                        if obs::enabled() {
-                            obs::close_open(mg.time());
+                        EscalationRung::Promote => {
                             obs::instant_cause(
                                 "ft.escalate",
                                 HOST,
                                 mg.time(),
                                 "basis precision promoted f32 -> f64 after condition trigger",
                             );
+                            self.prec_cur = Precision::F64;
+                            let layout = sys.layout.clone();
+                            self.migrate(mg, &mut sys, layout, &[])?;
+                            if ck.is_none() {
+                                // no checkpoint: the cycle restarts fresh,
+                                // from a recomputed (charged) residual
+                                beta = sys.residual_norm(mg)?;
+                            }
+                            true
                         }
-                        let layout = sys.layout.clone();
-                        (sys, abft) =
-                            rebuild_system(mg, a, b, layout, cfg, s_opt, &[], prec_cur, report)?;
-                        sys.upload_x(mg, x_ckpt)?;
-                        HealthProbe::unlatch_straggler(); // rebuild reset the EWMAs
-                        if ck.is_none() {
-                            // no checkpoint: the cycle restarts fresh,
-                            // from a recomputed (charged) residual
-                            beta = sys.residual_norm(mg)?;
+                        EscalationRung::Reorth | EscalationRung::Throttle => {
+                            unreachable!("in-cycle rungs never hand back to the driver")
                         }
-                        resume = ck.map(|ck| ResumeState { ck, reupload: true });
-                    }
-                    EscalationRung::Reorth | EscalationRung::Throttle => {
-                        unreachable!("in-cycle rungs never hand back to the driver")
-                    }
+                    };
+                    resume = ck.map(|ck| Resume { ck, reupload });
+                    continue;
                 }
-                continue;
-            }
-            Err(GpuSimError::DeviceLost { device }) if mg.n_gpus() > 1 => {
-                // --- graceful degradation: rebuild on the survivors ---
-                report.device_lost = Some(device);
-                if HealthProbe::was_escalated(device) {
-                    report.hung_device = Some(device); // probe hang escalation
+                Ok(CycleEnd::OrthFailed { .. }) => {
+                    unreachable!("the guard types every orthogonalization failure")
                 }
-                report.work_lost_s += (mg.time() - t_cycle_entry).max(0.0);
-                report.degraded = true;
-                let nsurv = mg.n_gpus() - 1;
-                if obs::enabled() {
-                    obs::close_open(mg.time()); // seal spans the abort left open
-                    obs::instant_cause(
-                        "ft.degrade",
-                        HOST,
-                        mg.time(),
-                        &format!("device {device} lost; rebuilding on {nsurv} survivors"),
+                Err(GpuSimError::DeviceLost { device }) if mg.n_gpus() > 1 => {
+                    // --- graceful degradation without a checkpoint: redo
+                    // the cycle on the survivors. Same global problem, same
+                    // target: recompute where we are ---
+                    self.note_loss(mg, device, t_cycle_entry);
+                    let why = format!(
+                        "device {device} lost; rebuilding on {} survivors",
+                        mg.n_gpus() - 1
                     );
-                    obs::counter_add(obs::names::FT_DEVICE_LOSSES, 1);
+                    self.degrade(mg, &mut sys, &[device], &why)?;
+                    beta0 = beta0.max(f64::MIN_POSITIVE);
+                    beta = sys.residual_norm(mg)?;
+                    continue;
                 }
-                (sys, abft) = rebuild_system(
-                    mg,
-                    a,
-                    b,
-                    Layout::even(n, nsurv),
-                    cfg,
-                    s_opt,
-                    &[device],
-                    prec_cur,
-                    report,
-                )?;
-                sys.upload_x(mg, x_ckpt)?;
-                // same global problem, same target: recompute where we are
-                beta0 = beta0.max(f64::MIN_POSITIVE);
-                beta = sys.residual_norm(mg)?;
-                continue;
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
-        }
 
-        // --- restart-boundary health actions (watchdog, rebalance) ---
-        if let Some(timeout) = cfg.watchdog_timeout_s {
-            let hung = mg.watchdog(timeout);
-            if !hung.is_empty() {
-                report.hung_device = Some(hung[0]);
-                report.device_lost = Some(hung[0]);
-                // boundary-granularity detection: the hang happened some
-                // time during the cycle we just finished, so the latency
-                // bracket is the whole cycle — the baseline the in-cycle
-                // probe is measured against
-                let latency = (mg.time() - t_cycle_entry).max(0.0);
-                for _ in &hung {
-                    report.detection_latency_s.push(latency);
-                }
-                let alive = mg.n_gpus() - hung.len();
-                if alive == 0 {
-                    return Err(GpuSimError::DeviceLost { device: hung[0] });
-                }
-                report.degraded = true;
-                if obs::enabled() {
-                    for &d in &hung {
-                        obs::instant_cause(
-                            "ft.detect",
-                            HOST,
-                            mg.time(),
-                            &format!(
-                                "restart-boundary watchdog caught hung device {d}; \
-                                 detection latency {latency:.6}s"
-                            ),
-                        );
-                        obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
+            // --- restart-boundary health actions (watchdog, rebalance) ---
+            if let Some(timeout) = cfg.watchdog_timeout_s {
+                let hung = mg.watchdog(timeout);
+                if !hung.is_empty() {
+                    let report = &mut self.guard.report;
+                    report.hung_device = Some(hung[0]);
+                    report.device_lost = Some(hung[0]);
+                    // boundary-granularity detection: the hang happened some
+                    // time during the cycle we just finished, so the latency
+                    // bracket is the whole cycle — the baseline the in-cycle
+                    // probe is measured against
+                    let latency = (mg.time() - t_cycle_entry).max(0.0);
+                    report.detection_latency_s.extend(hung.iter().map(|_| latency));
+                    let survivors = mg.n_gpus() - hung.len();
+                    if obs::enabled() && survivors > 0 {
+                        for &d in &hung {
+                            obs::instant_cause(
+                                "ft.detect",
+                                HOST,
+                                mg.time(),
+                                &format!(
+                                    "restart-boundary watchdog caught hung device {d}; \
+                                     detection latency {latency:.6}s"
+                                ),
+                            );
+                            obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
+                        }
                     }
-                    obs::close_open(mg.time());
-                    obs::instant_cause(
-                        "ft.degrade",
-                        HOST,
-                        mg.time(),
-                        &format!(
-                            "watchdog declared device {} hung; rebuilding on {alive} survivors",
-                            hung[0]
-                        ),
+                    let why = format!(
+                        "watchdog declared device {} hung; rebuilding on {survivors} survivors",
+                        hung[0]
                     );
-                    obs::counter_add(obs::names::FT_DEVICE_LOSSES, hung.len() as u64);
+                    self.degrade(mg, &mut sys, &hung, &why)?;
+                    beta0 = beta0.max(f64::MIN_POSITIVE);
+                    beta = sys.residual_norm(mg)?;
+                    continue; // re-enter on the survivors before rebalancing
                 }
-                (sys, abft) = rebuild_system(
-                    mg,
-                    a,
-                    b,
-                    Layout::even(n, alive),
-                    cfg,
-                    s_opt,
-                    &hung,
-                    prec_cur,
-                    report,
-                )?;
-                sys.upload_x(mg, x_ckpt)?;
-                beta0 = beta0.max(f64::MIN_POSITIVE);
-                beta = sys.residual_norm(mg)?;
-                continue; // re-enter on the survivors before rebalancing
             }
-        }
-        if scfg.autotune {
-            if let Some(t) = tuner.as_deref_mut() {
+            if let (true, Some(t)) = (scfg.autotune, tuner.as_deref_mut()) {
                 // feed the tuner any new escalations first: the re-plan
                 // below should already reflect the tightened caps
-                if report.escalations.len() > escalations_seen {
-                    t.observe_escalations(&report.escalations[escalations_seen..]);
-                    escalations_seen = report.escalations.len();
+                let events = &self.guard.report.escalations;
+                if events.len() > escalations_seen {
+                    t.observe_escalations(&events[escalations_seen..]);
+                    escalations_seen = events.len();
                 }
-                // span-ratio drift input: phase-time deltas since the
-                // last boundary, from the always-on PhaseTimer
-                // accumulators (identical with and without ca-obs armed)
-                let d_orth = stats.t_orth - ph_orth;
-                let d_tsqr = stats.t_tsqr - ph_tsqr;
-                t.observe_phases(&PhaseObservation {
-                    cycles: stats.restarts - ph_restarts,
-                    cycle_s: (mg.time() - ph_t).max(0.0),
-                    spmv_s: stats.t_spmv - ph_spmv,
+                // span-ratio drift input: phase-time deltas since the last
+                // boundary, from the always-on phase accumulators (identical
+                // with and without ca-obs armed); `borth_s` is the
+                // projection-only part, matching the host spans
+                let (d_orth, d_tsqr) =
+                    (self.stats.t_orth - seen.t_orth, self.stats.t_tsqr - seen.t_tsqr);
+                t.observe_phases(&PhaseRatios {
+                    cycles: self.stats.restarts - seen.restarts,
+                    cycle_s: (mg.time() - t_seen).max(0.0),
+                    spmv_s: self.stats.t_spmv - seen.t_spmv,
                     borth_s: (d_orth - d_tsqr).max(0.0),
                     tsqr_s: d_tsqr,
-                    small_s: stats.t_small - ph_small,
+                    small_s: self.stats.t_small - seen.t_small,
                 });
-                (ph_t, ph_restarts) = (mg.time(), stats.restarts);
-                (ph_spmv, ph_orth, ph_tsqr, ph_small) =
-                    (stats.t_spmv, stats.t_orth, stats.t_tsqr, stats.t_small);
+                (t_seen, seen) = (mg.time(), self.stats.clone());
                 let health = mg.health_report();
-                if let Some(d) = t.replan(&health, s_cur, &sys.layout) {
+                if let Some(d) = t.replan(&health, self.s_cur, &sys.layout) {
                     assert!(
                         d.s >= 1 && d.s <= scfg.m,
                         "retune step size {} outside 1..={}",
@@ -1395,795 +1354,376 @@ fn ca_gmres_ft_impl(
                         "retune layout must keep the surviving device count"
                     );
                     let layout_changed = d.layout.starts != sys.layout.starts;
-                    if d.s != s_cur || layout_changed {
-                        // migration payload: same accounting as the
-                        // rebalance path below
-                        let mut bytes = vec![0usize; d.layout.ndev()];
-                        for dev in 0..d.layout.ndev() {
-                            let old = sys.layout.range(dev);
-                            let (mut nnz, mut arriving) = (0usize, 0usize);
-                            for i in d.layout.range(dev) {
-                                if !old.contains(&i) {
-                                    nnz += a.row(i).0.len();
-                                    arriving += 1;
-                                }
-                            }
-                            bytes[dev] = 12 * nnz + 16 * arriving;
-                        }
-                        report.retunes += 1;
+                    if d.s != self.s_cur || layout_changed {
+                        let (bytes, _) = migration_payload(a, &sys.layout, &d.layout);
+                        self.guard.report.retunes += 1;
                         if obs::enabled() {
                             obs::instant_cause(
                                 "ft.retune",
                                 HOST,
                                 mg.time(),
                                 &format!(
-                                    "restart tuner replanned: s {s_cur} -> {}, layout {}",
+                                    "restart tuner replanned: s {} -> {}, layout {}",
+                                    self.s_cur,
                                     d.s,
                                     if layout_changed { "changed" } else { "kept" }
                                 ),
                             );
                             obs::counter_add(obs::names::FT_RETUNES, 1);
                         }
-                        s_cur = d.s;
-                        report.s_final = s_cur;
-                        s_opt = (s_cur > 1 && !matches!(scfg.kernel, KernelMode::Spmv))
-                            .then_some(s_cur);
-                        (sys, abft) =
-                            rebuild_system(mg, a, b, d.layout, cfg, s_opt, &[], prec_cur, report)?;
-                        if layout_changed {
-                            mg.to_devices(&bytes)?; // charge the row migration
-                        }
-                        sys.upload_x(mg, x_ckpt)?;
-                        spec_full = spec_from_shifts(&shifts, basis_cur, s_cur);
+                        self.s_cur = d.s;
+                        self.guard.report.s_final = d.s;
+                        self.migrate(mg, &mut sys, d.layout, &bytes)?;
+                        self.spec_full =
+                            BasisSpec::from_shifts(self.shifts.as_deref(), self.basis_cur, d.s);
                         beta = sys.residual_norm(mg)?;
                         continue; // re-enter with the new plan; skip rebalance
                     }
                 }
             }
-        }
-        if cfg.rebalance {
-            let health = mg.health_report();
-            if health.imbalance() > cfg.rebalance_threshold {
-                // weight = achieved nonzeros per busy second. Unlike the
-                // raw EWMA slowdown this folds in every per-device
-                // overhead (ghost work, halo sizes, row density), and
-                // iterating it is a fixpoint scheme whose fixpoint
-                // equalizes busy time; the nnz-aware split handles
-                // saddle-point/hub matrices where rows are not equal work.
-                let weights: Vec<f64> = (0..mg.n_gpus())
-                    .map(|d| {
-                        let busy = mg.device(d).busy_time();
-                        let nnz: usize = sys.layout.range(d).map(|i| a.row(i).0.len()).sum();
-                        if busy > 0.0 {
-                            nnz as f64 / busy
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                let new_layout = Layout::proportional_nnz(a, &weights);
-                // migration payload: matrix entries (8 B value + 4 B col
-                // index) plus 16 B/row of vector state (x, b) for every
-                // row arriving at a new owner
-                let mut bytes = vec![0usize; new_layout.ndev()];
-                let mut rows_moved = 0usize;
-                for d in 0..new_layout.ndev() {
-                    let old = sys.layout.range(d);
-                    let (mut nnz, mut arriving) = (0usize, 0usize);
-                    for i in new_layout.range(d) {
-                        if !old.contains(&i) {
-                            nnz += a.row(i).0.len();
-                            arriving += 1;
-                        }
-                    }
-                    bytes[d] = 12 * nnz + 16 * arriving;
-                    rows_moved += arriving;
-                }
-                // hysteresis: repartitioning resets the health EWMAs, so
-                // only migrate when ownership shifts materially (> 2%)
-                if rows_moved * 50 > n {
-                    report.rebalances += 1;
-                    if obs::enabled() {
-                        obs::instant_cause(
-                            "ft.rebalance",
-                            HOST,
-                            mg.time(),
-                            &format!(
-                                "imbalance {:.3} > {:.3}; {rows_moved} rows migrating",
-                                health.imbalance(),
-                                cfg.rebalance_threshold
-                            ),
+            if cfg.rebalance {
+                let health = mg.health_report();
+                if health.imbalance() > cfg.rebalance_threshold {
+                    // weight = achieved nonzeros per busy second. Unlike the
+                    // raw EWMA slowdown this folds in every per-device
+                    // overhead (ghost work, halo sizes, row density), and
+                    // iterating it is a fixpoint scheme whose fixpoint
+                    // equalizes busy time; the nnz-aware split handles
+                    // saddle-point/hub matrices where rows are not equal work.
+                    let weights: Vec<f64> = (0..mg.n_gpus())
+                        .map(|d| {
+                            let busy = mg.device(d).busy_time();
+                            let nnz: usize = sys.layout.range(d).map(|i| a.row(i).0.len()).sum();
+                            if busy > 0.0 {
+                                nnz as f64 / busy
+                            } else {
+                                0.0
+                            }
+                        })
+                        .collect();
+                    let new_layout = Layout::proportional_nnz(a, &weights);
+                    let (bytes, rows_moved) = migration_payload(a, &sys.layout, &new_layout);
+                    // hysteresis: repartitioning resets the health EWMAs, so
+                    // only migrate when ownership shifts materially (> 2%)
+                    if rows_moved * 50 > n {
+                        let why = format!(
+                            "imbalance {:.3} > {:.3}; {rows_moved} rows migrating",
+                            health.imbalance(),
+                            cfg.rebalance_threshold
                         );
-                        obs::counter_add(obs::names::FT_REBALANCES, 1);
-                        obs::counter_add(obs::names::FT_REBALANCE_ROWS_MOVED, rows_moved as u64);
+                        self.note_rebalance(mg, rows_moved, &why);
+                        self.migrate(mg, &mut sys, new_layout, &bytes)?;
+                        beta = sys.residual_norm(mg)?;
                     }
-                    (sys, abft) =
-                        rebuild_system(mg, a, b, new_layout, cfg, s_opt, &[], prec_cur, report)?;
-                    mg.to_devices(&bytes)?; // charge the row migration
-                    sys.upload_x(mg, x_ckpt)?;
-                    beta = sys.residual_norm(mg)?;
                 }
             }
         }
-    }
 
-    stats.converged = beta <= target;
-    stats.final_relres = if beta0 > 0.0 { beta / beta0 } else { 0.0 };
-    report.layout_final = sys.layout.starts.clone();
-    *final_sys = Some((sys, abft));
-    Ok(())
-}
-
-/// Rebuild the executor and distributed system on `layout`, preserving
-/// simulated time, schedule policy, and accumulated traffic counters.
-/// Shared by the device-loss degradation path (`lost` names the dead
-/// devices, whose pending loss and perf faults are stripped from the
-/// reinstalled plan) and the throughput rebalancer (`lost` empty: the
-/// plan is reinstalled verbatim). A fresh executor also resets the op
-/// counters and health EWMAs, so post-rebuild health reflects the new
-/// partition rather than stale history.
-#[allow(clippy::too_many_arguments)]
-fn rebuild_system(
-    mg: &mut MultiGpu,
-    a: &Csr,
-    b: &[f64],
-    layout: Layout,
-    cfg: &FtConfig,
-    s_opt: Option<usize>,
-    lost: &[usize],
-    prec: ca_scalar::Precision,
-    report: &mut FtReport,
-) -> GpuResult<(System, Option<AbftState>)> {
-    report.executor_rebuilds += 1;
-    let t_now = mg.time();
-    let plan = mg.fault_plan().cloned();
-    let schedule = mg.schedule();
-    let prior = mg.counters();
-    let prior_reclaimed = mg.time_reclaimed();
-    *mg = MultiGpu::new(layout.ndev(), mg.model().clone(), mg.config);
-    mg.set_schedule(schedule); // rebuilt executor keeps the policy
-    mg.fast_forward(t_now);
-    mg.absorb_counters(prior);
-    mg.absorb_time_reclaimed(prior_reclaimed);
-    if let Some(p) = plan {
-        mg.set_fault_plan(if lost.is_empty() {
-            p
-        } else {
-            // the loss already happened; survivors keep the rest of the
-            // plan (SDC, transfer faults) active
-            let mut p = p.without_device_loss();
-            for &d in lost {
-                p = p.without_perf_faults_on(d);
-            }
-            p
-        });
-    }
-    let sys = System::new_with_format_prec(
-        mg,
-        a,
-        layout,
-        cfg.solver.m,
-        s_opt,
-        crate::mpk::SpmvFormat::Ell,
-        prec,
-    )?;
-    sys.load_rhs(mg, b)?;
-    let abft = if cfg.abft_spmv { Some(AbftState::build(mg, a, &sys.layout)?) } else { None };
-    Ok((sys, abft))
-}
-
-/// Partial-cycle checkpoint: everything needed to resume an interrupted
-/// CA-GMRES cycle from its last *verified* block boundary instead of
-/// redoing the whole cycle. The basis columns are held layout-agnostic
-/// (full-length host vectors), so the same checkpoint restores onto a
-/// repartitioned or degraded executor.
-struct CycleCkpt {
-    /// Verified, orthonormalized basis columns `V[:, 0..ncols]`, gathered
-    /// to host. Kept full-length so restore works under any row layout.
-    vhost: Vec<Vec<f64>>,
-    /// Block-Arnoldi recurrence state at the checkpoint.
-    arn: BlockArnoldi,
-    /// Basis columns built so far (`V` has `ncols` verified columns).
-    ncols: usize,
-    /// Hessenberg columns pushed through the least-squares recurrence.
-    k_used: usize,
-    /// Cycle-start residual norm that seeded the basis (and the lsq).
-    beta: f64,
-    /// Machine time when the checkpoint was taken — the left edge of the
-    /// work-lost bracket for anything that fails after it.
-    t_ckpt: f64,
-}
-
-/// Why a protected cycle handed control back mid-flight.
-enum MidCycleAction {
-    /// A device was lost (or probe-escalated from hung to lost) after at
-    /// least one verified block; resume from the checkpoint on survivors.
-    DeviceDown(usize),
-    /// The probe flagged a fail-slow straggler; repartition the remaining
-    /// work and resume from the checkpoint.
-    Rebalance { device: usize, imbalance: f64 },
-}
-
-/// Outcome of one protected cycle: ran to the restart boundary, or was
-/// interrupted at a block boundary with a checkpoint to resume from.
-enum CycleOutcome {
-    Done(CycleResult),
-    Interrupted {
-        action: MidCycleAction,
-        ck: CycleCkpt,
-    },
-    /// The numerical-health ladder needs a structural action only the
-    /// driver can take (basis switch or precision promotion). The
-    /// triggering [`EscalationEvent`] is already recorded; `ck` (when a
-    /// checkpoint exists) lets the driver resume the cycle at its last
-    /// verified block after applying the action.
-    Escalate {
-        rung: EscalationRung,
-        ck: Option<CycleCkpt>,
-    },
-}
-
-/// Hand-back state for resuming an interrupted cycle. `reupload` is false
-/// when the executor survived untouched (e.g. a hysteresis-rejected
-/// rebalance): device-resident basis columns are still valid, so the
-/// resume is free.
-struct ResumeState {
-    ck: CycleCkpt,
-    reupload: bool,
-}
-
-/// Extend (or create) the partial-cycle checkpoint with the newly
-/// verified basis columns `old_ncols..ncols`. Earlier columns are never
-/// mutated by later blocks (BOrth projects the *new* panel against them;
-/// TSQR factors only the new panel), so the capture is incremental.
-///
-/// The host read is deliberately **uncharged**: checkpoint drains are
-/// modeled as overlapped with the next block's compute on the per-link
-/// copy engines, and — decisively — the capture only happens when the
-/// probe is armed, so charging it would break the armed-on-healthy
-/// bit-invisibility contract. The restore path, which only runs after a
-/// real fault, is charged in full.
-fn update_ckpt(
-    ckpt: &mut Option<CycleCkpt>,
-    mg: &MultiGpu,
-    sys: &System,
-    ncols: usize,
-    arn: &BlockArnoldi,
-    k_used: usize,
-    beta: f64,
-) {
-    let ck = ckpt.get_or_insert_with(|| CycleCkpt {
-        vhost: Vec::new(),
-        arn: arn.clone(),
-        ncols: 0,
-        k_used: 0,
-        beta,
-        t_ckpt: mg.time(),
-    });
-    for c in ck.vhost.len()..ncols {
-        let mut col = vec![0.0f64; sys.n];
-        for d in 0..sys.layout.ndev() {
-            let r = sys.layout.range(d);
-            col[r].copy_from_slice(mg.device(d).mat(sys.v[d]).col(c));
-        }
-        ck.vhost.push(col);
-    }
-    ck.arn = arn.clone();
-    ck.ncols = ncols;
-    ck.k_used = k_used;
-    ck.beta = beta;
-    ck.t_ckpt = mg.time();
-}
-
-/// Scatter the checkpointed basis columns back onto the (possibly
-/// rebuilt, possibly repartitioned) executor and charge the re-upload
-/// like any other host→device staging.
-fn restore_ckpt(mg: &mut MultiGpu, sys: &System, ck: &CycleCkpt) -> GpuResult<()> {
-    let ndev = sys.layout.ndev();
-    let mut bytes = vec![0usize; ndev];
-    for d in 0..ndev {
-        let r = sys.layout.range(d);
-        for (c, col) in ck.vhost.iter().enumerate() {
-            mg.device_mut(d).mat_mut(sys.v[d]).set_col(c, &col[r.clone()]);
-        }
-        bytes[d] = 8 * r.len() * ck.vhost.len();
-    }
-    mg.to_devices(&bytes)?;
-    Ok(())
-}
-
-/// Record one escalation-ladder action: the report entry the tuner and
-/// the chaos harness consume, plus the `ft.detect` cause instant and
-/// metered counters (the *detection* is what fires here; the action
-/// itself — reorth pass, block regeneration, rebuild — is charged by the
-/// code that performs it).
-fn record_escalation(
-    report: &mut FtReport,
-    mg: &MultiGpu,
-    rung: EscalationRung,
-    cycle: usize,
-    column: usize,
-    s: usize,
-    cond_est: f64,
-) {
-    report.escalations.push(EscalationEvent { rung, cycle, column, s, cond_est });
-    if obs::enabled() {
-        obs::instant_cause(
-            "ft.detect",
-            HOST,
-            mg.time(),
-            &format!(
-                "numerical-health trigger (cond est {cond_est:.3e}) at column {column} \
-                 (s = {s}); escalating: {}",
-                rung.label()
-            ),
-        );
-        obs::counter_add(obs::names::HEALTH_ESCALATIONS, 1);
-        obs::counter_add(&obs::names::health_escalations_rung(rung.label()), 1);
+        self.stats.converged = beta <= target;
+        self.stats.final_relres = if beta0 > 0.0 { beta / beta0 } else { 0.0 };
+        self.guard.report.layout_final = sys.layout.starts.clone();
+        Ok(sys)
     }
 }
 
-/// What one protected restart cycle reports back.
-struct CycleResult {
-    /// Implicit (least-squares) residual norm at the end of the cycle.
-    implied: f64,
-    /// Hessenberg of a standard (shift-harvest) cycle.
-    hessenberg: Option<ca_dense::Mat>,
-    /// Whether any Krylov dimension was built (guards against stalling).
-    made_progress: bool,
-}
-
-/// One restart cycle with ABFT verification and bounded block recompute.
-/// The first cycle (before shifts are harvested) runs standard GMRES,
-/// protected only by the caller's residual check.
-///
-/// With [`FtConfig::probe`] armed the cycle also snapshots a
-/// [`CycleCkpt`] after every verified block and, on a mid-cycle device
-/// loss or straggler signal, returns [`CycleOutcome::Interrupted`]
-/// instead of an error so the driver can recover at block granularity;
-/// `resume` re-enters an interrupted cycle from such a checkpoint.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn run_protected_cycle(
-    mg: &mut MultiGpu,
-    sys: &System,
-    cfg: &FtConfig,
-    s_cur: usize,
-    orth: &crate::orth::OrthConfig,
-    abft: Option<&AbftState>,
-    spec_full: &BasisSpec,
-    beta: f64,
-    target: f64,
-    harvested: bool,
-    resume: Option<ResumeState>,
+/// The fault-tolerant driver's [`CycleGuard`]: everything that watches or
+/// protects a cycle from the inside — ABFT verification and its retry
+/// budget, numerical fault injection, the health probe, the basis monitor,
+/// the escalation ladder and its budget, the block checkpoint — plus the
+/// report all of it writes.
+struct FtGuard<'a> {
+    cfg: &'a FtConfig,
+    /// ABFT checksum vectors of the system in use.
+    abft: Option<AbftState>,
+    probe: Option<ProbeState>,
+    monitor: Option<MonitorState>,
+    /// Escalations left for the whole solve — shared by every rung, so a
+    /// pathological matrix cannot ping-pong forever.
+    ladder_budget: usize,
+    /// Blocks accepted so far (indexes the numerical fault injection).
+    blocks_generated: u64,
+    /// Checkpoint of the cycle in flight (armed probe or ladder only).
+    ckpt: Option<CycleCkpt>,
+    /// One proactive CGS2-style reorthogonalization is allowed per cycle
+    /// before the ladder moves on to the costlier rungs.
+    reorth_used: bool,
     can_switch_basis: bool,
     can_promote: bool,
-    ladder_budget: &mut usize,
-    blocks_generated: &mut u64,
-    stats: &mut SolveStats,
-    report: &mut FtReport,
-) -> GpuResult<CycleOutcome> {
-    let scfg = &cfg.solver;
-    if !harvested {
-        debug_assert!(resume.is_none(), "block checkpoints exist only in CA cycles");
-        let cycle = crate::gmres::gmres_cycle(mg, sys, scfg.m, orth.borth, beta, target, stats)?;
-        return Ok(CycleOutcome::Done(CycleResult {
-            implied: if cycle.k_used > 0 {
-                let mut l = GivensLsq::new(beta);
-                for col in 0..cycle.k_used {
-                    let h = &cycle.hessenberg;
-                    let col: Vec<f64> = (0..=col + 1).map(|i| h[(i, col)]).collect();
-                    l.push_column(&col);
-                }
-                l.residual_norm()
-            } else {
-                beta
-            },
-            hessenberg: Some(cycle.hessenberg),
-            made_progress: cycle.k_used > 0,
-        }));
+    report: FtReport,
+}
+
+impl FtGuard<'_> {
+    /// Whether the block may be regenerated once more (the bounded retry
+    /// budget keeps a persistent fault from livelocking).
+    fn may_retry(&self, blk: &Block<'_>) -> bool {
+        blk.attempt < self.cfg.recompute.retries()
     }
 
-    let use_mpk = sys.mpk.is_some() && s_cur > 1;
-    let mut ckpt: Option<CycleCkpt> = None;
-    let (mut lsq, mut arn, mut ncols, mut first_block, mut k_used, beta_cycle);
-    if let Some(rs) = resume {
-        // re-enter an interrupted cycle from its last verified block
-        let ck = rs.ck;
-        if rs.reupload {
-            restore_ckpt(mg, sys, &ck)?;
+    /// Book one block recompute, spacing it out in simulated time.
+    fn book_retry(&mut self, mg: &mut MultiGpu, blk: &Block<'_>) {
+        let wait = self.cfg.recompute.backoff_s(blk.attempt as u32 + 1);
+        if wait > 0.0 {
+            mg.fast_forward(mg.time() + wait);
         }
-        // rebuild the least-squares recurrence from the preserved
-        // Hessenberg columns; these Givens updates are host work we pay
-        // again, but the columns were already counted as iterations
-        lsq = GivensLsq::new(ck.beta);
-        for col in ck.arn.columns().iter().take(ck.k_used) {
-            lsq.push_column(col);
-        }
-        mg.host_compute((3 * (ck.k_used + 1) * (ck.k_used + 1)) as f64, (16 * ck.k_used) as f64);
-        arn = ck.arn.clone();
-        ncols = ck.ncols;
-        k_used = ck.k_used;
-        beta_cycle = ck.beta;
-        first_block = false;
-        report.block_resumes += 1;
-        obs::counter_add(obs::names::FT_BLOCK_RESUMES, 1);
-        ckpt = Some(ck);
-    } else {
-        sys.seed_basis(mg, beta)?;
-        lsq = GivensLsq::new(beta);
-        arn = BlockArnoldi::new();
-        ncols = 1;
-        first_block = true;
-        k_used = 0;
-        beta_cycle = beta;
+        self.report.blocks_recomputed += 1;
     }
 
-    // Intercept a mid-cycle device loss: with a verified-block checkpoint
-    // in hand, hand control back for block-granular recovery instead of
-    // bubbling the error up to the cycle-redo path.
-    macro_rules! intercept {
-        ($res:expr) => {
-            match $res {
-                Ok(v) => v,
-                Err(GpuSimError::DeviceLost { device }) if ckpt.is_some() => {
-                    return Ok(CycleOutcome::Interrupted {
-                        action: MidCycleAction::DeviceDown(device),
-                        ck: ckpt.take().expect("checked is_some"),
-                    });
-                }
-                Err(e) => return Err(e),
-            }
+    /// Walk the ladder for a trigger on `blk`: take the cheapest rung
+    /// that is enabled, applicable and within budget, and record it — the
+    /// report entry the tuner and the chaos harness consume, plus the
+    /// `ft.detect` cause instant and metered counters (the *detection* is
+    /// what fires here; the action itself — reorth pass, block
+    /// regeneration, rebuild — is charged by the code that performs it).
+    /// `None`: every rung is exhausted or disabled.
+    ///
+    /// `proactive` triggers (monitor estimates, before any breakdown)
+    /// point at the block's source column and may start at Reorth. Hard
+    /// failures point at the first column of the failed factorization and
+    /// enter at Throttle: in a deterministic simulation, re-running the
+    /// same factorization with a second CGS2 pass fails identically.
+    fn climb(
+        &mut self,
+        cx: &SolveCtx<'_>,
+        blk: &Block<'_>,
+        cond_est: f64,
+        proactive: bool,
+    ) -> Option<Verdict<FtHandBack>> {
+        let l = self.cfg.ladder.as_ref()?;
+        let column = if proactive { blk.start } else { blk.c0 };
+        if self.ladder_budget == 0 {
+            return None;
+        }
+        let rung = if proactive && l.reorth && !self.reorth_used {
+            EscalationRung::Reorth
+        } else if l.throttle && blk.s_cycle > l.s_floor {
+            EscalationRung::Throttle
+        } else if l.basis_switch && self.can_switch_basis {
+            EscalationRung::BasisSwitch
+        } else if l.promote && self.can_promote {
+            EscalationRung::Promote
+        } else {
+            return None;
         };
+        self.ladder_budget -= 1;
+        let (cycle, s) = (cx.stats.restarts, blk.s);
+        self.report.escalations.push(EscalationEvent { rung, cycle, column, s, cond_est });
+        if obs::enabled() {
+            obs::instant_cause(
+                "ft.detect",
+                HOST,
+                cx.mg.time(),
+                &format!(
+                    "numerical-health trigger (cond est {cond_est:.3e}) at column {column} \
+                     (s = {s}); escalating: {}",
+                    rung.label()
+                ),
+            );
+            obs::counter_add(obs::names::HEALTH_ESCALATIONS, 1);
+            obs::counter_add(&obs::names::health_escalations_rung(rung.label()), 1);
+        }
+        Some(match rung {
+            EscalationRung::Reorth => {
+                self.reorth_used = true;
+                Verdict::Accept { reorth: true }
+            }
+            // finish the cycle with shorter basis blocks; the generated
+            // panel is discarded and regenerated at the smaller s (charged
+            // in full), verified columns stay where they are
+            EscalationRung::Throttle => {
+                Verdict::Redo(Redo::Throttle((blk.s_cycle / 2).max(l.s_floor)))
+            }
+            // structural rungs: hand back for a monomial -> Newton switch
+            // or an f32 -> f64 rebuild
+            EscalationRung::BasisSwitch | EscalationRung::Promote => {
+                Verdict::Redo(Redo::HandBack(FtHandBack::Escalate { rung, ck: self.ckpt.take() }))
+            }
+        })
+    }
+}
+
+impl CycleGuard for FtGuard<'_> {
+    type HandBack = FtHandBack;
+    const FLATTEN: bool = false;
+
+    fn poll(&mut self, mg: &mut MultiGpu, at: PollPoint) -> GpuResult<()> {
+        self.probe.as_mut().map_or(Ok(()), |p| p.poll(mg, at))
     }
 
-    // in-cycle ladder state: `s_cycle` may be throttled below `s_cur` for
-    // the remainder of this cycle, and one proactive CGS2-style
-    // reorthogonalization is allowed per cycle before the ladder moves on
-    // to the costlier rungs
-    let mut s_cycle = s_cur;
-    let mut reorth_used = false;
+    /// ABFT verification with bounded recompute, then — on the accepted
+    /// block — numerical fault injection, the monomial-growth probe and
+    /// the proactive rungs of the ladder.
+    fn after_generate(
+        &mut self,
+        cx: &mut SolveCtx<'_>,
+        blk: &Block<'_>,
+    ) -> GpuResult<Verdict<FtHandBack>> {
+        let sys = cx.sys;
+        if let Some(ab) = &self.abft {
+            if !ab.verify_block(cx.mg, sys, blk.start, blk.spec)? {
+                self.report.sdc_detected += 1;
+                if obs::enabled() {
+                    obs::instant_cause(
+                        "ft.sdc",
+                        HOST,
+                        cx.mg.time(),
+                        &format!(
+                            "SpMV checksum mismatch in block at column {} (attempt {})",
+                            blk.start, blk.attempt
+                        ),
+                    );
+                    obs::counter_add(obs::names::FT_SDC_DETECTED, 1);
+                }
+                if self.may_retry(blk) {
+                    self.book_retry(cx.mg, blk);
+                    obs::counter_add(obs::names::FT_BLOCKS_RECOMPUTED, 1);
+                    return Ok(Verdict::Redo(Redo::Regenerate)); // fresh op indices => fresh fault draws
+                }
+                // budget exhausted: accept; residual check backstops
+            }
+        }
+        // --- numerical fault injection (after ABFT: this is *not* SDC —
+        // the model is a recurrence that went numerically bad, which no
+        // checksum identity can flag) ---
+        self.blocks_generated += 1;
+        let (src, dst) = (blk.start, blk.start + blk.s);
+        let perturb =
+            cx.mg.fault_plan().and_then(|p| p.basis_perturb_event(0, self.blocks_generated));
+        if let Some(w) = perturb {
+            // blend the newest basis column toward its predecessor (w = 1
+            // makes them identical => rank-deficient panel); host-side
+            // mutation of device state, uncharged like SDC
+            for d in 0..sys.layout.ndev() {
+                let mat = cx.mg.device(d).mat(sys.v[d]);
+                let blended: Vec<f64> = mat
+                    .col(dst)
+                    .iter()
+                    .zip(mat.col(dst - 1))
+                    .map(|(c, p)| (1.0 - w) * c + w * p)
+                    .collect();
+                cx.mg.device_mut(d).mat_mut(sys.v[d]).set_col(dst, &blended);
+            }
+        }
+        let Some(monitor) = &mut self.monitor else {
+            return Ok(Verdict::Accept { reorth: false });
+        };
+        // monomial-growth probe: column norms of the block just generated,
+        // read from device state like the (equally uncharged, equally
+        // armed-only) checkpoint drain
+        let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+        for c in src..=dst {
+            let mut ss = 0.0f64;
+            for d in 0..sys.layout.ndev() {
+                ss += cx.mg.device(d).mat(sys.v[d]).col(c).iter().map(|x| x * x).sum::<f64>();
+            }
+            let norm = ss.sqrt();
+            lo = lo.min(norm);
+            hi = hi.max(norm);
+        }
+        monitor.record_growth(hi / lo.max(f64::MIN_POSITIVE));
+        // --- proactive escalation: consult the monitor (growth probe
+        // above, R-diagonal estimate of the previous block's TSQR) before
+        // spending this block's orthogonalization. With every rung
+        // exhausted or disabled the trigger is consumed and the solve
+        // continues unguarded (a hard breakdown is still typed honestly) ---
+        let verdict = monitor.take_trigger().and_then(|est| self.climb(cx, blk, est, true));
+        Ok(verdict.unwrap_or(Verdict::Accept { reorth: false }))
+    }
 
-    'blocks: while ncols - 1 < scfg.m {
-        let s_blk = s_cycle.min(scfg.m + 1 - ncols);
-        let spec_blk = spec_full.truncate(s_blk);
-        let bmat = spec_blk.change_matrix();
-        let start = ncols - 1;
-        let mut attempts = 0usize;
+    fn r_diag(&mut self, r: &Mat) {
+        if let Some(m) = &mut self.monitor {
+            m.record_r_diag(r);
+        }
+    }
 
-        let (c_eff, r_eff) = loop {
-            // (re)generate the block; the source column `start` is never
-            // mutated by this block's orthogonalization (for the first
-            // block, re-seeding restores column 0 from the residual)
-            if attempts > 0 && first_block {
-                intercept!(sys.seed_basis(mg, beta_cycle));
+    fn on_block_error(
+        &mut self,
+        cx: &mut SolveCtx<'_>,
+        blk: &Block<'_>,
+        err: &OrthError,
+    ) -> Option<Redo<FtHandBack>> {
+        match err {
+            // a device loss with a verified-block checkpoint in hand: hand
+            // back for block-granular recovery instead of bubbling the
+            // error up to the cycle-redo path
+            OrthError::Gpu(GpuSimError::DeviceLost { device }) => {
+                let ck = self.ckpt.take()?;
+                Some(Redo::HandBack(FtHandBack::DeviceDown { device: *device, ck }))
             }
-            if use_mpk {
-                intercept!(mpk(mg, sys.mpk.as_ref().unwrap(), &sys.v, start, &spec_blk));
-            } else {
-                intercept!(generate_block_spmv(mg, sys, start, &spec_blk));
+            OrthError::Gpu(_) => None,
+            OrthError::ChecksumMismatch { .. } if self.may_retry(blk) => {
+                self.report.sdc_detected += 1;
+                self.book_retry(cx.mg, blk);
+                if obs::enabled() {
+                    obs::instant_cause(
+                        "ft.sdc",
+                        HOST,
+                        cx.mg.time(),
+                        &format!(
+                            "orthogonalization checksum mismatch at column {} (attempt {})",
+                            blk.c0,
+                            blk.attempt + 1
+                        ),
+                    );
+                    obs::counter_add(obs::names::FT_SDC_DETECTED, 1);
+                    obs::counter_add(obs::names::FT_BLOCKS_RECOMPUTED, 1);
+                }
+                Some(Redo::Regenerate)
             }
-            if let Some(ab) = abft {
-                if !intercept!(ab.verify_block(mg, sys, start, &spec_blk)) {
-                    report.sdc_detected += 1;
-                    if obs::enabled() {
-                        obs::instant_cause(
-                            "ft.sdc",
-                            HOST,
-                            mg.time(),
-                            &format!(
-                                "SpMV checksum mismatch in block at column {start} \
-                                 (attempt {attempts})"
-                            ),
-                        );
-                        obs::counter_add(obs::names::FT_SDC_DETECTED, 1);
-                    }
-                    if attempts < cfg.recompute.retries() {
-                        attempts += 1;
-                        let wait = cfg.recompute.backoff_s(attempts as u32);
-                        if wait > 0.0 {
-                            mg.fast_forward(mg.time() + wait); // space the retry out
-                        }
-                        report.blocks_recomputed += 1;
-                        obs::counter_add(obs::names::FT_BLOCKS_RECOMPUTED, 1);
-                        continue; // fresh op indices => fresh fault draws
-                    }
-                    // budget exhausted: accept; residual check backstops
-                }
-            }
-            // --- numerical fault injection (after ABFT: this is *not*
-            // SDC — the model is a recurrence that went numerically bad,
-            // which no checksum identity can flag) ---
-            *blocks_generated += 1;
-            if let Some(w) =
-                mg.fault_plan().and_then(|p| p.basis_perturb_event(0, *blocks_generated))
-            {
-                // blend the newest basis column toward its predecessor
-                // (w = 1 makes them identical => rank-deficient panel);
-                // host-side mutation of device state, uncharged like SDC
-                let dst = start + s_blk;
-                for d in 0..sys.layout.ndev() {
-                    let mat = mg.device(d).mat(sys.v[d]);
-                    let blended: Vec<f64> = mat
-                        .col(dst)
-                        .iter()
-                        .zip(mat.col(dst - 1))
-                        .map(|(c, p)| (1.0 - w) * c + w * p)
-                        .collect();
-                    mg.device_mut(d).mat_mut(sys.v[d]).set_col(dst, &blended);
-                }
-            }
-            if BasisMonitor::armed() {
-                // monomial-growth probe: column norms of the block just
-                // generated, read from device state like the (equally
-                // uncharged, equally armed-only) checkpoint drain
-                let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
-                for c in start..=start + s_blk {
-                    let mut ss = 0.0f64;
-                    for d in 0..sys.layout.ndev() {
-                        ss += mg.device(d).mat(sys.v[d]).col(c).iter().map(|x| x * x).sum::<f64>();
-                    }
-                    let norm = ss.sqrt();
-                    lo = lo.min(norm);
-                    hi = hi.max(norm);
-                }
-                BasisMonitor::record_growth(hi / lo.max(f64::MIN_POSITIVE));
-            }
-            // --- proactive escalation: consult the monitor (growth probe
-            // above, R-diagonal estimate of the previous block's TSQR)
-            // before spending this block's orthogonalization ---
-            let mut use_reorth = false;
-            if let Some(l) = &cfg.ladder {
-                if let Some(cond_est) = BasisMonitor::take_trigger() {
-                    if *ladder_budget > 0 && l.reorth && !reorth_used {
-                        // rung 1: CGS2-style second pass on this block
-                        *ladder_budget -= 1;
-                        reorth_used = true;
-                        use_reorth = true;
-                        record_escalation(
-                            report,
-                            mg,
-                            EscalationRung::Reorth,
-                            stats.restarts,
-                            start,
-                            s_blk,
-                            cond_est,
-                        );
-                    } else if *ladder_budget > 0 && l.throttle && s_cycle > l.s_floor {
-                        // rung 2: finish the cycle with shorter basis
-                        // blocks; the generated panel is discarded and
-                        // regenerated at the smaller s (charged in full),
-                        // verified columns stay where they are
-                        *ladder_budget -= 1;
-                        record_escalation(
-                            report,
-                            mg,
-                            EscalationRung::Throttle,
-                            stats.restarts,
-                            start,
-                            s_blk,
-                            cond_est,
-                        );
-                        s_cycle = (s_cycle / 2).max(l.s_floor);
-                        continue 'blocks;
-                    } else if *ladder_budget > 0 && l.basis_switch && can_switch_basis {
-                        // rung 3: hand back for a monomial -> Newton switch
-                        *ladder_budget -= 1;
-                        record_escalation(
-                            report,
-                            mg,
-                            EscalationRung::BasisSwitch,
-                            stats.restarts,
-                            start,
-                            s_blk,
-                            cond_est,
-                        );
-                        return Ok(CycleOutcome::Escalate {
-                            rung: EscalationRung::BasisSwitch,
-                            ck: ckpt.take(),
-                        });
-                    } else if *ladder_budget > 0 && l.promote && can_promote {
-                        // rung 4: hand back for an f32 -> f64 rebuild
-                        *ladder_budget -= 1;
-                        record_escalation(
-                            report,
-                            mg,
-                            EscalationRung::Promote,
-                            stats.restarts,
-                            start,
-                            s_blk,
-                            cond_est,
-                        );
-                        return Ok(CycleOutcome::Escalate {
-                            rung: EscalationRung::Promote,
-                            ck: ckpt.take(),
-                        });
-                    }
-                    // every rung exhausted or disabled: the trigger is
-                    // consumed and the solve continues unguarded (a hard
-                    // breakdown will still be typed honestly below)
-                }
-            }
-            let (c0, c1) = if first_block { (0, s_blk + 1) } else { (ncols, ncols + s_blk) };
-            let ocfg =
-                if use_reorth { crate::orth::OrthConfig { reorth: true, ..*orth } } else { *orth };
-            match orth_block(mg, sys, &sys.v, c0, c1, &ocfg, None, stats, None) {
-                Ok(cr) => break cr,
-                Err(OrthError::Gpu(GpuSimError::DeviceLost { device })) if ckpt.is_some() => {
-                    return Ok(CycleOutcome::Interrupted {
-                        action: MidCycleAction::DeviceDown(device),
-                        ck: ckpt.take().expect("checked is_some"),
-                    });
-                }
-                Err(OrthError::Gpu(e)) => return Err(e),
-                Err(OrthError::ChecksumMismatch { .. }) if attempts < cfg.recompute.retries() => {
-                    report.sdc_detected += 1;
-                    attempts += 1;
-                    let wait = cfg.recompute.backoff_s(attempts as u32);
-                    if wait > 0.0 {
-                        mg.fast_forward(mg.time() + wait); // space the retry out
-                    }
-                    report.blocks_recomputed += 1;
-                    if obs::enabled() {
-                        // the failed orth pass returned through `?`, leaving
-                        // its borth/tsqr spans open: seal them before retrying
-                        obs::close_open(mg.time());
-                        obs::instant_cause(
-                            "ft.sdc",
-                            HOST,
-                            mg.time(),
-                            &format!(
-                                "orthogonalization checksum mismatch at column {c0} \
-                                 (attempt {attempts})"
-                            ),
-                        );
-                        obs::counter_add(obs::names::FT_SDC_DETECTED, 1);
-                        obs::counter_add(obs::names::FT_BLOCKS_RECOMPUTED, 1);
-                    }
-                }
-                Err(e) => {
-                    // the failed pass returned through `?`, leaving its
-                    // borth/tsqr spans open: seal them first so every arm
-                    // below lands its instants on a clean track
-                    obs::close_open(mg.time());
-                    // a checksum escape (retry budget exhausted above) or
-                    // a device error is not the ladder's business; every
-                    // other variant is a numerical breakdown the ladder
-                    // may still recover. Hard failures enter at Throttle:
-                    // in a deterministic simulation, re-running the same
-                    // factorization with a second CGS2 pass fails
-                    // identically, so the reorth rung is reserved for
-                    // drift flagged *before* breakdown.
-                    let numerical =
-                        !matches!(e, OrthError::ChecksumMismatch { .. } | OrthError::Gpu(_));
-                    if numerical && *ladder_budget > 0 {
-                        if let Some(l) = &cfg.ladder {
-                            let cond_est = BasisMonitor::take_trigger().unwrap_or(f64::INFINITY);
-                            if l.throttle && s_cycle > l.s_floor {
-                                *ladder_budget -= 1;
-                                record_escalation(
-                                    report,
-                                    mg,
-                                    EscalationRung::Throttle,
-                                    stats.restarts,
-                                    c0,
-                                    s_blk,
-                                    cond_est,
-                                );
-                                s_cycle = (s_cycle / 2).max(l.s_floor);
-                                if first_block {
-                                    // the failed factorization may have
-                                    // scaled column 0 in place: restore it
-                                    intercept!(sys.seed_basis(mg, beta_cycle));
-                                }
-                                continue 'blocks;
-                            }
-                            if l.basis_switch && can_switch_basis {
-                                *ladder_budget -= 1;
-                                record_escalation(
-                                    report,
-                                    mg,
-                                    EscalationRung::BasisSwitch,
-                                    stats.restarts,
-                                    c0,
-                                    s_blk,
-                                    cond_est,
-                                );
-                                return Ok(CycleOutcome::Escalate {
-                                    rung: EscalationRung::BasisSwitch,
-                                    ck: ckpt.take(),
-                                });
-                            }
-                            if l.promote && can_promote {
-                                *ladder_budget -= 1;
-                                record_escalation(
-                                    report,
-                                    mg,
-                                    EscalationRung::Promote,
-                                    stats.restarts,
-                                    c0,
-                                    s_blk,
-                                    cond_est,
-                                );
-                                return Ok(CycleOutcome::Escalate {
-                                    rung: EscalationRung::Promote,
-                                    ck: ckpt.take(),
-                                });
-                            }
+            _ => {
+                // a checksum escape (retry budget exhausted above) is not
+                // the ladder's business; every other variant is a numerical
+                // breakdown the ladder may still recover
+                let numerical = !matches!(err, OrthError::ChecksumMismatch { .. });
+                if numerical && self.ladder_budget > 0 {
+                    if let Some(monitor) = &mut self.monitor {
+                        let cond_est = monitor.take_trigger().unwrap_or(f64::INFINITY);
+                        if let Some(Verdict::Redo(redo)) = self.climb(cx, blk, cond_est, false) {
+                            return Some(redo);
                         }
                     }
-                    // numerical breakdown (or persistent checksum
-                    // failure): type it, and emit the detection instant
-                    // every other abort arm already emits
-                    stats.breakdown = Some(BreakdownKind::Orthogonalization {
-                        column: c0,
-                        reason: e.to_string(),
-                    });
-                    if obs::enabled() {
-                        obs::instant_cause(
-                            "ft.detect",
-                            HOST,
-                            mg.time(),
-                            &format!("orthogonalization breakdown at column {c0}: {e}"),
-                        );
-                    }
-                    break 'blocks;
                 }
-            }
-        };
-
-        let c_for_hess = if first_block { ca_dense::Mat::zeros(0, 0) } else { c_eff };
-        let new_cols = arn.extend_block(&c_for_hess, &r_eff, &bmat);
-        mg.host_compute(
-            2.0 * ((ncols + s_blk) * s_blk * s_blk) as f64 + (3 * scfg.m * s_blk) as f64,
-            (16 * (ncols + s_blk) * s_blk) as f64,
-        );
-        let mut hit_target = false;
-        for col in &new_cols {
-            lsq.push_column(col);
-            k_used += 1;
-            stats.total_iters += 1;
-            if lsq.residual_norm() <= target {
-                hit_target = true;
-                break;
-            }
-        }
-        ncols += s_blk;
-        first_block = false;
-        if (cfg.probe.is_some() || cfg.ladder.is_some()) && stats.breakdown.is_none() {
-            // this block is verified: refresh the partial-cycle checkpoint
-            update_ckpt(&mut ckpt, mg, sys, ncols, &arn, k_used, beta_cycle);
-            if !hit_target && ncols - 1 < scfg.m {
-                if let Some((device, imbalance)) = HealthProbe::take_straggler() {
-                    // more blocks to go on a lopsided machine: hand back
-                    // for a mid-flight repartition of the remaining rows
-                    return Ok(CycleOutcome::Interrupted {
-                        action: MidCycleAction::Rebalance { device, imbalance },
-                        ck: ckpt.take().expect("just updated"),
-                    });
+                // numerical breakdown (or persistent checksum failure):
+                // type it, and emit the detection instant every other abort
+                // arm already emits
+                cx.stats.breakdown = Some(BreakdownKind::Orthogonalization {
+                    column: blk.c0,
+                    reason: err.to_string(),
+                });
+                if obs::enabled() {
+                    obs::instant_cause(
+                        "ft.detect",
+                        HOST,
+                        cx.mg.time(),
+                        &format!("orthogonalization breakdown at column {}: {err}", blk.c0),
+                    );
                 }
+                Some(Redo::Break)
             }
-        }
-        if hit_target {
-            break;
         }
     }
 
-    let implied = if k_used > 0 {
-        let (y, implied) = {
-            let mut l = GivensLsq::new(beta_cycle);
-            for col in arn.columns().iter().take(k_used) {
-                l.push_column(col);
-            }
-            (l.solve(), l.residual_norm())
-        };
-        mg.host_compute((3 * (k_used + 1) * (k_used + 1)) as f64, (16 * k_used) as f64);
-        sys.update_x(mg, &y)?;
-        implied
-    } else {
-        beta_cycle
-    };
-    stats.restarts += 1;
-    Ok(CycleOutcome::Done(CycleResult { implied, hessenberg: None, made_progress: k_used > 0 }))
+    /// With the probe or the ladder armed, refresh the partial-cycle
+    /// checkpoint after every verified block, and hand back for a
+    /// mid-flight repartition when the probe has a straggler pending and
+    /// more blocks are to come on the lopsided machine.
+    fn block_done(
+        &mut self,
+        cx: &mut SolveCtx<'_>,
+        state: &CycleState,
+        more: bool,
+    ) -> Option<FtHandBack> {
+        let armed = self.cfg.probe.is_some() || self.cfg.ladder.is_some();
+        if !armed || cx.stats.breakdown.is_some() {
+            return None;
+        }
+        CycleCkpt::update(&mut self.ckpt, cx.mg, cx.sys, state);
+        if !more {
+            return None;
+        }
+        let (device, imbalance) = self.probe.as_mut()?.straggler_pending.take()?;
+        let ck = self.ckpt.take().expect("just updated");
+        Some(FtHandBack::Rebalance { device, imbalance, ck })
+    }
 }
 
 #[cfg(test)]

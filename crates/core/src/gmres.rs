@@ -2,11 +2,13 @@
 //! baseline, Fig. 3/14) — one SpMV and one single-column orthogonalization
 //! per iteration.
 
+use crate::cycle::{residual, CycleGuard, NoGuard, Phase, SolveCtx};
+use crate::ft::PollPoint;
 use crate::hess::BlockArnoldi;
 use crate::mpk::dist_spmv;
 use crate::orth::{orth_column, BorthKind, OrthError};
 use crate::stats::BreakdownKind;
-use crate::stats::{PhaseTimer, SolveStats};
+use crate::stats::SolveStats;
 use crate::system::System;
 use ca_dense::hessenberg::GivensLsq;
 use ca_dense::Mat;
@@ -52,50 +54,40 @@ pub(crate) struct CycleOutcome {
     pub k_used: usize,
     /// The cycle's Hessenberg matrix `(k+1) x k`.
     pub hessenberg: Mat,
+    /// Implicit (least-squares) residual norm at the end of the cycle.
+    pub implied: f64,
 }
 
 /// Run one restart cycle of standard GMRES: seed the basis from the
 /// residual (norm `beta`), iterate up to `m` Arnoldi steps (stopping early
 /// once the implicit residual reaches `target`), and apply the update to
 /// `x`. Phase timings accumulate into `stats`; `stats.breakdown` is set on
-/// an orthogonalization failure.
-pub(crate) fn gmres_cycle(
-    mg: &mut MultiGpu,
-    sys: &System,
+/// an orthogonalization failure. The guard is polled once per SpMV step.
+pub(crate) fn gmres_cycle<G: CycleGuard>(
+    cx: &mut SolveCtx<'_>,
     m: usize,
     orth: BorthKind,
     beta: f64,
     target: f64,
-    stats: &mut SolveStats,
+    guard: &mut G,
 ) -> GpuResult<CycleOutcome> {
+    let (mg, sys, stats) = (&mut *cx.mg, cx.sys, &mut *cx.stats);
     let sp_cycle = obs::span_begin("cycle", HOST, mg.time());
     sys.seed_basis(mg, beta)?;
     let mut lsq = GivensLsq::new(beta);
     let mut arn = BlockArnoldi::new();
     let mut k_used = 0usize;
-    let mut timer = PhaseTimer::start(mg.time());
 
     for j in 0..m {
-        mg.sync();
-        let now = mg.time();
-        timer.mark(now);
-        let sp_spmv = obs::span_begin("spmv", HOST, now);
+        let ph = Phase::begin(mg, "spmv", true);
         dist_spmv(mg, &sys.spmv, &sys.v, j, j + 1)?;
-        mg.sync();
-        let now = mg.time();
-        obs::span_end(sp_spmv, now);
-        stats.t_spmv += timer.mark(now);
-        // in-cycle health poll per SpMV step (no-op unless an FT solve
-        // armed the probe; bit-invisible on a healthy machine)
-        crate::ft::HealthProbe::poll(mg, crate::ft::PollPoint::SpmvBlock)?;
+        stats.t_spmv += ph.end(mg);
+        guard.poll(mg, PollPoint::SpmvBlock)?;
 
-        let sp_orth = obs::span_begin("orth", HOST, now);
+        let ph = Phase::begin(mg, "orth", true);
         match orth_column(mg, &sys.v, j + 1, orth) {
             Ok(h) => {
-                mg.sync();
-                let now = mg.time();
-                obs::span_end(sp_orth, now);
-                stats.t_orth += timer.mark(now);
+                stats.t_orth += ph.end(mg);
                 lsq.push_column(&h);
                 arn.push_arnoldi_column(h);
                 k_used = j + 1;
@@ -107,17 +99,14 @@ pub(crate) fn gmres_cycle(
             Err(OrthError::ZeroNorm { .. }) => {
                 // lucky breakdown: exact solution lives in the current
                 // subspace; use what we have
-                mg.sync();
-                let now = mg.time();
-                obs::span_end(sp_orth, now);
-                stats.t_orth += timer.mark(now);
+                stats.t_orth += ph.end(mg);
                 break;
             }
             Err(OrthError::Gpu(e)) => return Err(e),
             Err(e) => {
                 stats.breakdown =
                     Some(BreakdownKind::Orthogonalization { column: j + 1, reason: e.to_string() });
-                obs::span_end(sp_orth, mg.time());
+                stats.t_orth += ph.end(mg);
                 break;
             }
         }
@@ -125,17 +114,15 @@ pub(crate) fn gmres_cycle(
 
     if k_used > 0 {
         let y = lsq.solve();
-        let sp_small = obs::span_begin("small", HOST, mg.time());
+        let ph = Phase::begin(mg, "small", true);
         mg.host_compute((3 * (k_used + 1) * (k_used + 1)) as f64, (16 * k_used) as f64);
-        mg.sync();
-        let now = mg.time();
-        obs::span_end(sp_small, now);
-        stats.t_small += timer.mark(now);
+        stats.t_small += ph.end(mg);
         sys.update_x(mg, &y)?;
     }
     stats.restarts += 1;
     obs::span_end(sp_cycle, mg.time());
-    Ok(CycleOutcome { k_used, hessenberg: arn.to_mat() })
+    let implied = if k_used > 0 { lsq.residual_norm() } else { beta };
+    Ok(CycleOutcome { k_used, hessenberg: arn.to_mat(), implied })
 }
 
 /// Run GMRES(m) on a loaded [`System`]. The iterate starts from whatever
@@ -149,7 +136,7 @@ pub fn gmres(mg: &mut MultiGpu, sys: &System, cfg: &GmresConfig) -> GmresOutcome
     mg.reset_counters();
     let t_begin = mg.time();
 
-    let (beta0, beta) = match gmres_impl(mg, sys, cfg, &mut stats, &mut first_h, t_begin) {
+    let (beta0, beta) = match gmres_impl(mg, sys, cfg, &mut stats, &mut first_h) {
         Ok(betas) => betas,
         Err(e) => {
             // a simulated hardware fault aborted the solve: report it as a
@@ -180,43 +167,27 @@ fn gmres_impl(
     cfg: &GmresConfig,
     stats: &mut SolveStats,
     first_h: &mut Option<Mat>,
-    t_begin: f64,
 ) -> GpuResult<(f64, f64)> {
-    let mut timer = PhaseTimer::start(t_begin);
-
-    let sp_res = obs::span_begin("spmv", HOST, t_begin);
-    let beta0 = sys.residual_norm(mg)?;
-    mg.sync();
-    let now = mg.time();
-    obs::span_end(sp_res, now);
-    stats.t_spmv += timer.mark(now);
-    obs::sample(obs::names::RELRES, now, 1.0);
+    let mut cx = SolveCtx { mg, sys, stats, tsqr_errors: None };
+    let beta0 = residual(&mut cx, true)?;
+    obs::sample(obs::names::RELRES, cx.mg.time(), 1.0);
     let target = cfg.rtol * beta0;
     let mut beta = beta0;
 
-    while stats.restarts < cfg.max_restarts {
+    while cx.stats.restarts < cfg.max_restarts {
         if beta <= target || beta == 0.0 {
-            stats.converged = true;
+            cx.stats.converged = true;
             break;
         }
-        let cycle = gmres_cycle(mg, sys, cfg.m, cfg.orth, beta, target, stats)?;
+        let cycle = gmres_cycle(&mut cx, cfg.m, cfg.orth, beta, target, &mut NoGuard)?;
         if first_h.is_none() {
             *first_h = Some(cycle.hessenberg);
         }
-
-        mg.sync();
-        let now = mg.time();
-        timer.mark(now);
-        let sp_res = obs::span_begin("spmv", HOST, now);
-        beta = sys.residual_norm(mg)?;
-        mg.sync();
-        let now = mg.time();
-        obs::span_end(sp_res, now);
-        stats.t_spmv += timer.mark(now);
+        beta = residual(&mut cx, true)?;
         if beta0 > 0.0 {
-            obs::sample(obs::names::RELRES, now, beta / beta0);
+            obs::sample(obs::names::RELRES, cx.mg.time(), beta / beta0);
         }
-        if stats.breakdown.is_some() {
+        if cx.stats.breakdown.is_some() {
             break;
         }
         if cycle.k_used == 0 {

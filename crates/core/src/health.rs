@@ -17,12 +17,13 @@
 //! advances no simulated clock and moves no bytes; the growth probe's
 //! column-norm read follows the [`crate::ft`] checkpoint precedent (drained
 //! over the copy engines, overlapped with the next block's compute, and
-//! armed-only). The monitor is therefore **bit-invisible**: disarmed it is
-//! one thread-local read, and armed on a well-conditioned run it replays
-//! the unmonitored solve bit for bit (numerics, clock, counters). What *is*
-//! charged — fully and honestly — is every escalation **action** the
-//! monitor triggers: an extra reorthogonalization pass, a regenerated
-//! shorter block, a basis-spec switch's regeneration, an f64 rebuild.
+//! armed-only). The monitor is therefore **bit-invisible**: disarmed it
+//! does not exist (the guard field is `None`), and armed on a
+//! well-conditioned run it replays the unmonitored solve bit for bit
+//! (numerics, clock, counters). What *is* charged — fully and honestly —
+//! is every escalation **action** the monitor triggers: an extra
+//! reorthogonalization pass, a regenerated shorter block, a basis-spec
+//! switch's regeneration, an f64 rebuild.
 //!
 //! **The ladder.** Triggers feed a configurable [`Ladder`] in the FT driver,
 //! climbed in order of increasing cost:
@@ -47,18 +48,8 @@
 //! re-plans tighten the matrix's caps instead of re-walking into the same
 //! breakdown.
 
-use crate::layout::Layout;
-use crate::mpk::SpmvFormat;
-use crate::system::System;
 use ca_dense::Mat;
-use ca_gpusim::faults::Result as GpuResult;
-use ca_gpusim::MultiGpu;
 use ca_obs as obs;
-use ca_scalar::Precision;
-use ca_sparse::Csr;
-use obs::Track::Host as HOST;
-use serde::Serialize;
-use std::cell::RefCell;
 
 /// Basis-condition monitor configuration (the numerical analog of
 /// [`crate::ft::HealthProbe`]).
@@ -84,7 +75,7 @@ impl Default for BasisMonitor {
 }
 
 /// One rung of the escalation ladder, in increasing cost order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EscalationRung {
     /// CGS2-style reorthogonalization of the offending block (and the rest
     /// of the cycle).
@@ -111,7 +102,7 @@ impl EscalationRung {
 }
 
 /// One recorded escalation (FtReport::escalations).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EscalationEvent {
     /// Which rung was taken.
     pub rung: EscalationRung,
@@ -163,75 +154,37 @@ impl Default for Ladder {
     }
 }
 
-/// Live state of an armed monitor (thread-local, mirroring the
-/// [`crate::ft::HealthProbe`] discipline: the solve drives every record
-/// from the host thread).
+/// Live state of an armed monitor: a field of the fault-tolerant driver's
+/// cycle guard, fed from the engine's hook points.
 #[derive(Debug, Default)]
-struct MonitorState {
+pub(crate) struct MonitorState {
     cond_warn: f64,
     cond_fail: f64,
     growth_fail: f64,
     /// Condition estimates at or above `cond_warn`, in record order — the
     /// trajectory the `Retuner` consumes.
-    trajectory: Vec<f64>,
+    pub trajectory: Vec<f64>,
     /// Worst estimate since the driver last consumed a trigger.
     trigger: Option<f64>,
-    records: u64,
-}
-
-/// What an armed monitor observed over one solve.
-pub(crate) struct MonitorSummary {
-    /// Warning-level condition estimates, in record order.
-    pub trajectory: Vec<f64>,
     /// Total estimates recorded (including sub-warning ones).
     pub records: u64,
 }
 
-thread_local! {
-    static MONITOR: RefCell<Option<MonitorState>> = const { RefCell::new(None) };
-}
-
-impl BasisMonitor {
-    /// Install (or clear, with `cfg == None`) the thread-local monitor for
-    /// one solve. Always called by the FT driver — also with `None` — so a
-    /// monitor leaked by an aborted solve cannot carry into the next.
-    pub(crate) fn arm(cfg: Option<&BasisMonitor>) {
-        MONITOR.with(|m| {
-            *m.borrow_mut() = cfg.map(|c| MonitorState {
-                cond_warn: c.cond_warn,
-                cond_fail: c.cond_fail,
-                growth_fail: c.growth_fail,
-                ..MonitorState::default()
-            });
-        });
-    }
-
-    /// Tear down the monitor and return what it saw.
-    pub(crate) fn disarm() -> Option<MonitorSummary> {
-        MONITOR
-            .with(|m| m.borrow_mut().take())
-            .map(|s| MonitorSummary { trajectory: s.trajectory, records: s.records })
-    }
-
-    /// Force-clear any armed monitor on this thread (chaos-harness hygiene
-    /// after a caught panic, like [`crate::ft::HealthProbe::reset_thread`]).
-    pub fn reset_thread() {
-        MONITOR.with(|m| *m.borrow_mut() = None);
-    }
-
-    /// Whether a monitor is armed on this thread (gates the growth probe's
-    /// host reads in the FT driver).
-    pub(crate) fn armed() -> bool {
-        MONITOR.with(|m| m.borrow().is_some())
+impl MonitorState {
+    /// Arm a monitor with `cfg`'s thresholds.
+    pub(crate) fn new(cfg: &BasisMonitor) -> Self {
+        Self {
+            cond_warn: cfg.cond_warn,
+            cond_fail: cfg.cond_fail,
+            growth_fail: cfg.growth_fail,
+            ..Self::default()
+        }
     }
 
     /// Record a Gram-condition estimate from a TSQR factor's diagonal:
     /// `(max|r_ii| / min|r_ii|)²` — a free upper-bound flavor of `κ(B)`
-    /// read off the host-resident `R`. Disarmed: one thread-local read.
-    pub(crate) fn record_r_diag(r: &Mat) {
-        if !Self::armed() {
-            return;
-        }
+    /// read off the host-resident `R`.
+    pub(crate) fn record_r_diag(&mut self, r: &Mat) {
         let k = r.nrows().min(r.ncols());
         if k == 0 {
             return;
@@ -243,146 +196,94 @@ impl BasisMonitor {
             hi = hi.max(d);
         }
         let ratio = hi / lo.max(f64::MIN_POSITIVE);
-        Self::record_cond(ratio * ratio);
+        self.record_cond(ratio * ratio);
+    }
+
+    /// Count `est` (Gram/`κ²` terms), keep it in the trajectory from the
+    /// warning level up, and raise the trigger when `fails`.
+    fn record(&mut self, est: f64, fails: bool) {
+        self.records += 1;
+        if est >= self.cond_warn || !est.is_finite() {
+            self.trajectory.push(est);
+        }
+        if fails {
+            self.trigger = Some(match self.trigger {
+                Some(t) if t >= est => t,
+                _ => est,
+            });
+        }
     }
 
     /// Record a condition estimate (already in Gram/`κ²` terms).
-    pub(crate) fn record_cond(est: f64) {
-        MONITOR.with(|m| {
-            let mut b = m.borrow_mut();
-            let Some(s) = b.as_mut() else { return };
-            s.records += 1;
-            if est >= s.cond_warn || !est.is_finite() {
-                s.trajectory.push(est);
-            }
-            if est >= s.cond_fail || !est.is_finite() {
-                s.trigger = Some(match s.trigger {
-                    Some(t) if t >= est => t,
-                    _ => est,
-                });
-            }
-            if obs::enabled() {
-                obs::observe(obs::names::HEALTH_COND_EST, est);
-                obs::counter_add(obs::names::HEALTH_COND_CHECKS, 1);
-            }
-        });
+    pub(crate) fn record_cond(&mut self, est: f64) {
+        self.record(est, est >= self.cond_fail || !est.is_finite());
+        if obs::enabled() {
+            obs::observe(obs::names::HEALTH_COND_EST, est);
+            obs::counter_add(obs::names::HEALTH_COND_CHECKS, 1);
+        }
     }
 
     /// Record the max/min column-norm ratio of a freshly generated basis
     /// block (the monomial growth probe). Triggers against
     /// [`BasisMonitor::growth_fail`]; the ratio also lands in the
     /// trajectory (it is a `κ(V)`-scale quantity, so it is squared first).
-    pub(crate) fn record_growth(ratio: f64) {
-        MONITOR.with(|m| {
-            let mut b = m.borrow_mut();
-            let Some(s) = b.as_mut() else { return };
-            s.records += 1;
-            let est = ratio * ratio;
-            if est >= s.cond_warn || !est.is_finite() {
-                s.trajectory.push(est);
-            }
-            if ratio >= s.growth_fail || !ratio.is_finite() {
-                s.trigger = Some(match s.trigger {
-                    Some(t) if t >= est => t,
-                    _ => est,
-                });
-            }
-            if obs::enabled() {
-                obs::observe(obs::names::HEALTH_BASIS_GROWTH, ratio);
-                obs::counter_add(obs::names::HEALTH_GROWTH_CHECKS, 1);
-            }
-        });
+    pub(crate) fn record_growth(&mut self, ratio: f64) {
+        self.record(ratio * ratio, ratio >= self.growth_fail || !ratio.is_finite());
+        if obs::enabled() {
+            obs::observe(obs::names::HEALTH_BASIS_GROWTH, ratio);
+            obs::counter_add(obs::names::HEALTH_GROWTH_CHECKS, 1);
+        }
     }
 
     /// Consume the pending escalation trigger, if any: the worst condition
     /// estimate at or above the failure threshold since the last take.
-    pub(crate) fn take_trigger() -> Option<f64> {
-        MONITOR.with(|m| m.borrow_mut().as_mut().and_then(|s| s.trigger.take()))
+    pub(crate) fn take_trigger(&mut self) -> Option<f64> {
+        self.trigger.take()
     }
-}
-
-/// The precision-promotion rung, shared by the FT driver's ladder and
-/// [`crate::mixed::ca_gmres_mixed`]'s breakdown escalation: build a fresh
-/// f64 [`System`] on `layout` (the slice re-upload is charged like the FT
-/// degradation rebuild), load the right-hand side, and re-anchor at
-/// `x_anchor` — the last accepted iterate.
-///
-/// # Errors
-/// Propagates simulated allocation/transfer failures and device loss.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn promote_system_f64(
-    mg: &mut MultiGpu,
-    a: &Csr,
-    b: &[f64],
-    layout: Layout,
-    m: usize,
-    s_opt: Option<usize>,
-    format: SpmvFormat,
-    x_anchor: &[f64],
-    why: &str,
-) -> GpuResult<System> {
-    if obs::enabled() {
-        obs::instant_cause("ft.escalate", HOST, mg.time(), why);
-        obs::counter_add(obs::names::HEALTH_ESCALATIONS, 1);
-        obs::counter_add(&obs::names::health_escalations_rung("promote"), 1);
-    }
-    let sys = System::new_with_format_prec(mg, a, layout, m, s_opt, format, Precision::F64)?;
-    sys.load_rhs(mg, b)?;
-    sys.upload_x(mg, x_anchor)?;
-    Ok(sys)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn disarmed_monitor_records_nothing() {
-        BasisMonitor::reset_thread();
-        assert!(!BasisMonitor::armed());
-        BasisMonitor::record_cond(1e20);
-        BasisMonitor::record_growth(1e20);
-        assert!(BasisMonitor::take_trigger().is_none());
-        assert!(BasisMonitor::disarm().is_none());
+    fn armed() -> MonitorState {
+        MonitorState::new(&BasisMonitor::default())
     }
 
     #[test]
     fn armed_monitor_triggers_and_tracks_trajectory() {
-        BasisMonitor::arm(Some(&BasisMonitor::default()));
-        BasisMonitor::record_cond(1e4); // below warn: counted, not kept
-        BasisMonitor::record_cond(1e9); // warn: trajectory only
-        assert!(BasisMonitor::take_trigger().is_none());
-        BasisMonitor::record_cond(1e14); // fail: trigger
-        BasisMonitor::record_cond(1e15); // worse: trigger keeps the max
-        assert_eq!(BasisMonitor::take_trigger(), Some(1e15));
-        assert!(BasisMonitor::take_trigger().is_none(), "trigger is consumed");
-        let s = BasisMonitor::disarm().expect("armed");
-        assert_eq!(s.records, 4);
-        assert_eq!(s.trajectory, vec![1e9, 1e14, 1e15]);
+        let mut m = armed();
+        m.record_cond(1e4); // below warn: counted, not kept
+        m.record_cond(1e9); // warn: trajectory only
+        assert!(m.take_trigger().is_none());
+        m.record_cond(1e14); // fail: trigger
+        m.record_cond(1e15); // worse: trigger keeps the max
+        assert_eq!(m.take_trigger(), Some(1e15));
+        assert!(m.take_trigger().is_none(), "trigger is consumed");
+        assert_eq!(m.records, 4);
+        assert_eq!(m.trajectory, vec![1e9, 1e14, 1e15]);
     }
 
     #[test]
     fn growth_probe_triggers_in_cond_units() {
-        BasisMonitor::arm(Some(&BasisMonitor::default()));
-        BasisMonitor::record_growth(1e3); // benign growth
-        assert!(BasisMonitor::take_trigger().is_none());
-        BasisMonitor::record_growth(1e13); // past growth_fail
-        let t = BasisMonitor::take_trigger().expect("growth trigger");
+        let mut m = armed();
+        m.record_growth(1e3); // benign growth
+        assert!(m.take_trigger().is_none());
+        m.record_growth(1e13); // past growth_fail
+        let t = m.take_trigger().expect("growth trigger");
         assert_eq!(t, 1e26, "trigger carries the squared (κ²) estimate");
-        BasisMonitor::reset_thread();
     }
 
     #[test]
     fn r_diag_estimate_squares_the_ratio() {
-        BasisMonitor::arm(Some(&BasisMonitor::default()));
+        let mut m = armed();
         let mut r = Mat::zeros(3, 3);
         r[(0, 0)] = 1.0;
         r[(1, 1)] = 1e-3;
         r[(2, 2)] = 1e-7;
-        BasisMonitor::record_r_diag(&r); // ratio 1e7 -> est 1e14 >= fail
-        let t = BasisMonitor::take_trigger().expect("cond trigger");
+        m.record_r_diag(&r); // ratio 1e7 -> est 1e14 >= fail
+        let t = m.take_trigger().expect("cond trigger");
         assert!((t / 1e14 - 1.0).abs() < 1e-9, "estimate {t:e}");
-        BasisMonitor::reset_thread();
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   SVQR, CAQR) with the "2x" reorthogonalization wrapper (§V);
 //! * [`hess`] — Hessenberg reconstruction from the block coefficients;
 //! * [`cagmres`] — the CA-GMRES(s, m) driver (Fig. 2) with SpMV/MPK
-//!   auto-selection and Fig. 13 error instrumentation;
+//!   auto-selection and Fig. 13 error instrumentation, and [`ft`], the
+//!   fault-tolerant driver — both around one restart-cycle engine
+//!   (`cycle.rs`) that takes what differs between them as a guard;
 //! * [`layout`], [`system`], [`stats`] — distribution, device state, and
 //!   the Fig. 14 timing columns.
 //!
@@ -40,6 +42,7 @@
 
 pub mod cagmres;
 pub mod cpu;
+mod cycle;
 pub mod eigs;
 pub mod ft;
 pub mod gmres;
@@ -61,7 +64,7 @@ pub mod prelude {
     pub use crate::eigs::{arnoldi_eigs, ArnoldiConfig, EigsOutcome, RitzPair};
     pub use crate::ft::{
         ca_gmres_ft, ca_gmres_ft_session, ca_gmres_ft_with_tuner, FtConfig, FtOutcome, FtReport,
-        HealthProbe, PhaseObservation, PollPoint, ResidentSystem, RestartTuner, RetuneDecision,
+        HealthProbe, PollPoint, ResidentSystem, RestartTuner, RetuneDecision,
     };
     pub use crate::gmres::{gmres, GmresConfig, GmresOutcome};
     pub use crate::health::{BasisMonitor, EscalationEvent, EscalationRung, Ladder};
@@ -73,5 +76,6 @@ pub mod prelude {
     pub use crate::precond::{Applied as AppliedPrecond, Precond};
     pub use crate::stats::{BreakdownKind, SolveStats};
     pub use crate::system::System;
+    pub use ca_obs::PhaseRatios;
     pub use ca_scalar::Precision;
 }

@@ -21,22 +21,23 @@
 //! existing breakdown machinery to monitor exactly this: when the f32
 //! solve aborts with [`BreakdownKind::Orthogonalization`] (CholQR pivot,
 //! singular R, ABFT checksum mismatch), [`ca_gmres_mixed`] *escalates*
-//! through the numerical-health ladder's precision-promotion rung
-//! ([`crate::health::promote_system_f64`], shared with the
-//! fault-tolerant driver): rebuild the MPK state at f64 (charged),
+//! through the numerical-health ladder's precision-promotion rung (the
+//! fault-tolerant driver takes the same one mid-flight): rebuild the MPK
+//! state at f64 (charged),
 //! re-anchor at the last accepted iterate, and finish the solve in full
 //! precision. Escalation is the safety net, not the plan; the `ca-tune`
 //! planner's stability caps are tightened for f32 so that planned
 //! configurations rarely trip it.
 
 use crate::cagmres::{ca_gmres, CaGmresConfig, CaGmresOutcome};
-use crate::health::{promote_system_f64, EscalationEvent, EscalationRung};
+use crate::health::{EscalationEvent, EscalationRung};
 use crate::layout::Layout;
 use crate::mpk::SpmvFormat;
 use crate::stats::{BreakdownKind, SolveStats};
 use crate::system::System;
 use ca_gpusim::faults::Result as GpuResult;
 use ca_gpusim::MultiGpu;
+use ca_obs as obs;
 use ca_scalar::Precision;
 use ca_sparse::Csr;
 
@@ -137,7 +138,14 @@ pub fn ca_gmres_mixed(
         // trajectory exists to attach
         cond_est: f64::INFINITY,
     }];
-    let sys64 = promote_system_f64(mg, a, b, layout, cfg.m, s_opt, format, &x_ckpt, &why)?;
+    if obs::enabled() {
+        obs::instant_cause("ft.escalate", obs::Track::Host, mg.time(), &why);
+        obs::counter_add(obs::names::HEALTH_ESCALATIONS, 1);
+        obs::counter_add(&obs::names::health_escalations_rung("promote"), 1);
+    }
+    let sys64 = System::new_with_format_prec(mg, a, layout, cfg.m, s_opt, format, Precision::F64)?;
+    sys64.load_rhs(mg, b)?;
+    sys64.upload_x(mg, &x_ckpt)?;
     let mut cfg64 = *cfg;
     cfg64.mpk_prec = Precision::F64;
     cfg64.max_restarts = cfg.max_restarts.saturating_sub(out.stats.restarts).max(1);
@@ -165,12 +173,12 @@ pub fn ca_gmres_mixed(
 /// Fold the f32 leg and the post-escalation f64 leg into one record.
 /// Counts and phase times sum; `t_total` is the caller-measured span
 /// (it also covers the rebuild between the legs, which neither leg's
-/// own clock saw); convergence and the breakdown verdict come from the
-/// f64 leg; `final_relres` chains the two legs' relative reductions.
+/// own clock saw); convergence, the breakdown verdict and the device busy
+/// times come from the f64 leg; `final_relres` chains the two legs'
+/// relative reductions.
 fn merge_legs(f32_leg: &CaGmresOutcome, f64_leg: &CaGmresOutcome, t_total: f64) -> SolveStats {
     let (a, b) = (&f32_leg.stats, &f64_leg.stats);
     SolveStats {
-        converged: b.converged,
         restarts: a.restarts + b.restarts,
         total_iters: a.total_iters + b.total_iters,
         t_total,
@@ -183,9 +191,7 @@ fn merge_legs(f32_leg: &CaGmresOutcome, f64_leg: &CaGmresOutcome, t_total: f64) 
         prefetches: a.prefetches + b.prefetches,
         comm_msgs: a.comm_msgs + b.comm_msgs,
         comm_bytes: a.comm_bytes + b.comm_bytes,
-        breakdown: b.breakdown.clone(),
-        device_busy_s: b.device_busy_s.clone(),
-        device_imbalance: b.device_imbalance,
+        ..b.clone()
     }
 }
 

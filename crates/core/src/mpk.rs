@@ -558,9 +558,6 @@ pub fn mpk_with_prefetch(
     let t2 = mg.time();
     phases.steps = t2 - t1;
     obs::span("mpk.steps", HOST, t1, t2);
-    // in-cycle health poll at the block boundary (no-op unless an FT
-    // solve armed the probe; bit-invisible on a healthy machine)
-    crate::ft::HealthProbe::poll(mg, crate::ft::PollPoint::MpkBlock)?;
     Ok(phases)
 }
 

@@ -8,6 +8,7 @@
 //! thereafter generates `v_{k+1} = (A - theta_k I) v_k`. Complex shifts
 //! come in conjugate pairs and are fused into one real quadratic step.
 
+use crate::cagmres::BasisChoice;
 use ca_dense::hessenberg::{hessenberg_eigenvalues, Complex};
 use ca_dense::leja::{conjugate_pairs_adjacent, leja_order};
 use ca_dense::Mat;
@@ -124,6 +125,28 @@ impl BasisSpec {
             }
         }
         Self { steps }
+    }
+
+    /// Chebyshev basis on the real interval enclosing the Ritz values
+    /// `shifts` (which must not be empty).
+    pub(crate) fn chebyshev_enclosing(shifts: &[Complex], s: usize) -> Self {
+        let lo = shifts.iter().map(|&(re, _)| re).fold(f64::INFINITY, f64::min);
+        let hi = shifts.iter().map(|&(re, _)| re).fold(f64::NEG_INFINITY, f64::max);
+        let center = 0.5 * (lo + hi);
+        let delta = (0.5 * (hi - lo)).max(1e-8 * center.abs()).max(1e-300);
+        Self::chebyshev(center, delta, s)
+    }
+
+    /// The `s`-step schedule of `basis` over harvested Ritz values;
+    /// monomial when there is nothing to shift by.
+    pub(crate) fn from_shifts(shifts: Option<&[Complex]>, basis: BasisChoice, s: usize) -> Self {
+        match (shifts, basis) {
+            (Some(sh), BasisChoice::Newton) => Self::newton(sh, s),
+            (Some(sh), BasisChoice::Chebyshev) if !sh.is_empty() => {
+                Self::chebyshev_enclosing(sh, s)
+            }
+            _ => Self::monomial(s),
+        }
     }
 
     /// Truncated schedule for a short final block (`s' <= s` steps),

@@ -258,7 +258,7 @@ pub fn borth(
     if c0 == 0 {
         return Ok(Mat::zeros(0, c1));
     }
-    let c = match kind {
+    Ok(match kind {
         BorthKind::Mgs => {
             // one reduction per previous vector (still j reductions, §V-A)
             let mut c = Mat::zeros(c0, c1 - c0);
@@ -283,34 +283,17 @@ pub fn borth(
             mg.run(|d, dev| dev.gemm_nn_update(v[d], (0, c0), (c0, c1), &c, gemm));
             c
         }
-    };
-    // in-cycle health poll between the BOrth and TSQR stages (no-op
-    // unless an FT solve armed the probe; bit-invisible when healthy)
-    crate::ft::HealthProbe::poll(mg, crate::ft::PollPoint::Orth).map_err(OrthError::Gpu)?;
-    Ok(c)
+    })
 }
 
-/// [`borth`] with the projection reduction verified against an
-/// independently computed scalar checksum (CGS only — MGS's per-vector
-/// reductions are covered by the residual-replacement guard instead).
+/// Verify the BOrth projection reduction `c` against the independently
+/// computed `(expected, scale)` checksum that [`block_checksum`] read from
+/// `V_prev` and `W` before the update subtracted the projection in place.
 ///
 /// # Errors
-/// [`OrthError::ChecksumMismatch`] when the reduction disagrees with its
-/// checksum; otherwise as [`borth`].
-pub fn borth_checked(
-    mg: &mut MultiGpu,
-    v: &[MatId],
-    c0: usize,
-    c1: usize,
-    kind: BorthKind,
-) -> Result<Mat, OrthError> {
-    if c0 == 0 || kind != BorthKind::Cgs {
-        return borth(mg, v, c0, c1, kind);
-    }
-    // checksum of V_prev^T W must be read BEFORE the update subtracts the
-    // projection from W in place
-    let (expected, scale) = block_checksum(mg, v, (0, c0), (c0, c1))?;
-    let c = borth(mg, v, c0, c1, kind)?;
+/// [`OrthError::ChecksumMismatch`] when the reduction disagrees.
+pub(crate) fn check_borth(mg: &mut MultiGpu, c: &Mat, sum: (f64, f64)) -> Result<(), OrthError> {
+    let (expected, scale) = sum;
     let mut got = 0.0;
     for j in 0..c.ncols() {
         for i in 0..c.nrows() {
@@ -330,27 +313,23 @@ pub fn borth_checked(
         }
         return Err(OrthError::ChecksumMismatch { what: "borth", expected, got });
     }
-    Ok(c)
+    Ok(())
 }
 
-/// [`tsqr`] with the factorization verified against the Gram checksum
-/// `1^T (W^T W) 1 = ||R 1||^2` (any QR of W satisfies `W^T W = R^T R`).
-/// The checksum is computed from W before the in-place factorization.
+/// Verify TSQR's `r` against the Gram checksum `1^T (W^T W) 1 = ||R 1||^2`
+/// (any QR of W satisfies `W^T W = R^T R`), `(expected, scale)` being what
+/// [`block_checksum`] read from W before the in-place factorization.
 ///
 /// # Errors
-/// [`OrthError::ChecksumMismatch`] when `R` disagrees with the checksum;
-/// otherwise as [`tsqr`].
-pub fn tsqr_checked(
+/// [`OrthError::ChecksumMismatch`] when `R` disagrees with the checksum.
+pub(crate) fn check_gram(
     mg: &mut MultiGpu,
-    v: &[MatId],
-    c0: usize,
-    c1: usize,
+    r: &Mat,
     kind: TsqrKind,
-    svqr_scaled: bool,
-) -> Result<Mat, OrthError> {
-    let (expected, scale) = block_checksum(mg, v, (c0, c1), (c0, c1))?;
-    let r = tsqr(mg, v, c0, c1, kind, svqr_scaled)?;
-    let k = c1 - c0;
+    sum: (f64, f64),
+) -> Result<(), OrthError> {
+    let (expected, scale) = sum;
+    let k = r.ncols();
     let mut got = 0.0;
     for i in 0..k {
         let mut row = 0.0;
@@ -376,7 +355,7 @@ pub fn tsqr_checked(
         }
         return Err(OrthError::ChecksumMismatch { what: "gram", expected, got });
     }
-    Ok(r)
+    Ok(())
 }
 
 // ---------- TSQR ----------
@@ -422,7 +401,7 @@ pub fn tsqr_with_hook(
 ) -> Result<Mat, OrthError> {
     assert!(c0 < c1);
     let k = c1 - c0;
-    let r = match kind {
+    Ok(match kind {
         TsqrKind::Mgs => {
             let mut r = Mat::zeros(k, k);
             for col in c0..c1 {
@@ -433,7 +412,7 @@ pub fn tsqr_with_hook(
                     mg.run(|d, dev| dev.axpy_cols(v[d], -rho, prev, col));
                     r[(prev - c0, col - c0)] = rho;
                 }
-                normalize_col(mg, v, col, &mut r, c0)?;
+                r[(col - c0, col - c0)] = normalize_col(mg, v, col, c0)?;
             }
             r
         }
@@ -450,7 +429,7 @@ pub fn tsqr_with_hook(
                         r[(i, col - c0)] = rho;
                     }
                 }
-                normalize_col(mg, v, col, &mut r, c0)?;
+                r[(col - c0, col - c0)] = normalize_col(mg, v, col, c0)?;
             }
             r
         }
@@ -458,7 +437,7 @@ pub fn tsqr_with_hook(
             let mut r = Mat::zeros(k, k);
             for col in c0..c1 {
                 if col == c0 {
-                    normalize_col(mg, v, col, &mut r, c0)?;
+                    r[(col - c0, col - c0)] = normalize_col(mg, v, col, c0)?;
                     continue;
                 }
                 // single fused reduction: [V^T v ; v^T v]
@@ -537,28 +516,16 @@ pub fn tsqr_with_hook(
             maybe_nudge_gram(mg, &mut b);
             // SVD of the Gram matrix (optionally after diagonal scaling,
             // the [20] stabilization), then R := qr(Sigma^{1/2} U^T D).
-            let mut msvd = Mat::zeros(k, k);
-            if svqr_scaled {
-                let (dscale, svd) = jacobi::sym_svd_scaled(&b);
-                let smax = svd.sigma.first().copied().unwrap_or(0.0);
-                let floor = smax * f64::EPSILON * f64::EPSILON;
-                for i in 0..k {
-                    let s = svd.sigma[i].max(floor).sqrt();
-                    for j in 0..k {
-                        msvd[(i, j)] = s * svd.u[(j, i)] * dscale[j];
-                    }
-                }
+            let (dscale, svd) = if svqr_scaled {
+                jacobi::sym_svd_scaled(&b)
             } else {
-                let svd = jacobi::sym_svd(&b);
-                let smax = svd.sigma.first().copied().unwrap_or(0.0);
-                let floor = smax * f64::EPSILON * f64::EPSILON;
-                for i in 0..k {
-                    let s = svd.sigma[i].max(floor).sqrt();
-                    for j in 0..k {
-                        msvd[(i, j)] = s * svd.u[(j, i)];
-                    }
-                }
-            }
+                (vec![1.0; k], jacobi::sym_svd(&b)) // scaling by 1.0 is exact
+            };
+            let smax = svd.sigma.first().copied().unwrap_or(0.0);
+            let floor = smax * f64::EPSILON * f64::EPSILON;
+            let msvd = Mat::from_fn(k, k, |i, j| {
+                svd.sigma[i].max(floor).sqrt() * svd.u[(j, i)] * dscale[j]
+            });
             let r = qr::householder_qr(&msvd).r;
             mg.host_compute(14.0 * (k * k * k) as f64, (24 * k * k) as f64);
             mg.broadcast(8 * k * k)?;
@@ -618,12 +585,7 @@ pub fn tsqr_with_hook(
             }
             f.r
         }
-    };
-    // numerical-health hook: the R diagonal is already host-resident, so
-    // the condition estimate is a free O(k) scan — disarmed (every non-FT
-    // solve) this is a single thread-local read
-    crate::health::BasisMonitor::record_r_diag(&r);
-    Ok(r)
+    })
 }
 
 /// Numerical fault injection ([`ca_gpusim::faults::GramNudge`]): pull the
@@ -653,15 +615,9 @@ fn maybe_nudge_gram(mg: &MultiGpu, b: &mut Mat) {
     }
 }
 
-/// Reduce the norm of `col`, normalize it on every device, record the
-/// diagonal entry of `R`.
-fn normalize_col(
-    mg: &mut MultiGpu,
-    v: &[MatId],
-    col: usize,
-    r: &mut Mat,
-    c0: usize,
-) -> Result<(), OrthError> {
+/// Reduce the norm of `col` and normalize it on every device; returns the
+/// norm. `c0` is the block's first column (errors are block-relative).
+fn normalize_col(mg: &mut MultiGpu, v: &[MatId], col: usize, c0: usize) -> Result<f64, OrthError> {
     let parts = mg.run_map(|d, dev| dev.norm2_sq_col(v[d], col));
     let nsq = reduce_scalar(mg, &parts)?;
     let norm = nsq.max(0.0).sqrt();
@@ -670,8 +626,7 @@ fn normalize_col(
     }
     mg.broadcast(8)?;
     mg.run(|d, dev| dev.scal_col(v[d], col, 1.0 / norm));
-    r[(col - c0, col - c0)] = norm;
-    Ok(())
+    Ok(norm)
 }
 
 fn apply_trsm(
@@ -750,15 +705,7 @@ pub fn orth_column(
             h.extend_from_slice(&coeffs);
         }
     }
-    let parts = mg.run_map(|d, dev| dev.norm2_sq_col(v[d], col));
-    let nsq = reduce_scalar(mg, &parts)?;
-    let norm = nsq.max(0.0).sqrt();
-    if norm == 0.0 || !norm.is_finite() {
-        return Err(OrthError::ZeroNorm { column: col });
-    }
-    mg.broadcast(8)?;
-    mg.run(|d, dev| dev.scal_col(v[d], col, 1.0 / norm));
-    h.push(norm);
+    h.push(normalize_col(mg, v, col, 0)?);
     Ok(h)
 }
 

@@ -1,13 +1,12 @@
 //! Solver instrumentation matching the columns of the paper's Fig. 14:
 //! restart counts, per-phase simulated times, and communication traffic.
 
-use ca_gpusim::GpuSimError;
-use serde::Serialize;
+use ca_gpusim::{GpuSimError, MultiGpu};
 
 /// Why a solve stopped before reaching its tolerance — either a numerical
 /// breakdown in the orthogonalization or a (simulated) hardware fault that
 /// surfaced through [`GpuSimError`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BreakdownKind {
     /// Orthogonalization failure (CholQR pivot, zero norm, singular R,
     /// ABFT checksum mismatch) at the block starting at `column`.
@@ -64,7 +63,7 @@ impl From<GpuSimError> for BreakdownKind {
 }
 
 /// Timing/convergence record for one solve.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SolveStats {
     /// Whether the residual reduction target was met.
     pub converged: bool,
@@ -126,6 +125,17 @@ impl SolveStats {
             max / min
         };
         self.device_busy_s = busy;
+    }
+
+    /// Close the books on a solve that began at `t_begin`: flatten the
+    /// clocks, then record end-to-end time, traffic and device busy times.
+    pub(crate) fn close(&mut self, mg: &mut MultiGpu, t_begin: f64) {
+        mg.sync();
+        self.t_total = mg.time() - t_begin;
+        let c = mg.counters();
+        self.comm_msgs = c.total_msgs();
+        self.comm_bytes = c.total_bytes();
+        self.record_device_times((0..mg.n_gpus()).map(|d| mg.device(d).busy_time()).collect());
     }
 
     /// Average orthogonalization time per restart cycle, ms

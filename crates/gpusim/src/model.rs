@@ -79,7 +79,7 @@ impl Default for KernelConfig {
 /// [`PerfModel::param`] / [`PerfModel::set_param`] /
 /// [`PerfModel::apply_overrides`] to introspect or replace individual
 /// constants without depending on the struct layout.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfModel {
     /// Kernel-launch latency per launch.
     pub launch_s: f64,
@@ -481,7 +481,7 @@ impl PerfModel {
 /// adjacent knots and **clamps** outside the fitted range — an out-of-range
 /// shape returns the nearest endpoint's rate rather than extrapolating
 /// (which could go negative and turn a predicted time into nonsense).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EffCurve {
     knots: Vec<(f64, f64)>,
 }

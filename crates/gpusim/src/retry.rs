@@ -11,8 +11,6 @@
 //! zero backoff. A zero-base backoff adds no simulated time at all, so
 //! pre-policy runs replay bit for bit.
 
-use serde::Serialize;
-
 /// Bounded retry with capped exponential simulated-time backoff.
 ///
 /// `max_attempts` counts *every* try including the first; `retries()` is
@@ -21,7 +19,7 @@ use serde::Serialize;
 /// `backoff_base_s == 0.0` (the default) no simulated time is added and
 /// the policy is bit-invisible — the same gating discipline the fault
 /// plan's multipliers use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts allowed (first try + retries). Must be ≥ 1.
     pub max_attempts: u32,

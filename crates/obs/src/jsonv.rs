@@ -1,11 +1,11 @@
 //! A minimal JSON value type with a recursive-descent parser and
 //! deterministic renderers.
 //!
-//! The workspace's offline `serde_json` is a stub, so every crate that
-//! reads or writes JSON artifacts does it by hand. This module is the
-//! shared implementation: `ca-obs` itself round-trips metrics snapshots
-//! through it, and `ca-bench` uses it both to render result payloads and
-//! to parse committed envelopes in the bench-trend gate.
+//! The workspace has no serde, so every crate that reads or writes JSON
+//! artifacts does it through this module: `ca-obs` itself round-trips
+//! metrics snapshots through it, `ca-bench` uses it both to render result
+//! payloads and to parse committed envelopes in the bench-trend gate, and
+//! `ca-tune` parses machine profiles with it.
 //!
 //! Determinism rules match the rest of the stack: object keys are kept
 //! in insertion order (callers sort when they need canonical output),

@@ -42,7 +42,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 pub use jsonv::Jv;
-pub use metrics::{HistogramData, MetricValue, MetricsSnapshot, MetricsView};
+pub use metrics::{
+    fnv1a, fnv1a_words, Fnv1a, HistogramData, MetricValue, MetricsSnapshot, MetricsView,
+};
 pub use report::PhaseRatios;
 
 /// Timeline a span or instant is attributed to.

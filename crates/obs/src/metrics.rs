@@ -3,8 +3,8 @@
 //! Three metric kinds: monotone `u64` counters, last-write-wins `f64`
 //! gauges, and log-bucketed quantile histograms (count/sum/min/max plus a
 //! sparse bucket vector, so p50/p99 are answerable after the fact). The
-//! snapshot serializes to hand-rolled JSON (the workspace `serde_json` is
-//! an offline stub) with `BTreeMap`-sorted keys and Rust's
+//! snapshot serializes to hand-rolled JSON with `BTreeMap`-sorted keys
+//! and Rust's
 //! shortest-roundtrip float formatting, so the same run always produces
 //! byte-identical output; an FNV-1a hash of those bytes ties bench
 //! artifacts to the exact run.
@@ -447,14 +447,52 @@ impl<'a> MetricsView<'a> {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit over a byte stream fed in pieces — the digest primitive
+/// of every replay-identity token in the workspace.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(FNV_OFFSET)
+    }
+}
+
+impl Fnv1a {
+    /// Absorb `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Absorb the little-endian bytes of `w`.
+    pub fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    /// The hash of everything absorbed so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// FNV-1a 64-bit hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.bytes(bytes);
+    h.finish()
+}
+
+/// The word-wise x-hash of the study DIGEST lines: FNV-1a's fold with one
+/// whole 64-bit word (an `f64::to_bits`) absorbed per step instead of one
+/// byte. Not the byte-wise [`fnv1a`] — the two give different digests.
+pub fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(FNV_OFFSET, |h, w| (h ^ w).wrapping_mul(FNV_PRIME))
 }
 
 /// JSON-escape and quote a string.

@@ -22,7 +22,7 @@ use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Runtime precision tag: the widths the kernel stack is instantiated at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Precision {
     /// IEEE-754 binary64 (the baseline; bit-identical to the pre-generic
     /// stack).

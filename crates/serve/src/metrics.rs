@@ -2,6 +2,7 @@
 //! numbers, per-tenant SLO rows, and the determinism digest.
 
 use crate::slo::TenantSlo;
+use ca_obs::Fnv1a;
 
 /// Terminal state of one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,18 +109,12 @@ pub struct ServiceReport {
     pub tenants: Vec<TenantSlo>,
 }
 
-fn fnv(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// FNV-1a over a solution vector's bits.
 #[must_use]
 pub fn hash_solution(x: &[f64]) -> u64 {
-    x.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| fnv(h, v.to_bits()))
+    let mut h = Fnv1a::default();
+    x.iter().for_each(|v| h.word(v.to_bits()));
+    h.finish()
 }
 
 /// Nearest-rank percentile of an (unsorted) sample; 0.0 when empty.
@@ -141,15 +136,15 @@ impl ServiceReport {
     /// match; CI diffs it across `RAYON_NUM_THREADS`.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::default();
         for j in &self.jobs {
-            h = fnv(h, j.id);
-            h = fnv(h, j.x_hash);
-            h = fnv(h, j.done_s.to_bits());
-            h = fnv(h, j.start_s.to_bits());
-            h = fnv(h, j.slice as u64);
-            h = fnv(h, u64::from(j.warm) | u64::from(j.batched) << 1);
-            h = fnv(h, j.iters as u64);
+            h.word(j.id);
+            h.word(j.x_hash);
+            h.word(j.done_s.to_bits());
+            h.word(j.start_s.to_bits());
+            h.word(j.slice as u64);
+            h.word(u64::from(j.warm) | u64::from(j.batched) << 1);
+            h.word(j.iters as u64);
         }
         for c in [
             self.evictions,
@@ -164,20 +159,19 @@ impl ServiceReport {
             self.executor_reinits,
             self.solver_rebuilds,
         ] {
-            h = fnv(h, c);
+            h.word(c);
         }
         for t in &self.tenants {
-            for b in t.tenant.bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
+            h.bytes(t.tenant.as_bytes());
             for c in [t.jobs, t.deadline_hits, t.deadline_misses, t.slo_burns] {
-                h = fnv(h, c);
+                h.word(c);
             }
             for v in [t.hit_rate, t.p50_tts_s, t.p99_tts_s, t.p50_queue_delay_s] {
-                h = fnv(h, v.to_bits());
+                h.word(v.to_bits());
             }
         }
-        fnv(h, self.makespan_s.to_bits())
+        h.word(self.makespan_s.to_bits());
+        h.finish()
     }
 }
 

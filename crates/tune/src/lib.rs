@@ -59,15 +59,7 @@ pub use retune::Retuner;
 /// FNV-1a over a byte string — the digest primitive the bench harness
 /// uses; profiles hash their canonical JSON with it so a profile hash in
 /// run metadata pins exactly which calibration produced a result.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+pub use ca_obs::fnv1a as fnv1a64;
 
 #[cfg(test)]
 mod tests {

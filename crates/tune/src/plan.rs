@@ -277,76 +277,26 @@ pub struct CrossCheck {
 /// `tsqr`, `small`). Produced by [`Planner::predict_phases`]; the
 /// [`crate::retune::Retuner`] compares these shares against the live
 /// phase-time deltas the fault-tolerant driver feeds it
-/// ([`ca_gmres::ft::PhaseObservation`]) to catch drift — e.g. a degraded
-/// PCIe link — that the kernel-only busy-time EWMA cannot see.
-///
-/// `spmv_s + borth_s + tsqr_s + small_s <= cycle_s`: seed/bookkeeping
-/// charges stay unattributed, exactly as the solver's span attribution
-/// leaves gaps inside its `cycle` span, so predicted and observed shares
-/// are computed against the same kind of denominator.
+/// ([`ca_gmres::ft::RestartTuner::observe_phases`]) to catch drift — e.g. a
+/// degraded PCIe link — that the kernel-only busy-time EWMA cannot see.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhasePrediction {
-    /// End-to-end predicted cycle span, seconds.
-    pub cycle_s: f64,
-    /// Basis generation (MPK or shifted-SpMV blocks) plus the final
-    /// explicit residual — the solver's `spmv` spans.
-    pub spmv_s: f64,
-    /// Block orthogonalization projection passes (`borth` spans).
-    pub borth_s: f64,
-    /// Panel factorization (`tsqr` spans).
-    pub tsqr_s: f64,
-    /// Host dense math: Hessenberg reconstruction, least squares,
-    /// solution update (`small` spans).
-    pub small_s: f64,
+    /// The predicted cycle in the shape observations arrive in
+    /// (`cycles == 1`): `cycle_s` is the end-to-end cycle span; `spmv_s`
+    /// basis generation (MPK or shifted-SpMV blocks) plus the final
+    /// explicit residual; `borth_s` the block-orthogonalization projection
+    /// passes; `tsqr_s` the panel factorizations; `small_s` the host dense
+    /// math (Hessenberg reconstruction, least squares, solution update).
+    ///
+    /// `spmv_s + borth_s + tsqr_s + small_s <= cycle_s`: seed/bookkeeping
+    /// charges stay unattributed, exactly as the solver's span attribution
+    /// leaves gaps inside its `cycle` span, so predicted and observed
+    /// shares are computed against the same kind of denominator.
+    pub phases: PhaseRatios,
     /// Total PCIe link occupancy charged across all transfers (the sum
     /// of per-copy link seconds, not wall time) — the denominator for
     /// inferring a link slowdown from excess cycle time.
     pub comm_s: f64,
-}
-
-impl PhasePrediction {
-    fn share(&self, part: f64) -> f64 {
-        if self.cycle_s > 0.0 {
-            part / self.cycle_s
-        } else {
-            0.0
-        }
-    }
-
-    /// SpMV/MPK fraction of the cycle.
-    #[must_use]
-    pub fn spmv_share(&self) -> f64 {
-        self.share(self.spmv_s)
-    }
-
-    /// BOrth fraction of the cycle.
-    #[must_use]
-    pub fn borth_share(&self) -> f64 {
-        self.share(self.borth_s)
-    }
-
-    /// TSQR fraction of the cycle.
-    #[must_use]
-    pub fn tsqr_share(&self) -> f64 {
-        self.share(self.tsqr_s)
-    }
-
-    /// Host dense-math fraction of the cycle.
-    #[must_use]
-    pub fn small_share(&self) -> f64 {
-        self.share(self.small_s)
-    }
-
-    /// Largest absolute share disagreement against observed phase shares
-    /// (each in `[0, 1]`, same order: spmv, borth, tsqr, small).
-    #[must_use]
-    pub fn max_share_deviation(&self, spmv: f64, borth: f64, tsqr: f64, small: f64) -> f64 {
-        (self.spmv_share() - spmv)
-            .abs()
-            .max((self.borth_share() - borth).abs())
-            .max((self.tsqr_share() - tsqr).abs())
-            .max((self.small_share() - small).abs())
-    }
 }
 
 /// Cost-model planner for one matrix and restart length.
@@ -493,7 +443,7 @@ impl<'a> Planner<'a> {
                                             let t = self.predict_on(&s1, mpkc, &cand, &slow);
                                             ranked.push(RankedCandidate {
                                                 cand,
-                                                predicted_cycle_s: t.cycle_s,
+                                                predicted_cycle_s: t.phases.cycle_s,
                                             });
                                         }
                                     }
@@ -534,7 +484,7 @@ impl<'a> Planner<'a> {
         slow: &[f64],
     ) -> f64 {
         assert_eq!(slow.len(), layout.ndev());
-        self.predict_phases_for_layout(a, layout, cand, slow).cycle_s
+        self.predict_phases_for_layout(a, layout, cand, slow).phases.cycle_s
     }
 
     /// Per-phase split of [`Planner::predict_cycle`]: the same walk, with
@@ -711,7 +661,7 @@ impl<'a> Planner<'a> {
         let mut w = Walk::new(&self.model, s1.len(), slow);
         let m = self.m;
         let s = cand.s;
-        let mut ph = PhasePrediction::default();
+        let mut ph = PhaseRatios { cycles: 1, ..PhaseRatios::default() };
         let mut mark = 0.0_f64;
 
         // seed_basis: broadcast beta, copy + scale the residual column —
@@ -765,8 +715,7 @@ impl<'a> Planner<'a> {
         w.sync();
         attr(&w, &mut mark); // residual-norm bookkeeping: unattributed
         ph.cycle_s = w.span();
-        ph.comm_s = w.comm;
-        ph
+        PhasePrediction { phases: ph, comm_s: w.comm }
     }
 
     /// BLAS-1 streaming charge at a precision (the executor's
@@ -861,7 +810,7 @@ impl<'a> Planner<'a> {
     fn walk_orth_block(
         &self,
         w: &mut Walk<'_>,
-        ph: &mut PhasePrediction,
+        ph: &mut PhaseRatios,
         mark: &mut f64,
         s1: &[DevShapes],
         c0: usize,
@@ -1439,7 +1388,9 @@ mod tests {
             reorth: false,
             prec: Precision::F64,
         };
-        let ph = p.predict_phases(&cand);
+        let pred = p.predict_phases(&cand);
+        let ph = pred.phases;
+        assert_eq!(ph.cycles, 1);
         // the scalar prediction is the phase prediction's span, exactly
         assert_eq!(ph.cycle_s.to_bits(), p.predict_cycle(&cand).to_bits());
         // phases are non-negative and sum to at most the cycle (seed and
@@ -1451,11 +1402,11 @@ mod tests {
         assert!(parts <= ph.cycle_s * (1.0 + 1e-12), "{parts} > {}", ph.cycle_s);
         assert!(parts >= 0.9 * ph.cycle_s, "phases cover most of the cycle");
         // a 3-device plan moves real bytes
-        assert!(ph.comm_s > 0.0);
+        assert!(pred.comm_s > 0.0);
         // shares are a probability-like split
         let shares = [ph.spmv_share(), ph.borth_share(), ph.tsqr_share(), ph.small_share()];
         assert!(shares.iter().all(|&s| (0.0..=1.0).contains(&s)));
-        assert_eq!(ph.max_share_deviation(shares[0], shares[1], shares[2], shares[3]), 0.0);
+        assert_eq!(ph.max_share_deviation(&ph), 0.0);
     }
 
     #[test]
@@ -1482,15 +1433,10 @@ mod tests {
         assert!(slow_model.set_param("pcie_latency_s", lat * 8.0));
         let p = Planner::new(&a, 20, slow_model, KernelConfig::default());
         let degraded = p.predict_phases(&cand);
-        assert!(degraded.cycle_s > clean.cycle_s);
+        assert!(degraded.phases.cycle_s > clean.phases.cycle_s);
         assert!(degraded.comm_s > clean.comm_s);
         // the phase mix visibly drifts — the signal the retuner keys on
-        let dev = degraded.max_share_deviation(
-            clean.spmv_share(),
-            clean.borth_share(),
-            clean.tsqr_share(),
-            clean.small_share(),
-        );
+        let dev = degraded.phases.max_share_deviation(&clean.phases);
         assert!(dev > 0.01, "share deviation {dev} too small to detect");
     }
 }

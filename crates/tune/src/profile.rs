@@ -7,13 +7,14 @@
 //! bit for bit, and so the FNV-1a hash of the document identifies the
 //! calibration in bench-run metadata.
 //!
-//! The JSON reader/writer here is deliberately hand-rolled: floating
-//! point values are written with Rust's shortest round-trip formatting
-//! (`{:?}`) and read back with `str::parse::<f64>`, which restores the
-//! exact bit pattern for every finite value.
+//! Floating point values are written with Rust's shortest round-trip
+//! formatting (`{:?}`) and read back — by the workspace's one JSON reader,
+//! [`ca_obs::Jv`] — with `str::parse::<f64>`, which restores the exact bit
+//! pattern for every finite value.
 
 use crate::fnv1a64;
 use ca_gpusim::{EffCurve, PerfModel};
+use ca_obs::Jv;
 
 /// Identifies the document type in the JSON header.
 pub const PROFILE_SCHEMA: &str = "ca-tune/machine-profile";
@@ -137,7 +138,7 @@ impl MachineProfile {
     /// A human-readable message when the document is malformed, has the
     /// wrong schema tag, or a version this build does not understand.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text)?;
+        let v = Jv::parse(text)?;
         let obj = v.as_obj().ok_or("profile: top level is not an object")?;
         let schema = get(obj, "schema")?.as_str().ok_or("profile: schema is not a string")?;
         if schema != PROFILE_SCHEMA {
@@ -211,7 +212,7 @@ impl MachineProfile {
     }
 }
 
-fn get<'a>(obj: &'a [(String, json::Jv)], key: &str) -> Result<&'a json::Jv, String> {
+fn get<'a>(obj: &'a [(String, Jv)], key: &str) -> Result<&'a Jv, String> {
     obj.iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
@@ -234,209 +235,6 @@ fn quote(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Minimal recursive-descent JSON reader. The offline serde_json stand-in
-/// this workspace builds against has no deserializer, and profiles must
-/// round-trip bit-exactly anyway, so the few dozen lines here are the
-/// whole dependency.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Jv {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Jv>),
-        Obj(Vec<(String, Jv)>),
-    }
-
-    impl Jv {
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Jv::Num(v) => Some(*v),
-                _ => None,
-            }
-        }
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Jv::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_arr(&self) -> Option<&[Jv]> {
-            match self {
-                Jv::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_obj(&self) -> Option<&[(String, Jv)]> {
-            match self {
-                Jv::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Jv, String> {
-        let b = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("json: trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == ch {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("json: expected {:?} at byte {}", ch as char, pos))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Jv, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("json: unexpected end of input".into()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Jv::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Jv::Obj(fields));
-                        }
-                        _ => return Err(format!("json: expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Jv::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Jv::Arr(items));
-                        }
-                        _ => return Err(format!("json: expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Jv::Str(string(b, pos)?)),
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Jv::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Jv::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Jv::Null)
-            }
-            Some(_) => {
-                let start = *pos;
-                while *pos < b.len()
-                    && matches!(b[*pos], b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E')
-                {
-                    *pos += 1;
-                }
-                let tok = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-                tok.parse::<f64>()
-                    .map(Jv::Num)
-                    .map_err(|e| format!("json: bad number {tok:?}: {e}"))
-            }
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("json: expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("json: unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("json: truncated \\u escape")
-                                .and_then(|h| {
-                                    std::str::from_utf8(h).map_err(|_| "json: bad \\u escape")
-                                })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "json: bad \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "json: bad \\u codepoint".to_string())?,
-                            );
-                            *pos += 4;
-                        }
-                        other => return Err(format!("json: bad escape {other:?}")),
-                    }
-                    *pos += 1;
-                }
-                Some(&c) => {
-                    // copy a full UTF-8 sequence
-                    let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("json: unterminated string")?;
-                    out.push(ch);
-                    *pos += ch.len_utf8();
-                    let _ = c;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub struct Retuner<'a> {
     pub drift_threshold: f64,
     /// Most recent phase observation from the driver
     /// ([`RestartTuner::observe_phases`]); consumed by a drift re-plan.
-    last_phases: Option<PhaseObservation>,
+    last_phases: Option<PhaseRatios>,
 }
 
 impl<'a> Retuner<'a> {
@@ -147,12 +147,7 @@ impl<'a> Retuner<'a> {
         let ones = vec![1.0; layout.ndev()];
         let cand = Candidate { s: s_cur, ndev: layout.ndev(), ..self.base };
         let deviation = |p: &Planner<'_>| {
-            p.predict_phases_for_layout(a, layout, &cand, &ones).max_share_deviation(
-                obs.spmv_share(),
-                obs.borth_share(),
-                obs.tsqr_share(),
-                obs.small_share(),
-            )
+            p.predict_phases_for_layout(a, layout, &cand, &ones).phases.max_share_deviation(&obs)
         };
         let mut best_lambda = LINK_LAMBDAS[0];
         let mut best_dev = deviation(&self.planner);
@@ -313,7 +308,7 @@ impl RestartTuner for Retuner<'_> {
     /// Observations covering no finished cycle (a boundary re-entered
     /// after fault recovery) are discarded rather than stored, so a
     /// stale window never fuels a re-plan.
-    fn observe_phases(&mut self, obs: &PhaseObservation) {
+    fn observe_phases(&mut self, obs: &PhaseRatios) {
         if obs.cycles > 0 && obs.cycle_s > 0.0 {
             self.last_phases = Some(*obs);
         }
@@ -438,14 +433,7 @@ mod tests {
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
         let ph = r.planner_mut().predict_phases(&cand);
-        r.observe_phases(&PhaseObservation {
-            cycles: 1,
-            cycle_s: ph.cycle_s,
-            spmv_s: ph.spmv_s,
-            borth_s: ph.borth_s,
-            tsqr_s: ph.tsqr_s,
-            small_s: ph.small_s,
-        });
+        r.observe_phases(&ph.phases);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         assert!(r.replan(&h, 5, &layout).is_none());
     }
@@ -462,14 +450,7 @@ mod tests {
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
         let degraded = r.link_scaled_planner(8.0).predict_phases(&cand);
-        r.observe_phases(&PhaseObservation {
-            cycles: 1,
-            cycle_s: degraded.cycle_s,
-            spmv_s: degraded.spmv_s,
-            borth_s: degraded.borth_s,
-            tsqr_s: degraded.tsqr_s,
-            small_s: degraded.small_s,
-        });
+        r.observe_phases(&degraded.phases);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         let d = r.replan(&h, 5, &layout).expect("link drift must trigger a re-plan");
         assert!(d.s > 5, "slow link favors fewer, larger exchanges; got s={}", d.s);
@@ -489,14 +470,7 @@ mod tests {
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
         let degraded = r.link_scaled_planner(8.0).predict_phases(&cand);
-        r.observe_phases(&PhaseObservation {
-            cycles: 1,
-            cycle_s: degraded.cycle_s,
-            spmv_s: degraded.spmv_s,
-            borth_s: degraded.borth_s,
-            tsqr_s: degraded.tsqr_s,
-            small_s: degraded.small_s,
-        });
+        r.observe_phases(&degraded.phases);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         assert!(r.replan(&h, 5, &layout).is_none());
     }

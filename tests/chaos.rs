@@ -70,14 +70,7 @@ fn check_cell(
         mg.set_fault_plan(plan);
         ca_gmres_ft(mg, a, b, cfg)
     }));
-    let out = match res {
-        Ok(out) => out,
-        Err(_) => {
-            HealthProbe::reset_thread();
-            BasisMonitor::reset_thread();
-            panic!("{cell}: driver panicked");
-        }
-    };
+    let out = res.unwrap_or_else(|_| panic!("{cell}: driver panicked"));
     assert!(
         out.stats.t_total.is_finite()
             && out.stats.t_total >= 0.0
@@ -278,4 +271,54 @@ fn schedules_are_deterministic_and_zero_rate_honest() {
         }
     }
     assert!(saw_zero, "no zero-rate schedule in 300 draws");
+}
+
+/// A guarded solve that panics mid-flight leaves nothing behind on its
+/// thread: probe and monitor state are fields of the solve and unwind with
+/// it. The canary is a *plain* solve on a machine with a hung device —
+/// nothing may watch its clocks, so it has to grind through the stalls
+/// exactly as it does on a thread that never ran a guarded solve.
+#[test]
+fn panicked_guarded_solve_leaves_nothing_behind_on_its_thread() {
+    struct Bomb;
+    impl RestartTuner for Bomb {
+        fn replan(
+            &mut self,
+            _health: &ca_gmres_repro::gpusim::HealthReport,
+            _s_cur: usize,
+            _layout: &Layout,
+        ) -> Option<RetuneDecision> {
+            panic!("tuner bug at the first restart boundary");
+        }
+    }
+    let (a, b) = problem();
+    let mut cfg = ft_cfg();
+    cfg.solver.autotune = true;
+    cfg.ladder = Some(Ladder::default());
+    let guarded = catch_unwind(AssertUnwindSafe(|| {
+        ca_gmres_ft_with_tuner(MultiGpu::with_defaults(NDEV), &a, &b, &cfg, Some(&mut Bomb))
+    }));
+    assert!(guarded.is_err(), "the probe- and ladder-armed solve must have panicked");
+
+    let plain = move || {
+        let (a, b) = problem();
+        let mut mg = MultiGpu::with_defaults(NDEV);
+        mg.set_fault_plan(single_fault_plan("hang", 0, 101));
+        let cfg = ft_cfg().solver;
+        let sys = System::new(&mut mg, &a, Layout::even(a.nrows(), NDEV), cfg.m, Some(cfg.s));
+        let sys = sys.unwrap();
+        sys.load_rhs(&mut mg, &b).unwrap();
+        let out = ca_gmres(&mut mg, &sys, &cfg);
+        let x: Vec<u64> = sys.download_x(&mut mg).unwrap().iter().map(|v| v.to_bits()).collect();
+        (
+            x,
+            out.stats.t_total.to_bits(),
+            out.stats.total_iters,
+            format!("{:?}", out.stats.breakdown),
+        )
+    };
+    let here = plain();
+    let elsewhere = std::thread::spawn(plain).join().expect("plain solve panicked");
+    assert_eq!(here.3, "None", "an unguarded solve has no watchdog to lose a device to");
+    assert_eq!(here, elsewhere);
 }

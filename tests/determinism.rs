@@ -254,19 +254,11 @@ fn instrumented_run_is_bit_identical_to_uninstrumented() {
 /// which the ISSUE forbids.
 #[test]
 fn f64_generic_stack_matches_pre_refactor_golden_digests() {
-    // byte-wise FNV-1a over the little-endian solution bits
-    fn fnv(words: &[u64]) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for w in words {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
-    }
     let (xbits, t_bits, msgs, bytes, iters) = solve_with_plan(None);
-    let x_hash = fnv(&xbits);
+    // byte-wise FNV-1a over the little-endian solution bits
+    let mut h = ca_gmres_repro::obs::Fnv1a::default();
+    xbits.iter().for_each(|&w| h.word(w));
+    let x_hash = h.finish();
     assert_eq!(x_hash, 0xf9b6833b480543f7, "solution bits drifted from the pre-refactor stack");
     assert_eq!(t_bits, 0x3f78c385be1dade6, "simulated clock drifted from the pre-refactor stack");
     assert_eq!(msgs, 600, "message count drifted from the pre-refactor stack");

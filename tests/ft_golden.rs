@@ -13,9 +13,7 @@ use ca_gmres_repro::gmres::prelude::*;
 use ca_gmres_repro::gpusim::{FaultPlan, HealthReport, MultiGpu, Schedule, SdcTargets};
 use ca_gmres_repro::sparse::{gen, spmv, Csr};
 
-fn word_hash(words: impl Iterator<Item = u64>) -> u64 {
-    words.fold(0xcbf29ce484222325u64, |h, w| (h ^ w).wrapping_mul(0x100000001b3))
-}
+use ca_gmres_repro::obs::fnv1a_words as word_hash;
 
 fn bits_hash(xs: &[f64]) -> u64 {
     word_hash(xs.iter().map(|v| v.to_bits()))
@@ -151,10 +149,12 @@ fn check(name: &str, got: &str, want: &str) {
 
 // (a) clean defaults, both schedules, all three generators
 
+const CLEAN_BARRIER_LAPLACE: &str = "x=b3e157597d782230 t=3f7174f61eedae5c orth=3f5e46363dbe88de tsqr=3f2518381a0ff390 recl=0000000000000000 relres=3eab34e2b2d12124 msgs=382 bytes=33872 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0";
+
 #[test]
 fn clean_barrier_laplace() {
     let out = solve(2, None, &laplace(), &cfg(5, 20, 1e-6));
-    check("clean_barrier_laplace", &digest(&out), "x=b3e157597d782230 t=3f7174f61eedae5c orth=3f5e46363dbe88de tsqr=3f2518381a0ff390 recl=0000000000000000 relres=3eab34e2b2d12124 msgs=382 bytes=33872 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("clean_barrier_laplace", &digest(&out), CLEAN_BARRIER_LAPLACE);
 }
 
 #[test]
@@ -328,7 +328,7 @@ fn straggler_boundary_rebalance_cantilever() {
 #[derive(Default)]
 struct OneShotTuner {
     fired: bool,
-    phases: Vec<PhaseObservation>,
+    phases: Vec<PhaseRatios>,
     escalations_seen: usize,
 }
 
@@ -354,7 +354,7 @@ impl RestartTuner for OneShotTuner {
         self.escalations_seen += events.len();
     }
 
-    fn observe_phases(&mut self, obs: &PhaseObservation) {
+    fn observe_phases(&mut self, obs: &PhaseRatios) {
         self.phases.push(*obs);
     }
 }
@@ -385,6 +385,30 @@ fn straggler_retune_through_tuner_convdiff() {
         &phases_digest(&tuner),
         "fired=true seen=2 phases=3:6de60f4f053dcb33",
     );
+}
+
+/// FT phase attribution falls out of the single loop: every restart
+/// cycle's SpMV/MPK and host-math seconds are measured (they were 0 for
+/// CA cycles while the FT driver had its own copy of the block loop), and
+/// an armed-but-idle tuner watching them leaves the solve untouched.
+#[test]
+fn healthy_solve_attributes_its_phases_and_matches_the_clean_golden() {
+    let (a, b) = laplace();
+    let mut c = cfg(5, 20, 1e-6);
+    c.solver.autotune = true;
+    let mut tuner = OneShotTuner { fired: true, ..Default::default() }; // never re-plans
+    let out = ca_gmres_ft_with_tuner(MultiGpu::with_defaults(2), &a, &b, &c, Some(&mut tuner));
+    check("clean_barrier_laplace (tuner armed)", &digest(&out), CLEAN_BARRIER_LAPLACE);
+    assert!(out.stats.phases_consistent(), "{:?}", out.stats);
+    assert!(out.stats.t_spmv > 0.25 * out.stats.t_total, "CA cycles' MPK time is attributed");
+    assert!(out.stats.t_small > 0.0);
+    assert_eq!(tuner.phases.len(), out.stats.restarts, "one observation per restart boundary");
+    // the first observation is the standard shift-harvest cycle
+    for p in &tuner.phases[1..] {
+        assert!(p.spmv_s > 0.0 && p.borth_s > 0.0 && p.tsqr_s > 0.0, "{p:?}");
+        let shares = p.spmv_share() + p.borth_share() + p.tsqr_share() + p.small_share();
+        assert!(shares > 0.8 && shares <= 1.0 + 1e-12, "phase shares sum to {shares}: {p:?}");
+    }
 }
 
 // (f) numerical schedules: each ladder rung in isolation, then composed
