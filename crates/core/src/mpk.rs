@@ -16,7 +16,7 @@
 use crate::layout::Layout;
 use crate::newton::BasisSpec;
 use ca_gpusim::faults::Result;
-use ca_gpusim::{device::SpStorage, MatId, MultiGpu, SpId, VecId};
+use ca_gpusim::{device::SpStorage, Device, MatId, MultiGpu, SpId, VecId};
 use ca_obs as obs;
 use ca_scalar::Precision;
 use ca_sparse::{Csr, Ell, Hyb};
@@ -527,38 +527,50 @@ pub fn mpk_with_prefetch(
     let t1 = mg.time();
     obs::span("mpk.exchange", HOST, t0, t1);
 
-    // Matrix-powers steps (Fig. 4, main loop), double-buffering z.
-    for k in 1..=s_run {
-        let step = spec.steps[k - 1];
-        let cur = (k - 1) % 2;
-        mg.run(|d, dev| {
-            let (z0, z1) = st.z[d];
-            let (zc, zn) = if cur == 0 { (z0, z1) } else { (z1, z0) };
-            // local block
-            dev.spmv_shift_scatter(st.local_slice[d], zc, zn, step.re, step.im2, step.scale);
-            // boundary levels still needed by later steps: t = 1..=s_plan-k,
-            // but only levels with loaded slices (1..s_plan-1) and only the
-            // ones whose rows feed the remaining s_run-k steps.
-            let t_max = s_run - k;
-            for t in 1..=t_max {
-                dev.spmv_shift_scatter(
-                    st.level_slices[d][t - 1],
-                    zc,
-                    zn,
-                    step.re,
-                    step.im2,
-                    step.scale,
-                );
-            }
-            // copy the local part into the basis (Fig. 4, last line)
-            dev.gather_vec_to_col(zn, st.plan.devs[d].local.clone(), v[d], start_col + k);
-        });
-    }
+    mpk_steps(mg, st, v, start_col, spec);
     mg.sync();
     let t2 = mg.time();
     phases.steps = t2 - t1;
     obs::span("mpk.steps", HOST, t1, t2);
     Ok(phases)
+}
+
+/// The matrix-powers steps of a block (Fig. 4, main loop), double-buffering
+/// `z`, device-outermost: between the exchange and the end of the block no
+/// device reads another's data, so each runs all its steps while its slices
+/// are still in cache. The commands a device sees, and their order, are
+/// those of a loop with the steps outermost, so no clock, counter or stream
+/// entry can tell the two apart.
+fn mpk_steps(mg: &mut MultiGpu, st: &MpkState, v: &[MatId], start_col: usize, spec: &BasisSpec) {
+    mg.run(|d, dev| {
+        for k in 1..=spec.s() {
+            mpk_step(dev, st, d, v[d], start_col, spec, k);
+        }
+    });
+}
+
+/// Step `k` of a block on device `d` (Fig. 4, body of the main loop): the
+/// local rows and the boundary levels later steps still read, from one
+/// half of the `z` double buffer into the other, then the local part into
+/// basis column `start_col + k`.
+fn mpk_step(
+    dev: &mut Device,
+    st: &MpkState,
+    d: usize,
+    v: MatId,
+    start_col: usize,
+    spec: &BasisSpec,
+    k: usize,
+) {
+    let step = spec.steps[k - 1];
+    let (z0, z1) = st.z[d];
+    let (zc, zn) = if k % 2 == 1 { (z0, z1) } else { (z1, z0) };
+    dev.spmv_shift_scatter(st.local_slice[d], zc, zn, step.re, step.im2, step.scale);
+    // level t feeds steps up to s_run - t; only levels 1..s_plan-1 have slices
+    for t in 1..=spec.s() - k {
+        dev.spmv_shift_scatter(st.level_slices[d][t - 1], zc, zn, step.re, step.im2, step.scale);
+    }
+    dev.gather_vec_to_col(zn, st.plan.devs[d].local.clone(), v, start_col + k);
 }
 
 /// Distributed SpMV (the s = 1 path standard GMRES uses): computes
@@ -964,6 +976,83 @@ mod tests {
         }
         let spmv_msgs = mg2.counters().total_msgs();
         assert_eq!(spmv_msgs, s as u64 * mpk_msgs, "latency reduced by factor s");
+    }
+
+    /// [`mpk_steps`] as it was: steps outermost, every device finishing
+    /// step `k` before any starts step `k + 1`.
+    fn mpk_steps_step_outer(
+        mg: &mut MultiGpu,
+        st: &MpkState,
+        v: &[MatId],
+        start_col: usize,
+        spec: &BasisSpec,
+    ) {
+        for k in 1..=spec.s() {
+            mg.run(|d, dev| mpk_step(dev, st, d, v[d], start_col, spec, k));
+        }
+    }
+
+    #[test]
+    fn device_outer_steps_equal_step_outer_steps_even_when_a_device_dies_mid_block() {
+        let a = laplace2d(19, 17);
+        let n = a.nrows();
+        let (ndev, s) = (3, 4);
+        let layout = Layout::even(n, ndev);
+        let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e2).collect();
+        let spec = BasisSpec::newton(&[(1.5, 0.0), (2.0, 3.0), (2.0, -3.0), (-0.5, 0.0)], s);
+        // columns, ops and clock of every device after one block whose
+        // device 1 dies `loss` ops into its steps (`None`: nobody dies)
+        type Outcome = Vec<(Vec<u64>, u64, u64, bool)>;
+        let run = |device_outer: bool, loss: Option<u64>, short: bool| -> Outcome {
+            let mut mg = MultiGpu::with_defaults(ndev);
+            let st = MpkState::load(&mut mg, &a, MpkPlan::new(&a, &layout, s)).unwrap();
+            let v: Vec<MatId> = (0..ndev)
+                .map(|d| {
+                    let dev = mg.device_mut(d);
+                    let v = dev.alloc_mat(layout.nlocal(d), s + 1).unwrap();
+                    dev.mat_mut(v).set_col(0, &x0[layout.range(d)]);
+                    v
+                })
+                .collect();
+            mg.run(|d, dev| {
+                dev.scatter_col_to_vec_p(v[d], 0, st.z[d].0, layout.range(d), st.prec);
+            });
+            st.exchange(&mut mg, 0).unwrap();
+            if let Some(after) = loss {
+                let plan = ca_gpusim::FaultPlan::new(20140527)
+                    .with_device_loss(1, mg.device(1).ops() + after);
+                mg.device_mut(1).set_faults(Some(std::sync::Arc::new(plan)));
+            }
+            // a short last block runs fewer steps than the plan holds
+            let steps = if short { s - 1 } else { s };
+            let spec = BasisSpec { steps: spec.steps[..steps].to_vec() };
+            if device_outer {
+                mpk_steps(&mut mg, &st, &v, 0, &spec);
+            } else {
+                mpk_steps_step_outer(&mut mg, &st, &v, 0, &spec);
+            }
+            (0..ndev)
+                .map(|d| {
+                    let dev = mg.device(d);
+                    let bits = dev.mat(v[d]).as_slice().iter().map(|x| x.to_bits()).collect();
+                    (bits, dev.ops(), dev.clock().to_bits(), dev.is_lost())
+                })
+                .collect()
+        };
+        let clean = run(true, None, false);
+        assert_eq!(clean, run(false, None, false));
+        assert_eq!(run(true, None, true), run(false, None, true));
+        // the block is s local SpMVs, s gathers and s(s-1)/2 boundary SpMVs
+        // per device: kill device 1 after each of them in turn
+        let steps_ops = (2 * s + s * (s - 1) / 2) as u64;
+        let mut died_mid_block = 0;
+        for after in 0..=steps_ops {
+            let got = run(true, Some(after), false);
+            assert_eq!(got, run(false, Some(after), false), "device 1 lost {after} ops in");
+            assert_eq!((&got[0], &got[2]), (&clean[0], &clean[2]), "the survivors saw nothing");
+            died_mid_block += usize::from(got[1].3 && got[1].0 != clean[1].0);
+        }
+        assert!(died_mid_block >= s, "the loss must land inside the block: {died_mid_block}");
     }
 
     /// The exchange's old host side: expand every payload into a zeroed

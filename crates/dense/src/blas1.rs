@@ -1,7 +1,9 @@
 //! BLAS level-1: vector-vector operations.
 //!
 //! These are the primitives the paper's MGS implementation is built from
-//! (`xDOT` in Fig. 10). Loops are written to auto-vectorize; no `unsafe`.
+//! (`xDOT` in Fig. 10). Loops are written to auto-vectorize; nothing here
+//! is `unsafe` (the crate's only `unsafe` is [`tile`](crate::tile)'s calls
+//! into its AVX2 instantiations, after the CPU reported the feature).
 //!
 //! All routines are generic over [`Scalar`]; the `f64` instantiation
 //! performs exactly the operation sequence of the original hand-written

@@ -10,7 +10,7 @@
 //! from the flat product, as on the GPU, and the structure the GPU
 //! simulator's cost model prices.
 //!
-//! Every routine here is a thin driver over the two micro-kernels of
+//! Every routine here is a thin driver over the micro-kernels of
 //! [`tile`](crate::tile) and keeps, per output scalar, the operation
 //! sequence of the `blas1::dot` / `blas1::axpy` loops it replaced (see
 //! DESIGN.md, "Host kernels and the summation-order contract"). The
@@ -18,7 +18,9 @@
 //! what the simulated device's kernels delegate to.
 
 use crate::mat::Cols;
-use crate::tile::{dots_tn, fused_axpy, UPDATE_ROWS};
+use crate::tile::{
+    dots_tn, dots_tn_with, fused_axpy, fused_axpy_pair_with, fused_axpy_with, Isa, UPDATE_ROWS,
+};
 use crate::Mat;
 use ca_scalar::Scalar;
 
@@ -57,17 +59,30 @@ pub fn gemm_tn_panels<T: Scalar>(
     upper: bool,
     c: &mut Mat<T>,
 ) {
+    gemm_tn_panels_with(Isa::detect(), a, b, panel_rows, upper, c);
+}
+
+/// [`gemm_tn_panels`] on a given kernel instantiation.
+pub(crate) fn gemm_tn_panels_with<T: Scalar>(
+    isa: Isa,
+    a: Cols<'_, T>,
+    b: Cols<'_, T>,
+    panel_rows: Option<usize>,
+    upper: bool,
+    c: &mut Mat<T>,
+) {
     assert_eq!(c.nrows(), a.ncols());
     assert_eq!(c.ncols(), b.ncols());
     match panel_rows {
-        None => dots_tn(a, b, upper, |i, j, d| c[(i, j)] = d),
+        None => dots_tn_with(isa, a, b, upper, |i, j, d| c[(i, j)] = d),
         Some(h) => {
             assert!(h > 0);
             c.fill(T::ZERO);
             let rows = a.nrows();
             for r0 in (0..rows).step_by(h) {
                 let r1 = (r0 + h).min(rows);
-                dots_tn(a.rows(r0, r1), b.rows(r0, r1), upper, |i, j, d| c[(i, j)] += d);
+                let (pa, pb) = (a.rows(r0, r1), b.rows(r0, r1));
+                dots_tn_with(isa, pa, pb, upper, |i, j, d| c[(i, j)] += d);
             }
         }
     }
@@ -131,8 +146,21 @@ pub fn syrk_tn_batched<T: Scalar>(a: &Mat<T>, h: usize, c: &mut Mat<T>) -> usize
 /// `l`, a zero factor skips its source, and a column is never its own
 /// source (that term is skipped). Rows are processed in L1-sized chunks;
 /// every operation is row-local, so this equals one `blas1::axpy` per
-/// (destination, source) pair, destinations in increasing order.
+/// (destination, source) pair, destinations in increasing order. When no
+/// source lies among the destinations, no destination depends on another
+/// and they are updated two at a time, sharing each load of a source.
 pub fn update_cols<T: Scalar>(
+    v: &mut Mat<T>,
+    src: (usize, usize),
+    dst: (usize, usize),
+    factor: impl Fn(usize, usize) -> T,
+) {
+    update_cols_with(Isa::detect(), v, src, dst, factor);
+}
+
+/// [`update_cols`] on a given kernel instantiation.
+pub(crate) fn update_cols_with<T: Scalar>(
+    isa: Isa,
     v: &mut Mat<T>,
     (s0, s1): (usize, usize),
     (d0, d1): (usize, usize),
@@ -140,7 +168,29 @@ pub fn update_cols<T: Scalar>(
 ) {
     assert!(s0 <= s1 && s1 <= v.ncols());
     assert!(d0 <= d1 && d1 <= v.ncols());
-    for (r0, r1) in row_chunks(v.nrows()) {
+    let (rows, ld) = (v.nrows(), v.ld());
+    if s1 <= d0 || d1 <= s0 {
+        let (left, dst, right) = v.split_cols_mut(d0, d1);
+        // the sources lie wholly on one side of the destinations
+        let src = |l: usize| if s1 <= d0 { left.col(l) } else { right.col(l - d1) };
+        for (r0, r1) in row_chunks(rows) {
+            for (pair, cols) in dst.chunks_mut(2 * ld).enumerate() {
+                let d = 2 * pair;
+                let (c0, c1) = cols.split_at_mut(ld);
+                if c1.is_empty() {
+                    // an odd last destination
+                    let terms = (s0..s1).map(|l| (factor(l - s0, d), &src(l)[r0..r1]));
+                    fused_axpy_with(isa, &mut c0[r0..r1], terms);
+                } else {
+                    let terms = (s0..s1)
+                        .map(|l| (factor(l - s0, d), factor(l - s0, d + 1), &src(l)[r0..r1]));
+                    fused_axpy_pair_with(isa, (&mut c0[r0..r1], &mut c1[r0..r1]), terms);
+                }
+            }
+        }
+        return;
+    }
+    for (r0, r1) in row_chunks(rows) {
         for d in d0..d1 {
             let (left, dst, right) = v.split_col_mut(d);
             let (left, right) = (left.rows(r0, r1), right.rows(r0, r1));
@@ -148,7 +198,7 @@ pub fn update_cols<T: Scalar>(
                 let src = if l < d { left.col(l) } else { right.col(l - d - 1) };
                 (factor(l - s0, d - d0), src)
             });
-            fused_axpy(&mut dst[r0..r1], terms);
+            fused_axpy_with(isa, &mut dst[r0..r1], terms);
         }
     }
 }
@@ -159,6 +209,16 @@ pub fn update_cols<T: Scalar>(
 /// before `j` are solved, column `j` has its updates but not its scaling,
 /// the rest are untouched, and the error names `j`.
 pub fn trsm_right_upper_cols<T: Scalar>(
+    v: &mut Mat<T>,
+    j0: usize,
+    r: &Mat<T>,
+) -> crate::Result<()> {
+    trsm_right_upper_cols_with(Isa::detect(), v, j0, r)
+}
+
+/// [`trsm_right_upper_cols`] on a given kernel instantiation.
+pub(crate) fn trsm_right_upper_cols_with<T: Scalar>(
+    isa: Isa,
     v: &mut Mat<T>,
     j0: usize,
     r: &Mat<T>,
@@ -174,7 +234,7 @@ pub fn trsm_right_upper_cols<T: Scalar>(
             let (left, dst, _) = v.split_col_mut(j0 + j);
             let left = left.rows(r0, r1);
             let dst = &mut dst[r0..r1];
-            fused_axpy(dst, (0..j).map(|l| (-r[(l, j)], left.col(j0 + l))));
+            fused_axpy_with(isa, dst, (0..j).map(|l| (-r[(l, j)], left.col(j0 + l))));
             if singular != Some(j) {
                 crate::blas1::scal(T::ONE / r[(j, j)], dst);
             }

@@ -19,8 +19,10 @@
 //! * Leja ordering of shifts ([`leja`]),
 //! * norm and orthogonality-error helpers ([`norms`]).
 //!
-//! All routines are written in safe Rust and validated against naive
-//! reference implementations in the test suite.
+//! All routines are written in safe Rust — but for [`tile`]'s three calls
+//! into the AVX2 instantiation of its kernels, made only after the CPU
+//! reported the feature — and validated against naive reference
+//! implementations in the test suite.
 //!
 //! ```
 //! use ca_dense::{blas3, chol, qr, Mat};

@@ -130,14 +130,25 @@ impl<T: Scalar> Mat<T> {
     /// (`0..d`) and right (`d+1..ncols`) of it — what an in-place
     /// `V[:, d] += V[:, others] * c` update needs.
     pub fn split_col_mut(&mut self, d: usize) -> (Cols<'_, T>, &mut [T], Cols<'_, T>) {
-        assert!(d < self.ncols);
+        let nrows = self.nrows;
+        let (lo, col, hi) = self.split_cols_mut(d, d + 1);
+        (lo, &mut col[..nrows], hi)
+    }
+
+    /// Columns `j0..j1` mutably, as their storage — column `j` starts at
+    /// `(j - j0) * ld()` and has `nrows()` live entries — with read-only
+    /// views of the columns left (`0..j0`) and right (`j1..ncols`) of them:
+    /// what an update of several columns at once from columns outside
+    /// their range needs.
+    pub fn split_cols_mut(&mut self, j0: usize, j1: usize) -> (Cols<'_, T>, &mut [T], Cols<'_, T>) {
+        assert!(j0 <= j1 && j1 <= self.ncols);
         let (ld, nrows) = (self.ld, self.nrows);
-        let (lo, rest) = self.data.split_at_mut(d * ld);
-        let (col, hi) = rest.split_at_mut(ld);
+        let (lo, rest) = self.data.split_at_mut(j0 * ld);
+        let (mid, hi) = rest.split_at_mut((j1 - j0) * ld);
         (
-            Cols { data: lo, ld, nrows, ncols: d },
-            &mut col[..nrows],
-            Cols { data: hi, ld, nrows, ncols: self.ncols - d - 1 },
+            Cols { data: lo, ld, nrows, ncols: j0 },
+            mid,
+            Cols { data: hi, ld, nrows, ncols: self.ncols - j1 },
         )
     }
 

@@ -1,12 +1,15 @@
 //! Test oracles: the per-entry level-1 loops the tiled kernels replaced,
 //! kept verbatim, and the seeded bit-equality suite that pins every
-//! rewritten routine to them (`to_bits()` equality, `f64` and `f32`).
+//! rewritten routine to them (`to_bits()` equality, `f64` and `f32`) — on
+//! every kernel instantiation this host can run ([`Isa::all_on_this_host`]),
+//! not only the one [`Isa::detect`] would pick.
 //!
 //! The properties are plain seeded `#[test]`s: the offline `proptest`
 //! stand-in compiles properties to nothing, and these must always run.
 
 use crate::blas1::{axpy, dot, scal};
 use crate::mat::Cols;
+use crate::tile::Isa;
 use crate::{blas2, blas3, tile, DenseError, Mat};
 use ca_scalar::Scalar;
 
@@ -199,7 +202,8 @@ impl Rng {
     }
 }
 
-const ROWS: [usize; 9] = [0, 1, 3, 4, 5, 383, 384, 385, 1000];
+/// Around the lane count, the panel heights and the 512-row update chunk.
+const ROWS: [usize; 12] = [0, 1, 3, 4, 5, 383, 384, 385, 511, 512, 513, 1000];
 /// (columns of `a`, columns of `b`): no multiples of the 4 x 2 block only.
 const WIDTHS: [(usize, usize); 7] = [(1, 1), (2, 3), (5, 2), (7, 1), (9, 5), (11, 11), (13, 6)];
 const PANELS: [Option<usize>; 4] = [None, Some(32), Some(100), Some(384)];
@@ -266,7 +270,7 @@ fn products_match<T: Scalar>() -> usize {
     shapes
 }
 
-fn panelled_products_match<T: Scalar>() -> usize {
+fn panelled_products_match<T: Scalar>(isa: Isa) -> usize {
     let mut rng = Rng(0x2014);
     let mut shapes = 0;
     for rows in ROWS {
@@ -277,7 +281,8 @@ fn panelled_products_match<T: Scalar>() -> usize {
                 for h in PANELS {
                     let what = format!("rows {rows}, a {a:?}, b {b:?}, h {h:?}");
                     let mut got = rng.mat::<T>(ka, kb);
-                    blas3::gemm_tn_panels(v.cols(a.0, a.1), v.cols(b.0, b.1), h, false, &mut got);
+                    let (va, vb) = (v.cols(a.0, a.1), v.cols(b.0, b.1));
+                    blas3::gemm_tn_panels_with(isa, va, vb, h, false, &mut got);
                     assert_bits(
                         &got,
                         &gemm_tn_panels(&v, a, b, h),
@@ -286,7 +291,7 @@ fn panelled_products_match<T: Scalar>() -> usize {
 
                     let mut got = rng.mat::<T>(ka, ka);
                     let block = v.cols(a.0, a.1);
-                    blas3::gemm_tn_panels(block, block, h, true, &mut got);
+                    blas3::gemm_tn_panels_with(isa, block, block, h, true, &mut got);
                     assert_bits(&got, &gemm_tn_panels(&v, a, a, h), &format!("gram {what}"));
                     shapes += 1;
                 }
@@ -296,7 +301,7 @@ fn panelled_products_match<T: Scalar>() -> usize {
     shapes
 }
 
-fn updates_match<T: Scalar>() -> usize {
+fn updates_match<T: Scalar>(isa: Isa) -> usize {
     let mut rng = Rng(0x108);
     let mut shapes = 0;
     for rows in ROWS {
@@ -309,17 +314,24 @@ fn updates_match<T: Scalar>() -> usize {
             let c: Mat<T> = rng.coeffs(ka, kb);
             for (a, b) in [((0, ka), (ka + 1, ka + 1 + kb)), ((kb + 1, kb + 1 + ka), (0, kb))] {
                 let (mut got, mut want) = (v.clone(), v.clone());
-                blas3::update_cols(&mut got, a, b, |i, j| -c[(i, j)]);
+                blas3::update_cols_with(isa, &mut got, a, b, |i, j| -c[(i, j)]);
                 update_cols(&mut want, a, b, |i, j| -c[(i, j)]);
                 assert_bits(&got, &want, &format!("update_cols rows {rows}, a {a:?}, b {b:?}"));
                 shapes += 1;
             }
-            // one source inside the destination range (rank-1 update)
+            // one source inside the destination range (rank-1 update), then
+            // several: destinations then depend on each other, which only
+            // the one-destination path gets right
             let (mut got, mut want) = (v.clone(), v.clone());
             let src = ka / 2;
-            blas3::update_cols(&mut got, (src, src + 1), (0, ka), |_, j| -c[(j, 0)]);
+            blas3::update_cols_with(isa, &mut got, (src, src + 1), (0, ka), |_, j| -c[(j, 0)]);
             update_cols(&mut want, (src, src + 1), (0, ka), |_, j| -c[(j, 0)]);
             assert_bits(&got, &want, &format!("rank-1 rows {rows}, {ka} columns"));
+            let (mut got, mut want) = (v.clone(), v.clone());
+            let (s, d) = ((src, ka), (0, ka + kb));
+            blas3::update_cols_with(isa, &mut got, s, d, |i, j| -c[(i, j % kb)]);
+            update_cols(&mut want, s, d, |i, j| -c[(i, j % kb)]);
+            assert_bits(&got, &want, &format!("overlapping rows {rows}, s {s:?}, d {d:?}"));
 
             let mut a: Mat<T> = rng.mat(rows, ka);
             if rows > 0 {
@@ -337,7 +349,7 @@ fn updates_match<T: Scalar>() -> usize {
     shapes
 }
 
-fn triangular_solves_match<T: Scalar>() -> usize {
+fn triangular_solves_match<T: Scalar>(isa: Isa) -> usize {
     let mut rng = Rng(0x7);
     let mut shapes = 0;
     for rows in ROWS {
@@ -353,7 +365,7 @@ fn triangular_solves_match<T: Scalar>() -> usize {
                     r[(j, j)] = T::ZERO;
                 }
                 let (mut got, mut want) = (b.clone(), b.clone());
-                let res = blas3::trsm_right_upper(&mut got, &r);
+                let res = blas3::trsm_right_upper_cols_with(isa, &mut got, 0, &r);
                 assert_eq!(res, trsm_right_upper(&mut want, &r));
                 assert_eq!(res.is_err(), singular.is_some());
                 assert_bits(
@@ -368,7 +380,7 @@ fn triangular_solves_match<T: Scalar>() -> usize {
                     wide.set_col(2 + j, b.col(j));
                 }
                 let untouched = wide.clone();
-                assert_eq!(blas3::trsm_right_upper_cols(&mut wide, 2, &r), res);
+                assert_eq!(blas3::trsm_right_upper_cols_with(isa, &mut wide, 2, &r), res);
                 assert_bits(&wide.cols_copy(2, 2 + k), &want, "trsm_right_upper_cols");
                 for j in [0, 1, k + 2] {
                     assert_eq!(wide.col(j), untouched.col(j), "columns outside the range");
@@ -382,47 +394,145 @@ fn triangular_solves_match<T: Scalar>() -> usize {
 
 #[test]
 fn tiled_kernels_match_the_per_entry_loops_bit_for_bit() {
-    let shapes = products_match::<f64>()
-        + panelled_products_match::<f64>()
-        + updates_match::<f64>()
-        + triangular_solves_match::<f64>();
-    assert!(shapes >= 200, "only {shapes} shapes");
+    // the public entry points, on whatever instantiation the CPU selects
+    let mut shapes = products_match::<f64>();
     products_match::<f32>();
-    panelled_products_match::<f32>();
-    updates_match::<f32>();
-    triangular_solves_match::<f32>();
+    let isas = Isa::all_on_this_host();
+    for &isa in &isas {
+        shapes += panelled_products_match::<f64>(isa)
+            + updates_match::<f64>(isa)
+            + triangular_solves_match::<f64>(isa);
+        panelled_products_match::<f32>(isa);
+        updates_match::<f32>(isa);
+        triangular_solves_match::<f32>(isa);
+    }
+    assert!(shapes >= 200 * isas.len(), "only {shapes} shapes");
+    // CI greps for this line: a host that silently falls back to one path
+    // must not pass for one that tested both
+    let names: Vec<&str> = isas.iter().map(|isa| isa.name()).collect();
+    println!("isa paths exercised: {}", names.join(", "));
 }
 
 #[test]
 fn zero_factor_hides_a_non_finite_source() {
     let poisoned = [f64::NAN, f64::INFINITY, 1.0];
     let clean = [1.0, 2.0, 3.0];
-    let mut dst = [10.0, 20.0, 30.0];
-    let terms = [(0.0, &poisoned[..]), (2.0, &clean[..]), (-0.0, &poisoned[..])];
-    tile::fused_axpy(&mut dst, terms.into_iter());
-    assert_eq!(dst, [12.0, 24.0, 36.0]);
+    for isa in Isa::all_on_this_host() {
+        let mut dst = [10.0, 20.0, 30.0];
+        let terms = [(0.0, &poisoned[..]), (2.0, &clean[..]), (-0.0, &poisoned[..])];
+        tile::fused_axpy_with(isa, &mut dst, terms.into_iter());
+        assert_eq!(dst, [12.0, 24.0, 36.0], "{}", isa.name());
+    }
+}
+
+/// In a pair of destinations, a zero, `-0.0`, NaN or infinite factor in one
+/// of them must act on that destination alone: zeros hide the poisoned
+/// source there and only there, non-finite factors poison it there and only
+/// there — wherever in a group of four, or in the last short group, the
+/// source sits.
+#[test]
+fn a_special_factor_in_one_destination_of_a_pair_stays_there() {
+    let mut rng = Rng(0x16);
+    let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for isa in Isa::all_on_this_host() {
+        for (rows, nsrc) in [(5, 1), (5, 4), (513, 6), (5, 7)] {
+            let clean: Mat = rng.mat(rows, nsrc + 3);
+            let c: Mat = rng.mat(nsrc, 3);
+            // destinations right of the sources, then left of them
+            for (s, d) in [((0, nsrc), (nsrc, nsrc + 3)), ((3, nsrc + 3), (0, 3))] {
+                for at in 0..nsrc {
+                    let mut v = clean.clone();
+                    v[(rows / 2, s.0 + at)] = f64::NAN;
+                    v[(rows - 1, s.0 + at)] = f64::INFINITY;
+                    for (special, which) in specials.iter().flat_map(|&x| [(x, 0), (x, 1)]) {
+                        let factor =
+                            |i, j| if i == at && j == which { special } else { -c[(i, j)] };
+                        let (mut got, mut want) = (v.clone(), v.clone());
+                        blas3::update_cols_with(isa, &mut got, s, d, factor);
+                        update_cols(&mut want, s, d, factor);
+                        let what = format!(
+                            "{}: rows {rows}, sources {s:?}, poisoned {at}, factor {special} \
+                             in destination {which}",
+                            isa.name()
+                        );
+                        assert_bits(&got, &want, &what);
+                        let finite = |j: usize| got.col(d.0 + j).iter().all(|x| x.is_finite());
+                        assert_eq!(finite(which), special == 0.0, "{what}: that destination");
+                        assert!(!finite(1 - which), "{what}: the other destination");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Operands for which a fused multiply-add rounds differently from a
+/// multiply followed by an add: with `a = 1 + e`, `e * e` below half an ulp
+/// of `1 + 2e`, `fl(a * a) = 1 + 2e` and `fl(a * a) - fl(a * a) = 0`, but
+/// `fma(-a, a, fl(a * a)) = -e * e`. Rows alternating `a, -a` against a
+/// column of `a` therefore leave every lane, and the tail, at exactly zero
+/// if and only if no multiply-add was contracted.
+fn fma_canary<T: Scalar>(e: f64) {
+    let a = T::from_f64(1.0 + e);
+    // the exact square is 1 + 2e + e^2: the product must have lost the e^2
+    assert_eq!(a * a, T::from_f64(1.0 + 2.0 * e), "e^2 must round away");
+    for isa in Isa::all_on_this_host() {
+        // six whole chunks (a, -a, a, ...) and a two-row tail (a, -a)
+        let rows = 26;
+        let plus = |i: usize| (if i < 24 { i / 4 } else { i }).is_multiple_of(2);
+        let x: Mat<T> = Mat::from_fn(rows, 9, |i, _| if plus(i) { a } else { -a });
+        let y: Mat<T> = Mat::from_fn(rows, 3, |_, _| a);
+        tile::dots_tn_with(isa, x.cols(0, 9), y.cols(0, 3), false, |i, j, d| {
+            assert_eq!(d.to_bits_u64(), 0, "{}: dot ({i},{j}) = {d}", isa.name());
+        });
+
+        // an axpy chain a, -a, a, -a, a, -a over sources of a, from zero:
+        // one destination, then two (a full group and a short one each)
+        let src: Mat<T> = Mat::from_fn(13, 6, |_, _| a);
+        let f = |k: usize| if k.is_multiple_of(2) { a } else { -a };
+        let mut dst = vec![T::ZERO; 13];
+        tile::fused_axpy_with(isa, &mut dst, (0..6).map(|k| (f(k), src.col(k))));
+        assert!(dst.iter().all(|d| d.to_bits_u64() == 0), "{}: axpy chain {dst:?}", isa.name());
+        let mut v: Mat<T> = Mat::zeros(13, 8);
+        for k in 0..6 {
+            v.set_col(k, src.col(k));
+        }
+        blas3::update_cols_with(isa, &mut v, (0, 6), (6, 8), |k, _| f(k));
+        for j in 6..8 {
+            let zero = v.col(j).iter().all(|d| d.to_bits_u64() == 0);
+            assert!(zero, "{}: paired axpy chain, destination {j}", isa.name());
+        }
+    }
+}
+
+#[test]
+fn no_multiply_add_is_contracted_on_any_path() {
+    fma_canary::<f64>(2f64.powi(-27));
+    fma_canary::<f32>(2f64.powi(-13));
 }
 
 #[test]
 fn dots_tn_visits_each_wanted_entry_once() {
     let mut rng = Rng(3);
-    for (ka, kb) in [(1, 1), (8, 1), (9, 1), (4, 2), (5, 3), (17, 17)] {
-        let a: Mat = rng.mat(10, ka);
-        let b: Mat = rng.mat(10, kb);
-        for upper in [false, ka == kb] {
-            let mut seen = Mat::<f64>::zeros(ka, kb);
-            tile::dots_tn(a.cols(0, ka), b.cols(0, kb), upper, |i, j, d| {
-                seen[(i, j)] += 1.0;
-                assert_eq!(d.to_bits(), dot(a.col(i), b.col(j)).to_bits());
-            });
-            for j in 0..kb {
-                for i in 0..ka {
-                    let wanted = !upper || i <= j;
-                    assert_eq!(
-                        seen[(i, j)],
-                        if wanted { 1.0 } else { 0.0 },
-                        "({i},{j}) upper={upper}"
-                    );
+    for isa in Isa::all_on_this_host() {
+        for (ka, kb) in [(1, 1), (8, 1), (9, 1), (4, 2), (5, 3), (17, 17)] {
+            let a: Mat = rng.mat(10, ka);
+            let b: Mat = rng.mat(10, kb);
+            for upper in [false, ka == kb] {
+                let mut seen = Mat::<f64>::zeros(ka, kb);
+                tile::dots_tn_with(isa, a.cols(0, ka), b.cols(0, kb), upper, |i, j, d| {
+                    seen[(i, j)] += 1.0;
+                    assert_eq!(d.to_bits(), dot(a.col(i), b.col(j)).to_bits());
+                });
+                for j in 0..kb {
+                    for i in 0..ka {
+                        let wanted = !upper || i <= j;
+                        assert_eq!(
+                            seen[(i, j)],
+                            if wanted { 1.0 } else { 0.0 },
+                            "({i},{j}) upper={upper}"
+                        );
+                    }
                 }
             }
         }

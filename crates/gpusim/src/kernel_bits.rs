@@ -8,6 +8,11 @@
 //! inert on a lost device, and still take its SDC hit after the product.
 //! Plain seeded `#[test]`s, because the offline `proptest` stand-in
 //! compiles properties to nothing.
+//!
+//! The device owns no kernel loop, so it has no instantiation of its own to
+//! choose: these suites run on the one ca-dense's CPU detection selects.
+//! ca-dense's own oracle suite (`reference.rs`) pins every instantiation
+//! the host can run, the 128-bit one included, on the same shapes.
 
 use crate::device::{Device, MatId};
 use crate::faults::{FaultPlan, SdcKind, SdcTargets};
@@ -131,7 +136,7 @@ impl Rng {
     }
 }
 
-const ROWS: [usize; 9] = [0, 1, 3, 4, 5, 383, 384, 385, 1000];
+const ROWS: [usize; 12] = [0, 1, 3, 4, 5, 383, 384, 385, 511, 512, 513, 1000];
 /// (columns of the a-block, columns of the b-block)
 const WIDTHS: [(usize, usize); 5] = [(1, 1), (5, 2), (7, 3), (11, 11), (13, 6)];
 /// `Batched { h: 100 }` runs 128-row panels, which divide none of `ROWS`.
@@ -279,6 +284,42 @@ fn update_kernels_match_the_axpy_chain() {
                     last_kernel(&d),
                     ("copy_col", PerfModel::default().blas1_time(2 * rows))
                 );
+            }
+        }
+    }
+}
+
+/// `gemm_nn_update` updates its destinations two at a time: a zero,
+/// `-0.0`, NaN or infinite coefficient for one destination of a pair must
+/// hide, or spread, a poisoned source in that destination alone.
+#[test]
+fn a_special_coefficient_in_one_destination_of_a_pair_stays_there() {
+    let mut rng = Rng(16);
+    for (rows, ka) in [(5, 1), (5, 4), (513, 6), (5, 7)] {
+        let clean = rng.mat(rows, ka + 3);
+        let c = rng.mat(ka, 3);
+        for (a, b) in [((0, ka), (ka, ka + 3)), ((3, ka + 3), (0, 3))] {
+            for at in 0..ka {
+                let mut m = clean.clone();
+                m[(rows / 2, a.0 + at)] = f64::NAN;
+                m[(rows - 1, a.0 + at)] = f64::INFINITY;
+                for special in [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    for which in 0..2 {
+                        let mut c = c.clone();
+                        c[(at, which)] = special;
+                        let (mut d, v) = device_with(&m);
+                        let mut want = m.clone();
+                        d.gemm_nn_update(v, a, b, &c, GemmVariant::Cublas);
+                        ref_gemm_nn_update(&mut want, a, b, &c);
+                        let what = format!(
+                            "rows {rows}, a {a:?}, poisoned {at}, {special} for destination {which}"
+                        );
+                        assert_bits(d.mat(v), &want, &what);
+                        let finite = |j: usize| d.mat(v).col(b.0 + j).iter().all(|x| x.is_finite());
+                        assert_eq!(finite(which), special == 0.0, "{what}: that destination");
+                        assert!(!finite(1 - which), "{what}: the other destination");
+                    }
+                }
             }
         }
     }

@@ -8,9 +8,14 @@
 //! per-device scratch has its size, no request reaches the smallest buffer
 //! that could hold one element per local row. The halo payloads themselves
 //! (boundary-sized) are still allocated per exchange and stay below it.
+//! The block runs its steps device-outermost, which must not have brought
+//! per-device staging back. The block update BOrth runs next, two
+//! destinations per pass over the sources, requests nothing at all: no
+//! factor table, no list of source slices, per call or per row chunk.
 //!
 //! One `#[test]` only: the counter is process-wide.
 
+use ca_gmres_repro::dense::{blas3, Mat};
 use ca_gmres_repro::gmres::mpk::{dist_spmv, mpk, SpmvFormat};
 use ca_gmres_repro::gmres::prelude::*;
 use ca_gmres_repro::gpusim::{MatId, MultiGpu};
@@ -102,5 +107,16 @@ fn warm_mpk_and_dist_spmv_allocate_nothing_vector_sized() {
             let big = largest_request(|| dist_spmv(&mut mg, &st1, &v, 0, 1).unwrap());
             assert!(big < nlocal_bytes, "{what}: dist_spmv requested {big} B at once");
         }
+    }
+
+    // the paired block update: sources left and right of an odd and an even
+    // number of destinations, a zero factor (the one-destination fallback),
+    // and a source among the destinations (the unpaired path)
+    let mut v: Mat = Mat::from_fn(1300, 12, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
+    let factor =
+        |l: usize, d: usize| if (l, d) == (1, 1) { 0.0 } else { 0.01 * (l + 2 * d) as f64 };
+    for (src, dst) in [((0, 7), (7, 12)), ((6, 12), (0, 6)), ((2, 5), (0, 12))] {
+        let big = largest_request(|| blas3::update_cols(&mut v, src, dst, factor));
+        assert_eq!(big, 0, "update_cols {src:?} -> {dst:?} requested {big} B");
     }
 }
