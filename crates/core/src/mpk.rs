@@ -21,6 +21,7 @@ use ca_obs as obs;
 use ca_scalar::Precision;
 use ca_sparse::{Csr, Ell, Hyb};
 use obs::Track::Host as HOST;
+use std::sync::Arc;
 
 /// Per-device MPK analysis.
 #[derive(Debug, Clone)]
@@ -196,6 +197,8 @@ pub struct MpkState {
     pub plan: MpkPlan,
     /// Precision the slices are stored at (and the halos travel at).
     pub prec: Precision,
+    /// Storage format the slices were converted to.
+    format: SpmvFormat,
     local_slice: Vec<SpId>,
     level_slices: Vec<Vec<SpId>>,
     z: Vec<(VecId, VecId)>,
@@ -247,16 +250,42 @@ impl MpkState {
         format: SpmvFormat,
         prec: Precision,
     ) -> Result<Self> {
+        Self::load_sharing(mg, a, plan, format, prec, None)
+    }
+
+    /// [`MpkState::load_with_format_prec`] beside `resident`, a state already
+    /// loaded on `mg` from the same matrix `a`: at equal format and
+    /// precision its local blocks `A^(d)` are the ones this plan needs, so
+    /// they are loaded a second time — a slice id and the full device bytes
+    /// each, like any load — without being converted or stored a second
+    /// time on the host. A `resident` of another format or precision is
+    /// ignored; one of another layout is a bug and panics.
+    pub(crate) fn load_sharing(
+        mg: &mut MultiGpu,
+        a: &Csr,
+        plan: MpkPlan,
+        format: SpmvFormat,
+        prec: Precision,
+        resident: Option<&MpkState>,
+    ) -> Result<Self> {
         assert_eq!(mg.n_gpus(), plan.devs.len());
         let n = a.nrows();
         let s = plan.s;
+        let resident = resident.filter(|r| r.prec == prec && r.format == format);
         let mut local_slice = Vec::with_capacity(plan.devs.len());
         let mut level_slices = Vec::with_capacity(plan.devs.len());
         let mut z = Vec::with_capacity(plan.devs.len());
         for (d, dp) in plan.devs.iter().enumerate() {
             let dev = mg.device_mut(d);
             let rows: Vec<u32> = dp.local.clone().map(|r| r as u32).collect();
-            local_slice.push(dev.load_slice_storage(format.build(a, &rows, prec), rows)?);
+            let local = match resident {
+                Some(r) => {
+                    assert_eq!(r.plan.devs[d].local, dp.local, "device {d}: another layout");
+                    Arc::clone(&dev.slice(r.local_slice[d]).storage)
+                }
+                None => Arc::new(format.build(a, &rows, prec)),
+            };
+            local_slice.push(dev.load_slice_storage(local, rows)?);
             let mut lv_slices = Vec::new();
             for lv in &dp.levels[..s - 1] {
                 lv_slices.push(dev.load_slice_storage(format.build(a, lv, prec), lv.clone())?);
@@ -265,7 +294,12 @@ impl MpkState {
             z.push((dev.alloc_vec(n)?, dev.alloc_vec(n)?));
         }
         let halo_src = halo_sources(&plan);
-        Ok(Self { plan, prec, local_slice, level_slices, z, halo_src })
+        Ok(Self { plan, prec, format, local_slice, level_slices, z, halo_src })
+    }
+
+    /// The slice holding device `d`'s local block `A^(d)`.
+    pub fn local_slice(&self, d: usize) -> SpId {
+        self.local_slice[d]
     }
 
     /// Free every device allocation this state owns (slices and the
@@ -934,6 +968,48 @@ mod tests {
                 assert!((c - y[lo + i]).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn a_resident_state_is_shared_only_at_its_own_format_and_precision() {
+        let (a, layout, plan1) = setup(7, 6, 3, 1);
+        let mut mg = MultiGpu::with_defaults(3);
+        let resident = MpkState::load(&mut mg, &a, plan1).unwrap();
+        let hyb = SpmvFormat::Hyb { quantile: 0.5 };
+        for (format, prec, shared) in [
+            (SpmvFormat::Ell, Precision::F64, true),
+            (SpmvFormat::Ell, Precision::F32, false),
+            (hyb, Precision::F64, false),
+        ] {
+            let plan = MpkPlan::new(&a, &layout, 3);
+            let st =
+                MpkState::load_sharing(&mut mg, &a, plan, format, prec, Some(&resident)).unwrap();
+            for d in 0..3 {
+                let local = |st: &MpkState| &mg.device(d).slice(st.local_slice(d)).storage;
+                let same = Arc::ptr_eq(local(&st), local(&resident));
+                assert_eq!(same, shared, "{format:?} {prec:?}");
+                assert_eq!(local(&st).prec(), prec);
+            }
+            st.release(&mut mg);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another layout")]
+    fn sharing_across_layouts_panics() {
+        let (a, _, plan1) = setup(7, 6, 2, 1);
+        let mut mg = MultiGpu::with_defaults(2);
+        let resident = MpkState::load(&mut mg, &a, plan1).unwrap();
+        let uneven = Layout::from_sizes(&[10, 32]);
+        let plan = MpkPlan::new(&a, &uneven, 2);
+        let _ = MpkState::load_sharing(
+            &mut mg,
+            &a,
+            plan,
+            SpmvFormat::Ell,
+            Precision::F64,
+            Some(&resident),
+        );
     }
 
     #[test]

@@ -82,18 +82,21 @@ impl System {
         assert_eq!(a.nrows(), layout.n());
         assert_eq!(mg.n_gpus(), layout.ndev());
         let n = a.nrows();
+        // Analyse first, load second. The plans' breadth-first searches grow
+        // and drop hundreds of small vectors; run between the two loads they
+        // leave allocator-cached fragments among the long-lived slice
+        // arrays, and the heap of a process that builds system after system
+        // no longer coalesces (EXPERIMENTS.md, PR 20: 22 MiB on `cant_mpk`).
+        let plan1 = MpkPlan::new(a, &layout, 1);
+        let plan_s = s.filter(|&s| s > 1).map(|s| MpkPlan::new(a, &layout, s));
         let v: Vec<MatId> = (0..layout.ndev())
             .map(|d| mg.device_mut(d).alloc_mat(layout.nlocal(d), m + 4))
             .collect::<Result<_>>()?;
-        let spmv = MpkState::load_with_format(mg, a, MpkPlan::new(a, &layout, 1), format)?;
-        let mpk = match s.filter(|&s| s > 1) {
-            Some(s) => Some(MpkState::load_with_format_prec(
-                mg,
-                a,
-                MpkPlan::new(a, &layout, s),
-                format,
-                mpk_prec,
-            )?),
+        let spmv = MpkState::load_with_format(mg, a, plan1, format)?;
+        // both plans multiply by the same local blocks: the s-step plan
+        // loads the ones the s = 1 plan built (an f32 plan builds its own)
+        let mpk = match plan_s {
+            Some(plan) => Some(MpkState::load_sharing(mg, a, plan, format, mpk_prec, Some(&spmv))?),
             None => None,
         };
         Ok(Self { layout, v, spmv, mpk, m, n })
@@ -123,15 +126,7 @@ impl System {
         let bytes: Vec<usize> =
             (0..self.layout.ndev()).map(|d| 8 * self.layout.nlocal(d)).collect();
         mg.to_devices(&bytes)?;
-        let (bc, xc) = (self.b_col(), self.x_col());
-        for d in 0..self.layout.ndev() {
-            let lo = self.layout.range(d).start;
-            let nl = self.layout.nlocal(d);
-            let dev = mg.device_mut(d);
-            dev.mat_mut(self.v[d]).set_col(bc, &b[lo..lo + nl]);
-            let zeros = vec![0.0; nl];
-            dev.mat_mut(self.v[d]).set_col(xc, &zeros);
-        }
+        self.set_rhs_uncharged(mg, b);
         Ok(())
     }
 
@@ -146,12 +141,9 @@ impl System {
         assert_eq!(b.len(), self.n);
         let (bc, xc) = (self.b_col(), self.x_col());
         for d in 0..self.layout.ndev() {
-            let lo = self.layout.range(d).start;
-            let nl = self.layout.nlocal(d);
-            let dev = mg.device_mut(d);
-            dev.mat_mut(self.v[d]).set_col(bc, &b[lo..lo + nl]);
-            let zeros = vec![0.0; nl];
-            dev.mat_mut(self.v[d]).set_col(xc, &zeros);
+            let v = mg.device_mut(d).mat_mut(self.v[d]);
+            v.set_col(bc, &b[self.layout.range(d)]);
+            v.col_mut(xc).fill(0.0);
         }
     }
 
@@ -260,6 +252,8 @@ impl System {
 mod tests {
     use super::*;
     use ca_sparse::gen::laplace2d;
+    use ca_sparse::Ell;
+    use std::sync::Arc;
 
     fn setup() -> (MultiGpu, System, Csr) {
         let a = laplace2d(6, 6);
@@ -267,6 +261,78 @@ mod tests {
         let mut mg = MultiGpu::with_defaults(2);
         let sys = System::new(&mut mg, &a, layout, 5, Some(3)).unwrap();
         (mg, sys, a)
+    }
+
+    /// What the devices were charged before the plans shared anything: the
+    /// basis, and per plan its own local block, level slices and work
+    /// vectors, every slice at the GPU format's bytes plus its row ids.
+    fn charged_unshared(
+        a: &Csr,
+        layout: &Layout,
+        m: usize,
+        plans: &[(usize, Precision)],
+    ) -> Vec<usize> {
+        let n = a.nrows();
+        (0..layout.ndev())
+            .map(|d| {
+                let slices: usize = plans
+                    .iter()
+                    .map(|&(s, prec)| {
+                        let dp = &MpkPlan::new(a, layout, s).devs[d];
+                        let local: Vec<u32> = dp.local.clone().map(|r| r as u32).collect();
+                        let slice = |rows: &[u32]| {
+                            let ell: Ell = Ell::from_csr_rows(a, rows.iter().map(|&r| r as usize));
+                            ell.padded_nnz() * (prec.bytes() + 4) + 4 * rows.len()
+                        };
+                        let levels: usize = dp.levels[..s - 1].iter().map(|lv| slice(lv)).sum();
+                        slice(&local) + levels + 2 * 8 * n
+                    })
+                    .sum();
+                8 * layout.nlocal(d) * (m + 4) + slices
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sharing_the_local_block_moves_no_modelled_byte() {
+        let a = ca_sparse::gen::cantilever(4, 4, 3);
+        let n = a.nrows();
+        let layout = Layout::even(n, 3);
+        let used = |mg: &MultiGpu| (0..3).map(|d| mg.device(d).mem_used()).collect::<Vec<_>>();
+        let local = |mg: &MultiGpu, st: &MpkState, d: usize| {
+            Arc::clone(&mg.device(d).slice(st.local_slice(d)).storage)
+        };
+
+        // an MPK system: both plans charged in full, one local block held
+        let mut mg = MultiGpu::with_defaults(3);
+        let sys = System::new(&mut mg, &a, layout.clone(), 12, Some(4)).unwrap();
+        let plans = [(1, Precision::F64), (4, Precision::F64)];
+        assert_eq!(used(&mg), charged_unshared(&a, &layout, 12, &plans));
+        let mpk = sys.mpk.as_ref().unwrap();
+        for d in 0..3 {
+            assert_ne!(sys.spmv.local_slice(d), mpk.local_slice(d));
+            assert!(Arc::ptr_eq(&local(&mg, &sys.spmv, d), &local(&mg, mpk, d)));
+        }
+        sys.release(&mut mg);
+        assert_eq!(used(&mg), [0, 0, 0]);
+
+        // SpMV only: one plan, nothing to share
+        let mut mg = MultiGpu::with_defaults(3);
+        System::new(&mut mg, &a, layout.clone(), 12, None).unwrap();
+        assert_eq!(used(&mg), charged_unshared(&a, &layout, 12, &plans[..1]));
+
+        // an f32 MPK plan multiplies by other values: it builds its own
+        let mut mg = MultiGpu::with_defaults(3);
+        let (format, f32) = (SpmvFormat::Ell, Precision::F32);
+        let sys =
+            System::new_with_format_prec(&mut mg, &a, layout.clone(), 12, Some(4), format, f32)
+                .unwrap();
+        assert_eq!(used(&mg), charged_unshared(&a, &layout, 12, &[plans[0], (4, f32)]));
+        let mpk = sys.mpk.as_ref().unwrap();
+        for d in 0..3 {
+            assert!(!Arc::ptr_eq(&local(&mg, &sys.spmv, d), &local(&mg, mpk, d)));
+            assert_eq!(local(&mg, mpk, d).prec(), f32);
+        }
     }
 
     #[test]

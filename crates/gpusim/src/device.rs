@@ -19,7 +19,7 @@ use ca_dense::{blas1, blas3, qr, tile, Mat};
 use ca_scalar::Precision;
 use ca_sparse::{Csr, Ell, Hyb};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Handle to a device vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,11 +109,19 @@ impl SpStorage {
 /// stored with global column indices.
 #[derive(Debug, Clone)]
 pub struct SpSlice {
-    /// Sparse storage (ncols = global n).
-    pub storage: SpStorage,
+    /// Sparse storage (ncols = global n). Immutable once loaded, so the
+    /// host keeps one copy however many slices — each with its own id and
+    /// its own charged device bytes — were loaded from it.
+    pub storage: Arc<SpStorage>,
     /// Global row ids, one per local row.
     pub rows: Vec<u32>,
 }
+
+/// What a freed slice slot holds: no rows, no bytes, one allocation for
+/// every tombstone there will ever be.
+static EMPTY_STORAGE: LazyLock<Arc<SpStorage>> = LazyLock::new(|| {
+    Arc::new(SpStorage::Ell(Ell::from_csr(&Csr::from_raw(0, 0, vec![0], vec![], vec![]))))
+});
 
 /// One simulated GPU.
 #[derive(Debug)]
@@ -422,12 +430,20 @@ impl Device {
         self.load_slice_storage(SpStorage::Ell(ell), rows)
     }
 
-    /// Load a sparse slice in any storage format.
+    /// Load a sparse slice in any storage format. Loading an `Arc` that
+    /// another slice (on this or another device) already holds is a load
+    /// like any other — a new id, the full bytes charged — for which the
+    /// host stores nothing twice.
     ///
     /// # Errors
     /// [`GpuSimError::OutOfMemory`] when the modeled device memory capacity
     /// would be exceeded (or an allocation fault is injected).
-    pub fn load_slice_storage(&mut self, storage: SpStorage, rows: Vec<u32>) -> Result<SpId> {
+    pub fn load_slice_storage(
+        &mut self,
+        storage: impl Into<Arc<SpStorage>>,
+        rows: Vec<u32>,
+    ) -> Result<SpId> {
+        let storage = storage.into();
         assert_eq!(storage.nrows(), rows.len());
         self.charge_mem(storage.bytes() + rows.len() * 4)?;
         self.slices.push(SpSlice { storage, rows });
@@ -465,10 +481,7 @@ impl Device {
         let sl = &self.slices[s.0];
         let bytes = sl.storage.bytes() + sl.rows.len() * 4;
         self.mem_bytes = self.mem_bytes.saturating_sub(bytes);
-        self.slices[s.0] = SpSlice {
-            storage: SpStorage::Ell(Ell::from_csr(&Csr::from_raw(0, 0, vec![0], vec![], vec![]))),
-            rows: Vec::new(),
-        };
+        self.slices[s.0] = SpSlice { storage: Arc::clone(&EMPTY_STORAGE), rows: Vec::new() };
     }
 
     /// Snapshot the allocation state before a fallible multi-object build
@@ -500,7 +513,7 @@ impl Device {
     }
 
     fn spmv_cost(&self, s: SpId) -> f64 {
-        match &self.slices[s.0].storage {
+        match &*self.slices[s.0].storage {
             SpStorage::Ell(e) => self.model.spmv_time(e.padded_nnz(), e.nrows()),
             SpStorage::Hyb(h) => {
                 self.model.spmv_hyb_time(h.width() * h.nrows(), h.spilled(), h.nrows())
@@ -1293,6 +1306,38 @@ mod tests {
         assert_ne!(v1, v0);
         assert_eq!(d.vec(v0).len(), 0);
         assert_eq!(d.vec(v1).len(), 10);
+    }
+
+    #[test]
+    fn aliased_slices_are_charged_and_freed_one_by_one() {
+        let mut d = dev();
+        let a = laplace2d(8, 8);
+        let storage = Arc::new(SpStorage::Ell(Ell::from_csr(&a)));
+        let charge = storage.bytes() + 64 * 4;
+        let s0 = d.load_slice_storage(Arc::clone(&storage), (0..64).collect()).unwrap();
+        let s1 = d.load_slice_storage(storage, (0..64).collect()).unwrap();
+        // two ids, two charges, one host copy
+        assert_ne!(s0, s1);
+        assert_eq!(d.mem_used(), 2 * charge);
+        assert!(Arc::ptr_eq(&d.slice(s0).storage, &d.slice(s1).storage));
+
+        let x = d.alloc_vec(64).unwrap();
+        let v = d.alloc_mat(64, 2).unwrap();
+        d.vec_mut(x).iter_mut().enumerate().for_each(|(i, xi)| *xi = (i as f64 * 0.3).sin());
+        d.spmv_to_mat_col(s1, x, v, 0);
+        let used = d.mem_used();
+        d.free_slice(s0);
+        assert_eq!(d.mem_used(), used - charge, "a free returns its own charge, no more");
+        assert_eq!(d.slice(s0).rows.len(), 0);
+        // the survivor still multiplies, to the same bits
+        d.spmv_to_mat_col(s1, x, v, 1);
+        assert_eq!(d.mat(v).col(0), d.mat(v).col(1));
+        assert!(d.mat(v).col(1).iter().any(|&y| y != 0.0));
+        d.free_slice(s1);
+        assert_eq!(d.mem_used(), used - 2 * charge);
+        // every tombstone is the same empty storage
+        assert!(Arc::ptr_eq(&d.slice(s0).storage, &d.slice(s1).storage));
+        assert_eq!((d.slice(s1).storage.nrows(), d.slice(s1).storage.bytes()), (0, 0));
     }
 
     #[test]

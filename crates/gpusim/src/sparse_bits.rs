@@ -130,12 +130,16 @@ fn finite(rng: &mut Rng) -> Vec<f64> {
     (0..N).map(|_| rng.value()).collect()
 }
 
-fn poisoned(rng: &mut Rng) -> Vec<f64> {
-    (0..N)
+/// NaN, both infinities, `-0.0` and a finite value that rounds to an
+/// infinity in `f32`, planted among ordinary values.
+fn poisoned(rng: &mut Rng, n: usize) -> Vec<f64> {
+    (0..n)
         .map(|_| match rng.next() % 24 {
             0 => f64::NAN,
             1 => f64::INFINITY,
             2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => 1e39,
             _ => rng.value(),
         })
         .collect()
@@ -230,7 +234,7 @@ fn input(rng: &mut Rng, faults: &Option<Arc<FaultPlan>>) -> Vec<f64> {
     if faults.is_some() {
         finite(rng)
     } else {
-        poisoned(rng)
+        poisoned(rng, N)
     }
 }
 
@@ -264,7 +268,7 @@ fn scatter_kernels_match_the_collecting_bodies() {
                 let what = format!("{} rows, {fp:?}, sdc {}", rows.len(), faults.is_some());
 
                 for (re, im2, scale) in STEPS {
-                    let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng));
+                    let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng, N));
                     d.vec_mut(zc).copy_from_slice(&x);
                     d.vec_mut(zn).copy_from_slice(&old);
                     let op = d.ops();
@@ -282,7 +286,7 @@ fn scatter_kernels_match_the_collecting_bodies() {
                 }
 
                 // the double buffer the other way round
-                let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng));
+                let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng, N));
                 d.vec_mut(zn).copy_from_slice(&x);
                 d.vec_mut(zc).copy_from_slice(&old);
                 let op = d.ops();
@@ -293,7 +297,7 @@ fn scatter_kernels_match_the_collecting_bodies() {
                 assert_bits(d.vec(zc), &want, &format!("swapped buffers {what}"));
 
                 // spmv_scatter: z[rows[i]] := y[i], other rows untouched
-                let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng));
+                let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng, N));
                 d.vec_mut(zc).copy_from_slice(&x);
                 d.vec_mut(zn).copy_from_slice(&old);
                 let op = d.ops();
@@ -385,7 +389,7 @@ fn local_block_copies_match_the_indexed_loops() {
         let mut d = device(&None);
         let z = d.alloc_vec(N).expect("fits");
         let v = d.alloc_mat(rows.len(), 2).expect("fits");
-        let zs = poisoned(&mut rng);
+        let zs = poisoned(&mut rng, N);
         let what = format!("rows {range:?}");
 
         // gather_vec_to_col: V[i, col] := z[rows[i]]
@@ -400,7 +404,7 @@ fn local_block_copies_match_the_indexed_loops() {
 
         // scatter_col_to_vec(_p): z[rows[i]] := quantize(V[i, col])
         for prec in [Precision::F64, Precision::F32] {
-            let col: Vec<f64> = poisoned(&mut rng)[..rows.len()].to_vec();
+            let col: Vec<f64> = poisoned(&mut rng, rows.len());
             d.mat_mut(v).set_col(0, &col);
             d.vec_mut(z).copy_from_slice(&zs);
             let op = d.ops();
@@ -432,7 +436,7 @@ fn lost_device_runs_no_sparse_kernel() {
         let s = d.load_slice_storage(st, rows.clone()).expect("fits");
         let (zc, zn) = (d.alloc_vec(N).expect("fits"), d.alloc_vec(N).expect("fits"));
         let v = d.alloc_mat(rows.len(), 2).expect("fits");
-        let (x, old) = (poisoned(&mut rng), poisoned(&mut rng));
+        let (x, old) = (poisoned(&mut rng, N), poisoned(&mut rng, N));
         d.vec_mut(zc).copy_from_slice(&x);
         d.vec_mut(zn).copy_from_slice(&old);
         d.mat_mut(v).set_col(1, &x[..rows.len()]);
@@ -452,5 +456,133 @@ fn lost_device_runs_no_sparse_kernel() {
         assert_bits(d.mat(v).col(1), &x[..rows.len()], "basis column");
         assert_eq!((d.ops(), d.clock(), d.trace().len()), (ops, clock, cmds));
         assert_eq!(d.sdc_injected(), 0);
+    }
+}
+
+// ---------- the sliced host layout ----------
+//
+// `ca_sparse::Ell` orders the rows by length inside windows of `WINDOW` slice
+// rows, stores each chunk of eight no wider than its longest row plus one
+// padding slot, and scatters the row sums back. None of that may show: the
+// row-by-row oracle above still multiplies all `width - len` padding slots
+// of the GPU format, in slice row order.
+
+/// The sorting window of `ca_sparse::Ell`.
+const WINDOW: usize = ca_sparse::ell::WINDOW_ROWS;
+
+const ROW_COUNTS: [usize; 9] = [0, 1, 7, 8, 9, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 3];
+
+/// `n x n` with `lens[i]` entries in row `i`, from column `i + 1` on
+/// (cyclically, so its padding column `i` comes last) and none in a column
+/// of `avoid`.
+fn rows_of(lens: &[usize], avoid: &[usize], rng: &mut Rng) -> Csr {
+    let n = lens.len();
+    let mut c = Coo::new(n, n);
+    for (i, &len) in lens.iter().enumerate() {
+        let free = (1..=n).map(|k| (i + k) % n).filter(|j| !avoid.contains(j));
+        for j in free.take(len) {
+            c.add(i, j, rng.value());
+        }
+    }
+    c.to_csr()
+}
+
+/// Runs of equal rows, runs of empty rows, rows of up to nine entries and
+/// one of 40 per window (the hybrid format's tail).
+fn windowed(rng: &mut Rng, n: usize) -> Csr {
+    let lens: Vec<usize> = (0..n)
+        .map(|i| match (i % WINDOW, i / 16 % 4) {
+            (77, _) => 40,
+            (_, 0) => 3,
+            (_, 1) => 0,
+            _ => (rng.next() % 10) as usize,
+        })
+        .collect();
+    rows_of(&lens, &[], rng)
+}
+
+#[test]
+fn sorted_windows_do_not_show_through_the_device() {
+    let mut rng = Rng(20);
+    for n in ROW_COUNTS {
+        let a = windowed(&mut rng, n);
+        let rows: Vec<u32> = (0..n as u32).collect();
+        for fp in FORMATS {
+            let (st, width, spmv_dt) = storage(&a, &rows, fp);
+            let prec = fp.1;
+            let mut d = device(&None);
+            let s = d.load_slice_storage(st, rows.clone()).expect("fits");
+            let (zc, zn) = (d.alloc_vec(n).expect("fits"), d.alloc_vec(n).expect("fits"));
+            let v = d.alloc_mat(n, 1).expect("fits");
+            for (re, im2, scale) in [STEPS[0], STEPS[3], STEPS[5]] {
+                let (x, old) = (poisoned(&mut rng, n), poisoned(&mut rng, n));
+                d.vec_mut(zc).copy_from_slice(&x);
+                d.vec_mut(zn).copy_from_slice(&old);
+                d.spmv_shift_scatter(s, zc, zn, re, im2, scale);
+                let y = ref_spmv(&a, &rows, width, prec, &x);
+                let mut want = old;
+                ref_shift_scatter(y.clone(), &rows, prec, &x, &mut want, re, im2, scale);
+                let what = format!("{n} rows, {fp:?}, step ({re}, {im2}, {scale})");
+                assert_bits(d.vec(zn), &want, &format!("spmv_shift_scatter {what}"));
+                d.spmv_to_mat_col(s, zc, v, 0);
+                assert_bits(d.mat(v).col(0), &y, &format!("spmv_to_mat_col {what}"));
+                assert_eq!(last_kernel(&d), ("spmv", spmv_dt), "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_kept_padding_slot_poisons_what_all_of_them_did() {
+    // three rows that hold no entry in each other's or their own column:
+    //   SHORT  2 entries, sorted into KEPT's chunk -> padded up to the chunk
+    //   KEPT   5 entries, the longest of its chunk -> the one kept slot
+    //   FULL   9 entries = width, the next window  -> no padding slot
+    // so x[SHORT], x[KEPT] and x[FULL] are read by padding slots only
+    const SHORT: usize = 5;
+    const KEPT: usize = 100;
+    const FULL: usize = WINDOW + 9;
+    const { assert!(SHORT < KEPT && KEPT < WINDOW) };
+    let n = 2 * WINDOW + 3;
+    let mut rng = Rng(0x5e11);
+    let mut lens = vec![1; n];
+    (lens[SHORT], lens[KEPT], lens[FULL]) = (2, 5, 9);
+    let a = rows_of(&lens, &[SHORT, KEPT, FULL], &mut rng);
+    let rows: Vec<u32> = (0..n as u32).collect();
+    let clean: Vec<f64> = (0..n).map(|_| rng.value()).collect();
+
+    for fp in FORMATS {
+        let (st, width, _) = storage(&a, &rows, fp);
+        let mut d = device(&None);
+        let s = d.load_slice_storage(st, rows.clone()).expect("fits");
+        let (zc, zn) = (d.alloc_vec(n).expect("fits"), d.alloc_vec(n).expect("fits"));
+        let mut run = |x: &[f64]| {
+            d.vec_mut(zc).copy_from_slice(x);
+            d.spmv_shift_scatter(s, zc, zn, 0.0, 0.0, 1.0);
+            let got = d.vec(zn).to_vec();
+            assert_bits(&got, &ref_spmv(&a, &rows, width, fp.1, x), &format!("{fp:?}"));
+            got
+        };
+        let y_clean = run(&clean);
+        assert!(y_clean.iter().all(|v| v.is_finite()));
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e39] {
+            let mut x = clean.clone();
+            (x[SHORT], x[KEPT], x[FULL]) = (poison, poison, poison);
+            let y = run(&x);
+            // a hybrid slice of width 1 pads no row at all; the oracle above
+            // has already said so, the rest is about plain ELLPACK
+            let Format::Ell = fp.0 else { continue };
+            assert_eq!(width, 9);
+            let lost = poison.is_nan()
+                || poison.is_infinite()
+                || (fp.1 == Precision::F32 && (poison as f32).is_infinite());
+            for (i, (&got, &was)) in y.iter().zip(&y_clean).enumerate() {
+                if lost && (i == SHORT || i == KEPT) {
+                    assert!(got.is_nan(), "{fp:?}: row {i} lost x[{i}] = {poison}: {got}");
+                } else {
+                    assert!(same(got, was), "{fp:?}: row {i} moved under {poison}");
+                }
+            }
+        }
     }
 }

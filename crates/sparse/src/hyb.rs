@@ -56,7 +56,7 @@ impl<T: Scalar> Hyb<T> {
     fn build<S, I>(a: &Csr<S>, rows: I, width: usize) -> Self
     where
         S: Scalar,
-        I: ExactSizeIterator<Item = usize>,
+        I: ExactSizeIterator<Item = usize> + Clone,
     {
         let mut coo = Vec::new();
         let ell = Ell::from_csr_rows_capped(a, rows, width, |r, c, v| coo.push((r, c, v)));

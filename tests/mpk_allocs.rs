@@ -13,20 +13,35 @@
 //! destinations per pass over the sources, requests nothing at all: no
 //! factor table, no list of source slices, per call or per row chunk.
 //!
-//! One `#[test]` only: the counter is process-wide.
+//! The same allocator keeps a live-bytes high-water mark, which pins what
+//! `System::new` holds on the host: the s-step plan multiplies by the local
+//! blocks the s = 1 plan built, so the peak is the device memory the model
+//! charges *less one copy of the local blocks* — the model prices both
+//! loads, the host stores one.
+//!
+//! One `#[test]` only: the counters are process-wide.
 
 use ca_gmres_repro::dense::{blas3, Mat};
-use ca_gmres_repro::gmres::mpk::{dist_spmv, mpk, SpmvFormat};
+use ca_gmres_repro::gmres::mpk::{dist_spmv, mpk as mpk_block, SpmvFormat};
 use ca_gmres_repro::gmres::prelude::*;
-use ca_gmres_repro::gpusim::{MatId, MultiGpu};
-use ca_gmres_repro::sparse::gen::laplace2d;
+use ca_gmres_repro::gpusim::MultiGpu;
+use ca_gmres_repro::sparse::gen::{cantilever, laplace2d};
+use ca_gmres_repro::sparse::Ell;
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System as SystemAlloc};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 
 struct Counting;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+/// Bytes requested and not yet returned, and the most that ever was.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    PEAK.fetch_max(LIVE.fetch_add(by, Relaxed) + by, Relaxed);
+}
 
 // SAFETY: every request is forwarded unchanged to the system allocator; the
 // counters are statistics that publish no other data.
@@ -35,10 +50,12 @@ unsafe impl GlobalAlloc for Counting {
         if ARMED.load(Relaxed) {
             LARGEST.fetch_max(layout.size(), Relaxed);
         }
+        grew(layout.size());
         SystemAlloc.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
         SystemAlloc.dealloc(ptr, layout)
     }
 
@@ -46,6 +63,8 @@ unsafe impl GlobalAlloc for Counting {
         if ARMED.load(Relaxed) {
             LARGEST.fetch_max(new_size, Relaxed);
         }
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        grew(new_size);
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 }
@@ -62,8 +81,37 @@ fn largest_request(f: impl FnOnce()) -> usize {
     LARGEST.load(Relaxed)
 }
 
+/// What `f` returns, and by how many bytes the heap stood above its level
+/// at entry at the worst moment of `f`.
+fn peak_growth<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let r = f();
+    (r, PEAK.load(Relaxed) - base)
+}
+
+fn system_new_holds_each_local_block_once() {
+    let a = cantilever(10, 10, 10); // 3000 rows of up to 81 entries
+    let (n, ndev, m, s) = (a.nrows(), 3, 30, 5);
+    let layout = Layout::even(n, ndev);
+    let mut mg = MultiGpu::with_defaults(ndev);
+    let (_, peak) = peak_growth(|| System::new(&mut mg, &a, layout.clone(), m, Some(s)).unwrap());
+    // the model's side: basis, work vectors, level slices, and the local
+    // blocks twice — one load per plan
+    let charged: usize = (0..ndev).map(|d| mg.device(d).mem_used()).sum();
+    let local: usize = (0..ndev)
+        .map(|d| Ell::<f64>::from_csr_rows(&a, layout.range(d)).bytes() + 4 * layout.nlocal(d))
+        .sum();
+    // (a second host copy would have to show: it is a quarter of the total)
+    assert!(4 * local > charged, "local blocks {local} B of {charged} B charged");
+    let bound = (charged - local) + (charged - local) / 10;
+    assert!(peak < bound, "System::new peaked at {peak} B, one local block less is {bound} B");
+}
+
 #[test]
 fn warm_mpk_and_dist_spmv_allocate_nothing_vector_sized() {
+    system_new_holds_each_local_block_once();
+
     let a = laplace2d(96, 90); // 8640 rows, halos of a few hundred
     let n = a.nrows();
     let ndev = 3;
@@ -76,36 +124,45 @@ fn warm_mpk_and_dist_spmv_allocate_nothing_vector_sized() {
         for format in [SpmvFormat::Ell, SpmvFormat::Hyb { quantile: 0.5 }] {
             let s = 4;
             let mut mg = MultiGpu::with_defaults(ndev);
-            let load = |mg: &mut MultiGpu, s: usize| {
-                let plan = MpkPlan::new(&a, &layout, s);
-                MpkState::load_with_format_prec(mg, &a, plan, format, prec).unwrap()
-            };
-            let st = load(&mut mg, s);
-            let st1 = load(&mut mg, 1);
+            // both plans as a solver gets them: at f64 the s-step plan
+            // multiplies by the s = 1 plan's local blocks, at f32 by its own
+            let sys =
+                System::new_with_format_prec(&mut mg, &a, layout.clone(), s, Some(s), format, prec)
+                    .unwrap();
+            let (st, v) = (sys.mpk.as_ref().unwrap(), &sys.v);
+            for d in 0..ndev {
+                let local = |st: &MpkState| &mg.device(d).slice(st.local_slice(d)).storage;
+                let shared = Arc::ptr_eq(local(st), local(&sys.spmv));
+                assert_eq!(shared, prec == Precision::F64, "{prec:?} {format:?} device {d}");
+            }
+            // the system's s = 1 plan is always f64: an s = 1 plan of its own
+            // at `prec` keeps the f32 `dist_spmv` path under the counter
+            let plan1 = MpkPlan::new(&a, &layout, 1);
+            let own1 = MpkState::load_with_format_prec(&mut mg, &a, plan1, format, prec).unwrap();
             let halo = st.plan.devs.iter().map(|d| d.need.len().max(d.send.len())).max().unwrap();
             assert!(halo * 8 < nlocal_bytes, "the halo payloads must sit below the threshold");
-            let v: Vec<MatId> = (0..ndev)
-                .map(|d| {
-                    let dev = mg.device_mut(d);
-                    let v = dev.alloc_mat(layout.nlocal(d), s + 1).unwrap();
-                    dev.mat_mut(v).set_col(0, &x0[layout.range(d)]);
-                    v
-                })
-                .collect();
+            for d in 0..ndev {
+                mg.device_mut(d).mat_mut(v[d]).set_col(0, &x0[layout.range(d)]);
+            }
             // shifts, a scale and a conjugate pair: every recurrence branch
             let spec = BasisSpec::newton(&[(1.5, 0.0), (2.0, 3.0), (2.0, -3.0), (-0.5, 0.0)], s);
 
             // warm-up: the per-device scratch takes its size here
-            mpk(&mut mg, &st, &v, 0, &spec).unwrap();
-            dist_spmv(&mut mg, &st1, &v, 0, 1).unwrap();
+            mpk_block(&mut mg, st, v, 0, &spec).unwrap();
+            for st1 in [&sys.spmv, &own1] {
+                dist_spmv(&mut mg, st1, v, 0, 1).unwrap();
+            }
 
             let what = format!("{prec:?} {format:?}");
             let big = largest_request(|| {
-                mpk(&mut mg, &st, &v, 0, &spec).unwrap();
+                mpk_block(&mut mg, st, v, 0, &spec).unwrap();
             });
             assert!(big < nlocal_bytes, "{what}: an MPK block requested {big} B at once");
-            let big = largest_request(|| dist_spmv(&mut mg, &st1, &v, 0, 1).unwrap());
-            assert!(big < nlocal_bytes, "{what}: dist_spmv requested {big} B at once");
+            for st1 in [&sys.spmv, &own1] {
+                let big = largest_request(|| dist_spmv(&mut mg, st1, v, 0, 1).unwrap());
+                let p1 = st1.prec;
+                assert!(big < nlocal_bytes, "{what}: {p1:?} dist_spmv requested {big} B at once");
+            }
         }
     }
 
