@@ -160,7 +160,7 @@ fn main() {
 
     // --- B: SpMV SDC sweep, unprotected vs ABFT + recompute ---
     for rate in [1e-3f64, 5e-3, 2e-2] {
-        let plan = || Some(FaultPlan::new(17).with_sdc(rate, SdcTargets::spmv_only()));
+        let plan = || Some(FaultPlan::new(52).with_sdc(rate, SdcTargets::spmv_only()));
         let name = format!("B sdc {rate:.0e}");
         run(&name, "none", plan(), &unprotected(&cfg), &a, &b, Some(t0), &mut rows);
         run(&name, "abft", plan(), &protected(&cfg), &a, &b, Some(t0), &mut rows);
@@ -170,7 +170,7 @@ fn main() {
     run(
         "C dev loss",
         "ft",
-        Some(FaultPlan::new(5).with_device_loss(1, 400)),
+        Some(FaultPlan::new(5).with_device_loss(1, 326)),
         &protected(&cfg),
         &a,
         &b,
@@ -180,7 +180,7 @@ fn main() {
     run(
         "C loss+xfer",
         "ft",
-        Some(FaultPlan::new(5).with_device_loss(1, 400).with_transfer_faults(5e-3)),
+        Some(FaultPlan::new(5).with_device_loss(1, 326).with_transfer_faults(5e-3)),
         &protected(&cfg),
         &a,
         &b,

@@ -42,7 +42,7 @@
 use crate::cagmres::TsqrErrorSample;
 use crate::ft::PollPoint;
 use crate::hess::BlockArnoldi;
-use crate::mpk::{dist_spmv, mpk_prefetch, mpk_with_prefetch, PrefetchedHalo};
+use crate::mpk::{mpk_prefetch, mpk_with_prefetch, spmv_block, PrefetchedHalo};
 use crate::newton::BasisSpec;
 use crate::orth::{self, tsqr_with_hook, BorthKind, OrthConfig, OrthError, PrefetchHook};
 use crate::stats::{PhaseTimer, SolveStats};
@@ -332,35 +332,6 @@ pub(crate) enum CycleEnd<H> {
     HandBack(H),
 }
 
-/// Generate a basis block via `s` shifted SpMVs (the non-MPK path).
-pub(crate) fn generate_block_spmv(
-    mg: &mut MultiGpu,
-    sys: &System,
-    start: usize,
-    spec: &BasisSpec,
-) -> GpuResult<()> {
-    for (k, step) in spec.steps.iter().enumerate() {
-        let src = start + k;
-        let dst = start + k + 1;
-        dist_spmv(mg, &sys.spmv, &sys.v, src, dst)?;
-        if step.re != 0.0 || step.im2 != 0.0 || step.scale != 1.0 {
-            let (re, im2, scale) = (step.re, step.im2, step.scale);
-            mg.run(|d, dev| {
-                if re != 0.0 {
-                    dev.axpy_cols(sys.v[d], -re, src, dst);
-                }
-                if scale != 1.0 {
-                    dev.scal_col(sys.v[d], dst, scale);
-                }
-                if im2 != 0.0 {
-                    dev.axpy_cols(sys.v[d], im2, src - 1, dst);
-                }
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Run one CA restart cycle from the residual of norm `beta` (or from
 /// `resume`, whose basis columns must already be on the devices).
 pub(crate) fn run_cycle<G: CycleGuard>(
@@ -522,7 +493,7 @@ fn attempt_block<G: CycleGuard>(
         mpk_with_prefetch(cx.mg, st, &sys.v, blk.start, blk.spec, pending.take())?;
         guard.poll(cx.mg, PollPoint::MpkBlock)?;
     } else {
-        generate_block_spmv(cx.mg, sys, blk.start, blk.spec)?;
+        spmv_block(cx.mg, &sys.spmv, &sys.v, blk.start, blk.spec)?;
         guard.poll(cx.mg, PollPoint::SpmvBlock)?;
     }
     let verdict = guard.after_generate(cx, blk)?;

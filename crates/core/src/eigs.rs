@@ -11,7 +11,7 @@
 //! restarts from the dominant Ritz vector.
 
 use crate::hess::BlockArnoldi;
-use crate::mpk::{dist_spmv, mpk};
+use crate::mpk::{dist_spmv, mpk, spmv_block};
 use crate::newton::{newton_shifts_from_hessenberg, BasisSpec};
 use crate::orth::{borth, orth_column, tsqr, OrthConfig, OrthError};
 use crate::system::System;
@@ -153,24 +153,7 @@ pub fn arnoldi_eigs(
                     if use_mpk {
                         mpk(mg, sys.mpk.as_ref().unwrap(), &sys.v, start, &blk)?;
                     } else {
-                        for (k, st) in blk.steps.iter().enumerate() {
-                            dist_spmv(mg, &sys.spmv, &sys.v, start + k, start + k + 1)?;
-                            if st.re != 0.0 || st.scale != 1.0 || st.im2 != 0.0 {
-                                let (re, im2, sc) = (st.re, st.im2, st.scale);
-                                let src = start + k;
-                                mg.run(|d, dev| {
-                                    if re != 0.0 {
-                                        dev.axpy_cols(sys.v[d], -re, src, src + 1);
-                                    }
-                                    if sc != 1.0 {
-                                        dev.scal_col(sys.v[d], src + 1, sc);
-                                    }
-                                    if im2 != 0.0 {
-                                        dev.axpy_cols(sys.v[d], im2, src - 1, src + 1);
-                                    }
-                                });
-                            }
-                        }
+                        spmv_block(mg, &sys.spmv, &sys.v, start, &blk)?;
                     }
                     let (c0, c1) = if first { (0, s_blk + 1) } else { (ncols, ncols + s_blk) };
                     let c = match borth(mg, &sys.v, c0, c1, cfg.orth.borth) {

@@ -12,6 +12,14 @@
 //! device memory; [`mpk`] executes the Fig. 4 pseudocode; [`dist_spmv`] is
 //! the s = 1 specialization used by standard GMRES (without MPK's extra
 //! local copy, per footnote 4).
+//!
+//! A basis vector is one kernel launch, as in Fig. 4: step `k` of a block
+//! is one [`Device::mpk_step`] over `A(i^(d,k+1), :)` — the local block and
+//! the boundary levels still alive — with the basis recurrence and the
+//! basis-column write in its epilogue. [`spmv_block`], the generator that
+//! exchanges halos per vector instead of per block, launches the same
+//! kernel on the local block alone. The launch-per-slice sequence this
+//! replaced survives in the tests below as the oracle of both.
 
 use crate::layout::Layout;
 use crate::newton::BasisSpec;
@@ -199,9 +207,12 @@ pub struct MpkState {
     pub prec: Precision,
     /// Storage format the slices were converted to.
     format: SpmvFormat,
-    local_slice: Vec<SpId>,
-    level_slices: Vec<Vec<SpId>>,
-    z: Vec<(VecId, VecId)>,
+    /// Per device: the local block `A^(d)`, then the level slices, nearest
+    /// first — so the slices step `k` multiplies are a prefix.
+    slices: Vec<Vec<SpId>>,
+    /// Per device: the two full-length work vectors of the Fig. 4 double
+    /// buffer.
+    z: Vec<[VecId; 2]>,
     /// Where each halo value comes from: for device `d`, entry `i` says
     /// which device owns row `plan.devs[d].need[i]` and where that row sits
     /// in the owner's `send` list (= in its uplinked payload).
@@ -272,8 +283,7 @@ impl MpkState {
         let n = a.nrows();
         let s = plan.s;
         let resident = resident.filter(|r| r.prec == prec && r.format == format);
-        let mut local_slice = Vec::with_capacity(plan.devs.len());
-        let mut level_slices = Vec::with_capacity(plan.devs.len());
+        let mut slices = Vec::with_capacity(plan.devs.len());
         let mut z = Vec::with_capacity(plan.devs.len());
         for (d, dp) in plan.devs.iter().enumerate() {
             let dev = mg.device_mut(d);
@@ -281,25 +291,27 @@ impl MpkState {
             let local = match resident {
                 Some(r) => {
                     assert_eq!(r.plan.devs[d].local, dp.local, "device {d}: another layout");
-                    Arc::clone(&dev.slice(r.local_slice[d]).storage)
+                    Arc::clone(&dev.slice(r.local_slice(d)).storage)
                 }
                 None => Arc::new(format.build(a, &rows, prec)),
             };
-            local_slice.push(dev.load_slice_storage(local, rows)?);
-            let mut lv_slices = Vec::new();
+            // sized up front: a list that grew would leave its small freed
+            // buffers between the slices' long-lived arrays
+            let mut dev_slices = Vec::with_capacity(s);
+            dev_slices.push(dev.load_slice_storage(local, rows)?);
             for lv in &dp.levels[..s - 1] {
-                lv_slices.push(dev.load_slice_storage(format.build(a, lv, prec), lv.clone())?);
+                dev_slices.push(dev.load_slice_storage(format.build(a, lv, prec), lv.clone())?);
             }
-            level_slices.push(lv_slices);
-            z.push((dev.alloc_vec(n)?, dev.alloc_vec(n)?));
+            slices.push(dev_slices);
+            z.push([dev.alloc_vec(n)?, dev.alloc_vec(n)?]);
         }
         let halo_src = halo_sources(&plan);
-        Ok(Self { plan, prec, format, local_slice, level_slices, z, halo_src })
+        Ok(Self { plan, prec, format, slices, z, halo_src })
     }
 
     /// The slice holding device `d`'s local block `A^(d)`.
     pub fn local_slice(&self, d: usize) -> SpId {
-        self.local_slice[d]
+        self.slices[d][0]
     }
 
     /// Free every device allocation this state owns (slices and the
@@ -308,19 +320,24 @@ impl MpkState {
     /// manager when a cold operator is evicted; deallocation is free in
     /// simulated time, like allocation (the paper excludes setup).
     pub fn release(self, mg: &mut MultiGpu) {
-        for (d, sl) in self.local_slice.iter().enumerate() {
-            mg.device_mut(d).free_slice(*sl);
-        }
-        for (d, lvs) in self.level_slices.iter().enumerate() {
-            for sl in lvs {
+        for (d, dev_slices) in self.slices.iter().enumerate() {
+            for sl in dev_slices {
                 mg.device_mut(d).free_slice(*sl);
             }
         }
-        for (d, &(z0, z1)) in self.z.iter().enumerate() {
-            let dev = mg.device_mut(d);
-            dev.free_vec(z0);
-            dev.free_vec(z1);
+        for (d, z) in self.z.iter().enumerate() {
+            z.iter().for_each(|&half| mg.device_mut(d).free_vec(half));
         }
+    }
+
+    /// Load basis column `col` into the local rows of the first `z` buffer
+    /// (rounded to the plan's precision): where a block, or a lone SpMV,
+    /// starts from.
+    fn load_column(&self, mg: &mut MultiGpu, v: &[MatId], col: usize) {
+        mg.run(|d, dev| {
+            let local = self.plan.devs[d].local.clone();
+            dev.scatter_col_to_vec_p(v[d], col, self.z[d][0], local, self.prec);
+        });
     }
 
     /// Exchange phase (the Fig. 4 "Setup"): bring the start vector's value
@@ -352,10 +369,8 @@ impl MpkState {
             return Ok(None);
         }
         // compress + async send to host (Fig. 4 setup, first two loops)
-        let payloads = mg.run_map(|d, dev| {
-            let z = [self.z[d].0, self.z[d].1][cur];
-            dev.compress_p(z, &self.plan.devs[d].send, self.prec)
-        });
+        let payloads =
+            mg.run_map(|d, dev| dev.compress_p(self.z[d][cur], &self.plan.devs[d].send, self.prec));
         let bytes_up: Vec<usize> =
             self.plan.devs.iter().map(|d| d.send.len() * self.prec.bytes()).collect();
         let up = mg.to_host_async_prec(&bytes_up, self.prec)?;
@@ -390,8 +405,7 @@ impl MpkState {
             }
         }
         mg.run(|d, dev| {
-            let z = [self.z[d].0, self.z[d].1][cur];
-            dev.expand_p(z, &self.plan.devs[d].need, &inflight.vals[d], self.prec);
+            dev.expand_p(self.z[d][cur], &self.plan.devs[d].need, &inflight.vals[d], self.prec);
         });
         Ok(())
     }
@@ -453,15 +467,7 @@ pub fn mpk_prefetch(
     v: &[MatId],
     start_col: usize,
 ) -> Result<PrefetchedHalo> {
-    mg.run(|d, dev| {
-        dev.scatter_col_to_vec_p(
-            v[d],
-            start_col,
-            st.z[d].0,
-            st.plan.devs[d].local.clone(),
-            st.prec,
-        );
-    });
+    st.load_column(mg, v, start_col);
     let inflight = st.exchange_issue(mg, 0)?;
     if obs::enabled() {
         obs::instant_cause(
@@ -543,16 +549,7 @@ pub fn mpk_with_prefetch(
             }
         }
         None => {
-            // Load the start column into z0's local rows and exchange halos.
-            mg.run(|d, dev| {
-                dev.scatter_col_to_vec_p(
-                    v[d],
-                    start_col,
-                    st.z[d].0,
-                    st.plan.devs[d].local.clone(),
-                    st.prec,
-                );
-            });
+            st.load_column(mg, v, start_col);
             st.exchange(mg, 0)?;
         }
     }
@@ -578,33 +575,58 @@ pub fn mpk_with_prefetch(
 fn mpk_steps(mg: &mut MultiGpu, st: &MpkState, v: &[MatId], start_col: usize, spec: &BasisSpec) {
     mg.run(|d, dev| {
         for k in 1..=spec.s() {
-            mpk_step(dev, st, d, v[d], start_col, spec, k);
+            // level t feeds steps up to s_run - t
+            let parts = &st.slices[d][..=spec.s() - k];
+            mpk_step(dev, parts, st.z[d], v[d], start_col, spec, k);
         }
     });
 }
 
-/// Step `k` of a block on device `d` (Fig. 4, body of the main loop): the
-/// local rows and the boundary levels later steps still read, from one
-/// half of the `z` double buffer into the other, then the local part into
-/// basis column `start_col + k`.
+/// Step `k` of a block on one device (Fig. 4, body of the main loop), one
+/// launch: the rows of `parts` — the local block, then the boundary levels
+/// later steps still read — from one half of the `z` double buffer into the
+/// other, the local part also into basis column `start_col + k`.
 fn mpk_step(
     dev: &mut Device,
-    st: &MpkState,
-    d: usize,
+    parts: &[SpId],
+    z: [VecId; 2],
     v: MatId,
     start_col: usize,
     spec: &BasisSpec,
     k: usize,
 ) {
     let step = spec.steps[k - 1];
-    let (z0, z1) = st.z[d];
-    let (zc, zn) = if k % 2 == 1 { (z0, z1) } else { (z1, z0) };
-    dev.spmv_shift_scatter(st.local_slice[d], zc, zn, step.re, step.im2, step.scale);
-    // level t feeds steps up to s_run - t; only levels 1..s_plan-1 have slices
-    for t in 1..=spec.s() - k {
-        dev.spmv_shift_scatter(st.level_slices[d][t - 1], zc, zn, step.re, step.im2, step.scale);
+    let recurrence = (step.re, step.im2, step.scale);
+    dev.mpk_step(parts, z[(k - 1) % 2], z[k % 2], recurrence, v, start_col + k);
+}
+
+/// The block [`mpk`] generates — columns `start_col + 1 ..= start_col +
+/// spec.s()` — as shifted distributed SpMVs on an `s = 1` plan: one halo
+/// exchange and one [`Device::mpk_step`] on the local block per vector, the
+/// step's shift in the kernel's epilogue. The `z` double buffer carries over
+/// between the steps — the rows a step wrote are the next step's source,
+/// and the two-steps-ago vector of the step after — so only the first step
+/// loads a basis column.
+///
+/// # Errors
+/// Propagates simulated transfer failures and device loss from the halo
+/// exchanges ([`ca_gpusim::GpuSimError`]).
+pub fn spmv_block(
+    mg: &mut MultiGpu,
+    st: &MpkState,
+    v: &[MatId],
+    start_col: usize,
+    spec: &BasisSpec,
+) -> Result<()> {
+    assert_eq!(st.plan.s, 1, "a shifted-SpMV block wants an s = 1 plan");
+    st.load_column(mg, v, start_col);
+    for k in 1..=spec.s() {
+        let sp = obs::span_begin("dist_spmv", HOST, mg.time());
+        st.exchange(mg, (k - 1) % 2)?;
+        mg.run(|d, dev| mpk_step(dev, &st.slices[d][..1], st.z[d], v[d], start_col, spec, k));
+        obs::span_end(sp, mg.time());
     }
-    dev.gather_vec_to_col(zn, st.plan.devs[d].local.clone(), v, start_col + k);
+    Ok(())
 }
 
 /// Distributed SpMV (the s = 1 path standard GMRES uses): computes
@@ -624,12 +646,10 @@ pub fn dist_spmv(
 ) -> Result<()> {
     assert_eq!(st.plan.s, 1, "dist_spmv wants an s = 1 plan");
     let sp = obs::span_begin("dist_spmv", HOST, mg.time());
-    mg.run(|d, dev| {
-        dev.scatter_col_to_vec_p(v[d], src, st.z[d].0, st.plan.devs[d].local.clone(), st.prec);
-    });
+    st.load_column(mg, v, src);
     st.exchange(mg, 0)?;
     mg.run(|d, dev| {
-        dev.spmv_to_mat_col(st.local_slice[d], st.z[d].0, v[d], dst);
+        dev.spmv_to_mat_col(st.local_slice(d), st.z[d][0], v[d], dst);
     });
     obs::span_end(sp, mg.time());
     Ok(())
@@ -639,7 +659,7 @@ pub fn dist_spmv(
 mod tests {
     use super::*;
     use crate::layout::Layout;
-    use ca_gpusim::MultiGpu;
+    use ca_gpusim::{MultiGpu, PerfModel};
     use ca_sparse::gen::laplace2d;
 
     fn setup(nx: usize, ny: usize, ndev: usize, s: usize) -> (Csr, Layout, MpkPlan) {
@@ -1054,6 +1074,290 @@ mod tests {
         assert_eq!(spmv_msgs, s as u64 * mpk_msgs, "latency reduced by factor s");
     }
 
+    // ---------- one launch per basis vector ----------
+
+    /// A machine with `a` loaded on `layout` for `s`-step blocks in `format`
+    /// at `prec`, and a basis of `cols` columns per device whose column 0
+    /// holds `x0`.
+    fn loaded(
+        a: &Csr,
+        (layout, s, cols): (&Layout, usize, usize),
+        (format, prec): (SpmvFormat, Precision),
+        x0: &[f64],
+    ) -> (MultiGpu, MpkState, Vec<MatId>) {
+        let ndev = layout.ndev();
+        let mut mg = MultiGpu::with_defaults(ndev);
+        let plan = MpkPlan::new(a, layout, s);
+        let st = MpkState::load_with_format_prec(&mut mg, a, plan, format, prec).unwrap();
+        let v = (0..ndev)
+            .map(|d| {
+                let dev = mg.device_mut(d);
+                let v = dev.alloc_mat(layout.nlocal(d), cols).unwrap();
+                dev.mat_mut(v).set_col(0, &x0[layout.range(d)]);
+                v
+            })
+            .collect();
+        (mg, st, v)
+    }
+
+    /// Bits of every work vector and every basis column of every device.
+    fn device_bits(mg: &MultiGpu, st: &MpkState, v: &[MatId]) -> Vec<Vec<u64>> {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        (0..mg.n_gpus())
+            .flat_map(|d| {
+                let dev = mg.device(d);
+                [
+                    bits(dev.vec(st.z[d][0])),
+                    bits(dev.vec(st.z[d][1])),
+                    bits(dev.mat(v[d]).as_slice()),
+                ]
+            })
+            .collect()
+    }
+
+    /// [`mpk_step`] as the sequence it replaced — slice by slice an SpMV and
+    /// the recurrence over its rows, then the local rows into the basis
+    /// column — on the host's view of the device: the bits and no command.
+    fn mpk_step_unfused(
+        dev: &mut Device,
+        parts: &[SpId],
+        z: [VecId; 2],
+        v: MatId,
+        start_col: usize,
+        spec: &BasisSpec,
+        k: usize,
+    ) {
+        let crate::newton::Step { re, im2, scale } = spec.steps[k - 1];
+        let (zc, zn) = (z[(k - 1) % 2], z[k % 2]);
+        let cur = dev.vec(zc).to_vec();
+        let mut next = dev.vec(zn).to_vec();
+        for &s in parts {
+            let sl = dev.slice(s);
+            let mut y = vec![0.0; sl.rows.len()];
+            sl.storage.spmv(&cur, &mut y);
+            for (&r, yi) in sl.rows.iter().zip(y) {
+                let r = r as usize;
+                let shifted = match sl.storage.prec() {
+                    _ if re == 0.0 && scale == 1.0 => yi,
+                    Precision::F64 => scale * (yi - re * cur[r]),
+                    Precision::F32 => {
+                        (scale as f32 * (yi as f32 - re as f32 * cur[r] as f32)) as f64
+                    }
+                };
+                next[r] = match sl.storage.prec() {
+                    _ if im2 == 0.0 => shifted,
+                    Precision::F64 => shifted + im2 * next[r],
+                    Precision::F32 => (shifted as f32 + im2 as f32 * next[r] as f32) as f64,
+                };
+            }
+        }
+        let rows = &dev.slice(parts[0]).rows;
+        let local = rows.first().map_or(0..0, |&r| r as usize..r as usize + rows.len());
+        dev.mat_mut(v).col_mut(start_col + k).copy_from_slice(&next[local]);
+        *dev.vec_mut(zn) = next;
+    }
+
+    /// A real shift, a conjugate pair, a scaled step: every branch of the
+    /// recurrence.
+    fn every_branch(s: usize) -> BasisSpec {
+        let mut spec = BasisSpec::newton(&[(1.5, 0.0), (2.0, 3.0), (2.0, -3.0), (0.0, 0.0)], s);
+        spec.steps[s - 1].scale = 0.5;
+        spec
+    }
+
+    #[test]
+    fn fused_steps_equal_the_per_slice_sequence_and_cost_one_launch_each() {
+        // hub rows give the hybrid format a tail; device 1 owns no row, so
+        // its local block and all its levels are empty
+        let a = ca_sparse::gen::circuit(600, 20140527);
+        let n = a.nrows();
+        let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e2).collect();
+        let layout = Layout::from_sizes(&[200, 0, 250, 150]);
+        let (ndev, s) = (layout.ndev(), 4);
+        let mut blocks = 0;
+        for format in [SpmvFormat::Ell, SpmvFormat::Hyb { quantile: 0.9 }] {
+            for prec in [Precision::F64, Precision::F32] {
+                for spec in [BasisSpec::monomial(s), every_branch(s), every_branch(s - 1)] {
+                    let what = format!("{format:?} {prec:?} {} of {s} steps", spec.s());
+                    let run = |fused: bool| {
+                        let (mut mg, st, v) = loaded(&a, (&layout, s, s + 2), (format, prec), &x0);
+                        st.load_column(&mut mg, &v, 0);
+                        st.exchange(&mut mg, 0).unwrap();
+                        let before: Vec<(u64, f64)> =
+                            (0..ndev).map(|d| (mg.device(d).ops(), mg.device(d).clock())).collect();
+                        if fused {
+                            mpk_steps(&mut mg, &st, &v, 0, &spec);
+                        } else {
+                            mg.run(|d, dev| {
+                                for k in 1..=spec.s() {
+                                    let parts = &st.slices[d][..=spec.s() - k];
+                                    mpk_step_unfused(dev, parts, st.z[d], v[d], 0, &spec, k);
+                                }
+                            });
+                        }
+                        (device_bits(&mg, &st, &v), mg, st, before)
+                    };
+                    let (bits, mg, st, before) = run(true);
+                    assert_eq!(bits, run(false).0, "{what}");
+                    // one launch per step, charged what the model says one
+                    // launch over the slices still alive costs
+                    for (d, &(ops, clock)) in before.iter().enumerate() {
+                        let dev = mg.device(d);
+                        assert_eq!(dev.ops() - ops, spec.s() as u64, "{what}: device {d}");
+                        let mut want = clock;
+                        for k in 1..=spec.s() {
+                            let alive = &st.slices[d][..=spec.s() - k];
+                            let shapes = alive.iter().map(|&sl| dev.slice(sl).storage.shape());
+                            let nlocal = st.plan.devs[d].local.len();
+                            want += mg.model().mpk_step_time(shapes, nlocal, prec);
+                        }
+                        assert_eq!(dev.clock(), want, "{what}: device {d}");
+                    }
+                    blocks += 1;
+                }
+            }
+        }
+        assert_eq!(blocks, 12);
+    }
+
+    /// [`spmv_block`] as it was: per vector a [`dist_spmv`], then the shift
+    /// as up to three BLAS-1 kernels on the basis columns.
+    fn spmv_block_unfused(
+        mg: &mut MultiGpu,
+        st: &MpkState,
+        v: &[MatId],
+        start: usize,
+        spec: &BasisSpec,
+    ) {
+        for (k, step) in spec.steps.iter().enumerate() {
+            let (src, dst) = (start + k, start + k + 1);
+            dist_spmv(mg, st, v, src, dst).unwrap();
+            let (re, im2, scale) = (step.re, step.im2, step.scale);
+            mg.run(|d, dev| {
+                if re != 0.0 {
+                    dev.axpy_cols(v[d], -re, src, dst);
+                }
+                if scale != 1.0 {
+                    dev.scal_col(v[d], dst, scale);
+                }
+                if im2 != 0.0 {
+                    dev.axpy_cols(v[d], im2, src - 1, dst);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn spmv_block_equals_dist_spmv_plus_blas1_shifts_less_launches_and_passes() {
+        let a = ca_sparse::gen::circuit(600, 20140527);
+        let n = a.nrows();
+        let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e2).collect();
+        let s = 5;
+        for ndev in [1, 3] {
+            for spec in [BasisSpec::monomial(s), every_branch(s), BasisSpec::chebyshev(4.0, 3.5, s)]
+            {
+                let what = format!("{ndev} devices, {:?}", spec.steps);
+                let run = |fused: bool| {
+                    let (mut mg, st, v) = loaded(
+                        &a,
+                        (&Layout::even(n, ndev), 1, s + 2),
+                        (SpmvFormat::Ell, Precision::F64),
+                        &x0,
+                    );
+                    mg.reset_counters();
+                    if fused {
+                        spmv_block(&mut mg, &st, &v, 0, &spec).unwrap();
+                    } else {
+                        spmv_block_unfused(&mut mg, &st, &v, 0, &spec);
+                    }
+                    let cols: Vec<Vec<u64>> = (0..ndev)
+                        .map(|d| mg.device(d).mat(v[d]).as_slice().iter().map(|x| x.to_bits()))
+                        .map(Iterator::collect)
+                        .collect();
+                    let busy: Vec<f64> =
+                        (0..ndev).map(|d| mg.device(d).modeled_busy_time()).collect();
+                    let ops: Vec<u64> = (0..ndev).map(|d| mg.device(d).ops()).collect();
+                    (cols, mg.counters(), busy, ops, st.plan.clone())
+                };
+                let (cols, comm, busy, ops, plan) = run(true);
+                let (cols_want, comm_want, busy_was, ops_was, _) = run(false);
+                assert_eq!(cols, cols_want, "{what}");
+                assert_eq!(comm.total_msgs(), comm_want.total_msgs(), "{what}");
+                assert_eq!(comm.total_bytes(), comm_want.total_bytes(), "{what}");
+
+                let model = PerfModel::default();
+                let launch = model.launch_s;
+                let axpys = spec.steps.iter().filter(|st| st.re != 0.0).count()
+                    + spec.steps.iter().filter(|st| st.im2 != 0.0).count();
+                let scals = spec.steps.iter().filter(|st| st.scale != 1.0).count();
+                for d in 0..ndev {
+                    let nl = plan.devs[d].local.len();
+                    // gone: the column load of every step but the first and
+                    // every BLAS-1 shift kernel, launch and bytes; new: the
+                    // two epilogue streams of the fused kernel (next work
+                    // vector, basis column), no launch
+                    let gone = (s - 1) as f64 * model.blas1_time(2 * nl)
+                        + axpys as f64 * model.blas1_time(3 * nl)
+                        + scals as f64 * model.blas1_time(2 * nl);
+                    let new = s as f64 * 2.0 * (model.blas1_time(2 * nl) - launch);
+                    let saved = busy_was[d] - busy[d];
+                    assert!(
+                        (saved - (gone - new)).abs() < 1e-12 * busy_was[d],
+                        "{what}: device {d} saved {saved}, want {}",
+                        gone - new
+                    );
+                    let halo_ops = if ndev == 1 { 0 } else { 2 * s as u64 };
+                    assert_eq!(ops[d], 1 + s as u64 + halo_ops, "{what}: device {d}");
+                    assert_eq!(ops_was[d] - ops[d], (s - 1 + axpys + scals) as u64, "{what}");
+                }
+            }
+        }
+    }
+
+    /// The kernels in a device's recorded stream, by name.
+    fn kernel_names(trace: &[ca_gpusim::Cmd]) -> Vec<&'static str> {
+        trace
+            .iter()
+            .filter_map(|c| match c {
+                ca_gpusim::Cmd::Kernel { name, .. } => Some(*name),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_traced_block_is_one_mpk_step_per_vector() {
+        let a = laplace2d(12, 11);
+        let n = a.nrows();
+        let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos()).collect();
+        let (ndev, s) = (3, 5);
+        let spec = every_branch(s);
+
+        // MPK: load, exchange, then s launches and nothing else
+        let (mut mg, st, v) =
+            loaded(&a, (&Layout::even(n, ndev), s, s + 2), (SpmvFormat::Ell, Precision::F64), &x0);
+        mg.enable_trace();
+        mpk(&mut mg, &st, &v, 0, &spec).unwrap();
+        for trace in mg.take_traces() {
+            let mut want = vec!["scatter_col", "halo_pack", "halo_unpack"];
+            want.extend(["mpk_step"; 5]);
+            assert_eq!(kernel_names(&trace), want);
+        }
+
+        // shifted SpMVs: one load, then an exchange and one launch per vector
+        let (mut mg, st, v) =
+            loaded(&a, (&Layout::even(n, ndev), 1, s + 2), (SpmvFormat::Ell, Precision::F64), &x0);
+        mg.enable_trace();
+        spmv_block(&mut mg, &st, &v, 0, &spec).unwrap();
+        for trace in mg.take_traces() {
+            let mut want = vec!["scatter_col"];
+            for _ in 0..s {
+                want.extend(["halo_pack", "halo_unpack", "mpk_step"]);
+            }
+            assert_eq!(kernel_names(&trace), want);
+        }
+    }
+
     /// [`mpk_steps`] as it was: steps outermost, every device finishing
     /// step `k` before any starts step `k + 1`.
     fn mpk_steps_step_outer(
@@ -1064,7 +1368,10 @@ mod tests {
         spec: &BasisSpec,
     ) {
         for k in 1..=spec.s() {
-            mg.run(|d, dev| mpk_step(dev, st, d, v[d], start_col, spec, k));
+            mg.run(|d, dev| {
+                let parts = &st.slices[d][..=spec.s() - k];
+                mpk_step(dev, parts, st.z[d], v[d], start_col, spec, k)
+            });
         }
     }
 
@@ -1090,9 +1397,7 @@ mod tests {
                     v
                 })
                 .collect();
-            mg.run(|d, dev| {
-                dev.scatter_col_to_vec_p(v[d], 0, st.z[d].0, layout.range(d), st.prec);
-            });
+            st.load_column(&mut mg, &v, 0);
             st.exchange(&mut mg, 0).unwrap();
             if let Some(after) = loss {
                 let plan = ca_gpusim::FaultPlan::new(20140527)
@@ -1118,9 +1423,9 @@ mod tests {
         let clean = run(true, None, false);
         assert_eq!(clean, run(false, None, false));
         assert_eq!(run(true, None, true), run(false, None, true));
-        // the block is s local SpMVs, s gathers and s(s-1)/2 boundary SpMVs
-        // per device: kill device 1 after each of them in turn
-        let steps_ops = (2 * s + s * (s - 1) / 2) as u64;
+        // the block is s launches per device: kill device 1 after each of
+        // them in turn
+        let steps_ops = s as u64;
         let mut died_mid_block = 0;
         for after in 0..=steps_ops {
             let got = run(true, Some(after), false);
@@ -1128,7 +1433,9 @@ mod tests {
             assert_eq!((&got[0], &got[2]), (&clean[0], &clean[2]), "the survivors saw nothing");
             died_mid_block += usize::from(got[1].3 && got[1].0 != clean[1].0);
         }
-        assert!(died_mid_block >= s, "the loss must land inside the block: {died_mid_block}");
+        // (the launch that kills still wrote: a loss at the last one shows
+        // in `is_lost` alone)
+        assert_eq!(died_mid_block, s - 1, "the loss must land inside the block");
     }
 
     /// The exchange's old host side: expand every payload into a zeroed
@@ -1173,16 +1480,16 @@ mod tests {
                             )
                             .unwrap();
                             for d in 0..ndev {
-                                mg.device_mut(d).vec_mut(st.z[d].0).copy_from_slice(&x);
+                                mg.device_mut(d).vec_mut(st.z[d][0]).copy_from_slice(&x);
                             }
                             if let Some(d) = lost {
                                 let plan = ca_gpusim::FaultPlan::new(0).with_device_loss(d, 0);
                                 mg.device_mut(d).set_faults(Some(std::sync::Arc::new(plan)));
-                                mg.device_mut(d).compress(st.z[d].0, &[0]); // its last op
+                                mg.device_mut(d).compress_p(st.z[d][0], &[0], prec); // its last op
                                 assert!(mg.device(d).is_lost());
                             }
                             let payloads = mg.run_map(|d, dev| {
-                                dev.compress_p(st.z[d].0, &st.plan.devs[d].send, prec)
+                                dev.compress_p(st.z[d][0], &st.plan.devs[d].send, prec)
                             });
                             let got = route_halos(&st.halo_src, &payloads);
                             let want = ref_route(&st.plan, n, &payloads);
@@ -1227,11 +1534,11 @@ mod tests {
                 MpkState::load_with_format_prec(&mut mg, &a, plan, SpmvFormat::Ell, prec).unwrap();
             for d in 0..3 {
                 let local = layout.range(d);
-                mg.device_mut(d).vec_mut(st.z[d].0)[local.clone()].copy_from_slice(&x[local]);
+                mg.device_mut(d).vec_mut(st.z[d][0])[local.clone()].copy_from_slice(&x[local]);
             }
             st.exchange(&mut mg, 0).unwrap();
             for d in 0..3 {
-                let z = mg.device(d).vec(st.z[d].0);
+                let z = mg.device(d).vec(st.z[d][0]);
                 for &r in &st.plan.devs[d].need {
                     assert_eq!(z[r as usize].to_bits(), prec.quantize(x[r as usize]).to_bits());
                 }

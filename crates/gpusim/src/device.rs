@@ -13,7 +13,7 @@
 //! charged by [`MultiGpu`](crate::multi::MultiGpu)'s transfer methods.
 
 use crate::faults::{FaultPlan, GpuSimError, Result, SdcEvent, SdcKind};
-use crate::model::{GemmVariant, GemvVariant, PerfModel};
+use crate::model::{GemmVariant, GemvVariant, PerfModel, SpmvShape};
 use crate::stream::{Cmd, Event, StreamTrace};
 use ca_dense::{blas1, blas3, qr, tile, Mat};
 use ca_scalar::Precision;
@@ -91,6 +91,17 @@ impl SpStorage {
         }
     }
 
+    /// What the SpMV cost model prices this slice on.
+    pub fn shape(&self) -> SpmvShape {
+        let (slots, spilled) = match self {
+            SpStorage::Ell(e) => (e.padded_nnz(), 0),
+            SpStorage::EllF32(e) => (e.padded_nnz(), 0),
+            SpStorage::Hyb(h) => (h.width() * h.nrows(), h.spilled()),
+            SpStorage::HybF32(h) => (h.width() * h.nrows(), h.spilled()),
+        };
+        SpmvShape { slots, spilled, rows: self.nrows() }
+    }
+
     /// `y := A x`. For f32 storage the product is computed entirely in
     /// f32: each gathered element of `x` is rounded to f32 (the explicit
     /// rounding point of the mixed-precision path), the row accumulates in
@@ -164,6 +175,39 @@ pub struct Device {
 /// EWMA smoothing for the per-command latency ratio: small enough to ride
 /// out one noisy command, large enough to converge within a few dozen ops.
 const EWMA_ALPHA: f64 = 0.125;
+
+/// One row of the basis recurrence [`Device::mpk_step`] fuses into its
+/// SpMV: `scale * (y - re * cur) + im2 * old`, each half skipped when it is
+/// the identity, in the arithmetic of the slice the row belongs to.
+#[inline(always)]
+fn recurrence(
+    prec: Precision,
+    (re, im2, scale): (f64, f64, f64),
+    y: f64,
+    cur: f64,
+    old: f64,
+) -> f64 {
+    let (shift, mix) = (re != 0.0 || scale != 1.0, im2 != 0.0);
+    match prec {
+        Precision::F64 => {
+            let v = if shift { scale * (y - re * cur) } else { y };
+            if mix {
+                v + im2 * old
+            } else {
+                v
+            }
+        }
+        Precision::F32 => {
+            let (re, im2, scale) = (re as f32, im2 as f32, scale as f32);
+            let v = if shift { (scale * (y as f32 - re * cur as f32)) as f64 } else { y };
+            if mix {
+                (v as f32 + im2 * old as f32) as f64
+            } else {
+                v
+            }
+        }
+    }
+}
 
 impl Device {
     pub(crate) fn new(id: usize, model: Arc<PerfModel>) -> Self {
@@ -513,26 +557,8 @@ impl Device {
     }
 
     fn spmv_cost(&self, s: SpId) -> f64 {
-        match &*self.slices[s.0].storage {
-            SpStorage::Ell(e) => self.model.spmv_time(e.padded_nnz(), e.nrows()),
-            SpStorage::Hyb(h) => {
-                self.model.spmv_hyb_time(h.width() * h.nrows(), h.spilled(), h.nrows())
-            }
-            SpStorage::EllF32(e) => self.model.spmv_time_f32(e.padded_nnz(), e.nrows()),
-            SpStorage::HybF32(h) => {
-                self.model.spmv_hyb_time_f32(h.width() * h.nrows(), h.spilled(), h.nrows())
-            }
-        }
-    }
-
-    /// Per-word BLAS-1 streaming cost at the precision of slice `s` — the
-    /// fused expand/shift add-on of the MPK kernels moves data at the
-    /// slice's width.
-    fn blas1_cost_at(&self, prec: Precision, words: usize) -> f64 {
-        match prec {
-            Precision::F64 => self.model.blas1_time(words),
-            Precision::F32 => self.model.blas1_time_f32(words),
-        }
+        let storage = &self.slices[s.0].storage;
+        self.model.spmv_time_at(storage.shape(), storage.prec())
     }
 
     // ---------- host-side inspection (free) ----------
@@ -1054,6 +1080,154 @@ impl Device {
         self.advance("spmv", self.spmv_cost(s));
     }
 
+    /// One matrix-powers step (Fig. 4, body of the main loop) as one
+    /// kernel. For every slice of `parts` — the local block first, then the
+    /// boundary levels later steps still read — and each of its rows
+    /// `r = rows[i]`:
+    /// `z_next[r] := scale * ((A_slice * z_cur)_i - re * z_cur[r]) + im2 * z_next[r]`;
+    /// the local rows (one contiguous range, in no level) also land in
+    /// `V[:, col]`.
+    ///
+    /// With `re = im2 = 0, scale = 1` this is the monomial step; a real
+    /// Newton shift `theta` uses `re = theta`; the second step of a
+    /// complex-conjugate shift pair passes `im2 = b^2` (the
+    /// real-arithmetic rearrangement of §IV-A / \[4, §7.3.2\]), reading the
+    /// two-steps-ago vector still resident in the `z_next` double buffer;
+    /// the Chebyshev recurrence uses `scale = 2/delta, im2 = -1`. On f32
+    /// slices the recurrence runs in f32 like the SpMV it is fused with.
+    ///
+    /// One launch, one op, [`PerfModel::mpk_step_time`] seconds, and one
+    /// SDC draw: a hit flips one element of the SpMV outputs taken
+    /// together — the local block's rows in slice order, then level 1's,
+    /// level 2's, … — before the recurrence reads them.
+    pub fn mpk_step(
+        &mut self,
+        parts: &[SpId],
+        z_cur: VecId,
+        z_next: VecId,
+        step: (f64, f64, f64),
+        v: MatId,
+        col: usize,
+    ) {
+        if self.lost {
+            return;
+        }
+        assert_ne!(z_cur.0, z_next.0, "MPK needs distinct double buffers");
+        let flip = self.sdc_draw(SdcKind::Spmv);
+        let (local, levels) = parts.split_first().expect("an MPK step has a local block");
+        let local = &self.slices[local.0];
+        let slices = &self.slices;
+        let levels = || levels.iter().map(|s| &slices[s.0]);
+        let (zc, zn): (&[f64], &mut [f64]) = if z_cur.0 < z_next.0 {
+            let (lo, hi) = self.vecs.split_at_mut(z_next.0);
+            (&lo[z_cur.0], &mut hi[0])
+        } else {
+            let (lo, hi) = self.vecs.split_at_mut(z_cur.0);
+            (&hi[0], &mut lo[z_next.0])
+        };
+        // every SpMV reads `z_cur` alone: the local block's lands in the
+        // basis column, the levels' one after the other in the scratch
+        let column = self.mats[v.0].col_mut(col);
+        local.storage.spmv(zc, column);
+        self.spmv_out.resize(levels().map(|sl| sl.rows.len()).sum(), 0.0);
+        let mut out = &mut self.spmv_out[..];
+        for sl in levels() {
+            let (y, rest) = out.split_at_mut(sl.rows.len());
+            sl.storage.spmv(zc, y);
+            out = rest;
+        }
+        if let Some(e) = flip {
+            e.apply_chained(column, &mut self.spmv_out);
+        }
+        // the local rows are contiguous: the recurrence streams them
+        let prec = local.storage.prec();
+        let first = local.rows.first().map_or(0, |&r| r as usize);
+        let rows = first..first + local.rows.len();
+        for ((y, old), &cur) in column.iter_mut().zip(&mut zn[rows.clone()]).zip(&zc[rows]) {
+            *y = recurrence(prec, step, *y, cur, *old);
+            *old = *y;
+        }
+        let mut ys = &self.spmv_out[..];
+        for sl in levels() {
+            let (y, rest) = ys.split_at(sl.rows.len());
+            ys = rest;
+            for (&r, &yi) in sl.rows.iter().zip(y) {
+                let r = r as usize;
+                zn[r] = recurrence(sl.storage.prec(), step, yi, zc[r], zn[r]);
+            }
+        }
+        let shapes = parts.iter().map(|s| slices[s.0].storage.shape());
+        let dt = self.model.mpk_step_time(shapes, local.rows.len(), prec);
+        self.advance("mpk_step", dt);
+    }
+
+    // ---------- halo and column-load kernels ----------
+    //
+    // The MPK work vectors and the halo wire carry the plan's `Precision`:
+    // these kernels quantize what they move through it (the explicit
+    // rounding point; the identity for `F64`) and are charged at its width.
+
+    /// Compress selected entries of a device vector into a contiguous host
+    /// buffer (the "compress ... into w" kernel of Fig. 4), rounded to `prec`
+    /// as they are packed. PCIe cost is charged separately by the `MultiGpu`
+    /// transfer that ships the result.
+    pub fn compress_p(&mut self, z: VecId, idxs: &[u32], prec: Precision) -> Vec<f64> {
+        if self.lost {
+            return Vec::new();
+        }
+        let zv = &self.vecs[z.0];
+        let out: Vec<f64> = idxs.iter().map(|&i| prec.quantize(zv[i as usize])).collect();
+        self.advance("halo_pack", self.model.blas1_time_at(prec, 2 * idxs.len()));
+        out
+    }
+
+    /// Expand host values into selected entries of a device vector (the
+    /// "expand w into a full vector" kernel of Fig. 4), rounded to `prec`
+    /// before they land.
+    pub fn expand_p(&mut self, z: VecId, idxs: &[u32], vals: &[f64], prec: Precision) {
+        if self.lost {
+            return;
+        }
+        assert_eq!(idxs.len(), vals.len());
+        let zv = &mut self.vecs[z.0];
+        for (&i, &v) in idxs.iter().zip(vals) {
+            zv[i as usize] = prec.quantize(v);
+        }
+        self.advance("halo_unpack", self.model.blas1_time_at(prec, 2 * idxs.len()));
+    }
+
+    /// Copy `V[:, col]` into `z[rows]` — load a basis column into a
+    /// full-length work vector before SpMV/MPK, rounded to `prec` (where the
+    /// f64 basis enters an f32 recurrence).
+    pub fn scatter_col_to_vec_p(
+        &mut self,
+        v: MatId,
+        col: usize,
+        z: VecId,
+        rows: Range<usize>,
+        prec: Precision,
+    ) {
+        if self.lost {
+            return;
+        }
+        let words = 2 * rows.len();
+        let (src, dst) = (self.mats[v.0].col(col), &mut self.vecs[z.0][rows]);
+        match prec {
+            Precision::F64 => dst.copy_from_slice(src),
+            Precision::F32 => {
+                assert_eq!(src.len(), dst.len());
+                dst.iter_mut().zip(src).for_each(|(zi, &ci)| *zi = prec.quantize(ci));
+            }
+        }
+        self.advance("scatter_col", self.model.blas1_time_at(prec, words));
+    }
+}
+
+/// The per-slice command sequence [`Device::mpk_step`] replaced, kept as
+/// the oracle of its bits, clock and op count: one `spmv_shift_scatter`
+/// launch per slice, then `gather_vec_to_col`.
+#[cfg(test)]
+impl Device {
     /// `spmv_out := A_slice * x`, SDC hit included.
     fn spmv_to_scratch(&mut self, s: SpId, x: VecId) {
         let flip = self.sdc_draw(SdcKind::Spmv);
@@ -1069,22 +1243,8 @@ impl Device {
     /// expand (or shift + expand) fused into the same launch.
     fn spmv_scatter_cost(&self, s: SpId) -> f64 {
         let sl = &self.slices[s.0];
-        self.spmv_cost(s) + self.blas1_cost_at(sl.storage.prec(), 2 * sl.rows.len())
+        self.spmv_cost(s) + self.model.blas1_time_at(sl.storage.prec(), 2 * sl.rows.len())
             - self.model.launch_s
-    }
-
-    /// `z[rows[i]] := (A_slice * x)_i` — MPK's compute-then-expand step for
-    /// one slice (local block or one boundary level).
-    pub fn spmv_scatter(&mut self, s: SpId, x: VecId, z: VecId) {
-        if self.lost {
-            return;
-        }
-        self.spmv_to_scratch(s, x);
-        let zv = &mut self.vecs[z.0];
-        for (&r, &yi) in self.slices[s.0].rows.iter().zip(&self.spmv_out) {
-            zv[r as usize] = yi;
-        }
-        self.advance("spmv", self.spmv_scatter_cost(s));
     }
 
     /// Fused basis-recurrence MPK step for one slice:
@@ -1097,7 +1257,7 @@ impl Device {
     /// real-arithmetic rearrangement of §IV-A / \[4, §7.3.2\]), reading the
     /// two-steps-ago vector still resident in the `z_next` double buffer;
     /// the Chebyshev recurrence uses `scale = 2/delta, im2 = -1`.
-    pub fn spmv_shift_scatter(
+    pub(crate) fn spmv_shift_scatter(
         &mut self,
         s: SpId,
         z_cur: VecId,
@@ -1146,7 +1306,7 @@ impl Device {
 
     /// Copy `z[rows]` into `V[:, col]` — MPK's "copy the local part of y
     /// into v" step (a device's own rows are one contiguous range).
-    pub fn gather_vec_to_col(&mut self, z: VecId, rows: Range<usize>, v: MatId, col: usize) {
+    pub(crate) fn gather_vec_to_col(&mut self, z: VecId, rows: Range<usize>, v: MatId, col: usize) {
         if self.lost {
             return;
         }
@@ -1155,117 +1315,22 @@ impl Device {
         self.advance("gather_col", self.model.blas1_time(words));
     }
 
-    /// Copy `V[:, col]` into `z[rows]` — load a basis column into a
-    /// full-length work vector before SpMV/MPK.
-    pub fn scatter_col_to_vec(&mut self, v: MatId, col: usize, z: VecId, rows: Range<usize>) {
-        if self.lost {
-            return;
-        }
-        let words = 2 * rows.len();
-        self.vecs[z.0][rows].copy_from_slice(self.mats[v.0].col(col));
-        self.advance("scatter_col", self.model.blas1_time(words));
-    }
-
-    /// Compress selected entries of a device vector into a contiguous host
-    /// buffer (the "compress ... into w" kernel of Fig. 4). PCIe cost is
-    /// charged separately by the `MultiGpu` transfer that ships the result.
-    pub fn compress(&mut self, z: VecId, idxs: &[u32]) -> Vec<f64> {
-        if self.lost {
-            return Vec::new();
-        }
-        let zv = &self.vecs[z.0];
-        let out: Vec<f64> = idxs.iter().map(|&i| zv[i as usize]).collect();
-        self.advance("halo_pack", self.model.blas1_time(2 * idxs.len()));
-        out
-    }
-
-    /// Expand host values into selected entries of a device vector (the
-    /// "expand w into a full vector" kernel of Fig. 4).
-    pub fn expand(&mut self, z: VecId, idxs: &[u32], vals: &[f64]) {
-        if self.lost {
-            return;
-        }
-        assert_eq!(idxs.len(), vals.len());
-        let zv = &mut self.vecs[z.0];
-        for (&i, &v) in idxs.iter().zip(vals) {
-            zv[i as usize] = v;
-        }
-        self.advance("halo_unpack", self.model.blas1_time(2 * idxs.len()));
-    }
-
-    // ---------- precision-tagged kernel variants ----------
-    //
-    // The mixed-precision MPK path moves its working data at reduced
-    // width: pack/unpack and column-load kernels take a `Precision`,
-    // quantize the values through it (explicit rounding point; identity
-    // for `F64`), and charge the narrower streaming cost. The `F64`
-    // instantiation delegates to the plain kernel, so the double-precision
-    // solver is bit-identical with or without these entry points.
-
-    /// [`Device::compress`] at a given precision: values are rounded to
-    /// `prec` as they are packed (the halo buffer is `prec`-wide on the
-    /// wire) and the kernel is charged at that width.
-    pub fn compress_p(&mut self, z: VecId, idxs: &[u32], prec: Precision) -> Vec<f64> {
-        match prec {
-            Precision::F64 => self.compress(z, idxs),
-            Precision::F32 => {
-                if self.lost {
-                    return Vec::new();
-                }
-                let zv = &self.vecs[z.0];
-                let out: Vec<f64> = idxs.iter().map(|&i| prec.quantize(zv[i as usize])).collect();
-                self.advance("halo_pack", self.model.blas1_time_f32(2 * idxs.len()));
-                out
-            }
-        }
-    }
-
-    /// [`Device::expand`] at a given precision: incoming values are
-    /// rounded to `prec` before landing in the device vector.
-    pub fn expand_p(&mut self, z: VecId, idxs: &[u32], vals: &[f64], prec: Precision) {
-        match prec {
-            Precision::F64 => self.expand(z, idxs, vals),
-            Precision::F32 => {
-                if self.lost {
-                    return;
-                }
-                assert_eq!(idxs.len(), vals.len());
-                let zv = &mut self.vecs[z.0];
-                for (&i, &v) in idxs.iter().zip(vals) {
-                    zv[i as usize] = prec.quantize(v);
-                }
-                self.advance("halo_unpack", self.model.blas1_time_f32(2 * idxs.len()));
-            }
-        }
-    }
-
-    /// [`Device::scatter_col_to_vec`] at a given precision: the basis
-    /// column is rounded to `prec` as it is loaded into the MPK work
-    /// vector (the rounding point where the f64 basis enters the f32
-    /// recurrence).
-    pub fn scatter_col_to_vec_p(
+    /// [`Device::mpk_step`] as the commands it replaced.
+    pub(crate) fn mpk_step_unfused(
         &mut self,
+        parts: &[SpId],
+        z_cur: VecId,
+        z_next: VecId,
+        (re, im2, scale): (f64, f64, f64),
         v: MatId,
         col: usize,
-        z: VecId,
-        rows: Range<usize>,
-        prec: Precision,
     ) {
-        match prec {
-            Precision::F64 => self.scatter_col_to_vec(v, col, z, rows),
-            Precision::F32 => {
-                if self.lost {
-                    return;
-                }
-                let words = 2 * rows.len();
-                let (src, dst) = (self.mats[v.0].col(col), &mut self.vecs[z.0][rows]);
-                assert_eq!(src.len(), dst.len());
-                for (zi, &ci) in dst.iter_mut().zip(src) {
-                    *zi = prec.quantize(ci);
-                }
-                self.advance("scatter_col", self.model.blas1_time_f32(words));
-            }
+        for &s in parts {
+            self.spmv_shift_scatter(s, z_cur, z_next, re, im2, scale);
         }
+        let local = &self.slices[parts[0].0].rows;
+        let first = local.first().map_or(0, |&r| r as usize);
+        self.gather_vec_to_col(z_next, first..first + local.len(), v, col);
     }
 }
 
@@ -1482,25 +1547,28 @@ mod tests {
     }
 
     #[test]
-    fn spmv_scatter_places_rows() {
+    fn mpk_step_places_local_and_level_rows() {
         let mut d = dev();
         let a = laplace2d(4, 4); // n = 16
-        let rows: Vec<u32> = vec![2, 5, 7];
-        let sl = a.select_rows(&[2, 5, 7]);
-        let s = d.load_slice(Ell::from_csr(&sl), rows).unwrap();
+        let local = d.load_slice(Ell::from_csr(&a.select_rows(&[4, 5, 6, 7])), vec![4, 5, 6, 7]);
+        let level = d.load_slice(Ell::from_csr(&a.select_rows(&[2, 9])), vec![2, 9]);
         let x = d.alloc_vec(16).unwrap();
         for (i, xv) in d.vec_mut(x).iter_mut().enumerate() {
             *xv = i as f64;
         }
         let z = d.alloc_vec(16).unwrap();
-        d.spmv_scatter(s, x, z);
-        // check z[5] = row 5 of A times x
+        let v = d.alloc_mat(4, 2).unwrap();
+        d.mpk_step(&[local.unwrap(), level.unwrap()], x, z, (0.0, 0.0, 1.0), v, 1);
         let mut y = vec![0.0; 16];
         let xs: Vec<f64> = (0..16).map(|i| i as f64).collect();
         ca_sparse::spmv::spmv(&a, &xs, &mut y);
-        assert_eq!(d.vec(z)[5], y[5]);
-        assert_eq!(d.vec(z)[2], y[2]);
+        for r in [2, 4, 5, 6, 7, 9] {
+            assert_eq!(d.vec(z)[r], y[r], "row {r}");
+        }
         assert_eq!(d.vec(z)[0], 0.0); // untouched
+        assert_eq!(d.mat(v).col(1), &y[4..8], "the local rows are the basis column");
+        assert_eq!(d.mat(v).col(0), &[0.0; 4]);
+        assert_eq!(d.ops(), 1, "one launch");
     }
 
     #[test]
@@ -1511,10 +1579,10 @@ mod tests {
             *v = i as f64;
         }
         let idxs = vec![1u32, 3, 8];
-        let w = d.compress(z, &idxs);
+        let w = d.compress_p(z, &idxs, Precision::F64);
         assert_eq!(w, vec![1.0, 3.0, 8.0]);
         let z2 = d.alloc_vec(10).unwrap();
-        d.expand(z2, &idxs, &w);
+        d.expand_p(z2, &idxs, &w, Precision::F64);
         assert_eq!(d.vec(z2)[3], 3.0);
         assert_eq!(d.vec(z2)[0], 0.0);
     }
@@ -1554,7 +1622,9 @@ mod tests {
                 *xv = 1.0 + i as f64;
             }
             let z = d.alloc_vec(16).unwrap();
-            d.spmv_scatter(s, x, z);
+            let v = d.alloc_mat(16, 1).unwrap();
+            d.mpk_step(&[s], x, z, (0.0, 0.0, 1.0), v, 0);
+            assert_eq!(d.mat(v).col(0), d.vec(z), "the column carries the hit too");
             (d.vec(z).to_vec(), d.sdc_injected(), d.clock())
         };
         let (clean, n0, t0) = run(None);
@@ -1604,7 +1674,7 @@ mod tests {
         d.copy_col(v, 0, 2);
         assert_eq!(d.mat(v).col(1), &[3.0; 16], "no mutation after loss");
         assert_eq!(d.mat(v).col(2), &[0.0; 16]);
-        assert!(d.compress(VecId(0), &[0]).is_empty());
+        assert!(d.compress_p(VecId(0), &[0], Precision::F64).is_empty());
         assert_eq!(d.ops(), ops, "op counter frozen after loss");
         assert_eq!(d.clock(), 0.0, "clock frozen after loss");
     }
@@ -1645,7 +1715,8 @@ mod tests {
             let x = d.alloc_vec(36).unwrap();
             d.vec_mut(x).copy_from_slice(&xs);
             let z = d.alloc_vec(36).unwrap();
-            d.spmv_scatter(s, x, z);
+            let v = d.alloc_mat(36, 1).unwrap();
+            d.mpk_step(&[s], x, z, (0.0, 0.0, 1.0), v, 0);
             (d.vec(z).to_vec(), d.clock())
         };
         let (y64, t64) = run(SpStorage::Ell(Ell::from_csr(&a)));
@@ -1677,7 +1748,7 @@ mod tests {
     }
 
     #[test]
-    fn shift_scatter_f32_quantizes_recurrence() {
+    fn mpk_step_f32_quantizes_recurrence() {
         let a = laplace2d(4, 4);
         let xs: Vec<f64> = (0..16).map(|i| (0.3 + i as f64 * 0.21).cos()).collect();
         let (re, im2, scale) = (0.125f64, 0.5f64, 1.5f64);
@@ -1691,7 +1762,8 @@ mod tests {
             for (i, v) in d.vec_mut(zn).iter_mut().enumerate() {
                 *v = 0.01 * i as f64;
             }
-            d.spmv_shift_scatter(s, zc, zn, re, im2, scale);
+            let v = d.alloc_mat(16, 1).unwrap();
+            d.mpk_step(&[s], zc, zn, (re, im2, scale), v, 0);
             d.vec(zn).to_vec()
         };
         let z32 = run(SpStorage::EllF32(Ell::from_csr(&a.cast::<f32>())));
@@ -1709,29 +1781,23 @@ mod tests {
     }
 
     #[test]
-    fn precision_tagged_kernels_delegate_on_f64_and_quantize_on_f32() {
+    fn precision_tagged_kernels_are_the_identity_on_f64_and_quantize_on_f32() {
         let vals: Vec<f64> = (0..12).map(|i| 0.1 + i as f64 * 0.07).collect();
         let idxs: Vec<u32> = vec![0, 3, 7, 11];
 
-        // F64 variants are the plain kernels: same data, same clock
-        let run64 = |tagged: bool| {
-            let mut d = dev();
-            let z = d.alloc_vec(12).unwrap();
-            d.vec_mut(z).copy_from_slice(&vals);
-            let w =
-                if tagged { d.compress_p(z, &idxs, Precision::F64) } else { d.compress(z, &idxs) };
-            let z2 = d.alloc_vec(12).unwrap();
-            if tagged {
-                d.expand_p(z2, &idxs, &w, Precision::F64);
-            } else {
-                d.expand(z2, &idxs, &w);
-            }
-            (d.vec(z2).to_vec(), d.clock())
-        };
-        let (a, ta) = run64(false);
-        let (b, tb) = run64(true);
-        assert_eq!(a, b);
-        assert_eq!(ta.to_bits(), tb.to_bits());
+        // F64: the values as they are, two f64 streaming passes
+        let mut d = dev();
+        let z = d.alloc_vec(12).unwrap();
+        d.vec_mut(z).copy_from_slice(&vals);
+        let w = d.compress_p(z, &idxs, Precision::F64);
+        let z2 = d.alloc_vec(12).unwrap();
+        d.expand_p(z2, &idxs, &w, Precision::F64);
+        for &i in &idxs {
+            assert_eq!(d.vec(z2)[i as usize].to_bits(), vals[i as usize].to_bits());
+        }
+        let pass = PerfModel::default().blas1_time(2 * idxs.len());
+        assert_eq!(d.clock().to_bits(), (pass + pass).to_bits());
+        let ta = d.clock();
 
         // F32 variants quantize through f32 and charge less
         let mut d = dev();
@@ -1742,7 +1808,7 @@ mod tests {
         for (k, &i) in idxs.iter().enumerate() {
             assert_eq!(w[k].to_bits(), (vals[i as usize] as f32 as f64).to_bits());
         }
-        assert!(t32 < ta, "f32 pack cheaper than f64: {t32} vs {ta}");
+        assert!(2.0 * t32 < ta, "f32 pack cheaper than f64: {t32} vs {ta} for pack and unpack");
 
         // scatter_col_to_vec_p rounds the basis column on load
         let mut d = dev();

@@ -134,11 +134,18 @@ pub struct SdcEvent {
 impl SdcEvent {
     /// Flip the planned bit of one element of `data`. No-op on empty data.
     pub fn apply(&self, data: &mut [f64]) {
-        if data.is_empty() {
+        self.apply_chained(data, &mut []);
+    }
+
+    /// [`SdcEvent::apply`] to `head` followed by `tail` as one array.
+    pub fn apply_chained(&self, head: &mut [f64], tail: &mut [f64]) {
+        let len = head.len() + tail.len();
+        if len == 0 {
             return;
         }
-        let i = (self.lane % data.len() as u64) as usize;
-        data[i] = f64::from_bits(data[i].to_bits() ^ (1u64 << self.bit));
+        let i = (self.lane % len as u64) as usize;
+        let hit = if i < head.len() { &mut head[i] } else { &mut tail[i - head.len()] };
+        *hit = f64::from_bits(hit.to_bits() ^ (1u64 << self.bit));
     }
 }
 

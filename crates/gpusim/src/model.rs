@@ -21,6 +21,8 @@
 //! 177 GB/s memory bandwidth) derated by typical achievable efficiencies,
 //! and PCIe gen 2 x16 (~6 GB/s effective, ~10 us end-to-end latency).
 
+use ca_scalar::Precision;
+
 /// Dense-kernel variants for the Gram-forming / projection GEMMs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmVariant {
@@ -70,6 +72,19 @@ impl Default for KernelConfig {
     fn default() -> Self {
         Self { gemm: GemmVariant::Batched { h: 384 }, gemv: GemvVariant::MagmaTallSkinny }
     }
+}
+
+/// What an SpMV over one sparse slice is priced on, in the GPU format:
+/// ELLPACK slots (`width x rows`, padding included), entries spilled to a
+/// COO tail (0 for plain ELLPACK) and rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpmvShape {
+    /// ELLPACK slots, padding included.
+    pub slots: usize,
+    /// Entries in the COO tail.
+    pub spilled: usize,
+    /// Rows of the slice.
+    pub rows: usize,
 }
 
 /// Calibrated machine constants (seconds, bytes, flop/s).
@@ -220,6 +235,40 @@ impl PerfModel {
         t
     }
 
+    /// SpMV over one slice at `prec`: plain ELLPACK is the hybrid format
+    /// without a tail, to the bit.
+    pub fn spmv_time_at(&self, sh: SpmvShape, prec: Precision) -> f64 {
+        match prec {
+            Precision::F64 => self.spmv_hyb_time(sh.slots, sh.spilled, sh.rows),
+            Precision::F32 => self.spmv_hyb_time_f32(sh.slots, sh.spilled, sh.rows),
+        }
+    }
+
+    /// One matrix-powers step as the single kernel of the paper's Fig. 4:
+    /// one launch, then what its parts stream — each part (the local block,
+    /// then every boundary level still alive) its SpMV and the `2 x rows`
+    /// words of the recurrence epilogue that places its rows in the next
+    /// work vector, both at `prec`, and the `2 x nlocal` f64 words of the
+    /// basis-column write. Each term is the stand-alone kernel's time less
+    /// its launch, so no constant and no per-byte formula is new; a hybrid
+    /// part that spills keeps its COO tail's launch (the tail is an
+    /// atomic-update pass of its own). The device charges this and the
+    /// planner predicts with it.
+    pub fn mpk_step_time(
+        &self,
+        parts: impl IntoIterator<Item = SpmvShape>,
+        nlocal: usize,
+        prec: Precision,
+    ) -> f64 {
+        let streamed = |kernel: f64| kernel - self.launch_s;
+        let mut t = self.launch_s;
+        for p in parts {
+            t += streamed(self.spmv_time_at(p, prec))
+                + streamed(self.blas1_time_at(prec, 2 * p.rows));
+        }
+        t + streamed(self.blas1_time(2 * nlocal))
+    }
+
     /// Gram-product (`C := V1^T V2`, `m` rows, `k1 x k2` output) time for a
     /// GEMM variant. Bytes modeled as one streaming read of both operands.
     ///
@@ -300,6 +349,14 @@ impl PerfModel {
     /// streaming, so no separate efficiency constant is warranted).
     pub fn blas1_time_f32(&self, words: usize) -> f64 {
         self.launch_s + 4.0 * words as f64 / self.blas1_bw
+    }
+
+    /// BLAS-1 op over `words` reads+writes at `prec`.
+    pub fn blas1_time_at(&self, prec: Precision, words: usize) -> f64 {
+        match prec {
+            Precision::F64 => self.blas1_time(words),
+            Precision::F32 => self.blas1_time_f32(words),
+        }
     }
 
     /// Local Householder QR of an `m x k` block, explicit Q formed

@@ -9,11 +9,17 @@
 //! equals any NaN), charge the same modeled time, count one op, take its SDC
 //! hit on the same element and bit of the SpMV output, and stay inert on a
 //! lost device.
+//!
+//! One matrix-powers step used to be a launch per slice and a column copy;
+//! it is one kernel now. That sequence, `Device::mpk_step_unfused`, is the
+//! oracle of the fused kernel's bits, of its clock (the same bytes, the
+//! launches but one refunded) and of where its one SDC hit lands.
 
 use crate::device::{Device, SpStorage};
 use crate::faults::{FaultPlan, SdcKind, SdcTargets};
 use crate::kernel_bits::{last_kernel, same, Rng};
 use crate::model::PerfModel;
+use crate::stream::Cmd;
 use ca_scalar::Precision;
 use ca_sparse::{Coo, Csr, Ell, Hyb};
 use std::ops::Range;
@@ -296,22 +302,7 @@ fn scatter_kernels_match_the_collecting_bodies() {
                 ref_shift_scatter(y, &rows, prec, &x, &mut want, 0.3, 2.0, 1.25);
                 assert_bits(d.vec(zc), &want, &format!("swapped buffers {what}"));
 
-                // spmv_scatter: z[rows[i]] := y[i], other rows untouched
-                let (x, old) = (input(&mut rng, &faults), poisoned(&mut rng, N));
-                d.vec_mut(zc).copy_from_slice(&x);
-                d.vec_mut(zn).copy_from_slice(&old);
-                let op = d.ops();
-                d.spmv_scatter(s, zc, zn);
-                let y = with_sdc(ref_spmv(&a, &rows, width, prec, &x), &faults, op);
-                let mut want = old;
-                for (i, &r) in rows.iter().enumerate() {
-                    want[r as usize] = y[i];
-                }
-                assert_bits(d.vec(zn), &want, &format!("spmv_scatter {what}"));
-                assert_eq!(last_kernel(&d), ("spmv", fused), "spmv_scatter {what}");
-                assert_eq!(d.ops(), op + 1);
-
-                let hits = if faults.is_some() { STEPS.len() as u64 + 2 } else { 0 };
+                let hits = if faults.is_some() { STEPS.len() as u64 + 1 } else { 0 };
                 assert_eq!(d.sdc_injected(), hits, "{what}");
             }
         }
@@ -355,29 +346,168 @@ fn spmv_to_mat_col_matches_the_copying_body() {
     }
 }
 
+// ---------- one step, one kernel ----------
+
+/// The slices of one step: the contiguous local block (`40..121`, or no
+/// rows at all), then the boundary levels.
+fn part_sets(rng: &mut Rng) -> Vec<(&'static str, Vec<Vec<u32>>)> {
+    let local: Vec<u32> = (40..121).collect();
+    let outside = |rng: &mut Rng, every: u64| -> Vec<u32> {
+        (0..N as u32).filter(|r| !local.contains(r) && rng.next().is_multiple_of(every)).collect()
+    };
+    let (near, far) = (outside(rng, 3), outside(rng, 5));
+    vec![
+        ("no levels", vec![local.clone()]),
+        ("one empty level", vec![local.clone(), Vec::new()]),
+        ("zero-row local block", vec![Vec::new(), near.clone()]),
+        // levels may share rows with each other (the later slice wins, in
+        // both sequences), never with the local block
+        ("three levels, one a lone row", vec![local.clone(), near, far, vec![5]]),
+    ]
+}
+
+/// A device holding `parts`, its double buffer filled with `x` and `old`,
+/// and a three-column basis whose columns all hold `side`.
+#[allow(clippy::type_complexity)]
+fn loaded(
+    a: &Csr,
+    parts: &[Vec<u32>],
+    fp: (Format, Precision),
+    faults: &Option<Arc<FaultPlan>>,
+    (x, old, side): (&[f64], &[f64], &[f64]),
+) -> (Device, Vec<crate::SpId>, (crate::VecId, crate::VecId), crate::MatId) {
+    let mut d = device(faults);
+    let ids = parts
+        .iter()
+        .map(|rows| d.load_slice_storage(storage(a, rows, fp).0, rows.clone()).expect("fits"))
+        .collect();
+    let (zc, zn) = (d.alloc_vec(N).expect("fits"), d.alloc_vec(N).expect("fits"));
+    d.vec_mut(zc).copy_from_slice(x);
+    d.vec_mut(zn).copy_from_slice(old);
+    let v = d.alloc_mat(parts[0].len(), 3).expect("fits");
+    for j in 0..3 {
+        d.mat_mut(v).set_col(j, side);
+    }
+    (d, ids, (zc, zn), v)
+}
+
 #[test]
-fn sdc_flips_one_bit_of_the_spmv_output() {
-    // the hit is on y before the recurrence touches it: undoing the flip on
-    // the oracle's y is the only difference between the two arms
+fn fused_step_is_the_per_slice_sequence_less_its_launches() {
+    let mut rng = Rng(0x0521);
+    let a = irregular(&mut rng);
+    let model = PerfModel::default();
+    let launch = model.launch_s;
+    let mut cases = 0;
+    for (name, parts) in part_sets(&mut rng) {
+        for fp in FORMATS {
+            for step in STEPS {
+                let prec = fp.1;
+                let (x, old) = (poisoned(&mut rng, N), poisoned(&mut rng, N));
+                let side: Vec<f64> = (0..parts[0].len()).map(|_| rng.value()).collect();
+                let what = format!("{name}, {fp:?}, step {step:?}");
+                let run = |fused: bool| {
+                    let (mut d, ids, (zc, zn), v) =
+                        loaded(&a, &parts, fp, &None, (&x, &old, &side));
+                    if fused {
+                        d.mpk_step(&ids, zc, zn, step, v, 1);
+                    } else {
+                        d.mpk_step_unfused(&ids, zc, zn, step, v, 1);
+                    }
+                    assert_bits(d.vec(zc), &x, &format!("{what}: z_cur"));
+                    assert_bits(d.mat(v).col(0), &side, &format!("{what}: left neighbour"));
+                    assert_bits(d.mat(v).col(2), &side, &format!("{what}: right neighbour"));
+                    (d.vec(zn).to_vec(), d.mat(v).col(1).to_vec(), d.ops(), d.take_trace())
+                };
+                let (zn, col, ops, trace) = run(true);
+                let (zn_want, col_want, ops_want, trace_want) = run(false);
+                // every element, touched or not
+                assert_bits(&zn, &zn_want, &format!("{what}: z_next"));
+                assert_bits(&col, &col_want, &format!("{what}: basis column"));
+                assert_eq!((ops, ops_want), (1, parts.len() as u64 + 1), "{what}: ops");
+
+                // the clock. What the sequence is charged, command by command:
+                let spmv: Vec<f64> = parts.iter().map(|rows| storage(&a, rows, fp).2).collect();
+                let epilogue = |rows: &Vec<u32>| blas1_at(prec, 2 * rows.len());
+                let copy = model.blas1_time(2 * parts[0].len());
+                let mut unfused: Vec<f64> =
+                    parts.iter().zip(&spmv).map(|(r, t)| t + epilogue(r) - launch).collect();
+                unfused.push(copy);
+                let modeled = |t: &[Cmd]| -> Vec<f64> {
+                    t.iter()
+                        .map(|c| match c {
+                            Cmd::Kernel { modeled, .. } => *modeled,
+                            other => panic!("{what}: {other:?}"),
+                        })
+                        .collect()
+                };
+                assert_eq!(modeled(&trace_want), unfused, "{what}: the sequence");
+                // ... and the one kernel: one launch, then each of those
+                // kernels' streaming time
+                let mut fused = launch;
+                for (rows, t) in parts.iter().zip(&spmv) {
+                    fused += (t - launch) + (epilogue(rows) - launch);
+                }
+                fused += copy - launch;
+                assert_eq!(modeled(&trace), [fused], "{what}: the kernel");
+                assert!(matches!(trace[0], Cmd::Kernel { name: "mpk_step", .. }));
+                // which is the sequence with every launch but one refunded
+                let saved = unfused.iter().sum::<f64>() - fused;
+                let launches = parts.len() as f64 * launch;
+                assert!((saved - launches).abs() < 1e-12 * launches, "{what}: saved {saved}");
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 4 * FORMATS.len() * STEPS.len());
+}
+
+#[test]
+fn the_one_sdc_hit_lands_in_the_concatenated_spmv_output() {
+    // the outputs of the slices, local block first, are one array to the
+    // hit: undoing the flip on the oracle's y is the only difference
+    // between a faulty step and a clean one
     let mut rng = Rng(5);
     let a = irregular(&mut rng);
-    let rows: Vec<u32> = (40..121).collect();
     let plan = FaultPlan::new(9).with_sdc(1.0, SdcTargets::spmv_only());
     let e = plan.sdc_event(0, 0, SdcKind::Spmv).expect("rate 1 hits every op");
-    let (st, width, _) = storage(&a, &rows, (Format::Ell, Precision::F64));
-    let mut d = device(&Some(Arc::new(plan)));
-    let s = d.load_slice_storage(st, rows.clone()).expect("fits");
-    let (zc, zn) = (d.alloc_vec(N).expect("fits"), d.alloc_vec(N).expect("fits"));
-    let x = finite(&mut rng);
-    d.vec_mut(zc).copy_from_slice(&x);
-    d.spmv_shift_scatter(s, zc, zn, 0.0, 0.0, 1.0);
-    let clean = ref_spmv(&a, &rows, width, Precision::F64, &x);
-    let hit = (e.lane % rows.len() as u64) as usize;
-    for (i, &r) in rows.iter().enumerate() {
-        let got = d.vec(zn)[r as usize].to_bits();
-        let flip = if i == hit { 1u64 << e.bit } else { 0 };
-        assert_eq!(got, clean[i].to_bits() ^ flip, "slice row {i}");
+    let faults = Some(Arc::new(plan));
+    // hits that landed in the local block, and beyond it
+    let (mut in_local, mut in_levels) = (0, 0);
+    for (name, parts) in part_sets(&mut rng) {
+        for fp in FORMATS {
+            let (x, old) = (finite(&mut rng), finite(&mut rng));
+            let side = vec![0.0; parts[0].len()];
+            let (mut d, ids, (zc, zn), v) = loaded(&a, &parts, fp, &faults, (&x, &old, &side));
+            let step = (0.7, 9.0, 2.0);
+            d.mpk_step(&ids, zc, zn, step, v, 1);
+            assert_eq!((d.sdc_injected(), d.ops()), (1, 1), "{name}, {fp:?}");
+
+            let mut y: Vec<f64> = parts
+                .iter()
+                .flat_map(|rows| ref_spmv(&a, rows, storage(&a, rows, fp).1, fp.1, &x))
+                .collect();
+            let hit = (e.lane % y.len() as u64) as usize;
+            y[hit] = f64::from_bits(y[hit].to_bits() ^ (1u64 << e.bit));
+            if hit < parts[0].len() {
+                in_local += 1;
+            } else {
+                in_levels += 1;
+            }
+            let mut want = old;
+            let mut y = &y[..];
+            for rows in &parts {
+                let (yp, rest) = y.split_at(rows.len());
+                ref_shift_scatter(yp.to_vec(), rows, fp.1, &x, &mut want, step.0, step.1, step.2);
+                y = rest;
+            }
+            assert_bits(d.vec(zn), &want, &format!("{name}, {fp:?}"));
+            if let Some(&first) = parts[0].first() {
+                let local = first as usize..first as usize + parts[0].len();
+                assert_bits(d.mat(v).col(1), &want[local], &format!("{name}, {fp:?}: column"));
+            }
+        }
     }
+    assert!(in_local > 0 && in_levels > 0, "local {in_local}, levels {in_levels}");
 }
 
 #[test]
@@ -402,7 +532,7 @@ fn local_block_copies_match_the_indexed_loops() {
         assert_eq!(last_kernel(&d), ("gather_col", model.blas1_time(2 * rows.len())));
         assert_eq!(d.ops(), op + 1);
 
-        // scatter_col_to_vec(_p): z[rows[i]] := quantize(V[i, col])
+        // scatter_col_to_vec_p: z[rows[i]] := quantize(V[i, col])
         for prec in [Precision::F64, Precision::F32] {
             let col: Vec<f64> = poisoned(&mut rng, rows.len());
             d.mat_mut(v).set_col(0, &col);
@@ -417,10 +547,6 @@ fn local_block_copies_match_the_indexed_loops() {
             assert_eq!(last_kernel(&d), ("scatter_col", blas1_at(prec, 2 * rows.len())));
             assert_eq!(d.ops(), op + 1);
         }
-        d.vec_mut(z).copy_from_slice(&zs);
-        d.scatter_col_to_vec(v, 0, z, range.clone());
-        assert_bits(&d.vec(z)[range.clone()], d.mat(v).col(0), "scatter_col_to_vec");
-        assert_eq!(last_kernel(&d), ("scatter_col", model.blas1_time(2 * rows.len())));
     }
 }
 
@@ -444,11 +570,10 @@ fn lost_device_runs_no_sparse_kernel() {
         assert!(d.is_lost());
         let (ops, clock, cmds) = (d.ops(), d.clock(), d.trace().len());
 
-        d.spmv_shift_scatter(s, zc, zn, 1.5, 9.0, 0.5);
-        d.spmv_scatter(s, zc, zn);
+        d.mpk_step(&[s], zc, zn, (1.5, 9.0, 0.5), v, 1);
+        d.mpk_step_unfused(&[s], zc, zn, (1.5, 9.0, 0.5), v, 1);
         d.spmv_to_mat_col(s, zc, v, 1);
         d.gather_vec_to_col(zc, local.clone(), v, 1);
-        d.scatter_col_to_vec(v, 1, zn, local.clone());
         d.scatter_col_to_vec_p(v, 1, zn, local.clone(), Precision::F32);
 
         assert_bits(d.vec(zc), &x, "z_cur");
@@ -518,12 +643,13 @@ fn sorted_windows_do_not_show_through_the_device() {
                 let (x, old) = (poisoned(&mut rng, n), poisoned(&mut rng, n));
                 d.vec_mut(zc).copy_from_slice(&x);
                 d.vec_mut(zn).copy_from_slice(&old);
-                d.spmv_shift_scatter(s, zc, zn, re, im2, scale);
+                d.mpk_step(&[s], zc, zn, (re, im2, scale), v, 0);
                 let y = ref_spmv(&a, &rows, width, prec, &x);
                 let mut want = old;
                 ref_shift_scatter(y.clone(), &rows, prec, &x, &mut want, re, im2, scale);
                 let what = format!("{n} rows, {fp:?}, step ({re}, {im2}, {scale})");
-                assert_bits(d.vec(zn), &want, &format!("spmv_shift_scatter {what}"));
+                assert_bits(d.vec(zn), &want, &format!("mpk_step {what}"));
+                assert_bits(d.mat(v).col(0), &want, &format!("mpk_step column {what}"));
                 d.spmv_to_mat_col(s, zc, v, 0);
                 assert_bits(d.mat(v).col(0), &y, &format!("spmv_to_mat_col {what}"));
                 assert_eq!(last_kernel(&d), ("spmv", spmv_dt), "{what}");
@@ -556,9 +682,10 @@ fn one_kept_padding_slot_poisons_what_all_of_them_did() {
         let mut d = device(&None);
         let s = d.load_slice_storage(st, rows.clone()).expect("fits");
         let (zc, zn) = (d.alloc_vec(n).expect("fits"), d.alloc_vec(n).expect("fits"));
+        let v = d.alloc_mat(n, 1).expect("fits");
         let mut run = |x: &[f64]| {
             d.vec_mut(zc).copy_from_slice(x);
-            d.spmv_shift_scatter(s, zc, zn, 0.0, 0.0, 1.0);
+            d.mpk_step(&[s], zc, zn, (0.0, 0.0, 1.0), v, 0);
             let got = d.vec(zn).to_vec();
             assert_bits(&got, &ref_spmv(&a, &rows, width, fp.1, x), &format!("{fp:?}"));
             got

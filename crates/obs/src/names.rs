@@ -135,7 +135,6 @@ pub const KERNELS: &[&str] = &[
     "axpy",
     "copy_col",
     "dot",
-    "gather_col",
     "gemm_nn",
     "gemm_q_last",
     "gemm_q_rest",

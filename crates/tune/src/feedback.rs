@@ -49,7 +49,6 @@ const FAMILIES: &[(&str, &[&str], &[&str])] = &[
             "abft_colsum",
             "abft_dot",
             "abft_block_dot",
-            "gather_col",
             "scatter_col",
             "halo_pack",
             "halo_unpack",

@@ -3,7 +3,8 @@
 //!
 //! [`Planner::predict_cycle`] rolls up, per candidate, exactly the
 //! charges one CA restart cycle issues on the simulated machine — the
-//! MPK scatter/exchange/step sequence of `ca_gmres::mpk`, the
+//! MPK scatter/exchange/step sequence of `ca_gmres::mpk` (a step priced by
+//! the function the device charges it with, `PerfModel::mpk_step_time`), the
 //! BOrth/TSQR reduction trees of `ca_gmres::orth`, and the seed /
 //! update / residual traffic of `ca_gmres::system` — walked on one
 //! flattened clock per device plus a host clock, without executing any
@@ -24,7 +25,7 @@
 use crate::profile::MachineProfile;
 use ca_gmres::mpk::SpmvFormat;
 use ca_gmres::prelude::*;
-use ca_gpusim::{GemmVariant, KernelConfig, MultiGpu, PerfModel};
+use ca_gpusim::{GemmVariant, KernelConfig, MultiGpu, PerfModel, SpmvShape};
 use ca_scalar::Precision;
 use ca_sparse::Csr;
 
@@ -310,19 +311,13 @@ pub struct Planner<'a> {
     pub limits: PlannerLimits,
 }
 
-/// Padded-ELL shape of one loaded sparse slice.
-#[derive(Debug, Clone, Copy)]
-struct SliceShape {
-    rows: usize,
-    padded: usize,
-}
-
 /// Everything the walker needs about one device's share of a plan.
 #[derive(Debug, Clone)]
 struct DevShapes {
     nl: usize,
-    local: SliceShape,
-    levels: Vec<SliceShape>,
+    /// Padded-ELL shapes of the local block, then of every level, nearest
+    /// first (as `MpkState` orders the slices it loads).
+    slices: Vec<SpmvShape>,
     nsend: usize,
     nneed: usize,
     slice_bytes: usize,
@@ -679,7 +674,7 @@ impl<'a> Planner<'a> {
             if cand.uses_mpk() {
                 self.walk_mpk_block(&mut w, mpkc.expect("mpk shapes built"), s_blk, cand.prec);
             } else {
-                self.walk_spmv_block(&mut w, s1, s_blk, cand.basis);
+                self.walk_spmv_block(&mut w, s1, s_blk);
             }
             w.sync();
             ph.spmv_s += attr(&w, &mut mark);
@@ -718,29 +713,12 @@ impl<'a> Planner<'a> {
         PhasePrediction { phases: ph, comm_s: w.comm }
     }
 
-    /// BLAS-1 streaming charge at a precision (the executor's
-    /// `blas1_cost_at` mirror); `F64` is exactly `blas1_time`.
-    fn blas1_at(&self, prec: Precision, words: usize) -> f64 {
-        match prec {
-            Precision::F64 => self.model.blas1_time(words),
-            Precision::F32 => self.model.blas1_time_f32(words),
-        }
-    }
-
-    /// ELL SpMV charge at a precision; `F64` is exactly `spmv_time`.
-    fn spmv_at(&self, prec: Precision, padded: usize, rows: usize) -> f64 {
-        match prec {
-            Precision::F64 => self.model.spmv_time(padded, rows),
-            Precision::F32 => self.model.spmv_time_f32(padded, rows),
-        }
-    }
-
     /// One `dist_spmv`: scatter, halo exchange, local SpMV. Always f64 —
     /// the s = 1 residual plan is never demoted.
     fn walk_dist_spmv(&self, w: &mut Walk<'_>, s1: &[DevShapes]) {
         w.each(s1, |_, sh| self.model.blas1_time(2 * sh.nl));
         self.walk_exchange(w, s1, Precision::F64);
-        w.each(s1, |_, sh| self.model.spmv_time(sh.local.padded, sh.local.rows));
+        w.each(s1, |_, sh| self.model.spmv_time_at(sh.slices[0], Precision::F64));
     }
 
     /// The halo exchange compound (compress, uplink, host expand,
@@ -750,56 +728,40 @@ impl<'a> Planner<'a> {
         if sh.len() == 1 {
             return;
         }
-        w.each(sh, |_, s| self.blas1_at(prec, 2 * s.nsend));
+        w.each(sh, |_, s| self.model.blas1_time_at(prec, 2 * s.nsend));
         w.uplink(sh, |s| prec.bytes() * s.nsend);
         let moved: usize = sh.iter().map(|s| s.nsend).sum();
         w.host_compute(0.0, 2.0 * prec.bytes() as f64 * moved as f64);
         w.downlink(sh, |s| prec.bytes() * s.nneed);
-        w.each(sh, |_, s| self.blas1_at(prec, 2 * s.nneed));
+        w.each(sh, |_, s| self.model.blas1_time_at(prec, 2 * s.nneed));
     }
 
-    /// One MPK block of `s_run <= s_plan` steps at the plan's precision
-    /// (the basis-column gathers write the f64 panel and stay f64).
+    /// One MPK block of `s_run <= s_plan` steps at the plan's precision:
+    /// column load, exchange, then one launch per step over the local block
+    /// and the levels later steps still read.
     fn walk_mpk_block(&self, w: &mut Walk<'_>, mpkc: &[DevShapes], s_run: usize, prec: Precision) {
         w.sync();
-        w.each(mpkc, |_, sh| self.blas1_at(prec, 2 * sh.nl));
+        w.each(mpkc, |_, sh| self.model.blas1_time_at(prec, 2 * sh.nl));
         self.walk_exchange(w, mpkc, prec);
         w.sync();
-        let launch = self.model.param("launch_s").unwrap_or(0.0);
-        let shift_scatter = |sl: &SliceShape| {
-            self.spmv_at(prec, sl.padded, sl.rows) + self.blas1_at(prec, 2 * sl.rows) - launch
-        };
         for k in 1..=s_run {
             w.each(mpkc, |_, sh| {
-                let mut t = shift_scatter(&sh.local);
-                for t_lv in 1..=(s_run - k) {
-                    t += shift_scatter(&sh.levels[t_lv - 1]);
-                }
-                t + self.model.blas1_time(2 * sh.nl)
+                self.model.mpk_step_time(sh.slices[..=s_run - k].iter().copied(), sh.nl, prec)
             });
         }
         w.sync();
     }
 
-    /// One SpMV-generated block: `s_blk` shifted distributed SpMVs.
-    fn walk_spmv_block(
-        &self,
-        w: &mut Walk<'_>,
-        s1: &[DevShapes],
-        s_blk: usize,
-        basis: BasisChoice,
-    ) {
+    /// One SpMV-generated block: the column load, then per vector an
+    /// exchange and one launch on the local block, whatever the basis —
+    /// the shift rides in the kernel. Always f64, like [`Self::walk_dist_spmv`].
+    fn walk_spmv_block(&self, w: &mut Walk<'_>, s1: &[DevShapes], s_blk: usize) {
+        w.each(s1, |_, sh| self.model.blas1_time(2 * sh.nl));
         for _ in 0..s_blk {
-            self.walk_dist_spmv(w, s1);
-            match basis {
-                BasisChoice::Monomial => {}
-                // Newton: one real-shift AXPY per step (conjugate pairs
-                // add a second AXPY the static walk cannot see)
-                BasisChoice::Newton => w.each(s1, |_, sh| self.model.blas1_time(3 * sh.nl)),
-                BasisChoice::Chebyshev => w.each(s1, |_, sh| {
-                    self.model.blas1_time(3 * sh.nl) + self.model.blas1_time(2 * sh.nl)
-                }),
-            }
+            self.walk_exchange(w, s1, Precision::F64);
+            w.each(s1, |_, sh| {
+                self.model.mpk_step_time(sh.slices[..1].iter().copied(), sh.nl, Precision::F64)
+            });
         }
     }
 
@@ -1079,18 +1041,19 @@ fn shapes(a: &Csr, layout: &Layout, s: usize) -> Vec<DevShapes> {
         .iter()
         .map(|dp| {
             let nl = dp.local.len();
-            let width = dp.local.clone().map(|i| a.row_nnz(i)).max().unwrap_or(0);
-            let local = SliceShape { rows: nl, padded: width * nl };
-            let levels: Vec<SliceShape> = dp
+            let shape = |rows: usize, width: Option<usize>| SpmvShape {
+                slots: width.unwrap_or(0) * rows,
+                spilled: 0,
+                rows,
+            };
+            let local = shape(nl, dp.local.clone().map(|i| a.row_nnz(i)).max());
+            let levels = dp
                 .levels
                 .iter()
-                .map(|lv| {
-                    let w = lv.iter().map(|&r| a.row_nnz(r as usize)).max().unwrap_or(0);
-                    SliceShape { rows: lv.len(), padded: w * lv.len() }
-                })
-                .collect();
-            let slice_bytes = 12 * (local.padded + levels.iter().map(|l| l.padded).sum::<usize>());
-            DevShapes { nl, local, levels, nsend: dp.send.len(), nneed: dp.need.len(), slice_bytes }
+                .map(|lv| shape(lv.len(), lv.iter().map(|&r| a.row_nnz(r as usize)).max()));
+            let slices: Vec<SpmvShape> = std::iter::once(local).chain(levels).collect();
+            let slice_bytes = 12 * slices.iter().map(|sl| sl.slots).sum::<usize>();
+            DevShapes { nl, slices, nsend: dp.send.len(), nneed: dp.need.len(), slice_bytes }
         })
         .collect()
 }

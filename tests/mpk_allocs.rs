@@ -1,4 +1,5 @@
-//! A warmed-up MPK block and `dist_spmv` allocate nothing vector-sized.
+//! A warmed-up MPK block, `spmv_block` and `dist_spmv` allocate nothing
+//! vector-sized.
 //!
 //! Every MPK step used to build five n-length temporaries per slice (a
 //! zeroed SpMV output, a clone of the slice's row ids, the shifted values,
@@ -22,7 +23,7 @@
 //! One `#[test]` only: the counters are process-wide.
 
 use ca_gmres_repro::dense::{blas3, Mat};
-use ca_gmres_repro::gmres::mpk::{dist_spmv, mpk as mpk_block, SpmvFormat};
+use ca_gmres_repro::gmres::mpk::{dist_spmv, mpk as mpk_block, spmv_block, SpmvFormat};
 use ca_gmres_repro::gmres::prelude::*;
 use ca_gmres_repro::gpusim::MultiGpu;
 use ca_gmres_repro::sparse::gen::{cantilever, laplace2d};
@@ -151,6 +152,7 @@ fn warm_mpk_and_dist_spmv_allocate_nothing_vector_sized() {
             mpk_block(&mut mg, st, v, 0, &spec).unwrap();
             for st1 in [&sys.spmv, &own1] {
                 dist_spmv(&mut mg, st1, v, 0, 1).unwrap();
+                spmv_block(&mut mg, st1, v, 0, &spec).unwrap();
             }
 
             let what = format!("{prec:?} {format:?}");
@@ -162,6 +164,8 @@ fn warm_mpk_and_dist_spmv_allocate_nothing_vector_sized() {
                 let big = largest_request(|| dist_spmv(&mut mg, st1, v, 0, 1).unwrap());
                 let p1 = st1.prec;
                 assert!(big < nlocal_bytes, "{what}: {p1:?} dist_spmv requested {big} B at once");
+                let big = largest_request(|| spmv_block(&mut mg, st1, v, 0, &spec).unwrap());
+                assert!(big < nlocal_bytes, "{what}: {p1:?} spmv_block requested {big} B at once");
             }
         }
     }
