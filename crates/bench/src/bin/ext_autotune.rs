@@ -11,7 +11,8 @@
 //!    pinned to the calibration code.
 //! 2. **Plan** — for every suite matrix, rank the candidate space
 //!    `(s, basis, TSQR, kernel, device count)` by the planner's
-//!    closed-form cycle-time prediction, *without running any solve*.
+//!    cycle-time prediction — one restart cycle of the solver run on a
+//!    cost-only machine, no arithmetic — *without running any solve*.
 //! 3. **Validate** — replay the top `ORACLE_K` predictions plus the
 //!    paper-default configuration through real simulated solves under a
 //!    fixed work budget (`rtol = 0`, [`RESTARTS`] restart cycles, so

@@ -39,7 +39,8 @@ fn run(a: &ca_sparse::Csr, name: &str, format: SpmvFormat, rows: &mut Vec<Row>) 
 
     let mut mg = MultiGpu::with_defaults(3);
     let mem0: usize = (0..3).map(|d| mg.device(d).mem_used()).sum();
-    let sys = System::new_with_format(&mut mg, &a_ord, layout, 30, None, format).unwrap();
+    let sys =
+        System::with_format(&mut mg, &a_ord, layout, 30, None, format, Precision::F64).unwrap();
     let mem1: usize = (0..3).map(|d| mg.device(d).mem_used()).sum();
     sys.load_rhs(&mut mg, &bp).unwrap();
     let out = gmres(

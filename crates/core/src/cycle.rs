@@ -445,13 +445,9 @@ pub(crate) fn run_cycle<G: CycleGuard>(
         }
     }
 
-    // update: re-solve with only the columns actually pushed
+    // update: the recurrence holds exactly the `k_used` columns pushed
     let implied = if st.k_used > 0 {
-        let mut l = GivensLsq::new(st.beta);
-        for col in st.arn.columns().iter().take(st.k_used) {
-            l.push_column(col);
-        }
-        let (y, implied) = (l.solve(), l.residual_norm());
+        let (y, implied) = (st.lsq.solve(), st.lsq.residual_norm());
         let ph = Phase::begin(cx.mg, "small", G::FLATTEN);
         cx.mg.host_compute((3 * (st.k_used + 1) * (st.k_used + 1)) as f64, (16 * st.k_used) as f64);
         cx.stats.t_small += ph.end(cx.mg);

@@ -891,7 +891,7 @@ impl<'a> FtSolve<'a> {
     /// Stage the system on `layout` at the step size and precision in
     /// effect, with the right-hand side and the ABFT checksum vectors.
     fn build(&mut self, mg: &mut MultiGpu, layout: Layout) -> GpuResult<System> {
-        let sys = System::new_with_format_prec(
+        let sys = System::with_format(
             mg,
             self.a,
             layout,

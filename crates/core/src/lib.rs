@@ -59,7 +59,9 @@ pub mod system;
 
 /// Common imports for solver users.
 pub mod prelude {
-    pub use crate::cagmres::{ca_gmres, BasisChoice, CaGmresConfig, CaGmresOutcome, KernelMode};
+    pub use crate::cagmres::{
+        ca_cycle, ca_gmres, BasisChoice, CaCycle, CaGmresConfig, CaGmresOutcome, KernelMode,
+    };
     pub use crate::cpu::gmres_cpu;
     pub use crate::eigs::{arnoldi_eigs, ArnoldiConfig, EigsOutcome, RitzPair};
     pub use crate::ft::{

@@ -73,7 +73,7 @@ pub struct MixedOutcome {
 /// already be reordered to match `layout` (see [`crate::layout::prepare`]).
 ///
 /// `cfg.mpk_prec` selects the starting basis precision — with
-/// [`Precision::F64`] this is exactly [`System::new_with_format`] +
+/// [`Precision::F64`] this is exactly [`System::with_format`] +
 /// [`ca_gmres`], bit for bit. With [`Precision::F32`] the MPK slices and
 /// halos are single precision and the driver escalates to f64 if (and
 /// only if) the orthogonalization breaks down on the f32 basis.
@@ -93,8 +93,7 @@ pub fn ca_gmres_mixed(
     let s_opt = (cfg.s > 1).then_some(cfg.s);
     mg.sync();
     let t_begin = mg.time();
-    let sys =
-        System::new_with_format_prec(mg, a, layout.clone(), cfg.m, s_opt, format, cfg.mpk_prec)?;
+    let sys = System::with_format(mg, a, layout.clone(), cfg.m, s_opt, format, cfg.mpk_prec)?;
     sys.load_rhs(mg, b)?;
     let out = ca_gmres(mg, &sys, cfg);
 
@@ -143,7 +142,7 @@ pub fn ca_gmres_mixed(
         obs::counter_add(obs::names::HEALTH_ESCALATIONS, 1);
         obs::counter_add(&obs::names::health_escalations_rung("promote"), 1);
     }
-    let sys64 = System::new_with_format_prec(mg, a, layout, cfg.m, s_opt, format, Precision::F64)?;
+    let sys64 = System::with_format(mg, a, layout, cfg.m, s_opt, format, Precision::F64)?;
     sys64.load_rhs(mg, b)?;
     sys64.upload_x(mg, &x_ckpt)?;
     let mut cfg64 = *cfg;

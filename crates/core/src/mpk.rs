@@ -24,7 +24,7 @@
 use crate::layout::Layout;
 use crate::newton::BasisSpec;
 use ca_gpusim::faults::Result;
-use ca_gpusim::{device::SpStorage, Device, MatId, MultiGpu, SpId, VecId};
+use ca_gpusim::{device::SpStorage, Device, MatId, MultiGpu, SpId, SpmvShape, VecId};
 use ca_obs as obs;
 use ca_scalar::Precision;
 use ca_sparse::{Csr, Ell, Hyb};
@@ -32,7 +32,7 @@ use obs::Track::Host as HOST;
 use std::sync::Arc;
 
 /// Per-device MPK analysis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DevicePlan {
     /// Contiguous global row range owned by this device (`i^(d,s+1)`).
     pub local: std::ops::Range<usize>,
@@ -79,7 +79,7 @@ impl DevicePlan {
 }
 
 /// Full MPK analysis for one matrix, layout, and step count `s`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MpkPlan {
     /// Steps per block.
     pub s: usize,
@@ -96,59 +96,55 @@ impl MpkPlan {
     pub fn new(a: &Csr, layout: &Layout, s: usize) -> Self {
         assert!(s >= 1);
         assert_eq!(a.nrows(), layout.n());
-        let n = a.nrows();
         let ndev = layout.ndev();
         let mut devs = Vec::with_capacity(ndev);
-        let mut in_union = vec![false; n];
-        let mut gather_union = 0usize;
+        // the one row-sized scratch of the analysis: the rows the device in
+        // hand has reached (its own included), cleared behind it; then the
+        // rows anybody asked for
+        let mut mark = vec![false; a.nrows()];
 
         for d in 0..ndev {
             let local = layout.range(d);
-            let mut visited = vec![false; n];
-            for r in local.clone() {
-                visited[r] = true;
-            }
-            let mut frontier: Vec<u32> = local.clone().map(|r| r as u32).collect();
+            mark[local.clone()].fill(true);
             let mut levels: Vec<Vec<u32>> = Vec::with_capacity(s);
             for _t in 1..=s {
-                let mut next: Vec<u32> = Vec::new();
-                for &r in &frontier {
-                    for &c in a.row(r as usize).0 {
-                        if !visited[c as usize] {
-                            visited[c as usize] = true;
-                            next.push(c);
-                        }
-                    }
-                }
+                let mut next = match levels.last() {
+                    None => unreached_neighbours(a, local.clone(), &mut mark),
+                    Some(lv) => unreached_neighbours(a, lv.iter().map(|&r| r as usize), &mut mark),
+                };
                 next.sort_unstable();
-                frontier = next.clone();
                 levels.push(next);
             }
             let mut need: Vec<u32> = levels.iter().flatten().copied().collect();
             need.sort_unstable();
-            for &r in &need {
-                if !in_union[r as usize] {
-                    in_union[r as usize] = true;
-                    gather_union += 1;
-                }
-            }
+            mark[local.clone()].fill(false);
+            need.iter().for_each(|&r| mark[r as usize] = false);
             let local_nnz = local.clone().map(|r| a.row_nnz(r)).sum();
             let level_nnz =
                 levels.iter().map(|lv| lv.iter().map(|&r| a.row_nnz(r as usize)).sum()).collect();
             devs.push(DevicePlan { local, levels, need, send: Vec::new(), local_nnz, level_nnz });
         }
 
-        // send sets: local rows of d requested by any other device
-        let mut requested = vec![false; n];
-        for dp in &devs {
-            for &r in &dp.need {
-                requested[r as usize] = true;
-            }
-        }
-        for dp in &mut devs {
-            dp.send = dp.local.clone().filter(|&r| requested[r]).map(|r| r as u32).collect();
-        }
+        let gather_union = set_sends(&mut devs, &mut mark);
+        Self { s, devs, gather_union }
+    }
 
+    /// The analysis of the same matrix and layout for `s <= self.s` steps,
+    /// read off this one: the levels of a shallower search are a prefix of
+    /// a deeper one's. Equal to `MpkPlan::new(a, layout, s)`.
+    pub fn truncated(&self, s: usize) -> Self {
+        assert!(s >= 1 && s <= self.s);
+        let shallow = |dp: &DevicePlan| {
+            let levels = dp.levels[..s].to_vec();
+            let mut need: Vec<u32> = levels.iter().flatten().copied().collect();
+            need.sort_unstable();
+            let (local, local_nnz) = (dp.local.clone(), dp.local_nnz);
+            let level_nnz = dp.level_nnz[..s].to_vec();
+            DevicePlan { local, levels, need, send: Vec::new(), local_nnz, level_nnz }
+        };
+        let mut devs: Vec<DevicePlan> = self.devs.iter().map(shallow).collect();
+        let n = devs.last().map_or(0, |dp| dp.local.end);
+        let gather_union = set_sends(&mut devs, &mut vec![false; n]);
         Self { s, devs, gather_union }
     }
 
@@ -167,6 +163,35 @@ impl MpkPlan {
     }
 }
 
+/// One level of the reverse-dependency search: the columns of `rows` not
+/// yet in `mark`, marked as they are found.
+fn unreached_neighbours(a: &Csr, rows: impl Iterator<Item = usize>, mark: &mut [bool]) -> Vec<u32> {
+    let mut next = Vec::new();
+    for r in rows {
+        for &c in a.row(r).0 {
+            if !mark[c as usize] {
+                mark[c as usize] = true;
+                next.push(c);
+            }
+        }
+    }
+    next
+}
+
+/// Fill in the send sets — the local rows of each device that any other
+/// device needs — using `mark` (all `false`, one entry per row) as scratch.
+/// Every requested row is in exactly one of them, so together they are the
+/// union of the need sets, whose size is returned.
+fn set_sends(devs: &mut [DevicePlan], mark: &mut [bool]) -> usize {
+    for dp in devs.iter() {
+        dp.need.iter().for_each(|&r| mark[r as usize] = true);
+    }
+    for dp in devs.iter_mut() {
+        dp.send = dp.local.clone().filter(|&r| mark[r]).map(|r| r as u32).collect();
+    }
+    devs.iter().map(|dp| dp.send.len()).sum()
+}
+
 /// Sparse storage format for the device slices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpmvFormat {
@@ -180,11 +205,25 @@ pub enum SpmvFormat {
     },
 }
 
+/// What the SpMV model prices `A(rows, :)` on in ELLPACK, at any precision:
+/// every row padded to the longest.
+pub fn ell_shape(a: &Csr, rows: impl ExactSizeIterator<Item = usize>) -> SpmvShape {
+    let n = rows.len();
+    let width = rows.map(|r| a.row_nnz(r)).max().unwrap_or(0);
+    SpmvShape { slots: width * n, spilled: 0, rows: n }
+}
+
 impl SpmvFormat {
     /// The slice `A(rows, :)` in this format at `prec`, built straight from
-    /// the rows of `a`.
-    fn build(&self, a: &Csr, rows: &[u32], prec: Precision) -> SpStorage {
-        let rows = rows.iter().map(|&r| r as usize);
+    /// the rows of `a` — for a cost-only machine (`shape_only`) without the
+    /// ELLPACK conversion: the slice is its priced shape.
+    fn build<I>(&self, a: &Csr, rows: I, prec: Precision, shape_only: bool) -> SpStorage
+    where
+        I: ExactSizeIterator<Item = usize> + Clone,
+    {
+        if shape_only && *self == SpmvFormat::Ell {
+            return SpStorage::Shape(ell_shape(a, rows), prec);
+        }
         match (*self, prec) {
             (SpmvFormat::Ell, Precision::F64) => SpStorage::Ell(Ell::from_csr_rows(a, rows)),
             (SpmvFormat::Hyb { quantile }, Precision::F64) => {
@@ -221,7 +260,7 @@ pub struct MpkState {
 
 impl MpkState {
     /// Load slices and work vectors for `plan` onto the devices of `mg`
-    /// (ELLPACK storage, the paper's default).
+    /// (ELLPACK storage in f64, the paper's default).
     ///
     /// Levels `1..s-1` get compute slices (level `s` rows are inputs only,
     /// never outputs, so no slice is needed for them); every device gets
@@ -230,48 +269,30 @@ impl MpkState {
     /// # Errors
     /// Propagates simulated allocation failures ([`ca_gpusim::GpuSimError`]).
     pub fn load(mg: &mut MultiGpu, a: &Csr, plan: MpkPlan) -> Result<Self> {
-        Self::load_with_format(mg, a, plan, SpmvFormat::Ell)
+        Self::load_as(mg, a, plan, SpmvFormat::Ell, Precision::F64, None)
     }
 
-    /// [`MpkState::load`] with an explicit sparse storage format.
+    /// [`MpkState::load`] in an explicit storage format and slice
+    /// precision. With [`Precision::F32`] the operator is cast element-wise
+    /// to f32 before conversion to the device format: the MPK steps then
+    /// run genuine single-precision arithmetic and the halo exchange moves
+    /// 4-byte elements.
+    ///
+    /// `resident` is a state already loaded on `mg` from the same matrix
+    /// `a`: at equal format and precision its local blocks `A^(d)` are the
+    /// ones this plan needs, so they are loaded a second time — a slice id
+    /// and the full device bytes each, like any load — without being
+    /// converted or stored a second time on the host. A `resident` of
+    /// another format or precision is ignored; one of another layout is a
+    /// bug and panics.
+    ///
+    /// On a cost-only machine ([`MultiGpu::cost_only`]) the state is
+    /// shape-only: the analysis in `plan` is the real one, the slices are
+    /// their priced shapes and no row ids are kept.
     ///
     /// # Errors
     /// Propagates simulated allocation failures ([`ca_gpusim::GpuSimError`]).
-    pub fn load_with_format(
-        mg: &mut MultiGpu,
-        a: &Csr,
-        plan: MpkPlan,
-        format: SpmvFormat,
-    ) -> Result<Self> {
-        Self::load_with_format_prec(mg, a, plan, format, Precision::F64)
-    }
-
-    /// [`MpkState::load_with_format`] at an explicit slice precision. With
-    /// [`Precision::F32`] the operator is cast element-wise to f32 before
-    /// conversion to the device format: the MPK steps then run genuine
-    /// single-precision arithmetic and the halo exchange moves 4-byte
-    /// elements. [`Precision::F64`] is exactly [`MpkState::load_with_format`].
-    ///
-    /// # Errors
-    /// Propagates simulated allocation failures ([`ca_gpusim::GpuSimError`]).
-    pub fn load_with_format_prec(
-        mg: &mut MultiGpu,
-        a: &Csr,
-        plan: MpkPlan,
-        format: SpmvFormat,
-        prec: Precision,
-    ) -> Result<Self> {
-        Self::load_sharing(mg, a, plan, format, prec, None)
-    }
-
-    /// [`MpkState::load_with_format_prec`] beside `resident`, a state already
-    /// loaded on `mg` from the same matrix `a`: at equal format and
-    /// precision its local blocks `A^(d)` are the ones this plan needs, so
-    /// they are loaded a second time — a slice id and the full device bytes
-    /// each, like any load — without being converted or stored a second
-    /// time on the host. A `resident` of another format or precision is
-    /// ignored; one of another layout is a bug and panics.
-    pub(crate) fn load_sharing(
+    pub fn load_as(
         mg: &mut MultiGpu,
         a: &Csr,
         plan: MpkPlan,
@@ -282,30 +303,40 @@ impl MpkState {
         assert_eq!(mg.n_gpus(), plan.devs.len());
         let n = a.nrows();
         let s = plan.s;
+        let shape_only = mg.is_cost_only();
+        let ids = |rows: &mut dyn Iterator<Item = u32>| -> Vec<u32> {
+            if shape_only {
+                Vec::new()
+            } else {
+                rows.collect()
+            }
+        };
         let resident = resident.filter(|r| r.prec == prec && r.format == format);
         let mut slices = Vec::with_capacity(plan.devs.len());
         let mut z = Vec::with_capacity(plan.devs.len());
         for (d, dp) in plan.devs.iter().enumerate() {
             let dev = mg.device_mut(d);
-            let rows: Vec<u32> = dp.local.clone().map(|r| r as u32).collect();
             let local = match resident {
                 Some(r) => {
                     assert_eq!(r.plan.devs[d].local, dp.local, "device {d}: another layout");
                     Arc::clone(&dev.slice(r.local_slice(d)).storage)
                 }
-                None => Arc::new(format.build(a, &rows, prec)),
+                None => Arc::new(format.build(a, dp.local.clone(), prec, shape_only)),
             };
             // sized up front: a list that grew would leave its small freed
             // buffers between the slices' long-lived arrays
             let mut dev_slices = Vec::with_capacity(s);
+            let rows = ids(&mut dp.local.clone().map(|r| r as u32));
             dev_slices.push(dev.load_slice_storage(local, rows)?);
             for lv in &dp.levels[..s - 1] {
-                dev_slices.push(dev.load_slice_storage(format.build(a, lv, prec), lv.clone())?);
+                let slice = format.build(a, lv.iter().map(|&r| r as usize), prec, shape_only);
+                dev_slices.push(dev.load_slice_storage(slice, ids(&mut lv.iter().copied()))?);
             }
             slices.push(dev_slices);
             z.push([dev.alloc_vec(n)?, dev.alloc_vec(n)?]);
         }
-        let halo_src = halo_sources(&plan);
+        // (no values travel on a cost-only machine: nothing to route)
+        let halo_src = if shape_only { Vec::new() } else { halo_sources(&plan) };
         Ok(Self { plan, prec, format, slices, z, halo_src })
     }
 
@@ -379,10 +410,15 @@ impl MpkState {
         // host: expand into a full vector w (Fig. 4, third loop) — charged as
         // that, executed by reading each halo value from its place in the
         // owner's payload
-        let moved: usize = payloads.iter().map(Vec::len).sum();
+        let moved: usize = self.plan.devs.iter().map(|d| d.send.len()).sum();
         mg.host_compute(0.0, 2.0 * self.prec.bytes() as f64 * moved as f64);
-        // compress per-destination + send down (Fig. 4, fourth loop)
-        let vals = route_halos(&self.halo_src, &payloads);
+        // compress per-destination + send down (Fig. 4, fourth loop); a
+        // cost-only machine packed no values, so there are none to route
+        let vals = if mg.is_cost_only() {
+            vec![Vec::new(); ndev]
+        } else {
+            route_halos(&self.halo_src, &payloads)
+        };
         let bytes_down: Vec<usize> =
             self.plan.devs.iter().map(|d| d.need.len() * self.prec.bytes()).collect();
         let down = mg.to_devices_async_prec(&bytes_down, self.prec)?;
@@ -681,6 +717,22 @@ mod tests {
     }
 
     #[test]
+    fn a_truncated_plan_is_the_shallow_analysis() {
+        let a = ca_sparse::gen::convection_diffusion(14, 11, 2.0);
+        for ndev in 1..=4 {
+            let layout = Layout::even(a.nrows(), ndev);
+            let deep = MpkPlan::new(&a, &layout, 6);
+            for s in 1..=6 {
+                assert_eq!(
+                    deep.truncated(s),
+                    MpkPlan::new(&a, &layout, s),
+                    "{ndev} devices, s = {s}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn single_device_needs_nothing() {
         let (_, _, plan) = setup(5, 5, 1, 3);
         assert!(plan.devs[0].need.is_empty());
@@ -779,8 +831,7 @@ mod tests {
         let run = |prec: Precision| {
             let plan = MpkPlan::new(&a, &layout, s);
             let mut mg = MultiGpu::with_defaults(3);
-            let st =
-                MpkState::load_with_format_prec(&mut mg, &a, plan, SpmvFormat::Ell, prec).unwrap();
+            let st = MpkState::load_as(&mut mg, &a, plan, SpmvFormat::Ell, prec, None).unwrap();
             let v_ids: Vec<MatId> = (0..3)
                 .map(|d| {
                     let nl = layout.nlocal(d);
@@ -1002,8 +1053,7 @@ mod tests {
             (hyb, Precision::F64, false),
         ] {
             let plan = MpkPlan::new(&a, &layout, 3);
-            let st =
-                MpkState::load_sharing(&mut mg, &a, plan, format, prec, Some(&resident)).unwrap();
+            let st = MpkState::load_as(&mut mg, &a, plan, format, prec, Some(&resident)).unwrap();
             for d in 0..3 {
                 let local = |st: &MpkState| &mg.device(d).slice(st.local_slice(d)).storage;
                 let same = Arc::ptr_eq(local(&st), local(&resident));
@@ -1022,14 +1072,8 @@ mod tests {
         let resident = MpkState::load(&mut mg, &a, plan1).unwrap();
         let uneven = Layout::from_sizes(&[10, 32]);
         let plan = MpkPlan::new(&a, &uneven, 2);
-        let _ = MpkState::load_sharing(
-            &mut mg,
-            &a,
-            plan,
-            SpmvFormat::Ell,
-            Precision::F64,
-            Some(&resident),
-        );
+        let _ =
+            MpkState::load_as(&mut mg, &a, plan, SpmvFormat::Ell, Precision::F64, Some(&resident));
     }
 
     #[test]
@@ -1088,7 +1132,7 @@ mod tests {
         let ndev = layout.ndev();
         let mut mg = MultiGpu::with_defaults(ndev);
         let plan = MpkPlan::new(a, layout, s);
-        let st = MpkState::load_with_format_prec(&mut mg, a, plan, format, prec).unwrap();
+        let st = MpkState::load_as(&mut mg, a, plan, format, prec, None).unwrap();
         let v = (0..ndev)
             .map(|d| {
                 let dev = mg.device_mut(d);
@@ -1154,7 +1198,7 @@ mod tests {
         let rows = &dev.slice(parts[0]).rows;
         let local = rows.first().map_or(0..0, |&r| r as usize..r as usize + rows.len());
         dev.mat_mut(v).col_mut(start_col + k).copy_from_slice(&next[local]);
-        *dev.vec_mut(zn) = next;
+        dev.vec_mut(zn).copy_from_slice(&next);
     }
 
     /// A real shift, a conjugate pair, a scaled step: every branch of the
@@ -1471,14 +1515,9 @@ mod tests {
                         for lost in (0..ndev).map(Some).chain([None]) {
                             let plan = MpkPlan::new(a, &Layout::even(n, ndev), s);
                             let mut mg = MultiGpu::with_defaults(ndev);
-                            let st = MpkState::load_with_format_prec(
-                                &mut mg,
-                                a,
-                                plan,
-                                SpmvFormat::Ell,
-                                prec,
-                            )
-                            .unwrap();
+                            let format = SpmvFormat::Ell;
+                            let st =
+                                MpkState::load_as(&mut mg, a, plan, format, prec, None).unwrap();
                             for d in 0..ndev {
                                 mg.device_mut(d).vec_mut(st.z[d][0]).copy_from_slice(&x);
                             }
@@ -1530,8 +1569,7 @@ mod tests {
             let layout = Layout::even(n, 3);
             let plan = MpkPlan::new(&a, &layout, 2);
             let mut mg = MultiGpu::with_defaults(3);
-            let st =
-                MpkState::load_with_format_prec(&mut mg, &a, plan, SpmvFormat::Ell, prec).unwrap();
+            let st = MpkState::load_as(&mut mg, &a, plan, SpmvFormat::Ell, prec, None).unwrap();
             for d in 0..3 {
                 let local = layout.range(d);
                 mg.device_mut(d).vec_mut(st.z[d][0])[local.clone()].copy_from_slice(&x[local]);

@@ -31,8 +31,8 @@ pub struct System {
 
 impl System {
     /// Build the device state: allocate the basis, load the SpMV plan and
-    /// (when `s > 1`) the MPK plan. `a` must already be reordered to match
-    /// `layout` (see [`crate::layout::prepare`]).
+    /// (when `s > 1`) the MPK plan, in ELLPACK and f64. `a` must already be
+    /// reordered to match `layout` (see [`crate::layout::prepare`]).
     ///
     /// # Errors
     /// Propagates simulated allocation failures ([`ca_gpusim::GpuSimError`]).
@@ -43,34 +43,25 @@ impl System {
         m: usize,
         s: Option<usize>,
     ) -> Result<Self> {
-        Self::new_with_format(mg, a, layout, m, s, SpmvFormat::Ell)
+        Self::with_format(mg, a, layout, m, s, SpmvFormat::Ell, Precision::F64)
     }
 
     /// [`System::new`] with an explicit sparse storage format for the
-    /// SpMV/MPK slices (e.g. `SpmvFormat::Hyb` for hub-heavy matrices).
+    /// SpMV/MPK slices (e.g. `SpmvFormat::Hyb` for hub-heavy matrices) and
+    /// an explicit precision for the *MPK* slices and halos. The s = 1 SpMV
+    /// plan — used for explicit residuals and the refinement anchor —
+    /// always stays f64; only the basis-generation operator (and its halo
+    /// traffic) is demoted when `mpk_prec` is [`Precision::F32`].
+    ///
+    /// On a cost-only machine ([`MultiGpu::cost_only`]) the system is
+    /// shape-only: the plans' analysis is real, nothing is converted or
+    /// stored (see [`MpkState::load_as`]), and the methods below that move
+    /// a right-hand side or an iterate charge their transfers and move
+    /// nothing.
     ///
     /// # Errors
     /// Propagates simulated allocation failures ([`ca_gpusim::GpuSimError`]).
-    pub fn new_with_format(
-        mg: &mut MultiGpu,
-        a: &Csr,
-        layout: Layout,
-        m: usize,
-        s: Option<usize>,
-        format: SpmvFormat,
-    ) -> Result<Self> {
-        Self::new_with_format_prec(mg, a, layout, m, s, format, Precision::F64)
-    }
-
-    /// [`System::new_with_format`] with an explicit precision for the
-    /// *MPK* slices and halos. The s = 1 SpMV plan — used for explicit
-    /// residuals and the refinement anchor — always stays f64; only the
-    /// basis-generation operator (and its halo traffic) is demoted when
-    /// `mpk_prec` is [`Precision::F32`].
-    ///
-    /// # Errors
-    /// Propagates simulated allocation failures ([`ca_gpusim::GpuSimError`]).
-    pub fn new_with_format_prec(
+    pub fn with_format(
         mg: &mut MultiGpu,
         a: &Csr,
         layout: Layout,
@@ -92,14 +83,19 @@ impl System {
         let v: Vec<MatId> = (0..layout.ndev())
             .map(|d| mg.device_mut(d).alloc_mat(layout.nlocal(d), m + 4))
             .collect::<Result<_>>()?;
-        let spmv = MpkState::load_with_format(mg, a, plan1, format)?;
+        let spmv = MpkState::load_as(mg, a, plan1, format, Precision::F64, None)?;
         // both plans multiply by the same local blocks: the s-step plan
         // loads the ones the s = 1 plan built (an f32 plan builds its own)
-        let mpk = match plan_s {
-            Some(plan) => Some(MpkState::load_sharing(mg, a, plan, format, mpk_prec, Some(&spmv))?),
-            None => None,
-        };
+        let mpk = plan_s
+            .map(|plan| MpkState::load_as(mg, a, plan, format, mpk_prec, Some(&spmv)))
+            .transpose()?;
         Ok(Self { layout, v, spmv, mpk, m, n })
+    }
+
+    /// The devices whose buffers hold data for the host to move: all of
+    /// them, or none on a cost-only machine.
+    fn holding(&self, mg: &MultiGpu) -> std::ops::Range<usize> {
+        0..if mg.is_cost_only() { 0 } else { self.layout.ndev() }
     }
 
     /// Column index of the iterate `x`.
@@ -140,7 +136,7 @@ impl System {
     pub fn set_rhs_uncharged(&self, mg: &mut MultiGpu, b: &[f64]) {
         assert_eq!(b.len(), self.n);
         let (bc, xc) = (self.b_col(), self.x_col());
-        for d in 0..self.layout.ndev() {
+        for d in self.holding(mg) {
             let v = mg.device_mut(d).mat_mut(self.v[d]);
             v.set_col(bc, &b[self.layout.range(d)]);
             v.col_mut(xc).fill(0.0);
@@ -172,7 +168,7 @@ impl System {
             (0..self.layout.ndev()).map(|d| 8 * self.layout.nlocal(d)).collect();
         mg.to_devices(&bytes)?;
         let xc = self.x_col();
-        for d in 0..self.layout.ndev() {
+        for d in self.holding(mg) {
             let lo = self.layout.range(d).start;
             let nl = self.layout.nlocal(d);
             mg.device_mut(d).mat_mut(self.v[d]).set_col(xc, &x[lo..lo + nl]);
@@ -190,7 +186,7 @@ impl System {
         mg.to_host(&bytes)?;
         let mut x = vec![0.0; self.n];
         let xc = self.x_col();
-        for d in 0..self.layout.ndev() {
+        for d in self.holding(mg) {
             let lo = self.layout.range(d).start;
             let col = mg.device(d).mat(self.v[d]).col(xc);
             x[lo..lo + col.len()].copy_from_slice(col);
@@ -325,8 +321,7 @@ mod tests {
         let mut mg = MultiGpu::with_defaults(3);
         let (format, f32) = (SpmvFormat::Ell, Precision::F32);
         let sys =
-            System::new_with_format_prec(&mut mg, &a, layout.clone(), 12, Some(4), format, f32)
-                .unwrap();
+            System::with_format(&mut mg, &a, layout.clone(), 12, Some(4), format, f32).unwrap();
         assert_eq!(used(&mg), charged_unshared(&a, &layout, 12, &[plans[0], (4, f32)]));
         let mpk = sys.mpk.as_ref().unwrap();
         for d in 0..3 {

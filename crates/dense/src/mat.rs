@@ -38,6 +38,13 @@ impl<T: Scalar> Mat<T> {
         Self { nrows, ncols, ld, data: vec![T::ZERO; ld * ncols] }
     }
 
+    /// An `nrows x ncols` matrix that carries its shape and no storage:
+    /// what a cost-only simulated device holds in place of a buffer. Any
+    /// element access panics.
+    pub fn shape_only(nrows: usize, ncols: usize) -> Self {
+        Self { nrows, ncols, ld: nrows.max(1), data: Vec::new() }
+    }
+
     /// Identity matrix of order `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);

@@ -11,6 +11,12 @@
 //! back to f64) and is charged the f32 kernel cost. Host-side data
 //! plumbing (reading results, uploads) is free here; PCIe costs are
 //! charged by [`MultiGpu`](crate::multi::MultiGpu)'s transfer methods.
+//!
+//! A *cost-only* device ([`MultiGpu::cost_only`](crate::multi::MultiGpu))
+//! keeps the second half of that sentence and drops the first: its buffers
+//! are shapes, its kernels advance the clock by the same cost and return
+//! the neutral value of their contract. `Device::try_launch` is the one
+//! place that tells the two apart.
 
 use crate::faults::{FaultPlan, GpuSimError, Result, SdcEvent, SdcKind};
 use crate::model::{GemmVariant, GemvVariant, PerfModel, SpmvShape};
@@ -60,6 +66,10 @@ pub enum SpStorage {
     EllF32(Ell<f32>),
     /// Single-precision hybrid.
     HybF32(Hyb<f32>),
+    /// What a cost-only device keeps of any of the above: the shape the
+    /// SpMV model prices and the precision it runs at. Holds no entries;
+    /// multiplying by it panics.
+    Shape(SpmvShape, Precision),
 }
 
 impl SpStorage {
@@ -70,6 +80,7 @@ impl SpStorage {
             SpStorage::Hyb(h) => h.nrows(),
             SpStorage::EllF32(e) => e.nrows(),
             SpStorage::HybF32(h) => h.nrows(),
+            SpStorage::Shape(sh, _) => sh.rows,
         }
     }
 
@@ -80,6 +91,9 @@ impl SpStorage {
             SpStorage::Hyb(h) => h.bytes(),
             SpStorage::EllF32(e) => e.bytes(),
             SpStorage::HybF32(h) => h.bytes(),
+            // a value and a column index per slot, a value and two
+            // coordinates per spilled entry — as `Ell`/`Hyb::bytes`
+            SpStorage::Shape(sh, p) => sh.slots * (p.bytes() + 4) + sh.spilled * (p.bytes() + 8),
         }
     }
 
@@ -88,6 +102,7 @@ impl SpStorage {
         match self {
             SpStorage::Ell(_) | SpStorage::Hyb(_) => Precision::F64,
             SpStorage::EllF32(_) | SpStorage::HybF32(_) => Precision::F32,
+            SpStorage::Shape(_, p) => *p,
         }
     }
 
@@ -98,6 +113,7 @@ impl SpStorage {
             SpStorage::EllF32(e) => (e.padded_nnz(), 0),
             SpStorage::Hyb(h) => (h.width() * h.nrows(), h.spilled()),
             SpStorage::HybF32(h) => (h.width() * h.nrows(), h.spilled()),
+            SpStorage::Shape(sh, _) => return *sh,
         };
         SpmvShape { slots, spilled, rows: self.nrows() }
     }
@@ -112,6 +128,7 @@ impl SpStorage {
             SpStorage::Hyb(h) => h.spmv(x, y),
             SpStorage::EllF32(e) => e.spmv_widened(x, y),
             SpStorage::HybF32(h) => h.spmv_widened(x, y),
+            SpStorage::Shape(..) => panic!("a shape-only slice holds no entries to multiply"),
         }
     }
 }
@@ -124,7 +141,7 @@ pub struct SpSlice {
     /// host keeps one copy however many slices — each with its own id and
     /// its own charged device bytes — were loaded from it.
     pub storage: Arc<SpStorage>,
-    /// Global row ids, one per local row.
+    /// Global row ids, one per local row (none on a cost-only device).
     pub rows: Vec<u32>,
 }
 
@@ -140,7 +157,11 @@ pub struct Device {
     id: usize,
     clock: f64,
     model: Arc<PerfModel>,
-    vecs: Vec<Vec<f64>>,
+    /// Cost-only: buffers carry their shape and no storage, launches are
+    /// charged and compute nothing. Fixed by the `MultiGpu` constructor.
+    shape_only: bool,
+    /// Device vectors, each a one-column matrix.
+    vecs: Vec<Mat>,
     mats: Vec<Mat>,
     slices: Vec<SpSlice>,
     mem_bytes: usize,
@@ -153,6 +174,9 @@ pub struct Device {
     faults: Option<Arc<FaultPlan>>,
     /// Persistent device loss: clock frozen, transfers fail.
     lost: bool,
+    /// Sustained kernel-latency multiplier (1.0 = healthy), applied as a
+    /// fault plan's fail-slow factor is.
+    slowdown: f64,
     /// Silent corruptions injected so far (study bookkeeping).
     sdc_injected: u64,
     /// Optional command-queue trace (off by default).
@@ -209,12 +233,16 @@ fn recurrence(
     }
 }
 
+/// The neutral value of a kernel that returns nothing.
+fn nothing() {}
+
 impl Device {
-    pub(crate) fn new(id: usize, model: Arc<PerfModel>) -> Self {
+    pub(crate) fn new(id: usize, model: Arc<PerfModel>, shape_only: bool) -> Self {
         Self {
             id,
             clock: 0.0,
             model,
+            shape_only,
             vecs: Vec::new(),
             mats: Vec::new(),
             slices: Vec::new(),
@@ -223,6 +251,7 @@ impl Device {
             allocs: 0,
             faults: None,
             lost: false,
+            slowdown: 1.0,
             sdc_injected: 0,
             stream: StreamTrace::default(),
             busy_s: 0.0,
@@ -265,7 +294,7 @@ impl Device {
         // fail-slow perturbation: a pure function of (seed, device, op).
         // Both branches are gated on a non-neutral draw so a zero-rate
         // plan leaves `actual` bit-identical to `dt`.
-        let mut actual = dt;
+        let mut actual = dt * self.slowdown;
         if let Some(p) = &self.faults {
             let m = p.compute_multiplier(self.id, self.ops);
             if m != 1.0 {
@@ -328,6 +357,19 @@ impl Device {
     /// Drop buffered trace commands (recording stays on).
     pub fn clear_trace(&mut self) {
         self.stream.clear();
+    }
+
+    /// Whether this device is cost-only (see [`crate::MultiGpu::cost_only`]).
+    pub fn is_cost_only(&self) -> bool {
+        self.shape_only
+    }
+
+    /// Run every later kernel `factor` times its modeled duration — a
+    /// known sustained slowdown (a planner's what-if, a measured latency
+    /// EWMA), charged like a fault plan's fail-slow factor. 1.0 is inert.
+    pub fn set_slowdown(&mut self, factor: f64) {
+        assert!(factor > 0.0);
+        self.slowdown = factor;
     }
 
     /// Install (or clear) the fault schedule.
@@ -443,6 +485,15 @@ impl Device {
 
     // ---------- allocation (free: matches the paper excluding setup) ----------
 
+    /// A zeroed `rows x cols` buffer — on a cost-only device, its shape.
+    fn buffer(&self, rows: usize, cols: usize) -> Mat {
+        if self.shape_only {
+            Mat::shape_only(rows, cols)
+        } else {
+            Mat::zeros(rows, cols)
+        }
+    }
+
     /// Allocate a zeroed device vector.
     ///
     /// # Errors
@@ -450,7 +501,7 @@ impl Device {
     /// would be exceeded (or an allocation fault is injected).
     pub fn alloc_vec(&mut self, len: usize) -> Result<VecId> {
         self.charge_mem(len * 8)?;
-        self.vecs.push(vec![0.0; len]);
+        self.vecs.push(self.buffer(len, 1));
         Ok(VecId(self.vecs.len() - 1))
     }
 
@@ -461,7 +512,7 @@ impl Device {
     /// would be exceeded (or an allocation fault is injected).
     pub fn alloc_mat(&mut self, rows: usize, cols: usize) -> Result<MatId> {
         self.charge_mem(rows * cols * 8)?;
-        self.mats.push(Mat::zeros(rows, cols));
+        self.mats.push(self.buffer(rows, cols));
         Ok(MatId(self.mats.len() - 1))
     }
 
@@ -487,9 +538,16 @@ impl Device {
         storage: impl Into<Arc<SpStorage>>,
         rows: Vec<u32>,
     ) -> Result<SpId> {
-        let storage = storage.into();
-        assert_eq!(storage.nrows(), rows.len());
-        self.charge_mem(storage.bytes() + rows.len() * 4)?;
+        let mut storage = storage.into();
+        let mut rows = rows;
+        if self.shape_only {
+            // keep what the model prices, drop what the host would multiply
+            storage = Arc::new(SpStorage::Shape(storage.shape(), storage.prec()));
+            rows = Vec::new();
+        } else {
+            assert_eq!(storage.nrows(), rows.len());
+        }
+        self.charge_mem(storage.bytes() + storage.nrows() * 4)?;
         self.slices.push(SpSlice { storage, rows });
         Ok(SpId(self.slices.len() - 1))
     }
@@ -507,9 +565,9 @@ impl Device {
 
     /// Free a device vector: release its bytes and tombstone the slot.
     pub fn free_vec(&mut self, v: VecId) {
-        let bytes = self.vecs[v.0].len() * 8;
+        let bytes = self.vecs[v.0].nrows() * 8;
         self.mem_bytes = self.mem_bytes.saturating_sub(bytes);
-        self.vecs[v.0] = Vec::new();
+        self.vecs[v.0] = Mat::zeros(0, 1);
     }
 
     /// Free a device matrix: release its bytes and tombstone the slot.
@@ -523,7 +581,7 @@ impl Device {
     /// Free a sparse slice: release its bytes and tombstone the slot.
     pub fn free_slice(&mut self, s: SpId) {
         let sl = &self.slices[s.0];
-        let bytes = sl.storage.bytes() + sl.rows.len() * 4;
+        let bytes = sl.storage.bytes() + sl.storage.nrows() * 4;
         self.mem_bytes = self.mem_bytes.saturating_sub(bytes);
         self.slices[s.0] = SpSlice { storage: Arc::clone(&EMPTY_STORAGE), rows: Vec::new() };
     }
@@ -566,12 +624,12 @@ impl Device {
     /// Read a device vector (host-side debugging/assembly; no cost — pair
     /// with a `MultiGpu` transfer charge when modeling a real download).
     pub fn vec(&self, v: VecId) -> &[f64] {
-        &self.vecs[v.0]
+        self.vecs[v.0].col(0)
     }
 
     /// Mutable host-side access to a device vector.
-    pub fn vec_mut(&mut self, v: VecId) -> &mut Vec<f64> {
-        &mut self.vecs[v.0]
+    pub fn vec_mut(&mut self, v: VecId) -> &mut [f64] {
+        self.vecs[v.0].col_mut(0)
     }
 
     /// Read a device matrix.
@@ -589,56 +647,93 @@ impl Device {
         &self.slices[s.0]
     }
 
-    // ---------- BLAS-1 kernels ----------
+    // ---------- the launch rule ----------
     //
     // Every kernel entry point is a command issued to this device's
     // stream: it performs the real arithmetic immediately (issue order =
     // program order) and advances the queue tail (`clock`) by the modeled
-    // cost. A lost device accepts no commands — the same liveness rule
-    // transfers enforce. Transfers fail typed; kernels are fire-and-forget
-    // launches, so they return neutral values without computing or
-    // mutating device state, and the first transfer that touches the
-    // device surfaces the loss as `GpuSimError::DeviceLost`.
+    // cost. Whether a launch computes is decided here and nowhere else.
+
+    /// Issue one kernel launch of `dt` modeled seconds. A lost device
+    /// accepts no commands — the same liveness rule transfers enforce:
+    /// nothing is charged, no state changes, and the first transfer that
+    /// touches the device surfaces the loss as `GpuSimError::DeviceLost`. A
+    /// cost-only device is charged and touches no data. Either answers with
+    /// `neutral`, the well-posed value of the kernel's contract (identity
+    /// Gram and `R` factors, unit norms, zero projections), so the host-side
+    /// factorizations that consume it run unmodified. Otherwise `compute`
+    /// does the arithmetic and the launch is charged — unless it fails,
+    /// which aborts the launch.
+    fn try_launch<T, E>(
+        &mut self,
+        name: &'static str,
+        dt: f64,
+        neutral: impl FnOnce() -> T,
+        compute: impl FnOnce(&mut Self) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        if self.lost {
+            return Ok(neutral());
+        }
+        let out = if self.shape_only { neutral() } else { compute(self)? };
+        self.advance(name, dt);
+        Ok(out)
+    }
+
+    /// [`Device::try_launch`] for a kernel that cannot fail.
+    fn launch<T>(
+        &mut self,
+        name: &'static str,
+        dt: f64,
+        neutral: impl FnOnce() -> T,
+        compute: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        let ok = |dev: &mut Self| Ok::<T, std::convert::Infallible>(compute(dev));
+        self.try_launch(name, dt, neutral, ok).unwrap_or_else(|never| match never {})
+    }
+
+    /// [`Device::launch`] for a kernel that returns nothing.
+    fn run(&mut self, name: &'static str, dt: f64, compute: impl FnOnce(&mut Self)) {
+        self.launch(name, dt, nothing, compute);
+    }
+
+    fn rows(&self, v: MatId) -> usize {
+        self.mats[v.0].nrows()
+    }
+
+    // ---------- BLAS-1 kernels ----------
 
     /// `V[:, dst] += alpha * V[:, src]`.
     pub fn axpy_cols(&mut self, v: MatId, alpha: f64, src: usize, dst: usize) {
-        if self.lost {
-            return;
-        }
-        let rows = self.mats[v.0].nrows();
-        let (s, d) = if src < dst {
-            let (a, b) = self.mats[v.0].two_cols_mut(src, dst);
-            (a, b)
-        } else {
-            let (a, b) = self.mats[v.0].two_cols_mut(dst, src);
-            (b, a)
-        };
-        blas1::axpy(alpha, s, d);
-        self.advance("axpy", self.model.blas1_time(3 * rows));
+        let dt = self.model.blas1_time(3 * self.rows(v));
+        self.run("axpy", dt, |dev| {
+            let (s, d) = if src < dst {
+                let (a, b) = dev.mats[v.0].two_cols_mut(src, dst);
+                (a, b)
+            } else {
+                let (a, b) = dev.mats[v.0].two_cols_mut(dst, src);
+                (b, a)
+            };
+            blas1::axpy(alpha, s, d);
+        });
     }
 
     /// `V[:, col] *= alpha`.
     pub fn scal_col(&mut self, v: MatId, col: usize, alpha: f64) {
-        if self.lost {
-            return;
-        }
-        blas1::scal(alpha, self.mats[v.0].col_mut(col));
-        let rows = self.mats[v.0].nrows();
-        self.advance("scal", self.model.blas1_time(2 * rows));
+        let dt = self.model.blas1_time(2 * self.rows(v));
+        self.run("scal", dt, |dev| blas1::scal(alpha, dev.mats[v.0].col_mut(col)));
     }
 
     /// Local dot product `V[:, a] . V[:, b]` (the MGS building block).
+    /// Neutral value: a unit norm (`a == b`), a zero projection otherwise.
     pub fn dot_cols(&mut self, v: MatId, a: usize, b: usize) -> f64 {
-        if self.lost {
-            return 0.0;
-        }
-        let m = &self.mats[v.0];
-        let r = blas1::dot(m.col(a), m.col(b));
-        let rows = m.nrows();
-        let mut out = [r];
-        self.maybe_corrupt(SdcKind::Dot, &mut out);
-        self.advance("dot", self.model.blas1_time(2 * rows));
-        out[0]
+        let dt = self.model.blas1_time(2 * self.rows(v));
+        let neutral = || if a == b { 1.0 } else { 0.0 };
+        self.launch("dot", dt, neutral, |dev| {
+            let m = &dev.mats[v.0];
+            let mut out = [blas1::dot(m.col(a), m.col(b))];
+            dev.maybe_corrupt(SdcKind::Dot, &mut out);
+            out[0]
+        })
     }
 
     /// Squared norm of `V[:, col]` (same cost as a dot).
@@ -648,19 +743,17 @@ impl Device {
 
     /// Copy `V[:, src]` to `V[:, dst]`.
     pub fn copy_col(&mut self, v: MatId, src: usize, dst: usize) {
-        if self.lost {
-            return;
-        }
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
-        if src < dst {
-            let (s, d) = m.two_cols_mut(src, dst);
-            d.copy_from_slice(s);
-        } else if dst < src {
-            let (d, s) = m.two_cols_mut(dst, src);
-            d.copy_from_slice(s);
-        }
-        self.advance("copy_col", self.model.blas1_time(2 * rows));
+        let dt = self.model.blas1_time(2 * self.rows(v));
+        self.run("copy_col", dt, |dev| {
+            let m = &mut dev.mats[v.0];
+            if src < dst {
+                let (s, d) = m.two_cols_mut(src, dst);
+                d.copy_from_slice(s);
+            } else if dst < src {
+                let (d, s) = m.two_cols_mut(dst, src);
+                d.copy_from_slice(s);
+            }
+        });
     }
 
     // ---------- ABFT detector kernels ----------
@@ -668,42 +761,40 @@ impl Device {
     // Checksum reductions used by the fault-tolerance layer. They are real
     // kernels (they advance the clock, so detection overhead is priced) but
     // they are never SDC-injection targets: a corrupted detector would turn
-    // every experiment into a study of the detector, not the solver.
+    // every experiment into a study of the detector, not the solver. Their
+    // neutral value is zero: nothing verifies data a device does not hold.
 
     /// `(sum V[:, col], sum |V[:, col]|)` — the `1^T v` checksum plus the
     /// magnitude scale its verification tolerance is relative to.
     pub fn sum_col_abs(&mut self, v: MatId, col: usize) -> [f64; 2] {
-        if self.lost {
-            return [0.0; 2];
-        }
-        let c = self.mats[v.0].col(col);
-        let mut s = 0.0;
-        let mut a = 0.0;
-        for &x in c {
-            s += x;
-            a += x.abs();
-        }
-        self.advance("abft_colsum", self.model.blas1_time(c.len()));
-        [s, a]
+        let dt = self.model.blas1_time(self.rows(v));
+        let neutral = || [0.0; 2];
+        self.launch("abft_colsum", dt, neutral, |dev| {
+            let mut s = 0.0;
+            let mut a = 0.0;
+            for &x in dev.mats[v.0].col(col) {
+                s += x;
+                a += x.abs();
+            }
+            [s, a]
+        })
     }
 
     /// `(z[..rows] . V[:, col], sum |z_i * V[i, col]|)` — dot of a
     /// device-resident checksum vector against a basis column.
     pub fn dot_vec_col_abs(&mut self, z: VecId, v: MatId, col: usize) -> [f64; 2] {
-        if self.lost {
-            return [0.0; 2];
-        }
-        let c = self.mats[v.0].col(col);
-        let zv = &self.vecs[z.0];
-        assert!(zv.len() >= c.len(), "checksum vector shorter than column");
-        let mut s = 0.0;
-        let mut a = 0.0;
-        for (&x, &y) in zv.iter().zip(c) {
-            s += x * y;
-            a += (x * y).abs();
-        }
-        self.advance("abft_dot", self.model.blas1_time(2 * c.len()));
-        [s, a]
+        assert!(self.vecs[z.0].nrows() >= self.rows(v), "checksum vector shorter than column");
+        let dt = self.model.blas1_time(2 * self.rows(v));
+        let neutral = || [0.0; 2];
+        self.launch("abft_dot", dt, neutral, |dev| {
+            let mut s = 0.0;
+            let mut a = 0.0;
+            for (&x, &y) in dev.vecs[z.0].col(0).iter().zip(dev.mats[v.0].col(col)) {
+                s += x * y;
+                a += (x * y).abs();
+            }
+            [s, a]
+        })
     }
 
     /// `((V_a 1)^T (V_b 1), sum |(V_a 1)_i (V_b 1)_i|)` over the column
@@ -711,37 +802,37 @@ impl Device {
     /// Gram/projection reduction, computed independently of the GEMM it
     /// verifies.
     pub fn block_sum_dot(&mut self, v: MatId, a: (usize, usize), b: (usize, usize)) -> [f64; 2] {
-        if self.lost {
-            return [0.0; 2];
-        }
-        let m = &self.mats[v.0];
-        let rows = m.nrows();
-        // Row sums of both blocks a chunk of rows at a time: each column is
-        // streamed once, every row sum adds its columns in `j` order and the
-        // rows fold in `i` order, as a row-by-row walk would.
-        const CHUNK: usize = 512;
-        let row_sums = |(j0, j1): (usize, usize), r0: usize, out: &mut [f64]| {
-            out.fill(0.0);
-            for j in j0..j1 {
-                for (o, &x) in out.iter_mut().zip(&m.col(j)[r0..]) {
-                    *o += x;
+        let rows = self.rows(v);
+        let dt = self.model.blas1_time(rows * ((a.1 - a.0) + (b.1 - b.0)));
+        let neutral = || [0.0; 2];
+        self.launch("abft_block_dot", dt, neutral, |dev| {
+            let m = &dev.mats[v.0];
+            // Row sums of both blocks a chunk of rows at a time: each column is
+            // streamed once, every row sum adds its columns in `j` order and the
+            // rows fold in `i` order, as a row-by-row walk would.
+            const CHUNK: usize = 512;
+            let row_sums = |(j0, j1): (usize, usize), r0: usize, out: &mut [f64]| {
+                out.fill(0.0);
+                for j in j0..j1 {
+                    for (o, &x) in out.iter_mut().zip(&m.col(j)[r0..]) {
+                        *o += x;
+                    }
+                }
+            };
+            let (mut pa, mut pb) = ([0.0; CHUNK], [0.0; CHUNK]);
+            let mut dot = 0.0;
+            let mut abs = 0.0;
+            for r0 in (0..rows).step_by(CHUNK) {
+                let len = CHUNK.min(rows - r0);
+                row_sums(a, r0, &mut pa[..len]);
+                row_sums(b, r0, &mut pb[..len]);
+                for (x, y) in pa[..len].iter().zip(&pb[..len]) {
+                    dot += x * y;
+                    abs += (x * y).abs();
                 }
             }
-        };
-        let (mut pa, mut pb) = ([0.0; CHUNK], [0.0; CHUNK]);
-        let mut dot = 0.0;
-        let mut abs = 0.0;
-        for r0 in (0..rows).step_by(CHUNK) {
-            let len = CHUNK.min(rows - r0);
-            row_sums(a, r0, &mut pa[..len]);
-            row_sums(b, r0, &mut pb[..len]);
-            for (x, y) in pa[..len].iter().zip(&pb[..len]) {
-                dot += x * y;
-                abs += (x * y).abs();
-            }
-        }
-        self.advance("abft_block_dot", self.model.blas1_time(rows * ((a.1 - a.0) + (b.1 - b.0))));
-        [dot, abs]
+            [dot, abs]
+        })
     }
 
     // ---------- BLAS-2 kernels ----------
@@ -755,44 +846,35 @@ impl Device {
         x: usize,
         variant: GemvVariant,
     ) -> Vec<f64> {
-        if self.lost {
-            return vec![0.0; j1 - j0];
-        }
-        let m = &self.mats[v.0];
-        let mut r = vec![0.0; j1 - j0];
-        tile::dots_tn(m.cols(j0, j1), m.cols(x, x + 1), false, |k, _, d| r[k] = d);
-        self.advance("gemv_t", self.model.gemv_t_time(variant, m.nrows(), j1 - j0));
-        r
+        let dt = self.model.gemv_t_time(variant, self.rows(v), j1 - j0);
+        let neutral = || vec![0.0; j1 - j0];
+        self.launch("gemv_t", dt, neutral, |dev| {
+            let m = &dev.mats[v.0];
+            let mut r = vec![0.0; j1 - j0];
+            tile::dots_tn(m.cols(j0, j1), m.cols(x, x + 1), false, |k, _, d| r[k] = d);
+            r
+        })
     }
 
     /// `V[:, dst] -= V[:, j0..j1] * coeffs` — the Gram-Schmidt update GEMV.
     pub fn gemv_n_update(&mut self, v: MatId, j0: usize, j1: usize, coeffs: &[f64], dst: usize) {
-        if self.lost {
-            return;
-        }
-        assert_eq!(coeffs.len(), j1 - j0);
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
-        blas3::update_cols(m, (j0, j1), (dst, dst + 1), |k, _| -coeffs[k]);
         // modeled as one fused GEMV-like streaming pass
-        self.advance("gemv_n", self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, rows, j1 - j0));
+        let dt = self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, self.rows(v), j1 - j0);
+        self.run("gemv_n", dt, |dev| {
+            assert_eq!(coeffs.len(), j1 - j0);
+            blas3::update_cols(&mut dev.mats[v.0], (j0, j1), (dst, dst + 1), |k, _| -coeffs[k]);
+        });
     }
 
     /// Rank-1 update `V[:, c0..c1] -= V[:, src] * coeffs^T` — MGS-style
     /// block orthogonalization against a single previous vector, charged
     /// like one streaming GEMV pass.
     pub fn rank1_update(&mut self, v: MatId, src: usize, c0: usize, c1: usize, coeffs: &[f64]) {
-        if self.lost {
-            return;
-        }
-        assert_eq!(coeffs.len(), c1 - c0);
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
-        blas3::update_cols(m, (src, src + 1), (c0, c1), |_, k| -coeffs[k]);
-        self.advance(
-            "rank1_update",
-            self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, rows, c1 - c0),
-        );
+        let dt = self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, self.rows(v), c1 - c0);
+        self.run("rank1_update", dt, |dev| {
+            assert_eq!(coeffs.len(), c1 - c0);
+            blas3::update_cols(&mut dev.mats[v.0], (src, src + 1), (c0, c1), |_, k| -coeffs[k]);
+        });
     }
 
     // ---------- BLAS-3 kernels ----------
@@ -800,59 +882,58 @@ impl Device {
     /// Gram matrix `B := V[:, j0..j1]^T V[:, j0..j1]` (CholQR/SVQR step 1).
     /// The batched variant computes panel-partial sums in the batched
     /// order — numerically distinct from the flat order, as on the GPU.
+    /// Neutral value: the identity.
     pub fn syrk_cols(&mut self, v: MatId, j0: usize, j1: usize, variant: GemmVariant) -> Mat {
-        if self.lost {
-            return Mat::zeros(j1 - j0, j1 - j0);
-        }
         let k = j1 - j0;
-        let m = &self.mats[v.0];
-        let rows = m.nrows();
-        let mut b = Mat::zeros(k, k);
-        let block = m.cols(j0, j1);
-        blas3::gemm_tn_panels(block, block, variant.panel_rows(), true, &mut b);
-        self.maybe_corrupt_mat(SdcKind::Gemm, &mut b);
-        self.advance("syrk", self.model.gemm_tn_time(variant, rows, k, k));
-        b
+        let dt = self.model.gemm_tn_time(variant, self.rows(v), k, k);
+        let neutral = || Mat::identity(k);
+        self.launch("syrk", dt, neutral, |dev| {
+            let mut b = Mat::zeros(k, k);
+            let block = dev.mats[v.0].cols(j0, j1);
+            blas3::gemm_tn_panels(block, block, variant.panel_rows(), true, &mut b);
+            dev.maybe_corrupt_mat(SdcKind::Gemm, &mut b);
+            b
+        })
     }
 
     /// Gram matrix accumulated in **single precision** — the
     /// mixed-precision CholQR variant of \[23\]: entries are rounded to f32
     /// and the partial sums accumulate in f32, so the result carries
     /// genuine single-precision rounding. About half the cost of the f64
-    /// kernel on Fermi-class hardware.
+    /// kernel on Fermi-class hardware. Neutral value: the identity.
     pub fn syrk_cols_f32(&mut self, v: MatId, j0: usize, j1: usize, variant: GemmVariant) -> Mat {
-        if self.lost {
-            return Mat::zeros(j1 - j0, j1 - j0);
-        }
         let k = j1 - j0;
-        let m = &self.mats[v.0];
-        let rows = m.nrows();
-        let mut b = Mat::zeros(k, k);
-        let h = variant.panel_rows().unwrap_or(rows.max(1));
-        let nb = rows.div_ceil(h).max(1);
-        for p in 0..nb {
-            let r0 = p * h;
-            let r1 = (r0 + h).min(rows);
-            for jj in 0..k {
-                let cj = &m.col(j0 + jj)[r0..r1];
-                for ii in 0..=jj {
-                    let ci = &m.col(j0 + ii)[r0..r1];
-                    let mut acc = 0.0f32;
-                    for (x, y) in ci.iter().zip(cj) {
-                        acc += (*x as f32) * (*y as f32);
+        let rows = self.rows(v);
+        let dt = self.model.gemm_tn_time_f32(variant, rows, k, k);
+        let neutral = || Mat::identity(k);
+        self.launch("syrk_f32", dt, neutral, |dev| {
+            let m = &dev.mats[v.0];
+            let mut b = Mat::zeros(k, k);
+            let h = variant.panel_rows().unwrap_or(rows.max(1));
+            let nb = rows.div_ceil(h).max(1);
+            for p in 0..nb {
+                let r0 = p * h;
+                let r1 = (r0 + h).min(rows);
+                for jj in 0..k {
+                    let cj = &m.col(j0 + jj)[r0..r1];
+                    for ii in 0..=jj {
+                        let ci = &m.col(j0 + ii)[r0..r1];
+                        let mut acc = 0.0f32;
+                        for (x, y) in ci.iter().zip(cj) {
+                            acc += (*x as f32) * (*y as f32);
+                        }
+                        b[(ii, jj)] += acc as f64; // panel sums reduced in f64
                     }
-                    b[(ii, jj)] += acc as f64; // panel sums reduced in f64
                 }
             }
-        }
-        for jj in 0..k {
-            for ii in 0..jj {
-                b[(jj, ii)] = b[(ii, jj)];
+            for jj in 0..k {
+                for ii in 0..jj {
+                    b[(jj, ii)] = b[(ii, jj)];
+                }
             }
-        }
-        self.maybe_corrupt_mat(SdcKind::Gemm, &mut b);
-        self.advance("syrk_f32", self.model.gemm_tn_time_f32(variant, rows, k, k));
-        b
+            dev.maybe_corrupt_mat(SdcKind::Gemm, &mut b);
+            b
+        })
     }
 
     /// `C := V[:, a0..a1]^T V[:, b0..b1]` — BOrth's block projection.
@@ -863,17 +944,17 @@ impl Device {
         (b0, b1): (usize, usize),
         variant: GemmVariant,
     ) -> Mat {
-        if self.lost {
-            return Mat::zeros(a1 - a0, b1 - b0);
-        }
         let (ka, kb) = (a1 - a0, b1 - b0);
-        let m = &self.mats[v.0];
-        let rows = m.nrows();
-        let mut c = Mat::zeros(ka, kb);
-        blas3::gemm_tn_panels(m.cols(a0, a1), m.cols(b0, b1), variant.panel_rows(), false, &mut c);
-        self.maybe_corrupt_mat(SdcKind::Gemm, &mut c);
-        self.advance("gemm_tn", self.model.gemm_tn_time(variant, rows, ka, kb));
-        c
+        let dt = self.model.gemm_tn_time(variant, self.rows(v), ka, kb);
+        let neutral = || Mat::zeros(ka, kb);
+        self.launch("gemm_tn", dt, neutral, |dev| {
+            let m = &dev.mats[v.0];
+            let mut c = Mat::zeros(ka, kb);
+            let panels = variant.panel_rows();
+            blas3::gemm_tn_panels(m.cols(a0, a1), m.cols(b0, b1), panels, false, &mut c);
+            dev.maybe_corrupt_mat(SdcKind::Gemm, &mut c);
+            c
+        })
     }
 
     /// `V[:, b0..b1] -= V[:, a0..a1] * C` — BOrth's block update.
@@ -885,179 +966,163 @@ impl Device {
         c: &Mat,
         variant: GemmVariant,
     ) {
-        if self.lost {
-            return;
-        }
-        assert_eq!(c.nrows(), a1 - a0);
-        assert_eq!(c.ncols(), b1 - b0);
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
-        blas3::update_cols(m, (a0, a1), (b0, b1), |ja, jb| -c[(ja, jb)]);
-        self.advance("gemm_nn", self.model.gemm_nn_time(variant, rows, a1 - a0, b1 - b0));
+        let dt = self.model.gemm_nn_time(variant, self.rows(v), a1 - a0, b1 - b0);
+        self.run("gemm_nn", dt, |dev| {
+            assert_eq!(c.nrows(), a1 - a0);
+            assert_eq!(c.ncols(), b1 - b0);
+            blas3::update_cols(&mut dev.mats[v.0], (a0, a1), (b0, b1), |ja, jb| -c[(ja, jb)]);
+        });
     }
 
     /// `V[:, j0..j1] := V[:, j0..j1] R^{-1}` (CholQR/SVQR step 3, DTRSM).
+    /// A singular `R` aborts the launch: it is reported and not charged.
     pub fn trsm_cols(&mut self, v: MatId, j0: usize, j1: usize, r: &Mat) -> ca_dense::Result<()> {
-        if self.lost {
-            return Ok(());
-        }
-        let k = j1 - j0;
-        assert_eq!(r.ncols(), k);
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
-        blas3::trsm_right_upper_cols(m, j0, r)?;
-        self.advance("trsm", self.model.trsm_time(rows, k));
-        Ok(())
+        let dt = self.model.trsm_time(self.rows(v), j1 - j0);
+        self.try_launch("trsm", dt, nothing, |dev| {
+            assert_eq!(r.ncols(), j1 - j0);
+            blas3::trsm_right_upper_cols(&mut dev.mats[v.0], j0, r)
+        })
     }
 
     /// `V[:, j0..j1] := V[:, j0..j1] * Q` with small `k x k` `Q` (CAQR's
     /// final local update). Charged like an NN gemm.
     pub fn gemm_right_small(&mut self, v: MatId, j0: usize, j1: usize, q: &Mat) {
-        if self.lost {
-            return;
-        }
         let k = j1 - j0;
-        assert_eq!(q.nrows(), k);
-        assert_eq!(q.ncols(), k);
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
-        let block = m.cols_copy(j0, j1);
-        let mut out = Mat::zeros(rows, k);
-        blas3::gemm_nn(1.0, &block, q, 0.0, &mut out);
-        for j in 0..k {
-            m.set_col(j0 + j, out.col(j));
-        }
-        self.advance(
-            "gemm_q_small",
-            self.model.gemm_nn_time(GemmVariant::Batched { h: 384 }, rows, k, k),
-        );
+        let rows = self.rows(v);
+        let dt = self.model.gemm_nn_time(GemmVariant::Batched { h: 384 }, rows, k, k);
+        self.run("gemm_q_small", dt, |dev| {
+            assert_eq!(q.nrows(), k);
+            assert_eq!(q.ncols(), k);
+            let m = &mut dev.mats[v.0];
+            let block = m.cols_copy(j0, j1);
+            let mut out = Mat::zeros(rows, k);
+            blas3::gemm_nn(1.0, &block, q, 0.0, &mut out);
+            for j in 0..k {
+                m.set_col(j0 + j, out.col(j));
+            }
+        });
     }
 
     /// First half of the split CAQR update used by the async-prefetch
     /// path: compute only the *last* output column of `V[:, j0..j1] * Q`,
     /// write it in place, and return the overwritten original column so
-    /// [`Device::gemm_right_small_rest`] can reconstruct the input block.
+    /// [`Device::gemm_right_small_rest`] can reconstruct the input block
+    /// (neutral value: no column).
     ///
     /// One output column of the product is a tall-skinny mat-vec
     /// (`V_block * q_last`), so it is charged as one; `gemm_nn` computes
     /// every output column independently in the same accumulation order,
     /// so splitting the update is bitwise-invisible to the numerics.
     pub fn gemm_right_small_last(&mut self, v: MatId, j0: usize, j1: usize, q: &Mat) -> Vec<f64> {
-        if self.lost {
-            return Vec::new();
-        }
         let k = j1 - j0;
-        assert_eq!(q.nrows(), k);
-        assert_eq!(q.ncols(), k);
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
-        let block = m.cols_copy(j0, j1);
-        let qlast = q.cols_copy(k - 1, k);
-        let mut out = Mat::zeros(rows, 1);
-        blas3::gemm_nn(1.0, &block, &qlast, 0.0, &mut out);
-        let orig = m.col(j0 + k - 1).to_vec();
-        m.set_col(j0 + k - 1, out.col(0));
-        self.advance("gemm_q_last", self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, rows, k));
-        orig
+        let rows = self.rows(v);
+        let dt = self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, rows, k);
+        self.launch("gemm_q_last", dt, Vec::new, |dev| {
+            assert_eq!(q.nrows(), k);
+            assert_eq!(q.ncols(), k);
+            let m = &mut dev.mats[v.0];
+            let block = m.cols_copy(j0, j1);
+            let qlast = q.cols_copy(k - 1, k);
+            let mut out = Mat::zeros(rows, 1);
+            blas3::gemm_nn(1.0, &block, &qlast, 0.0, &mut out);
+            let orig = m.col(j0 + k - 1).to_vec();
+            m.set_col(j0 + k - 1, out.col(0));
+            orig
+        })
     }
 
     /// Second half of the split CAQR update: the remaining `k - 1` output
     /// columns of `V[:, j0..j1] * Q`, reading the original last column
     /// from `last` (its slot already holds the new value written by
-    /// [`Device::gemm_right_small_last`]).
+    /// [`Device::gemm_right_small_last`]). Nothing to launch when `k == 1`.
     pub fn gemm_right_small_rest(&mut self, v: MatId, j0: usize, j1: usize, q: &Mat, last: &[f64]) {
-        if self.lost {
-            return;
-        }
         let k = j1 - j0;
-        assert_eq!(q.nrows(), k);
-        assert_eq!(q.ncols(), k);
         if k == 1 {
             return;
         }
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
-        let mut block = m.cols_copy(j0, j1);
-        block.set_col(k - 1, last);
-        let qrest = q.cols_copy(0, k - 1);
-        let mut out = Mat::zeros(rows, k - 1);
-        blas3::gemm_nn(1.0, &block, &qrest, 0.0, &mut out);
-        for j in 0..k - 1 {
-            m.set_col(j0 + j, out.col(j));
-        }
-        self.advance(
-            "gemm_q_rest",
-            self.model.gemm_nn_time(GemmVariant::Batched { h: 384 }, rows, k, k - 1),
-        );
+        let rows = self.rows(v);
+        let dt = self.model.gemm_nn_time(GemmVariant::Batched { h: 384 }, rows, k, k - 1);
+        self.run("gemm_q_rest", dt, |dev| {
+            assert_eq!(q.nrows(), k);
+            assert_eq!(q.ncols(), k);
+            let m = &mut dev.mats[v.0];
+            let mut block = m.cols_copy(j0, j1);
+            block.set_col(k - 1, last);
+            let qrest = q.cols_copy(0, k - 1);
+            let mut out = Mat::zeros(rows, k - 1);
+            blas3::gemm_nn(1.0, &block, &qrest, 0.0, &mut out);
+            for j in 0..k - 1 {
+                m.set_col(j0 + j, out.col(j));
+            }
+        });
     }
 
     /// Local Householder QR of `V[:, j0..j1]`: Q replaces the columns, R is
-    /// returned (CAQR's per-device factorization; BLAS-1/2 cost).
+    /// returned (CAQR's per-device factorization; BLAS-1/2 cost). Neutral
+    /// value: the identity.
     pub fn local_qr_cols(&mut self, v: MatId, j0: usize, j1: usize) -> Mat {
-        if self.lost {
-            return Mat::zeros(j1 - j0, j1 - j0);
-        }
         let k = j1 - j0;
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
-        let block = m.cols_copy(j0, j1);
-        let f = qr::householder_qr(&block);
-        for j in 0..k {
-            m.set_col(j0 + j, f.q.col(j));
-        }
-        self.advance("geqr2", self.model.geqr2_time(rows, k));
-        f.r
+        let dt = self.model.geqr2_time(self.rows(v), k);
+        let neutral = || Mat::identity(k);
+        self.launch("geqr2", dt, neutral, |dev| {
+            let m = &mut dev.mats[v.0];
+            let f = qr::householder_qr(&m.cols_copy(j0, j1));
+            for j in 0..k {
+                m.set_col(j0 + j, f.q.col(j));
+            }
+            f.r
+        })
     }
 
     /// Tree (batched-panel) local TSQR of `V[:, j0..j1]` — the paper's
     /// footnote-6 "batched QRs on a GPU": factor `h`-row panels
     /// independently (one batched launch in the model), QR the stacked
     /// panel R's, and apply the small Q back per panel. Q replaces the
-    /// columns; R is returned. Numerically a genuine TSQR binary tree of
-    /// depth 2, so the result differs from [`Device::local_qr_cols`] at
-    /// the rounding level only.
+    /// columns; R is returned (neutral value: the identity). Numerically a
+    /// genuine TSQR binary tree of depth 2, so the result differs from
+    /// [`Device::local_qr_cols`] at the rounding level only.
     pub fn local_qr_tree_cols(&mut self, v: MatId, j0: usize, j1: usize, h: usize) -> Mat {
-        if self.lost {
-            return Mat::zeros(j1 - j0, j1 - j0);
-        }
         let k = j1 - j0;
-        let m = &mut self.mats[v.0];
-        let rows = m.nrows();
+        let rows = self.rows(v);
         let h = h.max(k).max(1);
-        let nb = rows.div_ceil(h).max(1);
-        let block = m.cols_copy(j0, j1);
+        let dt = self.model.geqr2_batched_time(rows, k, h);
+        let neutral = || Mat::identity(k);
+        self.launch("geqr2_tree", dt, neutral, |dev| {
+            let m = &mut dev.mats[v.0];
+            let nb = rows.div_ceil(h).max(1);
+            let block = m.cols_copy(j0, j1);
 
-        // leaf panels
-        let mut panel_qs: Vec<Mat> = Vec::with_capacity(nb);
-        let mut stacked = Mat::zeros(nb * k, k);
-        for p in 0..nb {
-            let r0 = p * h;
-            let r1 = (r0 + h).min(rows);
-            let panel = Mat::from_fn(r1 - r0, k, |i, j| block[(r0 + i, j)]);
-            let f = qr::householder_qr(&panel);
-            for j in 0..k {
-                for i in 0..k.min(f.r.nrows()) {
-                    stacked[(p * k + i, j)] = f.r[(i, j)];
+            // leaf panels
+            let mut panel_qs: Vec<Mat> = Vec::with_capacity(nb);
+            let mut stacked = Mat::zeros(nb * k, k);
+            for p in 0..nb {
+                let r0 = p * h;
+                let r1 = (r0 + h).min(rows);
+                let panel = Mat::from_fn(r1 - r0, k, |i, j| block[(r0 + i, j)]);
+                let f = qr::householder_qr(&panel);
+                for j in 0..k {
+                    for i in 0..k.min(f.r.nrows()) {
+                        stacked[(p * k + i, j)] = f.r[(i, j)];
+                    }
+                }
+                panel_qs.push(f.q);
+            }
+            // root
+            let froot = qr::householder_qr(&stacked);
+            // apply: Q panel_p := Q_p * Qroot[p*k..(p+1)*k, :]
+            for (p, qp) in panel_qs.iter().enumerate() {
+                let qroot_p = Mat::from_fn(k.min(qp.ncols()), k, |i, j| froot.q[(p * k + i, j)]);
+                let mut out = Mat::zeros(qp.nrows(), k);
+                blas3::gemm_nn(1.0, qp, &qroot_p, 0.0, &mut out);
+                let r0 = p * h;
+                for j in 0..k {
+                    for i in 0..out.nrows() {
+                        m[(r0 + i, j0 + j)] = out[(i, j)];
+                    }
                 }
             }
-            panel_qs.push(f.q);
-        }
-        // root
-        let froot = qr::householder_qr(&stacked);
-        // apply: Q panel_p := Q_p * Qroot[p*k..(p+1)*k, :]
-        for (p, qp) in panel_qs.iter().enumerate() {
-            let qroot_p = Mat::from_fn(k.min(qp.ncols()), k, |i, j| froot.q[(p * k + i, j)]);
-            let mut out = Mat::zeros(qp.nrows(), k);
-            blas3::gemm_nn(1.0, qp, &qroot_p, 0.0, &mut out);
-            let r0 = p * h;
-            for j in 0..k {
-                for i in 0..out.nrows() {
-                    m[(r0 + i, j0 + j)] = out[(i, j)];
-                }
-            }
-        }
-        self.advance("geqr2_tree", self.model.geqr2_batched_time(rows, k, h));
-        froot.r
+            froot.r
+        })
     }
 
     // ---------- sparse kernels ----------
@@ -1068,16 +1133,15 @@ impl Device {
     /// `V[:, col] := A_slice * x` where the slice's rows coincide 1:1 with
     /// the matrix rows (the local diagonal block of SpMV/MPK).
     pub fn spmv_to_mat_col(&mut self, s: SpId, x: VecId, v: MatId, col: usize) {
-        if self.lost {
-            return;
-        }
-        let flip = self.sdc_draw(SdcKind::Spmv);
-        let out = self.mats[v.0].col_mut(col);
-        self.slices[s.0].storage.spmv(&self.vecs[x.0], out);
-        if let Some(e) = flip {
-            e.apply(out);
-        }
-        self.advance("spmv", self.spmv_cost(s));
+        let dt = self.spmv_cost(s);
+        self.run("spmv", dt, |dev| {
+            let flip = dev.sdc_draw(SdcKind::Spmv);
+            let out = dev.mats[v.0].col_mut(col);
+            dev.slices[s.0].storage.spmv(dev.vecs[x.0].col(0), out);
+            if let Some(e) = flip {
+                e.apply(out);
+            }
+        });
     }
 
     /// One matrix-powers step (Fig. 4, body of the main loop) as one
@@ -1109,56 +1173,55 @@ impl Device {
         v: MatId,
         col: usize,
     ) {
-        if self.lost {
-            return;
-        }
         assert_ne!(z_cur.0, z_next.0, "MPK needs distinct double buffers");
-        let flip = self.sdc_draw(SdcKind::Spmv);
-        let (local, levels) = parts.split_first().expect("an MPK step has a local block");
-        let local = &self.slices[local.0];
-        let slices = &self.slices;
-        let levels = || levels.iter().map(|s| &slices[s.0]);
-        let (zc, zn): (&[f64], &mut [f64]) = if z_cur.0 < z_next.0 {
-            let (lo, hi) = self.vecs.split_at_mut(z_next.0);
-            (&lo[z_cur.0], &mut hi[0])
-        } else {
-            let (lo, hi) = self.vecs.split_at_mut(z_cur.0);
-            (&hi[0], &mut lo[z_next.0])
-        };
-        // every SpMV reads `z_cur` alone: the local block's lands in the
-        // basis column, the levels' one after the other in the scratch
-        let column = self.mats[v.0].col_mut(col);
-        local.storage.spmv(zc, column);
-        self.spmv_out.resize(levels().map(|sl| sl.rows.len()).sum(), 0.0);
-        let mut out = &mut self.spmv_out[..];
-        for sl in levels() {
-            let (y, rest) = out.split_at_mut(sl.rows.len());
-            sl.storage.spmv(zc, y);
-            out = rest;
-        }
-        if let Some(e) = flip {
-            e.apply_chained(column, &mut self.spmv_out);
-        }
-        // the local rows are contiguous: the recurrence streams them
-        let prec = local.storage.prec();
-        let first = local.rows.first().map_or(0, |&r| r as usize);
-        let rows = first..first + local.rows.len();
-        for ((y, old), &cur) in column.iter_mut().zip(&mut zn[rows.clone()]).zip(&zc[rows]) {
-            *y = recurrence(prec, step, *y, cur, *old);
-            *old = *y;
-        }
-        let mut ys = &self.spmv_out[..];
-        for sl in levels() {
-            let (y, rest) = ys.split_at(sl.rows.len());
-            ys = rest;
-            for (&r, &yi) in sl.rows.iter().zip(y) {
-                let r = r as usize;
-                zn[r] = recurrence(sl.storage.prec(), step, yi, zc[r], zn[r]);
+        let local = &self.slices[parts.first().expect("an MPK step has a local block").0].storage;
+        let shapes = parts.iter().map(|s| self.slices[s.0].storage.shape());
+        let dt = self.model.mpk_step_time(shapes, local.nrows(), local.prec());
+        self.run("mpk_step", dt, |dev| {
+            let flip = dev.sdc_draw(SdcKind::Spmv);
+            let (local, levels) = parts.split_first().expect("an MPK step has a local block");
+            let local = &dev.slices[local.0];
+            let slices = &dev.slices;
+            let levels = || levels.iter().map(|s| &slices[s.0]);
+            let (zc, zn): (&[f64], &mut [f64]) = if z_cur.0 < z_next.0 {
+                let (lo, hi) = dev.vecs.split_at_mut(z_next.0);
+                (lo[z_cur.0].col(0), hi[0].col_mut(0))
+            } else {
+                let (lo, hi) = dev.vecs.split_at_mut(z_cur.0);
+                (hi[0].col(0), lo[z_next.0].col_mut(0))
+            };
+            // every SpMV reads `z_cur` alone: the local block's lands in the
+            // basis column, the levels' one after the other in the scratch
+            let column = dev.mats[v.0].col_mut(col);
+            local.storage.spmv(zc, column);
+            dev.spmv_out.resize(levels().map(|sl| sl.rows.len()).sum(), 0.0);
+            let mut out = &mut dev.spmv_out[..];
+            for sl in levels() {
+                let (y, rest) = out.split_at_mut(sl.rows.len());
+                sl.storage.spmv(zc, y);
+                out = rest;
             }
-        }
-        let shapes = parts.iter().map(|s| slices[s.0].storage.shape());
-        let dt = self.model.mpk_step_time(shapes, local.rows.len(), prec);
-        self.advance("mpk_step", dt);
+            if let Some(e) = flip {
+                e.apply_chained(column, &mut dev.spmv_out);
+            }
+            // the local rows are contiguous: the recurrence streams them
+            let prec = local.storage.prec();
+            let first = local.rows.first().map_or(0, |&r| r as usize);
+            let rows = first..first + local.rows.len();
+            for ((y, old), &cur) in column.iter_mut().zip(&mut zn[rows.clone()]).zip(&zc[rows]) {
+                *y = recurrence(prec, step, *y, cur, *old);
+                *old = *y;
+            }
+            let mut ys = &dev.spmv_out[..];
+            for sl in levels() {
+                let (y, rest) = ys.split_at(sl.rows.len());
+                ys = rest;
+                for (&r, &yi) in sl.rows.iter().zip(y) {
+                    let r = r as usize;
+                    zn[r] = recurrence(sl.storage.prec(), step, yi, zc[r], zn[r]);
+                }
+            }
+        });
     }
 
     // ---------- halo and column-load kernels ----------
@@ -1169,31 +1232,28 @@ impl Device {
 
     /// Compress selected entries of a device vector into a contiguous host
     /// buffer (the "compress ... into w" kernel of Fig. 4), rounded to `prec`
-    /// as they are packed. PCIe cost is charged separately by the `MultiGpu`
-    /// transfer that ships the result.
+    /// as they are packed (neutral value: no payload). PCIe cost is charged
+    /// separately by the `MultiGpu` transfer that ships the result.
     pub fn compress_p(&mut self, z: VecId, idxs: &[u32], prec: Precision) -> Vec<f64> {
-        if self.lost {
-            return Vec::new();
-        }
-        let zv = &self.vecs[z.0];
-        let out: Vec<f64> = idxs.iter().map(|&i| prec.quantize(zv[i as usize])).collect();
-        self.advance("halo_pack", self.model.blas1_time_at(prec, 2 * idxs.len()));
-        out
+        let dt = self.model.blas1_time_at(prec, 2 * idxs.len());
+        self.launch("halo_pack", dt, Vec::new, |dev| {
+            let zv = dev.vecs[z.0].col(0);
+            idxs.iter().map(|&i| prec.quantize(zv[i as usize])).collect()
+        })
     }
 
     /// Expand host values into selected entries of a device vector (the
     /// "expand w into a full vector" kernel of Fig. 4), rounded to `prec`
     /// before they land.
     pub fn expand_p(&mut self, z: VecId, idxs: &[u32], vals: &[f64], prec: Precision) {
-        if self.lost {
-            return;
-        }
-        assert_eq!(idxs.len(), vals.len());
-        let zv = &mut self.vecs[z.0];
-        for (&i, &v) in idxs.iter().zip(vals) {
-            zv[i as usize] = prec.quantize(v);
-        }
-        self.advance("halo_unpack", self.model.blas1_time_at(prec, 2 * idxs.len()));
+        let dt = self.model.blas1_time_at(prec, 2 * idxs.len());
+        self.run("halo_unpack", dt, |dev| {
+            assert_eq!(idxs.len(), vals.len());
+            let zv = dev.vecs[z.0].col_mut(0);
+            for (&i, &v) in idxs.iter().zip(vals) {
+                zv[i as usize] = prec.quantize(v);
+            }
+        });
     }
 
     /// Copy `V[:, col]` into `z[rows]` — load a basis column into a
@@ -1207,19 +1267,17 @@ impl Device {
         rows: Range<usize>,
         prec: Precision,
     ) {
-        if self.lost {
-            return;
-        }
-        let words = 2 * rows.len();
-        let (src, dst) = (self.mats[v.0].col(col), &mut self.vecs[z.0][rows]);
-        match prec {
-            Precision::F64 => dst.copy_from_slice(src),
-            Precision::F32 => {
-                assert_eq!(src.len(), dst.len());
-                dst.iter_mut().zip(src).for_each(|(zi, &ci)| *zi = prec.quantize(ci));
+        let dt = self.model.blas1_time_at(prec, 2 * rows.len());
+        self.run("scatter_col", dt, |dev| {
+            let (src, dst) = (dev.mats[v.0].col(col), &mut dev.vecs[z.0].col_mut(0)[rows]);
+            match prec {
+                Precision::F64 => dst.copy_from_slice(src),
+                Precision::F32 => {
+                    assert_eq!(src.len(), dst.len());
+                    dst.iter_mut().zip(src).for_each(|(zi, &ci)| *zi = prec.quantize(ci));
+                }
             }
-        }
-        self.advance("scatter_col", self.model.blas1_time_at(prec, words));
+        });
     }
 }
 
@@ -1233,7 +1291,7 @@ impl Device {
         let flip = self.sdc_draw(SdcKind::Spmv);
         let storage = &self.slices[s.0].storage;
         self.spmv_out.resize(storage.nrows(), 0.0);
-        storage.spmv(&self.vecs[x.0], &mut self.spmv_out);
+        storage.spmv(self.vecs[x.0].col(0), &mut self.spmv_out);
         if let Some(e) = flip {
             e.apply(&mut self.spmv_out);
         }
@@ -1274,10 +1332,10 @@ impl Device {
         let sl = &self.slices[s.0];
         let (zc, zn): (&[f64], &mut [f64]) = if z_cur.0 < z_next.0 {
             let (lo, hi) = self.vecs.split_at_mut(z_next.0);
-            (&lo[z_cur.0], &mut hi[0])
+            (lo[z_cur.0].col(0), hi[0].col_mut(0))
         } else {
             let (lo, hi) = self.vecs.split_at_mut(z_cur.0);
-            (&hi[0], &mut lo[z_next.0])
+            (hi[0].col(0), lo[z_next.0].col_mut(0))
         };
         let shift = re != 0.0 || scale != 1.0;
         let mix = im2 != 0.0;
@@ -1311,7 +1369,7 @@ impl Device {
             return;
         }
         let words = 2 * rows.len();
-        self.mats[v.0].col_mut(col).copy_from_slice(&self.vecs[z.0][rows]);
+        self.mats[v.0].col_mut(col).copy_from_slice(&self.vecs[z.0].col(0)[rows]);
         self.advance("gather_col", self.model.blas1_time(words));
     }
 
@@ -1341,7 +1399,7 @@ mod tests {
     use ca_sparse::gen::laplace2d;
 
     fn dev() -> Device {
-        Device::new(0, Arc::new(PerfModel::default()))
+        Device::new(0, Arc::new(PerfModel::default()), false)
     }
 
     #[test]
@@ -1407,8 +1465,11 @@ mod tests {
 
     #[test]
     fn freed_memory_is_reusable() {
-        let mut d =
-            Device::new(0, Arc::new(PerfModel { dev_mem_capacity: 4096, ..PerfModel::default() }));
+        let mut d = Device::new(
+            0,
+            Arc::new(PerfModel { dev_mem_capacity: 4096, ..PerfModel::default() }),
+            false,
+        );
         let v = d.alloc_vec(400).unwrap(); // 3200 of 4096 bytes
         assert!(d.alloc_vec(400).is_err());
         d.free_vec(v);
@@ -1429,6 +1490,41 @@ mod tests {
         // the slots themselves are gone, so the next alloc reuses them
         let v2 = d.alloc_vec(1).unwrap();
         assert_eq!(d.vec(v2).len(), 1);
+    }
+
+    #[test]
+    fn cost_only_device_accounts_and_charges_like_an_arithmetic_one() {
+        let a = laplace2d(8, 8);
+        let run = |shape_only: bool| {
+            let mut d = Device::new(0, Arc::new(PerfModel::default()), shape_only);
+            d.enable_trace();
+            let z = d.alloc_vec(64).unwrap();
+            let v = d.alloc_mat(64, 3).unwrap();
+            let mark = d.mem_checkpoint();
+            let s = d.load_slice(Ell::from_csr(&a), (0..64).collect()).unwrap();
+            let full = d.mem_used();
+            d.scatter_col_to_vec_p(v, 0, z, 0..64, Precision::F64);
+            d.spmv_to_mat_col(s, z, v, 1);
+            let (nrm, gram) = (d.norm2_sq_col(v, 1), d.syrk_cols(v, 0, 2, GemmVariant::Cublas));
+            d.free_slice(s);
+            let freed = d.mem_used();
+            d.mem_rollback(&mark);
+            d.free_vec(z);
+            d.free_mat(v);
+            ((full, freed, d.mem_used()), d.take_trace(), d.ops(), (nrm, gram))
+        };
+        let (mem, trace, ops, (nrm, gram)) = run(true);
+        let (mem_arith, trace_arith, ops_arith, _) = run(false);
+        assert_eq!((mem, trace, ops), (mem_arith, trace_arith, ops_arith));
+        assert_eq!(mem.2, 0);
+        // no data: the answers are the neutral ones, and a slice is its shape
+        assert_eq!((nrm, gram), (1.0, Mat::identity(2)));
+        let mut d = Device::new(0, Arc::new(PerfModel::default()), true);
+        let s = d.load_slice(Ell::from_csr(&a), (0..64).collect()).unwrap();
+        assert!(
+            matches!(*d.slice(s).storage, SpStorage::Shape(sh, Precision::F64) if sh.rows == 64)
+        );
+        assert!(d.slice(s).rows.is_empty());
     }
 
     #[test]
@@ -1590,7 +1686,7 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let model = PerfModel { dev_mem_capacity: 1 << 20, ..Default::default() }; // 1 MiB toy
-        let mut d = Device::new(0, Arc::new(model));
+        let mut d = Device::new(0, Arc::new(model), false);
         d.alloc_vec(100_000).unwrap(); // 800 KB fits
         let err = d.alloc_vec(100_000).unwrap_err(); // 1.6 MB total: typed error
         assert_eq!(
@@ -1665,11 +1761,10 @@ mod tests {
         let ops = d.ops();
         // a dead device accepts no commands: neutral returns, no mutation
         assert_eq!(d.dot_cols(v, 0, 1), 0.0);
+        assert_eq!(d.norm2_sq_col(v, 0), 1.0);
         assert_eq!(d.sum_col_abs(v, 0), [0.0; 2]);
         assert_eq!(d.gemv_t_cols(v, 0, 2, 1, GemvVariant::Cublas), vec![0.0; 2]);
-        let b = d.syrk_cols(v, 0, 2, GemmVariant::Cublas);
-        assert_eq!((b.nrows(), b.ncols()), (2, 2));
-        assert_eq!(b[(0, 0)], 0.0);
+        assert_eq!(d.syrk_cols(v, 0, 2, GemmVariant::Cublas), Mat::identity(2));
         d.axpy_cols(v, 5.0, 0, 1);
         d.copy_col(v, 0, 2);
         assert_eq!(d.mat(v).col(1), &[3.0; 16], "no mutation after loss");
@@ -1825,7 +1920,7 @@ mod tests {
     #[test]
     fn mem_free_reports_headroom() {
         let model = PerfModel { dev_mem_capacity: 1 << 20, ..Default::default() };
-        let mut d = Device::new(0, Arc::new(model));
+        let mut d = Device::new(0, Arc::new(model), false);
         assert_eq!(d.mem_free(), 1 << 20);
         d.alloc_vec(1000).unwrap();
         assert_eq!(d.mem_free(), (1 << 20) - 8000);

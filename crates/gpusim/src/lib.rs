@@ -50,6 +50,24 @@
 //! assert!(mg.time() > 0.0); // simulated, deterministic
 //! ```
 //!
+//! ## The cost-only machine
+//!
+//! The two halves above — functional emulation and timing simulation —
+//! separate. [`MultiGpu::cost_only`] builds the same machine with the
+//! first half taken out: a buffer carries its shape and no storage
+//! (`Mat::shape_only`, [`device::SpStorage::Shape`]), and every kernel is
+//! charged its modeled time through the same queue — op count, fault-plan
+//! draws, clock, trace entry — without touching data, answering with the
+//! *neutral value* of its contract (identity Gram and `R` factors, unit
+//! norms, zero projections) so that host-side factorizations downstream
+//! still run. Memory accounting, links, events, counters and `Cmd` traces
+//! are those of an arithmetic machine running the same program; a program
+//! timed here is predicted there, which is how `ca-tune` scores candidate
+//! configurations (it runs the solver's own restart cycle). Whether a
+//! launch computes is decided in one place, `Device::try_launch`, next to
+//! the rule that a lost device accepts no commands; which machine you get
+//! is decided by the constructor alone.
+//!
 //! ## Fault injection
 //!
 //! [`faults::FaultPlan`] deterministically injects silent data corruption,

@@ -190,12 +190,33 @@ pub struct MultiGpu {
     time_reclaimed: f64,
 }
 
+/// Direction of a copy over a device's link.
+#[derive(Clone, Copy)]
+enum Dir {
+    ToHost,
+    ToDevice,
+}
+
 impl MultiGpu {
     /// Create `n_gpus` devices with the given model and kernel config.
     pub fn new(n_gpus: usize, model: PerfModel, config: KernelConfig) -> Self {
+        Self::build(n_gpus, model, config, false)
+    }
+
+    /// The same machine, cost-only: its devices' buffers carry their shape
+    /// and no storage, and every kernel is charged its modeled time without
+    /// computing, answering with the neutral value of its contract (see
+    /// [`Device`]). Memory accounting, op counts, clocks, links, events,
+    /// counters and command traces are those of [`MultiGpu::new`] running
+    /// the same program, so timing a program here predicts it there.
+    pub fn cost_only(n_gpus: usize, model: PerfModel, config: KernelConfig) -> Self {
+        Self::build(n_gpus, model, config, true)
+    }
+
+    fn build(n_gpus: usize, model: PerfModel, config: KernelConfig, shape_only: bool) -> Self {
         assert!(n_gpus >= 1);
         let model = Arc::new(model);
-        let devices = (0..n_gpus).map(|i| Device::new(i, Arc::clone(&model))).collect();
+        let devices = (0..n_gpus).map(|i| Device::new(i, Arc::clone(&model), shape_only)).collect();
         Self {
             devices,
             host_time: 0.0,
@@ -211,6 +232,11 @@ impl MultiGpu {
             links: vec![CopyEngine::default(); n_gpus],
             time_reclaimed: 0.0,
         }
+    }
+
+    /// Whether this machine was built by [`MultiGpu::cost_only`].
+    pub fn is_cost_only(&self) -> bool {
+        self.devices[0].is_cost_only()
     }
 
     /// Set the scheduling policy. Numerics are unaffected — commands
@@ -466,12 +492,16 @@ impl MultiGpu {
 
     /// Run `f` on every device concurrently (real threads), collecting the
     /// per-device results. Device clocks advance independently — no
-    /// implicit barrier.
+    /// implicit barrier. A cost-only machine has no arithmetic to spread
+    /// over threads and runs the devices in turn.
     pub fn run_map<R, F>(&mut self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &mut Device) -> R + Sync,
     {
+        if self.is_cost_only() {
+            return self.devices.iter_mut().enumerate().map(|(i, d)| f(i, d)).collect();
+        }
         self.devices.par_iter_mut().enumerate().map(|(i, d)| f(i, d)).collect()
     }
 
@@ -480,7 +510,7 @@ impl MultiGpu {
     where
         F: Fn(usize, &mut Device) + Sync,
     {
-        self.devices.par_iter_mut().enumerate().for_each(|(i, d)| f(i, d));
+        self.run_map(f);
     }
 
     // ---------- simulated time ----------
@@ -603,16 +633,97 @@ impl MultiGpu {
 
     // ---------- transfers ----------
 
+    /// One async copy over device `d`'s link, either way: the link is
+    /// occupied from when the sender's clock (the device queue, or the host)
+    /// reaches the copy and the link is free (start-time rule over the link
+    /// timeline), the message is counted, and the returned event fires on
+    /// arrival. Nobody blocks.
+    fn copy_async(&mut self, dir: Dir, d: usize, bytes: usize, prec: Precision) -> Result<Event> {
+        let dur = self.message_time(d, bytes)?;
+        let ready = match dir {
+            Dir::ToHost => self.devices[d].clock(),
+            Dir::ToDevice => self.host_time,
+        };
+        let (start, finish) = self.links[d].occupy(ready, dur);
+        let c = &mut self.counters;
+        let (msgs, total, msgs_f32, total_f32, tag) = match dir {
+            Dir::ToHost => (
+                &mut c.msgs_to_host,
+                &mut c.bytes_to_host,
+                &mut c.msgs_to_host_f32,
+                &mut c.bytes_to_host_f32,
+                "d2h",
+            ),
+            Dir::ToDevice => (
+                &mut c.msgs_to_dev,
+                &mut c.bytes_to_dev,
+                &mut c.msgs_to_dev_f32,
+                &mut c.bytes_to_dev_f32,
+                "h2d",
+            ),
+        };
+        let f32_tagged = prec == Precision::F32;
+        *msgs += 1;
+        *total += bytes as u64;
+        if f32_tagged {
+            *msgs_f32 += 1;
+            *total_f32 += bytes as u64;
+        }
+        if obs::enabled() {
+            use obs::names as n;
+            let (m, b, b32) = match dir {
+                Dir::ToHost => (n::COMM_D2H_MSGS, n::COMM_D2H_BYTES, n::COMM_D2H_BYTES_F32),
+                Dir::ToDevice => (n::COMM_H2D_MSGS, n::COMM_H2D_BYTES, n::COMM_H2D_BYTES_F32),
+            };
+            obs::counter_add(m, 1);
+            obs::counter_add(b, bytes as u64);
+            obs::counter_add(&n::comm_link_bytes(d as u32, tag, false), bytes as u64);
+            if f32_tagged {
+                obs::counter_add(b32, bytes as u64);
+                obs::counter_add(&n::comm_link_bytes(d as u32, tag, true), bytes as u64);
+            }
+        }
+        let ev = self.events.record(finish);
+        self.devices[d].log_cmd(match dir {
+            Dir::ToHost => Cmd::CopyToHost { bytes, start, finish },
+            Dir::ToDevice => Cmd::CopyToDevice { bytes, start, finish },
+        });
+        self.devices[d].log_cmd(Cmd::EventRecord { event: ev, at: finish });
+        Ok(ev)
+    }
+
+    /// [`MultiGpu::copy_async`] once per device with `bytes[d]` bytes
+    /// (0 = no message).
+    fn copies_async(
+        &mut self,
+        dir: Dir,
+        bytes: &[usize],
+        prec: Precision,
+    ) -> Result<Vec<Option<Event>>> {
+        assert_eq!(bytes.len(), self.devices.len());
+        let copy = |(d, &b): (usize, &usize)| {
+            (b > 0).then(|| self.copy_async(dir, d, b, prec)).transpose()
+        };
+        bytes.iter().enumerate().map(copy).collect()
+    }
+
+    /// Simulated seconds the links have been occupied since the last
+    /// [`MultiGpu::reset_time`], summed over links and copies (occupancy,
+    /// not elapsed time: links overlap).
+    pub fn link_occupancy(&self) -> f64 {
+        self.links.iter().map(CopyEngine::occupied).sum()
+    }
+
     /// Enqueue one async device→host copy on device `d`'s link: the copy
-    /// starts once the device's queue reaches it and its link is free
-    /// (start-time rule over the link timeline), and the returned event
-    /// fires on arrival. The device itself does not block.
+    /// starts once the device's queue reaches it and its link is free, and
+    /// the returned event fires on arrival. The device itself does not
+    /// block.
     ///
     /// # Errors
     /// [`GpuSimError::DeviceLost`] if the sending device has died;
     /// [`GpuSimError::TransferFailed`] past the retry bound.
     pub fn copy_to_host_async(&mut self, d: usize, bytes: usize) -> Result<Event> {
-        self.copy_to_host_async_prec(d, bytes, Precision::F64)
+        self.copy_async(Dir::ToHost, d, bytes, Precision::F64)
     }
 
     /// [`MultiGpu::copy_to_host_async`] with the payload tagged by
@@ -629,27 +740,7 @@ impl MultiGpu {
         bytes: usize,
         prec: Precision,
     ) -> Result<Event> {
-        let dur = self.message_time(d, bytes)?;
-        let (start, finish) = self.links[d].occupy(self.devices[d].clock(), dur);
-        self.counters.msgs_to_host += 1;
-        self.counters.bytes_to_host += bytes as u64;
-        if prec == Precision::F32 {
-            self.counters.msgs_to_host_f32 += 1;
-            self.counters.bytes_to_host_f32 += bytes as u64;
-        }
-        if obs::enabled() {
-            obs::counter_add(obs::names::COMM_D2H_MSGS, 1);
-            obs::counter_add(obs::names::COMM_D2H_BYTES, bytes as u64);
-            obs::counter_add(&obs::names::comm_link_bytes(d as u32, "d2h", false), bytes as u64);
-            if prec == Precision::F32 {
-                obs::counter_add(obs::names::COMM_D2H_BYTES_F32, bytes as u64);
-                obs::counter_add(&obs::names::comm_link_bytes(d as u32, "d2h", true), bytes as u64);
-            }
-        }
-        let ev = self.events.record(finish);
-        self.devices[d].log_cmd(Cmd::CopyToHost { bytes, start, finish });
-        self.devices[d].log_cmd(Cmd::EventRecord { event: ev, at: finish });
-        Ok(ev)
+        self.copy_async(Dir::ToHost, d, bytes, prec)
     }
 
     /// Enqueue one async host→device copy on device `d`'s link: the copy
@@ -662,7 +753,7 @@ impl MultiGpu {
     /// [`GpuSimError::DeviceLost`] if the receiving device has died;
     /// [`GpuSimError::TransferFailed`] past the retry bound.
     pub fn copy_to_device_async(&mut self, d: usize, bytes: usize) -> Result<Event> {
-        self.copy_to_device_async_prec(d, bytes, Precision::F64)
+        self.copy_async(Dir::ToDevice, d, bytes, Precision::F64)
     }
 
     /// [`MultiGpu::copy_to_device_async`] with the payload tagged by
@@ -676,27 +767,7 @@ impl MultiGpu {
         bytes: usize,
         prec: Precision,
     ) -> Result<Event> {
-        let dur = self.message_time(d, bytes)?;
-        let (start, finish) = self.links[d].occupy(self.host_time, dur);
-        self.counters.msgs_to_dev += 1;
-        self.counters.bytes_to_dev += bytes as u64;
-        if prec == Precision::F32 {
-            self.counters.msgs_to_dev_f32 += 1;
-            self.counters.bytes_to_dev_f32 += bytes as u64;
-        }
-        if obs::enabled() {
-            obs::counter_add(obs::names::COMM_H2D_MSGS, 1);
-            obs::counter_add(obs::names::COMM_H2D_BYTES, bytes as u64);
-            obs::counter_add(&obs::names::comm_link_bytes(d as u32, "h2d", false), bytes as u64);
-            if prec == Precision::F32 {
-                obs::counter_add(obs::names::COMM_H2D_BYTES_F32, bytes as u64);
-                obs::counter_add(&obs::names::comm_link_bytes(d as u32, "h2d", true), bytes as u64);
-            }
-        }
-        let ev = self.events.record(finish);
-        self.devices[d].log_cmd(Cmd::CopyToDevice { bytes, start, finish });
-        self.devices[d].log_cmd(Cmd::EventRecord { event: ev, at: finish });
-        Ok(ev)
+        self.copy_async(Dir::ToDevice, d, bytes, prec)
     }
 
     /// Enqueue async device→host copies, one per device with `bytes[d]`
@@ -708,7 +779,7 @@ impl MultiGpu {
     /// # Errors
     /// See [`MultiGpu::copy_to_host_async`].
     pub fn to_host_async(&mut self, bytes: &[usize]) -> Result<Vec<Option<Event>>> {
-        self.to_host_async_prec(bytes, Precision::F64)
+        self.copies_async(Dir::ToHost, bytes, Precision::F64)
     }
 
     /// [`MultiGpu::to_host_async`] with every message tagged by precision.
@@ -720,16 +791,7 @@ impl MultiGpu {
         bytes: &[usize],
         prec: Precision,
     ) -> Result<Vec<Option<Event>>> {
-        assert_eq!(bytes.len(), self.devices.len());
-        let mut events = Vec::with_capacity(bytes.len());
-        for (i, &b) in bytes.iter().enumerate() {
-            events.push(if b == 0 {
-                None
-            } else {
-                Some(self.copy_to_host_async_prec(i, b, prec)?)
-            });
-        }
-        Ok(events)
+        self.copies_async(Dir::ToHost, bytes, prec)
     }
 
     /// Enqueue async host→device copies, one per device. Returns each
@@ -741,7 +803,7 @@ impl MultiGpu {
     /// # Errors
     /// See [`MultiGpu::copy_to_device_async`].
     pub fn to_devices_async(&mut self, bytes: &[usize]) -> Result<Vec<Option<Event>>> {
-        self.to_devices_async_prec(bytes, Precision::F64)
+        self.copies_async(Dir::ToDevice, bytes, Precision::F64)
     }
 
     /// [`MultiGpu::to_devices_async`] with every message tagged by
@@ -754,16 +816,7 @@ impl MultiGpu {
         bytes: &[usize],
         prec: Precision,
     ) -> Result<Vec<Option<Event>>> {
-        assert_eq!(bytes.len(), self.devices.len());
-        let mut events = Vec::with_capacity(bytes.len());
-        for (i, &b) in bytes.iter().enumerate() {
-            events.push(if b == 0 {
-                None
-            } else {
-                Some(self.copy_to_device_async_prec(i, b, prec)?)
-            });
-        }
-        Ok(events)
+        self.copies_async(Dir::ToDevice, bytes, prec)
     }
 
     /// Device→host transfers, one message per device with `bytes[d]` bytes

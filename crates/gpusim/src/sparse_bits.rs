@@ -208,7 +208,7 @@ fn blas1_at(prec: Precision, words: usize) -> f64 {
 }
 
 fn device(faults: &Option<Arc<FaultPlan>>) -> Device {
-    let mut d = Device::new(0, Arc::new(PerfModel::default()));
+    let mut d = Device::new(0, Arc::new(PerfModel::default()), false);
     d.enable_trace();
     d.set_faults(faults.clone());
     d

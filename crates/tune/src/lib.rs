@@ -15,13 +15,16 @@
 //!   [`profile::MachineProfile::to_model`]) replaces the built-in
 //!   constants with the fitted ones.
 //! * [`plan`] — a pruned search over `(s, basis, TSQR kind, device
-//!   count, partitioner)` that predicts the time of one restart cycle
-//!   *without running the solve*: a closed-form roll-up of exactly the
-//!   charges `ca_gmres::mpk` / `ca_gmres::orth` / `ca_gmres::system`
-//!   issue, walked on a flattened clock per device. Stability
-//!   constraints (the paper's §IV monomial-basis step cap and the
-//!   CholQR condition-number guard) prune the space before it is
-//!   scored; the top pick can be cross-validated against one real
+//!   count, partitioner, precision)` that predicts the time of one restart
+//!   cycle by *running it* on a cost-only machine ([`rig`]): the simulated
+//!   devices hold shape-only buffers, every kernel and copy the solver's
+//!   own cycle issues is charged and none is computed, and the cycle's
+//!   span and the solver's phase timers are the prediction. The charge
+//!   sequence of `ca_gmres::mpk` / `ca_gmres::orth` / `ca_gmres::system`
+//!   is stated nowhere in this crate. Stability constraints (the paper's
+//!   §IV monomial-basis step cap and the CholQR condition-number guard)
+//!   prune the space before it is scored, each with a typed
+//!   [`plan::PruneReason`]; a pick can be cross-validated against one real
 //!   simulated run ([`plan::Planner::cross_validate`]).
 //! * [`retune`] — runtime adaptation: [`retune::Retuner`] implements
 //!   [`ca_gmres::ft::RestartTuner`], so a fault-tolerant solve with
@@ -46,12 +49,14 @@ pub mod feedback;
 pub mod plan;
 pub mod profile;
 pub mod retune;
+pub mod rig;
 
 pub use admit::{admission_estimates, pick_ndev, AdmissionEstimate};
 pub use calibrate::{calibrate, calibrate_with_target, TargetShapes};
 pub use feedback::{calibrate_from_metrics, observed_slowdowns, FamilySlowdown};
 pub use plan::{
-    Candidate, CandidateSpace, CrossCheck, Plan, Planner, PlannerLimits, RankedCandidate,
+    Candidate, CandidateSpace, CrossCheck, Plan, Planner, PlannerLimits, PruneReason,
+    RankedCandidate,
 };
 pub use profile::{MachineProfile, NamedCurve, ParamSource, ProfileParam};
 pub use retune::Retuner;

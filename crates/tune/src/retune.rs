@@ -6,9 +6,10 @@
 //! [`ca_gpusim::HealthReport`]; on a healthy machine the retuner
 //! returns `None` without evaluating anything, so an armed-but-idle
 //! autotune run replays the untuned run bit for bit. When devices have
-//! slowed or died it re-scores a small `(s, layout)` grid with the
-//! closed-form walker — feeding each device's latency EWMA in as a
-//! kernel slowdown multiplier — and proposes the winner.
+//! slowed or died it re-scores a small `(s, layout)` grid by running
+//! each point's restart cycle on the planner's cost-only machine
+//! ([`crate::rig`]) — each device's latency EWMA slowing that device's
+//! kernels as a fail-slow fault would — and proposes the winner.
 
 use crate::plan::{Candidate, Planner};
 use ca_gmres::prelude::*;
@@ -41,9 +42,10 @@ pub struct Retuner<'a> {
     /// before the span-ratio drift detector engages (only consulted when
     /// the kernel EWMA looks healthy — the drift path exists for faults
     /// the busy-time telemetry cannot see, like a degraded PCIe link).
-    /// Infinite by default, i.e. drift detection is *opt-in*: on a
-    /// healthy machine the walker's predicted shares legitimately miss
-    /// the measurement by a model-accuracy margin, so a finite
+    /// Infinite by default, i.e. drift detection is *opt-in*: the
+    /// predicted shares are those of a plain, barrier-flattened cycle and
+    /// the fault-tolerant driver's phase windows legitimately miss them
+    /// by a schedule-dependent margin, so a finite
     /// tolerance here is an operator decision (calibrate it from a
     /// healthy stream's residual deviation), not something an
     /// armed-but-idle tuner may assume — the bit-invisibility contract
@@ -147,7 +149,8 @@ impl<'a> Retuner<'a> {
         let ones = vec![1.0; layout.ndev()];
         let cand = Candidate { s: s_cur, ndev: layout.ndev(), ..self.base };
         let deviation = |p: &Planner<'_>| {
-            p.predict_phases_for_layout(a, layout, &cand, &ones).phases.max_share_deviation(&obs)
+            let predicted = p.predict(a, layout, &cand, &ones);
+            predicted.map_or(f64::INFINITY, |p| p.phases.max_share_deviation(&obs))
         };
         let mut best_lambda = LINK_LAMBDAS[0];
         let mut best_dev = deviation(&self.planner);
@@ -258,8 +261,8 @@ impl RestartTuner for Retuner<'_> {
     /// flight pin `s`, so only the row layout may change. The same
     /// healthy-machine gate keeps this bit-invisible; past it, the
     /// remaining rows are simply split proportionally to measured
-    /// throughput — the walker's `(s, layout)` grid search is a restart-
-    /// boundary luxury, not worth re-scoring inside a cycle.
+    /// throughput — the `(s, layout)` grid search is a restart-boundary
+    /// luxury, not worth re-scoring inside a cycle.
     fn replan_midcycle(&mut self, health: &HealthReport, layout: &Layout) -> Option<Layout> {
         let all_alive = health.devices.iter().all(|d| d.alive);
         if all_alive && health.imbalance() <= self.imbalance_threshold {

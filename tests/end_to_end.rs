@@ -232,8 +232,10 @@ fn hyb_format_same_solution_as_ellpack() {
     let bp = perm::permute_vec(&b, &p);
     let solve = |format| {
         let mut mg = MultiGpu::with_defaults(2);
+        let (m, s) = (30, Some(10));
         let sys =
-            System::new_with_format(&mut mg, &a_ord, layout.clone(), 30, Some(10), format).unwrap();
+            System::with_format(&mut mg, &a_ord, layout.clone(), m, s, format, Precision::F64)
+                .unwrap();
         sys.load_rhs(&mut mg, &bp).unwrap();
         let cfg =
             CaGmresConfig { s: 10, m: 30, rtol: 1e-8, max_restarts: 400, ..Default::default() };

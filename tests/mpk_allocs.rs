@@ -128,8 +128,7 @@ fn warm_mpk_and_dist_spmv_allocate_nothing_vector_sized() {
             // both plans as a solver gets them: at f64 the s-step plan
             // multiplies by the s = 1 plan's local blocks, at f32 by its own
             let sys =
-                System::new_with_format_prec(&mut mg, &a, layout.clone(), s, Some(s), format, prec)
-                    .unwrap();
+                System::with_format(&mut mg, &a, layout.clone(), s, Some(s), format, prec).unwrap();
             let (st, v) = (sys.mpk.as_ref().unwrap(), &sys.v);
             for d in 0..ndev {
                 let local = |st: &MpkState| &mg.device(d).slice(st.local_slice(d)).storage;
@@ -139,7 +138,7 @@ fn warm_mpk_and_dist_spmv_allocate_nothing_vector_sized() {
             // the system's s = 1 plan is always f64: an s = 1 plan of its own
             // at `prec` keeps the f32 `dist_spmv` path under the counter
             let plan1 = MpkPlan::new(&a, &layout, 1);
-            let own1 = MpkState::load_with_format_prec(&mut mg, &a, plan1, format, prec).unwrap();
+            let own1 = MpkState::load_as(&mut mg, &a, plan1, format, prec, None).unwrap();
             let halo = st.plan.devs.iter().map(|d| d.need.len().max(d.send.len())).max().unwrap();
             assert!(halo * 8 < nlocal_bytes, "the halo payloads must sit below the threshold");
             for d in 0..ndev {
