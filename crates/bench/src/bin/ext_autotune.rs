@@ -30,8 +30,7 @@
 //!
 //! Flags: `--large` near-paper sizes; `--matrix <name>` one suite
 //! entry; `--smoke` first matrix only with a reduced grid, canonical
-//! DIGEST lines, no files written (CI diffs the output across thread
-//! counts, and calibration is sequential by construction).
+//! DIGEST lines, no files written (CI diffs the output of two runs).
 
 use ca_bench::{balanced_problem, format_table, set_run_meta, write_json, RunMeta, Scale};
 use ca_gmres::prelude::*;

@@ -23,14 +23,13 @@
 //! restart exhaustion), no panics, bounded monotone simulated time,
 //! zero-rate schedules bit-identical to the plan-free baseline, span
 //! forest well-nested under recording. The campaign digest folds every
-//! run fingerprint in index order, so it is reproducible across thread
-//! counts.
+//! run fingerprint in index order and every run is self-seeded, so it is
+//! reproducible.
 //!
 //! Flags: `--large` near-paper sizes; `--matrix <name>` one suite
 //! entry; `--schedules <n>` campaign size (default 1200); `--smoke`
 //! first matrix + 64-schedule campaign, canonical DIGEST lines, no
-//! files written (the CI determinism matrix diffs the output across
-//! `RAYON_NUM_THREADS`).
+//! files written (CI diffs the output of two runs).
 
 use ca_bench::{balanced_problem, format_table, write_json, Scale, TestMatrix};
 use ca_chaos::{run_campaign, CampaignConfig, CampaignReport};

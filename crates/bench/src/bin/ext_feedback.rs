@@ -32,7 +32,7 @@
 //!
 //! Flags: `--smoke` two matrices, 10 jobs, canonical DIGEST lines, and a
 //! committed `ext_feedback_smoke.json` baseline for the bench-trend gate;
-//! CI diffs both across `RAYON_NUM_THREADS`. The full run also writes the
+//! CI diffs both between two runs. The full run also writes the
 //! fitted profile to `profiles/ext_feedback.json`.
 
 use ca_bench::{format_table, set_run_meta, write_json, write_text, RunMeta, Scale};

@@ -32,7 +32,7 @@
 //!
 //! Flags: `--large` near-paper sizes; `--matrix <name>` one suite entry;
 //! `--smoke` first matrix only, canonical DIGEST lines, no files written
-//! (CI diffs the output across `RAYON_NUM_THREADS` settings).
+//! (CI diffs the output of two runs).
 
 use ca_bench::{balanced_problem, format_table, write_json, Scale, TestMatrix};
 use ca_gmres::mpk::SpmvFormat;

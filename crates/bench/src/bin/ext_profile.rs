@@ -19,7 +19,7 @@
 //!    folded stacks for flamegraph tools (`ext_profile.folded`).
 //!
 //! `--smoke` restricts the suite to `cant` with a short solve for CI; all
-//! stdout is simulated-time-only, so it diffs clean across thread counts.
+//! stdout is simulated-time-only, so it diffs clean between runs.
 //! Recording never perturbs the solve: the determinism suite asserts an
 //! instrumented run is bit-identical to an uninstrumented one.
 

@@ -29,8 +29,8 @@
 //!
 //! Flags: `--smoke` two matrices, one load, 10 jobs, canonical DIGEST
 //! lines (the `ServiceReport` digest — completion order, solution bits,
-//! clocks, counters), no files written; CI diffs the output across
-//! `RAYON_NUM_THREADS`. `--large` is accepted but identical to the
+//! clocks, counters), no files written; CI diffs the output of two
+//! runs. `--large` is accepted but identical to the
 //! default (service studies are queue-bound, not size-bound).
 
 use ca_bench::{format_table, set_run_meta, write_json, RunMeta, Scale};

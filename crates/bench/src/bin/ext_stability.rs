@@ -27,7 +27,7 @@
 //! the same host-verified tolerance; the oracle converges everywhere.
 //!
 //! Flags: `--smoke` first matrix + two `s` points, canonical DIGEST
-//! lines, no files written (CI diffs output across `RAYON_NUM_THREADS`).
+//! lines, no files written (CI diffs the output of two runs).
 
 use ca_bench::{format_table, write_json, Scale};
 use ca_gmres::prelude::*;

@@ -24,7 +24,7 @@
 //!
 //! Flags: `--large` near-paper sizes; `--matrix <name>` one suite entry;
 //! `--smoke` first matrix only, canonical DIGEST lines, no files written
-//! (the CI determinism matrix diffs the output across thread counts).
+//! (CI diffs the output of two runs).
 //! A side artifact `bench_results/ext_straggler_trace.json` renders one
 //! straggled run as a Perfetto/`chrome://tracing` timeline.
 

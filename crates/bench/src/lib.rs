@@ -361,7 +361,8 @@ pub fn result_envelope<T: ToJv>(figure: &str, value: &T) -> Jv {
         ("schema_version".into(), Jv::Int(1)),
         ("figure".into(), Jv::Str(figure.to_string())),
         ("git".into(), Jv::Str(git_describe())),
-        ("threads".into(), Jv::Int(rayon::current_num_threads() as i128)),
+        // host threads the study ran on: the executor has one
+        ("threads".into(), Jv::Int(1)),
         ("seed".into(), Jv::Int(i128::from(meta.seed))),
         ("profile_hash".into(), opt_str(&meta.profile_hash)),
         ("metrics_hash".into(), opt_str(&meta.metrics_hash)),

@@ -10,7 +10,6 @@
 //! cycles mid-flight.
 
 use ca_obs as obs;
-use rayon::prelude::*;
 
 use crate::runner::{run_schedule, RunOutcome};
 use crate::schedule::ChaosSchedule;
@@ -23,9 +22,8 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Number of schedules (indices `0..schedules`).
     pub schedules: u64,
-    /// How many of the first schedules run sequentially under an obs
-    /// recording with span-nesting checks (obs state is thread-local,
-    /// so this subset must stay on one thread).
+    /// How many of the first schedules run under an obs recording with
+    /// span-nesting checks.
     pub obs_checked: u64,
     /// Cap on stored violation records (counts are always exact).
     pub max_violations: usize,
@@ -119,21 +117,22 @@ fn fold_digest(digest: u64, fp: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Run the campaign. Deterministic for a given `(seed, schedules)`
-/// regardless of `RAYON_NUM_THREADS` — results are folded in index
-/// order and every run is self-seeded.
+/// Run the campaign. Deterministic for a given `(seed, schedules)`:
+/// every run is self-seeded and the results are folded in index order.
 #[must_use]
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let obs_n = cfg.obs_checked.min(cfg.schedules);
-
-    // sequential obs-checked prefix: one recording per schedule (each
-    // solve restarts the simulated clock, so recordings cannot span
-    // solves), nesting checked after every run
+    // one recording per schedule of the obs-checked prefix (each solve
+    // restarts the simulated clock, so recordings cannot span solves),
+    // nesting checked after every run
     let mut span_nesting_error = None;
-    let mut outcomes: Vec<RunOutcome> = (0..obs_n)
+    let outcomes: Vec<RunOutcome> = (0..cfg.schedules)
         .map(|i| {
+            let schedule = ChaosSchedule::generate(cfg.seed, i);
+            if i >= cfg.obs_checked {
+                return run_schedule(&schedule);
+            }
             obs::start();
-            let out = run_schedule(&ChaosSchedule::generate(cfg.seed, i));
+            let out = run_schedule(&schedule);
             let rec = obs::finish();
             if span_nesting_error.is_none() {
                 span_nesting_error = rec.check_well_nested().err().map(|e| format!("#{i}: {e}"));
@@ -141,13 +140,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             out
         })
         .collect();
-
-    // parallel remainder, collected in index order
-    let rest: Vec<RunOutcome> = (obs_n..cfg.schedules)
-        .into_par_iter()
-        .map(|i| run_schedule(&ChaosSchedule::generate(cfg.seed, i)))
-        .collect();
-    outcomes.extend(rest);
 
     let mut report = CampaignReport {
         seed: cfg.seed,

@@ -8,40 +8,7 @@
 //! schedule replays from two integers.
 
 use ca_gpusim::{FaultPlan, Schedule, SdcTargets};
-
-/// SplitMix64 — the same generator family the fault plan uses for its
-/// per-op decisions; here it drives schedule *synthesis*.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, n)`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0);
-        self.next_u64() % n
-    }
-
-    /// Uniform in `[lo, hi)`.
-    pub fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        lo + unit * (hi - lo)
-    }
-}
+use ca_scalar::rng::SplitMix64;
 
 /// Matrix families the campaign draws from — all closed-form generators
 /// (no RNG), so a schedule means the same problem on every toolchain.

@@ -1,16 +1,17 @@
 //! CPU reference GMRES — the paper's threaded-MKL baseline (the "CPU" line
 //! of Fig. 3).
 //!
-//! Runs entirely on the host with rayon-parallel SpMV and Gram-Schmidt,
-//! charging simulated time from the host side of the [`PerfModel`]
-//! (threaded-MKL-class SpMV bandwidth and GEMV/DOT throughput).
+//! Runs entirely on the host, on the calling thread; what stands for the
+//! threads is the simulated time it charges from the host side of the
+//! [`PerfModel`] (threaded-MKL-class SpMV bandwidth and GEMV/DOT
+//! throughput).
 
 use crate::orth::BorthKind;
 use crate::stats::SolveStats;
 use ca_dense::hessenberg::GivensLsq;
 use ca_dense::{blas1, Mat};
 use ca_gpusim::PerfModel;
-use ca_sparse::{spmv::spmv_par, Csr};
+use ca_sparse::{spmv::spmv, Csr};
 
 /// Solve `A x = b` with restarted GMRES(m) on the CPU model. Returns the
 /// solution and simulated-time statistics.
@@ -58,7 +59,7 @@ pub fn gmres_cpu(
         let mut k_used = 0usize;
 
         for j in 0..m {
-            spmv_par(a, q.col(j), &mut w);
+            spmv(a, q.col(j), &mut w);
             stats.t_spmv += spmv_t;
             let mut h = Vec::with_capacity(j + 2);
             match orth {
@@ -112,7 +113,7 @@ pub fn gmres_cpu(
         stats.restarts += 1;
 
         // explicit residual
-        spmv_par(a, &x, &mut w);
+        spmv(a, &x, &mut w);
         for i in 0..n {
             r[i] = b[i] - w[i];
         }

@@ -713,15 +713,13 @@ pub fn orth_column(
 mod tests {
     use super::*;
     use ca_dense::norms::{factorization_error, orthogonality_error};
+    use ca_scalar::rng::SplitMix64;
 
     /// Distribute a deterministic tall matrix over `ndev` devices and
     /// return (mg, per-device MatIds, the full matrix).
     fn setup(n: usize, cols: usize, ndev: usize, seed: u64) -> (MultiGpu, Vec<MatId>, Mat) {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let full = Mat::from_fn(n, cols, |_, _| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        });
+        let mut rng = SplitMix64::new(seed);
+        let full = Mat::from_fn(n, cols, |_, _| rng.in_range(-0.5, 0.5));
         let mut mg = MultiGpu::with_defaults(ndev);
         let mut ids = Vec::new();
         for d in 0..ndev {

@@ -133,13 +133,11 @@ pub fn sym_svd_scaled(b: &Mat) -> (Vec<f64>, GramSvd) {
 mod tests {
     use super::*;
     use crate::blas3::{gemm_nn, gemm_tn};
+    use ca_scalar::rng::SplitMix64;
 
     fn sym(n: usize, seed: u64) -> Mat {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let raw = Mat::from_fn(n, n, |_, _| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        });
+        let mut rng = SplitMix64::new(seed);
+        let raw = Mat::from_fn(n, n, |_, _| rng.in_range(-0.5, 0.5));
         let mut s = Mat::zeros(n, n);
         for i in 0..n {
             for j in 0..n {

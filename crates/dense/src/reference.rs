@@ -3,15 +3,12 @@
 //! rewritten routine to them (`to_bits()` equality, `f64` and `f32`) — on
 //! every kernel instantiation this host can run ([`Isa::all_on_this_host`]),
 //! not only the one [`Isa::detect`] would pick.
-//!
-//! The properties are plain seeded `#[test]`s: the offline `proptest`
-//! stand-in compiles properties to nothing, and these must always run.
 
 use crate::blas1::{axpy, dot, scal};
 use crate::mat::Cols;
 use crate::tile::Isa;
 use crate::{blas2, blas3, tile, DenseError, Mat};
-use ca_scalar::Scalar;
+use ca_scalar::{rng::SplitMix64, Scalar};
 
 // ---------- the retained reference loops ----------
 
@@ -166,40 +163,26 @@ fn update_cols<T: Scalar>(
 
 // ---------- seeded inputs ----------
 
-struct Rng(u64);
+/// Uniform in `[-1, 1)`, with a wide dynamic range every eighth draw so
+/// that rounding differs between summation orders.
+fn value<T: Scalar>(rng: &mut SplitMix64) -> T {
+    T::from_f64(rng.wide())
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+fn mat<T: Scalar>(rng: &mut SplitMix64, rows: usize, cols: usize) -> Mat<T> {
+    Mat::from_fn(rows, cols, |_, _| value(rng))
+}
 
-    /// Uniform in `[-1, 1)`, with a wide dynamic range every eighth draw
-    /// so that rounding differs between summation orders.
-    fn value<T: Scalar>(&mut self) -> T {
-        let u = (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
-        let scale = if self.next() & 7 == 0 { 1e6 } else { 1.0 };
-        T::from_f64(u * scale)
-    }
-
-    fn mat<T: Scalar>(&mut self, rows: usize, cols: usize) -> Mat<T> {
-        Mat::from_fn(rows, cols, |_, _| self.value())
-    }
-
-    /// A coefficient matrix sprinkled with zeros and non-finite values.
-    fn coeffs<T: Scalar>(&mut self, rows: usize, cols: usize) -> Mat<T> {
-        Mat::from_fn(rows, cols, |_, _| match self.next() % 12 {
-            0 | 1 => T::ZERO,
-            2 => T::from_f64(-0.0),
-            3 => T::from_f64(f64::NAN),
-            4 => T::from_f64(f64::INFINITY),
-            5 => T::from_f64(f64::NEG_INFINITY),
-            _ => self.value(),
-        })
-    }
+/// A coefficient matrix sprinkled with zeros and non-finite values.
+fn coeffs<T: Scalar>(rng: &mut SplitMix64, rows: usize, cols: usize) -> Mat<T> {
+    Mat::from_fn(rows, cols, |_, _| match rng.next_u64() % 12 {
+        0 | 1 => T::ZERO,
+        2 => T::from_f64(-0.0),
+        3 => T::from_f64(f64::NAN),
+        4 => T::from_f64(f64::INFINITY),
+        5 => T::from_f64(f64::NEG_INFINITY),
+        _ => value(rng),
+    })
 }
 
 /// Around the lane count, the panel heights and the 512-row update chunk.
@@ -228,22 +211,22 @@ fn assert_bits<T: Scalar>(got: &Mat<T>, want: &Mat<T>, what: &str) {
 // ---------- the suite ----------
 
 fn products_match<T: Scalar>() -> usize {
-    let mut rng = Rng(0x13);
+    let mut rng = SplitMix64::new(0x13);
     let mut shapes = 0;
     for rows in ROWS {
         for (ka, kb) in WIDTHS {
-            let a: Mat<T> = rng.mat(rows, ka);
-            let b: Mat<T> = rng.mat(rows, kb);
+            let a: Mat<T> = mat(&mut rng, rows, ka);
+            let b: Mat<T> = mat(&mut rng, rows, kb);
             let what = format!("rows {rows}, {ka} x {kb}");
             let (alpha, beta) = (T::from_f64(-1.5), T::from_f64(0.25));
             for beta in [T::ZERO, beta] {
-                let seed_c: Mat<T> = rng.mat(ka, kb);
+                let seed_c: Mat<T> = mat(&mut rng, ka, kb);
                 let (mut got, mut want) = (seed_c.clone(), seed_c);
                 blas3::gemm_tn(alpha, &a, &b, beta, &mut got);
                 gemm_tn(alpha, &a, &b, beta, &mut want);
                 assert_bits(&got, &want, &format!("gemm_tn {what}"));
 
-                let seed_g: Mat<T> = rng.mat(ka, ka);
+                let seed_g: Mat<T> = mat(&mut rng, ka, ka);
                 // syrk reads the upper triangle only: start symmetric
                 let seed_g = Mat::from_fn(ka, ka, |i, j| seed_g[(i.min(j), i.max(j))]);
                 let (mut got, mut want) = (seed_g.clone(), seed_g);
@@ -252,14 +235,14 @@ fn products_match<T: Scalar>() -> usize {
                 assert_bits(&got, &want, &format!("syrk_tn {what}"));
 
                 let x = b.col(0);
-                let seed_y: Vec<T> = (0..ka).map(|_| rng.value()).collect();
+                let seed_y: Vec<T> = (0..ka).map(|_| value(&mut rng)).collect();
                 let (mut got, mut want) = (seed_y.clone(), seed_y);
                 blas2::gemv_t(alpha, &a, x, beta, &mut got);
                 gemv_t(alpha, &a, x, beta, &mut want);
                 assert!(got.iter().zip(&want).all(|(&g, &w)| same_bits(g, w)), "gemv_t {what}");
             }
             for h in [7, 32, 100, 384, 5000] {
-                let (mut got, mut want) = (rng.mat::<T>(ka, ka), Mat::zeros(ka, ka));
+                let (mut got, mut want) = (mat::<T>(&mut rng, ka, ka), Mat::zeros(ka, ka));
                 let nb = blas3::syrk_tn_batched(&a, h, &mut got);
                 assert_eq!(nb, syrk_tn_batched(&a, h, &mut want));
                 assert_bits(&got, &want, &format!("syrk_tn_batched h={h} {what}"));
@@ -271,16 +254,16 @@ fn products_match<T: Scalar>() -> usize {
 }
 
 fn panelled_products_match<T: Scalar>(isa: Isa) -> usize {
-    let mut rng = Rng(0x2014);
+    let mut rng = SplitMix64::new(0x2014);
     let mut shapes = 0;
     for rows in ROWS {
         for (ka, kb) in WIDTHS {
             // one basis-like matrix; the a-block left and right of the b-block
-            let v: Mat<T> = rng.mat(rows, ka + kb + 1);
+            let v: Mat<T> = mat(&mut rng, rows, ka + kb + 1);
             for (a, b) in [((0, ka), (ka + 1, ka + 1 + kb)), ((kb + 1, kb + 1 + ka), (0, kb))] {
                 for h in PANELS {
                     let what = format!("rows {rows}, a {a:?}, b {b:?}, h {h:?}");
-                    let mut got = rng.mat::<T>(ka, kb);
+                    let mut got = mat::<T>(&mut rng, ka, kb);
                     let (va, vb) = (v.cols(a.0, a.1), v.cols(b.0, b.1));
                     blas3::gemm_tn_panels_with(isa, va, vb, h, false, &mut got);
                     assert_bits(
@@ -289,7 +272,7 @@ fn panelled_products_match<T: Scalar>(isa: Isa) -> usize {
                         &format!("gemm_tn_panels {what}"),
                     );
 
-                    let mut got = rng.mat::<T>(ka, ka);
+                    let mut got = mat::<T>(&mut rng, ka, ka);
                     let block = v.cols(a.0, a.1);
                     blas3::gemm_tn_panels_with(isa, block, block, h, true, &mut got);
                     assert_bits(&got, &gemm_tn_panels(&v, a, a, h), &format!("gram {what}"));
@@ -302,16 +285,16 @@ fn panelled_products_match<T: Scalar>(isa: Isa) -> usize {
 }
 
 fn updates_match<T: Scalar>(isa: Isa) -> usize {
-    let mut rng = Rng(0x108);
+    let mut rng = SplitMix64::new(0x108);
     let mut shapes = 0;
     for rows in ROWS {
         for (ka, kb) in WIDTHS {
-            let mut v: Mat<T> = rng.mat(rows, ka + kb + 1);
+            let mut v: Mat<T> = mat(&mut rng, rows, ka + kb + 1);
             if rows > 0 {
                 // a poisoned source that only a zero coefficient may hide
                 v[(rows / 2, 0)] = T::from_f64(f64::NAN);
             }
-            let c: Mat<T> = rng.coeffs(ka, kb);
+            let c: Mat<T> = coeffs(&mut rng, ka, kb);
             for (a, b) in [((0, ka), (ka + 1, ka + 1 + kb)), ((kb + 1, kb + 1 + ka), (0, kb))] {
                 let (mut got, mut want) = (v.clone(), v.clone());
                 blas3::update_cols_with(isa, &mut got, a, b, |i, j| -c[(i, j)]);
@@ -333,12 +316,12 @@ fn updates_match<T: Scalar>(isa: Isa) -> usize {
             update_cols(&mut want, s, d, |i, j| -c[(i, j % kb)]);
             assert_bits(&got, &want, &format!("overlapping rows {rows}, s {s:?}, d {d:?}"));
 
-            let mut a: Mat<T> = rng.mat(rows, ka);
+            let mut a: Mat<T> = mat(&mut rng, rows, ka);
             if rows > 0 {
                 a[(rows / 2, 0)] = T::from_f64(f64::INFINITY);
             }
             for beta in [T::ZERO, T::ONE, T::from_f64(0.5)] {
-                let seed_c: Mat<T> = rng.mat(rows, kb);
+                let seed_c: Mat<T> = mat(&mut rng, rows, kb);
                 let (mut got, mut want) = (seed_c.clone(), seed_c);
                 blas3::gemm_nn(T::from_f64(2.0), &a, &c, beta, &mut got);
                 gemm_nn(T::from_f64(2.0), &a, &c, beta, &mut want);
@@ -350,12 +333,12 @@ fn updates_match<T: Scalar>(isa: Isa) -> usize {
 }
 
 fn triangular_solves_match<T: Scalar>(isa: Isa) -> usize {
-    let mut rng = Rng(0x7);
+    let mut rng = SplitMix64::new(0x7);
     let mut shapes = 0;
     for rows in ROWS {
         for k in [1, 2, 5, 11] {
-            let b: Mat<T> = rng.mat(rows, k);
-            let mut r: Mat<T> = rng.coeffs(k, k);
+            let b: Mat<T> = mat(&mut rng, rows, k);
+            let mut r: Mat<T> = coeffs(&mut rng, k, k);
             for j in 0..k {
                 r[(j, j)] = T::from_f64(1.0 + j as f64);
             }
@@ -375,7 +358,7 @@ fn triangular_solves_match<T: Scalar>(isa: Isa) -> usize {
                 );
 
                 // in place on a column range of a wider matrix
-                let mut wide: Mat<T> = rng.mat(rows, k + 3);
+                let mut wide: Mat<T> = mat(&mut rng, rows, k + 3);
                 for j in 0..k {
                     wide.set_col(2 + j, b.col(j));
                 }
@@ -432,12 +415,12 @@ fn zero_factor_hides_a_non_finite_source() {
 /// source sits.
 #[test]
 fn a_special_factor_in_one_destination_of_a_pair_stays_there() {
-    let mut rng = Rng(0x16);
+    let mut rng = SplitMix64::new(0x16);
     let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
     for isa in Isa::all_on_this_host() {
         for (rows, nsrc) in [(5, 1), (5, 4), (513, 6), (5, 7)] {
-            let clean: Mat = rng.mat(rows, nsrc + 3);
-            let c: Mat = rng.mat(nsrc, 3);
+            let clean: Mat = mat(&mut rng, rows, nsrc + 3);
+            let c: Mat = mat(&mut rng, nsrc, 3);
             // destinations right of the sources, then left of them
             for (s, d) in [((0, nsrc), (nsrc, nsrc + 3)), ((3, nsrc + 3), (0, 3))] {
                 for at in 0..nsrc {
@@ -513,11 +496,11 @@ fn no_multiply_add_is_contracted_on_any_path() {
 
 #[test]
 fn dots_tn_visits_each_wanted_entry_once() {
-    let mut rng = Rng(3);
+    let mut rng = SplitMix64::new(3);
     for isa in Isa::all_on_this_host() {
         for (ka, kb) in [(1, 1), (8, 1), (9, 1), (4, 2), (5, 3), (17, 17)] {
-            let a: Mat = rng.mat(10, ka);
-            let b: Mat = rng.mat(10, kb);
+            let a: Mat = mat(&mut rng, 10, ka);
+            let b: Mat = mat(&mut rng, 10, kb);
             for upper in [false, ka == kb] {
                 let mut seen = Mat::<f64>::zeros(ka, kb);
                 tile::dots_tn_with(isa, a.cols(0, ka), b.cols(0, kb), upper, |i, j, d| {

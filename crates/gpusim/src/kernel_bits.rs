@@ -6,8 +6,6 @@
 //! NaN equals any NaN: which payload survives `NaN + NaN` is not part of
 //! the promised operation sequence), charge the same modeled time, stay
 //! inert on a lost device, and still take its SDC hit after the product.
-//! Plain seeded `#[test]`s, because the offline `proptest` stand-in
-//! compiles properties to nothing.
 //!
 //! The device owns no kernel loop, so it has no instantiation of its own to
 //! choose: these suites run on the one ca-dense's CPU detection selects.
@@ -19,6 +17,7 @@ use crate::faults::{FaultPlan, SdcKind, SdcTargets};
 use crate::model::{GemmVariant, GemvVariant, PerfModel};
 use crate::stream::Cmd;
 use ca_dense::{blas1, Mat};
+use ca_scalar::rng::SplitMix64;
 use std::sync::Arc;
 
 // ---------- the retained reference loops ----------
@@ -103,37 +102,20 @@ fn ref_block_sum_dot(m: &Mat, a: (usize, usize), b: (usize, usize)) -> [f64; 2] 
 
 // ---------- seeded inputs ----------
 
-pub(super) struct Rng(pub(super) u64);
+fn mat(rng: &mut SplitMix64, rows: usize, cols: usize) -> Mat {
+    Mat::from_fn(rows, cols, |_, _| rng.wide())
+}
 
-impl Rng {
-    pub(super) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    pub(super) fn value(&mut self) -> f64 {
-        let u = (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
-        u * if self.next() & 7 == 0 { 1e6 } else { 1.0 }
-    }
-
-    fn mat(&mut self, rows: usize, cols: usize) -> Mat {
-        Mat::from_fn(rows, cols, |_, _| self.value())
-    }
-
-    /// Coefficients sprinkled with zeros and non-finite values.
-    fn coeffs(&mut self, rows: usize, cols: usize) -> Mat {
-        Mat::from_fn(rows, cols, |_, _| match self.next() % 12 {
-            0 | 1 => 0.0,
-            2 => -0.0,
-            3 => f64::NAN,
-            4 => f64::INFINITY,
-            5 => f64::NEG_INFINITY,
-            _ => self.value(),
-        })
-    }
+/// Coefficients sprinkled with zeros and non-finite values.
+fn coeffs(rng: &mut SplitMix64, rows: usize, cols: usize) -> Mat {
+    Mat::from_fn(rows, cols, |_, _| match rng.next_u64() % 12 {
+        0 | 1 => 0.0,
+        2 => -0.0,
+        3 => f64::NAN,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        _ => rng.wide(),
+    })
 }
 
 const ROWS: [usize; 12] = [0, 1, 3, 4, 5, 383, 384, 385, 511, 512, 513, 1000];
@@ -180,11 +162,11 @@ fn block_pairs(ka: usize, kb: usize) -> [((usize, usize), (usize, usize)); 2] {
 
 #[test]
 fn gram_kernels_match_the_per_entry_loops() {
-    let mut rng = Rng(0x2014_0527);
+    let mut rng = SplitMix64::new(0x2014_0527);
     let mut shapes = 0;
     for rows in ROWS {
         for (ka, kb) in WIDTHS {
-            let m = rng.mat(rows, ka + kb + 1);
+            let m = mat(&mut rng, rows, ka + kb + 1);
             let (mut d, v) = device_with(&m);
             for variant in VARIANTS {
                 for (a, b) in block_pairs(ka, kb) {
@@ -233,16 +215,16 @@ fn gram_kernels_match_the_per_entry_loops() {
 
 #[test]
 fn update_kernels_match_the_axpy_chain() {
-    let mut rng = Rng(108);
+    let mut rng = SplitMix64::new(108);
     for rows in ROWS {
         for (ka, kb) in WIDTHS {
-            let mut m = rng.mat(rows, ka + kb + 1);
+            let mut m = mat(&mut rng, rows, ka + kb + 1);
             if rows > 0 {
                 // a poisoned source that only a zero coefficient may hide
                 m[(rows / 2, 0)] = f64::NAN;
                 m[(rows / 2, ka + kb)] = f64::INFINITY;
             }
-            let c = rng.coeffs(ka, kb);
+            let c = coeffs(&mut rng, ka, kb);
             for (a, b) in block_pairs(ka, kb) {
                 let what = format!("rows {rows}, a {a:?}, b {b:?}");
                 let (mut d, v) = device_with(&m);
@@ -267,7 +249,8 @@ fn update_kernels_match_the_axpy_chain() {
             let (mut d, v) = device_with(&m);
             let mut want = m.clone();
             let src = ka / 2;
-            let coeffs: Vec<f64> = (0..ka + kb + 1).map(|_| rng.coeffs(1, 1)[(0, 0)]).collect();
+            let coeffs: Vec<f64> =
+                (0..ka + kb + 1).map(|_| coeffs(&mut rng, 1, 1)[(0, 0)]).collect();
             d.rank1_update(v, src, 0, ka + kb + 1, &coeffs);
             for (j, &cj) in coeffs.iter().enumerate() {
                 ref_axpy_into(&mut want, cj, src, j);
@@ -294,10 +277,10 @@ fn update_kernels_match_the_axpy_chain() {
 /// hide, or spread, a poisoned source in that destination alone.
 #[test]
 fn a_special_coefficient_in_one_destination_of_a_pair_stays_there() {
-    let mut rng = Rng(16);
+    let mut rng = SplitMix64::new(16);
     for (rows, ka) in [(5, 1), (5, 4), (513, 6), (5, 7)] {
-        let clean = rng.mat(rows, ka + 3);
-        let c = rng.mat(ka, 3);
+        let clean = mat(&mut rng, rows, ka + 3);
+        let c = mat(&mut rng, ka, 3);
         for (a, b) in [((0, ka), (ka, ka + 3)), ((3, ka + 3), (0, 3))] {
             for at in 0..ka {
                 let mut m = clean.clone();
@@ -327,11 +310,11 @@ fn a_special_coefficient_in_one_destination_of_a_pair_stays_there() {
 
 #[test]
 fn trsm_matches_the_forward_sweep_even_when_singular() {
-    let mut rng = Rng(7);
+    let mut rng = SplitMix64::new(7);
     for rows in ROWS {
         for k in [1, 2, 5, 11] {
-            let m = rng.mat(rows, k + 3);
-            let mut r = rng.coeffs(k, k);
+            let m = mat(&mut rng, rows, k + 3);
+            let mut r = coeffs(&mut rng, k, k);
             for j in 0..k {
                 r[(j, j)] = 1.0 + j as f64;
             }
@@ -364,14 +347,14 @@ fn trsm_matches_the_forward_sweep_even_when_singular() {
 
 #[test]
 fn lost_device_returns_neutral_values_and_mutates_nothing() {
-    let mut rng = Rng(1);
-    let m = rng.mat(100, 6);
+    let mut rng = SplitMix64::new(1);
+    let m = mat(&mut rng, 100, 6);
     let (mut d, v) = device_with(&m);
     d.set_faults(Some(Arc::new(FaultPlan::new(0).with_device_loss(0, 0))));
     d.scal_col(v, 0, 1.0); // the first op kills the device
     assert!(d.is_lost());
     let (ops, clock) = (d.ops(), d.clock());
-    let c = rng.mat(2, 3);
+    let c = mat(&mut rng, 2, 3);
     for variant in VARIANTS {
         assert_eq!(d.gemm_tn_cols(v, (0, 2), (3, 6), variant), Mat::zeros(2, 3));
         assert_eq!(d.syrk_cols(v, 0, 3, variant), Mat::identity(3));
@@ -389,8 +372,8 @@ fn lost_device_returns_neutral_values_and_mutates_nothing() {
 
 #[test]
 fn sdc_is_injected_after_the_product() {
-    let mut rng = Rng(5);
-    let m = rng.mat(500, 9);
+    let mut rng = SplitMix64::new(5);
+    let m = mat(&mut rng, 500, 9);
     let plan = Arc::new(FaultPlan::new(9).with_sdc(1.0, SdcTargets::gemm_only()));
     for variant in VARIANTS {
         let (mut d, v) = device_with(&m);

@@ -1,4 +1,3 @@
-#![cfg_attr(test, recursion_limit = "256")] // proptest! bodies in model.rs
 //! # ca-gpusim — simulated multi-GPU substrate
 //!
 //! The paper runs on three NVIDIA M2090 (Fermi) GPUs attached to a 16-core
@@ -7,7 +6,7 @@
 //! measures observable:
 //!
 //! * **real arithmetic** — every kernel computes actual IEEE f64 results on
-//!   host threads, in the same order the distributed algorithm prescribes
+//!   the host, in the same order the distributed algorithm prescribes
 //!   (per-device partial sums, host reductions, batched-GEMM panel sums),
 //!   so numerical phenomena (CholQR breakdown, CGS reorthogonalization,
 //!   Newton-basis conditioning) are genuine;
@@ -15,10 +14,11 @@
 //!   using the calibrated [`model::PerfModel`] (M2090 flops/bandwidth,
 //!   PCIe latency/bandwidth, per-kernel-variant efficiency caps fitted to
 //!   the paper's Fig. 11 shapes);
-//! * **true concurrency** — device phases execute on real threads
-//!   ([`MultiGpu::run_map`]) and device clocks advance independently, so
-//!   communication-free MPK flops genuinely overlap while transfers create
-//!   the only synchronization points;
+//! * **concurrency on the simulated clock** — the host executes a device
+//!   phase one device after the other ([`MultiGpu::run_map`]) while the
+//!   device clocks advance independently, so communication-free MPK flops
+//!   overlap in simulated time and transfers create the only
+//!   synchronization points;
 //! * **streams and events** — each device clock is the tail of an in-order
 //!   command queue (a CUDA stream); copies occupy per-link copy engines
 //!   and record [`stream::Event`]s other queues can wait on, and the

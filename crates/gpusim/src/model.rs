@@ -588,6 +588,8 @@ impl EffCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ca_scalar::{cases, rng::Xoshiro256pp};
+    use std::ops::Range;
 
     #[test]
     fn batched_panel_rounds_to_32() {
@@ -747,21 +749,17 @@ mod tests {
         ]
     }
 
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Profile round-trip: every constant rendered as its shortest
-        /// decimal form (what the machine-profile JSON stores) and parsed
-        /// back must leave every predicted time bit-identical, even after
-        /// perturbing the constants.
-        #[test]
-        fn profile_roundtrip_bit_identical(
-            scales in proptest::collection::vec(0.25f64..4.0, PARAM_NAMES.len()..PARAM_NAMES.len() + 1),
-        ) {
+    /// Profile round-trip: every constant rendered as its shortest
+    /// decimal form (what the machine-profile JSON stores) and parsed
+    /// back must leave every predicted time bit-identical, even after
+    /// perturbing the constants.
+    #[test]
+    fn profile_roundtrip_bit_identical() {
+        cases(256, |rng| {
             let mut m = PerfModel::default();
-            for (&name, &sc) in PARAM_NAMES.iter().zip(&scales) {
+            for &name in PARAM_NAMES {
                 let v = m.param(name).unwrap();
-                m.set_param(name, v * sc);
+                m.set_param(name, v * rng.in_range(0.25, 4.0));
             }
             let mut m2 = PerfModel::default();
             for (name, v) in m.params() {
@@ -769,11 +767,16 @@ mod tests {
                 let back: f64 = text.parse().unwrap();
                 m2.set_param(name, back);
             }
-            prop_assert_eq!(&m, &m2);
+            assert_eq!(&m, &m2);
             for (a, b) in sample_times(&m).iter().zip(sample_times(&m2).iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+                assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
+        });
+    }
+
+    /// A length drawn from `len`, then as many draws from `[lo, hi)`.
+    fn draws(rng: &mut Xoshiro256pp, len: Range<usize>, lo: f64, hi: f64) -> Vec<f64> {
+        (0..rng.index(len)).map(|_| rng.in_range(lo, hi)).collect()
     }
 
     /// Between two adjacent knots the interpolant must stay inside the
@@ -817,23 +820,21 @@ mod tests {
         assert!(c.eval(probe) >= 0.0);
     }
 
-    proptest! {
-        #[test]
-        fn eff_curve_monotone_between_knots(
-            xs in proptest::collection::vec(0.0f64..1e7, 3..8),
-            ys in proptest::collection::vec(0.0f64..1e12, 8..9),
-            t0 in 0.0f64..1.0, t1 in 0.0f64..1.0,
-        ) {
-            check_monotone_between_knots(xs, ys, t0, t1);
-        }
+    #[test]
+    fn eff_curve_monotone_between_knots() {
+        cases(256, |rng| {
+            let xs = draws(rng, 3..8, 0.0, 1e7);
+            let ys = draws(rng, 8..9, 0.0, 1e12);
+            check_monotone_between_knots(xs, ys, rng.unit(), rng.unit());
+        });
+    }
 
-        #[test]
-        fn eff_curve_clamps_out_of_range(
-            xs in proptest::collection::vec(-1e6f64..1e6, 2..6),
-            ys in proptest::collection::vec(0.0f64..1e12, 6..7),
-            probe in -1e9f64..1e9,
-        ) {
-            check_clamps_out_of_range(xs, ys, probe);
-        }
+    #[test]
+    fn eff_curve_clamps_out_of_range() {
+        cases(256, |rng| {
+            let xs = draws(rng, 2..6, -1e6, 1e6);
+            let ys = draws(rng, 6..7, 0.0, 1e12);
+            check_clamps_out_of_range(xs, ys, rng.in_range(-1e9, 1e9));
+        });
     }
 }

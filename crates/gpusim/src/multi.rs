@@ -3,9 +3,10 @@
 //!
 //! Timing semantics mirror the paper's execution model:
 //!
-//! * device kernels launched in a phase run concurrently across GPUs —
-//!   [`MultiGpu::run_map`] executes them on real host threads (rayon) and
-//!   advances each device's private clock independently;
+//! * device kernels launched in a phase run concurrently across GPUs on
+//!   the simulated clock: [`MultiGpu::run_map`] executes the devices one
+//!   after the other on the calling thread and advances each device's
+//!   private clock independently;
 //! * device→host transfers are asynchronous per-GPU (each Keeneland GPU
 //!   has its own PCIe link): the host becomes ready at
 //!   `max_d(device_finish_d + transfer_d)` plus a per-message host
@@ -33,7 +34,6 @@ use crate::retry::RetryPolicy;
 use crate::stream::{Cmd, CopyEngine, Event, EventTable, Schedule};
 use ca_obs as obs;
 use ca_scalar::Precision;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Counters for the traffic study (Fig. 7 and the "# GPU-CPU comm." column
@@ -490,22 +490,21 @@ impl MultiGpu {
 
     // ---------- execution ----------
 
-    /// Run `f` on every device concurrently (real threads), collecting the
-    /// per-device results. Device clocks advance independently — no
-    /// implicit barrier. A cost-only machine has no arithmetic to spread
-    /// over threads and runs the devices in turn.
+    /// Run `f` on every device in turn, collecting the per-device results.
+    /// The devices are concurrent on the simulated clock only: each one's
+    /// private clock advances by what `f` launches on it — no implicit
+    /// barrier — while the host executes them one after the other. The
+    /// bounds are those of a threaded executor, so that no caller comes to
+    /// depend on the order.
     pub fn run_map<R, F>(&mut self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &mut Device) -> R + Sync,
     {
-        if self.is_cost_only() {
-            return self.devices.iter_mut().enumerate().map(|(i, d)| f(i, d)).collect();
-        }
-        self.devices.par_iter_mut().enumerate().map(|(i, d)| f(i, d)).collect()
+        self.devices.iter_mut().enumerate().map(|(i, d)| f(i, d)).collect()
     }
 
-    /// Run `f` on every device concurrently, discarding results.
+    /// Run `f` on every device, discarding results.
     pub fn run<F>(&mut self, f: F)
     where
         F: Fn(usize, &mut Device) + Sync,

@@ -17,9 +17,10 @@
 
 use crate::device::{Device, SpStorage};
 use crate::faults::{FaultPlan, SdcKind, SdcTargets};
-use crate::kernel_bits::{last_kernel, same, Rng};
+use crate::kernel_bits::{last_kernel, same};
 use crate::model::PerfModel;
 use crate::stream::Cmd;
+use ca_scalar::rng::SplitMix64;
 use ca_scalar::Precision;
 use ca_sparse::{Coo, Csr, Ell, Hyb};
 use std::ops::Range;
@@ -120,40 +121,40 @@ fn ref_shift_scatter(
 const N: usize = 203;
 
 /// Rows of 0 to 9 entries and one hub row that gives the hybrid format a tail.
-fn irregular(rng: &mut Rng) -> Csr {
+fn irregular(rng: &mut SplitMix64) -> Csr {
     let mut c = Coo::new(N, N);
     for i in 0..N {
-        let len = if i == 77 { 40 } else { (rng.next() % 10) as usize };
-        let first = (rng.next() % N as u64) as usize;
+        let len = if i == 77 { 40 } else { (rng.next_u64() % 10) as usize };
+        let first = (rng.next_u64() % N as u64) as usize;
         for k in 0..len {
-            c.add(i, (first + 5 * k) % N, rng.value());
+            c.add(i, (first + 5 * k) % N, rng.wide());
         }
     }
     c.to_csr()
 }
 
-fn finite(rng: &mut Rng) -> Vec<f64> {
-    (0..N).map(|_| rng.value()).collect()
+fn finite(rng: &mut SplitMix64) -> Vec<f64> {
+    (0..N).map(|_| rng.wide()).collect()
 }
 
 /// NaN, both infinities, `-0.0` and a finite value that rounds to an
 /// infinity in `f32`, planted among ordinary values.
-fn poisoned(rng: &mut Rng, n: usize) -> Vec<f64> {
+fn poisoned(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
     (0..n)
-        .map(|_| match rng.next() % 24 {
+        .map(|_| match rng.next_u64() % 24 {
             0 => f64::NAN,
             1 => f64::INFINITY,
             2 => f64::NEG_INFINITY,
             3 => -0.0,
             4 => 1e39,
-            _ => rng.value(),
+            _ => rng.wide(),
         })
         .collect()
 }
 
 /// The contiguous local block, scattered level rows, a lone row, no rows.
-fn row_sets(rng: &mut Rng) -> Vec<Vec<u32>> {
-    let scattered = (0..N as u32).filter(|_| rng.next().is_multiple_of(3)).collect();
+fn row_sets(rng: &mut SplitMix64) -> Vec<Vec<u32>> {
+    let scattered = (0..N as u32).filter(|_| rng.next_u64().is_multiple_of(3)).collect();
     vec![(40..121).collect(), scattered, vec![77], Vec::new()]
 }
 
@@ -236,7 +237,7 @@ fn fault_arms() -> [Option<Arc<FaultPlan>>; 2] {
 /// The SpMV input of one arm: NaN and infinities without a fault plan,
 /// finite under SDC — a flipped exponent bit turns a NaN into a number whose
 /// sign and mantissa are the NaN's payload, which no kernel promises.
-fn input(rng: &mut Rng, faults: &Option<Arc<FaultPlan>>) -> Vec<f64> {
+fn input(rng: &mut SplitMix64, faults: &Option<Arc<FaultPlan>>) -> Vec<f64> {
     if faults.is_some() {
         finite(rng)
     } else {
@@ -258,7 +259,7 @@ const STEPS: [(f64, f64, f64); 7] = [
 
 #[test]
 fn scatter_kernels_match_the_collecting_bodies() {
-    let mut rng = Rng(0x2014_0527);
+    let mut rng = SplitMix64::new(0x2014_0527);
     let a = irregular(&mut rng);
     let mut cases = 0;
     for rows in row_sets(&mut rng) {
@@ -312,7 +313,7 @@ fn scatter_kernels_match_the_collecting_bodies() {
 
 #[test]
 fn spmv_to_mat_col_matches_the_copying_body() {
-    let mut rng = Rng(108);
+    let mut rng = SplitMix64::new(108);
     let a = irregular(&mut rng);
     for rows in row_sets(&mut rng) {
         for fp in FORMATS {
@@ -324,7 +325,7 @@ fn spmv_to_mat_col_matches_the_copying_body() {
                 let v = d.alloc_mat(rows.len(), 3).expect("fits");
                 let xs = input(&mut rng, &faults);
                 d.vec_mut(x).copy_from_slice(&xs);
-                let side: Vec<f64> = (0..rows.len()).map(|_| rng.value()).collect();
+                let side: Vec<f64> = (0..rows.len()).map(|_| rng.wide()).collect();
                 d.mat_mut(v).set_col(0, &side);
                 d.mat_mut(v).set_col(2, &side);
                 let op = d.ops();
@@ -350,10 +351,12 @@ fn spmv_to_mat_col_matches_the_copying_body() {
 
 /// The slices of one step: the contiguous local block (`40..121`, or no
 /// rows at all), then the boundary levels.
-fn part_sets(rng: &mut Rng) -> Vec<(&'static str, Vec<Vec<u32>>)> {
+fn part_sets(rng: &mut SplitMix64) -> Vec<(&'static str, Vec<Vec<u32>>)> {
     let local: Vec<u32> = (40..121).collect();
-    let outside = |rng: &mut Rng, every: u64| -> Vec<u32> {
-        (0..N as u32).filter(|r| !local.contains(r) && rng.next().is_multiple_of(every)).collect()
+    let outside = |rng: &mut SplitMix64, every: u64| -> Vec<u32> {
+        (0..N as u32)
+            .filter(|r| !local.contains(r) && rng.next_u64().is_multiple_of(every))
+            .collect()
     };
     let (near, far) = (outside(rng, 3), outside(rng, 5));
     vec![
@@ -393,7 +396,7 @@ fn loaded(
 
 #[test]
 fn fused_step_is_the_per_slice_sequence_less_its_launches() {
-    let mut rng = Rng(0x0521);
+    let mut rng = SplitMix64::new(0x0521);
     let a = irregular(&mut rng);
     let model = PerfModel::default();
     let launch = model.launch_s;
@@ -403,7 +406,7 @@ fn fused_step_is_the_per_slice_sequence_less_its_launches() {
             for step in STEPS {
                 let prec = fp.1;
                 let (x, old) = (poisoned(&mut rng, N), poisoned(&mut rng, N));
-                let side: Vec<f64> = (0..parts[0].len()).map(|_| rng.value()).collect();
+                let side: Vec<f64> = (0..parts[0].len()).map(|_| rng.wide()).collect();
                 let what = format!("{name}, {fp:?}, step {step:?}");
                 let run = |fused: bool| {
                     let (mut d, ids, (zc, zn), v) =
@@ -466,7 +469,7 @@ fn the_one_sdc_hit_lands_in_the_concatenated_spmv_output() {
     // the outputs of the slices, local block first, are one array to the
     // hit: undoing the flip on the oracle's y is the only difference
     // between a faulty step and a clean one
-    let mut rng = Rng(5);
+    let mut rng = SplitMix64::new(5);
     let a = irregular(&mut rng);
     let plan = FaultPlan::new(9).with_sdc(1.0, SdcTargets::spmv_only());
     let e = plan.sdc_event(0, 0, SdcKind::Spmv).expect("rate 1 hits every op");
@@ -512,7 +515,7 @@ fn the_one_sdc_hit_lands_in_the_concatenated_spmv_output() {
 
 #[test]
 fn local_block_copies_match_the_indexed_loops() {
-    let mut rng = Rng(7);
+    let mut rng = SplitMix64::new(7);
     let model = PerfModel::default();
     for range in [40..121, 0..N, 9..10, 5..5] {
         let rows: Vec<u32> = range.clone().map(|r| r as u32).collect();
@@ -552,7 +555,7 @@ fn local_block_copies_match_the_indexed_loops() {
 
 #[test]
 fn lost_device_runs_no_sparse_kernel() {
-    let mut rng = Rng(1);
+    let mut rng = SplitMix64::new(1);
     let a = irregular(&mut rng);
     let local: Range<usize> = 40..121;
     let rows: Vec<u32> = local.clone().map(|r| r as u32).collect();
@@ -600,13 +603,13 @@ const ROW_COUNTS: [usize; 9] = [0, 1, 7, 8, 9, WINDOW - 1, WINDOW, WINDOW + 1, 2
 /// `n x n` with `lens[i]` entries in row `i`, from column `i + 1` on
 /// (cyclically, so its padding column `i` comes last) and none in a column
 /// of `avoid`.
-fn rows_of(lens: &[usize], avoid: &[usize], rng: &mut Rng) -> Csr {
+fn rows_of(lens: &[usize], avoid: &[usize], rng: &mut SplitMix64) -> Csr {
     let n = lens.len();
     let mut c = Coo::new(n, n);
     for (i, &len) in lens.iter().enumerate() {
         let free = (1..=n).map(|k| (i + k) % n).filter(|j| !avoid.contains(j));
         for j in free.take(len) {
-            c.add(i, j, rng.value());
+            c.add(i, j, rng.wide());
         }
     }
     c.to_csr()
@@ -614,13 +617,13 @@ fn rows_of(lens: &[usize], avoid: &[usize], rng: &mut Rng) -> Csr {
 
 /// Runs of equal rows, runs of empty rows, rows of up to nine entries and
 /// one of 40 per window (the hybrid format's tail).
-fn windowed(rng: &mut Rng, n: usize) -> Csr {
+fn windowed(rng: &mut SplitMix64, n: usize) -> Csr {
     let lens: Vec<usize> = (0..n)
         .map(|i| match (i % WINDOW, i / 16 % 4) {
             (77, _) => 40,
             (_, 0) => 3,
             (_, 1) => 0,
-            _ => (rng.next() % 10) as usize,
+            _ => (rng.next_u64() % 10) as usize,
         })
         .collect();
     rows_of(&lens, &[], rng)
@@ -628,7 +631,7 @@ fn windowed(rng: &mut Rng, n: usize) -> Csr {
 
 #[test]
 fn sorted_windows_do_not_show_through_the_device() {
-    let mut rng = Rng(20);
+    let mut rng = SplitMix64::new(20);
     for n in ROW_COUNTS {
         let a = windowed(&mut rng, n);
         let rows: Vec<u32> = (0..n as u32).collect();
@@ -670,12 +673,12 @@ fn one_kept_padding_slot_poisons_what_all_of_them_did() {
     const FULL: usize = WINDOW + 9;
     const { assert!(SHORT < KEPT && KEPT < WINDOW) };
     let n = 2 * WINDOW + 3;
-    let mut rng = Rng(0x5e11);
+    let mut rng = SplitMix64::new(0x5e11);
     let mut lens = vec![1; n];
     (lens[SHORT], lens[KEPT], lens[FULL]) = (2, 5, 9);
     let a = rows_of(&lens, &[SHORT, KEPT, FULL], &mut rng);
     let rows: Vec<u32> = (0..n as u32).collect();
-    let clean: Vec<f64> = (0..n).map(|_| rng.value()).collect();
+    let clean: Vec<f64> = (0..n).map(|_| rng.wide()).collect();
 
     for fp in FORMATS {
         let (st, width, _) = storage(&a, &rows, fp);

@@ -24,9 +24,8 @@
 //! flush, and [`finish`] then returns only the tail.
 //! When no session is active every recording call is a no-op behind a single
 //! thread-local boolean check, so uninstrumented runs pay (almost) nothing.
-//! The driver code runs on the caller's thread; rayon worker closures never
-//! emit, which keeps the event order deterministic regardless of
-//! `RAYON_NUM_THREADS`.
+//! The driver code runs on the caller's thread and is the only emitter, so
+//! the event order is that of the program.
 //!
 //! Exporters live in [`export`] (Perfetto `chrome://tracing` JSON with
 //! process/thread metadata and counter tracks; folded stacks for flamegraph

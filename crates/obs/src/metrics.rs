@@ -15,7 +15,7 @@
 //! biased exponent selects an octave and the top [`SUB_BITS`] mantissa
 //! bits split it into [`SUBS_PER_OCTAVE`] linear sub-buckets (HDR-style).
 //! The index is a pure function of the bits — no `log` call, no libm, no
-//! platform variance — so two runs, or two rayon thread counts, always
+//! platform variance — so two runs, or two shardings of one run, always
 //! bucket identically and merged counts are exactly the sum of their
 //! parts. Relative bucket width is at most `1/16` of an octave (≈ 6.3%),
 //! so a midpoint representative answers quantile queries within ~3.2%.
@@ -731,12 +731,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shard_merge_is_thread_count_invariant() {
-        // the pattern the recorder relies on: shards built on worker
-        // threads fold into one histogram whose buckets/count/extrema are
-        // bitwise identical to a sequential build, whatever
-        // RAYON_NUM_THREADS says (CI runs this under 1 and 4)
-        use rayon::prelude::*;
+    fn shard_merge_in_order_matches_the_sequential_build() {
+        // the pattern the recorder relies on: shards built apart fold, in
+        // shard order, into one histogram whose buckets/count/extrema are
+        // bitwise identical to a sequential build
         let values: Vec<f64> =
             (0..1000).map(|i| 1e-6 * (1.003f64).powi(i) + (i % 7) as f64).collect();
         let mut seq = HistogramData::default();
@@ -744,7 +742,7 @@ mod tests {
             seq.observe(v);
         }
         let shards: Vec<HistogramData> = values
-            .par_chunks(17)
+            .chunks(17)
             .map(|chunk| {
                 let mut h = HistogramData::default();
                 for &v in chunk {
@@ -753,39 +751,41 @@ mod tests {
                 h
             })
             .collect();
-        let mut par = HistogramData::default();
+        let mut merged = HistogramData::default();
         for s in &shards {
-            par.merge(s);
+            merged.merge(s);
         }
-        assert_eq!(par.buckets, seq.buckets);
-        assert_eq!((par.count, par.min, par.max), (seq.count, seq.min, seq.max));
-        assert!((par.sum - seq.sum).abs() <= 1e-9 * seq.sum.abs());
+        assert_eq!(merged.buckets, seq.buckets);
+        assert_eq!((merged.count, merged.min, merged.max), (seq.count, seq.min, seq.max));
+        assert!((merged.sum - seq.sum).abs() <= 1e-9 * seq.sum.abs());
     }
 
-    proptest::proptest! {
-        /// Any sharding of any observation sequence merges to exactly the
-        /// sequential bucket vector, and the bucket counts always sum to
-        /// `count`.
-        #[test]
-        fn merged_buckets_match_sequential(
-            values in proptest::prelude::prop::collection::vec(1e-9f64..1e9, 1..200),
-            nshards in 1usize..8,
-        ) {
+    /// Any sharding of any observation sequence merges to exactly the
+    /// sequential bucket vector, and the bucket counts always sum to
+    /// `count`.
+    #[test]
+    fn merged_buckets_match_sequential() {
+        ca_scalar::cases(256, |rng| {
+            // log-uniform over 1e-9..1e9: every octave of the bucket grid
+            let values: Vec<f64> =
+                (0..rng.index(1..200)).map(|_| 10f64.powf(rng.in_range(-9.0, 9.0))).collect();
+            let nshards = rng.index(1..8);
             let mut seq = HistogramData::default();
-            for &v in &values { seq.observe(v); }
+            for &v in &values {
+                seq.observe(v);
+            }
             let mut shards = vec![HistogramData::default(); nshards];
             for (i, &v) in values.iter().enumerate() {
                 shards[i % nshards].observe(v);
             }
             let mut merged = HistogramData::default();
-            for s in &shards { merged.merge(s); }
+            for s in &shards {
+                merged.merge(s);
+            }
             assert_eq!(merged.buckets, seq.buckets);
             assert_eq!(merged.count, values.len() as u64);
-            assert_eq!(
-                merged.buckets.iter().map(|&(_, n)| n).sum::<u64>(),
-                merged.count
-            );
-        }
+            assert_eq!(merged.buckets.iter().map(|&(_, n)| n).sum::<u64>(), merged.count);
+        });
     }
 
     #[test]

@@ -17,6 +17,15 @@
 //! containers whose values have been *quantized* through `f32`
 //! ([`Precision::quantize`]); this keeps the solver's data movement
 //! bitwise-deterministic while making every rounding step explicit.
+//!
+//! Being the one crate everything depends on, it also holds the
+//! workspace's seeded generators ([`rng`]) and the case runner its property
+//! tests use ([`cases`]).
+
+mod cases;
+pub mod rng;
+
+pub use cases::cases;
 
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};

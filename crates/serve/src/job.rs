@@ -1,6 +1,6 @@
 //! Job requests and the seeded open-loop arrival process.
 
-use ca_chaos::schedule::SplitMix64;
+use ca_scalar::rng::SplitMix64;
 
 /// One solve request submitted to the service.
 #[derive(Debug, Clone)]

@@ -37,7 +37,6 @@
 
 use crate::Csr;
 use ca_scalar::Scalar;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 
 /// Rows per chunk. Chosen by measurement on the reference box (4, 8 and 16
@@ -56,9 +55,6 @@ const _: () = assert!(SIGMA.is_multiple_of(CHUNK) && SIGMA <= 1 << 16);
 /// boundaries. No result and no price depends on it.
 #[doc(hidden)]
 pub const WINDOW_ROWS: usize = SIGMA;
-
-/// Host slots below which [`Ell::spmv`] stays on the calling thread.
-const PAR_THRESHOLD: usize = 200_000;
 
 /// `B::from_f64(a.to_f64())`: the identity between equal types, `as`
 /// rounding from `f64` to `f32`, exact from `f32` to `f64`.
@@ -211,11 +207,6 @@ impl<T: Scalar> Ell<T> {
     }
 
     /// `y := A x`, every row summed over its slots in order from `+0.0`.
-    ///
-    /// Large matrices are processed in parallel ranges of whole windows
-    /// (rayon); each output row is owned by exactly one task and its slot
-    /// order does not depend on the split, so results are bitwise identical
-    /// to the sequential path.
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
         self.spmv_as(x, y);
     }
@@ -233,20 +224,7 @@ impl<T: Scalar> Ell<T> {
     pub(crate) fn spmv_as<V: Scalar>(&self, x: &[V], y: &mut [V]) {
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        if self.host_slots() < PAR_THRESHOLD {
-            self.spmv_windows(x, y, 0);
-        } else {
-            let rows = self.rows_per_task(rayon::current_num_threads());
-            y.par_chunks_mut(rows).enumerate().for_each(|(ti, yt)| {
-                self.spmv_windows(x, yt, ti * rows / SIGMA);
-            });
-        }
-    }
-
-    /// Rows each of `threads` tasks takes: whole windows, so that a task
-    /// owns every row its chunks scatter to.
-    fn rows_per_task(&self, threads: usize) -> usize {
-        self.nrows.div_ceil(threads.max(1)).max(1024).next_multiple_of(SIGMA)
+        self.spmv_windows(x, y, 0);
     }
 
     /// Rows `[window0 * SIGMA, window0 * SIGMA + y.len())`: whole windows,
@@ -329,6 +307,7 @@ mod tests {
     use super::slot_major::SlotMajorEll;
     use super::*;
     use crate::{Coo, Hyb};
+    use ca_scalar::rng::SplitMix64;
 
     fn sample() -> Csr {
         let mut c = Coo::new(3, 3);
@@ -405,54 +384,37 @@ mod tests {
 
     // ---------- bit-for-bit against the slot-major oracle ----------
 
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn value(&mut self) -> f64 {
-            let u = (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
-            u * if self.next() & 7 == 0 { 1e6 } else { 1.0 }
-        }
-
-        /// `nrows x ncols` with row lengths `0..=max_len`: empty rows, short
-        /// rows and (when `max_len > 0`) at least one full-width row.
-        fn matrix(&mut self, nrows: usize, ncols: usize, max_len: usize) -> Csr {
-            let mut c = Coo::new(nrows, ncols);
-            for i in 0..nrows {
-                let len = match self.next() % 5 {
-                    0 => 0,
-                    1 => max_len,
-                    _ => (self.next() % (max_len as u64 + 1)) as usize,
-                };
-                let len = if i == nrows / 2 { max_len } else { len }.min(ncols);
-                let first = (self.next() % ncols.max(1) as u64) as usize;
-                for k in 0..len {
-                    c.add(i, (first + k * 3) % ncols, self.value());
-                }
+    /// `nrows x ncols` with row lengths `0..=max_len`: empty rows, short
+    /// rows and (when `max_len > 0`) at least one full-width row.
+    fn matrix(rng: &mut SplitMix64, nrows: usize, ncols: usize, max_len: usize) -> Csr {
+        let mut c = Coo::new(nrows, ncols);
+        for i in 0..nrows {
+            let len = match rng.next_u64() % 5 {
+                0 => 0,
+                1 => max_len,
+                _ => (rng.next_u64() % (max_len as u64 + 1)) as usize,
+            };
+            let len = if i == nrows / 2 { max_len } else { len }.min(ncols);
+            let first = (rng.next_u64() % ncols.max(1) as u64) as usize;
+            for k in 0..len {
+                c.add(i, (first + k * 3) % ncols, rng.wide());
             }
-            c.to_csr()
         }
+        c.to_csr()
+    }
 
-        /// A vector with NaN and both infinities planted, among them at the
-        /// pad columns `i % ncols` of short rows.
-        fn poisoned(&mut self, n: usize) -> Vec<f64> {
-            (0..n)
-                .map(|_| match self.next() % 16 {
-                    0 => f64::NAN,
-                    1 => f64::INFINITY,
-                    2 => f64::NEG_INFINITY,
-                    3 => -0.0,
-                    _ => self.value(),
-                })
-                .collect()
-        }
+    /// A vector with NaN and both infinities planted, among them at the
+    /// pad columns `i % ncols` of short rows.
+    fn poisoned(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| match rng.next_u64() % 16 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -0.0,
+                _ => rng.wide(),
+            })
+            .collect()
     }
 
     fn same<T: Scalar>(x: T, y: T) -> bool {
@@ -471,12 +433,12 @@ mod tests {
 
     #[test]
     fn chunked_spmv_matches_the_slot_major_loop() {
-        let mut rng = Rng(0x2014_0527);
+        let mut rng = SplitMix64::new(0x2014_0527);
         let mut shapes = 0;
         for nrows in ROWS {
             for (ncols, max_len) in [(1, 1), (5, 0), (13, 4), (nrows.max(2), 9), (40, 23)] {
-                let a = rng.matrix(nrows, ncols, max_len);
-                for x in [rng.poisoned(ncols), (0..ncols).map(|_| rng.value()).collect()] {
+                let a = matrix(&mut rng, nrows, ncols, max_len);
+                for x in [poisoned(&mut rng, ncols), (0..ncols).map(|_| rng.wide()).collect()] {
                     check_ell(&a, &x, &format!("{nrows}x{ncols}, rows up to {max_len}"));
                     shapes += 1;
                 }
@@ -487,11 +449,11 @@ mod tests {
 
     #[test]
     fn hyb_matches_slot_major_ell_plus_its_coo_tail() {
-        let mut rng = Rng(108);
+        let mut rng = SplitMix64::new(108);
         for nrows in ROWS {
             let ncols = nrows.max(3);
-            let a = rng.matrix(nrows, ncols, 11);
-            let x = rng.poisoned(ncols);
+            let a = matrix(&mut rng, nrows, ncols, 11);
+            let x = poisoned(&mut rng, ncols);
             for width in [0, 1, 4, 11] {
                 check_hyb(&a, &x, width, &format!("{nrows} rows, width {width}"));
             }
@@ -573,12 +535,12 @@ mod tests {
 
     /// Rows of the given lengths over `ncols` columns, row `i` starting at
     /// column `(5 * i + 1) % ncols` and never touching column `avoid`.
-    fn with_lengths(lens: &[usize], ncols: usize, avoid: usize, rng: &mut Rng) -> Csr {
+    fn with_lengths(lens: &[usize], ncols: usize, avoid: usize, rng: &mut SplitMix64) -> Csr {
         let mut c = Coo::new(lens.len(), ncols);
         for (i, &len) in lens.iter().enumerate() {
             let free = (0..ncols).map(|k| (5 * i + 1 + k) % ncols).filter(|&j| j != avoid);
             for j in free.take(len) {
-                c.add(i, j, rng.value());
+                c.add(i, j, rng.wide());
             }
         }
         c.to_csr()
@@ -586,7 +548,7 @@ mod tests {
 
     #[test]
     fn sorted_windows_match_the_slot_major_loop() {
-        let mut rng = Rng(20);
+        let mut rng = SplitMix64::new(20);
         let n = 2 * SIGMA + 3;
         let padded_rows = n.next_multiple_of(CHUNK);
         // (what, row lengths, host slots where they are worth spelling out)
@@ -616,7 +578,7 @@ mod tests {
             if let Some(slots) = slots {
                 assert_eq!(e.host_slots(), slots, "{what}");
             }
-            for x in [rng.poisoned(40), (0..40).map(|_| rng.value()).collect()] {
+            for x in [poisoned(&mut rng, 40), (0..40).map(|_| rng.wide()).collect()] {
                 let y = check_all_paths(&a, &x, 2, what);
                 if e.width() == 0 {
                     assert!(y.iter().all(|v| v.to_bits() == 0), "{what}: rows without slots");
@@ -638,7 +600,7 @@ mod tests {
         const KEPT: usize = PAD + NCOLS;
         const FULL: usize = PAD + 23 * NCOLS;
         const { assert!(FULL >= SIGMA && FULL % NCOLS == PAD) };
-        let mut rng = Rng(0x5e11);
+        let mut rng = SplitMix64::new(0x5e11);
         let mut lens = vec![1usize; 24 * NCOLS];
         (lens[SHORT], lens[KEPT], lens[FULL]) = (2, 5, 9);
         let a = with_lengths(&lens, NCOLS, PAD, &mut rng);
@@ -652,7 +614,7 @@ mod tests {
         let chunks = (SIGMA / CHUNK, (lens.len() - SIGMA).div_ceil(CHUNK));
         assert_eq!(e.host_slots(), CHUNK * (6 + (chunks.0 - 1) * 2 + 9 + (chunks.1 - 1) * 2));
 
-        let clean: Vec<f64> = (0..NCOLS).map(|_| rng.value()).collect();
+        let clean: Vec<f64> = (0..NCOLS).map(|_| rng.wide()).collect();
         let y_clean = check_all_paths(&a, &clean, 3, "clean");
         assert!(y_clean.iter().all(|v| v.is_finite()));
         // 1e39 is finite in f64 and rounds to +Inf in f32
@@ -714,10 +676,10 @@ mod tests {
 
     #[test]
     fn parallel_split_matches_the_slot_major_loop() {
-        // above the threshold, a row count that is no multiple of the chunk
+        // a row count that is no multiple of the chunk
         let a = crate::gen::laplace2d(301, 299);
         let e = Ell::from_csr(&a);
-        assert!(e.host_slots() >= PAR_THRESHOLD && !a.nrows().is_multiple_of(CHUNK));
+        assert!(!a.nrows().is_multiple_of(CHUNK));
         let mut x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.001).sin()).collect();
         x[a.nrows() - 1] = f64::NAN;
         x[12_345] = f64::INFINITY;
@@ -725,38 +687,33 @@ mod tests {
         e.spmv(&x, &mut got);
         let mut want = vec![0.0; a.nrows()];
         SlotMajorEll::from_csr(&a).spmv(&x, &mut want);
-        assert_bits(&got, &want, "parallel f64");
-        // and the split itself is invisible
+        assert_bits(&got, &want, "f64");
+        // and `spmv` is the window loop from the first window on
         let mut seq = vec![0.0; a.nrows()];
         e.spmv_windows(&x, &mut seq, 0);
-        assert_bits(&got, &seq, "parallel vs sequential");
+        assert_bits(&got, &seq, "spmv vs spmv_windows");
     }
 
     #[test]
     fn window_aligned_split_matches_the_sequential_loop() {
-        // irregular rows, so that every window is really permuted; the tasks
-        // are run one after the other here — what is under test is which
-        // rows and chunks each of them takes
-        let mut rng = Rng(4);
+        // irregular rows, so that every window is really permuted; what is
+        // under test is which rows and chunks `spmv_windows` takes when it
+        // starts at a window other than the first
+        let mut rng = SplitMix64::new(4);
         let nrows = 5 * 1024 + 77;
-        let a = rng.matrix(nrows, 600, 9);
+        let a = matrix(&mut rng, nrows, 600, 9);
         let e = Ell::from_csr(&a);
         assert!(e.out_row.chunks(SIGMA).all(|w| w.windows(2).any(|p| p[0] > p[1])));
-        let x = rng.poisoned(600);
+        let x = poisoned(&mut rng, 600);
         let mut want = vec![0.0; nrows];
         SlotMajorEll::from_csr(&a).spmv(&x, &mut want);
-        let mut sizes = Vec::new();
-        for threads in [1, 2, 3, 4, 5, 7, 64] {
-            let rows = e.rows_per_task(threads);
-            assert!(rows.is_multiple_of(SIGMA) && rows * threads >= nrows);
+        for windows in [1, 2, 3, 4, 6, 11] {
+            let rows = windows * SIGMA;
             let mut got = vec![-7.0; nrows];
             for (ti, yt) in got.chunks_mut(rows).enumerate() {
-                e.spmv_windows(&x, yt, ti * rows / SIGMA);
+                e.spmv_windows(&x, yt, ti * windows);
             }
-            assert_bits(&got, &want, &format!("{threads} tasks"));
-            sizes.push(rows);
+            assert_bits(&got, &want, &format!("{windows} windows at a time"));
         }
-        sizes.dedup();
-        assert!(sizes.len() >= 4, "the thread counts must give different splits: {sizes:?}");
     }
 }

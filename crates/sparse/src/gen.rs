@@ -10,8 +10,7 @@
 //! mapping table.
 
 use crate::{Coo, Csr};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use ca_scalar::rng::Xoshiro256pp;
 
 /// 2-D 5-point Laplacian on an `nx x ny` grid (row-major vertex order).
 /// The canonical well-behaved SPD test matrix.
@@ -199,13 +198,13 @@ pub fn cantilever(nx: usize, ny: usize, nz: usize) -> Csr {
 /// ratio that partitioning dramatically improves, exactly the behaviour of
 /// Fig. 6's G3_circuit panel. Symmetric and diagonally dominant.
 pub fn circuit(n: usize, seed: u64) -> Csr {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
     // Scramble node labels: real netlists carry no index locality, which is
     // exactly why the paper's G3_circuit has a terrible surface-to-volume
     // ratio under the natural ordering (Fig. 6) until RCM/k-way rescue it.
     let mut label: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
+        let j = rng.index(0..i + 1);
         label.swap(i, j);
     }
     let mut c = Coo::new(n, n);
@@ -230,19 +229,19 @@ pub fn circuit(n: usize, seed: u64) -> Csr {
     for v in 0..n {
         // ~1.6 local nets per node (gives ~4.8 nnz/row with both directions
         // plus the diagonal).
-        let nlocal = if rng.gen_bool(0.6) { 2 } else { 1 };
+        let nlocal = if rng.chance(0.6) { 2 } else { 1 };
         for _ in 0..nlocal {
             // neighbor within a window; window size scales with sqrt(n) to
             // mimic a 2-D-ish layout locality.
             let win = ((n as f64).sqrt() as usize).max(4);
-            let off = rng.gen_range(1..=win);
-            let b = if rng.gen_bool(0.5) { v.saturating_sub(off) } else { (v + off).min(n - 1) };
-            add_edge(&mut c, &mut degree, &mut conn, v, b, 1.0 + rng.gen::<f64>());
+            let off = rng.index(1..win + 1);
+            let b = if rng.chance(0.5) { v.saturating_sub(off) } else { (v + off).min(n - 1) };
+            add_edge(&mut c, &mut degree, &mut conn, v, b, 1.0 + rng.unit());
         }
         // 5% long-range nets (power rails / global signals).
-        if rng.gen_bool(0.05) {
-            let b = rng.gen_range(0..n);
-            add_edge(&mut c, &mut degree, &mut conn, v, b, 0.5 + rng.gen::<f64>());
+        if rng.chance(0.05) {
+            let b = rng.index(0..n);
+            add_edge(&mut c, &mut degree, &mut conn, v, b, 0.5 + rng.unit());
         }
     }
     // Diagonally dominant diagonal (ground conductance keeps it SPD).
@@ -258,7 +257,7 @@ pub fn circuit(n: usize, seed: u64) -> Csr {
 /// ELLPACK storage (one hub row sets every row's slot count), which is
 /// what the HYB format exists for.
 pub fn circuit_hubbed(n: usize, seed: u64) -> Csr {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xDEADBEEF);
+    let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xDEADBEEF);
     let base = circuit(n, seed);
     let mut c = Coo::new(n, n);
     c.reserve(base.nnz() + 8 * 260);
@@ -266,12 +265,12 @@ pub fn circuit_hubbed(n: usize, seed: u64) -> Csr {
     // a handful of high-fanout nets (clock trees / power rails)
     let nhubs = (n / 5000).clamp(2, 8);
     for _ in 0..nhubs {
-        let hub = rng.gen_range(0..n);
-        let fanout = rng.gen_range(120..260);
+        let hub = rng.index(0..n);
+        let fanout = rng.index(120..260);
         for _ in 0..fanout {
-            let b = rng.gen_range(0..n);
+            let b = rng.index(0..n);
             if b != hub {
-                let w = 0.2 + rng.gen::<f64>();
+                let w = 0.2 + rng.unit();
                 c.add(hub, b, -w);
                 c.add(b, hub, -w);
                 extra_deg[hub] += w;
@@ -407,20 +406,20 @@ pub fn kkt(nx: usize, ny: usize, nz: usize) -> Csr {
 /// Random sparse matrix with about `row_nnz` off-diagonal entries per row
 /// and a dominant diagonal — well-conditioned, nonsymmetric, for tests.
 pub fn random_diag_dominant(n: usize, row_nnz: usize, seed: u64) -> Csr {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut c = Coo::new(n, n);
     c.reserve(n * (row_nnz + 1));
     for i in 0..n {
         let mut rowsum = 0.0;
         for _ in 0..row_nnz {
-            let j = rng.gen_range(0..n);
+            let j = rng.index(0..n);
             if j != i {
-                let v: f64 = rng.gen_range(-1.0..1.0);
+                let v = rng.in_range(-1.0, 1.0);
                 c.add(i, j, v);
                 rowsum += v.abs();
             }
         }
-        c.add(i, i, rowsum + 1.0 + rng.gen::<f64>());
+        c.add(i, i, rowsum + 1.0 + rng.unit());
     }
     c.to_csr()
 }
@@ -572,5 +571,18 @@ mod tests {
     fn generators_deterministic() {
         assert_eq!(circuit(300, 5), circuit(300, 5));
         assert_eq!(random_diag_dominant(50, 3, 1), random_diag_dominant(50, 3, 1));
+    }
+
+    /// The `ca-perf` x-hashes and `serve_mix` digests stand on this matrix:
+    /// the word-wise FNV of its CSR arrays, recorded at the parent commit
+    /// from the `rand` stand-in the benchmark built with.
+    #[test]
+    fn circuit_instance_is_pinned() {
+        let a = circuit(4000, 20140527);
+        let words = (a.row_ptr().iter().map(|&p| p as u64))
+            .chain(a.col_idx().iter().map(|&c| u64::from(c)))
+            .chain(a.values().iter().map(|v| v.to_bits()));
+        assert_eq!(a.nnz(), 16996);
+        assert_eq!(ca_obs::metrics::fnv1a_words(words), 0x4a581a4d54e0526e);
     }
 }

@@ -15,7 +15,7 @@
 //! * [`perm`] — permutation application.
 //! * [`balance`] — the row-then-column norm scaling the paper applies
 //!   before iterating (§VI).
-//! * [`spmv`] — sequential and rayon-parallel SpMV.
+//! * [`spmv`] — CSR SpMV and its transpose.
 //!
 //! ```
 //! use ca_sparse::{gen, spmv, Ell, Hyb};

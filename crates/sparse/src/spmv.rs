@@ -1,14 +1,13 @@
 //! Sparse matrix-vector products.
 //!
-//! [`spmv`] is the sequential CSR kernel; [`spmv_par`] is the
-//! rayon-threaded version standing in for the paper's threaded-MKL CPU
-//! baseline (Fig. 3's "CPU" line).
+//! [`spmv`] is the CSR kernel; it also stands in for the paper's
+//! threaded-MKL CPU baseline (Fig. 3's "CPU" line), whose time comes from
+//! the host side of the performance model, not from this loop.
 
 use crate::Csr;
 use ca_scalar::Scalar;
-use rayon::prelude::*;
 
-/// Sequential `y := A x` from CSR.
+/// `y := A x` from CSR.
 pub fn spmv<T: Scalar>(a: &Csr<T>, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), a.ncols());
     assert_eq!(y.len(), a.nrows());
@@ -20,21 +19,6 @@ pub fn spmv<T: Scalar>(a: &Csr<T>, x: &[T], y: &mut [T]) {
         }
         y[i] = s;
     }
-}
-
-/// Rayon-parallel `y := A x` from CSR (row-parallel; each output row is
-/// owned by exactly one task, so results are deterministic).
-pub fn spmv_par<T: Scalar>(a: &Csr<T>, x: &[T], y: &mut [T]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-        let (cols, vals) = a.row(i);
-        let mut s = T::ZERO;
-        for (&c, &v) in cols.iter().zip(vals) {
-            s += v * x[c as usize];
-        }
-        *yi = s;
-    });
 }
 
 /// `y := A^T x` (sequential; used by tests and the KKT generator).
@@ -75,17 +59,6 @@ mod tests {
         let mut y = [0.0; 3];
         spmv(&a, &x, &mut y);
         assert_eq!(y, [5.0, -2.0, 15.0]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let a = crate::gen::laplace2d(20, 20);
-        let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut y1 = vec![0.0; 400];
-        let mut y2 = vec![0.0; 400];
-        spmv(&a, &x, &mut y1);
-        spmv_par(&a, &x, &mut y2);
-        assert_eq!(y1, y2); // bitwise: same per-row summation order
     }
 
     #[test]

@@ -33,9 +33,9 @@ fn repeated_solves_are_bitwise_identical() {
 }
 
 #[test]
-fn simulated_time_independent_of_thread_scheduling() {
-    // run under different rayon parallelism by re-running; device clocks
-    // are computed analytically so wall-clock jitter must not leak in
+fn simulated_time_is_identical_across_reruns() {
+    // device clocks are computed analytically, so wall-clock jitter must
+    // not leak in
     let times: Vec<f64> = (0..3).map(|_| solve_once(2, 4).1).collect();
     assert!(times.windows(2).all(|w| w[0] == w[1]), "{times:?}");
 }
@@ -308,10 +308,7 @@ fn solve_mixed_once() -> (Vec<u64>, u64, u64, u64, u64, usize, bool) {
 
 /// Property (mixed precision): the f32-basis solve is as deterministic as
 /// the f64 one — repeated runs are bitwise identical in solution, clocks,
-/// and every counter, including the precision-labelled byte lanes. The CI
-/// determinism matrix re-runs this whole suite under different
-/// `RAYON_NUM_THREADS`, so the same assertion also pins thread-count
-/// independence.
+/// and every counter, including the precision-labelled byte lanes.
 #[test]
 fn mixed_precision_solve_is_bitwise_reproducible() {
     let r1 = solve_mixed_once();

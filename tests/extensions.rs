@@ -6,48 +6,44 @@
 
 use ca_gmres_repro::dense::{norms, qr, Mat};
 use ca_gmres_repro::gmres::precond::{Applied, Precond};
+use ca_gmres_repro::scalar::{cases, rng::SplitMix64};
 use ca_gmres_repro::sparse::hypergraph::{hypergraph_partition, Hypergraph};
 use ca_gmres_repro::sparse::{gen, spmv, Csr, Hyb};
-use proptest::prelude::*;
 
 fn random_csr(n: usize, row_nnz: usize, seed: u64) -> Csr {
     gen::random_diag_dominant(n, row_nnz, seed)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Cases per property.
+const CASES: usize = 24;
 
-    #[test]
-    fn hyb_spmv_always_matches_csr(
-        seed in 0u64..500,
-        n in 10usize..120,
-        row_nnz in 1usize..8,
-        quantile in 0.0f64..1.0,
-    ) {
-        let a = random_csr(n, row_nnz, seed);
-        let h = Hyb::from_csr(&a, quantile);
-        prop_assert_eq!(h.nnz(), a.nnz());
+#[test]
+fn hyb_spmv_always_matches_csr() {
+    cases(CASES, |rng| {
+        let (n, row_nnz) = (rng.index(10..120), rng.index(1..8));
+        let a = random_csr(n, row_nnz, rng.below(500));
+        let h = Hyb::from_csr(&a, rng.unit());
+        assert_eq!(h.nnz(), a.nnz());
         let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.13).cos()).collect();
         let mut y1 = vec![0.0; n];
         let mut y2 = vec![0.0; n];
         spmv::spmv(&a, &x, &mut y1);
         h.spmv(&x, &mut y2);
         for i in 0..n {
-            prop_assert!((y1[i] - y2[i]).abs() < 1e-11 * y1[i].abs().max(1.0));
+            assert!((y1[i] - y2[i]).abs() < 1e-11 * y1[i].abs().max(1.0));
         }
-    }
+    });
+}
 
-    #[test]
-    fn hypergraph_lambda_equals_mpk_scatter_at_s1(
-        nx in 4usize..10,
-        ny in 4usize..10,
-    ) {
-        // For s = 1, the MPK scatter volume sum_d |delta^(d,1)| equals the
-        // column-net (lambda - 1) metric of the block partition: both count,
-        // for every column, (number of parts needing it) - 1 ... for
-        // structurally symmetric matrices where column j is needed by part p
-        // iff p owns a row with a_ij != 0 and does not own row j.
-        let a = gen::laplace2d(nx, ny);
+#[test]
+fn hypergraph_lambda_equals_mpk_scatter_at_s1() {
+    // For s = 1, the MPK scatter volume sum_d |delta^(d,1)| equals the
+    // column-net (lambda - 1) metric of the block partition: both count,
+    // for every column, (number of parts needing it) - 1 ... for
+    // structurally symmetric matrices where column j is needed by part p
+    // iff p owns a row with a_ij != 0 and does not own row j.
+    cases(CASES, |rng| {
+        let a = gen::laplace2d(rng.index(4..10), rng.index(4..10));
         let n = a.nrows();
         let ndev = 3;
         let layout = ca_gmres_repro::gmres::layout::Layout::even(n, ndev);
@@ -55,24 +51,18 @@ proptest! {
         let (_, scatter) = plan.comm_volume_per_block();
         let hg = Hypergraph::column_net(&a);
         let part: Vec<u32> = (0..n).map(|v| layout.owner(v) as u32).collect();
-        prop_assert_eq!(hg.lambda_minus_one(&part, ndev), scatter);
-    }
+        assert_eq!(hg.lambda_minus_one(&part, ndev), scatter);
+    });
+}
 
-    #[test]
-    fn qrcp_rank_matches_construction(
-        seed in 1u64..500,
-        full_rank in 1usize..5,
-        extra in 0usize..3,
-    ) {
+#[test]
+fn qrcp_rank_matches_construction() {
+    cases(CASES, |rng| {
         // build a matrix with known rank: full_rank random columns plus
         // `extra` linear combinations of them
+        let (full_rank, extra) = (rng.index(1..5), rng.index(0..3));
         let m = 40;
-        let mut st = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut rnd = || {
-            st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let base = Mat::from_fn(m, full_rank, |_, _| rnd());
+        let base = Mat::from_fn(m, full_rank, |_, _| rng.unit() - 0.5);
         let k = full_rank + extra;
         let mut a = Mat::zeros(m, k);
         for j in 0..full_rank {
@@ -90,18 +80,17 @@ proptest! {
             a.set_col(full_rank + e, &col);
         }
         let f = qr::householder_qrcp(&a);
-        prop_assert_eq!(f.rank(1e-8), full_rank);
-        prop_assert!(norms::orthogonality_error(&f.q) < 1e-10);
-    }
+        assert_eq!(f.rank(1e-8), full_rank);
+        assert!(norms::orthogonality_error(&f.q) < 1e-10);
+    });
+}
 
-    #[test]
-    fn precond_recover_is_exact_inverse_of_m(
-        seed in 0u64..300,
-        n in 6usize..60,
-        block in 1usize..6,
-    ) {
+#[test]
+fn precond_recover_is_exact_inverse_of_m() {
+    cases(CASES, |rng| {
         // recover(M y) == y where M is reassembled from the block diagonal
-        let a = random_csr(n, 3, seed);
+        let (n, block) = (rng.index(6..60), rng.index(1..6));
+        let a = random_csr(n, 3, rng.below(300));
         let ap = Applied::build(&a, Precond::BlockJacobi { block });
         let y: Vec<f64> = (0..n).map(|i| ((i * 3 % 11) as f64) - 5.0).collect();
         // compute M y directly from A's block diagonal
@@ -116,10 +105,15 @@ proptest! {
         }
         let back = ap.recover(&my);
         for i in 0..n {
-            prop_assert!((back[i] - y[i]).abs() < 1e-7 * y[i].abs().max(1.0),
-                "i={}: {} vs {}", i, back[i], y[i]);
+            assert!(
+                (back[i] - y[i]).abs() < 1e-7 * y[i].abs().max(1.0),
+                "i={}: {} vs {}",
+                i,
+                back[i],
+                y[i]
+            );
         }
-    }
+    });
 }
 
 #[test]
@@ -186,14 +180,9 @@ fn fused_cgs_bitwise_matches_cgs_projections() {
             .map(|d| {
                 let dev = mg.device_mut(d);
                 let v = dev.alloc_mat(n / ndev, k).unwrap();
-                let mut st = (d as u64 + 5).wrapping_mul(0x9E3779B97F4A7C15) | 1;
+                let mut rng = SplitMix64::new(d as u64 + 5);
                 for j in 0..k {
-                    let col: Vec<f64> = (0..n / ndev)
-                        .map(|_| {
-                            st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-                        })
-                        .collect();
+                    let col: Vec<f64> = (0..n / ndev).map(|_| rng.in_range(-0.5, 0.5)).collect();
                     dev.mat_mut(v).set_col(j, &col);
                 }
                 v

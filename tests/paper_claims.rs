@@ -7,6 +7,7 @@ use ca_gmres_repro::gmres::mpk::MpkPlan;
 use ca_gmres_repro::gmres::newton::BasisSpec;
 use ca_gmres_repro::gmres::prelude::*;
 use ca_gmres_repro::gpusim::MultiGpu;
+use ca_gmres_repro::scalar::rng::SplitMix64;
 use ca_gmres_repro::sparse::{balance, gen, perm};
 
 fn flat_rhs(n: usize) -> Vec<f64> {
@@ -163,14 +164,9 @@ fn tsqr_message_phases_match_fig10() {
             .map(|d| {
                 let dev = mg.device_mut(d);
                 let v = dev.alloc_mat(50, k).unwrap();
-                let mut st = (d as u64 + 3).wrapping_mul(0x9E3779B97F4A7C15);
+                let mut rng = SplitMix64::new(d as u64 + 3);
                 for j in 0..k {
-                    let col: Vec<f64> = (0..50)
-                        .map(|_| {
-                            st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-                        })
-                        .collect();
+                    let col: Vec<f64> = (0..50).map(|_| rng.in_range(-0.5, 0.5)).collect();
                     dev.mat_mut(v).set_col(j, &col);
                 }
                 v

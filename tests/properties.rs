@@ -1,6 +1,7 @@
 #![allow(clippy::needless_range_loop)]
 
-//! Property-based tests over the core invariants, spanning crates.
+//! Property tests over the core invariants, spanning crates: seeded cases
+//! from [`ca_gmres_repro::scalar::cases`].
 
 use ca_gmres_repro::dense::{leja, norms, Mat};
 use ca_gmres_repro::gmres::layout::Layout;
@@ -8,8 +9,8 @@ use ca_gmres_repro::gmres::mpk::{mpk, MpkPlan, MpkState};
 use ca_gmres_repro::gmres::newton::BasisSpec;
 use ca_gmres_repro::gmres::orth::{tsqr, TsqrKind};
 use ca_gmres_repro::gpusim::{MatId, MultiGpu};
+use ca_gmres_repro::scalar::{cases, rng::Xoshiro256pp};
 use ca_gmres_repro::sparse::{balance, gen, perm, rcm, spmv};
-use proptest::prelude::*;
 
 /// Distribute a matrix (host Mat) over devices, returning MatIds.
 fn distribute(mg: &mut MultiGpu, full: &Mat) -> Vec<MatId> {
@@ -42,52 +43,46 @@ fn collect(mg: &MultiGpu, ids: &[MatId], n: usize, cols: usize) -> Mat {
     out
 }
 
-fn random_tall(n: usize, k: usize, seed: u64) -> Mat {
-    let mut state = seed | 1;
-    Mat::from_fn(n, k, |_, _| {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-    })
+/// Entries uniform in `[-0.5, 0.5)`.
+fn random_tall(n: usize, k: usize, rng: &mut Xoshiro256pp) -> Mat {
+    Mat::from_fn(n, k, |_, _| rng.unit() - 0.5)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Cases per property.
+const CASES: usize = 24;
 
-    #[test]
-    fn tsqr_invariants_hold(
-        seed in 1u64..5000,
-        kind_idx in 0usize..5,
-        ndev in 1usize..4,
-        k in 2usize..8,
-    ) {
-        let kind = [TsqrKind::Mgs, TsqrKind::Cgs, TsqrKind::CholQr, TsqrKind::SvQr, TsqrKind::Caqr][kind_idx];
+#[test]
+fn tsqr_invariants_hold() {
+    const KINDS: [TsqrKind; 5] =
+        [TsqrKind::Mgs, TsqrKind::Cgs, TsqrKind::CholQr, TsqrKind::SvQr, TsqrKind::Caqr];
+    cases(CASES, |rng| {
+        let kind = KINDS[rng.index(0..5)];
+        let (ndev, k) = (rng.index(1..4), rng.index(2..8));
         let n = 120;
-        let full = random_tall(n, k, seed);
+        let full = random_tall(n, k, rng);
         let mut mg = MultiGpu::with_defaults(ndev);
         let ids = distribute(&mut mg, &full);
         let r = tsqr(&mut mg, &ids, 0, k, kind, true).unwrap();
         let q = collect(&mg, &ids, n, k);
         // Q has orthonormal columns
-        prop_assert!(norms::orthogonality_error(&q) < 1e-9);
+        assert!(norms::orthogonality_error(&q) < 1e-9, "{kind:?}");
         // QR reconstructs the input
-        prop_assert!(norms::factorization_error(&full, &q, &r) < 1e-11);
+        assert!(norms::factorization_error(&full, &q, &r) < 1e-11, "{kind:?}");
         // R upper triangular with positive diagonal
         for j in 0..k {
-            prop_assert!(r[(j, j)] > 0.0);
+            assert!(r[(j, j)] > 0.0);
             for i in j + 1..k {
-                prop_assert_eq!(r[(i, j)], 0.0);
+                assert_eq!(r[(i, j)], 0.0);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn mpk_equals_repeated_spmv(
-        nx in 4usize..9,
-        ny in 4usize..9,
-        ndev in 1usize..4,
-        s in 1usize..5,
-    ) {
-        let a = gen::laplace2d(nx, ny);
+#[test]
+fn mpk_equals_repeated_spmv() {
+    cases(CASES, |rng| {
+        let a = gen::laplace2d(rng.index(4..9), rng.index(4..9));
+        let (ndev, s) = (rng.index(1..4), rng.index(1..5));
         let n = a.nrows();
         let layout = Layout::even(n, ndev);
         let plan = MpkPlan::new(&a, &layout, s);
@@ -113,20 +108,23 @@ proptest! {
                 let lo = layout.range(d).start;
                 let col = mg.device(d).mat(v_ids[d]).col(k);
                 for (i, &cv) in col.iter().enumerate() {
-                    prop_assert!((cv - y[lo + i]).abs() < 1e-11 * y[lo + i].abs().max(1.0));
+                    assert!((cv - y[lo + i]).abs() < 1e-11 * y[lo + i].abs().max(1.0));
                 }
             }
             xk = y;
         }
-    }
+    });
+}
 
-    #[test]
-    fn rcm_permutation_preserves_spectrum_action(seed in 0u64..1000, n in 20usize..80) {
-        let a = gen::random_diag_dominant(n, 4, seed);
+#[test]
+fn rcm_permutation_preserves_spectrum_action() {
+    cases(CASES, |rng| {
+        let n = rng.index(20..80);
+        let a = gen::random_diag_dominant(n, 4, rng.below(1000));
         let p = rcm::rcm_permutation(&a);
-        prop_assert!(perm::is_permutation(&p, n));
+        assert!(perm::is_permutation(&p, n));
         let b = perm::permute_symmetric(&a, &p);
-        prop_assert_eq!(a.nnz(), b.nnz());
+        assert_eq!(a.nnz(), b.nnz());
         // action equivalence on a vector
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         let mut y1 = vec![0.0; n];
@@ -136,13 +134,16 @@ proptest! {
         spmv::spmv(&b, &xp, &mut y2);
         let y1p = perm::permute_vec(&y1, &p);
         for i in 0..n {
-            prop_assert!((y1p[i] - y2[i]).abs() < 1e-12);
+            assert!((y1p[i] - y2[i]).abs() < 1e-12);
         }
-    }
+    });
+}
 
-    #[test]
-    fn balance_produces_unit_column_norms(seed in 0u64..1000, n in 10usize..60) {
-        let a = gen::random_diag_dominant(n, 3, seed);
+#[test]
+fn balance_produces_unit_column_norms() {
+    cases(CASES, |rng| {
+        let n = rng.index(10..60);
+        let a = gen::random_diag_dominant(n, 3, rng.below(1000));
         let (b, bal) = balance::balance(&a);
         let mut col_sq = vec![0.0f64; n];
         for i in 0..n {
@@ -152,60 +153,65 @@ proptest! {
             }
         }
         for s in col_sq {
-            prop_assert!((s.sqrt() - 1.0).abs() < 1e-10);
+            assert!((s.sqrt() - 1.0).abs() < 1e-10);
         }
-        prop_assert!(bal.row_scale.iter().all(|&d| d > 0.0 && d.is_finite()));
-    }
+        assert!(bal.row_scale.iter().all(|&d| d > 0.0 && d.is_finite()));
+    });
+}
 
-    #[test]
-    fn leja_order_is_permutation_with_max_modulus_first(
-        vals in prop::collection::vec(-100.0f64..100.0, 1..20)
-    ) {
-        let pts: Vec<(f64, f64)> = vals.iter().map(|&v| (v, 0.0)).collect();
+#[test]
+fn leja_order_is_permutation_with_max_modulus_first() {
+    cases(CASES, |rng| {
+        let pts: Vec<(f64, f64)> =
+            (0..rng.index(1..20)).map(|_| (rng.in_range(-100.0, 100.0), 0.0)).collect();
         let ord = leja::leja_order(&pts);
-        prop_assert_eq!(ord.len(), pts.len());
+        assert_eq!(ord.len(), pts.len());
         let max_mod = pts.iter().map(|p| p.0.abs()).fold(0.0, f64::max);
-        prop_assert!((ord[0].0.abs() - max_mod).abs() < 1e-12);
+        assert!((ord[0].0.abs() - max_mod).abs() < 1e-12);
         // multiset equality
         let mut a: Vec<f64> = pts.iter().map(|p| p.0).collect();
         let mut b: Vec<f64> = ord.iter().map(|p| p.0).collect();
         a.sort_by(|x, y| x.partial_cmp(y).unwrap());
         b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
+}
 
-    #[test]
-    fn mpk_plan_boundaries_nested(s in 2usize..6, ndev in 2usize..4) {
+#[test]
+fn mpk_plan_boundaries_nested() {
+    cases(CASES, |rng| {
+        let (s, ndev) = (rng.index(2..6), rng.index(2..4));
         // delta sets shrink as k grows: |delta^(d,k:s)| decreasing in k
         let a = gen::laplace2d(12, 12);
         let layout = Layout::even(a.nrows(), ndev);
         let plan = MpkPlan::new(&a, &layout, s);
         for dp in &plan.devs {
             for k in 1..s {
-                prop_assert!(dp.boundary_nnz_from(k) >= dp.boundary_nnz_from(k + 1));
+                assert!(dp.boundary_nnz_from(k) >= dp.boundary_nnz_from(k + 1));
             }
             // need is exactly the union of levels and is disjoint from local
             for &r in &dp.need {
-                prop_assert!(!dp.local.contains(&(r as usize)));
+                assert!(!dp.local.contains(&(r as usize)));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn newton_spec_change_matrix_consistency(
-        shifts in prop::collection::vec(-5.0f64..5.0, 1..6),
-        s in 1usize..8,
-    ) {
-        let pts: Vec<(f64, f64)> = shifts.iter().map(|&v| (v, 0.0)).collect();
+#[test]
+fn newton_spec_change_matrix_consistency() {
+    cases(CASES, |rng| {
+        let pts: Vec<(f64, f64)> =
+            (0..rng.index(1..6)).map(|_| (rng.in_range(-5.0, 5.0), 0.0)).collect();
+        let s = rng.index(1..8);
         let spec = BasisSpec::newton(&pts, s);
-        prop_assert_eq!(spec.s(), s);
+        assert_eq!(spec.s(), s);
         let b = spec.change_matrix();
-        prop_assert_eq!(b.nrows(), s + 1);
+        assert_eq!(b.nrows(), s + 1);
         // subdiagonal is all ones (the basis recurrence)
         for k in 0..s {
-            prop_assert_eq!(b[(k + 1, k)], 1.0);
+            assert_eq!(b[(k + 1, k)], 1.0);
         }
-    }
+    });
 }
 
 #[test]
