@@ -196,8 +196,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = Scale::from_args();
-    let filter: Option<String> =
-        args.iter().position(|a| a == "--matrix").map(|i| args[i + 1].clone());
+    let filter: Option<String> = ca_bench::flag_value(&args, "--matrix");
 
     // one machine-wide profile: fitted once, shared by every matrix
     let profile = calibrate(&PerfModel::default(), KernelConfig::default(), "m2090-sim");

@@ -253,12 +253,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = Scale::from_args();
-    let filter: Option<String> =
-        args.iter().position(|a| a == "--matrix").map(|i| args[i + 1].clone());
-    let schedules: u64 = args
-        .iter()
-        .position(|a| a == "--schedules")
-        .map_or(1200, |i| args[i + 1].parse().expect("--schedules <n>"));
+    let filter: Option<String> = ca_bench::flag_value(&args, "--matrix");
+    let schedules: u64 = ca_bench::flag_value(&args, "--schedules").unwrap_or(1200);
 
     let mut rows: Vec<Row> = Vec::new();
     for (i, t) in ca_bench::suite(scale).into_iter().enumerate() {

@@ -147,10 +147,8 @@ fn sweep(t: &TestMatrix, label: &str, rows: &mut Vec<Row>) {
 
 fn main() {
     let scale = Scale::from_args();
-    let filter: Option<String> = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter().position(|a| a == "--matrix").map(|i| args[i + 1].clone())
-    };
+    let args: Vec<String> = std::env::args().collect();
+    let filter: Option<String> = ca_bench::flag_value(&args, "--matrix");
     let mut rows: Vec<Row> = Vec::new();
     for t in ca_bench::suite(scale) {
         if filter.as_deref().is_some_and(|f| f != t.name) {

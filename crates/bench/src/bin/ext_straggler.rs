@@ -205,8 +205,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = Scale::from_args();
-    let filter: Option<String> =
-        args.iter().position(|a| a == "--matrix").map(|i| args[i + 1].clone());
+    let filter: Option<String> = ca_bench::flag_value(&args, "--matrix");
 
     let mut rows: Vec<Row> = Vec::new();
     for (i, mut t) in ca_bench::suite(scale).into_iter().enumerate() {

@@ -13,6 +13,7 @@
 use ca_bench::{format_table, write_json};
 use ca_gmres::orth::{tsqr, TsqrKind};
 use ca_gpusim::{GemmVariant, GemvVariant, MatId, MultiGpu, PerfModel};
+use ca_scalar::Precision::F64;
 
 struct Point {
     part: String,
@@ -57,8 +58,8 @@ fn main() {
     for &n in &sizes {
         let flops = 2.0 * n as f64 * (k * k) as f64;
         for (name, t) in [
-            ("CUBLAS DGEMM", model.gemm_tn_time(GemmVariant::Cublas, n, k, k)),
-            ("batched DGEMM", model.gemm_tn_time(GemmVariant::Batched { h: 384 }, n, k, k)),
+            ("CUBLAS DGEMM", model.gemm_tn_time(GemmVariant::Cublas, n, k, k, F64)),
+            ("batched DGEMM", model.gemm_tn_time(GemmVariant::Batched { h: 384 }, n, k, k, F64)),
             ("MKL DGEMM (CPU)", model.host_gemm_time(n, k, k)),
         ] {
             pts.push(Point { part: "a".into(), kernel: name.into(), n, gflops: flops / t / 1e9 });
@@ -71,7 +72,7 @@ fn main() {
         for (name, t) in [
             ("CUBLAS DGEMV", model.gemv_t_time(GemvVariant::Cublas, n, k)),
             ("MAGMA ts-DGEMV", model.gemv_t_time(GemvVariant::MagmaTallSkinny, n, k)),
-            ("DDOT x k", k as f64 * model.blas1_time(2 * n)),
+            ("DDOT x k", k as f64 * model.blas1_time(2 * n, F64)),
         ] {
             pts.push(Point { part: "b".into(), kernel: name.into(), n, gflops: flops / t / 1e9 });
         }

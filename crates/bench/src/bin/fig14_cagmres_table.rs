@@ -156,10 +156,8 @@ fn print_row(r: &Row) {
 fn main() {
     let scale = Scale::from_args();
     // optional filter: --only <matrix-name-substring>
-    let only: Option<String> = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter().position(|a| a == "--only").and_then(|i| args.get(i + 1).cloned())
-    };
+    let args: Vec<String> = std::env::args().collect();
+    let only: Option<String> = ca_bench::flag_value(&args, "--only");
     let mut rows: Vec<Row> = Vec::new();
     let cases = [
         (cant(scale), Ordering::Natural, true),

@@ -173,6 +173,25 @@ impl Scale {
     }
 }
 
+/// The value following `flag` in `args`, parsed; `None` when the flag is
+/// absent. A flag that is last on the line, or whose value does not parse,
+/// is a usage error.
+fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
+    let value = args.get(i + 1).ok_or_else(|| format!("usage: {flag} <value> (value missing)"))?;
+    value.parse().map(Some).map_err(|_| format!("usage: {flag} <value> (cannot read {value:?})"))
+}
+
+/// The value following `flag` on a study binary's command line, parsed
+/// (`None`: flag absent). A flag without a readable value is a usage error:
+/// it is printed to standard error and ends the process with status 2.
+pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    parse_flag(args, flag).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2)
+    })
+}
+
 /// A suite entry: the matrix analog plus the paper's per-matrix restart
 /// length (§VI chose the best `m` per matrix; Fig. 14 reports
 /// cant: 60, G3_circuit: 30, dielFilterV2real: 180, nlpkkt120: 120).
@@ -424,6 +443,18 @@ pub fn gmres_flops(nnz: usize, n: usize, m: usize, iters: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_flag_without_a_readable_value_is_a_usage_error_not_a_panic() {
+        let args = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
+        let line = args("bin --smoke --matrix cant --schedules 40");
+        assert_eq!(parse_flag::<String>(&line, "--matrix"), Ok(Some("cant".into())));
+        assert_eq!(parse_flag::<u64>(&line, "--schedules"), Ok(Some(40)));
+        assert_eq!(parse_flag::<String>(&line, "--only"), Ok(None));
+        // the flag last on the line: what `args[i + 1]` used to index past
+        assert!(parse_flag::<String>(&args("bin --smoke --matrix"), "--matrix").is_err());
+        assert!(parse_flag::<u64>(&args("bin --schedules many"), "--schedules").is_err());
+    }
 
     #[test]
     fn suite_has_paper_character() {

@@ -903,6 +903,44 @@ mod tests {
     }
 
     #[test]
+    fn reorth_coefficients_reconstruct_the_block() {
+        let (mut mg, sys, _) = machine(Schedule::Barrier, None);
+        let (n, cols) = (sys.n, 7);
+        // an arbitrary full-rank panel in the first seven basis columns
+        let orig = Mat::from_fn(n, cols, |i, j| ((i * (j + 2) + 3 * j) % 17) as f64 / 17.0 - 0.4);
+        for d in 0..2 {
+            let r = sys.layout.range(d);
+            for j in 0..cols {
+                mg.device_mut(d).mat_mut(sys.v[d]).set_col(j, &orig.col(j)[r.clone()]);
+            }
+        }
+        orth::tsqr(&mut mg, &sys.v, 0, 3, TsqrKind::CholQr, true).unwrap();
+        let qprev = gather_block(&mg, &sys, 0, 3);
+        let cfg = OrthConfig { reorth: true, ..OrthConfig::default() };
+        let mut stats = SolveStats::default();
+        let mut cx = SolveCtx { mg: &mut mg, sys: &sys, stats: &mut stats, tsqr_errors: None };
+        let (c_eff, r_eff) = orth_block(&mut cx, 3, cols, &cfg, None, &mut NoGuard).unwrap();
+        // W_orig = Qprev C_eff + Qnew R_eff
+        let qnew = gather_block(&mg, &sys, 3, cols);
+        let mut rec = Mat::zeros(n, 4);
+        blas3::gemm_nn(1.0, &qprev, &c_eff, 0.0, &mut rec);
+        blas3::gemm_nn(1.0, &qnew, &r_eff, 1.0, &mut rec);
+        for j in 0..4 {
+            for i in 0..n {
+                let (got, want) = (rec[(i, j)], orig[(i, 3 + j)]);
+                assert!((got - want).abs() < 1e-11, "({i},{j}): {got} vs {want}");
+            }
+        }
+        // and the second pass left the block orthogonal to the previous one
+        for jo in 0..3 {
+            for jn in 0..4 {
+                let d = ca_dense::blas1::dot(qprev.col(jo), qnew.col(jn));
+                assert!(d.abs() < 1e-13, "<q{jo}, w{jn}> = {d}");
+            }
+        }
+    }
+
+    #[test]
     fn standard_cycle_polls_once_per_spmv_step() {
         let (mut mg, sys, beta) = machine(Schedule::Barrier, None);
         let mut stats = SolveStats::default();

@@ -132,7 +132,7 @@ pub fn arnoldi_eigs(
                 // standard Arnoldi (also harvests Newton shifts)
                 for j in 0..cfg.m {
                     dist_spmv(mg, &sys.spmv, &sys.v, j, j + 1)?;
-                    match orth_column(mg, &sys.v, j + 1, cfg.orth.borth) {
+                    match orth_column(mg, &sys.v, 0, j + 1, cfg.orth.borth) {
                         Ok(h) => arn.push_arnoldi_column(h),
                         Err(OrthError::Gpu(e)) => return Err(e),
                         Err(_) => {

@@ -29,7 +29,7 @@
 //!    than the timeout) into the same degradation path, and a rebalancer
 //!    ([`FtConfig::rebalance`]) that repartitions rows proportionally to
 //!    each device's measured throughput when the observed slowdown
-//!    imbalance crosses [`FtConfig::rebalance_threshold`], charging the
+//!    imbalance crosses [`REBALANCE_THRESHOLD`], charging the
 //!    row migration over the (possibly degraded) links.
 //! 5. **In-cycle detection and block-granular recovery** — arming
 //!    [`FtConfig::probe`] moves health polling *inside* the cycle: the
@@ -59,13 +59,13 @@
 
 use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode};
 use crate::cycle::{
-    residual, run_cycle, Block, CycleCkpt, CycleEnd, CycleGuard, CycleParams, CycleState, Phase,
-    Redo, SolveCtx, Verdict,
+    residual, run_cycle, Block, CycleCkpt, CycleEnd, CycleGuard, CycleParams, CycleState, Redo,
+    SolveCtx, Verdict,
 };
-use crate::gmres::gmres_cycle;
+use crate::gmres::harvest_cycle;
 use crate::health::{EscalationEvent, EscalationRung, Ladder, MonitorState};
 use crate::layout::Layout;
-use crate::newton::{newton_shifts_from_hessenberg, BasisSpec};
+use crate::newton::BasisSpec;
 use crate::orth::{checksums_agree, OrthConfig, OrthError};
 use crate::stats::{BreakdownKind, SolveStats};
 use crate::system::System;
@@ -77,6 +77,14 @@ use ca_obs::PhaseRatios;
 use ca_scalar::Precision;
 use ca_sparse::Csr;
 use obs::Track::Host as HOST;
+
+/// Disagreement factor of [`FtConfig::residual_check`]: the cycle is redone
+/// when `beta_explicit > RESIDUAL_SLACK * beta_implicit (+ noise floor)`.
+pub const RESIDUAL_SLACK: f64 = 10.0;
+
+/// Max/min EWMA-slowdown ratio above which [`FtConfig::rebalance`] attempts
+/// a repartition.
+pub const REBALANCE_THRESHOLD: f64 = 1.5;
 
 /// Fault-tolerance configuration on top of a [`CaGmresConfig`].
 #[derive(Debug, Clone)]
@@ -101,17 +109,12 @@ pub struct FtConfig {
     /// one after every restart cycle; roll back to the checkpoint on
     /// disagreement.
     pub residual_check: bool,
-    /// Disagreement factor for `residual_check`: redo the cycle when
-    /// `beta_explicit > residual_slack * beta_implicit (+ noise floor)`.
-    pub residual_slack: f64,
     /// Repartition rows proportionally to measured per-device throughput
     /// ([`ca_gpusim::HealthReport::throughput_weights`]) at restart
     /// boundaries whenever the observed slowdown imbalance exceeds
-    /// `rebalance_threshold`. Migration traffic is charged in simulated
+    /// [`REBALANCE_THRESHOLD`]. Migration traffic is charged in simulated
     /// time over the (possibly degraded) links.
     pub rebalance: bool,
-    /// Max/min EWMA-slowdown ratio above which a rebalance is attempted.
-    pub rebalance_threshold: f64,
     /// Watchdog: when set, any device whose single-command latency
     /// overshot its model by more than this many simulated seconds is
     /// declared lost at the next restart boundary and the solve degrades
@@ -144,9 +147,7 @@ impl Default for FtConfig {
             abft_orth: true,
             recompute: RetryPolicy::default(),
             residual_check: true,
-            residual_slack: 10.0,
             rebalance: false,
-            rebalance_threshold: 1.5,
             watchdog_timeout_s: None,
             probe: None,
             ladder: None,
@@ -824,6 +825,11 @@ struct FtSolve<'a> {
     harvested: bool,
     /// Cycle redos left to the residual backstop.
     redo_budget: usize,
+    /// Explicit residual norm the next cycle starts from.
+    beta: f64,
+    /// Checkpoint to re-enter an interrupted cycle at its last verified
+    /// block (`None`: the next cycle starts fresh).
+    resume: Option<Resume>,
     /// Last accepted iterate; also the rollback target of every recovery.
     x_ckpt: Vec<f64>,
     stats: SolveStats,
@@ -847,6 +853,8 @@ impl<'a> FtSolve<'a> {
             spec_full: BasisSpec::monomial(s_cur),
             harvested: false,
             redo_budget: cfg.recompute.retries(),
+            beta: 0.0,
+            resume: None,
             x_ckpt: vec![0.0f64; a.nrows()],
             stats: SolveStats::default(),
             guard: FtGuard {
@@ -948,20 +956,10 @@ impl<'a> FtSolve<'a> {
         Ok(())
     }
 
-    /// Book a lost device: which one, whether the probe (not the fault
-    /// plan) escalated it from a hang, and the verified work since `since`
-    /// that the rollback discards.
-    fn note_loss(&mut self, mg: &MultiGpu, device: usize, since: f64) {
-        let report = &mut self.guard.report;
-        report.device_lost = Some(device);
-        if self.guard.probe.as_ref().is_some_and(|p| p.escalated.contains(&device)) {
-            report.hung_device = Some(device);
-        }
-        report.work_lost_s += (mg.time() - since).max(0.0);
-    }
-
-    /// Graceful degradation: rebuild on the survivors of `lost` and restore
-    /// the checkpointed iterate.
+    /// Graceful degradation, however the loss was detected: book `lost[0]`
+    /// (as hung too, when the probe and not the fault plan escalated it) and
+    /// the verified work since `since` that the rollback discards, rebuild
+    /// on the survivors, and [`FtSolve::restore`].
     ///
     /// # Errors
     /// [`GpuSimError::DeviceLost`] when nothing survives.
@@ -970,77 +968,112 @@ impl<'a> FtSolve<'a> {
         mg: &mut MultiGpu,
         sys: &mut System,
         lost: &[usize],
+        since: f64,
+        ck: Option<CycleCkpt>,
         why: &str,
     ) -> GpuResult<()> {
+        let report = &mut self.guard.report;
+        report.device_lost = Some(lost[0]);
+        if self.guard.probe.as_ref().is_some_and(|p| p.escalated.contains(&lost[0])) {
+            report.hung_device = Some(lost[0]);
+        }
+        report.work_lost_s += (mg.time() - since).max(0.0);
         let alive = mg.n_gpus() - lost.len();
         if alive == 0 {
             return Err(GpuSimError::DeviceLost { device: lost[0] });
         }
-        self.guard.report.degraded = true;
+        report.degraded = true;
         if obs::enabled() {
             obs::close_open(mg.time()); // seal spans the abort left open
             obs::instant_cause("ft.degrade", HOST, mg.time(), why);
             obs::counter_add(obs::names::FT_DEVICE_LOSSES, lost.len() as u64);
         }
         self.rebuild(mg, sys, Layout::even(self.a.nrows(), alive), lost)?;
-        sys.upload_x(mg, &self.x_ckpt)
+        self.restore(mg, sys, ck)
     }
 
-    /// Move onto `layout` (same devices): rebuild there, charge the row
-    /// migration `bytes` over the (possibly degraded) links when any row
-    /// changed owner, restore the checkpointed iterate.
-    fn migrate(
+    /// Move onto `layout` (same devices) — a rebalance, a retune, a precision
+    /// promotion: rebuild there, charge the row migration over the (possibly
+    /// degraded) links when any row changed owner, and [`FtSolve::restore`].
+    /// `rebalance` (what tripped it) books the move as a throughput
+    /// repartition and subjects it to hysteresis: repartitioning resets the
+    /// health EWMAs, so when ownership barely shifts (<= 2% of the rows) the
+    /// solve goes on in place — an interrupted cycle resumes on its still
+    /// valid device columns, and the latch keeps the probe from re-signalling
+    /// the same imbalance this cycle.
+    fn repartition(
         &mut self,
         mg: &mut MultiGpu,
         sys: &mut System,
         layout: Layout,
-        bytes: &[usize],
+        rebalance: Option<&str>,
+        ck: Option<CycleCkpt>,
     ) -> GpuResult<()> {
+        let (bytes, rows_moved) = migration_payload(self.a, &sys.layout, &layout);
+        if let Some(cause) = rebalance {
+            if rows_moved * 50 <= self.a.nrows() {
+                self.resume = ck.map(|ck| Resume { ck, reupload: false });
+                return Ok(());
+            }
+            let report = &mut self.guard.report;
+            report.rebalances += 1;
+            report.mid_cycle_rebalances += usize::from(ck.is_some());
+            if obs::enabled() {
+                let resuming =
+                    if ck.is_some() { " before resuming at the block checkpoint" } else { "" };
+                let why = format!("{cause}; {rows_moved} rows migrating{resuming}");
+                obs::instant_cause("ft.rebalance", HOST, mg.time(), &why);
+                obs::counter_add(obs::names::FT_REBALANCES, 1);
+                obs::counter_add(obs::names::FT_REBALANCE_ROWS_MOVED, rows_moved as u64);
+            }
+        }
         self.rebuild(mg, sys, layout, &[])?;
         if bytes.iter().any(|&b| b > 0) {
-            mg.to_devices(bytes)?;
+            mg.to_devices(&bytes)?;
         }
-        sys.upload_x(mg, &self.x_ckpt)
+        self.restore(mg, sys, ck)
     }
 
-    /// Book a throughput repartition that moves `rows_moved` rows.
-    fn note_rebalance(&mut self, mg: &MultiGpu, rows_moved: usize, why: &str) {
-        self.guard.report.rebalances += 1;
-        if obs::enabled() {
-            obs::instant_cause("ft.rebalance", HOST, mg.time(), why);
-            obs::counter_add(obs::names::FT_REBALANCES, 1);
-            obs::counter_add(obs::names::FT_REBALANCE_ROWS_MOVED, rows_moved as u64);
+    /// Last step of every rebuild: restore the checkpointed iterate, then
+    /// either re-enter the interrupted cycle at `ck`'s last verified block
+    /// (its columns re-uploaded) or — no checkpoint: the same global
+    /// problem, the same target — recompute (and charge) where we are.
+    fn restore(&mut self, mg: &mut MultiGpu, sys: &System, ck: Option<CycleCkpt>) -> GpuResult<()> {
+        sys.upload_x(mg, &self.x_ckpt)?;
+        match ck {
+            Some(ck) => self.resume = Some(Resume { ck, reupload: true }),
+            None => self.beta = sys.residual_norm(mg)?,
         }
+        Ok(())
     }
 
     /// One restart cycle under the guard. The first cycle (before shifts
     /// are harvested) runs standard GMRES, protected only by the caller's
     /// residual check, and harvests the Ritz values; every later one is a
-    /// CA cycle, entered fresh from `beta` or at `resume`'s checkpoint.
+    /// CA cycle, entered fresh from `self.beta` or at the checkpoint in
+    /// `self.resume`.
     fn cycle(
         &mut self,
         mg: &mut MultiGpu,
         sys: &System,
-        beta: f64,
         target: f64,
-        resume: Option<Resume>,
     ) -> GpuResult<CycleEnd<FtHandBack>> {
         let scfg = &self.cfg.solver;
+        let (beta, resume) = (self.beta, self.resume.take());
         let mut cx = SolveCtx { mg, sys, stats: &mut self.stats, tsqr_errors: None };
         if !self.harvested {
             debug_assert!(resume.is_none(), "block checkpoints exist only in CA cycles");
-            let cycle =
-                gmres_cycle(&mut cx, scfg.m, self.orth.borth, beta, target, &mut self.guard)?;
-            let ph = Phase::begin(cx.mg, "small", FtGuard::FLATTEN);
-            let h = &cycle.hessenberg;
-            if let Ok(sh) = newton_shifts_from_hessenberg(h, scfg.m.min(h.ncols())) {
-                self.shifts = Some(sh);
-            }
-            cx.mg.host_compute(30.0 * (scfg.m * scfg.m * scfg.m) as f64, 0.0);
-            cx.stats.t_small += ph.end(cx.mg);
-            self.spec_full =
-                BasisSpec::from_shifts(self.shifts.as_deref(), self.basis_cur, self.s_cur);
-            self.harvested = true;
+            // every Ritz value the cycle has, whatever the basis: the
+            // BasisSwitch rung may want them later (nothing has switched or
+            // promoted yet: the configured basis is the one in effect)
+            let (cycle, shifts, spec) = harvest_cycle(
+                &mut cx,
+                scfg,
+                (self.s_cur, scfg.m),
+                (beta, target),
+                &mut self.guard,
+            )?;
+            (self.shifts, self.spec_full, self.harvested) = (shifts, spec, true);
             let span = obs::SpanId::NONE; // the standard cycle closed its own
             return Ok(CycleEnd::Done { implied: cycle.implied, k_used: cycle.k_used, span });
         }
@@ -1095,22 +1128,18 @@ impl<'a> FtSolve<'a> {
     ) -> GpuResult<System> {
         let (a, cfg) = (self.a, self.cfg);
         let scfg = &cfg.solver;
-        let n = a.nrows();
         let mut sys = self.initial_system(mg, init, rhs_precharged)?;
         let mut beta0 = sys.residual_norm(mg)?;
         let target = scfg.rtol * beta0;
-        let mut beta = beta0;
+        self.beta = beta0;
         // high-water mark for feeding new escalations to the tuner once
         let mut escalations_seen = 0usize;
-        // hand-back state for re-entering an interrupted cycle at its last
-        // verified block (None: start the next cycle fresh)
-        let mut resume: Option<Resume> = None;
         // phase accumulators at the last RestartTuner::observe_phases call
         let (mut t_seen, mut seen) = (mg.time(), self.stats.clone());
 
-        while beta > target && self.stats.restarts < scfg.max_restarts {
+        while self.beta > target && self.stats.restarts < scfg.max_restarts {
             let t_cycle_entry = mg.time();
-            match self.cycle(mg, &sys, beta, target, resume.take()) {
+            match self.cycle(mg, &sys, target) {
                 Ok(CycleEnd::Done { implied, k_used, span }) => {
                     let mut cx = SolveCtx {
                         mg: &mut *mg,
@@ -1122,7 +1151,7 @@ impl<'a> FtSolve<'a> {
                     obs::span_end(span, mg.time());
                     let noise = 1e-12 * beta0;
                     if cfg.residual_check
-                        && beta_explicit > cfg.residual_slack * implied + noise
+                        && beta_explicit > RESIDUAL_SLACK * implied + noise
                         && self.redo_budget > 0
                     {
                         // undetected corruption reached x: roll back and redo
@@ -1139,19 +1168,17 @@ impl<'a> FtSolve<'a> {
                                 HOST,
                                 mg.time(),
                                 &format!(
-                                    "explicit residual {beta_explicit:.3e} > {} x implied \
-                                     {implied:.3e}; iterate rolled back to checkpoint",
-                                    cfg.residual_slack
+                                    "explicit residual {beta_explicit:.3e} > {RESIDUAL_SLACK} x \
+                                     implied {implied:.3e}; iterate rolled back to checkpoint"
                                 ),
                             );
                             obs::counter_add(obs::names::FT_CYCLES_REDONE, 1);
                         }
-                        sys.upload_x(mg, &self.x_ckpt)?;
-                        beta = sys.residual_norm(mg)?;
+                        self.restore(mg, &sys, None)?;
                         continue;
                     }
                     self.redo_budget = cfg.recompute.retries();
-                    beta = beta_explicit;
+                    self.beta = beta_explicit;
                     self.x_ckpt = sys.download_x(mg)?; // checkpoint the accepted iterate
                     if self.stats.breakdown.is_some() || k_used == 0 {
                         break; // numerical breakdown or stagnation: stop honestly
@@ -1162,15 +1189,13 @@ impl<'a> FtSolve<'a> {
                     // fault) killed a device mid-cycle, but every block up to
                     // the checkpoint is verified — rebuild on the survivors
                     // and resume the cycle there instead of redoing it ---
-                    self.note_loss(mg, device, ck.t_ckpt);
                     let why = format!(
                         "device {device} lost mid-cycle; resuming from block checkpoint \
                          ({} verified columns) on {} survivors",
                         ck.ncols,
                         mg.n_gpus() - 1
                     );
-                    self.degrade(mg, &mut sys, &[device], &why)?;
-                    resume = Some(Resume { ck, reupload: true });
+                    self.degrade(mg, &mut sys, &[device], ck.t_ckpt, Some(ck), &why)?;
                     continue;
                 }
                 Ok(CycleEnd::HandBack(FtHandBack::Rebalance { device, imbalance, ck })) => {
@@ -1190,22 +1215,9 @@ impl<'a> FtSolve<'a> {
                         sys.layout.ndev(),
                         "mid-cycle rebalance must keep the device count"
                     );
-                    let (bytes, rows_moved) = migration_payload(a, &sys.layout, &new_layout);
-                    // hysteresis as at the restart boundary: when ownership
-                    // barely shifts the migration is not worth it — resume in
-                    // place; the latch keeps the probe from re-signalling the
-                    // same imbalance this cycle
-                    let reupload = rows_moved * 50 > n;
-                    if reupload {
-                        self.guard.report.mid_cycle_rebalances += 1;
-                        let why = format!(
-                            "mid-cycle: straggler device {device} (imbalance {imbalance:.3}); \
-                             {rows_moved} rows migrating before resuming at the block checkpoint"
-                        );
-                        self.note_rebalance(mg, rows_moved, &why);
-                        self.migrate(mg, &mut sys, new_layout, &bytes)?;
-                    }
-                    resume = Some(Resume { ck, reupload });
+                    let cause =
+                        format!("mid-cycle: straggler device {device} (imbalance {imbalance:.3})");
+                    self.repartition(mg, &mut sys, new_layout, Some(&cause), Some(ck))?;
                     continue;
                 }
                 Ok(CycleEnd::HandBack(FtHandBack::Escalate { rung, ck })) => {
@@ -1218,7 +1230,7 @@ impl<'a> FtSolve<'a> {
                     // (the checkpoint holds them as f64 on the host), so a
                     // checkpointed cycle resumes where it was ---
                     obs::close_open(mg.time());
-                    let reupload = match rung {
+                    match rung {
                         EscalationRung::BasisSwitch => {
                             obs::instant_cause(
                                 "ft.escalate",
@@ -1233,7 +1245,8 @@ impl<'a> FtSolve<'a> {
                                 self.basis_cur,
                                 self.s_cur,
                             );
-                            false
+                            // the executor is untouched: resuming is free
+                            self.resume = ck.map(|ck| Resume { ck, reupload: false });
                         }
                         EscalationRung::Promote => {
                             obs::instant_cause(
@@ -1244,19 +1257,12 @@ impl<'a> FtSolve<'a> {
                             );
                             self.prec_cur = Precision::F64;
                             let layout = sys.layout.clone();
-                            self.migrate(mg, &mut sys, layout, &[])?;
-                            if ck.is_none() {
-                                // no checkpoint: the cycle restarts fresh,
-                                // from a recomputed (charged) residual
-                                beta = sys.residual_norm(mg)?;
-                            }
-                            true
+                            self.repartition(mg, &mut sys, layout, None, ck)?;
                         }
                         EscalationRung::Reorth | EscalationRung::Throttle => {
                             unreachable!("in-cycle rungs never hand back to the driver")
                         }
-                    };
-                    resume = ck.map(|ck| Resume { ck, reupload });
+                    }
                     continue;
                 }
                 Ok(CycleEnd::OrthFailed { .. }) => {
@@ -1264,16 +1270,13 @@ impl<'a> FtSolve<'a> {
                 }
                 Err(GpuSimError::DeviceLost { device }) if mg.n_gpus() > 1 => {
                     // --- graceful degradation without a checkpoint: redo
-                    // the cycle on the survivors. Same global problem, same
-                    // target: recompute where we are ---
-                    self.note_loss(mg, device, t_cycle_entry);
+                    // the cycle on the survivors ---
                     let why = format!(
                         "device {device} lost; rebuilding on {} survivors",
                         mg.n_gpus() - 1
                     );
-                    self.degrade(mg, &mut sys, &[device], &why)?;
+                    self.degrade(mg, &mut sys, &[device], t_cycle_entry, None, &why)?;
                     beta0 = beta0.max(f64::MIN_POSITIVE);
-                    beta = sys.residual_norm(mg)?;
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -1285,7 +1288,6 @@ impl<'a> FtSolve<'a> {
                 if !hung.is_empty() {
                     let report = &mut self.guard.report;
                     report.hung_device = Some(hung[0]);
-                    report.device_lost = Some(hung[0]);
                     // boundary-granularity detection: the hang happened some
                     // time during the cycle we just finished, so the latency
                     // bracket is the whole cycle — the baseline the in-cycle
@@ -1311,9 +1313,11 @@ impl<'a> FtSolve<'a> {
                         "watchdog declared device {} hung; rebuilding on {survivors} survivors",
                         hung[0]
                     );
-                    self.degrade(mg, &mut sys, &hung, &why)?;
+                    // the cycle is over and its iterate accepted: no
+                    // verified work is discarded
+                    let now = mg.time();
+                    self.degrade(mg, &mut sys, &hung, now, None, &why)?;
                     beta0 = beta0.max(f64::MIN_POSITIVE);
-                    beta = sys.residual_norm(mg)?;
                     continue; // re-enter on the survivors before rebalancing
                 }
             }
@@ -1355,7 +1359,6 @@ impl<'a> FtSolve<'a> {
                     );
                     let layout_changed = d.layout.starts != sys.layout.starts;
                     if d.s != self.s_cur || layout_changed {
-                        let (bytes, _) = migration_payload(a, &sys.layout, &d.layout);
                         self.guard.report.retunes += 1;
                         if obs::enabled() {
                             obs::instant_cause(
@@ -1373,17 +1376,16 @@ impl<'a> FtSolve<'a> {
                         }
                         self.s_cur = d.s;
                         self.guard.report.s_final = d.s;
-                        self.migrate(mg, &mut sys, d.layout, &bytes)?;
                         self.spec_full =
                             BasisSpec::from_shifts(self.shifts.as_deref(), self.basis_cur, d.s);
-                        beta = sys.residual_norm(mg)?;
+                        self.repartition(mg, &mut sys, d.layout, None, None)?;
                         continue; // re-enter with the new plan; skip rebalance
                     }
                 }
             }
             if cfg.rebalance {
                 let health = mg.health_report();
-                if health.imbalance() > cfg.rebalance_threshold {
+                if health.imbalance() > REBALANCE_THRESHOLD {
                     // weight = achieved nonzeros per busy second. Unlike the
                     // raw EWMA slowdown this folds in every per-device
                     // overhead (ghost work, halo sizes, row density), and
@@ -1402,23 +1404,14 @@ impl<'a> FtSolve<'a> {
                         })
                         .collect();
                     let new_layout = Layout::proportional_nnz(a, &weights);
-                    let (bytes, rows_moved) = migration_payload(a, &sys.layout, &new_layout);
-                    // hysteresis: repartitioning resets the health EWMAs, so
-                    // only migrate when ownership shifts materially (> 2%)
-                    if rows_moved * 50 > n {
-                        let why = format!(
-                            "imbalance {:.3} > {:.3}; {rows_moved} rows migrating",
-                            health.imbalance(),
-                            cfg.rebalance_threshold
-                        );
-                        self.note_rebalance(mg, rows_moved, &why);
-                        self.migrate(mg, &mut sys, new_layout, &bytes)?;
-                        beta = sys.residual_norm(mg)?;
-                    }
+                    let cause =
+                        format!("imbalance {:.3} > {REBALANCE_THRESHOLD:.3}", health.imbalance());
+                    self.repartition(mg, &mut sys, new_layout, Some(&cause), None)?;
                 }
             }
         }
 
+        let beta = self.beta;
         self.stats.converged = beta <= target;
         self.stats.final_relres = if beta0 > 0.0 { beta / beta0 } else { 0.0 };
         self.guard.report.layout_final = sys.layout.starts.clone();
@@ -1807,7 +1800,7 @@ mod tests {
         let (a, b, _) = problem();
         let mut mg = MultiGpu::with_defaults(2);
         mg.set_fault_plan(FaultPlan::new(11).with_transfer_faults(0.02));
-        mg.set_max_transfer_attempts(16);
+        mg.set_transfer_retry(RetryPolicy::attempts(16));
         let c = cfg();
         let out = ca_gmres_ft(mg, &a, &b, &c);
         assert!(out.stats.converged, "{:?}", out.stats.breakdown);

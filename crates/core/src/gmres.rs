@@ -2,15 +2,17 @@
 //! baseline, Fig. 3/14) — one SpMV and one single-column orthogonalization
 //! per iteration.
 
+use crate::cagmres::CaGmresConfig;
 use crate::cycle::{residual, CycleGuard, NoGuard, Phase, SolveCtx};
 use crate::ft::PollPoint;
 use crate::hess::BlockArnoldi;
 use crate::mpk::dist_spmv;
+use crate::newton::{newton_shifts_from_hessenberg, BasisSpec};
 use crate::orth::{orth_column, BorthKind, OrthError};
 use crate::stats::BreakdownKind;
 use crate::stats::SolveStats;
 use crate::system::System;
-use ca_dense::hessenberg::GivensLsq;
+use ca_dense::hessenberg::{Complex, GivensLsq};
 use ca_dense::Mat;
 use ca_gpusim::faults::Result as GpuResult;
 use ca_gpusim::MultiGpu;
@@ -85,7 +87,7 @@ pub(crate) fn gmres_cycle<G: CycleGuard>(
         guard.poll(mg, PollPoint::SpmvBlock)?;
 
         let ph = Phase::begin(mg, "orth", true);
-        match orth_column(mg, &sys.v, j + 1, orth) {
+        match orth_column(mg, &sys.v, 0, j + 1, orth) {
             Ok(h) => {
                 stats.t_orth += ph.end(mg);
                 lsq.push_column(&h);
@@ -123,6 +125,29 @@ pub(crate) fn gmres_cycle<G: CycleGuard>(
     obs::span_end(sp_cycle, mg.time());
     let implied = if k_used > 0 { lsq.residual_norm() } else { beta };
     Ok(CycleOutcome { k_used, hessenberg: arn.to_mat(), implied })
+}
+
+/// The first restart cycle of a CA solve, for every driver: one standard
+/// GMRES(`cfg.m`) cycle, then `ritz` Leja-ordered Ritz values of its
+/// Hessenberg matrix — none asked for, none computed; a failed harvest is
+/// `None` — and the `s`-step schedule of `cfg.basis` over them (monomial when
+/// there is nothing to shift by). The eigensolve is charged to the "small"
+/// phase whatever it returned.
+pub(crate) fn harvest_cycle<G: CycleGuard>(
+    cx: &mut SolveCtx<'_>,
+    cfg: &CaGmresConfig,
+    (s, ritz): (usize, usize),
+    (beta, target): (f64, f64),
+    guard: &mut G,
+) -> GpuResult<(CycleOutcome, Option<Vec<Complex>>, BasisSpec)> {
+    let cycle = gmres_cycle(cx, cfg.m, cfg.orth.borth, beta, target, guard)?;
+    let ph = Phase::begin(cx.mg, "small", G::FLATTEN);
+    let harvest = || newton_shifts_from_hessenberg(&cycle.hessenberg, ritz).ok();
+    let shifts = if ritz > 0 { harvest() } else { None };
+    let spec = BasisSpec::from_shifts(shifts.as_deref(), cfg.basis, s);
+    cx.mg.host_compute(30.0 * (cfg.m * cfg.m * cfg.m) as f64, 0.0);
+    cx.stats.t_small += ph.end(cx.mg);
+    Ok((cycle, shifts, spec))
 }
 
 /// Run GMRES(m) on a loaded [`System`]. The iterate starts from whatever

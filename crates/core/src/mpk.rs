@@ -207,7 +207,7 @@ pub enum SpmvFormat {
 
 /// What the SpMV model prices `A(rows, :)` on in ELLPACK, at any precision:
 /// every row padded to the longest.
-pub fn ell_shape(a: &Csr, rows: impl ExactSizeIterator<Item = usize>) -> SpmvShape {
+fn ell_shape(a: &Csr, rows: impl ExactSizeIterator<Item = usize>) -> SpmvShape {
     let n = rows.len();
     let width = rows.map(|r| a.row_nnz(r)).max().unwrap_or(0);
     SpmvShape { slots: width * n, spilled: 0, rows: n }
@@ -404,7 +404,7 @@ impl MpkState {
             mg.run_map(|d, dev| dev.compress_p(self.z[d][cur], &self.plan.devs[d].send, self.prec));
         let bytes_up: Vec<usize> =
             self.plan.devs.iter().map(|d| d.send.len() * self.prec.bytes()).collect();
-        let up = mg.to_host_async_prec(&bytes_up, self.prec)?;
+        let up = mg.to_host_async(&bytes_up, self.prec)?;
         // the host needs every payload before it can route one
         mg.host_wait_all(&up);
         // host: expand into a full vector w (Fig. 4, third loop) — charged as
@@ -421,7 +421,7 @@ impl MpkState {
         };
         let bytes_down: Vec<usize> =
             self.plan.devs.iter().map(|d| d.need.len() * self.prec.bytes()).collect();
-        let down = mg.to_devices_async_prec(&bytes_down, self.prec)?;
+        let down = mg.to_devices_async(&bytes_down, self.prec)?;
         let msgs = down.iter().flatten().count() as u64;
         mg.advance_host(msgs as f64 * mg.model().host_msg_s);
         Ok(Some(InflightHalo { events: down, vals }))
@@ -1340,10 +1340,10 @@ mod tests {
                     // every BLAS-1 shift kernel, launch and bytes; new: the
                     // two epilogue streams of the fused kernel (next work
                     // vector, basis column), no launch
-                    let gone = (s - 1) as f64 * model.blas1_time(2 * nl)
-                        + axpys as f64 * model.blas1_time(3 * nl)
-                        + scals as f64 * model.blas1_time(2 * nl);
-                    let new = s as f64 * 2.0 * (model.blas1_time(2 * nl) - launch);
+                    let gone = (s - 1) as f64 * model.blas1_time(2 * nl, Precision::F64)
+                        + axpys as f64 * model.blas1_time(3 * nl, Precision::F64)
+                        + scals as f64 * model.blas1_time(2 * nl, Precision::F64);
+                    let new = s as f64 * 2.0 * (model.blas1_time(2 * nl, Precision::F64) - launch);
                     let saved = busy_was[d] - busy[d];
                     assert!(
                         (saved - (gone - new)).abs() < 1e-12 * busy_was[d],

@@ -9,9 +9,10 @@
 //! so the `MultiGpu` message counters reproduce the "# GPU-CPU comm."
 //! column of Fig. 10.
 
-use ca_dense::{blas3, chol, jacobi, qr, Mat};
+use ca_dense::{chol, jacobi, qr, Mat};
 use ca_gpusim::{GpuSimError, MatId, MultiGpu};
 use ca_obs as obs;
+use ca_scalar::Precision;
 
 /// TSQR algorithm selection (Fig. 9 / Fig. 10 rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,21 +170,23 @@ impl std::error::Error for OrthError {}
 // `Schedule::EventDriven` the devices keep running whatever is next in
 // their streams while the reduction drains over PCIe.
 
-fn reduce_scalar(mg: &mut MultiGpu, parts: &[f64]) -> Result<f64, OrthError> {
-    let bytes = vec![8usize; parts.len()];
-    let up = mg.to_host_async(&bytes)?;
+/// The traffic and host work of reducing `len` words from each of `ndev`
+/// devices.
+fn charge_reduce(mg: &mut MultiGpu, ndev: usize, len: usize) -> Result<(), OrthError> {
+    let up = mg.to_host_async(&vec![8 * len; ndev], Precision::F64)?;
     mg.host_wait_all(&up);
-    mg.host_compute(parts.len() as f64, 16.0 * parts.len() as f64);
+    mg.host_compute((ndev * len) as f64, (16 * ndev * len) as f64);
+    Ok(())
+}
+
+fn reduce_scalar(mg: &mut MultiGpu, parts: &[f64]) -> Result<f64, OrthError> {
+    charge_reduce(mg, parts.len(), 1)?;
     Ok(parts.iter().sum())
 }
 
 fn reduce_vec(mg: &mut MultiGpu, parts: &[Vec<f64>]) -> Result<Vec<f64>, OrthError> {
-    let len = parts[0].len();
-    let bytes = vec![8 * len; parts.len()];
-    let up = mg.to_host_async(&bytes)?;
-    mg.host_wait_all(&up);
-    mg.host_compute((parts.len() * len) as f64, (16 * parts.len() * len) as f64);
-    let mut out = vec![0.0; len];
+    charge_reduce(mg, parts.len(), parts[0].len())?;
+    let mut out = vec![0.0; parts[0].len()];
     for p in parts {
         for (o, &v) in out.iter_mut().zip(p) {
             *o += v;
@@ -194,10 +197,7 @@ fn reduce_vec(mg: &mut MultiGpu, parts: &[Vec<f64>]) -> Result<Vec<f64>, OrthErr
 
 fn reduce_mat(mg: &mut MultiGpu, parts: &[Mat]) -> Result<Mat, OrthError> {
     let (r, c) = (parts[0].nrows(), parts[0].ncols());
-    let bytes = vec![8 * r * c; parts.len()];
-    let up = mg.to_host_async(&bytes)?;
-    mg.host_wait_all(&up);
-    mg.host_compute((parts.len() * r * c) as f64, (16 * parts.len() * r * c) as f64);
+    charge_reduce(mg, parts.len(), r * c)?;
     let mut out = Mat::zeros(r, c);
     for p in parts {
         out.axpy(1.0, p);
@@ -402,34 +402,13 @@ pub fn tsqr_with_hook(
     assert!(c0 < c1);
     let k = c1 - c0;
     Ok(match kind {
-        TsqrKind::Mgs => {
+        TsqrKind::Mgs | TsqrKind::Cgs => {
+            let gs = if kind == TsqrKind::Mgs { BorthKind::Mgs } else { BorthKind::Cgs };
             let mut r = Mat::zeros(k, k);
             for col in c0..c1 {
-                for prev in c0..col {
-                    let parts = mg.run_map(|d, dev| dev.dot_cols(v[d], prev, col));
-                    let rho = reduce_scalar(mg, &parts)?;
-                    mg.broadcast(8)?;
-                    mg.run(|d, dev| dev.axpy_cols(v[d], -rho, prev, col));
-                    r[(prev - c0, col - c0)] = rho;
+                for (i, rho) in orth_column(mg, v, c0, col, gs)?.into_iter().enumerate() {
+                    r[(i, col - c0)] = rho;
                 }
-                r[(col - c0, col - c0)] = normalize_col(mg, v, col, c0)?;
-            }
-            r
-        }
-        TsqrKind::Cgs => {
-            let mut r = Mat::zeros(k, k);
-            for col in c0..c1 {
-                if col > c0 {
-                    let gemv = mg.config.gemv;
-                    let parts = mg.run_map(|d, dev| dev.gemv_t_cols(v[d], c0, col, col, gemv));
-                    let coeffs = reduce_vec(mg, &parts)?;
-                    mg.broadcast(8 * coeffs.len())?;
-                    mg.run(|d, dev| dev.gemv_n_update(v[d], c0, col, &coeffs, col));
-                    for (i, &rho) in coeffs.iter().enumerate() {
-                        r[(i, col - c0)] = rho;
-                    }
-                }
-                r[(col - c0, col - c0)] = normalize_col(mg, v, col, c0)?;
             }
             r
         }
@@ -645,50 +624,22 @@ fn apply_trsm(
     Ok(())
 }
 
-/// Combined BOrth + TSQR with optional reorthogonalization, returning the
-/// effective coefficients for the Hessenberg reconstruction:
-/// `W_original = Q_prev C_eff + Q_new R_eff`.
-pub fn borth_tsqr(
-    mg: &mut MultiGpu,
-    v: &[MatId],
-    c0: usize,
-    c1: usize,
-    cfg: &OrthConfig,
-) -> Result<(Mat, Mat), OrthError> {
-    let c1m = borth(mg, v, c0, c1, cfg.borth)?;
-    let r1 = tsqr(mg, v, c0, c1, cfg.tsqr, cfg.svqr_scaled)?;
-    if !cfg.reorth {
-        return Ok((c1m, r1));
-    }
-    let c2 = borth(mg, v, c0, c1, cfg.borth)?;
-    let r2 = tsqr(mg, v, c0, c1, cfg.tsqr, cfg.svqr_scaled)?;
-    // W = Qp C1 + W1,  W1 = Qp C2 R1?  Derivation (host, small):
-    //   pass 1: W = Qp C1 + W1, W1 = Q1 R1
-    //   pass 2: Q1 = Qp C2 + Q2 R2  =>  W = Qp (C1 + C2 R1) + Q2 (R2 R1)
-    let k = c1 - c0;
-    let mut c_eff = c1m.clone();
-    if c_eff.nrows() > 0 {
-        blas3::gemm_nn(1.0, &c2, &r1, 1.0, &mut c_eff);
-    }
-    let mut r_eff = Mat::zeros(k, k);
-    blas3::gemm_nn(1.0, &r2, &r1, 0.0, &mut r_eff);
-    mg.host_compute(2.0 * ((c0 + k) * k * k) as f64, (24 * k * k) as f64);
-    Ok((c_eff, r_eff))
-}
-
-/// Orthogonalize a single new column `col` against columns `0..col` and
-/// normalize it — the *Orth* step of standard GMRES (§III). Returns the
-/// Hessenberg column `[h_0 .. h_{col-1}, h_col]` of length `col + 1`.
+/// One Gram–Schmidt column: orthogonalize column `col` against columns
+/// `c0..col` and normalize it. With `c0 = 0` this is the *Orth* step of
+/// standard GMRES (§III) and the result is the Hessenberg column
+/// `[h_0 .. h_{col-1}, h_col]`; MGS and CGS TSQR are this routine over the
+/// columns of a block starting at `c0`, the result being that column of `R`.
 pub fn orth_column(
     mg: &mut MultiGpu,
     v: &[MatId],
+    c0: usize,
     col: usize,
     kind: BorthKind,
 ) -> Result<Vec<f64>, OrthError> {
-    let mut h = Vec::with_capacity(col + 1);
+    let mut h = Vec::with_capacity(col - c0 + 1);
     match kind {
         BorthKind::Mgs => {
-            for prev in 0..col {
+            for prev in c0..col {
                 let parts = mg.run_map(|d, dev| dev.dot_cols(v[d], prev, col));
                 let rho = reduce_scalar(mg, &parts)?;
                 mg.broadcast(8)?;
@@ -696,16 +647,17 @@ pub fn orth_column(
                 h.push(rho);
             }
         }
-        BorthKind::Cgs => {
+        // nothing to project out of a block's first column: no launch
+        BorthKind::Cgs if col > c0 => {
             let gemv = mg.config.gemv;
-            let parts = mg.run_map(|d, dev| dev.gemv_t_cols(v[d], 0, col, col, gemv));
-            let coeffs = reduce_vec(mg, &parts)?;
-            mg.broadcast(8 * coeffs.len())?;
-            mg.run(|d, dev| dev.gemv_n_update(v[d], 0, col, &coeffs, col));
-            h.extend_from_slice(&coeffs);
+            let parts = mg.run_map(|d, dev| dev.gemv_t_cols(v[d], c0, col, col, gemv));
+            h.extend(reduce_vec(mg, &parts)?);
+            mg.broadcast(8 * h.len())?;
+            mg.run(|d, dev| dev.gemv_n_update(v[d], c0, col, &h, col));
         }
+        BorthKind::Cgs => {}
     }
-    h.push(normalize_col(mg, v, col, 0)?);
+    h.push(normalize_col(mg, v, col, c0)?);
     Ok(h)
 }
 
@@ -979,52 +931,13 @@ mod tests {
     }
 
     #[test]
-    fn borth_tsqr_reorth_coefficients_reconstruct() {
-        let (n, cols) = (100, 7);
-        let (mut mg, ids, orig) = setup(n, cols, 2, 13);
-        tsqr(&mut mg, &ids, 0, 3, TsqrKind::CholQr, true).unwrap();
-        let qprev = collect(&mg, &ids, n, cols).cols_copy(0, 3);
-        let cfg = OrthConfig {
-            tsqr: TsqrKind::CholQr,
-            borth: BorthKind::Cgs,
-            reorth: true,
-            ..Default::default()
-        };
-        let (c_eff, r_eff) = borth_tsqr(&mut mg, &ids, 3, 7, &cfg).unwrap();
-        let qnew = collect(&mg, &ids, n, cols).cols_copy(3, 7);
-        // W_orig = Qprev C_eff + Qnew R_eff
-        let mut rec = Mat::zeros(n, 4);
-        blas3::gemm_nn(1.0, &qprev, &c_eff, 0.0, &mut rec);
-        blas3::gemm_nn(1.0, &qnew, &r_eff, 1.0, &mut rec);
-        let worig = orig.cols_copy(3, 7);
-        for j in 0..4 {
-            for i in 0..n {
-                assert!(
-                    (rec[(i, j)] - worig[(i, j)]).abs() < 1e-11,
-                    "({i},{j}): {} vs {}",
-                    rec[(i, j)],
-                    worig[(i, j)]
-                );
-            }
-        }
-        // and reorth actually improved orthogonality vs the prev block
-        let qfull = collect(&mg, &ids, n, cols);
-        for jo in 0..3 {
-            for jn in 3..7 {
-                let d = ca_dense::blas1::dot(qfull.col(jo), qfull.col(jn));
-                assert!(d.abs() < 1e-13);
-            }
-        }
-    }
-
-    #[test]
     fn orth_column_produces_hessenberg_coeffs() {
         let (n, cols) = (70, 4);
         for kind in [BorthKind::Mgs, BorthKind::Cgs] {
             let (mut mg, ids, orig) = setup(n, cols, 2, 21);
             // col 0: normalize by hand via tsqr of single column
             tsqr(&mut mg, &ids, 0, 1, TsqrKind::Mgs, true).unwrap();
-            let h = orth_column(&mut mg, &ids, 1, kind).unwrap();
+            let h = orth_column(&mut mg, &ids, 0, 1, kind).unwrap();
             assert_eq!(h.len(), 2);
             let q = collect(&mg, &ids, n, cols);
             // reconstruction: orig col1 = h[0] q0 + h[1] q1

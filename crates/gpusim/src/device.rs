@@ -616,7 +616,8 @@ impl Device {
 
     fn spmv_cost(&self, s: SpId) -> f64 {
         let storage = &self.slices[s.0].storage;
-        self.model.spmv_time_at(storage.shape(), storage.prec())
+        let sh = storage.shape();
+        self.model.spmv_hyb_time(sh.slots, sh.spilled, sh.rows, storage.prec())
     }
 
     // ---------- host-side inspection (free) ----------
@@ -704,7 +705,7 @@ impl Device {
 
     /// `V[:, dst] += alpha * V[:, src]`.
     pub fn axpy_cols(&mut self, v: MatId, alpha: f64, src: usize, dst: usize) {
-        let dt = self.model.blas1_time(3 * self.rows(v));
+        let dt = self.model.blas1_time(3 * self.rows(v), Precision::F64);
         self.run("axpy", dt, |dev| {
             let (s, d) = if src < dst {
                 let (a, b) = dev.mats[v.0].two_cols_mut(src, dst);
@@ -719,14 +720,14 @@ impl Device {
 
     /// `V[:, col] *= alpha`.
     pub fn scal_col(&mut self, v: MatId, col: usize, alpha: f64) {
-        let dt = self.model.blas1_time(2 * self.rows(v));
+        let dt = self.model.blas1_time(2 * self.rows(v), Precision::F64);
         self.run("scal", dt, |dev| blas1::scal(alpha, dev.mats[v.0].col_mut(col)));
     }
 
     /// Local dot product `V[:, a] . V[:, b]` (the MGS building block).
     /// Neutral value: a unit norm (`a == b`), a zero projection otherwise.
     pub fn dot_cols(&mut self, v: MatId, a: usize, b: usize) -> f64 {
-        let dt = self.model.blas1_time(2 * self.rows(v));
+        let dt = self.model.blas1_time(2 * self.rows(v), Precision::F64);
         let neutral = || if a == b { 1.0 } else { 0.0 };
         self.launch("dot", dt, neutral, |dev| {
             let m = &dev.mats[v.0];
@@ -743,7 +744,7 @@ impl Device {
 
     /// Copy `V[:, src]` to `V[:, dst]`.
     pub fn copy_col(&mut self, v: MatId, src: usize, dst: usize) {
-        let dt = self.model.blas1_time(2 * self.rows(v));
+        let dt = self.model.blas1_time(2 * self.rows(v), Precision::F64);
         self.run("copy_col", dt, |dev| {
             let m = &mut dev.mats[v.0];
             if src < dst {
@@ -767,7 +768,7 @@ impl Device {
     /// `(sum V[:, col], sum |V[:, col]|)` — the `1^T v` checksum plus the
     /// magnitude scale its verification tolerance is relative to.
     pub fn sum_col_abs(&mut self, v: MatId, col: usize) -> [f64; 2] {
-        let dt = self.model.blas1_time(self.rows(v));
+        let dt = self.model.blas1_time(self.rows(v), Precision::F64);
         let neutral = || [0.0; 2];
         self.launch("abft_colsum", dt, neutral, |dev| {
             let mut s = 0.0;
@@ -784,7 +785,7 @@ impl Device {
     /// device-resident checksum vector against a basis column.
     pub fn dot_vec_col_abs(&mut self, z: VecId, v: MatId, col: usize) -> [f64; 2] {
         assert!(self.vecs[z.0].nrows() >= self.rows(v), "checksum vector shorter than column");
-        let dt = self.model.blas1_time(2 * self.rows(v));
+        let dt = self.model.blas1_time(2 * self.rows(v), Precision::F64);
         let neutral = || [0.0; 2];
         self.launch("abft_dot", dt, neutral, |dev| {
             let mut s = 0.0;
@@ -803,7 +804,7 @@ impl Device {
     /// verifies.
     pub fn block_sum_dot(&mut self, v: MatId, a: (usize, usize), b: (usize, usize)) -> [f64; 2] {
         let rows = self.rows(v);
-        let dt = self.model.blas1_time(rows * ((a.1 - a.0) + (b.1 - b.0)));
+        let dt = self.model.blas1_time(rows * ((a.1 - a.0) + (b.1 - b.0)), Precision::F64);
         let neutral = || [0.0; 2];
         self.launch("abft_block_dot", dt, neutral, |dev| {
             let m = &dev.mats[v.0];
@@ -885,7 +886,7 @@ impl Device {
     /// Neutral value: the identity.
     pub fn syrk_cols(&mut self, v: MatId, j0: usize, j1: usize, variant: GemmVariant) -> Mat {
         let k = j1 - j0;
-        let dt = self.model.gemm_tn_time(variant, self.rows(v), k, k);
+        let dt = self.model.gemm_tn_time(variant, self.rows(v), k, k, Precision::F64);
         let neutral = || Mat::identity(k);
         self.launch("syrk", dt, neutral, |dev| {
             let mut b = Mat::zeros(k, k);
@@ -904,7 +905,7 @@ impl Device {
     pub fn syrk_cols_f32(&mut self, v: MatId, j0: usize, j1: usize, variant: GemmVariant) -> Mat {
         let k = j1 - j0;
         let rows = self.rows(v);
-        let dt = self.model.gemm_tn_time_f32(variant, rows, k, k);
+        let dt = self.model.gemm_tn_time(variant, rows, k, k, Precision::F32);
         let neutral = || Mat::identity(k);
         self.launch("syrk_f32", dt, neutral, |dev| {
             let m = &dev.mats[v.0];
@@ -945,7 +946,7 @@ impl Device {
         variant: GemmVariant,
     ) -> Mat {
         let (ka, kb) = (a1 - a0, b1 - b0);
-        let dt = self.model.gemm_tn_time(variant, self.rows(v), ka, kb);
+        let dt = self.model.gemm_tn_time(variant, self.rows(v), ka, kb, Precision::F64);
         let neutral = || Mat::zeros(ka, kb);
         self.launch("gemm_tn", dt, neutral, |dev| {
             let m = &dev.mats[v.0];
@@ -1235,7 +1236,7 @@ impl Device {
     /// as they are packed (neutral value: no payload). PCIe cost is charged
     /// separately by the `MultiGpu` transfer that ships the result.
     pub fn compress_p(&mut self, z: VecId, idxs: &[u32], prec: Precision) -> Vec<f64> {
-        let dt = self.model.blas1_time_at(prec, 2 * idxs.len());
+        let dt = self.model.blas1_time(2 * idxs.len(), prec);
         self.launch("halo_pack", dt, Vec::new, |dev| {
             let zv = dev.vecs[z.0].col(0);
             idxs.iter().map(|&i| prec.quantize(zv[i as usize])).collect()
@@ -1246,7 +1247,7 @@ impl Device {
     /// "expand w into a full vector" kernel of Fig. 4), rounded to `prec`
     /// before they land.
     pub fn expand_p(&mut self, z: VecId, idxs: &[u32], vals: &[f64], prec: Precision) {
-        let dt = self.model.blas1_time_at(prec, 2 * idxs.len());
+        let dt = self.model.blas1_time(2 * idxs.len(), prec);
         self.run("halo_unpack", dt, |dev| {
             assert_eq!(idxs.len(), vals.len());
             let zv = dev.vecs[z.0].col_mut(0);
@@ -1267,7 +1268,7 @@ impl Device {
         rows: Range<usize>,
         prec: Precision,
     ) {
-        let dt = self.model.blas1_time_at(prec, 2 * rows.len());
+        let dt = self.model.blas1_time(2 * rows.len(), prec);
         self.run("scatter_col", dt, |dev| {
             let (src, dst) = (dev.mats[v.0].col(col), &mut dev.vecs[z.0].col_mut(0)[rows]);
             match prec {
@@ -1301,7 +1302,7 @@ impl Device {
     /// expand (or shift + expand) fused into the same launch.
     fn spmv_scatter_cost(&self, s: SpId) -> f64 {
         let sl = &self.slices[s.0];
-        self.spmv_cost(s) + self.model.blas1_time_at(sl.storage.prec(), 2 * sl.rows.len())
+        self.spmv_cost(s) + self.model.blas1_time(2 * sl.rows.len(), sl.storage.prec())
             - self.model.launch_s
     }
 
@@ -1370,7 +1371,7 @@ impl Device {
         }
         let words = 2 * rows.len();
         self.mats[v.0].col_mut(col).copy_from_slice(&self.vecs[z.0].col(0)[rows]);
-        self.advance("gather_col", self.model.blas1_time(words));
+        self.advance("gather_col", self.model.blas1_time(words, Precision::F64));
     }
 
     /// [`Device::mpk_step`] as the commands it replaced.
@@ -1890,7 +1891,7 @@ mod tests {
         for &i in &idxs {
             assert_eq!(d.vec(z2)[i as usize].to_bits(), vals[i as usize].to_bits());
         }
-        let pass = PerfModel::default().blas1_time(2 * idxs.len());
+        let pass = PerfModel::default().blas1_time(2 * idxs.len(), Precision::F64);
         assert_eq!(d.clock().to_bits(), (pass + pass).to_bits());
         let ta = d.clock();
 

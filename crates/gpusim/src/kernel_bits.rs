@@ -17,7 +17,7 @@ use crate::faults::{FaultPlan, SdcKind, SdcTargets};
 use crate::model::{GemmVariant, GemvVariant, PerfModel};
 use crate::stream::Cmd;
 use ca_dense::{blas1, Mat};
-use ca_scalar::rng::SplitMix64;
+use ca_scalar::{rng::SplitMix64, Precision};
 use std::sync::Arc;
 
 // ---------- the retained reference loops ----------
@@ -180,7 +180,7 @@ fn gram_kernels_match_the_per_entry_loops() {
                     );
                     assert_eq!(
                         last_kernel(&d),
-                        ("gemm_tn", model.gemm_tn_time(variant, rows, ka, kb))
+                        ("gemm_tn", model.gemm_tn_time(variant, rows, ka, kb, Precision::F64))
                     );
 
                     let got = d.syrk_cols(v, a.0, a.1, variant);
@@ -191,7 +191,7 @@ fn gram_kernels_match_the_per_entry_loops() {
                     );
                     assert_eq!(
                         last_kernel(&d),
-                        ("syrk", model.gemm_tn_time(variant, rows, ka, ka))
+                        ("syrk", model.gemm_tn_time(variant, rows, ka, ka, Precision::F64))
                     );
                     shapes += 1;
                 }
@@ -265,7 +265,7 @@ fn update_kernels_match_the_axpy_chain() {
                 assert_bits(d.mat(v), &want, "copy_col");
                 assert_eq!(
                     last_kernel(&d),
-                    ("copy_col", PerfModel::default().blas1_time(2 * rows))
+                    ("copy_col", PerfModel::default().blas1_time(2 * rows, Precision::F64))
                 );
             }
         }

@@ -103,9 +103,7 @@ pub use faults::{
     AllocFault, BasisPerturb, DeviceLoss, FaultPlan, GpuSimError, GramNudge, LinkDegrade, SdcKind,
     SdcTargets, Slowdown, StallPlan,
 };
-pub use model::{
-    EffCurve, GemmVariant, GemvVariant, KernelConfig, PerfModel, SpmvShape, PARAM_NAMES,
-};
+pub use model::{EffCurve, GemmVariant, GemvVariant, KernelConfig, PerfModel, SpmvShape};
 pub use multi::{CommCounters, DeviceHealth, HealthReport, MultiGpu};
 pub use retry::RetryPolicy;
 pub use stream::{Cmd, CopyEngine, Event, EventTable, Schedule, StreamTrace};

@@ -91,7 +91,7 @@ pub struct SpmvShape {
 ///
 /// A fitted machine profile (see the `ca-tune` crate) persists these
 /// constants by name and reloads them bit-identically; use
-/// [`PerfModel::param`] / [`PerfModel::set_param`] /
+/// [`PerfModel::param`] / [`PerfModel::set_param`] / [`PerfModel::params`] /
 /// [`PerfModel::apply_overrides`] to introspect or replace individual
 /// constants without depending on the struct layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,54 +193,44 @@ impl PerfModel {
         launches as f64 * self.launch_s + flops / tput + bytes / bw
     }
 
-    /// ELL SpMV time: streams `padded_nnz` (value, index) slots, gathers
-    /// `padded_nnz` vector entries (half-efficiency random access), writes
-    /// `rows` results.
-    pub fn spmv_time(&self, padded_nnz: usize, rows: usize) -> f64 {
-        let stream = padded_nnz as f64 * 12.0 + rows as f64 * 8.0;
-        let gather = padded_nnz as f64 * 8.0 * 2.0; // random-access penalty x2
-        self.launch_s + (stream + gather) / (self.eff_spmv * self.dev_mem_bw)
+    /// ELL SpMV time at `prec`: streams `padded_nnz` (value, 4-byte index)
+    /// slots, gathers `padded_nnz` vector entries (half-efficiency random
+    /// access), writes `rows` results. Single precision halves the value
+    /// traffic and runs against its own efficiency (`eff_spmv_f32`).
+    pub fn spmv_time(&self, padded_nnz: usize, rows: usize, prec: Precision) -> f64 {
+        let word = prec.bytes() as f64;
+        let stream = padded_nnz as f64 * (word + 4.0) + rows as f64 * word;
+        let gather = padded_nnz as f64 * word * 2.0; // random-access penalty x2
+        self.launch_s + (stream + gather) / (self.spmv_eff(prec) * self.dev_mem_bw)
     }
 
-    /// Single-precision ELL SpMV time: same access pattern as
-    /// [`PerfModel::spmv_time`] with 4-byte values — 8-byte (value, index)
-    /// slots, 4-byte gathers (still a x2 random-access penalty), 4-byte
-    /// results — against the `eff_spmv_f32` efficiency.
-    pub fn spmv_time_f32(&self, padded_nnz: usize, rows: usize) -> f64 {
-        let stream = padded_nnz as f64 * 8.0 + rows as f64 * 4.0;
-        let gather = padded_nnz as f64 * 4.0 * 2.0;
-        self.launch_s + (stream + gather) / (self.eff_spmv_f32 * self.dev_mem_bw)
-    }
-
-    /// HYB (ELL + COO) SpMV time: the regular part streams like ELL, the
-    /// COO tail pays scalar random access (16-byte triplets, atomic-update
-    /// flavored at 1/3 streaming efficiency) plus its own launch.
-    pub fn spmv_hyb_time(&self, ell_padded: usize, coo_nnz: usize, rows: usize) -> f64 {
-        let mut t = self.spmv_time(ell_padded, rows);
+    /// HYB (ELL + COO) SpMV time at `prec`: the regular part streams like
+    /// ELL, the COO tail pays scalar random access (triplets of 8-byte
+    /// coordinates and a value, plus the gathered entry, atomic-update
+    /// flavored at 1/3 streaming efficiency) and its own launch. Plain
+    /// ELLPACK is the hybrid format without a tail, to the bit.
+    pub fn spmv_hyb_time(
+        &self,
+        ell_padded: usize,
+        coo_nnz: usize,
+        rows: usize,
+        prec: Precision,
+    ) -> f64 {
+        let mut t = self.spmv_time(ell_padded, rows, prec);
         if coo_nnz > 0 {
+            let word = prec.bytes() as f64;
             t += self.launch_s
-                + coo_nnz as f64 * (16.0 + 8.0) / (self.eff_spmv * self.dev_mem_bw / 3.0);
+                + coo_nnz as f64 * ((8.0 + word) + word)
+                    / (self.spmv_eff(prec) * self.dev_mem_bw / 3.0);
         }
         t
     }
 
-    /// Single-precision HYB SpMV time: f32 ELL part plus a COO tail whose
-    /// triplets shrink to 12 bytes (8-byte coordinates, 4-byte value).
-    pub fn spmv_hyb_time_f32(&self, ell_padded: usize, coo_nnz: usize, rows: usize) -> f64 {
-        let mut t = self.spmv_time_f32(ell_padded, rows);
-        if coo_nnz > 0 {
-            t += self.launch_s
-                + coo_nnz as f64 * (12.0 + 4.0) / (self.eff_spmv_f32 * self.dev_mem_bw / 3.0);
-        }
-        t
-    }
-
-    /// SpMV over one slice at `prec`: plain ELLPACK is the hybrid format
-    /// without a tail, to the bit.
-    pub fn spmv_time_at(&self, sh: SpmvShape, prec: Precision) -> f64 {
+    /// SpMV streaming efficiency (fraction of `dev_mem_bw`) at `prec`.
+    fn spmv_eff(&self, prec: Precision) -> f64 {
         match prec {
-            Precision::F64 => self.spmv_hyb_time(sh.slots, sh.spilled, sh.rows),
-            Precision::F32 => self.spmv_hyb_time_f32(sh.slots, sh.spilled, sh.rows),
+            Precision::F64 => self.eff_spmv,
+            Precision::F32 => self.eff_spmv_f32,
         }
     }
 
@@ -263,61 +253,50 @@ impl PerfModel {
         let streamed = |kernel: f64| kernel - self.launch_s;
         let mut t = self.launch_s;
         for p in parts {
-            t += streamed(self.spmv_time_at(p, prec))
-                + streamed(self.blas1_time_at(prec, 2 * p.rows));
+            t += streamed(self.spmv_hyb_time(p.slots, p.spilled, p.rows, prec))
+                + streamed(self.blas1_time(2 * p.rows, prec));
         }
-        t + streamed(self.blas1_time(2 * nlocal))
+        t + streamed(self.blas1_time(2 * nlocal, Precision::F64))
     }
 
     /// Gram-product (`C := V1^T V2`, `m` rows, `k1 x k2` output) time for a
-    /// GEMM variant. Bytes modeled as one streaming read of both operands.
+    /// GEMM variant at `prec`. Bytes modeled as one streaming read of both
+    /// operands; single precision (the \[23\] mixed-precision
+    /// orthogonalization) is half the memory traffic and double the Fermi
+    /// arithmetic rate.
     ///
     /// A skinny-operand penalty (`k2/(k2+2)`) derates the achievable
     /// bandwidth when the second operand has very few columns: GEMM tiles
     /// run mostly empty. This is the effect behind the paper's observation
     /// that CA-GMRES with s = 1 is much slower than GMRES — "these kernels
     /// are not optimized for orthogonalizing one vector at a time" (§VI-B).
-    pub fn gemm_tn_time(&self, variant: GemmVariant, m: usize, k1: usize, k2: usize) -> f64 {
+    pub fn gemm_tn_time(
+        &self,
+        variant: GemmVariant,
+        m: usize,
+        k1: usize,
+        k2: usize,
+        prec: Precision,
+    ) -> f64 {
+        let word = prec.bytes() as f64;
+        let rate = 8.0 / word;
         let flops = 2.0 * m as f64 * k1 as f64 * k2 as f64;
         let skinny = k2 as f64 / (k2 as f64 + 2.0);
         match variant {
             GemmVariant::Cublas => {
-                let bytes = 8.0 * m as f64 * (k1 + k2) as f64;
+                let bytes = word * m as f64 * (k1 + k2) as f64;
                 let (t, b) = self.gemm_cublas;
-                self.kernel_time(1, flops, t, bytes, b * skinny)
+                self.kernel_time(1, flops, rate * t, bytes, b * skinny)
             }
             GemmVariant::Batched { .. } => {
                 let rows = variant.panel_rows().unwrap();
                 let nbatch = m.div_ceil(rows).max(1);
                 // padded to a multiple of the panel height
                 let padded = (nbatch * rows) as f64;
-                let bytes = 8.0 * padded * (k1 + k2) as f64 + 8.0 * (nbatch * k1 * k2) as f64; // partial-result traffic
+                let bytes = word * padded * (k1 + k2) as f64 + word * (nbatch * k1 * k2) as f64; // partial-result traffic
                 let (t, b) = self.gemm_batched;
                 // batched call + reduction kernel
-                self.kernel_time(2, flops, t, bytes, b * skinny)
-            }
-        }
-    }
-
-    /// Single-precision Gram product (the \[23\] mixed-precision
-    /// orthogonalization): half the memory traffic and double the Fermi
-    /// arithmetic rate.
-    pub fn gemm_tn_time_f32(&self, variant: GemmVariant, m: usize, k1: usize, k2: usize) -> f64 {
-        let flops = 2.0 * m as f64 * k1 as f64 * k2 as f64;
-        let skinny = k2 as f64 / (k2 as f64 + 2.0);
-        match variant {
-            GemmVariant::Cublas => {
-                let bytes = 4.0 * m as f64 * (k1 + k2) as f64;
-                let (t, b) = self.gemm_cublas;
-                self.kernel_time(1, flops, 2.0 * t, bytes, b * skinny)
-            }
-            GemmVariant::Batched { .. } => {
-                let rows = variant.panel_rows().unwrap();
-                let nbatch = m.div_ceil(rows).max(1);
-                let padded = (nbatch * rows) as f64;
-                let bytes = 4.0 * padded * (k1 + k2) as f64 + 4.0 * (nbatch * k1 * k2) as f64;
-                let (t, b) = self.gemm_batched;
-                self.kernel_time(2, flops, 2.0 * t, bytes, b * skinny)
+                self.kernel_time(2, flops, rate * t, bytes, b * skinny)
             }
         }
     }
@@ -326,7 +305,8 @@ impl PerfModel {
     /// destination cols) with a GEMM variant.
     pub fn gemm_nn_time(&self, variant: GemmVariant, m: usize, k1: usize, k2: usize) -> f64 {
         // Same traffic pattern as the Gram product plus the destination write.
-        self.gemm_tn_time(variant, m, k1, k2) + 8.0 * m as f64 * k2 as f64 / self.dev_mem_bw
+        self.gemm_tn_time(variant, m, k1, k2, Precision::F64)
+            + 8.0 * m as f64 * k2 as f64 / self.dev_mem_bw
     }
 
     /// Tall-skinny GEMV (`y := V^T x`, `m` rows, `k` cols) for a variant.
@@ -339,24 +319,12 @@ impl PerfModel {
         self.launch_s + bytes / bw
     }
 
-    /// BLAS-1 op over `words` f64 reads+writes total.
-    pub fn blas1_time(&self, words: usize) -> f64 {
-        self.launch_s + 8.0 * words as f64 / self.blas1_bw
-    }
-
-    /// BLAS-1 op over `words` f32 reads+writes total: half the traffic of
-    /// the f64 variant against the same bandwidth cap (BLAS-1 is purely
-    /// streaming, so no separate efficiency constant is warranted).
-    pub fn blas1_time_f32(&self, words: usize) -> f64 {
-        self.launch_s + 4.0 * words as f64 / self.blas1_bw
-    }
-
-    /// BLAS-1 op over `words` reads+writes at `prec`.
-    pub fn blas1_time_at(&self, prec: Precision, words: usize) -> f64 {
-        match prec {
-            Precision::F64 => self.blas1_time(words),
-            Precision::F32 => self.blas1_time_f32(words),
-        }
+    /// BLAS-1 op over `words` reads+writes total at `prec`. Single
+    /// precision is half the traffic against the same bandwidth cap (BLAS-1
+    /// is purely streaming, so no separate efficiency constant is
+    /// warranted).
+    pub fn blas1_time(&self, words: usize, prec: Precision) -> f64 {
+        self.launch_s + prec.bytes() as f64 * words as f64 / self.blas1_bw
     }
 
     /// Local Householder QR of an `m x k` block, explicit Q formed
@@ -380,7 +348,8 @@ impl PerfModel {
         let (t, b) = self.geqr2;
         // + the k x k tree reduction and the per-panel Q application
         let tree_flops = 4.0 * (nb * k) as f64 * (k * k) as f64;
-        let apply = self.gemm_tn_time(GemmVariant::Batched { h: h.max(32) }, rows, k, k);
+        let apply =
+            self.gemm_tn_time(GemmVariant::Batched { h: h.max(32) }, rows, k, k, Precision::F64);
         self.kernel_time(4, flops + tree_flops, 3.0 * t, bytes, 2.0 * b) + apply
     }
 
@@ -419,106 +388,59 @@ impl PerfModel {
     }
 }
 
-/// Names accepted by [`PerfModel::param`] / [`PerfModel::set_param`].
-/// Tuple-valued constants are flattened as `name.tput` / `name.bw`.
-pub const PARAM_NAMES: &[&str] = &[
-    "launch_s",
-    "pcie_latency_s",
-    "pcie_bw",
-    "host_msg_s",
-    "net_latency_s",
-    "net_bw",
-    "dev_mem_capacity",
-    "dev_peak_flops",
-    "dev_mem_bw",
-    "eff_spmv",
-    "eff_spmv_f32",
-    "gemm_cublas.tput",
-    "gemm_cublas.bw",
-    "gemm_batched.tput",
-    "gemm_batched.bw",
-    "gemv_cublas_bw",
-    "gemv_magma_bw",
-    "blas1_bw",
-    "geqr2.tput",
-    "geqr2.bw",
-    "trsm_bw",
-    "host_flops",
-    "host_mem_bw",
-    "host_gemm_flops",
-    "host_spmv_bw",
+/// One named constant: its name, how to read it and how to overwrite it.
+type Param = (&'static str, fn(&PerfModel) -> f64, fn(&mut PerfModel, f64));
+
+/// Every constant [`PerfModel::param`] / [`PerfModel::set_param`] accept,
+/// in the order a machine profile stores them (its JSON and its hash depend
+/// on this order). Tuple-valued constants are flattened as `name.tput` /
+/// `name.bw`; `dev_mem_capacity` is reported in bytes as `f64`.
+const PARAMS: &[Param] = &[
+    ("launch_s", |m| m.launch_s, |m, v| m.launch_s = v),
+    ("pcie_latency_s", |m| m.pcie_latency_s, |m, v| m.pcie_latency_s = v),
+    ("pcie_bw", |m| m.pcie_bw, |m, v| m.pcie_bw = v),
+    ("host_msg_s", |m| m.host_msg_s, |m, v| m.host_msg_s = v),
+    ("net_latency_s", |m| m.net_latency_s, |m, v| m.net_latency_s = v),
+    ("net_bw", |m| m.net_bw, |m, v| m.net_bw = v),
+    ("dev_mem_capacity", |m| m.dev_mem_capacity as f64, |m, v| m.dev_mem_capacity = v as usize),
+    ("dev_peak_flops", |m| m.dev_peak_flops, |m, v| m.dev_peak_flops = v),
+    ("dev_mem_bw", |m| m.dev_mem_bw, |m, v| m.dev_mem_bw = v),
+    ("eff_spmv", |m| m.eff_spmv, |m, v| m.eff_spmv = v),
+    ("eff_spmv_f32", |m| m.eff_spmv_f32, |m, v| m.eff_spmv_f32 = v),
+    ("gemm_cublas.tput", |m| m.gemm_cublas.0, |m, v| m.gemm_cublas.0 = v),
+    ("gemm_cublas.bw", |m| m.gemm_cublas.1, |m, v| m.gemm_cublas.1 = v),
+    ("gemm_batched.tput", |m| m.gemm_batched.0, |m, v| m.gemm_batched.0 = v),
+    ("gemm_batched.bw", |m| m.gemm_batched.1, |m, v| m.gemm_batched.1 = v),
+    ("gemv_cublas_bw", |m| m.gemv_cublas_bw, |m, v| m.gemv_cublas_bw = v),
+    ("gemv_magma_bw", |m| m.gemv_magma_bw, |m, v| m.gemv_magma_bw = v),
+    ("blas1_bw", |m| m.blas1_bw, |m, v| m.blas1_bw = v),
+    ("geqr2.tput", |m| m.geqr2.0, |m, v| m.geqr2.0 = v),
+    ("geqr2.bw", |m| m.geqr2.1, |m, v| m.geqr2.1 = v),
+    ("trsm_bw", |m| m.trsm_bw, |m, v| m.trsm_bw = v),
+    ("host_flops", |m| m.host_flops, |m, v| m.host_flops = v),
+    ("host_mem_bw", |m| m.host_mem_bw, |m, v| m.host_mem_bw = v),
+    ("host_gemm_flops", |m| m.host_gemm_flops, |m, v| m.host_gemm_flops = v),
+    ("host_spmv_bw", |m| m.host_spmv_bw, |m, v| m.host_spmv_bw = v),
 ];
 
 impl PerfModel {
-    /// Read one named constant (see [`PARAM_NAMES`]); `None` for an
-    /// unknown name. `dev_mem_capacity` is reported in bytes as `f64`.
+    /// Read one named constant; `None` for an unknown name.
     pub fn param(&self, name: &str) -> Option<f64> {
-        Some(match name {
-            "launch_s" => self.launch_s,
-            "pcie_latency_s" => self.pcie_latency_s,
-            "pcie_bw" => self.pcie_bw,
-            "host_msg_s" => self.host_msg_s,
-            "net_latency_s" => self.net_latency_s,
-            "net_bw" => self.net_bw,
-            "dev_mem_capacity" => self.dev_mem_capacity as f64,
-            "dev_peak_flops" => self.dev_peak_flops,
-            "dev_mem_bw" => self.dev_mem_bw,
-            "eff_spmv" => self.eff_spmv,
-            "eff_spmv_f32" => self.eff_spmv_f32,
-            "gemm_cublas.tput" => self.gemm_cublas.0,
-            "gemm_cublas.bw" => self.gemm_cublas.1,
-            "gemm_batched.tput" => self.gemm_batched.0,
-            "gemm_batched.bw" => self.gemm_batched.1,
-            "gemv_cublas_bw" => self.gemv_cublas_bw,
-            "gemv_magma_bw" => self.gemv_magma_bw,
-            "blas1_bw" => self.blas1_bw,
-            "geqr2.tput" => self.geqr2.0,
-            "geqr2.bw" => self.geqr2.1,
-            "trsm_bw" => self.trsm_bw,
-            "host_flops" => self.host_flops,
-            "host_mem_bw" => self.host_mem_bw,
-            "host_gemm_flops" => self.host_gemm_flops,
-            "host_spmv_bw" => self.host_spmv_bw,
-            _ => return None,
-        })
+        PARAMS.iter().find(|p| p.0 == name).map(|p| p.1(self))
     }
 
     /// Overwrite one named constant; returns whether the name was known.
     pub fn set_param(&mut self, name: &str, value: f64) -> bool {
-        match name {
-            "launch_s" => self.launch_s = value,
-            "pcie_latency_s" => self.pcie_latency_s = value,
-            "pcie_bw" => self.pcie_bw = value,
-            "host_msg_s" => self.host_msg_s = value,
-            "net_latency_s" => self.net_latency_s = value,
-            "net_bw" => self.net_bw = value,
-            "dev_mem_capacity" => self.dev_mem_capacity = value as usize,
-            "dev_peak_flops" => self.dev_peak_flops = value,
-            "dev_mem_bw" => self.dev_mem_bw = value,
-            "eff_spmv" => self.eff_spmv = value,
-            "eff_spmv_f32" => self.eff_spmv_f32 = value,
-            "gemm_cublas.tput" => self.gemm_cublas.0 = value,
-            "gemm_cublas.bw" => self.gemm_cublas.1 = value,
-            "gemm_batched.tput" => self.gemm_batched.0 = value,
-            "gemm_batched.bw" => self.gemm_batched.1 = value,
-            "gemv_cublas_bw" => self.gemv_cublas_bw = value,
-            "gemv_magma_bw" => self.gemv_magma_bw = value,
-            "blas1_bw" => self.blas1_bw = value,
-            "geqr2.tput" => self.geqr2.0 = value,
-            "geqr2.bw" => self.geqr2.1 = value,
-            "trsm_bw" => self.trsm_bw = value,
-            "host_flops" => self.host_flops = value,
-            "host_mem_bw" => self.host_mem_bw = value,
-            "host_gemm_flops" => self.host_gemm_flops = value,
-            "host_spmv_bw" => self.host_spmv_bw = value,
-            _ => return false,
+        let known = PARAMS.iter().find(|p| p.0 == name);
+        if let Some(p) = known {
+            p.2(self, value);
         }
-        true
+        known.is_some()
     }
 
-    /// Snapshot every named constant in [`PARAM_NAMES`] order.
+    /// Snapshot every named constant, in profile order.
     pub fn params(&self) -> Vec<(&'static str, f64)> {
-        PARAM_NAMES.iter().map(|&n| (n, self.param(n).unwrap())).collect()
+        PARAMS.iter().map(|p| (p.0, p.1(self))).collect()
     }
 
     /// Apply `(name, value)` overrides in order (a loaded machine profile
@@ -590,6 +512,7 @@ mod tests {
     use super::*;
     use ca_scalar::{cases, rng::Xoshiro256pp};
     use std::ops::Range;
+    use Precision::{F32, F64};
 
     #[test]
     fn batched_panel_rounds_to_32() {
@@ -605,8 +528,9 @@ mod tests {
         let m = PerfModel::default();
         let (n, s1) = (200_000, 30);
         let flops = 2.0 * n as f64 * (s1 * s1) as f64;
-        let g_cublas = flops / m.gemm_tn_time(GemmVariant::Cublas, n, s1, s1) / 1e9;
-        let g_batched = flops / m.gemm_tn_time(GemmVariant::Batched { h: 384 }, n, s1, s1) / 1e9;
+        let g_cublas = flops / m.gemm_tn_time(GemmVariant::Cublas, n, s1, s1, F64) / 1e9;
+        let g_batched =
+            flops / m.gemm_tn_time(GemmVariant::Batched { h: 384 }, n, s1, s1, F64) / 1e9;
         let g_mkl = flops / m.host_gemm_time(n, s1, s1) / 1e9;
         assert!(g_batched > g_mkl, "batched {g_batched} <= mkl {g_mkl}");
         assert!(g_mkl > g_cublas, "mkl {g_mkl} <= cublas {g_cublas}");
@@ -635,18 +559,18 @@ mod tests {
     #[test]
     fn spmv_time_scales_with_nnz() {
         let m = PerfModel::default();
-        let t1 = m.spmv_time(1_000_000, 100_000);
-        let t2 = m.spmv_time(2_000_000, 100_000);
+        let t1 = m.spmv_time(1_000_000, 100_000, F64);
+        let t2 = m.spmv_time(2_000_000, 100_000, F64);
         assert!(t2 > 1.8 * t1);
     }
 
     #[test]
     fn costs_monotone_in_problem_size() {
         let m = PerfModel::default();
-        assert!(m.spmv_time(2_000_000, 100_000) > m.spmv_time(1_000_000, 100_000));
+        assert!(m.spmv_time(2_000_000, 100_000, F64) > m.spmv_time(1_000_000, 100_000, F64));
         assert!(
-            m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 200_000, 30, 30)
-                > m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 100_000, 30, 30)
+            m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 200_000, 30, 30, F64)
+                > m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 100_000, 30, 30, F64)
         );
         assert!(m.pcie_time(1000) > m.pcie_time(100));
         assert!(m.remote_link_time(1000) > m.pcie_time(1000));
@@ -658,7 +582,7 @@ mod tests {
         // per-flop cost at k2 = 1 must exceed k2 = 30 (the §VI-B effect)
         let m = PerfModel::default();
         let per_flop = |k2: usize| {
-            let t = m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 100_000, 30, k2);
+            let t = m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 100_000, 30, k2, F64);
             t / (2.0 * 100_000.0 * 30.0 * k2 as f64)
         };
         assert!(per_flop(1) > 1.8 * per_flop(30));
@@ -667,8 +591,8 @@ mod tests {
     #[test]
     fn f32_gram_cheaper_than_f64() {
         let m = PerfModel::default();
-        let t64 = m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 200_000, 30, 30);
-        let t32 = m.gemm_tn_time_f32(GemmVariant::Batched { h: 384 }, 200_000, 30, 30);
+        let t64 = m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 200_000, 30, 30, F64);
+        let t32 = m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 200_000, 30, 30, F32);
         assert!(t32 < 0.75 * t64, "f32 {t32} vs f64 {t64}");
     }
 
@@ -678,20 +602,21 @@ mod tests {
         // strictly faster basis-generation kernel at every scale
         let m = PerfModel::default();
         for (nnz, rows) in [(100_000, 10_000), (1_000_000, 100_000), (20_000_000, 1_500_000)] {
-            assert!(m.spmv_time_f32(nnz, rows) < m.spmv_time(nnz, rows));
+            assert!(m.spmv_time(nnz, rows, F32) < m.spmv_time(nnz, rows, F64));
             assert!(
-                m.spmv_hyb_time_f32(nnz, rows / 10, rows) < m.spmv_hyb_time(nnz, rows / 10, rows)
+                m.spmv_hyb_time(nnz, rows / 10, rows, F32)
+                    < m.spmv_hyb_time(nnz, rows / 10, rows, F64)
             );
         }
-        assert!(m.blas1_time_f32(300_000) < m.blas1_time(300_000));
+        assert!(m.blas1_time(300_000, F32) < m.blas1_time(300_000, F64));
     }
 
     #[test]
     fn hyb_beats_ell_when_padding_dominates() {
         let m = PerfModel::default();
         // 100k rows, true width 5 but one hub row forces ELL width 200
-        let ell = m.spmv_time(200 * 100_000, 100_000);
-        let hyb = m.spmv_hyb_time(5 * 100_000, 200, 100_000);
+        let ell = m.spmv_time(200 * 100_000, 100_000, F64);
+        let hyb = m.spmv_hyb_time(5 * 100_000, 200, 100_000, F64);
         assert!(hyb < ell / 5.0);
     }
 
@@ -703,15 +628,16 @@ mod tests {
         let qr_flops = 4.0 * n as f64 * (k * k) as f64;
         let qr_gfs = qr_flops / m.geqr2_time(n, k) / 1e9;
         let gemm_flops = 2.0 * n as f64 * (k * k) as f64;
-        let gemm_gfs = gemm_flops / m.gemm_tn_time(GemmVariant::Batched { h: 384 }, n, k, k) / 1e9;
+        let gemm_gfs =
+            gemm_flops / m.gemm_tn_time(GemmVariant::Batched { h: 384 }, n, k, k, F64) / 1e9;
         assert!(gemm_gfs > 3.0 * qr_gfs, "gemm {gemm_gfs} vs qr {qr_gfs}");
     }
 
     #[test]
     fn param_introspection_roundtrips_every_name() {
         let mut m = PerfModel::default();
-        for &name in PARAM_NAMES {
-            let v = m.param(name).unwrap_or_else(|| panic!("unknown param {name}"));
+        for (name, v) in m.params() {
+            assert_eq!(m.param(name), Some(v), "unknown param {name}");
             assert!(m.set_param(name, v * 2.0), "set_param rejected {name}");
             assert_eq!(m.param(name).unwrap(), v * 2.0, "{name} did not stick");
             m.set_param(name, v);
@@ -726,18 +652,18 @@ mod tests {
 
     fn sample_times(m: &PerfModel) -> Vec<f64> {
         vec![
-            m.spmv_time(1_234_567, 98_765),
-            m.spmv_time_f32(1_234_567, 98_765),
-            m.spmv_hyb_time(543_210, 777, 98_765),
-            m.spmv_hyb_time_f32(543_210, 777, 98_765),
-            m.gemm_tn_time(GemmVariant::Cublas, 200_000, 30, 30),
-            m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 200_000, 31, 11),
-            m.gemm_tn_time_f32(GemmVariant::Batched { h: 384 }, 200_000, 30, 30),
+            m.spmv_time(1_234_567, 98_765, F64),
+            m.spmv_time(1_234_567, 98_765, F32),
+            m.spmv_hyb_time(543_210, 777, 98_765, F64),
+            m.spmv_hyb_time(543_210, 777, 98_765, F32),
+            m.gemm_tn_time(GemmVariant::Cublas, 200_000, 30, 30, F64),
+            m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 200_000, 31, 11, F64),
+            m.gemm_tn_time(GemmVariant::Batched { h: 384 }, 200_000, 30, 30, F32),
             m.gemm_nn_time(GemmVariant::Batched { h: 384 }, 150_000, 20, 10),
             m.gemv_t_time(GemvVariant::Cublas, 500_000, 30),
             m.gemv_t_time(GemvVariant::MagmaTallSkinny, 500_000, 30),
-            m.blas1_time(300_000),
-            m.blas1_time_f32(300_000),
+            m.blas1_time(300_000, F64),
+            m.blas1_time(300_000, F32),
             m.geqr2_time(100_000, 30),
             m.geqr2_batched_time(100_000, 30, 256),
             m.trsm_time(100_000, 30),
@@ -757,8 +683,7 @@ mod tests {
     fn profile_roundtrip_bit_identical() {
         cases(256, |rng| {
             let mut m = PerfModel::default();
-            for &name in PARAM_NAMES {
-                let v = m.param(name).unwrap();
+            for (name, v) in m.params() {
                 m.set_param(name, v * rng.in_range(0.25, 4.0));
             }
             let mut m2 = PerfModel::default();

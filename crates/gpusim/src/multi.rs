@@ -263,26 +263,9 @@ impl MultiGpu {
         self.faults = Some(plan);
     }
 
-    /// Remove the fault schedule (future ops run on the perfect machine;
-    /// an already-lost device stays lost).
-    pub fn clear_fault_plan(&mut self) {
-        for d in &mut self.devices {
-            d.set_faults(None);
-        }
-        self.faults = None;
-    }
-
     /// The installed fault schedule, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_deref()
-    }
-
-    /// Bound the attempts per transfer message (first try + retries).
-    /// Convenience wrapper over [`MultiGpu::set_transfer_retry`] that
-    /// keeps the attempt-count-only shape of the old knob (no backoff).
-    pub fn set_max_transfer_attempts(&mut self, attempts: u32) {
-        self.transfer_retry = RetryPolicy { max_attempts: attempts, ..self.transfer_retry };
-        assert!(attempts >= 1);
     }
 
     /// Install the transfer retry policy (attempt bound plus optional
@@ -295,16 +278,6 @@ impl MultiGpu {
     /// The transfer retry policy in effect.
     pub fn transfer_retry(&self) -> RetryPolicy {
         self.transfer_retry
-    }
-
-    /// Devices that are still alive (not lost).
-    pub fn alive_devices(&self) -> Vec<usize> {
-        (0..self.devices.len()).filter(|&d| !self.devices[d].is_lost()).collect()
-    }
-
-    /// Index of the first lost device, if any.
-    pub fn lost_device(&self) -> Option<usize> {
-        (0..self.devices.len()).find(|&d| self.devices[d].is_lost())
     }
 
     // ---------- health monitoring ----------
@@ -582,11 +555,6 @@ impl MultiGpu {
         ev
     }
 
-    /// Record an event carrying the current host clock.
-    pub fn record_host_event(&mut self) -> Event {
-        self.events.record(self.host_time)
-    }
-
     /// The completion timestamp an event carries.
     pub fn event_time(&self, e: Event) -> f64 {
         self.events.time(e)
@@ -716,29 +684,14 @@ impl MultiGpu {
     /// Enqueue one async device→host copy on device `d`'s link: the copy
     /// starts once the device's queue reaches it and its link is free, and
     /// the returned event fires on arrival. The device itself does not
-    /// block.
+    /// block. `bytes` is the actual wire size (already computed at the
+    /// payload's width by the caller); an `F32` `prec` additionally books
+    /// the message into the f32-split counters and metrics.
     ///
     /// # Errors
     /// [`GpuSimError::DeviceLost`] if the sending device has died;
     /// [`GpuSimError::TransferFailed`] past the retry bound.
-    pub fn copy_to_host_async(&mut self, d: usize, bytes: usize) -> Result<Event> {
-        self.copy_async(Dir::ToHost, d, bytes, Precision::F64)
-    }
-
-    /// [`MultiGpu::copy_to_host_async`] with the payload tagged by
-    /// precision. `bytes` is the actual wire size (already computed at the
-    /// payload's width by the caller); an `F32` tag additionally books the
-    /// message into the f32-split counters and metrics. `F64` is exactly
-    /// the plain call.
-    ///
-    /// # Errors
-    /// See [`MultiGpu::copy_to_host_async`].
-    pub fn copy_to_host_async_prec(
-        &mut self,
-        d: usize,
-        bytes: usize,
-        prec: Precision,
-    ) -> Result<Event> {
+    pub fn copy_to_host_async(&mut self, d: usize, bytes: usize, prec: Precision) -> Result<Event> {
         self.copy_async(Dir::ToHost, d, bytes, prec)
     }
 
@@ -746,21 +699,13 @@ impl MultiGpu {
     /// starts once the host clock reaches it and the link is free, and the
     /// returned event fires on device-side arrival. Neither the host nor
     /// the device blocks — pass the event to [`MultiGpu::wait_event`]
-    /// before the device consumes the data.
+    /// before the device consumes the data. `prec` tags the payload as in
+    /// [`MultiGpu::copy_to_host_async`].
     ///
     /// # Errors
     /// [`GpuSimError::DeviceLost`] if the receiving device has died;
     /// [`GpuSimError::TransferFailed`] past the retry bound.
-    pub fn copy_to_device_async(&mut self, d: usize, bytes: usize) -> Result<Event> {
-        self.copy_async(Dir::ToDevice, d, bytes, Precision::F64)
-    }
-
-    /// [`MultiGpu::copy_to_device_async`] with the payload tagged by
-    /// precision (see [`MultiGpu::copy_to_host_async_prec`]).
-    ///
-    /// # Errors
-    /// See [`MultiGpu::copy_to_device_async`].
-    pub fn copy_to_device_async_prec(
+    pub fn copy_to_device_async(
         &mut self,
         d: usize,
         bytes: usize,
@@ -770,22 +715,14 @@ impl MultiGpu {
     }
 
     /// Enqueue async device→host copies, one per device with `bytes[d]`
-    /// bytes (0 = no message). Returns each device's arrival event; links
-    /// overlap. Combine with [`MultiGpu::host_wait_all`] to reproduce the
-    /// blocking semantics, or wait selectively to overlap host work with
-    /// in-flight transfers.
+    /// bytes (0 = no message), every message tagged with `prec`. Returns
+    /// each device's arrival event; links overlap. Combine with
+    /// [`MultiGpu::host_wait_all`] to reproduce the blocking semantics, or
+    /// wait selectively to overlap host work with in-flight transfers.
     ///
     /// # Errors
     /// See [`MultiGpu::copy_to_host_async`].
-    pub fn to_host_async(&mut self, bytes: &[usize]) -> Result<Vec<Option<Event>>> {
-        self.copies_async(Dir::ToHost, bytes, Precision::F64)
-    }
-
-    /// [`MultiGpu::to_host_async`] with every message tagged by precision.
-    ///
-    /// # Errors
-    /// See [`MultiGpu::copy_to_host_async`].
-    pub fn to_host_async_prec(
+    pub fn to_host_async(
         &mut self,
         bytes: &[usize],
         prec: Precision,
@@ -793,24 +730,16 @@ impl MultiGpu {
         self.copies_async(Dir::ToHost, bytes, prec)
     }
 
-    /// Enqueue async host→device copies, one per device. Returns each
-    /// device's arrival event; the receiving devices do *not* implicitly
-    /// wait — call [`MultiGpu::wait_event`] per device before it touches
-    /// the data (that wait is what lets other devices and earlier queue
-    /// entries keep computing under the arriving payload).
+    /// Enqueue async host→device copies, one per device, every message
+    /// tagged with `prec`. Returns each device's arrival event; the
+    /// receiving devices do *not* implicitly wait — call
+    /// [`MultiGpu::wait_event`] per device before it touches the data (that
+    /// wait is what lets other devices and earlier queue entries keep
+    /// computing under the arriving payload).
     ///
     /// # Errors
     /// See [`MultiGpu::copy_to_device_async`].
-    pub fn to_devices_async(&mut self, bytes: &[usize]) -> Result<Vec<Option<Event>>> {
-        self.copies_async(Dir::ToDevice, bytes, Precision::F64)
-    }
-
-    /// [`MultiGpu::to_devices_async`] with every message tagged by
-    /// precision.
-    ///
-    /// # Errors
-    /// See [`MultiGpu::copy_to_device_async`].
-    pub fn to_devices_async_prec(
+    pub fn to_devices_async(
         &mut self,
         bytes: &[usize],
         prec: Precision,
@@ -829,7 +758,7 @@ impl MultiGpu {
     /// [`GpuSimError::TransferFailed`] if a message keeps failing past the
     /// retry bound. Retries pay simulated link time + stall.
     pub fn to_host(&mut self, bytes: &[usize]) -> Result<()> {
-        let events = self.to_host_async(bytes)?;
+        let events = self.to_host_async(bytes, Precision::F64)?;
         self.host_wait_all(&events);
         Ok(())
     }
@@ -844,7 +773,7 @@ impl MultiGpu {
     /// [`GpuSimError::TransferFailed`] if a message keeps failing past the
     /// retry bound. Retries pay simulated link time + stall.
     pub fn to_devices(&mut self, bytes: &[usize]) -> Result<()> {
-        let events = self.to_devices_async(bytes)?;
+        let events = self.to_devices_async(bytes, Precision::F64)?;
         let mut msgs = 0u64;
         for (i, e) in events.iter().enumerate() {
             if let Some(e) = e {
@@ -863,15 +792,6 @@ impl MultiGpu {
     pub fn broadcast(&mut self, bytes: usize) -> Result<()> {
         let v = vec![bytes; self.devices.len()];
         self.to_devices(&v)
-    }
-
-    /// Gather the same-size payload from all devices.
-    ///
-    /// # Errors
-    /// See [`MultiGpu::to_host`].
-    pub fn gather(&mut self, bytes: usize) -> Result<()> {
-        let v = vec![bytes; self.devices.len()];
-        self.to_host(&v)
     }
 
     // ---------- counters ----------
@@ -1007,9 +927,9 @@ mod tests {
         assert_eq!(mg.counters().bytes_to_host_f32, 0);
         assert_eq!(mg.counters().msgs_to_host_f32, 0);
         // f32-tagged traffic lands in both the totals and the split
-        let up = mg.to_host_async_prec(&[40, 0], Precision::F32).unwrap();
+        let up = mg.to_host_async(&[40, 0], Precision::F32).unwrap();
         mg.host_wait_all(&up);
-        let down = mg.to_devices_async_prec(&[0, 24], Precision::F32).unwrap();
+        let down = mg.to_devices_async(&[0, 24], Precision::F32).unwrap();
         for (d, e) in down.iter().enumerate() {
             if let Some(e) = e {
                 mg.wait_event(d, *e).unwrap();
@@ -1027,24 +947,6 @@ mod tests {
         let m = c.merged(c);
         assert_eq!(m.bytes_to_host_f32, 80);
         assert_eq!(m.msgs_to_dev_f32, 2);
-    }
-
-    #[test]
-    fn prec_f64_transfers_bit_identical_to_plain() {
-        let run = |tagged: bool| {
-            let mut mg = MultiGpu::with_defaults(2);
-            if tagged {
-                let up = mg.to_host_async_prec(&[64, 256], Precision::F64).unwrap();
-                mg.host_wait_all(&up);
-            } else {
-                mg.to_host(&[64, 256]).unwrap();
-            }
-            (mg.host_time().to_bits(), mg.counters())
-        };
-        let (h0, c0) = run(false);
-        let (h1, c1) = run(true);
-        assert_eq!(h0, h1);
-        assert_eq!(c0, c1);
     }
 
     #[test]
@@ -1114,7 +1016,7 @@ mod tests {
 
         let mut faulty = MultiGpu::with_defaults(2);
         faulty.set_fault_plan(FaultPlan::new(11).with_transfer_faults(0.3));
-        faulty.set_max_transfer_attempts(12); // never exhaust at rate 0.3
+        faulty.set_transfer_retry(RetryPolicy::attempts(12)); // never exhaust at rate 0.3
         for _ in 0..50 {
             faulty.to_host(&[1000, 1000]).unwrap();
         }
@@ -1130,7 +1032,7 @@ mod tests {
     fn exhausted_retries_surface_typed_error() {
         let mut mg = MultiGpu::with_defaults(1);
         mg.set_fault_plan(FaultPlan::new(5).with_transfer_faults(1.0));
-        mg.set_max_transfer_attempts(3);
+        mg.set_transfer_retry(RetryPolicy::attempts(3));
         let err = mg.to_host(&[8]).unwrap_err();
         assert_eq!(err, GpuSimError::TransferFailed { device: 0, attempts: 3 });
     }
@@ -1146,8 +1048,7 @@ mod tests {
             }
         });
         assert!(mg.device(1).is_lost());
-        assert_eq!(mg.alive_devices(), vec![0]);
-        assert_eq!(mg.lost_device(), Some(1));
+        assert!(!mg.device(0).is_lost());
         // messages touching only device 0 still work
         mg.to_host(&[8, 0]).unwrap();
         // any message touching device 1 fails typed
@@ -1166,7 +1067,7 @@ mod tests {
             }
             mg.to_host(&[64, 128, 256]).unwrap();
             mg.broadcast(32).unwrap();
-            mg.gather(16).unwrap();
+            mg.to_host(&[16; 3]).unwrap();
             (mg.time(), mg.host_time(), mg.counters())
         };
         let (t0, h0, c0) = run(None);
@@ -1244,15 +1145,15 @@ mod tests {
     #[test]
     fn same_link_copies_serialize_but_links_overlap() {
         let mut mg = MultiGpu::with_defaults(1);
-        let e1 = mg.copy_to_host_async(0, 1_000_000).unwrap();
-        let e2 = mg.copy_to_host_async(0, 1_000_000).unwrap();
+        let e1 = mg.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
+        let e2 = mg.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
         let one = mg.model().pcie_time(1_000_000);
         assert_eq!(mg.event_time(e1), one);
         assert!((mg.event_time(e2) - 2.0 * one).abs() < 1e-12, "same link must serialize");
 
         let mut mg2 = MultiGpu::with_defaults(2);
-        let f0 = mg2.copy_to_host_async(0, 1_000_000).unwrap();
-        let f1 = mg2.copy_to_host_async(1, 1_000_000).unwrap();
+        let f0 = mg2.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
+        let f1 = mg2.copy_to_host_async(1, 1_000_000, Precision::F64).unwrap();
         assert_eq!(mg2.event_time(f0), mg2.event_time(f1), "separate links overlap");
     }
 
@@ -1271,7 +1172,7 @@ mod tests {
         // stream schedule: enqueue the copy, compute under it, then wait
         let mut ev_mg = MultiGpu::with_defaults(1);
         let v2 = ev_mg.device_mut(0).alloc_mat(200_000, 2).unwrap();
-        let e = ev_mg.copy_to_device_async(0, 1_000_000).unwrap();
+        let e = ev_mg.copy_to_device_async(0, 1_000_000, Precision::F64).unwrap();
         ev_mg.run(|_, d| {
             d.dot_cols(v2, 0, 1);
         });
@@ -1291,9 +1192,9 @@ mod tests {
         };
         let run_async = || {
             let mut mg = MultiGpu::with_defaults(2);
-            let up = mg.to_host_async(&[64, 256]).unwrap();
+            let up = mg.to_host_async(&[64, 256], Precision::F64).unwrap();
             mg.host_wait_all(&up);
-            let down = mg.to_devices_async(&[128, 0]).unwrap();
+            let down = mg.to_devices_async(&[128, 0], Precision::F64).unwrap();
             let mut msgs = 0u64;
             for (d, e) in down.iter().enumerate() {
                 if let Some(e) = e {
@@ -1333,7 +1234,7 @@ mod tests {
         let mut mg = MultiGpu::with_defaults(2);
         mg.set_fault_plan(FaultPlan::new(0).with_device_loss(1, 1));
         let v = mg.device_mut(1).alloc_mat(10, 2).unwrap();
-        let e = mg.copy_to_device_async(1, 4096).unwrap(); // issued alive
+        let e = mg.copy_to_device_async(1, 4096, Precision::F64).unwrap(); // issued alive
         mg.run(|i, d| {
             if i == 1 {
                 d.dot_cols(v, 0, 1); // op 1 survives...
@@ -1344,7 +1245,7 @@ mod tests {
         let err = mg.wait_event(1, e).unwrap_err();
         assert_eq!(err, GpuSimError::DeviceLost { device: 1 });
         // the other device's waits are unaffected
-        let e0 = mg.copy_to_device_async(0, 64).unwrap();
+        let e0 = mg.copy_to_device_async(0, 64, Precision::F64).unwrap();
         mg.wait_event(0, e0).unwrap();
     }
 
@@ -1466,12 +1367,12 @@ mod tests {
     #[test]
     fn reset_time_clears_link_timelines_and_events() {
         let mut mg = MultiGpu::with_defaults(1);
-        let e = mg.copy_to_host_async(0, 1_000_000).unwrap();
+        let e = mg.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
         let first = mg.event_time(e);
         mg.reset_time();
         // after the reset the link is idle again: the same copy lands at
         // the same finish time instead of queuing behind the first
-        let e2 = mg.copy_to_host_async(0, 1_000_000).unwrap();
+        let e2 = mg.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
         assert_eq!(mg.event_time(e2).to_bits(), first.to_bits());
     }
 }

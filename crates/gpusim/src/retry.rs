@@ -1,8 +1,8 @@
 //! Typed retry policy shared by every bounded-retry loop in the stack:
 //! the executor's transient-transfer retry ([`crate::MultiGpu`]) and the
 //! fault-tolerant driver's ABFT block recompute / residual-rollback
-//! budgets (`ca-gmres`). One struct replaces the scattered
-//! `set_max_transfer_attempts`-style knobs, and adds an optional capped
+//! budgets (`ca-gmres`). One struct replaces scattered attempt-count
+//! knobs, and adds an optional capped
 //! exponential backoff *in simulated time* — a real recovery system
 //! spaces its retries out, and on this substrate that spacing must be
 //! priced like everything else.
@@ -39,8 +39,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy with `max_attempts` total attempts and no backoff (the
-    /// shape the old `set_max_transfer_attempts` knob expressed).
+    /// A policy with `max_attempts` total attempts and no backoff.
     #[must_use]
     pub fn attempts(max_attempts: u32) -> Self {
         assert!(max_attempts >= 1, "a retry policy needs at least one attempt");
@@ -74,12 +73,6 @@ impl RetryPolicy {
         let raw = self.backoff_base_s * self.backoff_factor.powi(retry as i32 - 1);
         raw.min(self.backoff_cap_s)
     }
-
-    /// Total backoff charged by a full sweep of `n` re-tries.
-    #[must_use]
-    pub fn total_backoff_s(&self, n: u32) -> f64 {
-        (1..=n).map(|k| self.backoff_s(k)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +97,7 @@ mod tests {
         assert_eq!(p.backoff_s(3), 4e-4);
         assert_eq!(p.backoff_s(4), 4e-4, "capped");
         assert_eq!(p.backoff_s(0), 0.0, "first attempt never waits");
-        let total = p.total_backoff_s(4);
+        let total: f64 = (1..=4).map(|k| p.backoff_s(k)).sum();
         assert!((total - (1e-4 + 2e-4 + 4e-4 + 4e-4)).abs() < 1e-18);
     }
 

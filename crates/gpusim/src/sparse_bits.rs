@@ -180,32 +180,29 @@ fn storage(a: &Csr, rows: &[u32], (format, prec): (Format, Precision)) -> (SpSto
     match (format, prec) {
         (Format::Ell, Precision::F64) => {
             let e = Ell::from_csr(&sel);
-            let (w, dt) = (e.width(), model.spmv_time(e.padded_nnz(), n));
+            let (w, dt) = (e.width(), model.spmv_time(e.padded_nnz(), n, prec));
             (SpStorage::Ell(e), w, dt)
         }
         (Format::Ell, Precision::F32) => {
             let e = Ell::from_csr(&sel.cast::<f32>());
-            let (w, dt) = (e.width(), model.spmv_time_f32(e.padded_nnz(), n));
+            let (w, dt) = (e.width(), model.spmv_time(e.padded_nnz(), n, prec));
             (SpStorage::EllF32(e), w, dt)
         }
         (Format::Hyb, Precision::F64) => {
             let h = Hyb::from_csr(&sel, 0.5);
-            let (w, dt) = (h.width(), model.spmv_hyb_time(h.width() * n, h.spilled(), n));
+            let (w, dt) = (h.width(), model.spmv_hyb_time(h.width() * n, h.spilled(), n, prec));
             (SpStorage::Hyb(h), w, dt)
         }
         (Format::Hyb, Precision::F32) => {
             let h = Hyb::from_csr(&sel.cast::<f32>(), 0.5);
-            let (w, dt) = (h.width(), model.spmv_hyb_time_f32(h.width() * n, h.spilled(), n));
+            let (w, dt) = (h.width(), model.spmv_hyb_time(h.width() * n, h.spilled(), n, prec));
             (SpStorage::HybF32(h), w, dt)
         }
     }
 }
 
 fn blas1_at(prec: Precision, words: usize) -> f64 {
-    match prec {
-        Precision::F64 => PerfModel::default().blas1_time(words),
-        Precision::F32 => PerfModel::default().blas1_time_f32(words),
-    }
+    PerfModel::default().blas1_time(words, prec)
 }
 
 fn device(faults: &Option<Arc<FaultPlan>>) -> Device {
@@ -431,7 +428,7 @@ fn fused_step_is_the_per_slice_sequence_less_its_launches() {
                 // the clock. What the sequence is charged, command by command:
                 let spmv: Vec<f64> = parts.iter().map(|rows| storage(&a, rows, fp).2).collect();
                 let epilogue = |rows: &Vec<u32>| blas1_at(prec, 2 * rows.len());
-                let copy = model.blas1_time(2 * parts[0].len());
+                let copy = model.blas1_time(2 * parts[0].len(), Precision::F64);
                 let mut unfused: Vec<f64> =
                     parts.iter().zip(&spmv).map(|(r, t)| t + epilogue(r) - launch).collect();
                 unfused.push(copy);
@@ -532,7 +529,10 @@ fn local_block_copies_match_the_indexed_loops() {
         let want: Vec<f64> = rows.iter().map(|&r| zs[r as usize]).collect();
         assert_bits(d.mat(v).col(1), &want, &format!("gather_vec_to_col {what}"));
         assert_bits(d.mat(v).col(0), &vec![0.0; rows.len()], "gather_vec_to_col: neighbour");
-        assert_eq!(last_kernel(&d), ("gather_col", model.blas1_time(2 * rows.len())));
+        assert_eq!(
+            last_kernel(&d),
+            ("gather_col", model.blas1_time(2 * rows.len(), Precision::F64))
+        );
         assert_eq!(d.ops(), op + 1);
 
         // scatter_col_to_vec_p: z[rows[i]] := quantize(V[i, col])

@@ -2,7 +2,7 @@
 //! `(matrix, device-count)` class, plus start-time-fair-queueing tags.
 //!
 //! Every job class is planned at most once per device count — the
-//! [`Candidate::label`]-stable planner output is cached under the
+//! [`ca_tune::Candidate::label`]-stable planner output is cached under the
 //! service's own matrix key — and the cached prediction prices both the
 //! queue (ETA for deadline-aware ordering) and the pool (per-device
 //! memory footprint for the residency manager). The simulated cost of a
@@ -13,22 +13,14 @@ use std::collections::BTreeMap;
 
 use ca_gpusim::{KernelConfig, PerfModel};
 use ca_sparse::Csr;
-use ca_tune::plan::{Candidate, CandidateSpace, Planner};
+use ca_tune::plan::{CandidateSpace, Planner};
+use ca_tune::AdmissionEstimate;
 
-/// Cached planner verdict for one `(matrix, device-count)` job class.
-#[derive(Debug, Clone)]
-pub struct CachedAdmission {
-    /// The winning configuration at this device count.
-    pub cand: Candidate,
-    /// Predicted time of one CA restart cycle, seconds.
-    pub predicted_cycle_s: f64,
-    /// Planned footprint, bytes per device (ceil of the planner's
-    /// estimate), used for proactive eviction before a cold build.
-    pub mem_bytes_per_dev: Vec<u64>,
-}
+use crate::{EWMA_ALPHA, EXPECTED_CYCLES_INIT};
 
 /// Planner front-end with a per-`(matrix key, ndev)` cache and a
-/// per-matrix expected-cycle-count EWMA (the ETA multiplier).
+/// per-matrix expected-cycle-count EWMA (the ETA multiplier; factor
+/// [`EWMA_ALPHA`], seeded with [`EXPECTED_CYCLES_INIT`]).
 #[derive(Debug)]
 pub struct AdmissionCache {
     space: CandidateSpace,
@@ -37,10 +29,8 @@ pub struct AdmissionCache {
     m: usize,
     /// `None`: every candidate at that device count was pruned (e.g. the
     /// operator cannot fit) — the job class is rejected there.
-    cache: BTreeMap<(String, usize), Option<CachedAdmission>>,
+    cache: BTreeMap<(String, usize), Option<AdmissionEstimate>>,
     ewma_cycles: BTreeMap<String, f64>,
-    alpha: f64,
-    init_cycles: f64,
     /// Planner invocations (cache misses) so far.
     pub misses: u64,
 }
@@ -49,14 +39,7 @@ impl AdmissionCache {
     /// A cache planning with `space` (its `ndevs` field is ignored) for
     /// restart length `m` on the given machine model.
     #[must_use]
-    pub fn new(
-        space: CandidateSpace,
-        model: PerfModel,
-        kc: KernelConfig,
-        m: usize,
-        alpha: f64,
-        init_cycles: f64,
-    ) -> Self {
+    pub fn new(space: CandidateSpace, model: PerfModel, kc: KernelConfig, m: usize) -> Self {
         Self {
             space,
             model,
@@ -64,45 +47,46 @@ impl AdmissionCache {
             m,
             cache: BTreeMap::new(),
             ewma_cycles: BTreeMap::new(),
-            alpha,
-            init_cycles,
             misses: 0,
         }
     }
 
-    /// The cached verdict for `(key, ndev)`, planning on first use.
+    /// The cached verdict for `(key, ndev)` — the planner's pick there, its
+    /// predicted cycle time, and the per-device footprint the scheduler
+    /// evicts for before a cold build — planning on first use.
     /// Returns the verdict and whether this call missed the cache (the
     /// scheduler charges simulated planning time only then).
-    pub fn lookup(&mut self, key: &str, a: &Csr, ndev: usize) -> (Option<&CachedAdmission>, bool) {
+    pub fn lookup(
+        &mut self,
+        key: &str,
+        a: &Csr,
+        ndev: usize,
+    ) -> (Option<&AdmissionEstimate>, bool) {
         let k = (key.to_string(), ndev);
         let mut miss = false;
         if !self.cache.contains_key(&k) {
             miss = true;
             self.misses += 1;
             let planner = Planner::new(a, self.m, self.model.clone(), self.kc);
-            let ests = ca_tune::admission_estimates(&planner, &self.space, &[ndev]);
-            let verdict = ests.into_iter().next().map(|e| CachedAdmission {
-                cand: e.cand,
-                predicted_cycle_s: e.predicted_cycle_s,
-                mem_bytes_per_dev: e.mem_bytes_per_dev.iter().map(|&b| b.ceil() as u64).collect(),
-            });
+            let verdict =
+                ca_tune::admission_estimates(&planner, &self.space, &[ndev]).into_iter().next();
             self.cache.insert(k.clone(), verdict);
         }
         (self.cache[&k].as_ref(), miss)
     }
 
     /// Expected cycles for a solve of `key` (EWMA of observed restart
-    /// counts, seeded with `init_cycles`).
+    /// counts).
     #[must_use]
     pub fn expected_cycles(&self, key: &str) -> f64 {
-        self.ewma_cycles.get(key).copied().unwrap_or(self.init_cycles)
+        self.ewma_cycles.get(key).copied().unwrap_or(EXPECTED_CYCLES_INIT)
     }
 
     /// Fold an observed restart count into the matrix's cycle forecast.
     pub fn observe_cycles(&mut self, key: &str, cycles: usize) {
         let c = cycles.max(1) as f64;
         let prev = self.expected_cycles(key);
-        self.ewma_cycles.insert(key.to_string(), (1.0 - self.alpha) * prev + self.alpha * c);
+        self.ewma_cycles.insert(key.to_string(), (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * c);
     }
 
     /// ETA for one solve of `key` at `ndev` devices: predicted cycle
@@ -194,8 +178,6 @@ mod tests {
             PerfModel::default(),
             KernelConfig::default(),
             20,
-            0.3,
-            4.0,
         );
         let (v1, miss1) = cache.lookup("lap", &a, 2);
         assert!(miss1 && v1.is_some());

@@ -34,8 +34,7 @@
 //!   [`slo::SloMonitor`] keeps per-tenant books (rolling deadline-hit
 //!   rate with edge-triggered `serve.slo_burn` alerts, TTS and
 //!   queue-delay quantile histograms) and lands one [`slo::TenantSlo`]
-//!   row per tenant in the report. Long runs stream their spans through
-//!   [`ca_obs::export::StreamingTrace`] instead of accumulating.
+//!   row per tenant in the report.
 //!
 //! Everything is bit-deterministic in (arrival seed, configuration):
 //! scheduling state lives in `BTreeMap`s and logical counters, every
@@ -56,7 +55,7 @@ use ca_gmres::prelude::*;
 use ca_gpusim::{FaultPlan, KernelConfig, PerfModel, Schedule};
 use ca_tune::CandidateSpace;
 
-pub use admission::{AdmissionCache, CachedAdmission, FairQueue};
+pub use admission::{AdmissionCache, FairQueue};
 pub use job::{open_loop_arrivals, ArrivalSpec, JobRequest};
 pub use metrics::{hash_solution, percentile, JobRecord, JobStatus, ServiceReport};
 pub use residency::{Lru, Residency};
@@ -72,6 +71,16 @@ pub enum Policy {
     /// Strict arrival order — the naive baseline arm.
     Fifo,
 }
+
+/// Residency-affinity window: a warm job may be served before the
+/// fair-queue head if its finish tag is within `(1 + AFFINITY_SLACK)` of it.
+pub const AFFINITY_SLACK: f64 = 0.25;
+
+/// EWMA factor of the expected-cycles forecast.
+pub const EWMA_ALPHA: f64 = 0.3;
+
+/// Cold-start expected cycles (the ETA multiplier before observations).
+pub const EXPECTED_CYCLES_INIT: f64 = 4.0;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -105,17 +114,10 @@ pub struct ServeConfig {
     pub admission_cost_s: f64,
     /// Simulated host seconds charged per dispatch.
     pub dispatch_cost_s: f64,
-    /// Residency-affinity window: a warm job may be served before the
-    /// fair-queue head if its finish tag is within `(1 + slack)` of it.
-    pub affinity_slack: f64,
     /// Fair-queueing weights per tenant (absent tenants weigh 1.0).
     pub tenant_weights: BTreeMap<String, f64>,
     /// Keep full solution vectors in [`JobRecord::x`] (tests; heavy).
     pub keep_solutions: bool,
-    /// EWMA factor for the expected-cycles forecast.
-    pub ewma_alpha: f64,
-    /// Cold-start expected cycles (ETA multiplier before observations).
-    pub expected_cycles_init: f64,
     /// Fault plans installed per slice index at pool construction
     /// (chaos / degradation studies).
     pub fault_plans: Vec<(usize, FaultPlan)>,
@@ -146,11 +148,8 @@ impl ServeConfig {
             admission_space: Self::default_admission_space(),
             admission_cost_s: 100e-6,
             dispatch_cost_s: 20e-6,
-            affinity_slack: 0.25,
             tenant_weights: BTreeMap::new(),
             keep_solutions: false,
-            ewma_alpha: 0.3,
-            expected_cycles_init: 4.0,
             fault_plans: Vec::new(),
             slo: slo::SloConfig::default(),
             record_kernel_traces: false,

@@ -94,11 +94,6 @@ impl<T> Lru<T> {
     pub fn clear_stale(&mut self) {
         self.entries.clear();
     }
-
-    /// Drain every entry, handing payloads back for orderly release.
-    pub fn drain(&mut self) -> Vec<(String, T)> {
-        std::mem::take(&mut self.entries).into_iter().map(|(k, (v, _))| (k, v)).collect()
-    }
 }
 
 /// Warm-operator store for one pool slice.
@@ -150,12 +145,14 @@ impl Residency {
         &mut self,
         mg: &mut MultiGpu,
         pinned: &str,
-        need_bytes_per_dev: &[u64],
+        need_bytes_per_dev: &[usize],
     ) -> u64 {
         let fits = |mg: &MultiGpu| {
             (0..mg.n_gpus()).all(|d| {
-                let need = need_bytes_per_dev.get(d).copied().unwrap_or(0) as usize;
-                mg.device(d).mem_used() + need <= mg.model().dev_mem_capacity
+                let need = need_bytes_per_dev.get(d).copied().unwrap_or(0);
+                // a need no sum can hold fits nowhere, however much is evicted
+                let total = mg.device(d).mem_used().checked_add(need);
+                total.is_some_and(|t| t <= mg.model().dev_mem_capacity)
             })
         };
         let mut evicted = 0;
@@ -177,13 +174,6 @@ impl Residency {
     pub fn clear_stale(&mut self) {
         self.lru.clear_stale();
     }
-
-    /// Release every operator in key order (service shutdown).
-    pub fn release_all(&mut self, mg: &mut MultiGpu) {
-        for (_, sys) in self.lru.drain() {
-            sys.release(mg);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,6 +194,17 @@ mod tests {
         assert!(lru.contains("c"));
         lru.clear_stale();
         assert!(lru.is_empty());
+    }
+
+    #[test]
+    fn a_need_no_device_could_ever_hold_neither_wraps_nor_panics() {
+        let mut mg = MultiGpu::with_defaults(1);
+        mg.device_mut(0).alloc_vec(16).expect("128 bytes fit");
+        let mut res = Residency::default();
+        // `mem_used() + need` overflows: it must read "does not fit"
+        // (nothing to evict, so nothing is), not wrap around to "fits"
+        assert_eq!(res.make_room(&mut mg, "k", &[usize::MAX]), 0);
+        assert_eq!(res.evictions, 0);
     }
 
     /// Random op sequences never evict the pinned key, and every

@@ -17,15 +17,15 @@ use ca_gmres::ft::{ca_gmres_ft_session, FtConfig};
 use ca_gmres::prelude::*;
 use ca_gpusim::MultiGpu;
 use ca_obs as obs;
-use ca_obs::export::StreamingTrace;
 use ca_sparse::Csr;
+use ca_tune::AdmissionEstimate;
 
-use crate::admission::{AdmissionCache, CachedAdmission, FairQueue};
+use crate::admission::{AdmissionCache, FairQueue};
 use crate::job::JobRequest;
 use crate::metrics::{hash_solution, percentile, JobRecord, JobStatus, ServiceReport};
 use crate::residency::Residency;
 use crate::slo::SloMonitor;
-use crate::{Policy, ServeConfig};
+use crate::{Policy, ServeConfig, AFFINITY_SLACK};
 
 /// One pool slice: an executor plus its warm-operator store.
 struct Slice {
@@ -91,41 +91,14 @@ impl Service {
             cfg.model.clone(),
             cfg.kernel_config,
             cfg.base.solver.m,
-            cfg.ewma_alpha,
-            cfg.expected_cycles_init,
         );
         let fair = FairQueue::new(cfg.tenant_weights.clone());
         let slo = SloMonitor::new(cfg.slo);
         Self { cfg, matrices: matrices.into_iter().collect(), slices, admission, fair, slo }
     }
 
-    /// Simulated clock of slice `i` (host view) — test hook.
-    #[must_use]
-    pub fn slice_host_time(&self, i: usize) -> f64 {
-        self.slices[i].mg.host_time()
-    }
-
     /// Run an arrival stream to completion.
-    pub fn run(&mut self, jobs: Vec<JobRequest>) -> ServiceReport {
-        self.run_inner(jobs, None)
-    }
-
-    /// [`Service::run`] with incremental span export: sealed spans are
-    /// drained into `trace` after every job, so the recorder's resident
-    /// log stays bounded over thousands of jobs.
-    pub fn run_streaming(
-        &mut self,
-        jobs: Vec<JobRequest>,
-        trace: &mut StreamingTrace,
-    ) -> ServiceReport {
-        self.run_inner(jobs, Some(trace))
-    }
-
-    fn run_inner(
-        &mut self,
-        mut jobs: Vec<JobRequest>,
-        mut trace: Option<&mut StreamingTrace>,
-    ) -> ServiceReport {
+    pub fn run(&mut self, mut jobs: Vec<JobRequest>) -> ServiceReport {
         jobs.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         self.slo = SloMonitor::new(self.cfg.slo);
         let mut pending: VecDeque<JobRequest> = jobs.into();
@@ -193,7 +166,7 @@ impl Service {
             match self.pick(s, &queue, h) {
                 Some(qi) => {
                     self.unpark();
-                    self.dispatch(s, qi, &mut queue, &mut report, &mut trace);
+                    self.dispatch(s, qi, &mut queue, &mut report);
                 }
                 None => {
                     // Nothing in the queue admits at this slice's device
@@ -300,7 +273,7 @@ impl Service {
                 .then(queue[i].req.id.cmp(&queue[j].req.id))
         };
         let head = feasible.iter().copied().min_by(by_vf).expect("nonempty");
-        let window = queue[head].vfinish * (1.0 + self.cfg.affinity_slack);
+        let window = queue[head].vfinish * (1.0 + AFFINITY_SLACK);
         feasible
             .iter()
             .copied()
@@ -319,7 +292,6 @@ impl Service {
         qi: usize,
         queue: &mut Vec<Queued>,
         report: &mut ServiceReport,
-        trace: &mut Option<&mut StreamingTrace>,
     ) {
         let primary = queue.remove(qi);
         let key = primary.req.matrix.clone();
@@ -348,7 +320,7 @@ impl Service {
         let a = &self.matrices[&key];
         let n = a.nrows();
         let (verdict, miss) = self.admission.lookup(&key, a, nd);
-        let adm: CachedAdmission = match verdict {
+        let adm: AdmissionEstimate = match verdict {
             Some(v) => v.clone(),
             None => {
                 // Degradation can shrink a slice below any admissible
@@ -411,9 +383,6 @@ impl Service {
 
         for q in batch {
             self.solve_one(s, q, &key, &adm, precharged, batched, report);
-            if let Some(t) = trace.as_deref_mut() {
-                t.flush_sealed();
-            }
         }
     }
 
@@ -424,7 +393,7 @@ impl Service {
         s: usize,
         q: Queued,
         key: &str,
-        adm: &CachedAdmission,
+        adm: &AdmissionEstimate,
         precharged: bool,
         batched: bool,
         report: &mut ServiceReport,
@@ -610,6 +579,7 @@ mod tests {
     use crate::job::open_loop_arrivals;
     use crate::job::ArrivalSpec;
     use crate::ServeConfig;
+    use ca_tune::{admission_estimates, Planner};
 
     fn pool() -> Vec<(String, Csr)> {
         vec![
@@ -629,6 +599,40 @@ mod tests {
             deadline_fraction: 0.3,
             deadline_headroom_s: (0.01, 0.1),
         })
+    }
+
+    #[test]
+    fn under_memory_pressure_devices_stay_within_capacity_and_the_job_run_last_stays_resident() {
+        let pool = pool();
+        let mut cfg = ServeConfig::new(vec![1]);
+        let footprint = |(_, a): &(String, Csr)| {
+            let p = Planner::new(a, cfg.base.solver.m, cfg.model.clone(), cfg.kernel_config);
+            admission_estimates(&p, &cfg.admission_space, &[1])[0].mem_bytes_per_dev[0]
+        };
+        // room for the larger operator and half of the smaller one
+        let capacity = footprint(&pool[1]) + footprint(&pool[0]) / 2;
+        cfg.model.dev_mem_capacity = capacity;
+        let mut svc = Service::new(cfg, pool);
+        let mut evictions = 0;
+        for (i, key) in ["lap16", "lap20", "lap20", "lap16", "lap20"].into_iter().enumerate() {
+            let n = svc.matrices[key].nrows();
+            let rep = svc.run(vec![JobRequest {
+                id: i as u64,
+                tenant: "t".into(),
+                matrix: key.into(),
+                rhs: vec![1.0; n],
+                rtol: 1e-8,
+                arrival_s: i as f64,
+                deadline_s: None,
+            }]);
+            assert_eq!(rep.jobs[0].status, JobStatus::Converged, "job {i}");
+            evictions += rep.evictions;
+            let sl = &svc.slices[0];
+            assert!(sl.mg.device(0).mem_used() <= capacity, "job {i}");
+            assert!(sl.residency.contains(key), "job {i}: the operator just used was evicted");
+            assert_eq!(sl.residency.len(), 1, "job {i}: both operators cannot be resident");
+        }
+        assert_eq!(evictions, 3);
     }
 
     #[test]

@@ -2,17 +2,12 @@
 //! search a multi-tenant service front-end needs *per job*.
 //!
 //! A service scheduling hundreds of solve requests onto a shared GPU
-//! pool asks three questions before a job ever touches a device:
-//!
-//! 1. *How should this job run?* — the best [`Candidate`] for each
-//!    device count the pool could give it ([`admission_estimates`]).
-//! 2. *How many devices should it get?* — the count whose predicted
-//!    cycle time is lowest, preferring fewer devices on a tie so the
-//!    pool keeps slices free for other tenants ([`pick_ndev`]).
-//! 3. *When will it finish?* — an ETA from the predicted cycle time and
-//!    an expected-cycle count the service tracks per tenant
-//!    ([`AdmissionEstimate::eta_s`]), which feeds deadline-aware
-//!    ordering in the queue.
+//! pool asks, before a job ever touches a device, *how should this job
+//! run?* — the best [`Candidate`] for each device count the pool could
+//! give it, with its predicted cycle time (the service multiplies it by
+//! the expected-cycle count it tracks per matrix into an ETA for
+//! deadline-aware ordering) and its device-memory footprint
+//! ([`admission_estimates`]).
 //!
 //! Everything here is a pure function of the planner's cost model, so
 //! the service can cache results by [`Candidate::label`] (stable and
@@ -30,27 +25,9 @@ pub struct AdmissionEstimate {
     pub cand: Candidate,
     /// Predicted time of one CA restart cycle, seconds.
     pub predicted_cycle_s: f64,
-    /// Planned device-memory footprint, bytes per device
+    /// Device-memory footprint, bytes per device
     /// ([`Planner::mem_estimate`] of the winner).
-    pub mem_bytes_per_dev: Vec<f64>,
-}
-
-impl AdmissionEstimate {
-    /// The busiest device's planned footprint — what a residency
-    /// manager checks against free pool memory before co-locating this
-    /// operator next to already-resident tenants.
-    #[must_use]
-    pub fn mem_bytes_max(&self) -> f64 {
-        self.mem_bytes_per_dev.iter().fold(0.0, |a, &b| a.max(b))
-    }
-
-    /// Expected time-to-solution given a cycle-count forecast (the
-    /// service maintains `expected_cycles` as an EWMA per tenant or
-    /// matrix class; a cold start uses the solver's restart cap).
-    #[must_use]
-    pub fn eta_s(&self, expected_cycles: f64) -> f64 {
-        self.predicted_cycle_s * expected_cycles.max(1.0)
-    }
+    pub mem_bytes_per_dev: Vec<usize>,
 }
 
 /// Plan one job at each candidate device count: for every entry of
@@ -75,31 +52,18 @@ pub fn admission_estimates(
     for nd in counts {
         let space = CandidateSpace { ndevs: vec![nd], ..base.clone() };
         let plan = planner.plan(&space);
-        if let Some(best) = plan.best() {
-            out.push(AdmissionEstimate {
-                cand: best.cand,
-                predicted_cycle_s: best.predicted_cycle_s,
-                mem_bytes_per_dev: planner.mem_estimate(&best.cand),
-            });
-        }
+        let Some(best) = plan.best() else { continue };
+        // the winner was timed on the machine its footprint is read off, so
+        // the read cannot fail where the plan succeeded; were it to, the
+        // count is skipped like one whose whole grid pruned away
+        let Ok(mem_bytes_per_dev) = planner.mem_estimate(&best.cand) else { continue };
+        out.push(AdmissionEstimate {
+            cand: best.cand,
+            predicted_cycle_s: best.predicted_cycle_s,
+            mem_bytes_per_dev,
+        });
     }
     out
-}
-
-/// The admission controller's device-count pick: the estimate with the
-/// lowest predicted cycle time, preferring the *smaller* device count
-/// when the model sees no speedup from more devices (strict `<` against
-/// the ascending-`ndev` order [`admission_estimates`] returns). Returns
-/// `None` only for an empty slate.
-#[must_use]
-pub fn pick_ndev(estimates: &[AdmissionEstimate]) -> Option<&AdmissionEstimate> {
-    let mut best: Option<&AdmissionEstimate> = None;
-    for e in estimates {
-        if best.is_none_or(|b| e.predicted_cycle_s < b.predicted_cycle_s) {
-            best = Some(e);
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -121,10 +85,7 @@ mod tests {
         for e in &ests {
             assert_eq!(e.mem_bytes_per_dev.len(), e.cand.ndev);
             assert!(e.predicted_cycle_s > 0.0);
-            assert!(e.mem_bytes_max() > 0.0);
-            // ETA is monotone in the cycle forecast and floored at one cycle.
-            assert!(e.eta_s(4.0) > e.eta_s(2.0));
-            assert!((e.eta_s(0.0) - e.predicted_cycle_s).abs() < 1e-15);
+            assert!(e.mem_bytes_per_dev.iter().all(|&b| b > 0));
         }
     }
 
@@ -143,29 +104,15 @@ mod tests {
     }
 
     #[test]
-    fn pick_ndev_prefers_fewer_devices_on_ties() {
-        let a = ca_sparse::gen::laplace2d(16, 16);
-        let p = planner(&a, 10);
-        let mut ests = admission_estimates(&p, &CandidateSpace::smoke(1), &[1, 2]);
-        assert!(pick_ndev(&[]).is_none());
-        // Force an exact tie: the strict `<` keeps the earlier (smaller
-        // ndev) entry.
-        if ests.len() == 2 {
-            ests[1].predicted_cycle_s = ests[0].predicted_cycle_s;
-            assert_eq!(pick_ndev(&ests).unwrap().cand.ndev, 1);
-        }
-    }
-
-    #[test]
     fn mem_estimate_matches_pruner_rollup() {
         // A candidate the public estimate says exceeds the budget must
         // also be pruned by plan(), and vice versa.
         let a = ca_sparse::gen::laplace2d(24, 24);
         let p = planner(&a, 20);
         let ests = admission_estimates(&p, &CandidateSpace::smoke(1), &[1]);
-        let cap = p.model().param("dev_mem_capacity").unwrap_or(f64::INFINITY) * p.limits.mem_frac;
+        let cap = p.model().dev_mem_capacity as f64 * crate::plan::MEM_FRAC;
         for e in &ests {
-            assert!(e.mem_bytes_max() <= cap, "survivor over budget");
+            assert!(e.mem_bytes_per_dev.iter().all(|&b| b as f64 <= cap), "survivor over budget");
         }
     }
 }

@@ -22,14 +22,14 @@
 //! `geqr2.tput`, `dev_mem_bw` under `eff_spmv`), or hardware facts with
 //! no kernel to time (`dev_mem_capacity`, the `net_*` pair on a
 //! single-node box) — are carried over from the hint model and marked
-//! [`ParamSource::Hint`].
+//! [`crate::profile::ParamSource::Hint`].
 //!
 //! Everything here is deterministic: fixed shapes, fixed synthetic
 //! operands, exact closed-form fits. Re-running calibration against the
 //! same model reproduces the committed profile bit for bit (CI asserts
 //! this).
 
-use crate::profile::{MachineProfile, NamedCurve, ParamSource, ProfileParam};
+use crate::profile::{MachineProfile, NamedCurve};
 use ca_gpusim::{Device, EffCurve, GemmVariant, GemvVariant, KernelConfig, MultiGpu, PerfModel};
 use ca_sparse::{Csr, Ell};
 
@@ -339,22 +339,7 @@ pub fn calibrate_with_target(
         fit.push(("host_mem_bw", 2e9 / (h2 - h1)));
     }
 
-    // ---- assemble: every model parameter, fitted where identifiable ----
-    let params = ca_gpusim::PARAM_NAMES
-        .iter()
-        .map(|&name| match fit.iter().find(|(n, _)| *n == name) {
-            Some(&(_, value)) => {
-                ProfileParam { name: name.into(), value, source: ParamSource::Fit }
-            }
-            None => ProfileParam {
-                name: name.into(),
-                value: hint.param(name).expect("every listed param is readable"),
-                source: ParamSource::Hint,
-            },
-        })
-        .collect();
-
-    MachineProfile { machine: machine.to_string(), params, curves }
+    MachineProfile::assemble(machine, hint, &fit, curves)
 }
 
 /// Run `op` on device 0 and return its busy-time delta (the exact kernel
@@ -395,7 +380,7 @@ fn spmv_probe(mg: &mut MultiGpu, a: &Csr) -> (usize, f64) {
 
 /// [`spmv_probe`] on an f32 ELL slice: 8-byte (value, index) slots,
 /// 4-byte results and gathers — the byte model of
-/// [`ca_gpusim::PerfModel::spmv_time_f32`].
+/// [`ca_gpusim::PerfModel::spmv_time`] at `F32`.
 fn spmv_probe_f32(mg: &mut MultiGpu, a: &Csr) -> (usize, f64) {
     let n = a.nrows();
     let dev = mg.device_mut(0);
@@ -491,6 +476,7 @@ fn fit2(fs: &[f64], gs: &[f64], ts: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::ParamSource;
 
     #[test]
     fn fits_recover_the_default_model() {

@@ -31,8 +31,8 @@
 //! in the link fit's differently-ordered sums) are snapped to `1.0` so
 //! that identity survives the parts of the fit that are not bitwise.
 
-use crate::profile::{MachineProfile, NamedCurve, ParamSource, ProfileParam};
-use ca_gpusim::{EffCurve, PerfModel, PARAM_NAMES};
+use crate::profile::{MachineProfile, NamedCurve};
+use ca_gpusim::{EffCurve, PerfModel};
 use ca_obs::names;
 use ca_obs::MetricsSnapshot;
 
@@ -172,22 +172,7 @@ pub fn calibrate_from_metrics(
         }
     }
 
-    // ---- assemble: every model parameter, fitted where observed ----
-    let params = PARAM_NAMES
-        .iter()
-        .map(|&name| match fit.iter().find(|(n, _)| *n == name) {
-            Some(&(_, value)) => {
-                ProfileParam { name: name.into(), value, source: ParamSource::Fit }
-            }
-            None => ProfileParam {
-                name: name.into(),
-                value: hint.param(name).expect("every listed param is readable"),
-                source: ParamSource::Hint,
-            },
-        })
-        .collect();
-
-    MachineProfile { machine: machine.to_string(), params, curves }
+    MachineProfile::assemble(machine, hint, &fit, curves)
 }
 
 /// The observed slowdowns a metrics-fitted profile encodes, read back
@@ -210,6 +195,7 @@ pub fn observed_slowdowns(profile: &MachineProfile) -> Vec<FamilySlowdown> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::ParamSource;
     use ca_gmres::prelude::*;
     use ca_gpusim::{obs_ingest_traces, FaultPlan, KernelConfig, MultiGpu};
     use ca_sparse::gen::laplace2d;

@@ -51,7 +51,7 @@ pub mod profile;
 pub mod retune;
 pub mod rig;
 
-pub use admit::{admission_estimates, pick_ndev, AdmissionEstimate};
+pub use admit::{admission_estimates, AdmissionEstimate};
 pub use calibrate::{calibrate, calibrate_with_target, TargetShapes};
 pub use feedback::{calibrate_from_metrics, observed_slowdowns, FamilySlowdown};
 pub use plan::{

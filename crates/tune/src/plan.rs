@@ -54,9 +54,10 @@ pub struct PlannerLimits {
     /// Max `s` for CholQR on an f32-generated monomial basis (the
     /// squared Gram condition meets the halved mantissa).
     pub cholqr_s_cap_monomial_f32: usize,
-    /// Fraction of device memory a candidate may plan to use.
-    pub mem_frac: f64,
 }
+
+/// Fraction of device memory a candidate may plan to use.
+pub const MEM_FRAC: f64 = 0.9;
 
 impl Default for PlannerLimits {
     fn default() -> Self {
@@ -67,7 +68,6 @@ impl Default for PlannerLimits {
             cholqr_s_cap_shifted: 12,
             s_cap_monomial_f32: 6,
             cholqr_s_cap_monomial_f32: 3,
-            mem_frac: 0.9,
         }
     }
 }
@@ -520,7 +520,7 @@ impl<'a> Planner<'a> {
         }
         let rig = rig.as_mut().map_err(|e| self.out_of_memory(e))?;
         rig.load_mpk(cand).map_err(|e| self.out_of_memory(&e))?;
-        match self.mem_infeasible(cand, rig) {
+        match self.mem_infeasible(rig) {
             Some(reason) => Err(reason),
             None => Ok(unobserved(|| rig.time_cycle(cand, slow))),
         }
@@ -639,53 +639,35 @@ impl<'a> Planner<'a> {
         None
     }
 
-    /// Planned device-memory footprint of `cand` in bytes, per device:
-    /// the basis panel (`m + 4` columns), the SpMV/MPK work vectors, and
-    /// the plans' sparse slices — the same roll-up the feasibility pruner
-    /// applies against [`PlannerLimits::mem_frac`], read off the shape-only
-    /// system the candidate is timed on (infinite when that cannot be
-    /// built). The service admission controller uses this to decide whether
-    /// an operator fits next to the tenants already resident on a pool (the
-    /// estimate is advisory: the simulator's own memory accounting is
-    /// authoritative at build time, and eviction reacts to the actual
-    /// allocation failure).
-    #[must_use]
-    pub fn mem_estimate(&self, cand: &Candidate) -> Vec<f64> {
+    /// Device-memory footprint of `cand` in bytes, per device: the basis
+    /// panel (`m + 4` columns), the SpMV/MPK work vectors and the plans'
+    /// sparse slices. Read, not estimated: what the devices of the shape-only
+    /// machine the candidate is timed on account as allocated once its system
+    /// is loaded — to the byte what an arithmetic machine accounts after
+    /// `System::with_format`, and what the pruner holds against [`MEM_FRAC`].
+    /// Service admission evicts by it before a cold build (a solve also holds
+    /// what its driver adds, e.g. the ABFT checksum vectors; an allocation
+    /// that still fails is typed).
+    ///
+    /// # Errors
+    /// [`GpuSimError::OutOfMemory`] when a device cannot hold the candidate.
+    pub fn mem_estimate(&self, cand: &Candidate) -> GpuResult<Vec<usize>> {
         let (ap, _perm, layout) = prepare(self.a, cand.ordering, cand.ndev);
-        let rolled_up = self.rig(&ap, &layout).and_then(|mut rig| {
-            rig.load_mpk(cand)?;
-            Ok(self.mem_bytes_per_dev(cand, &rig))
-        });
-        rolled_up.unwrap_or_else(|_| vec![f64::INFINITY; cand.ndev])
+        let mut rig = self.rig(&ap, &layout)?;
+        rig.load_mpk(cand)?;
+        Ok(rig.mem_used())
     }
 
-    /// Shared roll-up behind [`Planner::mem_estimate`] and the pruner.
-    fn mem_bytes_per_dev(&self, c: &Candidate, rig: &Rig<'_>) -> Vec<f64> {
-        let n = self.a.nrows();
-        let per_dev = |d: usize| {
-            // basis + x/b/r columns, two work vectors per loaded plan, 12
-            // bytes per padded f64 (value, index) slot of the s = 1 plan
-            let nl = rig.layout().nlocal(d);
-            let mut bytes = 8.0 * nl as f64 * (self.m + 4) as f64 + 16.0 * n as f64;
-            bytes += (12 * rig.slots[0][d]) as f64;
-            if c.uses_mpk() {
-                // f32 slices shrink each slot from 12 bytes to 8
-                let slot = if c.prec == Precision::F32 { 8 } else { 12 };
-                bytes += 16.0 * n as f64 + (slot * rig.slots[1][d]) as f64;
-            }
-            bytes
-        };
-        (0..rig.layout().ndev()).map(per_dev).collect()
-    }
-
-    /// Device-memory feasibility: basis panel + work vectors + loaded
-    /// slices must fit in `mem_frac` of each device's memory.
-    fn mem_infeasible(&self, c: &Candidate, rig: &Rig<'_>) -> Option<PruneReason> {
-        let budget = self.model.dev_mem_capacity as f64 * self.limits.mem_frac;
-        let over = |(device, need): (usize, f64)| {
+    /// Device-memory feasibility: what `rig` holds — the loaded candidate's
+    /// basis panel, work vectors and slices — must fit in [`MEM_FRAC`] of
+    /// each device's memory.
+    fn mem_infeasible(&self, rig: &Rig<'_>) -> Option<PruneReason> {
+        let budget = self.model.dev_mem_capacity as f64 * MEM_FRAC;
+        let over = |(device, need): (usize, usize)| {
+            let need = need as f64;
             (need > budget).then_some(PruneReason::DeviceMemory { device, need, budget })
         };
-        self.mem_bytes_per_dev(c, rig).into_iter().enumerate().find_map(over)
+        rig.mem_used().into_iter().enumerate().find_map(over)
     }
 
     /// A failed build as the prune reason it is: the device was asked for
@@ -832,6 +814,70 @@ mod tests {
     #[test]
     fn prediction_is_exact_on_convection_diffusion() {
         assert_prediction_is_exact(&ca_sparse::gen::convection_diffusion(24, 24, 2.0));
+    }
+
+    /// What an arithmetic machine accounts as allocated, per device, once
+    /// the system `cand` solves on is built.
+    fn arithmetic_mem_used(a: &Csr, m: usize, cand: &Candidate) -> Vec<usize> {
+        let (ap, _perm, layout) = prepare(a, cand.ordering, cand.ndev);
+        let mut mg = MultiGpu::with_defaults(cand.ndev);
+        let s = cand.uses_mpk().then_some(cand.s);
+        System::with_format(&mut mg, &ap, layout, m, s, SpmvFormat::Ell, cand.prec).unwrap();
+        (0..cand.ndev).map(|d| mg.device(d).mem_used()).collect()
+    }
+
+    #[test]
+    fn mem_estimate_is_the_executors_own_byte_count() {
+        let m = 12;
+        for a in [laplace2d(24, 24), ca_sparse::gen::cantilever(6, 5, 4)] {
+            let p = planner(&a, m);
+            for ndev in 1..=3 {
+                let generators = [
+                    (KernelMode::Mpk, Precision::F64),
+                    (KernelMode::Spmv, Precision::F64),
+                    (KernelMode::Mpk, Precision::F32),
+                    (KernelMode::Spmv, Precision::F32),
+                ];
+                let cands = generators.map(|(kernel, prec)| Candidate {
+                    s: 4,
+                    basis: BasisChoice::Newton,
+                    tsqr: TsqrKind::CholQr,
+                    borth: BorthKind::Cgs,
+                    kernel,
+                    ndev,
+                    ordering: Ordering::Natural,
+                    reorth: false,
+                    prec,
+                });
+                // one machine serving the candidates in turn, as `plan` does:
+                // an MPK candidate's s-step slices must be gone when the
+                // SpMV candidate after it is measured
+                let (ap, _perm, layout) = prepare(&a, Ordering::Natural, ndev);
+                let mut rig = p.rig(&ap, &layout).unwrap();
+                for cand in &cands {
+                    let want = arithmetic_mem_used(&a, m, cand);
+                    assert_eq!(p.mem_estimate(cand).unwrap(), want, "{}", cand.label());
+                    rig.load_mpk(cand).unwrap();
+                    assert_eq!(rig.mem_used(), want, "shared machine: {}", cand.label());
+                    rig.time_cycle(cand, &vec![1.0; ndev]);
+                    assert_eq!(rig.mem_used(), want, "after timing: {}", cand.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mem_estimate_of_a_candidate_no_device_can_hold_is_a_typed_error() {
+        let a = laplace2d(24, 24);
+        let small = PerfModel { dev_mem_capacity: 16 << 10, ..PerfModel::default() };
+        let p = Planner::new(&a, 20, small, KernelConfig::default());
+        let plan = p.plan(&CandidateSpace::smoke(1));
+        assert!(plan.ranked.is_empty());
+        let (cand, reason) = &plan.pruned[0];
+        assert!(matches!(reason, PruneReason::DeviceMemory { .. }), "{reason}");
+        let err = p.mem_estimate(cand).unwrap_err();
+        assert!(matches!(err, GpuSimError::OutOfMemory { device: 0, .. }), "{err}");
+        assert!(crate::admission_estimates(&p, &CandidateSpace::smoke(1), &[1]).is_empty());
     }
 
     #[test]

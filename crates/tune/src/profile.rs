@@ -44,7 +44,7 @@ impl ParamSource {
 /// One `(name, value)` override for [`PerfModel::apply_overrides`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileParam {
-    /// A name from [`ca_gpusim::PARAM_NAMES`].
+    /// A name [`PerfModel::param`] accepts.
     pub name: String,
     /// Fitted (or carried-over) value.
     pub value: f64,
@@ -69,13 +69,31 @@ pub struct NamedCurve {
 pub struct MachineProfile {
     /// Free-form machine label, e.g. `"sim-m2090-x3"`.
     pub machine: String,
-    /// Parameter overrides in [`ca_gpusim::PARAM_NAMES`] order.
+    /// Parameter overrides in [`PerfModel::params`] order.
     pub params: Vec<ProfileParam>,
     /// Achieved-rate curves per kernel family.
     pub curves: Vec<NamedCurve>,
 }
 
 impl MachineProfile {
+    /// A profile of every model parameter, in [`PerfModel::params`] order:
+    /// fitted where `fit` names it, carried over from `hint` elsewhere.
+    pub(crate) fn assemble(
+        machine: &str,
+        hint: &PerfModel,
+        fit: &[(&'static str, f64)],
+        curves: Vec<NamedCurve>,
+    ) -> Self {
+        let param = |(name, hinted): (&str, f64)| match fit.iter().find(|(n, _)| *n == name) {
+            Some(&(_, value)) => {
+                ProfileParam { name: name.into(), value, source: ParamSource::Fit }
+            }
+            None => ProfileParam { name: name.into(), value: hinted, source: ParamSource::Hint },
+        };
+        let params = hint.params().into_iter().map(param).collect();
+        Self { machine: machine.to_string(), params, curves }
+    }
+
     /// Look up a parameter override by name.
     #[must_use]
     pub fn param(&self, name: &str) -> Option<f64> {

@@ -11,34 +11,23 @@
 //! order: the charge sequence exists once, in `ca-gmres`.
 
 use crate::plan::{Candidate, PhasePrediction};
-use ca_gmres::mpk::{ell_shape, DevicePlan, SpmvFormat};
+use ca_gmres::mpk::SpmvFormat;
 use ca_gmres::prelude::*;
 use ca_gpusim::faults::Result as GpuResult;
 use ca_gpusim::{KernelConfig, MultiGpu, PerfModel};
 use ca_sparse::Csr;
 
 /// Cost-only devices holding a shape-only [`System`]: the basis panel and
-/// the s = 1 plan, plus the s-step plan of the MPK candidate timed last.
+/// the s = 1 plan, plus — exactly while the candidate loaded last runs MPK —
+/// its s-step plan. What the devices account as allocated is therefore what
+/// a solve of that candidate holds ([`Rig::mem_used`]).
 pub(crate) struct Rig<'a> {
     a: &'a Csr,
     mg: MultiGpu,
     sys: System,
-    /// Per device, the padded-ELL slots of every slice of the s = 1 plan
-    /// and of the loaded s-step plan (what the memory estimate budgets).
-    pub(crate) slots: [Vec<usize>; 2],
     /// The deepest s-step analysis made so far: shallower ones are read
     /// off it.
     deepest: Option<MpkPlan>,
-}
-
-/// Per device, the padded-ELL slots of the local block and of every level
-/// of `plan`.
-fn ell_slots(a: &Csr, plan: &MpkPlan) -> Vec<usize> {
-    let slots = |dp: &DevicePlan| {
-        let levels = dp.levels.iter().map(|lv| ell_shape(a, lv.iter().map(|&r| r as usize)).slots);
-        ell_shape(a, dp.local.clone()).slots + levels.sum::<usize>()
-    };
-    plan.devs.iter().map(slots).collect()
 }
 
 impl<'a> Rig<'a> {
@@ -53,27 +42,32 @@ impl<'a> Rig<'a> {
     ) -> GpuResult<Self> {
         let mut mg = MultiGpu::cost_only(layout.ndev(), model.clone(), config);
         let sys = System::new(&mut mg, a, layout.clone(), m, None)?;
-        let slots = [ell_slots(a, &sys.spmv.plan), Vec::new()];
-        Ok(Self { a, mg, sys, slots, deepest: None })
+        Ok(Self { a, mg, sys, deepest: None })
     }
 
-    /// The layout the rig was built for.
-    pub(crate) fn layout(&self) -> &Layout {
-        &self.sys.layout
+    /// Bytes allocated on each device: the footprint of the candidate
+    /// loaded last, by the executor's own accounting.
+    pub(crate) fn mem_used(&self) -> Vec<usize> {
+        (0..self.mg.n_gpus()).map(|d| self.mg.device(d).mem_used()).collect()
     }
 
-    /// Have the s-step plan an MPK candidate runs loaded: once per
-    /// `(s, precision)` as long as candidates arrive grouped by them, and
-    /// analysed once per layout when the deepest `s` arrives first. A failed
-    /// load leaves no plan loaded.
+    /// Have loaded what `cand` runs on and nothing else: the s-step plan of
+    /// an MPK candidate — once per `(s, precision)` as long as candidates
+    /// arrive grouped by them, and analysed once per layout when the deepest
+    /// `s` arrives first — and no s-step plan for any other (the one an
+    /// earlier candidate left is released, so that it is not counted against
+    /// this one). A failed load leaves no plan loaded.
     pub(crate) fn load_mpk(&mut self, cand: &Candidate) -> GpuResult<()> {
         let (a, mg) = (self.a, &mut self.mg);
         let loaded = |st: &MpkState| (st.plan.s, st.prec) == (cand.s, cand.prec);
-        if !cand.uses_mpk() || self.sys.mpk.as_ref().is_some_and(loaded) {
+        if cand.uses_mpk() && self.sys.mpk.as_ref().is_some_and(loaded) {
             return Ok(());
         }
         if let Some(old) = self.sys.mpk.take() {
             old.release(mg);
+        }
+        if !cand.uses_mpk() {
+            return Ok(());
         }
         let deep = match self.deepest.take() {
             Some(deep) if deep.s >= cand.s => deep,
@@ -81,7 +75,6 @@ impl<'a> Rig<'a> {
         };
         let plan = deep.truncated(cand.s);
         self.deepest = Some(deep);
-        self.slots[1] = ell_slots(a, &plan);
         let marks: Vec<_> = (0..mg.n_gpus()).map(|d| mg.device(d).mem_checkpoint()).collect();
         let resident = Some(&self.sys.spmv);
         let loaded = MpkState::load_as(mg, a, plan, SpmvFormat::Ell, cand.prec, resident);

@@ -123,7 +123,9 @@ fn async_prefetch_is_hidden_under_independent_work() {
     let mut mg = MultiGpu::with_defaults(2);
     let mats: Vec<_> = (0..2).map(|d| mg.device_mut(d).alloc_mat(150_000, 2).unwrap()).collect();
     // issue next-block prefetch, then compute the current block
-    let events = mg.to_devices_async(&[2_000_000, 2_000_000]).unwrap();
+    let events = mg
+        .to_devices_async(&[2_000_000, 2_000_000], ca_gmres_repro::scalar::Precision::F64)
+        .unwrap();
     mg.run(|d, dev| {
         for _ in 0..4 {
             dev.dot_cols(mats[d], 0, 1);

@@ -1,7 +1,7 @@
 //! Service-layer integration contracts: the scheduler wrapped around the
 //! fault-tolerant solver must add *nothing* to the arithmetic.
 //!
-//! Three contracts are pinned here. A single-job service run with zero
+//! Four contracts are pinned here. A single-job service run with zero
 //! scheduling overhead replays the direct `ca_gmres_ft_session` solve
 //! bit for bit (solution, clocks, solver statistics) — the service is a
 //! pure wrapper. Scheduling overhead, when charged, delays completions
@@ -10,7 +10,9 @@
 //! degrades only the slice it happened on: jobs elsewhere on the pool
 //! converge unperturbed while the hit slice recovers through the
 //! executor-rebuild path, with the whole faulted run still
-//! bit-reproducible.
+//! bit-reproducible. And under memory pressure — a device that holds two
+//! of three operators — cold builds evict in least-recently-used order
+//! through the scheduler, and no allocation is ever refused.
 
 use ca_gmres_repro::gmres::ft::{ca_gmres_ft_session, FtConfig};
 use ca_gmres_repro::gpusim::{FaultPlan, MultiGpu, Schedule};
@@ -76,8 +78,6 @@ fn single_job_service_matches_direct_solve_bit_for_bit() {
         scfg.model.clone(),
         scfg.kernel_config,
         M,
-        scfg.ewma_alpha,
-        scfg.expected_cycles_init,
     );
     let (verdict, _) = adm.lookup(&key, &a, ndev);
     let cand = verdict.expect("class must admit").cand;
@@ -183,5 +183,69 @@ fn device_loss_degrades_only_the_resident_slice() {
         assert_eq!(first_healthy.x_hash, cold_ref, "healthy slice perturbed by remote fault");
     }
     // Bit-reproducibility of the whole faulted schedule.
+    assert_eq!(rep.digest(), run().digest());
+}
+
+/// Eviction through the scheduler: a pool whose devices hold two of the
+/// three operators in the stream. Every cold build beyond the second must
+/// first evict, in least-recently-used order — never the operator that
+/// just ran — and must then fit: a device refuses (typed, `OutOfMemory`)
+/// any allocation past `dev_mem_capacity`, which would sink the job and
+/// force an executor re-init, so "every job converges, no re-init" is the
+/// capacity invariant as the report shows it.
+#[test]
+fn memory_pressure_evicts_least_recently_used_through_the_scheduler() {
+    let ops = [
+        ("lap", gen::laplace2d(14, 14)),
+        ("cd", gen::convection_diffusion(14, 14, 2.0)),
+        ("lap3", gen::laplace3d(6, 6, 5)),
+    ];
+    let ndev = 2;
+    // the largest footprint on any device, by the planner's own count
+    let base = cfg(vec![ndev]);
+    let mut adm = AdmissionCache::new(
+        base.admission_space.clone(),
+        base.model.clone(),
+        base.kernel_config,
+        M,
+    );
+    let footprint = ops
+        .iter()
+        .flat_map(|(key, a)| adm.lookup(key, a, ndev).0.expect("admits").mem_bytes_per_dev.clone())
+        .max()
+        .expect("three operators");
+    let run = || {
+        let mut scfg = cfg(vec![ndev]);
+        // two operators and half of a third
+        scfg.model.dev_mem_capacity = 5 * footprint / 2;
+        scfg.batch_max = 1;
+        let matrices = ops.iter().map(|(k, a)| (k.to_string(), a.clone())).collect();
+        let mut svc = Service::new(scfg, matrices);
+        // far enough apart that each job is dispatched alone
+        let stream = ["lap", "cd", "lap", "lap3", "lap", "cd", "lap3", "lap3"];
+        let jobs = stream.iter().enumerate().map(|(i, &key)| {
+            let a = &ops.iter().find(|(k, _)| *k == key).expect("known").1;
+            job(i as u64, key, rhs(a), i as f64)
+        });
+        svc.run(jobs.collect())
+    };
+    let rep = run();
+    assert!(
+        rep.jobs.iter().all(|j| j.status == JobStatus::Converged),
+        "{:?}",
+        rep.jobs.iter().map(|j| (j.id, j.status)).collect::<Vec<_>>()
+    );
+    assert_eq!((rep.executor_reinits, rep.solver_rebuilds, rep.rejected), (0, 0, 0));
+    // resident after each job, most recent last:
+    //   lap | lap cd | cd lap | lap lap3 (cd out) | lap3 lap |
+    //   lap cd (lap3 out) | cd lap3 (lap out) | cd lap3
+    let warm: Vec<bool> = {
+        let mut by_id: Vec<_> = rep.jobs.iter().collect();
+        by_id.sort_by_key(|j| j.id);
+        by_id.iter().map(|j| j.warm).collect()
+    };
+    assert_eq!(warm, [false, false, true, false, true, false, false, true]);
+    assert_eq!(rep.evictions, 3);
+    assert_eq!(rep.warm_hits, 3);
     assert_eq!(rep.digest(), run().digest());
 }
