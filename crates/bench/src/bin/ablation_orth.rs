@@ -1,5 +1,3 @@
-#![allow(clippy::needless_range_loop)]
-
 //! Ablation study of the orthogonalization extensions beyond the paper's
 //! figures — the follow-up directions it cites in §VII:
 //!
@@ -9,51 +7,29 @@
 //! * batched-DGEMM panel height h (the §V-F alignment discussion);
 //! * adaptive step size (\[23\]): solve success where fixed-s breaks.
 
-use ca_bench::{format_table, write_json};
+use ca_bench::{lcg_vec, random_block, table, Study};
 use ca_dense::norms::orthogonality_error;
 use ca_gmres::orth::{tsqr, OrthConfig, TsqrKind};
 use ca_gmres::prelude::*;
 use ca_gpusim::{GemmVariant, KernelConfig, MatId, MultiGpu, PerfModel};
 
-struct Row {
-    study: String,
-    config: String,
-    time_ms: f64,
-    orth_err: f64,
-    extra: String,
-}
-
-ca_bench::jv_struct!(Row { study, config, time_ms, orth_err, extra });
-
-fn setup(n: usize, cols: usize, ndev: usize, config: KernelConfig) -> (MultiGpu, Vec<MatId>) {
-    let mut mg = MultiGpu::new(ndev, PerfModel::default(), config);
-    let ids = (0..ndev)
-        .map(|d| {
-            let nl = n / ndev;
-            let dev = mg.device_mut(d);
-            let v = dev.alloc_mat(nl, cols).unwrap();
-            let mut st = (d as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-            for j in 0..cols {
-                let col: Vec<f64> = (0..nl)
-                    .map(|_| {
-                        st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-                    })
-                    .collect();
-                dev.mat_mut(v).set_col(j, &col);
-            }
-            v
-        })
-        .collect();
-    (mg, ids)
-}
+ca_bench::row!(Row {
+    study: String ["study"],
+    config: String ["config"],
+    time_ms: f64 ["sim ms" "{:.3}"],
+    orth_err: f64 ["||I-Q'Q||" |r| if r.orth_err.is_nan() {
+        "-".into()
+    } else {
+        format!("{:.1e}", r.orth_err)
+    }],
+    extra: String ["notes"],
+});
 
 fn collect_q(mg: &MultiGpu, ids: &[MatId], n: usize, cols: usize) -> ca_dense::Mat {
-    let ndev = ids.len();
     let mut out = ca_dense::Mat::zeros(n, cols);
-    for d in 0..ndev {
-        let lo = d * (n / ndev);
-        let m = mg.device(d).mat(ids[d]);
+    for (d, &id) in ids.iter().enumerate() {
+        let lo = d * (n / ids.len());
+        let m = mg.device(d).mat(id);
         for j in 0..cols {
             out.col_mut(j)[lo..lo + m.nrows()].copy_from_slice(m.col(j));
         }
@@ -62,126 +38,94 @@ fn collect_q(mg: &MultiGpu, ids: &[MatId], n: usize, cols: usize) -> ca_dense::M
 }
 
 fn main() {
+    let study = Study::new("ablation_orth", &[]);
     let mut rows: Vec<Row> = Vec::new();
     let (n, k, ndev) = (200_000usize, 30usize, 3usize);
-
-    // --- study 1: mixed precision ---
-    for (label, kinds) in [
-        ("CholQR f64", vec![TsqrKind::CholQr]),
-        ("CholQR f32", vec![TsqrKind::CholQrMixed]),
-        ("2x CholQR f32", vec![TsqrKind::CholQrMixed, TsqrKind::CholQrMixed]),
-        // the [23] scheme: cheap f32 first pass, f64 recovery pass
-        ("f32 + f64 recovery", vec![TsqrKind::CholQrMixed, TsqrKind::CholQr]),
-    ] {
-        let (mut mg, ids) = setup(n, k, ndev, KernelConfig::default());
+    // one TSQR sequence on a fresh random block: simulated ms, ||I - Q'Q||, messages
+    let factor = |kinds: &[TsqrKind], config: KernelConfig| {
+        let mut mg = MultiGpu::new(ndev, PerfModel::default(), config);
+        let ids = random_block(&mut mg, n, k, 1);
         mg.reset_time();
-        for kind in kinds {
+        mg.reset_counters();
+        for &kind in kinds {
             tsqr(&mut mg, &ids, 0, k, kind, true).expect("factors");
         }
         mg.sync();
         let q = collect_q(&mg, &ids, n, k);
-        rows.push(Row {
-            study: "mixed-precision".into(),
-            config: label.into(),
-            time_ms: 1e3 * mg.time(),
-            orth_err: orthogonality_error(&q),
-            extra: String::new(),
-        });
+        (1e3 * mg.time(), orthogonality_error(&q), mg.counters().total_msgs())
+    };
+    let row = |name: &str, config: String, (time_ms, orth_err, _): (f64, f64, u64), extra| Row {
+        study: name.into(),
+        config,
+        time_ms,
+        orth_err,
+        extra,
+    };
+
+    // --- study 1: mixed precision ---
+    for (label, kinds) in [
+        ("CholQR f64", &[TsqrKind::CholQr][..]),
+        ("CholQR f32", &[TsqrKind::CholQrMixed]),
+        ("2x CholQR f32", &[TsqrKind::CholQrMixed, TsqrKind::CholQrMixed]),
+        // the [23] scheme: cheap f32 first pass, f64 recovery pass
+        ("f32 + f64 recovery", &[TsqrKind::CholQrMixed, TsqrKind::CholQr]),
+    ] {
+        rows.push(row(
+            "mixed-precision",
+            label.into(),
+            factor(kinds, KernelConfig::default()),
+            String::new(),
+        ));
     }
 
     // --- study 2: fused CGS round trips ---
     for (label, kind) in [("CGS", TsqrKind::Cgs), ("fused CGS", TsqrKind::CgsFused)] {
-        let (mut mg, ids) = setup(n, k, ndev, KernelConfig::default());
-        mg.reset_time();
-        mg.reset_counters();
-        tsqr(&mut mg, &ids, 0, k, kind, true).expect("factors");
-        mg.sync();
-        let q = collect_q(&mg, &ids, n, k);
-        rows.push(Row {
-            study: "fused-cgs".into(),
-            config: label.into(),
-            time_ms: 1e3 * mg.time(),
-            orth_err: orthogonality_error(&q),
-            extra: format!("{} msgs", mg.counters().total_msgs()),
-        });
+        let run = factor(&[kind], KernelConfig::default());
+        rows.push(row("fused-cgs", label.into(), run, format!("{} msgs", run.2)));
     }
 
     // --- study 3: batched GEMM panel height ---
     for h in [32usize, 128, 384, 1024, 4096] {
-        let cfgk = KernelConfig { gemm: GemmVariant::Batched { h }, ..Default::default() };
-        let (mut mg, ids) = setup(n, k, ndev, cfgk);
-        mg.reset_time();
-        tsqr(&mut mg, &ids, 0, k, TsqrKind::CholQr, true).expect("factors");
-        mg.sync();
-        let q = collect_q(&mg, &ids, n, k);
-        rows.push(Row {
-            study: "batched-h".into(),
-            config: format!("h = {h}"),
-            time_ms: 1e3 * mg.time(),
-            orth_err: orthogonality_error(&q),
-            extra: format!(
-                "{} panels",
-                n / ndev / GemmVariant::Batched { h }.panel_rows().unwrap() + 1
-            ),
-        });
+        let gemm = GemmVariant::Batched { h };
+        let run = factor(&[TsqrKind::CholQr], KernelConfig { gemm, ..Default::default() });
+        let panels = n / ndev / gemm.panel_rows().unwrap() + 1;
+        rows.push(row("batched-h", format!("h = {h}"), run, format!("{panels} panels")));
     }
 
     // --- study 4: adaptive step size on the breakdown case ---
-    {
-        let a = ca_sparse::gen::laplace2d(20, 20);
-        let (ab, _) = ca_sparse::balance::balance(&a);
-        let (a_ord, _, layout) = prepare(&ab, Ordering::Natural, 2);
-        let nn = a_ord.nrows();
-        let mut st = 1u64;
-        let b: Vec<f64> = (0..nn)
-            .map(|_| {
-                st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            })
-            .collect();
-        for adaptive in [false, true] {
-            let mut mg = MultiGpu::with_defaults(2);
-            let cfg = CaGmresConfig {
-                s: 24,
-                m: 48,
-                basis: ca_gmres::cagmres::BasisChoice::Monomial,
-                orth: OrthConfig { tsqr: TsqrKind::CholQr, ..Default::default() },
-                rtol: 1e-8,
-                max_restarts: 100,
-                adaptive_s: adaptive,
-                ..Default::default()
-            };
-            let sys = System::new(&mut mg, &a_ord, layout.clone(), cfg.m, Some(cfg.s)).unwrap();
-            sys.load_rhs(&mut mg, &b).unwrap();
-            let out = ca_gmres(&mut mg, &sys, &cfg);
-            rows.push(Row {
-                study: "adaptive-s".into(),
-                config: format!("monomial s=24, adaptive={adaptive}"),
-                time_ms: 1e3 * out.stats.t_total,
-                orth_err: f64::NAN,
-                extra: format!(
-                    "converged={}, s_final={}, breakdown={:?}",
-                    out.stats.converged,
-                    out.s_final,
-                    out.stats.breakdown.is_some()
-                ),
-            });
-        }
+    let (ab, _) = ca_sparse::balance::balance(&ca_sparse::gen::laplace2d(20, 20));
+    let (a_ord, _, layout) = prepare(&ab, Ordering::Natural, 2);
+    let b = lcg_vec(1, 1, a_ord.nrows());
+    for adaptive in [false, true] {
+        let mut mg = MultiGpu::with_defaults(2);
+        let cfg = CaGmresConfig {
+            s: 24,
+            m: 48,
+            basis: BasisChoice::Monomial,
+            orth: OrthConfig { tsqr: TsqrKind::CholQr, ..Default::default() },
+            rtol: 1e-8,
+            max_restarts: 100,
+            adaptive_s: adaptive,
+            ..Default::default()
+        };
+        let sys = System::new(&mut mg, &a_ord, layout.clone(), cfg.m, Some(cfg.s)).unwrap();
+        sys.load_rhs(&mut mg, &b).unwrap();
+        let out = ca_gmres(&mut mg, &sys, &cfg);
+        let st = &out.stats;
+        rows.push(row(
+            "adaptive-s",
+            format!("monomial s=24, adaptive={adaptive}"),
+            (1e3 * st.t_total, f64::NAN, 0),
+            format!(
+                "converged={}, s_final={}, breakdown={:?}",
+                st.converged,
+                out.s_final,
+                st.breakdown.is_some()
+            ),
+        ));
     }
 
     println!("Ablation — orthogonalization extensions ([23], footnotes 5/6)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.study.clone(),
-                r.config.clone(),
-                format!("{:.3}", r.time_ms),
-                if r.orth_err.is_nan() { "-".into() } else { format!("{:.1e}", r.orth_err) },
-                r.extra.clone(),
-            ]
-        })
-        .collect();
-    println!("{}", format_table(&["study", "config", "sim ms", "||I-Q'Q||", "notes"], &table));
-    write_json("ablation_orth", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

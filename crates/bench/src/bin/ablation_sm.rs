@@ -8,49 +8,27 @@
 //! the gain; larger `m` amortizes the fixed per-cycle costs and shifts
 //! the optimum to larger `s`.
 
-use ca_bench::{balanced_problem, format_table, g3_circuit, write_json, Scale};
-use ca_gmres::cagmres::KernelMode;
+use ca_bench::{g3_circuit, table, Problem, Study};
 use ca_gmres::prelude::*;
-use ca_gpusim::MultiGpu;
 
-struct Row {
-    m: usize,
-    s: usize,
-    gmres_ms_per_res: f64,
-    ca_ms_per_res: f64,
-    speedup: f64,
-}
-
-ca_bench::jv_struct!(Row { m, s, gmres_ms_per_res, ca_ms_per_res, speedup });
+ca_bench::row!(Row {
+    m: usize ["m"],
+    s: usize ["s"],
+    gmres_ms_per_res: f64 ["GMRES ms/res" "{:.3}"],
+    ca_ms_per_res: f64 ["CA ms/res" "{:.3}"],
+    speedup: f64 ["speedup" "{:.2}"],
+});
 
 fn main() {
-    let scale = Scale::from_args();
-    let t = g3_circuit(scale);
-    let (a_bal, b_bal) = balanced_problem(&t.a);
+    let study = Study::new("ablation_sm", &["--large"]);
     let ndev = 3usize;
+    let p = Problem::new(&g3_circuit(study.scale).a, Ordering::Kway, ndev);
     let mut rows: Vec<Row> = Vec::new();
 
     for m in [30usize, 60, 120] {
-        let (a_ord, perm, layout) = prepare(&a_bal, Ordering::Kway, ndev);
-        let b_perm = ca_sparse::perm::permute_vec(&b_bal, &perm);
-
-        let mut mg = MultiGpu::with_defaults(ndev);
-        let sys = System::new(&mut mg, &a_ord, layout.clone(), m, None).unwrap();
-        sys.load_rhs(&mut mg, &b_perm).unwrap();
-        let g = gmres(
-            &mut mg,
-            &sys,
-            &GmresConfig { m, orth: BorthKind::Cgs, rtol: 0.0, max_restarts: 3 },
-        );
-        let g_ms = g.stats.total_per_restart_ms();
-
-        for s in [2usize, 5, 10, 15, 20, 30] {
-            if s > m {
-                continue;
-            }
-            let mut mg2 = MultiGpu::with_defaults(ndev);
-            let sys2 = System::new(&mut mg2, &a_ord, layout.clone(), m, Some(s)).unwrap();
-            sys2.load_rhs(&mut mg2, &b_perm).unwrap();
+        let gmres_cfg = GmresConfig { m, orth: BorthKind::Cgs, rtol: 0.0, max_restarts: 3 };
+        let g_ms = p.gmres(&gmres_cfg).stats.total_per_restart_ms();
+        for s in [2usize, 5, 10, 15, 20, 30].into_iter().filter(|&s| s <= m) {
             let cfg = CaGmresConfig {
                 s,
                 m,
@@ -59,8 +37,7 @@ fn main() {
                 max_restarts: 4,
                 ..Default::default()
             };
-            let c = ca_gmres(&mut mg2, &sys2, &cfg);
-            let c_ms = c.ca_stats.total_per_restart_ms();
+            let c_ms = p.ca_gmres(&cfg).ca_stats.total_per_restart_ms();
             rows.push(Row {
                 m,
                 s,
@@ -72,18 +49,6 @@ fn main() {
     }
 
     println!("Ablation — CA-GMRES speedup over the (s, m) grid (G3_circuit analog, {ndev} GPUs)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.m.to_string(),
-                r.s.to_string(),
-                format!("{:.3}", r.gmres_ms_per_res),
-                format!("{:.3}", r.ca_ms_per_res),
-                format!("{:.2}", r.speedup),
-            ]
-        })
-        .collect();
-    println!("{}", format_table(&["m", "s", "GMRES ms/res", "CA ms/res", "speedup"], &table));
-    write_json("ablation_sm", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

@@ -30,9 +30,10 @@
 //!
 //! Flags: `--large` near-paper sizes; `--matrix <name>` one suite
 //! entry; `--smoke` first matrix only with a reduced grid, canonical
-//! DIGEST lines, no files written (CI diffs the output of two runs).
+//! DIGEST lines, no files written (CI pins the output to
+//! `bench_results/smoke/ext_autotune.txt`).
 
-use ca_bench::{balanced_problem, format_table, set_run_meta, write_json, RunMeta, Scale};
+use ca_bench::{balanced_problem, table, Study, TestMatrix};
 use ca_gmres::prelude::*;
 use ca_gpusim::{KernelConfig, PerfModel};
 use ca_tune::{calibrate, fnv1a64, Candidate, CandidateSpace, MachineProfile, Planner};
@@ -43,30 +44,23 @@ const ORACLE_K: usize = 10;
 /// Fixed CA-cycle budget for validation runs.
 const RESTARTS: usize = 4;
 
-struct Row {
-    matrix: String,
-    config: String,
-    rank: usize,
-    predicted_cycle_ms: f64,
-    actual_cycle_ms: f64,
-    rel_err: f64,
-    tts_ms: f64,
-    tuned_pick: bool,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    config: String ["config"],
+    rank: usize ["rank" |r| if r.rank == usize::MAX { "-".into() } else { r.rank.to_string() }],
+    predicted_cycle_ms: f64 ["pred ms" "{:.3}"],
+    actual_cycle_ms: f64 ["actual ms" "{:.3}"],
+    rel_err: f64 ["err" |r| format!("{:.1}%", r.rel_err * 100.0)],
+    tts_ms: f64 ["tts ms" "{:.3}"],
+    tuned_pick: bool ["" |r| match (r.tuned_pick, r.paper_default, r.oracle_best) {
+        (true, _, true) => "pick+oracle".into(),
+        (true, _, false) => "pick".into(),
+        (false, true, _) => "default".into(),
+        (false, false, true) => "oracle".into(),
+        _ => String::new(),
+    }],
     paper_default: bool,
     oracle_best: bool,
-}
-
-ca_bench::jv_struct!(Row {
-    matrix,
-    config,
-    rank,
-    predicted_cycle_ms,
-    actual_cycle_ms,
-    rel_err,
-    tts_ms,
-    tuned_pick,
-    paper_default,
-    oracle_best,
 });
 
 fn paper_default() -> Candidate {
@@ -84,34 +78,30 @@ fn paper_default() -> Candidate {
     }
 }
 
-fn study(
-    t: &ca_bench::TestMatrix,
+fn validate(
+    study: &Study,
+    t: &TestMatrix,
     profile: &MachineProfile,
-    smoke: bool,
     rows: &mut Vec<Row>,
     failures: &mut Vec<String>,
 ) {
     let (a, b) = balanced_problem(&t.a);
     let planner =
         Planner::with_profile(&a, t.m, profile, &PerfModel::default(), KernelConfig::default());
-    let space = if smoke { CandidateSpace::smoke(NDEV) } else { CandidateSpace::paper(NDEV) };
+    let space = if study.smoke { CandidateSpace::smoke(NDEV) } else { CandidateSpace::paper(NDEV) };
     let plan = planner.plan(&space);
     assert!(!plan.ranked.is_empty(), "{}: empty plan", t.name);
-    if smoke {
-        let mut h = fnv1a64(b"");
-        for r in &plan.ranked {
-            h = fnv1a64(
-                format!("{h:016x} {} {:016x}", r.cand.label(), r.predicted_cycle_s.to_bits())
-                    .as_bytes(),
-            );
-        }
-        println!(
-            "DIGEST {} plan ranked={} pruned={} rankhash={h:016x}",
-            t.name,
-            plan.ranked.len(),
-            plan.pruned.len()
-        );
+    let mut h = fnv1a64(b"");
+    for r in &plan.ranked {
+        let label = format!("{h:016x} {} {:016x}", r.cand.label(), r.predicted_cycle_s.to_bits());
+        h = fnv1a64(label.as_bytes());
     }
+    study.digest(format_args!(
+        "{} plan ranked={} pruned={} rankhash={h:016x}",
+        t.name,
+        plan.ranked.len(),
+        plan.pruned.len()
+    ));
 
     // validation pool: top-K of the ranking + the paper default
     let mut pool: Vec<(usize, Candidate)> =
@@ -131,8 +121,8 @@ fn study(
     let oracle_tts = results[0].2.tts_s;
     let oracle_cand = results[0].1;
     let pick = plan.ranked[0].cand;
-    let pick_tts = results.iter().find(|(_, c, _)| *c == pick).unwrap().2.tts_s;
-    let default_tts = results.iter().find(|(_, c, _)| *c == dflt).unwrap().2.tts_s;
+    let tts_of = |c: Candidate| results.iter().find(|(_, r, _)| *r == c).unwrap().2.tts_s;
+    let (pick_tts, default_tts) = (tts_of(pick), tts_of(dflt));
 
     if pick_tts > 1.10 * oracle_tts {
         failures.push(format!(
@@ -155,17 +145,15 @@ fn study(
             ));
         }
     }
-    if smoke {
-        for (_, cand, chk) in &results {
-            println!(
-                "DIGEST {} run {} pred_bits={:016x} act_bits={:016x} tts_bits={:016x}",
-                t.name,
-                cand.label(),
-                chk.predicted_cycle_s.to_bits(),
-                chk.actual_cycle_s.to_bits(),
-                chk.tts_s.to_bits()
-            );
-        }
+    for (_, cand, chk) in &results {
+        study.digest(format_args!(
+            "{} run {} pred_bits={:016x} act_bits={:016x} tts_bits={:016x}",
+            t.name,
+            cand.label(),
+            chk.predicted_cycle_s.to_bits(),
+            chk.actual_cycle_s.to_bits(),
+            chk.tts_s.to_bits()
+        ));
     }
 
     for (rank, cand, chk) in &results {
@@ -193,51 +181,35 @@ fn study(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = Scale::from_args();
-    let filter: Option<String> = ca_bench::flag_value(&args, "--matrix");
+    let mut study = Study::new("ext_autotune", &["--large", "--smoke", "--matrix <name>"]);
 
     // one machine-wide profile: fitted once, shared by every matrix
     let profile = calibrate(&PerfModel::default(), KernelConfig::default(), "m2090-sim");
     println!("DIGEST profile hash={}", profile.hash_hex());
-    if !smoke {
-        let dir = ca_bench::bench_dir().join("profiles");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join("default.json");
-            let _ = std::fs::write(&path, profile.to_json());
-            eprintln!("[ca-bench] wrote {}", path.display());
-        }
+    if !study.smoke {
+        study.write("profiles/default.json", &profile.to_json());
     }
-    set_run_meta(RunMeta { profile_hash: Some(profile.hash_hex()), ..RunMeta::default() });
+    study.meta.profile_hash = Some(profile.hash_hex());
 
     let mut rows: Vec<Row> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for (i, t) in ca_bench::suite(scale).into_iter().enumerate() {
-        if filter.as_deref().is_some_and(|f| f != t.name) {
-            continue;
-        }
-        if smoke && i > 0 {
-            break;
-        }
-        study(&t, &profile, smoke, &mut rows, &mut failures);
+    for t in study.suite() {
+        validate(&study, &t, &profile, &mut rows, &mut failures);
     }
 
     // cycle-time accuracy and pick-vs-oracle are hard failures;
     // beats-default is a suite-level majority criterion
     assert!(failures.is_empty(), "acceptance failures:\n{}", failures.join("\n"));
-    let matrices: Vec<String> = {
-        let mut m: Vec<String> = rows.iter().map(|r| r.matrix.clone()).collect();
-        m.dedup();
-        m
-    };
-    if !smoke && filter.is_none() {
+    if !study.smoke && study.matrix.is_none() {
+        let tts = |m: &str, pick: fn(&Row) -> bool| {
+            rows.iter().find(|r| r.matrix == m && pick(r)).map(|r| r.tts_ms)
+        };
+        let mut matrices: Vec<&str> = rows.iter().map(|r| r.matrix.as_str()).collect();
+        matrices.dedup();
         let beats = matrices
             .iter()
             .filter(|m| {
-                let tuned = rows.iter().find(|r| &r.matrix == *m && r.tuned_pick).map(|r| r.tts_ms);
-                let dflt =
-                    rows.iter().find(|r| &r.matrix == *m && r.paper_default).map(|r| r.tts_ms);
+                let (tuned, dflt) = (tts(m, |r| r.tuned_pick), tts(m, |r| r.paper_default));
                 matches!((tuned, dflt), (Some(t), Some(d)) if t < d)
             })
             .count();
@@ -252,37 +224,9 @@ fn main() {
         "\nExtension — autotuning: calibrated planner vs paper default vs oracle ({NDEV} GPUs, \
          fixed {RESTARTS}-cycle budget)"
     );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let mark = match (r.tuned_pick, r.paper_default, r.oracle_best) {
-                (true, _, true) => "pick+oracle",
-                (true, _, false) => "pick",
-                (false, true, _) => "default",
-                (false, false, true) => "oracle",
-                _ => "",
-            };
-            vec![
-                r.matrix.clone(),
-                r.config.clone(),
-                if r.rank == usize::MAX { "-".into() } else { r.rank.to_string() },
-                format!("{:.3}", r.predicted_cycle_ms),
-                format!("{:.3}", r.actual_cycle_ms),
-                format!("{:.1}%", r.rel_err * 100.0),
-                format!("{:.3}", r.tts_ms),
-                mark.into(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["matrix", "config", "rank", "pred ms", "actual ms", "err", "tts ms", ""],
-            &table
-        )
-    );
+    println!("{}", table(&rows));
 
-    if !smoke {
-        write_json("ext_autotune", &rows);
+    if !study.smoke {
+        study.write_json(&rows);
     }
 }

@@ -29,9 +29,9 @@
 //! Flags: `--large` near-paper sizes; `--matrix <name>` one suite
 //! entry; `--schedules <n>` campaign size (default 1200); `--smoke`
 //! first matrix + 64-schedule campaign, canonical DIGEST lines, no
-//! files written (CI diffs the output of two runs).
+//! files written (CI pins the output to `bench_results/smoke/ext_chaos.txt`).
 
-use ca_bench::{balanced_problem, format_table, write_json, Scale, TestMatrix};
+use ca_bench::{balanced_problem, table, xhash, Study, TestMatrix};
 use ca_chaos::{run_campaign, CampaignConfig, CampaignReport};
 use ca_gmres::prelude::*;
 use ca_gpusim::{FaultPlan, MultiGpu};
@@ -40,42 +40,32 @@ const NDEV: usize = 3;
 const FAULT_DEV: usize = 1;
 const WATCHDOG_S: f64 = 0.5;
 
-struct Row {
-    matrix: String,
-    scenario: String,
-    t_static_ms: f64,
-    t_base_ms: f64,
-    t_probe_ms: f64,
-    lat_base_ms: f64,
-    lat_probe_ms: f64,
-    lat_ratio: f64,
-    recovered_frac: f64,
-    in_cycle_polls: u64,
-    block_resumes: usize,
-    mid_cycle_rebalances: usize,
+/// A cell that is `-` where the scenario has no such value.
+fn dash(v: f64, cell: String) -> String {
+    if v > 0.0 {
+        cell
+    } else {
+        "-".into()
+    }
 }
 
-ca_bench::jv_struct!(Row {
-    matrix,
-    scenario,
-    t_static_ms,
-    t_base_ms,
-    t_probe_ms,
-    lat_base_ms,
-    lat_probe_ms,
-    lat_ratio,
-    recovered_frac,
-    in_cycle_polls,
-    block_resumes,
-    mid_cycle_rebalances,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    scenario: String ["scenario"],
+    t_static_ms: f64 ["static ms" |r| dash(r.t_static_ms, format!("{:.3}", r.t_static_ms))],
+    t_base_ms: f64 ["base ms" "{:.3}"],
+    t_probe_ms: f64 ["probe ms" "{:.3}"],
+    lat_base_ms: f64 ["lat(base)" |r| dash(r.lat_base_ms, format!("{:.3}", r.lat_base_ms))],
+    lat_probe_ms: f64 ["lat(probe)" |r| dash(r.lat_probe_ms, format!("{:.3}", r.lat_probe_ms))],
+    lat_ratio: f64 ["ratio" |r| dash(r.lat_ratio, format!("{:.3}", r.lat_ratio))],
+    recovered_frac: f64
+        ["recovered" |r| dash(r.recovered_frac, format!("{:.0}%", r.recovered_frac * 100.0))],
+    in_cycle_polls: u64 ["polls"],
+    block_resumes: usize ["resumes"],
+    mid_cycle_rebalances: usize ["midreb"],
 });
 
-struct Output {
-    rows: Vec<Row>,
-    campaign: CampaignReport,
-}
-
-ca_bench::jv_struct!(Output { rows, campaign });
+ca_bench::row!(Output { rows: Vec<Row>, campaign: CampaignReport });
 
 fn ft_cfg(m: usize, probe: bool, straggler: bool, rebalance: bool) -> FtConfig {
     // straggler scenario: the boundary baseline rebalances at restarts,
@@ -127,24 +117,24 @@ fn first_latency(out: &FtOutcome) -> f64 {
     out.report.detection_latency_s.first().copied().unwrap_or(0.0)
 }
 
-fn digest(label: &str, out: &FtOutcome) {
-    let xhash = ca_obs::fnv1a_words(out.x.iter().map(|v| v.to_bits()));
-    println!(
-        "DIGEST {label} iters={} restarts={} polls={} esc={} resumes={} midreb={} xhash={xhash:016x} t_bits={:016x}",
+fn digest(study: &Study, label: &str, out: &FtOutcome) {
+    study.digest(format_args!(
+        "{label} iters={} restarts={} polls={} esc={} resumes={} midreb={} xhash={:016x} t_bits={:016x}",
         out.stats.total_iters,
         out.stats.restarts,
         out.report.in_cycle_polls,
         out.report.in_cycle_escalations,
         out.report.block_resumes,
         out.report.mid_cycle_rebalances,
+        xhash(&out.x),
         out.stats.t_total.to_bits()
-    );
+    ));
 }
 
 /// Hung device: every op on the fault device stalls far past the
 /// watchdog threshold. Boundary watchdog eats the whole stalled cycle
 /// before escalating; the probe escalates at the first block boundary.
-fn study_hung(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
+fn study_hung(study: &Study, t: &TestMatrix, rows: &mut Vec<Row>) {
     let (a, b) = balanced_problem(&t.a);
     let plan = FaultPlan::new(1).with_stalls(FAULT_DEV, 1.0, 30.0);
     let base = solve(&a, &b, t.m, plan.clone(), false, false, false);
@@ -171,10 +161,8 @@ fn study_hung(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
         probe.stats.t_total,
         base.stats.t_total
     );
-    if smoke {
-        digest(&format!("{} hung/base", t.name), &base);
-        digest(&format!("{} hung/probe", t.name), &probe);
-    }
+    digest(study, &format!("{} hung/base", t.name), &base);
+    digest(study, &format!("{} hung/probe", t.name), &probe);
     rows.push(Row {
         matrix: t.name.to_string(),
         scenario: "hung".into(),
@@ -199,7 +187,7 @@ fn study_hung(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
 /// strategy — it acts one block into the first protected cycle and
 /// pays a checkpoint restore, where the boundary rebalancer already
 /// acted at the end of the (unprotected) first cycle.
-fn study_straggler(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
+fn study_straggler(study: &Study, t: &TestMatrix, rows: &mut Vec<Row>) {
     let (a, b) = balanced_problem(&t.a);
     let plan = FaultPlan::new(1).with_slowdown(FAULT_DEV, 4.0, 0);
     let ideal = solve(&a, &b, t.m, FaultPlan::new(1), false, true, false);
@@ -228,10 +216,8 @@ fn study_straggler(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
         probe.stats.t_total,
         base.stats.t_total
     );
-    if smoke {
-        digest(&format!("{} strag/static", t.name), &stat);
-        digest(&format!("{} strag/base", t.name), &base);
-        digest(&format!("{} strag/probe", t.name), &probe);
+    for (arm, out) in [("static", &stat), ("base", &base), ("probe", &probe)] {
+        digest(study, &format!("{} strag/{arm}", t.name), out);
     }
     rows.push(Row {
         matrix: t.name.to_string(),
@@ -250,22 +236,14 @@ fn study_straggler(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = Scale::from_args();
-    let filter: Option<String> = ca_bench::flag_value(&args, "--matrix");
-    let schedules: u64 = ca_bench::flag_value(&args, "--schedules").unwrap_or(1200);
+    let study =
+        Study::new("ext_chaos", &["--large", "--smoke", "--matrix <name>", "--schedules <n>"]);
+    let schedules: u64 = study.value("--schedules").unwrap_or(1200);
 
     let mut rows: Vec<Row> = Vec::new();
-    for (i, t) in ca_bench::suite(scale).into_iter().enumerate() {
-        if filter.as_deref().is_some_and(|f| f != t.name) {
-            continue;
-        }
-        if smoke && i > 0 {
-            break; // smoke: first suite entry only, fixed seeds
-        }
-        study_hung(&t, smoke, &mut rows);
-        study_straggler(&t, smoke, &mut rows);
+    for t in study.suite() {
+        study_hung(&study, &t, &mut rows);
+        study_straggler(&study, &t, &mut rows);
     }
 
     println!(
@@ -274,54 +252,11 @@ fn main() {
     println!(
         "(latency = fault detection time; base = restart-boundary watchdog, probe = in-cycle)\n"
     );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.scenario.clone(),
-                if r.t_static_ms > 0.0 { format!("{:.3}", r.t_static_ms) } else { "-".into() },
-                format!("{:.3}", r.t_base_ms),
-                format!("{:.3}", r.t_probe_ms),
-                if r.lat_base_ms > 0.0 { format!("{:.3}", r.lat_base_ms) } else { "-".into() },
-                if r.lat_probe_ms > 0.0 { format!("{:.3}", r.lat_probe_ms) } else { "-".into() },
-                if r.lat_ratio > 0.0 { format!("{:.3}", r.lat_ratio) } else { "-".into() },
-                if r.recovered_frac > 0.0 {
-                    format!("{:.0}%", r.recovered_frac * 100.0)
-                } else {
-                    "-".into()
-                },
-                r.in_cycle_polls.to_string(),
-                r.block_resumes.to_string(),
-                r.mid_cycle_rebalances.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "matrix",
-                "scenario",
-                "static ms",
-                "base ms",
-                "probe ms",
-                "lat(base)",
-                "lat(probe)",
-                "ratio",
-                "recovered",
-                "polls",
-                "resumes",
-                "midreb"
-            ],
-            &table
-        )
-    );
+    println!("{}", table(&rows));
 
     // chaos campaign: every invariant must hold on every schedule
-    let ccfg =
-        CampaignConfig { schedules: if smoke { 64 } else { schedules }, ..Default::default() };
-    let report = run_campaign(&ccfg);
+    let schedules = if study.smoke { 64 } else { schedules };
+    let report = run_campaign(&CampaignConfig { schedules, ..Default::default() });
     println!(
         "\nChaos campaign: seed={} schedules={} passed={} panics={} converged={} breakdowns={} \
          zero_rate={} probe_armed={} escalations={} resumes={} midreb={} detections={}",
@@ -344,18 +279,16 @@ fn main() {
             println!("  shrunk:   {s}");
         }
     }
-    if smoke {
-        println!(
-            "DIGEST campaign seed={} n={} digest={:016x} passed={} panics={} converged={} zero_rate={}",
-            report.seed,
-            report.schedules,
-            report.digest,
-            report.passed,
-            report.panics,
-            report.converged,
-            report.zero_rate_checked
-        );
-    }
+    study.digest(format_args!(
+        "campaign seed={} n={} digest={:016x} passed={} panics={} converged={} zero_rate={}",
+        report.seed,
+        report.schedules,
+        report.digest,
+        report.passed,
+        report.panics,
+        report.converged,
+        report.zero_rate_checked
+    ));
     assert!(
         report.ok(),
         "chaos campaign found {} violation(s) (span nesting: {:?})",
@@ -365,7 +298,7 @@ fn main() {
     assert_eq!(report.panics, 0, "campaign caught panics");
     assert!(report.zero_rate_checked > 0, "campaign drew no zero-rate schedules");
 
-    if !smoke {
-        write_json("ext_chaos", &Output { rows, campaign: report });
+    if !study.smoke {
+        study.write_json(&Output { rows, campaign: report });
     }
 }

@@ -30,24 +30,20 @@
 //!    re-plan at least once (asserted) — observed-vs-predicted phase
 //!    shares catch what busy-time cannot.
 //!
-//! Flags: `--smoke` two matrices, 10 jobs, canonical DIGEST lines, and a
-//! committed `ext_feedback_smoke.json` baseline for the bench-trend gate;
-//! CI diffs both between two runs. The full run also writes the
-//! fitted profile to `profiles/ext_feedback.json`.
+//! Flags: `--smoke` two matrices, 10 jobs; CI pins its DIGEST lines to
+//! `bench_results/smoke/ext_feedback.txt` and its envelope to the committed
+//! `ext_feedback_smoke.json`. The full run also writes the fitted profile
+//! to `profiles/ext_feedback.json`.
 
-use ca_bench::{format_table, set_run_meta, write_json, write_text, RunMeta, Scale};
+use ca_bench::pool::{self, ARRIVAL_SEED, DEVICES};
+use ca_bench::{table, Study};
 use ca_gmres::prelude::*;
 use ca_gpusim::{FaultPlan, KernelConfig, MultiGpu, PerfModel};
 use ca_obs as obs;
-use ca_serve::{open_loop_arrivals, ArrivalSpec, ServeConfig, Service};
+use ca_serve::{ServeConfig, Service};
 use ca_sparse::{gen, Csr};
 use ca_tune::{calibrate_from_metrics, observed_slowdowns, CandidateSpace, Planner, Retuner};
 
-const POOL_DEVICES: usize = 4;
-const M: usize = 50;
-const RTOL: f64 = 1e-6;
-const MAX_RESTARTS: usize = 200;
-const ARRIVAL_SEED: u64 = 20140527;
 const JOBS: usize = 32;
 const SMOKE_JOBS: usize = 10;
 /// Offered load relative to one-at-a-time pool capacity: busy but
@@ -56,7 +52,7 @@ const RHO: f64 = 0.9;
 /// Link-degrade factor for the retune act.
 const LINK_FACTOR: f64 = 8.0;
 
-struct StreamRow {
+ca_bench::row!(StreamRow {
     jobs: usize,
     offered_jobs_per_s: f64,
     makespan_s: f64,
@@ -65,104 +61,36 @@ struct StreamRow {
     slo_burns: u64,
     metrics_hash: String,
     service_digest: String,
-}
-
-ca_bench::jv_struct!(StreamRow {
-    jobs,
-    offered_jobs_per_s,
-    makespan_s,
-    throughput_jobs_per_s,
-    deadline_misses,
-    slo_burns,
-    metrics_hash,
-    service_digest,
 });
 
-struct FitRow {
-    family: String,
-    lambda: f64,
-    observed_s: f64,
-}
+ca_bench::row!(FitRow { family: String, lambda: f64, observed_s: f64 });
 
-ca_bench::jv_struct!(FitRow { family, lambda, observed_s });
-
-struct RankRow {
-    matrix: String,
-    n: usize,
-    candidates: usize,
-    hint_best: String,
-    fitted_best: String,
+ca_bench::row!(RankRow {
+    matrix: String["matrix"],
+    n: usize["n"],
+    candidates: usize["cands"],
+    hint_best: String["hint best"],
+    fitted_best: String["fitted best"],
     hint_best_cycle_s: f64,
     fitted_best_cycle_s: f64,
-    rank_match: bool,
-}
-
-ca_bench::jv_struct!(RankRow {
-    matrix,
-    n,
-    candidates,
-    hint_best,
-    fitted_best,
-    hint_best_cycle_s,
-    fitted_best_cycle_s,
-    rank_match,
+    rank_match: bool["rank match"],
 });
 
-struct DriftRow {
+ca_bench::row!(DriftRow {
     arm: String,
     retunes: usize,
     s_final: usize,
     t_total_s: f64,
-    converged: bool,
-}
+    converged: bool
+});
 
-ca_bench::jv_struct!(DriftRow { arm, retunes, s_final, t_total_s, converged });
-
-struct Output {
+ca_bench::row!(Output {
     profile_hash: String,
     stream: StreamRow,
     fit: Vec<FitRow>,
     ranking: Vec<RankRow>,
     drift: Vec<DriftRow>,
-}
-
-ca_bench::jv_struct!(Output { profile_hash, stream, fit, ranking, drift });
-
-/// The downscaled Fig. 12 pool the stream draws from (same classes the
-/// service study uses).
-fn pool(smoke: bool) -> Vec<(String, Csr)> {
-    let mut v = vec![
-        ("cant".to_string(), gen::cantilever(8, 8, 8)),
-        ("G3_circuit".to_string(), gen::circuit(4000, 20140527)),
-    ];
-    if !smoke {
-        v.push(("dielFilterV2real".to_string(), gen::diel_filter(12, 12, 12)));
-        v.push(("nlpkkt120".to_string(), gen::kkt(10, 10, 10)));
-    }
-    v.into_iter().map(|(n, a)| (n, ca_sparse::balance::balance(&a).0)).collect()
-}
-
-fn base_config() -> FtConfig {
-    let mut cfg = FtConfig::default();
-    cfg.solver.m = M;
-    cfg.solver.rtol = RTOL;
-    cfg.solver.max_restarts = MAX_RESTARTS;
-    cfg
-}
-
-fn pool_capacity_jobs_per_s(matrices: &[(String, Csr)]) -> f64 {
-    let cfg = base_config();
-    let mean_t: f64 = matrices
-        .iter()
-        .map(|(_, a)| {
-            let b = ca_bench::rhs_for(a);
-            let mg = MultiGpu::with_defaults(POOL_DEVICES);
-            ca_gmres_ft(mg, a, &b, &cfg).stats.t_total
-        })
-        .sum::<f64>()
-        / matrices.len() as f64;
-    1.0 / mean_t
-}
+});
 
 /// Act 1: run the tenant stream twice — unrecorded for the digest
 /// reference, then recorded inside an obs session — and return the
@@ -173,24 +101,12 @@ fn record_stream(
     rate: f64,
 ) -> (obs::Recording, StreamRow) {
     let mean_solve_s = 1.0 / rate * RHO; // rate = RHO * capacity
-    let arrivals = || {
-        open_loop_arrivals(&ArrivalSpec {
-            seed: ARRIVAL_SEED,
-            jobs,
-            rate_jobs_per_s: rate,
-            tenants: vec!["acme".into(), "globex".into(), "initech".into()],
-            matrices: matrices.iter().map(|(n, a)| (n.clone(), a.nrows())).collect(),
-            rtol: RTOL,
-            deadline_fraction: 0.25,
-            deadline_headroom_s: (2.0 * mean_solve_s, 10.0 * mean_solve_s),
-        })
-    };
     let run = |record: bool| {
-        let mut cfg = ServeConfig::new(vec![POOL_DEVICES / 2, POOL_DEVICES / 2]);
-        cfg.base = base_config();
+        let mut cfg = ServeConfig::new(vec![DEVICES / 2, DEVICES / 2]);
+        cfg.base = pool::base_config();
         cfg.record_kernel_traces = record;
         let mut svc = Service::new(cfg, matrices.to_vec());
-        svc.run(arrivals())
+        svc.run(pool::arrivals(matrices, jobs, rate, mean_solve_s))
     };
 
     let reference = run(false).digest();
@@ -220,12 +136,12 @@ fn rank_cross_validation(
     hint: &PerfModel,
 ) -> Vec<RankRow> {
     let kcfg = KernelConfig::default();
-    let space = CandidateSpace::smoke(POOL_DEVICES / 2);
+    let space = CandidateSpace::smoke(DEVICES / 2);
     matrices
         .iter()
         .map(|(name, a)| {
-            let hint_plan = Planner::new(a, M, hint.clone(), kcfg).plan(&space);
-            let fit_plan = Planner::with_profile(a, M, profile, hint, kcfg).plan(&space);
+            let hint_plan = Planner::new(a, pool::M, hint.clone(), kcfg).plan(&space);
+            let fit_plan = Planner::with_profile(a, pool::M, profile, hint, kcfg).plan(&space);
             let order_matches = hint_plan.ranked.len() == fit_plan.ranked.len()
                 && hint_plan.ranked.iter().zip(&fit_plan.ranked).all(|(h, f)| h.cand == f.cand);
             let hb = hint_plan.best().expect("hint planner found no feasible candidate");
@@ -286,14 +202,12 @@ fn drift_arm(name: &str, drift_threshold: f64) -> DriftRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let _ = Scale::from_args();
+    let mut study = Study::new("ext_feedback", &["--smoke"]);
 
     // Act 1: record the tenant stream.
-    let matrices = pool(smoke);
-    let capacity = pool_capacity_jobs_per_s(&matrices);
-    let jobs = if smoke { SMOKE_JOBS } else { JOBS };
+    let matrices = pool::matrices(study.smoke);
+    let capacity = pool::capacity_jobs_per_s(&matrices);
+    let jobs = if study.smoke { SMOKE_JOBS } else { JOBS };
     let (rec, stream) = record_stream(&matrices, jobs, RHO * capacity);
     eprintln!(
         "[ext_feedback] recorded {} jobs over {} matrix classes: metrics {}",
@@ -331,13 +245,10 @@ fn main() {
         assert!(d.converged, "{} arm failed to converge", d.arm);
     }
 
-    set_run_meta(RunMeta {
-        profile_hash: Some(profile.hash_hex()),
-        metrics_hash: Some(stream.metrics_hash.clone()),
-        arrival_seed: Some(ARRIVAL_SEED),
-        offered_load_jobs_per_s: Some(stream.offered_jobs_per_s),
-        ..RunMeta::default()
-    });
+    study.meta.profile_hash = Some(profile.hash_hex());
+    study.meta.metrics_hash = Some(stream.metrics_hash.clone());
+    study.meta.arrival_seed = Some(ARRIVAL_SEED);
+    study.meta.offered_load_jobs_per_s = Some(stream.offered_jobs_per_s);
 
     let output = Output { profile_hash: profile.hash_hex(), stream, fit, ranking, drift };
 
@@ -354,35 +265,14 @@ fn main() {
         output.drift[0].retunes, output.drift[1].retunes, output.drift[1].s_final
     );
 
-    if smoke {
-        write_json("ext_feedback_smoke", &output);
+    study.write_json(&output);
+    if study.smoke {
         return;
     }
+    study.write("profiles/ext_feedback.json", &profile.to_json());
 
-    let dir = ca_bench::bench_dir().join("profiles");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join("ext_feedback.json");
-        let _ = std::fs::write(&path, profile.to_json());
-        eprintln!("[ca-bench] wrote {}", path.display());
-    }
-    write_json("ext_feedback", &output);
-
-    let mut table: Vec<Vec<String>> = Vec::new();
-    for r in &output.ranking {
-        table.push(vec![
-            r.matrix.clone(),
-            format!("{}", r.n),
-            format!("{}", r.candidates),
-            r.hint_best.clone(),
-            r.fitted_best.clone(),
-            format!("{}", r.rank_match),
-        ]);
-    }
     let mut txt = String::from("closed-loop observability: trace-fitted planner vs hint\n\n");
-    txt.push_str(&format_table(
-        &["matrix", "n", "cands", "hint best", "fitted best", "rank match"],
-        &table,
-    ));
+    txt.push_str(&table(&output.ranking));
     txt.push('\n');
     for f in &output.fit {
         txt.push_str(&format!(
@@ -397,5 +287,5 @@ fn main() {
             d.arm, d.retunes, d.s_final, d.t_total_s, d.converged
         ));
     }
-    write_text("ext_feedback", &txt);
+    study.write_text(&txt);
 }

@@ -32,14 +32,13 @@
 //!
 //! Flags: `--large` near-paper sizes; `--matrix <name>` one suite entry;
 //! `--smoke` first matrix only, canonical DIGEST lines, no files written
-//! (CI diffs the output of two runs).
+//! (CI pins the output to `bench_results/smoke/ext_mixed.txt`).
 
-use ca_bench::{balanced_problem, format_table, write_json, Scale, TestMatrix};
+use ca_bench::{table, true_relres, xhash, Problem, Study, TestMatrix};
 use ca_gmres::mpk::SpmvFormat;
 use ca_gmres::prelude::*;
 use ca_gpusim::{CommCounters, MultiGpu};
 use ca_scalar::Precision;
-use ca_sparse::Csr;
 
 const NDEV: usize = 3;
 /// Basis length for both precisions (a Newton basis: within the planner's
@@ -51,75 +50,45 @@ const COMM_RESTARTS: usize = 2;
 /// roundoff, so the mixed run only reaches it through f64 refinement.
 const RTOL: f64 = 1e-8;
 
-struct Row {
-    matrix: String,
-    config: String,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    config: String ["config"],
     // fixed-budget leg: per-cycle speed and exact byte accounting
-    cycle_spmv_ms: f64,
-    cycle_total_ms: f64,
-    comm_msgs: u64,
-    comm_bytes: u64,
-    comm_bytes_f32: u64,
+    cycle_spmv_ms: f64 ["spmv ms/cyc" "{:.3}"],
+    cycle_total_ms: f64 ["total ms/cyc" "{:.3}"],
+    comm_msgs: u64 ["msgs"],
+    comm_bytes: u64 ["bytes"],
+    comm_bytes_f32: u64 ["bytes f32"],
     // convergence leg
-    restarts: usize,
+    restarts: usize ["restarts/iters" |r| format!("{}/{}", r.restarts, r.total_iters)],
     total_iters: usize,
-    tts_ms: f64,
-    relres: f64,
-    converged: bool,
+    tts_ms: f64 ["tts ms" "{:.3}"],
+    relres: f64 ["relres" "{:.2e}"],
+    converged: bool ["" |r| match (r.converged, r.escalated) {
+        (false, _) => "FAIL".into(),
+        (true, true) => "esc".into(),
+        (true, false) => String::new(),
+    }],
     escalated: bool,
-}
-
-ca_bench::jv_struct!(Row {
-    matrix,
-    config,
-    cycle_spmv_ms,
-    cycle_total_ms,
-    comm_msgs,
-    comm_bytes,
-    comm_bytes_f32,
-    restarts,
-    total_iters,
-    tts_ms,
-    relres,
-    converged,
-    escalated,
 });
 
-fn relres(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
-    let mut r = vec![0.0; b.len()];
-    ca_sparse::spmv::spmv(a, x, &mut r);
-    for i in 0..b.len() {
-        r[i] = b[i] - r[i];
-    }
-    ca_dense::blas1::nrm2(&r) / ca_dense::blas1::nrm2(b)
-}
-
-fn solve(
-    a_ord: &Csr,
-    bp: &[f64],
-    layout: &Layout,
-    cfg: &CaGmresConfig,
-) -> (MixedOutcome, CommCounters) {
+fn solve(p: &Problem, cfg: &CaGmresConfig) -> (MixedOutcome, CommCounters) {
     let mut mg = MultiGpu::with_defaults(NDEV);
-    let out = ca_gmres_mixed(&mut mg, a_ord, bp, layout.clone(), cfg, SpmvFormat::Ell)
+    let out = ca_gmres_mixed(&mut mg, &p.a, &p.b, p.layout.clone(), cfg, SpmvFormat::Ell)
         .expect("simulated solve failed");
-    let counters = mg.counters();
-    (out, counters)
+    (out, mg.counters())
 }
 
 fn cfg(m: usize, prec: Precision, rtol: f64, max_restarts: usize) -> CaGmresConfig {
     CaGmresConfig { s: S, m, rtol, max_restarts, mpk_prec: prec, ..Default::default() }
 }
 
-#[allow(clippy::too_many_lines)]
-fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
-    let (a, b) = balanced_problem(&t.a);
-    let (a_ord, p, layout) = prepare(&a, Ordering::Natural, NDEV);
-    let bp = ca_sparse::perm::permute_vec(&b, &p);
+fn compare(study: &Study, t: &TestMatrix, rows: &mut Vec<Row>) {
+    let p = Problem::new(&t.a, Ordering::Natural, NDEV);
 
     // --- fixed-budget leg: identical message schedule, counters compare ---
-    let (c64, k64) = solve(&a_ord, &bp, &layout, &cfg(t.m, Precision::F64, 0.0, COMM_RESTARTS));
-    let (c32, k32) = solve(&a_ord, &bp, &layout, &cfg(t.m, Precision::F32, 0.0, COMM_RESTARTS));
+    let (c64, k64) = solve(&p, &cfg(t.m, Precision::F64, 0.0, COMM_RESTARTS));
+    let (c32, k32) = solve(&p, &cfg(t.m, Precision::F32, 0.0, COMM_RESTARTS));
     assert!(!c32.escalated, "{}: f32 basis broke down inside the fixed budget", t.name);
     assert_eq!(
         (c64.stats.restarts, c64.stats.total_iters),
@@ -154,10 +123,10 @@ fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
     let cycles = c64.stats.restarts as f64;
 
     // --- convergence leg: same f64 tolerance, bounded extra restarts ---
-    let (v64, _) = solve(&a_ord, &bp, &layout, &cfg(t.m, Precision::F64, RTOL, 500));
-    let (v32, _) = solve(&a_ord, &bp, &layout, &cfg(t.m, Precision::F32, RTOL, 500));
-    let r64 = relres(&a_ord, &v64.x, &bp);
-    let r32 = relres(&a_ord, &v32.x, &bp);
+    let (v64, _) = solve(&p, &cfg(t.m, Precision::F64, RTOL, 500));
+    let (v32, _) = solve(&p, &cfg(t.m, Precision::F32, RTOL, 500));
+    let r64 = true_relres(&p.a, &p.b, &v64.x);
+    let r32 = true_relres(&p.a, &p.b, &v32.x);
     assert!(
         v64.stats.converged && v32.stats.converged,
         "{}: convergence leg failed (f64 {}, mixed {})",
@@ -181,29 +150,26 @@ fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
     // oracle: best-of-both with hindsight
     let mixed_wins = !v32.escalated && v32.stats.t_total < v64.stats.t_total;
 
-    if smoke {
-        println!(
-            "DIGEST {} comm msgs={} bytes64={} bytes32={} tagged32={} spmv64_bits={:016x} \
-             spmv32_bits={:016x}",
+    study.digest(format_args!(
+        "{} comm msgs={} bytes64={} bytes32={} tagged32={} spmv64_bits={:016x} spmv32_bits={:016x}",
+        t.name,
+        k64.total_msgs(),
+        k64.total_bytes(),
+        k32.total_bytes(),
+        k32.total_bytes_f32(),
+        c64.stats.t_spmv.to_bits(),
+        c32.stats.t_spmv.to_bits()
+    ));
+    for (label, out) in [("f64", &v64), ("mixed", &v32)] {
+        study.digest(format_args!(
+            "{} conv {label} restarts={} iters={} esc={} xhash={:016x} t_bits={:016x}",
             t.name,
-            k64.total_msgs(),
-            k64.total_bytes(),
-            k32.total_bytes(),
-            k32.total_bytes_f32(),
-            c64.stats.t_spmv.to_bits(),
-            c32.stats.t_spmv.to_bits()
-        );
-        for (label, out) in [("f64", &v64), ("mixed", &v32)] {
-            println!(
-                "DIGEST {} conv {label} restarts={} iters={} esc={} xhash={:016x} t_bits={:016x}",
-                t.name,
-                out.stats.restarts,
-                out.stats.total_iters,
-                out.escalated,
-                ca_obs::fnv1a_words(out.x.iter().map(|v| v.to_bits())),
-                out.stats.t_total.to_bits()
-            );
-        }
+            out.stats.restarts,
+            out.stats.total_iters,
+            out.escalated,
+            xhash(&out.x),
+            out.stats.t_total.to_bits()
+        ));
     }
 
     let legs: [(&str, &MixedOutcome, &CommCounters, &MixedOutcome, f64); 3] = [
@@ -244,20 +210,10 @@ fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = Scale::from_args();
-    let filter: Option<String> = ca_bench::flag_value(&args, "--matrix");
-
+    let study = Study::new("ext_mixed", &["--large", "--smoke", "--matrix <name>"]);
     let mut rows: Vec<Row> = Vec::new();
-    for (i, t) in ca_bench::suite(scale).into_iter().enumerate() {
-        if filter.as_deref().is_some_and(|f| f != t.name) {
-            continue;
-        }
-        if smoke && i > 0 {
-            break;
-        }
-        study(&t, smoke, &mut rows);
+    for t in study.suite() {
+        compare(&study, &t, &mut rows);
     }
 
     println!(
@@ -265,51 +221,9 @@ fn main() {
          ({NDEV} GPUs, s = {S}, rtol = {RTOL:.0e}; per-cycle columns from a fixed \
          {COMM_RESTARTS}-cycle budget)"
     );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.config.clone(),
-                format!("{:.3}", r.cycle_spmv_ms),
-                format!("{:.3}", r.cycle_total_ms),
-                r.comm_msgs.to_string(),
-                r.comm_bytes.to_string(),
-                r.comm_bytes_f32.to_string(),
-                format!("{}/{}", r.restarts, r.total_iters),
-                format!("{:.3}", r.tts_ms),
-                format!("{:.2e}", r.relres),
-                if !r.converged {
-                    "FAIL".into()
-                } else if r.escalated {
-                    "esc".into()
-                } else {
-                    String::new()
-                },
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "matrix",
-                "config",
-                "spmv ms/cyc",
-                "total ms/cyc",
-                "msgs",
-                "bytes",
-                "bytes f32",
-                "restarts/iters",
-                "tts ms",
-                "relres",
-                ""
-            ],
-            &table
-        )
-    );
+    println!("{}", table(&rows));
 
-    if !smoke {
-        write_json("ext_mixed", &rows);
+    if !study.smoke {
+        study.write_json(&rows);
     }
 }

@@ -7,51 +7,42 @@
 //! message aggregation is worth more when messages cost more — and grows
 //! further when the network latency is scaled up.
 
-use ca_bench::{balanced_problem, format_table, g3_circuit, write_json, Scale};
-use ca_gmres::cagmres::KernelMode;
+use ca_bench::{g3_circuit, table, Problem, Study};
 use ca_gmres::prelude::*;
 use ca_gpusim::{KernelConfig, MultiGpu, PerfModel};
 
-struct Row {
-    gpus: usize,
-    nodes: usize,
-    net_latency_us: f64,
-    gmres_ms_per_res: f64,
-    ca_ms_per_res: f64,
-    speedup: f64,
-}
-
-ca_bench::jv_struct!(Row { gpus, nodes, net_latency_us, gmres_ms_per_res, ca_ms_per_res, speedup });
+ca_bench::row!(Row {
+    gpus: usize ["GPUs"],
+    nodes: usize ["nodes"],
+    net_latency_us: f64 ["net lat (us)" "{:.0}"],
+    gmres_ms_per_res: f64 ["GMRES ms/res" "{:.3}"],
+    ca_ms_per_res: f64 ["CA ms/res" "{:.3}"],
+    speedup: f64 ["speedup" "{:.2}"],
+});
 
 fn main() {
-    let scale = Scale::from_args();
-    let t = g3_circuit(scale);
-    let (a_bal, b_bal) = balanced_problem(&t.a);
+    let study = Study::new("ext_multinode", &["--large"]);
+    let t = g3_circuit(study.scale);
     let mut rows: Vec<Row> = Vec::new();
 
     // (gpus, nodes): gpus striped round-robin over nodes
-    let configs = [(3usize, 1usize), (6, 2), (6, 1), (9, 3), (12, 4)];
-    for &(gpus, nodes) in &configs {
+    for (gpus, nodes) in [(3usize, 1usize), (6, 2), (6, 1), (9, 3), (12, 4)] {
+        let p = Problem::new(&t.a, Ordering::Kway, gpus);
         for lat_scale in [1.0f64, 4.0] {
             let mut model = PerfModel::default();
             model.net_latency_s *= lat_scale;
             let topo: Vec<usize> = (0..gpus).map(|d| d % nodes).collect();
-            let (a_ord, perm, layout) = prepare(&a_bal, Ordering::Kway, gpus);
-            let b_perm = ca_sparse::perm::permute_vec(&b_bal, &perm);
+            let machine =
+                || MultiGpu::with_topology(topo.clone(), model.clone(), KernelConfig::default());
 
-            let mut mg =
-                MultiGpu::with_topology(topo.clone(), model.clone(), KernelConfig::default());
-            let sys = System::new(&mut mg, &a_ord, layout.clone(), t.m, None).unwrap();
-            sys.load_rhs(&mut mg, &b_perm).unwrap();
-            let g = gmres(
-                &mut mg,
-                &sys,
-                &GmresConfig { m: t.m, orth: BorthKind::Cgs, rtol: 0.0, max_restarts: 3 },
-            );
+            let mut mg = machine();
+            let sys = p.load(&mut mg, t.m, None);
+            let gmres_cfg =
+                GmresConfig { m: t.m, orth: BorthKind::Cgs, rtol: 0.0, max_restarts: 3 };
+            let g = gmres(&mut mg, &sys, &gmres_cfg);
 
-            let mut mg2 = MultiGpu::with_topology(topo, model, KernelConfig::default());
-            let sys2 = System::new(&mut mg2, &a_ord, layout, t.m, Some(10)).unwrap();
-            sys2.load_rhs(&mut mg2, &b_perm).unwrap();
+            let mut mg = machine();
+            let sys = p.load(&mut mg, t.m, Some(10));
             let cfg = CaGmresConfig {
                 s: 10,
                 m: t.m,
@@ -60,7 +51,7 @@ fn main() {
                 max_restarts: 4,
                 ..Default::default()
             };
-            let c = ca_gmres(&mut mg2, &sys2, &cfg);
+            let c = ca_gmres(&mut mg, &sys, &cfg);
 
             let g_ms = g.stats.total_per_restart_ms();
             let c_ms = c.ca_stats.total_per_restart_ms();
@@ -76,25 +67,6 @@ fn main() {
     }
 
     println!("Extension — multi-node GPUs (G3_circuit analog, CA-GMRES(10, {}))\n", t.m);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.gpus.to_string(),
-                r.nodes.to_string(),
-                format!("{:.0}", r.net_latency_us),
-                format!("{:.3}", r.gmres_ms_per_res),
-                format!("{:.3}", r.ca_ms_per_res),
-                format!("{:.2}", r.speedup),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["GPUs", "nodes", "net lat (us)", "GMRES ms/res", "CA ms/res", "speedup"],
-            &table
-        )
-    );
-    write_json("ext_multinode", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

@@ -32,31 +32,19 @@
 //! Flags: `--large` runs the whole suite at near-paper sizes;
 //! `--matrix <name>` restricts to one suite entry.
 
-use ca_bench::{balanced_problem, format_table, nlpkkt, write_json, Scale, TestMatrix};
-use ca_gmres::cagmres::KernelMode;
+use ca_bench::{nlpkkt, table, Problem, Scale, Study, TestMatrix};
 use ca_gmres::prelude::*;
 use ca_gpusim::{MultiGpu, Schedule};
 
-struct Row {
-    matrix: String,
-    s: usize,
-    t_sync_ms: f64,
-    t_event_ms: f64,
-    hidden_ms: f64,
-    speedup: f64,
-    prefetches: u64,
-    hidden_per_exchange_us: f64,
-}
-
-ca_bench::jv_struct!(Row {
-    matrix,
-    s,
-    t_sync_ms,
-    t_event_ms,
-    hidden_ms,
-    speedup,
-    prefetches,
-    hidden_per_exchange_us,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    s: usize ["s"],
+    t_sync_ms: f64 ["sync ms" "{:.3}"],
+    t_event_ms: f64 ["event ms" "{:.3}"],
+    hidden_ms: f64 ["hidden ms" "{:.3}"],
+    speedup: f64 ["speedup" "{:.3}"],
+    prefetches: u64 ["prefetch"],
+    hidden_per_exchange_us: f64 ["us/exch" "{:.1}"],
 });
 
 struct Outcome {
@@ -69,14 +57,7 @@ struct Outcome {
     t_total: f64,
 }
 
-fn solve(
-    a_ord: &ca_sparse::Csr,
-    b_perm: &[f64],
-    layout: Layout,
-    m: usize,
-    s: usize,
-    schedule: Schedule,
-) -> Outcome {
+fn solve(p: &Problem, m: usize, s: usize, schedule: Schedule) -> Outcome {
     let mut mg = MultiGpu::with_defaults(3);
     mg.set_schedule(schedule);
     let cfg = CaGmresConfig {
@@ -89,8 +70,7 @@ fn solve(
         max_restarts: 4,
         ..Default::default()
     };
-    let sys = System::new(&mut mg, a_ord, layout, m, Some(s)).unwrap();
-    sys.load_rhs(&mut mg, b_perm).unwrap();
+    let sys = p.load(&mut mg, m, Some(s));
     let out = ca_gmres(&mut mg, &sys, &cfg);
     let x = sys.download_x(&mut mg).unwrap();
     Outcome {
@@ -105,12 +85,10 @@ fn solve(
 }
 
 fn sweep(t: &TestMatrix, label: &str, rows: &mut Vec<Row>) {
-    let (a_bal, b_bal) = balanced_problem(&t.a);
-    let (a_ord, perm, layout) = prepare(&a_bal, Ordering::Kway, 3);
-    let b_perm = ca_sparse::perm::permute_vec(&b_bal, &perm);
+    let p = Problem::new(&t.a, Ordering::Kway, 3);
     for s in [2usize, 3, 4, 5, 6, 8, 10, 12, 15] {
-        let sync = solve(&a_ord, &b_perm, layout.clone(), t.m, s, Schedule::Barrier);
-        let event = solve(&a_ord, &b_perm, layout.clone(), t.m, s, Schedule::EventDriven);
+        let sync = solve(&p, t.m, s, Schedule::Barrier);
+        let event = solve(&p, t.m, s, Schedule::EventDriven);
         // zero change in numerical results: same iterates, same residual
         // history, same communication — scheduling only moves clocks
         assert_eq!(sync.x_bits, event.x_bits, "{label} s={s}: iterate bits differ");
@@ -146,47 +124,21 @@ fn sweep(t: &TestMatrix, label: &str, rows: &mut Vec<Row>) {
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let filter: Option<String> = ca_bench::flag_value(&args, "--matrix");
+    let study = Study::new("ext_overlap", &["--large", "--matrix <name>"]);
     let mut rows: Vec<Row> = Vec::new();
-    for t in ca_bench::suite(scale) {
-        if filter.as_deref().is_some_and(|f| f != t.name) {
-            continue;
-        }
+    for t in study.suite() {
         sweep(&t, t.name, &mut rows);
     }
     // one near-paper-size point rides along with the default run: at 44³
     // the quadratic overlap window dominates the per-exchange constants,
     // so the total hidden time grows with s (minimum near s = 6)
-    if scale == Scale::Small && filter.is_none() {
+    if study.scale == Scale::Small && study.matrix.is_none() {
         sweep(&nlpkkt(Scale::Large), "nlpkkt120 (44^3)", &mut rows);
     }
 
     println!("Extension — stream/event overlap: CA-GMRES(s, m), 3 GPUs, Barrier vs EventDriven");
     println!("(identical arithmetic asserted bitwise; the gap is pure scheduling)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.s.to_string(),
-                format!("{:.3}", r.t_sync_ms),
-                format!("{:.3}", r.t_event_ms),
-                format!("{:.3}", r.hidden_ms),
-                format!("{:.3}", r.speedup),
-                r.prefetches.to_string(),
-                format!("{:.1}", r.hidden_per_exchange_us),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["matrix", "s", "sync ms", "event ms", "hidden ms", "speedup", "prefetch", "us/exch"],
-            &table
-        )
-    );
+    println!("{}", table(&rows));
 
     // the mechanism's signature: the overlap win per halo exchange grows
     // strictly with s on every matrix (the CAQR update window is
@@ -214,5 +166,5 @@ fn main() {
             last.speedup
         );
     }
-    write_json("ext_overlap", &rows);
+    study.write_json(&rows);
 }

@@ -8,38 +8,27 @@
 //! close on structurally symmetric matrices (where edge-cut ≈ volume) and
 //! all partitioners crush the naive block split on the scrambled circuit.
 
-use ca_bench::{balanced_problem, cant, format_table, g3_circuit, write_json, Scale};
+use ca_bench::{balanced_problem, cant, g3_circuit, table, Problem, Study};
 use ca_gmres::prelude::*;
-use ca_gpusim::MultiGpu;
 use ca_sparse::hypergraph::Hypergraph;
 
-struct Row {
-    matrix: String,
-    method: String,
-    edge_cut: usize,
-    lambda1_volume: usize,
-    imbalance: f64,
-    mpk_surf_vol_s5: f64,
-    gmres_ms_per_res: f64,
-}
-
-ca_bench::jv_struct!(Row {
-    matrix,
-    method,
-    edge_cut,
-    lambda1_volume,
-    imbalance,
-    mpk_surf_vol_s5,
-    gmres_ms_per_res,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    method: String ["method"],
+    edge_cut: usize ["edge cut"],
+    lambda1_volume: usize ["lambda-1 vol"],
+    imbalance: f64 ["imbal" "{:.3}"],
+    mpk_surf_vol_s5: f64 ["surf/vol s=5" "{:.3}"],
+    gmres_ms_per_res: f64 ["GMRES ms/res" "{:.3}"],
 });
 
 fn main() {
-    let scale = Scale::from_args();
+    let study = Study::new("ext_partitioners", &["--large"]);
     let ndev = 3usize;
     let mut rows: Vec<Row> = Vec::new();
 
-    for t in [g3_circuit(scale), cant(scale)] {
-        let (a_bal, b_bal) = balanced_problem(&t.a);
+    for t in [g3_circuit(study.scale), cant(study.scale)] {
+        let (a_bal, _) = balanced_problem(&t.a);
         let hg = Hypergraph::column_net(&a_bal);
         for ord in [
             Ordering::Natural,
@@ -48,37 +37,26 @@ fn main() {
             Ordering::Bisection,
             Ordering::Hypergraph,
         ] {
-            let (a_ord, perm, layout) = prepare(&a_bal, ord, ndev);
+            let p = Problem::new(&t.a, ord, ndev);
             // translate the block layout back to a partition vector on the
             // ORIGINAL row numbering for metric evaluation
             let mut part = vec![0u32; a_bal.nrows()];
-            for (new, &old) in perm.iter().enumerate() {
-                part[old] = layout.owner(new) as u32;
+            for (new, &old) in p.perm.iter().enumerate() {
+                part[old] = p.layout.owner(new) as u32;
             }
             let partition = ca_sparse::partition::Partition { part: part.clone(), nparts: ndev };
-            let edge_cut = partition.edge_cut(&a_bal);
-            let lambda = hg.lambda_minus_one(&part, ndev);
-            let imb = partition.imbalance();
-            let plan = MpkPlan::new(&a_ord, &layout, 5);
+            let plan = MpkPlan::new(&p.a, &p.layout, 5);
             let sv = plan.devs.iter().map(|d| d.surface_to_volume()).sum::<f64>() / ndev as f64;
-
             // steady-state GMRES timing with this distribution
-            let b_perm = ca_sparse::perm::permute_vec(&b_bal, &perm);
-            let mut mg = MultiGpu::with_defaults(ndev);
-            let sys = System::new(&mut mg, &a_ord, layout, t.m, None).unwrap();
-            sys.load_rhs(&mut mg, &b_perm).unwrap();
-            let g = gmres(
-                &mut mg,
-                &sys,
-                &GmresConfig { m: t.m, orth: BorthKind::Cgs, rtol: 0.0, max_restarts: 2 },
-            );
+            let g =
+                p.gmres(&GmresConfig { m: t.m, orth: BorthKind::Cgs, rtol: 0.0, max_restarts: 2 });
 
             rows.push(Row {
                 matrix: t.name.into(),
                 method: ord.to_string(),
-                edge_cut,
-                lambda1_volume: lambda,
-                imbalance: imb,
+                edge_cut: partition.edge_cut(&a_bal),
+                lambda1_volume: hg.lambda_minus_one(&part, ndev),
+                imbalance: partition.imbalance(),
                 mpk_surf_vol_s5: sv,
                 gmres_ms_per_res: g.stats.total_per_restart_ms(),
             });
@@ -86,34 +64,6 @@ fn main() {
     }
 
     println!("Extension — partitioner comparison ({ndev} GPUs)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.method.clone(),
-                r.edge_cut.to_string(),
-                r.lambda1_volume.to_string(),
-                format!("{:.3}", r.imbalance),
-                format!("{:.3}", r.mpk_surf_vol_s5),
-                format!("{:.3}", r.gmres_ms_per_res),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "matrix",
-                "method",
-                "edge cut",
-                "lambda-1 vol",
-                "imbal",
-                "surf/vol s=5",
-                "GMRES ms/res"
-            ],
-            &table
-        )
-    );
-    write_json("ext_partitioners", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

@@ -18,13 +18,14 @@
 //!    deterministic metrics snapshot (`ext_profile_metrics.json`), and
 //!    folded stacks for flamegraph tools (`ext_profile.folded`).
 //!
-//! `--smoke` restricts the suite to `cant` with a short solve for CI; all
-//! stdout is simulated-time-only, so it diffs clean between runs.
+//! `--smoke` restricts the suite to `cant` with a short solve for CI, which
+//! pins its output to `bench_results/smoke/ext_profile.txt` and its
+//! envelope to the committed `ext_profile_smoke.json`; all stdout is
+//! simulated-time-only.
 //! Recording never perturbs the solve: the determinism suite asserts an
 //! instrumented run is bit-identical to an uninstrumented one.
 
-use ca_bench::{balanced_problem, format_table, set_run_meta, write_json, RunMeta, Scale};
-use ca_gmres::cagmres::KernelMode;
+use ca_bench::{table, Problem, Study};
 use ca_gmres::prelude::*;
 use ca_gmres::stats::SpanBreakdown;
 use ca_gpusim::{obs_ingest_traces, MultiGpu};
@@ -33,36 +34,20 @@ use ca_obs as obs;
 /// Simulated-time tolerance for span-vs-PhaseTimer agreement (seconds).
 const TOL_S: f64 = 1e-9;
 
-struct Row {
-    matrix: String,
-    solver: String,
-    ngpus: usize,
-    cycles: usize,
-    spmv_ms: f64,
-    orth_ms: f64,
-    tsqr_ms: f64,
-    small_ms: f64,
-    total_ms: f64,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    solver: String ["solver"],
+    ngpus: usize ["g"],
+    cycles: usize ["cycles"],
+    spmv_ms: f64 ["SpMV ms" "{:.3}"],
+    orth_ms: f64 ["Orth ms" "{:.3}"],
+    tsqr_ms: f64 ["TSQR ms" "{:.3}"],
+    small_ms: f64 ["small ms" "{:.3}"],
+    total_ms: f64 ["total ms" "{:.3}"],
     span_timer_max_diff_s: f64,
-    kernel_spans: usize,
-    copy_spans: usize,
-    metrics_hash: String,
-}
-
-ca_bench::jv_struct!(Row {
-    matrix,
-    solver,
-    ngpus,
-    cycles,
-    spmv_ms,
-    orth_ms,
-    tsqr_ms,
-    small_ms,
-    total_ms,
-    span_timer_max_diff_s,
-    kernel_spans,
-    copy_spans,
-    metrics_hash,
+    kernel_spans: usize ["kernels"],
+    copy_spans: usize ["copies"] ["diff s" |r| format!("{:.1e}", r.span_timer_max_diff_s)],
+    metrics_hash: String ["metrics hash"],
 });
 
 struct Profiled {
@@ -114,51 +99,29 @@ fn row_from(matrix: &str, solver: &str, ngpus: usize, p: &Profiled) -> Row {
     }
 }
 
-fn write_artifacts(rec: &obs::Recording) {
-    let dir = ca_bench::bench_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    for (name, content) in [
-        ("ext_profile_trace.json", obs::export::chrome_trace(rec)),
-        ("ext_profile_metrics.json", rec.metrics.to_json()),
-        ("ext_profile.folded", obs::export::folded_stacks(rec)),
-    ] {
-        let path = dir.join(name);
-        let _ = std::fs::write(&path, content);
-        eprintln!("[ca-bench] wrote {}", path.display());
-    }
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale = Scale::from_args();
+    let mut study = Study::new("ext_profile", &["--large", "--smoke"]);
     let s = 10usize;
     let ngpus = 3usize;
-    let suite = if smoke { vec![ca_bench::cant(scale)] } else { ca_bench::suite(scale) };
-    let ca_restarts = if smoke { 2 } else { 4 };
+    let ca_restarts = if study.smoke { 2 } else { 4 };
 
     let mut rows: Vec<Row> = Vec::new();
     let mut first_rec: Option<obs::Recording> = None;
 
-    for t in &suite {
+    for t in &study.suite() {
         let ord = if t.name == "cant" { Ordering::Natural } else { Ordering::Kway };
-        let (a_bal, b_bal) = balanced_problem(&t.a);
-        let (a_ord, perm, layout) = prepare(&a_bal, ord, ngpus);
-        let b_perm = ca_sparse::perm::permute_vec(&b_bal, &perm);
+        let p = Problem::new(&t.a, ord, ngpus);
 
         // standard GMRES baseline under the same instrumentation
         let mut mg = MultiGpu::with_defaults(ngpus);
-        let sys = System::new(&mut mg, &a_ord, layout.clone(), t.m, None).unwrap();
-        sys.load_rhs(&mut mg, &b_perm).unwrap();
+        let sys = p.load(&mut mg, t.m, None);
         let cfg_g = GmresConfig { m: t.m, orth: BorthKind::Cgs, rtol: 0.0, max_restarts: 2 };
         let pg = profiled(&mut mg, |mg| gmres(mg, &sys, &cfg_g).stats);
         rows.push(row_from(t.name, "GMRES", ngpus, &pg));
 
         // CA-GMRES with auto kernel selection (exercises the dry-run pause)
-        let mut mg2 = MultiGpu::with_defaults(ngpus);
-        let sys2 = System::new(&mut mg2, &a_ord, layout, t.m, Some(s)).unwrap();
-        sys2.load_rhs(&mut mg2, &b_perm).unwrap();
+        let mut mg = MultiGpu::with_defaults(ngpus);
+        let sys = p.load(&mut mg, t.m, Some(s));
         let cfg_ca = CaGmresConfig {
             s,
             m: t.m,
@@ -167,67 +130,21 @@ fn main() {
             max_restarts: ca_restarts,
             ..Default::default()
         };
-        let pca = profiled(&mut mg2, |mg| ca_gmres(mg, &sys2, &cfg_ca).stats);
+        let pca = profiled(&mut mg, |mg| ca_gmres(mg, &sys, &cfg_ca).stats);
         rows.push(row_from(t.name, "CA-GMRES", ngpus, &pca));
-        if first_rec.is_none() {
-            first_rec = Some(pca.rec);
-        }
+        first_rec.get_or_insert(pca.rec);
     }
 
     println!(
         "ext_profile — span-derived phase breakdown (simulated ms on {ngpus} GPUs), \
          validated against PhaseTimer to {TOL_S:.0e} s\n"
     );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.solver.clone(),
-                r.ngpus.to_string(),
-                r.cycles.to_string(),
-                format!("{:.3}", r.spmv_ms),
-                format!("{:.3}", r.orth_ms),
-                format!("{:.3}", r.tsqr_ms),
-                format!("{:.3}", r.small_ms),
-                format!("{:.3}", r.total_ms),
-                r.kernel_spans.to_string(),
-                r.copy_spans.to_string(),
-                format!("{:.1e}", r.span_timer_max_diff_s),
-                r.metrics_hash.clone(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "matrix",
-                "solver",
-                "g",
-                "cycles",
-                "SpMV ms",
-                "Orth ms",
-                "TSQR ms",
-                "small ms",
-                "total ms",
-                "kernels",
-                "copies",
-                "diff s",
-                "metrics hash"
-            ],
-            &table
-        )
-    );
+    println!("{}", table(&rows));
 
     let rec = first_rec.expect("suite is non-empty");
-    set_run_meta(RunMeta { metrics_hash: Some(rec.metrics.hash_hex()), ..RunMeta::default() });
-    write_artifacts(&rec);
-    if smoke {
-        // committed baseline for the bench-trend gate (CI reruns this
-        // with CA_BENCH_DIR set and diffs against it)
-        write_json("ext_profile_smoke", &rows);
-    } else {
-        write_json("ext_profile", &rows);
-    }
+    study.meta.metrics_hash = Some(rec.metrics.hash_hex());
+    study.write("ext_profile_trace.json", &obs::export::chrome_trace(&rec));
+    study.write("ext_profile_metrics.json", &rec.metrics.to_json());
+    study.write("ext_profile.folded", &obs::export::folded_stacks(&rec));
+    study.write_json(&rows);
 }

@@ -27,9 +27,10 @@
 //! the same host-verified tolerance; the oracle converges everywhere.
 //!
 //! Flags: `--smoke` first matrix + two `s` points, canonical DIGEST
-//! lines, no files written (CI diffs the output of two runs).
+//! lines, no files written (CI pins the output to
+//! `bench_results/smoke/ext_stability.txt`).
 
-use ca_bench::{format_table, write_json, Scale};
+use ca_bench::{table, xhash, Study};
 use ca_gmres::prelude::*;
 use ca_gpusim::MultiGpu;
 use ca_sparse::{gen, Csr};
@@ -43,34 +44,36 @@ const STATIC_CAP: usize = 8;
 /// Step sizes swept — the last three sit beyond the static cap.
 const S_SWEEP: [usize; 5] = [6, 8, 10, 12, 16];
 
-struct Row {
-    matrix: String,
-    s: usize,
-    arm: String,
-    converged: bool,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    s: usize ["s"],
+    arm: String ["arm"],
+    converged: bool ["converged" |r| match (r.converged, &r.breakdown) {
+        (true, _) => "yes".into(),
+        (false, Some(_)) => "breakdown".into(),
+        (false, None) => "exhausted".into(),
+    }],
     breakdown: Option<String>,
-    restarts: usize,
+    restarts: usize ["restarts/iters" |r| format!("{}/{}", r.restarts, r.total_iters)],
     total_iters: usize,
-    tts_ms: f64,
-    relres: f64,
+    tts_ms: f64 ["tts ms" "{:.3}"],
+    relres: f64 ["relres" "{:.2e}"],
     /// Rung labels of every escalation, in firing order.
-    escalations: Vec<String>,
+    escalations: Vec<String> ["escalations" |r| {
+        let count = |k: &str| r.escalations.iter().filter(|e| e.as_str() == k).count();
+        if r.escalations.is_empty() {
+            return "-".into();
+        }
+        let (re, th, bs, pr) =
+            (count("reorth"), count("throttle"), count("basis-switch"), count("promote"));
+        format!("r{re}/t{th}/b{bs}/p{pr}")
+    }],
     /// Worst Gram-condition estimate the monitor recorded.
-    cond_peak: f64,
-}
-
-ca_bench::jv_struct!(Row {
-    matrix,
-    s,
-    arm,
-    converged,
-    breakdown,
-    restarts,
-    total_iters,
-    tts_ms,
-    relres,
-    escalations,
-    cond_peak,
+    cond_peak: f64 ["cond peak" |r| if r.cond_peak > 0.0 {
+        format!("{:.1e}", r.cond_peak)
+    } else {
+        "-".into()
+    }],
 });
 
 fn problems() -> Vec<(String, Csr)> {
@@ -110,10 +113,18 @@ fn arm_config(arm: &str, s: usize) -> FtConfig {
     cfg
 }
 
-fn run_arm(name: &str, a: &Csr, b: &[f64], arm: &str, s: usize) -> Row {
+fn run_arm(study: &Study, name: &str, a: &Csr, b: &[f64], arm: &str, s: usize) -> Row {
     let cfg = arm_config(arm, s);
     let mg = MultiGpu::with_defaults(NDEV);
     let out = ca_gmres_ft(mg, a, b, &cfg);
+    study.digest(format_args!(
+        "{name} s={s} {arm} conv={} restarts={} esc={} xhash={:016x} t_bits={:016x}",
+        out.stats.converged,
+        out.stats.restarts,
+        out.report.escalations.len(),
+        xhash(&out.x),
+        out.stats.t_total.to_bits()
+    ));
     let relres = host_relres(a, b, &out.x);
     if out.stats.converged {
         assert!(
@@ -142,58 +153,29 @@ fn run_arm(name: &str, a: &Csr, b: &[f64], arm: &str, s: usize) -> Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let _ = Scale::from_args();
+    let study = Study::new("ext_stability", &["--smoke"]);
+    // the smoke run: first matrix, one point inside and one past the cap
+    let mut problems = problems();
+    problems.truncate(if study.smoke { 1 } else { 2 });
+    let sweep = S_SWEEP.into_iter().filter(|&s| !study.smoke || s == 6 || s == 12);
 
     let mut rows: Vec<Row> = Vec::new();
-    for (mi, (name, a)) in problems().into_iter().enumerate() {
-        if smoke && mi > 0 {
-            break;
-        }
-        let b = rhs(&a);
-        for s in S_SWEEP {
-            if smoke && s != 6 && s != 12 {
-                continue;
-            }
+    for (name, a) in &problems {
+        let b = rhs(a);
+        for s in sweep.clone() {
             for arm in ["static", "ladder", "oracle"] {
-                let row = run_arm(&name, &a, &b, arm, s);
-                if smoke {
-                    let cfg = arm_config(arm, s);
-                    let mg = MultiGpu::with_defaults(NDEV);
-                    let out = ca_gmres_ft(mg, &a, &b, &cfg);
-                    println!(
-                        "DIGEST {name} s={s} {arm} conv={} restarts={} esc={} xhash={:016x} \
-                         t_bits={:016x}",
-                        out.stats.converged,
-                        out.stats.restarts,
-                        out.report.escalations.len(),
-                        ca_obs::fnv1a_words(out.x.iter().map(|v| v.to_bits())),
-                        out.stats.t_total.to_bits()
-                    );
-                }
-                rows.push(row);
+                rows.push(run_arm(&study, name, a, &b, arm, s));
             }
         }
     }
 
     // --- acceptance: the ladder must buy real headroom past the cap ---
-    let find = |m: &str, s: usize, arm: &str| {
-        rows.iter().find(|r| r.matrix == m && r.s == s && r.arm == arm).unwrap()
-    };
     let mut rescued = 0usize;
-    for (name, _) in problems().iter().take(if smoke { 1 } else { usize::MAX }) {
-        for s in S_SWEEP {
-            if smoke && s != 6 && s != 12 {
-                continue;
-            }
-            let stat = find(name, s, "static");
-            let lad = find(name, s, "ladder");
-            let ora = find(name, s, "oracle");
-            assert!(ora.converged, "{name} s={s}: oracle (Newton) must converge");
-            if s > STATIC_CAP && !stat.converged && lad.converged {
-                rescued += 1;
-            }
+    for point in rows.chunks(3) {
+        let [stat, lad, ora] = point else { unreachable!("three arms per point") };
+        assert!(ora.converged, "{} s={}: oracle (Newton) must converge", ora.matrix, ora.s);
+        if stat.s > STATIC_CAP && !stat.converged && lad.converged {
+            rescued += 1;
         }
     }
     assert!(rescued >= 1, "ladder rescued no (matrix, s) point beyond the static cap {STATIC_CAP}");
@@ -203,59 +185,9 @@ fn main() {
          rtol = {RTOL:.0e}; static caps vs escalation ladder vs Newton oracle \
          (static monomial cap s = {STATIC_CAP}; {rescued} point(s) past it rescued by the ladder)"
     );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let esc = if r.escalations.is_empty() {
-                "-".to_string()
-            } else {
-                let count = |k: &str| r.escalations.iter().filter(|e| e == &k).count();
-                format!(
-                    "r{}/t{}/b{}/p{}",
-                    count("reorth"),
-                    count("throttle"),
-                    count("basis-switch"),
-                    count("promote")
-                )
-            };
-            vec![
-                r.matrix.clone(),
-                r.s.to_string(),
-                r.arm.clone(),
-                if r.converged {
-                    "yes".into()
-                } else if r.breakdown.is_some() {
-                    "breakdown".into()
-                } else {
-                    "exhausted".into()
-                },
-                format!("{}/{}", r.restarts, r.total_iters),
-                format!("{:.3}", r.tts_ms),
-                format!("{:.2e}", r.relres),
-                esc,
-                if r.cond_peak > 0.0 { format!("{:.1e}", r.cond_peak) } else { "-".into() },
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "matrix",
-                "s",
-                "arm",
-                "converged",
-                "restarts/iters",
-                "tts ms",
-                "relres",
-                "escalations",
-                "cond peak"
-            ],
-            &table
-        )
-    );
+    println!("{}", table(&rows));
 
-    if !smoke {
-        write_json("ext_stability", &rows);
+    if !study.smoke {
+        study.write_json(&rows);
     }
 }

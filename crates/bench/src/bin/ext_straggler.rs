@@ -24,40 +24,27 @@
 //!
 //! Flags: `--large` near-paper sizes; `--matrix <name>` one suite entry;
 //! `--smoke` first matrix only, canonical DIGEST lines, no files written
-//! (CI diffs the output of two runs).
+//! (CI pins the output to `bench_results/smoke/ext_straggler.txt`).
 //! A side artifact `bench_results/ext_straggler_trace.json` renders one
 //! straggled run as a Perfetto/`chrome://tracing` timeline.
 
-use ca_bench::{balanced_problem, format_table, write_json, Scale, TestMatrix};
-use ca_gmres::cagmres::KernelMode;
+use ca_bench::{balanced_problem, table, Scale, Study, TestMatrix};
 use ca_gmres::prelude::*;
 use ca_gpusim::{export_chrome_trace, FaultPlan, MultiGpu};
 
 const NDEV: usize = 3;
 const SLOW_DEV: usize = 1;
 
-struct Row {
-    matrix: String,
-    factor: f64,
-    t_ideal_ms: f64,
-    t_static_ms: f64,
-    t_rebal_ms: f64,
-    rebalances: usize,
-    static_imbalance: f64,
-    rebal_imbalance: f64,
-    recovered_frac: f64,
-}
-
-ca_bench::jv_struct!(Row {
-    matrix,
-    factor,
-    t_ideal_ms,
-    t_static_ms,
-    t_rebal_ms,
-    rebalances,
-    static_imbalance,
-    rebal_imbalance,
-    recovered_frac,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    factor: f64 ["slow" "{:.0}x"],
+    t_ideal_ms: f64 ["ideal ms" "{:.3}"],
+    t_static_ms: f64 ["static ms" "{:.3}"],
+    t_rebal_ms: f64 ["rebal ms" "{:.3}"],
+    rebalances: usize ["rebal#"],
+    static_imbalance: f64 ["imb(stat)" "{:.2}"],
+    rebal_imbalance: f64 ["imb(reb)" "{:.2}"],
+    recovered_frac: f64 ["recovered" |r| format!("{:.0}%", r.recovered_frac * 100.0)],
 });
 
 struct Out {
@@ -113,19 +100,19 @@ fn solve(a: &ca_sparse::Csr, b: &[f64], m: usize, plan: Option<FaultPlan>, rebal
     }
 }
 
-fn digest(label: &str, o: &Out) {
-    let xhash = ca_obs::fnv1a_words(o.x_bits.iter().copied());
-    println!(
-        "DIGEST {label} iters={} msgs={} bytes={} rebalances={} xhash={xhash:016x} t_bits={:016x}",
+fn digest(study: &Study, label: &str, o: &Out) {
+    study.digest(format_args!(
+        "{label} iters={} msgs={} bytes={} rebalances={} xhash={:016x} t_bits={:016x}",
         o.iters,
         o.msgs,
         o.bytes,
         o.rebalances,
+        ca_obs::fnv1a_words(o.x_bits.iter().copied()),
         o.t.to_bits()
-    );
+    ));
 }
 
-fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
+fn compare(study: &Study, t: &TestMatrix, rows: &mut Vec<Row>) {
     let (a, b) = balanced_problem(&t.a);
     let ideal = solve(&a, &b, t.m, None, false);
     // zero-rate plan + rebalancer armed: must replay the ideal run
@@ -134,9 +121,7 @@ fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
     assert_eq!(inert.rebalances, 0, "{}: rebalanced a healthy machine", t.name);
     assert_eq!(ideal.x_bits, inert.x_bits, "{}: zero-fault rebalancing not inert", t.name);
     assert_eq!(ideal.t.to_bits(), inert.t.to_bits(), "{}: clock drift", t.name);
-    if smoke {
-        digest(&format!("{} ideal", t.name), &ideal);
-    }
+    digest(study, &format!("{} ideal", t.name), &ideal);
     for factor in [2.0f64, 4.0] {
         let plan = FaultPlan::new(1).with_slowdown(SLOW_DEV, factor, 0);
         let stat = solve(&a, &b, t.m, Some(plan.clone()), false);
@@ -155,10 +140,8 @@ fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
                 recovered * 100.0
             );
         }
-        if smoke {
-            digest(&format!("{} static@{factor}", t.name), &stat);
-            digest(&format!("{} rebal@{factor}", t.name), &rebal);
-        }
+        digest(study, &format!("{} static@{factor}", t.name), &stat);
+        digest(study, &format!("{} rebal@{factor}", t.name), &rebal);
         rows.push(Row {
             matrix: t.name.to_string(),
             factor,
@@ -176,7 +159,7 @@ fn study(t: &TestMatrix, smoke: bool, rows: &mut Vec<Row>) {
 /// Render one short straggled CA-GMRES run (4x slowdown on one device) as
 /// a Chrome/Perfetto trace: the slow queue's stretched kernel slices are
 /// the fail-slow fault made visible.
-fn emit_trace(t: &TestMatrix) {
+fn emit_trace(study: &Study, t: &TestMatrix) {
     let (a, b) = balanced_problem(&t.a);
     let n = a.nrows();
     let mut mg = MultiGpu::with_defaults(NDEV);
@@ -193,23 +176,14 @@ fn emit_trace(t: &TestMatrix) {
     let sys = System::new(&mut mg, &a, Layout::even(n, NDEV), cfg.m, Some(cfg.s)).unwrap();
     sys.load_rhs(&mut mg, &b).unwrap();
     let _ = ca_gmres(&mut mg, &sys, &cfg);
-    let json = export_chrome_trace(&mg.take_traces());
-    let dir = ca_bench::bench_dir();
-    let path = dir.join("ext_straggler_trace.json");
-    if std::fs::create_dir_all(&dir).is_ok() && std::fs::write(&path, json).is_ok() {
-        eprintln!("[ca-bench] wrote {}", path.display());
-    }
+    study.write("ext_straggler_trace.json", &export_chrome_trace(&mg.take_traces()));
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = Scale::from_args();
-    let filter: Option<String> = ca_bench::flag_value(&args, "--matrix");
-
+    let study = Study::new("ext_straggler", &["--large", "--smoke", "--matrix <name>"]);
     let mut rows: Vec<Row> = Vec::new();
-    for (i, mut t) in ca_bench::suite(scale).into_iter().enumerate() {
-        if t.name == "nlpkkt120" && scale == Scale::Small {
+    for mut t in study.suite() {
+        if t.name == "nlpkkt120" && study.scale == Scale::Small {
             // At the default tiny scale the KKT analog's per-row work is
             // swamped by fixed per-kernel launch overhead (m = 120 steps
             // per cycle), a per-cycle device cost no row rebalancing can
@@ -217,57 +191,17 @@ fn main() {
             // paper-scale regime the study models.
             t.a = ca_sparse::gen::kkt(24, 24, 24);
         }
-        if filter.as_deref().is_some_and(|f| f != t.name) {
-            continue;
-        }
-        if smoke && i > 0 {
-            break; // smoke: first suite entry only, fixed seeds
-        }
-        study(&t, smoke, &mut rows);
+        compare(&study, &t, &mut rows);
     }
 
     println!(
         "Extension — fail-slow straggler: CA-GMRES(6, m) on {NDEV} GPUs, device {SLOW_DEV} slowed"
     );
     println!("(fixed 12-cycle work budget; static iterates asserted bit-identical to ideal)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                format!("{:.0}x", r.factor),
-                format!("{:.3}", r.t_ideal_ms),
-                format!("{:.3}", r.t_static_ms),
-                format!("{:.3}", r.t_rebal_ms),
-                r.rebalances.to_string(),
-                format!("{:.2}", r.static_imbalance),
-                format!("{:.2}", r.rebal_imbalance),
-                format!("{:.0}%", r.recovered_frac * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "matrix",
-                "slow",
-                "ideal ms",
-                "static ms",
-                "rebal ms",
-                "rebal#",
-                "imb(stat)",
-                "imb(reb)",
-                "recovered"
-            ],
-            &table
-        )
-    );
+    println!("{}", table(&rows));
 
-    if !smoke {
-        write_json("ext_straggler", &rows);
-        if let Some(t) = ca_bench::suite(scale).into_iter().find(|t| t.name == "G3_circuit") {
-            emit_trace(&t);
-        }
+    if !study.smoke {
+        study.write_json(&rows);
+        emit_trace(&study, &ca_bench::g3_circuit(study.scale));
     }
 }

@@ -6,40 +6,41 @@
 //! CPU on every matrix and scale with device count, with the sparsest
 //! matrix (G3_circuit) scaling worst because communication dominates.
 
-use ca_bench::{format_table, gmres_flops, rhs_for, suite, write_json, Scale};
+use ca_bench::{gmres_flops, rhs_for, table, Study};
 use ca_gmres::prelude::*;
 use ca_gpusim::MultiGpu;
 
-struct Row {
-    matrix: String,
-    config: String,
-    iters: usize,
-    restarts: usize,
-    time_s: f64,
-    gflops: f64,
-}
-
-ca_bench::jv_struct!(Row { matrix, config, iters, restarts, time_s, gflops });
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    config: String ["config"],
+    iters: usize ["iters"],
+    restarts: usize ["restarts"],
+    time_s: f64 ["sim time (s)" "{:.4}"],
+    gflops: f64 ["Gflop/s" "{:.2}"],
+});
 
 fn main() {
-    let scale = Scale::from_args();
+    let study = Study::new("fig03_gmres_gpu_vs_cpu", &["--large"]);
     let mut rows: Vec<Row> = Vec::new();
 
-    for t in suite(scale) {
+    for t in study.suite() {
         let b = rhs_for(&t.a);
         let (n, nnz, m) = (t.a.nrows(), t.a.nnz(), t.m);
+        let mut row = |config: String, st: &SolveStats| {
+            rows.push(Row {
+                matrix: t.name.into(),
+                config,
+                iters: st.total_iters,
+                restarts: st.restarts,
+                time_s: st.t_total,
+                gflops: gmres_flops(nnz, n, m, st.total_iters) / st.t_total / 1e9,
+            })
+        };
 
         // CPU reference (threaded-MKL stand-in), CGS orthogonalization.
         let (_, cpu) =
             gmres_cpu(&t.a, &b, m, BorthKind::Cgs, 1e-8, 1000, &ca_gpusim::PerfModel::default());
-        rows.push(Row {
-            matrix: t.name.into(),
-            config: "CPU (16 cores)".into(),
-            iters: cpu.total_iters,
-            restarts: cpu.restarts,
-            time_s: cpu.t_total,
-            gflops: gmres_flops(nnz, n, m, cpu.total_iters) / cpu.t_total / 1e9,
-        });
+        row("CPU (16 cores)".into(), &cpu);
 
         // 1-3 simulated GPUs.
         for ng in 1..=3usize {
@@ -49,34 +50,11 @@ fn main() {
             sys.load_rhs(&mut mg, &b).unwrap();
             let cfg = GmresConfig { m, orth: BorthKind::Cgs, rtol: 1e-8, max_restarts: 1000 };
             let out = gmres(&mut mg, &sys, &cfg);
-            rows.push(Row {
-                matrix: t.name.into(),
-                config: format!("{ng} GPU{}", if ng > 1 { "s" } else { "" }),
-                iters: out.stats.total_iters,
-                restarts: out.stats.restarts,
-                time_s: out.stats.t_total,
-                gflops: gmres_flops(nnz, n, m, out.stats.total_iters) / out.stats.t_total / 1e9,
-            });
+            row(format!("{ng} GPU{}", if ng > 1 { "s" } else { "" }), &out.stats);
         }
     }
 
     println!("Figure 3 — GMRES on CPUs vs 1-3 GPUs (effective Gflop/s, simulated time)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.config.clone(),
-                r.iters.to_string(),
-                r.restarts.to_string(),
-                format!("{:.4}", r.time_s),
-                format!("{:.2}", r.gflops),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(&["matrix", "config", "iters", "restarts", "sim time (s)", "Gflop/s"], &table)
-    );
-    write_json("fig03_gmres_gpu_vs_cpu", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

@@ -8,68 +8,45 @@
 //! while RCM and especially k-way partitioning rescue it, though the ratio
 //! still grows superlinearly.
 
-use ca_bench::{cant, format_table, g3_circuit, write_json, Scale};
+use ca_bench::{cant, g3_circuit, table, Study};
 use ca_gmres::prelude::*;
 
-struct Row {
-    matrix: String,
-    ordering: String,
-    s: usize,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    ordering: String ["ordering"],
+    s: usize ["s"],
     /// max over devices of the surface-to-volume ratio
-    ratio_max: f64,
+    ratio_max: f64 ["surf/vol (max)" "{:.3}"],
     /// mean over devices
-    ratio_mean: f64,
+    ratio_mean: f64 ["surf/vol (mean)" "{:.3}"],
     /// extra flops W^(d,s) summed over devices
-    extra_work: usize,
-}
-
-ca_bench::jv_struct!(Row { matrix, ordering, s, ratio_max, ratio_mean, extra_work });
+    extra_work: usize ["extra flops W"],
+});
 
 fn main() {
-    let scale = Scale::from_args();
+    let study = Study::new("fig06_surface_to_volume", &["--large"]);
     let ndev = 3;
-    let s_values = [1usize, 2, 3, 4, 5, 6, 8, 10];
     let mut rows = Vec::new();
 
-    for t in [cant(scale), g3_circuit(scale)] {
+    for t in [cant(study.scale), g3_circuit(study.scale)] {
         for ord in [Ordering::Natural, Ordering::Rcm, Ordering::Kway, Ordering::Bisection] {
             let (a_ord, _, layout) = prepare(&t.a, ord, ndev);
-            for &s in &s_values {
+            for s in [1usize, 2, 3, 4, 5, 6, 8, 10] {
                 let plan = MpkPlan::new(&a_ord, &layout, s);
                 let ratios: Vec<f64> = plan.devs.iter().map(|d| d.surface_to_volume()).collect();
-                let extra: usize = plan.devs.iter().map(|d| d.extra_work()).sum();
                 rows.push(Row {
                     matrix: t.name.into(),
                     ordering: ord.to_string(),
                     s,
                     ratio_max: ratios.iter().cloned().fold(0.0, f64::max),
                     ratio_mean: ratios.iter().sum::<f64>() / ratios.len() as f64,
-                    extra_work: extra,
+                    extra_work: plan.devs.iter().map(|d| d.extra_work()).sum(),
                 });
             }
         }
     }
 
     println!("Figure 6 — MPK surface-to-volume ratio vs s ({ndev} GPUs)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.ordering.clone(),
-                r.s.to_string(),
-                format!("{:.3}", r.ratio_max),
-                format!("{:.3}", r.ratio_mean),
-                r.extra_work.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["matrix", "ordering", "s", "surf/vol (max)", "surf/vol (mean)", "extra flops W"],
-            &table
-        )
-    );
-    write_json("fig06_surface_to_volume", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

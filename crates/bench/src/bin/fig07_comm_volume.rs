@@ -16,68 +16,45 @@
 //! `bytes_f64_run - bytes_mixed_run == bytes_f32_tagged` holds as an
 //! integer identity, not a tolerance.
 
-use ca_bench::{balanced_problem, cant, format_table, g3_circuit, write_json, Scale};
+use ca_bench::{cant, g3_circuit, table, Problem, Study, TestMatrix};
 use ca_gmres::mpk::SpmvFormat;
 use ca_gmres::prelude::*;
 use ca_gpusim::MultiGpu;
 use ca_scalar::Precision;
 
-struct Row {
-    matrix: String,
-    ordering: String,
-    s: usize,
-    gather_elems: usize,
-    scatter_elems: usize,
-    total_for_m100: usize,
-    relative_to_spmv: f64,
-}
-
-ca_bench::jv_struct!(Row {
-    matrix,
-    ordering,
-    s,
-    gather_elems,
-    scatter_elems,
-    total_for_m100,
-    relative_to_spmv,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    ordering: String ["ordering"],
+    s: usize ["s"],
+    gather_elems: usize ["gather/blk"],
+    scatter_elems: usize ["scatter/blk"],
+    total_for_m100: usize ["total(m=100)"],
+    relative_to_spmv: f64 ["vs SpMV" "{:.2}x"],
 });
 
-/// One executed f64-vs-mixed counter comparison (same plan, same message
-/// schedule; only the payload width differs).
-struct HaloCheck {
-    matrix: String,
-    s: usize,
-    msgs: u64,
-    bytes_f64_run: u64,
-    bytes_mixed_run: u64,
-    bytes_f32_tagged: u64,
-}
+ca_bench::row!(
+    /// One executed f64-vs-mixed counter comparison (same plan, same message
+    /// schedule; only the payload width differs).
+    HaloCheck {
+        matrix: String ["matrix"],
+        s: usize ["s"],
+        msgs: u64 ["msgs"],
+        bytes_f64_run: u64 ["bytes f64"],
+        bytes_mixed_run: u64 ["bytes mixed"],
+        bytes_f32_tagged: u64 ["f32-tagged"]
+            ["saved" |c| (c.bytes_f64_run - c.bytes_mixed_run).to_string()],
+    }
+);
 
-ca_bench::jv_struct!(HaloCheck {
-    matrix,
-    s,
-    msgs,
-    bytes_f64_run,
-    bytes_mixed_run,
-    bytes_f32_tagged,
-});
-
-struct Output {
-    rows: Vec<Row>,
-    halo_check: Vec<HaloCheck>,
-}
-
-ca_bench::jv_struct!(Output { rows, halo_check });
+ca_bench::row!(Output { rows: Vec<Row>, halo_check: Vec<HaloCheck> });
 
 /// Run a fixed two-cycle budget at `prec` and return the machine-wide
 /// transfer counters. Two cycles because the first restart of a Newton
 /// solve is the f64 shift-harvest cycle — only the second executes the
 /// s-step MPK whose halos carry the precision under test.
-fn counted_run(t: &ca_bench::TestMatrix, s: usize, prec: Precision) -> ca_gpusim::CommCounters {
+fn counted_run(t: &TestMatrix, s: usize, prec: Precision) -> ca_gpusim::CommCounters {
     let ndev = 3;
-    let (a, b) = balanced_problem(&t.a);
-    let (a_ord, p, layout) = prepare(&a, Ordering::Natural, ndev);
-    let bp = ca_sparse::perm::permute_vec(&b, &p);
+    let p = Problem::new(&t.a, Ordering::Natural, ndev);
     let cfg = CaGmresConfig {
         s,
         m: 30,
@@ -87,13 +64,13 @@ fn counted_run(t: &ca_bench::TestMatrix, s: usize, prec: Precision) -> ca_gpusim
         ..Default::default()
     };
     let mut mg = MultiGpu::with_defaults(ndev);
-    let out = ca_gmres_mixed(&mut mg, &a_ord, &bp, layout, &cfg, SpmvFormat::Ell)
+    let out = ca_gmres_mixed(&mut mg, &p.a, &p.b, p.layout, &cfg, SpmvFormat::Ell)
         .expect("simulated solve failed");
     assert!(!out.escalated, "{}: f32 basis broke down inside the fixed budget", t.name);
     mg.counters()
 }
 
-fn halo_check(t: &ca_bench::TestMatrix, s: usize, checks: &mut Vec<HaloCheck>) {
+fn halo_check(t: &TestMatrix, s: usize) -> HaloCheck {
     let k64 = counted_run(t, s, Precision::F64);
     let k32 = counted_run(t, s, Precision::F32);
     assert_eq!(
@@ -110,28 +87,27 @@ fn halo_check(t: &ca_bench::TestMatrix, s: usize, checks: &mut Vec<HaloCheck>) {
         "{}: f32 halo bytes not exactly half their f64 width",
         t.name
     );
-    checks.push(HaloCheck {
+    HaloCheck {
         matrix: t.name.into(),
         s,
         msgs: k64.total_msgs(),
         bytes_f64_run: k64.total_bytes(),
         bytes_mixed_run: k32.total_bytes(),
         bytes_f32_tagged: k32.total_bytes_f32(),
-    });
+    }
 }
 
 fn main() {
-    let scale = Scale::from_args();
+    let study = Study::new("fig07_comm_volume", &["--large"]);
     let ndev = 3;
     let m = 100usize;
-    let s_values = [1usize, 2, 3, 4, 5, 6, 8, 10];
     let mut rows = Vec::new();
 
-    for t in [cant(scale), g3_circuit(scale)] {
+    for t in [cant(study.scale), g3_circuit(study.scale)] {
         for ord in [Ordering::Natural, Ordering::Rcm, Ordering::Kway] {
             let (a_ord, _, layout) = prepare(&t.a, ord, ndev);
             let spmv_total = MpkPlan::new(&a_ord, &layout, 1).comm_volume_total(m);
-            for &s in &s_values {
+            for s in [1usize, 2, 3, 4, 5, 6, 8, 10] {
                 let plan = MpkPlan::new(&a_ord, &layout, s);
                 let (g, sc) = plan.comm_volume_per_block();
                 let total = plan.comm_volume_total(m);
@@ -149,55 +125,13 @@ fn main() {
     }
 
     println!("Figure 7 — MPK communication volume for m = {m} vectors ({ndev} GPUs)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.ordering.clone(),
-                r.s.to_string(),
-                r.gather_elems.to_string(),
-                r.scatter_elems.to_string(),
-                r.total_for_m100.to_string(),
-                format!("{:.2}x", r.relative_to_spmv),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["matrix", "ordering", "s", "gather/blk", "scatter/blk", "total(m=100)", "vs SpMV"],
-            &table
-        )
-    );
+    println!("{}", table(&rows));
 
     // executed cross-check: f32 halos are exactly half-width on the wire
-    let mut checks = Vec::new();
-    for t in [cant(scale), g3_circuit(scale)] {
-        halo_check(&t, 6, &mut checks);
-    }
+    let checks: Vec<HaloCheck> =
+        [cant(study.scale), g3_circuit(study.scale)].iter().map(|t| halo_check(t, 6)).collect();
     println!("\nExecuted cross-check — f64 vs mixed (f32 basis), two cycles, natural ordering:\n");
-    let check_table: Vec<Vec<String>> = checks
-        .iter()
-        .map(|c| {
-            vec![
-                c.matrix.clone(),
-                c.s.to_string(),
-                c.msgs.to_string(),
-                c.bytes_f64_run.to_string(),
-                c.bytes_mixed_run.to_string(),
-                c.bytes_f32_tagged.to_string(),
-                (c.bytes_f64_run - c.bytes_mixed_run).to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["matrix", "s", "msgs", "bytes f64", "bytes mixed", "f32-tagged", "saved"],
-            &check_table
-        )
-    );
+    println!("{}", table(&checks));
 
-    write_json("fig07_comm_volume", &Output { rows, halo_check: checks });
+    study.write_json(&Output { rows, halo_check: checks });
 }

@@ -8,36 +8,33 @@
 //! volume term dominates — a shallow minimum at moderate `s`, with peak
 //! speedups over s = 1 in the 10-20% range.
 
-use ca_bench::{cant, format_table, g3_circuit, rhs_for, write_json, Scale};
+use ca_bench::{cant, g3_circuit, rhs_for, table, Study};
 use ca_gmres::mpk::{mpk, MpkState};
-use ca_gmres::newton::BasisSpec;
 use ca_gmres::prelude::*;
 use ca_gpusim::{MatId, MultiGpu};
 
-struct Row {
-    matrix: String,
-    ordering: String,
-    s: usize,
-    total_ms: f64,
-    spmv_only_ms: f64,
-    comm_ms: f64,
-    speedup_vs_s1: f64,
-}
-
-ca_bench::jv_struct!(Row { matrix, ordering, s, total_ms, spmv_only_ms, comm_ms, speedup_vs_s1 });
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    ordering: String ["ordering"],
+    s: usize ["s"],
+    total_ms: f64 ["total (ms)" "{:.3}"],
+    spmv_only_ms: f64 ["SpMV-only (ms)" "{:.3}"],
+    comm_ms: f64 ["comm (ms)" "{:.3}"],
+    speedup_vs_s1: f64 ["speedup vs s=1" "{:.3}"],
+});
 
 fn main() {
-    let scale = Scale::from_args();
+    let study = Study::new("fig08_mpk_performance", &["--large"]);
     let ndev = 3;
     let m = 100usize;
-    let s_values = [1usize, 2, 3, 4, 5, 6, 8, 10, 12, 15];
     let mut rows = Vec::new();
 
-    for (t, ord) in [(cant(scale), Ordering::Natural), (g3_circuit(scale), Ordering::Kway)] {
+    let cases = [(cant(study.scale), Ordering::Natural), (g3_circuit(study.scale), Ordering::Kway)];
+    for (t, ord) in cases {
         let (a_ord, _, layout) = prepare(&t.a, ord, ndev);
         let b = rhs_for(&a_ord);
         let mut t_s1 = f64::NAN;
-        for &s in &s_values {
+        for s in [1usize, 2, 3, 4, 5, 6, 8, 10, 12, 15] {
             let mut mg = MultiGpu::with_defaults(ndev);
             let st = MpkState::load(&mut mg, &a_ord, MpkPlan::new(&a_ord, &layout, s)).unwrap();
             // basis storage: m+1 columns
@@ -80,34 +77,6 @@ fn main() {
     }
 
     println!("Figure 8 — MPK time to generate {m} vectors ({ndev} GPUs, simulated)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.ordering.clone(),
-                r.s.to_string(),
-                format!("{:.3}", r.total_ms),
-                format!("{:.3}", r.spmv_only_ms),
-                format!("{:.3}", r.comm_ms),
-                format!("{:.3}", r.speedup_vs_s1),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "matrix",
-                "ordering",
-                "s",
-                "total (ms)",
-                "SpMV-only (ms)",
-                "comm (ms)",
-                "speedup vs s=1"
-            ],
-            &table
-        )
-    );
-    write_json("fig08_mpk_performance", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

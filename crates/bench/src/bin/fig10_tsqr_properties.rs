@@ -3,29 +3,21 @@
 //! analytic counts: MGS (s+1)(s+2)/2 reductions, CGS ~2(s+1), CholQR /
 //! SVQR / CAQR a single reduction + broadcast.
 
-use ca_bench::{format_table, write_json};
+use ca_bench::{table, Study};
 use ca_gmres::orth::{tsqr, TsqrKind};
 use ca_gpusim::{MatId, MultiGpu};
 
-struct Row {
-    algorithm: String,
-    orth_error_bound: String,
-    flops: String,
-    kernel_class: String,
-    measured_roundtrips: u64,
-    paper_roundtrips: String,
-}
-
-ca_bench::jv_struct!(Row {
-    algorithm,
-    orth_error_bound,
-    flops,
-    kernel_class,
-    measured_roundtrips,
-    paper_roundtrips,
+ca_bench::row!(Row {
+    algorithm: String["algorithm"],
+    orth_error_bound: String["||I-Q'Q||"],
+    flops: String["# flops"],
+    kernel_class: String["kernels"],
+    measured_roundtrips: u64["measured round trips"],
+    paper_roundtrips: String["analytic"],
 });
 
 fn main() {
+    let study = Study::new("fig10_tsqr_properties", &[]);
     let s1 = 30usize; // s + 1 columns, the paper's typical block
     let n = 60_000usize;
     let ndev = 3usize;
@@ -72,25 +64,6 @@ fn main() {
     }
 
     println!("Figure 10 — TSQR algorithm properties (s+1 = {s1} columns, {ndev} GPUs)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algorithm.clone(),
-                r.orth_error_bound.clone(),
-                r.flops.clone(),
-                r.kernel_class.clone(),
-                r.measured_roundtrips.to_string(),
-                r.paper_roundtrips.clone(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["algorithm", "||I-Q'Q||", "# flops", "kernels", "measured round trips", "analytic"],
-            &table
-        )
-    );
-    write_json("fig10_tsqr_properties", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

@@ -3,42 +3,31 @@
 //! decay, §IV-A), and kappa(B), the condition number of the last Gram
 //! matrix from the first restart loop under the Fig. 14 setups.
 
-use ca_bench::{balanced_problem, format_table, suite, write_json, Scale};
+use ca_bench::{table, Problem, Study};
 use ca_gmres::cagmres::probe_gram_condition;
-use ca_gmres::newton::{newton_shifts_from_hessenberg, BasisSpec};
+use ca_gmres::newton::newton_shifts_from_hessenberg;
 use ca_gmres::prelude::*;
 use ca_gpusim::MultiGpu;
 
-struct Row {
-    name: String,
-    n_thousands: f64,
-    nnz_per_n: f64,
-    theta_ratio: f64,
-    kappa_gram_monomial: f64,
-    kappa_gram_newton: f64,
-}
-
-ca_bench::jv_struct!(Row {
-    name,
-    n_thousands,
-    nnz_per_n,
-    theta_ratio,
-    kappa_gram_monomial,
-    kappa_gram_newton,
+ca_bench::row!(Row {
+    name: String ["name"],
+    n_thousands: f64 ["n/1000" "{:.1}"],
+    nnz_per_n: f64 ["nnz/n" "{:.1}"],
+    theta_ratio: f64 ["theta1/theta2" "{:.5}"],
+    kappa_gram_monomial: f64 ["kappa(B) monomial" "{:.2e}"],
+    kappa_gram_newton: f64 ["kappa(B) Newton" "{:.2e}"],
 });
 
 fn main() {
-    let scale = Scale::from_args();
+    let study = Study::new("fig12_matrices", &["--large"]);
     let s = 15usize;
     let mut rows = Vec::new();
 
-    for t in suite(scale) {
-        let (a_bal, b) = balanced_problem(&t.a);
-        let (a_ord, _, layout) = prepare(&a_bal, Ordering::Natural, 1);
+    for t in study.suite() {
+        let p = Problem::new(&t.a, Ordering::Natural, 1);
         let mut mg = MultiGpu::with_defaults(1);
         let m_probe = t.m.min(60);
-        let sys = System::new(&mut mg, &a_ord, layout, m_probe, Some(s)).unwrap();
-        sys.load_rhs(&mut mg, &b).unwrap();
+        let sys = p.load(&mut mg, m_probe, Some(s));
 
         // Ritz values from one GMRES cycle.
         let out = gmres(
@@ -60,9 +49,9 @@ fn main() {
         let theta_ratio =
             if moduli.len() >= 2 && moduli[1] > 0.0 { moduli[0] / moduli[1] } else { f64::NAN };
 
-        sys.load_rhs(&mut mg, &b).unwrap();
+        sys.load_rhs(&mut mg, &p.b).unwrap();
         let kappa_mono = probe_gram_condition(&mut mg, &sys, &BasisSpec::monomial(s)).unwrap();
-        sys.load_rhs(&mut mg, &b).unwrap();
+        sys.load_rhs(&mut mg, &p.b).unwrap();
         let kappa_newton = if shifts.is_empty() {
             f64::NAN
         } else {
@@ -80,25 +69,6 @@ fn main() {
     }
 
     println!("Figure 12 — test-matrix properties (synthetic analogs, s = {s})\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("{:.1}", r.n_thousands),
-                format!("{:.1}", r.nnz_per_n),
-                format!("{:.5}", r.theta_ratio),
-                format!("{:.2e}", r.kappa_gram_monomial),
-                format!("{:.2e}", r.kappa_gram_newton),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["name", "n/1000", "nnz/n", "theta1/theta2", "kappa(B) monomial", "kappa(B) Newton"],
-            &table
-        )
-    );
-    write_json("fig12_matrices", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

@@ -8,37 +8,22 @@
 //! squaring); CGS needs the "2x" pass to converge; element-wise errors of
 //! CholQR/SVQR grow markedly at (s, m) = (30, 30).
 
-use ca_bench::{balanced_problem, format_table, g3_circuit, write_json, Scale};
+use ca_bench::{g3_circuit, table, Problem, Study};
 use ca_gmres::cagmres::TsqrErrorSample;
 use ca_gmres::prelude::*;
-use ca_gpusim::MultiGpu;
 
-struct Row {
-    s: usize,
+ca_bench::row!(Row {
+    s: usize ["(s,m)" |r| format!("({},{})", r.s, r.m)],
     m: usize,
-    algorithm: String,
-    pass: u8,
-    samples: usize,
-    orth_err_min: f64,
-    orth_err_avg: f64,
-    orth_err_max: f64,
-    fact_err_avg: f64,
-    elem_err_avg: f64,
-    converged: bool,
-}
-
-ca_bench::jv_struct!(Row {
-    s,
-    m,
-    algorithm,
-    pass,
-    samples,
-    orth_err_min,
-    orth_err_avg,
-    orth_err_max,
-    fact_err_avg,
-    elem_err_avg,
-    converged,
+    algorithm: String ["algorithm"],
+    pass: u8 ["pass"],
+    samples: usize ["#"],
+    orth_err_min: f64 ["orth min" "{:.1e}"],
+    orth_err_avg: f64 ["orth avg" "{:.1e}"],
+    orth_err_max: f64 ["orth max" "{:.1e}"],
+    fact_err_avg: f64 ["fact avg" "{:.1e}"],
+    elem_err_avg: f64 ["elem avg" "{:.1e}"],
+    converged: bool ["conv"],
 });
 
 fn summarize(s: usize, m: usize, name: &str, pass: u8, e: &[&TsqrErrorSample], conv: bool) -> Row {
@@ -68,22 +53,19 @@ fn summarize(s: usize, m: usize, name: &str, pass: u8, e: &[&TsqrErrorSample], c
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let t = g3_circuit(scale);
-    let (a_bal, b) = balanced_problem(&t.a);
+    let study = Study::new("fig13_tsqr_errors", &["--large"]);
+    let p = Problem::new(&g3_circuit(study.scale).a, Ordering::Kway, 1);
     let mut rows: Vec<Row> = Vec::new();
 
     for (s, m) in [(20usize, 30usize), (30, 30)] {
         for (kind, reorth, label) in [
-            (TsqrKind::Mgs, false, "MGS".to_string()),
-            (TsqrKind::Cgs, true, "2xCGS".to_string()),
-            (TsqrKind::CholQr, false, "CholQR".to_string()),
-            (TsqrKind::SvQr, false, "SVQR".to_string()),
-            (TsqrKind::Caqr, false, "CAQR".to_string()),
+            (TsqrKind::Mgs, false, "MGS"),
+            (TsqrKind::Cgs, true, "2xCGS"),
+            (TsqrKind::CholQr, false, "CholQR"),
+            (TsqrKind::SvQr, false, "SVQR"),
+            (TsqrKind::Caqr, false, "CAQR"),
         ] {
-            let (a_ord, _, layout) = prepare(&a_bal, Ordering::Kway, 1);
-            let mut mg = MultiGpu::with_defaults(1);
-            let cfg = CaGmresConfig {
+            let out = p.ca_gmres(&CaGmresConfig {
                 s,
                 m,
                 orth: OrthConfig { tsqr: kind, reorth, ..Default::default() },
@@ -94,15 +76,12 @@ fn main() {
                 max_restarts: 12,
                 capture_tsqr_errors: true,
                 ..Default::default()
-            };
-            let sys = System::new(&mut mg, &a_ord, layout, m, Some(s)).unwrap();
-            sys.load_rhs(&mut mg, &b).unwrap();
-            let out = ca_gmres(&mut mg, &sys, &cfg);
+            });
             for pass in [1u8, 2] {
                 let samples: Vec<&TsqrErrorSample> =
                     out.tsqr_errors.iter().filter(|e| e.pass == pass).collect();
                 if !samples.is_empty() {
-                    rows.push(summarize(s, m, &label, pass, &samples, out.stats.converged));
+                    rows.push(summarize(s, m, label, pass, &samples, out.stats.converged));
                 }
             }
             if out.tsqr_errors.is_empty() {
@@ -112,40 +91,6 @@ fn main() {
     }
 
     println!("Figure 13 — TSQR error norms inside CA-GMRES on G3_circuit (1 GPU)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("({},{})", r.s, r.m),
-                r.algorithm.clone(),
-                r.pass.to_string(),
-                r.samples.to_string(),
-                format!("{:.1e}", r.orth_err_min),
-                format!("{:.1e}", r.orth_err_avg),
-                format!("{:.1e}", r.orth_err_max),
-                format!("{:.1e}", r.fact_err_avg),
-                format!("{:.1e}", r.elem_err_avg),
-                r.converged.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "(s,m)",
-                "algorithm",
-                "pass",
-                "#",
-                "orth min",
-                "orth avg",
-                "orth max",
-                "fact avg",
-                "elem avg",
-                "conv"
-            ],
-            &table
-        )
-    );
-    write_json("fig13_tsqr_errors", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

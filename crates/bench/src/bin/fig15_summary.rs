@@ -7,75 +7,44 @@
 //! nnz/n) and the kernel auto-selection falling back to SpMV when MPK's
 //! boundary overhead exceeds its latency saving.
 
-use ca_bench::{balanced_problem, format_table, suite, write_json, Scale};
-use ca_gmres::cagmres::KernelMode;
+use ca_bench::{table, Problem, Study};
 use ca_gmres::prelude::*;
-use ca_gpusim::MultiGpu;
 
-/// Per-restart view: CA cycles only (the shift-harvest first cycle is
-/// amortized away in the paper's long runs).
-fn ca_gmres_view(out: &ca_gmres::cagmres::CaGmresOutcome) -> &ca_gmres::stats::SolveStats {
-    &out.ca_stats
-}
-
-struct Row {
-    matrix: String,
-    ngpus: usize,
-    gmres_total_per_res_ms: f64,
+ca_bench::row!(Row {
+    matrix: String ["matrix"],
+    ngpus: usize ["g"],
+    gmres_total_per_res_ms: f64 ["GMRES ms/res" "{:.3}"],
     gmres_orth_per_res_ms: f64,
     gmres_spmv_per_res_ms: f64,
-    ca_total_per_res_ms: f64,
+    ca_total_per_res_ms: f64 ["CA ms/res" "{:.3}"],
     ca_orth_per_res_ms: f64,
     ca_spmv_per_res_ms: f64,
-    kernel_used: String,
-    speedup: f64,
-    normalized_vs_1gpu_gmres: f64,
-}
-
-ca_bench::jv_struct!(Row {
-    matrix,
-    ngpus,
-    gmres_total_per_res_ms,
-    gmres_orth_per_res_ms,
-    gmres_spmv_per_res_ms,
-    ca_total_per_res_ms,
-    ca_orth_per_res_ms,
-    ca_spmv_per_res_ms,
-    kernel_used,
-    speedup,
-    normalized_vs_1gpu_gmres,
+    kernel_used: String ["kernel"],
+    speedup: f64 ["speedup" "{:.2}"],
+    normalized_vs_1gpu_gmres: f64 ["norm. vs 1-GPU GMRES" "{:.3}"],
 });
 
 fn main() {
-    let scale = Scale::from_args();
+    let study = Study::new("fig15_summary", &["--large"]);
     let s = 10usize;
     let mut rows: Vec<Row> = Vec::new();
 
-    for t in suite(scale) {
+    for t in study.suite() {
         let ord = if t.name == "cant" { Ordering::Natural } else { Ordering::Kway };
-        let (a_bal, b_bal) = balanced_problem(&t.a);
         let mut gmres_1gpu_ms = 1.0;
         for ng in 1..=3usize {
-            let (a_ord, perm, layout) = prepare(&a_bal, ord, ng);
-            let b_perm = ca_sparse::perm::permute_vec(&b_bal, &perm);
-
+            let p = Problem::new(&t.a, ord, ng);
             // GMRES baseline (CGS): 3 full cycles, steady-state timing
-            let mut mg = MultiGpu::with_defaults(ng);
-            let sys = System::new(&mut mg, &a_ord, layout.clone(), t.m, None).unwrap();
-            sys.load_rhs(&mut mg, &b_perm).unwrap();
-            let g = gmres(
-                &mut mg,
-                &sys,
-                &GmresConfig { m: t.m, orth: BorthKind::Cgs, rtol: 0.0, max_restarts: 3 },
-            );
+            let g = p
+                .gmres(&GmresConfig { m: t.m, orth: BorthKind::Cgs, rtol: 0.0, max_restarts: 3 })
+                .stats;
             if ng == 1 {
-                gmres_1gpu_ms = g.stats.total_per_restart_ms();
+                gmres_1gpu_ms = g.total_per_restart_ms();
             }
 
-            // CA-GMRES with auto kernel selection
-            let mut mg2 = MultiGpu::with_defaults(ng);
-            let sys2 = System::new(&mut mg2, &a_ord, layout, t.m, Some(s)).unwrap();
-            sys2.load_rhs(&mut mg2, &b_perm).unwrap();
+            // CA-GMRES with auto kernel selection; per-restart view of the
+            // CA cycles only (the shift-harvest first cycle is amortized away
+            // in the paper's long runs)
             let cfg = CaGmresConfig {
                 s,
                 m: t.m,
@@ -84,54 +53,26 @@ fn main() {
                 max_restarts: 4, // shift harvest + 3 full CA cycles
                 ..Default::default()
             };
-            let c_out = ca_gmres(&mut mg2, &sys2, &cfg);
-            let c = ca_gmres_view(&c_out);
+            let c_out = p.ca_gmres(&cfg);
+            let c = &c_out.ca_stats;
 
             rows.push(Row {
                 matrix: t.name.into(),
                 ngpus: ng,
-                gmres_total_per_res_ms: g.stats.total_per_restart_ms(),
-                gmres_orth_per_res_ms: g.stats.orth_per_restart_ms(),
-                gmres_spmv_per_res_ms: g.stats.spmv_per_restart_ms(),
+                gmres_total_per_res_ms: g.total_per_restart_ms(),
+                gmres_orth_per_res_ms: g.orth_per_restart_ms(),
+                gmres_spmv_per_res_ms: g.spmv_per_restart_ms(),
                 ca_total_per_res_ms: c.total_per_restart_ms(),
                 ca_orth_per_res_ms: c.orth_per_restart_ms(),
                 ca_spmv_per_res_ms: c.spmv_per_restart_ms(),
                 kernel_used: format!("{:?}", c_out.kernel_used),
-                speedup: g.stats.total_per_restart_ms() / c.total_per_restart_ms(),
+                speedup: g.total_per_restart_ms() / c.total_per_restart_ms(),
                 normalized_vs_1gpu_gmres: c.total_per_restart_ms() / gmres_1gpu_ms,
             });
         }
     }
 
     println!("Figure 15 — GMRES vs CA-GMRES(10, m), time per restart loop (simulated)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.ngpus.to_string(),
-                format!("{:.3}", r.gmres_total_per_res_ms),
-                format!("{:.3}", r.ca_total_per_res_ms),
-                r.kernel_used.clone(),
-                format!("{:.2}", r.speedup),
-                format!("{:.3}", r.normalized_vs_1gpu_gmres),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "matrix",
-                "g",
-                "GMRES ms/res",
-                "CA ms/res",
-                "kernel",
-                "speedup",
-                "norm. vs 1-GPU GMRES"
-            ],
-            &table
-        )
-    );
-    write_json("fig15_summary", &rows);
+    println!("{}", table(&rows));
+    study.write_json(&rows);
 }

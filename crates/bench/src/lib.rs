@@ -1,39 +1,36 @@
 //! # ca-bench — harness regenerating every table and figure of the paper
 //!
-//! One binary per figure (see `src/bin/`); this library holds the shared
-//! pieces: the test-matrix suite (synthetic analogs of the paper's Fig. 12
-//! matrices), table formatting, and JSON result emission for
-//! `EXPERIMENTS.md`.
+//! One binary per figure or extension study (see `src/bin/`), each a
+//! `main` over one [`Study`]: the study's flags, the suite entries it
+//! covers, and its artifacts. A result row is declared once with [`row!`]
+//! — every field a key of the JSON payload, every bracketed column a
+//! column of the aligned table — and [`table`] renders the rows.
 //!
 //! Run any figure with, e.g.:
 //! ```text
 //! cargo run --release -p ca-bench --bin fig08_mpk_performance
-//! cargo run --release -p ca-bench --bin fig14_cagmres_table -- --large
+//! cargo run --release -p ca-bench --bin fig14_cagmres_table -- --large --matrix cant
 //! ```
-//! `--large` switches from the laptop-scale default to near-paper sizes.
+//! A study takes only the flags it declares — from `--large` (near-paper
+//! sizes), `--smoke` (its CI-sized run) and `--matrix <name>` (one suite
+//! entry), plus any of its own; every other argument is a usage error.
 
-#![allow(clippy::needless_range_loop)]
-
+use ca_gmres::prelude::*;
+use ca_gpusim::{MatId, MultiGpu};
 use ca_sparse::{gen, Csr};
 
-pub mod trend;
+pub mod pool;
 
 pub use ca_obs::Jv;
 
 /// Conversion into the shared [`Jv`] JSON value type — how results are
-/// emitted (the workspace has no serde: every artifact is rendered and
-/// parsed by `ca_obs::Jv`). Implement via [`jv_struct!`] for payload row
-/// structs.
+/// emitted (the workspace has no serde: every artifact is rendered by
+/// `ca_obs::Jv`). Row types get it from [`row!`].
 pub trait ToJv {
     /// The JSON value for `self`.
     fn to_jv(&self) -> Jv;
 }
 
-impl ToJv for Jv {
-    fn to_jv(&self) -> Jv {
-        self.clone()
-    }
-}
 impl ToJv for bool {
     fn to_jv(&self) -> Jv {
         Jv::Bool(*self)
@@ -44,52 +41,24 @@ impl ToJv for f64 {
         Jv::Num(*self)
     }
 }
-impl ToJv for u64 {
-    fn to_jv(&self) -> Jv {
-        Jv::Int(i128::from(*self))
-    }
+macro_rules! int_to_jv {
+    ($($t:ty),+) => {
+        $(impl ToJv for $t {
+            fn to_jv(&self) -> Jv {
+                Jv::Int(*self as i128)
+            }
+        })+
+    };
 }
-impl ToJv for u32 {
-    fn to_jv(&self) -> Jv {
-        Jv::Int(i128::from(*self))
-    }
-}
-impl ToJv for u8 {
-    fn to_jv(&self) -> Jv {
-        Jv::Int(i128::from(*self))
-    }
-}
-impl ToJv for i32 {
-    fn to_jv(&self) -> Jv {
-        Jv::Int(i128::from(*self))
-    }
-}
-impl ToJv for i64 {
-    fn to_jv(&self) -> Jv {
-        Jv::Int(i128::from(*self))
-    }
-}
-impl ToJv for usize {
-    fn to_jv(&self) -> Jv {
-        Jv::Int(*self as i128)
-    }
-}
+int_to_jv!(u8, u64, usize);
 impl ToJv for String {
     fn to_jv(&self) -> Jv {
         Jv::Str(self.clone())
     }
 }
-impl ToJv for &str {
-    fn to_jv(&self) -> Jv {
-        Jv::Str((*self).to_string())
-    }
-}
 impl<T: ToJv> ToJv for Option<T> {
     fn to_jv(&self) -> Jv {
-        match self {
-            Some(v) => v.to_jv(),
-            None => Jv::Null,
-        }
+        self.as_ref().map_or(Jv::Null, ToJv::to_jv)
     }
 }
 impl<T: ToJv> ToJv for Vec<T> {
@@ -97,36 +66,99 @@ impl<T: ToJv> ToJv for Vec<T> {
         Jv::Arr(self.iter().map(ToJv::to_jv).collect())
     }
 }
-impl<T: ToJv> ToJv for [T] {
-    fn to_jv(&self) -> Jv {
-        Jv::Arr(self.iter().map(ToJv::to_jv).collect())
-    }
-}
-impl<T: ToJv + ?Sized> ToJv for &T {
-    fn to_jv(&self) -> Jv {
-        (*self).to_jv()
-    }
+
+/// The table side of a [`row!`] type.
+pub trait Columns {
+    /// Column headers, in table order.
+    const HEADERS: &'static [&'static str];
+    /// This row's cells, one per header.
+    fn cells(&self) -> Vec<String>;
 }
 
-/// Implement [`ToJv`] for a payload struct, serializing the listed
-/// fields in order as a JSON object keyed by field name.
+/// Declare a result row once. Every field is a key of the JSON payload,
+/// in declaration order; each bracketed column after a field is a column
+/// of the aligned [`table`], in declaration order: its header, then the
+/// cell — the field's `Display` by default, a format string applied to
+/// the field, or a `fn(&Row) -> String` for a cell built from several
+/// fields. A field without brackets is JSON-only.
+///
+/// ```
+/// ca_bench::row!(Row {
+///     matrix: String ["matrix"],
+///     time_ms: f64 ["sim ms" "{:.3}"],
+///     converged: bool ["conv" |r| if r.converged { "yes".into() } else { "NO".into() }],
+///     iters: usize,
+/// });
+/// let rows = [Row { matrix: "cant".into(), time_ms: 1.0, converged: true, iters: 7 }];
+/// assert!(ca_bench::table(&rows).ends_with("cant   1.000   yes\n"));
+/// ```
 #[macro_export]
-macro_rules! jv_struct {
-    ($t:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::ToJv for $t {
+macro_rules! row {
+    (@cell $r:ident, $f:ident) => { $r.$f.to_string() };
+    (@cell $r:ident, $f:ident $fmt:literal) => { format!($fmt, $r.$f) };
+    (@cell $r:ident, $f:ident $($cell:tt)+) => {{
+        let cell: fn(&Self) -> String = $($cell)+;
+        cell($r)
+    }};
+    ($(#[$m:meta])* $vis:vis $name:ident {
+        $($(#[$fm:meta])* $fvis:vis $field:ident: $ty:ty $([$hdr:literal $($cell:tt)*])*),* $(,)?
+    }) => {
+        $(#[$m])*
+        $vis struct $name {
+            $($(#[$fm])* $fvis $field: $ty,)*
+        }
+        impl $crate::ToJv for $name {
             fn to_jv(&self) -> $crate::Jv {
                 $crate::Jv::Obj(vec![
-                    $((stringify!($field).to_string(), $crate::ToJv::to_jv(&self.$field)),)+
+                    $((stringify!($field).to_string(), $crate::ToJv::to_jv(&self.$field)),)*
                 ])
+            }
+        }
+        impl $crate::Columns for $name {
+            const HEADERS: &'static [&'static str] = &[$($($hdr,)*)*];
+            fn cells(&self) -> Vec<String> {
+                vec![$($($crate::row!(@cell self, $field $($cell)*),)*)*]
             }
         }
     };
 }
 
+/// Render `rows` as an aligned text table: right-aligned cells two spaces
+/// apart, the header underlined with dashes.
+pub fn table<'a, R: Columns + 'a>(rows: impl IntoIterator<Item = &'a R>) -> String {
+    let rows: Vec<Vec<String>> = rows.into_iter().map(Columns::cells).collect();
+    let mut widths: Vec<usize> = R::HEADERS.iter().map(|h| h.len()).collect();
+    for row in &rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    fn line<'s>(cells: impl Iterator<Item = &'s str>, widths: &[usize]) -> String {
+        let padded: Vec<String> = cells.zip(widths).map(|(c, &w)| format!("{c:>w$}")).collect();
+        padded.join("  ") + "\n"
+    }
+    let mut out = line(R::HEADERS.iter().copied(), &widths);
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    out.push('\n');
+    for row in &rows {
+        out.push_str(&line(row.iter().map(String::as_str), &widths));
+    }
+    out
+}
+
 // Foreign report types that ride inside bench payloads (the orphan rule
-// keeps bins from implementing the bench-local trait for them).
-jv_struct!(ca_chaos::Violation { index, problems, schedule, shrunk });
-jv_struct!(ca_chaos::CampaignReport {
+// keeps [`row!`] from declaring them).
+macro_rules! foreign_to_jv {
+    ($t:ty { $($field:ident),+ $(,)? }) => {
+        impl ToJv for $t {
+            fn to_jv(&self) -> Jv {
+                Jv::Obj(vec![$((stringify!($field).to_string(), self.$field.to_jv()),)+])
+            }
+        }
+    };
+}
+foreign_to_jv!(ca_chaos::Violation { index, problems, schedule, shrunk });
+foreign_to_jv!(ca_chaos::CampaignReport {
     seed,
     schedules,
     passed,
@@ -160,36 +192,6 @@ pub enum Scale {
     /// Near-paper sizes (row counts within ~2-25x of Fig. 12; the circuit
     /// analog is kept at 400k rows to bound memory).
     Large,
-}
-
-impl Scale {
-    /// Parse from process args: `--large` selects [`Scale::Large`].
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--large") {
-            Scale::Large
-        } else {
-            Scale::Small
-        }
-    }
-}
-
-/// The value following `flag` in `args`, parsed; `None` when the flag is
-/// absent. A flag that is last on the line, or whose value does not parse,
-/// is a usage error.
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
-    let value = args.get(i + 1).ok_or_else(|| format!("usage: {flag} <value> (value missing)"))?;
-    value.parse().map(Some).map_err(|_| format!("usage: {flag} <value> (cannot read {value:?})"))
-}
-
-/// The value following `flag` on a study binary's command line, parsed
-/// (`None`: flag absent). A flag without a readable value is a usage error:
-/// it is printed to standard error and ends the process with status 2.
-pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    parse_flag(args, flag).unwrap_or_else(|usage| {
-        eprintln!("{usage}");
-        std::process::exit(2)
-    })
 }
 
 /// A suite entry: the matrix analog plus the paper's per-matrix restart
@@ -240,9 +242,28 @@ pub fn nlpkkt(scale: Scale) -> TestMatrix {
     TestMatrix { name: "nlpkkt120", a: gen::kkt(d, d, d), m: 120 }
 }
 
-/// The full four-matrix suite in the paper's order.
-pub fn suite(scale: Scale) -> Vec<TestMatrix> {
-    vec![cant(scale), g3_circuit(scale), diel_filter(scale), nlpkkt(scale)]
+/// The full four-matrix suite in the paper's order, built lazily.
+fn suite(scale: Scale) -> impl Iterator<Item = TestMatrix> {
+    [cant, g3_circuit, diel_filter, nlpkkt].into_iter().map(move |entry| entry(scale))
+}
+
+/// The PCG stream constant behind [`rhs_for`] — the de-facto seed of
+/// every suite run, stamped into result envelopes unless overridden.
+pub const SUITE_SEED: u64 = 0x853c49e6748fea9b;
+/// The PCG increment of [`rhs_for`].
+pub const PCG_INC: u64 = 1442695040888963407;
+
+/// `n` values uniform in `[-0.5, 0.5)` from the linear congruential stream
+/// `state ← 6364136223846793005·state + inc` started at `seed` (the top
+/// 53 bits of each state).
+pub fn lcg_vec(seed: u64, inc: u64, n: usize) -> Vec<f64> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(inc);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        })
+        .collect()
 }
 
 /// A spectrally flat pseudo-random right-hand side. A structured rhs (all
@@ -250,14 +271,7 @@ pub fn suite(scale: Scale) -> Vec<TestMatrix> {
 /// GMRES converge in a handful of steps; a flat one forces the solver
 /// through the near-null modes, giving paper-like restart counts.
 pub fn rhs_for(a: &Csr) -> Vec<f64> {
-    let n = a.nrows();
-    let mut state = 0x853c49e6748fea9bu64;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        })
-        .collect()
+    lcg_vec(SUITE_SEED, PCG_INC, a.nrows())
 }
 
 /// The paper's §VI preprocessing: balance the matrix (rows scaled by their
@@ -270,61 +284,117 @@ pub fn balanced_problem(a: &Csr) -> (Csr, Vec<f64>) {
     (ab, b)
 }
 
-/// Render an aligned text table.
-pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let ncol = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(ncol) {
-            widths[i] = widths[i].max(cell.len());
-        }
+/// A suite problem as the solver studies run it: balanced
+/// ([`balanced_problem`]), reordered by an [`Ordering`] for a device
+/// count, the rhs permuted to match.
+pub struct Problem {
+    /// The balanced, reordered matrix.
+    pub a: Csr,
+    /// The balanced rhs in the reordered numbering.
+    pub b: Vec<f64>,
+    /// `perm[new] = old`.
+    pub perm: Vec<usize>,
+    /// The block-row layout over the devices.
+    pub layout: Layout,
+}
+
+impl Problem {
+    /// Balance `a`, reorder it by `ordering` for `ndev` devices.
+    pub fn new(a: &Csr, ordering: Ordering, ndev: usize) -> Self {
+        let (ab, bb) = balanced_problem(a);
+        let (a, perm, layout) = prepare(&ab, ordering, ndev);
+        Problem { b: ca_sparse::perm::permute_vec(&bb, &perm), a, perm, layout }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                line.push_str("  ");
+
+    /// Distribute the problem onto `mg` — basis room for `m` vectors, an
+    /// `s`-step MPK plan when `s` is given — with the rhs loaded.
+    pub fn load(&self, mg: &mut MultiGpu, m: usize, s: Option<usize>) -> System {
+        let sys = System::new(mg, &self.a, self.layout.clone(), m, s).expect("fits the devices");
+        sys.load_rhs(mg, &self.b).expect("rhs loads");
+        sys
+    }
+
+    /// Standard GMRES on a fresh default machine, one device per layout
+    /// block.
+    pub fn gmres(&self, cfg: &GmresConfig) -> GmresOutcome {
+        let mut mg = MultiGpu::with_defaults(self.layout.ndev());
+        let sys = self.load(&mut mg, cfg.m, None);
+        gmres(&mut mg, &sys, cfg)
+    }
+
+    /// CA-GMRES on a fresh default machine, one device per layout block.
+    pub fn ca_gmres(&self, cfg: &CaGmresConfig) -> CaGmresOutcome {
+        let mut mg = MultiGpu::with_defaults(self.layout.ndev());
+        let sys = self.load(&mut mg, cfg.m, Some(cfg.s));
+        ca_gmres(&mut mg, &sys, cfg)
+    }
+}
+
+/// The `xhash` of DIGEST lines: FNV-1a over the bits of a solution.
+pub fn xhash(x: &[f64]) -> u64 {
+    ca_obs::fnv1a_words(x.iter().map(|v| v.to_bits()))
+}
+
+/// The true relative residual `‖b − A x‖ / ‖b‖`, recomputed on the host —
+/// independent of the solver's own recurrence.
+pub fn true_relres(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
+    let mut r = vec![0.0; b.len()];
+    ca_sparse::spmv::spmv(a, x, &mut r);
+    for (ri, bi) in r.iter_mut().zip(b) {
+        *ri = bi - *ri;
+    }
+    ca_dense::blas1::nrm2(&r) / ca_dense::blas1::nrm2(b)
+}
+
+/// A tall-skinny `n × cols` block split evenly over `mg`'s devices,
+/// device `d`'s slice filled column by column from [`lcg_vec`] seeded
+/// `(d + 1)·0x9E3779B97F4A7C15`.
+pub fn random_block(mg: &mut MultiGpu, n: usize, cols: usize, inc: u64) -> Vec<MatId> {
+    let ndev = mg.n_gpus();
+    let nl = n / ndev;
+    (0..ndev)
+        .map(|d| {
+            let dev = mg.device_mut(d);
+            let v = dev.alloc_mat(nl, cols).expect("block fits");
+            let vals = lcg_vec((d as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15), inc, nl * cols);
+            for (j, col) in vals.chunks(nl).enumerate() {
+                dev.mat_mut(v).set_col(j, col);
             }
-            line.push_str(&format!("{:>width$}", c, width = widths[i]));
-        }
-        line.push('\n');
-        line
-    };
-    let hdr: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&hdr, &widths));
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (ncol - 1)));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
+            v
+        })
+        .collect()
+}
+
+/// GMRES flop count for effective-Gflop/s reporting (Fig. 3/11 style):
+/// `iters * (2 nnz + 4 n k_avg)` with `k_avg ≈ m/2` orthogonalization
+/// columns per iteration.
+pub fn gmres_flops(nnz: usize, n: usize, m: usize, iters: usize) -> f64 {
+    iters as f64 * (2.0 * nnz as f64 + 4.0 * n as f64 * (m as f64 / 2.0))
+}
+
+row!(
+    /// Per-run metadata stamped into every JSON artifact's envelope.
+    #[derive(Debug, Clone)]
+    pub RunMeta {
+        /// RNG seed the run's inputs were generated from.
+        pub seed: u64,
+        /// `MachineProfile::hash_hex()` of the calibrated profile in use,
+        /// if the study tunes against one.
+        pub profile_hash: Option<String>,
+        /// `MetricsSnapshot::hash_hex()` of the observability metrics the
+        /// run recorded, if it ran under a `ca-obs` session — ties the
+        /// artifact to the exact counter/gauge/histogram state that
+        /// produced it.
+        pub metrics_hash: Option<String>,
+        /// Seed of the open-loop arrival stream, for service studies driven
+        /// by `ca_serve::open_loop_arrivals` (null for solver-only figures).
+        pub arrival_seed: Option<u64>,
+        /// Offered load of that stream, jobs per simulated second (null for
+        /// solver-only figures). Together with `arrival_seed` this pins the
+        /// exact request trace an artifact was measured under.
+        pub offered_load_jobs_per_s: Option<f64>,
     }
-    out
-}
-
-/// The PCG stream constant behind [`rhs_for`] — the de-facto seed of
-/// every suite run, stamped into result envelopes unless overridden.
-pub const SUITE_SEED: u64 = 0x853c49e6748fea9b;
-
-/// Per-run metadata stamped into every JSON artifact's envelope.
-#[derive(Debug, Clone)]
-pub struct RunMeta {
-    /// RNG seed the run's inputs were generated from.
-    pub seed: u64,
-    /// `MachineProfile::hash_hex()` of the calibrated profile in use,
-    /// if the study tunes against one.
-    pub profile_hash: Option<String>,
-    /// `MetricsSnapshot::hash_hex()` of the observability metrics the run
-    /// recorded, if it ran under a `ca-obs` session — ties the artifact to
-    /// the exact counter/gauge/histogram state that produced it.
-    pub metrics_hash: Option<String>,
-    /// Seed of the open-loop arrival stream, for service studies driven
-    /// by `ca_serve::open_loop_arrivals` (null for solver-only figures).
-    pub arrival_seed: Option<u64>,
-    /// Offered load of that stream, jobs per simulated second (null for
-    /// solver-only figures). Together with `arrival_seed` this pins the
-    /// exact request trace an artifact was measured under.
-    pub offered_load_jobs_per_s: Option<f64>,
-}
+);
 
 impl Default for RunMeta {
     fn default() -> Self {
@@ -338,12 +408,145 @@ impl Default for RunMeta {
     }
 }
 
-static RUN_META: std::sync::Mutex<Option<RunMeta>> = std::sync::Mutex::new(None);
+/// One study binary's run: its command line, the suite entries it covers,
+/// and the artifacts it writes. Every `main` in `src/bin/` starts with
+/// [`Study::new`].
+pub struct Study {
+    name: &'static str,
+    usage: String,
+    values: Vec<(String, String)>,
+    /// `--large`: near-paper sizes instead of the laptop-scale default.
+    pub scale: Scale,
+    /// `--smoke`: the study's CI-sized run — the first suite entry,
+    /// canonical `DIGEST` lines, and `<name>_smoke.json` in place of
+    /// `<name>.json` for the studies that write one.
+    pub smoke: bool,
+    /// `--matrix <name>`: the one suite entry to run (exact name).
+    pub matrix: Option<String>,
+    /// Stamped into the envelope of every JSON artifact the study writes.
+    pub meta: RunMeta,
+}
 
-/// Override the metadata stamped by subsequent [`write_json`] calls
-/// (e.g. a tuning study records its profile hash before writing).
-pub fn set_run_meta(meta: RunMeta) {
-    *RUN_META.lock().unwrap() = Some(meta);
+impl Study {
+    /// Read the command line against the flags study `name` takes:
+    /// `--large`, `--smoke`, `--matrix <name>`, or a value flag of its own
+    /// spelled with its value (`"--schedules <n>"`). Any other argument, or
+    /// a value flag without its value, prints the usage line to standard
+    /// error and exits with status 2 before any work.
+    pub fn new(name: &'static str, flags: &[&str]) -> Study {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Study::parse(name, flags, &args).unwrap_or_else(|usage| exit_usage(&usage))
+    }
+
+    fn parse(name: &'static str, flags: &[&str], args: &[String]) -> Result<Study, String> {
+        let spec: String = flags.iter().map(|f| format!(" [{f}]")).collect();
+        let mut study = Study {
+            name,
+            usage: format!("usage: {name}{spec}"),
+            values: Vec::new(),
+            scale: Scale::Small,
+            smoke: false,
+            matrix: None,
+            meta: RunMeta::default(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let flag = flags.iter().find(|f| f.split(' ').next() == Some(arg.as_str()));
+            match flag.copied() {
+                Some("--large") => study.scale = Scale::Large,
+                Some("--smoke") => study.smoke = true,
+                Some(flag) => match it.next() {
+                    Some(value) => study.values.push((arg.clone(), value.clone())),
+                    None => return Err(format!("{}\n{flag}: value missing", study.usage)),
+                },
+                None => return Err(format!("{}\nunknown argument {arg:?}", study.usage)),
+            }
+        }
+        study.matrix = study.parse_value("--matrix")?;
+        Ok(study)
+    }
+
+    fn parse_value<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let Some((_, v)) = self.values.iter().rev().find(|(f, _)| f == flag) else {
+            return Ok(None);
+        };
+        v.parse().map(Some).map_err(|_| format!("{}\n{flag}: cannot read {v:?}", self.usage))
+    }
+
+    /// The value of one of the study's own value flags, parsed (`None`:
+    /// flag absent). An unreadable value is a usage error (status 2).
+    pub fn value<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.parse_value(flag).unwrap_or_else(|usage| exit_usage(&usage))
+    }
+
+    /// Whether `--matrix` lets suite entry `name` run.
+    pub fn selects(&self, name: &str) -> bool {
+        self.matrix.as_deref().is_none_or(|m| m == name)
+    }
+
+    /// The suite entries this run covers, in the paper's order: all four,
+    /// the one `--matrix` names, and under `--smoke` only the first.
+    pub fn suite(&self) -> Vec<TestMatrix> {
+        let picked = suite(self.scale).filter(|t| self.selects(t.name));
+        picked.take(if self.smoke { 1 } else { usize::MAX }).collect()
+    }
+
+    /// Print `DIGEST <line>` on a `--smoke` run: the canonical lines CI
+    /// pins.
+    pub fn digest(&self, line: std::fmt::Arguments) {
+        if self.smoke {
+            println!("DIGEST {line}");
+        }
+    }
+
+    /// Write `contents` to `file` under the artifact directory —
+    /// `CA_BENCH_DIR` when set, otherwise `bench_results/` (the repo root
+    /// when run via cargo) — creating subdirectories.
+    pub fn write(&self, file: &str, contents: &str) {
+        let dir = std::env::var_os("CA_BENCH_DIR").unwrap_or_else(|| "bench_results".into());
+        let path = std::path::Path::new(&dir).join(file);
+        let dir = path.parent().expect("a file under the artifact directory");
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents)) {
+            Ok(()) => eprintln!("[ca-bench] wrote {}", path.display()),
+            Err(e) => eprintln!("[ca-bench] cannot write {}: {e}", path.display()),
+        }
+    }
+
+    /// Write the plain-text report `<name>.txt`.
+    pub fn write_text(&self, contents: &str) {
+        self.write(&format!("{}.txt", self.name), contents);
+    }
+
+    /// Write `payload` inside the result envelope to `<name>.json`
+    /// (`<name>_smoke.json` under `--smoke`).
+    pub fn write_json<T: ToJv + ?Sized>(&self, payload: &T) {
+        let figure = if self.smoke { format!("{}_smoke", self.name) } else { self.name.into() };
+        let doc = self.envelope(&figure, payload).render_pretty() + "\n";
+        self.write(&format!("{figure}.json"), &doc);
+    }
+
+    /// The result envelope every artifact shares: schema, figure name,
+    /// `git describe`, host threads (the executor has one), the run
+    /// metadata, then the payload.
+    fn envelope<T: ToJv + ?Sized>(&self, figure: &str, payload: &T) -> Jv {
+        let mut doc = vec![
+            ("schema".into(), Jv::Str("ca-bench/result".into())),
+            ("schema_version".into(), Jv::Int(1)),
+            ("figure".into(), Jv::Str(figure.into())),
+            ("git".into(), Jv::Str(git_describe())),
+            ("threads".into(), Jv::Int(1)),
+        ];
+        if let Jv::Obj(meta) = self.meta.to_jv() {
+            doc.extend(meta);
+        }
+        doc.push(("payload".into(), payload.to_jv()));
+        Jv::Obj(doc)
+    }
+}
+
+fn exit_usage(usage: &str) -> ! {
+    eprintln!("{usage}");
+    std::process::exit(2)
 }
 
 fn git_describe() -> String {
@@ -357,108 +560,37 @@ fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Directory result artifacts are written to: `CA_BENCH_DIR` when set
-/// (the trend gate routes fresh smoke runs to a scratch dir this way),
-/// otherwise `bench_results/` (repo root when run via cargo; cwd
-/// otherwise).
-pub fn bench_dir() -> std::path::PathBuf {
-    std::env::var_os("CA_BENCH_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("bench_results"))
-}
-
-/// Build the full result envelope for `value` as a [`Jv`] document.
-/// Exposed for the trend gate's tests; studies go through [`write_json`].
-pub fn result_envelope<T: ToJv>(figure: &str, value: &T) -> Jv {
-    let meta = RUN_META.lock().unwrap().clone().unwrap_or_default();
-    let opt_str = |o: &Option<String>| match o {
-        Some(s) => Jv::Str(s.clone()),
-        None => Jv::Null,
-    };
-    Jv::Obj(vec![
-        ("schema".into(), Jv::Str("ca-bench/result".into())),
-        ("schema_version".into(), Jv::Int(1)),
-        ("figure".into(), Jv::Str(figure.to_string())),
-        ("git".into(), Jv::Str(git_describe())),
-        // host threads the study ran on: the executor has one
-        ("threads".into(), Jv::Int(1)),
-        ("seed".into(), Jv::Int(i128::from(meta.seed))),
-        ("profile_hash".into(), opt_str(&meta.profile_hash)),
-        ("metrics_hash".into(), opt_str(&meta.metrics_hash)),
-        (
-            "arrival_seed".into(),
-            match meta.arrival_seed {
-                Some(s) => Jv::Int(i128::from(s)),
-                None => Jv::Null,
-            },
-        ),
-        (
-            "offered_load_jobs_per_s".into(),
-            match meta.offered_load_jobs_per_s {
-                Some(r) => Jv::Num(r),
-                None => Jv::Null,
-            },
-        ),
-        ("payload".into(), value.to_jv()),
-    ])
-}
-
-/// Write a JSON result blob under [`bench_dir`]. Every figure and
-/// extension study shares this writer, so every artifact carries the
-/// same envelope: schema version, figure name, seed, thread count,
-/// `git describe`, and — for tuned runs — the machine-profile hash.
-/// The whole document is rendered through the hand-rolled [`Jv`]
-/// writer.
-pub fn write_json<T: ToJv>(figure: &str, value: &T) {
-    let dir = bench_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{figure}.json"));
-    let mut doc = result_envelope(figure, value).render_pretty();
-    doc.push('\n');
-    let _ = std::fs::write(&path, doc);
-    eprintln!("[ca-bench] wrote {}", path.display());
-}
-
-/// Write a plain-text table/report next to the JSON artifact of the
-/// same figure, honoring the [`bench_dir`] override.
-pub fn write_text(figure: &str, contents: &str) {
-    let dir = bench_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{figure}.txt"));
-    let _ = std::fs::write(&path, contents);
-    eprintln!("[ca-bench] wrote {}", path.display());
-}
-
-/// GMRES flop count for effective-Gflop/s reporting (Fig. 3/11 style):
-/// `iters * (2 nnz + 4 n k_avg)` with `k_avg ≈ m/2` orthogonalization
-/// columns per iteration.
-pub fn gmres_flops(nnz: usize, n: usize, m: usize, iters: usize) -> f64 {
-    iters as f64 * (2.0 * nnz as f64 + 4.0 * n as f64 * (m as f64 / 2.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
-    fn a_flag_without_a_readable_value_is_a_usage_error_not_a_panic() {
-        let args = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
-        let line = args("bin --smoke --matrix cant --schedules 40");
-        assert_eq!(parse_flag::<String>(&line, "--matrix"), Ok(Some("cant".into())));
-        assert_eq!(parse_flag::<u64>(&line, "--schedules"), Ok(Some(40)));
-        assert_eq!(parse_flag::<String>(&line, "--only"), Ok(None));
-        // the flag last on the line: what `args[i + 1]` used to index past
-        assert!(parse_flag::<String>(&args("bin --smoke --matrix"), "--matrix").is_err());
-        assert!(parse_flag::<u64>(&args("bin --schedules many"), "--schedules").is_err());
+    fn a_study_takes_only_the_flags_it_declares() {
+        let flags = ["--large", "--smoke", "--matrix <name>", "--schedules <n>"];
+        let st = Study::parse("s", &flags, &args("--smoke --matrix cant --schedules 40")).unwrap();
+        assert!(st.smoke && st.scale == Scale::Small);
+        assert_eq!(st.matrix.as_deref(), Some("cant"));
+        assert_eq!(st.parse_value::<u64>("--schedules"), Ok(Some(40)));
+        assert!(st.selects("cant") && !st.selects("G3_circuit"));
+        for bad in ["--smok", "--only cant", "--smoke --matrix", "extra", "--large --schedules"] {
+            let usage = Study::parse("s", &flags, &args(bad)).err().expect(bad);
+            assert!(usage.starts_with("usage: s [--large] [--smoke]"), "{bad}: {usage}");
+        }
+        let st = Study::parse("s", &flags, &args("--schedules many")).unwrap();
+        assert!(st.parse_value::<u64>("--schedules").is_err());
+        assert!(Study::parse("s", &["--smoke"], &args("--large")).is_err());
     }
 
     #[test]
     fn suite_has_paper_character() {
-        for t in suite(Scale::Small) {
+        let study = Study::parse("s", &[], &[]).unwrap();
+        let names: Vec<&str> = study.suite().iter().map(|t| t.name).collect();
+        assert_eq!(names, ["cant", "G3_circuit", "dielFilterV2real", "nlpkkt120"]);
+        for t in study.suite() {
             assert!(t.a.nrows() > 1000, "{} too small", t.name);
             assert!(t.m >= 30);
         }
@@ -469,14 +601,63 @@ mod tests {
     }
 
     #[test]
-    fn table_formats_aligned() {
-        let s = format_table(
-            &["a", "bbb"],
-            &[vec!["1".into(), "2".into()], vec!["10".into(), "20".into()]],
+    fn smoke_and_matrix_pick_one_entry() {
+        let smoke = Study::parse("s", &["--smoke"], &args("--smoke")).unwrap();
+        assert_eq!(smoke.suite().iter().map(|t| t.name).collect::<Vec<_>>(), ["cant"]);
+        let one = Study::parse("s", &["--matrix <name>"], &args("--matrix nlpkkt120")).unwrap();
+        assert_eq!(one.suite().iter().map(|t| t.name).collect::<Vec<_>>(), ["nlpkkt120"]);
+    }
+
+    row!(EnvRow {
+        matrix: String ["matrix"],
+        t_total_s: f64 ["t" "{:.2}"],
+        iters: usize,
+        digest: Option<String> ["digest" |r| r.digest.clone().unwrap_or_else(|| "-".into())],
+    });
+
+    #[test]
+    fn one_row_declaration_yields_table_and_payload() {
+        let rows = vec![
+            EnvRow {
+                matrix: "cant".into(),
+                t_total_s: 0.25,
+                iters: 42,
+                digest: Some("00ff".into()),
+            },
+            EnvRow { matrix: "G3_circuit".into(), t_total_s: 1.5, iters: 7, digest: None },
+        ];
+        let rule = "-".repeat(24);
+        let want = [
+            "    matrix     t  digest",
+            &rule,
+            "      cant  0.25    00ff",
+            "G3_circuit  1.50       -",
+        ];
+        assert_eq!(table(&rows).lines().collect::<Vec<_>>(), want);
+
+        let study = Study::parse("test_fig", &[], &[]).unwrap();
+        let doc = Jv::parse(&study.envelope("test_fig", &rows).render_pretty()).unwrap();
+        assert_eq!(doc.get("schema").and_then(Jv::as_str), Some("ca-bench/result"));
+        assert_eq!(doc.get("figure").and_then(Jv::as_str), Some("test_fig"));
+        assert_eq!(doc.get("seed").and_then(Jv::as_u64), Some(SUITE_SEED));
+        let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys[5..],
+            [
+                "seed",
+                "profile_hash",
+                "metrics_hash",
+                "arrival_seed",
+                "offered_load_jobs_per_s",
+                "payload"
+            ]
         );
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[2].ends_with('2'));
+        let payload = doc.get("payload").and_then(Jv::as_arr).expect("an array payload");
+        assert_eq!(payload.len(), 2);
+        assert_eq!(payload[0].get("matrix").and_then(Jv::as_str), Some("cant"));
+        assert_eq!(payload[0].get("t_total_s").and_then(Jv::as_f64), Some(0.25));
+        assert_eq!(payload[0].get("iters").and_then(Jv::as_u64), Some(42));
+        assert!(matches!(payload[1].get("digest"), Some(Jv::Null)));
     }
 
     #[test]
@@ -488,40 +669,5 @@ mod tests {
         assert_eq!(b1.len(), t.a.nrows());
         let mean: f64 = b1.iter().sum::<f64>() / b1.len() as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
-    }
-
-    struct EnvRow {
-        matrix: String,
-        t_total_s: f64,
-        iters: usize,
-        digest: Option<String>,
-    }
-    jv_struct!(EnvRow { matrix, t_total_s, iters, digest });
-
-    #[test]
-    fn envelope_round_trips_real_payload() {
-        let rows = vec![
-            EnvRow {
-                matrix: "cant".into(),
-                t_total_s: 0.125,
-                iters: 42,
-                digest: Some("00ff".into()),
-            },
-            EnvRow { matrix: "G3_circuit".into(), t_total_s: 1.5, iters: 7, digest: None },
-        ];
-        let txt = result_envelope("test_fig", &rows).render_pretty();
-        assert!(!txt.contains("stub"), "serde stub leaked into the artifact path:\n{txt}");
-        let doc = Jv::parse(&txt).expect("envelope must be valid JSON");
-        assert_eq!(doc.get("schema").and_then(Jv::as_str), Some("ca-bench/result"));
-        assert_eq!(doc.get("figure").and_then(Jv::as_str), Some("test_fig"));
-        let payload = match doc.get("payload") {
-            Some(Jv::Arr(rows)) => rows,
-            other => panic!("payload should be an array, got {other:?}"),
-        };
-        assert_eq!(payload.len(), 2);
-        assert_eq!(payload[0].get("matrix").and_then(Jv::as_str), Some("cant"));
-        assert_eq!(payload[0].get("t_total_s").and_then(Jv::as_f64), Some(0.125));
-        assert_eq!(payload[0].get("iters").and_then(Jv::as_u64), Some(42));
-        assert!(matches!(payload[1].get("digest"), Some(Jv::Null)));
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! The workspace has no serde, so every crate that reads or writes JSON
 //! artifacts does it through this module: `ca-obs` itself round-trips
-//! metrics snapshots through it, `ca-bench` uses it both to render result
-//! payloads and to parse committed envelopes in the bench-trend gate, and
-//! `ca-tune` parses machine profiles with it.
+//! metrics snapshots through it, `ca-bench` renders result envelopes with
+//! it, and `ca-tune` parses machine profiles with it.
 //!
 //! Determinism rules match the rest of the stack: object keys are kept
 //! in insertion order (callers sort when they need canonical output),

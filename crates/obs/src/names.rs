@@ -5,7 +5,8 @@
 //! parameterized family with a builder. Emission sites reference these
 //! instead of free-form string literals — a typo'd key would otherwise
 //! silently open a brand-new series and every downstream consumer
-//! (calibration, SLO reports, the bench-trend gate) would read zeros.
+//! (calibration, SLO reports, the pinned metrics hashes of the committed
+//! study artifacts) would read zeros.
 //! [`is_registered`] is the enforcement hook: the `ca-core` observability
 //! suite runs a profiled solve and asserts every key in the snapshot
 //! resolves against this registry.

@@ -30,7 +30,8 @@
 //! * **Observability** ([`metrics`], [`slo`], plus `ca-obs`
 //!   integration) — queue depth, per-slice utilization, p50/p99
 //!   time-to-solution, eviction / backfill / warm-hit counters, and an
-//!   order-sensitive FNV digest that CI diffs across thread counts.
+//!   order-sensitive FNV digest that CI pins in the committed
+//!   `ext_service` smoke output.
 //!   [`slo::SloMonitor`] keeps per-tenant books (rolling deadline-hit
 //!   rate with edge-triggered `serve.slo_burn` alerts, TTS and
 //!   queue-delay quantile histograms) and lands one [`slo::TenantSlo`]

@@ -133,7 +133,7 @@ impl ServiceReport {
     /// Order-sensitive digest of everything scheduling decides:
     /// completion order, per-job solutions and clocks, and the
     /// dashboard counters. Two runs are bit-identical iff their digests
-    /// match; CI diffs it between two runs.
+    /// match; CI pins it in the committed `ext_service` smoke output.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::default();
