@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Non-test line counts, the measure ROADMAP.md states its line targets in.
+#
+#   crates/bench/loc.sh            one row per crate (crates/*/src and the
+#                                  root package's src), then the total
+#   crates/bench/loc.sh <dir>...   one row per given source tree
+#
+# A file counts up to its last `#[cfg(test)]` line (the test module at its
+# end), or whole when it has none. A `#[cfg(test)]` on a `mod name;`
+# declaration makes all of `name.rs` test code: that file is skipped, and
+# the attribute does not cut the file that declares the module.
+set -euo pipefail
+cd "$(dirname "$0")/../.."
+
+# `<file>\t<module>` for every module declared behind `#[cfg(test)]`
+gated_mods() {
+  find "$1" -name '*.rs' -exec awk '
+    gate && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod [a-z_0-9]+;/ {
+      m = $0; sub(/^.*mod[[:space:]]+/, "", m); sub(/;.*/, "", m)
+      print FILENAME "\t" m
+    }
+    { gate = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) }' {} +
+}
+
+# non-test lines of one file
+file_lines() {
+  awk '
+    gate && $0 !~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod [a-z_0-9]+;/ { cut = gate }
+    { gate = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) ? NR : 0 }
+    END { print (cut ? cut : NR) }' "$1"
+}
+
+tree_lines() {
+  local skip
+  skip=$(gated_mods "$1" | while IFS=$'\t' read -r file m; do
+    dir=${file%.rs}
+    case $file in */lib.rs | */main.rs | */mod.rs) dir=$(dirname "$file") ;; esac
+    printf '%s\n%s\n' "$dir/$m.rs" "$dir/$m/mod.rs"
+  done)
+  find "$1" -name '*.rs' | sort | while read -r f; do
+    grep -qxF -- "$f" <<<"$skip" || file_lines "$f"
+  done | awk '{ s += $1 } END { print s + 0 }'
+}
+
+if [ $# -eq 0 ]; then
+  set -- crates/*/src src
+fi
+total=0
+printf '%-22s %6s\n' tree lines
+for dir in "$@"; do
+  n=$(tree_lines "$dir")
+  total=$((total + n))
+  printf '%-22s %6d\n' "$dir" "$n"
+done
+printf '%-22s %6d\n' total "$total"

@@ -32,7 +32,7 @@ fn main() {
             let cfg = CaGmresConfig {
                 s,
                 m,
-                kernel: KernelMode::Auto,
+                kernel: p.fastest_kernel(s),
                 rtol: 0.0,
                 max_restarts: 4,
                 ..Default::default()

@@ -173,7 +173,6 @@ fn drift_arm(name: &str, drift_threshold: f64) -> DriftRow {
     cfg.solver.s = 5;
     cfg.solver.rtol = 1e-10;
     cfg.solver.max_restarts = 60;
-    cfg.solver.autotune = true;
 
     let base = ca_tune::Candidate {
         s: cfg.solver.s,
@@ -191,7 +190,7 @@ fn drift_arm(name: &str, drift_threshold: f64) -> DriftRow {
 
     let mut mg = MultiGpu::new(3, model, kcfg);
     mg.set_fault_plan(FaultPlan::new(2014).with_link_degrade(1, LINK_FACTOR));
-    let out = ca_gmres_ft_with_tuner(mg, &a, &b, &cfg, Some(&mut tuner));
+    let (out, _) = ca_gmres_ft_session(&mut mg, &a, &b, &cfg, Some(&mut tuner), None, false);
     DriftRow {
         arm: name.to_string(),
         retunes: out.report.retunes,

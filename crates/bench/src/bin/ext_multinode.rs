@@ -8,6 +8,7 @@
 //! further when the network latency is scaled up.
 
 use ca_bench::{g3_circuit, table, Problem, Study};
+use ca_gmres::mpk::fastest_kernel;
 use ca_gmres::prelude::*;
 use ca_gpusim::{KernelConfig, MultiGpu, PerfModel};
 
@@ -46,11 +47,12 @@ fn main() {
             let cfg = CaGmresConfig {
                 s: 10,
                 m: t.m,
-                kernel: KernelMode::Auto,
+                kernel: fastest_kernel(&mg, &p.a, &p.layout, 10),
                 rtol: 0.0,
                 max_restarts: 4,
                 ..Default::default()
             };
+            mg.reset_time(); // as `Problem::ca_gmres` times it
             let c = ca_gmres(&mut mg, &sys, &cfg);
 
             let g_ms = g.stats.total_per_restart_ms();

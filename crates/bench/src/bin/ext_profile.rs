@@ -26,6 +26,7 @@
 //! instrumented run is bit-identical to an uninstrumented one.
 
 use ca_bench::{table, Problem, Study};
+use ca_gmres::mpk::fastest_kernel;
 use ca_gmres::prelude::*;
 use ca_gmres::stats::SpanBreakdown;
 use ca_gpusim::{obs_ingest_traces, MultiGpu};
@@ -119,17 +120,18 @@ fn main() {
         let pg = profiled(&mut mg, |mg| gmres(mg, &sys, &cfg_g).stats);
         rows.push(row_from(t.name, "GMRES", ngpus, &pg));
 
-        // CA-GMRES with auto kernel selection (exercises the dry-run pause)
+        // CA-GMRES on the faster generator, priced off the recording
         let mut mg = MultiGpu::with_defaults(ngpus);
         let sys = p.load(&mut mg, t.m, Some(s));
         let cfg_ca = CaGmresConfig {
             s,
             m: t.m,
-            kernel: KernelMode::Auto,
+            kernel: fastest_kernel(&mg, &p.a, &p.layout, s),
             rtol: 0.0,
             max_restarts: ca_restarts,
             ..Default::default()
         };
+        mg.reset_time(); // as `Problem::ca_gmres` times it
         let pca = profiled(&mut mg, |mg| ca_gmres(mg, &sys, &cfg_ca).stats);
         rows.push(row_from(t.name, "CA-GMRES", ngpus, &pca));
         first_rec.get_or_insert(pca.rec);

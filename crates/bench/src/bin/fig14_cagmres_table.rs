@@ -96,7 +96,7 @@ fn run_ca(
         s,
         m: t.m,
         orth: OrthConfig { tsqr, reorth, ..Default::default() },
-        kernel: KernelMode::Auto,
+        kernel: p.fastest_kernel(s),
         rtol: 1e-8,
         max_restarts: 300,
         ..Default::default()

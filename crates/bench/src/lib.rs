@@ -322,11 +322,25 @@ impl Problem {
         gmres(&mut mg, &sys, cfg)
     }
 
-    /// CA-GMRES on a fresh default machine, one device per layout block.
+    /// CA-GMRES on a fresh default machine, one device per layout block. An
+    /// s-step solve (`s > 1`) starts from clocks at zero, where the
+    /// committed tables recorded it: a solve's times are differences of
+    /// absolute clock readings, whose last bits depend on where the clock
+    /// stood.
     pub fn ca_gmres(&self, cfg: &CaGmresConfig) -> CaGmresOutcome {
         let mut mg = MultiGpu::with_defaults(self.layout.ndev());
         let sys = self.load(&mut mg, cfg.m, Some(cfg.s));
+        if cfg.s > 1 {
+            mg.reset_time();
+        }
         ca_gmres(&mut mg, &sys, cfg)
+    }
+
+    /// The generator an `s`-step CA-GMRES runs faster on the default
+    /// machine of [`Problem::ca_gmres`] ([`ca_gmres::mpk::fastest_kernel`]).
+    pub fn fastest_kernel(&self, s: usize) -> KernelMode {
+        let mg = MultiGpu::with_defaults(self.layout.ndev());
+        ca_gmres::mpk::fastest_kernel(&mg, &self.a, &self.layout, s)
     }
 }
 

@@ -1,21 +1,33 @@
-//! The restart-cycle engine — the paper's Fig. 2 loop, written once.
+//! The restart loop and the cycle engine it drives — the paper's Fig. 2,
+//! written once for every CA-GMRES entry.
 //!
-//! One CA restart cycle builds the Krylov space in blocks: shape the block
-//! (`s` steps, or what is left of `m`), generate it with MPK or shifted
-//! SpMVs, orthogonalize it (BOrth + TSQR), extend the Hessenberg matrix,
-//! push the new columns through the Givens least-squares recurrence, and —
-//! once the target is met or `m` columns exist — solve for the update and
-//! apply it to `x`. [`run_cycle`] is that loop for every driver; what
-//! differs between drivers is plugged in as a [`CycleGuard`]:
+//! [`Solve::run`] drives restart cycles until the residual meets its target,
+//! the restart budget is spent, the solve stagnates or a breakdown is typed:
+//! first one standard GMRES cycle that harvests the Ritz values
+//! ([`crate::gmres::harvest_cycle`]), then CA cycles. One CA cycle
+//! ([`run_cycle`]) builds the Krylov space in blocks: shape the block (`s`
+//! steps, or what is left of `m`), generate it with MPK or shifted SpMVs,
+//! orthogonalize it (BOrth + TSQR), extend the Hessenberg matrix, push the
+//! new columns through the Givens least-squares recurrence, and — once the
+//! target is met or `m` columns exist — solve for the update and apply it
+//! to `x`.
 //!
-//! * the plain [`crate::cagmres::ca_gmres`] driver passes [`NoGuard`],
-//!   whose hooks are all no-ops;
-//! * the fault-tolerant driver passes its `FtGuard` (ABFT verification,
-//!   retry budget, health probe, basis monitor, escalation ladder, block
-//!   checkpoints).
+//! What differs between the entries is the [`CycleGuard`], every hook of
+//! which is a no-op by default, and whether the solve owns its system
+//! ([`Sys`]; only an owned system is ever rebuilt):
 //!
-//! The hook points are part of the contract — a guard sees the cycle at
-//! exactly these places, in this order, per block attempt:
+//! * [`crate::cagmres::ca_gmres`] runs the loop on the caller's system under
+//!   the plain guard, whose one in-cycle act is `adaptive_s`'s throttle;
+//! * [`crate::mixed::ca_gmres_mixed`] runs it on a system it built, where the
+//!   plain guard may also promote an f32 basis that broke down;
+//! * the fault-tolerant entries ([`crate::ft`]) run it on a system they
+//!   built under `FtGuard`: ABFT verification, retry budget, health probe,
+//!   basis monitor, escalation ladder and block checkpoints inside the
+//!   cycle; residual backstop, iterate checkpoint, watchdog, tuner,
+//!   rebalancer and the hand-back arms at its boundary.
+//!
+//! The cycle hook points are part of the contract — a guard sees the cycle
+//! at exactly these places, in this order, per block attempt:
 //!
 //! 1. [`CycleGuard::poll`] after the block's last generation kernel
 //!    (`MpkBlock`/`SpmvBlock`), then [`CycleGuard::after_generate`] (ABFT
@@ -29,30 +41,41 @@
 //!    pushed.
 //!
 //! The standard first cycle ([`crate::gmres::gmres_cycle`]) polls once per
-//! SpMV step through the same trait.
+//! SpMV step through the same trait. The restart hooks follow the loop:
+//! the initial residual, every system build, every CA cycle entered, every
+//! cycle finished, handed back or aborted by a fault, and every accepted
+//! restart boundary. Every rebuild ends in [`Solve::restore`]: the
+//! checkpointed iterate goes back up, then the interrupted cycle is
+//! re-entered at its last verified block or, without a checkpoint, the
+//! residual is recomputed and charged.
 //!
-//! Exactly one thing depends on *which* driver is calling, and it is a
-//! literal, not a knob: [`CycleGuard::FLATTEN`]. The plain driver flattens
+//! Exactly one thing depends on *which* guard is in charge, and it is a
+//! literal, not a knob: [`CycleGuard::FLATTEN`]. The plain guard flattens
 //! every clock (`MultiGpu::sync`) at phase boundaries so its per-phase
-//! times attribute cleanly; the fault-tolerant driver never did, and both
+//! times attribute cleanly; the fault-tolerant guard never did, and both
 //! clock sequences are pinned by golden digests. Phase attribution itself
 //! (`SolveStats::{t_spmv, t_small}`, the host phase spans) is the same for
 //! both — a boundary is a clock *read* either way.
 
-use crate::cagmres::TsqrErrorSample;
+use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode, TsqrErrorSample};
 use crate::ft::PollPoint;
+use crate::gmres::harvest_cycle;
 use crate::hess::BlockArnoldi;
-use crate::mpk::{mpk_prefetch, mpk_with_prefetch, spmv_block, PrefetchedHalo};
+use crate::layout::Layout;
+use crate::mpk::{mpk_prefetch, mpk_with_prefetch, spmv_block, PrefetchedHalo, SpmvFormat};
 use crate::newton::BasisSpec;
 use crate::orth::{self, tsqr_with_hook, BorthKind, OrthConfig, OrthError, PrefetchHook};
-use crate::stats::{PhaseTimer, SolveStats};
+use crate::stats::{BreakdownKind, PhaseTimer, SolveStats};
 use crate::system::System;
-use ca_dense::hessenberg::GivensLsq;
+use ca_dense::hessenberg::{Complex, GivensLsq};
 use ca_dense::{blas3, Mat};
 use ca_gpusim::faults::Result as GpuResult;
-use ca_gpusim::{MultiGpu, Schedule};
+use ca_gpusim::{GpuSimError, MultiGpu, Schedule};
 use ca_obs as obs;
+use ca_scalar::Precision;
+use ca_sparse::Csr;
 use obs::Track::Host as HOST;
+use std::ops::Deref;
 
 /// The explicit solve context threaded down the call chain: the executor,
 /// the distributed system, and what the solve accumulates.
@@ -123,8 +146,9 @@ pub(crate) enum Redo<H> {
     Break,
 }
 
-/// Per-driver hooks into [`run_cycle`]. Every default is a no-op, so the
-/// empty guard reproduces the unguarded loop.
+/// Per-entry hooks into [`run_cycle`] and the restart loop
+/// ([`Solve::run`]). Every default is a no-op, so the empty guard
+/// reproduces the unguarded loop.
 pub(crate) trait CycleGuard {
     /// Mid-cycle hand-back payload.
     type HandBack;
@@ -170,14 +194,57 @@ pub(crate) trait CycleGuard {
     ) -> Option<Self::HandBack> {
         None
     }
+
+    // --- restart hooks, called by the restart loop (`Solve::run`) ---
+
+    /// The explicit residual norm the solve starts from.
+    fn initial_residual(&mut self, cx: &mut SolveCtx<'_>) -> GpuResult<f64> {
+        residual(cx, Self::FLATTEN)
+    }
+
+    /// The solve (re)built its system for the operator `a`.
+    fn on_build(&mut self, _mg: &mut MultiGpu, _a: &Csr, _sys: &System) -> GpuResult<()> {
+        Ok(())
+    }
+
+    /// A CA cycle is about to run: fresh, or resumed at the checkpoint `ck`.
+    fn begin_cycle(&mut self, _sv: &Solve<'_>, _ck: Option<CycleCkpt>) {}
+
+    /// A cycle reached its restart boundary with explicit residual norm
+    /// `beta` (`implied` by the least squares). `false` rejects it: the
+    /// guard rolled the solve back, and the loop enters the next cycle from
+    /// there.
+    fn cycle_done(&mut self, _sv: &mut Solve<'_>, _beta: f64, _implied: f64) -> GpuResult<bool> {
+        Ok(true)
+    }
+
+    /// The cycle handed `h` back mid-flight: act on it (the loop then
+    /// enters the next cycle, or resumes this one from its checkpoint).
+    fn hand_back(&mut self, sv: &mut Solve<'_>, h: Self::HandBack) -> GpuResult<()>;
+
+    /// A fault escaped the cycle entered at `t_entry`; by default it ends
+    /// the solve.
+    fn on_fault(&mut self, _sv: &mut Solve<'_>, e: GpuSimError, _t_entry: f64) -> GpuResult<()> {
+        Err(e)
+    }
+
+    /// The restart boundary after an accepted cycle entered at `t_entry`.
+    fn at_boundary(&mut self, _sv: &mut Solve<'_>, _t_entry: f64) -> GpuResult<()> {
+        Ok(())
+    }
 }
 
-/// The empty guard of the plain driver.
+/// The empty guard: the standard GMRES baseline's, and the one a system
+/// build runs under when nothing rides along.
 pub(crate) struct NoGuard;
 
 impl CycleGuard for NoGuard {
     type HandBack = std::convert::Infallible;
     const FLATTEN: bool = true;
+
+    fn hand_back(&mut self, _: &mut Solve<'_>, h: Self::HandBack) -> GpuResult<()> {
+        match h {}
+    }
 }
 
 /// One attributed phase: a host span plus the simulated seconds between
@@ -617,6 +684,366 @@ pub(crate) fn orth_block<G: CycleGuard>(
     Ok((c_eff, r_eff))
 }
 
+/// Why `cfg` cannot run — on `sys`, when the caller supplies the system —
+/// or `None` when it can. Every entry asks before it touches a device.
+pub(crate) fn invalid(cfg: &CaGmresConfig, sys: Option<&System>) -> Option<String> {
+    let (s, m) = (cfg.s, cfg.m);
+    if s == 0 || m < s {
+        return Some(format!("need 1 <= s <= m, got s = {s}, m = {m}"));
+    }
+    let sys = sys?;
+    let plan_s = sys.mpk.as_ref().map_or(0, |st| st.plan.s);
+    if m > sys.m {
+        Some(format!("m = {m} exceeds the system's basis room of {}", sys.m))
+    } else if cfg.kernel == KernelMode::Mpk && s > 1 && plan_s < s {
+        Some(format!("MPK at s = {s} needs an s-step plan; the system's covers {plan_s} steps"))
+    } else {
+        None
+    }
+}
+
+/// The MPK step count a system for step size `s` loads a plan for (`None`:
+/// plain SpMV blocks).
+pub(crate) fn mpk_steps(kernel: KernelMode, s: usize) -> Option<usize> {
+    (s > 1 && kernel == KernelMode::Mpk).then_some(s)
+}
+
+/// The problem an owned system is built from, kept to rebuild it.
+#[derive(Clone, Copy)]
+pub(crate) struct Operator<'a> {
+    /// The operator, already reordered to match every layout it is built on.
+    pub a: &'a Csr,
+    pub b: &'a [f64],
+    pub format: SpmvFormat,
+}
+
+impl Operator<'_> {
+    /// Stage the system on `layout` at step size `s` and MPK precision
+    /// `prec`, with the right-hand side loaded, and let `guard` add what it
+    /// keeps per system.
+    pub(crate) fn build<G: CycleGuard>(
+        &self,
+        mg: &mut MultiGpu,
+        layout: Layout,
+        cfg: &CaGmresConfig,
+        (s, prec): (usize, Precision),
+        guard: &mut G,
+    ) -> GpuResult<System> {
+        let steps = mpk_steps(cfg.kernel, s);
+        let sys = System::with_format(mg, self.a, layout, cfg.m, steps, self.format, prec)?;
+        sys.load_rhs(mg, self.b)?;
+        guard.on_build(mg, self.a, &sys)?;
+        Ok(sys)
+    }
+}
+
+/// The system a solve runs on.
+// one per solve, built once and moved rarely: boxing the owned variant
+// would only add an allocation beside the system's long-lived arrays
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Sys<'a> {
+    /// The caller's, never rebuilt.
+    Borrowed(&'a System),
+    /// Built by the solve from the operator beside it; a rebuild (device
+    /// loss, repartition, precision promotion) replaces it.
+    Owned(System, Operator<'a>),
+}
+
+impl Deref for Sys<'_> {
+    type Target = System;
+
+    fn deref(&self) -> &System {
+        match self {
+            Sys::Borrowed(sys) => sys,
+            Sys::Owned(sys, _) => sys,
+        }
+    }
+}
+
+impl<'a> Sys<'a> {
+    /// The operator an owned system was built from.
+    pub(crate) fn operator(&self) -> Operator<'a> {
+        match self {
+            Sys::Owned(_, op) => *op,
+            Sys::Borrowed(_) => unreachable!("only an owned system is rebuilt"),
+        }
+    }
+
+    /// The system, when the solve owns it.
+    pub(crate) fn into_owned(self) -> Option<System> {
+        match self {
+            Sys::Owned(sys, _) => Some(sys),
+            Sys::Borrowed(_) => None,
+        }
+    }
+}
+
+/// Where an interrupted cycle resumes. `reupload` is false when the
+/// executor survived untouched (a basis switch, a hysteresis-rejected
+/// rebalance): the device-resident basis columns are still valid, so the
+/// resume is free.
+pub(crate) struct Resume {
+    pub ck: CycleCkpt,
+    pub reupload: bool,
+}
+
+/// One solve: the machine it runs on, what is in effect right now (step
+/// size, precision, basis family, shift schedule), the residual the next
+/// cycle starts from, the checkpoint it resumes at, the last accepted
+/// iterate, and what the solve accumulates.
+pub(crate) struct Solve<'a> {
+    /// The executor; a rebuild replaces it.
+    pub mg: &'a mut MultiGpu,
+    pub sys: Sys<'a>,
+    pub cfg: &'a CaGmresConfig,
+    pub orth: OrthConfig,
+    /// Ritz values the first cycle harvests (an argument of the entry).
+    pub ritz: usize,
+    /// Step size in effect; a retune may change it.
+    pub s_cur: usize,
+    /// Basis precision in effect; the Promote rung raises it.
+    pub prec_cur: Precision,
+    /// Basis family in effect; the BasisSwitch rung moves a monomial solve
+    /// onto the harvested Newton shifts.
+    pub basis_cur: BasisChoice,
+    pub shifts: Option<Vec<Complex>>,
+    pub spec_full: BasisSpec,
+    pub harvested: bool,
+    /// Explicit residual norm the solve started from.
+    pub beta0: f64,
+    /// Explicit residual norm the next cycle starts from.
+    pub beta: f64,
+    /// Checkpoint to re-enter an interrupted cycle at (`None`: the next
+    /// cycle starts fresh).
+    pub resume: Option<Resume>,
+    /// Last accepted iterate, the one every rebuild restores (a guard that
+    /// does not checkpoint it fills it before it rebuilds).
+    pub x_ckpt: Vec<f64>,
+    pub stats: SolveStats,
+    /// Fig. 13 TSQR error samples, when requested.
+    pub tsqr_errors: Option<Vec<TsqrErrorSample>>,
+    /// Executor rebuilds so far.
+    pub rebuilds: usize,
+}
+
+impl<'a> Solve<'a> {
+    /// A solve of `cfg` on `sys` and `mg` at step size `s`, harvesting
+    /// `ritz` Ritz values, before anything ran.
+    pub(crate) fn new(
+        mg: &'a mut MultiGpu,
+        sys: Sys<'a>,
+        cfg: &'a CaGmresConfig,
+        orth: OrthConfig,
+        (s, ritz): (usize, usize),
+    ) -> Self {
+        Self {
+            mg,
+            sys,
+            cfg,
+            orth,
+            ritz,
+            s_cur: s,
+            prec_cur: cfg.mpk_prec,
+            basis_cur: cfg.basis,
+            shifts: None,
+            spec_full: BasisSpec::monomial(s),
+            harvested: false,
+            beta0: 0.0,
+            beta: 0.0,
+            resume: None,
+            x_ckpt: Vec::new(),
+            stats: SolveStats::default(),
+            tsqr_errors: cfg.capture_tsqr_errors.then(Vec::new),
+            rebuilds: 0,
+        }
+    }
+
+    fn ctx(&mut self) -> SolveCtx<'_> {
+        SolveCtx {
+            mg: &mut *self.mg,
+            sys: &self.sys,
+            stats: &mut self.stats,
+            tsqr_errors: self.tsqr_errors.as_mut(),
+        }
+    }
+
+    /// The restart loop. What the guard does not absorb escapes as an
+    /// error (a fault it declines, a fault during recovery itself);
+    /// otherwise the loop ends on convergence, an exhausted budget,
+    /// stagnation or a typed breakdown, with `converged` and
+    /// `final_relres` set.
+    pub(crate) fn run<G: CycleGuard>(&mut self, guard: &mut G) -> GpuResult<()> {
+        let beta0 = guard.initial_residual(&mut self.ctx())?;
+        (self.beta0, self.beta) = (beta0, beta0);
+        let target = self.cfg.rtol * beta0;
+        while self.beta > target && self.stats.restarts < self.cfg.max_restarts {
+            let t_entry = self.mg.time();
+            match self.cycle(target, guard) {
+                Ok(CycleEnd::Done { implied, k_used, span }) => {
+                    let beta = self.end_cycle::<G>(span)?;
+                    if !guard.cycle_done(self, beta, implied)? {
+                        continue;
+                    }
+                    self.beta = beta;
+                    if self.stats.breakdown.is_some() || k_used == 0 {
+                        break; // numerical breakdown or stagnation: stop honestly
+                    }
+                }
+                Ok(CycleEnd::OrthFailed { column, err }) => {
+                    let reason = err.to_string();
+                    self.stats.breakdown =
+                        Some(BreakdownKind::Orthogonalization { column, reason });
+                    break;
+                }
+                Ok(CycleEnd::HandBack(h)) => {
+                    guard.hand_back(self, h)?;
+                    continue;
+                }
+                Err(e) => {
+                    guard.on_fault(self, e, t_entry)?;
+                    continue;
+                }
+            }
+            guard.at_boundary(self, t_entry)?;
+        }
+        self.stats.converged = self.beta <= target;
+        self.stats.final_relres = if beta0 > 0.0 { self.beta / beta0 } else { 0.0 };
+        Ok(())
+    }
+
+    /// One restart cycle under `guard`: the standard first cycle, which
+    /// harvests the Ritz values, until they exist; after that a CA cycle,
+    /// entered fresh from `self.beta` or at the checkpoint in
+    /// `self.resume`. Under the plain guard this is
+    /// [`crate::cagmres::ca_cycle`].
+    pub(crate) fn cycle<G: CycleGuard>(
+        &mut self,
+        target: f64,
+        guard: &mut G,
+    ) -> GpuResult<CycleEnd<G::HandBack>> {
+        let (cfg, beta) = (self.cfg, self.beta);
+        if !self.harvested {
+            debug_assert!(self.resume.is_none(), "block checkpoints exist only in CA cycles");
+            let sr = (self.s_cur, self.ritz);
+            let (cycle, shifts, spec) =
+                harvest_cycle(&mut self.ctx(), cfg, sr, (beta, target), guard)?;
+            (self.shifts, self.spec_full, self.harvested) = (shifts, spec, true);
+            let span = obs::SpanId::NONE; // the standard cycle closed its own
+            return Ok(CycleEnd::Done { implied: cycle.implied, k_used: cycle.k_used, span });
+        }
+        let state = match self.resume.take() {
+            Some(Resume { ck, reupload }) => {
+                if reupload {
+                    ck.restore(self.mg, &self.sys)?;
+                }
+                let state = CycleState::resume(self.mg, &ck);
+                guard.begin_cycle(self, Some(ck));
+                Some(state)
+            }
+            None => {
+                guard.begin_cycle(self, None);
+                None
+            }
+        };
+        let p = CycleParams {
+            m: cfg.m,
+            s: self.s_cur,
+            spec: &self.spec_full,
+            orth: &self.orth,
+            use_mpk: cfg.kernel == KernelMode::Mpk && self.sys.mpk.is_some() && self.s_cur > 1,
+            prefetch: cfg.prefetch,
+            target,
+        };
+        let mut cx = SolveCtx {
+            mg: &mut *self.mg,
+            sys: &self.sys,
+            stats: &mut self.stats,
+            tsqr_errors: self.tsqr_errors.as_mut(),
+        };
+        run_cycle(&mut cx, &p, beta, state, guard)
+    }
+
+    /// The explicit residual norm that closes a finished cycle, inside its
+    /// `cycle` span.
+    pub(crate) fn end_cycle<G: CycleGuard>(&mut self, span: obs::SpanId) -> GpuResult<f64> {
+        let beta = residual(&mut self.ctx(), G::FLATTEN)?;
+        obs::span_end(span, self.mg.time());
+        Ok(beta)
+    }
+
+    /// Rebuild the executor and the system on `layout`, preserving
+    /// simulated time, schedule policy, and accumulated traffic counters.
+    /// `lost` names dead devices, whose pending loss and perf faults are
+    /// stripped from the reinstalled plan (empty: the plan is reinstalled
+    /// verbatim). A fresh executor also resets the op counters and health
+    /// EWMAs, so post-rebuild health reflects the new partition rather than
+    /// stale history.
+    pub(crate) fn rebuild<G: CycleGuard>(
+        &mut self,
+        layout: Layout,
+        lost: &[usize],
+        guard: &mut G,
+    ) -> GpuResult<()> {
+        self.rebuilds += 1;
+        let mg = &mut *self.mg;
+        let t_now = mg.time();
+        let plan = mg.fault_plan().cloned();
+        let schedule = mg.schedule();
+        let prior = mg.counters();
+        let prior_reclaimed = mg.time_reclaimed();
+        *mg = MultiGpu::new(layout.ndev(), mg.model().clone(), mg.config);
+        mg.set_schedule(schedule); // rebuilt executor keeps the policy
+        mg.fast_forward(t_now);
+        mg.absorb_counters(prior);
+        mg.absorb_time_reclaimed(prior_reclaimed);
+        if let Some(p) = plan {
+            // a loss already happened; survivors keep the rest of the plan
+            // (SDC, transfer faults) active
+            let p = if lost.is_empty() { p } else { p.without_device_loss() };
+            mg.set_fault_plan(lost.iter().fold(p, |p, &d| p.without_perf_faults_on(d)));
+        }
+        let op = self.sys.operator();
+        let sys = op.build(mg, layout, self.cfg, (self.s_cur, self.prec_cur), guard)?;
+        self.sys = Sys::Owned(sys, op);
+        Ok(())
+    }
+
+    /// Last step of every rebuild (and of a backstop rollback): restore the
+    /// checkpointed iterate, then either re-enter the interrupted cycle at
+    /// `ck`'s last verified block (its columns re-uploaded) or — no
+    /// checkpoint: the same global problem, the same target — recompute
+    /// (and charge) where we are.
+    pub(crate) fn restore(&mut self, ck: Option<CycleCkpt>) -> GpuResult<()> {
+        self.sys.upload_x(self.mg, &self.x_ckpt)?;
+        match ck {
+            Some(ck) => self.resume = Some(Resume { ck, reupload: true }),
+            None => self.beta = self.sys.residual_norm(self.mg)?,
+        }
+        Ok(())
+    }
+
+    /// The precision-promotion rung, whichever guard climbs it: the basis
+    /// goes f32 → f64 — a rebuild on the same layout, slice re-upload
+    /// charged — and the solve resumes at `ck` or, without one, from the
+    /// last accepted iterate.
+    pub(crate) fn promote<G: CycleGuard>(
+        &mut self,
+        ck: Option<CycleCkpt>,
+        guard: &mut G,
+    ) -> GpuResult<()> {
+        obs::instant_cause(
+            "ft.escalate",
+            obs::Track::Host,
+            self.mg.time(),
+            "basis precision promoted f32 -> f64 after condition trigger",
+        );
+        self.prec_cur = Precision::F64;
+        let layout = self.sys.layout.clone();
+        self.rebuild(layout, &[], guard)?;
+        self.restore(ck)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,6 +1083,10 @@ mod tests {
     impl CycleGuard for Fake {
         type HandBack = CycleCkpt;
         const FLATTEN: bool = true;
+
+        fn hand_back(&mut self, _: &mut Solve<'_>, _: CycleCkpt) -> GpuResult<()> {
+            unreachable!("the cycle tests run single cycles, not the restart loop")
+        }
 
         fn poll(&mut self, _mg: &mut MultiGpu, at: PollPoint) -> GpuResult<()> {
             self.log.push(format!("poll:{at:?}"));

@@ -1,7 +1,7 @@
-//! Fault-tolerant CA-GMRES driver.
+//! Fault-tolerant CA-GMRES.
 //!
-//! Wraps the CA-GMRES cycle structure with three protection layers
-//! against the faults [`ca_gpusim::FaultPlan`] can inject:
+//! Wraps the CA-GMRES cycle structure with five protection layers against
+//! the faults [`ca_gpusim::FaultPlan`] can inject:
 //!
 //! 1. **ABFT detection** — every MPK/SpMV block is verified against the
 //!    checksum identity `1ᵀv_{k+1} = scale·(cᵀv_k − re·1ᵀv_k) +
@@ -47,24 +47,27 @@
 //!    full), so recovery rolls the cycle back to the failed block, not
 //!    its start. A straggler caught mid-flight triggers an immediate
 //!    repartition of the remaining rows ([`Layout::proportional_nnz`],
-//!    or the [`RestartTuner::replan_midcycle`] hook when autotuning).
+//!    or the [`RestartTuner::replan_midcycle`] hook of a passed tuner).
 //!    Detection latency and work lost to rollback are recorded in
 //!    [`FtReport`] and the `ft.detection_latency_s` histogram.
 //!
-//! Unsupported solver options (documented simplifications): the FT driver
-//! always resolves [`KernelMode::Auto`] to MPK-if-available, and ignores
-//! `adaptive_s`, `prefetch` and `capture_tsqr_errors` — a *numerical* breakdown (as
-//! opposed to an injected fault) aborts with `stats.breakdown` set, like
-//! non-adaptive CA-GMRES.
+//! The solve is the crate's one restart loop (`cycle.rs`) on a system it
+//! builds, under the fault-tolerant guard, `FtGuard`: the layers above are
+//! its cycle hooks (ABFT, probe, monitor, ladder, block checkpoints) and its
+//! restart hooks (residual backstop and iterate checkpoint, watchdog,
+//! tuner, rebalancer, and the hand-back arms for device loss, mid-cycle
+//! rebalance and escalation). A numerical breakdown the ladder does not
+//! recover (or an unarmed ladder) ends the solve with `stats.breakdown`
+//! typed.
 
-use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode};
+use crate::cagmres::{BasisChoice, CaGmresConfig};
 use crate::cycle::{
-    residual, run_cycle, Block, CycleCkpt, CycleEnd, CycleGuard, CycleParams, CycleState, Redo,
-    SolveCtx, Verdict,
+    invalid, mpk_steps, Block, CycleCkpt, CycleGuard, CycleState, Operator, Redo, Resume, Solve,
+    SolveCtx, Sys, Verdict,
 };
-use crate::gmres::harvest_cycle;
-use crate::health::{EscalationEvent, EscalationRung, Ladder, MonitorState};
+use crate::health::{throttled, EscalationEvent, EscalationRung, Ladder, MonitorState};
 use crate::layout::Layout;
+use crate::mpk::SpmvFormat;
 use crate::newton::BasisSpec;
 use crate::orth::{checksums_agree, OrthConfig, OrthError};
 use crate::stats::{BreakdownKind, SolveStats};
@@ -246,10 +249,9 @@ pub struct RetuneDecision {
 /// Restart-boundary re-planning hook (tentpole layer 3 of the `ca-tune`
 /// subsystem, which provides the cost-model-driven implementation).
 ///
-/// When [`CaGmresConfig::autotune`] is set and a tuner is passed to
-/// [`ca_gmres_ft_with_tuner`], the driver calls `replan` at every restart
-/// boundary (after the watchdog, instead of the throughput rebalancer)
-/// with the live health telemetry. Returning `None` — which any
+/// When a tuner is passed to [`ca_gmres_ft_session`], the driver calls
+/// `replan` at every restart boundary (after the watchdog, instead of the
+/// throughput rebalancer) with the live health telemetry. Returning `None` — which any
 /// implementation must do while the report shows a perfectly healthy
 /// machine, to preserve the fault-plan invisibility contract — leaves the
 /// solve untouched. Returning a [`RetuneDecision`] that differs from the
@@ -391,7 +393,7 @@ struct ProbeState {
     /// Machine time at the previous poll — the left edge of the latency
     /// bracket for anything detected at the next poll.
     last_poll_t: f64,
-    escalations: usize,
+    /// Devices escalated from hung to lost, in order.
     escalated: Vec<usize>,
     latencies: Vec<f64>,
     straggler_pending: Option<(usize, f64)>,
@@ -422,26 +424,12 @@ impl ProbeState {
                 self.polls += 1;
                 self.last_poll_t = t_det;
                 for &d in &hung {
-                    self.escalations += 1;
                     self.escalated.push(d);
-                    self.latencies.push(latency);
+                    detected(&mut self.latencies, t_det, latency, || {
+                        format!("in-cycle probe at {} caught hung device {d}", point.label())
+                    });
                 }
-                if obs::enabled() {
-                    for &d in &hung {
-                        obs::instant_cause(
-                            "ft.detect",
-                            HOST,
-                            t_det,
-                            &format!(
-                                "in-cycle probe at {} caught hung device {d}; \
-                                 detection latency {latency:.6}s",
-                                point.label()
-                            ),
-                        );
-                        obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
-                    }
-                    obs::counter_add(obs::names::FT_IN_CYCLE_ESCALATIONS, hung.len() as u64);
-                }
+                obs::counter_add(obs::names::FT_IN_CYCLE_ESCALATIONS, hung.len() as u64);
                 return Err(GpuSimError::DeviceLost { device: hung[0] });
             }
         }
@@ -461,21 +449,13 @@ impl ProbeState {
                     let latency = (now - self.last_poll_t).max(0.0);
                     self.straggler_pending = Some((device, imbalance));
                     self.straggler_latched = true;
-                    self.latencies.push(latency);
-                    if obs::enabled() {
-                        obs::instant_cause(
-                            "ft.detect",
-                            HOST,
-                            now,
-                            &format!(
-                                "in-cycle probe at {} flagged straggler device {device} \
-                                 (imbalance {imbalance:.3} > {threshold:.3}); \
-                                 detection latency {latency:.6}s",
-                                point.label()
-                            ),
-                        );
-                        obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
-                    }
+                    detected(&mut self.latencies, now, latency, || {
+                        format!(
+                            "in-cycle probe at {} flagged straggler device {device} \
+                             (imbalance {imbalance:.3} > {threshold:.3})",
+                            point.label()
+                        )
+                    });
                 }
             }
         }
@@ -489,6 +469,17 @@ impl ProbeState {
     fn unlatch(&mut self) {
         self.straggler_latched = false;
         self.straggler_pending = None;
+    }
+}
+
+/// Book a detection made `latency` simulated seconds after the last health
+/// observation, announced at `t` with the `ft.detect` cause `why`.
+fn detected(latencies: &mut Vec<f64>, t: f64, latency: f64, why: impl FnOnce() -> String) {
+    latencies.push(latency);
+    if obs::enabled() {
+        let why = format!("{}; detection latency {latency:.6}s", why());
+        obs::instant_cause("ft.detect", HOST, t, &why);
+        obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
     }
 }
 
@@ -578,24 +569,11 @@ impl AbftState {
 /// Solve `A x = b` with fault-tolerant CA-GMRES, consuming the supplied
 /// multi-GPU context (device loss may force the driver to rebuild it on
 /// the survivors). `a` is distributed by [`Layout::even`] over however
-/// many devices `mg` holds.
+/// many devices `mg` holds. Exactly [`ca_gmres_ft_session`] with no tuner
+/// and no resident state.
 pub fn ca_gmres_ft(mg: MultiGpu, a: &Csr, b: &[f64], cfg: &FtConfig) -> FtOutcome {
-    ca_gmres_ft_with_tuner(mg, a, b, cfg, None)
-}
-
-/// [`ca_gmres_ft`] with an optional restart-boundary [`RestartTuner`].
-/// The tuner is consulted only when [`CaGmresConfig::autotune`] is also
-/// set; `ca_gmres_ft(..)` is exactly `ca_gmres_ft_with_tuner(.., None)`.
-pub fn ca_gmres_ft_with_tuner(
-    mg: MultiGpu,
-    a: &Csr,
-    b: &[f64],
-    cfg: &FtConfig,
-    tuner: Option<&mut dyn RestartTuner>,
-) -> FtOutcome {
     let mut mg = mg;
-    let (out, _resident) = ca_gmres_ft_session(&mut mg, a, b, cfg, tuner, None, false);
-    out
+    ca_gmres_ft_session(&mut mg, a, b, cfg, None, None, false).0
 }
 
 /// Device-resident solver state held *between* solves of the same matrix:
@@ -613,30 +591,25 @@ pub fn ca_gmres_ft_with_tuner(
 pub struct ResidentSystem {
     sys: System,
     abft: Option<AbftState>,
-    /// Global dimension the system was built for.
-    pub n: usize,
-    /// Restart length `m` (fixes the basis-matrix column count).
-    pub m: usize,
-    /// MPK step size the plans were analyzed for (`None`: plain SpMV).
-    pub s_opt: Option<usize>,
-    /// Precision of the MPK slices and halos.
-    pub prec: ca_scalar::Precision,
-    /// Device count of the pool the allocations live on.
-    pub ndev: usize,
+    /// Precision of the MPK slices and halos the solve ended on (the
+    /// configured one when there is no MPK state).
+    prec: Precision,
 }
 
 impl ResidentSystem {
     /// Whether this state can serve a solve of an `n`-row matrix under
-    /// `cfg` on an `ndev`-device pool. The effective step size must be
-    /// computed by the caller exactly as the driver does (including any
-    /// fault-plan forced `s`), so the check lives next to the one place
-    /// that knows: [`ca_gmres_ft_session`] re-derives it before calling.
+    /// `cfg` on an `ndev`-device pool, with an MPK plan for `s_opt` steps
+    /// (`None`: plain SpMV). The effective step size must be computed by
+    /// the caller exactly as the driver does (including any fault-plan
+    /// forced `s`), so the check lives next to the one place that knows:
+    /// [`ca_gmres_ft_session`] re-derives it before calling.
     pub fn compatible(&self, n: usize, cfg: &FtConfig, s_opt: Option<usize>, ndev: usize) -> bool {
-        self.n == n
-            && self.m == cfg.solver.m
-            && self.s_opt == s_opt
+        let sys = &self.sys;
+        sys.n == n
+            && sys.m == cfg.solver.m
+            && sys.mpk.as_ref().map(|st| st.plan.s) == s_opt
             && self.prec == cfg.solver.mpk_prec
-            && self.ndev == ndev
+            && sys.layout.ndev() == ndev
             && self.abft.is_some() == cfg.abft_spmv
     }
 
@@ -650,12 +623,6 @@ impl ResidentSystem {
     }
 }
 
-/// MPK step option for step size `s` under `cfg` (`None`: plain SpMV
-/// blocks, no MPK plan).
-fn mpk_steps(cfg: &FtConfig, s: usize) -> Option<usize> {
-    (s > 1 && !matches!(cfg.solver.kernel, KernelMode::Spmv)).then_some(s)
-}
-
 /// Step size a solve of `cfg` on `mg` starts with: the configured one, or
 /// the (possibly cap-violating) one a fault plan forces onto the solve —
 /// the numerical-health ladder is what is supposed to rescue that.
@@ -666,19 +633,21 @@ fn effective_s(mg: &MultiGpu, cfg: &FtConfig) -> usize {
     }
 }
 
-/// Re-entrant fault-tolerant solve: [`ca_gmres_ft_with_tuner`] against a
-/// *borrowed* executor, with optional reuse of a [`ResidentSystem`] from
-/// a previous solve of the same matrix.
+/// Re-entrant fault-tolerant solve against a *borrowed* executor, with an
+/// optional restart-boundary [`RestartTuner`] and optional reuse of a
+/// [`ResidentSystem`] from a previous solve of the same matrix.
 ///
 /// With `resident == None` and `rhs_precharged == false` this is
-/// bit-identical to [`ca_gmres_ft_with_tuner`] — same kernels, same
-/// clocks, same counters. A compatible `resident` skips the basis/plan
-/// allocation and slice staging (the warm-operator path); an incompatible
-/// one is released (freeing its device memory) and the state is rebuilt
-/// from scratch. `rhs_precharged` installs the right-hand side with
-/// [`System::set_rhs_uncharged`] — for callers that already charged an
-/// aggregated multi-RHS upload — instead of the per-solve charged
-/// [`System::load_rhs`].
+/// bit-identical to [`ca_gmres_ft`] on the same machine — same kernels,
+/// same clocks, same counters. A compatible `resident` skips the
+/// basis/plan allocation and slice staging (the warm-operator path); an
+/// incompatible one is released (freeing its device memory) and the state
+/// is rebuilt from scratch. `rhs_precharged` installs the right-hand side
+/// with [`System::set_rhs_uncharged`] — for callers that already charged
+/// an aggregated multi-RHS upload — instead of the per-solve charged
+/// [`System::load_rhs`]. A configuration that cannot run returns
+/// `stats.breakdown` = [`BreakdownKind::InvalidInput`] and hands
+/// `resident` back untouched.
 ///
 /// Returns the refreshed resident state after the solve so the caller can
 /// keep the operator warm. `None` when the solve aborted on an
@@ -696,10 +665,18 @@ pub fn ca_gmres_ft_session(
     resident: Option<ResidentSystem>,
     rhs_precharged: bool,
 ) -> (FtOutcome, Option<ResidentSystem>) {
-    assert_eq!(a.nrows(), b.len());
-    let s_opt = mpk_steps(cfg, effective_s(mg, cfg));
+    let (n, solver) = (a.nrows(), &cfg.solver);
+    let rhs = (b.len() != n).then(|| format!("b has {} rows, A has {n}", b.len()));
+    if let Some(reason) = invalid(solver, None).or(rhs) {
+        let report = FtReport::default();
+        return (
+            FtOutcome { stats: SolveStats::invalid(reason), report, x: vec![0.0; n] },
+            resident,
+        );
+    }
+    let s = effective_s(mg, cfg);
     let init = match resident {
-        Some(r) if r.compatible(a.nrows(), cfg, s_opt, mg.n_gpus()) => Some((r.sys, r.abft)),
+        Some(r) if r.compatible(n, cfg, mpk_steps(solver.kernel, s), mg.n_gpus()) => Some(r),
         Some(r) => {
             r.release(mg); // stale shape: evict rather than mis-solve
             None
@@ -708,31 +685,46 @@ pub fn ca_gmres_ft_session(
     };
     mg.sync();
     let t_begin = mg.time();
-    let mut solve = FtSolve::new(mg, a, b, cfg, t_begin);
-    let ran = solve.run(mg, tuner, init, rhs_precharged);
-    let FtSolve { mut stats, x_ckpt, guard, .. } = solve;
-    let FtGuard { mut report, probe, monitor, abft, .. } = guard;
-    if let Some(ps) = probe {
-        report.in_cycle_polls = ps.polls;
-        report.in_cycle_escalations = ps.escalations;
-        report.detection_latency_s.extend(ps.latencies);
-    }
-    if let Some(ms) = monitor {
-        report.cond_trajectory = ms.trajectory;
-        report.cond_checks = ms.records;
-    }
+    let mut guard = FtGuard::new(cfg, tuner, t_begin, s);
+    let op = Operator { a, b, format: SpmvFormat::Ell };
+    let built = match init {
+        // the warm operator (already verified compatible): skip allocation
+        // and staging, just install the new right-hand side
+        Some(ResidentSystem { sys, abft, .. }) => {
+            guard.abft = abft;
+            if rhs_precharged {
+                sys.set_rhs_uncharged(mg, b);
+                Ok(sys)
+            } else {
+                sys.load_rhs(mg, b).map(|()| sys)
+            }
+        }
+        None => {
+            op.build(mg, Layout::even(n, mg.n_gpus()), solver, (s, solver.mpk_prec), &mut guard)
+        }
+    };
+    let orth = OrthConfig { abft: cfg.abft_orth, ..solver.orth };
+    let (ran, mut stats, x) = match built {
+        Ok(sys) => {
+            // every Ritz value the first cycle has, whatever the basis: the
+            // BasisSwitch rung may want them later
+            let mut sv = Solve::new(mg, Sys::Owned(sys, op), solver, orth, (s, solver.m));
+            // an `FtOutcome` has no place for Fig. 13 samples: take none
+            (sv.x_ckpt, sv.tsqr_errors) = (vec![0.0; n], None);
+            let ran = sv.run(&mut guard);
+            guard.report.executor_rebuilds = sv.rebuilds;
+            (ran.map(|()| sv.sys.into_owned()), sv.stats, sv.x_ckpt)
+        }
+        Err(e) => (Err(e), SolveStats::default(), vec![0.0; n]),
+    };
     // package the final device state for the caller's residency manager;
     // the shape keys reflect what the solve *ended* with (a mid-solve
     // retune/promotion/degradation rebuilt the system with new parameters)
     let resident_out = match ran {
-        Ok(sys) => Some(ResidentSystem {
-            n: sys.n,
-            m: sys.m,
-            s_opt: sys.mpk.as_ref().map(|st| st.plan.s),
-            prec: sys.mpk.as_ref().map_or(cfg.solver.mpk_prec, |st| st.prec),
-            ndev: sys.layout.ndev(),
-            sys,
-            abft,
+        Ok(sys) => sys.map(|sys| {
+            guard.report.layout_final = sys.layout.starts.clone();
+            let prec = sys.mpk.as_ref().map_or(solver.mpk_prec, |st| st.prec);
+            ResidentSystem { sys, abft: guard.abft.take(), prec }
         }),
         Err(e) => {
             stats.breakdown = Some(BreakdownKind::from(e));
@@ -740,6 +732,16 @@ pub fn ca_gmres_ft_session(
             None
         }
     };
+    let FtGuard { mut report, probe, monitor, .. } = guard;
+    if let Some(ps) = probe {
+        report.in_cycle_polls = ps.polls;
+        report.in_cycle_escalations = ps.escalated.len();
+        report.detection_latency_s.extend(ps.latencies);
+    }
+    if let Some(ms) = monitor {
+        report.cond_trajectory = ms.trajectory;
+        report.cond_checks = ms.records;
+    }
     stats.close(mg, t_begin);
     stats.t_reclaimed = mg.time_reclaimed();
     report.transfer_retries = mg.counters().transfer_retries;
@@ -752,7 +754,7 @@ pub fn ca_gmres_ft_session(
         obs::gauge_set(obs::names::FT_S_FINAL, report.s_final as f64);
         obs::gauge_set(obs::names::FT_NDEV_FINAL, report.ndev_final as f64);
     }
-    (FtOutcome { stats, report, x: x_ckpt }, resident_out)
+    (FtOutcome { stats, report, x }, resident_out)
 }
 
 /// Migration payload of moving from layout `old` to `new`: matrix entries
@@ -786,646 +788,22 @@ enum FtHandBack {
     /// repartition the remaining work and resume from the checkpoint.
     Rebalance { device: usize, imbalance: f64, ck: CycleCkpt },
     /// The numerical-health ladder needs a structural action only the
-    /// driver can take (basis switch or precision promotion). The
+    /// restart loop can take (basis switch or precision promotion). The
     /// triggering [`EscalationEvent`] is already recorded; `ck` (when a
-    /// checkpoint exists) lets the driver resume the cycle at its last
+    /// checkpoint exists) lets the loop resume the cycle at its last
     /// verified block after applying the action.
     Escalate { rung: EscalationRung, ck: Option<CycleCkpt> },
 }
 
-/// Hand-back state for resuming an interrupted cycle. `reupload` is false
-/// when the executor survived untouched (e.g. a hysteresis-rejected
-/// rebalance): device-resident basis columns are still valid, so the
-/// resume is free.
-struct Resume {
-    ck: CycleCkpt,
-    reupload: bool,
-}
-
-/// Explicit state of one fault-tolerant solve: what is in effect right now
-/// (step size, precision, basis family, shift schedule), the budgets, the
-/// last accepted iterate, and everything the solve reports. The
-/// distributed [`System`] itself is threaded through by the driver loop —
-/// it only exists once the first build succeeded.
-struct FtSolve<'a> {
-    a: &'a Csr,
-    b: &'a [f64],
+/// The fault-tolerant driver's [`CycleGuard`]. Inside a cycle: ABFT
+/// verification and its retry budget, numerical fault injection, the
+/// health probe, the basis monitor, the escalation ladder and its budget,
+/// the block checkpoint. At restart boundaries: the residual backstop and
+/// the iterate checkpoint, the watchdog, the tuner and the rebalancer, and
+/// the hand-back arms. Plus the report all of it writes.
+struct FtGuard<'a, 't> {
     cfg: &'a FtConfig,
-    /// Step size currently in effect; a retune may change it mid-solve.
-    s_cur: usize,
-    /// Basis precision currently in effect; the Promote rung raises it.
-    prec_cur: Precision,
-    /// Basis family currently in effect; the BasisSwitch rung moves a
-    /// monomial solve onto the harvested Newton shifts (and later re-plans
-    /// re-derive the spec from this, not the original config).
-    basis_cur: BasisChoice,
-    orth: OrthConfig,
-    shifts: Option<Vec<ca_dense::hessenberg::Complex>>,
-    spec_full: BasisSpec,
-    harvested: bool,
-    /// Cycle redos left to the residual backstop.
-    redo_budget: usize,
-    /// Explicit residual norm the next cycle starts from.
-    beta: f64,
-    /// Checkpoint to re-enter an interrupted cycle at its last verified
-    /// block (`None`: the next cycle starts fresh).
-    resume: Option<Resume>,
-    /// Last accepted iterate; also the rollback target of every recovery.
-    x_ckpt: Vec<f64>,
-    stats: SolveStats,
-    guard: FtGuard<'a>,
-}
-
-impl<'a> FtSolve<'a> {
-    fn new(mg: &MultiGpu, a: &'a Csr, b: &'a [f64], cfg: &'a FtConfig, t_begin: f64) -> Self {
-        let scfg = &cfg.solver;
-        assert!(scfg.s >= 1 && scfg.m >= scfg.s);
-        let s_cur = effective_s(mg, cfg);
-        Self {
-            a,
-            b,
-            cfg,
-            s_cur,
-            prec_cur: scfg.mpk_prec,
-            basis_cur: scfg.basis,
-            orth: OrthConfig { abft: cfg.abft_orth, ..scfg.orth },
-            shifts: None,
-            spec_full: BasisSpec::monomial(s_cur),
-            harvested: false,
-            redo_budget: cfg.recompute.retries(),
-            beta: 0.0,
-            resume: None,
-            x_ckpt: vec![0.0f64; a.nrows()],
-            stats: SolveStats::default(),
-            guard: FtGuard {
-                cfg,
-                abft: None,
-                probe: cfg.probe.as_ref().map(|p| ProbeState::new(p, t_begin)),
-                monitor: cfg.ladder.as_ref().map(|l| MonitorState::new(&l.monitor)),
-                ladder_budget: cfg.ladder.as_ref().map_or(0, |l| l.max_escalations),
-                blocks_generated: 0,
-                ckpt: None,
-                reorth_used: false,
-                can_switch_basis: false,
-                can_promote: false,
-                report: FtReport { ndev_final: mg.n_gpus(), s_final: s_cur, ..Default::default() },
-            },
-        }
-    }
-
-    /// Build the distributed system — or adopt the warm operator handed in
-    /// by the caller (already verified compatible): skip allocation and
-    /// staging, just install the new right-hand side.
-    fn initial_system(
-        &mut self,
-        mg: &mut MultiGpu,
-        init: Option<(System, Option<AbftState>)>,
-        rhs_precharged: bool,
-    ) -> GpuResult<System> {
-        let (n, m) = (self.a.nrows(), self.cfg.solver.m);
-        let Some((sys, abft)) = init else {
-            return self.build(mg, Layout::even(n, mg.n_gpus()));
-        };
-        debug_assert_eq!((sys.n, sys.m), (n, m));
-        if rhs_precharged {
-            sys.set_rhs_uncharged(mg, self.b);
-        } else {
-            sys.load_rhs(mg, self.b)?;
-        }
-        self.guard.abft = abft;
-        Ok(sys)
-    }
-
-    /// Stage the system on `layout` at the step size and precision in
-    /// effect, with the right-hand side and the ABFT checksum vectors.
-    fn build(&mut self, mg: &mut MultiGpu, layout: Layout) -> GpuResult<System> {
-        let sys = System::with_format(
-            mg,
-            self.a,
-            layout,
-            self.cfg.solver.m,
-            mpk_steps(self.cfg, self.s_cur),
-            crate::mpk::SpmvFormat::Ell,
-            self.prec_cur,
-        )?;
-        sys.load_rhs(mg, self.b)?;
-        self.guard.abft = if self.cfg.abft_spmv {
-            Some(AbftState::build(mg, self.a, &sys.layout)?)
-        } else {
-            None
-        };
-        Ok(sys)
-    }
-
-    /// Rebuild the executor and the distributed system on `layout`,
-    /// preserving simulated time, schedule policy, and accumulated traffic
-    /// counters. `lost` names dead devices, whose pending loss and perf
-    /// faults are stripped from the reinstalled plan (empty: the plan is
-    /// reinstalled verbatim). A fresh executor also resets the op counters
-    /// and health EWMAs, so post-rebuild health reflects the new partition
-    /// rather than stale history — and the probe may signal a straggler
-    /// again.
-    fn rebuild(
-        &mut self,
-        mg: &mut MultiGpu,
-        sys: &mut System,
-        layout: Layout,
-        lost: &[usize],
-    ) -> GpuResult<()> {
-        self.guard.report.executor_rebuilds += 1;
-        let t_now = mg.time();
-        let plan = mg.fault_plan().cloned();
-        let schedule = mg.schedule();
-        let prior = mg.counters();
-        let prior_reclaimed = mg.time_reclaimed();
-        *mg = MultiGpu::new(layout.ndev(), mg.model().clone(), mg.config);
-        mg.set_schedule(schedule); // rebuilt executor keeps the policy
-        mg.fast_forward(t_now);
-        mg.absorb_counters(prior);
-        mg.absorb_time_reclaimed(prior_reclaimed);
-        if let Some(p) = plan {
-            // a loss already happened; survivors keep the rest of the plan
-            // (SDC, transfer faults) active
-            let p = if lost.is_empty() { p } else { p.without_device_loss() };
-            mg.set_fault_plan(lost.iter().fold(p, |p, &d| p.without_perf_faults_on(d)));
-        }
-        *sys = self.build(mg, layout)?;
-        if let Some(p) = &mut self.guard.probe {
-            p.unlatch();
-        }
-        Ok(())
-    }
-
-    /// Graceful degradation, however the loss was detected: book `lost[0]`
-    /// (as hung too, when the probe and not the fault plan escalated it) and
-    /// the verified work since `since` that the rollback discards, rebuild
-    /// on the survivors, and [`FtSolve::restore`].
-    ///
-    /// # Errors
-    /// [`GpuSimError::DeviceLost`] when nothing survives.
-    fn degrade(
-        &mut self,
-        mg: &mut MultiGpu,
-        sys: &mut System,
-        lost: &[usize],
-        since: f64,
-        ck: Option<CycleCkpt>,
-        why: &str,
-    ) -> GpuResult<()> {
-        let report = &mut self.guard.report;
-        report.device_lost = Some(lost[0]);
-        if self.guard.probe.as_ref().is_some_and(|p| p.escalated.contains(&lost[0])) {
-            report.hung_device = Some(lost[0]);
-        }
-        report.work_lost_s += (mg.time() - since).max(0.0);
-        let alive = mg.n_gpus() - lost.len();
-        if alive == 0 {
-            return Err(GpuSimError::DeviceLost { device: lost[0] });
-        }
-        report.degraded = true;
-        if obs::enabled() {
-            obs::close_open(mg.time()); // seal spans the abort left open
-            obs::instant_cause("ft.degrade", HOST, mg.time(), why);
-            obs::counter_add(obs::names::FT_DEVICE_LOSSES, lost.len() as u64);
-        }
-        self.rebuild(mg, sys, Layout::even(self.a.nrows(), alive), lost)?;
-        self.restore(mg, sys, ck)
-    }
-
-    /// Move onto `layout` (same devices) — a rebalance, a retune, a precision
-    /// promotion: rebuild there, charge the row migration over the (possibly
-    /// degraded) links when any row changed owner, and [`FtSolve::restore`].
-    /// `rebalance` (what tripped it) books the move as a throughput
-    /// repartition and subjects it to hysteresis: repartitioning resets the
-    /// health EWMAs, so when ownership barely shifts (<= 2% of the rows) the
-    /// solve goes on in place — an interrupted cycle resumes on its still
-    /// valid device columns, and the latch keeps the probe from re-signalling
-    /// the same imbalance this cycle.
-    fn repartition(
-        &mut self,
-        mg: &mut MultiGpu,
-        sys: &mut System,
-        layout: Layout,
-        rebalance: Option<&str>,
-        ck: Option<CycleCkpt>,
-    ) -> GpuResult<()> {
-        let (bytes, rows_moved) = migration_payload(self.a, &sys.layout, &layout);
-        if let Some(cause) = rebalance {
-            if rows_moved * 50 <= self.a.nrows() {
-                self.resume = ck.map(|ck| Resume { ck, reupload: false });
-                return Ok(());
-            }
-            let report = &mut self.guard.report;
-            report.rebalances += 1;
-            report.mid_cycle_rebalances += usize::from(ck.is_some());
-            if obs::enabled() {
-                let resuming =
-                    if ck.is_some() { " before resuming at the block checkpoint" } else { "" };
-                let why = format!("{cause}; {rows_moved} rows migrating{resuming}");
-                obs::instant_cause("ft.rebalance", HOST, mg.time(), &why);
-                obs::counter_add(obs::names::FT_REBALANCES, 1);
-                obs::counter_add(obs::names::FT_REBALANCE_ROWS_MOVED, rows_moved as u64);
-            }
-        }
-        self.rebuild(mg, sys, layout, &[])?;
-        if bytes.iter().any(|&b| b > 0) {
-            mg.to_devices(&bytes)?;
-        }
-        self.restore(mg, sys, ck)
-    }
-
-    /// Last step of every rebuild: restore the checkpointed iterate, then
-    /// either re-enter the interrupted cycle at `ck`'s last verified block
-    /// (its columns re-uploaded) or — no checkpoint: the same global
-    /// problem, the same target — recompute (and charge) where we are.
-    fn restore(&mut self, mg: &mut MultiGpu, sys: &System, ck: Option<CycleCkpt>) -> GpuResult<()> {
-        sys.upload_x(mg, &self.x_ckpt)?;
-        match ck {
-            Some(ck) => self.resume = Some(Resume { ck, reupload: true }),
-            None => self.beta = sys.residual_norm(mg)?,
-        }
-        Ok(())
-    }
-
-    /// One restart cycle under the guard. The first cycle (before shifts
-    /// are harvested) runs standard GMRES, protected only by the caller's
-    /// residual check, and harvests the Ritz values; every later one is a
-    /// CA cycle, entered fresh from `self.beta` or at the checkpoint in
-    /// `self.resume`.
-    fn cycle(
-        &mut self,
-        mg: &mut MultiGpu,
-        sys: &System,
-        target: f64,
-    ) -> GpuResult<CycleEnd<FtHandBack>> {
-        let scfg = &self.cfg.solver;
-        let (beta, resume) = (self.beta, self.resume.take());
-        let mut cx = SolveCtx { mg, sys, stats: &mut self.stats, tsqr_errors: None };
-        if !self.harvested {
-            debug_assert!(resume.is_none(), "block checkpoints exist only in CA cycles");
-            // every Ritz value the cycle has, whatever the basis: the
-            // BasisSwitch rung may want them later (nothing has switched or
-            // promoted yet: the configured basis is the one in effect)
-            let (cycle, shifts, spec) = harvest_cycle(
-                &mut cx,
-                scfg,
-                (self.s_cur, scfg.m),
-                (beta, target),
-                &mut self.guard,
-            )?;
-            (self.shifts, self.spec_full, self.harvested) = (shifts, spec, true);
-            let span = obs::SpanId::NONE; // the standard cycle closed its own
-            return Ok(CycleEnd::Done { implied: cycle.implied, k_used: cycle.k_used, span });
-        }
-
-        let guard = &mut self.guard;
-        guard.reorth_used = false;
-        guard.can_switch_basis =
-            self.shifts.is_some() && matches!(self.basis_cur, BasisChoice::Monomial);
-        guard.can_promote = self.prec_cur == Precision::F32;
-        let state = match resume {
-            Some(Resume { ck, reupload }) => {
-                if reupload {
-                    ck.restore(cx.mg, sys)?;
-                }
-                let state = CycleState::resume(cx.mg, &ck);
-                guard.report.block_resumes += 1;
-                obs::counter_add(obs::names::FT_BLOCK_RESUMES, 1);
-                guard.ckpt = Some(ck);
-                Some(state)
-            }
-            None => {
-                // fresh cycle: let the probe raise a new straggler signal
-                if let Some(p) = &mut guard.probe {
-                    p.unlatch();
-                }
-                guard.ckpt = None;
-                None
-            }
-        };
-        let p = CycleParams {
-            m: scfg.m,
-            s: self.s_cur,
-            spec: &self.spec_full,
-            orth: &self.orth,
-            use_mpk: sys.mpk.is_some() && self.s_cur > 1,
-            prefetch: false,
-            target,
-        };
-        run_cycle(&mut cx, &p, beta, state, guard)
-    }
-
-    /// The restart loop. Only *unrecoverable* faults escape (device loss
-    /// with no survivor, loss during recovery itself, exhausted transfer
-    /// retries, allocation failure); everything else is absorbed and
-    /// counted. Returns the system the solve ended on.
-    fn run(
-        &mut self,
-        mg: &mut MultiGpu,
-        mut tuner: Option<&mut dyn RestartTuner>,
-        init: Option<(System, Option<AbftState>)>,
-        rhs_precharged: bool,
-    ) -> GpuResult<System> {
-        let (a, cfg) = (self.a, self.cfg);
-        let scfg = &cfg.solver;
-        let mut sys = self.initial_system(mg, init, rhs_precharged)?;
-        let mut beta0 = sys.residual_norm(mg)?;
-        let target = scfg.rtol * beta0;
-        self.beta = beta0;
-        // high-water mark for feeding new escalations to the tuner once
-        let mut escalations_seen = 0usize;
-        // phase accumulators at the last RestartTuner::observe_phases call
-        let (mut t_seen, mut seen) = (mg.time(), self.stats.clone());
-
-        while self.beta > target && self.stats.restarts < scfg.max_restarts {
-            let t_cycle_entry = mg.time();
-            match self.cycle(mg, &sys, target) {
-                Ok(CycleEnd::Done { implied, k_used, span }) => {
-                    let mut cx = SolveCtx {
-                        mg: &mut *mg,
-                        sys: &sys,
-                        stats: &mut self.stats,
-                        tsqr_errors: None,
-                    };
-                    let beta_explicit = residual(&mut cx, FtGuard::FLATTEN)?;
-                    obs::span_end(span, mg.time());
-                    let noise = 1e-12 * beta0;
-                    if cfg.residual_check
-                        && beta_explicit > RESIDUAL_SLACK * implied + noise
-                        && self.redo_budget > 0
-                    {
-                        // undetected corruption reached x: roll back and redo
-                        let retry = (cfg.recompute.retries() - self.redo_budget) as u32 + 1;
-                        self.guard.report.cycles_redone += 1;
-                        self.redo_budget -= 1;
-                        let wait = cfg.recompute.backoff_s(retry);
-                        if wait > 0.0 {
-                            mg.fast_forward(mg.time() + wait); // space the redo out
-                        }
-                        if obs::enabled() {
-                            obs::instant_cause(
-                                "ft.rollback",
-                                HOST,
-                                mg.time(),
-                                &format!(
-                                    "explicit residual {beta_explicit:.3e} > {RESIDUAL_SLACK} x \
-                                     implied {implied:.3e}; iterate rolled back to checkpoint"
-                                ),
-                            );
-                            obs::counter_add(obs::names::FT_CYCLES_REDONE, 1);
-                        }
-                        self.restore(mg, &sys, None)?;
-                        continue;
-                    }
-                    self.redo_budget = cfg.recompute.retries();
-                    self.beta = beta_explicit;
-                    self.x_ckpt = sys.download_x(mg)?; // checkpoint the accepted iterate
-                    if self.stats.breakdown.is_some() || k_used == 0 {
-                        break; // numerical breakdown or stagnation: stop honestly
-                    }
-                }
-                Ok(CycleEnd::HandBack(FtHandBack::DeviceDown { device, ck })) => {
-                    // --- block-granular degradation: the probe (or a plan
-                    // fault) killed a device mid-cycle, but every block up to
-                    // the checkpoint is verified — rebuild on the survivors
-                    // and resume the cycle there instead of redoing it ---
-                    let why = format!(
-                        "device {device} lost mid-cycle; resuming from block checkpoint \
-                         ({} verified columns) on {} survivors",
-                        ck.ncols,
-                        mg.n_gpus() - 1
-                    );
-                    self.degrade(mg, &mut sys, &[device], ck.t_ckpt, Some(ck), &why)?;
-                    continue;
-                }
-                Ok(CycleEnd::HandBack(FtHandBack::Rebalance { device, imbalance, ck })) => {
-                    // --- mid-flight rebalance: split the *remaining* rows of
-                    // this cycle across the devices by measured throughput ---
-                    let health = mg.health_report();
-                    let planned = if scfg.autotune {
-                        tuner.as_deref_mut().and_then(|t| t.replan_midcycle(&health, &sys.layout))
-                    } else {
-                        None
-                    };
-                    let new_layout = planned.unwrap_or_else(|| {
-                        Layout::proportional_nnz(a, &health.throughput_weights())
-                    });
-                    assert_eq!(
-                        new_layout.ndev(),
-                        sys.layout.ndev(),
-                        "mid-cycle rebalance must keep the device count"
-                    );
-                    let cause =
-                        format!("mid-cycle: straggler device {device} (imbalance {imbalance:.3})");
-                    self.repartition(mg, &mut sys, new_layout, Some(&cause), Some(ck))?;
-                    continue;
-                }
-                Ok(CycleEnd::HandBack(FtHandBack::Escalate { rung, ck })) => {
-                    // --- numerical-health escalation: the cycle handed back
-                    // because the cheap in-cycle rungs (reorth, throttle) are
-                    // exhausted or unavailable and a structural change is
-                    // needed. The triggering event is already in
-                    // `report.escalations`; here we apply the action and
-                    // charge it honestly. Verified basis columns stay valid
-                    // (the checkpoint holds them as f64 on the host), so a
-                    // checkpointed cycle resumes where it was ---
-                    obs::close_open(mg.time());
-                    match rung {
-                        EscalationRung::BasisSwitch => {
-                            obs::instant_cause(
-                                "ft.escalate",
-                                HOST,
-                                mg.time(),
-                                "monomial basis switched to Newton (harvested Ritz shifts) \
-                                 after condition trigger",
-                            );
-                            self.basis_cur = BasisChoice::Newton;
-                            self.spec_full = BasisSpec::from_shifts(
-                                self.shifts.as_deref(),
-                                self.basis_cur,
-                                self.s_cur,
-                            );
-                            // the executor is untouched: resuming is free
-                            self.resume = ck.map(|ck| Resume { ck, reupload: false });
-                        }
-                        EscalationRung::Promote => {
-                            obs::instant_cause(
-                                "ft.escalate",
-                                HOST,
-                                mg.time(),
-                                "basis precision promoted f32 -> f64 after condition trigger",
-                            );
-                            self.prec_cur = Precision::F64;
-                            let layout = sys.layout.clone();
-                            self.repartition(mg, &mut sys, layout, None, ck)?;
-                        }
-                        EscalationRung::Reorth | EscalationRung::Throttle => {
-                            unreachable!("in-cycle rungs never hand back to the driver")
-                        }
-                    }
-                    continue;
-                }
-                Ok(CycleEnd::OrthFailed { .. }) => {
-                    unreachable!("the guard types every orthogonalization failure")
-                }
-                Err(GpuSimError::DeviceLost { device }) if mg.n_gpus() > 1 => {
-                    // --- graceful degradation without a checkpoint: redo
-                    // the cycle on the survivors ---
-                    let why = format!(
-                        "device {device} lost; rebuilding on {} survivors",
-                        mg.n_gpus() - 1
-                    );
-                    self.degrade(mg, &mut sys, &[device], t_cycle_entry, None, &why)?;
-                    beta0 = beta0.max(f64::MIN_POSITIVE);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-
-            // --- restart-boundary health actions (watchdog, rebalance) ---
-            if let Some(timeout) = cfg.watchdog_timeout_s {
-                let hung = mg.watchdog(timeout);
-                if !hung.is_empty() {
-                    let report = &mut self.guard.report;
-                    report.hung_device = Some(hung[0]);
-                    // boundary-granularity detection: the hang happened some
-                    // time during the cycle we just finished, so the latency
-                    // bracket is the whole cycle — the baseline the in-cycle
-                    // probe is measured against
-                    let latency = (mg.time() - t_cycle_entry).max(0.0);
-                    report.detection_latency_s.extend(hung.iter().map(|_| latency));
-                    let survivors = mg.n_gpus() - hung.len();
-                    if obs::enabled() && survivors > 0 {
-                        for &d in &hung {
-                            obs::instant_cause(
-                                "ft.detect",
-                                HOST,
-                                mg.time(),
-                                &format!(
-                                    "restart-boundary watchdog caught hung device {d}; \
-                                     detection latency {latency:.6}s"
-                                ),
-                            );
-                            obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
-                        }
-                    }
-                    let why = format!(
-                        "watchdog declared device {} hung; rebuilding on {survivors} survivors",
-                        hung[0]
-                    );
-                    // the cycle is over and its iterate accepted: no
-                    // verified work is discarded
-                    let now = mg.time();
-                    self.degrade(mg, &mut sys, &hung, now, None, &why)?;
-                    beta0 = beta0.max(f64::MIN_POSITIVE);
-                    continue; // re-enter on the survivors before rebalancing
-                }
-            }
-            if let (true, Some(t)) = (scfg.autotune, tuner.as_deref_mut()) {
-                // feed the tuner any new escalations first: the re-plan
-                // below should already reflect the tightened caps
-                let events = &self.guard.report.escalations;
-                if events.len() > escalations_seen {
-                    t.observe_escalations(&events[escalations_seen..]);
-                    escalations_seen = events.len();
-                }
-                // span-ratio drift input: phase-time deltas since the last
-                // boundary, from the always-on phase accumulators (identical
-                // with and without ca-obs armed); `borth_s` is the
-                // projection-only part, matching the host spans
-                let (d_orth, d_tsqr) =
-                    (self.stats.t_orth - seen.t_orth, self.stats.t_tsqr - seen.t_tsqr);
-                t.observe_phases(&PhaseRatios {
-                    cycles: self.stats.restarts - seen.restarts,
-                    cycle_s: (mg.time() - t_seen).max(0.0),
-                    spmv_s: self.stats.t_spmv - seen.t_spmv,
-                    borth_s: (d_orth - d_tsqr).max(0.0),
-                    tsqr_s: d_tsqr,
-                    small_s: self.stats.t_small - seen.t_small,
-                });
-                (t_seen, seen) = (mg.time(), self.stats.clone());
-                let health = mg.health_report();
-                if let Some(d) = t.replan(&health, self.s_cur, &sys.layout) {
-                    assert!(
-                        d.s >= 1 && d.s <= scfg.m,
-                        "retune step size {} outside 1..={}",
-                        d.s,
-                        scfg.m
-                    );
-                    assert_eq!(
-                        d.layout.ndev(),
-                        sys.layout.ndev(),
-                        "retune layout must keep the surviving device count"
-                    );
-                    let layout_changed = d.layout.starts != sys.layout.starts;
-                    if d.s != self.s_cur || layout_changed {
-                        self.guard.report.retunes += 1;
-                        if obs::enabled() {
-                            obs::instant_cause(
-                                "ft.retune",
-                                HOST,
-                                mg.time(),
-                                &format!(
-                                    "restart tuner replanned: s {} -> {}, layout {}",
-                                    self.s_cur,
-                                    d.s,
-                                    if layout_changed { "changed" } else { "kept" }
-                                ),
-                            );
-                            obs::counter_add(obs::names::FT_RETUNES, 1);
-                        }
-                        self.s_cur = d.s;
-                        self.guard.report.s_final = d.s;
-                        self.spec_full =
-                            BasisSpec::from_shifts(self.shifts.as_deref(), self.basis_cur, d.s);
-                        self.repartition(mg, &mut sys, d.layout, None, None)?;
-                        continue; // re-enter with the new plan; skip rebalance
-                    }
-                }
-            }
-            if cfg.rebalance {
-                let health = mg.health_report();
-                if health.imbalance() > REBALANCE_THRESHOLD {
-                    // weight = achieved nonzeros per busy second. Unlike the
-                    // raw EWMA slowdown this folds in every per-device
-                    // overhead (ghost work, halo sizes, row density), and
-                    // iterating it is a fixpoint scheme whose fixpoint
-                    // equalizes busy time; the nnz-aware split handles
-                    // saddle-point/hub matrices where rows are not equal work.
-                    let weights: Vec<f64> = (0..mg.n_gpus())
-                        .map(|d| {
-                            let busy = mg.device(d).busy_time();
-                            let nnz: usize = sys.layout.range(d).map(|i| a.row(i).0.len()).sum();
-                            if busy > 0.0 {
-                                nnz as f64 / busy
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect();
-                    let new_layout = Layout::proportional_nnz(a, &weights);
-                    let cause =
-                        format!("imbalance {:.3} > {REBALANCE_THRESHOLD:.3}", health.imbalance());
-                    self.repartition(mg, &mut sys, new_layout, Some(&cause), None)?;
-                }
-            }
-        }
-
-        let beta = self.beta;
-        self.stats.converged = beta <= target;
-        self.stats.final_relres = if beta0 > 0.0 { beta / beta0 } else { 0.0 };
-        self.guard.report.layout_final = sys.layout.starts.clone();
-        Ok(sys)
-    }
-}
-
-/// The fault-tolerant driver's [`CycleGuard`]: everything that watches or
-/// protects a cycle from the inside — ABFT verification and its retry
-/// budget, numerical fault injection, the health probe, the basis monitor,
-/// the escalation ladder and its budget, the block checkpoint — plus the
-/// report all of it writes.
-struct FtGuard<'a> {
-    cfg: &'a FtConfig,
+    tuner: Option<&'t mut dyn RestartTuner>,
     /// ABFT checksum vectors of the system in use.
     abft: Option<AbftState>,
     probe: Option<ProbeState>,
@@ -1442,10 +820,245 @@ struct FtGuard<'a> {
     reorth_used: bool,
     can_switch_basis: bool,
     can_promote: bool,
+    /// Cycle redos left to the residual backstop.
+    redo_budget: usize,
+    /// Escalations already fed to the tuner.
+    escalations_seen: usize,
+    /// Clock and phase accumulators at the last
+    /// [`RestartTuner::observe_phases`] call.
+    seen: (f64, SolveStats),
     report: FtReport,
 }
 
-impl FtGuard<'_> {
+impl<'a, 't> FtGuard<'a, 't> {
+    fn new(
+        cfg: &'a FtConfig,
+        tuner: Option<&'t mut dyn RestartTuner>,
+        t_begin: f64,
+        s: usize,
+    ) -> Self {
+        Self {
+            cfg,
+            tuner,
+            abft: None,
+            probe: cfg.probe.as_ref().map(|p| ProbeState::new(p, t_begin)),
+            monitor: cfg.ladder.as_ref().map(|l| MonitorState::new(&l.monitor)),
+            ladder_budget: cfg.ladder.as_ref().map_or(0, |l| l.max_escalations),
+            blocks_generated: 0,
+            ckpt: None,
+            reorth_used: false,
+            can_switch_basis: false,
+            can_promote: false,
+            redo_budget: cfg.recompute.retries(),
+            escalations_seen: 0,
+            seen: (t_begin, SolveStats::default()),
+            report: FtReport { s_final: s, ..Default::default() },
+        }
+    }
+
+    /// Graceful degradation, however the loss was detected: book `lost[0]`
+    /// (as hung too, when the probe and not the fault plan escalated it) and
+    /// the verified work since `since` that the rollback discards, rebuild
+    /// on the survivors, and [`Solve::restore`].
+    ///
+    /// # Errors
+    /// [`GpuSimError::DeviceLost`] when nothing survives.
+    fn degrade(
+        &mut self,
+        sv: &mut Solve<'_>,
+        lost: &[usize],
+        since: f64,
+        ck: Option<CycleCkpt>,
+        why: &str,
+    ) -> GpuResult<()> {
+        let (report, mg) = (&mut self.report, &*sv.mg);
+        report.device_lost = Some(lost[0]);
+        if self.probe.as_ref().is_some_and(|p| p.escalated.contains(&lost[0])) {
+            report.hung_device = Some(lost[0]);
+        }
+        report.work_lost_s += (mg.time() - since).max(0.0);
+        let alive = mg.n_gpus() - lost.len();
+        if alive == 0 {
+            return Err(GpuSimError::DeviceLost { device: lost[0] });
+        }
+        report.degraded = true;
+        if obs::enabled() {
+            obs::close_open(mg.time()); // seal spans the abort left open
+            obs::instant_cause("ft.degrade", HOST, mg.time(), why);
+            obs::counter_add(obs::names::FT_DEVICE_LOSSES, lost.len() as u64);
+        }
+        sv.rebuild(Layout::even(sv.sys.n, alive), lost, self)?;
+        sv.restore(ck)
+    }
+
+    /// Move onto `layout` (same devices) — a rebalance or a retune: rebuild
+    /// there, charge the row migration over the (possibly degraded) links
+    /// when any row changed owner, and [`Solve::restore`]. `rebalance`
+    /// (what tripped it) books the move as a throughput repartition and
+    /// subjects it to hysteresis: repartitioning resets the health EWMAs,
+    /// so when ownership barely shifts (<= 2% of the rows) the solve goes
+    /// on in place — an interrupted cycle resumes on its still valid device
+    /// columns, and the latch keeps the probe from re-signalling the same
+    /// imbalance this cycle.
+    fn repartition(
+        &mut self,
+        sv: &mut Solve<'_>,
+        layout: Layout,
+        rebalance: Option<&str>,
+        ck: Option<CycleCkpt>,
+    ) -> GpuResult<()> {
+        let a = sv.sys.operator().a;
+        let (bytes, rows_moved) = migration_payload(a, &sv.sys.layout, &layout);
+        if let Some(cause) = rebalance {
+            if rows_moved * 50 <= a.nrows() {
+                sv.resume = ck.map(|ck| Resume { ck, reupload: false });
+                return Ok(());
+            }
+            let report = &mut self.report;
+            report.rebalances += 1;
+            report.mid_cycle_rebalances += usize::from(ck.is_some());
+            if obs::enabled() {
+                let resuming =
+                    if ck.is_some() { " before resuming at the block checkpoint" } else { "" };
+                let why = format!("{cause}; {rows_moved} rows migrating{resuming}");
+                obs::instant_cause("ft.rebalance", HOST, sv.mg.time(), &why);
+                obs::counter_add(obs::names::FT_REBALANCES, 1);
+                obs::counter_add(obs::names::FT_REBALANCE_ROWS_MOVED, rows_moved as u64);
+            }
+        }
+        sv.rebuild(layout, &[], self)?;
+        if bytes.iter().any(|&b| b > 0) {
+            sv.mg.to_devices(&bytes)?;
+        }
+        sv.restore(ck)
+    }
+
+    /// The restart-boundary watchdog: a device declared hung degrades the
+    /// solve onto the survivors. `true` when it did.
+    fn watchdog(&mut self, sv: &mut Solve<'_>, t_entry: f64) -> GpuResult<bool> {
+        let Some(timeout) = self.cfg.watchdog_timeout_s else { return Ok(false) };
+        let mg = &mut *sv.mg;
+        let hung = mg.watchdog(timeout);
+        if hung.is_empty() {
+            return Ok(false);
+        }
+        self.report.hung_device = Some(hung[0]);
+        // boundary-granularity detection: the hang happened some time
+        // during the cycle just finished, so the latency bracket is the
+        // whole cycle — the baseline the in-cycle probe is measured against
+        let latency = (mg.time() - t_entry).max(0.0);
+        self.report.detection_latency_s.extend(hung.iter().map(|_| latency));
+        let survivors = mg.n_gpus() - hung.len();
+        if obs::enabled() && survivors > 0 {
+            for &d in &hung {
+                let why = format!(
+                    "restart-boundary watchdog caught hung device {d}; \
+                     detection latency {latency:.6}s"
+                );
+                obs::instant_cause("ft.detect", HOST, mg.time(), &why);
+                obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
+            }
+        }
+        let why = format!(
+            "watchdog declared device {} hung; rebuilding on {survivors} survivors",
+            hung[0]
+        );
+        // the cycle is over and its iterate accepted: no verified work is
+        // discarded
+        let now = mg.time();
+        self.degrade(sv, &hung, now, None, &why)?;
+        Ok(true)
+    }
+
+    /// The tuner's restart-boundary turn: feed it the new escalations and
+    /// the phase window, and apply its re-plan. `true` when it changed the
+    /// plan.
+    fn retune(&mut self, sv: &mut Solve<'_>) -> GpuResult<bool> {
+        let Some(t) = self.tuner.as_deref_mut() else { return Ok(false) };
+        let mg = &*sv.mg;
+        // feed the tuner any new escalations first: the re-plan below
+        // should already reflect the tightened caps
+        let events = &self.report.escalations;
+        if events.len() > self.escalations_seen {
+            t.observe_escalations(&events[self.escalations_seen..]);
+            self.escalations_seen = events.len();
+        }
+        // span-ratio drift input: phase-time deltas since the last
+        // boundary, from the always-on phase accumulators (identical with
+        // and without ca-obs armed); `borth_s` is the projection-only part,
+        // matching the host spans
+        let (t_seen, seen) = &self.seen;
+        let st = &sv.stats;
+        let (d_orth, d_tsqr) = (st.t_orth - seen.t_orth, st.t_tsqr - seen.t_tsqr);
+        t.observe_phases(&PhaseRatios {
+            cycles: st.restarts - seen.restarts,
+            cycle_s: (mg.time() - t_seen).max(0.0),
+            spmv_s: st.t_spmv - seen.t_spmv,
+            borth_s: (d_orth - d_tsqr).max(0.0),
+            tsqr_s: d_tsqr,
+            small_s: st.t_small - seen.t_small,
+        });
+        self.seen = (mg.time(), st.clone());
+        let health = mg.health_report();
+        let Some(d) = t.replan(&health, sv.s_cur, &sv.sys.layout) else { return Ok(false) };
+        let m = sv.cfg.m;
+        assert!(d.s >= 1 && d.s <= m, "retune step size {} outside 1..={m}", d.s);
+        assert_eq!(
+            d.layout.ndev(),
+            sv.sys.layout.ndev(),
+            "retune layout must keep the surviving device count"
+        );
+        let layout_changed = d.layout.starts != sv.sys.layout.starts;
+        if d.s == sv.s_cur && !layout_changed {
+            return Ok(false);
+        }
+        self.report.retunes += 1;
+        if obs::enabled() {
+            let kept = if layout_changed { "changed" } else { "kept" };
+            let why = format!("restart tuner replanned: s {} -> {}, layout {kept}", sv.s_cur, d.s);
+            obs::instant_cause("ft.retune", HOST, mg.time(), &why);
+            obs::counter_add(obs::names::FT_RETUNES, 1);
+        }
+        sv.s_cur = d.s;
+        self.report.s_final = d.s;
+        sv.spec_full = BasisSpec::from_shifts(sv.shifts.as_deref(), sv.basis_cur, d.s);
+        self.repartition(sv, d.layout, None, None)?;
+        Ok(true)
+    }
+
+    /// The restart-boundary rebalancer: repartition rows by measured
+    /// throughput when the slowdown imbalance crosses
+    /// [`REBALANCE_THRESHOLD`].
+    fn rebalance(&mut self, sv: &mut Solve<'_>) -> GpuResult<()> {
+        if !self.cfg.rebalance {
+            return Ok(());
+        }
+        let mg = &*sv.mg;
+        let imbalance = mg.health_report().imbalance();
+        if imbalance <= REBALANCE_THRESHOLD {
+            return Ok(());
+        }
+        // weight = achieved nonzeros per busy second. Unlike the raw EWMA
+        // slowdown this folds in every per-device overhead (ghost work,
+        // halo sizes, row density), and iterating it is a fixpoint scheme
+        // whose fixpoint equalizes busy time; the nnz-aware split handles
+        // saddle-point/hub matrices where rows are not equal work.
+        let a = sv.sys.operator().a;
+        let weights: Vec<f64> = (0..mg.n_gpus())
+            .map(|d| {
+                let busy = mg.device(d).busy_time();
+                let nnz: usize = sv.sys.layout.range(d).map(|i| a.row(i).0.len()).sum();
+                if busy > 0.0 {
+                    nnz as f64 / busy
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let cause = format!("imbalance {imbalance:.3} > {REBALANCE_THRESHOLD:.3}");
+        self.repartition(sv, Layout::proportional_nnz(a, &weights), Some(&cause), None)
+    }
+
     /// Whether the block may be regenerated once more (the bounded retry
     /// budget keeps a persistent fault from livelocking).
     fn may_retry(&self, blk: &Block<'_>) -> bool {
@@ -1459,6 +1072,16 @@ impl FtGuard<'_> {
             mg.fast_forward(mg.time() + wait);
         }
         self.report.blocks_recomputed += 1;
+        obs::counter_add(obs::names::FT_BLOCKS_RECOMPUTED, 1);
+    }
+
+    /// Book one checksum mismatch, announced with the `ft.sdc` cause `why`.
+    fn sdc(&mut self, mg: &MultiGpu, why: impl FnOnce() -> String) {
+        self.report.sdc_detected += 1;
+        if obs::enabled() {
+            obs::instant_cause("ft.sdc", HOST, mg.time(), &why());
+            obs::counter_add(obs::names::FT_SDC_DETECTED, 1);
+        }
     }
 
     /// Walk the ladder for a trigger on `blk`: take the cheapest rung
@@ -1499,21 +1122,8 @@ impl FtGuard<'_> {
         };
         self.ladder_budget -= 1;
         let (cycle, s) = (cx.stats.restarts, blk.s);
-        self.report.escalations.push(EscalationEvent { rung, cycle, column, s, cond_est });
-        if obs::enabled() {
-            obs::instant_cause(
-                "ft.detect",
-                HOST,
-                cx.mg.time(),
-                &format!(
-                    "numerical-health trigger (cond est {cond_est:.3e}) at column {column} \
-                     (s = {s}); escalating: {}",
-                    rung.label()
-                ),
-            );
-            obs::counter_add(obs::names::HEALTH_ESCALATIONS, 1);
-            obs::counter_add(&obs::names::health_escalations_rung(rung.label()), 1);
-        }
+        let event = EscalationEvent { rung, cycle, column, s, cond_est };
+        event.record(&mut self.report.escalations, cx.mg.time());
         Some(match rung {
             EscalationRung::Reorth => {
                 self.reorth_used = true;
@@ -1523,7 +1133,7 @@ impl FtGuard<'_> {
             // panel is discarded and regenerated at the smaller s (charged
             // in full), verified columns stay where they are
             EscalationRung::Throttle => {
-                Verdict::Redo(Redo::Throttle((blk.s_cycle / 2).max(l.s_floor)))
+                Verdict::Redo(Redo::Throttle(throttled(blk.s_cycle, l.s_floor)))
             }
             // structural rungs: hand back for a monomial -> Newton switch
             // or an f32 -> f64 rebuild
@@ -1534,7 +1144,7 @@ impl FtGuard<'_> {
     }
 }
 
-impl CycleGuard for FtGuard<'_> {
+impl CycleGuard for FtGuard<'_, '_> {
     type HandBack = FtHandBack;
     const FLATTEN: bool = false;
 
@@ -1553,22 +1163,12 @@ impl CycleGuard for FtGuard<'_> {
         let sys = cx.sys;
         if let Some(ab) = &self.abft {
             if !ab.verify_block(cx.mg, sys, blk.start, blk.spec)? {
-                self.report.sdc_detected += 1;
-                if obs::enabled() {
-                    obs::instant_cause(
-                        "ft.sdc",
-                        HOST,
-                        cx.mg.time(),
-                        &format!(
-                            "SpMV checksum mismatch in block at column {} (attempt {})",
-                            blk.start, blk.attempt
-                        ),
-                    );
-                    obs::counter_add(obs::names::FT_SDC_DETECTED, 1);
-                }
+                self.sdc(cx.mg, || {
+                    let (col, attempt) = (blk.start, blk.attempt);
+                    format!("SpMV checksum mismatch in block at column {col} (attempt {attempt})")
+                });
                 if self.may_retry(blk) {
                     self.book_retry(cx.mg, blk);
-                    obs::counter_add(obs::names::FT_BLOCKS_RECOMPUTED, 1);
                     return Ok(Verdict::Redo(Redo::Regenerate)); // fresh op indices => fresh fault draws
                 }
                 // budget exhausted: accept; residual check backstops
@@ -1644,22 +1244,13 @@ impl CycleGuard for FtGuard<'_> {
             }
             OrthError::Gpu(_) => None,
             OrthError::ChecksumMismatch { .. } if self.may_retry(blk) => {
-                self.report.sdc_detected += 1;
                 self.book_retry(cx.mg, blk);
-                if obs::enabled() {
-                    obs::instant_cause(
-                        "ft.sdc",
-                        HOST,
-                        cx.mg.time(),
-                        &format!(
-                            "orthogonalization checksum mismatch at column {} (attempt {})",
-                            blk.c0,
-                            blk.attempt + 1
-                        ),
-                    );
-                    obs::counter_add(obs::names::FT_SDC_DETECTED, 1);
-                    obs::counter_add(obs::names::FT_BLOCKS_RECOMPUTED, 1);
-                }
+                self.sdc(cx.mg, || {
+                    let (col, attempt) = (blk.c0, blk.attempt + 1);
+                    format!(
+                        "orthogonalization checksum mismatch at column {col} (attempt {attempt})"
+                    )
+                });
                 Some(Redo::Regenerate)
             }
             _ => {
@@ -1717,12 +1308,165 @@ impl CycleGuard for FtGuard<'_> {
         let ck = self.ckpt.take().expect("just updated");
         Some(FtHandBack::Rebalance { device, imbalance, ck })
     }
+
+    /// The initial residual is not a timed phase here (the FT goldens pin
+    /// that), and it opens the tuner's first phase window.
+    fn initial_residual(&mut self, cx: &mut SolveCtx<'_>) -> GpuResult<f64> {
+        let beta0 = cx.sys.residual_norm(cx.mg)?;
+        self.seen = (cx.mg.time(), cx.stats.clone());
+        Ok(beta0)
+    }
+
+    /// Every system gets its ABFT checksum vectors, and a rebuilt executor's
+    /// fresh health EWMAs let the probe signal a straggler again.
+    fn on_build(&mut self, mg: &mut MultiGpu, a: &Csr, sys: &System) -> GpuResult<()> {
+        self.abft =
+            if self.cfg.abft_spmv { Some(AbftState::build(mg, a, &sys.layout)?) } else { None };
+        if let Some(p) = &mut self.probe {
+            p.unlatch();
+        }
+        Ok(())
+    }
+
+    fn begin_cycle(&mut self, sv: &Solve<'_>, ck: Option<CycleCkpt>) {
+        self.reorth_used = false;
+        self.can_switch_basis = sv.shifts.is_some() && sv.basis_cur == BasisChoice::Monomial;
+        self.can_promote = sv.prec_cur == Precision::F32;
+        if ck.is_some() {
+            self.report.block_resumes += 1;
+            obs::counter_add(obs::names::FT_BLOCK_RESUMES, 1);
+        } else if let Some(p) = &mut self.probe {
+            p.unlatch(); // fresh cycle: let the probe raise a new straggler signal
+        }
+        self.ckpt = ck;
+    }
+
+    /// The residual backstop — an explicit residual that disagrees with the
+    /// implicit one means undetected corruption reached `x`: roll back to
+    /// the checkpoint and redo the cycle — and, on acceptance, the iterate
+    /// checkpoint.
+    fn cycle_done(&mut self, sv: &mut Solve<'_>, beta: f64, implied: f64) -> GpuResult<bool> {
+        let (cfg, mg) = (self.cfg, &mut *sv.mg);
+        let noise = 1e-12 * sv.beta0;
+        if cfg.residual_check && beta > RESIDUAL_SLACK * implied + noise && self.redo_budget > 0 {
+            let retry = (cfg.recompute.retries() - self.redo_budget) as u32 + 1;
+            self.report.cycles_redone += 1;
+            self.redo_budget -= 1;
+            let wait = cfg.recompute.backoff_s(retry);
+            if wait > 0.0 {
+                mg.fast_forward(mg.time() + wait); // space the redo out
+            }
+            if obs::enabled() {
+                let why = format!(
+                    "explicit residual {beta:.3e} > {RESIDUAL_SLACK} x implied {implied:.3e}; \
+                     iterate rolled back to checkpoint"
+                );
+                obs::instant_cause("ft.rollback", HOST, mg.time(), &why);
+                obs::counter_add(obs::names::FT_CYCLES_REDONE, 1);
+            }
+            sv.restore(None)?;
+            return Ok(false);
+        }
+        self.redo_budget = cfg.recompute.retries();
+        sv.x_ckpt = sv.sys.download_x(sv.mg)?; // checkpoint the accepted iterate
+        Ok(true)
+    }
+
+    fn hand_back(&mut self, sv: &mut Solve<'_>, h: FtHandBack) -> GpuResult<()> {
+        let mg = &*sv.mg;
+        match h {
+            // block-granular degradation: the probe (or a plan fault) killed
+            // a device mid-cycle, but every block up to the checkpoint is
+            // verified — rebuild on the survivors and resume the cycle there
+            FtHandBack::DeviceDown { device, ck } => {
+                let why = format!(
+                    "device {device} lost mid-cycle; resuming from block checkpoint \
+                     ({} verified columns) on {} survivors",
+                    ck.ncols,
+                    mg.n_gpus() - 1
+                );
+                self.degrade(sv, &[device], ck.t_ckpt, Some(ck), &why)
+            }
+            // mid-flight rebalance: split the *remaining* rows of this cycle
+            // across the devices by measured throughput
+            FtHandBack::Rebalance { device, imbalance, ck } => {
+                let health = mg.health_report();
+                let layout = &sv.sys.layout;
+                let planned =
+                    self.tuner.as_deref_mut().and_then(|t| t.replan_midcycle(&health, layout));
+                let new_layout = planned.unwrap_or_else(|| {
+                    Layout::proportional_nnz(sv.sys.operator().a, &health.throughput_weights())
+                });
+                assert_eq!(
+                    new_layout.ndev(),
+                    sv.sys.layout.ndev(),
+                    "mid-cycle rebalance must keep the device count"
+                );
+                let cause =
+                    format!("mid-cycle: straggler device {device} (imbalance {imbalance:.3})");
+                self.repartition(sv, new_layout, Some(&cause), Some(ck))
+            }
+            // numerical-health escalation: the cheap in-cycle rungs (reorth,
+            // throttle) are exhausted or unavailable and a structural change
+            // is needed. The triggering event is already in
+            // `report.escalations`; the action is charged here. Verified basis
+            // columns stay valid (the checkpoint holds them as f64 on the
+            // host), so a checkpointed cycle resumes where it was
+            FtHandBack::Escalate { rung, ck } => {
+                obs::close_open(mg.time());
+                match rung {
+                    EscalationRung::BasisSwitch => {
+                        obs::instant_cause(
+                            "ft.escalate",
+                            HOST,
+                            mg.time(),
+                            "monomial basis switched to Newton (harvested Ritz shifts) \
+                             after condition trigger",
+                        );
+                        sv.basis_cur = BasisChoice::Newton;
+                        sv.spec_full =
+                            BasisSpec::from_shifts(sv.shifts.as_deref(), sv.basis_cur, sv.s_cur);
+                        // the executor is untouched: resuming is free
+                        sv.resume = ck.map(|ck| Resume { ck, reupload: false });
+                        Ok(())
+                    }
+                    EscalationRung::Promote => sv.promote(ck, self),
+                    EscalationRung::Reorth | EscalationRung::Throttle => {
+                        unreachable!("in-cycle rungs never hand back to the driver")
+                    }
+                }
+            }
+        }
+    }
+
+    /// A device lost with no checkpoint in hand: redo the cycle on the
+    /// survivors.
+    fn on_fault(&mut self, sv: &mut Solve<'_>, e: GpuSimError, t_entry: f64) -> GpuResult<()> {
+        match e {
+            GpuSimError::DeviceLost { device } if sv.mg.n_gpus() > 1 => {
+                let survivors = sv.mg.n_gpus() - 1;
+                let why = format!("device {device} lost; rebuilding on {survivors} survivors");
+                self.degrade(sv, &[device], t_entry, None, &why)
+            }
+            e => Err(e),
+        }
+    }
+
+    /// The watchdog, then the tuner, then the rebalancer; the first that
+    /// rebuilds ends the boundary.
+    fn at_boundary(&mut self, sv: &mut Solve<'_>, t_entry: f64) -> GpuResult<()> {
+        if self.watchdog(sv, t_entry)? || self.retune(sv)? {
+            return Ok(());
+        }
+        self.rebalance(sv)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ca_gpusim::{FaultPlan, SdcTargets};
+    use crate::orth::TsqrKind;
+    use ca_gpusim::{FaultPlan, Schedule, SdcTargets};
     use ca_sparse::gen::laplace2d;
 
     fn problem() -> (Csr, Vec<f64>, Vec<f64>) {
@@ -1884,6 +1628,33 @@ mod tests {
         for (u, v) in base.x.iter().zip(&probed.x) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
+    }
+
+    #[test]
+    fn prefetch_moves_only_the_clock() {
+        // the Fig. 14 overlap under the fault-tolerant guard: with CAQR and
+        // the orthogonalization checksums off (they keep the window shut),
+        // halos are issued ahead of their blocks and the solve follows the
+        // same iteration path to the same bits, no later. A fixed budget:
+        // a solve that converges mid-cycle wastes its last prefetch
+        // (`CaGmresConfig::prefetch`)
+        let (a, b, _) = problem();
+        let run = |prefetch: bool| {
+            let mut mg = MultiGpu::with_defaults(3);
+            mg.set_schedule(Schedule::EventDriven);
+            let mut c = FtConfig { abft_orth: false, ..cfg() };
+            (c.solver.orth.tsqr, c.solver.prefetch) = (TsqrKind::Caqr, prefetch);
+            (c.solver.rtol, c.solver.max_restarts) = (0.0, 4);
+            ca_gmres_ft(mg, &a, &b, &c)
+        };
+        let (base, pre) = (run(false), run(true));
+        assert_eq!(base.stats.prefetches, 0);
+        assert!(pre.stats.prefetches > 0, "the fault-tolerant solve never prefetched");
+        assert_eq!(base.stats.total_iters, pre.stats.total_iters);
+        for (u, v) in base.x.iter().zip(&pre.x) {
+            assert_eq!(u.to_bits(), v.to_bits());
+        }
+        assert!(pre.stats.t_total <= base.stats.t_total, "{pre:?} vs {base:?}");
     }
 
     #[test]

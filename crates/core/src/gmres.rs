@@ -151,9 +151,13 @@ pub(crate) fn harvest_cycle<G: CycleGuard>(
 }
 
 /// Run GMRES(m) on a loaded [`System`]. The iterate starts from whatever
-/// `x` currently holds (zero after [`System::load_rhs`]).
+/// `x` currently holds (zero after [`System::load_rhs`]). An `m` outside
+/// `1..=sys.m` runs nothing and returns [`BreakdownKind::InvalidInput`].
 pub fn gmres(mg: &mut MultiGpu, sys: &System, cfg: &GmresConfig) -> GmresOutcome {
-    assert!(cfg.m >= 1 && cfg.m <= sys.m);
+    if cfg.m == 0 || cfg.m > sys.m {
+        let reason = format!("need 1 <= m <= {}, got m = {}", sys.m, cfg.m);
+        return GmresOutcome { stats: SolveStats::invalid(reason), first_hessenberg: None };
+    }
     let mut stats = SolveStats::default();
     let mut first_h: Option<Mat> = None;
 

@@ -36,11 +36,12 @@
 //!    halved down to [`Ladder::s_floor`]), regenerating only the failed
 //!    block in place; the verified prefix and its [`crate::ft`] block
 //!    checkpoint survive, so no converged Krylov dimension is discarded.
+//!    The plain solve's `adaptive_s` is this rung with a floor of 1.
 //! 3. **Basis switch** — monomial → Newton with the already-harvested Ritz
 //!    shifts (the paper's own remedy for monomial growth).
-//! 4. **Promote** — rebuild the MPK state at f64, generalizing
-//!    [`crate::mixed::ca_gmres_mixed`]'s one-shot escalation into a rung
-//!    any f32 solve can take mid-flight.
+//! 4. **Promote** — rebuild the MPK state at f64 and resume. It is one arm
+//!    of the restart loop: [`crate::mixed::ca_gmres_mixed`] takes the same
+//!    arm when a block breaks down on its f32 basis, with no ladder armed.
 //!
 //! Every escalation is recorded as an [`EscalationEvent`] (rung, cycle,
 //! trigger condition estimate) in `FtReport::escalations`, and the whole
@@ -116,6 +117,38 @@ pub struct EscalationEvent {
     /// the trigger was an actual factorization breakdown rather than a
     /// monitor estimate).
     pub cond_est: f64,
+}
+
+impl EscalationEvent {
+    /// Append the event to `log` and announce it: the `ft.detect` cause
+    /// instant at `t` and the metered escalation counters. The *detection*
+    /// is what is recorded here; the action itself (reorth pass, shorter
+    /// block, rebuild) is charged by the code that performs it.
+    pub(crate) fn record(self, log: &mut Vec<Self>, t: f64) {
+        if obs::enabled() {
+            let (cond_est, column, s, rung) = (self.cond_est, self.column, self.s, self.rung);
+            obs::instant_cause(
+                "ft.detect",
+                obs::Track::Host,
+                t,
+                &format!(
+                    "numerical-health trigger (cond est {cond_est:.3e}) at column {column} \
+                     (s = {s}); escalating: {}",
+                    rung.label()
+                ),
+            );
+            obs::counter_add(obs::names::HEALTH_ESCALATIONS, 1);
+            obs::counter_add(&obs::names::health_escalations_rung(rung.label()), 1);
+        }
+        log.push(self);
+    }
+}
+
+/// The block size the throttle rung finishes a cycle at after a block of
+/// `s` steps failed: half of it, never below `floor`. The plain driver's
+/// `adaptive_s` is this rung with a floor of 1.
+pub(crate) fn throttled(s: usize, floor: usize) -> usize {
+    (s / 2).max(floor)
 }
 
 /// Escalation-ladder configuration ([`crate::ft::FtConfig::ladder`]).

@@ -7,16 +7,17 @@
 //! * [`gmres`] — standard restarted GMRES(m) on the multi-GPU substrate
 //!   (the baseline) and [`cpu`], the threaded-CPU reference;
 //! * [`mpk`] — the matrix powers kernel: boundary-set analysis, one
-//!   exchange per `s` SpMVs (Fig. 4);
+//!   exchange per `s` SpMVs (Fig. 4), and the Fig. 15 choice between it
+//!   and plain SpMVs, priced on a cost-only twin of the machine;
 //! * [`newton`] — Newton-basis shifts, Leja ordering, conjugate-pair fused
 //!   real arithmetic (§IV-A);
 //! * [`orth`] — BOrth and the five TSQR algorithms (MGS, CGS, CholQR,
 //!   SVQR, CAQR) with the "2x" reorthogonalization wrapper (§V);
 //! * [`hess`] — Hessenberg reconstruction from the block coefficients;
-//! * [`cagmres`] — the CA-GMRES(s, m) driver (Fig. 2) with SpMV/MPK
-//!   auto-selection and Fig. 13 error instrumentation, and [`ft`], the
-//!   fault-tolerant driver — both around one restart-cycle engine
-//!   (`cycle.rs`) that takes what differs between them as a guard;
+//! * [`cagmres`] — CA-GMRES(s, m) (Fig. 2) with Fig. 13 error
+//!   instrumentation, [`mixed`] — its f32-basis variant — and [`ft`], the
+//!   fault-tolerant solve: every one of them is the same restart loop and
+//!   cycle engine (`cycle.rs`), run under the guard that says what differs;
 //! * [`layout`], [`system`], [`stats`] — distribution, device state, and
 //!   the Fig. 14 timing columns.
 //!
@@ -60,13 +61,13 @@ pub mod system;
 /// Common imports for solver users.
 pub mod prelude {
     pub use crate::cagmres::{
-        ca_cycle, ca_gmres, BasisChoice, CaCycle, CaGmresConfig, CaGmresOutcome, KernelMode,
+        ca_cycle, ca_gmres, BasisChoice, CaGmresConfig, CaGmresOutcome, KernelMode,
     };
     pub use crate::cpu::gmres_cpu;
     pub use crate::eigs::{arnoldi_eigs, ArnoldiConfig, EigsOutcome, RitzPair};
     pub use crate::ft::{
-        ca_gmres_ft, ca_gmres_ft_session, ca_gmres_ft_with_tuner, FtConfig, FtOutcome, FtReport,
-        HealthProbe, PollPoint, ResidentSystem, RestartTuner, RetuneDecision,
+        ca_gmres_ft, ca_gmres_ft_session, FtConfig, FtOutcome, FtReport, HealthProbe, PollPoint,
+        ResidentSystem, RestartTuner, RetuneDecision,
     };
     pub use crate::gmres::{gmres, GmresConfig, GmresOutcome};
     pub use crate::health::{BasisMonitor, EscalationEvent, EscalationRung, Ladder};

@@ -21,8 +21,10 @@
 //! kernel on the local block alone. The launch-per-slice sequence this
 //! replaced survives in the tests below as the oracle of both.
 
+use crate::cagmres::KernelMode;
 use crate::layout::Layout;
 use crate::newton::BasisSpec;
+use crate::system::System;
 use ca_gpusim::faults::Result;
 use ca_gpusim::{device::SpStorage, Device, MatId, MultiGpu, SpId, SpmvShape, VecId};
 use ca_obs as obs;
@@ -663,6 +665,37 @@ pub fn spmv_block(
         obs::span_end(sp, mg.time());
     }
     Ok(())
+}
+
+/// The faster generator of an `s`-step basis block of `a` (reordered to
+/// match `layout`) on `mg`'s machine — the Fig. 15 rule, "if SpMV is faster
+/// than MPK, then CA-GMRES uses SpMV". One [`mpk`] block and one
+/// [`spmv_block`] are timed on [`MultiGpu::cost_only_twin`]: nothing runs
+/// on `mg`, and nothing is recorded. MPK wins ties; `s <= 1` is SpMV.
+pub fn fastest_kernel(mg: &MultiGpu, a: &Csr, layout: &Layout, s: usize) -> KernelMode {
+    if s <= 1 {
+        return KernelMode::Spmv;
+    }
+    let was = obs::pause();
+    let mut twin = mg.cost_only_twin();
+    let times = (|| -> Result<(f64, f64)> {
+        let sys = System::new(&mut twin, a, layout.clone(), s, Some(s))?;
+        let (spec, bc) = (BasisSpec::monomial(s), sys.b_col());
+        twin.sync();
+        twin.run(|d, dev| dev.copy_col(sys.v[d], bc, 0));
+        let t0 = twin.time();
+        mpk(&mut twin, sys.mpk.as_ref().expect("planned above"), &sys.v, 0, &spec)?;
+        twin.sync();
+        let t1 = twin.time();
+        spmv_block(&mut twin, &sys.spmv, &sys.v, 0, &spec)?;
+        twin.sync();
+        Ok((t1 - t0, twin.time() - t1))
+    })();
+    obs::resume(was);
+    match times {
+        Ok((t_mpk, t_spmv)) if t_mpk <= t_spmv => KernelMode::Mpk,
+        _ => KernelMode::Spmv,
+    }
 }
 
 /// Distributed SpMV (the s = 1 path standard GMRES uses): computes

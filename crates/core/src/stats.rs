@@ -33,6 +33,12 @@ pub enum BreakdownKind {
         /// The device that refused the allocation.
         device: usize,
     },
+    /// The solve was asked for something it cannot run (e.g. `s = 0`, or a
+    /// restart length the system has no room for); nothing was executed.
+    InvalidInput {
+        /// What is wrong with the input.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for BreakdownKind {
@@ -46,6 +52,7 @@ impl std::fmt::Display for BreakdownKind {
             }
             BreakdownKind::DeviceLost { device } => write!(f, "device {device} lost"),
             BreakdownKind::OutOfMemory { device } => write!(f, "device {device} out of memory"),
+            BreakdownKind::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
         }
     }
 }
@@ -113,6 +120,11 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
+    /// The record of a solve refused before it ran.
+    pub(crate) fn invalid(reason: String) -> Self {
+        Self { breakdown: Some(BreakdownKind::InvalidInput { reason }), ..Self::default() }
+    }
+
     /// Record per-device observed busy times and derive the imbalance
     /// ratio (max/min over devices with nonzero busy time).
     pub fn record_device_times(&mut self, busy: Vec<f64>) {

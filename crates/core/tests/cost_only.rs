@@ -2,21 +2,26 @@
 //!
 //! `MultiGpu::cost_only` builds the machine whose buffers carry their shape
 //! and whose kernels are charged without computing; `System` on it is
-//! shape-only. This binary pins the three things the planner's
-//! predict-by-execution rests on:
+//! shape-only. This binary pins what the planner's predict-by-execution,
+//! and the generator choice made the same way, rest on:
 //!
 //! * one traced CA cycle per TSQR kind issues, on both machines, the same
 //!   per-device `Cmd` streams (kernel names, modelled durations, copy bytes,
 //!   event order), the same `CommCounters`, op counts and `mem_used()`;
 //! * a cost-only `System::new` plus a cycle at n = 200 000 requests less
 //!   than a mebibyte from the heap, no block of it row-sized;
-//! * a lost cost-only device is as inert as a lost arithmetic one.
+//! * a lost cost-only device is as inert as a lost arithmetic one;
+//! * `mpk::fastest_kernel`, which times one MPK block and one SpMV block on
+//!   a cost-only twin, picks the generator a dry run on the live machine
+//!   picks.
 //!
 //! One `#[test]` only: the allocation counters are process-wide.
 
+use ca_gmres::mpk::{fastest_kernel, mpk, spmv_block};
+use ca_gmres::orth::OrthError;
 use ca_gmres::prelude::*;
 use ca_gpusim::{Cmd, CommCounters, FaultPlan, GpuSimError, KernelConfig, MultiGpu, PerfModel};
-use ca_sparse::gen::laplace2d;
+use ca_sparse::gen::{cantilever, circuit, convection_diffusion, laplace2d};
 use ca_sparse::Csr;
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System as SystemAlloc};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
@@ -120,9 +125,9 @@ fn traced_cycle(
     }
     let mut stats = SolveStats::default();
     let spec = BasisSpec::monomial(S);
-    let end = ca_cycle(&mut mg, &sys, cfg, &spec, (beta, -1.0), &mut stats).map(|end| match end {
-        CaCycle::Done { k_used, .. } => k_used,
-        CaCycle::OrthFailed { err, .. } => panic!("{err}"),
+    let end = ca_cycle(&mut mg, &sys, cfg, &spec, (beta, -1.0), &mut stats).map_err(|e| match e {
+        OrthError::Gpu(e) => e,
+        e => panic!("{e}"),
     });
     let devs = 0..ndev;
     Ran {
@@ -218,9 +223,70 @@ fn a_cost_only_system_holds_nothing_row_sized() {
     assert!(largest < 8 * n, "the largest request was {largest} B");
 }
 
+/// The generator choice as a dry run on the live machine makes it — the
+/// reference the twin replaced: with the right-hand side loaded, one MPK
+/// block and then one SpMV block from the `b` column, each timed between
+/// flattened clocks. MPK wins ties.
+fn live_dry_run(mg: &mut MultiGpu, a: &Csr, layout: &Layout, s: usize) -> KernelMode {
+    let sys = System::new(mg, a, layout.clone(), 2 * s, Some(s)).unwrap();
+    sys.load_rhs(mg, &vec![1.0; a.nrows()]).unwrap();
+    let spec = BasisSpec::monomial(s);
+    mg.sync();
+    let bc = sys.b_col();
+    mg.run(|d, dev| dev.copy_col(sys.v[d], bc, 0));
+    let t0 = mg.time();
+    mpk(mg, sys.mpk.as_ref().unwrap(), &sys.v, 0, &spec).unwrap();
+    mg.sync();
+    let t1 = mg.time();
+    spmv_block(mg, &sys.spmv, &sys.v, 0, &spec).unwrap();
+    mg.sync();
+    if t1 - t0 <= mg.time() - t1 {
+        KernelMode::Mpk
+    } else {
+        KernelMode::Spmv
+    }
+}
+
+fn the_twin_picks_what_a_live_dry_run_picks() {
+    let matrices = [
+        ("laplace2d", laplace2d(40, 40)),
+        ("cantilever", cantilever(8, 8, 8)),
+        ("convection_diffusion", convection_diffusion(40, 40, 3.0)),
+        ("circuit", circuit(1500, 7)),
+    ];
+    let mut picks = Vec::new();
+    for (name, a) in &matrices {
+        for ndev in 1..=3 {
+            let (a, _, layout) = prepare(a, Ordering::Natural, ndev);
+            for s in [4, 10] {
+                let twin = fastest_kernel(&MultiGpu::with_defaults(ndev), &a, &layout, s);
+                let live = live_dry_run(&mut MultiGpu::with_defaults(ndev), &a, &layout, s);
+                assert_eq!(twin, live, "{name} on {ndev} devices at s = {s}");
+                picks.push(twin);
+            }
+        }
+    }
+    // the two-node machine of ext_multinode: six devices striped over the
+    // nodes, the network latency at its default and at four times that
+    let (a, _, layout) = prepare(&circuit(3000, 3), Ordering::Kway, 6);
+    for lat_scale in [1.0, 4.0] {
+        let mut model = PerfModel::default();
+        model.net_latency_s *= lat_scale;
+        let machine = || {
+            MultiGpu::with_topology(vec![0, 1, 0, 1, 0, 1], model.clone(), KernelConfig::default())
+        };
+        let twin = fastest_kernel(&machine(), &a, &layout, 10);
+        let live = live_dry_run(&mut machine(), &a, &layout, 10);
+        assert_eq!(twin, live, "two nodes, network latency x{lat_scale}");
+        picks.push(twin);
+    }
+    assert!(picks.contains(&KernelMode::Mpk) && picks.contains(&KernelMode::Spmv), "{picks:?}");
+}
+
 #[test]
 fn cost_only_machine_predicts_the_arithmetic_one() {
     cost_only_replays_the_arithmetic_command_stream();
     a_lost_cost_only_device_is_as_inert_as_a_lost_arithmetic_one();
     a_cost_only_system_holds_nothing_row_sized();
+    the_twin_picks_what_a_live_dry_run_picks();
 }

@@ -234,6 +234,17 @@ impl MultiGpu {
         }
     }
 
+    /// A cost-only ([`MultiGpu::cost_only`]) machine of this one's shape:
+    /// its model, kernel config, topology and schedule, with clocks at zero
+    /// and no fault plan — somewhere to time a program without running it
+    /// here.
+    pub fn cost_only_twin(&self) -> Self {
+        let mut twin = Self::cost_only(self.n_gpus(), (*self.model).clone(), self.config);
+        twin.node_of.clone_from(&self.node_of);
+        twin.schedule = self.schedule;
+        twin
+    }
+
     /// Whether this machine was built by [`MultiGpu::cost_only`].
     pub fn is_cost_only(&self) -> bool {
         self.devices[0].is_cost_only()

@@ -362,9 +362,10 @@ pub fn drain_sealed() -> Vec<Span> {
 }
 
 /// Temporarily stop recording on this thread, returning whether a session
-/// was active (pass that to [`resume`]). Used around work whose simulated
-/// clocks are later reset (e.g. the `Auto` kernel dry-run), which would
-/// otherwise record timestamps that jump backwards on the timeline.
+/// was active (pass that to [`resume`]). Used around work on clocks of its
+/// own (e.g. pricing a kernel on a cost-only machine whose clocks start at
+/// zero), which would otherwise record timestamps that jump backwards on
+/// the timeline.
 pub fn pause() -> bool {
     RECORDER.with(|r| {
         let mut r = r.borrow_mut();

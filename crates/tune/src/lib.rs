@@ -27,9 +27,9 @@
 //!   [`plan::PruneReason`]; a pick can be cross-validated against one real
 //!   simulated run ([`plan::Planner::cross_validate`]).
 //! * [`retune`] — runtime adaptation: [`retune::Retuner`] implements
-//!   [`ca_gmres::ft::RestartTuner`], so a fault-tolerant solve with
-//!   `CaGmresConfig::autotune` set re-plans `(s, layout)` at restart
-//!   boundaries from the live [`ca_gpusim::HealthReport`]. On a healthy
+//!   [`ca_gmres::ft::RestartTuner`], so a fault-tolerant solve handed one
+//!   ([`ca_gmres::ft::ca_gmres_ft_session`]) re-plans `(s, layout)` at
+//!   restart boundaries from the live [`ca_gpusim::HealthReport`]. On a healthy
 //!   machine it returns `None` without touching the solver state, so a
 //!   tuned run replays an untuned run bit for bit.
 //! * [`admit`] — the planner repackaged as a service admission

@@ -43,7 +43,7 @@ options:
   --tsqr KIND       mgs | cgs | cgs-fused | cholqr | cholqr-f32 | svqr | caqr | caqr-tree
   --ordering ORD    natural | rcm | kway | bisection  (default kway)
   --reorth          run BOrth+TSQR twice (\"2x\")
-  --adaptive        halve s on orthogonalization breakdown
+  --adaptive        on an orthogonalization breakdown, finish the cycle at half s
   --no-balance      skip the row/column balancing preprocessing
   --precond P       none | jacobi | block:N  (right preconditioning)
   --gmres           run standard GMRES instead of CA-GMRES
@@ -235,11 +235,12 @@ fn main() {
     } else {
         sys = System::new(&mut mg, &a_ord, layout, args.m, Some(args.s)).unwrap();
         sys.load_rhs(&mut mg, &b_ord).unwrap();
+        let kernel = ca_gmres::mpk::fastest_kernel(&mg, &a_ord, &sys.layout, args.s);
         let cfg = CaGmresConfig {
             s: args.s,
             m: args.m,
             orth: OrthConfig { tsqr: args.tsqr, reorth: args.reorth, ..Default::default() },
-            kernel: ca_gmres::cagmres::KernelMode::Auto,
+            kernel,
             rtol: args.rtol,
             max_restarts: 5000,
             adaptive_s: args.adaptive,
@@ -252,9 +253,9 @@ fn main() {
             args.m,
             if args.reorth { "2x" } else { "" },
             args.tsqr,
-            out.kernel_used,
+            kernel,
             if out.s_final != args.s {
-                format!(", s adapted to {}", out.s_final)
+                format!(", last block at s = {}", out.s_final)
             } else {
                 String::new()
             }

@@ -23,14 +23,13 @@ fn problem() -> (ca_gmres_repro::sparse::Csr, Vec<f64>) {
     (a, b)
 }
 
-fn solver_cfg(autotune: bool) -> CaGmresConfig {
+fn solver_cfg() -> CaGmresConfig {
     CaGmresConfig {
         s: 5,
         m: 20,
         kernel: KernelMode::Spmv,
         rtol: 1e-8,
         max_restarts: 300,
-        autotune,
         ..Default::default()
     }
 }
@@ -60,24 +59,17 @@ fn run(
         mg.set_fault_plan(p);
     }
     let cfg = FtConfig {
-        solver: solver_cfg(tune),
+        solver: solver_cfg(),
         abft_spmv: false,
         abft_orth: false,
         residual_check: false,
         ..Default::default()
     };
-    if tune {
-        let mut tuner = Retuner::new(
-            a,
-            cfg.solver.m,
-            PerfModel::default(),
-            KernelConfig::default(),
-            base_candidate(&cfg.solver),
-        );
-        ca_gmres_ft_with_tuner(mg, a, b, &cfg, Some(&mut tuner))
-    } else {
-        ca_gmres_ft_with_tuner(mg, a, b, &cfg, None)
-    }
+    let (model, kernels) = (PerfModel::default(), KernelConfig::default());
+    let mut tuner =
+        tune.then(|| Retuner::new(a, cfg.solver.m, model, kernels, base_candidate(&cfg.solver)));
+    let tuner = tuner.as_mut().map(|t| t as &mut dyn RestartTuner);
+    ca_gmres_ft_session(&mut mg, a, b, &cfg, tuner, None, false).0
 }
 
 #[test]

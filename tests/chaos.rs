@@ -293,10 +293,10 @@ fn panicked_guarded_solve_leaves_nothing_behind_on_its_thread() {
     }
     let (a, b) = problem();
     let mut cfg = ft_cfg();
-    cfg.solver.autotune = true;
     cfg.ladder = Some(Ladder::default());
     let guarded = catch_unwind(AssertUnwindSafe(|| {
-        ca_gmres_ft_with_tuner(MultiGpu::with_defaults(NDEV), &a, &b, &cfg, Some(&mut Bomb))
+        let mut mg = MultiGpu::with_defaults(NDEV);
+        ca_gmres_ft_session(&mut mg, &a, &b, &cfg, Some(&mut Bomb), None, false)
     }));
     assert!(guarded.is_err(), "the probe- and ladder-armed solve must have panicked");
 

@@ -381,12 +381,11 @@ fn phases_digest(t: &OneShotTuner) -> String {
 fn straggler_retune_through_tuner_convdiff() {
     let ab = convdiff();
     let mut c = cfg(6, 24, 1e-9);
-    c.solver.autotune = true;
     c.ladder = one_rung(EscalationRung::Reorth);
     let mut mg = MultiGpu::with_defaults(3);
     mg.set_fault_plan(FaultPlan::new(13).with_slowdown(2, 3.0, 318));
     let mut tuner = OneShotTuner::default();
-    let out = ca_gmres_ft_with_tuner(mg, &ab.0, &ab.1, &c, Some(&mut tuner));
+    let (out, _) = ca_gmres_ft_session(&mut mg, &ab.0, &ab.1, &c, Some(&mut tuner), None, false);
     assert_eq!(out.report.retunes, 1);
     check("straggler_retune_through_tuner_convdiff", &digest(&out), "x=f8761341f235bd0d t=3f7d99200e85aeaa orth=3f6a25ce3cd7bb18 tsqr=3f45bff3f51ff564 recl=0000000000000000 relres=3e033f2d6cfdf4e2 msgs=1037 bytes=132408 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=1 s=4 degraded=false ndev=3 layout=[0, 83, 166, 196] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[reorth@1:6:6:4110d4dd104ee6af,reorth@2:0:4:40f59cf0fcd59e1b] traj=18:8cbecaac38977932 checks=20 rebuilds=1");
     check(
@@ -403,10 +402,10 @@ fn straggler_retune_through_tuner_convdiff() {
 #[test]
 fn healthy_solve_attributes_its_phases_and_matches_the_clean_golden() {
     let (a, b) = laplace();
-    let mut c = cfg(5, 20, 1e-6);
-    c.solver.autotune = true;
+    let c = cfg(5, 20, 1e-6);
     let mut tuner = OneShotTuner { fired: true, ..Default::default() }; // never re-plans
-    let out = ca_gmres_ft_with_tuner(MultiGpu::with_defaults(2), &a, &b, &c, Some(&mut tuner));
+    let mut mg = MultiGpu::with_defaults(2);
+    let (out, _) = ca_gmres_ft_session(&mut mg, &a, &b, &c, Some(&mut tuner), None, false);
     check("clean_barrier_laplace (tuner armed)", &digest(&out), CLEAN_BARRIER_LAPLACE);
     assert!(out.stats.phases_consistent(), "{:?}", out.stats);
     assert!(out.stats.t_spmv > 0.25 * out.stats.t_total, "CA cycles' MPK time is attributed");

@@ -1,0 +1,89 @@
+//! Every solver entry refuses an input it cannot run with a typed outcome
+//! — `stats.breakdown == Some(BreakdownKind::InvalidInput { .. })` — and
+//! never a panic, before it touches a device.
+
+use ca_gmres_repro::gmres::cagmres::KernelMode;
+use ca_gmres_repro::gmres::mpk::SpmvFormat;
+use ca_gmres_repro::gmres::prelude::*;
+use ca_gmres_repro::gpusim::MultiGpu;
+use ca_gmres_repro::sparse::gen;
+
+const NDEV: usize = 2;
+/// Basis room of the systems the borrowing entries are handed.
+const ROOM: usize = 20;
+
+/// `(case, s, m, the s-step plan the borrowed system carries)`.
+const CASES: [(&str, usize, usize, Option<usize>); 6] = [
+    ("s = 0", 0, 10, Some(5)),
+    ("s > m", 12, 10, Some(5)),
+    ("m = 0", 1, 0, Some(5)),
+    ("m > sys.m", 5, ROOM + 10, Some(5)),
+    ("MPK without a plan", 5, 10, None),
+    ("MPK plan shorter than s", 8, 10, Some(5)),
+];
+
+fn assert_refused(entry: &str, case: &str, stats: &SolveStats) {
+    assert!(
+        matches!(stats.breakdown, Some(BreakdownKind::InvalidInput { .. })),
+        "{entry} on {case}: {:?}",
+        stats.breakdown
+    );
+    assert!(!stats.converged && stats.restarts == 0, "{entry} on {case} ran");
+}
+
+#[test]
+fn every_entry_types_what_it_cannot_run() {
+    let a = gen::laplace2d(8, 8);
+    let n = a.nrows();
+    let b = vec![1.0; n];
+    let mut refused = 0;
+    for (case, s, m, plan) in CASES {
+        let cfg = CaGmresConfig { s, m, kernel: KernelMode::Mpk, ..Default::default() };
+        let loaded = |s_opt: Option<usize>| {
+            let mut mg = MultiGpu::with_defaults(NDEV);
+            let sys = System::new(&mut mg, &a, Layout::even(n, NDEV), ROOM, s_opt).unwrap();
+            sys.load_rhs(&mut mg, &b).unwrap();
+            (mg, sys)
+        };
+
+        let (mut mg, sys) = loaded(plan);
+        assert_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
+        refused += 1;
+        // the baseline has no `s`: only its `m` can be wrong
+        if m == 0 || m > ROOM {
+            let (mut mg, sys) = loaded(None);
+            let out = gmres(&mut mg, &sys, &GmresConfig { m, ..Default::default() });
+            assert_refused("gmres", case, &out.stats);
+            refused += 1;
+        }
+
+        // the entries that build their own system size it from `cfg`: only
+        // `s` and `m` themselves can be wrong
+        if s == 0 || s > m {
+            let mut mg = MultiGpu::with_defaults(NDEV);
+            let layout = Layout::even(n, NDEV);
+            let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
+            assert_refused("ca_gmres_mixed", case, &out.stats);
+            assert_eq!(out.x, vec![0.0; n]);
+            let ft = FtConfig { solver: cfg, ..Default::default() };
+            let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
+            assert_refused("ca_gmres_ft", case, &out.stats);
+            refused += 2;
+        }
+    }
+    assert_eq!(refused, 14, "every (entry, case) pair of the table was exercised");
+}
+
+#[test]
+fn a_right_hand_side_of_the_wrong_length_is_refused() {
+    let a = gen::laplace2d(6, 6);
+    let b = vec![1.0; a.nrows() - 1];
+    let cfg = CaGmresConfig { s: 4, m: 12, ..Default::default() };
+    let mut mg = MultiGpu::with_defaults(NDEV);
+    let layout = Layout::even(a.nrows(), NDEV);
+    let mixed = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
+    assert_refused("ca_gmres_mixed", "short b", &mixed.stats);
+    let ft = FtConfig { solver: cfg, ..Default::default() };
+    let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
+    assert_refused("ca_gmres_ft", "short b", &out.stats);
+}
