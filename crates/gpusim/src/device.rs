@@ -20,6 +20,7 @@
 
 use crate::faults::{FaultPlan, GpuSimError, Result, SdcEvent, SdcKind};
 use crate::model::{GemmVariant, GemvVariant, PerfModel, SpmvShape};
+use crate::multi::PAR_ROWS;
 use crate::stream::{Cmd, Event, StreamTrace};
 use ca_dense::{blas1, blas3, qr, tile, Mat};
 use ca_scalar::Precision;
@@ -163,6 +164,9 @@ pub struct Device {
     /// Device vectors, each a one-column matrix.
     vecs: Vec<Mat>,
     mats: Vec<Mat>,
+    /// Live matrices of at least [`PAR_ROWS`] rows: the grain
+    /// [`MultiGpu::run_map`](crate::multi::MultiGpu::run_map) threads on.
+    par_panels: usize,
     slices: Vec<SpSlice>,
     mem_bytes: usize,
     /// Kernel ops completed (fault-plan coordinate; counted always so a
@@ -245,6 +249,7 @@ impl Device {
             shape_only,
             vecs: Vec::new(),
             mats: Vec::new(),
+            par_panels: 0,
             slices: Vec::new(),
             mem_bytes: 0,
             ops: 0,
@@ -513,7 +518,14 @@ impl Device {
     pub fn alloc_mat(&mut self, rows: usize, cols: usize) -> Result<MatId> {
         self.charge_mem(rows * cols * 8)?;
         self.mats.push(self.buffer(rows, cols));
+        self.par_panels += usize::from(rows >= PAR_ROWS);
         Ok(MatId(self.mats.len() - 1))
+    }
+
+    /// Whether this device holds a dense panel of at least [`PAR_ROWS`]
+    /// rows.
+    pub(crate) fn holds_par_panel(&self) -> bool {
+        self.par_panels > 0
     }
 
     /// Load an ELLPACK sparse slice into device memory.
@@ -574,6 +586,7 @@ impl Device {
     pub fn free_mat(&mut self, m: MatId) {
         let mat = &self.mats[m.0];
         let bytes = mat.nrows() * mat.ncols() * 8;
+        self.par_panels -= usize::from(mat.nrows() >= PAR_ROWS);
         self.mem_bytes = self.mem_bytes.saturating_sub(bytes);
         self.mats[m.0] = Mat::zeros(0, 0);
     }
@@ -608,6 +621,8 @@ impl Device {
         debug_assert!(self.vecs.len() >= mark.vecs);
         debug_assert!(self.mats.len() >= mark.mats);
         debug_assert!(self.slices.len() >= mark.slices);
+        let dropped = self.mats.iter().skip(mark.mats).filter(|m| m.nrows() >= PAR_ROWS);
+        self.par_panels -= dropped.count();
         self.vecs.truncate(mark.vecs);
         self.mats.truncate(mark.mats);
         self.slices.truncate(mark.slices);

@@ -14,11 +14,14 @@
 //!   using the calibrated [`model::PerfModel`] (M2090 flops/bandwidth,
 //!   PCIe latency/bandwidth, per-kernel-variant efficiency caps fitted to
 //!   the paper's Fig. 11 shapes);
-//! * **concurrency on the simulated clock** — the host executes a device
-//!   phase one device after the other ([`MultiGpu::run_map`]) while the
-//!   device clocks advance independently, so communication-free MPK flops
-//!   overlap in simulated time and transfers create the only
-//!   synchronization points;
+//! * **concurrency on the simulated clock** — the device clocks of a
+//!   device phase ([`MultiGpu::run_map`]) advance independently, so
+//!   communication-free MPK flops overlap in simulated time and transfers
+//!   create the only synchronization points. On the host, a phase runs
+//!   whole devices on scoped threads when the machine is above a size
+//!   grain (every device holds a panel of ≥ 4096 rows, the machine is not
+//!   cost-only, the host has more than one core); one thread issues all of
+//!   a device's commands, so the split changes no bit, clock or trace;
 //! * **streams and events** — each device clock is the tail of an in-order
 //!   command queue (a CUDA stream); copies occupy per-link copy engines
 //!   and record [`stream::Event`]s other queues can wait on, and the

@@ -4,9 +4,9 @@
 //! Timing semantics mirror the paper's execution model:
 //!
 //! * device kernels launched in a phase run concurrently across GPUs on
-//!   the simulated clock: [`MultiGpu::run_map`] executes the devices one
-//!   after the other on the calling thread and advances each device's
-//!   private clock independently;
+//!   the simulated clock: [`MultiGpu::run_map`] advances each device's
+//!   private clock independently (and, above a size grain, runs whole
+//!   devices on host threads, which changes no bit);
 //! * device→host transfers are asynchronous per-GPU (each Keeneland GPU
 //!   has its own PCIe link): the host becomes ready at
 //!   `max_d(device_finish_d + transfer_d)` plus a per-message host
@@ -34,7 +34,32 @@ use crate::retry::RetryPolicy;
 use crate::stream::{Cmd, CopyEngine, Event, EventTable, Schedule};
 use ca_obs as obs;
 use ca_scalar::Precision;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Rows of the dense panel every device must hold before
+/// [`MultiGpu::run_map`] hands devices to threads: below it a hand-off per
+/// launch costs more than a device's share of the launch. The service's
+/// slices (≤ ~2000 rows per device) stay on one thread and the `ca-perf`
+/// solver workloads (≥ 13 824 rows per device) split; see DESIGN.md, "Host
+/// threads".
+pub(crate) const PAR_ROWS: usize = 4096;
+
+/// Host cores, read once: `available_parallelism` reads cgroup files on
+/// every call, which costs more than a small launch.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Why a `run_map` mutex cannot be poisoned: none is held while a device
+/// closure runs.
+const UNPOISONED: &str = "no lock is held across a device closure";
+
+#[cfg(test)]
+thread_local! {
+    /// Worker threads this thread's `run_map` calls have spawned.
+    static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Counters for the traffic study (Fig. 7 and the "# GPU-CPU comm." column
 /// of Fig. 10). Totals cover all traffic regardless of precision; the
@@ -474,18 +499,77 @@ impl MultiGpu {
 
     // ---------- execution ----------
 
-    /// Run `f` on every device in turn, collecting the per-device results.
-    /// The devices are concurrent on the simulated clock only: each one's
+    /// Run `f` on every device, collecting the per-device results in device
+    /// order. On the simulated clock the devices are concurrent: each one's
     /// private clock advances by what `f` launches on it — no implicit
-    /// barrier — while the host executes them one after the other. The
-    /// bounds are those of a threaded executor, so that no caller comes to
-    /// depend on the order.
+    /// barrier. On the host, owner computes over whole devices: the calling
+    /// thread and up to `min(cores, devices) − 1` scoped workers take devices
+    /// from one shared cursor, and one thread issues all of a device's
+    /// commands in program order, so results, clocks, op counts and traces
+    /// are those of a sequential run. The machine runs on the calling
+    /// thread alone when it is cost-only (its launches compute nothing),
+    /// when the host has one core, or when some device holds no dense panel
+    /// of `PAR_ROWS` (4096) rows (a hand-off would cost more than a device's
+    /// share of a launch). A panic in `f` resumes on the caller
+    /// with its own payload. `f` must not record to `ca-obs`: its recorder
+    /// is per thread.
     pub fn run_map<R, F>(&mut self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &mut Device) -> R + Sync,
     {
-        self.devices.iter_mut().enumerate().map(|(i, d)| f(i, d)).collect()
+        self.run_map_on(self.workers(), f)
+    }
+
+    /// The grain rule: how many threads besides the caller a
+    /// [`MultiGpu::run_map`] on this machine gets.
+    fn workers(&self) -> usize {
+        if self.is_cost_only() || !self.devices.iter().all(Device::holds_par_panel) {
+            return 0;
+        }
+        host_cores().min(self.devices.len()) - 1
+    }
+
+    /// [`MultiGpu::run_map`] on the calling thread plus `workers` scoped
+    /// threads.
+    fn run_map_on<R, F>(&mut self, workers: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, &mut Device) -> R + Sync,
+    {
+        if workers == 0 {
+            return self.devices.iter_mut().enumerate().map(|(i, d)| f(i, d)).collect();
+        }
+        let out: Vec<Mutex<Option<R>>> = self.devices.iter().map(|_| Mutex::new(None)).collect();
+        self.split(workers, &|i, d| {
+            let r = f(i, d);
+            *out[i].lock().expect(UNPOISONED) = Some(r);
+        });
+        let done =
+            |r: Mutex<Option<R>>| r.into_inner().expect(UNPOISONED).expect("every device ran");
+        out.into_iter().map(done).collect()
+    }
+
+    /// The threaded half of [`MultiGpu::run_map_on`], compiled once instead
+    /// of once per closure: `f` runs on every device over the calling thread
+    /// and `workers` scoped threads, which take devices from one shared
+    /// cursor.
+    fn split(&mut self, workers: usize, f: &(dyn Fn(usize, &mut Device) + Sync)) {
+        #[cfg(test)]
+        SPAWNS.with(|n| n.set(n.get() + workers));
+        let cursor = Mutex::new(self.devices.iter_mut().enumerate());
+        let drain = || loop {
+            // the guard is a temporary of this statement: `f` runs unlocked
+            let Some((i, dev)) = cursor.lock().expect(UNPOISONED).next() else { return };
+            f(i, dev);
+        };
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(drain)).collect();
+            drain();
+            for h in handles {
+                h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            }
+        });
     }
 
     /// Run `f` on every device, discarding results.
@@ -866,6 +950,7 @@ impl MultiGpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MatId, SdcTargets};
 
     #[test]
     fn run_map_touches_every_device() {
@@ -875,6 +960,118 @@ mod tests {
             i * 10
         });
         assert_eq!(ids, vec![0, 10, 20]);
+    }
+
+    // `run_map` hands `&mut Device` to other threads.
+    const _: () = {
+        const fn assert_send<T: Send>() {}
+        assert_send::<Device>()
+    };
+
+    /// Three devices of different heights under an SDC plan, eight rounds
+    /// of launches through `run_map_on(workers, ..)`: every result bit,
+    /// then per device the clock, ops, busy seconds and corruptions drawn,
+    /// then the command traces.
+    #[allow(clippy::type_complexity)]
+    fn split_run(workers: usize) -> (Vec<u64>, Vec<[u64; 4]>, Vec<Vec<Cmd>>) {
+        let mut mg = MultiGpu::with_defaults(3);
+        mg.set_fault_plan(FaultPlan::new(9).with_sdc(0.2, SdcTargets::all()));
+        mg.enable_trace();
+        let ids: Vec<MatId> = (0..3)
+            .map(|d| {
+                let rows = 500 + 300 * d;
+                let dev = mg.device_mut(d);
+                let v = dev.alloc_mat(rows, 4).unwrap();
+                for c in 0..4 {
+                    let col: Vec<f64> =
+                        (0..rows).map(|i| ((i * (c + 3) + d) % 17) as f64 - 8.0).collect();
+                    dev.mat_mut(v).set_col(c, &col);
+                }
+                v
+            })
+            .collect();
+        let gemm = mg.config.gemm;
+        let mut bits = Vec::new();
+        for round in 0..8 {
+            let parts = mg.run_map_on(workers, |d, dev| {
+                dev.axpy_cols(ids[d], 0.5, round % 4, (round + 1) % 4);
+                let gram = dev.syrk_cols(ids[d], 0, 4, gemm);
+                (dev.dot_cols(ids[d], 0, 1), gram)
+            });
+            for (dot, gram) in parts {
+                bits.push(dot.to_bits());
+                bits.extend(gram.as_slice().iter().map(|g| g.to_bits()));
+            }
+        }
+        let devices = (0..3)
+            .map(|d| {
+                let dev = mg.device(d);
+                [dev.clock().to_bits(), dev.ops(), dev.busy_time().to_bits(), dev.sdc_injected()]
+            })
+            .collect();
+        (bits, devices, mg.take_traces())
+    }
+
+    #[test]
+    fn run_map_split_is_bit_identical_at_every_worker_count() {
+        let seq = split_run(0);
+        assert!(seq.1.iter().any(|d| d[3] > 0), "the plan must corrupt something");
+        for workers in 1..=3 {
+            let par = split_run(workers);
+            assert_eq!(seq.0, par.0, "{workers} workers: results");
+            assert_eq!(seq.1, par.1, "{workers} workers: clocks, ops, busy, SDC draws");
+            assert!(seq.2 == par.2, "{workers} workers: stream traces");
+        }
+    }
+
+    #[test]
+    fn a_panicking_device_surfaces_its_own_payload() {
+        for workers in 0..=2 {
+            let mut mg = MultiGpu::with_defaults(3);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                mg.run_map_on(workers, |d, _| {
+                    if d == 2 {
+                        panic!("device {d} gave up");
+                    }
+                })
+            }))
+            .unwrap_err();
+            let msg = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("device 2 gave up"), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn only_an_arithmetic_machine_with_a_panel_on_every_device_spawns() {
+        let spawns = || SPAWNS.with(std::cell::Cell::get);
+        let panels = |mg: &mut MultiGpu, rows: usize, devices: std::ops::Range<usize>| {
+            devices.map(|d| mg.device_mut(d).alloc_mat(rows, 2).unwrap()).collect::<Vec<_>>()
+        };
+        let start = spawns();
+        let mut below = MultiGpu::with_defaults(3);
+        panels(&mut below, PAR_ROWS - 1, 0..3);
+        below.run(|_, _| {});
+        let model = PerfModel::default();
+        let mut cost = MultiGpu::cost_only(3, model, KernelConfig::default());
+        panels(&mut cost, PAR_ROWS, 0..3);
+        cost.run(|_, _| {});
+        let mut mg = MultiGpu::with_defaults(3);
+        panels(&mut mg, PAR_ROWS, 0..2);
+        mg.run(|_, _| {});
+        assert_eq!(spawns(), start, "below the grain nothing spawns");
+        // the last device's panel puts the machine above the grain
+        let mark = mg.device(2).mem_checkpoint();
+        panels(&mut mg, PAR_ROWS, 2..3);
+        mg.run(|_, _| {});
+        let threads = host_cores().min(3) - 1;
+        assert_eq!(spawns(), start + threads);
+        // a rollback or a free takes it back below
+        mg.device_mut(2).mem_rollback(&mark);
+        mg.run(|_, _| {});
+        let ids = panels(&mut mg, PAR_ROWS, 2..3);
+        mg.device_mut(2).free_mat(ids[0]);
+        mg.run(|_, _| {});
+        assert_eq!(spawns(), start + threads);
     }
 
     #[test]

@@ -119,12 +119,12 @@ pub fn kway_partition(a: &Csr, nparts: usize, refine_passes: usize) -> Partition
         }
     }
     let mut assigned: usize = sizes.iter().sum();
+    let mut order: Vec<usize> = (0..nparts).collect();
     while assigned < n {
         let mut progressed = false;
-        // round-robin, smallest part first, to keep sizes even
-        let mut order: Vec<usize> = (0..nparts).collect();
-        order.sort_by_key(|&p| sizes[p]);
-        for p in order {
+        // round-robin, smallest part first (ties by index), to keep sizes even
+        order.sort_unstable_by_key(|&p| (sizes[p], p));
+        for &p in &order {
             if sizes[p] > target {
                 continue;
             }
@@ -168,6 +168,7 @@ pub fn kway_partition(a: &Csr, nparts: usize, refine_passes: usize) -> Partition
 
     // --- boundary refinement ---
     let max_size = (target as f64 * 1.03).ceil() as usize + 1;
+    let mut counts = vec![0i64; nparts];
     for _ in 0..refine_passes {
         let mut moved = 0usize;
         for v in 0..n {
@@ -176,7 +177,7 @@ pub fn kway_partition(a: &Csr, nparts: usize, refine_passes: usize) -> Partition
                 continue;
             }
             // count neighbor parts
-            let mut counts = vec![0i64; nparts];
+            counts.fill(0);
             for &w in g.neighbors(v) {
                 counts[partition.part[w as usize] as usize] += 1;
             }
@@ -278,6 +279,7 @@ fn refine(g: &Graph, partition: &mut Partition, passes: usize) {
     let mut sizes = partition.sizes();
     let target = n.div_ceil(nparts);
     let max_size = (target as f64 * 1.03).ceil() as usize + 1;
+    let mut counts = vec![0i64; nparts];
     for _ in 0..passes {
         let mut moved = 0usize;
         for v in 0..n {
@@ -285,7 +287,7 @@ fn refine(g: &Graph, partition: &mut Partition, passes: usize) {
             if sizes[pv] <= 1 {
                 continue;
             }
-            let mut counts = vec![0i64; nparts];
+            counts.fill(0);
             for &w in g.neighbors(v) {
                 counts[partition.part[w as usize] as usize] += 1;
             }
@@ -389,6 +391,20 @@ mod tests {
         let kw = kway_partition(&a, 3, 4).edge_cut(&a);
         let rb = recursive_bisection(&a, 3, 4).edge_cut(&a);
         assert!(kw <= rb * 2, "kway {kw} vs bisection {rb}");
+    }
+
+    /// The `Ordering::Kway` layouts of the solver workloads' matrices: the
+    /// word-wise FNV of `part` at k = 3, recorded before the partitioners'
+    /// scratch buffers moved out of their per-vertex and per-round loops.
+    #[test]
+    fn partitions_are_pinned() {
+        let hash =
+            |p: Partition| ca_obs::metrics::fnv1a_words(p.part.iter().map(|&q| u64::from(q)));
+        let convdiff = crate::gen::convection_diffusion(300, 300, 2.0);
+        let circuit = crate::gen::circuit(20000, 20140527);
+        assert_eq!(hash(kway_partition(&convdiff, 3, 4)), 0xb401ae947310a0e8);
+        assert_eq!(hash(kway_partition(&circuit, 3, 4)), 0x2f683e81e4c314cd);
+        assert_eq!(hash(recursive_bisection(&circuit, 3, 4)), 0xcf0ffc8c0d5f4102);
     }
 
     #[test]

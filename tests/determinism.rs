@@ -268,6 +268,46 @@ fn f64_generic_stack_matches_pre_refactor_golden_digests() {
     assert_eq!(iters, 66, "iteration path drifted from the pre-refactor stack");
 }
 
+/// Property (host threads): a solve above `MultiGpu::run_map`'s thread
+/// grain — ≥ 4096 rows of basis panel on every device, so on a multi-core
+/// host the three devices' commands run on different threads — has the
+/// bits of the single-threaded host. The golden was recorded at the commit
+/// before `run_map` threaded, where every device ran on the calling thread.
+#[test]
+fn above_grain_solve_matches_single_thread_golden() {
+    let a = gen::convection_diffusion(130, 130, 2.0);
+    let (a_ord, p, layout) = prepare(&a, Ordering::Kway, 3);
+    let n = a.nrows();
+    let b: Vec<f64> = (0..n).map(|i| ((i * 31 % 17) as f64) - 8.0).collect();
+    let mut mg = MultiGpu::with_defaults(3);
+    let cfg = CaGmresConfig { s: 10, m: 60, rtol: 1e-8, max_restarts: 300, ..Default::default() };
+    let sys = System::new(&mut mg, &a_ord, layout, cfg.m, Some(cfg.s)).unwrap();
+    sys.load_rhs(&mut mg, &perm::permute_vec(&b, &p)).unwrap();
+    let rows: Vec<usize> = (0..3).map(|d| mg.device(d).mat(sys.v[d]).nrows()).collect();
+    assert_eq!(rows, [5642, 5639, 5619], "the solve must stay above the 4096-row grain");
+    let out = ca_gmres(&mut mg, &sys, &cfg);
+    let x = perm::unpermute_vec(&sys.download_x(&mut mg).unwrap(), &p);
+    let mut h = ca_gmres_repro::obs::Fnv1a::default();
+    x.iter().for_each(|v| h.word(v.to_bits()));
+    let s = &out.stats;
+    assert!(s.converged);
+    assert_eq!(h.finish(), 0x568212971490c731, "solution bits");
+    let clocks = [s.t_total, s.t_spmv, s.t_orth, s.t_tsqr, s.t_small].map(f64::to_bits);
+    assert_eq!(
+        clocks,
+        [
+            0x3fa15ab704bb1f14,
+            0x3f921c3e5da251df,
+            0x3f8fb2b45e8f4d9e,
+            0x3f6c7c804a7f3570,
+            0x3f10967bbeb53800
+        ],
+        "simulated clocks"
+    );
+    assert_eq!((s.comm_msgs, s.comm_bytes), (2022, 5022072), "traffic");
+    assert_eq!((s.total_iters, s.restarts), (523, 9), "iteration path");
+}
+
 /// The mixed-precision driver (f32 basis + f64 refinement) with
 /// everything observable: solution bits, clock bits, counters including
 /// the f32-tagged byte lanes.
