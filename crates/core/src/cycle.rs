@@ -9,8 +9,8 @@
 //! steps, or what is left of `m`), generate it with MPK or shifted SpMVs,
 //! orthogonalize it (BOrth + TSQR), extend the Hessenberg matrix, push the
 //! new columns through the Givens least-squares recurrence, and — once the
-//! target is met or `m` columns exist — solve for the update and apply it
-//! to `x`.
+//! target is met or `m` columns exist — solve for the update `y`. The cycle
+//! returns `y`; the loop applies it to `x` ([`Solve::cycle`]).
 //!
 //! What differs between the entries is the [`CycleGuard`], every hook of
 //! which is a no-op by default, and whether the solve owns its system
@@ -24,7 +24,10 @@
 //!   built under `FtGuard`: ABFT verification, retry budget, health probe,
 //!   basis monitor, escalation ladder and block checkpoints inside the
 //!   cycle; residual backstop, iterate checkpoint, watchdog, tuner,
-//!   rebalancer and the hand-back arms at its boundary.
+//!   rebalancer and the hand-back arms at its boundary;
+//! * [`crate::eigs::arnoldi_eigs`] runs the same two cycles under its own
+//!   restart loop: it keeps each cycle's Hessenberg matrix instead of
+//!   applying `y`, and restarts from a Ritz vector.
 //!
 //! The cycle hook points are part of the contract — a guard sees the cycle
 //! at exactly these places, in this order, per block attempt:
@@ -65,7 +68,7 @@ use crate::layout::Layout;
 use crate::mpk::{mpk_prefetch, mpk_with_prefetch, spmv_block, PrefetchedHalo, SpmvFormat};
 use crate::newton::BasisSpec;
 use crate::orth::{self, tsqr_with_hook, BorthKind, OrthConfig, OrthError, PrefetchHook};
-use crate::stats::{BreakdownKind, PhaseTimer, SolveStats};
+use crate::stats::{BreakdownKind, SolveStats};
 use crate::system::System;
 use ca_dense::hessenberg::{Complex, GivensLsq};
 use ca_dense::{blas3, Mat};
@@ -255,7 +258,7 @@ impl CycleGuard for NoGuard {
 /// reaches a timer.
 pub(crate) struct Phase {
     span: obs::SpanId,
-    timer: PhaseTimer,
+    t0: f64,
     flatten: bool,
 }
 
@@ -269,14 +272,16 @@ impl Phase {
 
     pub(crate) fn begin(mg: &mut MultiGpu, name: &str, flatten: bool) -> Self {
         let now = Self::boundary(mg, flatten);
-        Self { span: obs::span_begin(name, HOST, now), timer: PhaseTimer::start(now), flatten }
+        Self { span: obs::span_begin(name, HOST, now), t0: now, flatten }
     }
 
     /// Close the phase and return its seconds.
-    pub(crate) fn end(mut self, mg: &mut MultiGpu) -> f64 {
+    pub(crate) fn end(self, mg: &mut MultiGpu) -> f64 {
         let now = Self::boundary(mg, self.flatten);
         obs::span_end(self.span, now);
-        self.timer.mark(now)
+        let dt = now - self.t0;
+        debug_assert!(dt >= -1e-12, "clock went backwards: {dt}");
+        dt.max(0.0)
     }
 }
 
@@ -380,14 +385,17 @@ impl CycleCkpt {
 
 /// How a cycle ended.
 pub(crate) enum CycleEnd<H> {
-    /// Ran to the restart boundary: `x` is updated and the restart
-    /// counted. The `cycle` host span is still open: the caller's explicit
-    /// residual ([`residual`]) belongs inside it, then the span is ended.
+    /// Ran to the restart boundary. [`run_cycle`] leaves the update and the
+    /// restart count to its caller ([`SolveCtx::finish_cycle`]); from
+    /// [`Solve::cycle`] both are done. The `cycle` host span is still open:
+    /// the caller's explicit residual ([`residual`]) belongs inside it, then
+    /// the span is ended.
     Done {
         /// Implicit (least-squares) residual norm.
         implied: f64,
-        /// Krylov dimensions the update used (0: no progress possible).
-        k_used: usize,
+        /// The update `x += V y`; its length is the Krylov dimensions it
+        /// uses (empty: no progress possible).
+        y: Vec<f64>,
         span: obs::SpanId,
     },
     /// Orthogonalization failed at `column` and the guard declined:
@@ -512,19 +520,36 @@ pub(crate) fn run_cycle<G: CycleGuard>(
         }
     }
 
-    // update: the recurrence holds exactly the `k_used` columns pushed
-    let implied = if st.k_used > 0 {
-        let (y, implied) = (st.lsq.solve(), st.lsq.residual_norm());
-        let ph = Phase::begin(cx.mg, "small", G::FLATTEN);
-        cx.mg.host_compute((3 * (st.k_used + 1) * (st.k_used + 1)) as f64, (16 * st.k_used) as f64);
-        cx.stats.t_small += ph.end(cx.mg);
-        cx.sys.update_x(cx.mg, &y)?;
-        implied
-    } else {
-        st.beta
-    };
-    cx.stats.restarts += 1;
-    Ok(CycleEnd::Done { implied, k_used: st.k_used, span })
+    // the recurrence holds exactly the `k_used` columns pushed
+    let y = lsq_solution(cx, &st.lsq, G::FLATTEN);
+    let implied = if y.is_empty() { st.beta } else { st.lsq.residual_norm() };
+    Ok(CycleEnd::Done { implied, y, span })
+}
+
+/// The least-squares solution `y` of a cycle's recurrence (empty when no
+/// column was pushed), its host solve charged to the "small" phase.
+pub(crate) fn lsq_solution(cx: &mut SolveCtx<'_>, lsq: &GivensLsq, flatten: bool) -> Vec<f64> {
+    let k = lsq.ncols();
+    if k == 0 {
+        return Vec::new();
+    }
+    let y = lsq.solve();
+    let ph = Phase::begin(cx.mg, "small", flatten);
+    cx.mg.host_compute((3 * (k + 1) * (k + 1)) as f64, (16 * k) as f64);
+    cx.stats.t_small += ph.end(cx.mg);
+    y
+}
+
+impl SolveCtx<'_> {
+    /// Close a finished cycle: apply its update `x += V y` and count the
+    /// restart.
+    pub(crate) fn finish_cycle(&mut self, y: &[f64]) -> GpuResult<()> {
+        if !y.is_empty() {
+            self.sys.update_x(self.mg, y)?;
+        }
+        self.stats.restarts += 1;
+        Ok(())
+    }
 }
 
 /// Outcome of one block attempt that did not fail outright.
@@ -797,8 +822,6 @@ pub(crate) struct Solve<'a> {
     pub sys: Sys<'a>,
     pub cfg: &'a CaGmresConfig,
     pub orth: OrthConfig,
-    /// Ritz values the first cycle harvests (an argument of the entry).
-    pub ritz: usize,
     /// Step size in effect; a retune may change it.
     pub s_cur: usize,
     /// Basis precision in effect; the Promote rung raises it.
@@ -827,21 +850,20 @@ pub(crate) struct Solve<'a> {
 }
 
 impl<'a> Solve<'a> {
-    /// A solve of `cfg` on `sys` and `mg` at step size `s`, harvesting
-    /// `ritz` Ritz values, before anything ran.
+    /// A solve of `cfg` on `sys` and `mg` at step size `s`, before anything
+    /// ran.
     pub(crate) fn new(
         mg: &'a mut MultiGpu,
         sys: Sys<'a>,
         cfg: &'a CaGmresConfig,
         orth: OrthConfig,
-        (s, ritz): (usize, usize),
+        s: usize,
     ) -> Self {
         Self {
             mg,
             sys,
             cfg,
             orth,
-            ritz,
             s_cur: s,
             prec_cur: cfg.mpk_prec,
             basis_cur: cfg.basis,
@@ -879,13 +901,13 @@ impl<'a> Solve<'a> {
         while self.beta > target && self.stats.restarts < self.cfg.max_restarts {
             let t_entry = self.mg.time();
             match self.cycle(target, guard) {
-                Ok(CycleEnd::Done { implied, k_used, span }) => {
+                Ok(CycleEnd::Done { implied, y, span }) => {
                     let beta = self.end_cycle::<G>(span)?;
                     if !guard.cycle_done(self, beta, implied)? {
                         continue;
                     }
                     self.beta = beta;
-                    if self.stats.breakdown.is_some() || k_used == 0 {
+                    if self.stats.breakdown.is_some() || y.is_empty() {
                         break; // numerical breakdown or stagnation: stop honestly
                     }
                 }
@@ -911,25 +933,24 @@ impl<'a> Solve<'a> {
         Ok(())
     }
 
-    /// One restart cycle under `guard`: the standard first cycle, which
-    /// harvests the Ritz values, until they exist; after that a CA cycle,
-    /// entered fresh from `self.beta` or at the checkpoint in
-    /// `self.resume`. Under the plain guard this is
+    /// One restart cycle under `guard`, its update applied and counted: the
+    /// standard first cycle, which harvests the Ritz values, until they
+    /// exist; after that a CA cycle, entered fresh from `self.beta` or at
+    /// the checkpoint in `self.resume`. Under the plain guard this is
     /// [`crate::cagmres::ca_cycle`].
     pub(crate) fn cycle<G: CycleGuard>(
         &mut self,
         target: f64,
         guard: &mut G,
     ) -> GpuResult<CycleEnd<G::HandBack>> {
-        let (cfg, beta) = (self.cfg, self.beta);
+        let (cfg, beta, s) = (self.cfg, self.beta, self.s_cur);
         if !self.harvested {
             debug_assert!(self.resume.is_none(), "block checkpoints exist only in CA cycles");
-            let sr = (self.s_cur, self.ritz);
             let (cycle, shifts, spec) =
-                harvest_cycle(&mut self.ctx(), cfg, sr, (beta, target), guard)?;
+                harvest_cycle(&mut self.ctx(), cfg, s, (beta, target), guard)?;
             (self.shifts, self.spec_full, self.harvested) = (shifts, spec, true);
             let span = obs::SpanId::NONE; // the standard cycle closed its own
-            return Ok(CycleEnd::Done { implied: cycle.implied, k_used: cycle.k_used, span });
+            return Ok(CycleEnd::Done { implied: cycle.implied, y: cycle.y, span });
         }
         let state = match self.resume.take() {
             Some(Resume { ck, reupload }) => {
@@ -947,10 +968,10 @@ impl<'a> Solve<'a> {
         };
         let p = CycleParams {
             m: cfg.m,
-            s: self.s_cur,
+            s,
             spec: &self.spec_full,
             orth: &self.orth,
-            use_mpk: cfg.kernel == KernelMode::Mpk && self.sys.mpk.is_some() && self.s_cur > 1,
+            use_mpk: cfg.kernel == KernelMode::Mpk && self.sys.mpk.is_some() && s > 1,
             prefetch: cfg.prefetch,
             target,
         };
@@ -960,7 +981,11 @@ impl<'a> Solve<'a> {
             stats: &mut self.stats,
             tsqr_errors: self.tsqr_errors.as_mut(),
         };
-        run_cycle(&mut cx, &p, beta, state, guard)
+        let end = run_cycle(&mut cx, &p, beta, state, guard)?;
+        if let CycleEnd::Done { y, .. } = &end {
+            cx.finish_cycle(y)?;
+        }
+        Ok(end)
     }
 
     /// The explicit residual norm that closes a finished cycle, inside its
@@ -1169,7 +1194,8 @@ mod tests {
         stats: SolveStats,
     }
 
-    /// One MPK cycle of the full length (`target = 0`) under `guard`.
+    /// One MPK cycle of the full length (`target = 0`) under `guard`, its
+    /// update applied as the restart loop applies it.
     fn cycle<G: CycleGuard>(
         mg: &mut MultiGpu,
         sys: &System,
@@ -1183,6 +1209,9 @@ mod tests {
         let before = mg.counters().total_msgs();
         let mut cx = SolveCtx { mg: &mut *mg, sys, stats: &mut stats, tsqr_errors: None };
         let end = run_cycle(&mut cx, &p, beta, resume, guard).unwrap();
+        if let CycleEnd::Done { y, .. } = &end {
+            cx.finish_cycle(y).unwrap();
+        }
         let x = sys.download_x(mg).unwrap().iter().map(|v| v.to_bits()).collect();
         let msgs = mg.counters().total_msgs() - before - 2; // less the download
         Ran { end, x, msgs, stats }
@@ -1195,7 +1224,7 @@ mod tests {
     ) -> Ran<G::HandBack> {
         let (mut mg, sys, beta) = machine(schedule, None);
         let ran = cycle(&mut mg, &sys, how, (beta, None), guard);
-        assert!(matches!(ran.end, CycleEnd::Done { k_used: M, .. }));
+        assert!(matches!(&ran.end, CycleEnd::Done { y, .. } if y.len() == M));
         ran
     }
 
@@ -1261,7 +1290,7 @@ mod tests {
         let state = CycleState::resume(&mut mg, &ck);
         let mut fake = Fake::default();
         let ran = cycle(&mut mg, &sys, how, (beta, Some(state)), &mut fake);
-        assert!(matches!(ran.end, CycleEnd::Done { k_used: M, .. }));
+        assert!(matches!(&ran.end, CycleEnd::Done { y, .. } if y.len() == M));
         assert_eq!(fake.blocks, [(2 * S, S, 0), (3 * S, S, 0)], "resumed at the third block");
         assert_eq!(ran.x, clean.x, "resumed iterate differs from the uninterrupted one");
         assert_eq!(ran.stats.total_iters, M - 2 * S, "verified columns are not recounted");
@@ -1378,7 +1407,21 @@ mod tests {
         let mut cx = SolveCtx { mg: &mut mg, sys: &sys, stats: &mut stats, tsqr_errors: None };
         let mut fake = Fake::default();
         let out = gmres_cycle(&mut cx, M, BorthKind::Cgs, beta, 0.0, &mut fake).unwrap();
-        assert_eq!(out.k_used, M);
+        assert_eq!(out.y.len(), M);
         assert_eq!(fake.log, vec!["poll:SpmvBlock"; M]);
+    }
+
+    #[test]
+    fn back_to_back_phases_split_the_clock_between_their_boundaries() {
+        let mut mg = MultiGpu::with_defaults(2);
+        let t0 = mg.time();
+        let ph = Phase::begin(&mut mg, "small", true);
+        mg.host_compute(1e6, 0.0);
+        let (first, t1) = (ph.end(&mut mg), mg.time());
+        let ph = Phase::begin(&mut mg, "small", true);
+        mg.host_compute(3e6, 0.0);
+        let second = ph.end(&mut mg);
+        assert_eq!((first, second), (t1 - t0, mg.time() - t1));
+        assert!(first > 0.0 && second > first);
     }
 }

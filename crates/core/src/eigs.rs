@@ -4,21 +4,30 @@
 //! Hence, our studies may have greater impact beyond GMRES."
 //!
 //! [`arnoldi_eigs`] finds the dominant eigenvalues of `A` with explicitly
-//! restarted Arnoldi: each cycle builds an `m`-dimensional Krylov basis
-//! with the *same* communication-avoiding machinery as CA-GMRES (MPK
-//! blocks + BOrth + TSQR, Newton shifts harvested from the first cycle),
-//! extracts Ritz pairs from the reconstructed Hessenberg matrix, and
-//! restarts from the dominant Ritz vector.
+//! restarted Arnoldi on the solver's own cycles: the first is the standard
+//! cycle that harvests the Newton shifts (`gmres::harvest_cycle`), every
+//! later one a CA cycle (MPK blocks + BOrth + TSQR, `cycle::run_cycle`)
+//! whose Hessenberg matrix the eigensolver keeps instead of applying an
+//! update. Ritz pairs come from that matrix, and the next cycle restarts
+//! from the dominant Ritz vectors, seeded from the residual column as a
+//! GMRES cycle seeds from its residual.
 
-use crate::hess::BlockArnoldi;
-use crate::mpk::{dist_spmv, mpk, spmv_block};
-use crate::newton::{newton_shifts_from_hessenberg, BasisSpec};
-use crate::orth::{borth, orth_column, tsqr, OrthConfig, OrthError};
+use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode};
+use crate::cycle::{
+    invalid, residual, run_cycle, CycleEnd, CycleGuard, CycleParams, CycleState, NoGuard, Solve,
+    SolveCtx,
+};
+use crate::gmres::harvest_cycle;
+use crate::newton::BasisSpec;
+use crate::orth::OrthConfig;
+use crate::stats::SolveStats;
 use crate::system::System;
 use ca_dense::hessenberg::{hessenberg_eigenvalues, Complex};
-use ca_dense::{blas2, qr, Mat};
+use ca_dense::{blas1, blas2, qr, Mat};
 use ca_gpusim::faults::Result as GpuResult;
 use ca_gpusim::MultiGpu;
+use ca_obs as obs;
+use std::convert::Infallible;
 
 /// Configuration for the restarted Arnoldi eigensolver.
 #[derive(Debug, Clone, Copy)]
@@ -57,13 +66,15 @@ pub struct RitzPair {
 pub struct EigsOutcome {
     /// The `nev` dominant Ritz pairs, by descending modulus.
     pub pairs: Vec<RitzPair>,
-    /// Whether all requested pairs met the tolerance.
-    pub converged: bool,
-    /// Restart cycles executed.
-    pub restarts: usize,
-    /// Simulated solve time, seconds.
-    pub t_total: f64,
+    /// `converged` when all requested pairs met the tolerance, `restarts`
+    /// the cycles attempted; the clock and traffic cover the whole
+    /// eigensolve. `breakdown` is set only when nothing ran (`InvalidInput`).
+    pub stats: SolveStats,
 }
+
+/// The implicit residual never reaches a negative target: every cycle
+/// builds all `m` columns.
+const NO_TARGET: f64 = -1.0;
 
 /// Ritz vector of `h` (square, `mm x mm`) for the eigenvalue closest to
 /// `theta` via one-shot inverse iteration on the (real-shifted) matrix.
@@ -86,15 +97,99 @@ fn ritz_vector(h: &Mat, theta_re: f64) -> Vec<f64> {
             rhs = vec![0.0; mm];
             rhs[mm - 1] = 1.0;
         }
-        let nrm = ca_dense::blas1::nrm2(&rhs).max(f64::MIN_POSITIVE);
+        let nrm = blas1::nrm2(&rhs).max(f64::MIN_POSITIVE);
         y = rhs.iter().map(|v| v / nrm).collect();
     }
     y
 }
 
+/// The `cfg.nev` dominant Ritz pairs of the `(k+1) x k` Hessenberg matrix
+/// `h`, whether all met the tolerance, and the coefficients of the basis
+/// columns the next cycle restarts from; `None` when `h` has fewer than two
+/// columns or its eigensolve fails.
+fn ritz_pairs(h: &Mat, cfg: &ArnoldiConfig) -> Option<(Vec<RitzPair>, bool, Vec<f64>)> {
+    let mm = h.ncols();
+    if mm < 2 {
+        return None;
+    }
+    let hsq = h.top_left(mm, mm);
+    let h_sub = h[(mm, mm - 1)];
+    let mut eigs = hessenberg_eigenvalues(&hsq).ok()?;
+    eigs.sort_by(|a, b| {
+        let (ma, mb) = (a.0 * a.0 + a.1 * a.1, b.0 * b.0 + b.1 * b.1);
+        mb.total_cmp(&ma)
+    });
+
+    let (mut pairs, mut converged, mut restart) = (Vec::new(), true, vec![0.0; mm]);
+    for (i, &(re, im)) in eigs.iter().take(cfg.nev).enumerate() {
+        let y = ritz_vector(&hsq, re);
+        let modulus = (re * re + im * im).sqrt().max(f64::MIN_POSITIVE);
+        let rel = (h_sub * y[mm - 1]).abs() / modulus;
+        pairs.push(RitzPair { value: (re, im), rel_residual: rel });
+        converged &= rel <= cfg.tol;
+        // restart direction: weight unconverged pairs heavily so the
+        // explicit restart keeps refining the laggards, with a floor that
+        // preserves the converged components (they must stay in the space
+        // or their Ritz values drift away again)
+        let w = (rel / cfg.tol).clamp(0.3, 100.0) / (1.0 + i as f64).sqrt();
+        for (rc, &yv) in restart.iter_mut().zip(&y) {
+            *rc += w * yv;
+        }
+    }
+    Some((pairs, converged, restart))
+}
+
+/// Keeps the Hessenberg matrix of a cycle that built all its blocks: the
+/// eigensolver reads it where a solve would apply the update.
+struct KeepHessenberg(Option<Mat>);
+
+impl CycleGuard for KeepHessenberg {
+    type HandBack = Infallible;
+    const FLATTEN: bool = true;
+
+    fn block_done(
+        &mut self,
+        _: &mut SolveCtx<'_>,
+        st: &CycleState,
+        more: bool,
+    ) -> Option<Infallible> {
+        if !more {
+            self.0 = Some(st.arn.to_mat());
+        }
+        None
+    }
+
+    fn hand_back(&mut self, _: &mut Solve<'_>, h: Infallible) -> GpuResult<()> {
+        match h {}
+    }
+}
+
+/// Write the restart vector `V c / ||c||` into the residual column, which
+/// the next cycle seeds its basis from, and return its norm (one up to
+/// rounding; the seed normalizes it exactly).
+fn restart_vector(cx: &mut SolveCtx<'_>, c: &[f64]) -> GpuResult<f64> {
+    let (mg, sys) = (&mut *cx.mg, cx.sys);
+    let (rc, mm) = (sys.r_col(), c.len());
+    let nrm = blas1::nrm2(c).max(f64::MIN_POSITIVE);
+    let neg: Vec<f64> = c.iter().map(|v| -v / nrm).collect();
+    mg.broadcast(8 * mm)?;
+    mg.run(|d, dev| {
+        dev.scal_col(sys.v[d], rc, 0.0);
+        dev.gemv_n_update(sys.v[d], 0, mm, &neg, rc);
+    });
+    let parts = mg.run_map(|d, dev| dev.norm2_sq_col(sys.v[d], rc));
+    mg.to_host(&vec![8; parts.len()])?;
+    Ok(parts.iter().sum::<f64>().sqrt().max(f64::MIN_POSITIVE))
+}
+
 /// Find the `cfg.nev` dominant eigenvalues of the operator held by `sys`
-/// (the matrix loaded into its SpMV/MPK plans). The start vector is
-/// whatever `b` was loaded via [`System::load_rhs`].
+/// (the matrix loaded into its SpMV/MPK plans), starting from the residual
+/// `b - A x`: the `b` of [`System::load_rhs`], which zeroes `x`. The
+/// iterate is scratch afterwards. What [`crate::cagmres::ca_gmres`] cannot
+/// run on `sys` (with the MPK plan it carries, if any), or `nev` outside
+/// `1..m`, runs nothing: `breakdown` is `InvalidInput`. A cycle whose
+/// orthogonalization or Ritz extraction fails is retried from the same
+/// start on the monomial basis; the budget counts every attempt.
 /// # Errors
 /// Propagates simulated hardware faults ([`ca_gpusim::GpuSimError`]).
 pub fn arnoldi_eigs(
@@ -102,158 +197,75 @@ pub fn arnoldi_eigs(
     sys: &System,
     cfg: &ArnoldiConfig,
 ) -> GpuResult<EigsOutcome> {
-    assert!(cfg.m >= 2 && cfg.m <= sys.m && cfg.nev >= 1 && cfg.nev < cfg.m);
-    let use_mpk = cfg.s > 1 && sys.mpk.is_some();
+    let solver = CaGmresConfig {
+        s: cfg.s,
+        m: cfg.m,
+        orth: cfg.orth,
+        // at s = 1 Newton shifts cost restarts and save nothing
+        basis: if cfg.s > 1 { BasisChoice::Newton } else { BasisChoice::Monomial },
+        kernel: if sys.mpk.is_some() { KernelMode::Mpk } else { KernelMode::Spmv },
+        max_restarts: cfg.max_restarts,
+        ..CaGmresConfig::default()
+    };
+    let nev_invalid = (cfg.nev == 0 || cfg.nev >= cfg.m)
+        .then(|| format!("need 1 <= nev < m, got nev = {}, m = {}", cfg.nev, cfg.m));
+    if let Some(reason) = invalid(&solver, Some(sys)).or(nev_invalid) {
+        return Ok(EigsOutcome { pairs: Vec::new(), stats: SolveStats::invalid(reason) });
+    }
     mg.sync();
+    mg.reset_counters();
     let t_begin = mg.time();
-
-    // seed: b / ||b||
-    let bc = sys.b_col();
-    let parts = mg.run_map(|d, dev| dev.dot_cols(sys.v[d], bc, bc));
-    mg.to_host(&vec![8; parts.len()])?;
-    let nb = parts.iter().sum::<f64>().sqrt().max(f64::MIN_POSITIVE);
-    mg.broadcast(8)?;
-    mg.run(|d, dev| {
-        dev.copy_col(sys.v[d], bc, 0);
-        dev.scal_col(sys.v[d], 0, 1.0 / nb);
-    });
-
+    let mut stats = SolveStats::default();
+    let mut cx = SolveCtx { mg: &mut *mg, sys, stats: &mut stats, tsqr_errors: None };
+    let mut beta = residual(&mut cx, true)?;
+    // `None` until the first cycle has harvested the shifts
     let mut spec: Option<BasisSpec> = None;
-    let mut restarts = 0usize;
-    let mut best: Vec<RitzPair> = Vec::new();
-    let mut converged = false;
+    let mut pairs = Vec::new();
 
-    while restarts < cfg.max_restarts {
-        // --- build an m-step Arnoldi factorization ---
-        let mut arn = BlockArnoldi::new();
-        let mut failed = false;
-        match &spec {
+    while cx.stats.restarts < cfg.max_restarts {
+        let h = match &spec {
             None => {
-                // standard Arnoldi (also harvests Newton shifts)
-                for j in 0..cfg.m {
-                    dist_spmv(mg, &sys.spmv, &sys.v, j, j + 1)?;
-                    match orth_column(mg, &sys.v, 0, j + 1, cfg.orth.borth) {
-                        Ok(h) => arn.push_arnoldi_column(h),
-                        Err(OrthError::Gpu(e)) => return Err(e),
-                        Err(_) => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                }
+                let (first, _, sp) =
+                    harvest_cycle(&mut cx, &solver, cfg.s, (beta, NO_TARGET), &mut NoGuard)?;
+                spec = Some(sp);
+                // a breakdown cut the Arnoldi relation short
+                cx.stats.breakdown.take().is_none().then_some(first.hessenberg)
             }
             Some(sp) => {
-                let mut ncols = 1usize;
-                let mut first = true;
-                while ncols - 1 < cfg.m && !failed {
-                    let s_blk = sp.s().min(cfg.m + 1 - ncols);
-                    let blk = sp.truncate(s_blk);
-                    let bmat = blk.change_matrix();
-                    let start = ncols - 1;
-                    if use_mpk {
-                        mpk(mg, sys.mpk.as_ref().unwrap(), &sys.v, start, &blk)?;
-                    } else {
-                        spmv_block(mg, &sys.spmv, &sys.v, start, &blk)?;
-                    }
-                    let (c0, c1) = if first { (0, s_blk + 1) } else { (ncols, ncols + s_blk) };
-                    let c = match borth(mg, &sys.v, c0, c1, cfg.orth.borth) {
-                        Ok(c) => c,
-                        Err(OrthError::Gpu(e)) => return Err(e),
-                        Err(_) => unreachable!("plain borth only fails on GPU faults"),
-                    };
-                    match tsqr(mg, &sys.v, c0, c1, cfg.orth.tsqr, cfg.orth.svqr_scaled) {
-                        Ok(r) => {
-                            let c_eff = if first { Mat::zeros(0, 0) } else { c };
-                            arn.extend_block(&c_eff, &r, &bmat);
-                        }
-                        Err(OrthError::Gpu(e)) => return Err(e),
-                        Err(_) => {
-                            failed = true;
-                        }
-                    }
-                    ncols += s_blk;
-                    first = false;
+                let p = CycleParams {
+                    m: cfg.m,
+                    s: cfg.s,
+                    spec: sp,
+                    orth: &cfg.orth,
+                    use_mpk: cfg.s > 1 && sys.mpk.is_some(),
+                    prefetch: false,
+                    target: NO_TARGET,
+                };
+                let mut keep = KeepHessenberg(None);
+                let end = run_cycle(&mut cx, &p, beta, None, &mut keep)?;
+                cx.stats.restarts += 1;
+                // an orthogonalization failure leaves nothing kept
+                if let CycleEnd::Done { span, .. } = end {
+                    obs::span_end(span, cx.mg.time());
                 }
-            }
-        }
-        restarts += 1;
-        if failed || arn.ncols() < 2 {
-            // degrade to the plain-SpMV monomial path and retry
-            spec = Some(BasisSpec::monomial(cfg.s.max(1)));
-            continue;
-        }
-
-        // --- Ritz extraction ---
-        let h = arn.to_mat();
-        let mm = arn.ncols();
-        let hsq = h.top_left(mm, mm);
-        let h_sub = h[(mm, mm - 1)];
-        let mut eigs = match hessenberg_eigenvalues(&hsq) {
-            Ok(e) => e,
-            Err(_) => {
-                spec = Some(BasisSpec::monomial(cfg.s.max(1)));
-                continue;
+                keep.0
             }
         };
-        eigs.sort_by(|a, b| {
-            let (ma, mb) = (a.0 * a.0 + a.1 * a.1, b.0 * b.0 + b.1 * b.1);
-            mb.total_cmp(&ma)
-        });
-
-        best.clear();
-        let mut all_ok = true;
-        let mut restart_combo = vec![0.0f64; mm];
-        for (i, &(re, im)) in eigs.iter().take(cfg.nev).enumerate() {
-            let y = ritz_vector(&hsq, re);
-            let modulus = (re * re + im * im).sqrt().max(f64::MIN_POSITIVE);
-            let rel = (h_sub * y[mm - 1]).abs() / modulus;
-            best.push(RitzPair { value: (re, im), rel_residual: rel });
-            if rel > cfg.tol {
-                all_ok = false;
-            }
-            // restart direction: weight unconverged pairs heavily so the
-            // explicit restart keeps refining the laggards, with a floor
-            // that preserves the converged components (they must stay in
-            // the space or their Ritz values drift away again)
-            let w = (rel / cfg.tol).clamp(0.3, 100.0) / (1.0 + i as f64).sqrt();
-            for (rc, &yv) in restart_combo.iter_mut().zip(&y) {
-                *rc += w * yv;
-            }
-        }
-        if all_ok {
-            converged = true;
+        let Some((found, converged, restart)) = h.and_then(|h| ritz_pairs(&h, cfg)) else {
+            spec = Some(BasisSpec::monomial(cfg.s));
+            continue;
+        };
+        pairs = found;
+        if converged {
+            cx.stats.converged = true;
             break;
         }
-
-        // harvest Newton shifts once from the first full factorization
-        if spec.is_none() {
-            spec = match newton_shifts_from_hessenberg(&h, cfg.s.max(1)) {
-                Ok(sh) if cfg.s > 1 => Some(BasisSpec::newton(&sh, cfg.s)),
-                _ => Some(BasisSpec::monomial(cfg.s.max(1))),
-            };
-        }
-
-        // --- restart: v0 := normalize(V y_combo) ---
-        let nrm = ca_dense::blas1::nrm2(&restart_combo).max(f64::MIN_POSITIVE);
-        let neg: Vec<f64> = restart_combo.iter().map(|v| -v / nrm).collect();
-        let xc = sys.x_col();
-        mg.broadcast(8 * mm)?;
-        mg.run(|d, dev| {
-            dev.scal_col(sys.v[d], xc, 0.0); // zero the scratch
-            dev.gemv_n_update(sys.v[d], 0, mm, &neg, xc); // x = V y / ||y||
-            dev.copy_col(sys.v[d], xc, 0);
-        });
-        // re-normalize exactly (the combo of orthonormal columns already
-        // has unit norm up to rounding, but be safe)
-        let parts = mg.run_map(|d, dev| dev.norm2_sq_col(sys.v[d], 0));
-        mg.to_host(&vec![8; parts.len()])?;
-        let n0 = parts.iter().sum::<f64>().sqrt().max(f64::MIN_POSITIVE);
-        mg.broadcast(8)?;
-        mg.run(|d, dev| dev.scal_col(sys.v[d], 0, 1.0 / n0));
+        beta = restart_vector(&mut cx, &restart)?;
     }
 
-    mg.sync();
-    Ok(EigsOutcome { pairs: best, converged, restarts, t_total: mg.time() - t_begin })
+    stats.close(mg, t_begin);
+    stats.debug_check_phases();
+    Ok(EigsOutcome { pairs, stats })
 }
 
 #[cfg(test)]
@@ -298,7 +310,7 @@ mod tests {
             - 2.0 * (std::f64::consts::PI * nx as f64 / (nx as f64 + 1.0)).cos()
             - 2.0 * (std::f64::consts::PI * ny as f64 / (ny as f64 + 1.0)).cos();
         let out = run_eigs(&a, 2, &ArnoldiConfig { m: 24, s: 6, ..Default::default() });
-        assert!(out.converged, "restarts {}", out.restarts);
+        assert!(out.stats.converged, "restarts {}", out.stats.restarts);
         let (re, im) = out.pairs[0].value;
         assert!(im.abs() < 1e-8);
         assert!((re - exact).abs() < 1e-6 * exact, "{re} vs exact {exact}");
@@ -309,7 +321,7 @@ mod tests {
         let a = gen::convection_diffusion(12, 12, 2.0);
         let reference = dominant_eig_reference(&a, 3000);
         let out = run_eigs(&a, 3, &ArnoldiConfig { m: 20, s: 5, tol: 1e-7, ..Default::default() });
-        assert!(out.converged);
+        assert!(out.stats.converged);
         let (re, _) = out.pairs[0].value;
         assert!(
             (re - reference).abs() < 1e-5 * reference.abs(),
@@ -325,7 +337,7 @@ mod tests {
             2,
             &ArnoldiConfig { m: 30, s: 6, nev: 3, tol: 1e-7, ..Default::default() },
         );
-        assert!(out.converged);
+        assert!(out.stats.converged);
         assert_eq!(out.pairs.len(), 3);
         let mods: Vec<f64> = out
             .pairs
@@ -350,7 +362,27 @@ mod tests {
         let a = gen::laplace2d(9, 9);
         let o1 = run_eigs(&a, 2, &ArnoldiConfig { m: 18, s: 6, ..Default::default() });
         let o2 = run_eigs(&a, 2, &ArnoldiConfig { m: 18, s: 1, ..Default::default() });
-        assert!(o1.converged && o2.converged);
+        assert!(o1.stats.converged && o2.stats.converged);
         assert!((o1.pairs[0].value.0 - o2.pairs[0].value.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn reorth_adds_a_second_orthogonalization_pass_to_every_block() {
+        // a fixed budget (the tolerance is never met): the harvest cycle
+        // and two CA cycles of three blocks each
+        let a = gen::laplace2d(9, 9);
+        let tol = f64::MIN_POSITIVE;
+        let cfg = ArnoldiConfig { m: 18, s: 6, tol, max_restarts: 3, ..Default::default() };
+        let once = run_eigs(&a, 2, &cfg);
+        let orth = OrthConfig { reorth: true, ..cfg.orth };
+        let twice = run_eigs(&a, 2, &ArnoldiConfig { orth, ..cfg });
+        assert_eq!((once.stats.restarts, twice.stats.restarts), (3, 3));
+        assert!(
+            twice.stats.comm_msgs > once.stats.comm_msgs,
+            "reorth {} msgs, single pass {}",
+            twice.stats.comm_msgs,
+            once.stats.comm_msgs
+        );
+        assert!((once.pairs[0].value.0 - twice.pairs[0].value.0).abs() < 1e-8);
     }
 }

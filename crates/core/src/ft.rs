@@ -706,9 +706,7 @@ pub fn ca_gmres_ft_session(
     let orth = OrthConfig { abft: cfg.abft_orth, ..solver.orth };
     let (ran, mut stats, x) = match built {
         Ok(sys) => {
-            // every Ritz value the first cycle has, whatever the basis: the
-            // BasisSwitch rung may want them later
-            let mut sv = Solve::new(mg, Sys::Owned(sys, op), solver, orth, (s, solver.m));
+            let mut sv = Solve::new(mg, Sys::Owned(sys, op), solver, orth, s);
             // an `FtOutcome` has no place for Fig. 13 samples: take none
             (sv.x_ckpt, sv.tsqr_errors) = (vec![0.0; n], None);
             let ran = sv.run(&mut guard);

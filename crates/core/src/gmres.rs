@@ -3,7 +3,7 @@
 //! per iteration.
 
 use crate::cagmres::CaGmresConfig;
-use crate::cycle::{residual, CycleGuard, NoGuard, Phase, SolveCtx};
+use crate::cycle::{lsq_solution, residual, CycleGuard, NoGuard, Phase, SolveCtx};
 use crate::ft::PollPoint;
 use crate::hess::BlockArnoldi;
 use crate::mpk::dist_spmv;
@@ -52,8 +52,9 @@ pub struct GmresOutcome {
 
 /// Result of one standard GMRES restart cycle.
 pub(crate) struct CycleOutcome {
-    /// Krylov dimensions actually used for the update.
-    pub k_used: usize,
+    /// The update `x += V y` the cycle applied; its length is the Krylov
+    /// dimensions it used.
+    pub y: Vec<f64>,
     /// The cycle's Hessenberg matrix `(k+1) x k`.
     pub hessenberg: Mat,
     /// Implicit (least-squares) residual norm at the end of the cycle.
@@ -78,7 +79,6 @@ pub(crate) fn gmres_cycle<G: CycleGuard>(
     sys.seed_basis(mg, beta)?;
     let mut lsq = GivensLsq::new(beta);
     let mut arn = BlockArnoldi::new();
-    let mut k_used = 0usize;
 
     for j in 0..m {
         let ph = Phase::begin(mg, "spmv", true);
@@ -92,7 +92,6 @@ pub(crate) fn gmres_cycle<G: CycleGuard>(
                 stats.t_orth += ph.end(mg);
                 lsq.push_column(&h);
                 arn.push_arnoldi_column(h);
-                k_used = j + 1;
                 stats.total_iters += 1;
                 if lsq.residual_norm() <= target {
                     break;
@@ -114,36 +113,30 @@ pub(crate) fn gmres_cycle<G: CycleGuard>(
         }
     }
 
-    if k_used > 0 {
-        let y = lsq.solve();
-        let ph = Phase::begin(mg, "small", true);
-        mg.host_compute((3 * (k_used + 1) * (k_used + 1)) as f64, (16 * k_used) as f64);
-        stats.t_small += ph.end(mg);
-        sys.update_x(mg, &y)?;
-    }
-    stats.restarts += 1;
-    obs::span_end(sp_cycle, mg.time());
-    let implied = if k_used > 0 { lsq.residual_norm() } else { beta };
-    Ok(CycleOutcome { k_used, hessenberg: arn.to_mat(), implied })
+    let y = lsq_solution(cx, &lsq, true);
+    cx.finish_cycle(&y)?;
+    obs::span_end(sp_cycle, cx.mg.time());
+    let implied = if y.is_empty() { beta } else { lsq.residual_norm() };
+    Ok(CycleOutcome { y, hessenberg: arn.to_mat(), implied })
 }
 
 /// The first restart cycle of a CA solve, for every driver: one standard
-/// GMRES(`cfg.m`) cycle, then `ritz` Leja-ordered Ritz values of its
-/// Hessenberg matrix — none asked for, none computed; a failed harvest is
-/// `None` — and the `s`-step schedule of `cfg.basis` over them (monomial when
-/// there is nothing to shift by). The eigensolve is charged to the "small"
+/// GMRES(`cfg.m`) cycle, then every Ritz value of its Hessenberg matrix in
+/// Leja order (`None` when the harvest fails), and the `s`-step schedule of
+/// `cfg.basis` over them (monomial when there is nothing to shift by). A
+/// Newton schedule reads the first `s` of them, exactly the shifts an
+/// `s`-value harvest returns. The eigensolve is charged to the "small"
 /// phase whatever it returned.
 pub(crate) fn harvest_cycle<G: CycleGuard>(
     cx: &mut SolveCtx<'_>,
     cfg: &CaGmresConfig,
-    (s, ritz): (usize, usize),
+    s: usize,
     (beta, target): (f64, f64),
     guard: &mut G,
 ) -> GpuResult<(CycleOutcome, Option<Vec<Complex>>, BasisSpec)> {
     let cycle = gmres_cycle(cx, cfg.m, cfg.orth.borth, beta, target, guard)?;
     let ph = Phase::begin(cx.mg, "small", G::FLATTEN);
-    let harvest = || newton_shifts_from_hessenberg(&cycle.hessenberg, ritz).ok();
-    let shifts = if ritz > 0 { harvest() } else { None };
+    let shifts = newton_shifts_from_hessenberg(&cycle.hessenberg, cfg.m).ok();
     let spec = BasisSpec::from_shifts(shifts.as_deref(), cfg.basis, s);
     cx.mg.host_compute(30.0 * (cfg.m * cfg.m * cfg.m) as f64, 0.0);
     cx.stats.t_small += ph.end(cx.mg);
@@ -219,7 +212,7 @@ fn gmres_impl(
         if cx.stats.breakdown.is_some() {
             break;
         }
-        if cycle.k_used == 0 {
+        if cycle.y.is_empty() {
             break; // no progress possible
         }
     }

@@ -116,18 +116,8 @@ impl BlockArnoldi {
         if row0_new > 0 {
             let j = row0_new; // number of "old" rows
             let s_old = Mat::from_fn(j, s, |i, l| g[(i, l)]);
-            let h_prev = {
-                // (j+1) x j from stored columns
-                let mut h = Mat::zeros(j + 1, j);
-                for (jj, col) in self.cols.iter().enumerate() {
-                    for (ii, &v) in col.iter().enumerate() {
-                        h[(ii, jj)] = v;
-                    }
-                }
-                h
-            };
             let mut lift = Mat::zeros(j + 1, s);
-            blas3::gemm_nn(1.0, &h_prev, &s_old, 0.0, &mut lift);
+            blas3::gemm_nn(1.0, &self.to_mat(), &s_old, 0.0, &mut lift);
             for l in 0..s {
                 for i in 0..j + 1 {
                     p[(i, l)] -= lift[(i, l)];

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::layout::{prepare, Layout, Ordering};
     pub use crate::mixed::{ca_gmres_mixed, MixedOutcome};
     pub use crate::mpk::{MpkPlan, MpkState};
-    pub use crate::newton::{Basis, BasisSpec};
+    pub use crate::newton::BasisSpec;
     pub use crate::orth::{BorthKind, OrthConfig, TsqrKind};
     pub use crate::precond::{Applied as AppliedPrecond, Precond};
     pub use crate::stats::{BreakdownKind, SolveStats};

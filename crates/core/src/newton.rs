@@ -13,15 +13,6 @@ use ca_dense::hessenberg::{hessenberg_eigenvalues, Complex};
 use ca_dense::leja::{conjugate_pairs_adjacent, leja_order};
 use ca_dense::Mat;
 
-/// Basis choice for the matrix powers kernel.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Basis {
-    /// `v_{k+1} = A v_k` — cheap but ill-conditioned for large `s`.
-    Monomial,
-    /// `v_{k+1} = (A - theta_k I) v_k` with Leja-ordered Ritz shifts.
-    Newton(Vec<Complex>),
-}
-
 /// One MPK step in real arithmetic:
 /// `v_{k+1} = scale * (A - re I) v_k + im2 * v_{k-1}`.
 ///
@@ -293,5 +284,43 @@ mod tests {
         let n_im2: usize = spec.steps.iter().filter(|st| st.im2 != 0.0).count();
         let n_pairs = s.iter().filter(|&&(_, im)| im > 0.0).count();
         assert_eq!(n_im2, n_pairs);
+    }
+
+    #[test]
+    fn an_s_step_newton_schedule_reads_the_first_s_of_every_ritz_value() {
+        // the identity that lets every driver harvest all `m` Ritz values:
+        // the schedule over the full Leja order is the schedule over an
+        // `s`-value harvest, a pair cut at step `s` demoted either way
+        let (mut real_cases, mut straddles) = (0, 0);
+        ca_scalar::cases(64, |rng| {
+            let m = rng.index(2..14);
+            let symmetric = rng.chance(0.5);
+            let mut h = Mat::zeros(m + 1, m);
+            for j in 0..m {
+                h[(j + 1, j)] = rng.in_range(0.1, 1.0);
+                for i in 0..=j {
+                    h[(i, j)] = rng.in_range(-1.0, 1.0);
+                }
+            }
+            if symmetric {
+                // symmetric tridiagonal: a real spectrum
+                for j in 1..m {
+                    (0..j - 1).for_each(|i| h[(i, j)] = 0.0);
+                    h[(j - 1, j)] = h[(j, j - 1)];
+                }
+            }
+            let full = newton_shifts_from_hessenberg(&h, m).unwrap();
+            real_cases += usize::from(full.iter().all(|&(_, im)| im == 0.0));
+            for s in 1..=m {
+                let harvest = newton_shifts_from_hessenberg(&h, s).unwrap();
+                straddles += usize::from(harvest[s - 1].1 == 0.0 && full[s - 1].1 != 0.0);
+                assert_eq!(
+                    BasisSpec::from_shifts(Some(&harvest), BasisChoice::Newton, s),
+                    BasisSpec::from_shifts(Some(&full), BasisChoice::Newton, s),
+                    "m = {m}, s = {s}"
+                );
+            }
+        });
+        assert!(real_cases > 0 && straddles > 0, "real {real_cases}, straddling {straddles}");
     }
 }

@@ -175,9 +175,9 @@ impl SolveStats {
     /// non-negative, TSQR time is contained in orthogonalization time, and
     /// the disjoint phases (`t_spmv + t_orth + t_small`; `t_tsqr` is a
     /// subset of `t_orth`) sum to at most `t_total` up to float-
-    /// accumulation slack. `PhaseTimer` attributes mark-to-mark deltas, so
-    /// a missing mark double-counts an interval into two phases — the bug
-    /// class this catches.
+    /// accumulation slack. Each phase attributes the delta between its two
+    /// boundaries, so a missing boundary double-counts an interval into two
+    /// phases — the bug class this catches.
     ///
     /// A watchdog rewind is the one legitimate exception: a phase that
     /// contained a hung device's stall charged the projected queue tail
@@ -211,7 +211,7 @@ impl SolveStats {
 }
 
 /// Figure 15-style phase breakdown derived **purely from spans** recorded
-/// by `ca-obs` during an instrumented solve — no `PhaseTimer` involved.
+/// by `ca-obs` during an instrumented solve — no phase timer involved.
 ///
 /// The drivers bracket every phase with host-track spans named `spmv`,
 /// `borth`, `tsqr`, `orth` (standard GMRES), and `small`; this summer maps
@@ -256,36 +256,13 @@ impl SpanBreakdown {
     }
 
     /// Largest absolute disagreement (seconds) against a
-    /// `PhaseTimer`-accumulated [`SolveStats`].
+    /// phase-timer-accumulated [`SolveStats`].
     pub fn max_abs_diff(&self, stats: &SolveStats) -> f64 {
         (self.spmv - stats.t_spmv)
             .abs()
             .max((self.orth - stats.t_orth).abs())
             .max((self.tsqr - stats.t_tsqr).abs())
             .max((self.small - stats.t_small).abs())
-    }
-}
-
-/// Phase timer: attributes simulated-time deltas to named phases. The
-/// caller brackets each phase with [`PhaseTimer::mark`] calls around a
-/// synced clock read.
-#[derive(Debug, Default)]
-pub struct PhaseTimer {
-    last: f64,
-}
-
-impl PhaseTimer {
-    /// Start timing from `now`.
-    pub fn start(now: f64) -> Self {
-        Self { last: now }
-    }
-
-    /// Return the delta since the previous mark and advance.
-    pub fn mark(&mut self, now: f64) -> f64 {
-        let dt = now - self.last;
-        debug_assert!(dt >= -1e-12, "clock went backwards: {dt}");
-        self.last = now;
-        dt.max(0.0)
     }
 }
 
@@ -330,13 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_timer_accumulates() {
-        let mut t = PhaseTimer::start(1.0);
-        assert_eq!(t.mark(1.5), 0.5);
-        assert_eq!(t.mark(3.0), 1.5);
-    }
-
-    #[test]
     fn phases_consistent_accepts_valid_attribution() {
         let s = SolveStats {
             t_total: 1.0,
@@ -352,7 +322,7 @@ mod tests {
 
     #[test]
     fn phases_consistent_rejects_double_counting() {
-        // the PhaseTimer bug class: a missing mark attributes one interval
+        // the phase-timer bug class: a missing boundary attributes one interval
         // to two phases, pushing the sum past the end-to-end time
         let s = SolveStats {
             t_total: 1.0,

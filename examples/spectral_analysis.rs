@@ -21,14 +21,14 @@ fn run(name: &str, a: &ca_sparse::Csr, s: usize) {
     let sys = System::new(&mut mg, &a_ord, layout, cfg.m, Some(cfg.s)).unwrap();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 3) % 7) as f64 * 0.3).collect();
     sys.load_rhs(&mut mg, &b).unwrap();
-    mg.reset_counters();
     let out = arnoldi_eigs(&mut mg, &sys, &cfg).unwrap();
+    let st = &out.stats;
     println!(
         "{name} (n = {n}, s = {s}): converged={} in {} restarts, {:.2} ms simulated, {} msgs",
-        out.converged,
-        out.restarts,
-        1e3 * out.t_total,
-        mg.counters().total_msgs()
+        st.converged,
+        st.restarts,
+        1e3 * st.t_total,
+        st.comm_msgs
     );
     for (i, p) in out.pairs.iter().enumerate() {
         println!(

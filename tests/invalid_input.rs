@@ -49,6 +49,14 @@ fn every_entry_types_what_it_cannot_run() {
         let (mut mg, sys) = loaded(plan);
         assert_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
         refused += 1;
+        // the eigensolver generates with the plan the system carries: with
+        // none it runs plain SpMV blocks, which is no error
+        if plan.is_some() {
+            let (mut mg, sys) = loaded(plan);
+            let out = arnoldi_eigs(&mut mg, &sys, &ArnoldiConfig { s, m, ..Default::default() });
+            assert_refused("arnoldi_eigs", case, &out.unwrap().stats);
+            refused += 1;
+        }
         // the baseline has no `s`: only its `m` can be wrong
         if m == 0 || m > ROOM {
             let (mut mg, sys) = loaded(None);
@@ -71,7 +79,23 @@ fn every_entry_types_what_it_cannot_run() {
             refused += 2;
         }
     }
-    assert_eq!(refused, 14, "every (entry, case) pair of the table was exercised");
+    assert_eq!(refused, 19, "every (entry, case) pair of the table was exercised");
+}
+
+#[test]
+fn the_eigensolver_refuses_a_pair_count_it_cannot_extract() {
+    // the eigensolver's own rule beside the solver's: `1 <= nev < m`
+    let a = gen::laplace2d(8, 8);
+    let n = a.nrows();
+    for (case, m, nev) in [("nev = 0", 10, 0), ("nev = m", 10, 10), ("m = 1", 1, 1)] {
+        let mut mg = MultiGpu::with_defaults(NDEV);
+        let sys = System::new(&mut mg, &a, Layout::even(n, NDEV), ROOM, None).unwrap();
+        sys.load_rhs(&mut mg, &vec![1.0; n]).unwrap();
+        let cfg = ArnoldiConfig { s: 1, m, nev, ..Default::default() };
+        let out = arnoldi_eigs(&mut mg, &sys, &cfg).unwrap();
+        assert_refused("arnoldi_eigs", case, &out.stats);
+        assert!(out.pairs.is_empty());
+    }
 }
 
 #[test]

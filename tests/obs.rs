@@ -3,7 +3,7 @@
 //! Observability-layer integration tests: recordings are deterministic
 //! (golden byte-identical exports), structurally sound (well-nested span
 //! forests per track, under both schedules), and faithful (the span-derived
-//! phase breakdown reproduces the independent `PhaseTimer` attribution).
+//! phase breakdown reproduces the independent phase-timer attribution).
 
 use ca_gmres_repro::gmres::prelude::*;
 use ca_gmres_repro::gmres::stats::SpanBreakdown;
@@ -57,7 +57,7 @@ fn exports_are_byte_identical_across_reruns() {
     );
 }
 
-/// The span-derived phase breakdown must agree with the `PhaseTimer`
+/// The span-derived phase breakdown must agree with the phase-timer
 /// attribution in `SolveStats` to 1e-9 simulated seconds — two independent
 /// attribution paths over the same clock reads.
 #[test]
