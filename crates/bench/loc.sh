@@ -4,6 +4,8 @@
 #   crates/bench/loc.sh            one row per crate (crates/*/src and the
 #                                  root package's src), then the total
 #   crates/bench/loc.sh <dir>...   one row per given source tree
+#   crates/bench/loc.sh --files [<dir>...]
+#                                  `<lines>\t<file>` for every counted file
 #
 # A file counts up to its last `#[cfg(test)]` line (the test module at its
 # end), or whole when it has none. A `#[cfg(test)]` on a `mod name;`
@@ -30,7 +32,8 @@ file_lines() {
     END { print (cut ? cut : NR) }' "$1"
 }
 
-tree_lines() {
+# `<non-test lines>\t<file>` for every counted file of one source tree
+tree_files() {
   local skip
   skip=$(gated_mods "$1" | while IFS=$'\t' read -r file m; do
     dir=${file%.rs}
@@ -38,17 +41,26 @@ tree_lines() {
     printf '%s\n%s\n' "$dir/$m.rs" "$dir/$m/mod.rs"
   done)
   find "$1" -name '*.rs' | sort | while read -r f; do
-    grep -qxF -- "$f" <<<"$skip" || file_lines "$f"
-  done | awk '{ s += $1 } END { print s + 0 }'
+    grep -qxF -- "$f" <<<"$skip" || printf '%s\t%s\n' "$(file_lines "$f")" "$f"
+  done
 }
 
+files=false
+if [ "${1-}" = --files ]; then
+  files=true
+  shift
+fi
 if [ $# -eq 0 ]; then
   set -- crates/*/src src
+fi
+if $files; then
+  for dir in "$@"; do tree_files "$dir"; done
+  exit 0
 fi
 total=0
 printf '%-22s %6s\n' tree lines
 for dir in "$@"; do
-  n=$(tree_lines "$dir")
+  n=$(tree_files "$dir" | awk '{ s += $1 } END { print s + 0 }')
   total=$((total + n))
   printf '%-22s %6d\n' "$dir" "$n"
 done

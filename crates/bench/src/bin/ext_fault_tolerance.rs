@@ -44,13 +44,7 @@ fn main() {
     let a = ca_sparse::gen::convection_diffusion(48, 48, 1.5);
     let b = lcg_vec(0x9E3779B97F4A7C15, 1, a.nrows());
     let cfg = CaGmresConfig { s: 6, m: 30, rtol: 1e-8, max_restarts: 400, ..Default::default() };
-    let unprotected = FtConfig {
-        solver: cfg,
-        abft_spmv: false,
-        abft_orth: false,
-        residual_check: false,
-        ..Default::default()
-    };
+    let unprotected = FtConfig { solver: cfg, verify: false, ..Default::default() };
     let protected = FtConfig { solver: cfg, ..Default::default() };
     let mut rows: Vec<Row> = Vec::new();
     // one solve under `plan`; overhead against the clean baseline `t_ref_ms`

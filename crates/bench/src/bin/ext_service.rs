@@ -10,7 +10,7 @@
 //! device count:
 //!
 //! * **serve** — the full scheduler: the pool split into slices,
-//!   planner-driven admission, weighted-fair + deadline-aware queueing,
+//!   planner-driven admission, fair + deadline-aware queueing,
 //!   operator residency with LRU eviction, multi-RHS batching, and
 //!   backfill across slices.
 //! * **fifo** — the naive baseline: the whole pool as one slice, strict

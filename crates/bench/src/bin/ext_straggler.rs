@@ -74,9 +74,7 @@ fn ft_cfg(m: usize, rebalance: bool) -> FtConfig {
         },
         // pure timing study: detection layers off so the three runs share
         // one arithmetic path
-        abft_spmv: false,
-        abft_orth: false,
-        residual_check: false,
+        verify: false,
         rebalance,
         ..Default::default()
     }

@@ -246,10 +246,7 @@ pub fn run_schedule(sch: &ChaosSchedule) -> RunOutcome {
     // a second solve with its own simulated clock, so keep it out of
     // any ambient obs recording (span begins must stay monotone).
     if sch.is_zero_rate() {
-        let was = ca_obs::pause();
-        let baseline = solve(sch, &a, &b, false);
-        ca_obs::resume(was);
-        match baseline {
+        match ca_obs::unobserved(|| solve(sch, &a, &b, false)) {
             Ok(base) => {
                 if fingerprint(&base) != fp {
                     violations.push(

@@ -996,13 +996,13 @@ impl<'a> Solve<'a> {
         Ok(beta)
     }
 
-    /// Rebuild the executor and the system on `layout`, preserving
-    /// simulated time, schedule policy, and accumulated traffic counters.
-    /// `lost` names dead devices, whose pending loss and perf faults are
-    /// stripped from the reinstalled plan (empty: the plan is reinstalled
-    /// verbatim). A fresh executor also resets the op counters and health
-    /// EWMAs, so post-rebuild health reflects the new partition rather than
-    /// stale history.
+    /// Respawn the executor ([`MultiGpu::respawn`]: simulated time,
+    /// policies, traces and traffic counters carry over) and rebuild the
+    /// system on `layout`. `lost` names dead devices, whose pending loss
+    /// and perf faults are stripped from the reinstalled plan (empty: the
+    /// plan is reinstalled verbatim). A fresh executor also resets the op
+    /// counters and health EWMAs, so post-rebuild health reflects the new
+    /// partition rather than stale history.
     pub(crate) fn rebuild<G: CycleGuard>(
         &mut self,
         layout: Layout,
@@ -1011,16 +1011,8 @@ impl<'a> Solve<'a> {
     ) -> GpuResult<()> {
         self.rebuilds += 1;
         let mg = &mut *self.mg;
-        let t_now = mg.time();
         let plan = mg.fault_plan().cloned();
-        let schedule = mg.schedule();
-        let prior = mg.counters();
-        let prior_reclaimed = mg.time_reclaimed();
-        *mg = MultiGpu::new(layout.ndev(), mg.model().clone(), mg.config);
-        mg.set_schedule(schedule); // rebuilt executor keeps the policy
-        mg.fast_forward(t_now);
-        mg.absorb_counters(prior);
-        mg.absorb_time_reclaimed(prior_reclaimed);
+        mg.respawn(layout.ndev());
         if let Some(p) = plan {
             // a loss already happened; survivors keep the rest of the plan
             // (SDC, transfer faults) active

@@ -81,8 +81,9 @@ use ca_scalar::Precision;
 use ca_sparse::Csr;
 use obs::Track::Host as HOST;
 
-/// Disagreement factor of [`FtConfig::residual_check`]: the cycle is redone
-/// when `beta_explicit > RESIDUAL_SLACK * beta_implicit (+ noise floor)`.
+/// Disagreement factor of the residual backstop ([`FtConfig::verify`]): the
+/// cycle is redone when `beta_explicit > RESIDUAL_SLACK * beta_implicit
+/// (+ noise floor)`.
 pub const RESIDUAL_SLACK: f64 = 10.0;
 
 /// Max/min EWMA-slowdown ratio above which [`FtConfig::rebalance`] attempts
@@ -94,12 +95,13 @@ pub const REBALANCE_THRESHOLD: f64 = 1.5;
 pub struct FtConfig {
     /// The underlying solver parameters.
     pub solver: CaGmresConfig,
-    /// Verify every generated basis block against the `c = Aᵀ1` SpMV
-    /// checksum identity (detects SDC in MPK/SpMV outputs).
-    pub abft_spmv: bool,
-    /// Run the orthogonalization with Gram/projection checksums
-    /// (detects SDC in the BOrth GEMM and TSQR SYRK/GEMM kernels).
-    pub abft_orth: bool,
+    /// Verify the solve: check every generated basis block against the
+    /// `c = Aᵀ1` SpMV checksum identity (SDC in MPK/SpMV outputs), run the
+    /// orthogonalization with Gram/projection checksums (SDC in the BOrth
+    /// GEMM and TSQR SYRK/GEMM kernels), and compare the explicit residual
+    /// against the implicit least-squares one after every restart cycle,
+    /// rolling back to the checkpoint on disagreement.
+    pub verify: bool,
     /// Retry policy for ABFT block recompute (and the per-cycle residual
     /// backstop): `recompute.retries()` bounds how many times one block
     /// (or one cycle) may be regenerated before the driver gives up and
@@ -108,10 +110,6 @@ pub struct FtConfig {
     /// [`RetryPolicy`] type with the executor's transfer retry
     /// ([`MultiGpu::set_transfer_retry`]).
     pub recompute: RetryPolicy,
-    /// Compare the explicit residual against the implicit least-squares
-    /// one after every restart cycle; roll back to the checkpoint on
-    /// disagreement.
-    pub residual_check: bool,
     /// Repartition rows proportionally to measured per-device throughput
     /// ([`ca_gpusim::HealthReport::throughput_weights`]) at restart
     /// boundaries whenever the observed slowdown imbalance exceeds
@@ -146,10 +144,8 @@ impl Default for FtConfig {
     fn default() -> Self {
         Self {
             solver: CaGmresConfig::default(),
-            abft_spmv: true,
-            abft_orth: true,
+            verify: true,
             recompute: RetryPolicy::default(),
-            residual_check: true,
             rebalance: false,
             watchdog_timeout_s: None,
             probe: None,
@@ -610,7 +606,7 @@ impl ResidentSystem {
             && sys.mpk.as_ref().map(|st| st.plan.s) == s_opt
             && self.prec == cfg.solver.mpk_prec
             && sys.layout.ndev() == ndev
-            && self.abft.is_some() == cfg.abft_spmv
+            && self.abft.is_some() == cfg.verify
     }
 
     /// Free every device allocation the state owns (basis, plans, ABFT
@@ -703,7 +699,7 @@ pub fn ca_gmres_ft_session(
             op.build(mg, Layout::even(n, mg.n_gpus()), solver, (s, solver.mpk_prec), &mut guard)
         }
     };
-    let orth = OrthConfig { abft: cfg.abft_orth, ..solver.orth };
+    let orth = OrthConfig { abft: cfg.verify, ..solver.orth };
     let (ran, mut stats, x) = match built {
         Ok(sys) => {
             let mut sv = Solve::new(mg, Sys::Owned(sys, op), solver, orth, s);
@@ -1319,7 +1315,7 @@ impl CycleGuard for FtGuard<'_, '_> {
     /// fresh health EWMAs let the probe signal a straggler again.
     fn on_build(&mut self, mg: &mut MultiGpu, a: &Csr, sys: &System) -> GpuResult<()> {
         self.abft =
-            if self.cfg.abft_spmv { Some(AbftState::build(mg, a, &sys.layout)?) } else { None };
+            if self.cfg.verify { Some(AbftState::build(mg, a, &sys.layout)?) } else { None };
         if let Some(p) = &mut self.probe {
             p.unlatch();
         }
@@ -1346,7 +1342,7 @@ impl CycleGuard for FtGuard<'_, '_> {
     fn cycle_done(&mut self, sv: &mut Solve<'_>, beta: f64, implied: f64) -> GpuResult<bool> {
         let (cfg, mg) = (self.cfg, &mut *sv.mg);
         let noise = 1e-12 * sv.beta0;
-        if cfg.residual_check && beta > RESIDUAL_SLACK * implied + noise && self.redo_budget > 0 {
+        if cfg.verify && beta > RESIDUAL_SLACK * implied + noise && self.redo_budget > 0 {
             let retry = (cfg.recompute.retries() - self.redo_budget) as u32 + 1;
             self.report.cycles_redone += 1;
             self.redo_budget -= 1;
@@ -1631,7 +1627,7 @@ mod tests {
     #[test]
     fn prefetch_moves_only_the_clock() {
         // the Fig. 14 overlap under the fault-tolerant guard: with CAQR and
-        // the orthogonalization checksums off (they keep the window shut),
+        // the checksums off (the orthogonalization's keep the window shut),
         // halos are issued ahead of their blocks and the solve follows the
         // same iteration path to the same bits, no later. A fixed budget:
         // a solve that converges mid-cycle wastes its last prefetch
@@ -1640,7 +1636,7 @@ mod tests {
         let run = |prefetch: bool| {
             let mut mg = MultiGpu::with_defaults(3);
             mg.set_schedule(Schedule::EventDriven);
-            let mut c = FtConfig { abft_orth: false, ..cfg() };
+            let mut c = FtConfig { verify: false, ..cfg() };
             (c.solver.orth.tsqr, c.solver.prefetch) = (TsqrKind::Caqr, prefetch);
             (c.solver.rtol, c.solver.max_restarts) = (0.0, 4);
             ca_gmres_ft(mg, &a, &b, &c)

@@ -676,9 +676,8 @@ pub fn fastest_kernel(mg: &MultiGpu, a: &Csr, layout: &Layout, s: usize) -> Kern
     if s <= 1 {
         return KernelMode::Spmv;
     }
-    let was = obs::pause();
     let mut twin = mg.cost_only_twin();
-    let times = (|| -> Result<(f64, f64)> {
+    let times = obs::unobserved(|| -> Result<(f64, f64)> {
         let sys = System::new(&mut twin, a, layout.clone(), s, Some(s))?;
         let (spec, bc) = (BasisSpec::monomial(s), sys.b_col());
         twin.sync();
@@ -690,8 +689,7 @@ pub fn fastest_kernel(mg: &MultiGpu, a: &Csr, layout: &Layout, s: usize) -> Kern
         spmv_block(&mut twin, &sys.spmv, &sys.v, 0, &spec)?;
         twin.sync();
         Ok((t1 - t0, twin.time() - t1))
-    })();
-    obs::resume(was);
+    });
     match times {
         Ok((t_mpk, t_spmv)) if t_mpk <= t_spmv => KernelMode::Mpk,
         _ => KernelMode::Spmv,

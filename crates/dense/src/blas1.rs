@@ -84,28 +84,6 @@ pub fn copy<T: Scalar>(x: &[T], y: &mut [T]) {
     y.copy_from_slice(x);
 }
 
-/// Index of the entry with maximum absolute value (0 for empty input).
-pub fn iamax<T: Scalar>(x: &[T]) -> usize {
-    let mut best = 0usize;
-    let mut bv = f64::MIN;
-    for (i, &v) in x.iter().enumerate() {
-        if v.abs().to_f64() > bv {
-            bv = v.abs().to_f64();
-            best = i;
-        }
-    }
-    best
-}
-
-/// Sum of absolute values `||x||_1`.
-pub fn asum<T: Scalar>(x: &[T]) -> T {
-    let mut s = T::ZERO;
-    for &v in x {
-        s += v.abs();
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,17 +163,5 @@ mod tests {
         let mut x = [1.0, -2.0];
         scal(-3.0, &mut x);
         assert_eq!(x, [-3.0, 6.0]);
-    }
-
-    #[test]
-    fn iamax_finds_largest_abs() {
-        assert_eq!(iamax(&[1.0f64, -7.0, 3.0]), 1);
-        assert_eq!(iamax::<f64>(&[]), 0);
-        assert_eq!(iamax(&[1.0f32, -7.0, 3.0]), 1);
-    }
-
-    #[test]
-    fn asum_sums_abs() {
-        assert_eq!(asum(&[1.0f64, -2.0, 3.0]), 6.0);
     }
 }

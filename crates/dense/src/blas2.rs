@@ -43,21 +43,6 @@ pub fn gemv_t<T: Scalar>(alpha: T, a: &Mat<T>, x: &[T], beta: T, y: &mut [T]) {
     });
 }
 
-/// Rank-1 update `A += alpha * x y^T`.
-pub fn ger<T: Scalar>(alpha: T, x: &[T], y: &[T], a: &mut Mat<T>) {
-    assert_eq!(a.nrows(), x.len());
-    assert_eq!(a.ncols(), y.len());
-    for j in 0..a.ncols() {
-        let ayj = alpha * y[j];
-        if ayj != T::ZERO {
-            let col = a.col_mut(j);
-            for (aij, &xi) in col.iter_mut().zip(x) {
-                *aij += ayj * xi;
-            }
-        }
-    }
-}
-
 /// Triangular solve `x := R^{-1} x` with `R` upper triangular (`n x n`),
 /// i.e. back substitution. Returns the index of a zero diagonal on failure.
 pub fn trsv_upper<T: Scalar>(r: &Mat<T>, x: &mut [T]) -> crate::Result<()> {
@@ -136,14 +121,6 @@ mod tests {
         let mut y = [f64::NAN, f64::NAN];
         gemv_n(1.0, &a, &[1.0, 2.0], 0.0, &mut y);
         assert_eq!(y, [1.0, 2.0]);
-    }
-
-    #[test]
-    fn ger_rank1() {
-        let mut a = Mat::zeros(2, 2);
-        ger(1.0, &[1.0, 2.0], &[3.0, 4.0], &mut a);
-        assert_eq!(a[(0, 0)], 3.0);
-        assert_eq!(a[(1, 1)], 8.0);
     }
 
     #[test]

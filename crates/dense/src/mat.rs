@@ -28,16 +28,6 @@ impl<T: Scalar> Mat<T> {
         Self { nrows, ncols, ld: nrows.max(1), data: vec![T::ZERO; nrows.max(1) * ncols] }
     }
 
-    /// Create a zero matrix with an explicit leading dimension `ld >= nrows`.
-    ///
-    /// The padding rows (`nrows..ld`) are zero-filled and stay zero under all
-    /// routines in this crate, matching the zero-padding requirement of the
-    /// batched-GEMM kernel described in the paper (§V-F).
-    pub fn zeros_with_ld(nrows: usize, ncols: usize, ld: usize) -> Self {
-        assert!(ld >= nrows.max(1), "leading dimension {ld} < nrows {nrows}");
-        Self { nrows, ncols, ld, data: vec![T::ZERO; ld * ncols] }
-    }
-
     /// An `nrows x ncols` matrix that carries its shape and no storage:
     /// what a cost-only simulated device holds in place of a buffer. Any
     /// element access panics.
@@ -231,12 +221,6 @@ impl<T: Scalar> Mat<T> {
         }
     }
 
-    /// Grow or shrink to `ncols` columns in place, zero-filling new columns.
-    pub fn resize_cols(&mut self, ncols: usize) {
-        self.data.resize(self.ld * ncols, T::ZERO);
-        self.ncols = ncols;
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> T {
         let mut m = T::ZERO;
@@ -355,18 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn padded_ld_columns_are_isolated() {
-        let mut m: Mat = Mat::zeros_with_ld(3, 2, 8);
-        m.col_mut(0).copy_from_slice(&[1.0, 2.0, 3.0]);
-        m.col_mut(1).copy_from_slice(&[4.0, 5.0, 6.0]);
-        assert_eq!(m.ld(), 8);
-        assert_eq!(m[(0, 1)], 4.0);
-        // padding stays zero
-        assert_eq!(m.as_slice()[3], 0.0);
-        assert_eq!(m.as_slice()[7], 0.0);
-    }
-
-    #[test]
     fn transpose_round_trip() {
         let m = Mat::from_fn(3, 5, |i, j| (i * 10 + j) as f64);
         let t = m.transpose();
@@ -411,15 +383,6 @@ mod tests {
         assert_eq!(a[(1, 1)], 4.0);
         a.scale(0.5);
         assert_eq!(a[(1, 1)], 2.0);
-    }
-
-    #[test]
-    fn resize_cols_zero_fills() {
-        let mut m = Mat::from_fn(2, 1, |_, _| 7.0);
-        m.resize_cols(3);
-        assert_eq!(m.ncols(), 3);
-        assert_eq!(m[(0, 0)], 7.0);
-        assert_eq!(m[(1, 2)], 0.0);
     }
 
     #[test]

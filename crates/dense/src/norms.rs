@@ -49,12 +49,6 @@ pub fn elementwise_error(v: &Mat, q: &Mat, r: &Mat) -> f64 {
     worst
 }
 
-/// Infinity norm of a vector difference, `||x - y||_inf`.
-pub fn vec_inf_diff(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,10 +93,5 @@ mod tests {
         let e = elementwise_error(&v, &q, &r);
         assert!(e.is_finite());
         assert!(e.abs() < 1e-12); // only the (0,0) entry is compared
-    }
-
-    #[test]
-    fn vec_inf_diff_basic() {
-        assert_eq!(vec_inf_diff(&[1.0, 2.0], &[1.5, 2.0]), 0.5);
     }
 }

@@ -349,6 +349,11 @@ impl Device {
         self.stream.enable();
     }
 
+    /// Whether this device's commands are being recorded.
+    pub(crate) fn is_tracing(&self) -> bool {
+        self.stream.is_enabled()
+    }
+
     /// Commands recorded since trace enablement.
     pub fn trace(&self) -> &[Cmd] {
         self.stream.cmds()

@@ -453,13 +453,9 @@ impl PerfModel {
     }
 }
 
-/// A fitted efficiency curve: achieved rate as a piecewise-linear function
-/// of a shape parameter (rows, column count, message size, ...).
-///
-/// Knots are kept sorted by shape. Evaluation interpolates linearly between
-/// adjacent knots and **clamps** outside the fitted range — an out-of-range
-/// shape returns the nearest endpoint's rate rather than extrapolating
-/// (which could go negative and turn a predicted time into nonsense).
+/// A fitted efficiency curve: the achieved rate measured at a few values
+/// of a shape parameter (rows, column count, message size, ...), kept as
+/// `(shape, rate)` knots sorted by shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EffCurve {
     knots: Vec<(f64, f64)>,
@@ -484,34 +480,12 @@ impl EffCurve {
     pub fn knots(&self) -> &[(f64, f64)] {
         &self.knots
     }
-
-    /// Rate at `x`: linear interpolation between the surrounding knots,
-    /// clamped to the endpoint rates outside the fitted range.
-    pub fn eval(&self, x: f64) -> f64 {
-        let k = &self.knots;
-        let (first, last) = (k[0], k[k.len() - 1]);
-        if x <= first.0 {
-            return first.1;
-        }
-        if x >= last.0 {
-            return last.1;
-        }
-        // First knot strictly right of x; x < last.0 guarantees it exists.
-        let i = k.partition_point(|&(kx, _)| kx <= x);
-        let (x0, y0) = k[i - 1];
-        let (x1, y1) = k[i];
-        if x1 == x0 {
-            return y0;
-        }
-        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ca_scalar::{cases, rng::Xoshiro256pp};
-    use std::ops::Range;
+    use ca_scalar::cases;
     use Precision::{F32, F64};
 
     #[test]
@@ -696,70 +670,6 @@ mod tests {
             for (a, b) in sample_times(&m).iter().zip(sample_times(&m2).iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-        });
-    }
-
-    /// A length drawn from `len`, then as many draws from `[lo, hi)`.
-    fn draws(rng: &mut Xoshiro256pp, len: Range<usize>, lo: f64, hi: f64) -> Vec<f64> {
-        (0..rng.index(len)).map(|_| rng.in_range(lo, hi)).collect()
-    }
-
-    /// Between two adjacent knots the interpolant must stay inside the
-    /// interval spanned by the knot rates and be monotone in x.
-    fn check_monotone_between_knots(mut xs: Vec<f64>, ys: Vec<f64>, t0: f64, t1: f64) {
-        xs.sort_by(f64::total_cmp);
-        xs.dedup();
-        let knots: Vec<(f64, f64)> = xs.iter().zip(&ys).map(|(&x, &y)| (x, y)).collect();
-        let c = EffCurve::from_knots(knots);
-        for w in c.knots().windows(2) {
-            let ((x0, y0), (x1, y1)) = (w[0], w[1]);
-            if x1 == x0 {
-                continue;
-            }
-            let (ta, tb) = if t0 <= t1 { (t0, t1) } else { (t1, t0) };
-            let xa = x0 + ta * (x1 - x0);
-            let xb = x0 + tb * (x1 - x0);
-            let (ya, yb) = (c.eval(xa), c.eval(xb));
-            let (lo, hi) = (y0.min(y1), y0.max(y1));
-            let tol = 1e-9 * hi.max(1.0);
-            assert!(ya >= lo - tol && ya <= hi + tol, "eval escaped knot interval");
-            // monotone along the segment, in the direction of the knots
-            if y1 >= y0 {
-                assert!(yb >= ya - tol, "not increasing: {ya} -> {yb}");
-            } else {
-                assert!(yb <= ya + tol, "not decreasing: {ya} -> {yb}");
-            }
-        }
-    }
-
-    /// Out-of-range shapes must clamp to the endpoint rates — never
-    /// negative, never an extrapolated overshoot.
-    fn check_clamps_out_of_range(mut xs: Vec<f64>, ys: Vec<f64>, probe: f64) {
-        xs.sort_by(f64::total_cmp);
-        let knots: Vec<(f64, f64)> = xs.iter().zip(&ys).map(|(&x, &y)| (x, y)).collect();
-        let c = EffCurve::from_knots(knots);
-        let k = c.knots();
-        let (first, last) = (k[0], k[k.len() - 1]);
-        assert_eq!(c.eval(first.0 - 1.0), first.1);
-        assert_eq!(c.eval(last.0 + 1.0), last.1);
-        assert!(c.eval(probe) >= 0.0);
-    }
-
-    #[test]
-    fn eff_curve_monotone_between_knots() {
-        cases(256, |rng| {
-            let xs = draws(rng, 3..8, 0.0, 1e7);
-            let ys = draws(rng, 8..9, 0.0, 1e12);
-            check_monotone_between_knots(xs, ys, rng.unit(), rng.unit());
-        });
-    }
-
-    #[test]
-    fn eff_curve_clamps_out_of_range() {
-        cases(256, |rng| {
-            let xs = draws(rng, 2..6, -1e6, 1e6);
-            let ys = draws(rng, 6..7, 0.0, 1e12);
-            check_clamps_out_of_range(xs, ys, rng.in_range(-1e9, 1e9));
         });
     }
 }

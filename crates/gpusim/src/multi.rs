@@ -105,23 +105,6 @@ impl CommCounters {
     pub fn total_bytes_f32(&self) -> u64 {
         self.bytes_to_host_f32 + self.bytes_to_dev_f32
     }
-
-    /// Element-wise sum — used to carry traffic totals across an executor
-    /// rebuild (degradation, rebalancing) so a solve's counters stay
-    /// end-to-end.
-    pub fn merged(self, other: CommCounters) -> CommCounters {
-        CommCounters {
-            msgs_to_host: self.msgs_to_host + other.msgs_to_host,
-            msgs_to_dev: self.msgs_to_dev + other.msgs_to_dev,
-            bytes_to_host: self.bytes_to_host + other.bytes_to_host,
-            bytes_to_dev: self.bytes_to_dev + other.bytes_to_dev,
-            msgs_to_host_f32: self.msgs_to_host_f32 + other.msgs_to_host_f32,
-            msgs_to_dev_f32: self.msgs_to_dev_f32 + other.msgs_to_dev_f32,
-            bytes_to_host_f32: self.bytes_to_host_f32 + other.bytes_to_host_f32,
-            bytes_to_dev_f32: self.bytes_to_dev_f32 + other.bytes_to_dev_f32,
-            transfer_retries: self.transfer_retries + other.transfer_retries,
-        }
-    }
 }
 
 /// One device's entry in a [`HealthReport`].
@@ -213,6 +196,9 @@ pub struct MultiGpu {
     /// observers that charged phase time from such samples can overcount
     /// end-to-end time by at most this much.
     time_reclaimed: f64,
+    /// Commands recorded by the executors this one replaced
+    /// ([`MultiGpu::respawn`]), per device index.
+    retired: Vec<Vec<Cmd>>,
 }
 
 /// Direction of a copy over a device's link.
@@ -256,7 +242,28 @@ impl MultiGpu {
             events: EventTable::default(),
             links: vec![CopyEngine::default(); n_gpus],
             time_reclaimed: 0.0,
+            retired: Vec::new(),
         }
+    }
+
+    /// Replace this executor with `n_gpus` fresh devices — no allocations,
+    /// fault plan, op counts or health history — at the current simulated
+    /// time: what a rebuild onto a new partition, or a slice whose solve
+    /// leaked allocations, starts from. The model, kernel config, schedule,
+    /// transfer-retry policy, trace recording (with the commands recorded
+    /// so far), communication counters and reclaimed time carry over.
+    pub fn respawn(&mut self, n_gpus: usize) {
+        let mut fresh = Self::new(n_gpus, (*self.model).clone(), self.config);
+        fresh.schedule = self.schedule;
+        fresh.transfer_retry = self.transfer_retry;
+        if self.devices.iter().any(Device::is_tracing) {
+            fresh.enable_trace();
+            fresh.retired = self.take_traces();
+        }
+        fresh.fast_forward(self.time());
+        fresh.counters = self.counters;
+        fresh.time_reclaimed = self.time_reclaimed;
+        *self = fresh;
     }
 
     /// A cost-only ([`MultiGpu::cost_only`]) machine of this one's shape:
@@ -394,12 +401,6 @@ impl MultiGpu {
     /// tail the watchdog has taken back from the end-to-end clock.
     pub fn time_reclaimed(&self) -> f64 {
         self.time_reclaimed
-    }
-
-    /// Carry a predecessor executor's reclaimed-time total across a
-    /// rebuild (the counterpart of [`MultiGpu::absorb_counters`]).
-    pub fn absorb_time_reclaimed(&mut self, prior: f64) {
-        self.time_reclaimed += prior;
     }
 
     /// One transfer message on device `d`'s link: draw transient faults,
@@ -641,20 +642,6 @@ impl MultiGpu {
 
     // ---------- events ----------
 
-    /// Record an event on device `d`'s queue: a handle carrying the
-    /// current queue tail as its completion timestamp.
-    pub fn record_event(&mut self, d: usize) -> Event {
-        let at = self.devices[d].clock();
-        let ev = self.events.record(at);
-        self.devices[d].log_cmd(Cmd::EventRecord { event: ev, at });
-        ev
-    }
-
-    /// The completion timestamp an event carries.
-    pub fn event_time(&self, e: Event) -> f64 {
-        self.events.time(e)
-    }
-
     /// Make device `d`'s queue wait for an event: its next command starts
     /// no earlier than the event's timestamp (the `waited_events` term of
     /// the start-time rule).
@@ -671,13 +658,6 @@ impl MultiGpu {
         let t = self.events.time(e);
         self.devices[d].wait_until(t, e);
         Ok(())
-    }
-
-    /// Make the host clock wait for an event (no per-message charge; use
-    /// [`MultiGpu::host_wait_all`] to consume transfer events with the
-    /// per-message host handling the blocking API charges).
-    pub fn host_wait_event(&mut self, e: Event) {
-        self.host_time = self.host_time.max(self.events.time(e));
     }
 
     /// Host-side completion of a batch of async device→host copies: wait
@@ -698,7 +678,8 @@ impl MultiGpu {
     /// One async copy over device `d`'s link, either way: the link is
     /// occupied from when the sender's clock (the device queue, or the host)
     /// reaches the copy and the link is free (start-time rule over the link
-    /// timeline), the message is counted, and the returned event fires on
+    /// timeline), the message is counted (an `F32` `prec` also in the
+    /// f32-split counters and metrics), and the returned event fires on
     /// arrival. Nobody blocks.
     fn copy_async(&mut self, dir: Dir, d: usize, bytes: usize, prec: Precision) -> Result<Event> {
         let dur = self.message_time(d, bytes)?;
@@ -776,39 +757,6 @@ impl MultiGpu {
         self.links.iter().map(CopyEngine::occupied).sum()
     }
 
-    /// Enqueue one async device→host copy on device `d`'s link: the copy
-    /// starts once the device's queue reaches it and its link is free, and
-    /// the returned event fires on arrival. The device itself does not
-    /// block. `bytes` is the actual wire size (already computed at the
-    /// payload's width by the caller); an `F32` `prec` additionally books
-    /// the message into the f32-split counters and metrics.
-    ///
-    /// # Errors
-    /// [`GpuSimError::DeviceLost`] if the sending device has died;
-    /// [`GpuSimError::TransferFailed`] past the retry bound.
-    pub fn copy_to_host_async(&mut self, d: usize, bytes: usize, prec: Precision) -> Result<Event> {
-        self.copy_async(Dir::ToHost, d, bytes, prec)
-    }
-
-    /// Enqueue one async host→device copy on device `d`'s link: the copy
-    /// starts once the host clock reaches it and the link is free, and the
-    /// returned event fires on device-side arrival. Neither the host nor
-    /// the device blocks — pass the event to [`MultiGpu::wait_event`]
-    /// before the device consumes the data. `prec` tags the payload as in
-    /// [`MultiGpu::copy_to_host_async`].
-    ///
-    /// # Errors
-    /// [`GpuSimError::DeviceLost`] if the receiving device has died;
-    /// [`GpuSimError::TransferFailed`] past the retry bound.
-    pub fn copy_to_device_async(
-        &mut self,
-        d: usize,
-        bytes: usize,
-        prec: Precision,
-    ) -> Result<Event> {
-        self.copy_async(Dir::ToDevice, d, bytes, prec)
-    }
-
     /// Enqueue async device→host copies, one per device with `bytes[d]`
     /// bytes (0 = no message), every message tagged with `prec`. Returns
     /// each device's arrival event; links overlap. Combine with
@@ -816,7 +764,8 @@ impl MultiGpu {
     /// wait selectively to overlap host work with in-flight transfers.
     ///
     /// # Errors
-    /// See [`MultiGpu::copy_to_host_async`].
+    /// [`GpuSimError::DeviceLost`] if a sending device has died;
+    /// [`GpuSimError::TransferFailed`] past the retry bound.
     pub fn to_host_async(
         &mut self,
         bytes: &[usize],
@@ -833,7 +782,8 @@ impl MultiGpu {
     /// computing under the arriving payload).
     ///
     /// # Errors
-    /// See [`MultiGpu::copy_to_device_async`].
+    /// [`GpuSimError::DeviceLost`] if a receiving device has died;
+    /// [`GpuSimError::TransferFailed`] past the retry bound.
     pub fn to_devices_async(
         &mut self,
         bytes: &[usize],
@@ -901,13 +851,6 @@ impl MultiGpu {
         self.counters = CommCounters::default();
     }
 
-    /// Fold a predecessor executor's counters into this one, so a rebuild
-    /// (degradation onto survivors, row rebalancing) reports end-to-end
-    /// traffic instead of forgetting everything before the rebuild.
-    pub fn absorb_counters(&mut self, prior: CommCounters) {
-        self.counters = self.counters.merged(prior);
-    }
-
     /// Reset all clocks, link timelines, events, and counters (fresh
     /// timing run on loaded data). Event handles issued before the reset
     /// are invalidated — do not hold them across this call. Lost devices
@@ -926,6 +869,7 @@ impl MultiGpu {
         for d in &mut self.devices {
             d.clear_trace();
         }
+        self.retired.clear();
         self.events.clear();
         self.reset_counters();
     }
@@ -941,9 +885,16 @@ impl MultiGpu {
         }
     }
 
-    /// Drain the recorded per-device command traces.
+    /// Drain the recorded per-device command traces, each device's
+    /// preceded by what the executors this one replaced recorded under
+    /// its index.
     pub fn take_traces(&mut self) -> Vec<Vec<Cmd>> {
-        self.devices.iter_mut().map(|d| d.take_trace()).collect()
+        let mut traces = std::mem::take(&mut self.retired);
+        traces.resize_with(traces.len().max(self.devices.len()), Vec::new);
+        for (t, d) in traces.iter_mut().zip(&mut self.devices) {
+            t.append(&mut d.take_trace());
+        }
+        traces
     }
 }
 
@@ -1151,10 +1102,6 @@ mod tests {
         assert_eq!(c.bytes_to_dev_f32, 24);
         assert_eq!(c.msgs_to_dev_f32, 1);
         assert_eq!(c.total_bytes_f32(), 64);
-        // the split survives merges
-        let m = c.merged(c);
-        assert_eq!(m.bytes_to_host_f32, 80);
-        assert_eq!(m.msgs_to_dev_f32, 2);
     }
 
     #[test]
@@ -1337,10 +1284,10 @@ mod tests {
         mg.run(|_, d| {
             d.dot_cols(v, 0, 1);
         });
-        let e = mg.record_event(0);
-        assert_eq!(mg.event_time(e), mg.device(0).clock());
-        mg.host_wait_event(e);
-        assert!(mg.host_time() >= mg.event_time(e));
+        let e = mg.copy_async(Dir::ToHost, 0, 64, Precision::F64).unwrap();
+        assert!(mg.events.time(e) > mg.device(0).clock());
+        mg.host_wait_all(&[Some(e)]);
+        assert!(mg.host_time() >= mg.events.time(e));
         // waiting on an already-fired event does not move a later queue
         mg.run(|_, d| {
             d.dot_cols(v, 0, 1);
@@ -1353,16 +1300,16 @@ mod tests {
     #[test]
     fn same_link_copies_serialize_but_links_overlap() {
         let mut mg = MultiGpu::with_defaults(1);
-        let e1 = mg.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
-        let e2 = mg.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
+        let e1 = mg.copy_async(Dir::ToHost, 0, 1_000_000, Precision::F64).unwrap();
+        let e2 = mg.copy_async(Dir::ToHost, 0, 1_000_000, Precision::F64).unwrap();
         let one = mg.model().pcie_time(1_000_000);
-        assert_eq!(mg.event_time(e1), one);
-        assert!((mg.event_time(e2) - 2.0 * one).abs() < 1e-12, "same link must serialize");
+        assert_eq!(mg.events.time(e1), one);
+        assert!((mg.events.time(e2) - 2.0 * one).abs() < 1e-12, "same link must serialize");
 
         let mut mg2 = MultiGpu::with_defaults(2);
-        let f0 = mg2.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
-        let f1 = mg2.copy_to_host_async(1, 1_000_000, Precision::F64).unwrap();
-        assert_eq!(mg2.event_time(f0), mg2.event_time(f1), "separate links overlap");
+        let f0 = mg2.copy_async(Dir::ToHost, 0, 1_000_000, Precision::F64).unwrap();
+        let f1 = mg2.copy_async(Dir::ToHost, 1, 1_000_000, Precision::F64).unwrap();
+        assert_eq!(mg2.events.time(f0), mg2.events.time(f1), "separate links overlap");
     }
 
     #[test]
@@ -1380,14 +1327,14 @@ mod tests {
         // stream schedule: enqueue the copy, compute under it, then wait
         let mut ev_mg = MultiGpu::with_defaults(1);
         let v2 = ev_mg.device_mut(0).alloc_mat(200_000, 2).unwrap();
-        let e = ev_mg.copy_to_device_async(0, 1_000_000, Precision::F64).unwrap();
+        let e = ev_mg.copy_async(Dir::ToDevice, 0, 1_000_000, Precision::F64).unwrap();
         ev_mg.run(|_, d| {
             d.dot_cols(v2, 0, 1);
         });
         ev_mg.wait_event(0, e).unwrap();
         let t_event = ev_mg.time();
         assert!(t_event < t_sync, "overlap must hide transfer: {t_event} vs {t_sync}");
-        assert!(t_event >= ev_mg.event_time(e), "the dependency is still honored");
+        assert!(t_event >= ev_mg.events.time(e), "the dependency is still honored");
     }
 
     #[test]
@@ -1442,7 +1389,7 @@ mod tests {
         let mut mg = MultiGpu::with_defaults(2);
         mg.set_fault_plan(FaultPlan::new(0).with_device_loss(1, 1));
         let v = mg.device_mut(1).alloc_mat(10, 2).unwrap();
-        let e = mg.copy_to_device_async(1, 4096, Precision::F64).unwrap(); // issued alive
+        let e = mg.copy_async(Dir::ToDevice, 1, 4096, Precision::F64).unwrap(); // issued alive
         mg.run(|i, d| {
             if i == 1 {
                 d.dot_cols(v, 0, 1); // op 1 survives...
@@ -1453,7 +1400,7 @@ mod tests {
         let err = mg.wait_event(1, e).unwrap_err();
         assert_eq!(err, GpuSimError::DeviceLost { device: 1 });
         // the other device's waits are unaffected
-        let e0 = mg.copy_to_device_async(0, 64, Precision::F64).unwrap();
+        let e0 = mg.copy_async(Dir::ToDevice, 0, 64, Precision::F64).unwrap();
         mg.wait_event(0, e0).unwrap();
     }
 
@@ -1558,29 +1505,46 @@ mod tests {
     }
 
     #[test]
-    fn absorb_counters_merges() {
-        let mut a = MultiGpu::with_defaults(1);
-        a.to_host(&[100]).unwrap();
-        let prior = a.counters();
-        let mut b = MultiGpu::with_defaults(1);
-        b.broadcast(50).unwrap();
-        b.absorb_counters(prior);
-        let c = b.counters();
-        assert_eq!(c.msgs_to_host, 1);
-        assert_eq!(c.bytes_to_host, 100);
-        assert_eq!(c.msgs_to_dev, 1);
-        assert_eq!(c.bytes_to_dev, 50);
+    fn respawn_carries_time_policies_counters_and_traces() {
+        let mut mg = MultiGpu::with_defaults(2);
+        mg.set_schedule(Schedule::EventDriven);
+        mg.set_transfer_retry(RetryPolicy::attempts(3));
+        mg.enable_trace();
+        let v: Vec<MatId> = (0..2).map(|d| mg.device_mut(d).alloc_mat(1000, 2).unwrap()).collect();
+        mg.run(|d, dev| {
+            dev.dot_cols(v[d], 0, 1);
+        });
+        mg.to_host(&[100, 0]).unwrap();
+        let (t, counters) = (mg.time(), mg.counters());
+        mg.respawn(1);
+        assert_eq!(mg.n_gpus(), 1);
+        assert_eq!(mg.device(0).mem_used(), 0, "a fresh device holds nothing");
+        assert_eq!(mg.time(), t);
+        assert_eq!(mg.counters(), counters);
+        assert_eq!(mg.schedule(), Schedule::EventDriven);
+        assert_eq!(mg.transfer_retry().max_attempts, 3);
+        mg.broadcast(50).unwrap();
+        // both executors' commands, the retired device's included
+        let traces = mg.take_traces();
+        assert_eq!(traces.len(), 2);
+        let at = |c: fn(&Cmd) -> bool| traces[0].iter().position(c).expect("recorded");
+        let up = at(|c| matches!(c, Cmd::CopyToHost { bytes: 100, .. }));
+        let down = at(|c| matches!(c, Cmd::CopyToDevice { bytes: 50, .. }));
+        assert!(at(|c| matches!(c, Cmd::Kernel { .. })) < up && up < down);
+        assert!(!traces[1].is_empty());
+        assert!(traces[1].iter().all(|c| matches!(c, Cmd::Kernel { .. })));
+        assert!(mg.take_traces().iter().all(Vec::is_empty), "drained");
     }
 
     #[test]
     fn reset_time_clears_link_timelines_and_events() {
         let mut mg = MultiGpu::with_defaults(1);
-        let e = mg.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
-        let first = mg.event_time(e);
+        let e = mg.copy_async(Dir::ToHost, 0, 1_000_000, Precision::F64).unwrap();
+        let first = mg.events.time(e);
         mg.reset_time();
         // after the reset the link is idle again: the same copy lands at
         // the same finish time instead of queuing behind the first
-        let e2 = mg.copy_to_host_async(0, 1_000_000, Precision::F64).unwrap();
-        assert_eq!(mg.event_time(e2).to_bits(), first.to_bits());
+        let e2 = mg.copy_async(Dir::ToHost, 0, 1_000_000, Precision::F64).unwrap();
+        assert_eq!(mg.events.time(e2).to_bits(), first.to_bits());
     }
 }

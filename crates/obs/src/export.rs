@@ -9,7 +9,7 @@
 //! microsecond formatting.
 
 use crate::{Recording, Span, Track};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn us(t: f64) -> String {
     format!("{:.3}", t * 1e6)
@@ -21,140 +21,75 @@ fn push_event(out: &mut Vec<String>, body: String) {
 
 /// Render a [`Recording`] as Perfetto/`chrome://tracing` JSON.
 pub fn chrome_trace(rec: &Recording) -> String {
-    StreamingTrace::new().finish(rec)
-}
+    let mut tracks: BTreeSet<Track> = rec.spans.iter().map(|s| s.track).collect();
+    tracks.insert(Track::Host);
+    tracks.extend(rec.instants.iter().map(|i| i.track));
 
-/// Incremental Perfetto writer: accepts sealed spans in batches as a long
-/// session runs (feed it [`crate::drain_sealed`] output, or call
-/// [`StreamingTrace::flush_sealed`] to do both steps), then assembles the
-/// final JSON from the tail [`Recording`]. Streaming bounds the recorder's
-/// resident span log — a service draining after every job holds only that
-/// job's open spans — and the output is byte-identical to
-/// [`chrome_trace`] over the same session recorded in one piece (the
-/// batch exporter *is* a single-flush streaming export).
-#[derive(Debug, Default)]
-pub struct StreamingTrace {
-    span_events: Vec<String>,
-    tracks: std::collections::BTreeSet<Track>,
-    spans_flushed: usize,
-    flushes: usize,
-}
-
-impl StreamingTrace {
-    /// A writer with no spans flushed yet.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Spans accepted so far (excluding the final recording's tail).
-    #[must_use]
-    pub fn spans_flushed(&self) -> usize {
-        self.spans_flushed
-    }
-
-    /// Non-empty batches accepted so far.
-    #[must_use]
-    pub fn flushes(&self) -> usize {
-        self.flushes
-    }
-
-    /// Append one batch of sealed spans (in record order).
-    pub fn push_spans(&mut self, spans: &[Span]) {
-        if spans.is_empty() {
-            return;
-        }
-        self.flushes += 1;
-        self.spans_flushed += spans.len();
-        for s in spans {
-            self.tracks.insert(s.track);
-            push_event(&mut self.span_events, span_event(s));
-        }
-    }
-
-    /// Drain the active session's sealed spans ([`crate::drain_sealed`])
-    /// into this writer; returns how many spans the batch carried.
-    pub fn flush_sealed(&mut self) -> usize {
-        let batch = crate::drain_sealed();
-        self.push_spans(&batch);
-        batch.len()
-    }
-
-    /// Consume the writer and the session's tail recording, producing the
-    /// complete trace JSON. `rec` contributes the remaining spans plus all
-    /// instants, counter samples, and track metadata.
-    #[must_use]
-    pub fn finish(mut self, rec: &Recording) -> String {
-        self.push_spans(&rec.spans);
-        self.tracks.insert(Track::Host);
-        for i in &rec.instants {
-            self.tracks.insert(i.track);
-        }
-
-        let mut events: Vec<String> = Vec::new();
+    let mut events: Vec<String> = Vec::new();
+    push_event(
+        &mut events,
+        "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,\
+         \"args\":{\"name\":\"ca-gmres simulated timeline\"}"
+            .to_string(),
+    );
+    push_event(
+        &mut events,
+        "\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":0,\"tid\":0,\
+         \"args\":{\"sort_index\":0}"
+            .to_string(),
+    );
+    for track in &tracks {
+        let tid = track.tid();
         push_event(
             &mut events,
-            "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,\
-             \"args\":{\"name\":\"ca-gmres simulated timeline\"}"
-                .to_string(),
+            format!(
+                "\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":{tid},\
+                 \"args\":{{\"name\":{}}}",
+                crate::metrics::json_string(&track.label())
+            ),
         );
         push_event(
             &mut events,
-            "\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":0,\"tid\":0,\
-             \"args\":{\"sort_index\":0}"
-                .to_string(),
+            format!(
+                "\"ph\":\"M\",\"name\":\"thread_sort_index\",\"pid\":0,\"tid\":{tid},\
+                 \"args\":{{\"sort_index\":{tid}}}"
+            ),
         );
-        for track in &self.tracks {
-            let tid = track.tid();
-            push_event(
-                &mut events,
-                format!(
-                    "\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":{tid},\
-                     \"args\":{{\"name\":{}}}",
-                    crate::metrics::json_string(&track.label())
-                ),
-            );
-            push_event(
-                &mut events,
-                format!(
-                    "\"ph\":\"M\",\"name\":\"thread_sort_index\",\"pid\":0,\"tid\":{tid},\
-                     \"args\":{{\"sort_index\":{tid}}}"
-                ),
-            );
-        }
-        events.append(&mut self.span_events);
-        for i in &rec.instants {
-            let args = if i.cause.is_empty() {
-                String::from("{}")
-            } else {
-                format!("{{\"cause\":{}}}", crate::metrics::json_string(&i.cause))
-            };
-            push_event(
-                &mut events,
-                format!(
-                    "\"ph\":\"i\",\"s\":\"t\",\"name\":{},\"pid\":0,\"tid\":{},\"ts\":{},\
-                     \"args\":{args}",
-                    crate::metrics::json_string(&i.name),
-                    i.track.tid(),
-                    us(i.t)
-                ),
-            );
-        }
-        for c in &rec.samples {
-            push_event(
-                &mut events,
-                format!(
-                    "\"ph\":\"C\",\"name\":{},\"pid\":0,\"tid\":0,\"ts\":{},\
-                     \"args\":{{\"value\":{}}}",
-                    crate::metrics::json_string(&c.name),
-                    us(c.t),
-                    crate::metrics::json_f64(c.value)
-                ),
-            );
-        }
-
-        format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
     }
+    for s in &rec.spans {
+        push_event(&mut events, span_event(s));
+    }
+    for i in &rec.instants {
+        let args = if i.cause.is_empty() {
+            String::from("{}")
+        } else {
+            format!("{{\"cause\":{}}}", crate::metrics::json_string(&i.cause))
+        };
+        push_event(
+            &mut events,
+            format!(
+                "\"ph\":\"i\",\"s\":\"t\",\"name\":{},\"pid\":0,\"tid\":{},\"ts\":{},\
+                 \"args\":{args}",
+                crate::metrics::json_string(&i.name),
+                i.track.tid(),
+                us(i.t)
+            ),
+        );
+    }
+    for c in &rec.samples {
+        push_event(
+            &mut events,
+            format!(
+                "\"ph\":\"C\",\"name\":{},\"pid\":0,\"tid\":0,\"ts\":{},\
+                 \"args\":{{\"value\":{}}}",
+                crate::metrics::json_string(&c.name),
+                us(c.t),
+                crate::metrics::json_f64(c.value)
+            ),
+        );
+    }
+
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
 }
 
 fn span_event(s: &Span) -> String {
@@ -244,52 +179,6 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.trim_end().ends_with("]}"));
         assert_eq!(json, chrome_trace(&sample_recording()));
-    }
-
-    #[test]
-    fn streaming_in_batches_matches_batch_export() {
-        let full = sample_recording();
-        let batch_json = chrome_trace(&full);
-        // Stream the same session: spans arrive in three flushes, the rest
-        // rides in the tail recording.
-        let mut st = StreamingTrace::new();
-        st.push_spans(&full.spans[..2]);
-        st.push_spans(&full.spans[2..4]);
-        st.push_spans(&[]); // empty batch: not counted, not emitted
-        assert_eq!(st.flushes(), 2);
-        assert_eq!(st.spans_flushed(), 4);
-        let tail = Recording { spans: full.spans[4..].to_vec(), ..sample_recording() };
-        assert_eq!(st.finish(&tail), batch_json);
-    }
-
-    #[test]
-    fn flush_sealed_drains_the_live_session() {
-        // Record the same span sequence twice: once drained mid-session
-        // through the streaming writer, once accumulated; the exports must
-        // be byte-identical.
-        let record = |streamer: Option<&mut StreamingTrace>| {
-            crate::start();
-            let a = crate::span_begin("cycle", Track::Host, 0.0);
-            crate::span("spmv", Track::Host, 0.0, 0.4);
-            crate::span_end(a, 1.0);
-            let mid = streamer.map(|st| {
-                let n = st.flush_sealed();
-                assert_eq!(n, 2);
-                st.flush_sealed() // nothing new sealed
-            });
-            crate::span("orth", Track::Device(0), 1.0, 1.5);
-            crate::instant("retune", Track::Host, 1.5);
-            crate::sample("relres", 1.5, 0.25);
-            (crate::finish(), mid)
-        };
-        let mut st = StreamingTrace::new();
-        let (tail, mid) = record(Some(&mut st));
-        assert_eq!(mid, Some(0));
-        assert_eq!(tail.spans.len(), 1, "drained spans must leave only the tail");
-        let streamed = st.finish(&tail);
-        let (full, _) = record(None);
-        assert_eq!(full.spans.len(), 3);
-        assert_eq!(streamed, chrome_trace(&full));
     }
 
     #[test]

@@ -18,10 +18,6 @@
 //!
 //! Recording state is **thread-local**: a session is opened with [`start`]
 //! and drained with [`finish`], which returns an immutable [`Recording`].
-//! Long-running sessions (e.g. a service processing thousands of jobs) can
-//! stream instead of accumulating: [`drain_sealed`] hands back the closed
-//! prefix of the span log in batches for [`export::StreamingTrace`] to
-//! flush, and [`finish`] then returns only the tail.
 //! When no session is active every recording call is a no-op behind a single
 //! thread-local boolean check, so uninstrumented runs pay (almost) nothing.
 //! The driver code runs on the caller's thread and is the only emitter, so
@@ -29,7 +25,7 @@
 //!
 //! Exporters live in [`export`] (Perfetto `chrome://tracing` JSON with
 //! process/thread metadata and counter tracks; folded stacks for flamegraph
-//! tools) and aggregation helpers in [`report`].
+//! tools) and the per-phase time shares of a restart cycle in [`report`].
 
 pub mod export;
 pub mod jsonv;
@@ -213,10 +209,6 @@ impl Recording {
 struct Recorder {
     enabled: bool,
     spans: Vec<Span>,
-    /// Session-absolute index of `spans[0]`: [`drain_sealed`] removes a
-    /// prefix of `spans` and advances this, so outstanding [`SpanId`]s
-    /// (which are session-absolute) stay valid across drains.
-    base: u32,
     open: BTreeMap<Track, Vec<u32>>,
     instants: Vec<InstantEvent>,
     samples: Vec<CounterSample>,
@@ -247,12 +239,11 @@ pub fn finish() -> Recording {
     RECORDER.with(|r| {
         let rec = std::mem::take(&mut *r.borrow_mut());
         let open: std::collections::BTreeSet<u32> = rec.open.values().flatten().copied().collect();
-        let base = rec.base;
         let spans = rec
             .spans
             .into_iter()
             .enumerate()
-            .filter(|(i, _)| !open.contains(&(base + *i as u32)))
+            .filter(|(i, _)| !open.contains(&(*i as u32)))
             .map(|(_, s)| s)
             .collect();
         Recording {
@@ -272,7 +263,7 @@ pub fn span_begin(name: &str, track: Track, t: f64) -> SpanId {
             return SpanId::NONE;
         }
         let depth = r.open.get(&track).map_or(0, Vec::len) as u32;
-        let idx = r.base + r.spans.len() as u32;
+        let idx = r.spans.len() as u32;
         r.spans.push(Span { name: name.to_string(), track, t0: t, t1: f64::NAN, depth });
         r.open.entry(track).or_default().push(idx);
         SpanId(idx)
@@ -289,11 +280,7 @@ pub fn span_end(id: SpanId, t: f64) {
         if !r.enabled {
             return;
         }
-        if id.0 < r.base {
-            // Already sealed (by `close_open`) and flushed by `drain_sealed`.
-            return;
-        }
-        let slot = (id.0 - r.base) as usize;
+        let slot = id.0 as usize;
         let track = r.spans[slot].track;
         if let Some(stack) = r.open.get_mut(&track) {
             debug_assert_eq!(stack.last(), Some(&id.0), "span_end out of order on {track:?}");
@@ -327,59 +314,25 @@ pub fn close_open(t: f64) {
             return;
         }
         let open = std::mem::take(&mut r.open);
-        let base = r.base;
         for idx in open.into_values().flatten() {
-            let span = &mut r.spans[(idx - base) as usize];
+            let span = &mut r.spans[idx as usize];
             span.t1 = if t >= span.t0 { t } else { span.t0 };
         }
     })
 }
 
-/// Remove and return the *sealed prefix* of the session's span log: every
-/// span recorded before the earliest still-open span (all of which are
-/// closed, since an open span blocks the drain at its own slot). Repeated
-/// calls stream a long session out in batches — the incremental Perfetto
-/// writer ([`export::StreamingTrace`]) feeds on this — while outstanding
-/// [`SpanId`]s stay valid and [`finish`] later returns only the tail.
-///
-/// Within each track the concatenated batches preserve record order, so a
-/// streamed export is byte-identical to a batch export of the same session.
-/// Returns an empty vector when recording is disabled or nothing is sealed.
-pub fn drain_sealed() -> Vec<Span> {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        if !r.enabled {
-            return Vec::new();
-        }
-        let min_open = r.open.values().flat_map(|s| s.iter().copied()).min();
-        let k = match min_open {
-            Some(i) => (i - r.base) as usize,
-            None => r.spans.len(),
-        };
-        r.base += k as u32;
-        r.spans.drain(..k).collect()
-    })
-}
-
-/// Temporarily stop recording on this thread, returning whether a session
-/// was active (pass that to [`resume`]). Used around work on clocks of its
-/// own (e.g. pricing a kernel on a cost-only machine whose clocks start at
-/// zero), which would otherwise record timestamps that jump backwards on
-/// the timeline.
-pub fn pause() -> bool {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        let was = r.enabled;
-        r.enabled = false;
-        was
-    })
-}
-
-/// Re-enable recording paused by [`pause`] (no-op when `was` is false).
-pub fn resume(was: bool) {
+/// Run `f` with recording paused on this thread, then resume the session
+/// if one was active. For work on clocks of its own (e.g. pricing a kernel
+/// on a cost-only machine whose clocks start at zero, or replaying a solve),
+/// which would otherwise record timestamps that jump backwards on the
+/// timeline.
+pub fn unobserved<T>(f: impl FnOnce() -> T) -> T {
+    let was = RECORDER.with(|r| std::mem::replace(&mut r.borrow_mut().enabled, false));
+    let out = f();
     if was {
         RECORDER.with(|r| r.borrow_mut().enabled = true);
     }
+    out
 }
 
 /// Record a point event.
@@ -529,64 +482,25 @@ mod tests {
     }
 
     #[test]
-    fn pause_suppresses_recording() {
+    fn unobserved_suppresses_recording() {
         start();
         span("kept", Track::Host, 0.0, 1.0);
-        let was = pause();
-        assert!(was && !enabled());
-        span("dropped", Track::Host, 9.0, 10.0); // a dry-run at reset clocks
-        counter_add("dropped", 1);
-        resume(was);
+        let out = unobserved(|| {
+            assert!(!enabled());
+            span("dropped", Track::Host, 9.0, 10.0); // a dry-run at reset clocks
+            counter_add("dropped", 1);
+            7
+        });
+        assert_eq!(out, 7);
+        assert!(enabled());
         span("kept-too", Track::Host, 1.0, 2.0);
         let rec = finish();
         let names: Vec<&str> = rec.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["kept", "kept-too"]);
         assert!(rec.metrics.values.is_empty());
-        // with no session at all, pause reports inactive and resume is a no-op
-        assert!(!pause());
-        resume(false);
+        // with no session at all, the scope leaves recording off
+        unobserved(|| assert!(!enabled()));
         assert!(!enabled());
-    }
-
-    #[test]
-    fn drain_sealed_stops_at_first_open_span() {
-        start();
-        let outer = span_begin("outer", Track::Host, 0.0);
-        span("leaf", Track::Host, 0.1, 0.2); // sealed, but after the open outer
-        assert!(drain_sealed().is_empty(), "open prefix must block the drain");
-        span_end(outer, 1.0);
-        let batch = drain_sealed();
-        let names: Vec<&str> = batch.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["outer", "leaf"]);
-        assert!(drain_sealed().is_empty());
-        let rec = finish();
-        assert!(rec.spans.is_empty(), "drained spans must not reappear at finish");
-    }
-
-    #[test]
-    fn span_ids_survive_drains() {
-        start();
-        let a = span_begin("a", Track::Host, 0.0);
-        span_end(a, 0.5);
-        assert_eq!(drain_sealed().len(), 1);
-        // New spans index correctly even though the log was rebased.
-        let b = span_begin("b", Track::Host, 1.0);
-        let c = span_begin("c", Track::Device(0), 1.1);
-        span_end(c, 1.2);
-        span_end(b, 2.0);
-        let batch = drain_sealed();
-        let names: Vec<&str> = batch.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["b", "c"]);
-        assert_eq!(batch[0].t1, 2.0);
-        // A stale id sealed by close_open and already drained is ignored.
-        let d = span_begin("d", Track::Host, 3.0);
-        close_open(3.5);
-        assert_eq!(drain_sealed().len(), 1);
-        span_end(d, 9.0); // must not panic or corrupt later spans
-        span("e", Track::Host, 4.0, 5.0);
-        let rec = finish();
-        assert_eq!(rec.spans.len(), 1);
-        assert_eq!(rec.spans[0].name, "e");
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! biased exponent selects an octave and the top [`SUB_BITS`] mantissa
 //! bits split it into [`SUBS_PER_OCTAVE`] linear sub-buckets (HDR-style).
 //! The index is a pure function of the bits — no `log` call, no libm, no
-//! platform variance — so two runs, or two shardings of one run, always
-//! bucket identically and merged counts are exactly the sum of their
-//! parts. Relative bucket width is at most `1/16` of an octave (≈ 6.3%),
+//! platform variance — so two runs always bucket identically, whatever
+//! the order of their observations. Relative bucket width is at most `1/16` of an octave (≈ 6.3%),
 //! so a midpoint representative answers quantile queries within ~3.2%.
 //! Zero, negative, and non-finite observations land in the
 //! [`SENTINEL_BUCKET`].
@@ -92,8 +91,8 @@ pub struct HistogramData {
     /// Largest observed value (0 when `count == 0`).
     pub max: f64,
     /// Sparse `(bucket_index, count)` pairs, sorted by index. The counts
-    /// always sum to `count`; merging histograms adds them pointwise, so
-    /// the vector is invariant to observation order and thread count.
+    /// always sum to `count`, and the vector is invariant to observation
+    /// order.
     pub buckets: Vec<(i32, u64)>,
 }
 
@@ -116,27 +115,6 @@ impl HistogramData {
         match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
             Ok(slot) => self.buckets[slot].1 += n,
             Err(slot) => self.buckets.insert(slot, (idx, n)),
-        }
-    }
-
-    /// Fold another histogram into this one. Bucket counts add
-    /// pointwise, so `merge` is associative and commutative — a sharded
-    /// collection merges to the same state in any order.
-    pub fn merge(&mut self, other: &HistogramData) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        for &(idx, n) in &other.buckets {
-            self.bucket_add(idx, n);
         }
     }
 
@@ -293,77 +271,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Parse a snapshot back from its [`Self::to_json`] encoding (also
-    /// accepts any JSON with the same object shape). Unknown `type` tags
-    /// and malformed entries are errors — a silent skip would decouple
-    /// the parsed snapshot from the hash of its source bytes.
-    pub fn from_json(src: &str) -> Result<MetricsSnapshot, String> {
-        let root = crate::jsonv::Jv::parse(src)?;
-        let fields = root.as_obj().ok_or("metrics snapshot must be a JSON object")?;
-        let mut values = BTreeMap::new();
-        for (name, v) in fields {
-            let kind = v
-                .get("type")
-                .and_then(crate::jsonv::Jv::as_str)
-                .ok_or_else(|| format!("metric '{name}' has no type tag"))?;
-            let num = |key: &str| -> Result<f64, String> {
-                match v.get(key) {
-                    // non-finite floats render as null; read them back as NaN
-                    Some(crate::jsonv::Jv::Null) => Ok(f64::NAN),
-                    Some(j) => {
-                        j.as_f64().ok_or_else(|| format!("metric '{name}' has non-numeric '{key}'"))
-                    }
-                    None => Err(format!("metric '{name}' missing numeric '{key}'")),
-                }
-            };
-            let value = match kind {
-                "counter" => MetricValue::Counter(
-                    v.get("value")
-                        .and_then(crate::jsonv::Jv::as_u64)
-                        .ok_or_else(|| format!("counter '{name}' missing integer value"))?,
-                ),
-                "gauge" => MetricValue::Gauge(num("value")?),
-                "histogram" => {
-                    let mut h = HistogramData {
-                        count: v
-                            .get("count")
-                            .and_then(crate::jsonv::Jv::as_u64)
-                            .ok_or_else(|| format!("histogram '{name}' missing count"))?,
-                        sum: num("sum")?,
-                        min: num("min")?,
-                        max: num("max")?,
-                        buckets: Vec::new(),
-                    };
-                    let buckets = v
-                        .get("buckets")
-                        .and_then(crate::jsonv::Jv::as_arr)
-                        .ok_or_else(|| format!("histogram '{name}' missing buckets"))?;
-                    for pair in buckets {
-                        let pair = pair.as_arr().filter(|p| p.len() == 2);
-                        let (idx, n) = pair
-                            .and_then(|p| Some((p[0].as_f64()? as i32, p[1].as_u64()?)))
-                            .ok_or_else(|| format!("histogram '{name}' has a malformed bucket"))?;
-                        h.buckets.push((idx, n));
-                    }
-                    if h.buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
-                        return Err(format!("histogram '{name}' buckets not sorted"));
-                    }
-                    if h.buckets.iter().map(|&(_, n)| n).sum::<u64>() != h.count {
-                        return Err(format!(
-                            "histogram '{name}' bucket counts disagree with count"
-                        ));
-                    }
-                    MetricValue::Histogram(h)
-                }
-                other => return Err(format!("metric '{name}' has unknown type '{other}'")),
-            };
-            if values.insert(name.clone(), value).is_some() {
-                return Err(format!("duplicate metric '{name}'"));
-            }
-        }
-        Ok(MetricsSnapshot { values })
-    }
-
     /// Read-only query view over this snapshot.
     #[must_use]
     pub fn view(&self) -> MetricsView<'_> {
@@ -427,20 +334,6 @@ impl<'a> MetricsView<'a> {
             .take_while(|(k, _)| k.starts_with(prefix))
             .filter_map(|(k, v)| match v {
                 MetricValue::Histogram(h) => Some((k.as_str(), h)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Counters whose name starts with `prefix`, sorted by name.
-    #[must_use]
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&'a str, u64)> {
-        self.snap
-            .values
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, v)| match v {
-                MetricValue::Counter(c) => Some((k.as_str(), *c)),
                 _ => None,
             })
             .collect()
@@ -653,59 +546,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn merge_is_order_invariant_and_matches_sequential() {
-        let values: Vec<f64> = (0..200).map(|i| 1e-6 * (1.1f64).powi(i % 37) + i as f64).collect();
-        let mut whole = HistogramData::default();
-        for &v in &values {
-            whole.observe(v);
-        }
-        // shard into 4 interleaved parts, merge in two different orders
-        let mut shards = vec![HistogramData::default(); 4];
-        for (i, &v) in values.iter().enumerate() {
-            shards[i % 4].observe(v);
-        }
-        let mut fwd = HistogramData::default();
-        for s in &shards {
-            fwd.merge(s);
-        }
-        let mut rev = HistogramData::default();
-        for s in shards.iter().rev() {
-            rev.merge(s);
-        }
-        // bucket counts and extrema are exactly order-invariant; the sum
-        // is a float accumulation, so it only agrees to rounding
-        assert_eq!(fwd.buckets, rev.buckets);
-        assert_eq!(fwd.buckets, whole.buckets);
-        assert_eq!((fwd.count, fwd.min, fwd.max), (rev.count, rev.min, rev.max));
-        assert_eq!((fwd.count, fwd.min, fwd.max), (whole.count, whole.min, whole.max));
-        assert!((fwd.sum - whole.sum).abs() <= 1e-9 * whole.sum.abs());
-        assert_eq!(fwd.buckets.iter().map(|&(_, n)| n).sum::<u64>(), 200);
+    /// `values` observed in the order of `order`.
+    fn observed(values: &[f64], order: impl Iterator<Item = usize>) -> HistogramData {
+        let mut h = HistogramData::default();
+        order.for_each(|i| h.observe(values[i]));
+        h
     }
 
     #[test]
-    fn histogram_json_round_trips_with_buckets() {
+    fn buckets_are_invariant_to_observation_order() {
+        let values: Vec<f64> = (0..200).map(|i| 1e-6 * (1.1f64).powi(i % 37) + i as f64).collect();
+        let whole = observed(&values, 0..200);
+        // reversed, and four interleaved shards one after another
+        let rev = observed(&values, (0..200).rev());
+        let sharded = observed(&values, (0..4).flat_map(|k| (k..200).step_by(4)));
+        // bucket counts and extrema are exactly order-invariant; the sum
+        // is a float accumulation, so it only agrees to rounding
+        for h in [&rev, &sharded] {
+            assert_eq!(h.buckets, whole.buckets);
+            assert_eq!((h.count, h.min, h.max), (whole.count, whole.min, whole.max));
+            assert!((h.sum - whole.sum).abs() <= 1e-9 * whole.sum.abs());
+        }
+        assert_eq!(whole.buckets.iter().map(|&(_, n)| n).sum::<u64>(), 200);
+    }
+
+    #[test]
+    fn histogram_json_carries_its_buckets() {
         let mut reg = Registry::default();
         reg.counter_add("jobs", 3);
         reg.gauge_set("load", 0.75);
         for v in [1e-3, 2e-3, 0.5, 0.0, 17.0] {
             reg.observe("tts.s", v);
         }
-        let snap = reg.snapshot();
-        let json = snap.to_json();
+        let json = reg.snapshot().to_json();
         assert!(json.contains("\"buckets\":[["), "bucket field missing: {json}");
-        let back = MetricsSnapshot::from_json(&json).expect("round trip");
-        assert_eq!(back, snap);
-        assert_eq!(back.to_json(), json);
-        // empty histograms keep an empty bucket array
+        // a non-finite observation lands in the sentinel bucket
         let mut reg = Registry::default();
         reg.observe("h", f64::NAN);
-        let snap = reg.snapshot();
-        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        match &back.values["h"] {
-            MetricValue::Histogram(h) => assert_eq!(h.buckets, vec![(SENTINEL_BUCKET, 1)]),
-            other => panic!("expected histogram, got {other:?}"),
-        }
+        let json = reg.snapshot().to_json();
+        assert!(json.contains(&format!("\"buckets\":[[{SENTINEL_BUCKET},1]]")), "{json}");
     }
 
     #[test]
@@ -727,74 +606,23 @@ mod tests {
             2 * SUBS_PER_OCTAVE
         );
         assert_eq!(snap.to_json(), golden);
-        assert_eq!(MetricsSnapshot::from_json(&golden).unwrap().to_json(), golden);
     }
 
+    /// Any sharded order of any observation sequence buckets exactly as
+    /// the sequential order, and the bucket counts always sum to `count`.
     #[test]
-    fn shard_merge_in_order_matches_the_sequential_build() {
-        // the pattern the recorder relies on: shards built apart fold, in
-        // shard order, into one histogram whose buckets/count/extrema are
-        // bitwise identical to a sequential build
-        let values: Vec<f64> =
-            (0..1000).map(|i| 1e-6 * (1.003f64).powi(i) + (i % 7) as f64).collect();
-        let mut seq = HistogramData::default();
-        for &v in &values {
-            seq.observe(v);
-        }
-        let shards: Vec<HistogramData> = values
-            .chunks(17)
-            .map(|chunk| {
-                let mut h = HistogramData::default();
-                for &v in chunk {
-                    h.observe(v);
-                }
-                h
-            })
-            .collect();
-        let mut merged = HistogramData::default();
-        for s in &shards {
-            merged.merge(s);
-        }
-        assert_eq!(merged.buckets, seq.buckets);
-        assert_eq!((merged.count, merged.min, merged.max), (seq.count, seq.min, seq.max));
-        assert!((merged.sum - seq.sum).abs() <= 1e-9 * seq.sum.abs());
-    }
-
-    /// Any sharding of any observation sequence merges to exactly the
-    /// sequential bucket vector, and the bucket counts always sum to
-    /// `count`.
-    #[test]
-    fn merged_buckets_match_sequential() {
+    fn sharded_order_buckets_match_sequential() {
         ca_scalar::cases(256, |rng| {
             // log-uniform over 1e-9..1e9: every octave of the bucket grid
-            let values: Vec<f64> =
-                (0..rng.index(1..200)).map(|_| 10f64.powf(rng.in_range(-9.0, 9.0))).collect();
+            let n = rng.index(1..200);
+            let values: Vec<f64> = (0..n).map(|_| 10f64.powf(rng.in_range(-9.0, 9.0))).collect();
             let nshards = rng.index(1..8);
-            let mut seq = HistogramData::default();
-            for &v in &values {
-                seq.observe(v);
-            }
-            let mut shards = vec![HistogramData::default(); nshards];
-            for (i, &v) in values.iter().enumerate() {
-                shards[i % nshards].observe(v);
-            }
-            let mut merged = HistogramData::default();
-            for s in &shards {
-                merged.merge(s);
-            }
-            assert_eq!(merged.buckets, seq.buckets);
-            assert_eq!(merged.count, values.len() as u64);
-            assert_eq!(merged.buckets.iter().map(|&(_, n)| n).sum::<u64>(), merged.count);
+            let seq = observed(&values, 0..n);
+            let sharded = observed(&values, (0..nshards).flat_map(|k| (k..n).step_by(nshards)));
+            assert_eq!(sharded.buckets, seq.buckets);
+            assert_eq!(sharded.count, n as u64);
+            assert_eq!(sharded.buckets.iter().map(|&(_, n)| n).sum::<u64>(), sharded.count);
         });
-    }
-
-    #[test]
-    fn from_json_rejects_inconsistent_histograms() {
-        let bad = r#"{"h": {"type":"histogram","count":2,"sum":2,"min":1,"max":1,
-                      "buckets":[[0,1]]}}"#;
-        assert!(MetricsSnapshot::from_json(bad).is_err(), "count mismatch must fail");
-        let bad = r#"{"h": {"type":"mystery","value":1}}"#;
-        assert!(MetricsSnapshot::from_json(bad).is_err(), "unknown type must fail");
     }
 
     #[test]
@@ -815,7 +643,6 @@ mod tests {
             hists.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
             vec!["kernel.axpy.s", "kernel.spmv.s"]
         );
-        assert_eq!(view.counters_with_prefix("kernel."), vec![("kernel.spmv.calls", 4)]);
         assert_eq!(view.names().count(), 4);
     }
 }

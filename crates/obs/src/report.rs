@@ -1,77 +1,32 @@
-//! Aggregation helpers: phase totals derived purely from spans.
+//! Per-phase time shares of the restart cycle.
 
-use crate::{Recording, Track};
-use std::collections::BTreeMap;
-
-/// Sum of span durations per name across all tracks, in simulated seconds.
-pub fn totals_by_name(rec: &Recording) -> BTreeMap<String, f64> {
-    let mut totals = BTreeMap::new();
-    for s in &rec.spans {
-        *totals.entry(s.name.clone()).or_insert(0.0) += (s.t1 - s.t0).max(0.0);
-    }
-    totals
-}
-
-/// Sum of span durations per name restricted to one track.
-pub fn totals_on_track(rec: &Recording, track: Track) -> BTreeMap<String, f64> {
-    let mut totals = BTreeMap::new();
-    for s in rec.spans.iter().filter(|s| s.track == track) {
-        *totals.entry(s.name.clone()).or_insert(0.0) += (s.t1 - s.t0).max(0.0);
-    }
-    totals
-}
-
-/// Number of spans with the given name.
-pub fn count_by_name(rec: &Recording, name: &str) -> usize {
-    rec.spans.iter().filter(|s| s.name == name).count()
-}
-
-/// Observed per-phase time shares of the restart cycle, extracted from
-/// the host-track phase spans of a sealed [`Recording`].
+/// Per-phase time shares of a window of restart cycles: what the FT
+/// driver observes between two cycle boundaries (from the always-on
+/// phase accumulators, which match the host-track phase spans) and what
+/// the planner predicts for one cycle.
 ///
-/// This is the observability-side counterpart of the planner's phase
-/// prediction: `ca-tune`'s drift detector compares these observed shares
-/// against the plan's predicted shares and triggers a re-plan when they
-/// disagree beyond a threshold — even when the health EWMA is clean
-/// (e.g. a degraded PCIe link slows copies, which never show up as
-/// device busy-time).
+/// `ca-tune`'s drift detector compares the observed shares against the
+/// plan's predicted shares and triggers a re-plan when they disagree
+/// beyond a threshold — even when the health EWMA is clean (e.g. a
+/// degraded PCIe link slows copies, which never show up as device
+/// busy-time).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseRatios {
-    /// Restart cycles observed (host `cycle` spans).
+    /// Restart cycles in the window.
     pub cycles: usize,
-    /// Σ host `cycle` span durations, seconds.
+    /// Cycle time, seconds.
     pub cycle_s: f64,
-    /// Σ host `spmv` span durations, seconds.
+    /// SpMV/MPK time (host `spmv` spans), seconds.
     pub spmv_s: f64,
-    /// Σ host `borth` / `orth` span durations, seconds.
+    /// Block orthogonalization time (host `borth` / `orth` spans), seconds.
     pub borth_s: f64,
-    /// Σ host `tsqr` span durations, seconds.
+    /// TSQR time (host `tsqr` spans), seconds.
     pub tsqr_s: f64,
-    /// Σ host `small` span durations, seconds.
+    /// Host dense math time (host `small` spans), seconds.
     pub small_s: f64,
 }
 
 impl PhaseRatios {
-    /// Sum the host-track phase spans of a recording.
-    pub fn from_recording(rec: &Recording) -> Self {
-        let mut out = Self::default();
-        for s in rec.spans.iter().filter(|s| s.track == Track::Host) {
-            let dur = (s.t1 - s.t0).max(0.0);
-            match s.name.as_str() {
-                "spmv" => out.spmv_s += dur,
-                "borth" | "orth" => out.borth_s += dur,
-                "tsqr" => out.tsqr_s += dur,
-                "small" => out.small_s += dur,
-                "cycle" => {
-                    out.cycles += 1;
-                    out.cycle_s += dur;
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
     /// Fraction of cycle time in SpMV/MPK (0 when no cycle time).
     pub fn spmv_share(&self) -> f64 {
         share(self.spmv_s, self.cycle_s)
@@ -114,51 +69,17 @@ fn share(part: f64, whole: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MetricsSnapshot, Span};
-
-    #[test]
-    fn totals_sum_durations() {
-        let rec = Recording {
-            spans: vec![
-                Span { name: "spmv".into(), track: Track::Host, t0: 0.0, t1: 1.0, depth: 0 },
-                Span { name: "spmv".into(), track: Track::Host, t0: 2.0, t1: 2.5, depth: 0 },
-                Span { name: "spmv".into(), track: Track::Device(0), t0: 0.0, t1: 0.25, depth: 0 },
-            ],
-            instants: vec![],
-            samples: vec![],
-            metrics: MetricsSnapshot::default(),
-        };
-        let all = totals_by_name(&rec);
-        assert_eq!(all["spmv"], 1.75);
-        let host = totals_on_track(&rec, Track::Host);
-        assert_eq!(host["spmv"], 1.5);
-        assert_eq!(count_by_name(&rec, "spmv"), 3);
-    }
-
-    fn host(name: &str, t0: f64, t1: f64) -> Span {
-        Span { name: name.into(), track: Track::Host, t0, t1, depth: 0 }
-    }
 
     #[test]
     fn phase_ratios_extract_host_shares() {
-        let rec = Recording {
-            spans: vec![
-                host("cycle", 0.0, 1.0),
-                host("spmv", 0.0, 0.4),
-                host("borth", 0.4, 0.6),
-                host("tsqr", 0.6, 0.9),
-                host("small", 0.9, 1.0),
-                // device spans and unknown names are ignored
-                Span { name: "spmv".into(), track: Track::Device(0), t0: 0.0, t1: 9.0, depth: 0 },
-                host("mpk.exchange", 0.0, 0.05),
-            ],
-            instants: vec![],
-            samples: vec![],
-            metrics: MetricsSnapshot::default(),
+        let r = PhaseRatios {
+            cycles: 1,
+            cycle_s: 1.0,
+            spmv_s: 0.4,
+            borth_s: 0.2,
+            tsqr_s: 0.3,
+            small_s: 0.1,
         };
-        let r = PhaseRatios::from_recording(&rec);
-        assert_eq!(r.cycles, 1);
-        assert!((r.cycle_s - 1.0).abs() < 1e-15);
         assert!((r.spmv_share() - 0.4).abs() < 1e-15);
         assert!((r.borth_share() - 0.2).abs() < 1e-15);
         assert!((r.tsqr_share() - 0.3).abs() < 1e-15);
@@ -170,7 +91,7 @@ mod tests {
         let mut slow = r;
         slow.cycle_s = 2.0;
         assert!((r.max_share_deviation(&slow) - 0.2).abs() < 1e-15);
-        // empty recordings yield zero shares, not NaN
+        // empty windows yield zero shares, not NaN
         assert_eq!(PhaseRatios::default().spmv_share(), 0.0);
     }
 }

@@ -60,15 +60,6 @@ impl Precision {
         }
     }
 
-    /// Machine epsilon of this precision, as `f64`.
-    #[inline]
-    pub const fn epsilon(self) -> f64 {
-        match self {
-            Precision::F64 => f64::EPSILON,
-            Precision::F32 => f32::EPSILON as f64,
-        }
-    }
-
     /// Round `v` to this precision and widen back to `f64`.
     ///
     /// `F64` is the identity; `F32` is `v as f32 as f64` (IEEE round to
@@ -80,15 +71,6 @@ impl Precision {
         match self {
             Precision::F64 => v,
             Precision::F32 => v as f32 as f64,
-        }
-    }
-
-    /// Parse a [`Precision::label`] back to the tag.
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "f64" => Some(Precision::F64),
-            "f32" => Some(Precision::F32),
-            _ => None,
         }
     }
 }
@@ -251,16 +233,13 @@ mod tests {
         assert_eq!(Precision::F32.bytes(), 4);
         assert_eq!(<f64 as Scalar>::PREC, Precision::F64);
         assert_eq!(<f32 as Scalar>::PREC, Precision::F32);
-        assert_eq!(Precision::F32.epsilon(), f32::EPSILON as f64);
     }
 
     #[test]
-    fn labels_roundtrip() {
+    fn display_is_the_label() {
         for p in [Precision::F64, Precision::F32] {
-            assert_eq!(Precision::from_label(p.label()), Some(p));
             assert_eq!(format!("{p}"), p.label());
         }
-        assert_eq!(Precision::from_label("f16"), None);
     }
 
     #[test]

@@ -99,35 +99,27 @@ impl AdmissionCache {
     }
 }
 
-/// Start-time fair queueing across tenants: each job gets a virtual
-/// start tag `max(V, tenant's last finish)` and a finish tag
-/// `start + cost / weight`; the queue serves ascending finish tags and
-/// the global virtual time `V` advances to the started job's tag. A
-/// backlogged heavy tenant cannot starve light ones — its finish tags
-/// run ahead of `V` in proportion to its usage over its weight.
-#[derive(Debug)]
+/// Start-time fair queueing across tenants, every tenant weighing the
+/// same: each job gets a virtual start tag `max(V, tenant's last finish)`
+/// and a finish tag `start + cost`; the queue serves ascending finish
+/// tags and the global virtual time `V` advances to the started job's
+/// tag. A backlogged heavy tenant cannot starve light ones — its finish
+/// tags run ahead of `V` in proportion to its usage.
+#[derive(Debug, Default)]
 pub struct FairQueue {
     /// Global virtual time.
     pub vtime: f64,
-    weights: BTreeMap<String, f64>,
     vfinish: BTreeMap<String, f64>,
 }
 
 impl FairQueue {
-    /// Weights default to 1.0 for tenants absent from the map.
-    #[must_use]
-    pub fn new(weights: BTreeMap<String, f64>) -> Self {
-        Self { vtime: 0.0, weights, vfinish: BTreeMap::new() }
-    }
-
     /// Tag a job of `tenant` with service cost `cost_s` (its ETA):
     /// returns `(vstart, vfinish)` and advances the tenant's own finish
     /// frontier. Called once per job, in arrival order.
     pub fn tag(&mut self, tenant: &str, cost_s: f64) -> (f64, f64) {
-        let w = self.weights.get(tenant).copied().unwrap_or(1.0).max(f64::MIN_POSITIVE);
         let last = self.vfinish.get(tenant).copied().unwrap_or(0.0);
         let vstart = self.vtime.max(last);
-        let vfinish = vstart + cost_s.max(0.0) / w;
+        let vfinish = vstart + cost_s.max(0.0);
         self.vfinish.insert(tenant.to_string(), vfinish);
         (vstart, vfinish)
     }
@@ -144,7 +136,7 @@ mod tests {
 
     #[test]
     fn fair_queue_interleaves_unequal_tenants() {
-        let mut fq = FairQueue::new(BTreeMap::from([("heavy".to_string(), 1.0)]));
+        let mut fq = FairQueue::default();
         // heavy submits 4 jobs at once, light one job slightly later; all
         // cost 1s. Light's finish tag must sort ahead of heavy's 2nd job.
         let tags: Vec<(f64, f64)> = (0..4).map(|_| fq.tag("heavy", 1.0)).collect();
@@ -152,14 +144,11 @@ mod tests {
         assert_eq!(tags[0].1, 1.0);
         assert_eq!(tags[3].1, 4.0);
         assert!(light.1 < tags[1].1, "light {light:?} vs heavy#2 {:?}", tags[1]);
-        // A weight of 2 halves the virtual cost.
-        let mut fq2 = FairQueue::new(BTreeMap::from([("a".to_string(), 2.0)]));
-        assert_eq!(fq2.tag("a", 1.0).1, 0.5);
     }
 
     #[test]
     fn vtime_monotone_under_dispatch() {
-        let mut fq = FairQueue::new(BTreeMap::new());
+        let mut fq = FairQueue::default();
         let (s1, _) = fq.tag("t", 1.0);
         fq.on_dispatch(s1);
         let v1 = fq.vtime;

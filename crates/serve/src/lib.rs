@@ -11,7 +11,7 @@
 //!   prediction prices the queue (cycle-time × expected-cycles ETA for
 //!   deadline-aware ordering) and the pool (per-device memory footprint
 //!   for eviction decisions). Tenants share the pool under start-time
-//!   fair queueing with configurable weights.
+//!   fair queueing, every tenant weighing the same.
 //! * **Residency** ([`residency`]) — finished solves leave their
 //!   operator (basis panel, MPK plans, ABFT checksums) resident on the
 //!   slice; follow-up jobs on the same matrix skip slice staging
@@ -49,11 +49,9 @@ pub mod residency;
 pub mod scheduler;
 pub mod slo;
 
-use std::collections::BTreeMap;
-
 use ca_gmres::ft::FtConfig;
 use ca_gmres::prelude::*;
-use ca_gpusim::{FaultPlan, KernelConfig, PerfModel, Schedule};
+use ca_gpusim::{FaultPlan, PerfModel};
 use ca_tune::CandidateSpace;
 
 pub use admission::{AdmissionCache, FairQueue};
@@ -89,13 +87,11 @@ pub struct ServeConfig {
     /// Device counts of the pool slices. Each slice is an independent
     /// executor; a job runs on exactly one slice.
     pub slices: Vec<usize>,
-    /// Machine model every slice is built from.
+    /// Machine model every slice is built from (each with the default
+    /// [`ca_gpusim::KernelConfig`] and [`ca_gpusim::Schedule::EventDriven`]
+    /// — backfill needs device tails to outlive the host's view of a
+    /// solve).
     pub model: PerfModel,
-    /// Kernel configuration every slice is built from.
-    pub kernel_config: KernelConfig,
-    /// Executor schedule (default [`Schedule::EventDriven`] — backfill
-    /// needs device tails to outlive the host's view of a solve).
-    pub schedule: Schedule,
     /// Per-job template: restart length, iteration caps, and all
     /// fault-tolerance knobs come from here; `s`, basis, kernel, and
     /// TSQR choice are overridden by the admission plan, `rtol` by the
@@ -107,23 +103,16 @@ pub struct ServeConfig {
     pub residency: bool,
     /// Max jobs per multi-RHS batch (1 disables batching).
     pub batch_max: usize,
-    /// Planner grid for admission (its `ndevs` field is ignored; each
-    /// lookup restricts to the slice's device count).
-    pub admission_space: CandidateSpace,
     /// Simulated host seconds charged per planner invocation (admission
     /// cache miss). Never leaks into device clocks or solver stats.
     pub admission_cost_s: f64,
     /// Simulated host seconds charged per dispatch.
     pub dispatch_cost_s: f64,
-    /// Fair-queueing weights per tenant (absent tenants weigh 1.0).
-    pub tenant_weights: BTreeMap<String, f64>,
     /// Keep full solution vectors in [`JobRecord::x`] (tests; heavy).
     pub keep_solutions: bool,
     /// Fault plans installed per slice index at pool construction
     /// (chaos / degradation studies).
     pub fault_plans: Vec<(usize, FaultPlan)>,
-    /// Per-tenant SLO objective and burn-alert window.
-    pub slo: slo::SloConfig,
     /// Record per-kernel device traces on every slice and ingest them
     /// into the ambient `ca-obs` session (when one is active) at the end
     /// of the run — `kernel.*` / `copy.*` metrics over the whole stream,
@@ -140,19 +129,14 @@ impl ServeConfig {
         Self {
             slices,
             model: PerfModel::default(),
-            kernel_config: KernelConfig::default(),
-            schedule: Schedule::EventDriven,
             base: FtConfig::default(),
             policy: Policy::Sfq,
             residency: true,
             batch_max: 8,
-            admission_space: Self::default_admission_space(),
             admission_cost_s: 100e-6,
             dispatch_cost_s: 20e-6,
-            tenant_weights: BTreeMap::new(),
             keep_solutions: false,
             fault_plans: Vec::new(),
-            slo: slo::SloConfig::default(),
             record_kernel_traces: false,
         }
     }
@@ -170,8 +154,10 @@ impl ServeConfig {
         }
     }
 
-    /// A small admission grid with an SpMV fallback, so a class whose
-    /// MPK candidates are all pruned still admits.
+    /// The admission planner's grid (its `ndevs` field is ignored; each
+    /// lookup restricts to the slice's device count): small, with an SpMV
+    /// fallback, so a class whose MPK candidates are all pruned still
+    /// admits.
     #[must_use]
     pub fn default_admission_space() -> CandidateSpace {
         CandidateSpace {

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use ca_gmres::ft::{ca_gmres_ft_session, FtConfig};
 use ca_gmres::prelude::*;
-use ca_gpusim::MultiGpu;
+use ca_gpusim::{KernelConfig, MultiGpu, Schedule};
 use ca_obs as obs;
 use ca_sparse::Csr;
 use ca_tune::AdmissionEstimate;
@@ -24,7 +24,7 @@ use crate::admission::{AdmissionCache, FairQueue};
 use crate::job::JobRequest;
 use crate::metrics::{hash_solution, percentile, JobRecord, JobStatus, ServiceReport};
 use crate::residency::Residency;
-use crate::slo::SloMonitor;
+use crate::slo::{SloConfig, SloMonitor};
 use crate::{Policy, ServeConfig, AFFINITY_SLACK};
 
 /// One pool slice: an executor plus its warm-operator store.
@@ -69,8 +69,8 @@ impl Service {
             .iter()
             .enumerate()
             .map(|(i, &nd)| {
-                let mut mg = MultiGpu::new(nd, cfg.model.clone(), cfg.kernel_config);
-                mg.set_schedule(cfg.schedule);
+                let mut mg = MultiGpu::new(nd, cfg.model.clone(), KernelConfig::default());
+                mg.set_schedule(Schedule::EventDriven);
                 if cfg.record_kernel_traces {
                     mg.enable_trace();
                 }
@@ -87,20 +87,19 @@ impl Service {
             })
             .collect();
         let admission = AdmissionCache::new(
-            cfg.admission_space.clone(),
+            ServeConfig::default_admission_space(),
             cfg.model.clone(),
-            cfg.kernel_config,
+            KernelConfig::default(),
             cfg.base.solver.m,
         );
-        let fair = FairQueue::new(cfg.tenant_weights.clone());
-        let slo = SloMonitor::new(cfg.slo);
+        let (fair, slo) = (FairQueue::default(), SloMonitor::new(SloConfig::default()));
         Self { cfg, matrices: matrices.into_iter().collect(), slices, admission, fair, slo }
     }
 
     /// Run an arrival stream to completion.
     pub fn run(&mut self, mut jobs: Vec<JobRequest>) -> ServiceReport {
         jobs.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-        self.slo = SloMonitor::new(self.cfg.slo);
+        self.slo = SloMonitor::new(SloConfig::default());
         let mut pending: VecDeque<JobRequest> = jobs.into();
         let mut queue: Vec<Queued> = Vec::new();
         let mut report = ServiceReport::default();
@@ -481,26 +480,11 @@ impl Service {
 
     /// Replace slice `s`'s executor after a fatal solve leaked device
     /// allocations: fresh devices at the inherited simulated time, with
-    /// communication counters and reclaimed-time carried over so
-    /// end-to-end accounting stays honest.
+    /// traces, communication counters and reclaimed time carried over so
+    /// end-to-end accounting stays honest ([`MultiGpu::respawn`]).
     fn reinit_slice(&mut self, s: usize) {
         let sl = &mut self.slices[s];
-        let t = sl.mg.time();
-        let counters = sl.mg.counters();
-        let reclaimed = sl.mg.time_reclaimed();
-        let nd = sl.mg.n_gpus();
-        if self.cfg.record_kernel_traces && obs::enabled() {
-            ca_gpusim::obs_ingest_traces(&sl.mg.take_traces());
-        }
-        let mut fresh = MultiGpu::new(nd, self.cfg.model.clone(), self.cfg.kernel_config);
-        fresh.set_schedule(self.cfg.schedule);
-        if self.cfg.record_kernel_traces {
-            fresh.enable_trace();
-        }
-        fresh.fast_forward(t);
-        fresh.absorb_counters(counters);
-        fresh.absorb_time_reclaimed(reclaimed);
-        sl.mg = fresh;
+        sl.mg.respawn(sl.mg.n_gpus());
         sl.residency.clear_stale();
     }
 
@@ -606,8 +590,9 @@ mod tests {
         let pool = pool();
         let mut cfg = ServeConfig::new(vec![1]);
         let footprint = |(_, a): &(String, Csr)| {
-            let p = Planner::new(a, cfg.base.solver.m, cfg.model.clone(), cfg.kernel_config);
-            admission_estimates(&p, &cfg.admission_space, &[1])[0].mem_bytes_per_dev[0]
+            let p = Planner::new(a, cfg.base.solver.m, cfg.model.clone(), KernelConfig::default());
+            let space = ServeConfig::default_admission_space();
+            admission_estimates(&p, &space, &[1])[0].mem_bytes_per_dev[0]
         };
         // room for the larger operator and half of the smaller one
         let capacity = footprint(&pool[1]) + footprint(&pool[0]) / 2;

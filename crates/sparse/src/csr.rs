@@ -160,30 +160,6 @@ impl<T: Scalar> Csr<T> {
         Csr::from_raw(rows.len(), self.ncols, row_ptr, col_idx, values)
     }
 
-    /// Remap column indices through `map` (old global column -> new local
-    /// column) producing a matrix with `new_ncols` columns. Entries whose
-    /// column maps to `u32::MAX` are dropped. Used to compress a device's
-    /// matrix onto its locally-stored vector entries.
-    pub fn remap_cols(&self, map: &[u32], new_ncols: usize) -> Csr<T> {
-        assert_eq!(map.len(), self.ncols);
-        let mut row_ptr = vec![0usize; self.nrows + 1];
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let nc = map[c as usize];
-                if nc != u32::MAX {
-                    debug_assert!((nc as usize) < new_ncols);
-                    col_idx.push(nc);
-                    values.push(v);
-                }
-            }
-            row_ptr[i + 1] = col_idx.len();
-        }
-        Csr::from_raw(self.nrows, new_ncols, row_ptr, col_idx, values)
-    }
-
     /// Transpose (exact, sorts columns implicitly via counting).
     pub fn transpose(&self) -> Csr<T> {
         let mut cnt = vec![0usize; self.ncols + 1];
@@ -287,20 +263,6 @@ mod tests {
         assert_eq!(s.get(0, 0), 5.0); // old row 2
         assert_eq!(s.get(0, 2), 6.0);
         assert_eq!(s.get(1, 1), 2.0); // old row 0
-    }
-
-    #[test]
-    fn remap_cols_compresses_and_drops() {
-        let m = sample();
-        // keep columns 0 and 2, renumber to 0 and 1
-        let map = vec![0u32, u32::MAX, 1u32];
-        let r = m.remap_cols(&map, 2);
-        assert_eq!(r.ncols(), 2);
-        assert_eq!(r.get(0, 0), 1.0);
-        assert_eq!(r.get(0, 1), 0.0); // the 2.0 at old col 1 was dropped
-        assert_eq!(r.get(1, 1), 4.0);
-        assert_eq!(r.get(2, 0), 5.0);
-        assert_eq!(r.get(2, 1), 6.0);
     }
 
     #[test]

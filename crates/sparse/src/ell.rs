@@ -22,7 +22,8 @@
 //! What the simulator prices is still the GPU format: [`Ell::padded_nnz`] is
 //! `width * nrows` and [`Ell::bytes`] one value and one 4-byte index per
 //! such slot — padding slots are read like real data there. What the host
-//! holds is [`Ell::host_slots`].
+//! holds is one slot per kept entry, per padding slot left inside a chunk
+//! and per fill lane of the last chunk.
 //!
 //! Per row the arithmetic is fixed and independent of chunk height, window
 //! length and sort order: start from `+0.0`, then `+= value[k] * x[col[k]]`
@@ -196,14 +197,6 @@ impl<T: Scalar> Ell<T> {
     /// accounting: one `T::BYTES` value + 4-byte index per slot).
     pub fn bytes(&self) -> usize {
         self.padded_nnz() * (T::BYTES + 4)
-    }
-
-    /// Slots the host copy stores and multiplies per SpMV: the kept
-    /// entries, the padding left inside each chunk and the fill lanes of
-    /// the last one. Never priced by the simulator.
-    #[inline]
-    pub fn host_slots(&self) -> usize {
-        self.values.len()
     }
 
     /// `y := A x`, every row summed over its slots in order from `+0.0`.
@@ -576,7 +569,7 @@ mod tests {
             let e = Ell::from_csr(&a);
             assert_eq!((e.width(), e.nnz()), (a.max_row_nnz(), a.nnz()), "{what}");
             if let Some(slots) = slots {
-                assert_eq!(e.host_slots(), slots, "{what}");
+                assert_eq!(e.values.len(), slots, "{what}");
             }
             for x in [poisoned(&mut rng, 40), (0..40).map(|_| rng.wide()).collect()] {
                 let y = check_all_paths(&a, &x, 2, what);
@@ -612,7 +605,7 @@ mod tests {
         assert_eq!(e.out_row[SIGMA], (FULL - SIGMA) as u16);
         assert_eq!(e.chunk_ptr[..3], [0, 6 * CHUNK, 8 * CHUNK]);
         let chunks = (SIGMA / CHUNK, (lens.len() - SIGMA).div_ceil(CHUNK));
-        assert_eq!(e.host_slots(), CHUNK * (6 + (chunks.0 - 1) * 2 + 9 + (chunks.1 - 1) * 2));
+        assert_eq!(e.values.len(), CHUNK * (6 + (chunks.0 - 1) * 2 + 9 + (chunks.1 - 1) * 2));
 
         let clean: Vec<f64> = (0..NCOLS).map(|_| rng.wide()).collect();
         let y_clean = check_all_paths(&a, &clean, 3, "clean");
@@ -664,12 +657,12 @@ mod tests {
                 let e: Ell = Ell::from_csr_rows(&a, rows.clone());
                 let windows = e.nrows().div_ceil(SIGMA);
                 let what = format!("{name} rows {rows:?}");
-                assert!(e.host_slots() >= e.nnz(), "{what}");
+                assert!(e.values.len() >= e.nnz(), "{what}");
                 // never more than the GPU format plus the last chunk's fill
-                assert!(e.host_slots() <= e.padded_nnz() + (CHUNK - 1) * e.width(), "{what}");
+                assert!(e.values.len() <= e.padded_nnz() + (CHUNK - 1) * e.width(), "{what}");
                 // sorting leaves at most one chunk of full width per window
                 let sorted = e.nnz() + e.nrows() + CHUNK * e.width() * (windows + 1);
-                assert!(e.host_slots() <= sorted, "{what}: {} > {sorted}", e.host_slots());
+                assert!(e.values.len() <= sorted, "{what}: {} > {sorted}", e.values.len());
             }
         }
     }

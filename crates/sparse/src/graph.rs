@@ -119,30 +119,6 @@ impl Graph {
             }
         }
     }
-
-    /// Connected components: returns `comp[v]` labels in 0..ncomponents.
-    pub fn connected_components(&self) -> (usize, Vec<u32>) {
-        let n = self.nvertices();
-        let mut comp = vec![u32::MAX; n];
-        let mut ncomp = 0u32;
-        for s in 0..n {
-            if comp[s] != u32::MAX {
-                continue;
-            }
-            let mut stack = vec![s as u32];
-            comp[s] = ncomp;
-            while let Some(u) = stack.pop() {
-                for &w in self.neighbors(u as usize) {
-                    if comp[w as usize] == u32::MAX {
-                        comp[w as usize] = ncomp;
-                        stack.push(w);
-                    }
-                }
-            }
-            ncomp += 1;
-        }
-        (ncomp as usize, comp)
-    }
 }
 
 fn merged_count(a: &[u32], b: &[u32], skip: u32) -> usize {
@@ -224,22 +200,6 @@ mod tests {
         let g = path4();
         let p = g.pseudo_peripheral(1);
         assert!(p == 0 || p == 3, "got {p}");
-    }
-
-    #[test]
-    fn components_counted() {
-        // two disconnected edges: 0-1, 2-3
-        let mut c = Coo::new(4, 4);
-        c.add(0, 1, 1.0);
-        c.add(1, 0, 1.0);
-        c.add(2, 3, 1.0);
-        c.add(3, 2, 1.0);
-        let g = Graph::from_csr(&c.to_csr());
-        let (n, comp) = g.connected_components();
-        assert_eq!(n, 2);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
     }
 
     #[test]

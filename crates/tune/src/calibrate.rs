@@ -46,46 +46,13 @@ const BLAS1_ROWS: [usize; 4] = [2_048, 8_192, 32_768, 131_072];
 /// Grid sides for the SpMV probe (5-point Laplacian, ELL width 5).
 const SPMV_GRIDS: [usize; 2] = [40, 80];
 
-/// The target matrix's actual kernel shapes, appended to the generic
-/// sweep so the profile carries knots exactly where the planner will
-/// evaluate (the "replay the target's MPK/BOrth/TSQR shapes" half of the
-/// calibration story).
-#[derive(Debug, Clone, Copy)]
-pub struct TargetShapes {
-    /// Rows per device (the local slice height of MPK/BOrth/TSQR).
-    pub local_rows: usize,
-    /// ELL width of the local SpMV slice (max row nnz).
-    pub spmv_width: usize,
-    /// Step size, so TSQR panels are `s + 1` columns wide.
-    pub s: usize,
-}
-
-impl TargetShapes {
-    /// Derive the shapes from a matrix and an intended distribution.
-    #[must_use]
-    pub fn from_matrix(a: &Csr, ndev: usize, s: usize) -> Self {
-        Self { local_rows: a.nrows().div_ceil(ndev.max(1)), spmv_width: a.max_row_nnz(), s }
-    }
-}
-
-/// [`calibrate_with_target`] without target-matrix shapes.
-#[must_use]
-pub fn calibrate(hint: &PerfModel, config: KernelConfig, machine: &str) -> MachineProfile {
-    calibrate_with_target(hint, config, machine, None)
-}
-
 /// Run the full replay set against `hint` and fit a profile.
 ///
 /// `hint` is both the machine being profiled (the replay executes on a
 /// [`MultiGpu`] built from it) and the source of the non-identifiable
 /// parameters.
 #[must_use]
-pub fn calibrate_with_target(
-    hint: &PerfModel,
-    config: KernelConfig,
-    machine: &str,
-    target: Option<&TargetShapes>,
-) -> MachineProfile {
+pub fn calibrate(hint: &PerfModel, config: KernelConfig, machine: &str) -> MachineProfile {
     let mut fit: Vec<(&'static str, f64)> = Vec::new();
     let mut curves: Vec<NamedCurve> = Vec::new();
 
@@ -281,39 +248,6 @@ pub fn calibrate_with_target(
         });
     }
 
-    // ---- target-matrix shapes: knots exactly where the planner will
-    // evaluate this profile ----
-    if let Some(tg) = target {
-        let rows = tg.local_rows.clamp(1, 100_000);
-        let width = tg.spmv_width.clamp(1, 64).min(rows);
-        let (_, rate) = spmv_probe(&mut mg, &banded(rows, width));
-        let k = (tg.s + 1).clamp(2, 32);
-        fill_panel(mg.device_mut(0), panel, 34);
-        let t_syrk = probe(&mut mg, |dev| {
-            dev.syrk_cols(panel, 0, k, config.gemm);
-        });
-        fill_panel(mg.device_mut(0), panel, 34);
-        let t_qr = probe(&mut mg, |dev| {
-            dev.local_qr_cols(panel, 0, k);
-        });
-        let m = PANEL_ROWS as f64;
-        curves.push(NamedCurve {
-            name: "target.spmv".into(),
-            unit: "GB/s".into(),
-            curve: EffCurve::from_knots(vec![(rows as f64, rate / 1e9)]),
-        });
-        curves.push(NamedCurve {
-            name: "target.gemm".into(),
-            unit: "GFLOP/s".into(),
-            curve: EffCurve::from_knots(vec![(k as f64, 2.0 * m * (k * k) as f64 / t_syrk / 1e9)]),
-        });
-        curves.push(NamedCurve {
-            name: "target.geqr2".into(),
-            unit: "GFLOP/s".into(),
-            curve: EffCurve::from_knots(vec![(k as f64, 4.0 * m * (k * k) as f64 / t_qr / 1e9)]),
-        });
-    }
-
     // ---- transfers: a two-device executor separates the per-message
     // host cost from the per-copy PCIe latency ----
     {
@@ -426,24 +360,6 @@ fn upper_triangular(k: usize) -> ca_dense::Mat {
     })
 }
 
-/// Banded test matrix with exactly `width` nonzeros per row (ELL padding
-/// equals the true nnz, like the paper's well-structured inputs).
-fn banded(rows: usize, width: usize) -> Csr {
-    let mut row_ptr = Vec::with_capacity(rows + 1);
-    let mut col_idx = Vec::with_capacity(rows * width);
-    let mut vals = Vec::with_capacity(rows * width);
-    row_ptr.push(0);
-    for i in 0..rows {
-        let start = i.min(rows - width);
-        for t in 0..width {
-            col_idx.push((start + t) as u32);
-            vals.push(1.0);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    Csr::from_raw(rows, rows, row_ptr, col_idx, vals)
-}
-
 /// Least squares `t ~ a + c x`; exact on exactly-affine data.
 fn fit_affine(xs: &[f64], ts: &[f64]) -> (f64, f64) {
     let n = xs.len() as f64;
@@ -533,20 +449,5 @@ mod tests {
         assert!((bw - 2.9e9).abs() / 2.9e9 < 1e-6, "pcie_bw fitted {bw:e}");
         let tput = p.param("gemm_batched.tput").unwrap();
         assert!((tput - 80e9).abs() / 80e9 < 1e-6, "gemm tput fitted {tput:e}");
-    }
-
-    #[test]
-    fn target_shapes_add_matrix_specific_knots() {
-        let a = ca_sparse::gen::laplace2d(24, 24);
-        let tg = TargetShapes::from_matrix(&a, 3, 10);
-        assert_eq!(tg.local_rows, 192);
-        assert_eq!(tg.spmv_width, 5);
-        let hint = PerfModel::default();
-        let p = calibrate_with_target(&hint, KernelConfig::default(), "tgt", Some(&tg));
-        for name in ["target.spmv", "target.gemm", "target.geqr2"] {
-            let c = p.curve(name).unwrap_or_else(|| panic!("{name} missing"));
-            assert!(c.knots().iter().all(|&(_, y)| y > 0.0));
-        }
-        assert_eq!(p.curve("target.gemm").unwrap().knots()[0].0, 11.0);
     }
 }

@@ -52,7 +52,7 @@ pub mod retune;
 pub mod rig;
 
 pub use admit::{admission_estimates, AdmissionEstimate};
-pub use calibrate::{calibrate, calibrate_with_target, TargetShapes};
+pub use calibrate::calibrate;
 pub use feedback::{calibrate_from_metrics, observed_slowdowns, FamilySlowdown};
 pub use plan::{
     Candidate, CandidateSpace, CrossCheck, Plan, Planner, PlannerLimits, PruneReason,

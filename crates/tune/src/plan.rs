@@ -25,11 +25,12 @@
 //! prediction error.
 
 use crate::profile::MachineProfile;
-use crate::rig::{unobserved, Rig};
+use crate::rig::Rig;
 use ca_gmres::mpk::SpmvFormat;
 use ca_gmres::prelude::*;
 use ca_gpusim::faults::Result as GpuResult;
 use ca_gpusim::{GpuSimError, KernelConfig, MultiGpu, PerfModel};
+use ca_obs::unobserved;
 use ca_scalar::Precision;
 use ca_sparse::Csr;
 

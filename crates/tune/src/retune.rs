@@ -22,6 +22,14 @@ use ca_sparse::Csr;
 /// scale factor rather than by shape).
 const LINK_LAMBDAS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
+/// Step sizes considered when re-planning (the planner's static caps
+/// still apply on top).
+const S_GRID: [usize; 7] = [2, 3, 5, 8, 10, 15, 20];
+
+/// EWMA-slowdown spread below which the machine counts as healthy and
+/// the retuner stays inert.
+const IMBALANCE_THRESHOLD: f64 = 1.05;
+
 /// Re-planner for one fault-tolerant solve.
 ///
 /// Borrows the *prepared* (permuted) matrix the solve runs on — layout
@@ -32,12 +40,6 @@ const LINK_LAMBDAS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 pub struct Retuner<'a> {
     planner: Planner<'a>,
     base: Candidate,
-    /// Step sizes considered when re-planning (the planner's static
-    /// caps still apply on top).
-    pub s_grid: Vec<usize>,
-    /// EWMA-slowdown spread below which the machine counts as healthy
-    /// and the retuner stays inert.
-    pub imbalance_threshold: f64,
     /// Largest observed-vs-predicted phase-share deviation tolerated
     /// before the span-ratio drift detector engages (only consulted when
     /// the kernel EWMA looks healthy — the drift path exists for faults
@@ -72,17 +74,9 @@ impl<'a> Retuner<'a> {
         Self {
             planner: Planner::new(a, m, model, config),
             base,
-            s_grid: vec![2, 3, 5, 8, 10, 15, 20],
-            imbalance_threshold: 1.05,
             drift_threshold: f64::INFINITY,
             last_phases: None,
         }
-    }
-
-    /// Access the underlying planner (e.g. to tighten its limits).
-    #[must_use]
-    pub fn planner_mut(&mut self) -> &mut Planner<'a> {
-        &mut self.planner
     }
 
     /// Score one `(s, layout)` under the given slowdown multipliers.
@@ -114,10 +108,8 @@ impl<'a> Retuner<'a> {
 
     /// Pruned, sorted step-size grid for a re-plan around `s_cur`.
     fn s_options(&self, s_cur: usize) -> Vec<usize> {
-        let mut s_opts: Vec<usize> = self
-            .s_grid
-            .iter()
-            .copied()
+        let mut s_opts: Vec<usize> = S_GRID
+            .into_iter()
             .chain(std::iter::once(s_cur))
             .filter(|&s| {
                 s >= 1 && s <= self.planner.m() && {
@@ -202,7 +194,7 @@ impl RestartTuner for Retuner<'_> {
         layout: &Layout,
     ) -> Option<RetuneDecision> {
         let all_alive = health.devices.iter().all(|d| d.alive);
-        if all_alive && health.imbalance() <= self.imbalance_threshold {
+        if all_alive && health.imbalance() <= IMBALANCE_THRESHOLD {
             // kernel telemetry is clean — any remaining signal lives in
             // the phase shape (a degraded link never shows up in the
             // busy-time EWMA). On a genuinely healthy machine the
@@ -265,7 +257,7 @@ impl RestartTuner for Retuner<'_> {
     /// luxury, not worth re-scoring inside a cycle.
     fn replan_midcycle(&mut self, health: &HealthReport, layout: &Layout) -> Option<Layout> {
         let all_alive = health.devices.iter().all(|d| d.alive);
-        if all_alive && health.imbalance() <= self.imbalance_threshold {
+        if all_alive && health.imbalance() <= IMBALANCE_THRESHOLD {
             return None; // healthy: stay invisible
         }
         let weights = health.throughput_weights();
@@ -416,15 +408,15 @@ mod tests {
         let ev = |rung, s| EscalationEvent { rung, cycle: 1, column: 3, s, cond_est: 1e14 };
         // a reorth is maintenance: caps untouched
         r.observe_escalations(&[ev(EscalationRung::Reorth, 8)]);
-        assert_eq!(r.planner_mut().limits.s_cap_monomial, 8);
+        assert_eq!(r.planner.limits.s_cap_monomial, 8);
         // a throttle at s = 8 excludes s >= 8 from future monomial plans
         r.observe_escalations(&[ev(EscalationRung::Throttle, 8)]);
-        assert_eq!(r.planner_mut().limits.s_cap_monomial, 7);
-        assert_eq!(r.planner_mut().limits.cholqr_s_cap_monomial, 5); // already tighter
-                                                                     // tightening is monotone across further events
+        assert_eq!(r.planner.limits.s_cap_monomial, 7);
+        assert_eq!(r.planner.limits.cholqr_s_cap_monomial, 5); // already tighter
+                                                               // tightening is monotone across further events
         r.observe_escalations(&[ev(EscalationRung::BasisSwitch, 4)]);
-        assert_eq!(r.planner_mut().limits.s_cap_monomial, 3);
-        assert_eq!(r.planner_mut().limits.cholqr_s_cap_monomial, 3);
+        assert_eq!(r.planner.limits.s_cap_monomial, 3);
+        assert_eq!(r.planner.limits.cholqr_s_cap_monomial, 3);
     }
 
     #[test]
@@ -435,7 +427,7 @@ mod tests {
         r.drift_threshold = 0.05;
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
-        let ph = r.planner_mut().predict_phases(&cand);
+        let ph = r.planner.predict_phases(&cand);
         r.observe_phases(&ph.phases);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         assert!(r.replan(&h, 5, &layout).is_none());

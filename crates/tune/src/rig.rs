@@ -110,13 +110,3 @@ impl<'a> Rig<'a> {
         PhasePrediction { phases, comm_s: mg.link_occupancy() }
     }
 }
-
-/// Run `f` with `ca-obs` recording paused on this thread: a prediction runs
-/// the solver on clocks that start at zero, and a live session (service
-/// admission, a re-plan inside a traced solve) must record nothing of it.
-pub(crate) fn unobserved<T>(f: impl FnOnce() -> T) -> T {
-    let was = ca_obs::pause();
-    let out = f();
-    ca_obs::resume(was);
-    out
-}

@@ -58,13 +58,7 @@ fn run(
     if let Some(p) = plan {
         mg.set_fault_plan(p);
     }
-    let cfg = FtConfig {
-        solver: solver_cfg(),
-        abft_spmv: false,
-        abft_orth: false,
-        residual_check: false,
-        ..Default::default()
-    };
+    let cfg = FtConfig { solver: solver_cfg(), verify: false, ..Default::default() };
     let (model, kernels) = (PerfModel::default(), KernelConfig::default());
     let mut tuner =
         tune.then(|| Retuner::new(a, cfg.solver.m, model, kernels, base_candidate(&cfg.solver)));

@@ -15,7 +15,8 @@
 //! through the scheduler, and no allocation is ever refused.
 
 use ca_gmres_repro::gmres::ft::{ca_gmres_ft_session, FtConfig};
-use ca_gmres_repro::gpusim::{FaultPlan, MultiGpu, Schedule};
+use ca_gmres_repro::gpusim::{FaultPlan, KernelConfig, MultiGpu, Schedule};
+use ca_gmres_repro::obs::{self, Track};
 use ca_gmres_repro::serve::{AdmissionCache, JobRequest, JobStatus, Policy, ServeConfig, Service};
 use ca_gmres_repro::sparse::{gen, Csr};
 
@@ -74,15 +75,15 @@ fn single_job_service_matches_direct_solve_bit_for_bit() {
 
     // The reference arm: same plan, same executor construction.
     let mut adm = AdmissionCache::new(
-        scfg.admission_space.clone(),
+        ServeConfig::default_admission_space(),
         scfg.model.clone(),
-        scfg.kernel_config,
+        KernelConfig::default(),
         M,
     );
     let (verdict, _) = adm.lookup(&key, &a, ndev);
     let cand = verdict.expect("class must admit").cand;
     let ftcfg = FtConfig { solver: cand.solver_config(M, RTOL, MAX_RESTARTS), ..scfg.base.clone() };
-    let mut mg = MultiGpu::new(ndev, scfg.model.clone(), scfg.kernel_config);
+    let mut mg = MultiGpu::new(ndev, scfg.model.clone(), KernelConfig::default());
     mg.set_schedule(Schedule::EventDriven);
     let (out, res) = ca_gmres_ft_session(&mut mg, &a, &b, &ftcfg, None, None, false);
 
@@ -186,6 +187,38 @@ fn device_loss_degrades_only_the_resident_slice() {
     assert_eq!(rep.digest(), run().digest());
 }
 
+/// An executor the fault-tolerant driver rebuilds keeps recording: a
+/// traced slice that loses one of its two devices ingests the kernels its
+/// first executor ran (device 1 exists only there) and those of the
+/// executor rebuilt on the survivor, which runs device 0 after every
+/// device-1 kernel has ended.
+#[test]
+fn rebuilt_executor_keeps_its_kernel_traces() {
+    let (key, a) = problem();
+    let b = rhs(&a);
+    let mut scfg = cfg(vec![2]);
+    scfg.record_kernel_traces = true;
+    scfg.fault_plans = vec![(0, FaultPlan::new(7).with_device_loss(0, 40))];
+    let mut svc = Service::new(scfg, vec![(key.clone(), a)]);
+    obs::start();
+    let rep = svc.run((0..4).map(|i| job(i, &key, b.clone(), i as f64 * 1e-4)).collect());
+    let rec = obs::finish();
+    assert!(rep.solver_rebuilds >= 1, "the fault never fired");
+    assert!(rep.jobs.iter().all(|j| j.status == JobStatus::Converged));
+    let kernels = |d| {
+        let on = move |s: &&obs::Span| s.track == Track::Device(d);
+        rec.spans.iter().filter(on).map(|s| (s.t0, s.t1)).collect::<Vec<_>>()
+    };
+    let (before, after) = (kernels(1), kernels(0));
+    assert!(!before.is_empty(), "the first executor's kernels were dropped");
+    let rebuilt_at = before.iter().map(|s| s.1).fold(0.0, f64::max);
+    assert!(
+        after.iter().any(|s| s.0 >= rebuilt_at),
+        "the rebuilt executor recorded nothing ({} device-0 kernels)",
+        after.len()
+    );
+}
+
 /// Eviction through the scheduler: a pool whose devices hold two of the
 /// three operators in the stream. Every cold build beyond the second must
 /// first evict, in least-recently-used order — never the operator that
@@ -204,9 +237,9 @@ fn memory_pressure_evicts_least_recently_used_through_the_scheduler() {
     // the largest footprint on any device, by the planner's own count
     let base = cfg(vec![ndev]);
     let mut adm = AdmissionCache::new(
-        base.admission_space.clone(),
+        ServeConfig::default_admission_space(),
         base.model.clone(),
-        base.kernel_config,
+        KernelConfig::default(),
         M,
     );
     let footprint = ops
