@@ -30,7 +30,8 @@
 //! study measures both sides of that trade.
 //!
 //! Flags: `--large` runs the whole suite at near-paper sizes;
-//! `--matrix <name>` restricts to one suite entry.
+//! `--matrix <name>` restricts to one suite entry; `--smoke` runs the
+//! first suite entry alone (CI's run).
 
 use ca_bench::{nlpkkt, table, Problem, Scale, Study, TestMatrix};
 use ca_gmres::prelude::*;
@@ -124,7 +125,7 @@ fn sweep(t: &TestMatrix, label: &str, rows: &mut Vec<Row>) {
 }
 
 fn main() {
-    let study = Study::new("ext_overlap", &["--large", "--matrix <name>"]);
+    let study = Study::new("ext_overlap", &["--large", "--smoke", "--matrix <name>"]);
     let mut rows: Vec<Row> = Vec::new();
     for t in study.suite() {
         sweep(&t, t.name, &mut rows);
@@ -132,7 +133,7 @@ fn main() {
     // one near-paper-size point rides along with the default run: at 44³
     // the quadratic overlap window dominates the per-exchange constants,
     // so the total hidden time grows with s (minimum near s = 6)
-    if study.scale == Scale::Small && study.matrix.is_none() {
+    if study.scale == Scale::Small && study.matrix.is_none() && !study.smoke {
         sweep(&nlpkkt(Scale::Large), "nlpkkt120 (44^3)", &mut rows);
     }
 

@@ -709,6 +709,15 @@ pub(crate) fn orth_block<G: CycleGuard>(
     Ok((c_eff, r_eff))
 }
 
+/// The refusal of a solve whose initial residual norm `beta0` is not
+/// finite: `b`, the initial guess or the operator holds a NaN or an
+/// infinity, and no iteration can mean anything.
+pub(crate) fn non_finite_start(beta0: f64) -> BreakdownKind {
+    let reason =
+        format!("the initial residual norm is {beta0}: A, b or x holds a non-finite value");
+    BreakdownKind::InvalidInput { reason }
+}
+
 /// Why `cfg` cannot run — on `sys`, when the caller supplies the system —
 /// or `None` when it can. Every entry asks before it touches a device.
 pub(crate) fn invalid(cfg: &CaGmresConfig, sys: Option<&System>) -> Option<String> {
@@ -897,6 +906,11 @@ impl<'a> Solve<'a> {
     pub(crate) fn run<G: CycleGuard>(&mut self, guard: &mut G) -> GpuResult<()> {
         let beta0 = guard.initial_residual(&mut self.ctx())?;
         (self.beta0, self.beta) = (beta0, beta0);
+        if !beta0.is_finite() {
+            self.stats.breakdown = Some(non_finite_start(beta0));
+            self.stats.final_relres = f64::NAN;
+            return Ok(());
+        }
         let target = self.cfg.rtol * beta0;
         while self.beta > target && self.stats.restarts < self.cfg.max_restarts {
             let t_entry = self.mg.time();
@@ -907,6 +921,10 @@ impl<'a> Solve<'a> {
                         continue;
                     }
                     self.beta = beta;
+                    if !beta.is_finite() {
+                        let restarts = self.stats.restarts;
+                        self.stats.breakdown = Some(BreakdownKind::NonFinite { restarts });
+                    }
                     if self.stats.breakdown.is_some() || y.is_empty() {
                         break; // numerical breakdown or stagnation: stop honestly
                     }

@@ -167,7 +167,7 @@ pub fn gmres(mg: &mut MultiGpu, sys: &System, cfg: &GmresConfig) -> GmresOutcome
             (f64::NAN, f64::NAN)
         }
     };
-    if beta <= cfg.rtol * beta0 {
+    if beta.is_finite() && beta <= cfg.rtol * beta0 {
         stats.converged = true;
     }
 
@@ -192,6 +192,10 @@ fn gmres_impl(
 ) -> GpuResult<(f64, f64)> {
     let mut cx = SolveCtx { mg, sys, stats, tsqr_errors: None };
     let beta0 = residual(&mut cx, true)?;
+    if !beta0.is_finite() {
+        cx.stats.breakdown = Some(crate::cycle::non_finite_start(beta0));
+        return Ok((beta0, beta0));
+    }
     obs::sample(obs::names::RELRES, cx.mg.time(), 1.0);
     let target = cfg.rtol * beta0;
     let mut beta = beta0;
@@ -208,6 +212,10 @@ fn gmres_impl(
         beta = residual(&mut cx, true)?;
         if beta0 > 0.0 {
             obs::sample(obs::names::RELRES, cx.mg.time(), beta / beta0);
+        }
+        if !beta.is_finite() {
+            let restarts = cx.stats.restarts;
+            cx.stats.breakdown = Some(BreakdownKind::NonFinite { restarts });
         }
         if cx.stats.breakdown.is_some() {
             break;

@@ -1209,7 +1209,7 @@ mod tests {
         for &s in parts {
             let sl = dev.slice(s);
             let mut y = vec![0.0; sl.rows.len()];
-            sl.storage.spmv(&cur, &mut y);
+            sl.storage.spmv_window(&cur, &mut y, 0);
             for (&r, yi) in sl.rows.iter().zip(y) {
                 let r = r as usize;
                 let shifted = match sl.storage.prec() {

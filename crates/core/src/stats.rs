@@ -33,8 +33,15 @@ pub enum BreakdownKind {
         /// The device that refused the allocation.
         device: usize,
     },
-    /// The solve was asked for something it cannot run (e.g. `s = 0`, or a
-    /// restart length the system has no room for); nothing was executed.
+    /// The explicit residual norm turned NaN or infinite after a restart
+    /// cycle: the iterate is not a solution, whatever the target says.
+    NonFinite {
+        /// Restart cycles completed, the one that produced it included.
+        restarts: usize,
+    },
+    /// The solve was asked for something it cannot run (e.g. `s = 0`, a
+    /// restart length the system has no room for, or a non-finite
+    /// right-hand side); no restart cycle ran.
     InvalidInput {
         /// What is wrong with the input.
         reason: String,
@@ -52,6 +59,9 @@ impl std::fmt::Display for BreakdownKind {
             }
             BreakdownKind::DeviceLost { device } => write!(f, "device {device} lost"),
             BreakdownKind::OutOfMemory { device } => write!(f, "device {device} out of memory"),
+            BreakdownKind::NonFinite { restarts } => {
+                write!(f, "the residual norm turned non-finite after {restarts} restarts")
+            }
             BreakdownKind::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
         }
     }

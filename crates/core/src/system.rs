@@ -210,7 +210,9 @@ impl System {
         let bytes = vec![8usize; parts.len()];
         mg.to_host(&bytes)?;
         mg.host_compute(parts.len() as f64, 0.0);
-        Ok(parts.iter().sum::<f64>().max(0.0).sqrt())
+        // a NaN must reach the convergence test: `max` would turn it into 0
+        let ss: f64 = parts.iter().sum();
+        Ok(if ss.is_nan() { ss } else { ss.max(0.0) }.sqrt())
     }
 
     /// Start a restart cycle: copy the residual into basis column 0 and

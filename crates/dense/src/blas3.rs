@@ -73,23 +73,62 @@ pub(crate) fn gemm_tn_panels_with<T: Scalar>(
 ) {
     assert_eq!(c.nrows(), a.ncols());
     assert_eq!(c.ncols(), b.ncols());
+    let (ka, kb) = (a.ncols(), b.ncols());
+    let mut ct = vec![T::ZERO; ka * kb];
+    gemm_tn_rows_with(isa, a, b, 0, panel_rows, upper, &mut ct);
+    for j in 0..kb {
+        for i in 0..ka {
+            // the lower triangle mirrors the upper one
+            c[(i, j)] = if upper && i > j { ct[i + j * kb] } else { ct[j + i * kb] };
+        }
+    }
+}
+
+/// Rows `i0..i0 + ct.len() / b.ncols()` of [`gemm_tn_panels`]'s `C := A^T
+/// B`, transposed: `ct[j + (i - i0) * b.ncols()]` receives `C(i, j)`,
+/// summed as the whole product sums it (one full-length dot, or the dots of
+/// the `h`-row panels added in panel order from zero). With `upper` only
+/// `j >= i` is written. Every output is computed whole by the one call
+/// that writes it, so disjoint row blocks of one `C` may be computed on
+/// different threads.
+pub fn gemm_tn_rows<T: Scalar>(
+    a: Cols<'_, T>,
+    b: Cols<'_, T>,
+    i0: usize,
+    panel_rows: Option<usize>,
+    upper: bool,
+    ct: &mut [T],
+) {
+    gemm_tn_rows_with(Isa::detect(), a, b, i0, panel_rows, upper, ct);
+}
+
+/// [`gemm_tn_rows`] on a given kernel instantiation.
+pub(crate) fn gemm_tn_rows_with<T: Scalar>(
+    isa: Isa,
+    a: Cols<'_, T>,
+    b: Cols<'_, T>,
+    i0: usize,
+    panel_rows: Option<usize>,
+    upper: bool,
+    ct: &mut [T],
+) {
+    assert_eq!(a.nrows(), b.nrows());
+    let kb = b.ncols();
+    let i1 = i0 + ct.len().checked_div(kb).unwrap_or(0);
+    // with `upper`, the columns before `i0` hold no wanted output, and
+    // local indices then compare as global ones
+    let j0 = if upper { i0 } else { 0 };
+    let (a, b) = (a.cols(i0, i1), b.cols(j0, kb));
     match panel_rows {
-        None => dots_tn_with(isa, a, b, upper, |i, j, d| c[(i, j)] = d),
+        None => dots_tn_with(isa, a, b, upper, |i, j, d| ct[j0 + j + i * kb] = d),
         Some(h) => {
             assert!(h > 0);
-            c.fill(T::ZERO);
+            ct.fill(T::ZERO);
             let rows = a.nrows();
             for r0 in (0..rows).step_by(h) {
                 let r1 = (r0 + h).min(rows);
                 let (pa, pb) = (a.rows(r0, r1), b.rows(r0, r1));
-                dots_tn_with(isa, pa, pb, upper, |i, j, d| c[(i, j)] += d);
-            }
-        }
-    }
-    if upper {
-        for j in 0..c.ncols() {
-            for i in 0..j {
-                c[(j, i)] = c[(i, j)];
+                dots_tn_with(isa, pa, pb, upper, |i, j, d| ct[j0 + j + i * kb] += d);
             }
         }
     }
@@ -172,20 +211,12 @@ pub(crate) fn update_cols_with<T: Scalar>(
     if s1 <= d0 || d1 <= s0 {
         let (left, dst, right) = v.split_cols_mut(d0, d1);
         // the sources lie wholly on one side of the destinations
-        let src = |l: usize| if s1 <= d0 { left.col(l) } else { right.col(l - d1) };
+        let src = if s1 <= d0 { left.cols(s0, s1) } else { right.cols(s0 - d1, s1 - d1) };
         for (r0, r1) in row_chunks(rows) {
             for (pair, cols) in dst.chunks_mut(2 * ld).enumerate() {
-                let d = 2 * pair;
-                let (c0, c1) = cols.split_at_mut(ld);
-                if c1.is_empty() {
-                    // an odd last destination
-                    let terms = (s0..s1).map(|l| (factor(l - s0, d), &src(l)[r0..r1]));
-                    fused_axpy_with(isa, &mut c0[r0..r1], terms);
-                } else {
-                    let terms = (s0..s1)
-                        .map(|l| (factor(l - s0, d), factor(l - s0, d + 1), &src(l)[r0..r1]));
-                    fused_axpy_pair_with(isa, (&mut c0[r0..r1], &mut c1[r0..r1]), terms);
-                }
+                let (c0, c1) = cols.split_at_mut(ld.min(cols.len()));
+                let c1 = (!c1.is_empty()).then(|| &mut c1[r0..r1]);
+                update_pair_with(isa, src.rows(r0, r1), 2 * pair, (&mut c0[r0..r1], c1), &factor);
             }
         }
         return;
@@ -199,6 +230,56 @@ pub(crate) fn update_cols_with<T: Scalar>(
                 (factor(l - s0, d - d0), src)
             });
             fused_axpy_with(isa, &mut dst[r0..r1], terms);
+        }
+    }
+}
+
+/// [`update_cols`] when no source is a destination, on rows of the
+/// columns: `dst[d] += sum_l factor(l, d) * src.col(l)` for every
+/// destination `d`, the sources in increasing `l` and a zero factor
+/// skipping its source; `src` and every `dst[d]` are the same rows of their
+/// columns. Every operation is row-local, so disjoint row windows of one
+/// update may run on different threads and give the bits of the whole.
+pub fn update_rows<T: Scalar>(
+    src: Cols<'_, T>,
+    dst: &mut [&mut [T]],
+    factor: impl Fn(usize, usize) -> T,
+) {
+    update_rows_with(Isa::detect(), src, dst, factor);
+}
+
+/// [`update_rows`] on a given kernel instantiation.
+pub(crate) fn update_rows_with<T: Scalar>(
+    isa: Isa,
+    src: Cols<'_, T>,
+    dst: &mut [&mut [T]],
+    factor: impl Fn(usize, usize) -> T,
+) {
+    for (r0, r1) in row_chunks(src.nrows()) {
+        for (pair, cols) in dst.chunks_mut(2).enumerate() {
+            let (c0, c1) = cols.split_at_mut(1);
+            let c1 = c1.first_mut().map(|c| &mut c[r0..r1]);
+            update_pair_with(isa, src.rows(r0, r1), 2 * pair, (&mut c0[0][r0..r1], c1), &factor);
+        }
+    }
+}
+
+/// The disjoint update of destinations `d` and `d + 1` (when there is a
+/// second) on one L1-sized chunk of rows: each source chunk is loaded once
+/// and feeds both.
+fn update_pair_with<T: Scalar>(
+    isa: Isa,
+    src: Cols<'_, T>,
+    d: usize,
+    (c0, c1): (&mut [T], Option<&mut [T]>),
+    factor: &impl Fn(usize, usize) -> T,
+) {
+    let sources = (0..src.ncols()).map(|l| (l, src.col(l)));
+    match c1 {
+        None => fused_axpy_with(isa, c0, sources.map(|(l, s)| (factor(l, d), s))),
+        Some(c1) => {
+            let terms = sources.map(|(l, s)| (factor(l, d), factor(l, d + 1), s));
+            fused_axpy_pair_with(isa, (c0, c1), terms);
         }
     }
 }
@@ -224,25 +305,48 @@ pub(crate) fn trsm_right_upper_cols_with<T: Scalar>(
     r: &Mat<T>,
 ) -> crate::Result<()> {
     let k = r.ncols();
-    assert_eq!(r.nrows(), k);
     assert!(j0 + k <= v.ncols());
+    let (rows, ld) = (v.nrows(), v.ld());
+    let (_, block, _) = v.split_cols_mut(j0, j0 + k);
+    let mut cols: Vec<&mut [T]> = block.chunks_mut(ld).map(|c| &mut c[..rows]).collect();
+    trsm_rows_with(isa, &mut cols, r);
+    trsm_pivots(r)
+}
+
+/// What [`trsm_right_upper_cols`] reports for `R`: the first zero pivot.
+pub fn trsm_pivots<T: Scalar>(r: &Mat<T>) -> crate::Result<()> {
+    match (0..r.ncols()).find(|&j| r[(j, j)] == T::ZERO) {
+        Some(index) => Err(crate::DenseError::SingularTriangular { index }),
+        None => Ok(()),
+    }
+}
+
+/// [`trsm_right_upper_cols`] on rows of the block: `cols[j]` are the same
+/// rows of its `k` columns; [`trsm_pivots`] tells what a zero pivot left
+/// undone. Every operation is row-local, so disjoint row windows of one
+/// solve may run on different threads and give the bits of the whole.
+pub fn trsm_rows<T: Scalar>(cols: &mut [&mut [T]], r: &Mat<T>) {
+    trsm_rows_with(Isa::detect(), cols, r);
+}
+
+/// [`trsm_rows`] on a given kernel instantiation.
+pub(crate) fn trsm_rows_with<T: Scalar>(isa: Isa, cols: &mut [&mut [T]], r: &Mat<T>) {
+    let k = r.ncols();
+    assert_eq!(r.nrows(), k);
+    assert_eq!(cols.len(), k);
     let singular = (0..k).find(|&j| r[(j, j)] == T::ZERO);
     let swept = singular.map_or(k, |j| j + 1);
-    for (r0, r1) in row_chunks(v.nrows()) {
+    let rows = cols.first().map_or(0, |c| c.len());
+    for (r0, r1) in row_chunks(rows) {
         for j in 0..swept {
             // v[:, j] = (v[:, j] - sum_{l<j} v[:, l] * r[l, j]) / r[j, j]
-            let (left, dst, _) = v.split_col_mut(j0 + j);
-            let left = left.rows(r0, r1);
-            let dst = &mut dst[r0..r1];
-            fused_axpy_with(isa, dst, (0..j).map(|l| (-r[(l, j)], left.col(j0 + l))));
+            let (left, rest) = cols.split_at_mut(j);
+            let dst = &mut rest[0][r0..r1];
+            fused_axpy_with(isa, dst, (0..j).map(|l| (-r[(l, j)], &left[l][r0..r1])));
             if singular != Some(j) {
                 crate::blas1::scal(T::ONE / r[(j, j)], dst);
             }
         }
-    }
-    match singular {
-        Some(index) => Err(crate::DenseError::SingularTriangular { index }),
-        None => Ok(()),
     }
 }
 

@@ -287,6 +287,13 @@ impl<'a, T: Scalar> Cols<'a, T> {
         &self.data[j * self.ld..j * self.ld + self.nrows]
     }
 
+    /// Columns `j0..j1` of the view.
+    pub fn cols(&self, j0: usize, j1: usize) -> Cols<'a, T> {
+        assert!(j0 <= j1 && j1 <= self.ncols);
+        let data = if j0 == j1 { &self.data[..0] } else { &self.data[j0 * self.ld..] };
+        Cols { data, ld: self.ld, nrows: self.nrows, ncols: j1 - j0 }
+    }
+
     /// The same columns narrowed to rows `r0..r1`.
     pub fn rows(&self, r0: usize, r1: usize) -> Cols<'a, T> {
         assert!(r0 <= r1 && r1 <= self.nrows);

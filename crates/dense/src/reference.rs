@@ -208,6 +208,23 @@ fn assert_bits<T: Scalar>(got: &Mat<T>, want: &Mat<T>, what: &str) {
     }
 }
 
+/// `cols.len() / ld` columns of `rows` live entries each, cut into windows
+/// of `w` rows: `(first row, that window of every column)` — the pieces a
+/// shared device kernel hands out.
+fn row_windows<T: Scalar>(
+    cols: &mut [T],
+    ld: usize,
+    rows: usize,
+    w: usize,
+) -> Vec<(usize, Vec<&mut [T]>)> {
+    let mut per_col: Vec<_> =
+        cols.chunks_mut(ld).map(|c| c.split_at_mut(rows).0.chunks_mut(w)).collect();
+    (0..rows)
+        .step_by(w)
+        .map(|r0| (r0, per_col.iter_mut().map(|c| c.next().unwrap()).collect()))
+        .collect()
+}
+
 // ---------- the suite ----------
 
 fn products_match<T: Scalar>() -> usize {
@@ -276,6 +293,26 @@ fn panelled_products_match<T: Scalar>(isa: Isa) -> usize {
                     let block = v.cols(a.0, a.1);
                     blas3::gemm_tn_panels_with(isa, block, block, h, true, &mut got);
                     assert_bits(&got, &gemm_tn_panels(&v, a, a, h), &format!("gram {what}"));
+
+                    // in blocks of output rows, as a shared device kernel
+                    // computes them, each block on its own
+                    for (rows_of, upper) in [(1, false), (3, true), (8, false), (8, true)] {
+                        let (b, vb) = if upper { (a, va) } else { (b, vb) };
+                        let kb = vb.ncols();
+                        let mut ct = vec![T::ZERO; ka * kb];
+                        for (p, ct) in ct.chunks_mut((rows_of * kb).max(1)).enumerate() {
+                            blas3::gemm_tn_rows_with(isa, va, vb, p * rows_of, h, upper, ct);
+                        }
+                        let got = Mat::from_fn(ka, kb, |i, j| {
+                            if upper && i > j {
+                                ct[i + j * kb]
+                            } else {
+                                ct[j + i * kb]
+                            }
+                        });
+                        let what = format!("gemm_tn_rows {what}, {rows_of} rows, upper {upper}");
+                        assert_bits(&got, &gemm_tn_panels(&v, a, b, h), &what);
+                    }
                     shapes += 1;
                 }
             }
@@ -300,6 +337,25 @@ fn updates_match<T: Scalar>(isa: Isa) -> usize {
                 blas3::update_cols_with(isa, &mut got, a, b, |i, j| -c[(i, j)]);
                 update_cols(&mut want, a, b, |i, j| -c[(i, j)]);
                 assert_bits(&got, &want, &format!("update_cols rows {rows}, a {a:?}, b {b:?}"));
+                // in row windows, as a shared device kernel runs it
+                for w in [1, 5, 512, 700] {
+                    let mut got = v.clone();
+                    let ld = got.ld();
+                    let (left, dst, right) = got.split_cols_mut(b.0, b.1);
+                    let src = if a.1 <= b.0 {
+                        left.cols(a.0, a.1)
+                    } else {
+                        right.cols(a.0 - b.1, a.1 - b.1)
+                    };
+                    for (r0, mut cols) in row_windows(dst, ld, rows, w) {
+                        let r1 = r0 + cols[0].len();
+                        blas3::update_rows_with(isa, src.rows(r0, r1), &mut cols, |i, j| {
+                            -c[(i, j)]
+                        });
+                    }
+                    let what = format!("update_rows rows {rows}, a {a:?}, b {b:?}, windows {w}");
+                    assert_bits(&got, &want, &what);
+                }
                 shapes += 1;
             }
             // one source inside the destination range (rank-1 update), then
@@ -367,6 +423,16 @@ fn triangular_solves_match<T: Scalar>(isa: Isa) -> usize {
                 assert_bits(&wide.cols_copy(2, 2 + k), &want, "trsm_right_upper_cols");
                 for j in [0, 1, k + 2] {
                     assert_eq!(wide.col(j), untouched.col(j), "columns outside the range");
+                }
+                // in row windows, as a shared device kernel runs it
+                for w in [1, 5, 700] {
+                    let mut got = b.clone();
+                    let ld = got.ld();
+                    for (_, mut cols) in row_windows(got.as_mut_slice(), ld, rows, w) {
+                        blas3::trsm_rows_with(isa, &mut cols, &r);
+                    }
+                    assert_eq!(blas3::trsm_pivots(&r), res);
+                    assert_bits(&got, &want, &format!("trsm_rows rows {rows}, k {k}, windows {w}"));
                 }
                 shapes += 1;
             }

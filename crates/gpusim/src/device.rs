@@ -22,8 +22,11 @@ use crate::faults::{FaultPlan, GpuSimError, Result, SdcEvent, SdcKind};
 use crate::model::{GemmVariant, GemvVariant, PerfModel, SpmvShape};
 use crate::multi::PAR_ROWS;
 use crate::stream::{Cmd, Event, StreamTrace};
-use ca_dense::{blas1, blas3, qr, tile, Mat};
+use crate::team::{share, Loan};
+use ca_dense::tile::UPDATE_ROWS;
+use ca_dense::{blas1, blas3, qr, tile, Cols, Mat};
 use ca_scalar::Precision;
+use ca_sparse::ell::WINDOW_ROWS;
 use ca_sparse::{Csr, Ell, Hyb};
 use std::ops::Range;
 use std::sync::{Arc, LazyLock};
@@ -119,19 +122,106 @@ impl SpStorage {
         SpmvShape { slots, spilled, rows: self.nrows() }
     }
 
-    /// `y := A x`. For f32 storage the product is computed entirely in
-    /// f32: each gathered element of `x` is rounded to f32 (the explicit
-    /// rounding point of the mixed-precision path), the row accumulates in
-    /// f32 and the finished sum is widened on the store.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
+    /// Rows `[window0 * σ, window0 * σ + y.len())` of `y := A x`, σ =
+    /// [`WINDOW_ROWS`]: whole windows, but for the last of the slice (see
+    /// [`Ell::spmv_window`]), with the bits the whole product gives them.
+    /// For f32 storage the product is computed entirely in f32: each
+    /// gathered element of `x` is rounded to f32 (the explicit rounding
+    /// point of the mixed-precision path), the row accumulates in f32 and
+    /// the finished sum is widened on the store.
+    pub fn spmv_window(&self, x: &[f64], y: &mut [f64], window0: usize) {
         match self {
-            SpStorage::Ell(e) => e.spmv(x, y),
-            SpStorage::Hyb(h) => h.spmv(x, y),
-            SpStorage::EllF32(e) => e.spmv_widened(x, y),
-            SpStorage::HybF32(h) => h.spmv_widened(x, y),
+            SpStorage::Ell(e) => e.spmv_window(x, y, window0),
+            SpStorage::Hyb(h) => h.spmv_window(x, y, window0),
+            SpStorage::EllF32(e) => e.spmv_window(x, y, window0),
+            SpStorage::HybF32(h) => h.spmv_window(x, y, window0),
             SpStorage::Shape(..) => panic!("a shape-only slice holds no entries to multiply"),
         }
     }
+}
+
+/// Rows of a streamed vector one piece of a shared kernel updates: eight
+/// L1-sized chunks of the dense kernels.
+const ROW_PIECE: usize = 8 * UPDATE_ROWS;
+
+/// Outputs of a reduction one piece of a shared kernel computes: the rows
+/// `i` of `C = A^T B` (or entries of `A^T x`) one `8 x 1` register block of
+/// the tall-skinny dot kernels covers.
+const OUT_PIECE: usize = 8;
+
+/// The storage of `cols.len() / ld` columns of `rows` live entries each, cut
+/// into windows of [`ROW_PIECE`] rows: `(first row, that window of every
+/// column)`.
+fn row_pieces(
+    cols: &mut [f64],
+    ld: usize,
+    rows: usize,
+) -> impl Iterator<Item = (usize, Vec<&mut [f64]>)> + Send {
+    let mut windows: Vec<_> =
+        cols.chunks_mut(ld).map(|c| c.split_at_mut(rows).0.chunks_mut(ROW_PIECE)).collect();
+    (0..rows).step_by(ROW_PIECE).map(move |r0| {
+        let window = windows.iter_mut().map(|w| w.next().expect("every column has the window"));
+        (r0, window.collect())
+    })
+}
+
+/// `V[:, dst] += V[:, src] * factor` ([`blas3::update_cols`]), in row
+/// windows shared with `crew` when no source is a destination.
+fn update_shared(
+    crew: Option<&Loan>,
+    v: &mut Mat,
+    (s0, s1): (usize, usize),
+    (d0, d1): (usize, usize),
+    factor: impl Fn(usize, usize) -> f64 + Sync,
+) {
+    if !(s1 <= d0 || d1 <= s0) {
+        return blas3::update_cols(v, (s0, s1), (d0, d1), factor);
+    }
+    let (rows, ld) = (v.nrows(), v.ld());
+    let (left, dst, right) = v.split_cols_mut(d0, d1);
+    let src = if s1 <= d0 { left.cols(s0, s1) } else { right.cols(s0 - d1, s1 - d1) };
+    share(crew, row_pieces(dst, ld, rows), |(r0, mut dst)| {
+        let r1 = r0 + dst.first().map_or(0, |c| c.len());
+        blas3::update_rows(src.rows(r0, r1), &mut dst, &factor);
+    });
+}
+
+/// `C := A^T B` over the panels of `panel_rows` ([`blas3::gemm_tn_panels`]),
+/// in blocks of [`OUT_PIECE`] rows shared with `crew`. With `upper` (`a` and
+/// `b` the same columns) the lower triangle mirrors the upper one.
+fn gemm_tn_shared(
+    crew: Option<&Loan>,
+    a: Cols<'_>,
+    b: Cols<'_>,
+    panel_rows: Option<usize>,
+    upper: bool,
+) -> Mat {
+    let (ka, kb) = (a.ncols(), b.ncols());
+    let mut ct = vec![0.0; ka * kb];
+    let pieces = ct.chunks_mut((OUT_PIECE * kb).max(1)).enumerate();
+    share(crew, pieces, |(p, ct)| {
+        blas3::gemm_tn_rows(a, b, p * OUT_PIECE, panel_rows, upper, ct);
+    });
+    Mat::from_fn(ka, kb, |i, j| if upper && i > j { ct[i + j * kb] } else { ct[j + i * kb] })
+}
+
+/// Slots an SpMV piece streams at least: 64 sorting windows of single-slot
+/// rows, a few hundred KB of storage, so that handing a piece to a helper
+/// costs little against computing it even on a five-point stencil.
+const PIECE_SLOTS: usize = 64 * WINDOW_ROWS;
+
+/// `y := A x` cut into the pieces a shared kernel hands out: whole sorting
+/// windows of the slice's host storage, as many as [`PIECE_SLOTS`] asks
+/// for at the slice's average row width — `(A, first window, its rows of
+/// y)`.
+fn spmv_pieces<'a>(
+    a: &'a SpStorage,
+    y: &'a mut [f64],
+) -> impl Iterator<Item = (&'a SpStorage, usize, &'a mut [f64])> + Send {
+    let sh = a.shape();
+    let width = (sh.slots + sh.spilled).div_ceil(sh.rows.max(1)).max(1);
+    let windows = (PIECE_SLOTS / (width * WINDOW_ROWS)).max(1);
+    y.chunks_mut(windows * WINDOW_ROWS).enumerate().map(move |(k, y)| (a, k * windows, y))
 }
 
 /// A sparse slice: rows `rows[i]` (global ids) of some global matrix,
@@ -198,6 +288,10 @@ pub struct Device {
     /// host scratch kept between commands, not device memory (never
     /// charged).
     spmv_out: Vec<f64>,
+    /// Where this device's owner lends pieces of a kernel to the host
+    /// threads of its machine's team that have no device left to run (set
+    /// when the team starts; none on a machine that never threads).
+    pub(crate) crew: Option<Arc<Loan>>,
 }
 
 /// EWMA smoothing for the per-command latency ratio: small enough to ride
@@ -264,6 +358,7 @@ impl Device {
             ewma_slowdown: 1.0,
             max_overshoot_s: 0.0,
             spmv_out: Vec::new(),
+            crew: None,
         }
     }
 
@@ -872,7 +967,11 @@ impl Device {
         self.launch("gemv_t", dt, neutral, |dev| {
             let m = &dev.mats[v.0];
             let mut r = vec![0.0; j1 - j0];
-            tile::dots_tn(m.cols(j0, j1), m.cols(x, x + 1), false, |k, _, d| r[k] = d);
+            share(dev.crew.as_deref(), r.chunks_mut(OUT_PIECE).enumerate(), |(p, r)| {
+                let i0 = j0 + p * OUT_PIECE;
+                let a = m.cols(i0, i0 + r.len());
+                tile::dots_tn(a, m.cols(x, x + 1), false, |k, _, d| r[k] = d);
+            });
             r
         })
     }
@@ -883,7 +982,8 @@ impl Device {
         let dt = self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, self.rows(v), j1 - j0);
         self.run("gemv_n", dt, |dev| {
             assert_eq!(coeffs.len(), j1 - j0);
-            blas3::update_cols(&mut dev.mats[v.0], (j0, j1), (dst, dst + 1), |k, _| -coeffs[k]);
+            let (crew, m) = (dev.crew.as_deref(), &mut dev.mats[v.0]);
+            update_shared(crew, m, (j0, j1), (dst, dst + 1), |k, _| -coeffs[k]);
         });
     }
 
@@ -909,9 +1009,9 @@ impl Device {
         let dt = self.model.gemm_tn_time(variant, self.rows(v), k, k, Precision::F64);
         let neutral = || Mat::identity(k);
         self.launch("syrk", dt, neutral, |dev| {
-            let mut b = Mat::zeros(k, k);
             let block = dev.mats[v.0].cols(j0, j1);
-            blas3::gemm_tn_panels(block, block, variant.panel_rows(), true, &mut b);
+            let mut b =
+                gemm_tn_shared(dev.crew.as_deref(), block, block, variant.panel_rows(), true);
             dev.maybe_corrupt_mat(SdcKind::Gemm, &mut b);
             b
         })
@@ -969,10 +1069,9 @@ impl Device {
         let dt = self.model.gemm_tn_time(variant, self.rows(v), ka, kb, Precision::F64);
         let neutral = || Mat::zeros(ka, kb);
         self.launch("gemm_tn", dt, neutral, |dev| {
-            let m = &dev.mats[v.0];
-            let mut c = Mat::zeros(ka, kb);
-            let panels = variant.panel_rows();
-            blas3::gemm_tn_panels(m.cols(a0, a1), m.cols(b0, b1), panels, false, &mut c);
+            let (m, panels) = (&dev.mats[v.0], variant.panel_rows());
+            let (a, b) = (m.cols(a0, a1), m.cols(b0, b1));
+            let mut c = gemm_tn_shared(dev.crew.as_deref(), a, b, panels, false);
             dev.maybe_corrupt_mat(SdcKind::Gemm, &mut c);
             c
         })
@@ -991,7 +1090,8 @@ impl Device {
         self.run("gemm_nn", dt, |dev| {
             assert_eq!(c.nrows(), a1 - a0);
             assert_eq!(c.ncols(), b1 - b0);
-            blas3::update_cols(&mut dev.mats[v.0], (a0, a1), (b0, b1), |ja, jb| -c[(ja, jb)]);
+            let (crew, m) = (dev.crew.as_deref(), &mut dev.mats[v.0]);
+            update_shared(crew, m, (a0, a1), (b0, b1), |ja, jb| -c[(ja, jb)]);
         });
     }
 
@@ -1001,7 +1101,13 @@ impl Device {
         let dt = self.model.trsm_time(self.rows(v), j1 - j0);
         self.try_launch("trsm", dt, nothing, |dev| {
             assert_eq!(r.ncols(), j1 - j0);
-            blas3::trsm_right_upper_cols(&mut dev.mats[v.0], j0, r)
+            let m = &mut dev.mats[v.0];
+            let (rows, ld) = (m.nrows(), m.ld());
+            let (_, block, _) = m.split_cols_mut(j0, j1);
+            share(dev.crew.as_deref(), row_pieces(block, ld, rows), |(_, mut cols)| {
+                blas3::trsm_rows(&mut cols, r);
+            });
+            blas3::trsm_pivots(r)
         })
     }
 
@@ -1158,7 +1264,9 @@ impl Device {
         self.run("spmv", dt, |dev| {
             let flip = dev.sdc_draw(SdcKind::Spmv);
             let out = dev.mats[v.0].col_mut(col);
-            dev.slices[s.0].storage.spmv(dev.vecs[x.0].col(0), out);
+            let xs = dev.vecs[x.0].col(0);
+            let pieces = spmv_pieces(&dev.slices[s.0].storage, &mut *out);
+            share(dev.crew.as_deref(), pieces, |(a, w, y)| a.spmv_window(xs, y, w));
             if let Some(e) = flip {
                 e.apply(out);
             }
@@ -1212,16 +1320,19 @@ impl Device {
                 (hi[0].col(0), lo[z_next.0].col_mut(0))
             };
             // every SpMV reads `z_cur` alone: the local block's lands in the
-            // basis column, the levels' one after the other in the scratch
+            // basis column, the levels' one after the other in the scratch,
+            // each a window at a time on whoever helps
             let column = dev.mats[v.0].col_mut(col);
-            local.storage.spmv(zc, column);
             dev.spmv_out.resize(levels().map(|sl| sl.rows.len()).sum(), 0.0);
-            let mut out = &mut dev.spmv_out[..];
-            for sl in levels() {
-                let (y, rest) = out.split_at_mut(sl.rows.len());
-                sl.storage.spmv(zc, y);
-                out = rest;
-            }
+            let mut scratch = &mut dev.spmv_out[..];
+            let level_outs = levels().flat_map(|sl| {
+                let (y, rest) = std::mem::take(&mut scratch).split_at_mut(sl.rows.len());
+                scratch = rest;
+                spmv_pieces(&sl.storage, y)
+            });
+            let crew = dev.crew.as_deref();
+            let pieces = spmv_pieces(&local.storage, &mut *column).chain(level_outs);
+            share(crew, pieces, |(a, w, y)| a.spmv_window(zc, y, w));
             if let Some(e) = flip {
                 e.apply_chained(column, &mut dev.spmv_out);
             }
@@ -1229,10 +1340,14 @@ impl Device {
             let prec = local.storage.prec();
             let first = local.rows.first().map_or(0, |&r| r as usize);
             let rows = first..first + local.rows.len();
-            for ((y, old), &cur) in column.iter_mut().zip(&mut zn[rows.clone()]).zip(&zc[rows]) {
-                *y = recurrence(prec, step, *y, cur, *old);
-                *old = *y;
-            }
+            let (olds, curs) = (zn[rows.clone()].chunks_mut(ROW_PIECE), zc[rows].chunks(ROW_PIECE));
+            let pieces = column.chunks_mut(ROW_PIECE).zip(olds).zip(curs);
+            share(crew, pieces, |((ys, olds), curs)| {
+                for ((y, old), &cur) in ys.iter_mut().zip(olds).zip(curs) {
+                    *y = recurrence(prec, step, *y, cur, *old);
+                    *old = *y;
+                }
+            });
             let mut ys = &dev.spmv_out[..];
             for sl in levels() {
                 let (y, rest) = ys.split_at(sl.rows.len());
@@ -1312,7 +1427,7 @@ impl Device {
         let flip = self.sdc_draw(SdcKind::Spmv);
         let storage = &self.slices[s.0].storage;
         self.spmv_out.resize(storage.nrows(), 0.0);
-        storage.spmv(self.vecs[x.0].col(0), &mut self.spmv_out);
+        storage.spmv_window(self.vecs[x.0].col(0), &mut self.spmv_out, 0);
         if let Some(e) = flip {
             e.apply(&mut self.spmv_out);
         }

@@ -18,10 +18,12 @@
 //!   device phase ([`MultiGpu::run_map`]) advance independently, so
 //!   communication-free MPK flops overlap in simulated time and transfers
 //!   create the only synchronization points. On the host, a phase runs
-//!   whole devices on scoped threads when the machine is above a size
-//!   grain (every device holds a panel of ≥ 4096 rows, the machine is not
-//!   cost-only, the host has more than one core); one thread issues all of
-//!   a device's commands, so the split changes no bit, clock or trace;
+//!   whole devices on the machine's persistent thread team when the machine
+//!   is above a size grain (every device holds a panel of ≥ 4096 rows, the
+//!   machine is not cost-only, the host has more than one core); one thread
+//!   issues all of a device's commands, and a thread with no device left
+//!   helps with row windows and output blocks of the others' kernels, each
+//!   computed whole, so the split changes no bit, clock or trace;
 //! * **streams and events** — each device clock is the tail of an in-order
 //!   command queue (a CUDA stream); copies occupy per-link copy engines
 //!   and record [`stream::Event`]s other queues can wait on, and the
@@ -99,6 +101,7 @@ pub mod retry;
 #[cfg(test)]
 mod sparse_bits;
 pub mod stream;
+mod team;
 pub mod trace;
 
 pub use device::{Device, MatId, MemMark, SpId, SpSlice, VecId};

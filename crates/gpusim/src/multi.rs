@@ -32,8 +32,10 @@ use crate::faults::{FaultPlan, GpuSimError, Result};
 use crate::model::{KernelConfig, PerfModel};
 use crate::retry::RetryPolicy;
 use crate::stream::{Cmd, CopyEngine, Event, EventTable, Schedule};
+use crate::team::Team;
 use ca_obs as obs;
 use ca_scalar::Precision;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Rows of the dense panel every device must hold before
@@ -54,12 +56,6 @@ fn host_cores() -> usize {
 /// Why a `run_map` mutex cannot be poisoned: none is held while a device
 /// closure runs.
 const UNPOISONED: &str = "no lock is held across a device closure";
-
-#[cfg(test)]
-thread_local! {
-    /// Worker threads this thread's `run_map` calls have spawned.
-    static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
 
 /// Counters for the traffic study (Fig. 7 and the "# GPU-CPU comm." column
 /// of Fig. 10). Totals cover all traffic regardless of precision; the
@@ -199,6 +195,9 @@ pub struct MultiGpu {
     /// Commands recorded by the executors this one replaced
     /// ([`MultiGpu::respawn`]), per device index.
     retired: Vec<Vec<Cmd>>,
+    /// The host threads [`MultiGpu::run_map`] shares devices with: started
+    /// by the first launch above the grain, joined when the machine drops.
+    team: Option<Team>,
 }
 
 /// Direction of a copy over a device's link.
@@ -243,6 +242,7 @@ impl MultiGpu {
             links: vec![CopyEngine::default(); n_gpus],
             time_reclaimed: 0.0,
             retired: Vec::new(),
+            team: None,
         }
     }
 
@@ -504,10 +504,13 @@ impl MultiGpu {
     /// order. On the simulated clock the devices are concurrent: each one's
     /// private clock advances by what `f` launches on it — no implicit
     /// barrier. On the host, owner computes over whole devices: the calling
-    /// thread and up to `min(cores, devices) − 1` scoped workers take devices
-    /// from one shared cursor, and one thread issues all of a device's
-    /// commands in program order, so results, clocks, op counts and traces
-    /// are those of a sequential run. The machine runs on the calling
+    /// thread and the machine's team of `min(cores, devices) − 1` persistent
+    /// workers take devices from one shared cursor, and one thread issues
+    /// all of a device's commands in program order; a participant with no
+    /// device left helps the owners with row windows and output blocks of
+    /// their kernels, each computed whole as the sequential kernel computes
+    /// it. So results, clocks, op counts and traces are those of a
+    /// sequential run. The machine runs on the calling
     /// thread alone when it is cost-only (its launches compute nothing),
     /// when the host has one core, or when some device holds no dense panel
     /// of `PAR_ROWS` (4096) rows (a hand-off would cost more than a device's
@@ -531,8 +534,8 @@ impl MultiGpu {
         host_cores().min(self.devices.len()) - 1
     }
 
-    /// [`MultiGpu::run_map`] on the calling thread plus `workers` scoped
-    /// threads.
+    /// [`MultiGpu::run_map`] on the calling thread plus a team of `workers`
+    /// threads (none: the calling thread alone).
     fn run_map_on<R, F>(&mut self, workers: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -553,23 +556,37 @@ impl MultiGpu {
 
     /// The threaded half of [`MultiGpu::run_map_on`], compiled once instead
     /// of once per closure: `f` runs on every device over the calling thread
-    /// and `workers` scoped threads, which take devices from one shared
-    /// cursor.
+    /// and the machine's team of `workers` threads (started by the first
+    /// call), which take devices from one shared cursor. A participant that
+    /// finds the cursor empty helps the owners of the devices still running
+    /// with pieces of their kernels until every device is done.
     fn split(&mut self, workers: usize, f: &(dyn Fn(usize, &mut Device) + Sync)) {
-        #[cfg(test)]
-        SPAWNS.with(|n| n.set(n.get() + workers));
-        let cursor = Mutex::new(self.devices.iter_mut().enumerate());
-        let drain = || loop {
-            // the guard is a temporary of this statement: `f` runs unlocked
-            let Some((i, dev)) = cursor.lock().expect(UNPOISONED).next() else { return };
-            f(i, dev);
-        };
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(drain)).collect();
-            drain();
-            for h in handles {
-                h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        let devices = self.devices.len();
+        if self.team.is_none() {
+            let team = Team::start(workers, devices);
+            for (dev, slot) in self.devices.iter_mut().zip(&team.slots) {
+                dev.crew = Some(Arc::clone(slot));
             }
+            self.team = Some(team);
+        }
+        let team = self.team.as_ref().expect("started above");
+        let cursor = Mutex::new(self.devices.iter_mut().enumerate());
+        let done = AtomicUsize::new(0);
+        /// Counts a device done when its closure ends, by return or unwind.
+        struct Done<'a>(&'a AtomicUsize);
+        impl Drop for Done<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Release);
+            }
+        }
+        team.launch(&|| {
+            loop {
+                // the guard is a temporary of this statement: `f` runs unlocked
+                let Some((i, dev)) = cursor.lock().expect(UNPOISONED).next() else { break };
+                let _done = Done(&done);
+                f(i, dev);
+            }
+            team.help(&done, devices);
         });
     }
 
@@ -901,7 +918,8 @@ impl MultiGpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MatId, SdcTargets};
+    use crate::{MatId, SdcTargets, VecId};
+    use ca_dense::Mat;
 
     #[test]
     fn run_map_touches_every_device() {
@@ -919,39 +937,114 @@ mod tests {
         assert_send::<Device>()
     };
 
-    /// Three devices of different heights under an SDC plan, eight rounds
-    /// of launches through `run_map_on(workers, ..)`: every result bit,
-    /// then per device the clock, ops, busy seconds and corruptions drawn,
-    /// then the command traces.
-    #[allow(clippy::type_complexity)]
-    fn split_run(workers: usize) -> (Vec<u64>, Vec<[u64; 4]>, Vec<Vec<Cmd>>) {
+    /// Rows of the three devices of [`split_run`]: all above the grain,
+    /// and so unequal that the last one runs long after the others.
+    const SPLIT_ROWS: [usize; 3] = [PAR_ROWS + 104, 6_000, 40_000];
+
+    /// What [`split_run`] returns: every result bit; per device the clock,
+    /// ops, busy seconds and corruptions drawn; the command traces.
+    type SplitBits = (Vec<u64>, Vec<[u64; 4]>, Vec<Vec<Cmd>>);
+
+    /// Three devices of [`SPLIT_ROWS`] under an SDC plan, eight rounds of
+    /// every kernel that lends pieces to helpers — the SpMV on ELL, HYB and
+    /// their f32 forms, MPK steps with and without a level, the CGS
+    /// projection and update, the block projection, update and Gram, and
+    /// the triangular solve (singular in one round) — launched through
+    /// `run_map_on(workers, ..)`, or through the grain rule for `None`.
+    fn split_run(workers: Option<usize>) -> SplitBits {
+        use crate::device::SpStorage;
+        use ca_sparse::{Ell, Hyb};
+        let a = ca_sparse::gen::laplace2d(200, 251);
+        let n = a.nrows();
+        assert_eq!(n, SPLIT_ROWS.iter().sum::<usize>());
         let mut mg = MultiGpu::with_defaults(3);
         mg.set_fault_plan(FaultPlan::new(9).with_sdc(0.2, SdcTargets::all()));
         mg.enable_trace();
-        let ids: Vec<MatId> = (0..3)
+        let mut first = 0;
+        let ids: Vec<_> = (0..3)
             .map(|d| {
-                let rows = 500 + 300 * d;
-                let dev = mg.device_mut(d);
-                let v = dev.alloc_mat(rows, 4).unwrap();
-                for c in 0..4 {
+                let (rows, dev) = (SPLIT_ROWS[d], mg.device_mut(d));
+                let own = first..first + rows;
+                // the level: rows of the neighbour's range, as MPK's are
+                let level = if d == 0 { own.end..own.end + 700 } else { first - 700..first };
+                first += rows;
+                let ids = |r: &std::ops::Range<usize>| r.clone().map(|i| i as u32).collect();
+                let (loc, lvl) = match d {
+                    0 => (
+                        SpStorage::Ell(Ell::from_csr_rows(&a, own.clone())),
+                        SpStorage::HybF32(Hyb::from_csr_rows(&a, level.clone(), 0.0)),
+                    ),
+                    1 => (
+                        SpStorage::Hyb(Hyb::from_csr_rows(&a, own.clone(), 0.0)),
+                        SpStorage::EllF32(Ell::from_csr_rows(&a, level.clone())),
+                    ),
+                    _ => (
+                        SpStorage::EllF32(Ell::from_csr_rows(&a, own.clone())),
+                        SpStorage::Hyb(Hyb::from_csr_rows(&a, level.clone(), 0.0)),
+                    ),
+                };
+                let loc = dev.load_slice_storage(loc, ids(&own)).unwrap();
+                let lvl = dev.load_slice_storage(lvl, ids(&level)).unwrap();
+                let z: Vec<VecId> = (0..2).map(|_| dev.alloc_vec(n).unwrap()).collect();
+                for (k, &z) in z.iter().enumerate() {
+                    let x = dev.vec_mut(z);
+                    x.iter_mut()
+                        .enumerate()
+                        .for_each(|(i, x)| *x = ((i * (k + 5)) % 13) as f64 - 6.0);
+                }
+                let v = dev.alloc_mat(rows, 17).unwrap();
+                for c in 0..17 {
                     let col: Vec<f64> =
                         (0..rows).map(|i| ((i * (c + 3) + d) % 17) as f64 - 8.0).collect();
                     dev.mat_mut(v).set_col(c, &col);
                 }
-                v
+                (loc, lvl, [z[0], z[1]], v)
             })
             .collect();
-        let gemm = mg.config.gemm;
+        let cfg = mg.config;
         let mut bits = Vec::new();
         for round in 0..8 {
-            let parts = mg.run_map_on(workers, |d, dev| {
-                dev.axpy_cols(ids[d], 0.5, round % 4, (round + 1) % 4);
-                let gram = dev.syrk_cols(ids[d], 0, 4, gemm);
-                (dev.dot_cols(ids[d], 0, 1), gram)
+            let step = (0.25 * round as f64, if round % 2 == 0 { 0.0 } else { 0.5 }, 1.0 / 8.0);
+            let mut r = Mat::from_fn(4, 4, |i, j| {
+                if i == j {
+                    2.0
+                } else if i < j {
+                    0.1
+                } else {
+                    0.0
+                }
             });
-            for (dot, gram) in parts {
-                bits.push(dot.to_bits());
-                bits.extend(gram.as_slice().iter().map(|g| g.to_bits()));
+            if round == 5 {
+                r[(2, 2)] = 0.0;
+            }
+            let job = |d: usize, dev: &mut Device| {
+                let (loc, lvl, z, v) = ids[d];
+                dev.spmv_to_mat_col(loc, z[round % 2], v, 0);
+                dev.mpk_step(&[loc, lvl], z[0], z[1], step, v, 1);
+                dev.mpk_step(&[loc], z[1], z[0], step, v, 2);
+                let proj = dev.gemv_t_cols(v, 0, 12, 12, cfg.gemv);
+                dev.gemv_n_update(v, 0, 12, &proj, 12);
+                let c = dev.gemm_tn_cols(v, (0, 12), (12, 17), cfg.gemm);
+                let scaled = Mat::from_fn(12, 5, |i, j| 1e-3 * c[(i, j)]);
+                dev.gemm_nn_update(v, (0, 12), (12, 17), &scaled, cfg.gemm);
+                let gram = dev.syrk_cols(v, 0, 12, cfg.gemm);
+                let solved = dev.trsm_cols(v, 12, 16, &r).is_ok();
+                dev.scal_col(v, 16, 0.5);
+                (proj, c, gram, solved)
+            };
+            let parts = match workers {
+                Some(w) => mg.run_map_on(w, job),
+                None => mg.run_map(job),
+            };
+            for (proj, c, gram, solved) in parts {
+                bits.extend(proj.iter().map(|p| p.to_bits()));
+                bits.extend(c.as_slice().iter().chain(gram.as_slice()).map(|g| g.to_bits()));
+                bits.push(u64::from(solved));
+            }
+            for d in 0..3 {
+                let dev = mg.device(d);
+                bits.extend(dev.mat(ids[d].3).as_slice().iter().map(|x| x.to_bits()));
+                bits.extend(ids[d].2.iter().flat_map(|&z| dev.vec(z)).map(|x| x.to_bits()));
             }
         }
         let devices = (0..3)
@@ -965,13 +1058,29 @@ mod tests {
 
     #[test]
     fn run_map_split_is_bit_identical_at_every_worker_count() {
-        let seq = split_run(0);
+        let seq = split_run(Some(0));
         assert!(seq.1.iter().any(|d| d[3] > 0), "the plan must corrupt something");
+        let helped = crate::team::HELPED.load(Ordering::Relaxed);
         for workers in 1..=3 {
-            let par = split_run(workers);
-            assert_eq!(seq.0, par.0, "{workers} workers: results");
+            let par = split_run(Some(workers));
+            assert!(seq.0 == par.0, "{workers} workers: results");
             assert_eq!(seq.1, par.1, "{workers} workers: clocks, ops, busy, SDC draws");
             assert!(seq.2 == par.2, "{workers} workers: stream traces");
+        }
+        assert!(crate::team::HELPED.load(Ordering::Relaxed) > helped, "nobody ever helped");
+    }
+
+    #[test]
+    fn two_machines_dispatching_at_once_each_get_their_own_bits() {
+        let seq = split_run(Some(0));
+        let both = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2).map(|_| s.spawn(|| split_run(None))).collect();
+            runs.into_iter().map(|r| r.join().unwrap()).collect::<Vec<_>>()
+        });
+        for (k, par) in both.iter().enumerate() {
+            assert!(seq.0 == par.0, "machine {k}: results");
+            assert_eq!(seq.1, par.1, "machine {k}: clocks, ops, busy, SDC draws");
+            assert!(seq.2 == par.2, "machine {k}: stream traces");
         }
     }
 
@@ -992,37 +1101,108 @@ mod tests {
         }
     }
 
+    /// `f` on `mg` through its team, with the payload of the panic it must
+    /// raise.
+    fn panic_of(mg: &mut MultiGpu, f: impl Fn(usize, &mut Device) + Sync) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mg.run_map_on(1, f);
+        }))
+        .expect_err("the launch must panic");
+        payload.downcast_ref::<String>().cloned().expect("a formatted payload")
+    }
+
     #[test]
-    fn only_an_arithmetic_machine_with_a_panel_on_every_device_spawns() {
-        let spawns = || SPAWNS.with(std::cell::Cell::get);
+    fn a_panic_on_a_helper_or_on_the_caller_reaches_the_caller_and_the_team_serves_on() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let caller = std::thread::current().id();
+        let on_caller = || std::thread::current().id() == caller;
+        let mut mg = MultiGpu::with_defaults(3);
+        let starts = crate::team::STARTS.with(std::cell::Cell::get);
+        // wait (boundedly) until the other thread has started a device too,
+        // so that both threads own one
+        let wait_for = |flag: &AtomicBool| {
+            let t0 = Instant::now();
+            while !flag.load(Ordering::Acquire) && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::yield_now();
+            }
+        };
+        for (on_worker, expect) in [(true, "on the worker"), (false, "on the caller")] {
+            let (caller_ran, worker_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+            let msg = panic_of(&mut mg, |d, _| {
+                let mine = if on_caller() { &caller_ran } else { &worker_ran };
+                mine.store(true, Ordering::Release);
+                wait_for(if on_caller() { &worker_ran } else { &caller_ran });
+                if on_caller() != on_worker {
+                    panic!("device {d} gave up {expect}");
+                }
+            });
+            assert!(msg.ends_with(expect), "{msg}");
+        }
+        // a piece of a shared kernel that panics on whoever helps its owner
+        let msg = panic_of(&mut mg, |d, dev| {
+            if d < 2 {
+                return;
+            }
+            let owner = std::thread::current().id();
+            crate::team::share(dev.crew.as_deref(), 0..200, |p| {
+                if std::thread::current().id() != owner {
+                    panic!("piece {p} gave up on a helper");
+                }
+                std::thread::sleep(Duration::from_micros(200));
+            });
+        });
+        assert!(msg.ends_with("gave up on a helper"), "{msg}");
+        // the same team serves the next launches, all of them
+        assert_eq!(crate::team::STARTS.with(std::cell::Cell::get), starts + 1);
+        for _ in 0..3 {
+            let ids = mg.run_map_on(1, |d, dev| (d, dev.id()));
+            assert_eq!(ids, vec![(0, 0), (1, 1), (2, 2)]);
+        }
+    }
+
+    #[test]
+    fn only_an_arithmetic_machine_with_a_panel_on_every_device_starts_a_team() {
+        let starts = || crate::team::STARTS.with(std::cell::Cell::get);
         let panels = |mg: &mut MultiGpu, rows: usize, devices: std::ops::Range<usize>| {
             devices.map(|d| mg.device_mut(d).alloc_mat(rows, 2).unwrap()).collect::<Vec<_>>()
         };
-        let start = spawns();
+        let start = starts();
+        // a serve-size machine and a cost-only one never start a team
         let mut below = MultiGpu::with_defaults(3);
         panels(&mut below, PAR_ROWS - 1, 0..3);
-        below.run(|_, _| {});
         let model = PerfModel::default();
         let mut cost = MultiGpu::cost_only(3, model, KernelConfig::default());
         panels(&mut cost, PAR_ROWS, 0..3);
-        cost.run(|_, _| {});
         let mut mg = MultiGpu::with_defaults(3);
         panels(&mut mg, PAR_ROWS, 0..2);
-        mg.run(|_, _| {});
-        assert_eq!(spawns(), start, "below the grain nothing spawns");
+        for _ in 0..4 {
+            below.run(|_, _| {});
+            cost.run(|_, _| {});
+            mg.run(|_, _| {});
+        }
+        assert_eq!(starts(), start, "below the grain no team starts");
         // the last device's panel puts the machine above the grain
         let mark = mg.device(2).mem_checkpoint();
         panels(&mut mg, PAR_ROWS, 2..3);
-        mg.run(|_, _| {});
-        let threads = host_cores().min(3) - 1;
-        assert_eq!(spawns(), start + threads);
-        // a rollback or a free takes it back below
+        let team = usize::from(host_cores() > 1);
+        for _ in 0..16 {
+            mg.run(|_, _| {});
+        }
+        assert_eq!(starts(), start + team, "one start over any number of launches");
+        assert_eq!(
+            mg.team.as_ref().map(|t| t.workers()),
+            (team > 0).then(|| host_cores().min(3) - 1)
+        );
+        // a rollback or a free takes it back below, and back above it the
+        // same team serves
         mg.device_mut(2).mem_rollback(&mark);
         mg.run(|_, _| {});
         let ids = panels(&mut mg, PAR_ROWS, 2..3);
+        mg.run(|_, _| {});
         mg.device_mut(2).free_mat(ids[0]);
         mg.run(|_, _| {});
-        assert_eq!(spawns(), start + threads);
+        assert_eq!(starts(), start + team);
     }
 
     #[test]

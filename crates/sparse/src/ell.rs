@@ -52,9 +52,10 @@ const CHUNK: usize = 8;
 const SIGMA: usize = 512;
 const _: () = assert!(SIGMA.is_multiple_of(CHUNK) && SIGMA <= 1 << 16);
 
-/// σ, for the bit oracles of other crates: they place rows on window
-/// boundaries. No result and no price depends on it.
-#[doc(hidden)]
+/// σ: the rows [`Ell::spmv_window`] and [`Hyb::spmv_window`](crate::Hyb::spmv_window)
+/// take a window at a time, for callers that split a product into pieces
+/// and for the bit oracles of other crates. No result and no price depends
+/// on it.
 pub const WINDOW_ROWS: usize = SIGMA;
 
 /// `B::from_f64(a.to_f64())`: the identity between equal types, `as`
@@ -201,28 +202,24 @@ impl<T: Scalar> Ell<T> {
 
     /// `y := A x`, every row summed over its slots in order from `+0.0`.
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
-        self.spmv_as(x, y);
-    }
-
-    /// `y := A x` against `f64` endpoints: each gathered `x` element is
-    /// rounded to `T`, the row accumulates in `T`, and the finished sum is
-    /// widened on the store. For `T = f64` this is [`Ell::spmv`]; for
-    /// `T = f32` it is that kernel run on an `f32` copy of `x` without the
-    /// copy.
-    pub fn spmv_widened(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_as(x, y);
-    }
-
-    /// The one SpMV loop, over vectors of element type `V`.
-    pub(crate) fn spmv_as<V: Scalar>(&self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        self.spmv_windows(x, y, 0);
+        self.spmv_window(x, y, 0);
     }
 
-    /// Rows `[window0 * SIGMA, window0 * SIGMA + y.len())`: whole windows,
-    /// but for the last of the matrix.
-    fn spmv_windows<V: Scalar>(&self, x: &[V], y: &mut [V], window0: usize) {
+    /// Rows `[window0 * σ, window0 * σ + y.len())` of `y := A x`, with the
+    /// bits the whole product gives them: the one SpMV loop. `y` holds
+    /// whole windows of [`WINDOW_ROWS`] rows, but for the last of the
+    /// matrix, so disjoint pieces of one product may be computed on
+    /// different threads. For `V = T` this is a piece of [`Ell::spmv`];
+    /// against `f64` endpoints each gathered `x` element is rounded to `T`,
+    /// the row accumulates in `T` and the finished sum is widened on the
+    /// store — for `T = f32`, that kernel run on an `f32` copy of `x`
+    /// without the copy.
+    pub fn spmv_window<V: Scalar>(&self, x: &[V], y: &mut [V], window0: usize) {
+        assert_eq!(x.len(), self.ncols);
+        let row0 = window0 * SIGMA;
+        let end = row0 + y.len();
+        assert!(end == self.nrows || (end < self.nrows && y.len().is_multiple_of(SIGMA)));
         for (wi, yw) in y.chunks_mut(SIGMA).enumerate() {
             let row0 = (window0 + wi) * SIGMA;
             let lanes = self.out_row[row0..row0 + yw.len()].chunks(CHUNK);
@@ -370,8 +367,8 @@ mod tests {
         assert_eq!((&direct.chunk_ptr, &direct.out_row), (&staged.chunk_ptr, &staged.out_row));
         assert_eq!((direct.nnz(), direct.width()), (staged.nnz(), staged.width()));
         let (mut y1, mut y2) = (vec![0.0; 10], vec![0.0; 10]);
-        direct.spmv_widened(&x, &mut y1);
-        staged.spmv_widened(&x, &mut y2);
+        direct.spmv_window(&x, &mut y1, 0);
+        staged.spmv_window(&x, &mut y2, 0);
         assert_eq!(y1, y2);
     }
 
@@ -453,7 +450,7 @@ mod tests {
         }
     }
 
-    /// `spmv` at both precisions and `spmv_widened` on the `f32` cast against
+    /// `spmv` at both precisions and `spmv_window` on the `f32` cast against
     /// the slot-major loop; returns the `f64` result.
     fn check_ell(a: &Csr, x: &[f64], what: &str) -> Vec<f64> {
         let nrows = a.nrows();
@@ -473,7 +470,7 @@ mod tests {
         // demote at the gather, widen at the store
         let want_wide: Vec<f64> = want32.iter().map(|&v| v as f64).collect();
         let mut got_wide = vec![-7.0; nrows];
-        e32.spmv_widened(x, &mut got_wide);
+        e32.spmv_window(x, &mut got_wide, 0);
         assert_bits(&got_wide, &want_wide, &format!("f32 widened {what}"));
         got
     }
@@ -514,7 +511,7 @@ mod tests {
 
         let h32 = Hyb::from_csr_with_width(&a.cast::<f32>(), width);
         let mut got_wide = vec![-1.0; nrows];
-        h32.spmv_widened(x, &mut got_wide);
+        h32.spmv_window(x, &mut got_wide, 0);
         let want_wide: Vec<f64> = want32.iter().map(|&v| v as f64).collect();
         assert_bits(&got_wide, &want_wide, &format!("hyb f32 {what}"));
     }
@@ -628,7 +625,7 @@ mod tests {
             }
             // the f32 path sees an infinity where f64 saw 1e39
             let mut y32 = vec![0.0; lens.len()];
-            Ell::from_csr(&a.cast::<f32>()).spmv_widened(&x, &mut y32);
+            Ell::from_csr(&a.cast::<f32>()).spmv_window(&x, &mut y32, 0);
             let lost = poison.is_nan() || (poison as f32).is_infinite();
             assert_eq!((y32[SHORT].is_nan(), y32[KEPT].is_nan()), (lost, lost), "f32 {poison}");
             assert!(y32[FULL].is_finite(), "f32 {poison}: the full row has no padding");
@@ -683,14 +680,14 @@ mod tests {
         assert_bits(&got, &want, "f64");
         // and `spmv` is the window loop from the first window on
         let mut seq = vec![0.0; a.nrows()];
-        e.spmv_windows(&x, &mut seq, 0);
-        assert_bits(&got, &seq, "spmv vs spmv_windows");
+        e.spmv_window(&x, &mut seq, 0);
+        assert_bits(&got, &seq, "spmv vs spmv_window");
     }
 
     #[test]
     fn window_aligned_split_matches_the_sequential_loop() {
         // irregular rows, so that every window is really permuted; what is
-        // under test is which rows and chunks `spmv_windows` takes when it
+        // under test is which rows and chunks `spmv_window` takes when it
         // starts at a window other than the first
         let mut rng = SplitMix64::new(4);
         let nrows = 5 * 1024 + 77;
@@ -704,7 +701,7 @@ mod tests {
             let rows = windows * SIGMA;
             let mut got = vec![-7.0; nrows];
             for (ti, yt) in got.chunks_mut(rows).enumerate() {
-                e.spmv_windows(&x, yt, ti * windows);
+                e.spmv_window(&x, yt, ti * windows);
             }
             assert_bits(&got, &want, &format!("{windows} windows at a time"));
         }

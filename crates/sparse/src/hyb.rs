@@ -96,20 +96,24 @@ impl<T: Scalar> Hyb<T> {
 
     /// `y := A x`: the ELL part, then the COO tail added entry by entry.
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
-        self.spmv_as(x, y);
+        assert_eq!(y.len(), self.nrows());
+        self.spmv_window(x, y, 0);
     }
 
-    /// `y := A x` against `f64` endpoints, every operation in `T` (see
-    /// [`Ell::spmv_widened`]): a tail entry narrows the widened row sum back
-    /// to `T` (exact), adds its product in `T` and widens again.
-    pub fn spmv_widened(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_as(x, y);
-    }
-
-    fn spmv_as<V: Scalar>(&self, x: &[V], y: &mut [V]) {
-        self.ell.spmv_as(x, y);
-        for &(r, c, v) in &self.coo {
-            let yr = &mut y[r as usize];
+    /// Rows `[window0 * σ, window0 * σ + y.len())` of `y := A x`, as
+    /// [`Ell::spmv_window`] takes them: the ELL part of those rows, then
+    /// the tail entries that fall in them, in order — per row what the
+    /// whole product does. Against `f64` endpoints every operation is in
+    /// `T`: a tail entry narrows the widened row sum back to `T` (exact),
+    /// adds its product in `T` and widens again.
+    pub fn spmv_window<V: Scalar>(&self, x: &[V], y: &mut [V], window0: usize) {
+        self.ell.spmv_window(x, y, window0);
+        let row0 = window0 * crate::ell::WINDOW_ROWS;
+        let rows = row0 as u32..(row0 + y.len()) as u32;
+        // the tail is in row order
+        let first = self.coo.partition_point(|e| e.0 < rows.start);
+        for &(r, c, v) in self.coo[first..].iter().take_while(|e| e.0 < rows.end) {
+            let yr = &mut y[(r - rows.start) as usize];
             *yr = cvt(cvt::<V, T>(*yr) + v * cvt::<V, T>(x[c as usize]));
         }
     }
@@ -216,12 +220,40 @@ mod tests {
         );
         let x: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
         let (mut y1, mut y2) = (vec![0.0; 6], vec![0.0; 6]);
-        direct.spmv_widened(&x, &mut y1);
-        staged.spmv_widened(&x, &mut y2);
+        direct.spmv_window(&x, &mut y1, 0);
+        staged.spmv_window(&x, &mut y2, 0);
         assert_eq!(y1, y2);
         // the quantile rule asks for one slot at least; rows that are all
         // empty have no ELL part to put it in, and are charged for none
         let empty: Hyb = Hyb::from_csr(&Coo::new(4, 4).to_csr(), 0.95);
         assert_eq!((empty.width(), empty.bytes()), (0, 0));
+    }
+
+    #[test]
+    fn window_pieces_carry_the_bits_of_the_whole_product() {
+        // rows of 1 to 9 entries over three and a half windows, so that the
+        // tail has entries in every window and the last one is short
+        let n = 3 * crate::ell::WINDOW_ROWS + 200;
+        let mut c = Coo::new(n, n);
+        for i in 0..n {
+            for k in 0..i % 9 + 1 {
+                c.add(i, (i * 3 + k * 11) % n, 1.0 / (1 + i % 5 + k) as f64);
+            }
+        }
+        let a = c.to_csr();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        for h in [Hyb::from_csr(&a, 0.3), Hyb::from_csr_with_width(&a, 2)] {
+            assert!(h.spilled() > 0);
+            let mut whole = vec![0.0; n];
+            h.spmv(&x, &mut whole);
+            for windows in [1, 2, 3] {
+                let mut pieces = vec![-1.0; n];
+                for (k, y) in pieces.chunks_mut(windows * crate::ell::WINDOW_ROWS).enumerate() {
+                    h.spmv_window(&x, y, k * windows);
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&pieces), bits(&whole), "{windows} windows a piece");
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Every solver entry refuses an input it cannot run with a typed outcome
 //! — `stats.breakdown == Some(BreakdownKind::InvalidInput { .. })` — and
-//! never a panic, before it touches a device.
+//! never a panic: a shape before it touches a device, a non-finite
+//! right-hand side at the initial residual, before any restart cycle.
 
 use ca_gmres_repro::gmres::cagmres::KernelMode;
 use ca_gmres_repro::gmres::mpk::SpmvFormat;
@@ -110,4 +111,36 @@ fn a_right_hand_side_of_the_wrong_length_is_refused() {
     let ft = FtConfig { solver: cfg, ..Default::default() };
     let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
     assert_refused("ca_gmres_ft", "short b", &out.stats);
+}
+
+#[test]
+fn a_non_finite_right_hand_side_is_refused_never_converged() {
+    // the probe: NaN or Inf in `b` used to come back `converged` at 0
+    // restarts from all four entries — the initial residual norm lost the
+    // NaN, and an infinite one met an infinite target
+    let a = gen::laplace2d(8, 8);
+    let n = a.nrows();
+    let cfg = CaGmresConfig { s: 4, m: 12, kernel: KernelMode::Mpk, ..Default::default() };
+    for (case, poison) in [("NaN in b", f64::NAN), ("Inf in b", f64::INFINITY)] {
+        let mut b = vec![1.0; n];
+        b[n / 3] = poison;
+        let loaded = || {
+            let mut mg = MultiGpu::with_defaults(NDEV);
+            let sys = System::new(&mut mg, &a, Layout::even(n, NDEV), ROOM, Some(4)).unwrap();
+            sys.load_rhs(&mut mg, &b).unwrap();
+            (mg, sys)
+        };
+        let (mut mg, sys) = loaded();
+        assert_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
+        let (mut mg, sys) = loaded();
+        let out = gmres(&mut mg, &sys, &GmresConfig { m: 12, ..Default::default() });
+        assert_refused("gmres", case, &out.stats);
+        let mut mg = MultiGpu::with_defaults(NDEV);
+        let layout = Layout::even(n, NDEV);
+        let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
+        assert_refused("ca_gmres_mixed", case, &out.stats);
+        let ft = FtConfig { solver: cfg, ..Default::default() };
+        let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
+        assert_refused("ca_gmres_ft", case, &out.stats);
+    }
 }
