@@ -3,6 +3,8 @@
 #
 #   crates/bench/pin.sh <study>...          default-scale runs
 #   crates/bench/pin.sh --smoke <study>...  CI-sized runs
+#   crates/bench/pin.sh --capture <name> <study> <arg>...
+#                                           one run with arguments
 #
 # Every study runs from the release build with CA_BENCH_DIR pointed at a
 # scratch directory ($PIN_DIR, or a fresh temporary one). Its standard
@@ -13,19 +15,36 @@
 # line. Of a smoke run only the *_smoke.json envelope is compared: its side
 # artifacts are not the committed full-run ones. Every study runs; the exit
 # status is 1 when any of them differs.
+#
+# A run with arguments (`--large`, `--matrix cant`) is pinned by its standard
+# output alone, to the named capture bench_results/<name>.txt: it writes its
+# envelope under the default-scale JSON name, which holds another run.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 smoke=
 pattern='*'
-if [ "${1:-}" = --smoke ]; then
-  smoke=--smoke
-  pattern='*_smoke.json'
-  shift
-fi
+capture=
+case "${1:-}" in
+  --smoke) smoke=--smoke pattern='*_smoke.json'; shift ;;
+  --capture) capture=$2; shift 2 ;;
+esac
 out=${PIN_DIR:-$(mktemp -d)}
 cargo build -q --release --offline -p ca-bench
 status=0
 same() { diff <(grep -v '^  "git": ' "$1") <(grep -v '^  "git": ' "$2") | head -20 || true; }
+if [ -n "$capture" ]; then
+  study=$1; shift
+  dir=$out/$capture
+  rm -rf "$dir" && mkdir -p "$dir"
+  if ! CA_BENCH_DIR=$dir target/release/"$study" "$@" < /dev/null > "$dir.stdout"; then
+    echo "$capture: exited with an error"; exit 1
+  fi
+  if d=$(same "bench_results/$capture.txt" "$dir.stdout") && [ -n "$d" ]; then
+    echo "$capture: standard output differs from bench_results/$capture.txt"; echo "$d"; exit 1
+  fi
+  echo "$capture: standard output of $study $* checked"
+  exit 0
+fi
 for study in "$@"; do
   dir=$out/$study
   rm -rf "$dir" && mkdir -p "$dir"

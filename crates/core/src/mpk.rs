@@ -14,19 +14,23 @@
 //! local copy, per footnote 4).
 //!
 //! A basis vector is one kernel launch, as in Fig. 4: step `k` of a block
-//! is one [`Device::mpk_step`] over `A(i^(d,k+1), :)` — the local block and
-//! the boundary levels still alive — with the basis recurrence and the
-//! basis-column write in its epilogue. [`spmv_block`], the generator that
-//! exchanges halos per vector instead of per block, launches the same
-//! kernel on the local block alone. The launch-per-slice sequence this
-//! replaced survives in the tests below as the oracle of both.
+//! is one [`Device::mpk_step`] charged over `A(i^(d,k+1), :)` — the local
+//! block and the boundary levels still alive — with the basis recurrence
+//! and the basis-column write in its epilogue. The clocks price the
+//! redundant boundary flops; the host computes each row once when no fault
+//! can tell the copies apart (see `mpk_steps`). [`spmv_block`], the
+//! generator that exchanges halos per vector instead of per block, launches
+//! the same kernel on the local block alone. The launch-per-slice sequence
+//! the kernel replaced survives in the tests below as the oracle of both.
+//!
+//! [`Device::mpk_step`]: ca_gpusim::Device::mpk_step
 
 use crate::cagmres::KernelMode;
 use crate::layout::Layout;
-use crate::newton::BasisSpec;
+use crate::newton::{BasisSpec, Step};
 use crate::system::System;
 use ca_gpusim::faults::Result;
-use ca_gpusim::{device::SpStorage, Device, MatId, MultiGpu, SpId, SpmvShape, VecId};
+use ca_gpusim::{device::SpStorage, MatId, MultiGpu, SpId, SpmvShape, VecId};
 use ca_obs as obs;
 use ca_scalar::Precision;
 use ca_sparse::{Csr, Ell, Hyb};
@@ -605,46 +609,62 @@ pub fn mpk_with_prefetch(
 }
 
 /// The matrix-powers steps of a block (Fig. 4, main loop), double-buffering
-/// `z`, device-outermost: between the exchange and the end of the block no
-/// device reads another's data, so each runs all its steps while its slices
-/// are still in cache. The commands a device sees, and their order, are
-/// those of a loop with the steps outermost, so no clock, counter or stream
-/// entry can tell the two apart.
+/// `z`: step `k` is one [`ca_gpusim::Device::mpk_step`] per device over the
+/// local block and the levels later steps still read, its local rows also
+/// into basis column `start_col + k`.
+///
+/// On a fault-free machine ([`MultiGpu::is_fault_free`]) each row is
+/// computed once: a step computes its device's local block alone, and
+/// before step `k >= 2` each device is given the level-1 rows of `z_{k-1}`,
+/// read from their owners' buffers (a host read, not charged). They are the
+/// bits the device would have computed itself (DESIGN.md, "Host threads"):
+/// for finite inputs a row's sum is the same sequence of operations in
+/// every slice that holds it, and the recurrence is per row. With a fault
+/// plan installed or a device lost, every device computes every live level,
+/// as Fig. 4 does, and a fault can hit its private copy of a boundary row.
+/// Either way a step is charged over every live slice.
 fn mpk_steps(mg: &mut MultiGpu, st: &MpkState, v: &[MatId], start_col: usize, spec: &BasisSpec) {
-    mg.run(|d, dev| {
-        for k in 1..=spec.s() {
+    let once = mg.is_fault_free() && !mg.is_cost_only();
+    let mut given: Vec<Vec<f64>> =
+        st.plan.devs.iter().map(|dp| Vec::with_capacity(dp.levels[0].len())).collect();
+    for k in 1..=spec.s() {
+        // (at step 1 nothing: the exchange delivered every level of z_0)
+        if once && k >= 2 {
+            owners_level1(mg, st, (k - 1) % 2, &mut given);
+        }
+        let Step { re, im2, scale } = spec.steps[k - 1];
+        mg.run(|d, dev| {
             // level t feeds steps up to s_run - t
             let parts = &st.slices[d][..=spec.s() - k];
-            mpk_step(dev, parts, st.z[d], v[d], start_col, spec, k);
-        }
-    });
+            let vals = &given[d][..];
+            let given = once.then(|| (&st.plan.devs[d].levels[0][..vals.len()], vals));
+            let (zc, zn) = (st.z[d][(k - 1) % 2], st.z[d][k % 2]);
+            dev.mpk_step(parts, zc, zn, (re, im2, scale), (v[d], start_col + k), given);
+        });
+    }
 }
 
-/// Step `k` of a block on one device (Fig. 4, body of the main loop), one
-/// launch: the rows of `parts` — the local block, then the boundary levels
-/// later steps still read — from one half of the `z` double buffer into the
-/// other, the local part also into basis column `start_col + k`.
-fn mpk_step(
-    dev: &mut Device,
-    parts: &[SpId],
-    z: [VecId; 2],
-    v: MatId,
-    start_col: usize,
-    spec: &BasisSpec,
-    k: usize,
-) {
-    let step = spec.steps[k - 1];
-    let recurrence = (step.re, step.im2, step.scale);
-    dev.mpk_step(parts, z[(k - 1) % 2], z[k % 2], recurrence, v, start_col + k);
+/// Into `given[d]`, for every device `d`, the level-1 rows of the vector in
+/// half `cur` of the `z` double buffers, in `levels[0]` order, as their
+/// owners hold them.
+fn owners_level1(mg: &MultiGpu, st: &MpkState, cur: usize, given: &mut [Vec<f64>]) {
+    let devs = &st.plan.devs;
+    for (dp, vals) in devs.iter().zip(given) {
+        vals.clear();
+        vals.extend(dp.levels[0].iter().map(|&r| {
+            let o = devs.partition_point(|dp| dp.local.end <= r as usize);
+            mg.device(o).vec(st.z[o][cur])[r as usize]
+        }));
+    }
 }
 
 /// The block [`mpk`] generates — columns `start_col + 1 ..= start_col +
 /// spec.s()` — as shifted distributed SpMVs on an `s = 1` plan: one halo
-/// exchange and one [`Device::mpk_step`] on the local block per vector, the
-/// step's shift in the kernel's epilogue. The `z` double buffer carries over
-/// between the steps — the rows a step wrote are the next step's source,
-/// and the two-steps-ago vector of the step after — so only the first step
-/// loads a basis column.
+/// exchange and one [`ca_gpusim::Device::mpk_step`] on the local block per
+/// vector, the step's shift in the kernel's epilogue. The `z` double buffer
+/// carries over between the steps — the rows a step wrote are the next
+/// step's source, and the two-steps-ago vector of the step after — so only
+/// the first step loads a basis column.
 ///
 /// # Errors
 /// Propagates simulated transfer failures and device loss from the halo
@@ -661,7 +681,11 @@ pub fn spmv_block(
     for k in 1..=spec.s() {
         let sp = obs::span_begin("dist_spmv", HOST, mg.time());
         st.exchange(mg, (k - 1) % 2)?;
-        mg.run(|d, dev| mpk_step(dev, &st.slices[d][..1], st.z[d], v[d], start_col, spec, k));
+        let Step { re, im2, scale } = spec.steps[k - 1];
+        mg.run(|d, dev| {
+            let (zc, zn) = (st.z[d][(k - 1) % 2], st.z[d][k % 2]);
+            dev.mpk_step(&st.slices[d][..1], zc, zn, (re, im2, scale), (v[d], start_col + k), None);
+        });
         obs::span_end(sp, mg.time());
     }
     Ok(())
@@ -698,8 +722,7 @@ pub fn fastest_kernel(mg: &MultiGpu, a: &Csr, layout: &Layout, s: usize) -> Kern
 
 /// Distributed SpMV (the s = 1 path standard GMRES uses): computes
 /// `V[:, dst] := A V[:, src]` across all devices, one halo exchange.
-/// `st` must be built with `s = 1` (or larger; only level-1 halos are
-/// exchanged... a dedicated s = 1 plan keeps the halo minimal).
+/// `st` must be built with `s = 1`: its halo is level 1 alone.
 ///
 /// # Errors
 /// Propagates simulated transfer failures and device loss from the halo
@@ -726,7 +749,7 @@ pub fn dist_spmv(
 mod tests {
     use super::*;
     use crate::layout::Layout;
-    use ca_gpusim::{MultiGpu, PerfModel};
+    use ca_gpusim::{Device, MultiGpu, PerfModel};
     use ca_sparse::gen::laplace2d;
 
     fn setup(nx: usize, ny: usize, ndev: usize, s: usize) -> (Csr, Layout, MpkPlan) {
@@ -1175,24 +1198,27 @@ mod tests {
         (mg, st, v)
     }
 
-    /// Bits of every work vector and every basis column of every device.
+    /// Bits of every basis column and of the local rows of both work
+    /// vectors of every device: all of a block anything reads later (the
+    /// boundary rows of `z` are scratch, computed on a faulty machine only).
     fn device_bits(mg: &MultiGpu, st: &MpkState, v: &[MatId]) -> Vec<Vec<u64>> {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         (0..mg.n_gpus())
             .flat_map(|d| {
-                let dev = mg.device(d);
+                let (dev, local) = (mg.device(d), st.plan.devs[d].local.clone());
                 [
-                    bits(dev.vec(st.z[d][0])),
-                    bits(dev.vec(st.z[d][1])),
+                    bits(&dev.vec(st.z[d][0])[local.clone()]),
+                    bits(&dev.vec(st.z[d][1])[local]),
                     bits(dev.mat(v[d]).as_slice()),
                 ]
             })
             .collect()
     }
 
-    /// [`mpk_step`] as the sequence it replaced — slice by slice an SpMV and
-    /// the recurrence over its rows, then the local rows into the basis
-    /// column — on the host's view of the device: the bits and no command.
+    /// [`Device::mpk_step`] as the sequence it replaced — slice by slice an
+    /// SpMV and the recurrence over its rows, then the local rows into the
+    /// basis column — on the host's view of the device: the bits and no
+    /// command.
     fn mpk_step_unfused(
         dev: &mut Device,
         parts: &[SpId],
@@ -1433,25 +1459,70 @@ mod tests {
         }
     }
 
-    /// [`mpk_steps`] as it was: steps outermost, every device finishing
-    /// step `k` before any starts step `k + 1`.
-    fn mpk_steps_step_outer(
-        mg: &mut MultiGpu,
-        st: &MpkState,
-        v: &[MatId],
-        start_col: usize,
-        spec: &BasisSpec,
-    ) {
-        for k in 1..=spec.s() {
-            mg.run(|d, dev| {
-                let parts = &st.slices[d][..=spec.s() - k];
-                mpk_step(dev, parts, st.z[d], v[d], start_col, spec, k)
-            });
-        }
+    /// Basis bits, op count, clock and command stream of every device, and
+    /// the machine's message and byte counts.
+    type Outcome = (Vec<(Vec<u64>, u64, u64)>, Vec<Vec<ca_gpusim::Cmd>>, (u64, u64));
+
+    fn outcome(mg: &mut MultiGpu, v: &[MatId]) -> Outcome {
+        let devices = (0..mg.n_gpus())
+            .map(|d| {
+                let dev = mg.device(d);
+                let bits = dev.mat(v[d]).as_slice().iter().map(|x| x.to_bits()).collect();
+                (bits, dev.ops(), dev.clock().to_bits())
+            })
+            .collect();
+        let comm = (mg.counters().total_msgs(), mg.counters().total_bytes());
+        (devices, mg.take_traces(), comm)
     }
 
     #[test]
-    fn device_outer_steps_equal_step_outer_steps_even_when_a_device_dies_mid_block() {
+    fn rows_computed_once_equal_rows_computed_by_every_device_that_reads_them() {
+        // the circuit layout with an empty device, and 4200 rows a device:
+        // above the 4096-row grain, where idle team members help
+        let cases = [
+            (ca_sparse::gen::circuit(600, 20140527), Layout::from_sizes(&[200, 0, 250, 150])),
+            (ca_sparse::gen::circuit(12_600, 7), Layout::even(12_600, 3)),
+        ];
+        let s = 4;
+        let mut blocks = 0;
+        for (a, layout) in &cases {
+            let x0: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.37).sin() * 1e2).collect();
+            for format in [SpmvFormat::Ell, SpmvFormat::Hyb { quantile: 0.9 }] {
+                for prec in [Precision::F64, Precision::F32] {
+                    for spec in [BasisSpec::monomial(s), every_branch(s), every_branch(s - 1)] {
+                        // two blocks, a zero-rate fault plan installed before
+                        // block `faulty_from`, if any (a plan forces every
+                        // device to compute every live level)
+                        let run = |faulty_from: Option<usize>| {
+                            let (mut mg, st, v) =
+                                loaded(a, (layout, s, 2 * s + 1), (format, prec), &x0);
+                            mg.enable_trace();
+                            for b in 0..2 {
+                                if faulty_from == Some(b) {
+                                    mg.set_fault_plan(ca_gpusim::FaultPlan::new(20140527));
+                                }
+                                assert_eq!(mg.is_fault_free(), faulty_from.is_none_or(|f| b < f));
+                                mpk(&mut mg, &st, &v, b * spec.s(), &spec).unwrap();
+                            }
+                            outcome(&mut mg, &v)
+                        };
+                        let what = format!("{} rows, {format:?} {prec:?}, {:?}", a.nrows(), spec);
+                        let redundant = run(Some(0));
+                        assert!(run(None) == redundant, "shared blocks: {what}");
+                        assert!(
+                            run(Some(1)) == redundant,
+                            "a shared, then a redundant block: {what}"
+                        );
+                        blocks += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(blocks, 24);
+    }
+
+    #[test]
+    fn a_device_lost_mid_block_leaves_the_survivors_the_clean_block() {
         let a = laplace2d(19, 17);
         let n = a.nrows();
         let (ndev, s) = (3, 4);
@@ -1459,19 +1530,11 @@ mod tests {
         let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e2).collect();
         let spec = BasisSpec::newton(&[(1.5, 0.0), (2.0, 3.0), (2.0, -3.0), (-0.5, 0.0)], s);
         // columns, ops and clock of every device after one block whose
-        // device 1 dies `loss` ops into its steps (`None`: nobody dies)
-        type Outcome = Vec<(Vec<u64>, u64, u64, bool)>;
-        let run = |device_outer: bool, loss: Option<u64>, short: bool| -> Outcome {
-            let mut mg = MultiGpu::with_defaults(ndev);
-            let st = MpkState::load(&mut mg, &a, MpkPlan::new(&a, &layout, s)).unwrap();
-            let v: Vec<MatId> = (0..ndev)
-                .map(|d| {
-                    let dev = mg.device_mut(d);
-                    let v = dev.alloc_mat(layout.nlocal(d), s + 1).unwrap();
-                    dev.mat_mut(v).set_col(0, &x0[layout.range(d)]);
-                    v
-                })
-                .collect();
+        // device 1 dies `loss` ops into its steps (`None`: nobody dies, and
+        // with no fault plan each row is computed once)
+        let run = |loss: Option<u64>| -> Vec<(Vec<u64>, u64, u64, bool)> {
+            let (mut mg, st, v) =
+                loaded(&a, (&layout, s, s + 1), (SpmvFormat::Ell, Precision::F64), &x0);
             st.load_column(&mut mg, &v, 0);
             st.exchange(&mut mg, 0).unwrap();
             if let Some(after) = loss {
@@ -1479,14 +1542,7 @@ mod tests {
                     .with_device_loss(1, mg.device(1).ops() + after);
                 mg.device_mut(1).set_faults(Some(std::sync::Arc::new(plan)));
             }
-            // a short last block runs fewer steps than the plan holds
-            let steps = if short { s - 1 } else { s };
-            let spec = BasisSpec { steps: spec.steps[..steps].to_vec() };
-            if device_outer {
-                mpk_steps(&mut mg, &st, &v, 0, &spec);
-            } else {
-                mpk_steps_step_outer(&mut mg, &st, &v, 0, &spec);
-            }
+            mpk_steps(&mut mg, &st, &v, 0, &spec);
             (0..ndev)
                 .map(|d| {
                     let dev = mg.device(d);
@@ -1495,17 +1551,13 @@ mod tests {
                 })
                 .collect()
         };
-        let clean = run(true, None, false);
-        assert_eq!(clean, run(false, None, false));
-        assert_eq!(run(true, None, true), run(false, None, true));
+        let clean = run(None);
         // the block is s launches per device: kill device 1 after each of
         // them in turn
-        let steps_ops = s as u64;
         let mut died_mid_block = 0;
-        for after in 0..=steps_ops {
-            let got = run(true, Some(after), false);
-            assert_eq!(got, run(false, Some(after), false), "device 1 lost {after} ops in");
-            assert_eq!((&got[0], &got[2]), (&clean[0], &clean[2]), "the survivors saw nothing");
+        for after in 0..=s as u64 {
+            let got = run(Some(after));
+            assert_eq!((&got[0], &got[2]), (&clean[0], &clean[2]), "device 1 lost {after} ops in");
             died_mid_block += usize::from(got[1].3 && got[1].0 != clean[1].0);
         }
         // (the launch that kills still wrote: a loss at the last one shows

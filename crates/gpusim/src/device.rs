@@ -482,6 +482,11 @@ impl Device {
         self.faults = plan;
     }
 
+    /// Whether a fault plan is installed, a zero-rate one included.
+    pub(crate) fn has_faults(&self) -> bool {
+        self.faults.is_some()
+    }
+
     /// Has this device suffered persistent loss?
     pub fn is_lost(&self) -> bool {
         self.lost
@@ -1293,22 +1298,36 @@ impl Device {
     /// SDC draw: a hit flips one element of the SpMV outputs taken
     /// together — the local block's rows in slice order, then level 1's,
     /// level 2's, … — before the recurrence reads them.
+    ///
+    /// `given` computes each row once: `Some((rows, vals))` first writes
+    /// `vals` into `z_cur[rows]` — the level-1 rows, as their owners
+    /// computed them — and then computes the local block alone. The launch
+    /// is still priced over every slice of `parts`. Only a device without a
+    /// fault plan may be given its boundary: with one, its private copy of
+    /// a boundary row is part of what a fault can hit.
     pub fn mpk_step(
         &mut self,
         parts: &[SpId],
         z_cur: VecId,
         z_next: VecId,
         step: (f64, f64, f64),
-        v: MatId,
-        col: usize,
+        (v, col): (MatId, usize),
+        given: Option<(&[u32], &[f64])>,
     ) {
         assert_ne!(z_cur.0, z_next.0, "MPK needs distinct double buffers");
+        debug_assert!(given.is_none() || !self.has_faults(), "a faulty device computes its own");
         let local = &self.slices[parts.first().expect("an MPK step has a local block").0].storage;
         let shapes = parts.iter().map(|s| self.slices[s.0].storage.shape());
         let dt = self.model.mpk_step_time(shapes, local.nrows(), local.prec());
         self.run("mpk_step", dt, |dev| {
             let flip = dev.sdc_draw(SdcKind::Spmv);
-            let (local, levels) = parts.split_first().expect("an MPK step has a local block");
+            let (local, mut levels) = parts.split_first().expect("an MPK step has a local block");
+            if let Some((rows, vals)) = given {
+                assert_eq!(rows.len(), vals.len());
+                let zc = dev.vecs[z_cur.0].col_mut(0);
+                rows.iter().zip(vals).for_each(|(&r, &x)| zc[r as usize] = x);
+                levels = &[];
+            }
             let local = &dev.slices[local.0];
             let slices = &dev.slices;
             let levels = || levels.iter().map(|s| &slices[s.0]);
@@ -1782,15 +1801,16 @@ mod tests {
     fn mpk_step_places_local_and_level_rows() {
         let mut d = dev();
         let a = laplace2d(4, 4); // n = 16
-        let local = d.load_slice(Ell::from_csr(&a.select_rows(&[4, 5, 6, 7])), vec![4, 5, 6, 7]);
-        let level = d.load_slice(Ell::from_csr(&a.select_rows(&[2, 9])), vec![2, 9]);
+        let local =
+            d.load_slice(Ell::from_csr(&a.select_rows(&[4, 5, 6, 7])), vec![4, 5, 6, 7]).unwrap();
+        let level = d.load_slice(Ell::from_csr(&a.select_rows(&[2, 9])), vec![2, 9]).unwrap();
         let x = d.alloc_vec(16).unwrap();
         for (i, xv) in d.vec_mut(x).iter_mut().enumerate() {
             *xv = i as f64;
         }
         let z = d.alloc_vec(16).unwrap();
         let v = d.alloc_mat(4, 2).unwrap();
-        d.mpk_step(&[local.unwrap(), level.unwrap()], x, z, (0.0, 0.0, 1.0), v, 1);
+        d.mpk_step(&[local, level], x, z, (0.0, 0.0, 1.0), (v, 1), None);
         let mut y = vec![0.0; 16];
         let xs: Vec<f64> = (0..16).map(|i| i as f64).collect();
         ca_sparse::spmv::spmv(&a, &xs, &mut y);
@@ -1801,6 +1821,19 @@ mod tests {
         assert_eq!(d.mat(v).col(1), &y[4..8], "the local rows are the basis column");
         assert_eq!(d.mat(v).col(0), &[0.0; 4]);
         assert_eq!(d.ops(), 1, "one launch");
+
+        // given its level-1 rows, the step writes them into `z_cur`, computes
+        // the local rows alone and is charged as the step over both slices
+        let z2 = d.alloc_vec(16).unwrap();
+        d.vec_mut(x)[3] = -1.0;
+        let clock = d.clock();
+        d.mpk_step(&[local, level], x, z2, (0.0, 0.0, 1.0), (v, 1), Some((&[3, 8], &[3.0, 8.0])));
+        assert_eq!(d.vec(x)[3], 3.0, "the given values land in z_cur");
+        assert_eq!(&d.vec(z2)[4..8], &y[4..8]);
+        assert_eq!(d.mat(v).col(1), &y[4..8]);
+        assert_eq!((d.vec(z2)[2], d.vec(z2)[9]), (0.0, 0.0), "no level row computed");
+        assert_eq!(d.clock() - clock, clock, "priced as the step over every slice");
+        assert_eq!(d.ops(), 2);
     }
 
     #[test]
@@ -1855,7 +1888,7 @@ mod tests {
             }
             let z = d.alloc_vec(16).unwrap();
             let v = d.alloc_mat(16, 1).unwrap();
-            d.mpk_step(&[s], x, z, (0.0, 0.0, 1.0), v, 0);
+            d.mpk_step(&[s], x, z, (0.0, 0.0, 1.0), (v, 0), None);
             assert_eq!(d.mat(v).col(0), d.vec(z), "the column carries the hit too");
             (d.vec(z).to_vec(), d.sdc_injected(), d.clock())
         };
@@ -1947,7 +1980,7 @@ mod tests {
             d.vec_mut(x).copy_from_slice(&xs);
             let z = d.alloc_vec(36).unwrap();
             let v = d.alloc_mat(36, 1).unwrap();
-            d.mpk_step(&[s], x, z, (0.0, 0.0, 1.0), v, 0);
+            d.mpk_step(&[s], x, z, (0.0, 0.0, 1.0), (v, 0), None);
             (d.vec(z).to_vec(), d.clock())
         };
         let (y64, t64) = run(SpStorage::Ell(Ell::from_csr(&a)));
@@ -1994,7 +2027,7 @@ mod tests {
                 *v = 0.01 * i as f64;
             }
             let v = d.alloc_mat(16, 1).unwrap();
-            d.mpk_step(&[s], zc, zn, (re, im2, scale), v, 0);
+            d.mpk_step(&[s], zc, zn, (re, im2, scale), (v, 0), None);
             d.vec(zn).to_vec()
         };
         let z32 = run(SpStorage::EllF32(Ell::from_csr(&a.cast::<f32>())));

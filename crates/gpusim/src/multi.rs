@@ -282,6 +282,14 @@ impl MultiGpu {
         self.devices[0].is_cost_only()
     }
 
+    /// Whether every device is alive and none has a fault plan installed, a
+    /// zero-rate one included: then no device's copy of a value can differ
+    /// from its owner's, and a device may read a row another computed
+    /// instead of computing it again.
+    pub fn is_fault_free(&self) -> bool {
+        self.devices.iter().all(|d| !d.has_faults() && !d.is_lost())
+    }
+
     /// Set the scheduling policy. Numerics are unaffected — commands
     /// execute eagerly in program order under either policy; only the
     /// simulated clocks differ (and event-driven time never exceeds
@@ -1020,8 +1028,8 @@ mod tests {
             let job = |d: usize, dev: &mut Device| {
                 let (loc, lvl, z, v) = ids[d];
                 dev.spmv_to_mat_col(loc, z[round % 2], v, 0);
-                dev.mpk_step(&[loc, lvl], z[0], z[1], step, v, 1);
-                dev.mpk_step(&[loc], z[1], z[0], step, v, 2);
+                dev.mpk_step(&[loc, lvl], z[0], z[1], step, (v, 1), None);
+                dev.mpk_step(&[loc], z[1], z[0], step, (v, 2), None);
                 let proj = dev.gemv_t_cols(v, 0, 12, 12, cfg.gemv);
                 dev.gemv_n_update(v, 0, 12, &proj, 12);
                 let c = dev.gemm_tn_cols(v, (0, 12), (12, 17), cfg.gemm);

@@ -409,7 +409,7 @@ fn fused_step_is_the_per_slice_sequence_less_its_launches() {
                     let (mut d, ids, (zc, zn), v) =
                         loaded(&a, &parts, fp, &None, (&x, &old, &side));
                     if fused {
-                        d.mpk_step(&ids, zc, zn, step, v, 1);
+                        d.mpk_step(&ids, zc, zn, step, (v, 1), None);
                     } else {
                         d.mpk_step_unfused(&ids, zc, zn, step, v, 1);
                     }
@@ -479,7 +479,7 @@ fn the_one_sdc_hit_lands_in_the_concatenated_spmv_output() {
             let side = vec![0.0; parts[0].len()];
             let (mut d, ids, (zc, zn), v) = loaded(&a, &parts, fp, &faults, (&x, &old, &side));
             let step = (0.7, 9.0, 2.0);
-            d.mpk_step(&ids, zc, zn, step, v, 1);
+            d.mpk_step(&ids, zc, zn, step, (v, 1), None);
             assert_eq!((d.sdc_injected(), d.ops()), (1, 1), "{name}, {fp:?}");
 
             let mut y: Vec<f64> = parts
@@ -573,7 +573,7 @@ fn lost_device_runs_no_sparse_kernel() {
         assert!(d.is_lost());
         let (ops, clock, cmds) = (d.ops(), d.clock(), d.trace().len());
 
-        d.mpk_step(&[s], zc, zn, (1.5, 9.0, 0.5), v, 1);
+        d.mpk_step(&[s], zc, zn, (1.5, 9.0, 0.5), (v, 1), None);
         d.mpk_step_unfused(&[s], zc, zn, (1.5, 9.0, 0.5), v, 1);
         d.spmv_to_mat_col(s, zc, v, 1);
         d.gather_vec_to_col(zc, local.clone(), v, 1);
@@ -646,7 +646,7 @@ fn sorted_windows_do_not_show_through_the_device() {
                 let (x, old) = (poisoned(&mut rng, n), poisoned(&mut rng, n));
                 d.vec_mut(zc).copy_from_slice(&x);
                 d.vec_mut(zn).copy_from_slice(&old);
-                d.mpk_step(&[s], zc, zn, (re, im2, scale), v, 0);
+                d.mpk_step(&[s], zc, zn, (re, im2, scale), (v, 0), None);
                 let y = ref_spmv(&a, &rows, width, prec, &x);
                 let mut want = old;
                 ref_shift_scatter(y.clone(), &rows, prec, &x, &mut want, re, im2, scale);
@@ -688,7 +688,7 @@ fn one_kept_padding_slot_poisons_what_all_of_them_did() {
         let v = d.alloc_mat(n, 1).expect("fits");
         let mut run = |x: &[f64]| {
             d.vec_mut(zc).copy_from_slice(x);
-            d.mpk_step(&[s], zc, zn, (0.0, 0.0, 1.0), v, 0);
+            d.mpk_step(&[s], zc, zn, (0.0, 0.0, 1.0), (v, 0), None);
             let got = d.vec(zn).to_vec();
             assert_bits(&got, &ref_spmv(&a, &rows, width, fp.1, x), &format!("{fp:?}"));
             got

@@ -1,7 +1,10 @@
 //! Every solver entry refuses an input it cannot run with a typed outcome
 //! — `stats.breakdown == Some(BreakdownKind::InvalidInput { .. })` — and
 //! never a panic: a shape before it touches a device, a non-finite
-//! right-hand side at the initial residual, before any restart cycle.
+//! right-hand side or matrix entry at the initial residual, before any
+//! restart cycle. So no non-finite input reaches an MPK block, whose
+//! devices read boundary rows their owners computed on a fault-free machine
+//! (bit-identical to computing them again for finite values only).
 
 use ca_gmres_repro::gmres::cagmres::KernelMode;
 use ca_gmres_repro::gmres::mpk::SpmvFormat;
@@ -124,6 +127,38 @@ fn a_non_finite_right_hand_side_is_refused_never_converged() {
     for (case, poison) in [("NaN in b", f64::NAN), ("Inf in b", f64::INFINITY)] {
         let mut b = vec![1.0; n];
         b[n / 3] = poison;
+        let loaded = || {
+            let mut mg = MultiGpu::with_defaults(NDEV);
+            let sys = System::new(&mut mg, &a, Layout::even(n, NDEV), ROOM, Some(4)).unwrap();
+            sys.load_rhs(&mut mg, &b).unwrap();
+            (mg, sys)
+        };
+        let (mut mg, sys) = loaded();
+        assert_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
+        let (mut mg, sys) = loaded();
+        let out = gmres(&mut mg, &sys, &GmresConfig { m: 12, ..Default::default() });
+        assert_refused("gmres", case, &out.stats);
+        let mut mg = MultiGpu::with_defaults(NDEV);
+        let layout = Layout::even(n, NDEV);
+        let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
+        assert_refused("ca_gmres_mixed", case, &out.stats);
+        let ft = FtConfig { solver: cfg, ..Default::default() };
+        let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
+        assert_refused("ca_gmres_ft", case, &out.stats);
+    }
+}
+
+#[test]
+fn a_non_finite_matrix_entry_is_refused_never_run() {
+    // `A x0` at `x0 = 0` multiplies every entry: NaN or Inf anywhere in `A`
+    // makes the initial residual norm NaN
+    let cfg = CaGmresConfig { s: 4, m: 12, kernel: KernelMode::Mpk, ..Default::default() };
+    for (case, poison) in [("NaN in A", f64::NAN), ("Inf in A", f64::INFINITY)] {
+        let mut a = gen::laplace2d(8, 8);
+        let n = a.nrows();
+        let entry = a.row_ptr()[n / 3] + 1;
+        a.values_mut()[entry] = poison;
+        let b = vec![1.0; n];
         let loaded = || {
             let mut mg = MultiGpu::with_defaults(NDEV);
             let sys = System::new(&mut mg, &a, Layout::even(n, NDEV), ROOM, Some(4)).unwrap();

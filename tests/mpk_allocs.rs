@@ -9,8 +9,9 @@
 //! per-device scratch has its size, no request reaches the smallest buffer
 //! that could hold one element per local row. The halo payloads themselves
 //! (boundary-sized) are still allocated per exchange and stay below it.
-//! The block runs its steps device-outermost, which must not have brought
-//! per-device staging back. The block update BOrth runs next, two
+//! On a fault-free machine each step hands every device the level-1 rows
+//! its owners computed, through a halo-sized buffer per device and block,
+//! which must not have brought vector-sized staging back. The block update BOrth runs next, two
 //! destinations per pass over the sources, requests nothing at all: no
 //! factor table, no list of source slices, per call or per row chunk.
 //!
