@@ -7,10 +7,11 @@
 #   crates/bench/loc.sh --files [<dir>...]
 #                                  `<lines>\t<file>` for every counted file
 #
-# A file counts up to its last `#[cfg(test)]` line (the test module at its
-# end), or whole when it has none. A `#[cfg(test)]` on a `mod name;`
-# declaration makes all of `name.rs` test code: that file is skipped, and
-# the attribute does not cut the file that declares the module.
+# A file counts up to the last `#[cfg(test)]` line that gates a `mod name {`
+# block (the test module at its end; other attributes may sit between the
+# two lines), or whole when it has none: a `#[cfg(test)]` on any other item
+# cuts nothing. A `#[cfg(test)]` on a `mod name;` declaration makes all of
+# `name.rs` test code: that file is skipped.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
@@ -27,8 +28,9 @@ gated_mods() {
 # non-test lines of one file
 file_lines() {
   awk '
-    gate && $0 !~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod [a-z_0-9]+;/ { cut = gate }
-    { gate = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) ? NR : 0 }
+    gate && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod [a-z_0-9]+[[:space:]]*\{/ { cut = gate }
+    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { gate = NR; next }
+    !/^[[:space:]]*#\[/ { gate = 0 }
     END { print (cut ? cut : NR) }' "$1"
 }
 

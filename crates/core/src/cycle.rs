@@ -1,10 +1,11 @@
 //! The restart loop and the cycle engine it drives — the paper's Fig. 2,
-//! written once for every CA-GMRES entry.
+//! written once for every GMRES entry.
 //!
 //! [`Solve::run`] drives restart cycles until the residual meets its target,
 //! the restart budget is spent, the solve stagnates or a breakdown is typed:
 //! first one standard GMRES cycle that harvests the Ritz values
-//! ([`crate::gmres::harvest_cycle`]), then CA cycles. One CA cycle
+//! ([`crate::gmres::harvest_cycle`]), then CA cycles — or, for the baseline,
+//! the standard cycle ([`crate::gmres::gmres_cycle`]) every time. One CA cycle
 //! ([`run_cycle`]) builds the Krylov space in blocks: shape the block (`s`
 //! steps, or what is left of `m`), generate it with MPK or shifted SpMVs,
 //! orthogonalize it (BOrth + TSQR), extend the Hessenberg matrix, push the
@@ -16,8 +17,10 @@
 //! which is a no-op by default, and whether the solve owns its system
 //! ([`Sys`]; only an owned system is ever rebuilt):
 //!
-//! * [`crate::cagmres::ca_gmres`] runs the loop on the caller's system under
-//!   the plain guard, whose one in-cycle act is `adaptive_s`'s throttle;
+//! * [`crate::gmres::gmres`] runs the loop on the caller's system under
+//!   [`NoGuard`], standard cycles only;
+//! * [`crate::cagmres::ca_gmres`] runs it on the caller's system under the
+//!   plain guard, whose one in-cycle act is `adaptive_s`'s throttle;
 //! * [`crate::mixed::ca_gmres_mixed`] runs it on a system it built, where the
 //!   plain guard may also promote an f32 basis that broke down;
 //! * the fault-tolerant entries ([`crate::ft`]) run it on a system they
@@ -26,8 +29,9 @@
 //!   cycle; residual backstop, iterate checkpoint, watchdog, tuner,
 //!   rebalancer and the hand-back arms at its boundary;
 //! * [`crate::eigs::arnoldi_eigs`] runs the same two cycles under its own
-//!   restart loop: it keeps each cycle's Hessenberg matrix instead of
-//!   applying `y`, and restarts from a Ritz vector.
+//!   restart loop, the one loop outside the engine: it keeps each cycle's
+//!   Hessenberg matrix instead of applying `y`, and restarts from a Ritz
+//!   vector, so it has no update and no residual to close a cycle with.
 //!
 //! The cycle hook points are part of the contract — a guard sees the cycle
 //! at exactly these places, in this order, per block attempt:
@@ -62,7 +66,7 @@
 
 use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode, TsqrErrorSample};
 use crate::ft::PollPoint;
-use crate::gmres::harvest_cycle;
+use crate::gmres::{gmres_cycle, harvest_cycle};
 use crate::hess::BlockArnoldi;
 use crate::layout::Layout;
 use crate::mpk::{mpk_prefetch, mpk_with_prefetch, spmv_block, PrefetchedHalo, SpmvFormat};
@@ -237,13 +241,28 @@ pub(crate) trait CycleGuard {
     }
 }
 
-/// The empty guard: the standard GMRES baseline's, and the one a system
-/// build runs under when nothing rides along.
+/// The guard with nothing in a cycle: the standard GMRES baseline's, whose
+/// restart hooks sample the relative residual, and the one a system build
+/// or the eigensolver's harvest cycle runs under (neither reaches them).
 pub(crate) struct NoGuard;
 
 impl CycleGuard for NoGuard {
     type HandBack = std::convert::Infallible;
     const FLATTEN: bool = true;
+
+    fn initial_residual(&mut self, cx: &mut SolveCtx<'_>) -> GpuResult<f64> {
+        let beta0 = residual(cx, true)?;
+        if beta0.is_finite() {
+            obs::sample(obs::names::RELRES, cx.mg.time(), 1.0);
+        }
+        Ok(beta0)
+    }
+
+    fn cycle_done(&mut self, sv: &mut Solve<'_>, beta: f64, _implied: f64) -> GpuResult<bool> {
+        // a cycle runs only from a positive `beta0`
+        obs::sample(obs::names::RELRES, sv.mg.time(), beta / sv.beta0);
+        Ok(true)
+    }
 
     fn hand_back(&mut self, _: &mut Solve<'_>, h: Self::HandBack) -> GpuResult<()> {
         match h {}
@@ -841,6 +860,10 @@ pub(crate) struct Solve<'a> {
     pub shifts: Option<Vec<Complex>>,
     pub spec_full: BasisSpec,
     pub harvested: bool,
+    /// Run the standard cycle in every restart (the GMRES baseline).
+    pub standard: bool,
+    /// Hessenberg matrix of the first standard cycle.
+    pub first_hessenberg: Option<Mat>,
     /// Explicit residual norm the solve started from.
     pub beta0: f64,
     /// Explicit residual norm the next cycle starts from.
@@ -879,6 +902,8 @@ impl<'a> Solve<'a> {
             shifts: None,
             spec_full: BasisSpec::monomial(s),
             harvested: false,
+            standard: false,
+            first_hessenberg: None,
             beta0: 0.0,
             beta: 0.0,
             resume: None,
@@ -952,9 +977,10 @@ impl<'a> Solve<'a> {
     }
 
     /// One restart cycle under `guard`, its update applied and counted: the
-    /// standard first cycle, which harvests the Ritz values, until they
-    /// exist; after that a CA cycle, entered fresh from `self.beta` or at
-    /// the checkpoint in `self.resume`. Under the plain guard this is
+    /// standard cycle in a `standard` solve; otherwise the standard first
+    /// cycle, which harvests the Ritz values, until they exist, and after
+    /// that a CA cycle, entered fresh from `self.beta` or at the checkpoint
+    /// in `self.resume`. Under the plain guard this is
     /// [`crate::cagmres::ca_cycle`].
     pub(crate) fn cycle<G: CycleGuard>(
         &mut self,
@@ -962,11 +988,17 @@ impl<'a> Solve<'a> {
         guard: &mut G,
     ) -> GpuResult<CycleEnd<G::HandBack>> {
         let (cfg, beta, s) = (self.cfg, self.beta, self.s_cur);
-        if !self.harvested {
+        if self.standard || !self.harvested {
             debug_assert!(self.resume.is_none(), "block checkpoints exist only in CA cycles");
-            let (cycle, shifts, spec) =
-                harvest_cycle(&mut self.ctx(), cfg, s, (beta, target), guard)?;
-            (self.shifts, self.spec_full, self.harvested) = (shifts, spec, true);
+            let cycle = if self.standard {
+                gmres_cycle(&mut self.ctx(), cfg.m, cfg.orth.borth, beta, target, guard)?
+            } else {
+                let (cycle, shifts, spec) =
+                    harvest_cycle(&mut self.ctx(), cfg, s, (beta, target), guard)?;
+                (self.shifts, self.spec_full, self.harvested) = (shifts, spec, true);
+                cycle
+            };
+            self.first_hessenberg.get_or_insert(cycle.hessenberg);
             let span = obs::SpanId::NONE; // the standard cycle closed its own
             return Ok(CycleEnd::Done { implied: cycle.implied, y: cycle.y, span });
         }
@@ -1082,7 +1114,6 @@ impl<'a> Solve<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gmres::gmres_cycle;
     use crate::layout::Layout;
     use crate::orth::TsqrKind;
     use ca_gpusim::{FaultPlan, SdcTargets};

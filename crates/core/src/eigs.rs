@@ -14,13 +14,13 @@
 
 use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode};
 use crate::cycle::{
-    invalid, residual, run_cycle, CycleEnd, CycleGuard, CycleParams, CycleState, NoGuard, Solve,
-    SolveCtx,
+    invalid, non_finite_start, residual, run_cycle, CycleEnd, CycleGuard, CycleParams, CycleState,
+    NoGuard, Solve, SolveCtx,
 };
 use crate::gmres::harvest_cycle;
 use crate::newton::BasisSpec;
 use crate::orth::OrthConfig;
-use crate::stats::SolveStats;
+use crate::stats::{BreakdownKind, SolveStats};
 use crate::system::System;
 use ca_dense::hessenberg::{hessenberg_eigenvalues, Complex};
 use ca_dense::{blas1, blas2, qr, Mat};
@@ -68,7 +68,7 @@ pub struct EigsOutcome {
     pub pairs: Vec<RitzPair>,
     /// `converged` when all requested pairs met the tolerance, `restarts`
     /// the cycles attempted; the clock and traffic cover the whole
-    /// eigensolve. `breakdown` is set only when nothing ran (`InvalidInput`).
+    /// eigensolve. `breakdown` is set only when no cycle ran (`InvalidInput`).
     pub stats: SolveStats,
 }
 
@@ -186,8 +186,9 @@ fn restart_vector(cx: &mut SolveCtx<'_>, c: &[f64]) -> GpuResult<f64> {
 /// (the matrix loaded into its SpMV/MPK plans), starting from the residual
 /// `b - A x`: the `b` of [`System::load_rhs`], which zeroes `x`. The
 /// iterate is scratch afterwards. What [`crate::cagmres::ca_gmres`] cannot
-/// run on `sys` (with the MPK plan it carries, if any), or `nev` outside
-/// `1..m`, runs nothing: `breakdown` is `InvalidInput`. A cycle whose
+/// run on `sys` (with the MPK plan it carries, if any), `nev` outside
+/// `1..m`, or a start residual that is zero (it spans no Krylov space) or
+/// not finite runs no cycle: `breakdown` is `InvalidInput`. A cycle whose
 /// orthogonalization or Ritz extraction fails is retried from the same
 /// start on the monomial basis; the budget counts every attempt.
 /// # Errors
@@ -218,11 +219,17 @@ pub fn arnoldi_eigs(
     let mut stats = SolveStats::default();
     let mut cx = SolveCtx { mg: &mut *mg, sys, stats: &mut stats, tsqr_errors: None };
     let mut beta = residual(&mut cx, true)?;
+    // a refused start runs no cycle
+    cx.stats.breakdown = if beta == 0.0 {
+        Some(BreakdownKind::InvalidInput { reason: "the start vector is zero".into() })
+    } else {
+        (!beta.is_finite()).then(|| non_finite_start(beta))
+    };
     // `None` until the first cycle has harvested the shifts
     let mut spec: Option<BasisSpec> = None;
     let mut pairs = Vec::new();
 
-    while cx.stats.restarts < cfg.max_restarts {
+    while cx.stats.breakdown.is_none() && cx.stats.restarts < cfg.max_restarts {
         let h = match &spec {
             None => {
                 let (first, _, sp) =

@@ -1,16 +1,17 @@
 //! Standard restarted GMRES(m) on the multi-GPU substrate (the paper's
 //! baseline, Fig. 3/14) — one SpMV and one single-column orthogonalization
-//! per iteration.
+//! per iteration. Its restart loop is the crate's one (`cycle::Solve::run`):
+//! [`gmres`] runs the standard cycle (`gmres_cycle`) in every restart, where
+//! the CA entries run it once, to harvest the Ritz values (`harvest_cycle`).
 
 use crate::cagmres::CaGmresConfig;
-use crate::cycle::{lsq_solution, residual, CycleGuard, NoGuard, Phase, SolveCtx};
+use crate::cycle::{lsq_solution, CycleGuard, NoGuard, Phase, Solve, SolveCtx, Sys};
 use crate::ft::PollPoint;
 use crate::hess::BlockArnoldi;
 use crate::mpk::dist_spmv;
 use crate::newton::{newton_shifts_from_hessenberg, BasisSpec};
-use crate::orth::{orth_column, BorthKind, OrthError};
-use crate::stats::BreakdownKind;
-use crate::stats::SolveStats;
+use crate::orth::{orth_column, BorthKind, OrthConfig, OrthError};
+use crate::stats::{BreakdownKind, SolveStats};
 use crate::system::System;
 use ca_dense::hessenberg::{Complex, GivensLsq};
 use ca_dense::Mat;
@@ -143,88 +144,40 @@ pub(crate) fn harvest_cycle<G: CycleGuard>(
     Ok((cycle, shifts, spec))
 }
 
-/// Run GMRES(m) on a loaded [`System`]. The iterate starts from whatever
-/// `x` currently holds (zero after [`System::load_rhs`]). An `m` outside
-/// `1..=sys.m` runs nothing and returns [`BreakdownKind::InvalidInput`].
+/// Run GMRES(m) on a loaded [`System`]: the crate's one restart loop
+/// (`cycle::Solve::run`) with a standard cycle in every restart. The iterate
+/// starts from whatever `x` currently holds (zero after
+/// [`System::load_rhs`]). An `m` outside `1..=sys.m` runs nothing and
+/// returns [`BreakdownKind::InvalidInput`].
 pub fn gmres(mg: &mut MultiGpu, sys: &System, cfg: &GmresConfig) -> GmresOutcome {
     if cfg.m == 0 || cfg.m > sys.m {
         let reason = format!("need 1 <= m <= {}, got m = {}", sys.m, cfg.m);
         return GmresOutcome { stats: SolveStats::invalid(reason), first_hessenberg: None };
     }
-    let mut stats = SolveStats::default();
-    let mut first_h: Option<Mat> = None;
+    let GmresConfig { m, orth: borth, rtol, max_restarts } = *cfg;
+    let orth = OrthConfig { borth, ..OrthConfig::default() };
+    let solver = CaGmresConfig { m, orth, rtol, max_restarts, ..CaGmresConfig::default() };
 
     mg.sync();
     mg.reset_counters();
     let t_begin = mg.time();
-
-    let (beta0, beta) = match gmres_impl(mg, sys, cfg, &mut stats, &mut first_h) {
-        Ok(betas) => betas,
-        Err(e) => {
-            // a simulated hardware fault aborted the solve: report it as a
-            // breakdown so every caller sees a well-formed outcome
-            stats.breakdown = Some(BreakdownKind::from(e));
-            (f64::NAN, f64::NAN)
-        }
-    };
-    if beta.is_finite() && beta <= cfg.rtol * beta0 {
-        stats.converged = true;
+    let mut sv = Solve::new(mg, Sys::Borrowed(sys), &solver, orth, 1);
+    sv.standard = true;
+    let ran = sv.run(&mut NoGuard);
+    let Solve { mg, mut stats, first_hessenberg, .. } = sv;
+    if let Err(e) = ran {
+        // a simulated hardware fault aborted the solve: report it as a
+        // breakdown so every caller sees a well-formed outcome
+        stats.breakdown = Some(BreakdownKind::from(e));
     }
 
     mg.sync();
     stats.t_total = mg.time() - t_begin;
-    stats.final_relres = if beta0 > 0.0 { beta / beta0 } else { 0.0 };
     let c = mg.counters();
     stats.comm_msgs = c.total_msgs();
     stats.comm_bytes = c.total_bytes();
     stats.debug_check_phases();
-    GmresOutcome { stats, first_hessenberg: first_h }
-}
-
-/// Fallible body of [`gmres`]: returns `(beta0, beta)` on completion;
-/// [`GpuSimError`]s bubble up to the wrapper.
-fn gmres_impl(
-    mg: &mut MultiGpu,
-    sys: &System,
-    cfg: &GmresConfig,
-    stats: &mut SolveStats,
-    first_h: &mut Option<Mat>,
-) -> GpuResult<(f64, f64)> {
-    let mut cx = SolveCtx { mg, sys, stats, tsqr_errors: None };
-    let beta0 = residual(&mut cx, true)?;
-    if !beta0.is_finite() {
-        cx.stats.breakdown = Some(crate::cycle::non_finite_start(beta0));
-        return Ok((beta0, beta0));
-    }
-    obs::sample(obs::names::RELRES, cx.mg.time(), 1.0);
-    let target = cfg.rtol * beta0;
-    let mut beta = beta0;
-
-    while cx.stats.restarts < cfg.max_restarts {
-        if beta <= target || beta == 0.0 {
-            cx.stats.converged = true;
-            break;
-        }
-        let cycle = gmres_cycle(&mut cx, cfg.m, cfg.orth, beta, target, &mut NoGuard)?;
-        if first_h.is_none() {
-            *first_h = Some(cycle.hessenberg);
-        }
-        beta = residual(&mut cx, true)?;
-        if beta0 > 0.0 {
-            obs::sample(obs::names::RELRES, cx.mg.time(), beta / beta0);
-        }
-        if !beta.is_finite() {
-            let restarts = cx.stats.restarts;
-            cx.stats.breakdown = Some(BreakdownKind::NonFinite { restarts });
-        }
-        if cx.stats.breakdown.is_some() {
-            break;
-        }
-        if cycle.y.is_empty() {
-            break; // no progress possible
-        }
-    }
-    Ok((beta0, beta))
+    GmresOutcome { stats, first_hessenberg }
 }
 
 #[cfg(test)]

@@ -2,15 +2,17 @@
 //! — `stats.breakdown == Some(BreakdownKind::InvalidInput { .. })` — and
 //! never a panic: a shape before it touches a device, a non-finite
 //! right-hand side or matrix entry at the initial residual, before any
-//! restart cycle. So no non-finite input reaches an MPK block, whose
-//! devices read boundary rows their owners computed on a fault-free machine
-//! (bit-identical to computing them again for finite values only).
+//! restart cycle, with a NaN relative residual. The eigensolver refuses a
+//! zero start residual as well, where a solver has its answer `x = 0`. So
+//! no non-finite input reaches an MPK block, whose devices read boundary
+//! rows their owners computed on a fault-free machine (bit-identical to
+//! computing them again for finite values only).
 
 use ca_gmres_repro::gmres::cagmres::KernelMode;
 use ca_gmres_repro::gmres::mpk::SpmvFormat;
 use ca_gmres_repro::gmres::prelude::*;
 use ca_gmres_repro::gpusim::MultiGpu;
-use ca_gmres_repro::sparse::gen;
+use ca_gmres_repro::sparse::{gen, Csr};
 
 const NDEV: usize = 2;
 /// Basis room of the systems the borrowing entries are handed.
@@ -33,6 +35,25 @@ fn assert_refused(entry: &str, case: &str, stats: &SolveStats) {
         stats.breakdown
     );
     assert!(!stats.converged && stats.restarts == 0, "{entry} on {case} ran");
+}
+
+/// A refused start: refused, and no relative residual to report.
+fn assert_start_refused(entry: &str, case: &str, stats: &SolveStats) {
+    assert_refused(entry, case, stats);
+    assert!(stats.final_relres.is_nan(), "{entry} on {case}: relres {}", stats.final_relres);
+}
+
+/// The eigensolver asked for two dominant eigenvalues of `a` from the start
+/// residual `b` (two devices, a 4-step plan, 20 restarts) refuses to run.
+fn assert_eigs_refused(case: &str, a: &Csr, b: &[f64]) {
+    let n = a.nrows();
+    let mut mg = MultiGpu::with_defaults(NDEV);
+    let sys = System::new(&mut mg, a, Layout::even(n, NDEV), ROOM, Some(4)).unwrap();
+    sys.load_rhs(&mut mg, b).unwrap();
+    let cfg = ArnoldiConfig { s: 4, m: 12, nev: 2, max_restarts: 20, ..Default::default() };
+    let out = arnoldi_eigs(&mut mg, &sys, &cfg).unwrap();
+    assert_refused("arnoldi_eigs", case, &out.stats);
+    assert!(out.pairs.is_empty(), "arnoldi_eigs on {case}: {:?}", out.pairs);
 }
 
 #[test]
@@ -134,17 +155,18 @@ fn a_non_finite_right_hand_side_is_refused_never_converged() {
             (mg, sys)
         };
         let (mut mg, sys) = loaded();
-        assert_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
+        assert_start_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
         let (mut mg, sys) = loaded();
         let out = gmres(&mut mg, &sys, &GmresConfig { m: 12, ..Default::default() });
-        assert_refused("gmres", case, &out.stats);
+        assert_start_refused("gmres", case, &out.stats);
         let mut mg = MultiGpu::with_defaults(NDEV);
         let layout = Layout::even(n, NDEV);
         let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
-        assert_refused("ca_gmres_mixed", case, &out.stats);
+        assert_start_refused("ca_gmres_mixed", case, &out.stats);
         let ft = FtConfig { solver: cfg, ..Default::default() };
         let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
-        assert_refused("ca_gmres_ft", case, &out.stats);
+        assert_start_refused("ca_gmres_ft", case, &out.stats);
+        assert_eigs_refused(case, &a, &b);
     }
 }
 
@@ -166,16 +188,54 @@ fn a_non_finite_matrix_entry_is_refused_never_run() {
             (mg, sys)
         };
         let (mut mg, sys) = loaded();
-        assert_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
+        assert_start_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
         let (mut mg, sys) = loaded();
         let out = gmres(&mut mg, &sys, &GmresConfig { m: 12, ..Default::default() });
-        assert_refused("gmres", case, &out.stats);
+        assert_start_refused("gmres", case, &out.stats);
         let mut mg = MultiGpu::with_defaults(NDEV);
         let layout = Layout::even(n, NDEV);
         let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
-        assert_refused("ca_gmres_mixed", case, &out.stats);
+        assert_start_refused("ca_gmres_mixed", case, &out.stats);
         let ft = FtConfig { solver: cfg, ..Default::default() };
         let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
-        assert_refused("ca_gmres_ft", case, &out.stats);
+        assert_start_refused("ca_gmres_ft", case, &out.stats);
+        assert_eigs_refused(case, &a, &b);
     }
+}
+
+#[test]
+fn a_zero_right_hand_side_is_solved_by_zero_and_refused_by_the_eigensolver() {
+    // `b = 0` is its own answer: every solver entry returns `x = 0`
+    // converged before any cycle; the eigensolver's start vector spans no
+    // Krylov space, so it refuses to run
+    let a = gen::laplace2d(8, 8);
+    let n = a.nrows();
+    let b = vec![0.0; n];
+    let cfg = CaGmresConfig { s: 4, m: 12, kernel: KernelMode::Mpk, ..Default::default() };
+    let solved = |entry: &str, stats: &SolveStats, x: &[f64]| {
+        assert!(stats.converged && stats.restarts == 0, "{entry}: {stats:?}");
+        assert_eq!(stats.final_relres, 0.0, "{entry}");
+        assert!(stats.breakdown.is_none(), "{entry}: {:?}", stats.breakdown);
+        assert_eq!(x, vec![0.0; n], "{entry}");
+    };
+    let loaded = || {
+        let mut mg = MultiGpu::with_defaults(NDEV);
+        let sys = System::new(&mut mg, &a, Layout::even(n, NDEV), ROOM, Some(4)).unwrap();
+        sys.load_rhs(&mut mg, &b).unwrap();
+        (mg, sys)
+    };
+    let (mut mg, sys) = loaded();
+    let stats = ca_gmres(&mut mg, &sys, &cfg).stats;
+    solved("ca_gmres", &stats, &sys.download_x(&mut mg).unwrap());
+    let (mut mg, sys) = loaded();
+    let stats = gmres(&mut mg, &sys, &GmresConfig { m: 12, ..Default::default() }).stats;
+    solved("gmres", &stats, &sys.download_x(&mut mg).unwrap());
+    let mut mg = MultiGpu::with_defaults(NDEV);
+    let layout = Layout::even(n, NDEV);
+    let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
+    solved("ca_gmres_mixed", &out.stats, &out.x);
+    let ft = FtConfig { solver: cfg, ..Default::default() };
+    let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
+    solved("ca_gmres_ft", &out.stats, &out.x);
+    assert_eigs_refused("b = 0", &a, &b);
 }
