@@ -35,7 +35,6 @@
 //! (CI pins the output to `bench_results/smoke/ext_mixed.txt`).
 
 use ca_bench::{table, true_relres, xhash, Problem, Study, TestMatrix};
-use ca_gmres::mpk::SpmvFormat;
 use ca_gmres::prelude::*;
 use ca_gpusim::{CommCounters, MultiGpu};
 use ca_scalar::Precision;
@@ -74,8 +73,8 @@ ca_bench::row!(Row {
 
 fn solve(p: &Problem, cfg: &CaGmresConfig) -> (MixedOutcome, CommCounters) {
     let mut mg = MultiGpu::with_defaults(NDEV);
-    let out = ca_gmres_mixed(&mut mg, &p.a, &p.b, p.layout.clone(), cfg, SpmvFormat::Ell)
-        .expect("simulated solve failed");
+    let out =
+        ca_gmres_mixed(&mut mg, &p.a, &p.b, p.layout.clone(), cfg).expect("simulated solve failed");
     (out, mg.counters())
 }
 

@@ -17,7 +17,6 @@
 //! integer identity, not a tolerance.
 
 use ca_bench::{cant, g3_circuit, table, Problem, Study, TestMatrix};
-use ca_gmres::mpk::SpmvFormat;
 use ca_gmres::prelude::*;
 use ca_gpusim::MultiGpu;
 use ca_scalar::Precision;
@@ -64,8 +63,7 @@ fn counted_run(t: &TestMatrix, s: usize, prec: Precision) -> ca_gpusim::CommCoun
         ..Default::default()
     };
     let mut mg = MultiGpu::with_defaults(ndev);
-    let out = ca_gmres_mixed(&mut mg, &p.a, &p.b, p.layout, &cfg, SpmvFormat::Ell)
-        .expect("simulated solve failed");
+    let out = ca_gmres_mixed(&mut mg, &p.a, &p.b, p.layout, &cfg).expect("simulated solve failed");
     assert!(!out.escalated, "{}: f32 basis broke down inside the fixed budget", t.name);
     mg.counters()
 }

@@ -210,7 +210,7 @@ pub(crate) trait CycleGuard {
     }
 
     /// The solve (re)built its system for the operator `a`.
-    fn on_build(&mut self, _mg: &mut MultiGpu, _a: &Csr, _sys: &System) -> GpuResult<()> {
+    fn on_build(&mut self, _mg: &mut MultiGpu, _a: &Csr, _sys: &mut System) -> GpuResult<()> {
         Ok(())
     }
 
@@ -744,6 +744,10 @@ pub(crate) fn invalid(cfg: &CaGmresConfig, sys: Option<&System>) -> Option<Strin
     if s == 0 || m < s {
         return Some(format!("need 1 <= s <= m, got s = {s}, m = {m}"));
     }
+    if cfg.rtol.is_nan() || cfg.rtol < 0.0 {
+        // zero is the planner's fixed budget: every restart runs
+        return Some(format!("need rtol >= 0, got rtol = {}", cfg.rtol));
+    }
     let sys = sys?;
     let plan_s = sys.mpk.as_ref().map_or(0, |st| st.plan.s);
     if m > sys.m {
@@ -767,13 +771,12 @@ pub(crate) struct Operator<'a> {
     /// The operator, already reordered to match every layout it is built on.
     pub a: &'a Csr,
     pub b: &'a [f64],
-    pub format: SpmvFormat,
 }
 
 impl Operator<'_> {
-    /// Stage the system on `layout` at step size `s` and MPK precision
-    /// `prec`, with the right-hand side loaded, and let `guard` add what it
-    /// keeps per system.
+    /// Stage the system in ELLPACK on `layout` at step size `s` and MPK
+    /// precision `prec`, with the right-hand side loaded, and let `guard`
+    /// add what it keeps per system.
     pub(crate) fn build<G: CycleGuard>(
         &self,
         mg: &mut MultiGpu,
@@ -783,9 +786,9 @@ impl Operator<'_> {
         guard: &mut G,
     ) -> GpuResult<System> {
         let steps = mpk_steps(cfg.kernel, s);
-        let sys = System::with_format(mg, self.a, layout, cfg.m, steps, self.format, prec)?;
+        let mut sys = System::with_format(mg, self.a, layout, cfg.m, steps, SpmvFormat::Ell, prec)?;
         sys.load_rhs(mg, self.b)?;
-        guard.on_build(mg, self.a, &sys)?;
+        guard.on_build(mg, self.a, &mut sys)?;
         Ok(sys)
     }
 }

@@ -188,9 +188,10 @@ fn restart_vector(cx: &mut SolveCtx<'_>, c: &[f64]) -> GpuResult<f64> {
 /// iterate is scratch afterwards. What [`crate::cagmres::ca_gmres`] cannot
 /// run on `sys` (with the MPK plan it carries, if any), `nev` outside
 /// `1..m`, or a start residual that is zero (it spans no Krylov space) or
-/// not finite runs no cycle: `breakdown` is `InvalidInput`. A cycle whose
-/// orthogonalization or Ritz extraction fails is retried from the same
-/// start on the monomial basis; the budget counts every attempt.
+/// not finite runs no cycle: `breakdown` is `InvalidInput` and
+/// `final_relres` NaN. A cycle whose orthogonalization or Ritz extraction
+/// fails is retried from the same start on the monomial basis; the budget
+/// counts every attempt.
 /// # Errors
 /// Propagates simulated hardware faults ([`ca_gpusim::GpuSimError`]).
 pub fn arnoldi_eigs(
@@ -225,6 +226,7 @@ pub fn arnoldi_eigs(
     } else {
         (!beta.is_finite()).then(|| non_finite_start(beta))
     };
+    cx.stats.final_relres = if cx.stats.breakdown.is_some() { f64::NAN } else { 0.0 };
     // `None` until the first cycle has harvested the shifts
     let mut spec: Option<BasisSpec> = None;
     let mut pairs = Vec::new();

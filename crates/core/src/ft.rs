@@ -52,11 +52,14 @@
 //!    [`FtReport`] and the `ft.detection_latency_s` histogram.
 //!
 //! The solve is the crate's one restart loop (`cycle.rs`) on a system it
-//! builds, under the fault-tolerant guard, `FtGuard`: the layers above are
-//! its cycle hooks (ABFT, probe, monitor, ladder, block checkpoints) and its
-//! restart hooks (residual backstop and iterate checkpoint, watchdog,
-//! tuner, rebalancer, and the hand-back arms for device loss, mid-cycle
-//! rebalance and escalation). A numerical breakdown the ladder does not
+//! builds (or a warm one a previous solve handed back), under the
+//! fault-tolerant guard, `FtGuard`: the layers above are its cycle hooks
+//! (ABFT, probe, monitor, ladder, block checkpoints) and its restart hooks
+//! (residual backstop and iterate checkpoint, watchdog, tuner, rebalancer,
+//! and the hand-back arms for device loss, mid-cycle rebalance and
+//! escalation). The ABFT checksum `c = Aᵀ1` lives on the [`System`] it
+//! verifies: the guard builds it with every system and the system frees it
+//! with the rest of its allocations. A numerical breakdown the ladder does not
 //! recover (or an unarmed ladder) ends the solve with `stats.breakdown`
 //! typed.
 
@@ -67,7 +70,6 @@ use crate::cycle::{
 };
 use crate::health::{throttled, EscalationEvent, EscalationRung, Ladder, MonitorState};
 use crate::layout::Layout;
-use crate::mpk::SpmvFormat;
 use crate::newton::BasisSpec;
 use crate::orth::{checksums_agree, OrthConfig, OrthError};
 use crate::stats::{BreakdownKind, SolveStats};
@@ -479,144 +481,82 @@ fn detected(latencies: &mut Vec<f64>, t: f64, latency: f64, why: impl FnOnce() -
     }
 }
 
-/// Per-device slices of the ABFT checksum vector `c = Aᵀ1`, aligned with
-/// the row [`Layout`].
-#[derive(Debug)]
-struct AbftState {
-    cdev: Vec<VecId>,
+/// Compute the ABFT checksum `c = Aᵀ1` on the host and upload each device's
+/// row slice of it (both the host pass and the transfers are charged).
+fn checksum(mg: &mut MultiGpu, a: &Csr, layout: &Layout) -> GpuResult<Vec<VecId>> {
+    let mut c = vec![0.0f64; a.ncols()];
+    for i in 0..a.nrows() {
+        let (cols, vals) = a.row(i);
+        for (j, v) in cols.iter().zip(vals) {
+            c[*j as usize] += v;
+        }
+    }
+    mg.host_compute(a.nnz() as f64, 12.0 * a.nnz() as f64);
+    let bytes: Vec<usize> = (0..layout.ndev()).map(|d| 8 * layout.nlocal(d)).collect();
+    mg.to_devices(&bytes)?;
+    let mut cdev = Vec::with_capacity(layout.ndev());
+    for d in 0..layout.ndev() {
+        let r = layout.range(d);
+        let id = mg.device_mut(d).alloc_vec(r.len())?;
+        mg.device_mut(d).vec_mut(id).copy_from_slice(&c[r]);
+        cdev.push(id);
+    }
+    Ok(cdev)
 }
 
-impl AbftState {
-    /// Compute `c = Aᵀ1` on the host and upload each device's row slice
-    /// (both the host pass and the transfers are charged).
-    fn build(mg: &mut MultiGpu, a: &Csr, layout: &Layout) -> GpuResult<Self> {
-        let mut c = vec![0.0f64; a.ncols()];
-        for i in 0..a.nrows() {
-            let (cols, vals) = a.row(i);
-            for (j, v) in cols.iter().zip(vals) {
-                c[*j as usize] += v;
-            }
-        }
-        mg.host_compute(a.nnz() as f64, 12.0 * a.nnz() as f64);
-        let bytes: Vec<usize> = (0..layout.ndev()).map(|d| 8 * layout.nlocal(d)).collect();
-        mg.to_devices(&bytes)?;
-        let mut cdev = Vec::with_capacity(layout.ndev());
-        for d in 0..layout.ndev() {
-            let r = layout.range(d);
-            let id = mg.device_mut(d).alloc_vec(r.len())?;
-            mg.device_mut(d).vec_mut(id).copy_from_slice(&c[r]);
-            cdev.push(id);
-        }
-        Ok(Self { cdev })
+/// Check the generated block `V[:, start+1 ..= start+s]` of `sys` against
+/// the recurrence checksums over its checksum slices `cdev`. Returns `true`
+/// when every column agrees.
+fn verify_block(
+    mg: &mut MultiGpu,
+    sys: &System,
+    cdev: &[VecId],
+    start: usize,
+    spec: &BasisSpec,
+) -> GpuResult<bool> {
+    let s = spec.s();
+    let ndev = sys.layout.ndev();
+    let reduce = |mg: &mut MultiGpu, parts: Vec<[f64; 2]>| -> GpuResult<[f64; 2]> {
+        mg.to_host(&vec![16usize; ndev])?;
+        Ok([parts.iter().map(|p| p[0]).sum(), parts.iter().map(|p| p[1]).sum()])
+    };
+    // 1ᵀv_j (and Σ|v_j|) for every column the recurrence touches
+    let mut colsum = Vec::with_capacity(s + 1);
+    for col in start..=start + s {
+        let parts = mg.run_map(|d, dev| dev.sum_col_abs(sys.v[d], col));
+        colsum.push(reduce(mg, parts)?);
     }
-
-    /// Free the per-device checksum vectors (residency eviction).
-    fn release(self, mg: &mut MultiGpu) {
-        for (d, &id) in self.cdev.iter().enumerate() {
-            mg.device_mut(d).free_vec(id);
+    // cᵀv_j for every source column
+    let mut cdot = Vec::with_capacity(s);
+    for col in start..start + s {
+        let parts = mg.run_map(|d, dev| dev.dot_vec_col_abs(cdev[d], sys.v[d], col));
+        cdot.push(reduce(mg, parts)?);
+    }
+    mg.host_compute((4 * s) as f64, 0.0);
+    for (k, step) in spec.steps.iter().enumerate() {
+        // v_{k+1} = scale (A v_k − re v_k) + im2 v_{k-1}; im2 ≠ 0 only
+        // on the second step of a conjugate pair, so k ≥ 1 there.
+        let prev = if step.im2 != 0.0 { colsum[k - 1] } else { [0.0, 0.0] };
+        let expected = step.scale * (cdot[k][0] - step.re * colsum[k][0]) + step.im2 * prev[0];
+        let got = colsum[k + 1][0];
+        let scale = step.scale.abs() * (cdot[k][1] + step.re.abs() * colsum[k][1])
+            + step.im2.abs() * prev[1]
+            + colsum[k + 1][1];
+        if !checksums_agree(expected, got, scale) {
+            return Ok(false);
         }
     }
-
-    /// Check the generated block `V[:, start+1 ..= start+s]` against the
-    /// recurrence checksums. Returns `true` when every column agrees.
-    fn verify_block(
-        &self,
-        mg: &mut MultiGpu,
-        sys: &System,
-        start: usize,
-        spec: &BasisSpec,
-    ) -> GpuResult<bool> {
-        let s = spec.s();
-        let ndev = sys.layout.ndev();
-        let reduce = |mg: &mut MultiGpu, parts: Vec<[f64; 2]>| -> GpuResult<[f64; 2]> {
-            mg.to_host(&vec![16usize; ndev])?;
-            Ok([parts.iter().map(|p| p[0]).sum(), parts.iter().map(|p| p[1]).sum()])
-        };
-        // 1ᵀv_j (and Σ|v_j|) for every column the recurrence touches
-        let mut colsum = Vec::with_capacity(s + 1);
-        for col in start..=start + s {
-            let parts = mg.run_map(|d, dev| dev.sum_col_abs(sys.v[d], col));
-            colsum.push(reduce(mg, parts)?);
-        }
-        // cᵀv_j for every source column
-        let mut cdot = Vec::with_capacity(s);
-        for col in start..start + s {
-            let parts = mg.run_map(|d, dev| dev.dot_vec_col_abs(self.cdev[d], sys.v[d], col));
-            cdot.push(reduce(mg, parts)?);
-        }
-        mg.host_compute((4 * s) as f64, 0.0);
-        for (k, step) in spec.steps.iter().enumerate() {
-            // v_{k+1} = scale (A v_k − re v_k) + im2 v_{k-1}; im2 ≠ 0 only
-            // on the second step of a conjugate pair, so k ≥ 1 there.
-            let prev = if step.im2 != 0.0 { colsum[k - 1] } else { [0.0, 0.0] };
-            let expected = step.scale * (cdot[k][0] - step.re * colsum[k][0]) + step.im2 * prev[0];
-            let got = colsum[k + 1][0];
-            let scale = step.scale.abs() * (cdot[k][1] + step.re.abs() * colsum[k][1])
-                + step.im2.abs() * prev[1]
-                + colsum[k + 1][1];
-            if !checksums_agree(expected, got, scale) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
+    Ok(true)
 }
 
 /// Solve `A x = b` with fault-tolerant CA-GMRES, consuming the supplied
 /// multi-GPU context (device loss may force the driver to rebuild it on
 /// the survivors). `a` is distributed by [`Layout::even`] over however
 /// many devices `mg` holds. Exactly [`ca_gmres_ft_session`] with no tuner
-/// and no resident state.
+/// and no warm system.
 pub fn ca_gmres_ft(mg: MultiGpu, a: &Csr, b: &[f64], cfg: &FtConfig) -> FtOutcome {
     let mut mg = mg;
     ca_gmres_ft_session(&mut mg, a, b, cfg, None, None, false).0
-}
-
-/// Device-resident solver state held *between* solves of the same matrix:
-/// the distributed [`System`] (basis, iterate, SpMV/MPK plans) plus the
-/// ABFT checksum vectors, together with the identity it was built for.
-///
-/// The multi-tenant service front-end keeps one of these per warm
-/// operator so that back-to-back jobs on the same matrix skip the slice
-/// staging and plan loads entirely ([`ca_gmres_ft_session`] reuses the
-/// state when it is [`ResidentSystem::compatible`], and returns the
-/// refreshed state after a successful solve). [`ResidentSystem::release`]
-/// frees every device allocation when the residency manager evicts the
-/// operator.
-#[derive(Debug)]
-pub struct ResidentSystem {
-    sys: System,
-    abft: Option<AbftState>,
-    /// Precision of the MPK slices and halos the solve ended on (the
-    /// configured one when there is no MPK state).
-    prec: Precision,
-}
-
-impl ResidentSystem {
-    /// Whether this state can serve a solve of an `n`-row matrix under
-    /// `cfg` on an `ndev`-device pool, with an MPK plan for `s_opt` steps
-    /// (`None`: plain SpMV). The effective step size must be computed by
-    /// the caller exactly as the driver does (including any fault-plan
-    /// forced `s`), so the check lives next to the one place that knows:
-    /// [`ca_gmres_ft_session`] re-derives it before calling.
-    pub fn compatible(&self, n: usize, cfg: &FtConfig, s_opt: Option<usize>, ndev: usize) -> bool {
-        let sys = &self.sys;
-        sys.n == n
-            && sys.m == cfg.solver.m
-            && sys.mpk.as_ref().map(|st| st.plan.s) == s_opt
-            && self.prec == cfg.solver.mpk_prec
-            && sys.layout.ndev() == ndev
-            && self.abft.is_some() == cfg.verify
-    }
-
-    /// Free every device allocation the state owns (basis, plans, ABFT
-    /// vectors), returning the bytes to the simulator's memory accounting.
-    pub fn release(self, mg: &mut MultiGpu) {
-        self.sys.release(mg);
-        if let Some(abft) = self.abft {
-            abft.release(mg);
-        }
-    }
 }
 
 /// Step size a solve of `cfg` on `mg` starts with: the configured one, or
@@ -629,24 +569,39 @@ fn effective_s(mg: &MultiGpu, cfg: &FtConfig) -> usize {
     }
 }
 
+/// Whether a warm system from an earlier solve can serve a solve of an
+/// `n`-row matrix under `cfg` at step size `s` on `ndev` devices: the same
+/// basis room, the same MPK plan (steps and precision) or none, and a
+/// checksum exactly when the solve verifies.
+fn fits(sys: &System, n: usize, cfg: &FtConfig, s: usize, ndev: usize) -> bool {
+    let plan = mpk_steps(cfg.solver.kernel, s).map(|s| (s, cfg.solver.mpk_prec));
+    sys.n == n
+        && sys.m == cfg.solver.m
+        && sys.mpk.as_ref().map(|st| (st.plan.s, st.prec)) == plan
+        && sys.layout.ndev() == ndev
+        && sys.checksum.is_some() == cfg.verify
+}
+
 /// Re-entrant fault-tolerant solve against a *borrowed* executor, with an
-/// optional restart-boundary [`RestartTuner`] and optional reuse of a
-/// [`ResidentSystem`] from a previous solve of the same matrix.
+/// optional restart-boundary [`RestartTuner`] and optional reuse of the
+/// [`System`] a previous solve of the same matrix handed back.
 ///
 /// With `resident == None` and `rhs_precharged == false` this is
 /// bit-identical to [`ca_gmres_ft`] on the same machine — same kernels,
-/// same clocks, same counters. A compatible `resident` skips the
-/// basis/plan allocation and slice staging (the warm-operator path); an
-/// incompatible one is released (freeing its device memory) and the state
-/// is rebuilt from scratch. `rhs_precharged` installs the right-hand side
-/// with [`System::set_rhs_uncharged`] — for callers that already charged
-/// an aggregated multi-RHS upload — instead of the per-solve charged
+/// same clocks, same counters. A `resident` system that fits the solve
+/// (the same basis room, MPK plan and device count, and an ABFT checksum
+/// exactly when `cfg.verify` asks for one) skips the basis/plan allocation
+/// and slice staging (the warm-operator path); one that does not is
+/// released (freeing its device memory) and the system is rebuilt from
+/// scratch. `rhs_precharged` installs the right-hand side with
+/// [`System::set_rhs_uncharged`] — for callers that already charged an
+/// aggregated multi-RHS upload — instead of the per-solve charged
 /// [`System::load_rhs`]. A configuration that cannot run returns
 /// `stats.breakdown` = [`BreakdownKind::InvalidInput`] and hands
 /// `resident` back untouched.
 ///
-/// Returns the refreshed resident state after the solve so the caller can
-/// keep the operator warm. `None` when the solve aborted on an
+/// Returns the system the solve ended on, checksum included, so the
+/// caller can keep the operator warm. `None` when the solve aborted on an
 /// unrecoverable fault — the caller must then treat its device-memory
 /// bookkeeping for this pool as stale (an executor rebuild inside the
 /// driver replaces all allocations; [`FtReport::executor_rebuilds`]
@@ -658,43 +613,32 @@ pub fn ca_gmres_ft_session(
     b: &[f64],
     cfg: &FtConfig,
     tuner: Option<&mut dyn RestartTuner>,
-    resident: Option<ResidentSystem>,
+    resident: Option<System>,
     rhs_precharged: bool,
-) -> (FtOutcome, Option<ResidentSystem>) {
+) -> (FtOutcome, Option<System>) {
     let (n, solver) = (a.nrows(), &cfg.solver);
     let rhs = (b.len() != n).then(|| format!("b has {} rows, A has {n}", b.len()));
     if let Some(reason) = invalid(solver, None).or(rhs) {
-        let report = FtReport::default();
-        return (
-            FtOutcome { stats: SolveStats::invalid(reason), report, x: vec![0.0; n] },
-            resident,
-        );
+        let stats = SolveStats::invalid(reason);
+        return (FtOutcome { stats, report: FtReport::default(), x: vec![0.0; n] }, resident);
     }
     let s = effective_s(mg, cfg);
-    let init = match resident {
-        Some(r) if r.compatible(n, cfg, mpk_steps(solver.kernel, s), mg.n_gpus()) => Some(r),
-        Some(r) => {
-            r.release(mg); // stale shape: evict rather than mis-solve
-            None
-        }
-        None => None,
-    };
+    let mut warm = resident;
+    if warm.as_ref().is_some_and(|sys| !fits(sys, n, cfg, s, mg.n_gpus())) {
+        warm.take().expect("checked").release(mg); // stale shape: evict rather than mis-solve
+    }
     mg.sync();
     let t_begin = mg.time();
     let mut guard = FtGuard::new(cfg, tuner, t_begin, s);
-    let op = Operator { a, b, format: SpmvFormat::Ell };
-    let built = match init {
-        // the warm operator (already verified compatible): skip allocation
-        // and staging, just install the new right-hand side
-        Some(ResidentSystem { sys, abft, .. }) => {
-            guard.abft = abft;
-            if rhs_precharged {
-                sys.set_rhs_uncharged(mg, b);
-                Ok(sys)
-            } else {
-                sys.load_rhs(mg, b).map(|()| sys)
-            }
+    let op = Operator { a, b };
+    let built = match warm {
+        // the warm operator: skip allocation and staging, just install the
+        // new right-hand side
+        Some(sys) if rhs_precharged => {
+            sys.set_rhs_uncharged(mg, b);
+            Ok(sys)
         }
+        Some(sys) => sys.load_rhs(mg, b).map(|()| sys),
         None => {
             op.build(mg, Layout::even(n, mg.n_gpus()), solver, (s, solver.mpk_prec), &mut guard)
         }
@@ -711,15 +655,11 @@ pub fn ca_gmres_ft_session(
         }
         Err(e) => (Err(e), SolveStats::default(), vec![0.0; n]),
     };
-    // package the final device state for the caller's residency manager;
-    // the shape keys reflect what the solve *ended* with (a mid-solve
-    // retune/promotion/degradation rebuilt the system with new parameters)
+    // hand the system the solve *ended* on to the caller's residency
+    // manager (a mid-solve retune/promotion/degradation rebuilt it with new
+    // parameters, which the next solve's `fits` reads)
     let resident_out = match ran {
-        Ok(sys) => sys.map(|sys| {
-            guard.report.layout_final = sys.layout.starts.clone();
-            let prec = sys.mpk.as_ref().map_or(solver.mpk_prec, |st| st.prec);
-            ResidentSystem { sys, abft: guard.abft.take(), prec }
-        }),
+        Ok(sys) => sys.inspect(|sys| guard.report.layout_final = sys.layout.starts.clone()),
         Err(e) => {
             stats.breakdown = Some(BreakdownKind::from(e));
             stats.converged = false;
@@ -798,8 +738,6 @@ enum FtHandBack {
 struct FtGuard<'a, 't> {
     cfg: &'a FtConfig,
     tuner: Option<&'t mut dyn RestartTuner>,
-    /// ABFT checksum vectors of the system in use.
-    abft: Option<AbftState>,
     probe: Option<ProbeState>,
     monitor: Option<MonitorState>,
     /// Escalations left for the whole solve — shared by every rung, so a
@@ -834,7 +772,6 @@ impl<'a, 't> FtGuard<'a, 't> {
         Self {
             cfg,
             tuner,
-            abft: None,
             probe: cfg.probe.as_ref().map(|p| ProbeState::new(p, t_begin)),
             monitor: cfg.ladder.as_ref().map(|l| MonitorState::new(&l.monitor)),
             ladder_budget: cfg.ladder.as_ref().map_or(0, |l| l.max_escalations),
@@ -1155,8 +1092,8 @@ impl CycleGuard for FtGuard<'_, '_> {
         blk: &Block<'_>,
     ) -> GpuResult<Verdict<FtHandBack>> {
         let sys = cx.sys;
-        if let Some(ab) = &self.abft {
-            if !ab.verify_block(cx.mg, sys, blk.start, blk.spec)? {
+        if let Some(cdev) = &sys.checksum {
+            if !verify_block(cx.mg, sys, cdev, blk.start, blk.spec)? {
                 self.sdc(cx.mg, || {
                     let (col, attempt) = (blk.start, blk.attempt);
                     format!("SpMV checksum mismatch in block at column {col} (attempt {attempt})")
@@ -1311,11 +1248,12 @@ impl CycleGuard for FtGuard<'_, '_> {
         Ok(beta0)
     }
 
-    /// Every system gets its ABFT checksum vectors, and a rebuilt executor's
-    /// fresh health EWMAs let the probe signal a straggler again.
-    fn on_build(&mut self, mg: &mut MultiGpu, a: &Csr, sys: &System) -> GpuResult<()> {
-        self.abft =
-            if self.cfg.verify { Some(AbftState::build(mg, a, &sys.layout)?) } else { None };
+    /// A verified solve's system gets its ABFT checksum, and a rebuilt
+    /// executor's fresh health EWMAs let the probe signal a straggler again.
+    fn on_build(&mut self, mg: &mut MultiGpu, a: &Csr, sys: &mut System) -> GpuResult<()> {
+        if self.cfg.verify {
+            sys.checksum = Some(checksum(mg, a, &sys.layout)?);
+        }
         if let Some(p) = &mut self.probe {
             p.unlatch();
         }
@@ -1696,6 +1634,32 @@ mod tests {
         resident2.unwrap().release(&mut mg);
         for d in 0..2 {
             assert_eq!(mg.device(d).mem_used(), 0, "device {d} leaked after release");
+        }
+    }
+
+    #[test]
+    fn a_warm_system_that_does_not_fit_is_freed_and_the_solve_runs_cold() {
+        // one key of `fits` changed at a time: the stale system (checksum
+        // included) is released and the solve equals a cold one
+        let (a, b, _) = problem();
+        let mem = |mg: &MultiGpu| (0..2).map(|d| mg.device(d).mem_used()).collect::<Vec<_>>();
+        let (mut other_m, mut other_s, mut unverified, mut f32) = (cfg(), cfg(), cfg(), cfg());
+        other_m.solver.m = 24;
+        other_s.solver.s = 4;
+        unverified.verify = false;
+        f32.solver.mpk_prec = Precision::F32;
+        for (case, c) in [("m", other_m), ("s", other_s), ("verify", unverified), ("f32", f32)] {
+            let mut cold_mg = MultiGpu::with_defaults(2);
+            let (cold, _) = ca_gmres_ft_session(&mut cold_mg, &a, &b, &c, None, None, false);
+            let mut mg = MultiGpu::with_defaults(2);
+            let (_, stale) = ca_gmres_ft_session(&mut mg, &a, &b, &cfg(), None, None, false);
+            let (warm, _) = ca_gmres_ft_session(&mut mg, &a, &b, &c, None, stale, false);
+            assert!(cold.stats.converged && warm.stats.converged, "{case}");
+            assert_eq!(warm.stats.total_iters, cold.stats.total_iters, "{case}");
+            for (u, v) in warm.x.iter().zip(&cold.x) {
+                assert_eq!(u.to_bits(), v.to_bits(), "{case}");
+            }
+            assert_eq!(mem(&mg), mem(&cold_mg), "{case}: the stale system stayed allocated");
         }
     }
 

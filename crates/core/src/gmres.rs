@@ -5,7 +5,7 @@
 //! the CA entries run it once, to harvest the Ritz values (`harvest_cycle`).
 
 use crate::cagmres::CaGmresConfig;
-use crate::cycle::{lsq_solution, CycleGuard, NoGuard, Phase, Solve, SolveCtx, Sys};
+use crate::cycle::{invalid, lsq_solution, CycleGuard, NoGuard, Phase, Solve, SolveCtx, Sys};
 use crate::ft::PollPoint;
 use crate::hess::BlockArnoldi;
 use crate::mpk::dist_spmv;
@@ -147,16 +147,16 @@ pub(crate) fn harvest_cycle<G: CycleGuard>(
 /// Run GMRES(m) on a loaded [`System`]: the crate's one restart loop
 /// (`cycle::Solve::run`) with a standard cycle in every restart. The iterate
 /// starts from whatever `x` currently holds (zero after
-/// [`System::load_rhs`]). An `m` outside `1..=sys.m` runs nothing and
-/// returns [`BreakdownKind::InvalidInput`].
+/// [`System::load_rhs`]). An `m` outside `1..=sys.m` or an `rtol` that is
+/// not a number `>= 0` runs nothing and returns
+/// [`BreakdownKind::InvalidInput`].
 pub fn gmres(mg: &mut MultiGpu, sys: &System, cfg: &GmresConfig) -> GmresOutcome {
-    if cfg.m == 0 || cfg.m > sys.m {
-        let reason = format!("need 1 <= m <= {}, got m = {}", sys.m, cfg.m);
-        return GmresOutcome { stats: SolveStats::invalid(reason), first_hessenberg: None };
-    }
     let GmresConfig { m, orth: borth, rtol, max_restarts } = *cfg;
     let orth = OrthConfig { borth, ..OrthConfig::default() };
-    let solver = CaGmresConfig { m, orth, rtol, max_restarts, ..CaGmresConfig::default() };
+    let solver = CaGmresConfig { s: 1, m, orth, rtol, max_restarts, ..CaGmresConfig::default() };
+    if let Some(reason) = invalid(&solver, Some(sys)) {
+        return GmresOutcome { stats: SolveStats::invalid(reason), first_hessenberg: None };
+    }
 
     mg.sync();
     mg.reset_counters();

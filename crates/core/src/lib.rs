@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::eigs::{arnoldi_eigs, ArnoldiConfig, EigsOutcome, RitzPair};
     pub use crate::ft::{
         ca_gmres_ft, ca_gmres_ft_session, FtConfig, FtOutcome, FtReport, HealthProbe, PollPoint,
-        ResidentSystem, RestartTuner, RetuneDecision,
+        RestartTuner, RetuneDecision,
     };
     pub use crate::gmres::{gmres, GmresConfig, GmresOutcome};
     pub use crate::health::{BasisMonitor, EscalationEvent, EscalationRung, Ladder};

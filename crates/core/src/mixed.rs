@@ -32,7 +32,6 @@ use crate::cagmres::{plain_solve, CaGmresConfig};
 use crate::cycle::{invalid, NoGuard, Operator, Sys};
 use crate::health::EscalationEvent;
 use crate::layout::Layout;
-use crate::mpk::SpmvFormat;
 use crate::stats::SolveStats;
 use ca_gpusim::faults::Result as GpuResult;
 use ca_gpusim::MultiGpu;
@@ -54,12 +53,13 @@ pub struct MixedOutcome {
     pub escalations: Vec<EscalationEvent>,
 }
 
-/// Solve `A x = b` with the f32-basis + f64-refinement scheme. `a` must
-/// already be reordered to match `layout` (see [`crate::layout::prepare`]).
+/// Solve `A x = b` with the f32-basis + f64-refinement scheme, on ELLPACK
+/// slices. `a` must already be reordered to match `layout` (see
+/// [`crate::layout::prepare`]).
 ///
 /// `cfg.mpk_prec` selects the starting basis precision — with
 /// [`ca_scalar::Precision::F64`] this is exactly
-/// [`crate::system::System::with_format`] + [`crate::cagmres::ca_gmres`],
+/// [`crate::system::System::new`] + [`crate::cagmres::ca_gmres`],
 /// bit for bit. With [`ca_scalar::Precision::F32`] the MPK slices and
 /// halos are single precision and the solve is promoted to f64 if (and
 /// only if) a block's orthogonalization breaks down on the f32 basis. A
@@ -75,7 +75,6 @@ pub fn ca_gmres_mixed(
     b: &[f64],
     layout: Layout,
     cfg: &CaGmresConfig,
-    format: SpmvFormat,
 ) -> GpuResult<MixedOutcome> {
     let n = a.nrows();
     let rhs = (b.len() != n).then(|| format!("b has {} rows, A has {n}", b.len()));
@@ -83,7 +82,7 @@ pub fn ca_gmres_mixed(
         let (stats, x) = (SolveStats::invalid(reason), vec![0.0; n]);
         return Ok(MixedOutcome { stats, x, escalated: false, escalations: Vec::new() });
     }
-    let op = Operator { a, b, format };
+    let op = Operator { a, b };
     let sys = op.build(mg, layout, cfg, (cfg.s, cfg.mpk_prec), &mut NoGuard)?;
     let (out, sys, escalations) = plain_solve(mg, Sys::Owned(sys, op), cfg);
     let x = sys.expect("the solve owns the system it was handed").download_x(mg)?;
@@ -118,7 +117,7 @@ mod tests {
         let mut mg = MultiGpu::with_defaults(ndev);
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 7) as f64 * 0.3).collect();
         let bp = ca_sparse::perm::permute_vec(&b, &p);
-        let out = ca_gmres_mixed(&mut mg, &a_ord, &bp, layout, cfg, SpmvFormat::Ell).unwrap();
+        let out = ca_gmres_mixed(&mut mg, &a_ord, &bp, layout, cfg).unwrap();
         let r = residual(&a_ord, &out.x, &bp);
         (out, vec![r], mg.counters())
     }

@@ -130,9 +130,11 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
-    /// The record of a solve refused before it ran.
+    /// The record of a solve refused before it ran: no residual, so a NaN
+    /// relative residual that no convergence test reads as met.
     pub(crate) fn invalid(reason: String) -> Self {
-        Self { breakdown: Some(BreakdownKind::InvalidInput { reason }), ..Self::default() }
+        let breakdown = Some(BreakdownKind::InvalidInput { reason });
+        Self { breakdown, final_relres: f64::NAN, ..Self::default() }
     }
 
     /// Record per-device observed busy times and derive the imbalance

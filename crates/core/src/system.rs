@@ -1,10 +1,11 @@
 //! Device-resident solver state: the distributed basis, right-hand side,
-//! iterate, and SpMV/MPK plans for one linear system.
+//! iterate, SpMV/MPK plans and (under the fault-tolerant driver) ABFT
+//! checksum for one linear system.
 
 use crate::layout::Layout;
 use crate::mpk::{dist_spmv, MpkPlan, MpkState, SpmvFormat};
 use ca_gpusim::faults::Result;
-use ca_gpusim::{MatId, MultiGpu};
+use ca_gpusim::{MatId, MultiGpu, VecId};
 use ca_scalar::Precision;
 use ca_sparse::Csr;
 
@@ -12,7 +13,8 @@ use ca_sparse::Csr;
 ///
 /// The per-device basis matrix has `m + 4` columns: columns `0..=m` hold
 /// the Krylov basis `V`, followed by the iterate `x`, the right-hand side
-/// `b`, and a residual scratch column.
+/// `b`, and a residual scratch column. The service keeps a finished
+/// solve's system resident and hands it to the next job on its matrix.
 #[derive(Debug)]
 pub struct System {
     /// Block-row distribution.
@@ -27,6 +29,9 @@ pub struct System {
     pub m: usize,
     /// Global dimension.
     pub n: usize,
+    /// Per-device row slices of the ABFT checksum `c = Aᵀ1`, when the
+    /// fault-tolerant driver verifies its solves on this system.
+    pub(crate) checksum: Option<Vec<VecId>>,
 }
 
 impl System {
@@ -89,7 +94,7 @@ impl System {
         let mpk = plan_s
             .map(|plan| MpkState::load_as(mg, a, plan, format, mpk_prec, Some(&spmv)))
             .transpose()?;
-        Ok(Self { layout, v, spmv, mpk, m, n })
+        Ok(Self { layout, v, spmv, mpk, m, n, checksum: None })
     }
 
     /// The devices whose buffers hold data for the host to move: all of
@@ -143,10 +148,11 @@ impl System {
         }
     }
 
-    /// Free every device allocation this system owns (the basis matrices
-    /// and both SpMV/MPK plans), returning the bytes to the simulator's
-    /// memory accounting. Used by the service residency manager when a
-    /// cold operator is evicted to make room for an incoming tenant.
+    /// Free every device allocation this system owns (the basis matrices,
+    /// both SpMV/MPK plans and the ABFT checksum), returning the bytes to
+    /// the simulator's memory accounting. Used by the service residency
+    /// manager when a cold operator is evicted to make room for an incoming
+    /// tenant.
     pub fn release(self, mg: &mut MultiGpu) {
         for (d, &v) in self.v.iter().enumerate() {
             mg.device_mut(d).free_mat(v);
@@ -154,6 +160,9 @@ impl System {
         self.spmv.release(mg);
         if let Some(mpk) = self.mpk {
             mpk.release(mg);
+        }
+        for (d, &c) in self.checksum.iter().flatten().enumerate() {
+            mg.device_mut(d).free_vec(c);
         }
     }
 

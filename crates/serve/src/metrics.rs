@@ -12,8 +12,12 @@ pub enum JobStatus {
     /// Solve finished without reaching the tolerance (iteration cap or
     /// accepted-checkpoint return after an unrecoverable fault).
     Unconverged,
-    /// Rejected at admission: no feasible plan at the slice's device
-    /// count (e.g. the operator cannot fit on the pool).
+    /// Never solved: no feasible plan at the slice's device count (e.g.
+    /// the operator cannot fit on the pool), a request no solver can take
+    /// (an unknown matrix key, a non-finite arrival or deadline), or one
+    /// the solver refused ([`ca_gmres::stats::BreakdownKind::InvalidInput`]:
+    /// a right-hand side of the wrong length or not finite, a tolerance
+    /// that is not a number `>= 0`).
     Rejected,
 }
 
@@ -91,7 +95,7 @@ pub struct ServiceReport {
     pub batches: u64,
     /// Jobs that rode in those batches.
     pub batched_jobs: u64,
-    /// Jobs rejected at admission.
+    /// Jobs that ended [`JobStatus::Rejected`].
     pub rejected: u64,
     /// Deadline-carrying jobs that missed.
     pub deadline_misses: u64,

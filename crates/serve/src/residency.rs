@@ -5,7 +5,8 @@
 //! invariants — eviction strictly in least-recently-used order, a
 //! pinned (in-flight) key is never evicted — are property-testable
 //! without building real device state. [`Residency`] instantiates it
-//! over [`ca_gmres::ft::ResidentSystem`] and adds the two lifecycle
+//! over [`ca_gmres::system::System`] — the basis panel, SpMV/MPK plans and
+//! ABFT checksum a finished solve handed back — and adds the two lifecycle
 //! hazards the simulator makes real: releasing an evicted operator
 //! returns its bytes to the device allocator, and an executor rebuild
 //! (device-loss recovery) invalidates every held allocation, after
@@ -13,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use ca_gmres::ft::ResidentSystem;
+use ca_gmres::system::System;
 use ca_gpusim::MultiGpu;
 
 /// Generic keyed LRU with pinning. Recency is a logical counter stamped
@@ -99,7 +100,7 @@ impl<T> Lru<T> {
 /// Warm-operator store for one pool slice.
 #[derive(Debug, Default)]
 pub struct Residency {
-    lru: Lru<ResidentSystem>,
+    lru: Lru<System>,
     /// Operators evicted to make room (each one released its bytes).
     pub evictions: u64,
 }
@@ -107,7 +108,7 @@ pub struct Residency {
 impl Residency {
     /// Take `key`'s warm state for a solve (ownership passes to
     /// [`ca_gmres::ft::ca_gmres_ft_session`]).
-    pub fn take(&mut self, key: &str) -> Option<ResidentSystem> {
+    pub fn take(&mut self, key: &str) -> Option<System> {
         self.lru.take(key)
     }
 
@@ -131,7 +132,7 @@ impl Residency {
 
     /// Park a refreshed operator under `key` (most recently used). A
     /// displaced duplicate is released.
-    pub fn park(&mut self, mg: &mut MultiGpu, key: &str, sys: ResidentSystem) {
+    pub fn park(&mut self, mg: &mut MultiGpu, key: &str, sys: System) {
         if let Some(old) = self.lru.insert(key, sys) {
             old.release(mg);
         }

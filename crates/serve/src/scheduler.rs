@@ -100,9 +100,21 @@ impl Service {
     pub fn run(&mut self, mut jobs: Vec<JobRequest>) -> ServiceReport {
         jobs.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         self.slo = SloMonitor::new(SloConfig::default());
+        let mut report = ServiceReport::default();
+        // A job no solver can ever take — an operator the pool does not
+        // hold, or an arrival or deadline that is not a time — is rejected
+        // before it queues, and charges nothing.
+        let (jobs, malformed): (Vec<_>, Vec<_>) = jobs.into_iter().partition(|j| {
+            self.matrices.contains_key(&j.matrix)
+                && j.arrival_s.is_finite()
+                && j.deadline_s.is_none_or(f64::is_finite)
+        });
+        let h0 = self.slices.iter().map(|sl| sl.mg.host_time()).fold(f64::INFINITY, f64::min);
+        for req in &malformed {
+            self.reject(req, h0, &mut report);
+        }
         let mut pending: VecDeque<JobRequest> = jobs.into();
         let mut queue: Vec<Queued> = Vec::new();
-        let mut report = ServiceReport::default();
         // Distinct configured slice sizes, for ingest-time ETA/feasibility.
         let mut sizes: Vec<usize> = self.cfg.slices.clone();
         sizes.sort_unstable();
@@ -127,10 +139,7 @@ impl Service {
                 let h =
                     self.slices.iter().map(|sl| sl.mg.host_time()).fold(f64::INFINITY, f64::min);
                 for q in queue.drain(..) {
-                    let r = reject_record(&q.req, h);
-                    self.slo.observe_job(&r, h);
-                    report.jobs.push(r);
-                    report.rejected += 1;
+                    self.reject(&q.req, h, &mut report);
                 }
                 if pending.is_empty() {
                     break;
@@ -211,10 +220,7 @@ impl Service {
         }
         let Some(eta_s) = eta else {
             let h = self.slices[charge_slice].mg.host_time();
-            let r = reject_record(&req, h);
-            self.slo.observe_job(&r, h);
-            report.jobs.push(r);
-            report.rejected += 1;
+            self.reject(&req, h, report);
             return;
         };
         let (vstart, vfinish) = self.fair.tag(&req.tenant, eta_s);
@@ -324,10 +330,7 @@ impl Service {
             None => {
                 // Degradation can shrink a slice below any admissible
                 // count between pick and dispatch.
-                let r = reject_record(&primary.req, h);
-                self.slo.observe_job(&r, h);
-                report.jobs.push(r);
-                report.rejected += 1;
+                self.reject(&primary.req, h, report);
                 return;
             }
         };
@@ -432,23 +435,33 @@ impl Service {
             report.solver_rebuilds += out.report.executor_rebuilds as u64;
             sl.residency.clear_stale();
         }
+        // the solver refused the job (its right-hand side or tolerance)
+        // before any cycle ran
+        let refused = matches!(out.stats.breakdown, Some(BreakdownKind::InvalidInput { .. }));
         match res {
             Some(r) if self.cfg.residency => sl.residency.park(&mut sl.mg, key, r),
             Some(r) => r.release(&mut sl.mg),
-            None => {
-                // Fatal solve: the driver dropped its system without
-                // freeing (accounting now holds orphaned bytes) — unless
-                // a rebuild already replaced the executor wholesale.
-                if out.report.executor_rebuilds == 0 {
-                    self.reinit_slice(s);
-                    report.executor_reinits += 1;
-                }
+            // Fatal solve: the driver dropped its system without freeing
+            // (accounting now holds orphaned bytes) — unless a rebuild
+            // already replaced the executor wholesale, or a refusal built
+            // nothing.
+            None if !refused && out.report.executor_rebuilds == 0 => {
+                self.reinit_slice(s);
+                report.executor_reinits += 1;
             }
+            None => {}
         }
-        self.admission.observe_cycles(key, out.stats.restarts);
-
-        let status =
-            if out.stats.converged { JobStatus::Converged } else { JobStatus::Unconverged };
+        let status = if refused {
+            report.rejected += 1;
+            JobStatus::Rejected
+        } else {
+            self.admission.observe_cycles(key, out.stats.restarts);
+            if out.stats.converged {
+                JobStatus::Converged
+            } else {
+                JobStatus::Unconverged
+            }
+        };
         let deadline_met = q.req.deadline_s.map(|d| done_s <= d);
         if deadline_met == Some(false) {
             report.deadline_misses += 1;
@@ -486,6 +499,14 @@ impl Service {
         let sl = &mut self.slices[s];
         sl.mg.respawn(sl.mg.n_gpus());
         sl.residency.clear_stale();
+    }
+
+    /// Record `req` as rejected at `at_s`.
+    fn reject(&mut self, req: &JobRequest, at_s: f64, report: &mut ServiceReport) {
+        let r = reject_record(req, at_s);
+        self.slo.observe_job(&r, at_s);
+        report.jobs.push(r);
+        report.rejected += 1;
     }
 
     fn unpark(&mut self) {
@@ -551,7 +572,8 @@ fn reject_record(req: &JobRequest, at_s: f64) -> JobRecord {
         solver_t_total_s: 0.0,
         warm: false,
         batched: false,
-        deadline_met: req.deadline_s.map(|d| at_s <= d),
+        // a deadline that is not a time is neither met nor missed
+        deadline_met: req.deadline_s.filter(|d| d.is_finite()).map(|d| at_s <= d),
         x_hash: 0,
         x: None,
     }

@@ -313,7 +313,6 @@ fn above_grain_solve_matches_single_thread_golden() {
 /// the f32-tagged byte lanes.
 #[allow(clippy::type_complexity)]
 fn solve_mixed_once() -> (Vec<u64>, u64, u64, u64, u64, usize, bool) {
-    use ca_gmres_repro::gmres::mpk::SpmvFormat;
     use ca_gmres_repro::scalar::Precision;
     let a = gen::convection_diffusion(14, 14, 1.5);
     let (a_ord, p, layout) = prepare(&a, Ordering::Kway, 3);
@@ -328,9 +327,7 @@ fn solve_mixed_once() -> (Vec<u64>, u64, u64, u64, u64, usize, bool) {
         mpk_prec: Precision::F32,
         ..Default::default()
     };
-    let out =
-        ca_gmres_mixed(&mut mg, &a_ord, &perm::permute_vec(&b, &p), layout, &cfg, SpmvFormat::Ell)
-            .unwrap();
+    let out = ca_gmres_mixed(&mut mg, &a_ord, &perm::permute_vec(&b, &p), layout, &cfg).unwrap();
     assert!(out.stats.converged);
     let counters = mg.counters();
     assert!(counters.total_bytes_f32() > 0, "mixed run must move f32-tagged halo bytes");

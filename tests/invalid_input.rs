@@ -1,15 +1,14 @@
 //! Every solver entry refuses an input it cannot run with a typed outcome
-//! — `stats.breakdown == Some(BreakdownKind::InvalidInput { .. })` — and
-//! never a panic: a shape before it touches a device, a non-finite
-//! right-hand side or matrix entry at the initial residual, before any
-//! restart cycle, with a NaN relative residual. The eigensolver refuses a
+//! — `stats.breakdown == Some(BreakdownKind::InvalidInput { .. })`, with a
+//! NaN relative residual — and never a panic: a shape or a tolerance before
+//! it touches a device, a non-finite right-hand side or matrix entry at the
+//! initial residual, before any restart cycle. The eigensolver refuses a
 //! zero start residual as well, where a solver has its answer `x = 0`. So
 //! no non-finite input reaches an MPK block, whose devices read boundary
 //! rows their owners computed on a fault-free machine (bit-identical to
 //! computing them again for finite values only).
 
 use ca_gmres_repro::gmres::cagmres::KernelMode;
-use ca_gmres_repro::gmres::mpk::SpmvFormat;
 use ca_gmres_repro::gmres::prelude::*;
 use ca_gmres_repro::gpusim::MultiGpu;
 use ca_gmres_repro::sparse::{gen, Csr};
@@ -28,6 +27,8 @@ const CASES: [(&str, usize, usize, Option<usize>); 6] = [
     ("MPK plan shorter than s", 8, 10, Some(5)),
 ];
 
+/// Refused before any cycle, with no relative residual to report: a
+/// refusal never reads as convergence.
 fn assert_refused(entry: &str, case: &str, stats: &SolveStats) {
     assert!(
         matches!(stats.breakdown, Some(BreakdownKind::InvalidInput { .. })),
@@ -35,11 +36,6 @@ fn assert_refused(entry: &str, case: &str, stats: &SolveStats) {
         stats.breakdown
     );
     assert!(!stats.converged && stats.restarts == 0, "{entry} on {case} ran");
-}
-
-/// A refused start: refused, and no relative residual to report.
-fn assert_start_refused(entry: &str, case: &str, stats: &SolveStats) {
-    assert_refused(entry, case, stats);
     assert!(stats.final_relres.is_nan(), "{entry} on {case}: relres {}", stats.final_relres);
 }
 
@@ -95,7 +91,7 @@ fn every_entry_types_what_it_cannot_run() {
         if s == 0 || s > m {
             let mut mg = MultiGpu::with_defaults(NDEV);
             let layout = Layout::even(n, NDEV);
-            let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
+            let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg).unwrap();
             assert_refused("ca_gmres_mixed", case, &out.stats);
             assert_eq!(out.x, vec![0.0; n]);
             let ft = FtConfig { solver: cfg, ..Default::default() };
@@ -105,6 +101,30 @@ fn every_entry_types_what_it_cannot_run() {
         }
     }
     assert_eq!(refused, 19, "every (entry, case) pair of the table was exercised");
+}
+
+#[test]
+fn a_tolerance_no_iterate_can_meet_is_refused() {
+    // no residual meets either; `rtol = 0` stays valid (the planner's fixed
+    // budget runs every restart)
+    let a = gen::laplace2d(8, 8);
+    let n = a.nrows();
+    let b = vec![1.0; n];
+    for (case, rtol) in [("rtol = NaN", f64::NAN), ("rtol = -1", -1.0)] {
+        let cfg = CaGmresConfig { s: 4, m: 12, rtol, max_restarts: 5, ..Default::default() };
+        let mut mg = MultiGpu::with_defaults(NDEV);
+        let sys = System::new(&mut mg, &a, Layout::even(n, NDEV), ROOM, Some(4)).unwrap();
+        sys.load_rhs(&mut mg, &b).unwrap();
+        assert_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
+        let gcfg = GmresConfig { m: 12, rtol, max_restarts: 5, ..Default::default() };
+        assert_refused("gmres", case, &gmres(&mut mg, &sys, &gcfg).stats);
+        let layout = Layout::even(n, NDEV);
+        let out = ca_gmres_mixed(&mut MultiGpu::with_defaults(NDEV), &a, &b, layout, &cfg);
+        assert_refused("ca_gmres_mixed", case, &out.unwrap().stats);
+        let ft = FtConfig { solver: cfg, ..Default::default() };
+        let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
+        assert_refused("ca_gmres_ft", case, &out.stats);
+    }
 }
 
 #[test]
@@ -130,7 +150,7 @@ fn a_right_hand_side_of_the_wrong_length_is_refused() {
     let cfg = CaGmresConfig { s: 4, m: 12, ..Default::default() };
     let mut mg = MultiGpu::with_defaults(NDEV);
     let layout = Layout::even(a.nrows(), NDEV);
-    let mixed = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
+    let mixed = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg).unwrap();
     assert_refused("ca_gmres_mixed", "short b", &mixed.stats);
     let ft = FtConfig { solver: cfg, ..Default::default() };
     let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
@@ -155,17 +175,17 @@ fn a_non_finite_right_hand_side_is_refused_never_converged() {
             (mg, sys)
         };
         let (mut mg, sys) = loaded();
-        assert_start_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
+        assert_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
         let (mut mg, sys) = loaded();
         let out = gmres(&mut mg, &sys, &GmresConfig { m: 12, ..Default::default() });
-        assert_start_refused("gmres", case, &out.stats);
+        assert_refused("gmres", case, &out.stats);
         let mut mg = MultiGpu::with_defaults(NDEV);
         let layout = Layout::even(n, NDEV);
-        let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
-        assert_start_refused("ca_gmres_mixed", case, &out.stats);
+        let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg).unwrap();
+        assert_refused("ca_gmres_mixed", case, &out.stats);
         let ft = FtConfig { solver: cfg, ..Default::default() };
         let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
-        assert_start_refused("ca_gmres_ft", case, &out.stats);
+        assert_refused("ca_gmres_ft", case, &out.stats);
         assert_eigs_refused(case, &a, &b);
     }
 }
@@ -188,17 +208,17 @@ fn a_non_finite_matrix_entry_is_refused_never_run() {
             (mg, sys)
         };
         let (mut mg, sys) = loaded();
-        assert_start_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
+        assert_refused("ca_gmres", case, &ca_gmres(&mut mg, &sys, &cfg).stats);
         let (mut mg, sys) = loaded();
         let out = gmres(&mut mg, &sys, &GmresConfig { m: 12, ..Default::default() });
-        assert_start_refused("gmres", case, &out.stats);
+        assert_refused("gmres", case, &out.stats);
         let mut mg = MultiGpu::with_defaults(NDEV);
         let layout = Layout::even(n, NDEV);
-        let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
-        assert_start_refused("ca_gmres_mixed", case, &out.stats);
+        let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg).unwrap();
+        assert_refused("ca_gmres_mixed", case, &out.stats);
         let ft = FtConfig { solver: cfg, ..Default::default() };
         let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);
-        assert_start_refused("ca_gmres_ft", case, &out.stats);
+        assert_refused("ca_gmres_ft", case, &out.stats);
         assert_eigs_refused(case, &a, &b);
     }
 }
@@ -232,7 +252,7 @@ fn a_zero_right_hand_side_is_solved_by_zero_and_refused_by_the_eigensolver() {
     solved("gmres", &stats, &sys.download_x(&mut mg).unwrap());
     let mut mg = MultiGpu::with_defaults(NDEV);
     let layout = Layout::even(n, NDEV);
-    let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg, SpmvFormat::Ell).unwrap();
+    let out = ca_gmres_mixed(&mut mg, &a, &b, layout, &cfg).unwrap();
     solved("ca_gmres_mixed", &out.stats, &out.x);
     let ft = FtConfig { solver: cfg, ..Default::default() };
     let out = ca_gmres_ft(MultiGpu::with_defaults(NDEV), &a, &b, &ft);

@@ -12,12 +12,17 @@
 //! executor-rebuild path, with the whole faulted run still
 //! bit-reproducible. And under memory pressure — a device that holds two
 //! of three operators — cold builds evict in least-recently-used order
-//! through the scheduler, and no allocation is ever refused.
+//! through the scheduler, and no allocation is ever refused. And every
+//! job ends in exactly one terminal state: a request no solver can take, or
+//! one the solver refuses, is one `Rejected` record that leaves the
+//! aggregates finite and the valid jobs beside it untouched.
 
 use ca_gmres_repro::gmres::ft::{ca_gmres_ft_session, FtConfig};
 use ca_gmres_repro::gpusim::{FaultPlan, KernelConfig, MultiGpu, Schedule};
 use ca_gmres_repro::obs::{self, Track};
-use ca_gmres_repro::serve::{AdmissionCache, JobRequest, JobStatus, Policy, ServeConfig, Service};
+use ca_gmres_repro::serve::{
+    AdmissionCache, JobRequest, JobStatus, Policy, ServeConfig, Service, ServiceReport,
+};
 use ca_gmres_repro::sparse::{gen, Csr};
 
 const M: usize = 20;
@@ -281,4 +286,82 @@ fn memory_pressure_evicts_least_recently_used_through_the_scheduler() {
     assert_eq!(rep.evictions, 3);
     assert_eq!(rep.warm_hits, 3);
     assert_eq!(rep.digest(), run().digest());
+}
+
+/// Run `jobs` through a fresh two-device service of [`problem`] on its own
+/// thread, so that a run that never returns fails instead of hanging.
+fn run_bounded(jobs: Vec<JobRequest>) -> ServiceReport {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let service = std::thread::spawn(move || {
+        let mut svc = Service::new(cfg(vec![2]), vec![problem()]);
+        tx.send(svc.run(jobs)).expect("the test waits for the report");
+    });
+    let rep = rx.recv_timeout(std::time::Duration::from_secs(120));
+    let rep = rep.expect("Service::run returns within two minutes, without a panic");
+    service.join().expect("the service thread ends cleanly");
+    rep
+}
+
+fn with(id: u64, edit: impl FnOnce(&mut JobRequest)) -> JobRequest {
+    let (key, a) = problem();
+    let mut j = job(id, &key, rhs(&a), 0.0);
+    edit(&mut j);
+    j
+}
+
+/// The requests no solver can take (arrival or deadline not a time, an
+/// operator the pool does not hold), rejected before they queue.
+fn unservable() -> Vec<(&'static str, JobRequest)> {
+    vec![
+        ("arrival_s = NaN", with(11, |j| j.arrival_s = f64::NAN)),
+        ("arrival_s = +inf", with(12, |j| j.arrival_s = f64::INFINITY)),
+        ("deadline_s = NaN", with(13, |j| j.deadline_s = Some(f64::NAN))),
+        ("unknown matrix key", with(14, |j| j.matrix = "nope".into())),
+    ]
+}
+
+#[test]
+fn every_malformed_job_ends_in_exactly_one_rejected_record() {
+    // the solver refuses these after dispatch; the service repeats none of
+    // its checks
+    let refused = vec![
+        ("NaN in rhs", with(1, |j| j.rhs[7] = f64::NAN)),
+        ("rhs one row short", with(2, |j| j.rhs.truncate(j.rhs.len() - 1))),
+        ("rtol = NaN", with(3, |j| j.rtol = f64::NAN)),
+        ("rtol = -1", with(4, |j| j.rtol = -1.0)),
+    ];
+    for (case, j) in refused.into_iter().chain(unservable()) {
+        let rep = run_bounded(vec![j]);
+        assert_eq!(rep.jobs.len(), 1, "{case}");
+        assert_eq!(rep.jobs[0].status, JobStatus::Rejected, "{case}");
+        assert_eq!(rep.rejected, 1, "{case}");
+        assert_eq!(rep.jobs[0].restarts, 0, "{case}");
+        let t = &rep.tenants[0];
+        for v in [rep.makespan_s, rep.p50_tts_s, rep.p99_tts_s, t.p50_tts_s, t.p99_tts_s] {
+            assert!(v.is_finite(), "{case}: {rep:?}");
+        }
+        assert_eq!(t.deadline_misses, 0, "{case}");
+    }
+}
+
+#[test]
+fn jobs_rejected_before_they_queue_leave_a_valid_job_bit_for_bit() {
+    let alone = run_bounded(vec![with(0, |_| {})]);
+    let (cases, hostile): (Vec<_>, Vec<_>) = unservable().into_iter().unzip();
+    let beside = run_bounded([vec![with(0, |_| {})], hostile].concat());
+    assert_eq!(beside.rejected, cases.len() as u64, "{cases:?}");
+    let (a, b) = (&alone.jobs[0], beside.jobs.iter().find(|j| j.id == 0).expect("job 0"));
+    assert_eq!(a.status, JobStatus::Converged);
+    assert_eq!(b.status, a.status);
+    assert_eq!((b.slice, b.ndev, b.restarts, b.iters), (a.slice, a.ndev, a.restarts, a.iters));
+    assert_eq!(b.x_hash, a.x_hash);
+    for (u, v) in [
+        (a.start_s, b.start_s),
+        (a.done_s, b.done_s),
+        (a.tts_s, b.tts_s),
+        (a.relres, b.relres),
+        (a.solver_t_total_s, b.solver_t_total_s),
+    ] {
+        assert_eq!(u.to_bits(), v.to_bits());
+    }
 }
