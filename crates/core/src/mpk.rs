@@ -18,10 +18,13 @@
 //! block and the boundary levels still alive — with the basis recurrence
 //! and the basis-column write in its epilogue. The clocks price the
 //! redundant boundary flops; the host computes each row once when no fault
-//! can tell the copies apart (see `mpk_steps`). [`spmv_block`], the
-//! generator that exchanges halos per vector instead of per block, launches
-//! the same kernel on the local block alone. The launch-per-slice sequence
-//! the kernel replaced survives in the tests below as the oracle of both.
+//! can tell the copies apart (see `mpk_steps`). The boundary levels are
+//! loaded as their priced shapes alone, and get their entries at the first
+//! block that computes them redundantly ([`MpkState::load_as`]).
+//! [`spmv_block`], the generator that exchanges halos per vector instead of
+//! per block, launches the same kernel on the local block alone. The
+//! launch-per-slice sequence the kernel replaced survives in the tests
+//! below as the oracle of both.
 //!
 //! [`Device::mpk_step`]: ca_gpusim::Device::mpk_step
 
@@ -32,7 +35,7 @@ use crate::system::System;
 use ca_gpusim::faults::Result;
 use ca_gpusim::{device::SpStorage, MatId, MultiGpu, SpId, SpmvShape, VecId};
 use ca_obs as obs;
-use ca_scalar::Precision;
+use ca_scalar::{Precision, Scalar};
 use ca_sparse::{Csr, Ell, Hyb};
 use obs::Track::Host as HOST;
 use std::sync::Arc;
@@ -221,15 +224,11 @@ fn ell_shape(a: &Csr, rows: impl ExactSizeIterator<Item = usize>) -> SpmvShape {
 
 impl SpmvFormat {
     /// The slice `A(rows, :)` in this format at `prec`, built straight from
-    /// the rows of `a` — for a cost-only machine (`shape_only`) without the
-    /// ELLPACK conversion: the slice is its priced shape.
-    fn build<I>(&self, a: &Csr, rows: I, prec: Precision, shape_only: bool) -> SpStorage
+    /// the rows of `a`, its values cast to `prec`.
+    fn build<T: Scalar, I>(&self, a: &Csr<T>, rows: I, prec: Precision) -> SpStorage
     where
         I: ExactSizeIterator<Item = usize> + Clone,
     {
-        if shape_only && *self == SpmvFormat::Ell {
-            return SpStorage::Shape(ell_shape(a, rows), prec);
-        }
         match (*self, prec) {
             (SpmvFormat::Ell, Precision::F64) => SpStorage::Ell(Ell::from_csr_rows(a, rows)),
             (SpmvFormat::Hyb { quantile }, Precision::F64) => {
@@ -240,6 +239,19 @@ impl SpmvFormat {
                 SpStorage::HybF32(Hyb::from_csr_rows(a, rows, quantile))
             }
         }
+    }
+
+    /// What [`SpmvFormat::build`] gives, as its priced shape alone: for
+    /// ELLPACK without the conversion.
+    fn priced<I>(&self, a: &Csr, rows: I, prec: Precision) -> SpStorage
+    where
+        I: ExactSizeIterator<Item = usize> + Clone,
+    {
+        let shape = match self {
+            SpmvFormat::Ell => ell_shape(a, rows),
+            SpmvFormat::Hyb { .. } => self.build(a, rows, prec).shape(),
+        };
+        SpStorage::Shape(shape, prec)
     }
 }
 
@@ -258,6 +270,10 @@ pub struct MpkState {
     /// Per device: the two full-length work vectors of the Fig. 4 double
     /// buffer.
     z: Vec<[VecId; 2]>,
+    /// The entry count of each row of `A`, by global row id: what a level
+    /// row's storage is built from (empty on a cost-only machine, and when
+    /// the plan has no level).
+    row_len: Vec<u32>,
     /// Where each halo value comes from: for device `d`, entry `i` says
     /// which device owns row `plan.devs[d].need[i]` and where that row sits
     /// in the owner's `send` list (= in its uplinked payload).
@@ -268,9 +284,9 @@ impl MpkState {
     /// Load slices and work vectors for `plan` onto the devices of `mg`
     /// (ELLPACK storage in f64, the paper's default).
     ///
-    /// Levels `1..s-1` get compute slices (level `s` rows are inputs only,
-    /// never outputs, so no slice is needed for them); every device gets
-    /// two full-length work vectors (the Fig. 4 double buffer).
+    /// Levels `1..s-1` get slices (level `s` rows are inputs only, never
+    /// outputs, so no slice is needed for them); every device gets two
+    /// full-length work vectors (the Fig. 4 double buffer).
     ///
     /// # Errors
     /// Propagates simulated allocation failures ([`ca_gpusim::GpuSimError`]).
@@ -291,6 +307,14 @@ impl MpkState {
     /// converted or stored a second time on the host. A `resident` of
     /// another format or precision is ignored; one of another layout is a
     /// bug and panics.
+    ///
+    /// The level slices are loaded as their priced shapes, with their row
+    /// ids: a fault-free machine computes each row once and multiplies by no
+    /// level (see [`mpk`]). The first block that finds a fault plan
+    /// installed or a device lost builds them from the owners' local blocks
+    /// in this state, to the storage a build from `a` gives — the same bits
+    /// on every input — and charges nothing: a shape is charged the bytes
+    /// of its storage.
     ///
     /// On a cost-only machine ([`MultiGpu::cost_only`]) the state is
     /// shape-only: the analysis in `plan` is the real one, the slices are
@@ -327,7 +351,8 @@ impl MpkState {
                     assert_eq!(r.plan.devs[d].local, dp.local, "device {d}: another layout");
                     Arc::clone(&dev.slice(r.local_slice(d)).storage)
                 }
-                None => Arc::new(format.build(a, dp.local.clone(), prec, shape_only)),
+                None if shape_only => Arc::new(format.priced(a, dp.local.clone(), prec)),
+                None => Arc::new(format.build(a, dp.local.clone(), prec)),
             };
             // sized up front: a list that grew would leave its small freed
             // buffers between the slices' long-lived arrays
@@ -335,7 +360,7 @@ impl MpkState {
             let rows = ids(&mut dp.local.clone().map(|r| r as u32));
             dev_slices.push(dev.load_slice_storage(local, rows)?);
             for lv in &dp.levels[..s - 1] {
-                let slice = format.build(a, lv.iter().map(|&r| r as usize), prec, shape_only);
+                let slice = format.priced(a, lv.iter().map(|&r| r as usize), prec);
                 dev_slices.push(dev.load_slice_storage(slice, ids(&mut lv.iter().copied()))?);
             }
             slices.push(dev_slices);
@@ -343,7 +368,9 @@ impl MpkState {
         }
         // (no values travel on a cost-only machine: nothing to route)
         let halo_src = if shape_only { Vec::new() } else { halo_sources(&plan) };
-        Ok(Self { plan, prec, format, slices, z, halo_src })
+        let row_len =
+            if s > 1 { ids(&mut (0..n).map(|r| a.row_nnz(r) as u32)) } else { Vec::new() };
+        Ok(Self { plan, prec, format, slices, z, row_len, halo_src })
     }
 
     /// The slice holding device `d`'s local block `A^(d)`.
@@ -364,6 +391,51 @@ impl MpkState {
         }
         for (d, z) in self.z.iter().enumerate() {
             z.iter().for_each(|&half| mg.device_mut(d).free_vec(half));
+        }
+    }
+
+    /// Give every level slice still loaded as its priced shape its entries,
+    /// read from the owners' local blocks in this state: they hold the same
+    /// rows at the same format, precision and cast values. Each level row's
+    /// entries, in CSR order, go through the conversion a build of the slice
+    /// from `A` runs, so the slice gets the slots, widths, padding and bytes
+    /// that build gives it. A host build: nothing is charged.
+    fn fill_levels(&self, mg: &mut MultiGpu) {
+        for (d, dev_slices) in self.slices.iter().enumerate() {
+            for (t, &sl) in dev_slices.iter().enumerate().skip(1) {
+                if matches!(*mg.device(d).slice(sl).storage, SpStorage::Shape(..)) {
+                    let storage = self.level_storage(mg, &self.plan.devs[d].levels[t - 1]);
+                    mg.device_mut(d).fill_slice(sl, storage);
+                }
+            }
+        }
+    }
+
+    /// The slice `A(rows, :)` in this state's format and precision, its row
+    /// `r` read from the local block of `r`'s owner.
+    fn level_storage(&self, mg: &MultiGpu, rows: &[u32]) -> SpStorage {
+        let devs = &self.plan.devs;
+        let block = |r: u32| {
+            let o = devs.partition_point(|dp| dp.local.end <= r as usize);
+            (&*mg.device(o).slice(self.slices[o][0]).storage, r as usize - devs[o].local.start)
+        };
+        match self.prec {
+            Precision::F64 => {
+                let a = gather(&self.row_len, rows, |r, len, out| match block(r) {
+                    (SpStorage::Ell(e), i) => out.extend(e.row_entries(i, len)),
+                    (SpStorage::Hyb(h), i) => out.extend(h.row_entries(i, len)),
+                    _ => unreachable!("an f64 state multiplies by f64 blocks"),
+                });
+                self.format.build(&a, 0..a.nrows(), Precision::F64)
+            }
+            Precision::F32 => {
+                let a = gather(&self.row_len, rows, |r, len, out| match block(r) {
+                    (SpStorage::EllF32(e), i) => out.extend(e.row_entries(i, len)),
+                    (SpStorage::HybF32(h), i) => out.extend(h.row_entries(i, len)),
+                    _ => unreachable!("an f32 state multiplies by f32 blocks"),
+                });
+                self.format.build(&a, 0..a.nrows(), Precision::F32)
+            }
         }
     }
 
@@ -451,6 +523,24 @@ impl MpkState {
         });
         Ok(())
     }
+}
+
+/// The rows `rows` of a square matrix whose row `r` has `row_len[r]`
+/// entries, as CSR: row `r`'s entries appended by `row(r, row_len[r], ..)`.
+fn gather<T: Scalar>(
+    row_len: &[u32],
+    rows: &[u32],
+    mut row: impl FnMut(u32, usize, &mut (Vec<u32>, Vec<T>)),
+) -> Csr<T> {
+    let nnz = rows.iter().map(|&r| row_len[r as usize] as usize).sum();
+    let mut entries = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+    row_ptr.push(0);
+    for &r in rows {
+        row(r, row_len[r as usize] as usize, &mut entries);
+        row_ptr.push(entries.0.len());
+    }
+    Csr::from_raw(rows.len(), row_len.len(), row_ptr, entries.0, entries.1)
 }
 
 /// For each device, the (owner device, index in the owner's `send`) of every
@@ -621,10 +711,16 @@ pub fn mpk_with_prefetch(
 /// for finite inputs a row's sum is the same sequence of operations in
 /// every slice that holds it, and the recurrence is per row. With a fault
 /// plan installed or a device lost, every device computes every live level,
-/// as Fig. 4 does, and a fault can hit its private copy of a boundary row.
-/// Either way a step is charged over every live slice.
+/// as Fig. 4 does, and a fault can hit its private copy of a boundary row;
+/// the level slices still loaded as shapes are built first. Either way a
+/// step is charged over every live slice.
 fn mpk_steps(mg: &mut MultiGpu, st: &MpkState, v: &[MatId], start_col: usize, spec: &BasisSpec) {
-    let once = mg.is_fault_free() && !mg.is_cost_only();
+    let cost_only = mg.is_cost_only();
+    let once = mg.is_fault_free() && !cost_only;
+    // (a cost-only machine computes nothing: its slices stay shapes)
+    if !once && !cost_only {
+        st.fill_levels(mg);
+    }
     let mut given: Vec<Vec<f64>> =
         st.plan.devs.iter().map(|dp| Vec::with_capacity(dp.levels[0].len())).collect();
     for k in 1..=spec.s() {
@@ -1183,8 +1279,19 @@ mod tests {
         (format, prec): (SpmvFormat, Precision),
         x0: &[f64],
     ) -> (MultiGpu, MpkState, Vec<MatId>) {
+        let mg = MultiGpu::with_defaults(layout.ndev());
+        loaded_on(mg, a, (layout, s, cols), (format, prec), x0)
+    }
+
+    /// [`loaded`] on the machine `mg`, as it is.
+    fn loaded_on(
+        mut mg: MultiGpu,
+        a: &Csr,
+        (layout, s, cols): (&Layout, usize, usize),
+        (format, prec): (SpmvFormat, Precision),
+        x0: &[f64],
+    ) -> (MultiGpu, MpkState, Vec<MatId>) {
         let ndev = layout.ndev();
-        let mut mg = MultiGpu::with_defaults(ndev);
         let plan = MpkPlan::new(a, layout, s);
         let st = MpkState::load_as(&mut mg, a, plan, format, prec, None).unwrap();
         let v = (0..ndev)
@@ -1289,6 +1396,8 @@ mod tests {
                         if fused {
                             mpk_steps(&mut mg, &st, &v, 0, &spec);
                         } else {
+                            // the oracle multiplies by every level itself
+                            st.fill_levels(&mut mg);
                             mg.run(|d, dev| {
                                 for k in 1..=spec.s() {
                                     let parts = &st.slices[d][..=spec.s() - k];
@@ -1563,6 +1672,150 @@ mod tests {
         // (the launch that kills still wrote: a loss at the last one shows
         // in `is_lost` alone)
         assert_eq!(died_mid_block, s - 1, "the loss must land inside the block");
+    }
+
+    /// Device memory the model charges, per device.
+    fn mem_used(mg: &MultiGpu) -> Vec<usize> {
+        (0..mg.n_gpus()).map(|d| mg.device(d).mem_used()).collect()
+    }
+
+    /// Every level slice of `st`, device by device, nearest level first.
+    fn level_storages(mg: &MultiGpu, st: &MpkState) -> Vec<Arc<SpStorage>> {
+        let slices = st.slices.iter().enumerate();
+        let levels = slices.flat_map(|(d, sls)| sls[1..].iter().map(move |&sl| (d, sl)));
+        levels.map(|(d, sl)| Arc::clone(&mg.device(d).slice(sl).storage)).collect()
+    }
+
+    #[test]
+    fn levels_built_at_the_first_redundant_block_equal_a_build_from_the_matrix() {
+        // the circuit layout with an empty device, and one above the team grain
+        let cases = [
+            (ca_sparse::gen::circuit(600, 20140527), Layout::from_sizes(&[200, 0, 250, 150])),
+            (ca_sparse::gen::circuit(12_600, 7), Layout::even(12_600, 3)),
+        ];
+        let s = 4;
+        let spec = every_branch(s);
+        let (mut blocks, mut hit) = (0, 0);
+        for (a, layout) in &cases {
+            let n = a.nrows();
+            let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e2).collect();
+            // non-finite values and -0.0 at the padding columns `i % n` of
+            // the first rows of every slice, and all over
+            let poisoned: Vec<f64> = (0..n)
+                .map(|i| match i % 7 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    _ => x0[i],
+                })
+                .collect();
+            // a level multiplied on its own, poisoned
+            let product = |storage: &SpStorage| -> Vec<u64> {
+                let mut y = vec![0.0; storage.nrows()];
+                storage.spmv_window(&poisoned, &mut y, 0);
+                y.iter().map(|y| y.to_bits()).collect()
+            };
+            for format in [SpmvFormat::Ell, SpmvFormat::Hyb { quantile: 0.9 }] {
+                for prec in [Precision::F64, Precision::F32] {
+                    let zero = ca_gpusim::FaultPlan::new(20140527);
+                    let sdc = zero.clone().with_sdc(0.5, ca_gpusim::SdcTargets::spmv_only());
+                    for plan in [zero, sdc] {
+                        let what = format!("{n} rows, {format:?} {prec:?}, {plan:?}");
+                        // the plan installed after the load or before it
+                        let run = |after_load: bool| {
+                            let mut mg = MultiGpu::with_defaults(layout.ndev());
+                            if !after_load {
+                                mg.set_fault_plan(plan.clone());
+                            }
+                            let (mut mg, st, v) =
+                                loaded_on(mg, a, (layout, s, s + 1), (format, prec), &x0);
+                            let loaded = level_storages(&mg, &st);
+                            assert!(loaded.iter().all(|l| matches!(**l, SpStorage::Shape(..))));
+                            let mem_before = mem_used(&mg);
+                            if after_load {
+                                mg.set_fault_plan(plan.clone());
+                            }
+                            mpk(&mut mg, &st, &v, 0, &spec).unwrap();
+                            assert_eq!(mem_used(&mg), mem_before, "{what}");
+                            let levels = st.plan.devs.iter().flat_map(|dp| &dp.levels[..s - 1]);
+                            let built = level_storages(&mg, &st);
+                            let mut poison_shows = false;
+                            for ((lv, shape), got) in levels.zip(&loaded).zip(&built) {
+                                let want = format.build(a, lv.iter().map(|&r| r as usize), prec);
+                                assert_eq!(shape.shape(), want.shape(), "{what}");
+                                assert_eq!(got.shape(), want.shape(), "{what}");
+                                let y = product(got);
+                                assert!(y == product(&want), "{what}: a level's bits moved");
+                                poison_shows |= y.iter().any(|y| f64::from_bits(*y).is_nan());
+                            }
+                            assert!(poison_shows, "{what}");
+                            let clocks: Vec<(u64, u64)> = (0..mg.n_gpus())
+                                .map(|d| (mg.device(d).ops(), mg.device(d).clock().to_bits()))
+                                .collect();
+                            (mem_before, clocks, device_bits(&mg, &st, &v))
+                        };
+                        let late = run(true);
+                        assert!(late == run(false), "{what}");
+                        hit += usize::from(late.2 != run_clean(a, layout, s, format, prec, &x0));
+                        blocks += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(blocks, 16);
+        assert!(hit >= 4, "the SDC plan must reach the blocks it runs: {hit} of 8 did");
+    }
+
+    /// [`device_bits`] after a clean block of [`every_branch`]`(s)` steps.
+    fn run_clean(
+        a: &Csr,
+        layout: &Layout,
+        s: usize,
+        format: SpmvFormat,
+        prec: Precision,
+        x0: &[f64],
+    ) -> Vec<Vec<u64>> {
+        let (mut mg, st, v) = loaded(a, (layout, s, s + 1), (format, prec), x0);
+        mpk(&mut mg, &st, &v, 0, &every_branch(s)).unwrap();
+        device_bits(&mg, &st, &v)
+    }
+
+    #[test]
+    fn a_solve_whose_plan_came_after_the_build_is_the_solve_built_under_it() {
+        use crate::cagmres::{ca_gmres, CaGmresConfig};
+        let a = laplace2d(40, 36);
+        let n = a.nrows();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 3) % 11) as f64 * 0.2).collect();
+        let cfg = CaGmresConfig { s: 5, m: 20, rtol: 1e-8, max_restarts: 60, ..Default::default() };
+        let plan = ca_gpusim::FaultPlan::new(7).with_sdc(0.02, ca_gpusim::SdcTargets::spmv_only());
+        let solve = |plan_first: bool| {
+            let mut mg = MultiGpu::with_defaults(3);
+            if plan_first {
+                mg.set_fault_plan(plan.clone());
+            }
+            let sys = System::new(&mut mg, &a, Layout::even(n, 3), cfg.m, Some(cfg.s)).unwrap();
+            if !plan_first {
+                mg.set_fault_plan(plan.clone());
+            }
+            let mem = mem_used(&mg);
+            sys.load_rhs(&mut mg, &b).unwrap();
+            let out = ca_gmres(&mut mg, &sys, &cfg);
+            let x = sys.download_x(&mut mg).unwrap();
+            let bits: Vec<u64> = x.iter().map(|x| x.to_bits()).collect();
+            (bits, format!("{:?}", out.stats), mem, mem_used(&mg), mg.time().to_bits())
+        };
+        let late = solve(false);
+        assert!(late == solve(true));
+        // (and the faults did reach the solve)
+        let clean = {
+            let mut mg = MultiGpu::with_defaults(3);
+            let sys = System::new(&mut mg, &a, Layout::even(n, 3), cfg.m, Some(cfg.s)).unwrap();
+            sys.load_rhs(&mut mg, &b).unwrap();
+            ca_gmres(&mut mg, &sys, &cfg);
+            sys.download_x(&mut mg).unwrap()
+        };
+        assert_ne!(late.0, clean.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
     }
 
     /// The exchange's old host side: expand every payload into a zeroed

@@ -83,8 +83,9 @@ impl System {
         // leave allocator-cached fragments among the long-lived slice
         // arrays, and the heap of a process that builds system after system
         // no longer coalesces (EXPERIMENTS.md, PR 20: 22 MiB on `cant_mpk`).
-        let plan1 = MpkPlan::new(a, &layout, 1);
+        // An s-step plan holds the s = 1 analysis: its first level.
         let plan_s = s.filter(|&s| s > 1).map(|s| MpkPlan::new(a, &layout, s));
+        let plan1 = plan_s.as_ref().map_or_else(|| MpkPlan::new(a, &layout, 1), |p| p.truncated(1));
         let v: Vec<MatId> = (0..layout.ndev())
             .map(|d| mg.device_mut(d).alloc_mat(layout.nlocal(d), m + 4))
             .collect::<Result<_>>()?;

@@ -70,9 +70,11 @@ pub enum SpStorage {
     EllF32(Ell<f32>),
     /// Single-precision hybrid.
     HybF32(Hyb<f32>),
-    /// What a cost-only device keeps of any of the above: the shape the
-    /// SpMV model prices and the precision it runs at. Holds no entries;
-    /// multiplying by it panics.
+    /// What a cost-only device keeps of any of the above, and what an MPK
+    /// level slice is until a device first computes it
+    /// ([`Device::fill_slice`]): the shape the SpMV model
+    /// prices and the precision it runs at. Holds no entries; multiplying
+    /// by it panics.
     Shape(SpmvShape, Precision),
 }
 
@@ -667,6 +669,22 @@ impl Device {
         self.charge_mem(storage.bytes() + storage.nrows() * 4)?;
         self.slices.push(SpSlice { storage, rows });
         Ok(SpId(self.slices.len() - 1))
+    }
+
+    /// Give a slice loaded as its priced shape ([`SpStorage::Shape`]) the
+    /// entries it stands for, built on the host after the load. `storage`
+    /// must have the shape and precision it replaces: the slice keeps its
+    /// id, rows and charged bytes, and nothing is charged.
+    pub fn fill_slice(&mut self, s: SpId, storage: SpStorage) {
+        assert!(!self.shape_only, "a cost-only device keeps shapes");
+        let sl = &mut self.slices[s.0];
+        let priced = (storage.shape(), storage.prec());
+        assert!(
+            matches!(*sl.storage, SpStorage::Shape(sh, p) if (sh, p) == priced),
+            "slice {} is no shape of {priced:?}",
+            s.0
+        );
+        sl.storage = Arc::new(storage);
     }
 
     // ---------- deallocation (multi-tenant residency management) ----------

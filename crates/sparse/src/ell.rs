@@ -206,6 +206,20 @@ impl<T: Scalar> Ell<T> {
         self.spmv_window(x, y, 0);
     }
 
+    /// The first `len` slots of row `i`, as `(column, value)`: the row's
+    /// kept entries in CSR order when `len` is their count. A lane does not
+    /// record it — a padding slot and an explicit zero at the row's padding
+    /// column look alike — so the caller says how many there are.
+    pub fn row_entries(&self, i: usize, len: usize) -> impl Iterator<Item = (u32, T)> + '_ {
+        let w0 = i / SIGMA * SIGMA;
+        let window = &self.out_row[w0..(w0 + SIGMA).min(self.nrows)];
+        let p = w0 + window.iter().position(|&o| o as usize == i - w0).expect("a row has a lane");
+        let (c, l) = (p / CHUNK, p % CHUNK);
+        assert!(len * CHUNK <= self.chunk_ptr[c + 1] - self.chunk_ptr[c], "row {i}: {len} slots");
+        let slots = (self.chunk_ptr[c] + l..).step_by(CHUNK).take(len);
+        slots.map(|k| (self.col_idx[k], self.values[k]))
+    }
+
     /// Rows `[window0 * σ, window0 * σ + y.len())` of `y := A x`, with the
     /// bits the whole product gives them: the one SpMV loop. `y` holds
     /// whole windows of [`WINDOW_ROWS`] rows, but for the last of the
@@ -660,6 +674,40 @@ mod tests {
                 // sorting leaves at most one chunk of full width per window
                 let sorted = e.nnz() + e.nrows() + CHUNK * e.width() * (windows + 1);
                 assert!(e.values.len() <= sorted, "{what}: {} > {sorted}", e.values.len());
+            }
+        }
+    }
+
+    /// Bits of every row of `a`, read back through `entries(row, length)`.
+    fn read_back<I>(a: &Csr, entries: impl Fn(usize, usize) -> I) -> Vec<Vec<(u32, u64)>>
+    where
+        I: Iterator<Item = (u32, f64)>,
+    {
+        let bits = |i| entries(i, a.row_nnz(i)).map(|(c, v): (u32, f64)| (c, v.to_bits()));
+        (0..a.nrows()).map(|i| bits(i).collect()).collect()
+    }
+
+    #[test]
+    fn a_row_reads_back_its_entries_in_order_explicit_zeros_included() {
+        let mut rng = SplitMix64::new(0x0e11);
+        for nrows in ROWS {
+            let ncols = nrows.max(3);
+            let mut a = matrix(&mut rng, nrows, ncols, 11);
+            // zeros of both signs among the entries, where padding slots
+            // would hold `+0.0` too
+            for (k, v) in a.values_mut().iter_mut().enumerate() {
+                *v = [*v, 0.0, -0.0][k % 3];
+            }
+            let want = read_back(&a, |i, _| {
+                let (cols, vals) = a.row(i);
+                cols.iter().copied().zip(vals.iter().copied())
+            });
+            let e = Ell::from_csr(&a);
+            assert_eq!(read_back(&a, |i, len| e.row_entries(i, len)), want, "ell, {nrows} rows");
+            for width in [0, 1, 4, 11] {
+                let h = Hyb::from_csr_with_width(&a, width);
+                let got = read_back(&a, |i, len| h.row_entries(i, len));
+                assert_eq!(got, want, "hyb of width {width}, {nrows} rows");
             }
         }
     }

@@ -94,6 +94,17 @@ impl<T: Scalar> Hyb<T> {
         self.ell.bytes() + self.coo.len() * (8 + T::BYTES)
     }
 
+    /// The `len` entries of row `i` in CSR order, as `(column, value)`: the
+    /// first ones from the ELL part, the rest from the tail. `len` must be
+    /// the row's length ([`Ell::row_entries`] says why).
+    pub fn row_entries(&self, i: usize, len: usize) -> impl Iterator<Item = (u32, T)> + '_ {
+        let kept = len.min(self.width());
+        let first = self.coo.partition_point(|e| (e.0 as usize) < i);
+        let tail = &self.coo[first..first + (len - kept)];
+        debug_assert!(tail.iter().all(|e| e.0 as usize == i), "row {i} spilled fewer entries");
+        self.ell.row_entries(i, kept).chain(tail.iter().map(|&(_, c, v)| (c, v)))
+    }
+
     /// `y := A x`: the ELL part, then the COO tail added entry by entry.
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
         assert_eq!(y.len(), self.nrows());

@@ -17,9 +17,11 @@
 //!
 //! The same allocator keeps a live-bytes high-water mark, which pins what
 //! `System::new` holds on the host: the s-step plan multiplies by the local
-//! blocks the s = 1 plan built, so the peak is the device memory the model
-//! charges *less one copy of the local blocks* — the model prices both
-//! loads, the host stores one.
+//! blocks the s = 1 plan built, and on a fault-free machine its level slices
+//! are priced shapes until a block computes them redundantly, so the peak is
+//! the device memory the model charges *less one copy of the local blocks
+//! and every level slice* — the model prices both loads and the levels, the
+//! host stores one local block and no level entry.
 //!
 //! One `#[test]` only: the counters are process-wide.
 
@@ -106,8 +108,22 @@ fn system_new_holds_each_local_block_once() {
         .sum();
     // (a second host copy would have to show: it is a quarter of the total)
     assert!(4 * local > charged, "local blocks {local} B of {charged} B charged");
-    let bound = (charged - local) + (charged - local) / 10;
-    assert!(peak < bound, "System::new peaked at {peak} B, one local block less is {bound} B");
+    // the level slices are priced shapes on a fault-free machine: charged,
+    // and not held
+    let levels: usize = MpkPlan::new(&a, &layout, s)
+        .devs
+        .iter()
+        .flat_map(|dp| &dp.levels[..s - 1])
+        .map(|lv| {
+            Ell::<f64>::from_csr_rows(&a, lv.iter().map(|&r| r as usize)).bytes() + 4 * lv.len()
+        })
+        .sum();
+    let held = charged - local - levels;
+    let bound = held + held / 10;
+    assert!(
+        peak < bound,
+        "System::new peaked at {peak} B, without levels and a local block {bound} B"
+    );
 }
 
 #[test]
