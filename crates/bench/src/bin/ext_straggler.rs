@@ -30,7 +30,7 @@
 
 use ca_bench::{balanced_problem, table, Scale, Study, TestMatrix};
 use ca_gmres::prelude::*;
-use ca_gpusim::{export_chrome_trace, FaultPlan, MultiGpu};
+use ca_gpusim::{obs_ingest_traces, FaultPlan, MultiGpu};
 
 const NDEV: usize = 3;
 const SLOW_DEV: usize = 1;
@@ -174,7 +174,9 @@ fn emit_trace(study: &Study, t: &TestMatrix) {
     let sys = System::new(&mut mg, &a, Layout::even(n, NDEV), cfg.m, Some(cfg.s)).unwrap();
     sys.load_rhs(&mut mg, &b).unwrap();
     let _ = ca_gmres(&mut mg, &sys, &cfg);
-    study.write("ext_straggler_trace.json", &export_chrome_trace(&mg.take_traces()));
+    ca_obs::start();
+    obs_ingest_traces(&mg.take_traces());
+    study.write("ext_straggler_trace.json", &ca_obs::export::chrome_trace(&ca_obs::finish()));
 }
 
 fn main() {

@@ -3,8 +3,8 @@
 //! `syrk_tn`/`gemm_tn` on tall-skinny operands form the Gram matrix in
 //! CholQR/SVQR (`xGEMM` in Fig. 10); `trsm_right_upper` applies `R^{-1}`
 //! to the basis block; `update_cols` is BOrth's block update. The
-//! panelled products ([`gemm_tn_panels`], [`syrk_tn_batched`]) mirror the
-//! paper's batched-DGEMM optimization (§V-F): the tall matrix is cut into
+//! panelled product ([`gemm_tn_rows`] with `Some(h)`) mirrors the paper's
+//! batched-DGEMM optimization (§V-F): the tall matrix is cut into
 //! `h`-row panels, each panel's small product is formed on its own, and
 //! the partial results are summed in panel order — numerically distinct
 //! from the flat product, as on the GPU, and the structure the GPU
@@ -13,9 +13,10 @@
 //! Every routine here is a thin driver over the micro-kernels of
 //! [`tile`](crate::tile) and keeps, per output scalar, the operation
 //! sequence of the `blas1::dot` / `blas1::axpy` loops it replaced (see
-//! DESIGN.md, "Host kernels and the summation-order contract"). The
-//! `*_cols` routines work in place on column ranges of one matrix and are
-//! what the simulated device's kernels delegate to.
+//! DESIGN.md, "Host kernels and the summation-order contract").
+//! `update_cols` works in place on column ranges of one matrix; it and the
+//! `*_rows` routines, which take the same rows of several columns, are what
+//! the simulated device's kernels delegate to.
 
 use crate::mat::Cols;
 use crate::tile::{
@@ -46,49 +47,12 @@ pub fn gemm_tn<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat
     });
 }
 
-/// `C := A^T B` on column views, flat (`panel_rows == None`: every entry
-/// one full-length dot) or panelled (`Some(h)`: per entry, the dots of
-/// the `h`-row panels added up in panel order, starting from zero). The
-/// panel loop is outermost, so each panel is streamed from memory once.
-/// With `upper` (`a` and `b` the same columns) only `i <= j` is computed
-/// and the lower triangle is mirrored.
-pub fn gemm_tn_panels<T: Scalar>(
-    a: Cols<'_, T>,
-    b: Cols<'_, T>,
-    panel_rows: Option<usize>,
-    upper: bool,
-    c: &mut Mat<T>,
-) {
-    gemm_tn_panels_with(Isa::detect(), a, b, panel_rows, upper, c);
-}
-
-/// [`gemm_tn_panels`] on a given kernel instantiation.
-pub(crate) fn gemm_tn_panels_with<T: Scalar>(
-    isa: Isa,
-    a: Cols<'_, T>,
-    b: Cols<'_, T>,
-    panel_rows: Option<usize>,
-    upper: bool,
-    c: &mut Mat<T>,
-) {
-    assert_eq!(c.nrows(), a.ncols());
-    assert_eq!(c.ncols(), b.ncols());
-    let (ka, kb) = (a.ncols(), b.ncols());
-    let mut ct = vec![T::ZERO; ka * kb];
-    gemm_tn_rows_with(isa, a, b, 0, panel_rows, upper, &mut ct);
-    for j in 0..kb {
-        for i in 0..ka {
-            // the lower triangle mirrors the upper one
-            c[(i, j)] = if upper && i > j { ct[i + j * kb] } else { ct[j + i * kb] };
-        }
-    }
-}
-
-/// Rows `i0..i0 + ct.len() / b.ncols()` of [`gemm_tn_panels`]'s `C := A^T
-/// B`, transposed: `ct[j + (i - i0) * b.ncols()]` receives `C(i, j)`,
-/// summed as the whole product sums it (one full-length dot, or the dots of
-/// the `h`-row panels added in panel order from zero). With `upper` only
-/// `j >= i` is written. Every output is computed whole by the one call
+/// Rows `i0..i0 + ct.len() / b.ncols()` of `C := A^T B` on column views,
+/// transposed: `ct[j + (i - i0) * b.ncols()]` receives `C(i, j)`, flat
+/// (`panel_rows == None`: one full-length dot) or panelled (`Some(h)`: the
+/// dots of the `h`-row panels added in panel order from zero; the panel
+/// loop is outermost, so each panel is streamed from memory once). With
+/// `upper` (`a` and `b` the same columns) only `j >= i` is written. Every output is computed whole by the one call
 /// that writes it, so disjoint row blocks of one `C` may be computed on
 /// different threads.
 pub fn gemm_tn_rows<T: Scalar>(
@@ -165,17 +129,6 @@ pub fn syrk_tn<T: Scalar>(alpha: T, a: &Mat<T>, beta: T, c: &mut Mat<T>) {
         c[(i, j)] = v;
         c[(j, i)] = v;
     });
-}
-
-/// Batched/panelled variant of the Gram product `C := A^T A`:
-/// split the `m` rows into panels of height `h`, form each panel's
-/// `k x k` product independently, then reduce. Returns the number of
-/// panels used (the "batch count"), which the GPU simulator's cost model
-/// consumes. Results are bitwise-deterministic for a fixed `h`.
-pub fn syrk_tn_batched<T: Scalar>(a: &Mat<T>, h: usize, c: &mut Mat<T>) -> usize {
-    let k = a.ncols();
-    gemm_tn_panels(a.cols(0, k), a.cols(0, k), Some(h), true, c);
-    a.nrows().div_ceil(h)
 }
 
 /// In place in one matrix: `V[:, d] += sum_l factor(l - s0, d - d0) * V[:, l]`
@@ -284,36 +237,32 @@ fn update_pair_with<T: Scalar>(
     }
 }
 
-/// Right triangular solve `V[:, j0..j0+k] := V[:, j0..j0+k] R^{-1}` in
-/// place on a column range, `R` upper triangular (`k x k`). Column-oriented
-/// forward sweep, row-chunked. On a zero pivot at column `j` the columns
-/// before `j` are solved, column `j` has its updates but not its scaling,
-/// the rest are untouched, and the error names `j`.
-pub fn trsm_right_upper_cols<T: Scalar>(
-    v: &mut Mat<T>,
-    j0: usize,
-    r: &Mat<T>,
-) -> crate::Result<()> {
-    trsm_right_upper_cols_with(Isa::detect(), v, j0, r)
+/// Right triangular solve `B := B R^{-1}` in place, with `R` upper
+/// triangular (`k x k`) and `B` tall (`m x k`) — the DTRSM that CholQR/SVQR
+/// apply to orthonormalize the basis block. Column-oriented forward sweep,
+/// row-chunked. On a zero pivot at column `j` the columns before `j` are
+/// solved, column `j` has its updates but not its scaling, the rest are
+/// untouched, and the error names `j`.
+pub fn trsm_right_upper<T: Scalar>(b: &mut Mat<T>, r: &Mat<T>) -> crate::Result<()> {
+    trsm_right_upper_with(Isa::detect(), b, r)
 }
 
-/// [`trsm_right_upper_cols`] on a given kernel instantiation.
-pub(crate) fn trsm_right_upper_cols_with<T: Scalar>(
+/// [`trsm_right_upper`] on a given kernel instantiation.
+pub(crate) fn trsm_right_upper_with<T: Scalar>(
     isa: Isa,
-    v: &mut Mat<T>,
-    j0: usize,
+    b: &mut Mat<T>,
     r: &Mat<T>,
 ) -> crate::Result<()> {
     let k = r.ncols();
-    assert!(j0 + k <= v.ncols());
-    let (rows, ld) = (v.nrows(), v.ld());
-    let (_, block, _) = v.split_cols_mut(j0, j0 + k);
+    assert_eq!(b.ncols(), k);
+    let (rows, ld) = (b.nrows(), b.ld());
+    let (_, block, _) = b.split_cols_mut(0, k);
     let mut cols: Vec<&mut [T]> = block.chunks_mut(ld).map(|c| &mut c[..rows]).collect();
     trsm_rows_with(isa, &mut cols, r);
     trsm_pivots(r)
 }
 
-/// What [`trsm_right_upper_cols`] reports for `R`: the first zero pivot.
+/// What [`trsm_right_upper`] reports for `R`: the first zero pivot.
 pub fn trsm_pivots<T: Scalar>(r: &Mat<T>) -> crate::Result<()> {
     match (0..r.ncols()).find(|&j| r[(j, j)] == T::ZERO) {
         Some(index) => Err(crate::DenseError::SingularTriangular { index }),
@@ -321,7 +270,7 @@ pub fn trsm_pivots<T: Scalar>(r: &Mat<T>) -> crate::Result<()> {
     }
 }
 
-/// [`trsm_right_upper_cols`] on rows of the block: `cols[j]` are the same
+/// [`trsm_right_upper`] on rows of the block: `cols[j]` are the same
 /// rows of its `k` columns; [`trsm_pivots`] tells what a zero pivot left
 /// undone. Every operation is row-local, so disjoint row windows of one
 /// solve may run on different threads and give the bits of the whole.
@@ -348,14 +297,6 @@ pub(crate) fn trsm_rows_with<T: Scalar>(isa: Isa, cols: &mut [&mut [T]], r: &Mat
             }
         }
     }
-}
-
-/// Right triangular solve `B := B R^{-1}` with `R` upper triangular
-/// (`k x k`), `B` tall (`m x k`) — the DTRSM that CholQR/SVQR apply to
-/// orthonormalize the basis block.
-pub fn trsm_right_upper<T: Scalar>(b: &mut Mat<T>, r: &Mat<T>) -> crate::Result<()> {
-    assert_eq!(b.ncols(), r.ncols());
-    trsm_right_upper_cols(b, 0, r)
 }
 
 #[cfg(test)]
@@ -415,23 +356,6 @@ mod tests {
             for j in 0..4 {
                 assert!((c[(i, j)] - g[(i, j)]).abs() < 1e-10);
                 assert_eq!(c[(i, j)], c[(j, i)]);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_syrk_matches_syrk() {
-        let a = tall(100, 5);
-        let mut c1 = Mat::zeros(5, 5);
-        syrk_tn(1.0, &a, 0.0, &mut c1);
-        for h in [7, 32, 100, 1000] {
-            let mut c2 = Mat::zeros(5, 5);
-            let nb = syrk_tn_batched(&a, h, &mut c2);
-            assert_eq!(nb, 100usize.div_ceil(h));
-            for i in 0..5 {
-                for j in 0..5 {
-                    assert!((c1[(i, j)] - c2[(i, j)]).abs() < 1e-9 * c1[(i, j)].abs().max(1.0));
-                }
             }
         }
     }

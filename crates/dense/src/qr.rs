@@ -24,63 +24,52 @@ pub struct QrFactors {
 /// Deterministic, BLAS-1/2 bound — which is exactly why the paper finds
 /// CAQR slower than the BLAS-3 CholQR on GPUs (Fig. 11c).
 pub fn householder_qr(a: &Mat) -> QrFactors {
-    let m = a.nrows();
-    let n = a.ncols();
-    let k = m.min(n);
     let mut work = a.clone();
-    // Householder vectors stored below the diagonal of `work`; taus kept
-    // separately. v_j has implicit 1 at position j.
-    let mut taus = vec![0.0f64; k];
+    let taus: Vec<f64> = (0..a.nrows().min(a.ncols())).map(|j| reflect(&mut work, j)).collect();
+    thin_factors(&work, &taus)
+}
 
-    for j in 0..k {
-        // Build the reflector from work[j.., j].
-        let (alpha, tau) = {
-            let col = &work.col(j)[j..];
-            let x0 = col[0];
-            let xnorm = crate::blas1::nrm2(&col[1..]);
-            if xnorm == 0.0 {
-                (x0, 0.0)
-            } else {
-                let beta = -(x0.signum()) * (x0 * x0 + xnorm * xnorm).sqrt();
-                let tau = (beta - x0) / beta;
-                let scale = 1.0 / (x0 - beta);
-                // scale the tail so v = [1; tail]
-                let colm = &mut work.col_mut(j)[j + 1..];
-                crate::blas1::scal(scale, colm);
-                (beta, tau)
-            }
-        };
-        taus[j] = tau;
-        // Apply (I - tau v v^T) to the trailing columns.
-        if tau != 0.0 {
-            for c in j + 1..n {
-                // w = v^T work[j.., c]
-                let mut w = work[(j, c)];
-                {
-                    let vj = work.col(j)[j + 1..].to_vec();
-                    let wc = &work.col(c)[j + 1..];
-                    w += crate::blas1::dot(&vj, wc);
-                }
-                let tw = tau * w;
-                work[(j, c)] -= tw;
-                let vj = work.col(j)[j + 1..].to_vec();
-                let wc = &mut work.col_mut(c)[j + 1..];
-                crate::blas1::axpy(-tw, &vj, wc);
-            }
-        }
-        work[(j, j)] = alpha;
+/// Step `j` of a Householder QR in place: build the reflector of
+/// `work[j.., j]`, storing `v`'s tail below the diagonal (`v_j` has an
+/// implicit 1 at position `j`) and `beta` on it, apply `I - tau v v^T` to
+/// the trailing columns, and return `tau`.
+fn reflect(work: &mut Mat, j: usize) -> f64 {
+    let (x0, xnorm) = {
+        let col = &work.col(j)[j..];
+        (col[0], crate::blas1::nrm2(&col[1..]))
+    };
+    if xnorm == 0.0 {
+        return 0.0;
     }
+    let beta = -(x0.signum()) * (x0 * x0 + xnorm * xnorm).sqrt();
+    let tau = (beta - x0) / beta;
+    // scale the tail so v = [1; tail]
+    crate::blas1::scal(1.0 / (x0 - beta), &mut work.col_mut(j)[j + 1..]);
+    for c in j + 1..work.ncols() {
+        let (v, wc) = work.two_cols_mut(j, c);
+        // w = v^T work[j.., c]
+        let w = wc[j] + crate::blas1::dot(&v[j + 1..], &wc[j + 1..]);
+        let tw = tau * w;
+        wc[j] -= tw;
+        crate::blas1::axpy(-tw, &v[j + 1..], &mut wc[j + 1..]);
+    }
+    work[(j, j)] = beta;
+    tau
+}
 
-    // Extract R.
+/// `(Q, R)` from the reflectors [`reflect`] left in `work`: R is the upper
+/// triangle, the thin Q applies the reflectors to the `k` leading identity
+/// columns back to front (`xORGQR`), and R's diagonal is made non-negative
+/// (flipping Q's columns to match) — a unique factorization, convenient
+/// for tests and for comparing TSQR variants.
+fn thin_factors(work: &Mat, taus: &[f64]) -> QrFactors {
+    let (m, n, k) = (work.nrows(), work.ncols(), taus.len());
     let mut r = Mat::zeros(k, n);
     for j in 0..n {
         for i in 0..=j.min(k - 1) {
             r[(i, j)] = work[(i, j)];
         }
     }
-
-    // Form thin Q by applying the reflectors to the k leading identity cols,
-    // back to front (xORGQR).
     let mut q = Mat::zeros(m, k);
     for j in 0..k {
         q[(j, j)] = 1.0;
@@ -90,24 +79,15 @@ pub fn householder_qr(a: &Mat) -> QrFactors {
         if tau == 0.0 {
             continue;
         }
-        let v: Vec<f64> = {
-            let mut v = vec![0.0; m - j];
-            v[0] = 1.0;
-            v[1..].copy_from_slice(&work.col(j)[j + 1..]);
-            v
-        };
+        let mut v = vec![0.0; m - j];
+        v[0] = 1.0;
+        v[1..].copy_from_slice(&work.col(j)[j + 1..]);
         for c in 0..k {
-            let qc = &q.col(c)[j..];
-            let w = crate::blas1::dot(&v, qc);
-            let tw = tau * w;
-            let qcm = &mut q.col_mut(c)[j..];
-            crate::blas1::axpy(-tw, &v, qcm);
+            let qc = &mut q.col_mut(c)[j..];
+            let tw = tau * crate::blas1::dot(&v, qc);
+            crate::blas1::axpy(-tw, &v, qc);
         }
     }
-
-    // Normalize sign: make diagonal of R non-negative (flip Q columns to
-    // match). This gives a unique factorization, convenient for tests and
-    // for comparing TSQR variants.
     for j in 0..k {
         if r[(j, j)] < 0.0 {
             for c in j..n {
@@ -116,7 +96,6 @@ pub fn householder_qr(a: &Mat) -> QrFactors {
             crate::blas1::scal(-1.0, q.col_mut(j));
         }
     }
-
     QrFactors { q, r }
 }
 
@@ -164,12 +143,7 @@ pub fn householder_qrcp(a: &Mat) -> QrcpFactors {
     // residual column norms (squared) with downdating
     let mut colnorm: Vec<f64> = (0..n).map(|j| crate::blas1::dot(a.col(j), a.col(j))).collect();
     let orig_norm = colnorm.clone();
-
-    let m = a.nrows();
-    let k = m.min(n);
-    let mut qcols = Mat::zeros(m, k);
-    // accumulate Q by applying reflectors to identity at the end; store
-    // reflectors in-place as in householder_qr
+    let k = a.nrows().min(n);
     let mut taus = vec![0.0f64; k];
 
     for j in 0..k {
@@ -180,46 +154,12 @@ pub fn householder_qrcp(a: &Mat) -> QrcpFactors {
             .fold((0usize, f64::MIN), |(bi, bv), (i, &v)| if v > bv { (i, v) } else { (bi, bv) });
         let pvt = j + pvt;
         if pvt != j {
-            // swap columns j and pvt of work, and bookkeeping
-            let cj = work.col_to_vec(j);
-            let cp = work.col_to_vec(pvt);
-            work.set_col(j, &cp);
-            work.set_col(pvt, &cj);
+            let (cj, cp) = work.two_cols_mut(j, pvt);
+            cj.swap_with_slice(cp);
             perm.swap(j, pvt);
             colnorm.swap(j, pvt);
         }
-
-        // Householder reflector on work[j.., j]
-        let (alpha, tau) = {
-            let col = &work.col(j)[j..];
-            let x0 = col[0];
-            let xnorm = crate::blas1::nrm2(&col[1..]);
-            if xnorm == 0.0 {
-                (x0, 0.0)
-            } else {
-                let beta = -(x0.signum()) * (x0 * x0 + xnorm * xnorm).sqrt();
-                let tau = (beta - x0) / beta;
-                let scale = 1.0 / (x0 - beta);
-                crate::blas1::scal(scale, &mut work.col_mut(j)[j + 1..]);
-                (beta, tau)
-            }
-        };
-        taus[j] = tau;
-        if tau != 0.0 {
-            for c in j + 1..n {
-                let mut w = work[(j, c)];
-                {
-                    let vj = work.col(j)[j + 1..].to_vec();
-                    let wc = &work.col(c)[j + 1..];
-                    w += crate::blas1::dot(&vj, wc);
-                }
-                let tw = tau * w;
-                work[(j, c)] -= tw;
-                let vj = work.col(j)[j + 1..].to_vec();
-                crate::blas1::axpy(-tw, &vj, &mut work.col_mut(c)[j + 1..]);
-            }
-        }
-        work[(j, j)] = alpha;
+        taus[j] = reflect(&mut work, j);
 
         // downdate residual norms; refresh on cancellation (Businger-Golub)
         for c in j + 1..n {
@@ -231,46 +171,8 @@ pub fn householder_qrcp(a: &Mat) -> QrcpFactors {
             }
         }
     }
-
-    // extract R
-    let mut r = Mat::zeros(k, n);
-    for j in 0..n {
-        for i in 0..=j.min(k - 1) {
-            r[(i, j)] = work[(i, j)];
-        }
-    }
-    // form thin Q
-    for j in 0..k {
-        qcols[(j, j)] = 1.0;
-    }
-    for j in (0..k).rev() {
-        let tau = taus[j];
-        if tau == 0.0 {
-            continue;
-        }
-        let v: Vec<f64> = {
-            let mut v = vec![0.0; m - j];
-            v[0] = 1.0;
-            v[1..].copy_from_slice(&work.col(j)[j + 1..]);
-            v
-        };
-        for c in 0..k {
-            let qc = &qcols.col(c)[j..];
-            let w = crate::blas1::dot(&v, qc);
-            let tw = tau * w;
-            crate::blas1::axpy(-tw, &v, &mut qcols.col_mut(c)[j..]);
-        }
-    }
-    // sign convention: R diagonal non-negative
-    for j in 0..k {
-        if r[(j, j)] < 0.0 {
-            for c in j..n {
-                r[(j, c)] = -r[(j, c)];
-            }
-            crate::blas1::scal(-1.0, qcols.col_mut(j));
-        }
-    }
-    QrcpFactors { q: qcols, r, perm }
+    let QrFactors { q, r } = thin_factors(&work, &taus);
+    QrcpFactors { q, r, perm }
 }
 
 /// Dense inverse of a small square matrix via Householder QR

@@ -56,33 +56,6 @@ fn syrk_tn<T: Scalar>(alpha: T, a: &Mat<T>, beta: T, c: &mut Mat<T>) {
     }
 }
 
-fn syrk_tn_batched<T: Scalar>(a: &Mat<T>, h: usize, c: &mut Mat<T>) -> usize {
-    let k = a.ncols();
-    let m = a.nrows();
-    let nbatch = m.div_ceil(h);
-    c.fill(T::ZERO);
-    let mut panel = Mat::zeros(k, k);
-    for b in 0..nbatch {
-        let r0 = b * h;
-        let r1 = (r0 + h).min(m);
-        for j in 0..k {
-            let cj = &a.col(j)[r0..r1];
-            for i in 0..=j {
-                let ci = &a.col(i)[r0..r1];
-                panel[(i, j)] = dot(ci, cj);
-            }
-        }
-        for j in 0..k {
-            for i in 0..=j {
-                let v = c[(i, j)] + panel[(i, j)];
-                c[(i, j)] = v;
-                c[(j, i)] = v;
-            }
-        }
-    }
-    nbatch
-}
-
 fn trsm_right_upper<T: Scalar>(b: &mut Mat<T>, r: &Mat<T>) -> crate::Result<()> {
     let k = r.ncols();
     for j in 0..k {
@@ -258,12 +231,6 @@ fn products_match<T: Scalar>() -> usize {
                 gemv_t(alpha, &a, x, beta, &mut want);
                 assert!(got.iter().zip(&want).all(|(&g, &w)| same_bits(g, w)), "gemv_t {what}");
             }
-            for h in [7, 32, 100, 384, 5000] {
-                let (mut got, mut want) = (mat::<T>(&mut rng, ka, ka), Mat::zeros(ka, ka));
-                let nb = blas3::syrk_tn_batched(&a, h, &mut got);
-                assert_eq!(nb, syrk_tn_batched(&a, h, &mut want));
-                assert_bits(&got, &want, &format!("syrk_tn_batched h={h} {what}"));
-            }
             shapes += 1;
         }
     }
@@ -280,23 +247,13 @@ fn panelled_products_match<T: Scalar>(isa: Isa) -> usize {
             for (a, b) in [((0, ka), (ka + 1, ka + 1 + kb)), ((kb + 1, kb + 1 + ka), (0, kb))] {
                 for h in PANELS {
                     let what = format!("rows {rows}, a {a:?}, b {b:?}, h {h:?}");
-                    let mut got = mat::<T>(&mut rng, ka, kb);
                     let (va, vb) = (v.cols(a.0, a.1), v.cols(b.0, b.1));
-                    blas3::gemm_tn_panels_with(isa, va, vb, h, false, &mut got);
-                    assert_bits(
-                        &got,
-                        &gemm_tn_panels(&v, a, b, h),
-                        &format!("gemm_tn_panels {what}"),
-                    );
-
-                    let mut got = mat::<T>(&mut rng, ka, ka);
-                    let block = v.cols(a.0, a.1);
-                    blas3::gemm_tn_panels_with(isa, block, block, h, true, &mut got);
-                    assert_bits(&got, &gemm_tn_panels(&v, a, a, h), &format!("gram {what}"));
-
-                    // in blocks of output rows, as a shared device kernel
+                    // whole (the product and the Gram matrix), then in
+                    // blocks of output rows, as a shared device kernel
                     // computes them, each block on its own
-                    for (rows_of, upper) in [(1, false), (3, true), (8, false), (8, true)] {
+                    for (rows_of, upper) in
+                        [(ka, false), (ka, true), (1, false), (3, true), (8, false), (8, true)]
+                    {
                         let (b, vb) = if upper { (a, va) } else { (b, vb) };
                         let kb = vb.ncols();
                         let mut ct = vec![T::ZERO; ka * kb];
@@ -404,7 +361,7 @@ fn triangular_solves_match<T: Scalar>(isa: Isa) -> usize {
                     r[(j, j)] = T::ZERO;
                 }
                 let (mut got, mut want) = (b.clone(), b.clone());
-                let res = blas3::trsm_right_upper_cols_with(isa, &mut got, 0, &r);
+                let res = blas3::trsm_right_upper_with(isa, &mut got, &r);
                 assert_eq!(res, trsm_right_upper(&mut want, &r));
                 assert_eq!(res.is_err(), singular.is_some());
                 assert_bits(
@@ -412,18 +369,6 @@ fn triangular_solves_match<T: Scalar>(isa: Isa) -> usize {
                     &want,
                     &format!("trsm rows {rows}, k {k}, singular {singular:?}"),
                 );
-
-                // in place on a column range of a wider matrix
-                let mut wide: Mat<T> = mat(&mut rng, rows, k + 3);
-                for j in 0..k {
-                    wide.set_col(2 + j, b.col(j));
-                }
-                let untouched = wide.clone();
-                assert_eq!(blas3::trsm_right_upper_cols_with(isa, &mut wide, 2, &r), res);
-                assert_bits(&wide.cols_copy(2, 2 + k), &want, "trsm_right_upper_cols");
-                for j in [0, 1, k + 2] {
-                    assert_eq!(wide.col(j), untouched.col(j), "columns outside the range");
-                }
                 // in row windows, as a shared device kernel runs it
                 for w in [1, 5, 700] {
                     let mut got = b.clone();

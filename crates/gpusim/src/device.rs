@@ -188,7 +188,7 @@ fn update_shared(
     });
 }
 
-/// `C := A^T B` over the panels of `panel_rows` ([`blas3::gemm_tn_panels`]),
+/// `C := A^T B` over the panels of `panel_rows` ([`blas3::gemm_tn_rows`]),
 /// in blocks of [`OUT_PIECE`] rows shared with `crew`. With `upper` (`a` and
 /// `b` the same columns) the lower triangle mirrors the upper one.
 fn gemm_tn_shared(

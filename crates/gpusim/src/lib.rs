@@ -84,8 +84,8 @@
 //! no plan at all. [`MultiGpu::health_report`](multi::MultiGpu) and the
 //! [`MultiGpu::watchdog`](multi::MultiGpu) convert the observed-vs-modeled
 //! latency drift back into driver-visible health state, and
-//! [`trace::export_chrome_trace`] renders recorded command queues as a
-//! Perfetto/`chrome://tracing` timeline.
+//! [`trace::obs_ingest_traces`] hands recorded command queues to `ca-obs`,
+//! whose exporter renders them as a Perfetto/`chrome://tracing` timeline.
 
 // Numeric kernels index several parallel slices at once; iterator
 // rewrites would obscure the stride arithmetic the cost model mirrors.
@@ -113,4 +113,4 @@ pub use model::{EffCurve, GemmVariant, GemvVariant, KernelConfig, PerfModel, Spm
 pub use multi::{CommCounters, DeviceHealth, HealthReport, MultiGpu};
 pub use retry::RetryPolicy;
 pub use stream::{Cmd, CopyEngine, Event, EventTable, Schedule, StreamTrace};
-pub use trace::{export_chrome_trace, obs_ingest_traces};
+pub use trace::obs_ingest_traces;

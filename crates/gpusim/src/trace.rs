@@ -1,126 +1,14 @@
-//! Perfetto / `chrome://tracing` export of recorded [`crate::StreamTrace`]s.
+//! Ingest recorded [`crate::StreamTrace`]s into a `ca-obs` recording.
 //!
-//! [`export_chrome_trace`] turns the per-device command queues drained by
-//! [`MultiGpu::take_traces`](crate::MultiGpu::take_traces) into the Trace
-//! Event JSON format both `chrome://tracing` and [ui.perfetto.dev]
-//! understand: one named track per device compute queue, one per copy
-//! engine (PCIe link), and one host track marking device→host arrivals.
-//! Kernel and copy commands become complete (`"ph": "X"`) slices with
-//! microsecond timestamps; event records and waits become instants, so a
-//! straggling device — a queue whose slices are stretched by a fail-slow
-//! fault — is visible at a glance.
-//!
-//! The export is a pure function of the recorded commands: two runs with
-//! the same seeds and fault plan serialize byte-identically, so a trace
-//! file doubles as a determinism artifact.
-//!
-//! [ui.perfetto.dev]: https://ui.perfetto.dev
+//! [`obs_ingest_traces`] turns the per-device command queues drained by
+//! [`MultiGpu::take_traces`](crate::MultiGpu::take_traces) into obs spans,
+//! instants and kernel histograms on the device and link tracks; the
+//! Perfetto / `chrome://tracing` rendering is `ca_obs::export::chrome_trace`
+//! of the finished recording. A straggling device — a queue whose slices
+//! are stretched by a fail-slow fault — is then visible at a glance.
 
 use crate::stream::Cmd;
 use ca_obs as obs;
-use std::fmt::Write as _;
-
-/// Track ids within one device's group: queue, link, and the shared host
-/// track. `tid`s are numeric in the trace format; names are attached with
-/// `thread_name` metadata events.
-fn queue_tid(d: usize) -> usize {
-    2 * d + 1
-}
-
-fn link_tid(d: usize) -> usize {
-    2 * d + 2
-}
-
-const HOST_TID: usize = 0;
-
-/// Thread-name metadata plus a `thread_sort_index` so Perfetto renders the
-/// rows in a stable order (host, then each device's queue and copy engine)
-/// instead of by first-event time.
-fn push_meta(out: &mut String, tid: usize, name: &str) {
-    let _ = write!(
-        out,
-        "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":{tid},\
-         \"args\":{{\"name\":\"{name}\"}}}},\n\
-         {{\"ph\":\"M\",\"name\":\"thread_sort_index\",\"pid\":0,\"tid\":{tid},\
-         \"args\":{{\"sort_index\":{tid}}}}}"
-    );
-}
-
-fn push_process_meta(out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,\
-         \"args\":{{\"name\":\"ca-gmres simulated timeline\"}}}},\n\
-         {{\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":0,\"tid\":0,\
-         \"args\":{{\"sort_index\":0}}}},\n"
-    );
-}
-
-fn push_slice(out: &mut String, tid: usize, name: &str, start_s: f64, dur_s: f64) {
-    let _ = write!(
-        out,
-        ",\n{{\"ph\":\"X\",\"name\":\"{name}\",\"pid\":0,\"tid\":{tid},\
-         \"ts\":{:.3},\"dur\":{:.3}}}",
-        start_s * 1e6,
-        dur_s * 1e6
-    );
-}
-
-fn push_instant(out: &mut String, tid: usize, name: &str, at_s: f64) {
-    let _ = write!(
-        out,
-        ",\n{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{name}\",\"pid\":0,\"tid\":{tid},\
-         \"ts\":{:.3}}}",
-        at_s * 1e6
-    );
-}
-
-/// Serialize per-device command traces (one `Vec<Cmd>` per device, as
-/// returned by [`MultiGpu::take_traces`](crate::MultiGpu::take_traces))
-/// into Trace Event JSON. Load the result in `chrome://tracing` or
-/// Perfetto. Timestamps are microseconds of simulated time.
-pub fn export_chrome_trace(traces: &[Vec<Cmd>]) -> String {
-    let mut out = String::from("[\n");
-    push_process_meta(&mut out);
-    push_meta(&mut out, HOST_TID, "host");
-    for d in 0..traces.len() {
-        out.push_str(",\n");
-        push_meta(&mut out, queue_tid(d), &format!("gpu{d} queue"));
-        out.push_str(",\n");
-        push_meta(&mut out, link_tid(d), &format!("gpu{d} copy engine"));
-    }
-    for (d, cmds) in traces.iter().enumerate() {
-        for cmd in cmds {
-            match *cmd {
-                Cmd::Kernel { name, start, dur, .. } => {
-                    push_slice(&mut out, queue_tid(d), name, start, dur);
-                }
-                Cmd::CopyToHost { bytes, start, finish } => {
-                    let name = format!("D2H {bytes} B");
-                    push_slice(&mut out, link_tid(d), &name, start, finish - start);
-                    push_instant(&mut out, HOST_TID, &format!("gpu{d} arrival"), finish);
-                }
-                Cmd::CopyToDevice { bytes, start, finish } => {
-                    let name = format!("H2D {bytes} B");
-                    push_slice(&mut out, link_tid(d), &name, start, finish - start);
-                }
-                Cmd::EventRecord { event, at } => {
-                    push_instant(&mut out, queue_tid(d), &format!("record e{}", event.index()), at);
-                }
-                Cmd::WaitEvent { event, until } => {
-                    push_instant(
-                        &mut out,
-                        queue_tid(d),
-                        &format!("wait e{}", event.index()),
-                        until,
-                    );
-                }
-            }
-        }
-    }
-    out.push_str("\n]\n");
-    out
-}
 
 /// Ingest drained per-device command traces into the active `ca-obs`
 /// recording: kernels become named spans on the device's
@@ -173,7 +61,8 @@ mod tests {
     use super::*;
     use crate::{FaultPlan, MultiGpu};
 
-    fn traced_run(plan: Option<FaultPlan>) -> Vec<Vec<Cmd>> {
+    /// One traced two-device run, ingested and rendered by `ca-obs`.
+    fn traced_run(plan: Option<FaultPlan>) -> (obs::Recording, String) {
         let mut mg = MultiGpu::with_defaults(2);
         if let Some(p) = plan {
             mg.set_fault_plan(p);
@@ -187,56 +76,37 @@ mod tests {
             d.dot_cols(v, 0, 1);
         });
         mg.to_host(&[64, 64]).unwrap();
-        mg.take_traces()
+        obs::start();
+        obs_ingest_traces(&mg.take_traces());
+        let rec = obs::finish();
+        let json = obs::export::chrome_trace(&rec);
+        (rec, json)
     }
 
     #[test]
-    fn exports_all_tracks_and_valid_json_shape() {
-        let json = export_chrome_trace(&traced_run(None));
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
+    fn rendered_trace_names_every_track_and_copy() {
+        let (_, json) = traced_run(None);
         for name in ["\"host\"", "gpu0 queue", "gpu1 queue", "gpu0 copy engine", "gpu1 copy engine"]
         {
             assert!(json.contains(name), "missing track {name}");
         }
         assert!(json.contains("\"dot\""), "kernel slices carry their name");
-        assert!(json.contains("thread_sort_index"));
-        assert!(json.contains("process_name"));
         assert!(json.contains("H2D 640 B"));
         assert!(json.contains("D2H 64 B"));
-        assert!(json.contains("arrival"));
-        // balanced braces: every event object closes
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn export_is_deterministic() {
-        let a = export_chrome_trace(&traced_run(Some(FaultPlan::new(5))));
-        let b = export_chrome_trace(&traced_run(Some(FaultPlan::new(5))));
-        assert_eq!(a, b);
     }
 
     #[test]
     fn straggler_slices_stretch() {
         // the slowed device's kernel slices must be visibly longer
-        let clean = export_chrome_trace(&traced_run(None));
-        let slow =
-            export_chrome_trace(&traced_run(Some(FaultPlan::new(5).with_slowdown(1, 8.0, 0))));
-        assert_ne!(clean, slow);
-        let dur_of = |json: &str| -> f64 {
-            // last kernel slice duration in the file
-            json.lines()
-                .filter(|l| l.contains("\"dot\""))
-                .filter_map(|l| {
-                    l.split("\"dur\":").nth(1).and_then(|s| {
-                        s.trim_end_matches(['}', ',', '\n'])
-                            .trim_end_matches('}')
-                            .parse::<f64>()
-                            .ok()
-                    })
-                })
+        let longest_dot = |rec: &obs::Recording| {
+            rec.spans
+                .iter()
+                .filter(|s| s.name == "dot" && s.track == obs::Track::Device(1))
+                .map(|s| s.t1 - s.t0)
                 .fold(0.0, f64::max)
         };
-        assert!(dur_of(&slow) > 4.0 * dur_of(&clean));
+        let (clean, _) = traced_run(None);
+        let (slow, _) = traced_run(Some(FaultPlan::new(5).with_slowdown(1, 8.0, 0)));
+        assert!(longest_dot(&slow) > 4.0 * longest_dot(&clean));
     }
 }

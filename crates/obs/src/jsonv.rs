@@ -36,7 +36,7 @@ impl Jv {
     pub fn parse(s: &str) -> Result<Jv, String> {
         let b = s.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -180,8 +180,16 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Jv, String> {
+/// Arrays and objects nested deeper than this are refused: the parser
+/// recurses once per level, so an unbounded depth would let a document
+/// overflow the stack.
+const MAX_DEPTH: usize = 256;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Jv, String> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|()| Jv::Null),
@@ -197,7 +205,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Jv, String> {
                 return Ok(Jv::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -222,7 +230,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Jv, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -264,14 +272,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| "bad \\u escape".to_string())?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                        let mut cp = hex4(b, *pos + 1)
+                            .ok_or_else(|| format!("bad \\u escape at offset {pos}"))?;
                         *pos += 4;
+                        // a high surrogate followed by an escaped low one is
+                        // one code point; an unpaired surrogate is U+FFFD
+                        if (0xD800..0xDC00).contains(&cp) && b[*pos + 1..].starts_with(b"\\u") {
+                            if let Some(lo @ 0xDC00..0xE000) = hex4(b, *pos + 3) {
+                                cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
+                        out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                     }
                     _ => return Err(format!("bad escape at offset {pos}")),
                 }
@@ -291,6 +303,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The code unit of the four hex digits at `b[at..at + 4]`.
+fn hex4(b: &[u8], at: usize) -> Option<u32> {
+    b.get(at..at + 4)?.iter().try_fold(0, |cp, &c| Some(cp * 16 + char::from(c).to_digit(16)?))
 }
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Jv, String> {
@@ -364,5 +381,32 @@ mod tests {
         assert!(Jv::parse("{\"a\": }").is_err());
         assert!(Jv::parse("[1, 2").is_err());
         assert!(Jv::parse("12 34").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        let err = Jv::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Jv::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Jv::parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(Jv::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn escaped_surrogate_pair_is_one_code_point() {
+        assert_eq!(Jv::parse(r#""\ud83d\ude00""#).unwrap(), Jv::Str("\u{1F600}".into()));
+        // unpaired halves stay U+FFFD, and the character after them is kept
+        assert_eq!(Jv::parse(r#""\ud83dx""#).unwrap(), Jv::Str("\u{fffd}x".into()));
+        assert_eq!(Jv::parse(r#""\ude00\ud83d""#).unwrap(), Jv::Str("\u{fffd}\u{fffd}".into()));
+        assert_eq!(Jv::parse(r#""\ud83d\u0041""#).unwrap(), Jv::Str("\u{fffd}A".into()));
+    }
+
+    #[test]
+    fn unicode_escape_needs_four_hex_digits() {
+        assert_eq!(Jv::parse(r#""\u0041""#).unwrap(), Jv::Str("A".into()));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u004""#, r#""\u00 41""#, r#""\u"#] {
+            assert!(Jv::parse(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -122,6 +122,28 @@ fn edge_coeff(u: usize, w: usize) -> f64 {
     (u01 * (100f64).ln()).exp() / 100.0
 }
 
+/// Visit every node `u` of an `nx x ny x nz` brick mesh (node
+/// `(i, j, k)` is `(i * ny + j) * nz + k`) and each in-bounds neighbour
+/// `w = u + (di, dj, dk)` of its 27-point neighbourhood, in `(i, j, k)`
+/// then `(di, dj, dk)` lexicographic order, skipping `u` itself.
+fn brick_neighbours(nx: usize, ny: usize, nz: usize, mut f: impl FnMut(usize, usize, [i64; 3])) {
+    let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
+    for i in 0..nx {
+        for j in 0..ny {
+            for k in 0..nz {
+                for d in 0..27i64 {
+                    let (di, dj, dk) = (d / 9 - 1, d / 3 % 3 - 1, d % 3 - 1);
+                    let (ni, nj, nk) = (i as i64 + di, j as i64 + dj, k as i64 + dk);
+                    let inside = |x: i64, len: usize| (0..len as i64).contains(&x);
+                    if d != 13 && inside(ni, nx) && inside(nj, ny) && inside(nk, nz) {
+                        f(idx(i, j, k), idx(ni as usize, nj as usize, nk as usize), [di, dj, dk]);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// `cant` analog — FEM cantilever (Fig. 12: n = 62k, nnz/n = 64.2,
 /// naturally banded). We emulate 3-D brick-element elasticity: 3 degrees
 /// of freedom per node, nodes coupled to their 27-point neighborhood, all
@@ -135,55 +157,27 @@ pub fn cantilever(nx: usize, ny: usize, nz: usize) -> Csr {
     let n = 3 * nodes;
     let mut c = Coo::new(n, n);
     c.reserve(81 * n / 2);
-    let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
     // Stiffness-matrix conditioning: the diagonal equals the absolute
     // off-diagonal row sum plus a small elastic "support" term, giving the
     // near-singular smooth modes (and hundreds of GMRES iterations) real
     // FEM cantilevers exhibit.
     let mut diag = vec![0.0f64; n];
-    for i in 0..nx {
-        for j in 0..ny {
-            for k in 0..nz {
-                let u = idx(i, j, k);
-                for di in -1i64..=1 {
-                    for dj in -1i64..=1 {
-                        for dk in -1i64..=1 {
-                            if di == 0 && dj == 0 && dk == 0 {
-                                continue;
-                            }
-                            let (ni, nj, nk) = (i as i64 + di, j as i64 + dj, k as i64 + dk);
-                            if ni < 0
-                                || nj < 0
-                                || nk < 0
-                                || ni >= nx as i64
-                                || nj >= ny as i64
-                                || nk >= nz as i64
-                            {
-                                continue;
-                            }
-                            let w = idx(ni as usize, nj as usize, nk as usize);
-                            let dist = (di.abs() + dj.abs() + dk.abs()) as f64;
-                            // thin-beam anisotropy: the cantilever is much
-                            // stiffer along its axis than across it, which
-                            // packs the low spectrum densely (slow Krylov
-                            // convergence, like the real cant matrix)
-                            let aniso =
-                                0.03f64.powi(di.abs() as i32) * 0.2f64.powi(dj.abs() as i32);
-                            let coeff = aniso * edge_coeff(u, w);
-                            for a in 0..3usize {
-                                for b in 0..3usize {
-                                    let base = if a == b { -1.0 } else { -0.25 };
-                                    let val = coeff * base / (1.0 + dist);
-                                    c.add(3 * u + a, 3 * w + b, val);
-                                    diag[3 * u + a] += val.abs();
-                                }
-                            }
-                        }
-                    }
-                }
+    brick_neighbours(nx, ny, nz, |u, w, [di, dj, dk]| {
+        let dist = (di.abs() + dj.abs() + dk.abs()) as f64;
+        // thin-beam anisotropy: the cantilever is much stiffer along its
+        // axis than across it, which packs the low spectrum densely (slow
+        // Krylov convergence, like the real cant matrix)
+        let aniso = 0.03f64.powi(di.abs() as i32) * 0.2f64.powi(dj.abs() as i32);
+        let coeff = aniso * edge_coeff(u, w);
+        for a in 0..3usize {
+            for b in 0..3usize {
+                let base = if a == b { -1.0 } else { -0.25 };
+                let val = coeff * base / (1.0 + dist);
+                c.add(3 * u + a, 3 * w + b, val);
+                diag[3 * u + a] += val.abs();
             }
         }
-    }
+    });
     for (r, &d) in diag.iter().enumerate() {
         c.add(r, r, d + 0.01);
     }
@@ -307,53 +301,27 @@ pub fn diel_filter_with(nx: usize, ny: usize, nz: usize, shave: f64) -> Csr {
     let n = 2 * nodes;
     let mut c = Coo::new(n, n);
     c.reserve(54 * n / 2);
-    let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
     // Stiffness-minus-mass character: diagonal barely above the absolute
     // off-diagonal row sum so the spectrum reaches close to zero (EM FEM
     // systems make GMRES work hard: the paper needs ~176 restarts of
     // GMRES(180) on the real matrix).
     let mut diag = vec![0.0f64; n];
-    for i in 0..nx {
-        for j in 0..ny {
-            for k in 0..nz {
-                let u = idx(i, j, k);
-                for di in -1i64..=1 {
-                    for dj in -1i64..=1 {
-                        for dk in -1i64..=1 {
-                            if di == 0 && dj == 0 && dk == 0 {
-                                continue;
-                            }
-                            let (ni, nj, nk) = (i as i64 + di, j as i64 + dj, k as i64 + dk);
-                            if ni < 0
-                                || nj < 0
-                                || nk < 0
-                                || ni >= nx as i64
-                                || nj >= ny as i64
-                                || nk >= nz as i64
-                            {
-                                continue;
-                            }
-                            let w = idx(ni as usize, nj as usize, nk as usize);
-                            let dist = (di * di + dj * dj + dk * dk) as f64;
-                            // layered-dielectric anisotropy
-                            let aniso = 0.08f64.powi(di.abs() as i32);
-                            let coeff = aniso * edge_coeff(u, w);
-                            for a in 0..2usize {
-                                for b in 0..2usize {
-                                    // stiffness minus a mass-like term: mildly
-                                    // oscillating sign with distance
-                                    let base = if a == b { -1.0 } else { -0.3 };
-                                    let val = coeff * base * (1.2 - 0.2 * dist);
-                                    c.add(2 * u + a, 2 * w + b, val);
-                                    diag[2 * u + a] += val.abs();
-                                }
-                            }
-                        }
-                    }
-                }
+    brick_neighbours(nx, ny, nz, |u, w, [di, dj, dk]| {
+        let dist = (di * di + dj * dj + dk * dk) as f64;
+        // layered-dielectric anisotropy
+        let aniso = 0.08f64.powi(di.abs() as i32);
+        let coeff = aniso * edge_coeff(u, w);
+        for a in 0..2usize {
+            for b in 0..2usize {
+                // stiffness minus a mass-like term: mildly oscillating sign
+                // with distance
+                let base = if a == b { -1.0 } else { -0.3 };
+                let val = coeff * base * (1.2 - 0.2 * dist);
+                c.add(2 * u + a, 2 * w + b, val);
+                diag[2 * u + a] += val.abs();
             }
         }
-    }
+    });
     for (r, &d) in diag.iter().enumerate() {
         // the intra-node coupling sits on the 2x2 diagonal block
         let other = r ^ 1;

@@ -74,8 +74,9 @@ pub fn read_matrix_market_from(reader: impl BufRead) -> Result<Csr> {
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
 
+    // grown from the entries read, never reserved for the declared `nnz`:
+    // a header may declare far more than the file holds
     let mut coo = Coo::new(nrows, ncols);
-    coo.reserve(if symmetry == Symmetry::General { nnz } else { 2 * nnz });
     let mut seen = 0usize;
     for line in lines {
         let line = line.map_err(SparseError::Io)?;
@@ -194,6 +195,18 @@ mod tests {
     fn rejects_wrong_count() {
         let data = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n";
         assert!(read_matrix_market_from(Cursor::new(data)).is_err());
+    }
+
+    #[test]
+    fn huge_declared_count_is_an_error_not_a_reservation() {
+        for symmetry in ["general", "symmetric"] {
+            let data = format!(
+                "%%MatrixMarket matrix coordinate real {symmetry}\n2 2 {}\n1 1 1.0\n",
+                usize::MAX
+            );
+            let err = read_matrix_market_from(Cursor::new(data)).unwrap_err();
+            assert!(err.to_string().contains("expected"), "{symmetry}: {err}");
+        }
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Rows owned by part `p`, in ascending order.
-    pub fn rows_of(&self, p: usize) -> Vec<usize> {
-        self.part.iter().enumerate().filter_map(|(v, &q)| (q as usize == p).then_some(v)).collect()
-    }
-
     /// Sizes of all parts.
     pub fn sizes(&self) -> Vec<usize> {
         let mut s = vec![0usize; self.nparts];
@@ -225,7 +220,7 @@ pub fn recursive_bisection(a: &Csr, nparts: usize, refine_passes: usize) -> Part
         bisect(&g, &all, 0, nparts, &mut part);
     }
     let mut partition = Partition { part, nparts };
-    // reuse the same boundary refinement as the direct k-way method
+    // the direct k-way method's boundary refinement, less its size tie-break
     refine(&g, &mut partition, refine_passes);
     partition
 }
@@ -272,7 +267,12 @@ fn bisect(g: &Graph, verts: &[u32], base: u32, nparts: usize, part: &mut [u32]) 
     bisect(g, right, base + left_parts as u32, right_parts, part);
 }
 
-/// KL/FM-style boundary refinement shared by both partitioners.
+/// KL/FM-style boundary refinement of [`recursive_bisection`]'s parts.
+/// [`kway_partition`] runs its own copy inline, which differs in one
+/// tie-break: a move whose positive gain equals the best so far goes to the
+/// smaller part. That copy stays because routing `kway_partition` through
+/// this one would move every k-way partition, and with it every result
+/// computed on one.
 fn refine(g: &Graph, partition: &mut Partition, passes: usize) {
     let n = g.nvertices();
     let nparts = partition.nparts;
@@ -361,15 +361,6 @@ mod tests {
         let p = kway_partition(&a, 1, 2);
         assert!(p.part.iter().all(|&q| q == 0));
         assert_eq!(p.edge_cut(&a), 0);
-    }
-
-    #[test]
-    fn rows_of_partitions_all_rows() {
-        let a = crate::gen::laplace2d(9, 9);
-        let p = kway_partition(&a, 3, 2);
-        let mut all: Vec<usize> = (0..3).flat_map(|q| p.rows_of(q)).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..81).collect::<Vec<_>>());
     }
 
     #[test]

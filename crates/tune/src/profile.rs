@@ -14,6 +14,7 @@
 
 use crate::fnv1a64;
 use ca_gpusim::{EffCurve, PerfModel};
+use ca_obs::metrics::json_string;
 use ca_obs::Jv;
 
 /// Identifies the document type in the JSON header.
@@ -121,16 +122,16 @@ impl MachineProfile {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": {},\n", quote(PROFILE_SCHEMA)));
+        s.push_str(&format!("  \"schema\": {},\n", json_string(PROFILE_SCHEMA)));
         s.push_str(&format!("  \"version\": {PROFILE_VERSION},\n"));
-        s.push_str(&format!("  \"machine\": {},\n", quote(&self.machine)));
+        s.push_str(&format!("  \"machine\": {},\n", json_string(&self.machine)));
         s.push_str("  \"params\": [\n");
         for (i, p) in self.params.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"name\": {}, \"value\": {:?}, \"source\": {}}}{}\n",
-                quote(&p.name),
+                json_string(&p.name),
                 p.value,
-                quote(p.source.as_str()),
+                json_string(p.source.as_str()),
                 if i + 1 < self.params.len() { "," } else { "" }
             ));
         }
@@ -140,8 +141,8 @@ impl MachineProfile {
                 c.curve.knots().iter().map(|&(x, y)| format!("[{x:?}, {y:?}]")).collect();
             s.push_str(&format!(
                 "    {{\"name\": {}, \"unit\": {}, \"knots\": [{}]}}{}\n",
-                quote(&c.name),
-                quote(&c.unit),
+                json_string(&c.name),
+                json_string(&c.unit),
                 knots.join(", "),
                 if i + 1 < self.curves.len() { "," } else { "" }
             ));
@@ -237,24 +238,6 @@ fn get<'a>(obj: &'a [(String, Jv)], key: &str) -> Result<&'a Jv, String> {
         .ok_or_else(|| format!("profile: missing key {key:?}"))
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,5 +319,13 @@ mod tests {
         for text in ["", "{", "{\"schema\": }", "[1,2", "{\"a\": 1} x"] {
             assert!(MachineProfile::from_json(text).is_err(), "{text:?}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_document_is_refused() {
+        // a profile whose machine name is buried under 200 000 arrays
+        let text = format!("{{\"machine\": {}", "[".repeat(200_000));
+        let err = MachineProfile::from_json(&text).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 }
