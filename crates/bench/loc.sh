@@ -9,9 +9,11 @@
 #
 # A file counts up to the last `#[cfg(test)]` line that gates a `mod name {`
 # block (the test module at its end; other attributes may sit between the
-# two lines), or whole when it has none: a `#[cfg(test)]` on any other item
-# cuts nothing. A `#[cfg(test)]` on a `mod name;` declaration makes all of
-# `name.rs` test code: that file is skipped.
+# two lines), or whole when it has none, less every other item or statement
+# a `#[cfg(test)]` gates before that line: from the gate to the brace that
+# closes the item, or to its `;` when it opens none. A `#[cfg(test)]` on a
+# `mod name;` declaration makes all of `name.rs` test code: that file is
+# skipped.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
@@ -28,10 +30,23 @@ gated_mods() {
 # non-test lines of one file
 file_lines() {
   awk '
-    gate && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod [a-z_0-9]+[[:space:]]*\{/ { cut = gate }
-    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { gate = NR; next }
-    !/^[[:space:]]*#\[/ { gate = 0 }
-    END { print (cut ? cut : NR) }' "$1"
+    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ && !start { gate = NR; next }
+    gate && /^[[:space:]]*#\[/ { next }
+    gate {
+      if ($0 ~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod [a-z_0-9]+[[:space:]]*\{/) cut = gate
+      start = gate; depth = 0; opened = 0; gate = 0
+    }
+    start {
+      t = $0; o = gsub(/\{/, "", t); depth += o - gsub(/\}/, "", t); opened = opened || o
+      if (depth <= 0 && (opened || /;[[:space:]]*$/)) { n++; from[n] = start; to[n] = NR; start = 0 }
+    }
+    END {
+      if (start) { n++; from[n] = start; to[n] = NR }
+      last = cut ? cut - 1 : NR
+      keep = last + (cut > 0)
+      for (i = 1; i <= n; i++) if (from[i] <= last) keep -= (to[i] < last ? to[i] : last) - from[i] + 1
+      print keep
+    }' "$1"
 }
 
 # `<non-test lines>\t<file>` for every counted file of one source tree

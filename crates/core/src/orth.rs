@@ -518,35 +518,23 @@ pub fn tsqr_with_hook(
             } else {
                 mg.run_map(|d, dev| dev.local_qr_cols(v[d], c0, c1))
             };
-            let bytes = vec![8 * k * k; local_rs.len()];
-            mg.to_host(&bytes)?;
-            // host: QR of the stacked R factors
             let ndev = local_rs.len();
-            let mut stacked = Mat::zeros(ndev * k, k);
-            for (d, rd) in local_rs.iter().enumerate() {
-                for j in 0..k {
-                    for i in 0..k {
-                        stacked[(d * k + i, j)] = rd[(i, j)];
-                    }
-                }
-            }
-            let f = qr::householder_qr(&stacked);
+            mg.to_host(&vec![8 * k * k; ndev])?;
+            // host: QR of the stacked R factors, one Q block per device
+            let (r, qblocks) = qr::tsqr_root(&local_rs);
             mg.host_compute(4.0 * (ndev * k) as f64 * (k * k) as f64, (16 * ndev * k * k) as f64);
-            // scatter per-device Q blocks, apply on devices
-            let bytes_down = vec![8 * k * k; ndev];
-            mg.to_devices(&bytes_down)?;
+            // scatter the Q blocks, apply on devices
+            mg.to_devices(&vec![8 * k * k; ndev])?;
             // rank deficiency shows up as a (near-)zero diagonal of R —
             // the other TSQR variants surface this via their own errors.
             // Threshold: numerical rank at ~100 eps relative to r_00.
-            let r00 = f.r[(0, 0)].abs().max(f64::MIN_POSITIVE);
+            let r00 = r[(0, 0)].abs().max(f64::MIN_POSITIVE);
             for jdiag in 0..k {
-                let d = f.r[(jdiag, jdiag)].abs();
+                let d = r[(jdiag, jdiag)].abs();
                 if d < 100.0 * f64::EPSILON * r00 || !d.is_finite() {
                     return Err(OrthError::SingularR { index: jdiag });
                 }
             }
-            let qblocks: Vec<Mat> =
-                (0..ndev).map(|d| Mat::from_fn(k, k, |i, j| f.q[(d * k + i, j)])).collect();
             match prefetch {
                 Some(hook) => {
                     // Overlap window (Fig. 14 mechanism): finalize the
@@ -562,7 +550,7 @@ pub fn tsqr_with_hook(
                 }
                 None => mg.run(|d, dev| dev.gemm_right_small(v[d], c0, c1, &qblocks[d])),
             }
-            f.r
+            r
         }
     })
 }

@@ -1,8 +1,9 @@
 //! Householder QR factorization (LAPACK `xGEQRF`/`xORGQR` equivalents).
 //!
 //! CAQR (paper §V-E) computes a local Householder QR of each device's block
-//! and a second QR of the stacked R-factors on the CPU; SVQR needs the QR of
-//! the small matrix `Sigma^{1/2} U^T`. Both are served by [`householder_qr`].
+//! and a second QR of the stacked R-factors on the CPU ([`tsqr_root`]); SVQR
+//! needs the QR of the small matrix `Sigma^{1/2} U^T`. All are served by
+//! [`householder_qr`].
 //! Like the paper's implementation, we explicitly form the thin `Q`
 //! (`xORGQR`), which doubles the flops but keeps the downstream interfaces
 //! simple (the paper notes the same trade-off in §V-E footnote 6).
@@ -27,6 +28,28 @@ pub fn householder_qr(a: &Mat) -> QrFactors {
     let mut work = a.clone();
     let taus: Vec<f64> = (0..a.nrows().min(a.ncols())).map(|j| reflect(&mut work, j)).collect();
     thin_factors(&work, &taus)
+}
+
+/// One reduction of a TSQR tree (CAQR's root step, §V-E), over devices or
+/// over one device's panels: QR the stack of the parts' `k`-column R
+/// factors and cut its Q into one `k x k` block per part. A short R (a part
+/// with fewer rows than columns) is zero-padded, and the block rows of its
+/// padding — zero in exact arithmetic — are returned as zero, so a part
+/// may apply its block whole. Returns the root R and the blocks.
+pub fn tsqr_root(rs: &[Mat]) -> (Mat, Vec<Mat>) {
+    let k = rs[0].ncols();
+    let mut stacked = Mat::zeros(rs.len() * k, k);
+    for (p, r) in rs.iter().enumerate() {
+        assert!(r.nrows() <= k && r.ncols() == k, "a {}x{} R factor", r.nrows(), r.ncols());
+        for j in 0..k {
+            stacked.col_mut(j)[p * k..p * k + r.nrows()].copy_from_slice(r.col(j));
+        }
+    }
+    let root = householder_qr(&stacked);
+    let block = |(p, r): (usize, &Mat)| {
+        Mat::from_fn(k, k, |i, j| if i < r.nrows() { root.q[(p * k + i, j)] } else { 0.0 })
+    };
+    (root.r, rs.iter().enumerate().map(block).collect())
 }
 
 /// Step `j` of a Householder QR in place: build the reflector of
@@ -66,7 +89,7 @@ fn thin_factors(work: &Mat, taus: &[f64]) -> QrFactors {
     let (m, n, k) = (work.nrows(), work.ncols(), taus.len());
     let mut r = Mat::zeros(k, n);
     for j in 0..n {
-        for i in 0..=j.min(k - 1) {
+        for i in 0..k.min(j + 1) {
             r[(i, j)] = work[(i, j)];
         }
     }
@@ -351,6 +374,46 @@ mod tests {
         crate::blas1::scal(100.0, a.col_mut(2));
         let f = householder_qrcp(&a);
         assert_eq!(f.perm[0], 2, "largest column must be pivoted first");
+    }
+
+    #[test]
+    fn qr_without_rows_is_empty_and_wide_qr_reconstructs() {
+        let f = householder_qr(&Mat::zeros(0, 3));
+        assert_eq!((f.q.nrows(), f.q.ncols()), (0, 0));
+        assert_eq!((f.r.nrows(), f.r.ncols()), (0, 3));
+        check_qr(&tall(3, 7, 4));
+        check_qr(&tall(1, 5, 5));
+    }
+
+    /// Parts of 25, 2 and 0 rows under a 4-column tree: each part's
+    /// `Q_local · block` stacks to the Q of the whole, and the block rows
+    /// of a short R's padding are zero.
+    #[test]
+    fn tsqr_root_pads_short_parts() {
+        let parts = [tall(25, 4, 11), tall(2, 4, 12), Mat::zeros(0, 4)];
+        let local: Vec<QrFactors> = parts.iter().map(householder_qr).collect();
+        let rs: Vec<Mat> = local.iter().map(|f| f.r.clone()).collect();
+        let (r, blocks) = tsqr_root(&rs);
+        let padding = (0..4).flat_map(|j| &blocks[1].col(j)[2..]);
+        assert!(padding.chain(blocks[2].as_slice()).all(|&x| x == 0.0));
+        let mut q = Mat::zeros(27, 4);
+        let mut a = Mat::zeros(27, 4);
+        let mut row = 0;
+        for ((f, block), part) in local.iter().zip(&blocks).zip(&parts) {
+            let rows = part.nrows();
+            let mut qd = Mat::zeros(rows, 4);
+            gemm_nn(1.0, &f.q, &block.top_left(f.q.ncols(), 4), 0.0, &mut qd);
+            for j in 0..4 {
+                q.col_mut(j)[row..row + rows].copy_from_slice(qd.col(j));
+                a.col_mut(j)[row..row + rows].copy_from_slice(part.col(j));
+            }
+            row += rows;
+        }
+        assert!(orthogonality_error(&q) < 1e-13, "orth err {}", orthogonality_error(&q));
+        let mut qr = Mat::zeros(27, 4);
+        gemm_nn(1.0, &q, &r, 0.0, &mut qr);
+        qr.axpy(-1.0, &a);
+        assert!(qr.max_abs() < 1e-12, "residual {}", qr.max_abs());
     }
 
     #[test]

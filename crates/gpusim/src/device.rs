@@ -188,6 +188,31 @@ fn update_shared(
     });
 }
 
+/// `V[:, j0 + c0..j0 + c1] := (V[:, j0..j1] * Q)[:, c0..c1]` with small
+/// `k x k` `Q`, the block read with its last column replaced by `last` when
+/// given — the body of CAQR's local update and of both halves of its split.
+/// Each output column of `gemm_nn` is accumulated on its own, so a column
+/// range has the bits it has in the whole product.
+fn right_small_cols(
+    m: &mut Mat,
+    (j0, j1): (usize, usize),
+    q: &Mat,
+    (c0, c1): (usize, usize),
+    last: Option<&[f64]>,
+) {
+    let k = j1 - j0;
+    assert_eq!((q.nrows(), q.ncols()), (k, k));
+    let mut block = m.cols_copy(j0, j1);
+    if let Some(last) = last {
+        block.set_col(k - 1, last);
+    }
+    let mut out = Mat::zeros(m.nrows(), c1 - c0);
+    blas3::gemm_nn(1.0, &block, &q.cols_copy(c0, c1), 0.0, &mut out);
+    for j in c0..c1 {
+        m.set_col(j0 + j, out.col(j - c0));
+    }
+}
+
 /// `C := A^T B` over the panels of `panel_rows` ([`blas3::gemm_tn_rows`]),
 /// in blocks of [`OUT_PIECE`] rows shared with `crew`. With `upper` (`a` and
 /// `b` the same columns) the lower triangle mirrors the upper one.
@@ -1138,18 +1163,9 @@ impl Device {
     /// final local update). Charged like an NN gemm.
     pub fn gemm_right_small(&mut self, v: MatId, j0: usize, j1: usize, q: &Mat) {
         let k = j1 - j0;
-        let rows = self.rows(v);
-        let dt = self.model.gemm_nn_time(GemmVariant::Batched { h: 384 }, rows, k, k);
+        let dt = self.model.gemm_nn_time(GemmVariant::Batched { h: 384 }, self.rows(v), k, k);
         self.run("gemm_q_small", dt, |dev| {
-            assert_eq!(q.nrows(), k);
-            assert_eq!(q.ncols(), k);
-            let m = &mut dev.mats[v.0];
-            let block = m.cols_copy(j0, j1);
-            let mut out = Mat::zeros(rows, k);
-            blas3::gemm_nn(1.0, &block, q, 0.0, &mut out);
-            for j in 0..k {
-                m.set_col(j0 + j, out.col(j));
-            }
+            right_small_cols(&mut dev.mats[v.0], (j0, j1), q, (0, k), None);
         });
     }
 
@@ -1165,18 +1181,11 @@ impl Device {
     /// so splitting the update is bitwise-invisible to the numerics.
     pub fn gemm_right_small_last(&mut self, v: MatId, j0: usize, j1: usize, q: &Mat) -> Vec<f64> {
         let k = j1 - j0;
-        let rows = self.rows(v);
-        let dt = self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, rows, k);
+        let dt = self.model.gemv_t_time(GemvVariant::MagmaTallSkinny, self.rows(v), k);
         self.launch("gemm_q_last", dt, Vec::new, |dev| {
-            assert_eq!(q.nrows(), k);
-            assert_eq!(q.ncols(), k);
             let m = &mut dev.mats[v.0];
-            let block = m.cols_copy(j0, j1);
-            let qlast = q.cols_copy(k - 1, k);
-            let mut out = Mat::zeros(rows, 1);
-            blas3::gemm_nn(1.0, &block, &qlast, 0.0, &mut out);
-            let orig = m.col(j0 + k - 1).to_vec();
-            m.set_col(j0 + k - 1, out.col(0));
+            let orig = m.col(j1 - 1).to_vec();
+            right_small_cols(m, (j0, j1), q, (k - 1, k), None);
             orig
         })
     }
@@ -1190,25 +1199,17 @@ impl Device {
         if k == 1 {
             return;
         }
-        let rows = self.rows(v);
-        let dt = self.model.gemm_nn_time(GemmVariant::Batched { h: 384 }, rows, k, k - 1);
+        let dt = self.model.gemm_nn_time(GemmVariant::Batched { h: 384 }, self.rows(v), k, k - 1);
         self.run("gemm_q_rest", dt, |dev| {
-            assert_eq!(q.nrows(), k);
-            assert_eq!(q.ncols(), k);
-            let m = &mut dev.mats[v.0];
-            let mut block = m.cols_copy(j0, j1);
-            block.set_col(k - 1, last);
-            let qrest = q.cols_copy(0, k - 1);
-            let mut out = Mat::zeros(rows, k - 1);
-            blas3::gemm_nn(1.0, &block, &qrest, 0.0, &mut out);
-            for j in 0..k - 1 {
-                m.set_col(j0 + j, out.col(j));
-            }
+            right_small_cols(&mut dev.mats[v.0], (j0, j1), q, (0, k - 1), Some(last));
         });
     }
 
     /// Local Householder QR of `V[:, j0..j1]`: Q replaces the columns, R is
-    /// returned (CAQR's per-device factorization; BLAS-1/2 cost). Neutral
+    /// returned (CAQR's per-device factorization; BLAS-1/2 cost). A device
+    /// with `r < k` rows has an `r x r` Q and an `r x k` R: it writes back
+    /// its `r` columns, and the zero rows [`qr::tsqr_root`] gives its block
+    /// past `r` leave the other `k - r` out of the final update. Neutral
     /// value: the identity.
     pub fn local_qr_cols(&mut self, v: MatId, j0: usize, j1: usize) -> Mat {
         let k = j1 - j0;
@@ -1217,7 +1218,7 @@ impl Device {
         self.launch("geqr2", dt, neutral, |dev| {
             let m = &mut dev.mats[v.0];
             let f = qr::householder_qr(&m.cols_copy(j0, j1));
-            for j in 0..k {
+            for j in 0..f.q.ncols() {
                 m.set_col(j0 + j, f.q.col(j));
             }
             f.r
@@ -1226,11 +1227,11 @@ impl Device {
 
     /// Tree (batched-panel) local TSQR of `V[:, j0..j1]` — the paper's
     /// footnote-6 "batched QRs on a GPU": factor `h`-row panels
-    /// independently (one batched launch in the model), QR the stacked
-    /// panel R's, and apply the small Q back per panel. Q replaces the
-    /// columns; R is returned (neutral value: the identity). Numerically a
-    /// genuine TSQR binary tree of depth 2, so the result differs from
-    /// [`Device::local_qr_cols`] at the rounding level only.
+    /// independently (one batched launch in the model), reduce the panel
+    /// R's with [`qr::tsqr_root`], and apply the small Q back per panel. Q
+    /// replaces the columns; R is returned (neutral value: the identity).
+    /// Numerically a genuine TSQR binary tree of depth 2, so the result
+    /// differs from [`Device::local_qr_cols`] at the rounding level only.
     pub fn local_qr_tree_cols(&mut self, v: MatId, j0: usize, j1: usize, h: usize) -> Mat {
         let k = j1 - j0;
         let rows = self.rows(v);
@@ -1239,39 +1240,26 @@ impl Device {
         let neutral = || Mat::identity(k);
         self.launch("geqr2_tree", dt, neutral, |dev| {
             let m = &mut dev.mats[v.0];
-            let nb = rows.div_ceil(h).max(1);
             let block = m.cols_copy(j0, j1);
-
             // leaf panels
-            let mut panel_qs: Vec<Mat> = Vec::with_capacity(nb);
-            let mut stacked = Mat::zeros(nb * k, k);
-            for p in 0..nb {
-                let r0 = p * h;
-                let r1 = (r0 + h).min(rows);
-                let panel = Mat::from_fn(r1 - r0, k, |i, j| block[(r0 + i, j)]);
-                let f = qr::householder_qr(&panel);
-                for j in 0..k {
-                    for i in 0..k.min(f.r.nrows()) {
-                        stacked[(p * k + i, j)] = f.r[(i, j)];
-                    }
-                }
-                panel_qs.push(f.q);
-            }
-            // root
-            let froot = qr::householder_qr(&stacked);
+            let (panel_qs, panel_rs): (Vec<Mat>, Vec<Mat>) = (0..rows.div_ceil(h).max(1))
+                .map(|p| {
+                    let (r0, r1) = (p * h, ((p + 1) * h).min(rows));
+                    let f =
+                        qr::householder_qr(&Mat::from_fn(r1 - r0, k, |i, j| block[(r0 + i, j)]));
+                    (f.q, f.r)
+                })
+                .unzip();
+            let (root_r, qroot) = qr::tsqr_root(&panel_rs);
             // apply: Q panel_p := Q_p * Qroot[p*k..(p+1)*k, :]
-            for (p, qp) in panel_qs.iter().enumerate() {
-                let qroot_p = Mat::from_fn(k.min(qp.ncols()), k, |i, j| froot.q[(p * k + i, j)]);
+            for (p, (qp, qroot_p)) in panel_qs.iter().zip(&qroot).enumerate() {
                 let mut out = Mat::zeros(qp.nrows(), k);
-                blas3::gemm_nn(1.0, qp, &qroot_p, 0.0, &mut out);
-                let r0 = p * h;
+                blas3::gemm_nn(1.0, qp, &qroot_p.top_left(qp.ncols(), k), 0.0, &mut out);
                 for j in 0..k {
-                    for i in 0..out.nrows() {
-                        m[(r0 + i, j0 + j)] = out[(i, j)];
-                    }
+                    m.col_mut(j0 + j)[p * h..p * h + out.nrows()].copy_from_slice(out.col(j));
                 }
             }
-            froot.r
+            root_r
         })
     }
 

@@ -255,19 +255,27 @@ pub fn finish() -> Recording {
     })
 }
 
-/// Open a span named `name` on `track` at simulated time `t`.
-pub fn span_begin(name: &str, track: Track, t: f64) -> SpanId {
+/// `f` applied to this thread's recorder when a session is active, `None`
+/// otherwise: every recording entry's one borrow and one flag test, all an
+/// entry costs with recording off.
+#[inline]
+fn recording<T>(f: impl FnOnce(&mut Recorder) -> T) -> Option<T> {
     RECORDER.with(|r| {
         let mut r = r.borrow_mut();
-        if !r.enabled {
-            return SpanId::NONE;
-        }
+        r.enabled.then(|| f(&mut r))
+    })
+}
+
+/// Open a span named `name` on `track` at simulated time `t`.
+pub fn span_begin(name: &str, track: Track, t: f64) -> SpanId {
+    recording(|r| {
         let depth = r.open.get(&track).map_or(0, Vec::len) as u32;
         let idx = r.spans.len() as u32;
         r.spans.push(Span { name: name.to_string(), track, t0: t, t1: f64::NAN, depth });
         r.open.entry(track).or_default().push(idx);
         SpanId(idx)
     })
+    .unwrap_or(SpanId::NONE)
 }
 
 /// Close the span `id` at simulated time `t`. No-op for [`SpanId::NONE`].
@@ -275,11 +283,7 @@ pub fn span_end(id: SpanId, t: f64) {
     if id == SpanId::NONE {
         return;
     }
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        if !r.enabled {
-            return;
-        }
+    recording(|r| {
         let slot = id.0 as usize;
         let track = r.spans[slot].track;
         if let Some(stack) = r.open.get_mut(&track) {
@@ -288,37 +292,29 @@ pub fn span_end(id: SpanId, t: f64) {
         }
         let span = &mut r.spans[slot];
         span.t1 = if t >= span.t0 { t } else { span.t0 };
-    })
+    });
 }
 
 /// Record an already-closed span `[t0, t1]` (used when ingesting device
 /// command traces after the fact). Nests under any spans currently open on
 /// the same track.
 pub fn span(name: &str, track: Track, t0: f64, t1: f64) {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        if !r.enabled {
-            return;
-        }
+    recording(|r| {
         let depth = r.open.get(&track).map_or(0, Vec::len) as u32;
         r.spans.push(Span { name: name.to_string(), track, t0, t1: t1.max(t0), depth });
-    })
+    });
 }
 
 /// Close every still-open span at simulated time `t` (clamped to each span's
 /// begin time). Call on error-recovery paths before recording continues.
 pub fn close_open(t: f64) {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        if !r.enabled {
-            return;
-        }
+    recording(|r| {
         let open = std::mem::take(&mut r.open);
         for idx in open.into_values().flatten() {
             let span = &mut r.spans[idx as usize];
             span.t1 = if t >= span.t0 { t } else { span.t0 };
         }
-    })
+    });
 }
 
 /// Run `f` with recording paused on this thread, then resume the session
@@ -342,62 +338,34 @@ pub fn instant(name: &str, track: Track, t: f64) {
 
 /// Record a point event with a cause annotation.
 pub fn instant_cause(name: &str, track: Track, t: f64, cause: &str) {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        if !r.enabled {
-            return;
-        }
+    recording(|r| {
         r.instants.push(InstantEvent {
             name: name.to_string(),
             track,
             t,
             cause: cause.to_string(),
         });
-    })
+    });
 }
 
 /// Add `delta` to the counter `name` in the metric registry.
 pub fn counter_add(name: &str, delta: u64) {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        if !r.enabled {
-            return;
-        }
-        r.metrics.counter_add(name, delta);
-    })
+    recording(|r| r.metrics.counter_add(name, delta));
 }
 
 /// Set the gauge `name` to `value`.
 pub fn gauge_set(name: &str, value: f64) {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        if !r.enabled {
-            return;
-        }
-        r.metrics.gauge_set(name, value);
-    })
+    recording(|r| r.metrics.gauge_set(name, value));
 }
 
 /// Record `value` into the histogram `name`.
 pub fn observe(name: &str, value: f64) {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        if !r.enabled {
-            return;
-        }
-        r.metrics.observe(name, value);
-    })
+    recording(|r| r.metrics.observe(name, value));
 }
 
 /// Record a counter-track sample (time-series value at simulated time `t`).
 pub fn sample(name: &str, t: f64, value: f64) {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        if !r.enabled {
-            return;
-        }
-        r.samples.push(CounterSample { name: name.to_string(), t, value });
-    })
+    recording(|r| r.samples.push(CounterSample { name: name.to_string(), t, value }));
 }
 
 #[cfg(test)]

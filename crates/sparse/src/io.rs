@@ -24,6 +24,11 @@ pub fn read_matrix_market(path: impl AsRef<Path>) -> Result<Csr> {
 }
 
 /// Read Matrix Market data from any buffered reader.
+///
+/// A size line with `u32::MAX` or more rows or columns is an error (the
+/// sparse formats index with `u32`). A well-formed file's declared row
+/// count is taken at its word: the CSR conversion allocates `nrows + 1`
+/// row pointers however few entries follow.
 pub fn read_matrix_market_from(reader: impl BufRead) -> Result<Csr> {
     let mut lines = reader.lines();
 
@@ -73,6 +78,11 @@ pub fn read_matrix_market_from(reader: impl BufRead) -> Result<Csr> {
         return Err(SparseError::Parse(format!("bad size line: {size_line}")));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    if nrows >= u32::MAX as usize || ncols >= u32::MAX as usize {
+        return Err(SparseError::Parse(format!(
+            "{nrows} x {ncols} exceeds the 32-bit index range"
+        )));
+    }
 
     // grown from the entries read, never reserved for the declared `nnz`:
     // a header may declare far more than the file holds
@@ -206,6 +216,15 @@ mod tests {
             );
             let err = read_matrix_market_from(Cursor::new(data)).unwrap_err();
             assert!(err.to_string().contains("expected"), "{symmetry}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_dimension_past_the_index_range_is_an_error_not_a_panic() {
+        for size in ["4294967295 1 0", "1 4294967295 0", "18446744073709551615 2 0"] {
+            let data = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            let err = read_matrix_market_from(Cursor::new(data)).unwrap_err();
+            assert!(err.to_string().contains("32-bit index range"), "{size}: {err}");
         }
     }
 

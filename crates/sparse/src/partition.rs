@@ -160,47 +160,7 @@ pub fn kway_partition(a: &Csr, nparts: usize, refine_passes: usize) -> Partition
     }
 
     let mut partition = Partition { part, nparts };
-
-    // --- boundary refinement ---
-    let max_size = (target as f64 * 1.03).ceil() as usize + 1;
-    let mut counts = vec![0i64; nparts];
-    for _ in 0..refine_passes {
-        let mut moved = 0usize;
-        for v in 0..n {
-            let pv = partition.part[v] as usize;
-            if sizes[pv] <= 1 {
-                continue;
-            }
-            // count neighbor parts
-            counts.fill(0);
-            for &w in g.neighbors(v) {
-                counts[partition.part[w as usize] as usize] += 1;
-            }
-            let home = counts[pv];
-            let mut best_gain = 0i64;
-            let mut best_p = pv;
-            for (q, &c) in counts.iter().enumerate() {
-                if q != pv && sizes[q] < max_size {
-                    let gain = c - home;
-                    if gain > best_gain
-                        || (gain == best_gain && gain > 0 && sizes[q] < sizes[best_p])
-                    {
-                        best_gain = gain;
-                        best_p = q;
-                    }
-                }
-            }
-            if best_p != pv && best_gain > 0 {
-                partition.part[v] = best_p as u32;
-                sizes[pv] -= 1;
-                sizes[best_p] += 1;
-                moved += 1;
-            }
-        }
-        if moved == 0 {
-            break;
-        }
-    }
+    refine(&g, &mut partition, refine_passes);
     partition
 }
 
@@ -220,7 +180,6 @@ pub fn recursive_bisection(a: &Csr, nparts: usize, refine_passes: usize) -> Part
         bisect(&g, &all, 0, nparts, &mut part);
     }
     let mut partition = Partition { part, nparts };
-    // the direct k-way method's boundary refinement, less its size tie-break
     refine(&g, &mut partition, refine_passes);
     partition
 }
@@ -267,12 +226,10 @@ fn bisect(g: &Graph, verts: &[u32], base: u32, nparts: usize, part: &mut [u32]) 
     bisect(g, right, base + left_parts as u32, right_parts, part);
 }
 
-/// KL/FM-style boundary refinement of [`recursive_bisection`]'s parts.
-/// [`kway_partition`] runs its own copy inline, which differs in one
-/// tie-break: a move whose positive gain equals the best so far goes to the
-/// smaller part. That copy stays because routing `kway_partition` through
-/// this one would move every k-way partition, and with it every result
-/// computed on one.
+/// KL/FM-style boundary refinement of both partitioners' parts: up to
+/// `passes` sweeps in vertex order, each moving a boundary vertex to the
+/// neighbouring part of maximal positive gain (a tie goes to the smaller
+/// part) while that part stays within a 3 % balance tolerance.
 fn refine(g: &Graph, partition: &mut Partition, passes: usize) {
     let n = g.nvertices();
     let nparts = partition.nparts;
@@ -297,7 +254,9 @@ fn refine(g: &Graph, partition: &mut Partition, passes: usize) {
             for (q, &c) in counts.iter().enumerate() {
                 if q != pv && sizes[q] < max_size {
                     let gain = c - home;
-                    if gain > best_gain {
+                    if gain > best_gain
+                        || (gain == best_gain && gain > 0 && sizes[q] < sizes[best_p])
+                    {
                         best_gain = gain;
                         best_p = q;
                     }
@@ -387,6 +346,8 @@ mod tests {
     /// The `Ordering::Kway` layouts of the solver workloads' matrices: the
     /// word-wise FNV of `part` at k = 3, recorded before the partitioners'
     /// scratch buffers moved out of their per-vertex and per-round loops.
+    /// The bisection hash was re-recorded when `refine` took k-way's size
+    /// tie-break (its edge cut on this graph fell 4809 → 4774).
     #[test]
     fn partitions_are_pinned() {
         let hash =
@@ -395,7 +356,7 @@ mod tests {
         let circuit = crate::gen::circuit(20000, 20140527);
         assert_eq!(hash(kway_partition(&convdiff, 3, 4)), 0xb401ae947310a0e8);
         assert_eq!(hash(kway_partition(&circuit, 3, 4)), 0x2f683e81e4c314cd);
-        assert_eq!(hash(recursive_bisection(&circuit, 3, 4)), 0xcf0ffc8c0d5f4102);
+        assert_eq!(hash(recursive_bisection(&circuit, 3, 4)), 0x10c6ccd1516443a7);
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! this).
 
 use crate::profile::{MachineProfile, NamedCurve};
+use ca_gpusim::device::SpStorage;
 use ca_gpusim::{Device, EffCurve, GemmVariant, GemvVariant, KernelConfig, MultiGpu, PerfModel};
+use ca_scalar::Precision::{self, F32, F64};
 use ca_sparse::{Csr, Ell};
 
 /// Panel height for the dense-kernel sweeps (the paper's basis panels on
@@ -211,38 +213,20 @@ pub fn calibrate(hint: &PerfModel, config: KernelConfig, machine: &str) -> Machi
         });
     }
 
-    // ---- SpMV: only the product eff_spmv * dev_mem_bw is identifiable;
-    // recover eff_spmv against the hint's memory bandwidth ----
-    {
+    // ---- SpMV, per precision: only the product eff_spmv * dev_mem_bw is
+    // identifiable; recover the efficiency against the hint's memory
+    // bandwidth (f32 is the curve the mixed-precision planner evaluates) ----
+    for (prec, param, name) in [(F64, "eff_spmv", "spmv"), (F32, "eff_spmv_f32", "spmv_f32")] {
         let mut knots = Vec::new();
         let mut last_rate = 0.0;
         for &g in &SPMV_GRIDS {
-            let (rows, rate) = spmv_probe(&mut mg, &ca_sparse::gen::laplace2d(g, g));
+            let (rows, rate) = spmv_probe(&mut mg, &ca_sparse::gen::laplace2d(g, g), prec);
             knots.push((rows as f64, rate / 1e9));
             last_rate = rate;
         }
-        fit.push(("eff_spmv", last_rate / hint.param("dev_mem_bw").expect("known param")));
+        fit.push((param, last_rate / hint.param("dev_mem_bw").expect("known param")));
         curves.push(NamedCurve {
-            name: "spmv".into(),
-            unit: "GB/s".into(),
-            curve: EffCurve::from_knots(knots),
-        });
-    }
-
-    // ---- f32 SpMV: the same probe on an f32 ELL slice recovers the
-    // single-precision efficiency against the hint's memory bandwidth
-    // (the per-precision curve the mixed-precision planner evaluates) ----
-    {
-        let mut knots = Vec::new();
-        let mut last_rate = 0.0;
-        for &g in &SPMV_GRIDS {
-            let (rows, rate) = spmv_probe_f32(&mut mg, &ca_sparse::gen::laplace2d(g, g));
-            knots.push((rows as f64, rate / 1e9));
-            last_rate = rate;
-        }
-        fit.push(("eff_spmv_f32", last_rate / hint.param("dev_mem_bw").expect("known param")));
-        curves.push(NamedCurve {
-            name: "spmv_f32".into(),
+            name: name.into(),
             unit: "GB/s".into(),
             curve: EffCurve::from_knots(knots),
         });
@@ -297,36 +281,23 @@ fn host_probe(mg: &mut MultiGpu, bytes: &[usize]) -> f64 {
     mg.host_time() - h0
 }
 
-/// Load `a` as one full-matrix ELL slice on device 0 and time one SpMV;
-/// returns (rows, achieved bytes/s).
-fn spmv_probe(mg: &mut MultiGpu, a: &Csr) -> (usize, f64) {
+/// Load `a` as one full-matrix ELL slice at `prec` on device 0 and time
+/// one SpMV; returns (rows, achieved bytes/s) under the byte model of
+/// [`ca_gpusim::PerfModel::spmv_time`]: `w + 4`-byte (value, index) slots,
+/// `w`-byte results and `2w` bytes of gather per slot, `w` = `prec.bytes()`.
+fn spmv_probe(mg: &mut MultiGpu, a: &Csr, prec: Precision) -> (usize, f64) {
     let n = a.nrows();
+    let storage = match prec {
+        F64 => SpStorage::Ell(Ell::from_csr(a)),
+        F32 => SpStorage::EllF32(Ell::from_csr(&a.cast::<f32>())),
+    };
+    let (padded, w) = (storage.shape().slots, prec.bytes());
     let dev = mg.device_mut(0);
-    let ell = Ell::from_csr(a);
-    let padded = ell.padded_nnz();
-    let sp = dev.load_slice(ell, (0..n as u32).collect()).expect("calibration alloc");
+    let sp = dev.load_slice_storage(storage, (0..n as u32).collect()).expect("calibration alloc");
     let x = dev.alloc_vec(n).expect("calibration alloc");
     let y = dev.alloc_mat(n, 1).expect("calibration alloc");
     let t = probe(mg, |dev| dev.spmv_to_mat_col(sp, x, y, 0));
-    let bytes = (padded * 12 + n * 8 + padded * 16) as f64;
-    (n, bytes / (t - mg.model().param("launch_s").unwrap_or(0.0)))
-}
-
-/// [`spmv_probe`] on an f32 ELL slice: 8-byte (value, index) slots,
-/// 4-byte results and gathers — the byte model of
-/// [`ca_gpusim::PerfModel::spmv_time`] at `F32`.
-fn spmv_probe_f32(mg: &mut MultiGpu, a: &Csr) -> (usize, f64) {
-    let n = a.nrows();
-    let dev = mg.device_mut(0);
-    let ell = Ell::<f32>::from_csr(&a.cast::<f32>());
-    let padded = ell.padded_nnz();
-    let sp = dev
-        .load_slice_storage(ca_gpusim::device::SpStorage::EllF32(ell), (0..n as u32).collect())
-        .expect("calibration alloc");
-    let x = dev.alloc_vec(n).expect("calibration alloc");
-    let y = dev.alloc_mat(n, 1).expect("calibration alloc");
-    let t = probe(mg, |dev| dev.spmv_to_mat_col(sp, x, y, 0));
-    let bytes = (padded * 8 + n * 4 + padded * 8) as f64;
+    let bytes = (padded * (w + 4) + n * w + 2 * padded * w) as f64;
     (n, bytes / (t - mg.model().param("launch_s").unwrap_or(0.0)))
 }
 
