@@ -31,6 +31,7 @@
 //! `bench_results/smoke/ext_stability.txt`).
 
 use ca_bench::{table, xhash, Study};
+use ca_chaos::runner::host_relres;
 use ca_gmres::prelude::*;
 use ca_gpusim::MultiGpu;
 use ca_sparse::{gen, Csr};
@@ -89,14 +90,6 @@ fn rhs(a: &Csr) -> Vec<f64> {
     let mut b = vec![0.0; n];
     ca_sparse::spmv::spmv(a, &x_true, &mut b);
     b
-}
-
-fn host_relres(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
-    let mut ax = vec![0.0; b.len()];
-    ca_sparse::spmv::spmv(a, x, &mut ax);
-    let rr: f64 = b.iter().zip(&ax).map(|(bi, ai)| (bi - ai) * (bi - ai)).sum();
-    let bb: f64 = b.iter().map(|bi| bi * bi).sum();
-    (rr / bb.max(f64::MIN_POSITIVE)).sqrt()
 }
 
 fn arm_config(arm: &str, s: usize) -> FtConfig {

@@ -143,7 +143,10 @@ fn fingerprint(out: &FtOutcome) -> u64 {
     h.finish()
 }
 
-fn host_relres(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
+/// The relative residual `||b - A x|| / ||b||` of `x`, computed on the host
+/// from the original operator: a check independent of the solver's own
+/// residual.
+pub fn host_relres(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
     let mut ax = vec![0.0; b.len()];
     ca_sparse::spmv::spmv(a, x, &mut ax);
     let rr: f64 = b.iter().zip(&ax).map(|(bi, ai)| (bi - ai) * (bi - ai)).sum();

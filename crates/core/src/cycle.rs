@@ -1,5 +1,5 @@
 //! The restart loop and the cycle engine it drives — the paper's Fig. 2,
-//! written once for every GMRES entry.
+//! written once for every GMRES entry and the eigensolver.
 //!
 //! [`Solve::run`] drives restart cycles until the residual meets its target,
 //! the restart budget is spent, the solve stagnates or a breakdown is typed:
@@ -28,10 +28,11 @@
 //!   basis monitor, escalation ladder and block checkpoints inside the
 //!   cycle; residual backstop, iterate checkpoint, watchdog, tuner,
 //!   rebalancer and the hand-back arms at its boundary;
-//! * [`crate::eigs::arnoldi_eigs`] runs the same two cycles under its own
-//!   restart loop, the one loop outside the engine: it keeps each cycle's
-//!   Hessenberg matrix instead of applying `y`, and restarts from a Ritz
-//!   vector, so it has no update and no residual to close a cycle with.
+//! * [`crate::eigs::arnoldi_eigs`] runs it on the caller's system under
+//!   its Ritz guard, which closes every cycle on Ritz pairs instead of a
+//!   residual: a CA cycle hands its Hessenberg matrix back before the
+//!   update is solved for, the harvest cycle's is read at `close`, and the
+//!   next cycle starts from a Ritz vector (a zero norm once they converged).
 //!
 //! The cycle hook points are part of the contract — a guard sees the cycle
 //! at exactly these places, in this order, per block attempt:
@@ -50,11 +51,11 @@
 //! The standard first cycle ([`crate::gmres::gmres_cycle`]) polls once per
 //! SpMV step through the same trait. The restart hooks follow the loop:
 //! the initial residual, every system build, every CA cycle entered, every
-//! cycle finished, handed back or aborted by a fault, and every accepted
-//! restart boundary. Every rebuild ends in [`Solve::restore`]: the
-//! checkpointed iterate goes back up, then the interrupted cycle is
-//! re-entered at its last verified block or, without a checkpoint, the
-//! residual is recomputed and charged.
+//! cycle finished (closed, then accepted or rejected), handed back or
+//! aborted by a fault, and every accepted restart boundary. Every rebuild
+//! ends in [`Solve::restore`]: the checkpointed iterate goes back up, then
+//! the interrupted cycle is re-entered at its last verified block or,
+//! without a checkpoint, the residual is recomputed and charged.
 //!
 //! Exactly one thing depends on *which* guard is in charge, and it is a
 //! literal, not a knob: [`CycleGuard::FLATTEN`]. The plain guard flattens
@@ -156,7 +157,7 @@ pub(crate) enum Redo<H> {
 /// Per-entry hooks into [`run_cycle`] and the restart loop
 /// ([`Solve::run`]). Every default is a no-op, so the empty guard
 /// reproduces the unguarded loop.
-pub(crate) trait CycleGuard {
+pub(crate) trait CycleGuard: Sized {
     /// Mid-cycle hand-back payload.
     type HandBack;
     /// Flatten clocks at phase boundaries (see the module docs).
@@ -217,6 +218,12 @@ pub(crate) trait CycleGuard {
     /// A CA cycle is about to run: fresh, or resumed at the checkpoint `ck`.
     fn begin_cycle(&mut self, _sv: &Solve<'_>, _ck: Option<CycleCkpt>) {}
 
+    /// A cycle reached its restart boundary: the norm the next cycle starts
+    /// from. By default the explicit residual, inside the cycle's `span`.
+    fn close(&mut self, sv: &mut Solve<'_>, span: obs::SpanId) -> GpuResult<f64> {
+        sv.end_cycle::<Self>(span)
+    }
+
     /// A cycle reached its restart boundary with explicit residual norm
     /// `beta` (`implied` by the least squares). `false` rejects it: the
     /// guard rolled the solve back, and the loop enters the next cycle from
@@ -243,7 +250,7 @@ pub(crate) trait CycleGuard {
 
 /// The guard with nothing in a cycle: the standard GMRES baseline's, whose
 /// restart hooks sample the relative residual, and the one a system build
-/// or the eigensolver's harvest cycle runs under (neither reaches them).
+/// runs under (which samples nothing).
 pub(crate) struct NoGuard;
 
 impl CycleGuard for NoGuard {
@@ -728,15 +735,6 @@ pub(crate) fn orth_block<G: CycleGuard>(
     Ok((c_eff, r_eff))
 }
 
-/// The refusal of a solve whose initial residual norm `beta0` is not
-/// finite: `b`, the initial guess or the operator holds a NaN or an
-/// infinity, and no iteration can mean anything.
-pub(crate) fn non_finite_start(beta0: f64) -> BreakdownKind {
-    let reason =
-        format!("the initial residual norm is {beta0}: A, b or x holds a non-finite value");
-    BreakdownKind::InvalidInput { reason }
-}
-
 /// Why `cfg` cannot run — on `sys`, when the caller supplies the system —
 /// or `None` when it can. Every entry asks before it touches a device.
 pub(crate) fn invalid(cfg: &CaGmresConfig, sys: Option<&System>) -> Option<String> {
@@ -935,7 +933,9 @@ impl<'a> Solve<'a> {
         let beta0 = guard.initial_residual(&mut self.ctx())?;
         (self.beta0, self.beta) = (beta0, beta0);
         if !beta0.is_finite() {
-            self.stats.breakdown = Some(non_finite_start(beta0));
+            let reason =
+                format!("the initial residual norm is {beta0}: A, b or x holds a non-finite value");
+            self.stats.breakdown = Some(BreakdownKind::InvalidInput { reason });
             self.stats.final_relres = f64::NAN;
             return Ok(());
         }
@@ -944,7 +944,7 @@ impl<'a> Solve<'a> {
             let t_entry = self.mg.time();
             match self.cycle(target, guard) {
                 Ok(CycleEnd::Done { implied, y, span }) => {
-                    let beta = self.end_cycle::<G>(span)?;
+                    let beta = guard.close(self, span)?;
                     if !guard.cycle_done(self, beta, implied)? {
                         continue;
                     }

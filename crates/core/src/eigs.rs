@@ -4,22 +4,18 @@
 //! Hence, our studies may have greater impact beyond GMRES."
 //!
 //! [`arnoldi_eigs`] finds the dominant eigenvalues of `A` with explicitly
-//! restarted Arnoldi on the solver's own cycles: the first is the standard
-//! cycle that harvests the Newton shifts (`gmres::harvest_cycle`), every
-//! later one a CA cycle (MPK blocks + BOrth + TSQR, `cycle::run_cycle`)
-//! whose Hessenberg matrix the eigensolver keeps instead of applying an
-//! update. Ritz pairs come from that matrix, and the next cycle restarts
-//! from the dominant Ritz vectors, seeded from the residual column as a
-//! GMRES cycle seeds from its residual.
+//! restarted Arnoldi on the solvers' restart loop (`cycle::Solve::run`):
+//! the first cycle is the standard one that harvests the Newton shifts
+//! (`gmres::harvest_cycle`), every later one a CA cycle whose Hessenberg
+//! matrix the eigensolver's guard takes back before the least-squares
+//! solve, so no update is applied. Ritz pairs come from that matrix, and
+//! the next cycle restarts from the dominant Ritz vectors, seeded from the
+//! residual column as a GMRES cycle seeds from its residual.
 
 use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode};
-use crate::cycle::{
-    invalid, non_finite_start, residual, run_cycle, CycleEnd, CycleGuard, CycleParams, CycleState,
-    NoGuard, Solve, SolveCtx,
-};
-use crate::gmres::harvest_cycle;
+use crate::cycle::{invalid, Block, CycleGuard, CycleState, Redo, Solve, SolveCtx, Sys};
 use crate::newton::BasisSpec;
-use crate::orth::OrthConfig;
+use crate::orth::{OrthConfig, OrthError};
 use crate::stats::{BreakdownKind, SolveStats};
 use crate::system::System;
 use ca_dense::hessenberg::{hessenberg_eigenvalues, Complex};
@@ -27,7 +23,6 @@ use ca_dense::{blas1, blas2, qr, Mat};
 use ca_gpusim::faults::Result as GpuResult;
 use ca_gpusim::MultiGpu;
 use ca_obs as obs;
-use std::convert::Infallible;
 
 /// Configuration for the restarted Arnoldi eigensolver.
 #[derive(Debug, Clone, Copy)]
@@ -67,14 +62,12 @@ pub struct EigsOutcome {
     /// The `nev` dominant Ritz pairs, by descending modulus.
     pub pairs: Vec<RitzPair>,
     /// `converged` when all requested pairs met the tolerance, `restarts`
-    /// the cycles attempted; the clock and traffic cover the whole
-    /// eigensolve. `breakdown` is set only when no cycle ran (`InvalidInput`).
+    /// the cycles that ran to their end or were retried; the clock and
+    /// traffic cover the whole eigensolve. `breakdown` is `InvalidInput`
+    /// when no cycle ran, or `Orthogonalization` when a cycle on the
+    /// monomial basis failed, which no retry from the same start can change.
     pub stats: SolveStats,
 }
-
-/// The implicit residual never reaches a negative target: every cycle
-/// builds all `m` columns.
-const NO_TARGET: f64 = -1.0;
 
 /// Ritz vector of `h` (square, `mm x mm`) for the eigenvalue closest to
 /// `theta` via one-shot inverse iteration on the (real-shifted) matrix.
@@ -139,36 +132,78 @@ fn ritz_pairs(h: &Mat, cfg: &ArnoldiConfig) -> Option<(Vec<RitzPair>, bool, Vec<
     Some((pairs, converged, restart))
 }
 
-/// Keeps the Hessenberg matrix of a cycle that built all its blocks: the
-/// eigensolver reads it where a solve would apply the update.
-struct KeepHessenberg(Option<Mat>);
+/// The eigensolver's guard: every cycle closes on its Ritz pairs
+/// ([`RitzGuard::restart`]) instead of a residual — a CA cycle hands its
+/// Hessenberg matrix back before the least-squares solve, the harvest
+/// cycle's is read at the boundary.
+struct RitzGuard<'c> {
+    cfg: &'c ArnoldiConfig,
+    /// The last Ritz pairs extracted.
+    pairs: Vec<RitzPair>,
+}
 
-impl CycleGuard for KeepHessenberg {
-    type HandBack = Infallible;
+impl RitzGuard<'_> {
+    /// The norm the next cycle starts from, given the Hessenberg matrix `h`
+    /// of a usable Arnoldi relation: 0 once its Ritz pairs converged (the
+    /// loop's target), else that of the restart vector written into the
+    /// residual column. A failed extraction retries on the monomial basis.
+    fn restart(&mut self, sv: &mut Solve<'_>, h: Option<Mat>) -> GpuResult<f64> {
+        let Some((found, converged, c)) = h.and_then(|h| ritz_pairs(&h, self.cfg)) else {
+            sv.spec_full = BasisSpec::monomial(self.cfg.s);
+            return Ok(sv.beta);
+        };
+        self.pairs = found;
+        if converged {
+            return Ok(0.0);
+        }
+        restart_vector(sv.mg, &sv.sys, &c)
+    }
+}
+
+impl CycleGuard for RitzGuard<'_> {
+    /// The CA cycle's Hessenberg matrix (`None`: a numerical failure).
+    type HandBack = Option<Mat>;
     const FLATTEN: bool = true;
+
+    fn on_block_error(
+        &mut self,
+        _: &mut SolveCtx<'_>,
+        blk: &Block<'_>,
+        err: &OrthError,
+    ) -> Option<Redo<Option<Mat>>> {
+        // retry the cycle on the monomial basis; on it already, a retry
+        // from the same start changes nothing and the loop types the failure
+        let retry = !matches!(err, OrthError::Gpu(_)) && *blk.spec != BasisSpec::monomial(blk.s);
+        retry.then_some(Redo::HandBack(None))
+    }
 
     fn block_done(
         &mut self,
         _: &mut SolveCtx<'_>,
         st: &CycleState,
         more: bool,
-    ) -> Option<Infallible> {
-        if !more {
-            self.0 = Some(st.arn.to_mat());
-        }
-        None
+    ) -> Option<Option<Mat>> {
+        (!more).then(|| Some(st.arn.to_mat()))
     }
 
-    fn hand_back(&mut self, _: &mut Solve<'_>, h: Infallible) -> GpuResult<()> {
-        match h {}
+    fn close(&mut self, sv: &mut Solve<'_>, _: obs::SpanId) -> GpuResult<f64> {
+        // the harvest cycle: a breakdown cut its Arnoldi relation short
+        let h = sv.first_hessenberg.take();
+        let h = if sv.stats.breakdown.take().is_none() { h } else { None };
+        self.restart(sv, h)
+    }
+
+    fn hand_back(&mut self, sv: &mut Solve<'_>, h: Option<Mat>) -> GpuResult<()> {
+        sv.stats.restarts += 1;
+        sv.beta = self.restart(sv, h)?;
+        Ok(())
     }
 }
 
 /// Write the restart vector `V c / ||c||` into the residual column, which
 /// the next cycle seeds its basis from, and return its norm (one up to
 /// rounding; the seed normalizes it exactly).
-fn restart_vector(cx: &mut SolveCtx<'_>, c: &[f64]) -> GpuResult<f64> {
-    let (mg, sys) = (&mut *cx.mg, cx.sys);
+fn restart_vector(mg: &mut MultiGpu, sys: &System, c: &[f64]) -> GpuResult<f64> {
     let (rc, mm) = (sys.r_col(), c.len());
     let nrm = blas1::nrm2(c).max(f64::MIN_POSITIVE);
     let neg: Vec<f64> = c.iter().map(|v| -v / nrm).collect();
@@ -190,8 +225,10 @@ fn restart_vector(cx: &mut SolveCtx<'_>, c: &[f64]) -> GpuResult<f64> {
 /// `1..m`, or a start residual that is zero (it spans no Krylov space) or
 /// not finite runs no cycle: `breakdown` is `InvalidInput` and
 /// `final_relres` NaN. A cycle whose orthogonalization or Ritz extraction
-/// fails is retried from the same start on the monomial basis; the budget
-/// counts every attempt.
+/// fails is retried from the same start on the monomial basis, and the
+/// budget counts the retry; an orthogonalization failure on the monomial
+/// basis, which no retry can change, ends the eigensolve with an
+/// `Orthogonalization` breakdown.
 /// # Errors
 /// Propagates simulated hardware faults ([`ca_gpusim::GpuSimError`]).
 pub fn arnoldi_eigs(
@@ -206,6 +243,8 @@ pub fn arnoldi_eigs(
         // at s = 1 Newton shifts cost restarts and save nothing
         basis: if cfg.s > 1 { BasisChoice::Newton } else { BasisChoice::Monomial },
         kernel: if sys.mpk.is_some() { KernelMode::Mpk } else { KernelMode::Spmv },
+        // a Ritz test ends the loop: `restart` closes a converged cycle at 0
+        rtol: 0.0,
         max_restarts: cfg.max_restarts,
         ..CaGmresConfig::default()
     };
@@ -217,64 +256,19 @@ pub fn arnoldi_eigs(
     mg.sync();
     mg.reset_counters();
     let t_begin = mg.time();
-    let mut stats = SolveStats::default();
-    let mut cx = SolveCtx { mg: &mut *mg, sys, stats: &mut stats, tsqr_errors: None };
-    let mut beta = residual(&mut cx, true)?;
-    // a refused start runs no cycle
-    cx.stats.breakdown = if beta == 0.0 {
-        Some(BreakdownKind::InvalidInput { reason: "the start vector is zero".into() })
-    } else {
-        (!beta.is_finite()).then(|| non_finite_start(beta))
-    };
-    cx.stats.final_relres = if cx.stats.breakdown.is_some() { f64::NAN } else { 0.0 };
-    // `None` until the first cycle has harvested the shifts
-    let mut spec: Option<BasisSpec> = None;
-    let mut pairs = Vec::new();
-
-    while cx.stats.breakdown.is_none() && cx.stats.restarts < cfg.max_restarts {
-        let h = match &spec {
-            None => {
-                let (first, _, sp) =
-                    harvest_cycle(&mut cx, &solver, cfg.s, (beta, NO_TARGET), &mut NoGuard)?;
-                spec = Some(sp);
-                // a breakdown cut the Arnoldi relation short
-                cx.stats.breakdown.take().is_none().then_some(first.hessenberg)
-            }
-            Some(sp) => {
-                let p = CycleParams {
-                    m: cfg.m,
-                    s: cfg.s,
-                    spec: sp,
-                    orth: &cfg.orth,
-                    use_mpk: cfg.s > 1 && sys.mpk.is_some(),
-                    prefetch: false,
-                    target: NO_TARGET,
-                };
-                let mut keep = KeepHessenberg(None);
-                let end = run_cycle(&mut cx, &p, beta, None, &mut keep)?;
-                cx.stats.restarts += 1;
-                // an orthogonalization failure leaves nothing kept
-                if let CycleEnd::Done { span, .. } = end {
-                    obs::span_end(span, cx.mg.time());
-                }
-                keep.0
-            }
-        };
-        let Some((found, converged, restart)) = h.and_then(|h| ritz_pairs(&h, cfg)) else {
-            spec = Some(BasisSpec::monomial(cfg.s));
-            continue;
-        };
-        pairs = found;
-        if converged {
-            cx.stats.converged = true;
-            break;
-        }
-        beta = restart_vector(&mut cx, &restart)?;
+    let mut guard = RitzGuard { cfg, pairs: Vec::new() };
+    let mut sv = Solve::new(mg, Sys::Borrowed(sys), &solver, cfg.orth, cfg.s);
+    sv.run(&mut guard)?;
+    let Solve { mg, mut stats, beta0, .. } = sv;
+    if beta0 == 0.0 {
+        let reason = "the start vector is zero".into();
+        (stats.converged, stats.breakdown) = (false, Some(BreakdownKind::InvalidInput { reason }));
     }
-
+    // a refused start ran no cycle; a Ritz test, not a residual, ends the rest
+    stats.final_relres = if beta0 == 0.0 || !beta0.is_finite() { f64::NAN } else { 0.0 };
     stats.close(mg, t_begin);
     stats.debug_check_phases();
-    Ok(EigsOutcome { pairs, stats })
+    Ok(EigsOutcome { pairs: guard.pairs, stats })
 }
 
 #[cfg(test)]
@@ -301,13 +295,71 @@ mod tests {
     }
 
     fn run_eigs(a: &ca_sparse::Csr, ndev: usize, cfg: &ArnoldiConfig) -> EigsOutcome {
-        let n = a.nrows();
-        let layout = Layout::even(n, ndev);
+        let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + ((i * 3) % 7) as f64 * 0.3).collect();
+        run_eigs_from(a, ndev, cfg, &b)
+    }
+
+    fn run_eigs_from(
+        a: &ca_sparse::Csr,
+        ndev: usize,
+        cfg: &ArnoldiConfig,
+        b: &[f64],
+    ) -> EigsOutcome {
+        let layout = Layout::even(a.nrows(), ndev);
         let mut mg = MultiGpu::with_defaults(ndev);
         let sys = System::new(&mut mg, a, layout, cfg.m, Some(cfg.s)).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 3) % 7) as f64 * 0.3).collect();
-        sys.load_rhs(&mut mg, &b).unwrap();
+        sys.load_rhs(&mut mg, b).unwrap();
         arnoldi_eigs(&mut mg, &sys, cfg).unwrap()
+    }
+
+    #[test]
+    fn eigensolves_keep_their_bits() {
+        // the dominant Ritz value and residual, restarts, iterations and
+        // traffic of two solves, pinned to the bit
+        let d = ArnoldiConfig::default();
+        let cases = [
+            (
+                gen::laplace2d(12, 12),
+                2,
+                ArnoldiConfig { m: 24, s: 6, ..d },
+                (0x401f88fa49829e6e, 0x3db17047b85d09c8, 3, 72, 398, 64_672),
+            ),
+            (
+                gen::convection_diffusion(12, 12, 2.0),
+                3,
+                ArnoldiConfig { m: 20, s: 5, tol: 1e-7, ..d },
+                (0x402a3827de862480, 0x3e3f4ac1a1882529, 5, 100, 675, 128_880),
+            ),
+        ];
+        for (a, ndev, cfg, want) in cases {
+            let out = run_eigs(&a, ndev, &cfg);
+            let (st, p) = (&out.stats, &out.pairs[0]);
+            let got = (p.value.0.to_bits(), p.rel_residual.to_bits());
+            let got = (got.0, got.1, st.restarts, st.total_iters, st.comm_msgs, st.comm_bytes);
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_failure_on_the_monomial_basis_ends_in_a_typed_breakdown() {
+        // diag(1, 3, 1, 3, ...) from b = 1: the Krylov space has two
+        // dimensions, so every 4-step block's Gram matrix is singular and a
+        // retry from the same start fails the same way
+        let n = 64;
+        let mut a = ca_sparse::Csr::identity(n);
+        for (i, v) in a.values_mut().iter_mut().enumerate() {
+            *v = if i % 2 == 0 { 1.0 } else { 3.0 };
+        }
+        let cfg = ArnoldiConfig { m: 8, s: 4, max_restarts: 20, ..Default::default() };
+        let out = run_eigs_from(&a, 2, &cfg, &vec![1.0; n]);
+        let st = &out.stats;
+        assert!(
+            matches!(st.breakdown, Some(BreakdownKind::Orthogonalization { column: 0, .. })),
+            "{:?}",
+            st.breakdown
+        );
+        assert!(!st.converged);
+        assert_eq!(st.restarts, 1, "the harvest cycle, then no retry");
     }
 
     #[test]

@@ -877,26 +877,20 @@ impl<'a, 't> FtGuard<'a, 't> {
         // boundary-granularity detection: the hang happened some time
         // during the cycle just finished, so the latency bracket is the
         // whole cycle — the baseline the in-cycle probe is measured against
-        let latency = (mg.time() - t_entry).max(0.0);
-        self.report.detection_latency_s.extend(hung.iter().map(|_| latency));
-        let survivors = mg.n_gpus() - hung.len();
-        if obs::enabled() && survivors > 0 {
-            for &d in &hung {
-                let why = format!(
-                    "restart-boundary watchdog caught hung device {d}; \
-                     detection latency {latency:.6}s"
-                );
-                obs::instant_cause("ft.detect", HOST, mg.time(), &why);
-                obs::observe(obs::names::FT_DETECTION_LATENCY_S, latency);
-            }
+        let now = mg.time();
+        let latency = (now - t_entry).max(0.0);
+        for &d in &hung {
+            detected(&mut self.report.detection_latency_s, now, latency, || {
+                format!("restart-boundary watchdog caught hung device {d}")
+            });
         }
+        let survivors = mg.n_gpus() - hung.len();
         let why = format!(
             "watchdog declared device {} hung; rebuilding on {survivors} survivors",
             hung[0]
         );
         // the cycle is over and its iterate accepted: no verified work is
         // discarded
-        let now = mg.time();
         self.degrade(sv, &hung, now, None, &why)?;
         Ok(true)
     }
