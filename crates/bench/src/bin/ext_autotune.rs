@@ -36,7 +36,7 @@
 use ca_bench::{balanced_problem, table, Study, TestMatrix};
 use ca_gmres::prelude::*;
 use ca_gpusim::{KernelConfig, PerfModel};
-use ca_tune::{calibrate, fnv1a64, Candidate, CandidateSpace, MachineProfile, Planner};
+use ca_tune::{calibrate, Candidate, CandidateSpace, MachineProfile, Planner};
 
 const NDEV: usize = 3;
 /// Validated candidates per matrix (top of the ranking).
@@ -91,10 +91,10 @@ fn validate(
     let space = if study.smoke { CandidateSpace::smoke(NDEV) } else { CandidateSpace::paper(NDEV) };
     let plan = planner.plan(&space);
     assert!(!plan.ranked.is_empty(), "{}: empty plan", t.name);
-    let mut h = fnv1a64(b"");
+    let mut h = ca_obs::fnv1a(b"");
     for r in &plan.ranked {
         let label = format!("{h:016x} {} {:016x}", r.cand.label(), r.predicted_cycle_s.to_bits());
-        h = fnv1a64(label.as_bytes());
+        h = ca_obs::fnv1a(label.as_bytes());
     }
     study.digest(format_args!(
         "{} plan ranked={} pruned={} rankhash={h:016x}",

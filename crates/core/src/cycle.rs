@@ -654,6 +654,10 @@ pub(crate) fn gather_block(mg: &MultiGpu, sys: &System, c0: usize, c1: usize) ->
 /// per-phase timing and optional Fig. 13 error capture. Clocks are
 /// flattened around both stages for every caller — that sequence predates
 /// the guard and both drivers' digests pin it.
+/// On a system that carries the ABFT checksum (a verifying FT solve builds
+/// it and hands it back with the system), whoever runs the cycle, both
+/// block reductions are checked against scalar checksums (`1ᵀC1` against
+/// `(V_a 1)ᵀ(V_b 1)`, `1ᵀB1` against `‖R1‖²`): [`OrthError::ChecksumMismatch`].
 pub(crate) fn orth_block<G: CycleGuard>(
     cx: &mut SolveCtx<'_>,
     c0: usize,
@@ -663,6 +667,7 @@ pub(crate) fn orth_block<G: CycleGuard>(
     guard: &mut G,
 ) -> Result<(Mat, Mat), OrthError> {
     let (mg, sys, v) = (&mut *cx.mg, cx.sys, &cx.sys.v[..]);
+    let abft = sys.checksum.is_some();
     let passes = if cfg.reorth { 2 } else { 1 };
     let mut c_eff = Mat::zeros(0, 0);
     let mut r_eff = Mat::identity(c1 - c0);
@@ -671,7 +676,7 @@ pub(crate) fn orth_block<G: CycleGuard>(
         // the checksum of V_prev^T W must be read BEFORE the update
         // subtracts the projection from W in place (CGS only — MGS's
         // per-vector reductions are covered by the residual guard)
-        let borth_sum = if cfg.abft && c0 > 0 && cfg.borth == BorthKind::Cgs {
+        let borth_sum = if abft && c0 > 0 && cfg.borth == BorthKind::Cgs {
             Some(orth::block_checksum(mg, v, (0, c0), (c0, c1))?)
         } else {
             None
@@ -688,10 +693,10 @@ pub(crate) fn orth_block<G: CycleGuard>(
         let ph = Phase::begin(mg, "tsqr", true);
         let snapshot = cx.tsqr_errors.as_ref().map(|_| gather_block(mg, sys, c0, c1));
         let gram_sum =
-            if cfg.abft { Some(orth::block_checksum(mg, v, (c0, c1), (c0, c1))?) } else { None };
+            if abft { Some(orth::block_checksum(mg, v, (c0, c1), (c0, c1))?) } else { None };
         // the prefetch window opens on the *final* pass only — earlier
         // passes leave the last column non-final — and never under ABFT
-        let hook = if !cfg.abft && pass == passes { prefetch.take() } else { None };
+        let hook = if !abft && pass == passes { prefetch.take() } else { None };
         let r = tsqr_with_hook(mg, v, c0, c1, cfg.tsqr, cfg.svqr_scaled, hook)?;
         guard.r_diag(&r);
         if let Some(sum) = gram_sum {
@@ -850,7 +855,6 @@ pub(crate) struct Solve<'a> {
     pub mg: &'a mut MultiGpu,
     pub sys: Sys<'a>,
     pub cfg: &'a CaGmresConfig,
-    pub orth: OrthConfig,
     /// Step size in effect; a retune may change it.
     pub s_cur: usize,
     /// Basis precision in effect; the Promote rung raises it.
@@ -889,14 +893,12 @@ impl<'a> Solve<'a> {
         mg: &'a mut MultiGpu,
         sys: Sys<'a>,
         cfg: &'a CaGmresConfig,
-        orth: OrthConfig,
         s: usize,
     ) -> Self {
         Self {
             mg,
             sys,
             cfg,
-            orth,
             s_cur: s,
             prec_cur: cfg.mpk_prec,
             basis_cur: cfg.basis,
@@ -1023,7 +1025,7 @@ impl<'a> Solve<'a> {
             m: cfg.m,
             s,
             spec: &self.spec_full,
-            orth: &self.orth,
+            orth: &cfg.orth,
             use_mpk: cfg.kernel == KernelMode::Mpk && self.sys.mpk.is_some() && s > 1,
             prefetch: cfg.prefetch,
             target,
@@ -1360,11 +1362,19 @@ mod tests {
         assert_eq!(ran.msgs, clean.msgs + 4, "exactly one more exchange: 2 up, 2 down");
     }
 
+    /// Give the system of `machine` its ABFT checksum, which arms the
+    /// orthogonalization's checks.
+    fn verified((mut mg, mut sys, beta): (MultiGpu, System, f64)) -> (MultiGpu, System, f64) {
+        sys.checksum = Some(crate::ft::checksum(&mut mg, &laplace2d(12, 12), &sys.layout).unwrap());
+        (mg, sys, beta)
+    }
+
     #[test]
     fn hooks_fire_in_the_contracted_order() {
-        let orth = OrthConfig { abft: true, ..OrthConfig::default() };
+        let (mut mg, sys, beta) = verified(machine(Schedule::Barrier, None));
         let mut fake = Fake::default();
-        full_cycle(Schedule::Barrier, (&orth, false), &mut fake);
+        let ran = cycle(&mut mg, &sys, (&OrthConfig::default(), false), (beta, None), &mut fake);
+        assert!(matches!(&ran.end, CycleEnd::Done { y, .. } if y.len() == M));
         let per_block = ["poll:MpkBlock", "after_generate", "poll:Orth", "r_diag", "block_done"];
         // the first block has nothing to project against: BOrth is skipped
         // and so is its poll
@@ -1382,13 +1392,12 @@ mod tests {
         // compares fail; whenever one does, the hook that precedes it in
         // the contract must already have fired in that attempt:
         // poll(Orth) before BOrth's compare, r_diag before the Gram compare
-        let orth = OrthConfig { abft: true, ..OrthConfig::default() };
         let (mut borth_seen, mut gram_seen) = (0, 0);
         for seed in 0..40 {
             let plan = FaultPlan::new(seed).with_sdc(0.03, SdcTargets::gemm_only());
-            let (mut mg, sys, beta) = machine(Schedule::Barrier, Some(plan));
+            let (mut mg, sys, beta) = verified(machine(Schedule::Barrier, Some(plan)));
             let mut fake = Fake::default();
-            cycle(&mut mg, &sys, (&orth, false), (beta, None), &mut fake);
+            cycle(&mut mg, &sys, (&OrthConfig::default(), false), (beta, None), &mut fake);
             for (i, event) in fake.log.iter().enumerate() {
                 match event.as_str() {
                     "mismatch:borth" => {

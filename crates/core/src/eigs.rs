@@ -59,7 +59,8 @@ pub struct RitzPair {
 /// Outcome of an eigensolve.
 #[derive(Debug)]
 pub struct EigsOutcome {
-    /// The `nev` dominant Ritz pairs, by descending modulus.
+    /// The `nev` dominant Ritz pairs, by descending modulus (fewer when the
+    /// start vector's Krylov space has fewer dimensions).
     pub pairs: Vec<RitzPair>,
     /// `converged` when all requested pairs met the tolerance, `restarts`
     /// the cycles that ran to their end or were retried; the clock and
@@ -97,12 +98,13 @@ fn ritz_vector(h: &Mat, theta_re: f64) -> Vec<f64> {
 }
 
 /// The `cfg.nev` dominant Ritz pairs of the `(k+1) x k` Hessenberg matrix
-/// `h`, whether all met the tolerance, and the coefficients of the basis
-/// columns the next cycle restarts from; `None` when `h` has fewer than two
-/// columns or its eigensolve fails.
+/// `h` (fewer when `k < nev`: an invariant Krylov space), whether `nev` of
+/// them were found and all met the tolerance, and the coefficients of the
+/// basis columns the next cycle restarts from; `None` when `h` has no
+/// column or its eigensolve fails.
 fn ritz_pairs(h: &Mat, cfg: &ArnoldiConfig) -> Option<(Vec<RitzPair>, bool, Vec<f64>)> {
     let mm = h.ncols();
-    if mm < 2 {
+    if mm == 0 {
         return None;
     }
     let hsq = h.top_left(mm, mm);
@@ -129,6 +131,7 @@ fn ritz_pairs(h: &Mat, cfg: &ArnoldiConfig) -> Option<(Vec<RitzPair>, bool, Vec<
             *rc += w * yv;
         }
     }
+    converged &= pairs.len() == cfg.nev;
     Some((pairs, converged, restart))
 }
 
@@ -257,7 +260,7 @@ pub fn arnoldi_eigs(
     mg.reset_counters();
     let t_begin = mg.time();
     let mut guard = RitzGuard { cfg, pairs: Vec::new() };
-    let mut sv = Solve::new(mg, Sys::Borrowed(sys), &solver, cfg.orth, cfg.s);
+    let mut sv = Solve::new(mg, Sys::Borrowed(sys), &solver, cfg.s);
     sv.run(&mut guard)?;
     let Solve { mg, mut stats, beta0, .. } = sv;
     if beta0 == 0.0 {
@@ -305,8 +308,16 @@ mod tests {
         cfg: &ArnoldiConfig,
         b: &[f64],
     ) -> EigsOutcome {
-        let layout = Layout::even(a.nrows(), ndev);
-        let mut mg = MultiGpu::with_defaults(ndev);
+        run_eigs_on(MultiGpu::with_defaults(ndev), a, cfg, b)
+    }
+
+    fn run_eigs_on(
+        mut mg: MultiGpu,
+        a: &ca_sparse::Csr,
+        cfg: &ArnoldiConfig,
+        b: &[f64],
+    ) -> EigsOutcome {
+        let layout = Layout::even(a.nrows(), mg.n_gpus());
         let sys = System::new(&mut mg, a, layout, cfg.m, Some(cfg.s)).unwrap();
         sys.load_rhs(&mut mg, b).unwrap();
         arnoldi_eigs(&mut mg, &sys, cfg).unwrap()
@@ -341,10 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn a_failure_on_the_monomial_basis_ends_in_a_typed_breakdown() {
+    fn a_two_dimensional_krylov_space_gives_its_exact_eigenvalue() {
         // diag(1, 3, 1, 3, ...) from b = 1: the Krylov space has two
-        // dimensions, so every 4-step block's Gram matrix is singular and a
-        // retry from the same start fails the same way
+        // dimensions, so the harvest cycle's third Arnoldi step is a lucky
+        // breakdown and its Hessenberg matrix holds λ = 3 exactly
         let n = 64;
         let mut a = ca_sparse::Csr::identity(n);
         for (i, v) in a.values_mut().iter_mut().enumerate() {
@@ -353,13 +364,30 @@ mod tests {
         let cfg = ArnoldiConfig { m: 8, s: 4, max_restarts: 20, ..Default::default() };
         let out = run_eigs_from(&a, 2, &cfg, &vec![1.0; n]);
         let st = &out.stats;
+        assert!(st.converged && st.breakdown.is_none(), "{st:?}");
+        assert_eq!(st.restarts, 1, "the harvest cycle converges");
+        assert_eq!(out.pairs[0].value, (3.0, 0.0));
+        assert_eq!(out.pairs[0].rel_residual, 0.0);
+    }
+
+    #[test]
+    fn a_failure_on_the_monomial_basis_ends_in_a_typed_breakdown() {
+        // every Gram matrix pulled exactly singular: the Newton cycle fails,
+        // its retry on the monomial basis fails the same way, and a retry
+        // from the same start could change nothing
+        let a = gen::laplace2d(12, 12);
+        let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + ((i * 3) % 7) as f64 * 0.3).collect();
+        let mut mg = MultiGpu::with_defaults(2);
+        mg.set_fault_plan(ca_gpusim::FaultPlan::new(1).with_gram_nudge(1.0, 1.0));
+        let out = run_eigs_on(mg, &a, &ArnoldiConfig { m: 24, s: 6, ..Default::default() }, &b);
+        let st = &out.stats;
         assert!(
             matches!(st.breakdown, Some(BreakdownKind::Orthogonalization { column: 0, .. })),
             "{:?}",
             st.breakdown
         );
         assert!(!st.converged);
-        assert_eq!(st.restarts, 1, "the harvest cycle, then no retry");
+        assert_eq!(st.restarts, 2, "the harvest cycle and the Newton cycle, then no retry");
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! 1. **ABFT detection** — every MPK/SpMV block is verified against the
 //!    checksum identity `1ᵀv_{k+1} = scale·(cᵀv_k − re·1ᵀv_k) +
 //!    im2·1ᵀv_{k-1}` with `c = Aᵀ1` precomputed on the host, and the
-//!    orthogonalization runs with its Gram/projection checksums armed
-//!    ([`crate::orth::OrthConfig::abft`]). The detector kernels are real
-//!    (they advance device clocks), so the overhead of resilience is
-//!    visible in the simulated times.
+//!    orthogonalization checks its Gram/projection reductions against
+//!    scalar checksums on every system that carries `c`. The detector
+//!    kernels are real (they advance device clocks), so the overhead of
+//!    resilience is visible in the simulated times.
 //! 2. **Recompute on detection** — a block that fails a checksum is
 //!    regenerated from its (intact) source column. The regenerated
 //!    kernels draw fresh per-op fault decisions, so a *transient* SDC
@@ -46,8 +46,9 @@
 //!    not charged; the *restore* re-upload after a failure is charged in
 //!    full), so recovery rolls the cycle back to the failed block, not
 //!    its start. A straggler caught mid-flight triggers an immediate
-//!    repartition of the remaining rows ([`Layout::proportional_nnz`],
-//!    or the [`RestartTuner::replan_midcycle`] hook of a passed tuner).
+//!    repartition of the remaining rows ([`Layout::proportional_nnz`] on
+//!    the measured throughputs; a passed tuner re-plans at the next
+//!    restart boundary).
 //!    Detection latency and work lost to rollback are recorded in
 //!    [`FtReport`] and the `ft.detection_latency_s` histogram.
 //!
@@ -71,7 +72,7 @@ use crate::cycle::{
 use crate::health::{throttled, EscalationEvent, EscalationRung, Ladder, MonitorState};
 use crate::layout::Layout;
 use crate::newton::BasisSpec;
-use crate::orth::{checksums_agree, OrthConfig, OrthError};
+use crate::orth::{checksums_agree, OrthError};
 use crate::stats::{BreakdownKind, SolveStats};
 use crate::system::System;
 use ca_dense::Mat;
@@ -273,23 +274,6 @@ pub trait RestartTuner {
         layout: &Layout,
     ) -> Option<RetuneDecision>;
 
-    /// Mid-cycle re-plan: called when the in-cycle probe catches a
-    /// fail-slow straggler between blocks, with the live health report.
-    /// Only the row layout may change — the step size is pinned until the
-    /// next restart boundary because the basis spec (and the ABFT
-    /// recurrence checksums derived from it) are fixed for the cycle in
-    /// flight. The default keeps the driver's own throughput-proportional
-    /// split; implementations may return a model-scored layout instead.
-    /// The same invisibility contract applies: a healthy report must
-    /// return `None`.
-    fn replan_midcycle(
-        &mut self,
-        _health: &ca_gpusim::HealthReport,
-        _layout: &Layout,
-    ) -> Option<Layout> {
-        None
-    }
-
     /// Numerical-health feedback: called at the restart boundary with the
     /// escalations the ladder performed since the last call, before
     /// `replan`. An implementation that owns step-size caps should
@@ -483,7 +467,7 @@ fn detected(latencies: &mut Vec<f64>, t: f64, latency: f64, why: impl FnOnce() -
 
 /// Compute the ABFT checksum `c = Aᵀ1` on the host and upload each device's
 /// row slice of it (both the host pass and the transfers are charged).
-fn checksum(mg: &mut MultiGpu, a: &Csr, layout: &Layout) -> GpuResult<Vec<VecId>> {
+pub(crate) fn checksum(mg: &mut MultiGpu, a: &Csr, layout: &Layout) -> GpuResult<Vec<VecId>> {
     let mut c = vec![0.0f64; a.ncols()];
     for i in 0..a.nrows() {
         let (cols, vals) = a.row(i);
@@ -643,10 +627,9 @@ pub fn ca_gmres_ft_session(
             op.build(mg, Layout::even(n, mg.n_gpus()), solver, (s, solver.mpk_prec), &mut guard)
         }
     };
-    let orth = OrthConfig { abft: cfg.verify, ..solver.orth };
     let (ran, mut stats, x) = match built {
         Ok(sys) => {
-            let mut sv = Solve::new(mg, Sys::Owned(sys, op), solver, orth, s);
+            let mut sv = Solve::new(mg, Sys::Owned(sys, op), solver, s);
             // an `FtOutcome` has no place for Fig. 13 samples: take none
             (sv.x_ckpt, sv.tsqr_errors) = (vec![0.0; n], None);
             let ran = sv.run(&mut guard);
@@ -913,17 +896,16 @@ impl<'a, 't> FtGuard<'a, 't> {
         // and without ca-obs armed); `borth_s` is the projection-only part,
         // matching the host spans
         let (t_seen, seen) = &self.seen;
-        let st = &sv.stats;
-        let (d_orth, d_tsqr) = (st.t_orth - seen.t_orth, st.t_tsqr - seen.t_tsqr);
+        let d = sv.stats.since(seen);
         t.observe_phases(&PhaseRatios {
-            cycles: st.restarts - seen.restarts,
+            cycles: d.restarts,
             cycle_s: (mg.time() - t_seen).max(0.0),
-            spmv_s: st.t_spmv - seen.t_spmv,
-            borth_s: (d_orth - d_tsqr).max(0.0),
-            tsqr_s: d_tsqr,
-            small_s: st.t_small - seen.t_small,
+            spmv_s: d.t_spmv,
+            borth_s: (d.t_orth - d.t_tsqr).max(0.0),
+            tsqr_s: d.t_tsqr,
+            small_s: d.t_small,
         });
-        self.seen = (mg.time(), st.clone());
+        self.seen = (mg.time(), sv.stats.clone());
         let health = mg.health_report();
         let Some(d) = t.replan(&health, sv.s_cur, &sv.sys.layout) else { return Ok(false) };
         let m = sv.cfg.m;
@@ -1272,9 +1254,9 @@ impl CycleGuard for FtGuard<'_, '_> {
     /// the checkpoint and redo the cycle — and, on acceptance, the iterate
     /// checkpoint.
     fn cycle_done(&mut self, sv: &mut Solve<'_>, beta: f64, implied: f64) -> GpuResult<bool> {
-        let (cfg, mg) = (self.cfg, &mut *sv.mg);
+        let (cfg, mg, verified) = (self.cfg, &mut *sv.mg, sv.sys.checksum.is_some());
         let noise = 1e-12 * sv.beta0;
-        if cfg.verify && beta > RESIDUAL_SLACK * implied + noise && self.redo_budget > 0 {
+        if verified && beta > RESIDUAL_SLACK * implied + noise && self.redo_budget > 0 {
             let retry = (cfg.recompute.retries() - self.redo_budget) as u32 + 1;
             self.report.cycles_redone += 1;
             self.redo_budget -= 1;
@@ -1316,18 +1298,8 @@ impl CycleGuard for FtGuard<'_, '_> {
             // mid-flight rebalance: split the *remaining* rows of this cycle
             // across the devices by measured throughput
             FtHandBack::Rebalance { device, imbalance, ck } => {
-                let health = mg.health_report();
-                let layout = &sv.sys.layout;
-                let planned =
-                    self.tuner.as_deref_mut().and_then(|t| t.replan_midcycle(&health, layout));
-                let new_layout = planned.unwrap_or_else(|| {
-                    Layout::proportional_nnz(sv.sys.operator().a, &health.throughput_weights())
-                });
-                assert_eq!(
-                    new_layout.ndev(),
-                    sv.sys.layout.ndev(),
-                    "mid-cycle rebalance must keep the device count"
-                );
+                let weights = mg.health_report().throughput_weights();
+                let new_layout = Layout::proportional_nnz(sv.sys.operator().a, &weights);
                 let cause =
                     format!("mid-cycle: straggler device {device} (imbalance {imbalance:.3})");
                 self.repartition(sv, new_layout, Some(&cause), Some(ck))

@@ -91,16 +91,19 @@ pub(crate) fn gmres_cycle<G: CycleGuard>(
         match orth_column(mg, &sys.v, 0, j + 1, orth) {
             Ok(h) => {
                 stats.t_orth += ph.end(mg);
+                // a zero subdiagonal is the lucky breakdown: the Krylov
+                // space is invariant and holds the exact solution
+                let invariant = h[j + 1] == 0.0;
                 lsq.push_column(&h);
                 arn.push_arnoldi_column(h);
                 stats.total_iters += 1;
-                if lsq.residual_norm() <= target {
+                if invariant || lsq.residual_norm() <= target {
                     break;
                 }
             }
             Err(OrthError::ZeroNorm { .. }) => {
-                // lucky breakdown: exact solution lives in the current
-                // subspace; use what we have
+                // a norm that is not a number: stop with the columns so
+                // far; the restart's explicit residual reports the rest
                 stats.t_orth += ph.end(mg);
                 break;
             }
@@ -161,7 +164,7 @@ pub fn gmres(mg: &mut MultiGpu, sys: &System, cfg: &GmresConfig) -> GmresOutcome
     mg.sync();
     mg.reset_counters();
     let t_begin = mg.time();
-    let mut sv = Solve::new(mg, Sys::Borrowed(sys), &solver, orth, 1);
+    let mut sv = Solve::new(mg, Sys::Borrowed(sys), &solver, 1);
     sv.standard = true;
     let ran = sv.run(&mut NoGuard);
     let Solve { mg, mut stats, first_hessenberg, .. } = sv;

@@ -82,22 +82,11 @@ pub struct OrthConfig {
     pub reorth: bool,
     /// Apply the diagonal-scaling stabilization \[20\] inside SVQR.
     pub svqr_scaled: bool,
-    /// Verify the BOrth/TSQR block reductions against independently
-    /// computed scalar checksums (`1^T C 1` against `(V_a 1)^T (V_b 1)`,
-    /// `1^T B 1` against `||R 1||^2`), surfacing silent data corruption as
-    /// [`OrthError::ChecksumMismatch`].
-    pub abft: bool,
 }
 
 impl Default for OrthConfig {
     fn default() -> Self {
-        Self {
-            tsqr: TsqrKind::CholQr,
-            borth: BorthKind::Cgs,
-            reorth: false,
-            svqr_scaled: true,
-            abft: false,
-        }
+        Self { tsqr: TsqrKind::CholQr, borth: BorthKind::Cgs, reorth: false, svqr_scaled: true }
     }
 }
 
@@ -409,6 +398,7 @@ pub fn tsqr_with_hook(
                 for (i, rho) in orth_column(mg, v, c0, col, gs)?.into_iter().enumerate() {
                     r[(i, col - c0)] = rho;
                 }
+                nonzero(r[(col - c0, col - c0)], col - c0)?;
             }
             r
         }
@@ -416,7 +406,7 @@ pub fn tsqr_with_hook(
             let mut r = Mat::zeros(k, k);
             for col in c0..c1 {
                 if col == c0 {
-                    r[(col - c0, col - c0)] = normalize_col(mg, v, col, c0)?;
+                    r[(0, 0)] = nonzero(normalize_col(mg, v, col, c0)?, 0)?;
                     continue;
                 }
                 // single fused reduction: [V^T v ; v^T v]
@@ -440,10 +430,7 @@ pub fn tsqr_with_hook(
                 if rest > 0.25 * vnorm_sq && rest.is_finite() {
                     // fast path: one combined broadcast (coefficients +
                     // norm), one fused device update+scale — 2 phases/col
-                    let norm = rest.sqrt();
-                    if norm == 0.0 {
-                        return Err(OrthError::ZeroNorm { column: col - c0 });
-                    }
+                    let norm = nonzero(rest.sqrt(), col - c0)?;
                     mg.broadcast(8 * (coeffs.len() + 1))?;
                     mg.run(|d, dev| {
                         dev.gemv_n_update(v[d], c0, col, &coeffs, col);
@@ -455,14 +442,7 @@ pub fn tsqr_with_hook(
                     // paper's footnote 5 describes
                     mg.broadcast(8 * coeffs.len())?;
                     mg.run(|d, dev| dev.gemv_n_update(v[d], c0, col, &coeffs, col));
-                    let parts = mg.run_map(|d, dev| dev.norm2_sq_col(v[d], col));
-                    let norm = reduce_scalar(mg, &parts)?.max(0.0).sqrt();
-                    if norm == 0.0 || !norm.is_finite() {
-                        return Err(OrthError::ZeroNorm { column: col - c0 });
-                    }
-                    mg.broadcast(8)?;
-                    mg.run(|d, dev| dev.scal_col(v[d], col, 1.0 / norm));
-                    r[(col - c0, col - c0)] = norm;
+                    r[(col - c0, col - c0)] = nonzero(normalize_col(mg, v, col, c0)?, col - c0)?;
                 }
             }
             r
@@ -583,17 +563,26 @@ fn maybe_nudge_gram(mg: &MultiGpu, b: &mut Mat) {
 }
 
 /// Reduce the norm of `col` and normalize it on every device; returns the
-/// norm. `c0` is the block's first column (errors are block-relative).
+/// norm. An exactly zero column is left as it is and its norm, 0, returned;
+/// a norm that is not a number is [`OrthError::ZeroNorm`]. `c0` is the
+/// block's first column (errors are block-relative).
 fn normalize_col(mg: &mut MultiGpu, v: &[MatId], col: usize, c0: usize) -> Result<f64, OrthError> {
     let parts = mg.run_map(|d, dev| dev.norm2_sq_col(v[d], col));
     let nsq = reduce_scalar(mg, &parts)?;
     let norm = nsq.max(0.0).sqrt();
-    if norm == 0.0 || !norm.is_finite() {
+    if nsq.is_nan() || !norm.is_finite() {
         return Err(OrthError::ZeroNorm { column: col - c0 });
     }
-    mg.broadcast(8)?;
-    mg.run(|d, dev| dev.scal_col(v[d], col, 1.0 / norm));
+    if norm > 0.0 {
+        mg.broadcast(8)?;
+        mg.run(|d, dev| dev.scal_col(v[d], col, 1.0 / norm));
+    }
     Ok(norm)
+}
+
+/// A block's diagonal entry of `R`: a zero one is rank deficiency.
+fn nonzero(norm: f64, column: usize) -> Result<f64, OrthError> {
+    (norm != 0.0).then_some(norm).ok_or(OrthError::ZeroNorm { column })
 }
 
 fn apply_trsm(
@@ -617,6 +606,9 @@ fn apply_trsm(
 /// standard GMRES (§III) and the result is the Hessenberg column
 /// `[h_0 .. h_{col-1}, h_col]`; MGS and CGS TSQR are this routine over the
 /// columns of a block starting at `c0`, the result being that column of `R`.
+/// A column that lies exactly in the span of the others ends in `h_col = 0`
+/// and stays zero (an invariant Krylov space); only a norm that is not a
+/// number is an error.
 pub fn orth_column(
     mg: &mut MultiGpu,
     v: &[MatId],

@@ -137,6 +137,24 @@ impl SolveStats {
         Self { breakdown, final_relres: f64::NAN, ..Self::default() }
     }
 
+    /// What the solve accumulated since the snapshot `earlier` of the same
+    /// solve: restarts, iterations, end-to-end and phase times, prefetches;
+    /// every other field is `self`'s.
+    #[must_use]
+    pub fn since(&self, earlier: &SolveStats) -> SolveStats {
+        SolveStats {
+            restarts: self.restarts - earlier.restarts,
+            total_iters: self.total_iters - earlier.total_iters,
+            t_total: self.t_total - earlier.t_total,
+            t_spmv: self.t_spmv - earlier.t_spmv,
+            t_orth: self.t_orth - earlier.t_orth,
+            t_tsqr: self.t_tsqr - earlier.t_tsqr,
+            t_small: self.t_small - earlier.t_small,
+            prefetches: self.prefetches - earlier.prefetches,
+            ..self.clone()
+        }
+    }
+
     /// Record per-device observed busy times and derive the imbalance
     /// ratio (max/min over devices with nonzero busy time).
     pub fn record_device_times(&mut self, busy: Vec<f64>) {

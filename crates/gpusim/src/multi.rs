@@ -775,13 +775,6 @@ impl MultiGpu {
         bytes.iter().enumerate().map(copy).collect()
     }
 
-    /// Simulated seconds the links have been occupied since the last
-    /// [`MultiGpu::reset_time`], summed over links and copies (occupancy,
-    /// not elapsed time: links overlap).
-    pub fn link_occupancy(&self) -> f64 {
-        self.links.iter().map(CopyEngine::occupied).sum()
-    }
-
     /// Enqueue async device→host copies, one per device with `bytes[d]`
     /// bytes (0 = no message), every message tagged with `prec`. Returns
     /// each device's arrival event; links overlap. Combine with

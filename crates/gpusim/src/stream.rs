@@ -151,8 +151,6 @@ impl EventTable {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CopyEngine {
     busy_until: f64,
-    /// Seconds of copies carried since the last reset.
-    occupied: f64,
 }
 
 impl CopyEngine {
@@ -164,14 +162,7 @@ impl CopyEngine {
         let start = earliest.max(self.busy_until);
         let finish = start + dur;
         self.busy_until = finish;
-        self.occupied += dur;
         (start, finish)
-    }
-
-    /// Seconds the link has carried copies since the last reset (the sum
-    /// of their durations).
-    pub fn occupied(&self) -> f64 {
-        self.occupied
     }
 
     /// When the link becomes idle.

@@ -421,6 +421,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn fnv_matches_reference_vectors() {
+        // Standard FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
     fn snapshot_json_is_sorted_and_stable() {
         let mut reg = Registry::default();
         reg.counter_add("z.count", 7);

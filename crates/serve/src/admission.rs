@@ -68,8 +68,7 @@ impl AdmissionCache {
             miss = true;
             self.misses += 1;
             let planner = Planner::new(a, self.m, self.model.clone(), self.kc);
-            let verdict =
-                ca_tune::admission_estimates(&planner, &self.space, &[ndev]).into_iter().next();
+            let verdict = ca_tune::admission_estimate(&planner, &self.space, ndev);
             self.cache.insert(k.clone(), verdict);
         }
         (self.cache[&k].as_ref(), miss)

@@ -585,7 +585,7 @@ mod tests {
     use crate::job::open_loop_arrivals;
     use crate::job::ArrivalSpec;
     use crate::ServeConfig;
-    use ca_tune::{admission_estimates, Planner};
+    use ca_tune::{admission_estimate, Planner};
 
     fn pool() -> Vec<(String, Csr)> {
         vec![
@@ -614,7 +614,7 @@ mod tests {
         let footprint = |(_, a): &(String, Csr)| {
             let p = Planner::new(a, cfg.base.solver.m, cfg.model.clone(), KernelConfig::default());
             let space = ServeConfig::default_admission_space();
-            admission_estimates(&p, &space, &[1])[0].mem_bytes_per_dev[0]
+            admission_estimate(&p, &space, 1).expect("fits").mem_bytes_per_dev[0]
         };
         // room for the larger operator and half of the smaller one
         let capacity = footprint(&pool[1]) + footprint(&pool[0]) / 2;

@@ -13,7 +13,7 @@
 //! is claimed; the point is the *model* comparison against the graph
 //! partitioner, which the `ext_partitioners` study runs.
 
-use crate::partition::Partition;
+use crate::partition::{sweep_order, Partition};
 use crate::Csr;
 
 /// Column-net hypergraph of a sparse matrix: vertex `i` = row `i`; net
@@ -116,28 +116,9 @@ fn bisect(
 
     // initial split: breadth-first over shared nets from the first vertex
     // (keeps net members together), remainder appended in index order
-    let inset: std::collections::HashSet<u32> = verts.iter().copied().collect();
-    let mut order: Vec<u32> = Vec::with_capacity(verts.len());
-    let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(verts[0]);
-    seen.insert(verts[0]);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &net in hg.nets_of(u as usize) {
-            for &w in hg.net(net as usize) {
-                if inset.contains(&w) && seen.insert(w) {
-                    queue.push_back(w);
-                }
-            }
-        }
-        if queue.is_empty() && order.len() < verts.len() {
-            if let Some(&v) = verts.iter().find(|&&v| !seen.contains(&v)) {
-                seen.insert(v);
-                queue.push_back(v);
-            }
-        }
-    }
+    let order = sweep_order(verts, |u| {
+        hg.nets_of(u as usize).iter().flat_map(|&net| hg.net(net as usize).iter().copied())
+    });
     // side[v]: 0 = left, 1 = right
     let mut side: std::collections::HashMap<u32, u8> = std::collections::HashMap::new();
     for (i, &v) in order.iter().enumerate() {
@@ -163,7 +144,7 @@ fn bisect(
             for &net in hg.nets_of(v as usize) {
                 let (mut same, mut other) = (0usize, 0usize);
                 for &w in hg.net(net as usize) {
-                    if w == v || !inset.contains(&w) {
+                    if w == v || !side.contains_key(&w) {
                         continue;
                     }
                     if side[&w] as usize == sv {

@@ -199,21 +199,32 @@ fn bisect(g: &Graph, verts: &[u32], base: u32, nparts: usize, part: &mut [u32]) 
     let left_size = verts.len() * left_parts / nparts;
 
     // BFS sweep order from a pseudo-peripheral vertex of this subset
+    let order = sweep_order(verts, |u| g.neighbors(u as usize).iter().copied());
+    let (left, right) = order.split_at(left_size.clamp(1, order.len().saturating_sub(1)).max(1));
+    bisect(g, left, base, left_parts, part);
+    bisect(g, right, base + left_parts as u32, right_parts, part);
+}
+
+/// The sweep order both recursive bisections cut: breadth-first from
+/// `verts[0]` over the edges `neighbours` lists, restricted to `verts`; a
+/// disconnected remainder restarts at its first unseen vertex.
+pub(crate) fn sweep_order<I: IntoIterator<Item = u32>>(
+    verts: &[u32],
+    neighbours: impl Fn(u32) -> I,
+) -> Vec<u32> {
     let inset: std::collections::HashSet<u32> = verts.iter().copied().collect();
-    let root = verts[0] as usize;
     let mut order: Vec<u32> = Vec::with_capacity(verts.len());
     let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
     let mut queue = std::collections::VecDeque::new();
-    queue.push_back(root as u32);
-    seen.insert(root as u32);
+    queue.push_back(verts[0]);
+    seen.insert(verts[0]);
     while let Some(u) = queue.pop_front() {
         order.push(u);
-        for &w in g.neighbors(u as usize) {
+        for w in neighbours(u) {
             if inset.contains(&w) && seen.insert(w) {
                 queue.push_back(w);
             }
         }
-        // disconnected remainder: append any unseen vertex
         if queue.is_empty() && order.len() < verts.len() {
             if let Some(&v) = verts.iter().find(|&&v| !seen.contains(&v)) {
                 seen.insert(v);
@@ -221,9 +232,7 @@ fn bisect(g: &Graph, verts: &[u32], base: u32, nparts: usize, part: &mut [u32]) 
             }
         }
     }
-    let (left, right) = order.split_at(left_size.clamp(1, order.len().saturating_sub(1)).max(1));
-    bisect(g, left, base, left_parts, part);
-    bisect(g, right, base + left_parts as u32, right_parts, part);
+    order
 }
 
 /// KL/FM-style boundary refinement of both partitioners' parts: up to

@@ -3,11 +3,11 @@
 //!
 //! A service scheduling hundreds of solve requests onto a shared GPU
 //! pool asks, before a job ever touches a device, *how should this job
-//! run?* — the best [`Candidate`] for each device count the pool could
+//! run?* — the best [`Candidate`] for a device count the pool could
 //! give it, with its predicted cycle time (the service multiplies it by
 //! the expected-cycle count it tracks per matrix into an ETA for
 //! deadline-aware ordering) and its device-memory footprint
-//! ([`admission_estimates`]).
+//! ([`admission_estimate`]).
 //!
 //! Everything here is a pure function of the planner's cost model, so
 //! the service can cache results by [`Candidate::label`] (stable and
@@ -30,40 +30,31 @@ pub struct AdmissionEstimate {
     pub mem_bytes_per_dev: Vec<usize>,
 }
 
-/// Plan one job at each candidate device count: for every entry of
-/// `ndevs` (deduplicated, ascending), run the pruned search restricted
-/// to that count and keep the fastest survivor. Counts at which the
-/// whole grid prunes away (e.g. the matrix does not fit) are skipped,
-/// so the result can be shorter than `ndevs` — or empty, which the
-/// caller should treat as "reject the job".
+/// Plan one job at `ndev` devices: run the pruned search restricted to
+/// that count and keep the fastest survivor. `None` when the whole grid
+/// prunes away (e.g. the matrix does not fit), which the caller should
+/// treat as "reject the job" at that count.
 ///
 /// `base` supplies the rest of the grid (step sizes, bases, TSQR
 /// kinds, precisions); its own `ndevs` field is ignored.
 #[must_use]
-pub fn admission_estimates(
+pub fn admission_estimate(
     planner: &Planner<'_>,
     base: &CandidateSpace,
-    ndevs: &[usize],
-) -> Vec<AdmissionEstimate> {
-    let mut counts: Vec<usize> = ndevs.iter().copied().filter(|&d| d > 0).collect();
-    counts.sort_unstable();
-    counts.dedup();
-    let mut out = Vec::new();
-    for nd in counts {
-        let space = CandidateSpace { ndevs: vec![nd], ..base.clone() };
-        let plan = planner.plan(&space);
-        let Some(best) = plan.best() else { continue };
-        // the winner was timed on the machine its footprint is read off, so
-        // the read cannot fail where the plan succeeded; were it to, the
-        // count is skipped like one whose whole grid pruned away
-        let Ok(mem_bytes_per_dev) = planner.mem_estimate(&best.cand) else { continue };
-        out.push(AdmissionEstimate {
-            cand: best.cand,
-            predicted_cycle_s: best.predicted_cycle_s,
-            mem_bytes_per_dev,
-        });
-    }
-    out
+    ndev: usize,
+) -> Option<AdmissionEstimate> {
+    let space = CandidateSpace { ndevs: vec![ndev], ..base.clone() };
+    let plan = planner.plan(&space);
+    let best = plan.best()?;
+    // the winner was timed on the machine its footprint is read off, so the
+    // read cannot fail where the plan succeeded; were it to, the count is
+    // rejected like one whose whole grid pruned away
+    let mem_bytes_per_dev = planner.mem_estimate(&best.cand).ok()?;
+    Some(AdmissionEstimate {
+        cand: best.cand,
+        predicted_cycle_s: best.predicted_cycle_s,
+        mem_bytes_per_dev,
+    })
 }
 
 #[cfg(test)]
@@ -76,14 +67,13 @@ mod tests {
     }
 
     #[test]
-    fn estimates_cover_each_device_count_once() {
+    fn an_estimate_is_for_its_device_count() {
         let a = ca_sparse::gen::laplace2d(24, 24);
         let p = planner(&a, 20);
-        let ests = admission_estimates(&p, &CandidateSpace::smoke(1), &[2, 1, 2, 0, 3]);
-        let counts: Vec<usize> = ests.iter().map(|e| e.cand.ndev).collect();
-        assert_eq!(counts, vec![1, 2, 3]);
-        for e in &ests {
-            assert_eq!(e.mem_bytes_per_dev.len(), e.cand.ndev);
+        for nd in 1..=3 {
+            let e = admission_estimate(&p, &CandidateSpace::smoke(1), nd).expect("fits");
+            assert_eq!(e.cand.ndev, nd);
+            assert_eq!(e.mem_bytes_per_dev.len(), nd);
             assert!(e.predicted_cycle_s > 0.0);
             assert!(e.mem_bytes_per_dev.iter().all(|&b| b > 0));
         }
@@ -93,13 +83,12 @@ mod tests {
     fn estimates_are_deterministic() {
         let a = ca_sparse::gen::laplace2d(24, 24);
         let p = planner(&a, 20);
-        let x = admission_estimates(&p, &CandidateSpace::smoke(1), &[1, 2]);
-        let y = admission_estimates(&p, &CandidateSpace::smoke(1), &[1, 2]);
-        assert_eq!(x.len(), y.len());
-        for (a, b) in x.iter().zip(&y) {
-            assert_eq!(a.cand.label(), b.cand.label());
-            assert_eq!(a.predicted_cycle_s.to_bits(), b.predicted_cycle_s.to_bits());
-            assert_eq!(a.mem_bytes_per_dev, b.mem_bytes_per_dev);
+        for nd in [1, 2] {
+            let x = admission_estimate(&p, &CandidateSpace::smoke(1), nd).expect("fits");
+            let y = admission_estimate(&p, &CandidateSpace::smoke(1), nd).expect("fits");
+            assert_eq!(x.cand.label(), y.cand.label());
+            assert_eq!(x.predicted_cycle_s.to_bits(), y.predicted_cycle_s.to_bits());
+            assert_eq!(x.mem_bytes_per_dev, y.mem_bytes_per_dev);
         }
     }
 
@@ -109,10 +98,8 @@ mod tests {
         // also be pruned by plan(), and vice versa.
         let a = ca_sparse::gen::laplace2d(24, 24);
         let p = planner(&a, 20);
-        let ests = admission_estimates(&p, &CandidateSpace::smoke(1), &[1]);
+        let e = admission_estimate(&p, &CandidateSpace::smoke(1), 1).expect("fits");
         let cap = p.model().dev_mem_capacity as f64 * crate::plan::MEM_FRAC;
-        for e in &ests {
-            assert!(e.mem_bytes_per_dev.iter().all(|&b| b as f64 <= cap), "survivor over budget");
-        }
+        assert!(e.mem_bytes_per_dev.iter().all(|&b| b as f64 <= cap), "survivor over budget");
     }
 }

@@ -51,7 +51,7 @@ pub mod profile;
 pub mod retune;
 pub mod rig;
 
-pub use admit::{admission_estimates, AdmissionEstimate};
+pub use admit::{admission_estimate, AdmissionEstimate};
 pub use calibrate::calibrate;
 pub use feedback::{calibrate_from_metrics, observed_slowdowns, FamilySlowdown};
 pub use plan::{
@@ -60,21 +60,3 @@ pub use plan::{
 };
 pub use profile::{MachineProfile, NamedCurve, ParamSource, ProfileParam};
 pub use retune::Retuner;
-
-/// FNV-1a over a byte string — the digest primitive the bench harness
-/// uses; profiles hash their canonical JSON with it so a profile hash in
-/// run metadata pins exactly which calibration produced a result.
-pub use ca_obs::fnv1a as fnv1a64;
-
-#[cfg(test)]
-mod tests {
-    use super::fnv1a64;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-}

@@ -346,32 +346,6 @@ pub struct CrossCheck {
     pub tts_s: f64,
 }
 
-/// Predicted per-phase split of one CA restart cycle, in the shape the
-/// solver's host phase spans (`spmv`, `borth`, `tsqr`, `small`) are observed
-/// in. Produced by [`Planner::predict_phases`]; the
-/// [`crate::retune::Retuner`] compares these shares against the live
-/// phase-time deltas the fault-tolerant driver feeds it
-/// ([`ca_gmres::ft::RestartTuner::observe_phases`]) to catch drift — e.g. a
-/// degraded PCIe link — that the kernel-only busy-time EWMA cannot see.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhasePrediction {
-    /// The predicted cycle as an observation of one (`cycles == 1`):
-    /// `cycle_s` is the end-to-end span, closing residual included; the
-    /// parts are what the solver's own phase timers read (`SolveStats`):
-    /// `spmv_s` basis generation plus the explicit residual, `borth_s` the
-    /// block-orthogonalization projection passes, `tsqr_s` the panel
-    /// factorizations, `small_s` the host dense math.
-    ///
-    /// `spmv_s + borth_s + tsqr_s + small_s <= cycle_s`: the seed and the
-    /// solution update sit in no phase, exactly as in the solver's span
-    /// attribution, so predicted and observed shares share a denominator.
-    pub phases: PhaseRatios,
-    /// Total PCIe link occupancy charged across all transfers (the sum
-    /// of per-copy link seconds, not wall time) — the denominator for
-    /// inferring a link slowdown from excess cycle time.
-    pub comm_s: f64,
-}
-
 /// Cost-model planner for one matrix and restart length.
 #[derive(Debug)]
 pub struct Planner<'a> {
@@ -491,10 +465,9 @@ impl<'a> Planner<'a> {
                                 continue;
                             }
                             match self.score(rig, &cand, &healthy) {
-                                Ok(t) => plan.ranked.push(RankedCandidate {
-                                    cand,
-                                    predicted_cycle_s: t.phases.cycle_s,
-                                }),
+                                Ok(t) => plan
+                                    .ranked
+                                    .push(RankedCandidate { cand, predicted_cycle_s: t.cycle_s }),
                                 Err(reason) => plan.pruned.push((cand, reason)),
                             }
                         }
@@ -515,7 +488,7 @@ impl<'a> Planner<'a> {
         rig: &mut GpuResult<Rig<'_>>,
         cand: &Candidate,
         slow: &[f64],
-    ) -> Result<PhasePrediction, PruneReason> {
+    ) -> Result<PhaseRatios, PruneReason> {
         if let Some(reason) = self.prune_reason(cand) {
             return Err(reason);
         }
@@ -536,6 +509,22 @@ impl<'a> Planner<'a> {
     /// What comes back is what a real simulated solve measures per CA cycle,
     /// by construction, wherever the solver's charges do not depend on data.
     ///
+    /// The split comes in the shape the solver's host phase spans (`spmv`,
+    /// `borth`, `tsqr`, `small`) are observed in, as an observation of one
+    /// cycle (`cycles == 1`): `cycle_s` is the end-to-end span, closing
+    /// residual included; the parts are what the solver's own phase timers
+    /// read (`SolveStats`): `spmv_s` basis generation plus the explicit
+    /// residual, `borth_s` the block-orthogonalization projection passes,
+    /// `tsqr_s` the panel factorizations, `small_s` the host dense math. The
+    /// [`crate::retune::Retuner`] compares these shares against the live
+    /// phase-time deltas the fault-tolerant driver feeds it
+    /// ([`ca_gmres::ft::RestartTuner::observe_phases`]) to catch drift — e.g.
+    /// a degraded PCIe link — that the kernel-only busy-time EWMA cannot see.
+    ///
+    /// `spmv_s + borth_s + tsqr_s + small_s <= cycle_s`: the seed and the
+    /// solution update sit in no phase, exactly as in the solver's span
+    /// attribution, so predicted and observed shares share a denominator.
+    ///
     /// # Errors
     /// [`GpuSimError::OutOfMemory`] when a device cannot hold the candidate.
     pub fn predict(
@@ -544,7 +533,7 @@ impl<'a> Planner<'a> {
         layout: &Layout,
         cand: &Candidate,
         slow: &[f64],
-    ) -> GpuResult<PhasePrediction> {
+    ) -> GpuResult<PhaseRatios> {
         assert_eq!(slow.len(), layout.ndev());
         let mut rig = self.rig(a, layout)?;
         rig.load_mpk(cand)?;
@@ -561,25 +550,24 @@ impl<'a> Planner<'a> {
         cand: &Candidate,
         slow: &[f64],
     ) -> f64 {
-        self.predict(a, layout, cand, slow).map_or(f64::INFINITY, |p| p.phases.cycle_s)
+        self.predict(a, layout, cand, slow).map_or(f64::INFINITY, |p| p.cycle_s)
     }
 
     /// [`Planner::predict`] for `cand` on its own ordering and device count,
     /// on a healthy machine. A candidate the machine cannot hold predicts an
     /// infinite cycle.
     #[must_use]
-    pub fn predict_phases(&self, cand: &Candidate) -> PhasePrediction {
+    pub fn predict_phases(&self, cand: &Candidate) -> PhaseRatios {
         let (ap, _perm, layout) = prepare(self.a, cand.ordering, cand.ndev);
         let never = PhaseRatios { cycles: 1, cycle_s: f64::INFINITY, ..PhaseRatios::default() };
-        self.predict(&ap, &layout, cand, &vec![1.0; cand.ndev])
-            .unwrap_or(PhasePrediction { phases: never, comm_s: 0.0 })
+        self.predict(&ap, &layout, cand, &vec![1.0; cand.ndev]).unwrap_or(never)
     }
 
     /// Predicted time of one CA restart cycle for `cand` on a healthy
     /// machine: [`Planner::predict_phases`]' `cycle_s`.
     #[must_use]
     pub fn predict_cycle(&self, cand: &Candidate) -> f64 {
-        self.predict_phases(cand).phases.cycle_s
+        self.predict_phases(cand).cycle_s
     }
 
     /// Replay `cand` through one real simulated solve — the same build and
@@ -760,7 +748,7 @@ mod tests {
                             sys.load_rhs(&mut mg, &bp).unwrap();
                             let ca = ca_gmres(&mut mg, &sys, &cfg).ca_stats;
                             let per_cycle = |t: f64| t / ca.restarts as f64;
-                            let ph = p.predict_phases(&cand).phases;
+                            let ph = p.predict_phases(&cand);
                             // a part is a sum of differences of clock reads:
                             // its rounding scales with the cycle, not with itself
                             let close = |x: f64, y: f64| (x - y).abs() <= 1e-12 * ph.cycle_s;
@@ -878,7 +866,7 @@ mod tests {
         assert!(matches!(reason, PruneReason::DeviceMemory { .. }), "{reason}");
         let err = p.mem_estimate(cand).unwrap_err();
         assert!(matches!(err, GpuSimError::OutOfMemory { device: 0, .. }), "{err}");
-        assert!(crate::admission_estimates(&p, &CandidateSpace::smoke(1), &[1]).is_empty());
+        assert!(crate::admission_estimate(&p, &CandidateSpace::smoke(1), 1).is_none());
     }
 
     #[test]
@@ -1092,8 +1080,7 @@ mod tests {
             reorth: false,
             prec: Precision::F64,
         };
-        let pred = p.predict_phases(&cand);
-        let ph = pred.phases;
+        let ph = p.predict_phases(&cand);
         assert_eq!(ph.cycles, 1);
         // the scalar prediction is the phase prediction's span, exactly
         assert_eq!(ph.cycle_s.to_bits(), p.predict_cycle(&cand).to_bits());
@@ -1105,8 +1092,6 @@ mod tests {
         let parts = ph.spmv_s + ph.borth_s + ph.tsqr_s + ph.small_s;
         assert!(parts <= ph.cycle_s * (1.0 + 1e-12), "{parts} > {}", ph.cycle_s);
         assert!(parts >= 0.9 * ph.cycle_s, "phases cover most of the cycle");
-        // a 3-device plan moves real bytes
-        assert!(pred.comm_s > 0.0);
         // shares are a probability-like split
         let shares = [ph.spmv_share(), ph.borth_share(), ph.tsqr_share(), ph.small_share()];
         assert!(shares.iter().all(|&s| (0.0..=1.0).contains(&s)));
@@ -1137,10 +1122,9 @@ mod tests {
         assert!(slow_model.set_param("pcie_latency_s", lat * 8.0));
         let p = Planner::new(&a, 20, slow_model, KernelConfig::default());
         let degraded = p.predict_phases(&cand);
-        assert!(degraded.phases.cycle_s > clean.phases.cycle_s);
-        assert!(degraded.comm_s > clean.comm_s);
+        assert!(degraded.cycle_s > clean.cycle_s);
         // the phase mix visibly drifts — the signal the retuner keys on
-        let dev = degraded.phases.max_share_deviation(&clean.phases);
+        let dev = degraded.max_share_deviation(&clean);
         assert!(dev > 0.01, "share deviation {dev} too small to detect");
     }
 }

@@ -12,7 +12,6 @@
 //! [`ca_obs::Jv`] — with `str::parse::<f64>`, which restores the exact bit
 //! pattern for every finite value.
 
-use crate::fnv1a64;
 use ca_gpusim::{EffCurve, PerfModel};
 use ca_obs::metrics::json_string;
 use ca_obs::Jv;
@@ -220,7 +219,7 @@ impl MachineProfile {
     /// FNV-1a hash of the canonical JSON document.
     #[must_use]
     pub fn hash(&self) -> u64 {
-        fnv1a64(self.to_json().as_bytes())
+        ca_obs::fnv1a(self.to_json().as_bytes())
     }
 
     /// [`MachineProfile::hash`] as the fixed-width hex string bench

@@ -142,7 +142,7 @@ impl<'a> Retuner<'a> {
         let cand = Candidate { s: s_cur, ndev: layout.ndev(), ..self.base };
         let deviation = |p: &Planner<'_>| {
             let predicted = p.predict(a, layout, &cand, &ones);
-            predicted.map_or(f64::INFINITY, |p| p.phases.max_share_deviation(&obs))
+            predicted.map_or(f64::INFINITY, |p| p.max_share_deviation(&obs))
         };
         let mut best_lambda = LINK_LAMBDAS[0];
         let mut best_dev = deviation(&self.planner);
@@ -247,25 +247,6 @@ impl RestartTuner for Retuner<'_> {
             return None;
         }
         Some(RetuneDecision { s: best_s, layout: layouts[best_layout].clone() })
-    }
-
-    /// Mid-cycle hook: the basis spec and ABFT checksums of the cycle in
-    /// flight pin `s`, so only the row layout may change. The same
-    /// healthy-machine gate keeps this bit-invisible; past it, the
-    /// remaining rows are simply split proportionally to measured
-    /// throughput — the `(s, layout)` grid search is a restart-boundary
-    /// luxury, not worth re-scoring inside a cycle.
-    fn replan_midcycle(&mut self, health: &HealthReport, layout: &Layout) -> Option<Layout> {
-        let all_alive = health.devices.iter().all(|d| d.alive);
-        if all_alive && health.imbalance() <= IMBALANCE_THRESHOLD {
-            return None; // healthy: stay invisible
-        }
-        let weights = health.throughput_weights();
-        if weights.iter().all(|&w| w <= 0.0) {
-            return None; // nothing left to run on; let the driver fail
-        }
-        let rebalanced = Layout::proportional_nnz(self.planner.matrix(), &weights);
-        (rebalanced.starts != layout.starts).then_some(rebalanced)
     }
 
     /// Numerical-health feedback: the ladder found this matrix's basis
@@ -376,26 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn midcycle_replan_rebalances_layout_only() {
-        let a = laplace2d(16, 16);
-        let mut r = Retuner::new(&a, 20, PerfModel::default(), KernelConfig::default(), base());
-        let layout = Layout::even(a.nrows(), 3);
-        // healthy: bit-invisible
-        let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
-        assert!(r.replan_midcycle(&h, &layout).is_none());
-        // 4x straggler: the remaining rows are repartitioned away from it
-        let h = health(&[1.0, 1.0, 4.0], &[true, true, true]);
-        let lay = r.replan_midcycle(&h, &layout).expect("straggler must trigger a repartition");
-        assert_eq!(lay.ndev(), 3, "mid-cycle replan must keep the device count");
-        assert!(
-            lay.nlocal(2) < a.nrows() / 3,
-            "straggler share {} not below even {}",
-            lay.nlocal(2),
-            a.nrows() / 3
-        );
-    }
-
-    #[test]
     fn escalations_tighten_the_planner_caps() {
         let a = laplace2d(16, 16);
         let mut r = Retuner::new(
@@ -428,7 +389,7 @@ mod tests {
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
         let ph = r.planner.predict_phases(&cand);
-        r.observe_phases(&ph.phases);
+        r.observe_phases(&ph);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         assert!(r.replan(&h, 5, &layout).is_none());
     }
@@ -445,7 +406,7 @@ mod tests {
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
         let degraded = r.link_scaled_planner(8.0).predict_phases(&cand);
-        r.observe_phases(&degraded.phases);
+        r.observe_phases(&degraded);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         let d = r.replan(&h, 5, &layout).expect("link drift must trigger a re-plan");
         assert!(d.s > 5, "slow link favors fewer, larger exchanges; got s={}", d.s);
@@ -465,7 +426,7 @@ mod tests {
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
         let degraded = r.link_scaled_planner(8.0).predict_phases(&cand);
-        r.observe_phases(&degraded.phases);
+        r.observe_phases(&degraded);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         assert!(r.replan(&h, 5, &layout).is_none());
     }

@@ -10,7 +10,7 @@
 //! prediction. Nothing here knows which kernels a cycle launches or in what
 //! order: the charge sequence exists once, in `ca-gmres`.
 
-use crate::plan::{Candidate, PhasePrediction};
+use crate::plan::Candidate;
 use ca_gmres::mpk::SpmvFormat;
 use ca_gmres::prelude::*;
 use ca_gpusim::faults::Result as GpuResult;
@@ -91,7 +91,7 @@ impl<'a> Rig<'a> {
     /// `d`'s kernel times, as a fail-slow fault would. The shifts change no
     /// charge, so the basis is spelled monomial; the target is unreachable,
     /// so all `m` columns run.
-    pub(crate) fn time_cycle(&mut self, cand: &Candidate, slow: &[f64]) -> PhasePrediction {
+    pub(crate) fn time_cycle(&mut self, cand: &Candidate, slow: &[f64]) -> PhaseRatios {
         let Rig { mg, sys, .. } = self;
         mg.reset_time();
         slow.iter().enumerate().for_each(|(d, &factor)| mg.device_mut(d).set_slowdown(factor));
@@ -99,14 +99,13 @@ impl<'a> Rig<'a> {
         let mut stats = SolveStats::default();
         ca_cycle(mg, sys, &cfg, &BasisSpec::monomial(cand.s), (1.0, -1.0), &mut stats)
             .expect("nothing fails on a machine without a fault plan");
-        let phases = PhaseRatios {
+        PhaseRatios {
             cycles: 1,
             cycle_s: mg.time(),
             spmv_s: stats.t_spmv,
             borth_s: stats.t_orth - stats.t_tsqr,
             tsqr_s: stats.t_tsqr,
             small_s: stats.t_small,
-        };
-        PhasePrediction { phases, comm_s: mg.link_occupancy() }
+        }
     }
 }

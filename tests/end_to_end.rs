@@ -337,3 +337,49 @@ fn dense_gemv_consistency_with_sparse() {
         assert!((y1[i] - y2[i]).abs() < 1e-13);
     }
 }
+
+#[test]
+fn an_invariant_krylov_space_ends_every_entry_at_the_exact_answer() {
+    // b = 1 spans an invariant Krylov space of A = 2I (one dimension) and
+    // of A = diag(1, 3, 1, 3, ...) (two): an Arnoldi step within the first
+    // cycle is a lucky breakdown (a zero subdiagonal). Every solver entry
+    // returns x = A⁻¹b converged, and the eigensolver the dominant
+    // eigenvalue exactly, with residual 0
+    let n = 64;
+    let (ndev, m, s) = (2, 8, 4);
+    let cfg = CaGmresConfig { s, m, ..Default::default() };
+    for (diag, lambda) in [([2.0, 2.0], 2.0), ([1.0, 3.0], 3.0)] {
+        let mut a = Csr::identity(n);
+        a.values_mut().iter_mut().enumerate().for_each(|(i, v)| *v = diag[i % 2]);
+        let b = vec![1.0; n];
+        let loaded = || {
+            let mut mg = MultiGpu::with_defaults(ndev);
+            let sys = System::new(&mut mg, &a, Layout::even(n, ndev), m, Some(s)).unwrap();
+            sys.load_rhs(&mut mg, &b).unwrap();
+            (mg, sys)
+        };
+        let solved = |entry: &str, stats: &SolveStats, x: &[f64]| {
+            assert!(stats.converged && stats.breakdown.is_none(), "{entry} {diag:?}: {stats:?}");
+            assert!(stats.final_relres <= cfg.rtol, "{entry} {diag:?}: {}", stats.final_relres);
+            let exact = |i: usize| 1.0 / diag[i % 2];
+            let err = x.iter().enumerate().map(|(i, xi)| (xi - exact(i)).abs()).fold(0.0, f64::max);
+            assert!(err <= 1e-14, "{entry} {diag:?}: error {err}");
+        };
+        let (mut mg, sys) = loaded();
+        let stats = gmres(&mut mg, &sys, &GmresConfig { m, ..Default::default() }).stats;
+        solved("gmres", &stats, &sys.download_x(&mut mg).unwrap());
+        let (mut mg, sys) = loaded();
+        let stats = ca_gmres(&mut mg, &sys, &cfg).stats;
+        solved("ca_gmres", &stats, &sys.download_x(&mut mg).unwrap());
+        let ft = FtConfig { solver: cfg, ..Default::default() };
+        let out = ca_gmres_ft(MultiGpu::with_defaults(ndev), &a, &b, &ft);
+        solved("ca_gmres_ft", &out.stats, &out.x);
+        let (mut mg, sys) = loaded();
+        let eigs = ArnoldiConfig { m, s, ..Default::default() };
+        let out = arnoldi_eigs(&mut mg, &sys, &eigs).unwrap();
+        assert!(out.stats.converged && out.stats.breakdown.is_none(), "{:?}", out.stats);
+        assert_eq!(out.pairs.len(), 1);
+        assert_eq!(out.pairs[0].value, (lambda, 0.0));
+        assert_eq!(out.pairs[0].rel_residual, 0.0);
+    }
+}

@@ -1,10 +1,14 @@
 //! Fail-slow fault model properties: performance faults perturb *clocks*,
-//! never arithmetic; neutral plans are bit-invisible; and the health-driven
-//! rebalancer is exactly inert when the machine is healthy.
+//! never arithmetic; neutral plans are bit-invisible; the health-driven
+//! rebalancer is exactly inert when the machine is healthy; and the probe's
+//! mid-cycle rebalance under a passed tuner is pinned to its digest.
 
+use ca_gmres_repro::gmres::cagmres::KernelMode;
 use ca_gmres_repro::gmres::prelude::*;
-use ca_gmres_repro::gpusim::{FaultPlan, MultiGpu};
+use ca_gmres_repro::gpusim::{FaultPlan, KernelConfig, MultiGpu, PerfModel};
+use ca_gmres_repro::obs::fnv1a_words;
 use ca_gmres_repro::sparse::{gen, perm};
+use ca_gmres_repro::tune::{Candidate, Retuner};
 
 fn solve_with_plan(plan: Option<FaultPlan>) -> (Vec<f64>, SolveStats) {
     let a = gen::convection_diffusion(14, 14, 1.5);
@@ -116,4 +120,57 @@ fn watchdog_plus_rebalance_survive_a_stalling_device() {
         r[i] = b[i] - r[i];
     }
     assert!(nrm(&r) / nrm(&b) <= 1e-8 * 1.01);
+}
+
+#[test]
+fn mid_cycle_rebalance_with_a_tuner_is_pinned() {
+    // a Retuner is passed and device 2 turns 4x slow after 200 ops, past
+    // the first restart boundary: the probe catches it between blocks of a
+    // CA cycle and the remaining rows are split by measured throughput
+    let a = gen::laplace2d(14, 14);
+    let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + ((i * 13) % 7) as f64).collect();
+    let mut mg = MultiGpu::with_defaults(3);
+    mg.set_fault_plan(FaultPlan::new(9).with_slowdown(2, 4.0, 200));
+    let solver = CaGmresConfig {
+        s: 5,
+        m: 20,
+        kernel: KernelMode::Spmv,
+        rtol: 1e-8,
+        max_restarts: 300,
+        ..Default::default()
+    };
+    let probe = HealthProbe { watchdog_timeout_s: None, straggler_threshold: Some(1.5) };
+    let cfg = FtConfig { solver, verify: false, probe: Some(probe), ..Default::default() };
+    let base = Candidate {
+        s: solver.s,
+        basis: solver.basis,
+        tsqr: solver.orth.tsqr,
+        borth: solver.orth.borth,
+        kernel: solver.kernel,
+        ndev: 3,
+        ordering: Ordering::Natural,
+        reorth: solver.orth.reorth,
+        prec: solver.mpk_prec,
+    };
+    let mut tuner = Retuner::new(&a, solver.m, PerfModel::default(), KernelConfig::default(), base);
+    let out = ca_gmres_ft_session(&mut mg, &a, &b, &cfg, Some(&mut tuner), None, false).0;
+    assert!(out.stats.converged);
+    assert!(out.report.mid_cycle_rebalances >= 1);
+    let (s, r) = (&out.stats, &out.report);
+    let got = format!(
+        "x={:016x} t={:016x} relres={:016x} iters={} restarts={} midreb={} retunes={} s={} \
+         layout={:?}",
+        fnv1a_words(out.x.iter().map(|v| v.to_bits())),
+        s.t_total.to_bits(),
+        s.final_relres.to_bits(),
+        s.total_iters,
+        s.restarts,
+        r.mid_cycle_rebalances,
+        r.retunes,
+        r.s_final,
+        r.layout_final,
+    );
+    let want = "x=7d9b0c4e92765f3d t=3f7a489b277534a7 relres=3e4461b167b7b175 iters=56 restarts=3 \
+                midreb=1 retunes=0 s=5 layout=[0, 87, 171, 196]";
+    assert_eq!(got, want);
 }
