@@ -219,16 +219,20 @@ pub fn prepare(a: &Csr, ordering: Ordering, ndev: usize) -> (Csr, Vec<usize>, La
                     _ => hypergraph_partition(a, ndev, 3),
                 }
             };
-            // stable grouping: rows of part 0 first (in original order), etc.
-            let mut perm = Vec::with_capacity(n);
-            let mut sizes = vec![0usize; ndev];
-            for p in 0..ndev {
-                for (v, &q) in part.part.iter().enumerate() {
-                    if q as usize == p {
-                        perm.push(v);
-                        sizes[p] += 1;
-                    }
-                }
+            // stable grouping: rows of part 0 first (in original order), etc.,
+            // placed by one counting pass
+            let sizes = part.sizes();
+            let mut next: Vec<usize> = sizes
+                .iter()
+                .scan(0, |start, &len| {
+                    *start += len;
+                    Some(*start - len)
+                })
+                .collect();
+            let mut perm = vec![0usize; n];
+            for (v, &q) in part.part.iter().enumerate() {
+                perm[next[q as usize]] = v;
+                next[q as usize] += 1;
             }
             let b = permute_symmetric(a, &perm);
             (b, perm, Layout::from_sizes(&sizes))

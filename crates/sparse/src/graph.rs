@@ -15,23 +15,52 @@ pub struct Graph {
 
 impl Graph {
     /// Build the adjacency graph of `A + A^T` (pattern only, no self loops).
+    ///
+    /// One counting pass transposes the column indices alone (no values),
+    /// and one merge per row writes the sorted union of row `i` of `A` and
+    /// of `A^T` without `i`. `adj` is reserved at the union's upper bound
+    /// `2 nnz`, so no push reallocates, and trimmed to its length after.
     pub fn from_csr(a: &Csr) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "adjacency graph needs a square matrix");
         let n = a.nrows();
-        let at = a.transpose();
-        let mut ptr = vec![0usize; n + 1];
-        // Count merged degrees (two sorted lists, union minus diagonal).
-        for i in 0..n {
-            ptr[i + 1] = merged_count(a.row(i).0, at.row(i).0, i as u32);
+        let (rp, ci) = (a.row_ptr(), a.col_idx());
+        // pattern of A^T: count each column into tp[c], sum to column ends,
+        // then fill backwards so that tp[c] ends at the column's start and
+        // each column lists its rows in ascending order
+        let mut tp = vec![0usize; n + 1];
+        for &c in ci {
+            tp[c as usize] += 1;
         }
-        for i in 0..n {
-            ptr[i + 1] += ptr[i];
+        for j in 1..n {
+            tp[j] += tp[j - 1];
         }
-        let mut adj = vec![0u32; ptr[n]];
-        for i in 0..n {
-            let dst = &mut adj[ptr[i]..ptr[i + 1]];
-            merge_into(a.row(i).0, at.row(i).0, i as u32, dst);
+        tp[n] = ci.len();
+        let mut ti = vec![0u32; ci.len()];
+        for i in (0..n).rev() {
+            for &c in ci[rp[i]..rp[i + 1]].iter().rev() {
+                tp[c as usize] -= 1;
+                ti[tp[c as usize]] = i as u32;
+            }
         }
+        let mut ptr = Vec::with_capacity(n + 1);
+        ptr.push(0);
+        let mut adj = Vec::with_capacity(2 * ci.len());
+        for i in 0..n {
+            let (x, y) = (&ci[rp[i]..rp[i + 1]], &ti[tp[i]..tp[i + 1]]);
+            let (mut p, mut q) = (0, 0);
+            while p < x.len() || q < y.len() {
+                let u = x.get(p).copied().unwrap_or(u32::MAX);
+                let w = y.get(q).copied().unwrap_or(u32::MAX);
+                let m = u.min(w);
+                p += usize::from(u == m);
+                q += usize::from(w == m);
+                if m != i as u32 {
+                    adj.push(m);
+                }
+            }
+            ptr.push(adj.len());
+        }
+        adj.shrink_to_fit();
         Self { ptr, adj }
     }
 
@@ -53,111 +82,52 @@ impl Graph {
         self.ptr[v + 1] - self.ptr[v]
     }
 
-    /// BFS level structure rooted at `root`, confined to unvisited
-    /// vertices. Returns `(levels, order)` where `levels[v]` is the BFS
-    /// depth (usize::MAX for unreached) and `order` lists vertices in BFS
-    /// order.
-    pub fn bfs_levels(&self, root: usize) -> (Vec<usize>, Vec<u32>) {
-        let n = self.nvertices();
-        let mut levels = vec![usize::MAX; n];
-        let mut order = Vec::with_capacity(n);
-        let mut frontier = vec![root as u32];
+    /// BFS level structure of the component of `root`. Returns
+    /// `(levels, order)` where `levels[v]` is the BFS depth of `v`
+    /// (`u32::MAX` for unreached) and `order` lists the reached vertices in
+    /// BFS order; `order` is its own queue.
+    pub fn bfs_levels(&self, root: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut levels = vec![u32::MAX; self.nvertices()];
+        let mut order = Vec::with_capacity(self.nvertices());
         levels[root] = 0;
         order.push(root as u32);
-        let mut depth = 0usize;
-        while !frontier.is_empty() {
-            depth += 1;
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &w in self.neighbors(u as usize) {
-                    if levels[w as usize] == usize::MAX {
-                        levels[w as usize] = depth;
-                        order.push(w);
-                        next.push(w);
-                    }
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            let depth = levels[u as usize] + 1;
+            for &w in self.neighbors(u as usize) {
+                if levels[w as usize] == u32::MAX {
+                    levels[w as usize] = depth;
+                    order.push(w);
                 }
             }
-            frontier = next;
         }
         (levels, order)
     }
 
     /// A pseudo-peripheral vertex found by repeated BFS from the farthest,
-    /// smallest-degree vertex of the last level (George–Liu heuristic).
-    /// `start` seeds the search; the returned vertex is a good RCM root.
-    pub fn pseudo_peripheral(&self, start: usize) -> usize {
-        let mut root = start;
-        let (mut levels, mut order) = self.bfs_levels(root);
-        let mut ecc = *order.last().map(|&v| &levels[v as usize]).unwrap_or(&0);
+    /// smallest-degree vertex of the last level (George–Liu heuristic),
+    /// with its BFS levels. `start` seeds the search; the returned vertex
+    /// is a good RCM root.
+    pub fn pseudo_peripheral(&self, start: usize) -> (usize, Vec<u32>) {
+        let (mut levels, mut order) = self.bfs_levels(start);
         loop {
+            let ecc = levels[*order.last().unwrap() as usize];
             // candidates: deepest level, pick min degree
-            let deepest = ecc;
-            let mut best: Option<usize> = None;
-            for &v in order.iter().rev() {
-                if levels[v as usize] != deepest {
-                    break;
-                }
-                match best {
-                    None => best = Some(v as usize),
-                    Some(b) => {
-                        if self.degree(v as usize) < self.degree(b) {
-                            best = Some(v as usize);
-                        }
-                    }
+            let mut cand = *order.last().unwrap() as usize;
+            for &v in order.iter().rev().take_while(|&&v| levels[v as usize] == ecc) {
+                if self.degree(v as usize) < self.degree(cand) {
+                    cand = v as usize;
                 }
             }
-            let cand = best.unwrap_or(root);
             let (l2, o2) = self.bfs_levels(cand);
-            let ecc2 = o2.last().map(|&v| l2[v as usize]).unwrap_or(0);
-            if ecc2 > ecc {
-                root = cand;
-                levels = l2;
-                order = o2;
-                ecc = ecc2;
-            } else {
-                return cand;
+            if l2[*o2.last().unwrap() as usize] <= ecc {
+                return (cand, l2);
             }
+            levels = l2;
+            order = o2;
         }
     }
-}
-
-fn merged_count(a: &[u32], b: &[u32], skip: u32) -> usize {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let x = if i < a.len() { a[i] } else { u32::MAX };
-        let y = if j < b.len() { b[j] } else { u32::MAX };
-        let m = x.min(y);
-        if x == m {
-            i += 1;
-        }
-        if y == m {
-            j += 1;
-        }
-        if m != skip {
-            n += 1;
-        }
-    }
-    n
-}
-
-fn merge_into(a: &[u32], b: &[u32], skip: u32, dst: &mut [u32]) {
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let x = if i < a.len() { a[i] } else { u32::MAX };
-        let y = if j < b.len() { b[j] } else { u32::MAX };
-        let m = x.min(y);
-        if x == m {
-            i += 1;
-        }
-        if y == m {
-            j += 1;
-        }
-        if m != skip {
-            dst[k] = m;
-            k += 1;
-        }
-    }
-    debug_assert_eq!(k, dst.len());
 }
 
 #[cfg(test)]
@@ -198,8 +168,9 @@ mod tests {
     #[test]
     fn pseudo_peripheral_finds_endpoint() {
         let g = path4();
-        let p = g.pseudo_peripheral(1);
+        let (p, levels) = g.pseudo_peripheral(1);
         assert!(p == 0 || p == 3, "got {p}");
+        assert_eq!(levels, g.bfs_levels(p).0);
     }
 
     #[test]
@@ -210,7 +181,7 @@ mod tests {
         // vertex (i,j) at index i*5+j has BFS depth i+j from corner 0
         for i in 0..5 {
             for j in 0..5 {
-                assert_eq!(levels[i * 5 + j], i + j);
+                assert_eq!(levels[i * 5 + j] as usize, i + j);
             }
         }
     }

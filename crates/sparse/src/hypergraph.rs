@@ -116,26 +116,27 @@ fn bisect(
 
     // initial split: breadth-first over shared nets from the first vertex
     // (keeps net members together), remainder appended in index order
-    let order = sweep_order(verts, |u| {
+    let order = sweep_order(hg.nvtx(), verts, |u| {
         hg.nets_of(u as usize).iter().flat_map(|&net| hg.net(net as usize).iter().copied())
     });
-    // side[v]: 0 = left, 1 = right
-    let mut side: std::collections::HashMap<u32, u8> = std::collections::HashMap::new();
+    // side[v]: 0 = left, 1 = right, OUTSIDE = not in this vertex set
+    const OUTSIDE: u8 = u8::MAX;
+    let mut side = vec![OUTSIDE; hg.nvtx()];
     for (i, &v) in order.iter().enumerate() {
-        side.insert(v, u8::from(i >= target_left.max(1)));
+        side[v as usize] = u8::from(i >= target_left.max(1));
     }
 
     // FM refinement on (lambda - 1) between the two sides, restricted to
     // nets fully inside this vertex set's closure
     let mut sizes = [0usize; 2];
     for &v in verts {
-        sizes[side[&v] as usize] += 1;
+        sizes[side[v as usize] as usize] += 1;
     }
     let max_imb = (verts.len() as f64 * 0.55).ceil() as usize;
     for _ in 0..fm_passes {
         let mut moved = 0usize;
         for &v in &order {
-            let sv = side[&v] as usize;
+            let sv = side[v as usize] as usize;
             if sizes[sv] <= 1 || sizes[1 - sv] + 1 > max_imb {
                 continue;
             }
@@ -144,10 +145,11 @@ fn bisect(
             for &net in hg.nets_of(v as usize) {
                 let (mut same, mut other) = (0usize, 0usize);
                 for &w in hg.net(net as usize) {
-                    if w == v || !side.contains_key(&w) {
+                    let sw = side[w as usize];
+                    if w == v || sw == OUTSIDE {
                         continue;
                     }
-                    if side[&w] as usize == sv {
+                    if sw as usize == sv {
                         same += 1;
                     } else {
                         other += 1;
@@ -160,7 +162,7 @@ fn bisect(
                 }
             }
             if gain > 0 {
-                side.insert(v, 1 - sv as u8);
+                side[v as usize] = 1 - sv as u8;
                 sizes[sv] -= 1;
                 sizes[1 - sv] += 1;
                 moved += 1;
@@ -171,8 +173,8 @@ fn bisect(
         }
     }
 
-    let left: Vec<u32> = verts.iter().copied().filter(|v| side[v] == 0).collect();
-    let right: Vec<u32> = verts.iter().copied().filter(|v| side[v] == 1).collect();
+    let left: Vec<u32> = verts.iter().copied().filter(|&v| side[v as usize] == 0).collect();
+    let right: Vec<u32> = verts.iter().copied().filter(|&v| side[v as usize] == 1).collect();
     if left.is_empty() || right.is_empty() {
         // degenerate split: fall back to index halves
         let (l, r) = verts.split_at(target_left.max(1).min(verts.len() - 1));

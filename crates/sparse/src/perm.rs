@@ -1,9 +1,15 @@
 //! Permutation application to matrices and vectors.
 
-use crate::{Coo, Csr};
+use crate::Csr;
 
 /// Symmetrically permute `a`: `B = P A P^T` where `perm[new] = old`, i.e.
 /// `b[i, j] = a[perm[i], perm[j]]`.
+///
+/// Built row by row: new row `i` is old row `perm[i]` with its columns
+/// relabelled and sorted. The rules of assembling through [`crate::Coo`]
+/// hold: entries that share a column are summed in storage order, and a
+/// zero sum is dropped, so a stored `±0.0` goes too (adding a zero changes
+/// no nonzero sum).
 pub fn permute_symmetric(a: &Csr, perm: &[usize]) -> Csr {
     let n = a.nrows();
     assert_eq!(a.ncols(), n);
@@ -12,15 +18,31 @@ pub fn permute_symmetric(a: &Csr, perm: &[usize]) -> Csr {
     for (new, &old) in perm.iter().enumerate() {
         inv[old] = new as u32;
     }
-    let mut coo = Coo::new(n, n);
-    coo.reserve(a.nnz());
-    for (new_row, &old_row) in perm.iter().enumerate() {
-        let (cols, vals) = a.row(old_row);
-        for (&c, &v) in cols.iter().zip(vals) {
-            coo.add(new_row, inv[c as usize] as usize, v);
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(a.nnz());
+    let mut values = Vec::with_capacity(a.nnz());
+    let mut row: Vec<(u32, f64)> = Vec::new();
+    for &old in perm {
+        let (cols, vals) = a.row(old);
+        row.clear();
+        row.extend(cols.iter().zip(vals).map(|(&c, &v)| (inv[c as usize], v)));
+        row.sort_by_key(|e| e.0);
+        let mut k = 0;
+        while let Some(&(c, mut v)) = row.get(k) {
+            k += 1;
+            while let Some(&(_, w)) = row.get(k).filter(|e| e.0 == c) {
+                v += w;
+                k += 1;
+            }
+            if v != 0.0 {
+                col_idx.push(c);
+                values.push(v);
+            }
         }
+        row_ptr.push(col_idx.len());
     }
-    coo.to_csr()
+    Csr::from_raw(n, n, row_ptr, col_idx, values)
 }
 
 /// Permute a vector: `out[new] = x[perm[new]]`.
@@ -56,6 +78,7 @@ pub fn is_permutation(perm: &[usize], n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Coo;
 
     #[test]
     fn symmetric_permutation_relabels() {

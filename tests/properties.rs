@@ -10,7 +10,10 @@ use ca_gmres_repro::gmres::newton::BasisSpec;
 use ca_gmres_repro::gmres::orth::{tsqr, TsqrKind};
 use ca_gmres_repro::gpusim::{MatId, MultiGpu};
 use ca_gmres_repro::scalar::{cases, rng::Xoshiro256pp};
-use ca_gmres_repro::sparse::{balance, gen, perm, rcm, spmv};
+use ca_gmres_repro::sparse::graph::Graph;
+use ca_gmres_repro::sparse::partition::kway_partition;
+use ca_gmres_repro::sparse::{balance, gen, perm, rcm, spmv, Coo, Csr};
+use std::collections::BTreeSet;
 
 /// Distribute a matrix (host Mat) over devices, returning MatIds.
 fn distribute(mg: &mut MultiGpu, full: &Mat) -> Vec<MatId> {
@@ -136,6 +139,158 @@ fn rcm_permutation_preserves_spectrum_action() {
         for i in 0..n {
             assert!((y1p[i] - y2[i]).abs() < 1e-12);
         }
+    });
+}
+
+/// A random square matrix in raw CSR: empty rows, stored `0.0` and `-0.0`,
+/// and some columns stored twice (a second copy that cancels the first or
+/// not); never three copies, so no summation order can matter.
+fn raw_matrix(rng: &mut Xoshiro256pp) -> Csr {
+    let n = rng.index(1..40);
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for _ in 0..n {
+        let mut cols: Vec<u32> = (0..rng.index(0..7)).map(|_| rng.below(n as u64) as u32).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        for c in cols {
+            let v = match rng.below(5) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.in_range(-1.0, 1.0),
+            };
+            col_idx.push(c);
+            values.push(v);
+            if rng.chance(0.2) {
+                col_idx.push(c);
+                values.push(if rng.chance(0.5) { -v } else { rng.in_range(-1.0, 1.0) });
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    Csr::from_raw(n, n, row_ptr, col_idx, values)
+}
+
+/// `P A P^T` assembled through COO: the reference `permute_symmetric` must
+/// reproduce entry for entry.
+fn permute_by_coo(a: &Csr, p: &[usize]) -> Csr {
+    let n = a.nrows();
+    let mut inv = vec![0usize; n];
+    for (new, &old) in p.iter().enumerate() {
+        inv[old] = new;
+    }
+    let mut coo = Coo::new(n, n);
+    for (new, &old) in p.iter().enumerate() {
+        let (cols, vals) = a.row(old);
+        for (&c, &v) in cols.iter().zip(vals) {
+            coo.add(new, inv[c as usize], v);
+        }
+    }
+    coo.to_csr()
+}
+
+#[test]
+fn permute_symmetric_equals_the_coo_route() {
+    cases(CASES * 4, |rng| {
+        let a = raw_matrix(rng);
+        let n = a.nrows();
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            shuffled.swap(i, rng.index(0..i + 1));
+        }
+        for p in [(0..n).collect(), (0..n).rev().collect(), shuffled] {
+            let (b, r) = (perm::permute_symmetric(&a, &p), permute_by_coo(&a, &p));
+            assert_eq!((b.row_ptr(), b.col_idx()), (r.row_ptr(), r.col_idx()), "perm {p:?}");
+            let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&b), bits(&r), "perm {p:?}");
+        }
+    });
+}
+
+/// A random pattern, not symmetric, diagonal entries included.
+fn random_pattern(rng: &mut Xoshiro256pp) -> Csr {
+    let n = rng.index(1..50);
+    let mut coo = Coo::new(n, n);
+    for _ in 0..rng.index(0..4 * n) {
+        coo.add(rng.index(0..n), rng.index(0..n), 1.0);
+    }
+    coo.to_csr()
+}
+
+#[test]
+fn graph_is_the_symmetrized_pattern_without_diagonal() {
+    cases(CASES * 4, |rng| {
+        let a = random_pattern(rng);
+        let n = a.nrows();
+        let mut adj = vec![BTreeSet::new(); n];
+        for i in 0..n {
+            for &c in a.row(i).0 {
+                if c as usize != i {
+                    adj[i].insert(c);
+                    adj[c as usize].insert(i as u32);
+                }
+            }
+        }
+        let g = Graph::from_csr(&a);
+        assert_eq!(g.nvertices(), n);
+        for (v, want) in adj.iter().enumerate() {
+            assert_eq!(g.neighbors(v), want.iter().copied().collect::<Vec<_>>(), "vertex {v}");
+        }
+    });
+}
+
+#[test]
+fn bfs_levels_equal_a_level_by_level_search() {
+    cases(CASES * 4, |rng| {
+        let g = Graph::from_csr(&random_pattern(rng));
+        let root = rng.index(0..g.nvertices());
+        // one frontier at a time, each level in discovery order
+        let mut levels = vec![u32::MAX; g.nvertices()];
+        levels[root] = 0;
+        let (mut order, mut frontier) = (vec![root as u32], vec![root as u32]);
+        for depth in 1.. {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                for &w in g.neighbors(u as usize) {
+                    if levels[w as usize] == u32::MAX {
+                        levels[w as usize] = depth;
+                        next.push(w);
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            order.extend_from_slice(&next);
+            frontier = next;
+        }
+        assert_eq!(g.bfs_levels(root), (levels, order));
+    });
+}
+
+#[test]
+fn kway_covers_a_graph_of_many_small_components() {
+    cases(CASES, |rng| {
+        // more components than parts: growth stalls, and the remainder is
+        // dealt to the smallest parts
+        let sizes: Vec<usize> = (0..rng.index(8..20)).map(|_| rng.index(1..6)).collect();
+        let n: usize = sizes.iter().sum();
+        let mut coo = Coo::new(n, n);
+        let mut lo = 0;
+        for len in sizes {
+            for i in lo..lo + len {
+                coo.add(i, i, 4.0);
+                if i + 1 < lo + len {
+                    coo.add(i, i + 1, -1.0);
+                    coo.add(i + 1, i, -1.0);
+                }
+            }
+            lo += len;
+        }
+        let nparts = rng.index(2..5);
+        let p = kway_partition(&coo.to_csr(), nparts, 2);
+        assert_eq!(p.part.len(), n);
+        assert!(p.part.iter().all(|&q| (q as usize) < nparts), "{:?}", p.part);
+        assert_eq!(p.sizes().iter().sum::<usize>(), n);
     });
 }
 
