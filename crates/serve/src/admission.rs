@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 
 use ca_gpusim::{KernelConfig, PerfModel};
 use ca_sparse::Csr;
-use ca_tune::plan::{CandidateSpace, Planner};
-use ca_tune::AdmissionEstimate;
+use ca_tune::plan::{CandidateSpace, Planner, RankedCandidate};
 
 use crate::{EWMA_ALPHA, EXPECTED_CYCLES_INIT};
 
@@ -29,7 +28,7 @@ pub struct AdmissionCache {
     m: usize,
     /// `None`: every candidate at that device count was pruned (e.g. the
     /// operator cannot fit) — the job class is rejected there.
-    cache: BTreeMap<(String, usize), Option<AdmissionEstimate>>,
+    cache: BTreeMap<(String, usize), Option<RankedCandidate>>,
     ewma_cycles: BTreeMap<String, f64>,
     /// Planner invocations (cache misses) so far.
     pub misses: u64,
@@ -53,23 +52,20 @@ impl AdmissionCache {
 
     /// The cached verdict for `(key, ndev)` — the planner's pick there, its
     /// predicted cycle time, and the per-device footprint the scheduler
-    /// evicts for before a cold build — planning on first use.
+    /// evicts for before a cold build — planning on first use: the best
+    /// survivor of the space restricted to `ndev` devices, `None` when the
+    /// whole grid prunes away there.
     /// Returns the verdict and whether this call missed the cache (the
     /// scheduler charges simulated planning time only then).
-    pub fn lookup(
-        &mut self,
-        key: &str,
-        a: &Csr,
-        ndev: usize,
-    ) -> (Option<&AdmissionEstimate>, bool) {
+    pub fn lookup(&mut self, key: &str, a: &Csr, ndev: usize) -> (Option<&RankedCandidate>, bool) {
         let k = (key.to_string(), ndev);
         let mut miss = false;
         if !self.cache.contains_key(&k) {
             miss = true;
             self.misses += 1;
-            let planner = Planner::new(a, self.m, self.model.clone(), self.kc);
-            let verdict = ca_tune::admission_estimate(&planner, &self.space, ndev);
-            self.cache.insert(k.clone(), verdict);
+            let space = CandidateSpace { ndevs: vec![ndev], ..self.space.clone() };
+            let plan = Planner::new(a, self.m, self.model.clone(), self.kc).plan(&space);
+            self.cache.insert(k.clone(), plan.best().cloned());
         }
         (self.cache[&k].as_ref(), miss)
     }
@@ -181,5 +177,46 @@ mod tests {
         let (eta1, miss3) = cache.eta_s("lap", &a, 2);
         assert!(!miss3);
         assert!(eta1.unwrap() > eta0.unwrap());
+    }
+
+    fn smoke_cache() -> AdmissionCache {
+        let model = PerfModel::default();
+        AdmissionCache::new(CandidateSpace::smoke(1), model, KernelConfig::default(), 20)
+    }
+
+    #[test]
+    fn an_estimate_is_for_its_device_count() {
+        let a = ca_sparse::gen::laplace2d(24, 24);
+        let mut cache = smoke_cache();
+        for nd in 1..=3 {
+            let e = cache.lookup("lap", &a, nd).0.expect("fits");
+            assert_eq!(e.cand.ndev, nd);
+            assert_eq!(e.mem_bytes_per_dev.len(), nd);
+            assert!(e.predicted_cycle_s > 0.0);
+            assert!(e.mem_bytes_per_dev.iter().all(|&b| b > 0));
+        }
+    }
+
+    #[test]
+    fn estimates_are_deterministic() {
+        let a = ca_sparse::gen::laplace2d(24, 24);
+        let (mut one, mut two) = (smoke_cache(), smoke_cache());
+        for nd in [1, 2] {
+            let x = one.lookup("lap", &a, nd).0.expect("fits");
+            let y = two.lookup("lap", &a, nd).0.expect("fits");
+            assert_eq!(x.cand.label(), y.cand.label());
+            assert_eq!(x.predicted_cycle_s.to_bits(), y.predicted_cycle_s.to_bits());
+            assert_eq!(x.mem_bytes_per_dev, y.mem_bytes_per_dev);
+        }
+    }
+
+    #[test]
+    fn mem_estimate_matches_pruner_rollup() {
+        // the footprint an admitted job is evicted for is one the planner's
+        // memory budget let through
+        let a = ca_sparse::gen::laplace2d(24, 24);
+        let e = smoke_cache().lookup("lap", &a, 1).0.cloned().expect("fits");
+        let cap = PerfModel::default().dev_mem_capacity as f64 * ca_tune::plan::MEM_FRAC;
+        assert!(e.mem_bytes_per_dev.iter().all(|&b| b as f64 <= cap), "survivor over budget");
     }
 }

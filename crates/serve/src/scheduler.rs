@@ -18,7 +18,7 @@ use ca_gmres::prelude::*;
 use ca_gpusim::{KernelConfig, MultiGpu, Schedule};
 use ca_obs as obs;
 use ca_sparse::Csr;
-use ca_tune::AdmissionEstimate;
+use ca_tune::RankedCandidate;
 
 use crate::admission::{AdmissionCache, FairQueue};
 use crate::job::JobRequest;
@@ -325,7 +325,7 @@ impl Service {
         let a = &self.matrices[&key];
         let n = a.nrows();
         let (verdict, miss) = self.admission.lookup(&key, a, nd);
-        let adm: AdmissionEstimate = match verdict {
+        let adm: RankedCandidate = match verdict {
             Some(v) => v.clone(),
             None => {
                 // Degradation can shrink a slice below any admissible
@@ -395,7 +395,7 @@ impl Service {
         s: usize,
         q: Queued,
         key: &str,
-        adm: &AdmissionEstimate,
+        adm: &RankedCandidate,
         precharged: bool,
         batched: bool,
         report: &mut ServiceReport,
@@ -585,7 +585,6 @@ mod tests {
     use crate::job::open_loop_arrivals;
     use crate::job::ArrivalSpec;
     use crate::ServeConfig;
-    use ca_tune::{admission_estimate, Planner};
 
     fn pool() -> Vec<(String, Csr)> {
         vec![
@@ -611,11 +610,14 @@ mod tests {
     fn under_memory_pressure_devices_stay_within_capacity_and_the_job_run_last_stays_resident() {
         let pool = pool();
         let mut cfg = ServeConfig::new(vec![1]);
-        let footprint = |(_, a): &(String, Csr)| {
-            let p = Planner::new(a, cfg.base.solver.m, cfg.model.clone(), KernelConfig::default());
-            let space = ServeConfig::default_admission_space();
-            admission_estimate(&p, &space, 1).expect("fits").mem_bytes_per_dev[0]
-        };
+        let mut adm = AdmissionCache::new(
+            ServeConfig::default_admission_space(),
+            cfg.model.clone(),
+            KernelConfig::default(),
+            cfg.base.solver.m,
+        );
+        let mut footprint =
+            |(key, a): &(String, Csr)| adm.lookup(key, a, 1).0.expect("fits").mem_bytes_per_dev[0];
         // room for the larger operator and half of the smaller one
         let capacity = footprint(&pool[1]) + footprint(&pool[0]) / 2;
         cfg.model.dev_mem_capacity = capacity;

@@ -19,6 +19,7 @@ pub fn rcm_permutation(a: &Csr) -> Vec<usize> {
     let g = Graph::from_csr(a);
     let n = g.nvertices();
     let mut visited = vec![false; n];
+    let mut depth = vec![usize::MAX; n];
     let mut order: Vec<usize> = Vec::with_capacity(n);
 
     // Iterate components in vertex order for determinism.
@@ -26,7 +27,7 @@ pub fn rcm_permutation(a: &Csr) -> Vec<usize> {
         if visited[seed] {
             continue;
         }
-        let root = pseudo_peripheral_in_component(&g, seed, &visited);
+        let root = pseudo_peripheral_in_component(&g, seed, &visited, &mut depth);
         // Cuthill-McKee BFS with degree-sorted neighbor visits.
         let mut queue = std::collections::VecDeque::new();
         queue.push_back(root as u32);
@@ -48,11 +49,16 @@ pub fn rcm_permutation(a: &Csr) -> Vec<usize> {
 }
 
 /// Pseudo-peripheral search restricted to the unvisited component of `seed`.
-fn pseudo_peripheral_in_component(g: &Graph, seed: usize, visited: &[bool]) -> usize {
+/// `depth` is all `usize::MAX` on entry and on return: each BFS unsets only
+/// the vertices it reached, so a search costs its component, not the graph.
+fn pseudo_peripheral_in_component(
+    g: &Graph,
+    seed: usize,
+    visited: &[bool],
+    depth: &mut [usize],
+) -> usize {
     // BFS that ignores visited vertices.
-    let bfs = |root: usize| -> (Vec<u32>, usize) {
-        let n = g.nvertices();
-        let mut depth = vec![usize::MAX; n];
+    let mut bfs = |root: usize| -> (Vec<u32>, usize) {
         let mut order = vec![root as u32];
         depth[root] = 0;
         let mut head = 0usize;
@@ -69,6 +75,7 @@ fn pseudo_peripheral_in_component(g: &Graph, seed: usize, visited: &[bool]) -> u
                 }
             }
         }
+        order.iter().for_each(|&v| depth[v as usize] = usize::MAX);
         (order, ecc)
     };
 
@@ -113,10 +120,8 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
-    #[test]
-    fn rcm_reduces_bandwidth_of_shuffled_band() {
-        // Take a path graph (bandwidth 1), shuffle it, verify RCM restores
-        // a small bandwidth.
+    /// A path graph (bandwidth 1) with its vertices shuffled.
+    fn shuffled_path() -> Csr {
         let n = 50;
         let mut c = Coo::new(n, n);
         // deterministic shuffle via multiplicative map (17 coprime to 50)
@@ -128,7 +133,33 @@ mod tests {
                 c.add(label(i + 1), label(i), -1.0);
             }
         }
-        let a = c.to_csr();
+        c.to_csr()
+    }
+
+    /// Two edges and two isolated vertices.
+    fn disconnected() -> Csr {
+        let mut c = Coo::new(6, 6);
+        c.add(0, 1, 1.0);
+        c.add(1, 0, 1.0);
+        c.add(4, 5, 1.0);
+        c.add(5, 4, 1.0);
+        for i in 0..6 {
+            c.add(i, i, 1.0);
+        }
+        c.to_csr()
+    }
+
+    /// `n / 2` disjoint 2x2 blocks: a component per pair of rows.
+    fn pairs(n: usize) -> Csr {
+        let rowptr = (0..=n).map(|i| 2 * i).collect();
+        let cols = (0..n as u32).flat_map(|i| [i & !1, i | 1]).collect();
+        Csr::from_raw(n, n, rowptr, cols, vec![1.0; 2 * n])
+    }
+
+    #[test]
+    fn rcm_reduces_bandwidth_of_shuffled_band() {
+        // RCM must restore the band a shuffle destroyed
+        let a = shuffled_path();
         assert!(a.bandwidth() > 5, "shuffle should destroy the band");
         let p = rcm_permutation(&a);
         let b = permute_symmetric(&a, &p);
@@ -146,18 +177,55 @@ mod tests {
 
     #[test]
     fn rcm_handles_disconnected() {
-        let mut c = Coo::new(6, 6);
-        c.add(0, 1, 1.0);
-        c.add(1, 0, 1.0);
-        c.add(4, 5, 1.0);
-        c.add(5, 4, 1.0);
-        for i in 0..6 {
-            c.add(i, i, 1.0);
-        }
-        let p = rcm_permutation(&c.to_csr());
+        let p = rcm_permutation(&disconnected());
         assert_eq!(p.len(), 6);
         let mut s = p.clone();
         s.sort_unstable();
         assert_eq!(s, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// The word-wise FNV of the permutation of each test graph, recorded
+    /// before the pseudo-peripheral search shared one depth scratch across
+    /// its searches.
+    #[test]
+    fn permutations_are_pinned() {
+        let hash =
+            |a: &Csr| ca_obs::metrics::fnv1a_words(rcm_permutation(a).iter().map(|&v| v as u64));
+        let graphs = [
+            crate::gen::laplace2d(7, 9),
+            shuffled_path(),
+            crate::gen::laplace2d(12, 12),
+            disconnected(),
+            Csr::identity(1000),
+            pairs(1000),
+            crate::gen::convection_diffusion(60, 40, 2.0),
+            crate::gen::circuit(5000, 20140527),
+        ];
+        let got: Vec<u64> = graphs.iter().map(hash).collect();
+        let want = [
+            0x37db4850b26f87d0,
+            0x1338ee97af264968,
+            0x87e05feef416cceb,
+            0xda4a72a589bedbe8,
+            0xa84907c59e63feb5,
+            0xd7ed2b2b87b9325d,
+            0xf28e1ee7783c46cd,
+            0xea7c2839644a4325,
+        ];
+        assert_eq!(got, want);
+    }
+
+    /// A graph of single-vertex components: a search per component must
+    /// cost that component only. Release builds only, like the other
+    /// timings.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn many_components_order_in_linear_time() {
+        let a = Csr::identity(200_000);
+        let t = std::time::Instant::now();
+        let p = rcm_permutation(&a);
+        let dt = t.elapsed();
+        assert_eq!(p.len(), 200_000);
+        assert!(dt.as_secs_f64() < 1.0, "identity(200 000) took {dt:?}");
     }
 }

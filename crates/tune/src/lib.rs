@@ -21,21 +21,22 @@
 //!   own cycle issues is charged and none is computed, and the cycle's
 //!   span and the solver's phase timers are the prediction. The charge
 //!   sequence of `ca_gmres::mpk` / `ca_gmres::orth` / `ca_gmres::system`
-//!   is stated nowhere in this crate. Stability constraints (the paper's
-//!   §IV monomial-basis step cap and the CholQR condition-number guard)
-//!   prune the space before it is scored, each with a typed
-//!   [`plan::PruneReason`]; a pick can be cross-validated against one real
-//!   simulated run ([`plan::Planner::cross_validate`]).
+//!   is stated nowhere in this crate. One routine prices
+//!   ([`plan::Planner::predict`]): it builds a layout's machine once and
+//!   reads each candidate's cycle, phase parts and per-device footprint off
+//!   it in turn. Stability constraints (the paper's §IV monomial-basis step
+//!   cap and the CholQR condition-number guard) prune the space before it
+//!   is scored, each with a typed [`plan::PruneReason`], and so does the
+//!   device-memory budget after. A service admits a job with the plan's
+//!   pick at one device count ([`plan::Plan::best`]: its cycle time prices
+//!   the queue, its footprint the pool), and a pick can be cross-validated
+//!   against one real simulated run ([`plan::Planner::cross_validate`]).
 //! * [`retune`] — runtime adaptation: [`retune::Retuner`] implements
 //!   [`ca_gmres::ft::RestartTuner`], so a fault-tolerant solve handed one
 //!   ([`ca_gmres::ft::ca_gmres_ft_session`]) re-plans `(s, layout)` at
 //!   restart boundaries from the live [`ca_gpusim::HealthReport`]. On a healthy
 //!   machine it returns `None` without touching the solver state, so a
 //!   tuned run replays an untuned run bit for bit.
-//! * [`admit`] — the planner repackaged as a service admission
-//!   controller: per-job cycle-time and memory-footprint estimates at
-//!   each candidate device count, and the device-count pick that
-//!   `ca-serve` turns into an ETA for deadline-aware queueing.
 //! * [`feedback`] — closed-loop calibration: fit a
 //!   [`profile::MachineProfile`] from the metrics snapshot of an
 //!   instrumented *production* run (per-kernel observed-vs-modeled time
@@ -43,7 +44,6 @@
 //!   the planner can be re-grounded from whatever traffic the machine
 //!   actually served.
 
-pub mod admit;
 pub mod calibrate;
 pub mod feedback;
 pub mod plan;
@@ -51,7 +51,6 @@ pub mod profile;
 pub mod retune;
 pub mod rig;
 
-pub use admit::{admission_estimate, AdmissionEstimate};
 pub use calibrate::calibrate;
 pub use feedback::{calibrate_from_metrics, observed_slowdowns, FamilySlowdown};
 pub use plan::{

@@ -1,15 +1,16 @@
 //! The planner: a pruned search over CA-GMRES configurations scored by
 //! running each one.
 //!
-//! Prediction is execution on a cost-only machine. For every candidate the
+//! Prediction is execution on a cost-only machine. For every layout the
 //! planner builds ([`ca_gpusim::MultiGpu::cost_only`]) the simulated machine
-//! the solve would run on, with buffers that carry their shape and no
-//! storage and kernels that are charged and compute nothing, loads the
-//! shape-only [`System`] onto it — the `MpkPlan` analysis is the real one,
-//! nothing is converted or stored — and runs one restart cycle of the
-//! solver itself ([`ca_gmres::cagmres::ca_cycle`], the body of `ca_gmres`'s
-//! restart loop) under `Schedule::Barrier`. The cycle's end-to-end span and
-//! the solver's own phase timers are the prediction. Nothing here knows
+//! the solve would run on once, with buffers that carry their shape and no
+//! storage and kernels that are charged and compute nothing; for every
+//! candidate it loads the shape-only [`System`] onto it — the `MpkPlan`
+//! analysis is the real one, nothing is converted or stored — reads what
+//! each device holds, and runs one restart cycle of the solver itself
+//! ([`ca_gmres::cagmres::ca_cycle`], the body of `ca_gmres`'s restart loop)
+//! under `Schedule::Barrier` ([`Planner::predict`]). The cycle's end-to-end
+//! span and the solver's own phase timers are the prediction. Nothing here knows
 //! which kernels a cycle launches or in what order: the charge sequence
 //! exists once, in `ca-gmres`, and what the planner reads is what a real
 //! simulated solve measures wherever the solver's charges do not depend on
@@ -236,6 +237,50 @@ impl CandidateSpace {
             precisions: vec![Precision::F64],
         }
     }
+
+    /// The points of the grid on one `(ordering, ndev)` layout, deepest `s`
+    /// first and grouped by `(s, precision)`, the order one machine prices
+    /// them in with the fewest MPK analyses and loads. `Mpk` at `s = 1`
+    /// collapses to `Spmv`, and f32 only touches the MPK path: only the
+    /// canonical spellings are listed.
+    fn grid(&self, ordering: Ordering, ndev: usize) -> Vec<Candidate> {
+        let mut s_values: Vec<usize> = self.s_values.iter().copied().filter(|&s| s >= 1).collect();
+        s_values.sort_unstable_by(|x, y| y.cmp(x));
+        let reorths: &[bool] = if self.reorth { &[false, true] } else { &[false] };
+        let mut grid = Vec::new();
+        for s in s_values {
+            for &prec in &self.precisions {
+                for &kernel in &self.kernels {
+                    for &basis in &self.bases {
+                        for &tsqr in &self.tsqrs {
+                            for &borth in &self.borths {
+                                for &reorth in reorths {
+                                    let cand = Candidate {
+                                        s,
+                                        basis,
+                                        tsqr,
+                                        borth,
+                                        kernel,
+                                        ndev,
+                                        ordering,
+                                        reorth,
+                                        prec,
+                                    };
+                                    let mpk_spelled = !matches!(kernel, KernelMode::Spmv);
+                                    let duplicate = (s == 1 && mpk_spelled)
+                                        || (prec == Precision::F32 && !cand.uses_mpk());
+                                    if !duplicate {
+                                        grid.push(cand);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        grid
+    }
 }
 
 /// A scored survivor of the pruned search.
@@ -245,6 +290,9 @@ pub struct RankedCandidate {
     pub cand: Candidate,
     /// Predicted time of one CA restart cycle, seconds.
     pub predicted_cycle_s: f64,
+    /// Device-memory footprint, bytes per device, read where the cycle was
+    /// timed ([`Planner::predict`]).
+    pub mem_bytes_per_dev: Vec<usize>,
 }
 
 /// Why [`Planner::plan`] dropped a candidate instead of scoring it.
@@ -347,11 +395,11 @@ pub struct CrossCheck {
 }
 
 /// Cost-model planner for one matrix and restart length.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Planner<'a> {
-    a: &'a Csr,
-    m: usize,
-    model: PerfModel,
+    pub(crate) a: &'a Csr,
+    pub(crate) m: usize,
+    pub(crate) model: PerfModel,
     config: KernelConfig,
     /// Pruning thresholds.
     pub limits: PlannerLimits,
@@ -377,46 +425,44 @@ impl<'a> Planner<'a> {
         Self::new(a, m, profile.to_model(hint).0, config)
     }
 
-    /// The model predictions are computed against.
-    #[must_use]
-    pub fn model(&self) -> &PerfModel {
-        &self.model
-    }
-
-    /// The kernel configuration predictions assume (GEMM/GEMV variants).
-    #[must_use]
-    pub fn config(&self) -> KernelConfig {
-        self.config
-    }
-
-    /// Restart length this planner scores cycles for.
-    #[must_use]
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// The matrix this planner scores against.
-    #[must_use]
-    pub fn matrix(&self) -> &'a Csr {
-        self.a
-    }
-
-    /// Enumerate `space`, prune, score, and rank. One cost-only machine is
-    /// built per `(ordering, ndev)`, one MPK plan analysed and loaded per
-    /// `(s, precision)` on it.
+    /// Enumerate `space`, prune, score, and rank. Each `(ordering, ndev)`
+    /// layout's survivors of the stability caps are priced on one machine
+    /// ([`Planner::predict`]), deepest `s` first so that one MPK analysis
+    /// serves every shallower plan, and held against [`MEM_FRAC`].
     #[must_use]
     pub fn plan(&self, space: &CandidateSpace) -> Plan {
         let mut plan = Plan { ranked: Vec::new(), pruned: Vec::new() };
         for &ordering in &space.orderings {
             for &ndev in space.ndevs.iter().filter(|&&d| d > 0 && d <= self.a.nrows()) {
                 let (ap, _perm, layout) = prepare(self.a, ordering, ndev);
-                let mut rig = self.rig(&ap, &layout);
-                // deepest first: the shallower MPK analyses are prefixes of it
-                let mut s_values: Vec<usize> = space.s_values.clone();
-                s_values.sort_unstable_by(|x, y| y.cmp(x));
-                for &s in s_values.iter().filter(|&&s| s >= 1) {
-                    for &prec in &space.precisions {
-                        self.plan_block(space, (s, prec, ndev, ordering), &mut rig, &mut plan);
+                let cands = space.grid(ordering, ndev);
+                let reasons: Vec<_> = cands.iter().map(|c| self.prune_reason(c)).collect();
+                let survivors: Vec<Candidate> = cands
+                    .iter()
+                    .zip(&reasons)
+                    .filter(|(_, r)| r.is_none())
+                    .map(|(c, _)| *c)
+                    .collect();
+                let mut priced =
+                    self.predict(&ap, &layout, &survivors, &vec![1.0; ndev]).into_iter();
+                for (cand, reason) in cands.into_iter().zip(reasons) {
+                    let scored = match reason {
+                        Some(reason) => Err(reason),
+                        None => match priced.next().expect("a price per survivor") {
+                            Err(e) => Err(self.out_of_memory(&e)),
+                            Ok((phases, bytes)) => match self.mem_infeasible(&bytes) {
+                                Some(reason) => Err(reason),
+                                None => Ok(RankedCandidate {
+                                    cand,
+                                    predicted_cycle_s: phases.cycle_s,
+                                    mem_bytes_per_dev: bytes,
+                                }),
+                            },
+                        },
+                    };
+                    match scored {
+                        Ok(ranked) => plan.ranked.push(ranked),
+                        Err(reason) => plan.pruned.push((cand, reason)),
                     }
                 }
             }
@@ -429,87 +475,25 @@ impl<'a> Planner<'a> {
         plan
     }
 
-    /// The candidates of `space` that share a layout, `s` and precision —
-    /// the ones one loaded MPK plan serves — pruned or scored.
-    fn plan_block(
-        &self,
-        space: &CandidateSpace,
-        (s, prec, ndev, ordering): (usize, Precision, usize, Ordering),
-        rig: &mut GpuResult<Rig<'_>>,
-        plan: &mut Plan,
-    ) {
-        let healthy = vec![1.0; ndev];
-        let reorths: &[bool] = if space.reorth { &[false, true] } else { &[false] };
-        for &kernel in &space.kernels {
-            for &basis in &space.bases {
-                for &tsqr in &space.tsqrs {
-                    for &borth in &space.borths {
-                        for &reorth in reorths {
-                            let cand = Candidate {
-                                s,
-                                basis,
-                                tsqr,
-                                borth,
-                                kernel,
-                                ndev,
-                                ordering,
-                                reorth,
-                                prec,
-                            };
-                            // `Mpk` at s = 1 collapses to `Spmv`, and f32 only
-                            // touches the MPK path: keep the canonical spellings
-                            let mpk_spelled = !matches!(kernel, KernelMode::Spmv);
-                            if (s == 1 && mpk_spelled)
-                                || (prec == Precision::F32 && !cand.uses_mpk())
-                            {
-                                continue;
-                            }
-                            match self.score(rig, &cand, &healthy) {
-                                Ok(t) => plan
-                                    .ranked
-                                    .push(RankedCandidate { cand, predicted_cycle_s: t.cycle_s }),
-                                Err(reason) => plan.pruned.push((cand, reason)),
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The cost-only machine for one layout of the (reordered) matrix `a`.
-    fn rig<'m>(&self, a: &'m Csr, layout: &Layout) -> GpuResult<Rig<'m>> {
-        Rig::new(a, layout, self.m, &self.model, self.config)
-    }
-
-    /// Prune or time one candidate on its layout's machine.
-    fn score(
-        &self,
-        rig: &mut GpuResult<Rig<'_>>,
-        cand: &Candidate,
-        slow: &[f64],
-    ) -> Result<PhaseRatios, PruneReason> {
-        if let Some(reason) = self.prune_reason(cand) {
-            return Err(reason);
-        }
-        let rig = rig.as_mut().map_err(|e| self.out_of_memory(e))?;
-        rig.load_mpk(cand).map_err(|e| self.out_of_memory(&e))?;
-        match self.mem_infeasible(rig) {
-            Some(reason) => Err(reason),
-            None => Ok(unobserved(|| rig.time_cycle(cand, slow))),
-        }
-    }
-
     /// Predict by execution: build the cost-only machine for `layout` of the
-    /// already-distributed matrix `a`, load the shape-only system `cand`
-    /// runs on, and time one restart cycle of the solver itself there (see
-    /// [`crate::rig`]). `slow[d]` multiplies device `d`'s kernel times (the
+    /// already-distributed matrix `a` once (see [`crate::rig`]), then, for
+    /// each of `cands` in turn, load the shape-only system it runs on, read
+    /// what each device holds, and time one restart cycle of the solver
+    /// itself there. `slow[d]` multiplies device `d`'s kernel times (the
     /// [`crate::retune::Retuner`] passes the health report's latency EWMA);
-    /// `cand.ordering` and `cand.ndev` are ignored in favor of `layout`.
-    /// What comes back is what a real simulated solve measures per CA cycle,
-    /// by construction, wherever the solver's charges do not depend on data.
+    /// the candidates' `ordering` and `ndev` are ignored in favor of
+    /// `layout`. A candidate's price does not depend on the ones before it:
+    /// each is what a machine built for it alone reads, to the bit. Listing
+    /// the deepest `s` first analyses the MPK plan once.
     ///
-    /// The split comes in the shape the solver's host phase spans (`spmv`,
+    /// The bytes are the footprint per device: the basis panel (`m + 4`
+    /// columns), the SpMV/MPK work vectors and the plans' sparse slices —
+    /// to the byte what an arithmetic machine accounts after
+    /// `System::with_format`. Service admission evicts by them before a
+    /// cold build (a solve also holds what its driver adds, e.g. the ABFT
+    /// checksum vectors; an allocation that still fails is typed).
+    ///
+    /// The phases come in the shape the solver's host phase spans (`spmv`,
     /// `borth`, `tsqr`, `small`) are observed in, as an observation of one
     /// cycle (`cycles == 1`): `cycle_s` is the end-to-end span, closing
     /// residual included; the parts are what the solver's own phase timers
@@ -520,54 +504,34 @@ impl<'a> Planner<'a> {
     /// phase-time deltas the fault-tolerant driver feeds it
     /// ([`ca_gmres::ft::RestartTuner::observe_phases`]) to catch drift — e.g.
     /// a degraded PCIe link — that the kernel-only busy-time EWMA cannot see.
+    /// What comes back is what a real simulated solve measures per CA cycle,
+    /// by construction, wherever the solver's charges do not depend on data.
     ///
     /// `spmv_s + borth_s + tsqr_s + small_s <= cycle_s`: the seed and the
     /// solution update sit in no phase, exactly as in the solver's span
     /// attribution, so predicted and observed shares share a denominator.
     ///
     /// # Errors
-    /// [`GpuSimError::OutOfMemory`] when a device cannot hold the candidate.
+    /// Per candidate, [`GpuSimError::OutOfMemory`] when a device cannot hold
+    /// it.
     pub fn predict(
         &self,
         a: &Csr,
         layout: &Layout,
-        cand: &Candidate,
+        cands: &[Candidate],
         slow: &[f64],
-    ) -> GpuResult<PhaseRatios> {
+    ) -> Vec<GpuResult<(PhaseRatios, Vec<usize>)>> {
         assert_eq!(slow.len(), layout.ndev());
-        let mut rig = self.rig(a, layout)?;
-        rig.load_mpk(cand)?;
-        Ok(unobserved(|| rig.time_cycle(cand, slow)))
-    }
-
-    /// [`Planner::predict`]'s cycle time; infinite for a candidate the
-    /// machine cannot hold.
-    #[must_use]
-    pub fn predict_for_layout(
-        &self,
-        a: &Csr,
-        layout: &Layout,
-        cand: &Candidate,
-        slow: &[f64],
-    ) -> f64 {
-        self.predict(a, layout, cand, slow).map_or(f64::INFINITY, |p| p.cycle_s)
-    }
-
-    /// [`Planner::predict`] for `cand` on its own ordering and device count,
-    /// on a healthy machine. A candidate the machine cannot hold predicts an
-    /// infinite cycle.
-    #[must_use]
-    pub fn predict_phases(&self, cand: &Candidate) -> PhaseRatios {
-        let (ap, _perm, layout) = prepare(self.a, cand.ordering, cand.ndev);
-        let never = PhaseRatios { cycles: 1, cycle_s: f64::INFINITY, ..PhaseRatios::default() };
-        self.predict(&ap, &layout, cand, &vec![1.0; cand.ndev]).unwrap_or(never)
-    }
-
-    /// Predicted time of one CA restart cycle for `cand` on a healthy
-    /// machine: [`Planner::predict_phases`]' `cycle_s`.
-    #[must_use]
-    pub fn predict_cycle(&self, cand: &Candidate) -> f64 {
-        self.predict_phases(cand).cycle_s
+        let mut rig = match Rig::new(a, layout, self.m, &self.model, self.config) {
+            Ok(rig) => rig,
+            Err(e) => return vec![Err(e); cands.len()],
+        };
+        let mut price = |cand: &Candidate| {
+            rig.load_mpk(cand)?;
+            let bytes = rig.mem_used();
+            Ok((unobserved(|| rig.time_cycle(cand, slow)), bytes))
+        };
+        cands.iter().map(&mut price).collect()
     }
 
     /// Replay `cand` through one real simulated solve — the same build and
@@ -578,6 +542,8 @@ impl<'a> Planner<'a> {
     #[must_use]
     pub fn cross_validate(&self, cand: &Candidate, b: &[f64], restarts: usize) -> CrossCheck {
         let (ap, perm, layout) = prepare(self.a, cand.ordering, cand.ndev);
+        let priced = self.predict(&ap, &layout, &[*cand], &vec![1.0; cand.ndev]);
+        let predicted = priced[0].as_ref().map_or(f64::INFINITY, |(phases, _)| phases.cycle_s);
         let bp = ca_sparse::perm::permute_vec(b, &perm);
         let cfg = cand.solver_config(self.m, 0.0, restarts);
         let solve = || -> GpuResult<CaGmresOutcome> {
@@ -587,7 +553,6 @@ impl<'a> Planner<'a> {
             sys.load_rhs(&mut mg, &bp)?;
             Ok(ca_gmres(&mut mg, &sys, &cfg))
         };
-        let predicted = self.predict_cycle(cand);
         let (actual, tts_s) = match solve() {
             Ok(out) if out.ca_stats.restarts > 0 => {
                 (out.ca_stats.t_total / out.ca_stats.restarts as f64, out.stats.t_total)
@@ -628,35 +593,16 @@ impl<'a> Planner<'a> {
         None
     }
 
-    /// Device-memory footprint of `cand` in bytes, per device: the basis
-    /// panel (`m + 4` columns), the SpMV/MPK work vectors and the plans'
-    /// sparse slices. Read, not estimated: what the devices of the shape-only
-    /// machine the candidate is timed on account as allocated once its system
-    /// is loaded — to the byte what an arithmetic machine accounts after
-    /// `System::with_format`, and what the pruner holds against [`MEM_FRAC`].
-    /// Service admission evicts by it before a cold build (a solve also holds
-    /// what its driver adds, e.g. the ABFT checksum vectors; an allocation
-    /// that still fails is typed).
-    ///
-    /// # Errors
-    /// [`GpuSimError::OutOfMemory`] when a device cannot hold the candidate.
-    pub fn mem_estimate(&self, cand: &Candidate) -> GpuResult<Vec<usize>> {
-        let (ap, _perm, layout) = prepare(self.a, cand.ordering, cand.ndev);
-        let mut rig = self.rig(&ap, &layout)?;
-        rig.load_mpk(cand)?;
-        Ok(rig.mem_used())
-    }
-
-    /// Device-memory feasibility: what `rig` holds — the loaded candidate's
-    /// basis panel, work vectors and slices — must fit in [`MEM_FRAC`] of
-    /// each device's memory.
-    fn mem_infeasible(&self, rig: &Rig<'_>) -> Option<PruneReason> {
+    /// Device-memory feasibility: what a candidate holds on each device —
+    /// its basis panel, work vectors and slices — must fit in [`MEM_FRAC`]
+    /// of that device's memory.
+    fn mem_infeasible(&self, bytes: &[usize]) -> Option<PruneReason> {
         let budget = self.model.dev_mem_capacity as f64 * MEM_FRAC;
-        let over = |(device, need): (usize, usize)| {
+        let over = |(device, &need): (usize, &usize)| {
             let need = need as f64;
             (need > budget).then_some(PruneReason::DeviceMemory { device, need, budget })
         };
-        rig.mem_used().into_iter().enumerate().find_map(over)
+        bytes.iter().enumerate().find_map(over)
     }
 
     /// A failed build as the prune reason it is: the device was asked for
@@ -682,6 +628,18 @@ mod tests {
 
     fn planner(a: &Csr, m: usize) -> Planner<'_> {
         Planner::new(a, m, PerfModel::default(), KernelConfig::default())
+    }
+
+    /// [`Planner::predict`] of `cand` alone, on its own ordering and device
+    /// count of `p`'s matrix, on a healthy machine.
+    fn priced(p: &Planner<'_>, cand: &Candidate) -> GpuResult<(PhaseRatios, Vec<usize>)> {
+        let (ap, _perm, layout) = prepare(p.a, cand.ordering, cand.ndev);
+        p.predict(&ap, &layout, &[*cand], &vec![1.0; cand.ndev]).remove(0)
+    }
+
+    /// The phases [`priced`] reads.
+    fn phases(p: &Planner<'_>, cand: &Candidate) -> PhaseRatios {
+        priced(p, cand).expect("the machine holds it").0
     }
 
     /// Every orthogonalization, generator, precision and device count on a
@@ -748,7 +706,7 @@ mod tests {
                             sys.load_rhs(&mut mg, &bp).unwrap();
                             let ca = ca_gmres(&mut mg, &sys, &cfg).ca_stats;
                             let per_cycle = |t: f64| t / ca.restarts as f64;
-                            let ph = p.predict_phases(&cand);
+                            let ph = phases(&p, &cand);
                             // a part is a sum of differences of clock reads:
                             // its rounding scales with the cycle, not with itself
                             let close = |x: f64, y: f64| (x - y).abs() <= 1e-12 * ph.cycle_s;
@@ -821,35 +779,87 @@ mod tests {
         for a in [laplace2d(24, 24), ca_sparse::gen::cantilever(6, 5, 4)] {
             let p = planner(&a, m);
             for ndev in 1..=3 {
-                let generators = [
-                    (KernelMode::Mpk, Precision::F64),
-                    (KernelMode::Spmv, Precision::F64),
-                    (KernelMode::Mpk, Precision::F32),
-                    (KernelMode::Spmv, Precision::F32),
-                ];
-                let cands = generators.map(|(kernel, prec)| Candidate {
-                    s: 4,
-                    basis: BasisChoice::Newton,
-                    tsqr: TsqrKind::CholQr,
-                    borth: BorthKind::Cgs,
-                    kernel,
-                    ndev,
-                    ordering: Ordering::Natural,
-                    reorth: false,
-                    prec,
-                });
-                // one machine serving the candidates in turn, as `plan` does:
-                // an MPK candidate's s-step slices must be gone when the
-                // SpMV candidate after it is measured
-                let (ap, _perm, layout) = prepare(&a, Ordering::Natural, ndev);
-                let mut rig = p.rig(&ap, &layout).unwrap();
-                for cand in &cands {
-                    let want = arithmetic_mem_used(&a, m, cand);
-                    assert_eq!(p.mem_estimate(cand).unwrap(), want, "{}", cand.label());
-                    rig.load_mpk(cand).unwrap();
-                    assert_eq!(rig.mem_used(), want, "shared machine: {}", cand.label());
-                    rig.time_cycle(cand, &vec![1.0; ndev]);
-                    assert_eq!(rig.mem_used(), want, "after timing: {}", cand.label());
+                // one machine serving MPK f64, SpMV and MPK f32 in turn: an
+                // MPK candidate's s-step slices must be gone when the SpMV
+                // candidate after it is measured
+                let space = CandidateSpace {
+                    s_values: vec![4],
+                    tsqrs: vec![TsqrKind::CholQr],
+                    kernels: vec![KernelMode::Mpk, KernelMode::Spmv],
+                    precisions: vec![Precision::F64, Precision::F32],
+                    ..CandidateSpace::smoke(ndev)
+                };
+                let plan = p.plan(&space);
+                assert_eq!(plan.ranked.len(), 3);
+                let mut read: Vec<_> =
+                    plan.ranked.iter().map(|r| (r.cand, r.mem_bytes_per_dev.clone())).collect();
+                // and the spelling `plan` does not list, priced alone
+                let prec = Precision::F32;
+                let spmv_f32 = Candidate { kernel: KernelMode::Spmv, prec, ..read[0].0 };
+                read.push((spmv_f32, priced(&p, &spmv_f32).unwrap().1));
+                for (cand, bytes) in read {
+                    assert_eq!(bytes, arithmetic_mem_used(&a, m, &cand), "{}", cand.label());
+                }
+            }
+        }
+    }
+
+    /// The invariant [`Planner::predict`] rests on: a list priced on one
+    /// machine is each of its candidates priced alone on a machine of its
+    /// own, to the bit — the cycle, every phase part and the bytes —
+    /// whatever ran on the shared machine before it.
+    #[test]
+    fn one_rig_prices_a_list_as_fresh_rigs_price_each() {
+        let a = laplace2d(24, 24);
+        let p = planner(&a, 12);
+        let layouts = [Layout::even(a.nrows(), 3), Layout::proportional_nnz(&a, &[1.0, 1.0, 0.25])];
+        let mut cands = Vec::new();
+        for s in [2, 3, 5, 8] {
+            for (kernel, prec) in [
+                (KernelMode::Mpk, Precision::F64),
+                (KernelMode::Spmv, Precision::F64),
+                (KernelMode::Mpk, Precision::F32),
+            ] {
+                for tsqr in [TsqrKind::Cgs, TsqrKind::CholQr, TsqrKind::Caqr] {
+                    cands.push(Candidate {
+                        s,
+                        basis: BasisChoice::Newton,
+                        tsqr,
+                        borth: BorthKind::Cgs,
+                        kernel,
+                        ndev: 3,
+                        ordering: Ordering::Natural,
+                        reorth: false,
+                        prec,
+                    });
+                }
+            }
+        }
+        let bits = |priced: &GpuResult<(PhaseRatios, Vec<usize>)>| {
+            let (ph, bytes) = priced.as_ref().expect("the machine holds it");
+            let parts = [ph.cycle_s, ph.spmv_s, ph.borth_s, ph.tsqr_s, ph.small_s];
+            (ph.cycles, parts.map(f64::to_bits), bytes.clone())
+        };
+        for layout in &layouts {
+            for slow in [[1.0; 3], [1.0, 1.0, 4.0]] {
+                let alone: Vec<_> =
+                    cands.iter().map(|c| bits(&p.predict(&a, layout, &[*c], &slow)[0])).collect();
+                for descending in [false, true] {
+                    let (mut list, mut want) = (cands.clone(), alone.clone());
+                    if descending {
+                        list.reverse();
+                        want.reverse();
+                    }
+                    let shared: Vec<_> =
+                        p.predict(&a, layout, &list, &slow).iter().map(bits).collect();
+                    for ((c, got), want) in list.iter().zip(&shared).zip(&want) {
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} slow {slow:?} descending {descending}",
+                            c.label()
+                        );
+                    }
                 }
             }
         }
@@ -861,12 +871,11 @@ mod tests {
         let small = PerfModel { dev_mem_capacity: 16 << 10, ..PerfModel::default() };
         let p = Planner::new(&a, 20, small, KernelConfig::default());
         let plan = p.plan(&CandidateSpace::smoke(1));
-        assert!(plan.ranked.is_empty());
+        assert!(plan.best().is_none());
         let (cand, reason) = &plan.pruned[0];
         assert!(matches!(reason, PruneReason::DeviceMemory { .. }), "{reason}");
-        let err = p.mem_estimate(cand).unwrap_err();
+        let err = priced(&p, cand).unwrap_err();
         assert!(matches!(err, GpuSimError::OutOfMemory { device: 0, .. }), "{err}");
-        assert!(crate::admission_estimate(&p, &CandidateSpace::smoke(1), 1).is_none());
     }
 
     #[test]
@@ -919,8 +928,9 @@ mod tests {
             prec: Precision::F64,
         };
         let (ap, _perm, layout) = prepare(&a, Ordering::Natural, 2);
-        let healthy = p.predict_for_layout(&ap, &layout, &cand, &[1.0, 1.0]);
-        let degraded = p.predict_for_layout(&ap, &layout, &cand, &[1.0, 4.0]);
+        let cycle =
+            |slow: &[f64]| p.predict(&ap, &layout, &[cand], slow)[0].as_ref().unwrap().0.cycle_s;
+        let (healthy, degraded) = (cycle(&[1.0, 1.0]), cycle(&[1.0, 4.0]));
         assert!(degraded > healthy * 1.5, "degraded {degraded:e} vs healthy {healthy:e}");
     }
 
@@ -940,8 +950,8 @@ mod tests {
             prec: Precision::F64,
         };
         let f32_cand = Candidate { prec: Precision::F32, ..f64_cand };
-        let t64 = p.predict_cycle(&f64_cand);
-        let t32 = p.predict_cycle(&f32_cand);
+        let t64 = phases(&p, &f64_cand).cycle_s;
+        let t32 = phases(&p, &f32_cand).cycle_s;
         assert!(
             t32 < t64,
             "f32 MPK slices and halos must predict a faster cycle: {t32:e} vs {t64:e}"
@@ -1080,10 +1090,12 @@ mod tests {
             reorth: false,
             prec: Precision::F64,
         };
-        let ph = p.predict_phases(&cand);
+        let ph = phases(&p, &cand);
         assert_eq!(ph.cycles, 1);
-        // the scalar prediction is the phase prediction's span, exactly
-        assert_eq!(ph.cycle_s.to_bits(), p.predict_cycle(&cand).to_bits());
+        // the plan's cycle time is the phase prediction's span, exactly
+        let plan = p.plan(&CandidateSpace::smoke(3));
+        let ranked = plan.ranked.iter().find(|r| r.cand == cand).expect("in the smoke grid");
+        assert_eq!(ph.cycle_s.to_bits(), ranked.predicted_cycle_s.to_bits());
         // phases are non-negative and sum to at most the cycle (seed and
         // residual-norm bookkeeping stay unattributed)
         for t in [ph.spmv_s, ph.borth_s, ph.tsqr_s, ph.small_s] {
@@ -1112,7 +1124,7 @@ mod tests {
             reorth: false,
             prec: Precision::F64,
         };
-        let clean = planner(&a, 20).predict_phases(&cand);
+        let clean = phases(&planner(&a, 20), &cand);
         // mirror the executor's link fail-slow: the whole per-copy time
         // (latency + transfer) scales by the multiplier
         let mut slow_model = PerfModel::default();
@@ -1121,7 +1133,7 @@ mod tests {
         assert!(slow_model.set_param("pcie_bw", bw / 8.0));
         assert!(slow_model.set_param("pcie_latency_s", lat * 8.0));
         let p = Planner::new(&a, 20, slow_model, KernelConfig::default());
-        let degraded = p.predict_phases(&cand);
+        let degraded = phases(&p, &cand);
         assert!(degraded.cycle_s > clean.cycle_s);
         // the phase mix visibly drifts — the signal the retuner keys on
         let dev = degraded.max_share_deviation(&clean);

@@ -79,17 +79,12 @@ impl<'a> Retuner<'a> {
         }
     }
 
-    /// Score one `(s, layout)` under the given slowdown multipliers.
-    fn score(&self, a: &Csr, layout: &Layout, s: usize, slow: &[f64]) -> f64 {
-        let cand = Candidate { s, ndev: layout.ndev(), ..self.base };
-        self.planner.predict_for_layout(a, layout, &cand, slow)
-    }
-
     /// A planner whose links run `lambda` times slower — the model-side
     /// mirror of the executor's fail-slow link multiplier, which scales
     /// each copy's whole duration (latency and transfer alike).
     fn link_scaled_planner(&self, lambda: f64) -> Planner<'a> {
-        let mut model = self.planner.model().clone();
+        let mut planner = self.planner.clone();
+        let model = &mut planner.model;
         for p in ["pcie_bw", "net_bw"] {
             if let Some(v) = model.param(p) {
                 model.set_param(p, v / lambda);
@@ -100,9 +95,6 @@ impl<'a> Retuner<'a> {
                 model.set_param(p, v * lambda);
             }
         }
-        let mut planner =
-            Planner::new(self.planner.matrix(), self.planner.m(), model, self.planner.config());
-        planner.limits = self.planner.limits;
         planner
     }
 
@@ -112,7 +104,7 @@ impl<'a> Retuner<'a> {
             .into_iter()
             .chain(std::iter::once(s_cur))
             .filter(|&s| {
-                s >= 1 && s <= self.planner.m() && {
+                s >= 1 && s <= self.planner.m && {
                     let c = Candidate { s, ..self.base };
                     self.planner.prune_reason(&c).is_none()
                 }
@@ -121,6 +113,41 @@ impl<'a> Retuner<'a> {
         s_opts.sort_unstable();
         s_opts.dedup();
         s_opts
+    }
+
+    /// [`Retuner::s_options`] plus `s_cur` itself: the grid of the
+    /// incumbent's layout, which prices the incumbent even where tightened
+    /// caps now prune it.
+    fn with_incumbent(&self, s_cur: usize) -> Vec<usize> {
+        let mut grid = self.s_options(s_cur);
+        grid.push(s_cur);
+        grid.sort_unstable();
+        grid.dedup();
+        grid
+    }
+
+    /// `(s, cycle time)` of the base candidate at each step size of `grid`
+    /// (ascending) on `layout` under `slow`, all priced on one machine of
+    /// `planner`, deepest first so that every shallower MPK plan is read off
+    /// the deepest analysis. A point the machine cannot hold is infinitely
+    /// slow.
+    fn price(
+        &self,
+        planner: &Planner<'_>,
+        layout: &Layout,
+        grid: &[usize],
+        slow: &[f64],
+    ) -> Vec<(usize, f64)> {
+        let deepest_first: Vec<Candidate> =
+            grid.iter().rev().map(|&s| Candidate { s, ndev: layout.ndev(), ..self.base }).collect();
+        let priced = planner.predict(planner.a, layout, &deepest_first, slow);
+        let mut times: Vec<(usize, f64)> = deepest_first
+            .iter()
+            .zip(priced)
+            .map(|(c, p)| (c.s, p.map_or(f64::INFINITY, |(phases, _)| phases.cycle_s)))
+            .collect();
+        times.reverse();
+        times
     }
 
     /// Span-ratio drift path, consulted only when the kernel EWMA is
@@ -133,16 +160,18 @@ impl<'a> Retuner<'a> {
     /// re-plans. The layout is kept: a slow link is not a row-balance
     /// problem.
     fn replan_for_drift(&mut self, s_cur: usize, layout: &Layout) -> Option<RetuneDecision> {
+        if self.drift_threshold == f64::INFINITY {
+            return None; // no deviation exceeds it: nothing to price
+        }
         let obs = *self.last_phases.as_ref()?;
         if obs.cycles == 0 || obs.cycle_s <= 0.0 {
             return None;
         }
-        let a = self.planner.matrix();
         let ones = vec![1.0; layout.ndev()];
         let cand = Candidate { s: s_cur, ndev: layout.ndev(), ..self.base };
         let deviation = |p: &Planner<'_>| {
-            let predicted = p.predict(a, layout, &cand, &ones);
-            predicted.map_or(f64::INFINITY, |p| p.max_share_deviation(&obs))
+            let predicted = p.predict(p.a, layout, &[cand], &ones);
+            predicted[0].as_ref().map_or(f64::INFINITY, |(ph, _)| ph.max_share_deviation(&obs))
         };
         let mut best_lambda = LINK_LAMBDAS[0];
         let mut best_dev = deviation(&self.planner);
@@ -160,30 +189,35 @@ impl<'a> Retuner<'a> {
         if best_lambda <= 1.0 {
             return None; // drift, but not link-shaped: nothing to re-plan
         }
-        // Re-score the step grid under the explaining model. Incumbent
-        // first; ties keep it, so a re-plan fires only on a strict win.
+        // Re-score the step grid under the explaining model.
         let degraded = self.link_scaled_planner(best_lambda);
-        let mut best_s = s_cur;
-        let mut best_t = degraded.predict_for_layout(a, layout, &cand, &ones);
-        for s in self.s_options(s_cur) {
-            if s == s_cur {
-                continue;
-            }
-            let c = Candidate { s, ndev: layout.ndev(), ..self.base };
-            let t = degraded.predict_for_layout(a, layout, &c, &ones);
-            if t < best_t {
-                best_t = t;
-                best_s = s;
-            }
-        }
-        if best_s == s_cur {
-            return None;
-        }
+        let grid = self.with_incumbent(s_cur);
+        let (_, best_s) = fastest(&[self.price(&degraded, layout, &grid, &ones)], s_cur)?;
         // consume the observation: the next drift decision must come
         // from cycles measured under the new plan
         self.last_phases = None;
         Some(RetuneDecision { s: best_s, layout: layout.clone() })
     }
+}
+
+/// The point of `priced` — per layout, `(s, cycle time)` ascending in `s`,
+/// layout 0 the incumbent's and holding `s_cur` — that is strictly faster
+/// than the incumbent `(0, s_cur)`, as `(layout, s)`: layout 0 before
+/// layout 1, `s` ascending, a tie keeping the earlier point. `None` keeps
+/// the incumbent.
+fn fastest(priced: &[Vec<(usize, f64)>], s_cur: usize) -> Option<(usize, usize)> {
+    let incumbent = priced[0].iter().find(|&&(s, _)| s == s_cur).expect("the incumbent is priced");
+    let mut best_t = incumbent.1;
+    let mut best = None;
+    for (li, grid) in priced.iter().enumerate() {
+        for &(s, t) in grid {
+            if (li, s) != (0, s_cur) && t < best_t {
+                best_t = t;
+                best = Some((li, s));
+            }
+        }
+    }
+    best
 }
 
 impl RestartTuner for Retuner<'_> {
@@ -206,7 +240,7 @@ impl RestartTuner for Retuner<'_> {
         if weights.iter().all(|&w| w <= 0.0) {
             return None; // nothing left to run on; let the driver fail
         }
-        let a = self.planner.matrix();
+        let a = self.planner.a;
         // Kernel slowdown multipliers: a dead device keeps multiplier
         // 1.0 — the rebalanced layout gives it zero rows, so its
         // charges are launch-only either way.
@@ -217,36 +251,16 @@ impl RestartTuner for Retuner<'_> {
             .collect();
 
         let rebalanced = Layout::proportional_nnz(a, &weights);
-        let layouts: Vec<&Layout> = if rebalanced.starts == layout.starts {
-            vec![layout]
-        } else {
-            vec![layout, &rebalanced]
-        };
-        let s_opts = self.s_options(s_cur);
-
+        let mut priced =
+            vec![self.price(&self.planner, layout, &self.with_incumbent(s_cur), &slow)];
+        if rebalanced.starts != layout.starts {
+            priced.push(self.price(&self.planner, &rebalanced, &self.s_options(s_cur), &slow));
+        }
         // Deterministic argmin; the incumbent (s_cur, current layout) is
         // scored first and ties keep it, so a re-plan only fires when a
         // strictly better point exists.
-        let mut best_s = s_cur;
-        let mut best_layout = 0usize;
-        let mut best_t = self.score(a, layout, s_cur, &slow);
-        for (li, lay) in layouts.iter().enumerate() {
-            for &s in &s_opts {
-                if li == 0 && s == s_cur {
-                    continue;
-                }
-                let t = self.score(a, lay, s, &slow);
-                if t < best_t {
-                    best_t = t;
-                    best_s = s;
-                    best_layout = li;
-                }
-            }
-        }
-        if best_s == s_cur && best_layout == 0 {
-            return None;
-        }
-        Some(RetuneDecision { s: best_s, layout: layouts[best_layout].clone() })
+        let (li, s) = fastest(&priced, s_cur)?;
+        Some(RetuneDecision { s, layout: if li == 0 { layout.clone() } else { rebalanced } })
     }
 
     /// Numerical-health feedback: the ladder found this matrix's basis
@@ -314,6 +328,13 @@ mod tests {
                 })
                 .collect(),
         }
+    }
+
+    /// The phases `p` predicts for `cand` on `layout` of its matrix, on a
+    /// healthy machine.
+    fn phases(p: &Planner<'_>, layout: &Layout, cand: Candidate) -> PhaseRatios {
+        let priced = p.predict(p.a, layout, &[cand], &vec![1.0; layout.ndev()]);
+        priced[0].as_ref().expect("fits").0
     }
 
     fn base() -> Candidate {
@@ -388,7 +409,7 @@ mod tests {
         r.drift_threshold = 0.05;
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
-        let ph = r.planner.predict_phases(&cand);
+        let ph = phases(&r.planner, &layout, cand);
         r.observe_phases(&ph);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         assert!(r.replan(&h, 5, &layout).is_none());
@@ -405,7 +426,7 @@ mod tests {
         r.drift_threshold = 0.05;
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
-        let degraded = r.link_scaled_planner(8.0).predict_phases(&cand);
+        let degraded = phases(&r.link_scaled_planner(8.0), &layout, cand);
         r.observe_phases(&degraded);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         let d = r.replan(&h, 5, &layout).expect("link drift must trigger a re-plan");
@@ -425,7 +446,7 @@ mod tests {
         let mut r = Retuner::new(&a, 20, PerfModel::default(), KernelConfig::default(), base());
         let layout = Layout::even(a.nrows(), 3);
         let cand = Candidate { ndev: 3, ..base() };
-        let degraded = r.link_scaled_planner(8.0).predict_phases(&cand);
+        let degraded = phases(&r.link_scaled_planner(8.0), &layout, cand);
         r.observe_phases(&degraded);
         let h = health(&[1.0, 1.0, 1.0], &[true, true, true]);
         assert!(r.replan(&h, 5, &layout).is_none());
