@@ -5,9 +5,9 @@
 //! The same CA-GMRES(s, m) run executes under both schedules: `Barrier`
 //! (every phase boundary flattens all clocks — the fully synchronous
 //! model) and `EventDriven` (`sync()` is a no-op; queue order, per-link
-//! copy engines and events order the timeline). Under the event-driven
-//! schedule `CaGmresConfig::prefetch` arms the async halo prefetch: CAQR
-//! finalizes the next block's start vector first (last column of the
+//! copy engines and events order the timeline). The event-driven schedule
+//! is what opens the async halo prefetch — no solver option asks for it:
+//! CAQR finalizes the next block's start vector first (last column of the
 //! `V·Q` update, charged as one tall-skinny GEMV), the next MPK halo
 //! exchange is issued that instant, and the remaining `s` columns of the
 //! update execute while the halo is in flight. Arithmetic is issued
@@ -66,7 +66,6 @@ fn solve(p: &Problem, m: usize, s: usize, schedule: Schedule) -> Outcome {
         m,
         kernel: KernelMode::Mpk,
         orth: OrthConfig { tsqr: TsqrKind::Caqr, ..Default::default() },
-        prefetch: true,
         rtol: 0.0,
         max_restarts: 4,
         ..Default::default()

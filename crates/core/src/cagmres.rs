@@ -12,13 +12,13 @@
 //! guard, defined here.
 
 use crate::cycle::{
-    gather_block, invalid, Block, CycleEnd, CycleGuard, Redo, Solve, SolveCtx, Sys, Verdict,
+    gather_block, invalid, Block, Books, CycleEnd, CycleGuard, Redo, Solve, SolveCtx, Sys, Verdict,
 };
 use crate::health::{throttled, EscalationEvent, EscalationRung};
 use crate::mpk::{mpk, spmv_block};
 use crate::newton::BasisSpec;
 use crate::orth::{OrthConfig, OrthError};
-use crate::stats::{BreakdownKind, SolveStats};
+use crate::stats::SolveStats;
 use crate::system::System;
 use ca_dense::{blas3, Mat};
 use ca_gpusim::faults::Result as GpuResult;
@@ -78,21 +78,6 @@ pub struct CaGmresConfig {
     /// again). The fault-tolerant driver throttles through its
     /// [`crate::health::Ladder`] instead.
     pub adaptive_s: bool,
-    /// Prefetch the next MPK block's halo exchange from inside the
-    /// current block's TSQR (the Fig. 14 compute–transfer overlap):
-    /// once TSQR has finalized the block's last basis column — the next
-    /// block's start vector — the exchange is issued asynchronously and
-    /// hides under the remaining column updates and the Hessenberg
-    /// reconstruction. Takes effect only under
-    /// [`ca_gpusim::Schedule::EventDriven`] with [`KernelMode::Mpk`], a
-    /// CAQR-family [`crate::orth::TsqrKind`] (the only TSQR whose final
-    /// update can reorder columns bitwise-identically) and the
-    /// orthogonalization checksums off. The prefetch is speculative: if
-    /// the solver converges mid-cycle the already-issued exchange is
-    /// wasted, so runs that compare communication counters against a
-    /// non-prefetching schedule should use it with a fixed iteration
-    /// budget (`rtol: 0.0`).
-    pub prefetch: bool,
     /// Precision the MPK operator slices (and their halo exchanges) run
     /// at. [`ca_gmres`] does not read this — the [`System`] carries the
     /// precision its MPK state was built with — but the drivers that build
@@ -116,7 +101,6 @@ impl Default for CaGmresConfig {
             max_restarts: 500,
             capture_tsqr_errors: false,
             adaptive_s: false,
-            prefetch: false,
             mpk_prec: Precision::F64,
         }
     }
@@ -159,16 +143,27 @@ pub struct CaGmresOutcome {
 /// Run CA-GMRES(s, m) on a loaded [`System`], which must have room for
 /// `m` basis vectors and carry an MPK state of at least `s` steps unless
 /// `kernel == Spmv` or `s == 1`; otherwise nothing runs and
-/// `stats.breakdown` is [`BreakdownKind::InvalidInput`].
+/// `stats.breakdown` is [`BreakdownKind::InvalidInput`](crate::stats::BreakdownKind::InvalidInput).
 ///
-/// The solver is schedule-agnostic: under the executor's default
+/// The executor's schedule is what times the solve: under the default
 /// `Schedule::Barrier` the phase `sync()` calls flatten clocks (clean
 /// per-phase attribution), while under `Schedule::EventDriven` they are
 /// no-ops and timing follows the stream/event dependency graph — basis
 /// generation on one device overlaps reductions and host-side small
-/// solves. Arithmetic is issued eagerly in program order either way, so
-/// residual histories and iterates are bit-identical between the two
-/// schedules; only simulated clocks differ.
+/// solves, and the next MPK block's halo exchange is prefetched from
+/// inside the current block's TSQR (the Fig. 14 compute–transfer overlap):
+/// once TSQR has finalized the block's last basis column — the next
+/// block's start vector — the exchange is issued asynchronously and hides
+/// under the remaining column updates and the Hessenberg reconstruction.
+/// The prefetch needs [`KernelMode::Mpk`], a CAQR-family
+/// [`crate::orth::TsqrKind`] (the only TSQR whose final update can reorder
+/// columns bitwise-identically) and no orthogonalization checksums; it is
+/// speculative, so a solve that converges mid-cycle wastes the exchange it
+/// already issued (runs that compare communication counters across the
+/// schedules use a fixed iteration budget, `rtol: 0.0`). Arithmetic is
+/// issued eagerly in program order either way, so residual histories and
+/// iterates are bit-identical between the two schedules; only simulated
+/// clocks differ.
 pub fn ca_gmres(mg: &mut MultiGpu, sys: &System, cfg: &CaGmresConfig) -> CaGmresOutcome {
     if let Some(reason) = invalid(cfg, Some(sys)) {
         let stats = SolveStats::invalid(reason);
@@ -191,31 +186,16 @@ pub(crate) fn plain_solve(
     sys: Sys<'_>,
     cfg: &CaGmresConfig,
 ) -> (CaGmresOutcome, Option<System>, Vec<EscalationEvent>) {
-    mg.sync();
     mg.reset_counters();
-    let t_begin = mg.time();
-    let mut guard = PlainGuard::new(cfg, matches!(sys, Sys::Owned(..)), t_begin);
+    let books = Books::open(mg);
+    let mut guard = PlainGuard::new(cfg, matches!(sys, Sys::Owned(..)), books);
     let mut sv = Solve::new(mg, sys, cfg, cfg.s);
     let ran = sv.run(&mut guard);
     let Solve { mg, sys, mut stats, tsqr_errors, .. } = sv;
-    if let Err(e) = ran {
-        // a simulated hardware fault aborted the solve mid-flight: surface
-        // it as a breakdown in a well-formed outcome
-        stats.breakdown = Some(BreakdownKind::from(e));
-        stats.converged = false;
-        stats.close(mg, t_begin);
-        guard.first = None;
-    } else {
-        stats.close(mg, t_begin);
-        stats.debug_check_phases();
-        if obs::enabled() {
-            obs::gauge_set(obs::names::SOLVE_T_TOTAL_S, stats.t_total);
-            obs::gauge_set(obs::names::SOLVE_FINAL_RELRES, stats.final_relres);
-            obs::gauge_set(obs::names::SOLVE_RESTARTS, stats.restarts as f64);
-            obs::gauge_set(obs::names::SOLVE_TOTAL_ITERS, stats.total_iters as f64);
-            obs::gauge_set(obs::names::SOLVE_DEVICE_IMBALANCE, stats.device_imbalance);
-        }
+    if ran.is_err() {
+        guard.first = None; // a fault ended the solve: no CA-only split
     }
+    books.close(mg, &mut stats, ran);
     let ca_stats = match &guard.first {
         Some(first) if stats.restarts > first.restarts => stats.since(first),
         _ => stats.clone(),
@@ -235,7 +215,7 @@ struct PlainGuard {
     adaptive: bool,
     /// The solve owns its system, so an f32 basis may be promoted.
     may_promote: bool,
-    t_begin: f64,
+    books: Books,
     /// Statistics after the shift-harvest cycle.
     first: Option<SolveStats>,
     /// Block size of the last generated block.
@@ -244,16 +224,15 @@ struct PlainGuard {
 }
 
 impl PlainGuard {
-    fn new(cfg: &CaGmresConfig, may_promote: bool, t_begin: f64) -> Self {
+    fn new(cfg: &CaGmresConfig, may_promote: bool, books: Books) -> Self {
         let (adaptive, s_last) = (cfg.adaptive_s, cfg.s);
-        Self { adaptive, may_promote, t_begin, first: None, s_last, escalations: Vec::new() }
+        Self { adaptive, may_promote, books, first: None, s_last, escalations: Vec::new() }
     }
 }
 
 impl CycleGuard for PlainGuard {
     /// The one hand-back: promote the basis to f64.
     type HandBack = ();
-    const FLATTEN: bool = true;
 
     fn after_generate(&mut self, _: &mut SolveCtx<'_>, blk: &Block<'_>) -> GpuResult<Verdict<()>> {
         self.s_last = blk.s_cycle;
@@ -290,8 +269,7 @@ impl CycleGuard for PlainGuard {
         let relres = if sv.beta0 > 0.0 { beta / sv.beta0 } else { 0.0 };
         obs::sample(obs::names::RELRES, sv.mg.time(), relres);
         if self.first.is_none() {
-            let t_total = sv.mg.time() - self.t_begin;
-            self.first = Some(SolveStats { t_total, ..sv.stats.clone() });
+            self.first = Some(self.books.so_far(sv.mg, &sv.stats));
         }
         Ok(true)
     }
@@ -308,11 +286,11 @@ impl CycleGuard for PlainGuard {
 /// residual that closes it: the step [`ca_gmres`]'s restart loop takes
 /// after its first cycle — so timing this call times exactly what
 /// [`CaGmresOutcome::ca_stats`] averages. The block size is `spec.s()`;
-/// `cfg` supplies `m`, the orthogonalization, the prefetch switch, the
-/// generator and `adaptive_s`; blocks stop early once the implicit
+/// `cfg` supplies `m`, the orthogonalization, the generator and
+/// `adaptive_s`; blocks stop early once the implicit
 /// residual reaches `target`. Returns the Krylov dimensions the update
 /// used (0: no progress possible); restarts, iterations and phase seconds
-/// accumulate into `stats`.
+/// accumulate into `stats`. A single cycle opens no books.
 ///
 /// On a cost-only machine this charges the cycle without computing it:
 /// pass a positive `beta` and a negative `target`, and all `cfg.m` columns
@@ -332,10 +310,10 @@ pub fn ca_cycle(
     let mut sv = Solve::new(mg, Sys::Borrowed(sys), cfg, spec.s());
     (sv.spec_full, sv.harvested, sv.beta) = (spec.clone(), true, beta);
     sv.stats = std::mem::take(stats);
-    let mut guard = PlainGuard::new(cfg, false, 0.0);
+    let mut guard = PlainGuard::new(cfg, false, Books::default());
     let end = sv.cycle(target, &mut guard).map_err(OrthError::Gpu).and_then(|end| match end {
         CycleEnd::Done { y, span, .. } => {
-            sv.end_cycle::<PlainGuard>(span).map(|_| y.len()).map_err(OrthError::Gpu)
+            sv.end_cycle(span).map(|_| y.len()).map_err(OrthError::Gpu)
         }
         CycleEnd::OrthFailed { err, .. } => Err(err),
         CycleEnd::HandBack(()) => unreachable!("a borrowed system is never promoted"),

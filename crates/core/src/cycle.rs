@@ -57,13 +57,13 @@
 //! the interrupted cycle is re-entered at its last verified block or,
 //! without a checkpoint, the residual is recomputed and charged.
 //!
-//! Exactly one thing depends on *which* guard is in charge, and it is a
-//! literal, not a knob: [`CycleGuard::FLATTEN`]. The plain guard flattens
-//! every clock (`MultiGpu::sync`) at phase boundaries so its per-phase
-//! times attribute cleanly; the fault-tolerant guard never did, and both
-//! clock sequences are pinned by golden digests. Phase attribution itself
-//! (`SolveStats::{t_spmv, t_small}`, the host phase spans) is the same for
-//! both — a boundary is a clock *read* either way.
+//! No timing depends on *which* guard is in charge. Every phase boundary
+//! ([`Phase`]) is a `MultiGpu::sync` followed by a clock read, so the
+//! executor's [`Schedule`] alone picks the timing: `Barrier` flattens the
+//! clocks, `EventDriven` only reads them. `EventDriven` is also the one
+//! schedule that opens the Fig. 14 halo prefetch (MPK blocks under a CAQR
+//! without checksums). Every entry opens and closes its books through
+//! [`Books`].
 
 use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode, TsqrErrorSample};
 use crate::ft::PollPoint;
@@ -78,7 +78,7 @@ use crate::system::System;
 use ca_dense::hessenberg::{Complex, GivensLsq};
 use ca_dense::{blas3, Mat};
 use ca_gpusim::faults::Result as GpuResult;
-use ca_gpusim::{GpuSimError, MultiGpu, Schedule};
+use ca_gpusim::{CommCounters, GpuSimError, MultiGpu, Schedule};
 use ca_obs as obs;
 use ca_scalar::Precision;
 use ca_sparse::Csr;
@@ -106,8 +106,6 @@ pub(crate) struct CycleParams<'a> {
     pub orth: &'a OrthConfig,
     /// Generate with the matrix powers kernel (else `s` shifted SpMVs).
     pub use_mpk: bool,
-    /// Issue the next block's halo exchange from inside TSQR (Fig. 14).
-    pub prefetch: bool,
     /// Stop once the implicit residual reaches this.
     pub target: f64,
 }
@@ -160,8 +158,6 @@ pub(crate) enum Redo<H> {
 pub(crate) trait CycleGuard: Sized {
     /// Mid-cycle hand-back payload.
     type HandBack;
-    /// Flatten clocks at phase boundaries (see the module docs).
-    const FLATTEN: bool;
 
     /// In-cycle health observation.
     fn poll(&mut self, _mg: &mut MultiGpu, _at: PollPoint) -> GpuResult<()> {
@@ -207,7 +203,7 @@ pub(crate) trait CycleGuard: Sized {
 
     /// The explicit residual norm the solve starts from.
     fn initial_residual(&mut self, cx: &mut SolveCtx<'_>) -> GpuResult<f64> {
-        residual(cx, Self::FLATTEN)
+        residual(cx)
     }
 
     /// The solve (re)built its system for the operator `a`.
@@ -221,7 +217,7 @@ pub(crate) trait CycleGuard: Sized {
     /// A cycle reached its restart boundary: the norm the next cycle starts
     /// from. By default the explicit residual, inside the cycle's `span`.
     fn close(&mut self, sv: &mut Solve<'_>, span: obs::SpanId) -> GpuResult<f64> {
-        sv.end_cycle::<Self>(span)
+        sv.end_cycle(span)
     }
 
     /// A cycle reached its restart boundary with explicit residual norm
@@ -255,10 +251,9 @@ pub(crate) struct NoGuard;
 
 impl CycleGuard for NoGuard {
     type HandBack = std::convert::Infallible;
-    const FLATTEN: bool = true;
 
     fn initial_residual(&mut self, cx: &mut SolveCtx<'_>) -> GpuResult<f64> {
-        let beta0 = residual(cx, true)?;
+        let beta0 = residual(cx)?;
         if beta0.is_finite() {
             obs::sample(obs::names::RELRES, cx.mg.time(), 1.0);
         }
@@ -277,33 +272,29 @@ impl CycleGuard for NoGuard {
 }
 
 /// One attributed phase: a host span plus the simulated seconds between
-/// its two boundaries. A boundary is a clock read, preceded — when
-/// `flatten` — by a barrier that aligns every clock; `G::FLATTEN` is the one
-/// place the calling driver shows. Each phase times itself, so a clock
-/// rewound between phases (watchdog reclaim, executor rebuild) never
-/// reaches a timer.
+/// its two boundaries. A boundary is `MultiGpu::sync` — a barrier under
+/// `Schedule::Barrier`, nothing under `Schedule::EventDriven` — then a clock
+/// read. Each phase times itself, so a clock rewound between phases
+/// (watchdog reclaim, executor rebuild) never reaches a timer.
 pub(crate) struct Phase {
     span: obs::SpanId,
     t0: f64,
-    flatten: bool,
 }
 
 impl Phase {
-    fn boundary(mg: &mut MultiGpu, flatten: bool) -> f64 {
-        if flatten {
-            mg.sync();
-        }
+    fn boundary(mg: &mut MultiGpu) -> f64 {
+        mg.sync();
         mg.time()
     }
 
-    pub(crate) fn begin(mg: &mut MultiGpu, name: &str, flatten: bool) -> Self {
-        let now = Self::boundary(mg, flatten);
-        Self { span: obs::span_begin(name, HOST, now), t0: now, flatten }
+    pub(crate) fn begin(mg: &mut MultiGpu, name: &str) -> Self {
+        let now = Self::boundary(mg);
+        Self { span: obs::span_begin(name, HOST, now), t0: now }
     }
 
     /// Close the phase and return its seconds.
     pub(crate) fn end(self, mg: &mut MultiGpu) -> f64 {
-        let now = Self::boundary(mg, self.flatten);
+        let now = Self::boundary(mg);
         obs::span_end(self.span, now);
         let dt = now - self.t0;
         debug_assert!(dt >= -1e-12, "clock went backwards: {dt}");
@@ -312,8 +303,8 @@ impl Phase {
 }
 
 /// Explicit residual norm `||b - A x||`, attributed to the SpMV phase.
-pub(crate) fn residual(cx: &mut SolveCtx<'_>, flatten: bool) -> GpuResult<f64> {
-    let ph = Phase::begin(cx.mg, "spmv", flatten);
+pub(crate) fn residual(cx: &mut SolveCtx<'_>) -> GpuResult<f64> {
+    let ph = Phase::begin(cx.mg, "spmv");
     let beta = cx.sys.residual_norm(cx.mg)?;
     cx.stats.t_spmv += ph.end(cx.mg);
     Ok(beta)
@@ -520,7 +511,7 @@ pub(crate) fn run_cycle<G: CycleGuard>(
         }
 
         // Hessenberg reconstruction + least squares (host)
-        let ph = Phase::begin(cx.mg, "small", G::FLATTEN);
+        let ph = Phase::begin(cx.mg, "small");
         let c_for_hess = if first { Mat::zeros(0, 0) } else { c_eff };
         let new_cols = st.arn.extend_block(&c_for_hess, &r_eff, &spec_blk.change_matrix());
         cx.mg.host_compute(
@@ -547,20 +538,20 @@ pub(crate) fn run_cycle<G: CycleGuard>(
     }
 
     // the recurrence holds exactly the `k_used` columns pushed
-    let y = lsq_solution(cx, &st.lsq, G::FLATTEN);
+    let y = lsq_solution(cx, &st.lsq);
     let implied = if y.is_empty() { st.beta } else { st.lsq.residual_norm() };
     Ok(CycleEnd::Done { implied, y, span })
 }
 
 /// The least-squares solution `y` of a cycle's recurrence (empty when no
 /// column was pushed), its host solve charged to the "small" phase.
-pub(crate) fn lsq_solution(cx: &mut SolveCtx<'_>, lsq: &GivensLsq, flatten: bool) -> Vec<f64> {
+pub(crate) fn lsq_solution(cx: &mut SolveCtx<'_>, lsq: &GivensLsq) -> Vec<f64> {
     let k = lsq.ncols();
     if k == 0 {
         return Vec::new();
     }
     let y = lsq.solve();
-    let ph = Phase::begin(cx.mg, "small", flatten);
+    let ph = Phase::begin(cx.mg, "small");
     cx.mg.host_compute((3 * (k + 1) * (k + 1)) as f64, (16 * k) as f64);
     cx.stats.t_small += ph.end(cx.mg);
     y
@@ -601,7 +592,7 @@ fn attempt_block<G: CycleGuard>(
         // orthogonalization; column 0 is, so restore it from the residual
         sys.seed_basis(cx.mg, blk.beta)?;
     }
-    let ph = Phase::begin(cx.mg, "spmv", G::FLATTEN);
+    let ph = Phase::begin(cx.mg, "spmv");
     if p.use_mpk {
         let st = sys.mpk.as_ref().expect("MPK requested but no MPK plan loaded");
         mpk_with_prefetch(cx.mg, st, &sys.v, blk.start, blk.spec, pending.take())?;
@@ -618,13 +609,12 @@ fn attempt_block<G: CycleGuard>(
     };
 
     // orthogonalize: BOrth against previous, TSQR within block. When
-    // another MPK block follows in this cycle, arm the prefetch hook: the
-    // instant TSQR finalizes this block's last column (= the next block's
-    // start vector), the next halo exchange is issued and hides under the
-    // remaining updates.
+    // another MPK block follows in this cycle on an event-driven machine,
+    // arm the prefetch hook: the instant TSQR finalizes this block's last
+    // column (= the next block's start vector), the next halo exchange is
+    // issued and hides under the remaining updates (Fig. 14).
     let next_start = blk.start + blk.s;
-    let arm =
-        p.prefetch && p.use_mpk && cx.mg.schedule() == Schedule::EventDriven && next_start < p.m;
+    let arm = p.use_mpk && cx.mg.schedule() == Schedule::EventDriven && next_start < p.m;
     let mut issue = |mg: &mut MultiGpu| -> GpuResult<()> {
         let st = sys.mpk.as_ref().expect("armed only with an MPK plan");
         *pending = Some(mpk_prefetch(mg, st, &sys.v, next_start)?);
@@ -651,9 +641,7 @@ pub(crate) fn gather_block(mg: &MultiGpu, sys: &System, c0: usize, c1: usize) ->
 }
 
 /// BOrth + TSQR (+ optional "2x" reorthogonalization) for one block, with
-/// per-phase timing and optional Fig. 13 error capture. Clocks are
-/// flattened around both stages for every caller — that sequence predates
-/// the guard and both drivers' digests pin it.
+/// per-phase timing and optional Fig. 13 error capture.
 /// On a system that carries the ABFT checksum (a verifying FT solve builds
 /// it and hands it back with the system), whoever runs the cycle, both
 /// block reductions are checked against scalar checksums (`1ᵀC1` against
@@ -672,7 +660,7 @@ pub(crate) fn orth_block<G: CycleGuard>(
     let mut c_eff = Mat::zeros(0, 0);
     let mut r_eff = Mat::identity(c1 - c0);
     for pass in 1..=passes {
-        let ph = Phase::begin(mg, "borth", true);
+        let ph = Phase::begin(mg, "borth");
         // the checksum of V_prev^T W must be read BEFORE the update
         // subtracts the projection from W in place (CGS only — MGS's
         // per-vector reductions are covered by the residual guard)
@@ -690,7 +678,7 @@ pub(crate) fn orth_block<G: CycleGuard>(
         }
         cx.stats.t_orth += ph.end(mg);
 
-        let ph = Phase::begin(mg, "tsqr", true);
+        let ph = Phase::begin(mg, "tsqr");
         let snapshot = cx.tsqr_errors.as_ref().map(|_| gather_block(mg, sys, c0, c1));
         let gram_sum =
             if abft { Some(orth::block_checksum(mg, v, (c0, c1), (c0, c1))?) } else { None };
@@ -732,7 +720,7 @@ pub(crate) fn orth_block<G: CycleGuard>(
             blas3::gemm_nn(1.0, &r, &r_eff, 0.0, &mut r2r1);
             r_eff = r2r1;
             let k = c1 - c0;
-            let ph = Phase::begin(mg, "small", true);
+            let ph = Phase::begin(mg, "small");
             mg.host_compute(2.0 * ((c0 + k) * k * k) as f64, (24 * k * k) as f64);
             cx.stats.t_small += ph.end(mg);
         }
@@ -766,6 +754,66 @@ pub(crate) fn invalid(cfg: &CaGmresConfig, sys: Option<&System>) -> Option<Strin
 /// plain SpMV blocks).
 pub(crate) fn mpk_steps(kernel: KernelMode, s: usize) -> Option<usize> {
     (s > 1 && kernel == KernelMode::Mpk).then_some(s)
+}
+
+/// A solve's books, opened before anything of the solve runs and closed
+/// once it ended: what the solve cost is measured between the two, so a
+/// solve on a reused executor reports its own traffic, not the executor's
+/// lifetime totals.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Books {
+    /// The (flattened) clock the solve started at.
+    pub t_begin: f64,
+    comm: CommCounters,
+    reclaimed: f64,
+}
+
+impl Books {
+    /// Flatten the clocks, then read the clock and the traffic so far.
+    pub(crate) fn open(mg: &mut MultiGpu) -> Self {
+        mg.sync();
+        Self { t_begin: mg.time(), comm: mg.counters(), reclaimed: mg.time_reclaimed() }
+    }
+
+    /// `stats` with the end-to-end time read now.
+    pub(crate) fn so_far(&self, mg: &MultiGpu, stats: &SolveStats) -> SolveStats {
+        SolveStats { t_total: mg.time() - self.t_begin, ..stats.clone() }
+    }
+
+    /// Close the books on `stats`: a fault that ended the solve (`ran`) is
+    /// typed as its breakdown; the clocks are flattened, and the end-to-end
+    /// time, the traffic and the watchdog-reclaimed seconds since
+    /// [`Books::open`] are recorded with every device's busy time; the
+    /// phase attribution is checked (debug builds) and the `solve.*` gauges
+    /// are set. Returns the transfer retries the solve absorbed.
+    pub(crate) fn close(
+        &self,
+        mg: &mut MultiGpu,
+        stats: &mut SolveStats,
+        ran: GpuResult<()>,
+    ) -> u64 {
+        if let Err(e) = ran {
+            stats.breakdown = Some(BreakdownKind::from(e));
+            stats.converged = false;
+        }
+        mg.sync();
+        let c = mg.counters();
+        stats.t_total = mg.time() - self.t_begin;
+        stats.comm_msgs = c.total_msgs() - self.comm.total_msgs();
+        stats.comm_bytes = c.total_bytes() - self.comm.total_bytes();
+        stats.t_reclaimed = mg.time_reclaimed() - self.reclaimed;
+        stats.record_device_times((0..mg.n_gpus()).map(|d| mg.device(d).busy_time()).collect());
+        stats.debug_check_phases();
+        if obs::enabled() {
+            obs::close_open(mg.time()); // a fault may have left spans open
+            obs::gauge_set(obs::names::SOLVE_T_TOTAL_S, stats.t_total);
+            obs::gauge_set(obs::names::SOLVE_FINAL_RELRES, stats.final_relres);
+            obs::gauge_set(obs::names::SOLVE_RESTARTS, stats.restarts as f64);
+            obs::gauge_set(obs::names::SOLVE_TOTAL_ITERS, stats.total_iters as f64);
+            obs::gauge_set(obs::names::SOLVE_DEVICE_IMBALANCE, stats.device_imbalance);
+        }
+        c.transfer_retries - self.comm.transfer_retries
+    }
 }
 
 /// The problem an owned system is built from, kept to rebuild it.
@@ -1027,7 +1075,6 @@ impl<'a> Solve<'a> {
             spec: &self.spec_full,
             orth: &cfg.orth,
             use_mpk: cfg.kernel == KernelMode::Mpk && self.sys.mpk.is_some() && s > 1,
-            prefetch: cfg.prefetch,
             target,
         };
         let mut cx = SolveCtx {
@@ -1045,8 +1092,8 @@ impl<'a> Solve<'a> {
 
     /// The explicit residual norm that closes a finished cycle, inside its
     /// `cycle` span.
-    pub(crate) fn end_cycle<G: CycleGuard>(&mut self, span: obs::SpanId) -> GpuResult<f64> {
-        let beta = residual(&mut self.ctx(), G::FLATTEN)?;
+    pub(crate) fn end_cycle(&mut self, span: obs::SpanId) -> GpuResult<f64> {
+        let beta = residual(&mut self.ctx())?;
         obs::span_end(span, self.mg.time());
         Ok(beta)
     }
@@ -1153,7 +1200,6 @@ mod tests {
 
     impl CycleGuard for Fake {
         type HandBack = CycleCkpt;
-        const FLATTEN: bool = true;
 
         fn hand_back(&mut self, _: &mut Solve<'_>, _: CycleCkpt) -> GpuResult<()> {
             unreachable!("the cycle tests run single cycles, not the restart loop")
@@ -1245,12 +1291,12 @@ mod tests {
     fn cycle<G: CycleGuard>(
         mg: &mut MultiGpu,
         sys: &System,
-        (orth, prefetch): (&OrthConfig, bool),
+        orth: &OrthConfig,
         (beta, resume): (f64, Option<CycleState>),
         guard: &mut G,
     ) -> Ran<G::HandBack> {
         let spec = BasisSpec::monomial(S);
-        let p = CycleParams { m: M, s: S, spec: &spec, orth, use_mpk: true, prefetch, target: 0.0 };
+        let p = CycleParams { m: M, s: S, spec: &spec, orth, use_mpk: true, target: 0.0 };
         let mut stats = SolveStats::default();
         let before = mg.counters().total_msgs();
         let mut cx = SolveCtx { mg: &mut *mg, sys, stats: &mut stats, tsqr_errors: None };
@@ -1265,24 +1311,24 @@ mod tests {
 
     fn full_cycle<G: CycleGuard>(
         schedule: Schedule,
-        how: (&OrthConfig, bool),
+        orth: &OrthConfig,
         guard: &mut G,
     ) -> Ran<G::HandBack> {
         let (mut mg, sys, beta) = machine(schedule, None);
-        let ran = cycle(&mut mg, &sys, how, (beta, None), guard);
+        let ran = cycle(&mut mg, &sys, orth, (beta, None), guard);
         assert!(matches!(&ran.end, CycleEnd::Done { y, .. } if y.len() == M));
         ran
     }
 
     #[test]
     fn regenerate_reseeds_column_zero_in_the_first_block_only() {
-        let how = (&OrthConfig::default(), false);
-        let clean = full_cycle(Schedule::Barrier, how, &mut NoGuard);
+        let orth = &OrthConfig::default();
+        let clean = full_cycle(Schedule::Barrier, orth, &mut NoGuard);
         // first block: the guard scales the seeded column 0 and asks again;
         // only a re-seed can put the residual back
         let mut fake = Fake::scripted([Some(Redo::Regenerate)]);
         fake.mangle = Some(0);
-        let first = full_cycle(Schedule::Barrier, how, &mut fake);
+        let first = full_cycle(Schedule::Barrier, orth, &mut fake);
         assert_eq!(&fake.blocks[..3], [(0, S, 0), (0, S, 1), (S, S, 0)]);
         assert_eq!(first.x, clean.x, "column 0 was not restored before regenerating");
         // later block: the guard scales a *generated* column; the source
@@ -1290,7 +1336,7 @@ mod tests {
         // reproduces the clean cycle
         let mut fake = Fake::scripted([None, Some(Redo::Regenerate)]);
         fake.mangle = Some(S + 2);
-        let later = full_cycle(Schedule::Barrier, how, &mut fake);
+        let later = full_cycle(Schedule::Barrier, orth, &mut fake);
         assert_eq!(&fake.blocks[..4], [(0, S, 0), (S, S, 0), (S, S, 1), (2 * S, S, 0)]);
         assert_eq!(later.x, clean.x, "the source column of a later block must be left alone");
         // both pay one more halo exchange; only the first also re-seeds
@@ -1301,9 +1347,9 @@ mod tests {
 
     #[test]
     fn throttle_keeps_verified_columns_and_finishes_in_shorter_blocks() {
-        let how = (&OrthConfig::default(), false);
+        let orth = &OrthConfig::default();
         let mut fake = Fake::scripted([None, Some(Redo::Throttle(2))]);
-        let ran = full_cycle(Schedule::Barrier, how, &mut fake);
+        let ran = full_cycle(Schedule::Barrier, orth, &mut fake);
         // block 2 is generated at s = 5, dropped, and regenerated at s = 2
         // from the same source column; attempts restart with the new shape
         let shapes: Vec<(usize, usize)> = fake.blocks.iter().map(|&(st, s, _)| (st, s)).collect();
@@ -1319,12 +1365,12 @@ mod tests {
 
     #[test]
     fn hand_back_then_resume_on_a_rebuilt_executor_matches_the_uninterrupted_cycle() {
-        let how = (&OrthConfig::default(), false);
-        let clean = full_cycle(Schedule::Barrier, how, &mut NoGuard);
+        let orth = &OrthConfig::default();
+        let clean = full_cycle(Schedule::Barrier, orth, &mut NoGuard);
 
         let (mut mg, sys, beta) = machine(Schedule::Barrier, None);
         let mut fake = Fake { hand_back_after: Some(2), ..Fake::default() };
-        let ran = cycle(&mut mg, &sys, how, (beta, None), &mut fake);
+        let ran = cycle(&mut mg, &sys, orth, (beta, None), &mut fake);
         let CycleEnd::HandBack(ck) = ran.end else { panic!("expected a hand-back") };
         assert_eq!((ck.ncols, ran.stats.restarts), (2 * S + 1, 0));
 
@@ -1335,7 +1381,7 @@ mod tests {
         ck.restore(&mut mg, &sys).unwrap();
         let state = CycleState::resume(&mut mg, &ck);
         let mut fake = Fake::default();
-        let ran = cycle(&mut mg, &sys, how, (beta, Some(state)), &mut fake);
+        let ran = cycle(&mut mg, &sys, orth, (beta, Some(state)), &mut fake);
         assert!(matches!(&ran.end, CycleEnd::Done { y, .. } if y.len() == M));
         assert_eq!(fake.blocks, [(2 * S, S, 0), (3 * S, S, 0)], "resumed at the third block");
         assert_eq!(ran.x, clean.x, "resumed iterate differs from the uninterrupted one");
@@ -1344,10 +1390,12 @@ mod tests {
 
     #[test]
     fn regenerate_consumes_a_prefetched_halo_once_and_exchanges_normally_after() {
-        // CAQR under the event-driven schedule opens the prefetch window
+        // CAQR under the event-driven schedule opens the prefetch window;
+        // the barrier schedule never does
         let orth = OrthConfig { tsqr: TsqrKind::Caqr, ..OrthConfig::default() };
-        let plain = full_cycle(Schedule::EventDriven, (&orth, false), &mut NoGuard);
-        let clean = full_cycle(Schedule::EventDriven, (&orth, true), &mut NoGuard);
+        let plain = full_cycle(Schedule::Barrier, &orth, &mut NoGuard);
+        let clean = full_cycle(Schedule::EventDriven, &orth, &mut NoGuard);
+        assert_eq!(plain.stats.prefetches, 0);
         assert_eq!(clean.stats.prefetches, 3, "every block but the last issues the next halo");
         assert_eq!(clean.msgs, plain.msgs, "a consumed prefetch is the same exchange, earlier");
         assert_eq!(clean.x, plain.x);
@@ -1355,7 +1403,7 @@ mod tests {
         // first; asked to regenerate, it finds the token gone and runs the
         // whole exchange again
         let mut fake = Fake::scripted([None, Some(Redo::Regenerate)]);
-        let ran = full_cycle(Schedule::EventDriven, (&orth, true), &mut fake);
+        let ran = full_cycle(Schedule::EventDriven, &orth, &mut fake);
         assert_eq!(&fake.blocks[1..3], [(S, S, 0), (S, S, 1)]);
         assert_eq!(ran.x, clean.x);
         assert_eq!(ran.stats.prefetches, clean.stats.prefetches);
@@ -1373,7 +1421,7 @@ mod tests {
     fn hooks_fire_in_the_contracted_order() {
         let (mut mg, sys, beta) = verified(machine(Schedule::Barrier, None));
         let mut fake = Fake::default();
-        let ran = cycle(&mut mg, &sys, (&OrthConfig::default(), false), (beta, None), &mut fake);
+        let ran = cycle(&mut mg, &sys, &OrthConfig::default(), (beta, None), &mut fake);
         assert!(matches!(&ran.end, CycleEnd::Done { y, .. } if y.len() == M));
         let per_block = ["poll:MpkBlock", "after_generate", "poll:Orth", "r_diag", "block_done"];
         // the first block has nothing to project against: BOrth is skipped
@@ -1397,7 +1445,7 @@ mod tests {
             let plan = FaultPlan::new(seed).with_sdc(0.03, SdcTargets::gemm_only());
             let (mut mg, sys, beta) = verified(machine(Schedule::Barrier, Some(plan)));
             let mut fake = Fake::default();
-            cycle(&mut mg, &sys, (&OrthConfig::default(), false), (beta, None), &mut fake);
+            cycle(&mut mg, &sys, &OrthConfig::default(), (beta, None), &mut fake);
             for (i, event) in fake.log.iter().enumerate() {
                 match event.as_str() {
                     "mismatch:borth" => {
@@ -1468,10 +1516,10 @@ mod tests {
     fn back_to_back_phases_split_the_clock_between_their_boundaries() {
         let mut mg = MultiGpu::with_defaults(2);
         let t0 = mg.time();
-        let ph = Phase::begin(&mut mg, "small", true);
+        let ph = Phase::begin(&mut mg, "small");
         mg.host_compute(1e6, 0.0);
         let (first, t1) = (ph.end(&mut mg), mg.time());
-        let ph = Phase::begin(&mut mg, "small", true);
+        let ph = Phase::begin(&mut mg, "small");
         mg.host_compute(3e6, 0.0);
         let second = ph.end(&mut mg);
         assert_eq!((first, second), (t1 - t0, mg.time() - t1));

@@ -13,7 +13,7 @@
 //! residual column as a GMRES cycle seeds from its residual.
 
 use crate::cagmres::{BasisChoice, CaGmresConfig, KernelMode};
-use crate::cycle::{invalid, Block, CycleGuard, CycleState, Redo, Solve, SolveCtx, Sys};
+use crate::cycle::{invalid, Block, Books, CycleGuard, CycleState, Redo, Solve, SolveCtx, Sys};
 use crate::newton::BasisSpec;
 use crate::orth::{OrthConfig, OrthError};
 use crate::stats::{BreakdownKind, SolveStats};
@@ -166,7 +166,6 @@ impl RitzGuard<'_> {
 impl CycleGuard for RitzGuard<'_> {
     /// The CA cycle's Hessenberg matrix (`None`: a numerical failure).
     type HandBack = Option<Mat>;
-    const FLATTEN: bool = true;
 
     fn on_block_error(
         &mut self,
@@ -256,9 +255,8 @@ pub fn arnoldi_eigs(
     if let Some(reason) = invalid(&solver, Some(sys)).or(nev_invalid) {
         return Ok(EigsOutcome { pairs: Vec::new(), stats: SolveStats::invalid(reason) });
     }
-    mg.sync();
     mg.reset_counters();
-    let t_begin = mg.time();
+    let books = Books::open(mg);
     let mut guard = RitzGuard { cfg, pairs: Vec::new() };
     let mut sv = Solve::new(mg, Sys::Borrowed(sys), &solver, cfg.s);
     sv.run(&mut guard)?;
@@ -269,8 +267,7 @@ pub fn arnoldi_eigs(
     }
     // a refused start ran no cycle; a Ritz test, not a residual, ends the rest
     stats.final_relres = if beta0 == 0.0 || !beta0.is_finite() { f64::NAN } else { 0.0 };
-    stats.close(mg, t_begin);
-    stats.debug_check_phases();
+    books.close(mg, &mut stats, Ok(()));
     Ok(EigsOutcome { pairs: guard.pairs, stats })
 }
 

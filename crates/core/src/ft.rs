@@ -66,8 +66,8 @@
 
 use crate::cagmres::{BasisChoice, CaGmresConfig};
 use crate::cycle::{
-    invalid, mpk_steps, Block, CycleCkpt, CycleGuard, CycleState, Operator, Redo, Resume, Solve,
-    SolveCtx, Sys, Verdict,
+    invalid, mpk_steps, residual, Block, Books, CycleCkpt, CycleGuard, CycleState, Operator, Redo,
+    Resume, Solve, SolveCtx, Sys, Verdict,
 };
 use crate::health::{throttled, EscalationEvent, EscalationRung, Ladder, MonitorState};
 use crate::layout::Layout;
@@ -166,8 +166,9 @@ pub struct FtReport {
     pub blocks_recomputed: usize,
     /// Restart cycles rolled back and redone by the residual backstop.
     pub cycles_redone: usize,
-    /// Transient transfer failures absorbed by the retry layer
-    /// (from [`ca_gpusim::CommCounters::transfer_retries`]).
+    /// Transient transfer failures the retry layer absorbed during this
+    /// solve ([`ca_gpusim::CommCounters::transfer_retries`] since its
+    /// start).
     pub transfer_retries: u64,
     /// The device that was lost, if any.
     pub device_lost: Option<usize>,
@@ -611,9 +612,8 @@ pub fn ca_gmres_ft_session(
     if warm.as_ref().is_some_and(|sys| !fits(sys, n, cfg, s, mg.n_gpus())) {
         warm.take().expect("checked").release(mg); // stale shape: evict rather than mis-solve
     }
-    mg.sync();
-    let t_begin = mg.time();
-    let mut guard = FtGuard::new(cfg, tuner, t_begin, s);
+    let books = Books::open(mg);
+    let mut guard = FtGuard::new(cfg, tuner, books.t_begin, s);
     let op = Operator { a, b };
     let built = match warm {
         // the warm operator: skip allocation and staging, just install the
@@ -627,28 +627,25 @@ pub fn ca_gmres_ft_session(
             op.build(mg, Layout::even(n, mg.n_gpus()), solver, (s, solver.mpk_prec), &mut guard)
         }
     };
-    let (ran, mut stats, x) = match built {
+    let (ran, mut stats, x, resident_out) = match built {
         Ok(sys) => {
             let mut sv = Solve::new(mg, Sys::Owned(sys, op), solver, s);
             // an `FtOutcome` has no place for Fig. 13 samples: take none
             (sv.x_ckpt, sv.tsqr_errors) = (vec![0.0; n], None);
             let ran = sv.run(&mut guard);
             guard.report.executor_rebuilds = sv.rebuilds;
-            (ran.map(|()| sv.sys.into_owned()), sv.stats, sv.x_ckpt)
+            // hand the system the solve *ended* on to the caller's
+            // residency manager (a mid-solve retune/promotion/degradation
+            // rebuilt it with new parameters, which the next solve's `fits`
+            // reads)
+            let sys = if ran.is_ok() { sv.sys.into_owned() } else { None };
+            (ran, sv.stats, sv.x_ckpt, sys)
         }
-        Err(e) => (Err(e), SolveStats::default(), vec![0.0; n]),
+        Err(e) => (Err(e), SolveStats::default(), vec![0.0; n], None),
     };
-    // hand the system the solve *ended* on to the caller's residency
-    // manager (a mid-solve retune/promotion/degradation rebuilt it with new
-    // parameters, which the next solve's `fits` reads)
-    let resident_out = match ran {
-        Ok(sys) => sys.inspect(|sys| guard.report.layout_final = sys.layout.starts.clone()),
-        Err(e) => {
-            stats.breakdown = Some(BreakdownKind::from(e));
-            stats.converged = false;
-            None
-        }
-    };
+    if let Some(sys) = &resident_out {
+        guard.report.layout_final = sys.layout.starts.clone();
+    }
     let FtGuard { mut report, probe, monitor, .. } = guard;
     if let Some(ps) = probe {
         report.in_cycle_polls = ps.polls;
@@ -659,15 +656,9 @@ pub fn ca_gmres_ft_session(
         report.cond_trajectory = ms.trajectory;
         report.cond_checks = ms.records;
     }
-    stats.close(mg, t_begin);
-    stats.t_reclaimed = mg.time_reclaimed();
-    report.transfer_retries = mg.counters().transfer_retries;
+    report.transfer_retries = books.close(mg, &mut stats, ran);
     report.ndev_final = mg.n_gpus();
-    stats.debug_check_phases();
     if obs::enabled() {
-        obs::close_open(mg.time()); // a fatal abort may have left spans open
-        obs::gauge_set(obs::names::SOLVE_T_TOTAL_S, stats.t_total);
-        obs::gauge_set(obs::names::SOLVE_FINAL_RELRES, stats.final_relres);
         obs::gauge_set(obs::names::FT_S_FINAL, report.s_final as f64);
         obs::gauge_set(obs::names::FT_NDEV_FINAL, report.ndev_final as f64);
     }
@@ -1053,7 +1044,6 @@ impl<'a, 't> FtGuard<'a, 't> {
 
 impl CycleGuard for FtGuard<'_, '_> {
     type HandBack = FtHandBack;
-    const FLATTEN: bool = false;
 
     fn poll(&mut self, mg: &mut MultiGpu, at: PollPoint) -> GpuResult<()> {
         self.probe.as_mut().map_or(Ok(()), |p| p.poll(mg, at))
@@ -1216,10 +1206,10 @@ impl CycleGuard for FtGuard<'_, '_> {
         Some(FtHandBack::Rebalance { device, imbalance, ck })
     }
 
-    /// The initial residual is not a timed phase here (the FT goldens pin
-    /// that), and it opens the tuner's first phase window.
+    /// The initial residual, after which the tuner's first phase window
+    /// opens.
     fn initial_residual(&mut self, cx: &mut SolveCtx<'_>) -> GpuResult<f64> {
-        let beta0 = cx.sys.residual_norm(cx.mg)?;
+        let beta0 = residual(cx)?;
         self.seen = (cx.mg.time(), cx.stats.clone());
         Ok(beta0)
     }
@@ -1532,27 +1522,54 @@ mod tests {
     fn prefetch_moves_only_the_clock() {
         // the Fig. 14 overlap under the fault-tolerant guard: with CAQR and
         // the checksums off (the orthogonalization's keep the window shut),
-        // halos are issued ahead of their blocks and the solve follows the
-        // same iteration path to the same bits, no later. A fixed budget:
-        // a solve that converges mid-cycle wastes its last prefetch
-        // (`CaGmresConfig::prefetch`)
+        // the event-driven schedule issues halos ahead of their blocks and
+        // follows the barrier schedule's iteration path to the same bits,
+        // no later. A fixed budget: a solve that converges mid-cycle wastes
+        // its last prefetch
         let (a, b, _) = problem();
-        let run = |prefetch: bool| {
+        let run = |schedule: Schedule| {
             let mut mg = MultiGpu::with_defaults(3);
-            mg.set_schedule(Schedule::EventDriven);
+            mg.set_schedule(schedule);
             let mut c = FtConfig { verify: false, ..cfg() };
-            (c.solver.orth.tsqr, c.solver.prefetch) = (TsqrKind::Caqr, prefetch);
+            c.solver.orth.tsqr = TsqrKind::Caqr;
             (c.solver.rtol, c.solver.max_restarts) = (0.0, 4);
             ca_gmres_ft(mg, &a, &b, &c)
         };
-        let (base, pre) = (run(false), run(true));
-        assert_eq!(base.stats.prefetches, 0);
-        assert!(pre.stats.prefetches > 0, "the fault-tolerant solve never prefetched");
-        assert_eq!(base.stats.total_iters, pre.stats.total_iters);
-        for (u, v) in base.x.iter().zip(&pre.x) {
+        let (sync, event) = (run(Schedule::Barrier), run(Schedule::EventDriven));
+        assert_eq!(sync.stats.prefetches, 0, "the barrier schedule prefetched");
+        assert!(event.stats.prefetches > 0, "the fault-tolerant solve never prefetched");
+        let path = |s: &SolveStats| (s.total_iters, s.restarts);
+        assert_eq!(path(&sync.stats), path(&event.stats));
+        for (u, v) in sync.x.iter().zip(&event.x) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
-        assert!(pre.stats.t_total <= base.stats.t_total, "{pre:?} vs {base:?}");
+        assert!(event.stats.t_total <= sync.stats.t_total, "{event:?} vs {sync:?}");
+    }
+
+    #[test]
+    fn an_unarmed_guard_times_like_the_plain_guard() {
+        // under the barrier schedule the guard in charge shows in no clock:
+        // the fault-tolerant solve with nothing armed and the plain solve on
+        // the same even layout follow one path and attribute one set of
+        // phase times
+        let (a, b, _) = problem();
+        let c = FtConfig { verify: false, ..cfg() };
+        let ft = ca_gmres_ft(MultiGpu::with_defaults(3), &a, &b, &c);
+        let mut mg = MultiGpu::with_defaults(3);
+        let (n, m, s) = (a.nrows(), c.solver.m, c.solver.s);
+        let sys = System::new(&mut mg, &a, Layout::even(n, 3), m, Some(s)).unwrap();
+        sys.load_rhs(&mut mg, &b).unwrap();
+        let plain = crate::cagmres::ca_gmres(&mut mg, &sys, &c.solver);
+        let x = sys.download_x(&mut mg).unwrap();
+        for (u, v) in ft.x.iter().zip(&x) {
+            assert_eq!(u.to_bits(), v.to_bits());
+        }
+        let (f, p) = (&ft.stats, &plain.stats);
+        assert_eq!((f.total_iters, f.restarts), (p.total_iters, p.restarts));
+        let phases = |s: &SolveStats| [s.t_spmv, s.t_orth, s.t_tsqr, s.t_small];
+        for (i, (tf, tp)) in phases(f).into_iter().zip(phases(p)).enumerate() {
+            assert!((tf - tp).abs() <= 1e-12 * tp.abs(), "phase {i}: {tf} vs {tp}");
+        }
     }
 
     #[test]
@@ -1594,6 +1611,9 @@ mod tests {
         assert_eq!(mem_after_first, mem_after_second, "warm solve must not allocate");
         let msgs_warm = mg.counters().total_msgs() - msgs_cold;
         assert!(msgs_warm < msgs_cold, "warm solve sent {msgs_warm} msgs, cold sent {msgs_cold}");
+        // and each solve reports its own traffic, not the executor's total
+        assert!(second.stats.comm_msgs < first.stats.comm_msgs);
+        assert_eq!(second.stats.comm_msgs, msgs_warm);
         assert_eq!(second.report.executor_rebuilds, 0);
 
         // eviction returns every byte to the pool

@@ -5,7 +5,9 @@
 //! the CA entries run it once, to harvest the Ritz values (`harvest_cycle`).
 
 use crate::cagmres::CaGmresConfig;
-use crate::cycle::{invalid, lsq_solution, CycleGuard, NoGuard, Phase, Solve, SolveCtx, Sys};
+use crate::cycle::{
+    invalid, lsq_solution, Books, CycleGuard, NoGuard, Phase, Solve, SolveCtx, Sys,
+};
 use crate::ft::PollPoint;
 use crate::hess::BlockArnoldi;
 use crate::mpk::dist_spmv;
@@ -82,12 +84,12 @@ pub(crate) fn gmres_cycle<G: CycleGuard>(
     let mut arn = BlockArnoldi::new();
 
     for j in 0..m {
-        let ph = Phase::begin(mg, "spmv", true);
+        let ph = Phase::begin(mg, "spmv");
         dist_spmv(mg, &sys.spmv, &sys.v, j, j + 1)?;
         stats.t_spmv += ph.end(mg);
         guard.poll(mg, PollPoint::SpmvBlock)?;
 
-        let ph = Phase::begin(mg, "orth", true);
+        let ph = Phase::begin(mg, "orth");
         match orth_column(mg, &sys.v, 0, j + 1, orth) {
             Ok(h) => {
                 stats.t_orth += ph.end(mg);
@@ -117,7 +119,7 @@ pub(crate) fn gmres_cycle<G: CycleGuard>(
         }
     }
 
-    let y = lsq_solution(cx, &lsq, true);
+    let y = lsq_solution(cx, &lsq);
     cx.finish_cycle(&y)?;
     obs::span_end(sp_cycle, cx.mg.time());
     let implied = if y.is_empty() { beta } else { lsq.residual_norm() };
@@ -139,7 +141,7 @@ pub(crate) fn harvest_cycle<G: CycleGuard>(
     guard: &mut G,
 ) -> GpuResult<(CycleOutcome, Option<Vec<Complex>>, BasisSpec)> {
     let cycle = gmres_cycle(cx, cfg.m, cfg.orth.borth, beta, target, guard)?;
-    let ph = Phase::begin(cx.mg, "small", G::FLATTEN);
+    let ph = Phase::begin(cx.mg, "small");
     let shifts = newton_shifts_from_hessenberg(&cycle.hessenberg, cfg.m).ok();
     let spec = BasisSpec::from_shifts(shifts.as_deref(), cfg.basis, s);
     cx.mg.host_compute(30.0 * (cfg.m * cfg.m * cfg.m) as f64, 0.0);
@@ -161,25 +163,13 @@ pub fn gmres(mg: &mut MultiGpu, sys: &System, cfg: &GmresConfig) -> GmresOutcome
         return GmresOutcome { stats: SolveStats::invalid(reason), first_hessenberg: None };
     }
 
-    mg.sync();
     mg.reset_counters();
-    let t_begin = mg.time();
+    let books = Books::open(mg);
     let mut sv = Solve::new(mg, Sys::Borrowed(sys), &solver, 1);
     sv.standard = true;
     let ran = sv.run(&mut NoGuard);
     let Solve { mg, mut stats, first_hessenberg, .. } = sv;
-    if let Err(e) = ran {
-        // a simulated hardware fault aborted the solve: report it as a
-        // breakdown so every caller sees a well-formed outcome
-        stats.breakdown = Some(BreakdownKind::from(e));
-    }
-
-    mg.sync();
-    stats.t_total = mg.time() - t_begin;
-    let c = mg.counters();
-    stats.comm_msgs = c.total_msgs();
-    stats.comm_bytes = c.total_bytes();
-    stats.debug_check_phases();
+    books.close(mg, &mut stats, ran);
     GmresOutcome { stats, first_hessenberg }
 }
 
@@ -302,6 +292,15 @@ mod tests {
         let (_, stats) = solve_and_check(&a, 2, &cfg);
         assert!(stats.final_relres <= 1.0);
         assert!(stats.converged);
+    }
+
+    #[test]
+    fn every_device_reports_its_busy_time() {
+        let a = laplace2d(10, 10);
+        let (_, stats) = solve_and_check(&a, 3, &GmresConfig::default());
+        let busy = &stats.device_busy_s;
+        assert!(busy.len() == 3 && busy.iter().all(|&b| b > 0.0), "{busy:?}");
+        assert!(stats.device_imbalance >= 1.0, "{}", stats.device_imbalance);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Solver instrumentation matching the columns of the paper's Fig. 14:
 //! restart counts, per-phase simulated times, and communication traffic.
 
-use ca_gpusim::{GpuSimError, MultiGpu};
+use ca_gpusim::GpuSimError;
 
 /// Why a solve stopped before reaching its tolerance — either a numerical
 /// breakdown in the orthogonalization or a (simulated) hardware fault that
@@ -110,8 +110,8 @@ pub struct SolveStats {
     /// Final residual norm relative to the initial one.
     pub final_relres: f64,
     /// Halo exchanges issued asynchronously ahead of their MPK block by
-    /// the overlap path (0 unless `CaGmresConfig::prefetch` is armed and
-    /// the schedule is event-driven).
+    /// the overlap path (0 unless the schedule is event-driven and a CAQR
+    /// block is followed by another MPK block).
     pub prefetches: u64,
     /// Total PCIe messages (both directions).
     pub comm_msgs: u64,
@@ -167,17 +167,6 @@ impl SolveStats {
             max / min
         };
         self.device_busy_s = busy;
-    }
-
-    /// Close the books on a solve that began at `t_begin`: flatten the
-    /// clocks, then record end-to-end time, traffic and device busy times.
-    pub(crate) fn close(&mut self, mg: &mut MultiGpu, t_begin: f64) {
-        mg.sync();
-        self.t_total = mg.time() - t_begin;
-        let c = mg.counters();
-        self.comm_msgs = c.total_msgs();
-        self.comm_bytes = c.total_bytes();
-        self.record_device_times((0..mg.n_gpus()).map(|d| mg.device(d).busy_time()).collect());
     }
 
     /// Average orthogonalization time per restart cycle, ms

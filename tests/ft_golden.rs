@@ -16,6 +16,15 @@
 //! were re-aimed at the place they used to hit (CHANGES.md, PR 21, has the
 //! old and new coordinates): where that place could be hit exactly the
 //! non-clock fields are the old ones too.
+//!
+//! Re-recorded once more, by rule, when the per-guard clock flattening
+//! went and the schedule alone timed a solve: under `Barrier` the FT guard
+//! now syncs at every phase boundary and times its initial residual, so on
+//! every barrier line only clock fields moved (`t=`, and for some `orth=`,
+//! `tsqr=`, `lat=`, `worklost=`, the tuner's `phases=` hash); the two
+//! event-driven lines are unedited. The warm-session line also took that
+//! solve's own `msgs=`/`bytes=`, counted from its start instead of from the
+//! executor's creation.
 
 use ca_gmres_repro::gmres::cagmres::KernelMode;
 use ca_gmres_repro::gmres::prelude::*;
@@ -158,7 +167,7 @@ fn check(name: &str, got: &str, want: &str) {
 
 // (a) clean defaults, both schedules, all three generators
 
-const CLEAN_BARRIER_LAPLACE: &str = "x=b3e157597d782230 t=3f702aa8f3c1b0af orth=3f5e46363dbe88d6 tsqr=3f2518381a0ff390 recl=0000000000000000 relres=3eab34e2b2d12124 msgs=382 bytes=33872 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0";
+const CLEAN_BARRIER_LAPLACE: &str = "x=b3e157597d782230 t=3f70330c71dc73a2 orth=3f5e46363dbe88d6 tsqr=3f2518381a0ff390 recl=0000000000000000 relres=3eab34e2b2d12124 msgs=382 bytes=33872 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0";
 
 #[test]
 fn clean_barrier_laplace() {
@@ -183,13 +192,13 @@ fn clean_barrier_convdiff_probe_and_ladder_armed() {
     c.watchdog_timeout_s = Some(0.5);
     c.rebalance = true;
     let out = solve(3, None, &convdiff(), &c);
-    check("clean_barrier_convdiff_probe_and_ladder_armed", &digest(&out), "x=092c2a33ca961394 t=3f798ddc2393c182 orth=3f65ba4c01505528 tsqr=3f395a1dae146768 recl=0000000000000000 relres=3e033f2d653c380b msgs=924 bytes=113232 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=6 degraded=false ndev=3 layout=[0, 65, 130, 196] polls=36 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=1:43cf3aae2e541a5a checks=14 rebuilds=0");
+    check("clean_barrier_convdiff_probe_and_ladder_armed", &digest(&out), "x=092c2a33ca961394 t=3f799fa72967051b orth=3f65ba4c01505529 tsqr=3f395a1dae146768 recl=0000000000000000 relres=3e033f2d653c380b msgs=924 bytes=113232 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=6 degraded=false ndev=3 layout=[0, 65, 130, 196] polls=36 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=1:43cf3aae2e541a5a checks=14 rebuilds=0");
 }
 
 #[test]
 fn clean_barrier_cantilever() {
     let out = solve(2, None, &cant(), &cfg(5, 20, 1e-8));
-    check("clean_barrier_cantilever", &digest(&out), "x=a84d2636a85d7bc9 t=3f8240037c60de20 orth=3f69f2102b96bb26 tsqr=3f4c309825cebf10 recl=0000000000000000 relres=3e40de8927746d06 msgs=894 bytes=175760 iters=98 restarts=5 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 120, 240] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("clean_barrier_cantilever", &digest(&out), "x=a84d2636a85d7bc9 t=3f8248ed32cb40c2 orth=3f69f2102b96bb26 tsqr=3f4c309825cebf10 recl=0000000000000000 relres=3e40de8927746d06 msgs=894 bytes=175760 iters=98 restarts=5 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 120, 240] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }
 
 #[test]
@@ -210,13 +219,13 @@ fn spmv_kernel_convdiff() {
     let mut c = cfg(6, 24, 1e-9);
     c.solver.kernel = KernelMode::Spmv;
     let out = solve(3, None, &convdiff(), &c);
-    check("spmv_kernel_convdiff", &digest(&out), "x=092c2a33ca961394 t=3f7f586529bd2494 orth=3f65ba4c0150552a tsqr=3f395a1dae146770 recl=0000000000000000 relres=3e033f2d653c380b msgs=1134 bytes=123144 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=6 degraded=false ndev=3 layout=[0, 65, 130, 196] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("spmv_kernel_convdiff", &digest(&out), "x=092c2a33ca961394 t=3f7f6a5a75de8384 orth=3f65ba4c0150552a tsqr=3f395a1dae146770 recl=0000000000000000 relres=3e033f2d653c380b msgs=1134 bytes=123144 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=6 degraded=false ndev=3 layout=[0, 65, 130, 196] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }
 
 #[test]
 fn s_equal_one_laplace() {
     let out = solve(2, None, &laplace(), &cfg(1, 16, 1e-6));
-    check("s_equal_one_laplace", &digest(&out), "x=0771d9e2ec7d8eb6 t=3f80cffb653768df orth=3f714adaa608f1ac tsqr=3f5786f082959182 recl=0000000000000000 relres=3ea775db17d6e190 msgs=820 bytes=41184 iters=43 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=1 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("s_equal_one_laplace", &digest(&out), "x=0771d9e2ec7d8eb6 t=3f80d5466631981a orth=3f714adaa608f1ac tsqr=3f5786f082959182 recl=0000000000000000 relres=3ea775db17d6e190 msgs=820 bytes=41184 iters=43 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=1 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }
 
 // (c) SDC with ABFT recompute, in the SpMV identity and in the orth checksums
@@ -226,7 +235,7 @@ fn sdc_spmv_recompute_laplace() {
     let plan = FaultPlan::new(7).with_sdc(1e-1, SdcTargets::spmv_only());
     let out = solve(2, Some(plan), &laplace(), &cfg(5, 20, 1e-6));
     assert!(out.report.blocks_recomputed > 0);
-    check("sdc_spmv_recompute_laplace", &digest(&out), "x=30a2eb947cd9e959 t=3f7cc483c9eb8b48 orth=3f6267f921b5da8c tsqr=3f389b895e6916f0 recl=0000000000000000 relres=3eab3cd142276b29 msgs=736 bytes=70272 iters=54 restarts=3 conv=true brk=- | sdc=8 recomp=7 redone=1 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("sdc_spmv_recompute_laplace", &digest(&out), "x=30a2eb947cd9e959 t=3f7ccce748064e3c orth=3f6267f921b5da8c tsqr=3f389b895e6916f0 recl=0000000000000000 relres=3eab3cd142276b29 msgs=736 bytes=70272 iters=54 restarts=3 conv=true brk=- | sdc=8 recomp=7 redone=1 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }
 
 #[test]
@@ -234,7 +243,7 @@ fn sdc_gemm_recompute_convdiff() {
     let plan = FaultPlan::new(18).with_sdc(2e-2, SdcTargets::gemm_only());
     let out = solve(3, Some(plan), &convdiff(), &cfg(6, 24, 1e-9));
     assert!(out.report.sdc_detected > 0);
-    check("sdc_gemm_recompute_convdiff", &digest(&out), "x=092c2a33ca961394 t=3f7ad23ab18823d4 orth=3f65ba4c01505528 tsqr=3f395a1dae146768 recl=0000000000000000 relres=3e033f2d653c380b msgs=978 bytes=121608 iters=66 restarts=3 conv=true brk=- | sdc=1 recomp=1 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=6 degraded=false ndev=3 layout=[0, 65, 130, 196] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("sdc_gemm_recompute_convdiff", &digest(&out), "x=092c2a33ca961394 t=3f7ae405b75b676d orth=3f65ba4c01505529 tsqr=3f395a1dae146768 recl=0000000000000000 relres=3e033f2d653c380b msgs=978 bytes=121608 iters=66 restarts=3 conv=true brk=- | sdc=1 recomp=1 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=6 degraded=false ndev=3 layout=[0, 65, 130, 196] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }
 
 #[test]
@@ -244,7 +253,7 @@ fn sdc_everywhere_with_backoff_cantilever() {
     c.recompute = ca_gmres_repro::gpusim::RetryPolicy::default().with_backoff(1e-4, 2.0, 1e-2);
     let out = solve(2, Some(plan), &cant(), &c);
     assert!(out.report.sdc_detected > 0);
-    check("sdc_everywhere_with_backoff_cantilever", &digest(&out), "x=36a0fcc948e4ed5d t=3f903856032ccf9a orth=3f706e0c6c5ef282 tsqr=3f4c309825cebf48 recl=0000000000000000 relres=3e40de895ddd60a2 msgs=1142 bytes=217888 iters=98 restarts=5 conv=true brk=- | sdc=9 recomp=9 redone=0 retries=16 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 120, 240] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("sdc_everywhere_with_backoff_cantilever", &digest(&out), "x=36a0fcc948e4ed5d t=3f903ccade6200ea orth=3f706e0c6c5ef280 tsqr=3f4c309825cebf48 recl=0000000000000000 relres=3e40de895ddd60a2 msgs=1142 bytes=217888 iters=98 restarts=5 conv=true brk=- | sdc=9 recomp=9 redone=0 retries=16 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 120, 240] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }
 
 // (d) device loss: block resume with the probe, cycle redo without
@@ -256,7 +265,7 @@ fn device_loss_probe_block_resume_laplace() {
     c.probe = probe(None);
     let out = solve(3, Some(plan), &laplace(), &c);
     assert!(out.report.block_resumes > 0, "pick an after_op that lands after a verified block");
-    check("device_loss_probe_block_resume_laplace", &digest(&out), "x=64eb6787ac04edc6 t=3f71abe3b0503027 orth=3f5f4329dfaa268d tsqr=3f254856a7dee930 recl=0000000000000000 relres=3eab34e2b2db3195 msgs=578 bytes=61712 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=None rebal=0 retunes=0 s=5 degraded=true ndev=2 layout=[0, 72, 144] polls=26 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=3f2d46f070551c10 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
+    check("device_loss_probe_block_resume_laplace", &digest(&out), "x=64eb6787ac04edc6 t=3f71b5d9d6349e28 orth=3f5f4329dfaa268d tsqr=3f254856a7dee930 recl=0000000000000000 relres=3eab34e2b2db3195 msgs=578 bytes=61712 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=None rebal=0 retunes=0 s=5 degraded=true ndev=2 layout=[0, 72, 144] polls=26 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=3f2d46f070551c10 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
 }
 
 #[test]
@@ -264,7 +273,7 @@ fn device_loss_cycle_redo_laplace() {
     let plan = FaultPlan::new(3).with_device_loss(1, 220);
     let out = solve(3, Some(plan), &laplace(), &cfg(5, 20, 1e-6));
     assert!(out.report.degraded && out.report.block_resumes == 0);
-    check("device_loss_cycle_redo_laplace", &digest(&out), "x=234e6c09592465d6 t=3f732e8b090236dd orth=3f601244205fc9b0 tsqr=3f2c5349b08a4f90 recl=0000000000000000 relres=3eab34e2b2da70cb msgs=616 bytes=58672 iters=39 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=None rebal=0 retunes=0 s=5 degraded=true ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=3f4108f83d07778c ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
+    check("device_loss_cycle_redo_laplace", &digest(&out), "x=234e6c09592465d6 t=3f7338812ee6a4de orth=3f601244205fc9b0 tsqr=3f2c5349b08a4f90 recl=0000000000000000 relres=3eab34e2b2da70cb msgs=616 bytes=58672 iters=39 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=None rebal=0 retunes=0 s=5 degraded=true ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=3f4108f83d07778c ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
 }
 
 #[test]
@@ -274,7 +283,7 @@ fn device_loss_during_recovery_is_fatal_and_typed_laplace() {
     c.probe = probe(None);
     let out = solve(3, Some(plan), &laplace(), &c);
     assert!(!out.stats.converged && out.stats.breakdown.is_some());
-    check("device_loss_during_recovery_is_fatal_and_typed_laplace", &digest(&out), "x=c7c442def6f16910 t=3f70861ba851fdc3 orth=3f5f5b5bb1ae030b tsqr=3f25a94e670ac420 recl=0000000000000000 relres=0000000000000000 msgs=568 bytes=51752 iters=34 restarts=2 conv=false brk=DeviceLost { device: 1 } | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[] polls=25 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("device_loss_during_recovery_is_fatal_and_typed_laplace", &digest(&out), "x=c7c442def6f16910 t=3f708cec7ea315a9 orth=3f5f5b5bb1ae030b tsqr=3f25a94e670ac420 recl=0000000000000000 relres=0000000000000000 msgs=568 bytes=51752 iters=34 restarts=2 conv=false brk=DeviceLost { device: 1 } | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[] polls=25 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }
 
 #[test]
@@ -284,7 +293,7 @@ fn hang_boundary_watchdog_convdiff() {
     c.watchdog_timeout_s = Some(0.5);
     let out = solve(3, Some(plan), &convdiff(), &c);
     assert_eq!(out.report.hung_device, Some(1));
-    check("hang_boundary_watchdog_convdiff", &digest(&out), "x=39f9002d69580791 t=40b87e819e00274c orth=40a680015970cfdd tsqr=3f38b53a6d000000 recl=0000000000000000 relres=3e033f2d6225ec16 msgs=783 bytes=96472 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=Some(1) rebal=0 retunes=0 s=6 degraded=true ndev=2 layout=[0, 98, 196] polls=0 esc=0 midreb=0 resumes=0 lat=1:ee3639871abd5d4d worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
+    check("hang_boundary_watchdog_convdiff", &digest(&out), "x=39f9002d69580791 t=40b87e819eea5ddf orth=40a680015970cfdb tsqr=3f38b53a6d000000 recl=0000000000000000 relres=3e033f2d6225ec16 msgs=783 bytes=96472 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=Some(1) rebal=0 retunes=0 s=6 degraded=true ndev=2 layout=[0, 98, 196] polls=0 esc=0 midreb=0 resumes=0 lat=1:6fbcc187f6d4f665 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
 }
 
 #[test]
@@ -295,7 +304,7 @@ fn hang_probe_escalation_convdiff() {
     c.probe = probe(None);
     let out = solve(3, Some(plan), &convdiff(), &c);
     assert_eq!(out.report.in_cycle_escalations, 1);
-    check("hang_probe_escalation_convdiff", &digest(&out), "x=ca7fa15b2d86e675 t=40786819c1e158db orth=3f65048b9ac00000 tsqr=3f38b53a6f400000 recl=0000000000000000 relres=3e033f2d778df946 msgs=642 bytes=80800 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=Some(1) rebal=0 retunes=0 s=6 degraded=true ndev=2 layout=[0, 98, 196] polls=37 esc=1 midreb=0 resumes=0 lat=1:a06cc1f1691e9d46 worklost=40669000a7497ae9 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
+    check("hang_probe_escalation_convdiff", &digest(&out), "x=ca7fa15b2d86e675 t=40786819cef1bba9 orth=3f65048b9ac00000 tsqr=3f38b53a6f400000 recl=0000000000000000 relres=3e033f2d778df946 msgs=642 bytes=80800 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=Some(1) rebal=0 retunes=0 s=6 degraded=true ndev=2 layout=[0, 98, 196] polls=37 esc=1 midreb=0 resumes=0 lat=1:9d265bf1638dfdf4 worklost=40669000a7497ae9 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
 }
 
 #[test]
@@ -306,7 +315,7 @@ fn late_hang_probe_block_resume_cantilever() {
     c.probe = probe(None);
     let out = solve(3, Some(plan), &cant(), &c);
     assert!(out.report.in_cycle_escalations == 1 && out.report.block_resumes == 1);
-    check("late_hang_probe_block_resume_cantilever", &digest(&out), "x=6be77a9af9ffee4a t=403e82582267da39 orth=3f6a74aa5202b220 tsqr=3f4c47f76455c740 recl=0000000000000000 relres=3e40de89685a87ef msgs=1075 bytes=273936 iters=98 restarts=5 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=Some(1) rebal=0 retunes=0 s=5 degraded=true ndev=2 layout=[0, 120, 240] polls=49 esc=1 midreb=0 resumes=1 lat=1:9e2154d1c6176ec4 worklost=403e80071bd7e4f4 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
+    check("late_hang_probe_block_resume_cantilever", &digest(&out), "x=6be77a9af9ffee4a t=403e825958c9241e orth=3f6a74aa5202b220 tsqr=3f4c47f76455c740 recl=0000000000000000 relres=3e40de89685a87ef msgs=1075 bytes=273936 iters=98 restarts=5 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=Some(1) hung=Some(1) rebal=0 retunes=0 s=5 degraded=true ndev=2 layout=[0, 120, 240] polls=49 esc=1 midreb=0 resumes=1 lat=1:9e2154d1c6176ec4 worklost=403e80071bd7e4f3 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
 }
 
 // (e) fail-slow: mid-cycle rebalance through the probe, boundary rebalance
@@ -318,7 +327,7 @@ fn straggler_mid_cycle_rebalance_laplace() {
     c.probe = probe(Some(1.5));
     let out = solve(3, Some(plan), &laplace(), &c);
     assert!(out.report.mid_cycle_rebalances >= 1);
-    check("straggler_mid_cycle_rebalance_laplace", &digest(&out), "x=64eb6787ac04edc6 t=3f83b0246e9cb50d orth=3f70adda7ccd41c0 tsqr=3f3b952e8bc888e0 recl=0000000000000000 relres=3eab34e2b2db3195 msgs=587 bytes=65892 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=1 retunes=0 s=5 degraded=false ndev=3 layout=[0, 65, 80, 144] polls=25 esc=0 midreb=1 resumes=2 lat=3:4a39f42ffb386bd4 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
+    check("straggler_mid_cycle_rebalance_laplace", &digest(&out), "x=64eb6787ac04edc6 t=3f83b5f21716dc75 orth=3f70adda7ccd41c0 tsqr=3f3b952e8bc888e0 recl=0000000000000000 relres=3eab34e2b2db3195 msgs=587 bytes=65892 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=1 retunes=0 s=5 degraded=false ndev=3 layout=[0, 65, 80, 144] polls=25 esc=0 midreb=1 resumes=2 lat=3:ede5aa7f439020dc worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=1");
 }
 
 #[test]
@@ -328,7 +337,7 @@ fn straggler_boundary_rebalance_cantilever() {
     c.rebalance = true;
     let out = solve(3, Some(plan), &cant(), &c);
     assert!(out.report.rebalances > 0);
-    check("straggler_boundary_rebalance_cantilever", &digest(&out), "x=6702818e4d7e03d0 t=3f9859389b0b3934 orth=3f7f2da3cfa4eca4 tsqr=3f625d6f81c78010 recl=0000000000000000 relres=3e40de8928fe39a5 msgs=1401 bytes=377552 iters=98 restarts=5 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=3 retunes=0 s=5 degraded=false ndev=3 layout=[0, 121, 124, 240] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=3");
+    check("straggler_boundary_rebalance_cantilever", &digest(&out), "x=6702818e4d7e03d0 t=3f985fca5cb68c2d orth=3f7f2da3cfa4eca4 tsqr=3f625d6f81c78010 recl=0000000000000000 relres=3e40de8928fe39a5 msgs=1401 bytes=377552 iters=98 restarts=5 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=3 retunes=0 s=5 degraded=false ndev=3 layout=[0, 121, 124, 240] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=3");
 }
 
 /// A tuner that re-plans once (smaller `s`, throughput-proportional rows)
@@ -387,11 +396,11 @@ fn straggler_retune_through_tuner_convdiff() {
     let mut tuner = OneShotTuner::default();
     let (out, _) = ca_gmres_ft_session(&mut mg, &ab.0, &ab.1, &c, Some(&mut tuner), None, false);
     assert_eq!(out.report.retunes, 1);
-    check("straggler_retune_through_tuner_convdiff", &digest(&out), "x=f8761341f235bd0d t=3f7d99200e85aeaa orth=3f6a25ce3cd7bb18 tsqr=3f45bff3f51ff564 recl=0000000000000000 relres=3e033f2d6cfdf4e2 msgs=1037 bytes=132408 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=1 s=4 degraded=false ndev=3 layout=[0, 83, 166, 196] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[reorth@1:6:6:4110d4dd104ee6af,reorth@2:0:4:40f59cf0fcd59e1b] traj=18:8cbecaac38977932 checks=20 rebuilds=1");
+    check("straggler_retune_through_tuner_convdiff", &digest(&out), "x=f8761341f235bd0d t=3f7daae958271960 orth=3f6a25ce3cd7bb19 tsqr=3f45bff3f51ff564 recl=0000000000000000 relres=3e033f2d6cfdf4e2 msgs=1037 bytes=132408 iters=66 restarts=3 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=1 s=4 degraded=false ndev=3 layout=[0, 83, 166, 196] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[reorth@1:6:6:4110d4dd104ee6af,reorth@2:0:4:40f59cf0fcd59e1b] traj=18:8cbecaac38977932 checks=20 rebuilds=1");
     check(
         "straggler_retune_through_tuner_convdiff/phases",
         &phases_digest(&tuner),
-        "fired=true seen=2 phases=3:106098361de643da",
+        "fired=true seen=2 phases=3:4ba71d61bc667b65",
     );
 }
 
@@ -427,7 +436,7 @@ fn ladder_reorth_laplace() {
     c.ladder = one_rung(EscalationRung::Reorth);
     let out = solve(3, None, &laplace(), &c);
     assert!(out.report.escalations.iter().any(|e| e.rung == EscalationRung::Reorth));
-    check("ladder_reorth_laplace", &digest(&out), "x=b5b43ed06ef782c5 t=3f711d35155b108e orth=3f60a4165a94e736 tsqr=3f2ce06ccf52f870 recl=0000000000000000 relres=3eab34e2b2db3a7a msgs=591 bytes=55656 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[reorth@1:5:5:407f23ce8c73a600] traj=6:cf311929b48270dc checks=7 rebuilds=0");
+    check("ladder_reorth_laplace", &digest(&out), "x=b5b43ed06ef782c5 t=3f7128bde309299c orth=3f60a4165a94e736 tsqr=3f2ce06ccf52f870 recl=0000000000000000 relres=3eab34e2b2db3a7a msgs=591 bytes=55656 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[reorth@1:5:5:407f23ce8c73a600] traj=6:cf311929b48270dc checks=7 rebuilds=0");
 }
 
 #[test]
@@ -437,7 +446,7 @@ fn ladder_throttle_laplace_probe_armed() {
     c.probe = probe(Some(2.0));
     let out = solve(3, None, &laplace(), &c);
     assert!(out.report.escalations.iter().any(|e| e.rung == EscalationRung::Throttle));
-    check("ladder_throttle_laplace_probe_armed", &digest(&out), "x=8795bfd720f40578 t=3f73d29df8f10a64 orth=3f6290726fcf88c6 tsqr=3f358e2ef72d7c60 recl=0000000000000000 relres=3eab34e2b2db4dcd msgs=693 bytes=64680 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=32 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[throttle@1:5:5:407f23ce8c73a600] traj=8:6bf194a66dc4d89b checks=13 rebuilds=0");
+    check("ladder_throttle_laplace_probe_armed", &digest(&out), "x=8795bfd720f40578 t=3f73de26c69f2373 orth=3f6290726fcf88c6 tsqr=3f358e2ef72d7c60 recl=0000000000000000 relres=3eab34e2b2db4dcd msgs=693 bytes=64680 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=32 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[throttle@1:5:5:407f23ce8c73a600] traj=8:6bf194a66dc4d89b checks=13 rebuilds=0");
 }
 
 #[test]
@@ -447,7 +456,7 @@ fn ladder_basis_switch_monomial_laplace() {
     c.ladder = one_rung(EscalationRung::BasisSwitch);
     let out = solve(3, None, &laplace(), &c);
     assert!(out.report.escalations.iter().any(|e| e.rung == EscalationRung::BasisSwitch));
-    check("ladder_basis_switch_monomial_laplace", &digest(&out), "x=8b77ec3a66bbcf0b t=3f7184ca382802de orth=3f5f5b5bb1ae0313 tsqr=3f25a94e670ac440 recl=0000000000000000 relres=3eab34e2b2d45e11 msgs=612 bytes=56328 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[basis-switch@1:5:5:407f23ce8c76a203] traj=7:27ce7fac05d3a7f0 checks=7 rebuilds=0");
+    check("ladder_basis_switch_monomial_laplace", &digest(&out), "x=8b77ec3a66bbcf0b t=3f71905305d61bed orth=3f5f5b5bb1ae0313 tsqr=3f25a94e670ac440 recl=0000000000000000 relres=3eab34e2b2d45e11 msgs=612 bytes=56328 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[basis-switch@1:5:5:407f23ce8c76a203] traj=7:27ce7fac05d3a7f0 checks=7 rebuilds=0");
 }
 
 #[test]
@@ -457,7 +466,7 @@ fn ladder_promote_f32_start_laplace() {
     c.ladder = one_rung(EscalationRung::Promote);
     let out = solve(3, None, &laplace(), &c);
     assert!(out.report.escalations.iter().any(|e| e.rung == EscalationRung::Promote));
-    check("ladder_promote_f32_start_laplace", &digest(&out), "x=4cafb3f5ca65369c t=3f774e637108c0ff orth=3f5f5b5bb1ae030f tsqr=3f25a94e670ac420 recl=0000000000000000 relres=3eab34ef17ce8869 msgs=867 bytes=75696 iters=34 restarts=2 conv=true brk=- | sdc=8 recomp=6 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[promote@1:5:5:407f23cd1b9f035b] traj=7:da08db9660a6179c checks=7 rebuilds=1");
+    check("ladder_promote_f32_start_laplace", &digest(&out), "x=4cafb3f5ca65369c t=3f7759ec3eb6da0e orth=3f5f5b5bb1ae030f tsqr=3f25a94e670ac420 recl=0000000000000000 relres=3eab34ef17ce8869 msgs=867 bytes=75696 iters=34 restarts=2 conv=true brk=- | sdc=8 recomp=6 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[promote@1:5:5:407f23cd1b9f035b] traj=7:da08db9660a6179c checks=7 rebuilds=1");
 }
 
 #[test]
@@ -475,7 +484,7 @@ fn ladder_forced_s_monomial_f32_full_ladder_convdiff() {
     c.probe = probe(Some(2.0));
     let plan = FaultPlan::new(303).with_s_override(16);
     let out = solve(3, Some(plan), &convdiff(), &c);
-    check("ladder_forced_s_monomial_f32_full_ladder_convdiff", &digest(&out), "x=62060ea91235df44 t=3f93aea2988d1e90 orth=3f67ac7a85b340c6 tsqr=3f44578a55af2890 recl=0000000000000000 relres=3e032c3b3352c000 msgs=3363 bytes=361600 iters=90 restarts=4 conv=true brk=- | sdc=36 recomp=27 redone=1 retries=0 lost=None hung=None rebal=0 retunes=0 s=16 degraded=false ndev=3 layout=[0, 65, 130, 196] polls=70 esc=0 midreb=0 resumes=2 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[reorth@1:0:16:466cd6af4da4a142,throttle@1:16:8:43e7891ef26785ff,throttle@1:16:8:43453c85e06cc2d4,basis-switch@1:16:6:42655bf4f7c0b7f4,reorth@1:16:8:41d710b6a562e2ab,reorth@2:0:16:4388e6677ca2c498,throttle@2:16:8:432e77468408d510,throttle@2:16:8:41d8c4d8df147aa2,promote@2:16:6:419203a688d06819,reorth@2:16:8:41d8c4d87447b497,reorth@3:0:16:43fb0a12798d60c0,throttle@3:16:8:437e9f330db858f9,throttle@3:16:8:41c5b274f94ad57c] traj=20:defa63bc3634f219 checks=25 rebuilds=1");
+    check("ladder_forced_s_monomial_f32_full_ladder_convdiff", &digest(&out), "x=62060ea91235df44 t=3f93b3157e2cfb0d orth=3f67ac7a85b340c6 tsqr=3f44578a55af2890 recl=0000000000000000 relres=3e032c3b3352c000 msgs=3363 bytes=361600 iters=90 restarts=4 conv=true brk=- | sdc=36 recomp=27 redone=1 retries=0 lost=None hung=None rebal=0 retunes=0 s=16 degraded=false ndev=3 layout=[0, 65, 130, 196] polls=70 esc=0 midreb=0 resumes=2 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[reorth@1:0:16:466cd6af4da4a142,throttle@1:16:8:43e7891ef26785ff,throttle@1:16:8:43453c85e06cc2d4,basis-switch@1:16:6:42655bf4f7c0b7f4,reorth@1:16:8:41d710b6a562e2ab,reorth@2:0:16:4388e6677ca2c498,throttle@2:16:8:432e77468408d510,throttle@2:16:8:41d8c4d8df147aa2,promote@2:16:6:419203a688d06819,reorth@2:16:8:41d8c4d87447b497,reorth@3:0:16:43fb0a12798d60c0,throttle@3:16:8:437e9f330db858f9,throttle@3:16:8:41c5b274f94ad57c] traj=20:defa63bc3634f219 checks=25 rebuilds=1");
 }
 
 #[test]
@@ -488,7 +497,7 @@ fn ladder_hard_failure_throttles_and_converges_laplace() {
     let plan = FaultPlan::new(101).with_basis_perturb(0.3, 1.0);
     let out = solve(3, Some(plan), &laplace(), &c);
     assert!(out.stats.converged && out.report.escalations[0].cond_est.is_infinite());
-    check("ladder_hard_failure_throttles_and_converges_laplace", &digest(&out), "x=64eb6787ac04edc6 t=3f72939d5e25a917 orth=3f61283148813fd8 tsqr=3f2ccc4e884f9ba0 recl=0000000000000000 relres=3eab34e2b2db3195 msgs=648 bytes=61440 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=29 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[throttle@1:11:5:7ff0000000000000] traj=0:cbf29ce484222325 checks=9 rebuilds=0");
+    check("ladder_hard_failure_throttles_and_converges_laplace", &digest(&out), "x=64eb6787ac04edc6 t=3f729f262bd3c226 orth=3f61283148813fd8 tsqr=3f2ccc4e884f9ba0 recl=0000000000000000 relres=3eab34e2b2db3195 msgs=648 bytes=61440 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=29 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[throttle@1:11:5:7ff0000000000000] traj=0:cbf29ce484222325 checks=9 rebuilds=0");
 }
 
 #[test]
@@ -498,7 +507,7 @@ fn ladder_hard_failure_in_first_block_reseeds_laplace() {
     let plan = FaultPlan::new(202).with_basis_perturb(0.3, 1.0);
     let out = solve(3, Some(plan), &laplace(), &c);
     assert!(out.report.escalations.iter().any(|e| e.column == 0 && e.cond_est.is_infinite()));
-    check("ladder_hard_failure_in_first_block_reseeds_laplace", &digest(&out), "x=401508db2bd86930 t=3f7798f1b7a0a4b9 orth=3f6384f8e082cea0 tsqr=3f39324663d2a308 recl=0000000000000000 relres=3ed35bc3ba467ec0 msgs=837 bytes=80928 iters=38 restarts=3 conv=false brk=Orthogonalization { column: 11, reason: \"Gram matrix not positive definite (pivot 0e0 at 1)\" } | sdc=0 recomp=0 redone=1 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[throttle@1:0:5:7ff0000000000000,reorth@2:0:5:433b0524fb13053f,throttle@2:11:5:7ff0000000000000] traj=1:9fb65c182083be2e checks=16 rebuilds=0");
+    check("ladder_hard_failure_in_first_block_reseeds_laplace", &digest(&out), "x=401508db2bd86930 t=3f77a47a854ebdc8 orth=3f6384f8e082cea0 tsqr=3f39324663d2a308 recl=0000000000000000 relres=3ed35bc3ba467ec0 msgs=837 bytes=80928 iters=38 restarts=3 conv=false brk=Orthogonalization { column: 11, reason: \"Gram matrix not positive definite (pivot 0e0 at 1)\" } | sdc=0 recomp=0 redone=1 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[throttle@1:0:5:7ff0000000000000,reorth@2:0:5:433b0524fb13053f,throttle@2:11:5:7ff0000000000000] traj=1:9fb65c182083be2e checks=16 rebuilds=0");
 }
 
 #[test]
@@ -514,7 +523,7 @@ fn ladder_hard_failure_switches_basis_laplace() {
         .escalations
         .iter()
         .any(|e| e.rung == EscalationRung::BasisSwitch && e.cond_est.is_infinite()));
-    check("ladder_hard_failure_switches_basis_laplace", &digest(&out), "x=2f911319e73091f0 t=3f71ed8a876b34b4 orth=3f6031a739d259b2 tsqr=3f25a94e670ac440 recl=0000000000000000 relres=3eab34e2b2d9ce33 msgs=627 bytes=59664 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=27 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[basis-switch@1:11:5:7ff0000000000000] traj=1:ff824b08f5bcfc7f checks=7 rebuilds=0");
+    check("ladder_hard_failure_switches_basis_laplace", &digest(&out), "x=2f911319e73091f0 t=3f71f91355194dc3 orth=3f6031a739d259b2 tsqr=3f25a94e670ac440 recl=0000000000000000 relres=3eab34e2b2d9ce33 msgs=627 bytes=59664 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=27 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[basis-switch@1:11:5:7ff0000000000000] traj=1:ff824b08f5bcfc7f checks=7 rebuilds=0");
 }
 
 #[test]
@@ -529,7 +538,7 @@ fn ladder_hard_failure_promotes_f32_laplace() {
         .escalations
         .iter()
         .any(|e| e.rung == EscalationRung::Promote && e.cond_est.is_infinite()));
-    check("ladder_hard_failure_promotes_f32_laplace", &digest(&out), "x=a20e8eb3f791142e t=3f7a5d8979a36b04 orth=3f6031a739d259b2 tsqr=3f25a94e670ac420 recl=0000000000000000 relres=3eab34ea928145f6 msgs=999 bytes=89256 iters=34 restarts=2 conv=true brk=- | sdc=12 recomp=9 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[promote@1:11:5:7ff0000000000000] traj=0:cbf29ce484222325 checks=7 rebuilds=1");
+    check("ladder_hard_failure_promotes_f32_laplace", &digest(&out), "x=a20e8eb3f791142e t=3f7a691247518413 orth=3f6031a739d259b2 tsqr=3f25a94e670ac420 recl=0000000000000000 relres=3eab34ea928145f6 msgs=999 bytes=89256 iters=34 restarts=2 conv=true brk=- | sdc=12 recomp=9 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=1 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[promote@1:11:5:7ff0000000000000] traj=0:cbf29ce484222325 checks=7 rebuilds=1");
 }
 
 #[test]
@@ -539,7 +548,7 @@ fn ladder_gram_nudge_exhausts_and_breaks_down_typed_cantilever() {
     let plan = FaultPlan::new(303).with_gram_nudge(0.3, 1.0);
     let out = solve(2, Some(plan), &cant(), &c);
     assert!(out.stats.breakdown.is_some() && !out.report.escalations.is_empty());
-    check("ladder_gram_nudge_exhausts_and_breaks_down_typed_cantilever", &digest(&out), "x=4c5ac4d9508a2e11 t=3f79bf5936d46228 orth=3f64648fe789cf7c tsqr=3f3c22cd74e35870 recl=0000000000000000 relres=3ef2aefa215eb2f9 msgs=614 bytes=122656 iters=54 restarts=3 conv=false brk=Orthogonalization { column: 15, reason: \"Gram matrix not positive definite (pivot 0e0 at 1)\" } | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 120, 240] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[throttle@2:11:5:7ff0000000000000] traj=0:cbf29ce484222325 checks=18 rebuilds=0");
+    check("ladder_gram_nudge_exhausts_and_breaks_down_typed_cantilever", &digest(&out), "x=4c5ac4d9508a2e11 t=3f79cae204827b37 orth=3f64648fe789cf7c tsqr=3f3c22cd74e35870 recl=0000000000000000 relres=3ef2aefa215eb2f9 msgs=614 bytes=122656 iters=54 restarts=3 conv=false brk=Orthogonalization { column: 15, reason: \"Gram matrix not positive definite (pivot 0e0 at 1)\" } | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 120, 240] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[throttle@2:11:5:7ff0000000000000] traj=0:cbf29ce484222325 checks=18 rebuilds=0");
 }
 
 #[test]
@@ -547,7 +556,7 @@ fn unguarded_basis_perturb_breaks_down_typed_laplace() {
     let plan = FaultPlan::new(101).with_basis_perturb(0.3, 1.0);
     let out = solve(3, Some(plan), &laplace(), &cfg(5, 20, 1e-6));
     assert!(out.stats.breakdown.is_some());
-    check("unguarded_basis_perturb_breaks_down_typed_laplace", &digest(&out), "x=2eb848a63da74cdf t=3f708ef6d74d1733 orth=3f5e7477e4a4fc8b tsqr=3f1ce45ffd852040 recl=0000000000000000 relres=3ed35bc3ba46277b msgs=570 bytes=52224 iters=30 restarts=2 conv=false brk=Orthogonalization { column: 11, reason: \"Gram matrix not positive definite (pivot -2.842170943040401e-14 at 4)\" } | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("unguarded_basis_perturb_breaks_down_typed_laplace", &digest(&out), "x=2eb848a63da74cdf t=3f709a7fa4fb3042 orth=3f5e7477e4a4fc8b tsqr=3f1ce45ffd852040 recl=0000000000000000 relres=3ed35bc3ba46277b msgs=570 bytes=52224 iters=30 restarts=2 conv=false brk=Orthogonalization { column: 11, reason: \"Gram matrix not positive definite (pivot -2.842170943040401e-14 at 4)\" } | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }
 
 #[test]
@@ -557,7 +566,7 @@ fn residual_backstop_redoes_cycles_laplace() {
     let plan = FaultPlan::new(303).with_basis_perturb(0.5, 0.999);
     let out = solve(3, Some(plan), &laplace(), &cfg(5, 20, 1e-6));
     assert!(out.report.cycles_redone > 0);
-    check("residual_backstop_redoes_cycles_laplace", &digest(&out), "x=4a86a4b14bfbba73 t=3f84c17bdcd9d998 orth=3f66931af3c6ec12 tsqr=3f4ce8532bb747f0 recl=0000000000000000 relres=3eab8fc1c26a56d7 msgs=1494 bytes=152568 iters=99 restarts=13 conv=true brk=- | sdc=0 recomp=0 redone=9 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("residual_backstop_redoes_cycles_laplace", &digest(&out), "x=4a86a4b14bfbba73 t=3f84cbf83b0de749 orth=3f66931af3c6ec14 tsqr=3f4ce8532bb747f8 recl=0000000000000000 relres=3eab8fc1c26a56d7 msgs=1494 bytes=152568 iters=99 restarts=13 conv=true brk=- | sdc=0 recomp=0 redone=9 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=3 layout=[0, 48, 96, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }
 
 // (g) the warm session entry
@@ -568,9 +577,9 @@ fn warm_session_rhs_precharged_laplace() {
     let c = cfg(5, 20, 1e-6);
     let mut mg = MultiGpu::with_defaults(2);
     let (cold, resident) = ca_gmres_ft_session(&mut mg, &a, &b, &c, None, None, false);
-    check("warm_session_rhs_precharged_laplace/cold", &digest(&cold), "x=b3e157597d782230 t=3f702aa8f3c1b0af orth=3f5e46363dbe88d6 tsqr=3f2518381a0ff390 recl=0000000000000000 relres=3eab34e2b2d12124 msgs=382 bytes=33872 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("warm_session_rhs_precharged_laplace/cold", &digest(&cold), "x=b3e157597d782230 t=3f70330c71dc73a2 orth=3f5e46363dbe88d6 tsqr=3f2518381a0ff390 recl=0000000000000000 relres=3eab34e2b2d12124 msgs=382 bytes=33872 iters=34 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
     let b2: Vec<f64> = b.iter().map(|v| 0.5 * v + 1.0).collect();
     let (warm, resident) = ca_gmres_ft_session(&mut mg, &a, &b2, &c, None, resident, true);
     assert!(resident.is_some());
-    check("warm_session_rhs_precharged_laplace/warm", &digest(&warm), "x=2671ff8c07838436 t=3f70135fc8e73d63 orth=3f5e46363dbe88c0 tsqr=3f2518381a0ff3a0 recl=0000000000000000 relres=3eab0511cead832c msgs=760 bytes=65424 iters=33 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
+    check("warm_session_rhs_precharged_laplace/warm", &digest(&warm), "x=2671ff8c07838436 t=3f701bc347020056 orth=3f5e46363dbe88c0 tsqr=3f2518381a0ff3a0 recl=0000000000000000 relres=3eab0511cead832c msgs=378 bytes=31552 iters=33 restarts=2 conv=true brk=- | sdc=0 recomp=0 redone=0 retries=0 lost=None hung=None rebal=0 retunes=0 s=5 degraded=false ndev=2 layout=[0, 72, 144] polls=0 esc=0 midreb=0 resumes=0 lat=0:cbf29ce484222325 worklost=0000000000000000 ladder=[] traj=0:cbf29ce484222325 checks=0 rebuilds=0");
 }

@@ -170,7 +170,7 @@ fn mid_cycle_rebalance_with_a_tuner_is_pinned() {
         r.s_final,
         r.layout_final,
     );
-    let want = "x=7d9b0c4e92765f3d t=3f7a489b277534a7 relres=3e4461b167b7b175 iters=56 restarts=3 \
+    let want = "x=7d9b0c4e92765f3d t=3f7a5901830bf79b relres=3e4461b167b7b175 iters=56 restarts=3 \
                 midreb=1 retunes=0 s=5 layout=[0, 87, 171, 196]";
     assert_eq!(got, want);
 }
